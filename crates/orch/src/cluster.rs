@@ -17,7 +17,26 @@
 //!
 //! # Indexed state
 //!
-//! The cluster maintains ordered indexes over its hosts so fleet-level
+//! **VMs are addressed by key, not by name.** The cluster owns the VM
+//! table (`vmtable.rs`): a name is interned to a dense `VmKey` the first
+//! time it is seen — when the orchestrator seeds a day's events, or when
+//! [`Cluster::deploy`] / [`Cluster::restore`] first meet it — and one record
+//! per key holds that VM's state (absent, waiting for capacity, placed on a
+//! host as a model or a live guest, being restored) and its DR backups.
+//! Every `&str` method resolves the name once and calls the key path; the
+//! orchestrator resolves each event once and passes keys. A key is never
+//! reused and outlives the VM's departure (the record goes back to absent
+//! with no DR state), so a re-arriving name gets the same key and nothing
+//! of its previous life.
+//!
+//! One record, one state: "each VM is on exactly one live host, pending,
+//! being restored, or gone" — the legitimate configuration failure handling
+//! must always return to — cannot be broken by maps drifting apart. Each
+//! [`OrchHost`] keeps its VMs' keys beside `accounting().placed`, index for
+//! index; `place_spec` / `evict_spec` alone edit that pair, the record and
+//! the cached sums below, and backup sweeps walk hosts → keys → records.
+//!
+//! The cluster also maintains ordered indexes over its hosts so fleet-level
 //! queries stop walking the whole host vector:
 //!
 //! * `by_util` — powered-on hosts ordered by `(cpu-utilization, id)`, the
@@ -26,7 +45,7 @@
 //!   giving an O(log n) "could this VM fit *anywhere*?" quick reject;
 //! * `empty_powered` / `parked` — powered-on-and-empty and powered-off
 //!   hosts in host-vector order (`OnePerHost` placement, DR power-up);
-//! * `vm_to_host` / `by_id` — O(log n) VM-name and host-id lookups.
+//! * `by_id` — O(log n) host-id lookups.
 //!
 //! Per-host committed-capacity figures are cached incrementally and are
 //! *bit-identical* to recomputing the accounting folds: appending a spec
@@ -67,6 +86,7 @@ use rvisor_types::{ByteSize, Error, GuestAddress, HostId, Nanoseconds, Result, P
 use rvisor_vcpu::{Workload, WorkloadKind};
 
 use crate::params::{OrchParams, VmFidelity};
+use crate::vmtable::{fnv1a, Guest, VmKey, VmModel, VmState, VmTable, FNV_BASIS};
 
 /// Guest code entry point for the synthetic tenant workload.
 const TENANT_ENTRY: u64 = 0x1000;
@@ -117,9 +137,7 @@ pub(crate) fn key_util(key: u64) -> f64 {
 /// FNV-1a hash of a VM name: the per-VM identity stamp written into guest
 /// memory at deploy/materialization time.
 fn identity_stamp(name: &str) -> u64 {
-    name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |acc, b| {
-        (acc ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+    fnv1a(FNV_BASIS, name.as_bytes())
 }
 
 /// Load the canonical tenant state into a freshly created VM: the idle
@@ -175,29 +193,6 @@ pub enum HostPower {
     Failed,
 }
 
-/// Integer-only statistical stand-in for a not-yet-materialized VM
-/// (the cheap end of the fidelity dial).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct VmModel {
-    /// Mirror of the accounting CPU demand, in millicores.
-    cpu_demand_millicores: u64,
-    /// Pages the canonical deploy state has dirtied (workload image plus
-    /// identity markers); the dirty rate stays zero until materialization
-    /// because parked tenant guests never execute.
-    dirty_pages: u64,
-}
-
-impl VmModel {
-    fn for_spec(spec: &VmSpec) -> Self {
-        VmModel {
-            cpu_demand_millicores: (spec.cpu_demand_cores.max(0.0) * 1000.0) as u64,
-            // The idle workload image dirties its code page; the identity
-            // stamp dirties four marker pages.
-            dirty_pages: 5,
-        }
-    }
-}
-
 /// What a DR backup points at: a real snapshot in the DR store, or the
 /// canonical deploy state a still-modeled VM is known to be in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,9 +232,9 @@ pub struct OrchHost {
     accounting: Host,
     vmm: Vmm,
     power: HostPower,
-    vm_ids: BTreeMap<String, rvisor_types::VmId>,
-    /// Statistical models for not-yet-materialized VMs (OnDemand fidelity).
-    models: BTreeMap<String, VmModel>,
+    /// Keys of the VMs placed here: `keys[i]` is the VM whose spec is
+    /// `accounting.placed[i]`.
+    keys: Vec<VmKey>,
     /// Incremental mirror of `accounting.cpu_committed()`, bit-identical to
     /// the fold at all times (see the module docs).
     cpu_committed: f64,
@@ -284,18 +279,17 @@ impl OrchHost {
         self.mem_committed as f64 / self.accounting.spec.memory.as_u64().max(1) as f64
     }
 
-    /// Names of the VMs placed here, in placement order.
-    pub fn vm_names(&self) -> Vec<String> {
-        self.accounting
-            .placed
-            .iter()
-            .map(|s| s.name.clone())
-            .collect()
+    /// Keys of the VMs placed here, in placement order.
+    pub(crate) fn keys(&self) -> &[VmKey] {
+        &self.keys
     }
 
-    /// Whether the named VM is still a statistical model on this host.
-    pub(crate) fn is_model(&self, vm: &str) -> bool {
-        self.models.contains_key(vm)
+    /// Index of `key`'s spec in `accounting.placed`.
+    fn slot_of(&self, key: VmKey) -> usize {
+        self.keys
+            .iter()
+            .position(|&k| k == key)
+            .expect("a placed record's key is on the host it names")
     }
 
     pub(crate) fn cpu_committed_cached(&self) -> f64 {
@@ -320,14 +314,14 @@ impl OrchHost {
         let cpu_ok = self.cpu_committed + spec.cpu_demand_cores <= self.cores;
         mem_ok && cpu_ok
     }
+}
 
-    fn live_vm_mut(&mut self, name: &str) -> Result<&mut Vm> {
-        let id = *self
-            .vm_ids
-            .get(name)
-            .ok_or_else(|| Error::Config(format!("no live VM named {name} on {}", self.id())))?;
-        self.vmm.vm_mut(id)
-    }
+fn no_such_vm(vm: &str) -> Error {
+    Error::Config(format!("no VM named {vm} in the cluster"))
+}
+
+pub(crate) fn already_exists(vm: &str) -> Error {
+    Error::Config(format!("a VM named {vm} already exists in the cluster"))
 }
 
 /// A datacenter: hosts sharing one migration/DR network fabric.
@@ -359,8 +353,10 @@ pub struct Cluster {
     empty_powered: BTreeSet<usize>,
     /// Positions of powered-off (not failed) hosts, in host-vector order.
     parked: BTreeSet<usize>,
-    /// VM name → position of the host it lives on.
-    vm_to_host: BTreeMap<String, usize>,
+    /// Every VM name seen so far, its key, state and DR slot. The
+    /// orchestrator edits its own states (pending, restoring) and the DR
+    /// slots here; placement is edited only by this module.
+    pub(crate) vms: VmTable,
     /// VMs placed across all hosts.
     total_vms: usize,
     /// Hosts currently powered on.
@@ -393,8 +389,7 @@ impl Cluster {
                     mem_capacity: accounting.memory_capacity().as_u64(),
                     accounting,
                     power: HostPower::On,
-                    vm_ids: BTreeMap::new(),
-                    models: BTreeMap::new(),
+                    keys: Vec::new(),
                     cpu_committed,
                     mem_committed: 0,
                 }
@@ -464,7 +459,7 @@ impl Cluster {
             free_mem: BTreeSet::new(),
             empty_powered: BTreeSet::new(),
             parked: BTreeSet::new(),
-            vm_to_host: BTreeMap::new(),
+            vms: VmTable::default(),
             total_vms: 0,
             n_powered,
             canonical_backup_size: None,
@@ -560,15 +555,44 @@ impl Cluster {
     /// VMs currently represented by statistical models rather than live
     /// guests (always zero under [`VmFidelity::Full`]).
     pub fn modeled_vms(&self) -> usize {
-        self.hosts.iter().map(|h| h.models.len()).sum()
+        let placed = self.hosts.iter().flat_map(|h| &h.keys);
+        placed
+            .filter(|&&k| matches!(self.vms[k].placement(), Some((_, Guest::Model(_)))))
+            .count()
     }
 
     /// Whether the named VM is backed by a live guest (as opposed to a
     /// statistical model awaiting materialization).
     pub fn is_materialized(&self, vm: &str) -> bool {
-        self.vm_to_host
-            .get(vm)
-            .is_some_and(|&pos| self.hosts[pos].vm_ids.contains_key(vm))
+        matches!(self.placement_of(vm), Some((_, Guest::Live(_))))
+    }
+
+    /// Whether the named VM is still a statistical model on the host at `pos`.
+    pub(crate) fn is_model_at(&self, pos: usize, vm: &str) -> bool {
+        matches!(self.placement_of(vm), Some((p, Guest::Model(_))) if p == pos)
+    }
+
+    /// Resolve a name that must already be known.
+    fn resolve(&self, vm: &str) -> Result<VmKey> {
+        self.vms.lookup(vm).ok_or_else(|| no_such_vm(vm))
+    }
+
+    /// Host position and backing of the named VM, if it is placed.
+    fn placement_of(&self, vm: &str) -> Option<(usize, Guest)> {
+        self.vms[self.vms.lookup(vm)?].placement()
+    }
+
+    /// Host position and backing of a VM that must be placed.
+    fn placement(&self, key: VmKey) -> Result<(usize, Guest)> {
+        let placed = self.vms[key].placement();
+        placed.ok_or_else(|| no_such_vm(self.vms.name(key)))
+    }
+
+    fn set_placed(&mut self, key: VmKey, pos: usize, guest: Guest) {
+        self.vms[key].state = VmState::Placed {
+            host_pos: pos as u32,
+            guest,
+        };
     }
 
     fn position(&self, host: HostId) -> Result<usize> {
@@ -600,7 +624,7 @@ impl Cluster {
 
     /// Which host (if any) currently runs the named VM.
     pub fn host_of(&self, vm: &str) -> Option<HostId> {
-        self.vm_to_host.get(vm).map(|&pos| self.hosts[pos].id())
+        self.placement_of(vm).map(|(pos, _)| self.hosts[pos].id())
     }
 
     /// Remove `pos` from every index it currently appears in. Call before
@@ -613,10 +637,9 @@ impl Cluster {
         }
         match h.power {
             HostPower::On => {
-                self.by_util
-                    .remove(&(util_key(h.cpu_utilization()), h.id()));
-                self.free_cpu
-                    .remove(&(util_key((h.cores - h.cpu_committed).max(0.0)), pos));
+                let (util, free) = self.cpu_entries(pos);
+                self.by_util.remove(&util);
+                self.free_cpu.remove(&free);
                 self.free_mem
                     .remove(&(h.mem_capacity.saturating_sub(h.mem_committed), pos));
                 if h.accounting.vm_count() == 0 {
@@ -628,6 +651,17 @@ impl Cluster {
             }
             HostPower::Failed => {}
         }
+    }
+
+    /// The `by_util` and `free_cpu` entries of the powered-on host at `pos`
+    /// — the only index entries a change of one VM's demand can move.
+    fn cpu_entries(&self, pos: usize) -> ((u64, HostId), (u64, usize)) {
+        let h = &self.hosts[pos];
+        let free = (h.cores - h.cpu_committed).max(0.0);
+        (
+            (util_key(h.cpu_utilization()), h.id()),
+            (util_key(free), pos),
+        )
     }
 
     /// Re-insert `pos` into the indexes from its current state.
@@ -644,9 +678,9 @@ impl Cluster {
         debug_assert_eq!(h.mem_committed, h.accounting.memory_committed().as_u64());
         match h.power {
             HostPower::On => {
-                self.by_util.insert((util_key(h.cpu_utilization()), h.id()));
-                self.free_cpu
-                    .insert((util_key((h.cores - h.cpu_committed).max(0.0)), pos));
+                let (util, free) = self.cpu_entries(pos);
+                self.by_util.insert(util);
+                self.free_cpu.insert(free);
                 self.free_mem
                     .insert((h.mem_capacity.saturating_sub(h.mem_committed), pos));
                 if h.accounting.vm_count() == 0 {
@@ -660,35 +694,45 @@ impl Cluster {
         }
     }
 
-    /// Place `spec` on the host at `pos`, maintaining caches and indexes.
-    fn place_spec(&mut self, pos: usize, spec: VmSpec) -> Result<()> {
+    /// Place `key`'s `spec` on the host at `pos` as a model. With
+    /// [`Self::evict_spec`], the only code that edits a host's VM list: the
+    /// key list, the record, the cached sums, the VM count and the indexes
+    /// move together here.
+    fn place_spec(&mut self, pos: usize, key: VmKey, spec: VmSpec) -> Result<()> {
         self.deindex(pos);
         let h = &mut self.hosts[pos];
         let demand = spec.cpu_demand_cores;
         let mem = spec.memory.as_u64();
+        let model = VmModel::for_spec(&spec);
         let res = h.accounting.place(spec);
         if res.is_ok() {
             // Appending to `placed` extends the left-fold sum by exactly
             // one term, so incremental addition stays bit-identical.
             h.cpu_committed += demand;
             h.mem_committed += mem;
+            h.keys.push(key);
+            self.set_placed(key, pos, Guest::Model(model));
+            self.total_vms += 1;
         }
         self.index(pos);
         res
     }
 
-    /// Evict the named spec from the host at `pos`, maintaining caches.
-    fn evict_spec(&mut self, pos: usize, name: &str) -> Option<VmSpec> {
+    /// Evict `key` from the host at `pos` (where its record says it is),
+    /// leaving the record absent.
+    fn evict_spec(&mut self, pos: usize, key: VmKey) -> VmSpec {
         self.deindex(pos);
         let h = &mut self.hosts[pos];
-        let spec = h.accounting.evict(name);
-        if spec.is_some() {
-            // Removal from the middle of `placed` reorders the fold, so
-            // recompute rather than subtract (float addition is not
-            // associative).
-            h.cpu_committed = h.accounting.cpu_committed();
-            h.mem_committed = h.accounting.memory_committed().as_u64();
-        }
+        let slot = h.slot_of(key);
+        h.keys.remove(slot);
+        let spec = h.accounting.placed.remove(slot);
+        // Removal from the middle of `placed` reorders the fold, so
+        // recompute rather than subtract (float addition is not
+        // associative).
+        h.cpu_committed = h.accounting.cpu_committed();
+        h.mem_committed = h.accounting.memory_committed().as_u64();
+        self.vms[key].state = VmState::Absent;
+        self.total_vms -= 1;
         self.index(pos);
         spec
     }
@@ -780,105 +824,109 @@ impl Cluster {
     /// [`VmFidelity::Full`], a statistical model under
     /// [`VmFidelity::OnDemand`].
     pub fn deploy(&mut self, host: HostId, spec: VmSpec) -> Result<()> {
+        let key = self.vms.intern(&spec.name);
+        self.deploy_key(key, host, spec)
+    }
+
+    /// [`Self::deploy`] for a name already resolved to `key`.
+    pub(crate) fn deploy_key(&mut self, key: VmKey, host: HostId, spec: VmSpec) -> Result<()> {
+        debug_assert_eq!(self.vms.name(key), spec.name);
+        let idx = self.powered_position(host)?;
+        self.check_unplaced(key)?;
+        self.place_spec(idx, key, spec)?;
+        if self.params.fidelity == VmFidelity::Full {
+            if let Err(e) = self.materialize_key(key) {
+                self.evict_spec(idx, key);
+                return Err(e);
+            }
+        }
+        Ok(())
+    }
+
+    /// Position of `host`, which must be powered on to take a VM.
+    fn powered_position(&self, host: HostId) -> Result<usize> {
         let idx = self.position(host)?;
         if self.hosts[idx].power != HostPower::On {
             return Err(Error::Config(format!("{host} is not powered on")));
         }
-        if self.vm_to_host.contains_key(&spec.name) {
-            return Err(Error::Config(format!(
-                "a VM named {} already exists in the cluster",
-                spec.name
-            )));
-        }
-        let name = spec.name.clone();
-        let model = VmModel::for_spec(&spec);
-        self.place_spec(idx, spec)?;
-        match self.params.fidelity {
-            VmFidelity::Full => {
-                if let Err(e) = self.materialize_at(idx, &name) {
-                    self.evict_spec(idx, &name);
-                    return Err(e);
-                }
-            }
-            VmFidelity::OnDemand => {
-                self.hosts[idx].models.insert(name.clone(), model);
-            }
-        }
-        self.vm_to_host.insert(name, idx);
-        self.total_vms += 1;
-        Ok(())
+        Ok(idx)
     }
 
-    /// Turn the model at (`idx`, `name`) into a live canonical-state guest.
-    /// Idempotent for already-materialized VMs.
-    fn materialize_at(&mut self, idx: usize, name: &str) -> Result<()> {
-        let hot_modulus = self.params.hot_tenant_modulus;
-        let h = &mut self.hosts[idx];
-        if h.vm_ids.contains_key(name) {
-            return Ok(());
+    fn check_unplaced(&self, key: VmKey) -> Result<()> {
+        match self.vms[key].placement() {
+            Some(_) => Err(already_exists(self.vms.name(key))),
+            None => Ok(()),
         }
+    }
+
+    /// Turn the placed VM behind `key` into a live canonical-state guest if
+    /// it is still a model; returns its host position and guest id.
+    fn materialize_key(&mut self, key: VmKey) -> Result<(usize, rvisor_types::VmId)> {
+        let (idx, guest) = self.placement(key)?;
+        if let Guest::Live(id) = guest {
+            return Ok((idx, id));
+        }
+        let hot_modulus = self.params.hot_tenant_modulus;
+        let name = self.vms.name(key);
         let config = VmConfig::new(name).with_memory(self.params.guest_memory);
-        let id = h
+        let id = self.hosts[idx]
             .vmm
             .create_vm_with(config, |vm| provision_canonical(vm, name, hot_modulus))?;
-        h.vm_ids.insert(name.to_string(), id);
-        h.models.remove(name);
-        Ok(())
+        self.set_placed(key, idx, Guest::Live(id));
+        Ok((idx, id))
     }
 
     /// Materialize the named VM into a live guest if it is still a model.
     /// Idempotent; a materialized VM never reverts to a model.
     pub fn materialize(&mut self, vm: &str) -> Result<HostId> {
-        let idx = *self
-            .vm_to_host
-            .get(vm)
-            .ok_or_else(|| Error::Config(format!("no VM named {vm} in the cluster")))?;
-        self.materialize_at(idx, vm)?;
+        let (idx, _) = self.materialize_key(self.resolve(vm)?)?;
         Ok(self.hosts[idx].id())
     }
 
     /// Destroy the named VM; returns the host it lived on and its spec.
     pub fn destroy(&mut self, vm: &str) -> Result<(HostId, VmSpec)> {
-        let idx = *self
-            .vm_to_host
-            .get(vm)
-            .ok_or_else(|| Error::Config(format!("no VM named {vm} in the cluster")))?;
-        let h = &mut self.hosts[idx];
-        if let Some(id) = h.vm_ids.remove(vm) {
-            h.vmm.destroy_vm(id)?;
-        } else {
-            h.models.remove(vm);
+        self.destroy_key(self.resolve(vm)?)
+    }
+
+    /// [`Self::destroy`] by key.
+    pub(crate) fn destroy_key(&mut self, key: VmKey) -> Result<(HostId, VmSpec)> {
+        let (idx, guest) = self.placement(key)?;
+        if let Guest::Live(id) = guest {
+            self.hosts[idx].vmm.destroy_vm(id)?;
         }
-        let spec = self
-            .evict_spec(idx, vm)
-            .ok_or_else(|| Error::Config(format!("accounting lost track of {vm}")))?;
-        self.vm_to_host.remove(vm);
-        self.total_vms -= 1;
+        let spec = self.evict_spec(idx, key);
         Ok((self.hosts[idx].id(), spec))
     }
 
     /// Update the accounting CPU demand of the named VM (a load change).
     pub fn set_cpu_demand(&mut self, vm: &str, demand_cores: f64) -> Result<HostId> {
-        let idx = *self
-            .vm_to_host
-            .get(vm)
-            .ok_or_else(|| Error::Config(format!("no VM named {vm} in the cluster")))?;
-        self.deindex(idx);
+        self.set_cpu_demand_key(self.resolve(vm)?, demand_cores)
+    }
+
+    /// [`Self::set_cpu_demand`] by key.
+    pub(crate) fn set_cpu_demand_key(&mut self, key: VmKey, demand_cores: f64) -> Result<HostId> {
+        let (idx, _) = self.placement(key)?;
+        // Memory, VM count and power (on: the host holds a VM) are
+        // untouched, so only the two CPU-keyed index entries can move.
+        let (util, free) = self.cpu_entries(idx);
+        self.by_util.remove(&util);
+        self.free_cpu.remove(&free);
         let h = &mut self.hosts[idx];
-        let entry = h
-            .accounting
-            .placed
-            .iter_mut()
-            .find(|s| s.name == vm)
-            .expect("vm_to_host is kept consistent with accounting");
-        entry.cpu_demand_cores = demand_cores.max(0.0);
+        let slot = h.slot_of(key);
+        h.accounting.placed[slot].cpu_demand_cores = demand_cores.max(0.0);
         // In-place mutation reorders nothing, but the fold must be
         // recomputed: replacing a term changes every partial sum after it.
         h.cpu_committed = h.accounting.cpu_committed();
-        if let Some(m) = h.models.get_mut(vm) {
+        if let VmState::Placed {
+            guest: Guest::Model(m),
+            ..
+        } = &mut self.vms[key].state
+        {
             m.cpu_demand_millicores = (demand_cores.max(0.0) * 1000.0) as u64;
         }
-        self.index(idx);
+        let (util, free) = self.cpu_entries(idx);
+        self.by_util.insert(util);
+        self.free_cpu.insert(free);
         Ok(self.hosts[idx].id())
     }
 
@@ -925,20 +973,28 @@ impl Cluster {
         store: &mut SnapshotStore,
         now: Nanoseconds,
     ) -> Result<(BackupHandle, ByteSize, Nanoseconds)> {
-        let idx = *self
-            .vm_to_host
-            .get(vm)
-            .ok_or_else(|| Error::Config(format!("no VM named {vm} in the cluster")))?;
-        let (handle, size) = if self.hosts[idx].vm_ids.contains_key(vm) {
-            let live = self.hosts[idx].live_vm_mut(vm)?;
-            let snap = live.snapshot(label, store)?;
-            let size = store
-                .get(snap)
-                .map(|s| s.approx_size())
-                .unwrap_or(ByteSize::ZERO);
-            (BackupHandle::Stored(snap), size)
-        } else {
-            (BackupHandle::Canonical, self.canonical_backup_size()?)
+        self.backup_key(self.resolve(vm)?, label, store, now)
+    }
+
+    /// [`Self::backup`] by key (what the orchestrator's sweep calls).
+    pub(crate) fn backup_key(
+        &mut self,
+        key: VmKey,
+        label: &str,
+        store: &mut SnapshotStore,
+        now: Nanoseconds,
+    ) -> Result<(BackupHandle, ByteSize, Nanoseconds)> {
+        let (idx, guest) = self.placement(key)?;
+        let (handle, size) = match guest {
+            Guest::Live(id) => {
+                let snap = self.hosts[idx].vmm.vm_mut(id)?.snapshot(label, store)?;
+                let size = store
+                    .get(snap)
+                    .map(|s| s.approx_size())
+                    .unwrap_or(ByteSize::ZERO);
+                (BackupHandle::Stored(snap), size)
+            }
+            Guest::Model(_) => (BackupHandle::Canonical, self.canonical_backup_size()?),
         };
         let dr = self.dr_endpoint();
         let arrival = self.fabric.transfer(idx, dr, now, size.as_u64())?;
@@ -950,7 +1006,7 @@ impl Cluster {
                 now,
                 arrival,
                 &[
-                    ("vm", ArgValue::Str(vm)),
+                    ("vm", ArgValue::Str(self.vms.name(key))),
                     ("host", ArgValue::U64(idx as u64)),
                     ("bytes", ArgValue::U64(size.as_u64())),
                     ("lag_ns", ArgValue::U64(lag.as_nanos())),
@@ -985,10 +1041,20 @@ impl Cluster {
         parent: Option<ManifestId>,
         now: Nanoseconds,
     ) -> Result<DedupBackup> {
-        let idx = *self
-            .vm_to_host
-            .get(vm)
-            .ok_or_else(|| Error::Config(format!("no VM named {vm} in the cluster")))?;
+        self.backup_dedup_key(self.resolve(vm)?, label, cas, parent, now)
+    }
+
+    /// [`Self::backup_dedup`] by key.
+    pub(crate) fn backup_dedup_key(
+        &mut self,
+        key: VmKey,
+        label: &str,
+        cas: &mut CasStore,
+        parent: Option<ManifestId>,
+        now: Nanoseconds,
+    ) -> Result<DedupBackup> {
+        let (idx, guest) = self.placement(key)?;
+        let vm = self.vms.name(key);
         let parent_snap = match parent {
             None => None,
             Some(p) => Some(
@@ -997,8 +1063,8 @@ impl Cluster {
                     .snapshot_id,
             ),
         };
-        let snapshot = if self.hosts[idx].vm_ids.contains_key(vm) {
-            let live = self.hosts[idx].live_vm_mut(vm)?;
+        let snapshot = if let Guest::Live(id) = guest {
+            let live = self.hosts[idx].vmm.vm_mut(id)?;
             live.capture_for_backup(label, parent_snap)?
         } else {
             // Model VM: rebuild the canonical deploy state it is known to
@@ -1093,25 +1159,25 @@ impl Cluster {
 
     /// Fail a host abruptly. Every VM on it is lost; returns their specs.
     pub fn fail_host(&mut self, host: HostId) -> Result<Vec<VmSpec>> {
+        let lost = self.fail_host_keyed(host)?;
+        Ok(lost.into_iter().map(|(_, spec)| spec).collect())
+    }
+
+    /// [`Self::fail_host`], each lost spec with its key (placement order).
+    pub(crate) fn fail_host_keyed(&mut self, host: HostId) -> Result<Vec<(VmKey, VmSpec)>> {
         let idx = self.position(host)?;
+        let mut lost = Vec::with_capacity(self.hosts[idx].keys.len());
+        while let Some(&key) = self.hosts[idx].keys.first() {
+            lost.push((key, self.evict_spec(idx, key)));
+        }
         self.deindex(idx);
         let h = &mut self.hosts[idx];
-        let was_on = h.power == HostPower::On;
-        let lost = std::mem::take(&mut h.accounting.placed);
-        h.vm_ids.clear();
-        h.models.clear();
-        h.cpu_committed = h.accounting.cpu_committed();
-        h.mem_committed = 0;
+        if h.power == HostPower::On {
+            self.n_powered -= 1;
+        }
         // Drop the whole VMM: guest memory, switch, local snapshots — gone.
         h.vmm = Vmm::new(&format!("host-{}-dead", host.raw()));
         h.power = HostPower::Failed;
-        for spec in &lost {
-            self.vm_to_host.remove(&spec.name);
-        }
-        self.total_vms -= lost.len();
-        if was_on {
-            self.n_powered -= 1;
-        }
         self.index(idx);
         Ok(lost)
     }
@@ -1152,22 +1218,19 @@ impl Cluster {
     /// a pre-copy migration, if any. Still-modeled VMs have never been
     /// migrated, so they report `None` (the planner treats that as cold).
     pub fn observed_dirty_rate(&self, vm: &str) -> Option<u64> {
-        let idx = *self.vm_to_host.get(vm)?;
-        let host = &self.hosts[idx];
-        let id = *host.vm_ids.get(vm)?;
-        host.vmm.observed_dirty_rate(id)
+        match self.placement_of(vm)? {
+            (idx, Guest::Live(id)) => self.hosts[idx].vmm.observed_dirty_rate(id),
+            (_, Guest::Model(_)) => None,
+        }
     }
 
     /// The named VM's spec (accounting-scale) memory — the guest-size
     /// input to the adaptive migration planner.
     pub fn spec_memory_of(&self, vm: &str) -> Option<ByteSize> {
-        let idx = *self.vm_to_host.get(vm)?;
-        self.hosts[idx]
-            .accounting
-            .placed
-            .iter()
-            .find(|s| s.name == vm)
-            .map(|s| s.memory)
+        let key = self.vms.lookup(vm)?;
+        let (idx, _) = self.vms[key].placement()?;
+        let host = &self.hosts[idx];
+        Some(host.accounting.placed[host.slot_of(key)].memory)
     }
 
     /// Live-migrate the named VM under an explicit per-migration
@@ -1180,38 +1243,25 @@ impl Cluster {
         plan: &MigrationPlan,
         now: Nanoseconds,
     ) -> Result<MigrationReport> {
-        let from_idx = *self
-            .vm_to_host
-            .get(vm)
-            .ok_or_else(|| Error::Config(format!("no VM named {vm} in the cluster")))?;
+        let key = self.resolve(vm)?;
+        let (from_idx, _) = self.placement(key)?;
         let from = self.hosts[from_idx].id();
         if from == to {
             return Err(Error::Config(format!("{vm} is already on {to}")));
         }
-        let to_idx = self.position(to)?;
-        if self.hosts[to_idx].power != HostPower::On {
-            return Err(Error::Config(format!("{to} is not powered on")));
-        }
-        let spec = self.hosts[from_idx]
-            .accounting
-            .placed
-            .iter()
-            .find(|s| s.name == vm)
-            .cloned()
-            .expect("vm_to_host is kept consistent with accounting");
-        if !self.hosts[to_idx].fits_cached(&spec) {
+        let to_idx = self.powered_position(to)?;
+        let src = &self.hosts[from_idx];
+        if !self.hosts[to_idx].fits_cached(&src.accounting.placed[src.slot_of(key)]) {
             return Err(Error::CapacityExceeded(format!(
                 "{vm} does not fit on {to}"
             )));
         }
         // The migration is about to stream this VM's memory: materialize.
-        self.materialize_at(from_idx, vm)?;
+        let (_, vm_id) = self.materialize_key(key)?;
         // Where the stream will actually start once the fabric path frees
         // up — the span below reports the queueing ahead of the transfer.
         let queued_start = self.fabric.path_free_at(from_idx, to_idx)?.max(now);
 
-        self.deindex(from_idx);
-        self.deindex(to_idx);
         // The migration streams across the shared fabric between the two
         // hosts' endpoints; its busy-time marks are what make concurrent
         // rebalance migrations and DR backups queue behind each other.
@@ -1222,36 +1272,19 @@ impl Cluster {
             let (l, r) = self.hosts.split_at_mut(from_idx);
             (&mut r[0], &mut l[to_idx])
         };
-        let vm_id = *src.vm_ids.get(vm).expect("materialized above");
         let trace = self.trace.clone();
         let migrated = FabricTransport::starting_at(&mut self.fabric, from_idx, to_idx, now)
             .and_then(|mut transport| {
                 src.vmm
                     .migrate_to_planned_traced(vm_id, &mut dst.vmm, &mut transport, plan, &trace)
             });
-        let (new_id, report) = match migrated {
-            Ok(ok) => ok,
-            Err(e) => {
-                self.index(from_idx);
-                self.index(to_idx);
-                return Err(e);
-            }
-        };
-        let src = &mut self.hosts[from_idx];
-        src.vm_ids.remove(vm);
-        let spec = src.accounting.evict(vm).expect("accounting tracked");
-        src.cpu_committed = src.accounting.cpu_committed();
-        src.mem_committed = src.accounting.memory_committed().as_u64();
-        let dst = &mut self.hosts[to_idx];
-        dst.vm_ids.insert(vm.to_string(), new_id);
-        let demand = spec.cpu_demand_cores;
-        let mem = spec.memory.as_u64();
-        dst.accounting.place(spec).expect("fits checked above");
-        dst.cpu_committed += demand;
-        dst.mem_committed += mem;
-        self.index(from_idx);
-        self.index(to_idx);
-        self.vm_to_host.insert(vm.to_string(), to_idx);
+        // A failed migration returns here: no list, sum or index was
+        // edited yet, so both hosts are indexed exactly as before the call.
+        let (new_id, report) = migrated?;
+        let spec = self.evict_spec(from_idx, key);
+        self.place_spec(to_idx, key, spec)
+            .expect("fits checked above");
+        self.set_placed(key, to_idx, Guest::Live(new_id));
         if self.trace.is_on() {
             let end = queued_start.saturating_add(report.total_time);
             self.trace.span(
@@ -1293,20 +1326,8 @@ impl Cluster {
         to: HostId,
     ) -> Result<()> {
         let guest_memory = self.params.guest_memory;
-        let idx = self.position(to)?;
-        if self.hosts[idx].power != HostPower::On {
-            return Err(Error::Config(format!("{to} is not powered on")));
-        }
-        if self.vm_to_host.contains_key(&spec.name) {
-            return Err(Error::Config(format!(
-                "a VM named {} already exists in the cluster",
-                spec.name
-            )));
-        }
-        self.place_spec(idx, spec.clone())?;
         let hot_modulus = self.params.hot_tenant_modulus;
-        let restored = (|| {
-            let config = VmConfig::new(&spec.name).with_memory(guest_memory);
+        self.restore_with(spec, to, |vmm, config| {
             let restore_into = |vm: &mut Vm, snap: SnapshotId, store: &SnapshotStore| {
                 vm.restore_snapshot(snap, store)?;
                 vm.resume()?;
@@ -1314,9 +1335,9 @@ impl Cluster {
                 Ok(())
             };
             match backup {
-                BackupHandle::Stored(snap) => self.hosts[idx]
-                    .vmm
-                    .create_vm_with(config, |vm| restore_into(vm, snap, store)),
+                BackupHandle::Stored(snap) => {
+                    vmm.create_vm_with(config, |vm| restore_into(vm, snap, store))
+                }
                 BackupHandle::Canonical => {
                     // Rebuild the canonical snapshot this backup stood for.
                     let mut scratch_store = SnapshotStore::new();
@@ -1324,27 +1345,13 @@ impl Cluster {
                     let mut scratch = Vm::new(scratch_config)?;
                     provision_canonical(&mut scratch, &spec.name, hot_modulus)?;
                     let snap = scratch.snapshot("canonical", &mut scratch_store)?;
-                    self.hosts[idx]
-                        .vmm
-                        .create_vm_with(config, |vm| restore_into(vm, snap, &scratch_store))
+                    vmm.create_vm_with(config, |vm| restore_into(vm, snap, &scratch_store))
                 }
                 BackupHandle::Manifested(m) => Err(Error::Config(format!(
                     "{m} lives in the content-addressed store; use restore_manifested"
                 ))),
             }
-        })();
-        match restored {
-            Ok(id) => {
-                self.hosts[idx].vm_ids.insert(spec.name.clone(), id);
-                self.vm_to_host.insert(spec.name.clone(), idx);
-                self.total_vms += 1;
-                Ok(())
-            }
-            Err(e) => {
-                self.evict_spec(idx, &spec.name);
-                Err(e)
-            }
-        }
+        })
     }
 
     /// Recreate the named VM on `to` from a deduplicated DR epoch and
@@ -1358,34 +1365,37 @@ impl Cluster {
         cas: &CasStore,
         to: HostId,
     ) -> Result<()> {
-        let guest_memory = self.params.guest_memory;
-        let idx = self.position(to)?;
-        if self.hosts[idx].power != HostPower::On {
-            return Err(Error::Config(format!("{to} is not powered on")));
-        }
-        if self.vm_to_host.contains_key(&spec.name) {
-            return Err(Error::Config(format!(
-                "a VM named {} already exists in the cluster",
-                spec.name
-            )));
-        }
-        self.place_spec(idx, spec.clone())?;
-        let config = VmConfig::new(&spec.name).with_memory(guest_memory);
-        let restored = self.hosts[idx].vmm.create_vm_with(config, |vm| {
-            vm.restore_from_cas(manifest, cas)?;
-            vm.resume()?;
-            debug_assert_eq!(vm.lifecycle(), VmLifecycle::Running);
-            Ok(())
-        });
-        match restored {
+        self.restore_with(spec, to, |vmm, config| {
+            vmm.create_vm_with(config, |vm| {
+                vm.restore_from_cas(manifest, cas)?;
+                vm.resume()?;
+                debug_assert_eq!(vm.lifecycle(), VmLifecycle::Running);
+                Ok(())
+            })
+        })
+    }
+
+    /// The part both restores share: place `spec` on `to`, let `create`
+    /// build the resumed guest in that host's VMM, and make the VM live —
+    /// or evict the spec again if the guest could not be built.
+    fn restore_with(
+        &mut self,
+        spec: &VmSpec,
+        to: HostId,
+        create: impl FnOnce(&mut Vmm, VmConfig) -> Result<rvisor_types::VmId>,
+    ) -> Result<()> {
+        let idx = self.powered_position(to)?;
+        let key = self.vms.intern(&spec.name);
+        self.check_unplaced(key)?;
+        self.place_spec(idx, key, spec.clone())?;
+        let config = VmConfig::new(&spec.name).with_memory(self.params.guest_memory);
+        match create(&mut self.hosts[idx].vmm, config) {
             Ok(id) => {
-                self.hosts[idx].vm_ids.insert(spec.name.clone(), id);
-                self.vm_to_host.insert(spec.name.clone(), idx);
-                self.total_vms += 1;
+                self.set_placed(key, idx, Guest::Live(id));
                 Ok(())
             }
             Err(e) => {
-                self.evict_spec(idx, &spec.name);
+                self.evict_spec(idx, key);
                 Err(e)
             }
         }
@@ -1406,22 +1416,24 @@ impl Cluster {
             );
             assert_eq!(h.mem_committed, h.accounting.memory_committed().as_u64());
             assert_eq!(h.mem_capacity, h.accounting.memory_capacity().as_u64());
-            assert_eq!(
-                h.vm_ids.len() + h.models.len(),
-                h.accounting.vm_count(),
-                "{}: every placed VM must be live or modeled",
-                h.id()
-            );
+            // Table ≡ host contents, host side: every key here names a
+            // record placed on this host, at the index of its spec, once.
+            assert_eq!(h.keys.len(), h.accounting.vm_count());
+            for (slot, (&key, spec)) in h.keys.iter().zip(&h.accounting.placed).enumerate() {
+                assert_eq!(*self.vms.name(key), *spec.name);
+                assert_eq!(h.slot_of(key), slot, "{}: key listed twice", h.id());
+                match self.vms[key].placement() {
+                    Some((p, Guest::Live(id))) if p == pos => assert!(h.vmm.vm(id).is_ok()),
+                    Some((p, Guest::Model(_))) if p == pos => {}
+                    other => panic!("{}: {} is recorded as {other:?}", h.id(), spec.name),
+                }
+            }
             total += h.accounting.vm_count();
             match h.power {
                 HostPower::On => {
                     on += 1;
-                    assert!(self
-                        .by_util
-                        .contains(&(util_key(h.cpu_utilization()), h.id())));
-                    assert!(self
-                        .free_cpu
-                        .contains(&(util_key((h.cores - h.cpu_committed).max(0.0)), pos)));
+                    let (util, free) = self.cpu_entries(pos);
+                    assert!(self.by_util.contains(&util) && self.free_cpu.contains(&free));
                     assert!(self
                         .free_mem
                         .contains(&(h.mem_capacity.saturating_sub(h.mem_committed), pos)));
@@ -1442,22 +1454,24 @@ impl Cluster {
                     assert_eq!(h.accounting.vm_count(), 0);
                 }
             }
-            for name in h.vm_ids.keys().chain(h.models.keys()) {
-                assert_eq!(self.vm_to_host.get(name), Some(&pos));
-            }
         }
         assert_eq!(self.total_vms, total);
         assert_eq!(self.n_powered, on);
         assert_eq!(self.by_util.len(), on);
         assert_eq!(self.free_cpu.len(), on);
         assert_eq!(self.free_mem.len(), on);
-        assert_eq!(self.vm_to_host.len(), total);
+        // Table side: as many placed records as listed keys, and each host
+        // proved its keys distinct and recorded as placed there, so every
+        // placed record is on exactly one host and no other record is on any.
+        let placed = self.vms.records().filter(|r| r.placement().is_some());
+        assert_eq!(placed.count(), total);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rvisor_cluster::ServerRole;
 
     fn small_params() -> OrchParams {
@@ -1904,6 +1918,167 @@ mod tests {
         assert_eq!(fs.memory, ds.memory);
         assert_eq!(fs.vcpus, ds.vcpus);
         assert_eq!(fs.device_state, ds.device_state);
+    }
+
+    /// The name-keyed reference the table-backed cluster is pinned against:
+    /// one map from name to (host, spec), plain by-name accounting per host,
+    /// and the sets of failed hosts and materialized guests.
+    struct NaiveCluster {
+        vms: BTreeMap<&'static str, (HostId, VmSpec)>,
+        hosts: Vec<Host>,
+        failed: BTreeSet<usize>,
+        live: BTreeSet<&'static str>,
+    }
+
+    const NAMES: [&str; 6] = ["vm-0", "vm-1", "vm-2", "vm-3", "vm-4", "vm-5"];
+
+    impl NaiveCluster {
+        /// Whether `spec` may be placed on host `h` under a new name.
+        fn admits(&self, h: usize, spec: &VmSpec) -> bool {
+            !self.failed.contains(&h)
+                && !self.vms.contains_key(spec.name.as_str())
+                && self.hosts[h].fits(spec)
+        }
+
+        fn place(&mut self, h: usize, name: &'static str, spec: VmSpec) {
+            let id = self.hosts[h].spec.id;
+            self.vms.insert(name, (id, spec.clone()));
+            self.hosts[h].place(spec).unwrap();
+        }
+
+        fn evict(&mut self, name: &str) -> (HostId, VmSpec) {
+            let (id, _) = self.vms.remove(name).unwrap();
+            let spec = self.hosts[id.raw() as usize].evict(name).unwrap();
+            (id, spec)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random operation sequences through the public `&str` API agree
+        /// with the naive reference on every answer and every error outcome,
+        /// and the table stays consistent with the hosts after every step.
+        #[test]
+        fn property_table_backed_cluster_matches_naive_reference(
+            on_demand in any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..24, 0..NAMES.len(), 0usize..3, 0u32..5000),
+                1..64,
+            ),
+        ) {
+            const HOSTS: usize = 3;
+            let params = if on_demand { on_demand_params() } else { small_params() };
+            let host_specs: Vec<HostSpec> = (0..HOSTS)
+                .map(|i| HostSpec::deck_era_server(HostId::new(i as u32)))
+                .collect();
+            let mut naive = NaiveCluster {
+                vms: BTreeMap::new(),
+                hosts: host_specs
+                    .iter()
+                    .map(|s| Host::with_overcommit(s.clone(), params.memory_overcommit))
+                    .collect(),
+                failed: BTreeSet::new(),
+                live: BTreeSet::new(),
+            };
+            let mut c = Cluster::new(host_specs, params).unwrap();
+            let store = SnapshotStore::new();
+            let spec_of = |v: usize, millicores: u32| {
+                VmSpec::typical(NAMES[v], ServerRole::ALL[v % ServerRole::ALL.len()])
+                    .with_cpu_demand(millicores as f64 / 1000.0)
+            };
+            for (step, &(op, v, h, millicores)) in ops.iter().enumerate() {
+                let name = NAMES[v];
+                let host = HostId::new(h as u32);
+                let known = naive.vms.contains_key(name);
+                match op {
+                    // Deploys and migrations are weighted up, failures down, so
+                    // the cluster fills and VMs move before the hosts die.
+                    0..=6 => {
+                        let spec = spec_of(v, millicores);
+                        let expect = naive.admits(h, &spec);
+                        prop_assert_eq!(c.deploy(host, spec.clone()).is_ok(), expect, "deploy");
+                        if expect {
+                            naive.place(h, name, spec);
+                            if !on_demand {
+                                naive.live.insert(name);
+                            }
+                        }
+                    }
+                    7 | 8 => {
+                        let got = c.destroy(name).ok();
+                        let want = known.then(|| naive.evict(name));
+                        naive.live.remove(name);
+                        prop_assert_eq!(got, want, "destroy");
+                    }
+                    9..=11 => {
+                        let demand = millicores as f64 / 1000.0;
+                        let got = c.set_cpu_demand(name, demand).ok();
+                        let want = naive.vms.get_mut(name).map(|(id, spec)| {
+                            spec.cpu_demand_cores = demand;
+                            let placed = &mut naive.hosts[id.raw() as usize].placed;
+                            let slot = placed.iter_mut().find(|s| s.name == name).unwrap();
+                            slot.cpu_demand_cores = demand;
+                            *id
+                        });
+                        prop_assert_eq!(got, want, "set_cpu_demand");
+                    }
+                    12 => {
+                        let want = naive.vms.get(name).map(|(id, _)| *id);
+                        prop_assert_eq!(c.materialize(name).ok(), want, "materialize");
+                        if known {
+                            naive.live.insert(name);
+                        }
+                    }
+                    13..=19 => {
+                        let expect = naive.vms.get(name).is_some_and(|(from, spec)| {
+                            *from != host
+                                && !naive.failed.contains(&h)
+                                && naive.hosts[h].fits(spec)
+                        });
+                        let plan = MigrationPlan::default();
+                        let now = Nanoseconds::from_millis(step as u64);
+                        let got = c.migrate_planned(name, host, &plan, now);
+                        prop_assert_eq!(got.is_ok(), expect, "migrate_planned");
+                        if expect {
+                            let (_, spec) = naive.evict(name);
+                            naive.place(h, name, spec);
+                            naive.live.insert(name);
+                        }
+                    }
+                    20 if millicores < 1500 => {
+                        let want = std::mem::take(&mut naive.hosts[h].placed);
+                        for spec in &want {
+                            naive.vms.remove(spec.name.as_str());
+                            naive.live.remove(spec.name.as_str());
+                        }
+                        naive.failed.insert(h);
+                        prop_assert_eq!(c.fail_host(host).unwrap(), want, "fail_host");
+                    }
+                    _ => {
+                        let spec = spec_of(v, millicores);
+                        let expect = naive.admits(h, &spec);
+                        let got = c.restore(&spec, BackupHandle::Canonical, &store, host);
+                        prop_assert_eq!(got.is_ok(), expect, "restore");
+                        if expect {
+                            naive.place(h, name, spec);
+                            naive.live.insert(name);
+                        }
+                    }
+                }
+                c.check_invariants();
+                for name in NAMES {
+                    let want = naive.vms.get(name).map(|(id, _)| *id);
+                    prop_assert_eq!(c.host_of(name), want);
+                    prop_assert_eq!(c.is_materialized(name), naive.live.contains(name));
+                }
+                prop_assert_eq!(c.total_vms(), naive.vms.len());
+                prop_assert_eq!(c.modeled_vms(), naive.vms.len() - naive.live.len());
+                for (real, reference) in c.hosts().iter().zip(&naive.hosts) {
+                    prop_assert_eq!(&real.accounting().placed, &reference.placed);
+                }
+            }
+        }
     }
 
     #[test]

@@ -105,27 +105,27 @@ impl OrchEvent {
 
 /// An event with its firing time and FIFO sequence number.
 #[derive(Debug, Clone)]
-pub struct Scheduled {
+pub struct Scheduled<E = OrchEvent> {
     /// When the event fires.
     pub at: Nanoseconds,
     /// Push order, used to break same-instant ties deterministically.
     pub seq: u64,
     /// The event itself.
-    pub event: OrchEvent,
+    pub event: E,
 }
 
 /// Equality matches the ordering key `(at, seq)` — never the payload — so
 /// `PartialEq` stays consistent with `Ord` (`a == b` iff `cmp` is `Equal`).
 /// Within one queue `seq` is unique, so the key identifies the event.
-impl PartialEq for Scheduled {
+impl<E> PartialEq for Scheduled<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
 
-impl Eq for Scheduled {}
+impl<E> Eq for Scheduled<E> {}
 
-impl Ord for Scheduled {
+impl<E> Ord for Scheduled<E> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we want the earliest
         // (and, among equals, the first-pushed) event on top.
@@ -136,7 +136,7 @@ impl Ord for Scheduled {
     }
 }
 
-impl PartialOrd for Scheduled {
+impl<E> PartialOrd for Scheduled<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -155,11 +155,15 @@ const MAX_SLICE_WALK: u64 = 64;
 ///
 /// Observably identical to [`MinHeapQueue`] — same pop order, same
 /// conservation counters — which a proptest pins.
+///
+/// Generic over the payload (the ordering never looks at it): the public
+/// vocabulary is [`OrchEvent`]; the orchestrator queues a compact private
+/// form of it whose VM names are already resolved.
 #[derive(Debug)]
-pub struct EventQueue {
+pub struct EventQueue<E = OrchEvent> {
     /// `nbuckets` buckets; each sorted by `(at, seq)` *descending*, so the
     /// bucket's earliest event is at the back (O(1) removal).
-    buckets: Vec<Vec<Scheduled>>,
+    buckets: Vec<Vec<Scheduled<E>>>,
     /// Nanoseconds per calendar slice; slice `at / width` hashes to bucket
     /// `slice % nbuckets`.
     width: u64,
@@ -172,7 +176,7 @@ pub struct EventQueue {
     popped: u64,
 }
 
-impl Default for EventQueue {
+impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
             buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
@@ -186,7 +190,7 @@ impl Default for EventQueue {
     }
 }
 
-impl EventQueue {
+impl<E> EventQueue<E> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue::default()
@@ -197,7 +201,7 @@ impl EventQueue {
     }
 
     /// Insert into the slice's bucket, keeping it sorted descending.
-    fn insert(&mut self, s: Scheduled) {
+    fn insert(&mut self, s: Scheduled<E>) {
         let slice = self.slice_of(s.at);
         if self.len == 0 || slice < self.cursor_slice {
             // An event landing before the cursor rewinds it, so the next
@@ -213,7 +217,7 @@ impl EventQueue {
     }
 
     /// Schedule `event` to fire at `at`.
-    pub fn push(&mut self, at: Nanoseconds, event: OrchEvent) {
+    pub fn push(&mut self, at: Nanoseconds, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.pushed += 1;
@@ -224,7 +228,7 @@ impl EventQueue {
     }
 
     /// Pop the earliest event (FIFO among same-instant events).
-    pub fn pop(&mut self) -> Option<Scheduled> {
+    pub fn pop(&mut self) -> Option<Scheduled<E>> {
         if self.len == 0 {
             return None;
         }
@@ -273,7 +277,7 @@ impl EventQueue {
     /// queue's contents, so replays resize identically.
     fn rebucket(&mut self, new_n: usize) {
         let new_n = new_n.max(MIN_BUCKETS);
-        let mut all: Vec<Scheduled> = Vec::with_capacity(self.len);
+        let mut all: Vec<Scheduled<E>> = Vec::with_capacity(self.len);
         for bucket in &mut self.buckets {
             all.append(bucket);
         }

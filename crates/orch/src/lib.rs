@@ -102,7 +102,9 @@
 //! equivalence with the linear-scan originals is pinned by tests), and
 //! [`EventQueue`] is a calendar queue with O(1) expected push/pop that
 //! preserves `(Nanoseconds, seq)` FIFO ordering exactly — proptest-pinned
-//! against the retained [`MinHeapQueue`] reference implementation.
+//! against the retained [`MinHeapQueue`] reference implementation. VMs are
+//! addressed by a dense key interned once per name, so the million-backup
+//! sweeps of a warehouse day compare no strings (see the [`cluster`] docs).
 //!
 //! ```
 //! use rvisor_orch::{
@@ -134,6 +136,7 @@ pub mod planner;
 pub mod policy;
 pub mod report;
 pub mod scenario;
+mod vmtable;
 
 pub use cluster::{BackupHandle, Cluster, HostPower, OrchHost};
 pub use event::{EventQueue, MinHeapQueue, OrchEvent, Scheduled};

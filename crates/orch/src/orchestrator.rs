@@ -1,21 +1,20 @@
 //! The orchestrator: one event loop driving a whole datacenter.
 
-use std::collections::BTreeMap;
-
 use rvisor_cluster::{HostSpec, VmSpec};
 use rvisor_migrate::{FaultService, MigrationConfig, MigrationPlan, PlanEngine};
 use rvisor_obs::{ArgValue, Trace};
 use rvisor_snapshot::store::MAX_CHAIN_LENGTH;
-use rvisor_snapshot::{CasStore, ManifestId, SnapshotStore};
+use rvisor_snapshot::{CasStore, SnapshotStore};
 use rvisor_types::{ByteSize, Error, HostId, Nanoseconds, Result};
 
-use crate::cluster::{BackupHandle, Cluster, HostPower};
+use crate::cluster::{already_exists, BackupHandle, Cluster, HostPower};
 use crate::event::{EventQueue, OrchEvent};
 use crate::params::{EngineChoice, OrchParams};
 use crate::planner::MigrationPlanner;
 use crate::policy::{DecisionReason, RebalancePolicy};
 use crate::report::OrchReport;
 use crate::scenario::Scenario;
+use crate::vmtable::{discard, retire_links, PendingRestore, VmChain, VmKey, VmState};
 
 /// Stable engine label for trace arguments (matches `MigrationKind::name`,
 /// plus `auto` for planner-deferred decisions).
@@ -28,115 +27,28 @@ fn engine_label(engine: EngineChoice) -> &'static str {
     }
 }
 
+/// What the run's [`EventQueue`] holds instead of cloned [`OrchEvent`]s.
+#[derive(Debug, Clone, Copy)]
+enum DayEvent {
+    /// `scenario.events[index]`, with the key of the VM it names. `None`: it
+    /// names no VM, or one that no arrival of the scenario introduces — so
+    /// there is nothing it could refer to and it is counted as dropped.
+    Scenario {
+        index: u32,
+        key: Option<VmKey>,
+    },
+    RebalanceTick,
+    BackupTick,
+    /// A restore scheduled by failure handling completes.
+    RestoreComplete(VmKey),
+}
+
 /// A VM waiting for capacity (arrival deferred by a full cluster).
 #[derive(Debug, Clone)]
 struct PendingVm {
+    key: VmKey,
     spec: VmSpec,
     arrived_at: Nanoseconds,
-}
-
-/// A VM lost to a host failure, restore scheduled.
-#[derive(Debug, Clone)]
-struct PendingRestore {
-    spec: VmSpec,
-    backup: BackupHandle,
-    failed_at: Nanoseconds,
-}
-
-/// DR backups of one VM: at most one restorable snapshot plus at most one
-/// still streaming to the DR target.
-///
-/// A backup only becomes restorable once its stream has fully *arrived* at
-/// the DR endpoint — a host failure while the stream is on the wire falls
-/// back to the previous (retained) backup, not the bytes in flight.
-#[derive(Debug, Clone, Copy, Default)]
-struct VmBackups {
-    /// The newest fully-arrived backup and its size (what failures restore
-    /// from; the size sets the DR read time without touching the store).
-    ready: Option<(BackupHandle, ByteSize)>,
-    /// A backup still crossing the fabric, its size and arrival instant.
-    inflight: Option<(BackupHandle, ByteSize, Nanoseconds)>,
-}
-
-/// Delete the snapshot behind a handle, if it owns one (canonical model
-/// backups occupy no store space; manifested epochs are owned by the
-/// [`VmChain`] bookkeeping, never by a [`VmBackups`] slot).
-fn discard(handle: BackupHandle, store: &mut SnapshotStore) {
-    if let BackupHandle::Stored(id) = handle {
-        let _ = store.delete(id);
-    }
-}
-
-/// The manifest chain of one VM in the content-addressed DR store
-/// ([`OrchParams::dedup_backups`]): the current chain (a full epoch plus
-/// incrementals), the superseded previous chain retained until the new
-/// chain's full has arrived, and whether the next epoch must recapture in
-/// full (after a restore or a migration, the guest's dirty bitmap no longer
-/// corresponds to the last recorded epoch).
-#[derive(Debug, Clone, Default)]
-struct VmChain {
-    /// The current chain in capture order: `links[0]` is the full epoch.
-    /// Each entry carries its arrival instant at the DR endpoint; within a
-    /// chain every epoch streams from the same host, so arrivals are
-    /// monotone and the arrived prefix is contiguous.
-    links: Vec<(ManifestId, Nanoseconds)>,
-    /// The previous chain, retained until the new chain's anchor arrives (a
-    /// failure mid-stream falls back to its newest arrived epoch).
-    prev: Vec<(ManifestId, Nanoseconds)>,
-    /// The next epoch must be a full capture.
-    force_full: bool,
-}
-
-/// Retire every epoch in `links`, newest first (an incremental depends on
-/// its parent), releasing their chunk references for garbage collection.
-fn retire_links(links: &mut Vec<(ManifestId, Nanoseconds)>, cas: &mut CasStore) {
-    while let Some((m, _)) = links.pop() {
-        let _ = cas.retire(m);
-    }
-}
-
-impl VmChain {
-    /// Garbage-collect the previous generation once the new chain's full
-    /// epoch has fully arrived at the DR endpoint.
-    fn settle(&mut self, cas: &mut CasStore, now: Nanoseconds) {
-        if !self.prev.is_empty() {
-            if let Some(&(_, anchor_arrival)) = self.links.first() {
-                if anchor_arrival <= now {
-                    retire_links(&mut self.prev, cas);
-                }
-            }
-        }
-    }
-
-    /// The newest arrived epoch of `links` at `now`.
-    fn newest_arrived(links: &[(ManifestId, Nanoseconds)], now: Nanoseconds) -> usize {
-        links.iter().take_while(|&&(_, a)| a <= now).count()
-    }
-}
-
-impl VmBackups {
-    /// Promote the in-flight backup to `ready` if its stream has arrived by
-    /// `now`, deleting the snapshot it supersedes.
-    fn settle(&mut self, store: &mut SnapshotStore, now: Nanoseconds) {
-        if let Some((handle, size, arrival)) = self.inflight {
-            if arrival <= now {
-                if let Some((old, _)) = self.ready.replace((handle, size)) {
-                    discard(old, store);
-                }
-                self.inflight = None;
-            }
-        }
-    }
-
-    /// Delete every snapshot this VM still holds in the DR store.
-    fn drop_all(self, store: &mut SnapshotStore) {
-        if let Some((handle, _)) = self.ready {
-            discard(handle, store);
-        }
-        if let Some((handle, _, _)) = self.inflight {
-            discard(handle, store);
-        }
-    }
 }
 
 /// The datacenter control loop.
@@ -149,28 +61,22 @@ pub struct Orchestrator {
     params: OrchParams,
     policy: Box<dyn RebalancePolicy>,
     cluster: Cluster,
-    queue: EventQueue,
+    queue: EventQueue<DayEvent>,
     now: Nanoseconds,
     horizon: Nanoseconds,
     dr_store: SnapshotStore,
     /// The content-addressed DR store ([`OrchParams::dedup_backups`]); empty
     /// and untouched when dedup is off.
     dr_cas: CasStore,
-    /// DR backups per VM name (newest arrived + newest in flight).
-    backups: BTreeMap<String, VmBackups>,
-    /// Manifest chains per VM name (dedup mode's counterpart of `backups`).
-    chains: BTreeMap<String, VmChain>,
+    /// Arrivals waiting for capacity, oldest first (their records are
+    /// `Pending`). Per-VM DR state and scheduled restores live in the
+    /// cluster's VM table.
     pending_placement: Vec<PendingVm>,
-    pending_restores: BTreeMap<String, PendingRestore>,
-    /// Arrival instants of VMs placed or waiting (for placement latency).
     report: OrchReport,
     /// Per-host power accounting: (currently powered, last flip instant).
     power_marks: Vec<(bool, Nanoseconds)>,
     /// `RestoreComplete` events scheduled by failure handling (conservation).
     restores_scheduled: u64,
-    /// Scratch work list reused by every backup tick, so the periodic
-    /// backup sweep stops allocating its queue once the fleet size is known.
-    backup_queue: Vec<String>,
     /// Observability plane: off by default, costing one branch per hook.
     trace: Trace,
     /// Thresholds for resolving [`EngineChoice::Auto`] decisions into a
@@ -197,14 +103,10 @@ impl Orchestrator {
             horizon: Nanoseconds::ZERO,
             dr_store: SnapshotStore::new(),
             dr_cas: CasStore::new(),
-            backups: BTreeMap::new(),
-            chains: BTreeMap::new(),
             pending_placement: Vec::new(),
-            pending_restores: BTreeMap::new(),
             report: OrchReport::default(),
             power_marks: vec![(true, Nanoseconds::ZERO); n_hosts],
             restores_scheduled: 0,
-            backup_queue: Vec::new(),
             trace: Trace::off(),
             planner: MigrationPlanner::default(),
         })
@@ -241,6 +143,12 @@ impl Orchestrator {
     /// Deterministic: the same scenario (same seed/config) against the same
     /// parameters and policy produces an `==`-equal report every time.
     pub fn run(mut self, scenario: &Scenario) -> Result<OrchReport> {
+        self.run_events(scenario)?;
+        self.finalize()
+    }
+
+    /// Everything of [`Self::run`] before the end-of-day accounting.
+    fn run_events(&mut self, scenario: &Scenario) -> Result<()> {
         self.horizon = scenario.config.duration;
 
         // Seed the queue: scenario events first (so a tick scheduled for the
@@ -248,52 +156,81 @@ impl Orchestrator {
         // rebalance/backup ticks across the whole day. `expected_events`
         // re-derives the delivery count independently of the queue's own
         // counters so the post-run conservation check has teeth.
+        // Names are resolved here, once per event; arrivals are interned
+        // first so that list order cannot decide whether a name is known.
         let mut expected_events: u64 = scenario.events.len() as u64;
-        for (at, event) in &scenario.events {
-            self.queue.push(*at, event.clone());
+        self.cluster.vms.reserve(scenario.config.vm_arrivals);
+        for (_, event) in &scenario.events {
+            if let OrchEvent::VmArrival { spec } = event {
+                self.cluster.vms.intern(&spec.name);
+            }
+        }
+        for (index, (at, event)) in scenario.events.iter().enumerate() {
+            let name = match event {
+                OrchEvent::VmArrival { spec } => Some(&spec.name),
+                OrchEvent::VmDeparture { vm }
+                | OrchEvent::LoadChange { vm, .. }
+                | OrchEvent::RestoreComplete { vm } => Some(vm),
+                _ => None,
+            };
+            let key = name.and_then(|name| self.cluster.vms.lookup(name));
+            let index = u32::try_from(index).expect("under 2^32 scenario events");
+            self.queue.push(*at, DayEvent::Scenario { index, key });
         }
         let mut t = self.params.rebalance_interval;
         while t < self.horizon {
-            self.queue.push(t, OrchEvent::RebalanceTick);
+            self.queue.push(t, DayEvent::RebalanceTick);
             t = t.saturating_add(self.params.rebalance_interval);
             expected_events += 1;
         }
         let mut t = self.params.backup_interval;
         while t < self.horizon {
-            self.queue.push(t, OrchEvent::BackupTick);
+            self.queue.push(t, DayEvent::BackupTick);
             t = t.saturating_add(self.params.backup_interval);
             expected_events += 1;
         }
 
+        // An internally scheduled completion is dispatched (and traced) as
+        // the public event it stands for; its VM travels as a key.
+        let restore_complete = OrchEvent::RestoreComplete { vm: String::new() };
         while let Some(scheduled) = self.queue.pop() {
             debug_assert!(scheduled.at >= self.now, "time went backwards");
             self.report.events_processed += 1;
             if scheduled.at > self.horizon {
                 // Only deferred restore completions can outlive the day (the
                 // generator and the tick seeding stay inside it). Leaving the
-                // entry in `pending_restores` lets finalize() account the VM
-                // as an end-of-day in-flight restore; simulated time never
+                // record `Restoring` lets finalize() account the VM as an
+                // end-of-day in-flight restore; simulated time never
                 // advances past the horizon.
-                debug_assert!(matches!(scheduled.event, OrchEvent::RestoreComplete { .. }));
+                debug_assert!(matches!(scheduled.event, DayEvent::RestoreComplete(_)));
                 continue;
             }
             self.now = scheduled.at;
+            let (event, key) = match scheduled.event {
+                DayEvent::Scenario { index, key } => (&scenario.events[index as usize].1, key),
+                DayEvent::RebalanceTick => (&OrchEvent::RebalanceTick, None),
+                DayEvent::BackupTick => (&OrchEvent::BackupTick, None),
+                DayEvent::RestoreComplete(key) => (&restore_complete, Some(key)),
+            };
             if self.trace.is_on() {
-                self.trace
-                    .instant("orch", scheduled.event.kind(), self.now, &[]);
+                self.trace.instant("orch", event.kind(), self.now, &[]);
             }
-            match scheduled.event {
-                OrchEvent::VmArrival { spec } => self.on_arrival(spec)?,
-                OrchEvent::VmDeparture { vm } => self.on_departure(&vm)?,
-                OrchEvent::LoadChange {
-                    vm,
-                    cpu_demand_millicores,
-                } => self.on_load_change(&vm, cpu_demand_millicores)?,
-                OrchEvent::HostFailure { host } => self.on_host_failure(host)?,
-                OrchEvent::SpineFailure { spine } => self.on_spine_failure(spine)?,
-                OrchEvent::RebalanceTick => self.on_rebalance_tick()?,
-                OrchEvent::BackupTick => self.on_backup_tick()?,
-                OrchEvent::RestoreComplete { vm } => self.on_restore_complete(&vm)?,
+            match (event, key) {
+                (OrchEvent::HostFailure { host }, _) => self.on_host_failure(*host)?,
+                (OrchEvent::SpineFailure { spine }, _) => self.on_spine_failure(*spine)?,
+                (OrchEvent::RebalanceTick, _) => self.on_rebalance_tick()?,
+                (OrchEvent::BackupTick, _) => self.on_backup_tick()?,
+                (_, None) => self.report.events_dropped += 1,
+                (OrchEvent::VmArrival { spec }, Some(key)) => self.on_arrival(key, spec)?,
+                (OrchEvent::VmDeparture { .. }, Some(key)) => self.on_departure(key)?,
+                (OrchEvent::RestoreComplete { .. }, Some(key)) => self.on_restore_complete(key)?,
+                (
+                    OrchEvent::LoadChange {
+                        cpu_demand_millicores,
+                        ..
+                    },
+                    Some(key),
+                ) => self.on_load_change(key, *cpu_demand_millicores)?,
             }
         }
 
@@ -309,7 +246,7 @@ impl Orchestrator {
                 expected_events, self.report.events_processed
             )));
         }
-        self.finalize()
+        Ok(())
     }
 
     fn finalize(mut self) -> Result<OrchReport> {
@@ -318,7 +255,10 @@ impl Orchestrator {
         self.report.placements_unmet = self.pending_placement.len() as u64;
         // Restores still in flight never completed: the outage runs to the
         // end of the day.
-        for pr in self.pending_restores.values() {
+        for record in self.cluster.vms.records() {
+            let VmState::Restoring(pr) = &record.state else {
+                continue;
+            };
             self.report.vm_time_lost = self
                 .report
                 .vm_time_lost
@@ -383,29 +323,22 @@ impl Orchestrator {
         self.cluster.choose_host(self.params.placement, spec)
     }
 
-    fn place_now(&mut self, spec: VmSpec, arrived_at: Nanoseconds) -> Result<bool> {
-        let Some(host) = self.find_capacity(&spec) else {
+    fn place_now(&mut self, key: VmKey, spec: &VmSpec, arrived_at: Nanoseconds) -> Result<bool> {
+        let Some(host) = self.find_capacity(spec) else {
             return Ok(false);
         };
-        // The name outlives `deploy` (which consumes the spec) only when a
-        // sink is attached, so the traced-off path allocates nothing extra.
-        let traced_name = if self.trace.is_on() {
-            Some(spec.name.clone())
-        } else {
-            None
-        };
-        self.cluster.deploy(host, spec)?;
+        self.cluster.deploy_key(key, host, spec.clone())?;
         let latency = self
             .now
             .saturating_sub(arrived_at)
             .saturating_add(self.params.provision_latency);
-        if let Some(name) = traced_name {
+        if self.trace.is_on() {
             self.trace.instant(
                 "orch",
                 "placement",
                 self.now,
                 &[
-                    ("vm", ArgValue::Str(&name)),
+                    ("vm", ArgValue::Str(&spec.name)),
                     ("host", ArgValue::U64(u64::from(host.raw()))),
                     ("latency_ns", ArgValue::U64(latency.as_nanos())),
                 ],
@@ -421,12 +354,22 @@ impl Orchestrator {
         Ok(true)
     }
 
-    fn on_arrival(&mut self, spec: VmSpec) -> Result<()> {
+    fn on_arrival(&mut self, key: VmKey, spec: &VmSpec) -> Result<()> {
         self.report.vms_arrived += 1;
+        // One VM, one state: a name that is already waiting, placed or being
+        // restored cannot arrive again.
+        if !matches!(self.cluster.vms[key].state, VmState::Absent) {
+            return Err(already_exists(&spec.name));
+        }
         let arrived_at = self.now;
-        if !self.place_now(spec.clone(), arrived_at)? {
+        if !self.place_now(key, spec, arrived_at)? {
             self.report.placements_deferred += 1;
-            self.pending_placement.push(PendingVm { spec, arrived_at });
+            self.cluster.vms[key].state = VmState::Pending;
+            self.pending_placement.push(PendingVm {
+                key,
+                spec: spec.clone(),
+                arrived_at,
+            });
         }
         Ok(())
     }
@@ -438,7 +381,7 @@ impl Orchestrator {
         for p in waiting {
             // FIFO with backfill: a later, smaller VM may land even while the
             // head of the queue is still waiting for a big slot.
-            if !self.place_now(p.spec.clone(), p.arrived_at)? {
+            if !self.place_now(p.key, &p.spec, p.arrived_at)? {
                 still_waiting.push(p);
             }
         }
@@ -449,11 +392,10 @@ impl Orchestrator {
     /// Release every DR snapshot held for a departed VM — and, in dedup
     /// mode, retire its whole manifest chain so the chunks it pinned are
     /// garbage-collected.
-    fn drop_backups(&mut self, vm: &str) {
-        if let Some(b) = self.backups.remove(vm) {
-            b.drop_all(&mut self.dr_store);
-        }
-        if let Some(mut chain) = self.chains.remove(vm) {
+    fn drop_backups(&mut self, key: VmKey) {
+        let dr = std::mem::take(&mut self.cluster.vms[key].dr);
+        dr.backups.drop_all(&mut self.dr_store);
+        if let Some(mut chain) = dr.chain {
             let epochs = (chain.links.len() + chain.prev.len()) as u64;
             retire_links(&mut chain.links, &mut self.dr_cas);
             retire_links(&mut chain.prev, &mut self.dr_cas);
@@ -462,7 +404,10 @@ impl Orchestrator {
                     "dr/cas",
                     "retire-chain",
                     self.now,
-                    &[("vm", ArgValue::Str(vm)), ("epochs", ArgValue::U64(epochs))],
+                    &[
+                        ("vm", ArgValue::Str(self.cluster.vms.name(key))),
+                        ("epochs", ArgValue::U64(epochs)),
+                    ],
                 );
             }
         }
@@ -475,8 +420,9 @@ impl Orchestrator {
     /// generation is the fallback. Marks the chain to recapture in full,
     /// since the restored guest's dirty bitmap will not correspond to any
     /// recorded epoch.
-    fn restorable_epoch(&mut self, vm: &str) -> Option<(BackupHandle, ByteSize)> {
-        let chain = self.chains.get_mut(vm)?;
+    fn restorable_epoch(&mut self, key: VmKey) -> Option<(BackupHandle, ByteSize)> {
+        let slot = &mut self.cluster.vms[key].dr.chain;
+        let chain = slot.as_mut()?;
         chain.settle(&mut self.dr_cas, self.now);
         let arrived = VmChain::newest_arrived(&chain.links, self.now);
         if arrived == 0 {
@@ -487,7 +433,7 @@ impl Orchestrator {
                 let _ = self.dr_cas.retire(m);
             }
             if arrived_prev == 0 {
-                self.chains.remove(vm);
+                *slot = None;
                 return None;
             }
             chain.links = std::mem::take(&mut chain.prev);
@@ -503,71 +449,65 @@ impl Orchestrator {
         Some((BackupHandle::Manifested(target), size))
     }
 
-    fn on_departure(&mut self, vm: &str) -> Result<()> {
-        if self.cluster.host_of(vm).is_some() {
-            self.cluster.destroy(vm)?;
-            self.drop_backups(vm);
-            self.report.vms_departed += 1;
-            self.drain_pending()?;
-            return Ok(());
+    fn on_departure(&mut self, key: VmKey) -> Result<()> {
+        match self.cluster.vms[key].state {
+            VmState::Placed { .. } => {
+                self.cluster.destroy_key(key)?;
+                self.drop_backups(key);
+                self.drain_pending()?;
+            }
+            VmState::Pending => {
+                self.pending_placement.retain(|p| p.key != key);
+                self.cluster.vms[key].state = VmState::Absent;
+            }
+            VmState::Restoring(_) => {
+                // The tenant gave up on a VM we were still restoring: the
+                // outage ran from the failure to this departure.
+                let pr = self.cluster.vms[key].take_restoring();
+                let failed_at = pr.expect("matched Restoring").failed_at;
+                self.report.vm_time_lost = self
+                    .report
+                    .vm_time_lost
+                    .saturating_add(self.now.saturating_sub(failed_at));
+                self.drop_backups(key);
+            }
+            // Already gone (permanently lost, or double departure).
+            VmState::Absent => {
+                self.report.events_dropped += 1;
+                return Ok(());
+            }
         }
-        if let Some(i) = self
-            .pending_placement
-            .iter()
-            .position(|p| p.spec.name == vm)
-        {
-            self.pending_placement.remove(i);
-            self.report.vms_departed += 1;
-            return Ok(());
-        }
-        if let Some(pr) = self.pending_restores.remove(vm) {
-            // The tenant gave up on a VM we were still restoring: the outage
-            // ran from the failure to this departure.
-            self.report.vm_time_lost = self
-                .report
-                .vm_time_lost
-                .saturating_add(self.now.saturating_sub(pr.failed_at));
-            self.drop_backups(vm);
-            self.report.vms_departed += 1;
-            return Ok(());
-        }
-        // Already gone (permanently lost, or double departure).
-        self.report.events_dropped += 1;
+        self.report.vms_departed += 1;
         Ok(())
     }
 
-    fn on_load_change(&mut self, vm: &str, millicores: u32) -> Result<()> {
+    fn on_load_change(&mut self, key: VmKey, millicores: u32) -> Result<()> {
         let demand = millicores as f64 / 1000.0;
-        if self.cluster.host_of(vm).is_some() {
-            self.cluster.set_cpu_demand(vm, demand)?;
-            return Ok(());
+        match &mut self.cluster.vms[key].state {
+            VmState::Placed { .. } => {
+                self.cluster.set_cpu_demand_key(key, demand)?;
+            }
+            VmState::Pending => {
+                let waiting = self.pending_placement.iter_mut().find(|p| p.key == key);
+                let waiting = waiting.expect("Pending VMs are queued");
+                waiting.spec.cpu_demand_cores = demand;
+            }
+            VmState::Restoring(pr) => pr.spec.cpu_demand_cores = demand,
+            VmState::Absent => self.report.events_dropped += 1,
         }
-        if let Some(p) = self
-            .pending_placement
-            .iter_mut()
-            .find(|p| p.spec.name == vm)
-        {
-            p.spec.cpu_demand_cores = demand;
-            return Ok(());
-        }
-        if let Some(pr) = self.pending_restores.get_mut(vm) {
-            pr.spec.cpu_demand_cores = demand;
-            return Ok(());
-        }
-        self.report.events_dropped += 1;
         Ok(())
     }
 
     fn on_host_failure(&mut self, host: HostId) -> Result<()> {
-        let Some(h) = self.cluster.hosts().iter().find(|h| h.id() == host) else {
+        let Some(pos) = self.cluster.position_of(host) else {
             self.report.events_dropped += 1;
             return Ok(());
         };
-        if h.power() == HostPower::Failed {
+        if self.cluster.host_at(pos).power() == HostPower::Failed {
             self.report.events_dropped += 1;
             return Ok(());
         }
-        let lost = self.cluster.fail_host(host)?;
+        let lost = self.cluster.fail_host_keyed(host)?;
         self.report.hosts_failed += 1;
         self.report.vms_lost_at_failure += lost.len() as u64;
         self.note_power_change(host);
@@ -589,40 +529,23 @@ impl Orchestrator {
         let mut done_at = self
             .now
             .saturating_add(self.params.failover_detection_delay);
-        for spec in lost {
+        for (key, spec) in lost {
             // Only a backup whose stream has fully arrived at the DR target
             // by the failure instant is restorable; bytes still on the wire
             // do not count (the retained previous backup does).
             let restorable = if self.params.dedup_backups {
-                self.restorable_epoch(&spec.name)
+                self.restorable_epoch(key)
             } else {
-                match self.backups.get_mut(&spec.name) {
-                    Some(b) => {
-                        b.settle(&mut self.dr_store, self.now);
-                        b.ready
-                    }
-                    None => None,
-                }
+                let b = &mut self.cluster.vms[key].dr.backups;
+                b.settle(&mut self.dr_store, self.now);
+                b.ready
             };
             match restorable {
                 Some((backup, size)) => {
                     done_at = done_at
                         .saturating_add(self.params.backup_target.restore_setup)
                         .saturating_add(self.params.backup_target.read_time(size));
-                    self.pending_restores.insert(
-                        spec.name.clone(),
-                        PendingRestore {
-                            spec: spec.clone(),
-                            backup,
-                            failed_at: self.now,
-                        },
-                    );
-                    self.queue.push(
-                        done_at,
-                        OrchEvent::RestoreComplete {
-                            vm: spec.name.clone(),
-                        },
-                    );
+                    self.queue.push(done_at, DayEvent::RestoreComplete(key));
                     self.restores_scheduled += 1;
                     if self.trace.is_on() {
                         self.trace.instant(
@@ -639,6 +562,11 @@ impl Orchestrator {
                             ],
                         );
                     }
+                    self.cluster.vms[key].state = VmState::Restoring(Box::new(PendingRestore {
+                        spec,
+                        backup,
+                        failed_at: self.now,
+                    }));
                 }
                 None => {
                     // Never backed up (or its only backup was still on the
@@ -646,7 +574,7 @@ impl Orchestrator {
                     // name still holds so they cannot leak in the DR store —
                     // or settle later and restore an unrelated future VM
                     // that reuses the name.
-                    self.drop_backups(&spec.name);
+                    self.drop_backups(key);
                     self.report.vms_lost_permanently += 1;
                     self.report.vm_time_lost = self
                         .report
@@ -666,8 +594,8 @@ impl Orchestrator {
         Ok(())
     }
 
-    fn on_restore_complete(&mut self, vm: &str) -> Result<()> {
-        let Some(pr) = self.pending_restores.remove(vm) else {
+    fn on_restore_complete(&mut self, key: VmKey) -> Result<()> {
+        let Some(pr) = self.cluster.vms[key].take_restoring() else {
             // Restore was cancelled (the VM departed mid-restore).
             self.report.events_dropped += 1;
             return Ok(());
@@ -698,7 +626,7 @@ impl Orchestrator {
                 pr.failed_at,
                 self.now,
                 &[
-                    ("vm", ArgValue::Str(vm)),
+                    ("vm", ArgValue::Str(&pr.spec.name)),
                     ("host", ArgValue::U64(u64::from(host.raw()))),
                     (
                         "outage_ns",
@@ -922,7 +850,9 @@ impl Orchestrator {
                     // wire are not marked dirty at the destination): restart
                     // the VM's dedup chain with a full capture.
                     if self.params.dedup_backups {
-                        if let Some(chain) = self.chains.get_mut(&decision.vm) {
+                        let key = self.cluster.vms.lookup(&decision.vm);
+                        let key = key.expect("just migrated");
+                        if let Some(chain) = &mut self.cluster.vms[key].dr.chain {
                             chain.force_full = true;
                         }
                     }
@@ -950,132 +880,121 @@ impl Orchestrator {
         self.drain_pending()
     }
 
+    /// The periodic DR sweep: every VM on every powered-on host, in host
+    /// vector × placement order (the order fabric occupancy depends on),
+    /// straight off the hosts' key lists — no name is touched.
     fn on_backup_tick(&mut self) -> Result<()> {
-        if self.params.dedup_backups {
-            return self.on_backup_tick_dedup();
-        }
-        // The work list is a field, not a local: its backbone is reused
-        // across ticks (the per-name `String` clones remain, but the queue
-        // itself stops reallocating once it has seen the fleet size).
-        let mut queue = std::mem::take(&mut self.backup_queue);
-        queue.clear();
-        queue.extend(
-            self.cluster
-                .hosts()
-                .iter()
-                .filter(|h| h.power() == HostPower::On)
-                .flat_map(|h| h.vm_names()),
-        );
         let label = format!("backup@{}", self.now.as_nanos());
-        for name in queue.drain(..) {
-            // The snapshot streams across the shared fabric to the DR
-            // endpoint (contending with any in-flight migrations), then is
-            // written to the backup target's storage.
-            let (snap, size, arrival) =
-                self.cluster
-                    .backup(&name, &label, &mut self.dr_store, self.now)?;
-            self.report.backups_taken += 1;
-            self.report.backup_bytes += size.as_u64();
-            let network_time = arrival.saturating_sub(self.now);
-            self.report.backup_time_total = self
-                .report
-                .backup_time_total
-                .saturating_add(network_time)
-                .saturating_add(self.params.backup_target.write_time(size));
-            // Bounded DR storage per VM: the newest arrived backup plus at
-            // most one in flight. A still-streaming predecessor is
-            // superseded (its stream is abandoned and its snapshot
-            // dropped); the new backup becomes restorable only once its own
-            // stream arrives.
-            let entry = self.backups.entry(name).or_default();
-            entry.settle(&mut self.dr_store, self.now);
-            if let Some((superseded, _, _)) = entry.inflight.replace((snap, size, arrival)) {
-                discard(superseded, &mut self.dr_store);
+        for pos in 0..self.cluster.hosts().len() {
+            if self.cluster.host_at(pos).power() != HostPower::On {
+                continue;
+            }
+            for slot in 0..self.cluster.host_at(pos).keys().len() {
+                let key = self.cluster.host_at(pos).keys()[slot];
+                if self.params.dedup_backups {
+                    self.backup_dedup(key, &label)?;
+                } else {
+                    self.backup_plain(key, &label)?;
+                }
             }
         }
-        // Hand the (now empty) queue buffer back for reuse by the next tick.
-        self.backup_queue = queue;
         Ok(())
     }
 
-    /// The deduplicated backup sweep ([`OrchParams::dedup_backups`]): each
-    /// VM's first epoch (and the first after a restore, a migration, or a
-    /// full-length chain) is a full capture; every later sweep captures only
-    /// the pages dirtied since the previous epoch. Epochs are ingested into
-    /// the content-addressed store, and only novel chunks ship across the
-    /// fabric — already-known pages go as references.
-    fn on_backup_tick_dedup(&mut self) -> Result<()> {
-        let mut queue = std::mem::take(&mut self.backup_queue);
-        queue.clear();
-        queue.extend(
+    /// Back one VM up as a full snapshot streamed across the shared fabric
+    /// to the DR endpoint (contending with any in-flight migrations), then
+    /// written to the backup target's storage.
+    fn backup_plain(&mut self, key: VmKey, label: &str) -> Result<()> {
+        let (snap, size, arrival) =
             self.cluster
-                .hosts()
-                .iter()
-                .filter(|h| h.power() == HostPower::On)
-                .flat_map(|h| h.vm_names()),
-        );
-        let label = format!("backup@{}", self.now.as_nanos());
-        for name in queue.drain(..) {
-            let parent = {
-                let chain = self.chains.entry(name.clone()).or_default();
-                chain.settle(&mut self.dr_cas, self.now);
-                if chain.force_full || chain.links.len() >= MAX_CHAIN_LENGTH {
-                    None
-                } else {
-                    chain.links.last().map(|&(m, _)| m)
-                }
-            };
-            let b = self
-                .cluster
-                .backup_dedup(&name, &label, &mut self.dr_cas, parent, self.now)?;
-            self.report.backups_taken += 1;
-            // `backup_bytes` keeps its bytes-on-wire meaning, so the
-            // dedup-on/off comparison reads straight off the report.
-            self.report.backup_bytes += b.wire_bytes;
-            let network_time = b.arrival.saturating_sub(self.now);
-            // The DR target only writes the novel chunk payloads;
-            // references resolve against chunks it already holds.
-            self.report.backup_time_total = self
-                .report
-                .backup_time_total
-                .saturating_add(network_time)
-                .saturating_add(
-                    self.params
-                        .backup_target
-                        .write_time(ByteSize::new(b.stats.bytes_novel)),
-                );
-            self.report.backup_chunks_shipped += b.stats.chunks_novel;
-            self.report.backup_chunks_deduped += b.stats.chunks_deduped;
-            self.report.backup_bytes_deduped += b.stats.bytes_deduped;
-            if self.trace.is_on() {
-                self.trace.instant(
-                    "dr/cas",
-                    "ingest",
-                    self.now,
-                    &[
-                        ("vm", ArgValue::Str(&name)),
-                        ("manifest", ArgValue::U64(b.manifest.0)),
-                        ("full", ArgValue::U64(u64::from(parent.is_none()))),
-                        ("chunks_novel", ArgValue::U64(b.stats.chunks_novel)),
-                        ("chunks_deduped", ArgValue::U64(b.stats.chunks_deduped)),
-                        ("wire_bytes", ArgValue::U64(b.wire_bytes)),
-                    ],
-                );
-                self.trace.add("cas.chunks_shipped", b.stats.chunks_novel);
-                self.trace.add("cas.chunks_deduped", b.stats.chunks_deduped);
-            }
-            let chain = self.chains.get_mut(&name).expect("inserted above");
-            if parent.is_none() {
-                // A new full supersedes the previous generation: whatever
-                // `prev` still held is retired now, and the old chain is
-                // retained until the new anchor arrives at the DR endpoint.
-                retire_links(&mut chain.prev, &mut self.dr_cas);
-                chain.prev = std::mem::take(&mut chain.links);
-                chain.force_full = false;
-            }
-            chain.links.push((b.manifest, b.arrival));
+                .backup_key(key, label, &mut self.dr_store, self.now)?;
+        self.report.backups_taken += 1;
+        self.report.backup_bytes += size.as_u64();
+        let network_time = arrival.saturating_sub(self.now);
+        self.report.backup_time_total = self
+            .report
+            .backup_time_total
+            .saturating_add(network_time)
+            .saturating_add(self.params.backup_target.write_time(size));
+        // Bounded DR storage per VM: the newest arrived backup plus at
+        // most one in flight. A still-streaming predecessor is
+        // superseded (its stream is abandoned and its snapshot
+        // dropped); the new backup becomes restorable only once its own
+        // stream arrives.
+        let entry = &mut self.cluster.vms[key].dr.backups;
+        entry.settle(&mut self.dr_store, self.now);
+        if let Some((superseded, _, _)) = entry.inflight.replace((snap, size, arrival)) {
+            discard(superseded, &mut self.dr_store);
         }
-        self.backup_queue = queue;
+        Ok(())
+    }
+
+    /// Back one VM up through the content-addressed store
+    /// ([`OrchParams::dedup_backups`]): its first epoch (and the first after
+    /// a restore, a migration, or a full-length chain) is a full capture;
+    /// every later sweep captures only the pages dirtied since the previous
+    /// epoch. Epochs are ingested into the store, and only novel chunks ship
+    /// across the fabric — already-known pages go as references.
+    fn backup_dedup(&mut self, key: VmKey, label: &str) -> Result<()> {
+        let parent = {
+            let chain = self.cluster.vms[key].dr.chain.get_or_insert_default();
+            chain.settle(&mut self.dr_cas, self.now);
+            if chain.force_full || chain.links.len() >= MAX_CHAIN_LENGTH {
+                None
+            } else {
+                chain.links.last().map(|&(m, _)| m)
+            }
+        };
+        let b = self
+            .cluster
+            .backup_dedup_key(key, label, &mut self.dr_cas, parent, self.now)?;
+        self.report.backups_taken += 1;
+        // `backup_bytes` keeps its bytes-on-wire meaning, so the
+        // dedup-on/off comparison reads straight off the report.
+        self.report.backup_bytes += b.wire_bytes;
+        let network_time = b.arrival.saturating_sub(self.now);
+        // The DR target only writes the novel chunk payloads;
+        // references resolve against chunks it already holds.
+        self.report.backup_time_total = self
+            .report
+            .backup_time_total
+            .saturating_add(network_time)
+            .saturating_add(
+                self.params
+                    .backup_target
+                    .write_time(ByteSize::new(b.stats.bytes_novel)),
+            );
+        self.report.backup_chunks_shipped += b.stats.chunks_novel;
+        self.report.backup_chunks_deduped += b.stats.chunks_deduped;
+        self.report.backup_bytes_deduped += b.stats.bytes_deduped;
+        if self.trace.is_on() {
+            self.trace.instant(
+                "dr/cas",
+                "ingest",
+                self.now,
+                &[
+                    ("vm", ArgValue::Str(self.cluster.vms.name(key))),
+                    ("manifest", ArgValue::U64(b.manifest.0)),
+                    ("full", ArgValue::U64(u64::from(parent.is_none()))),
+                    ("chunks_novel", ArgValue::U64(b.stats.chunks_novel)),
+                    ("chunks_deduped", ArgValue::U64(b.stats.chunks_deduped)),
+                    ("wire_bytes", ArgValue::U64(b.wire_bytes)),
+                ],
+            );
+            self.trace.add("cas.chunks_shipped", b.stats.chunks_novel);
+            self.trace.add("cas.chunks_deduped", b.stats.chunks_deduped);
+        }
+        let chain = self.cluster.vms[key].dr.chain.as_mut();
+        let chain = chain.expect("started above");
+        if parent.is_none() {
+            // A new full supersedes the previous generation: whatever
+            // `prev` still held is retired now, and the old chain is
+            // retained until the new anchor arrives at the DR endpoint.
+            retire_links(&mut chain.prev, &mut self.dr_cas);
+            chain.prev = std::mem::take(&mut chain.links);
+            chain.force_full = false;
+        }
+        chain.links.push((b.manifest, b.arrival));
         Ok(())
     }
 }
@@ -1917,5 +1836,130 @@ mod tests {
         // Deferred VMs either landed later or are still waiting — all counted.
         assert_eq!(r.vms_arrived, 30);
         assert!(r.vms_placed + r.placements_unmet + r.vms_departed >= 30 - r.events_dropped);
+    }
+
+    /// A one-hour hand-built day on `hosts` modern servers: `vm-a` arrives
+    /// at 10 s, backups sweep every 900 s, then `events` (seconds, event).
+    /// Returns the orchestrator after the event loop, before finalize.
+    fn lifecycle_day(hosts: u32, dedup: bool, events: Vec<(u64, OrchEvent)>) -> Orchestrator {
+        use rvisor_cluster::ServerRole;
+        let spec = VmSpec::typical("vm-a", ServerRole::Web);
+        let mut all = vec![(10, OrchEvent::VmArrival { spec })];
+        all.extend(events);
+        let scenario = Scenario {
+            config: ScenarioConfig {
+                duration: Nanoseconds::from_secs(3600),
+                ..ScenarioConfig::day(0, WorkloadShape::SteadyState, hosts as usize, 1)
+            },
+            events: all
+                .into_iter()
+                .map(|(s, e)| (Nanoseconds::from_secs(s), e))
+                .collect(),
+        };
+        let params = OrchParams {
+            dedup_backups: dedup,
+            ..fast_params()
+        };
+        let specs = (0..hosts)
+            .map(|i| HostSpec::modern_server(HostId::new(i)))
+            .collect();
+        let mut orch = Orchestrator::new(specs, params, Box::new(ThresholdRebalance)).unwrap();
+        orch.run_events(&scenario).unwrap();
+        orch
+    }
+
+    fn arrival(name: &str) -> OrchEvent {
+        let spec = VmSpec::typical(name, rvisor_cluster::ServerRole::Web);
+        OrchEvent::VmArrival { spec }
+    }
+
+    fn departure(name: &str) -> OrchEvent {
+        OrchEvent::VmDeparture { vm: name.into() }
+    }
+
+    fn failure(host: u32) -> OrchEvent {
+        let host = HostId::new(host);
+        OrchEvent::HostFailure { host }
+    }
+
+    /// Whether the VM holds nothing at the DR site.
+    fn dr_is_empty(slot: &crate::vmtable::DrSlot) -> bool {
+        slot.backups.ready.is_none() && slot.backups.inflight.is_none() && slot.chain.is_none()
+    }
+
+    #[test]
+    fn departure_releases_dr_state_and_a_rearrival_starts_clean() {
+        for dedup in [false, true] {
+            // First life only: backed up at 900 s, departs at 1500 s.
+            let orch = lifecycle_day(2, dedup, vec![(1500, departure("vm-a"))]);
+            assert_eq!(orch.report.backups_taken, 1);
+            assert_eq!(orch.dr_store.len(), 0, "the stored snapshot was released");
+            assert_eq!(
+                orch.dr_cas.chunk_count(),
+                0,
+                "the manifest chain was retired"
+            );
+            let vms = &orch.cluster.vms;
+            let key = vms.lookup("vm-a").expect("the key outlives the departure");
+            assert!(matches!(vms[key].state, VmState::Absent));
+            assert!(dr_is_empty(&vms[key].dr));
+
+            // Second life: the same name re-arrives at 2000 s on the same
+            // (first-fit) host, which fails before any sweep of the new life.
+            // Nothing of the first life may be restored.
+            let second_life = || {
+                vec![
+                    (1500, departure("vm-a")),
+                    (2000, arrival("vm-a")),
+                    (2010, failure(0)),
+                ]
+            };
+            let orch = lifecycle_day(2, dedup, second_life());
+            let vms = &orch.cluster.vms;
+            assert_eq!(vms.lookup("vm-a"), Some(key), "same name, same key");
+            assert_eq!(vms.records().count(), 1);
+            assert!(dr_is_empty(&vms[key].dr));
+            let r = orch.finalize().unwrap();
+            assert_eq!((r.vms_arrived, r.vms_departed), (2, 1));
+            assert_eq!(r.vms_lost_at_failure, 1);
+            assert_eq!(r.vms_restored, 0, "a stale backup was restored");
+            assert_eq!(r.vms_lost_permanently, 1);
+            assert_eq!(r.dr_store_chunks, 0);
+            let again = lifecycle_day(2, dedup, second_life()).finalize().unwrap();
+            assert_eq!(r, again, "dedup={dedup} day must replay identically");
+        }
+    }
+
+    #[test]
+    fn an_arrived_backup_survives_restoring_and_restores_again() {
+        for dedup in [false, true] {
+            // Backed up at 900 s; host 0 fails at 1000 s and the VM is
+            // restored onto host 1; host 1 fails at 1500 s, before the 1800 s
+            // sweep — the only restore point is still the 900 s backup.
+            let events = || vec![(1000, failure(0)), (1500, failure(1))];
+            let orch = lifecycle_day(3, dedup, events());
+            let key = orch.cluster.vms.lookup("vm-a").unwrap();
+            assert!(orch.cluster.vms[key].placement().is_some());
+            assert_eq!(orch.cluster.host_of("vm-a"), Some(HostId::new(2)));
+            let r = orch.finalize().unwrap();
+            assert_eq!(r.hosts_failed, 2);
+            assert_eq!(r.vms_restored, 2, "the backup was kept across the restore");
+            assert_eq!(r.vms_lost_permanently, 0);
+            assert_eq!(r, lifecycle_day(3, dedup, events()).finalize().unwrap());
+        }
+    }
+
+    #[test]
+    fn events_for_unknown_names_are_dropped_without_a_record() {
+        let ghost_load = OrchEvent::LoadChange {
+            vm: "ghost".into(),
+            cpu_demand_millicores: 500,
+        };
+        let orch = lifecycle_day(1, false, vec![(20, ghost_load), (30, departure("ghost"))]);
+        assert_eq!(orch.report.events_dropped, 2);
+        let vms = &orch.cluster.vms;
+        assert_eq!(vms.lookup("ghost"), None);
+        assert_eq!(vms.records().count(), 1, "only vm-a was ever interned");
+        assert_eq!(orch.cluster.total_vms(), 1);
     }
 }

@@ -131,10 +131,10 @@ fn engine_for(cluster: &Cluster, from: HostId, vm: &str, params: &OrchParams) ->
     let Some(pos) = cluster.position_of(from) else {
         return EngineChoice::StopAndCopy;
     };
-    let host = cluster.host_at(pos);
-    if host.is_model(vm) {
+    if cluster.is_model_at(pos, vm) {
         return params.effective_engine();
     }
+    let host = cluster.host_at(pos);
     let running = host
         .vmm()
         .find_vm(vm)
