@@ -430,19 +430,15 @@ impl GuestMemory {
         }
     }
 
-    /// A simple additive checksum of all guest memory.
+    /// A simple additive checksum of all guest memory: per region, every
+    /// byte times its offset in the region with the lowest bit set, summed
+    /// wrapping in `u64`.
     ///
     /// Cheap enough for tests and migration verification; not cryptographic.
     pub fn checksum(&self) -> u64 {
         self.regions
             .iter()
-            .map(|r| {
-                r.with_bytes(|b| {
-                    b.iter().enumerate().fold(0u64, |acc, (i, &v)| {
-                        acc.wrapping_add((v as u64).wrapping_mul(i as u64 | 1))
-                    })
-                })
-            })
+            .map(|r| r.with_bytes(crate::scan::weighted_sum))
             .fold(0u64, |a, b| a.wrapping_add(b))
     }
 }

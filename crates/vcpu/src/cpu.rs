@@ -14,7 +14,7 @@
 use serde::{Deserialize, Serialize};
 
 use rvisor_memory::GuestMemory;
-use rvisor_types::{Error, GuestAddress, Nanoseconds, Result, VcpuId};
+use rvisor_types::{Error, GuestAddress, Nanoseconds, Result, VcpuId, PAGE_SIZE};
 
 use crate::exec_mode::{ExecCosts, ExecMode};
 use crate::isa::{Instr, Reg, INSTR_BYTES, NUM_REGS};
@@ -214,6 +214,85 @@ enum Pending {
     Hypercall { rd: Reg },
 }
 
+/// Instructions a [`FetchWindow`] holds: 1 KiB of code.
+const WINDOW_SLOTS: usize = 128;
+/// Guest-physical bytes a [`FetchWindow`] covers.
+const WINDOW_BYTES: u64 = WINDOW_SLOTS as u64 * INSTR_BYTES;
+
+/// Already-decoded instructions of the aligned 1 KiB block of guest-physical
+/// code the vCPU is executing from — the modelled instruction cache.
+///
+/// [`Vcpu::run`] empties it on entry. A slot is filled by the ordinary fetch
+/// when the PC first reaches it and dropped again when this vCPU stores into
+/// its bytes; a fetch outside the block moves the window there and empties
+/// it. It is looked up by *physical* address, after translation, so
+/// remapping the code page needs no invalidation.
+#[derive(Debug)]
+struct FetchWindow {
+    /// Guest-physical address of slot 0 (a multiple of [`WINDOW_BYTES`]).
+    base: u64,
+    /// Bit `i` set: `slots[i]` is the decoded word at `base + 8 * i`.
+    valid: u128,
+    slots: [Instr; WINDOW_SLOTS],
+}
+
+impl FetchWindow {
+    fn new() -> Self {
+        FetchWindow {
+            base: 0,
+            valid: 0,
+            slots: [Instr::Nop; WINDOW_SLOTS],
+        }
+    }
+
+    /// The slot holding the instruction word at `paddr`, if the window
+    /// covers it. Unaligned fetches are never covered.
+    fn slot(&self, paddr: u64) -> Option<usize> {
+        let offset = paddr.wrapping_sub(self.base);
+        (offset < WINDOW_BYTES && offset.is_multiple_of(INSTR_BYTES))
+            .then_some((offset / INSTR_BYTES) as usize)
+    }
+
+    fn flush(&mut self) {
+        self.valid = 0;
+    }
+
+    fn get(&self, paddr: u64) -> Option<Instr> {
+        let slot = self.slot(paddr)?;
+        (self.valid >> slot & 1 != 0).then(|| self.slots[slot])
+    }
+
+    fn fill(&mut self, paddr: u64, instr: Instr) {
+        if !paddr.is_multiple_of(INSTR_BYTES) {
+            return;
+        }
+        if self.slot(paddr).is_none() {
+            self.base = paddr & !(WINDOW_BYTES - 1);
+            self.flush();
+        }
+        let slot = ((paddr - self.base) / INSTR_BYTES) as usize;
+        self.slots[slot] = instr;
+        self.valid |= 1 << slot;
+    }
+
+    /// Forget the (at most two) instruction words an 8-byte store at `paddr`
+    /// overlaps.
+    fn snoop_store(&mut self, paddr: u64) {
+        for byte in [paddr, paddr.wrapping_add(INSTR_BYTES - 1)] {
+            if let Some(slot) = self.slot(byte & !(INSTR_BYTES - 1)) {
+                self.valid &= !(1 << slot);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Instruction fetches this thread served from guest memory rather than
+    /// from a [`FetchWindow`].
+    static SLOW_FETCHES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// A virtual CPU.
 #[derive(Debug)]
 pub struct Vcpu {
@@ -225,6 +304,7 @@ pub struct Vcpu {
     mmu: Mmu,
     stats: VcpuStats,
     pending: Pending,
+    window: FetchWindow,
 }
 
 impl Vcpu {
@@ -241,6 +321,7 @@ impl Vcpu {
             mmu: Mmu::new(config.tlb_entries),
             stats: VcpuStats::default(),
             pending: Pending::None,
+            window: FetchWindow::new(),
         }
     }
 
@@ -360,7 +441,8 @@ impl Vcpu {
         *elapsed += ns;
     }
 
-    /// Translate a data access, converting MMU faults into page-fault exits.
+    /// Translate a fetch or data access, converting an MMU fault into a
+    /// page-fault exit that is already counted and charged.
     fn translate_data(
         &mut self,
         memory: &GuestMemory,
@@ -379,15 +461,68 @@ impl Vcpu {
                 }
                 Ok(t.paddr)
             }
-            Err(TranslateFault::OutOfRange) | Err(TranslateFault::NotMapped) => {
-                Err(ExitReason::PageFault { vaddr, write })
+            Err(fault) => {
+                self.stats.page_faults += 1;
+                self.stats.exits += 1;
+                self.charge(self.config.costs.exit_ns, elapsed);
+                Err(ExitReason::PageFault {
+                    vaddr,
+                    write: write || fault == TranslateFault::NotWritable,
+                })
             }
-            Err(TranslateFault::NotWritable) => Err(ExitReason::PageFault { vaddr, write: true }),
-            Err(TranslateFault::NotUser) => Err(ExitReason::PageFault { vaddr, write }),
         }
     }
 
+    /// Read and decode the instruction at `self.pc`, whose first byte
+    /// translates to `paddr`, from guest memory.
+    ///
+    /// This is the whole fetch when the [`FetchWindow`] misses. An
+    /// instruction that straddles a page boundary translates its second
+    /// page as well (the guest may have mapped a non-adjacent frame there);
+    /// a fault on it is a page-fault exit at that page's first byte.
+    fn fetch_from_memory(
+        &mut self,
+        memory: &GuestMemory,
+        paddr: GuestAddress,
+        elapsed: &mut u64,
+    ) -> Result<std::result::Result<Instr, ExitReason>> {
+        #[cfg(test)]
+        SLOW_FETCHES.with(|n| n.set(n.get() + 1));
+        let pc = self.pc;
+        let unbacked = |_| {
+            Error::VcpuFault(format!(
+                "instruction fetch from unbacked address {paddr} at pc 0x{pc:x}"
+            ))
+        };
+        let mut raw = [0u8; INSTR_BYTES as usize];
+        let in_first_page = PAGE_SIZE - pc % PAGE_SIZE;
+        if in_first_page >= INSTR_BYTES {
+            memory.read(paddr, &mut raw).map_err(unbacked)?;
+        } else {
+            let (head, tail) = raw.split_at_mut(in_first_page as usize);
+            memory.read(paddr, head).map_err(unbacked)?;
+            let next_page = pc.wrapping_add(in_first_page);
+            let tail_paddr = match self.translate_data(memory, next_page, false, elapsed) {
+                Ok(p) => p,
+                Err(exit) => return Ok(Err(exit)),
+            };
+            memory.read(tail_paddr, tail).map_err(unbacked)?;
+        }
+        Instr::decode(&raw, pc).map(Ok)
+    }
+
     /// Execute up to `max_instructions` guest instructions.
+    ///
+    /// # Instruction cache
+    ///
+    /// Decoded instructions are kept for the length of one call. The named
+    /// assumption about that cache: it is physically tagged, flushed at VM
+    /// entry (every call to `run`) and snooped by the executing vCPU's own
+    /// stores; code written by any other agent — the loader, a restore, DMA,
+    /// a migration sink, another vCPU — is observed from the next `run`.
+    /// Those agents all act between calls here (a VM's vCPUs take turns on
+    /// one thread; devices and hypercalls are served on exits), so no
+    /// counter, exit, register or simulated nanosecond depends on the cache.
     pub fn run(&mut self, memory: &GuestMemory, max_instructions: u64) -> Result<RunOutcome> {
         if self.pending != Pending::None {
             return Err(Error::VcpuFault(
@@ -397,30 +532,30 @@ impl Vcpu {
         let costs = self.config.costs;
         let mut executed = 0u64;
         let mut elapsed = 0u64;
+        self.window.flush();
 
         let outcome = loop {
             if executed >= max_instructions {
                 break ExitReason::InstructionLimit;
             }
 
-            // Fetch.
+            // Fetch: translate first (TLB counters, permission checks and the
+            // miss charge are the same either way), then the window, then
+            // guest memory.
             let fetch_paddr = match self.translate_data(memory, self.pc, false, &mut elapsed) {
                 Ok(p) => p,
-                Err(exit) => {
-                    self.stats.page_faults += 1;
-                    self.stats.exits += 1;
-                    self.charge(costs.exit_ns, &mut elapsed);
-                    break exit;
-                }
+                Err(exit) => break exit,
             };
-            let mut raw = [0u8; INSTR_BYTES as usize];
-            if memory.read(fetch_paddr, &mut raw).is_err() {
-                return Err(Error::VcpuFault(format!(
-                    "instruction fetch from unbacked address {fetch_paddr} at pc 0x{:x}",
-                    self.pc
-                )));
-            }
-            let instr = Instr::decode(&raw, self.pc)?;
+            let instr = match self.window.get(fetch_paddr.0) {
+                Some(instr) => instr,
+                None => match self.fetch_from_memory(memory, fetch_paddr, &mut elapsed)? {
+                    Ok(instr) => {
+                        self.window.fill(fetch_paddr.0, instr);
+                        instr
+                    }
+                    Err(exit) => break exit,
+                },
+            };
 
             // Privilege check / trap-and-emulate accounting.
             if instr.is_privileged() {
@@ -481,12 +616,7 @@ impl Vcpu {
                     let vaddr = self.reg(rs1).wrapping_add(imm as i64 as u64);
                     let paddr = match self.translate_data(memory, vaddr, false, &mut elapsed) {
                         Ok(p) => p,
-                        Err(exit) => {
-                            self.stats.page_faults += 1;
-                            self.stats.exits += 1;
-                            self.charge(costs.exit_ns, &mut elapsed);
-                            break exit;
-                        }
+                        Err(exit) => break exit,
                     };
                     match memory.read_u64(paddr) {
                         Ok(v) => {
@@ -512,15 +642,13 @@ impl Vcpu {
                     let value = self.reg(rs2);
                     let paddr = match self.translate_data(memory, vaddr, true, &mut elapsed) {
                         Ok(p) => p,
-                        Err(exit) => {
-                            self.stats.page_faults += 1;
-                            self.stats.exits += 1;
-                            self.charge(costs.exit_ns, &mut elapsed);
-                            break exit;
-                        }
+                        Err(exit) => break exit,
                     };
                     match memory.write_u64(paddr, value) {
-                        Ok(()) => self.pc = next_pc,
+                        Ok(()) => {
+                            self.window.snoop_store(paddr.0);
+                            self.pc = next_pc;
+                        }
                         Err(_) => {
                             self.pc = next_pc;
                             self.stats.mmio_exits += 1;
@@ -636,6 +764,9 @@ impl Vcpu {
         })
     }
 }
+
+#[cfg(test)]
+mod window_tests;
 
 #[cfg(test)]
 mod tests {
