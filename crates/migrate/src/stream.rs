@@ -4,11 +4,28 @@
 //! The direct engines in [`engines`](crate::engines) copy memory to memory
 //! and merely *account* bytes. This module moves the same migrations as a
 //! real byte stream: [`MigrationSource`] borrows guest pages through the
-//! zero-copy views and encodes them as [`wire`] frames into the transport's
-//! burst, the transport models the bytes crossing the network (loopback
-//! link or shared fabric), and [`MigrationSink`] decodes the burst —
-//! verifying every frame checksum before anything touches guest memory —
-//! and applies pages in place on the destination.
+//! zero-copy views and encodes them as [`wire`] frames, [`MigrationSink`]
+//! decodes them — verifying every frame checksum before anything touches
+//! guest memory — and applies pages in place on the destination, and the
+//! transport models the bytes crossing the network (loopback link or shared
+//! fabric).
+//!
+//! A round is one **simulated** transfer: its total bytes are charged to the
+//! channel with a single [`Transport::transmit_bytes`]. Nothing requires it
+//! to be one unit of **host** memory, so the serial engines move a round
+//! through one reused buffer in segments of at most `SEGMENT_PAGES` pages,
+//! each applied on the sink while it is still in cache and before the
+//! round's simulated arrival — as the pipelined engine always did. The
+//! concatenated segments are byte for byte the burst
+//! [`MigrationSource::encode_round`] builds (pinned by proptest below).
+//!
+//! # Failure
+//!
+//! Because segments reach the sink before the round is charged, a `*_over`
+//! engine that returns `Err` — the transport refused a transfer, the sink
+//! rejected a frame — leaves the destination's contents unspecified (pages
+//! of the failed round may have landed). The source's pages and, pre-copy's
+//! own harvesting aside, its dirty bitmap are untouched: migrate it again.
 //!
 //! For a [`LoopbackTransport`](crate::transport::LoopbackTransport) the
 //! streamed engines produce **`==`-equal [`MigrationReport`]s and
@@ -31,18 +48,25 @@ use crate::report::{MigrationKind, MigrationReport, RoundStat};
 use crate::transport::Transport;
 use crate::wire::{self, FrameKind, WireFrame, MODE_DELTA, MODE_RAW, MODE_ZERO};
 
+/// Pages per segment of a serially streamed round: large enough to amortise
+/// the per-segment calls, small enough (≈ 260 KiB of raw frames) that the
+/// sink reads the segment from cache. Measured flat from 16 to 256.
+const SEGMENT_PAGES: usize = 64;
+
 /// The source (encode) half of a streamed migration.
 ///
 /// Owns the page compressor; pages are borrowed in place from the source
-/// memory and frames are encoded *directly into the transport's burst
-/// buffer* ([`Transport::send_built`]), so a raw page crosses from guest
-/// memory to the burst with a single copy and no per-page heap allocation
-/// at steady state.
+/// memory and framed straight into the output buffer, so a raw page crosses
+/// from guest memory to the wire bytes with a single copy and no per-page
+/// heap allocation at steady state.
 #[derive(Debug)]
 pub struct MigrationSource<'m> {
     memory: &'m GuestMemory,
     compressor: Option<PageCompressor>,
     round: u32,
+    /// The zero run still open where the last [`Self::encode_pages`] call
+    /// stopped: a run spanning a segment boundary stays one frame.
+    pending_zero: Option<(u64, u64)>,
 }
 
 impl<'m> MigrationSource<'m> {
@@ -52,6 +76,7 @@ impl<'m> MigrationSource<'m> {
             memory,
             compressor: None,
             round: 0,
+            pending_zero: None,
         }
     }
 
@@ -65,72 +90,121 @@ impl<'m> MigrationSource<'m> {
             )),
         };
         MigrationSource {
-            memory,
             compressor,
-            round: 0,
+            ..Self::raw(memory)
         }
+    }
+
+    fn put_hello(&self, out: &mut Vec<u8>) {
+        let memory_bytes = self.memory.total_size().as_u64();
+        wire::put_hello(out, self.memory.total_pages(), memory_bytes);
     }
 
     /// Send the stream-opening Hello (version + geometry handshake).
     pub fn send_hello(&mut self, transport: &mut dyn Transport) -> Result<()> {
-        let total_pages = self.memory.total_pages();
-        let memory_bytes = self.memory.total_size().as_u64();
-        transport.send_built(&mut |out| wire::put_hello(out, total_pages, memory_bytes))
+        transport.send_built(&mut |out| self.put_hello(out))
     }
 
-    fn flush_zero_run(transport: &mut dyn Transport, run: Option<(u64, u64)>) -> Result<()> {
-        let Some((first, count)) = run else {
-            return Ok(());
-        };
-        if count == 1 {
+    fn put_zero_run(out: &mut Vec<u8>, run: Option<(u64, u64)>) {
+        match run {
+            None => {}
             // A lone zero page costs the same 1-byte marker as the direct
             // path; run-length coding only pays for itself from two up.
-            transport.send_built(&mut |out| wire::put_page_zero(out, first))
-        } else {
-            transport.send_built(&mut |out| wire::put_zero_run(out, first, count))
+            Some((first, 1)) => wire::put_page_zero(out, first),
+            Some((first, count)) => wire::put_zero_run(out, first, count),
         }
     }
 
-    /// Encode one round: every page in `pages` (in order), consecutive zero
-    /// pages coalesced into run-length frames, terminated by an
-    /// end-of-round marker. The transport accumulates the burst; the caller
-    /// delivers it at the round boundary.
-    pub fn encode_round(&mut self, pages: &[u64], transport: &mut dyn Transport) -> Result<()> {
+    /// Append the frames for `pages` (in order) to `out`, consecutive zero
+    /// pages coalesced into run-length frames. A zero run still open at the
+    /// end stays in `self` for the next call or [`Self::end_round`] to
+    /// close, so cutting a round's page list anywhere yields the same bytes.
+    fn encode_pages(&mut self, pages: &[u64], out: &mut Vec<u8>) -> Result<()> {
         let memory = self.memory;
-        let mut pending_zero: Option<(u64, u64)> = None;
-        for &p in pages {
-            match self.compressor.as_mut() {
-                None => {
-                    // Raw fast path: the page is framed straight into the
-                    // burst under the source read lock — one copy total.
-                    let mut read = Ok(());
-                    transport.send_built(&mut |out| {
-                        read = memory.with_page(p, |contents| wire::put_page_raw(out, p, contents));
-                    })?;
-                    read?;
-                }
-                Some(c) => {
-                    let encoded = memory.with_page(p, |contents| c.compress(p, contents))?;
-                    if let WirePage::Zero = encoded {
-                        pending_zero = match pending_zero {
-                            Some((first, count)) if first + count == p => Some((first, count + 1)),
-                            other => {
-                                Self::flush_zero_run(transport, other)?;
-                                Some((p, 1))
-                            }
-                        };
-                        continue;
-                    }
-                    Self::flush_zero_run(transport, pending_zero.take())?;
-                    transport.send_built(&mut |out| wire::put_wire_page(out, p, &encoded))?;
-                }
+        let Some(compressor) = self.compressor.as_mut() else {
+            // Raw fast path: each page is framed straight into `out` under
+            // the source read lock — one copy total.
+            for &p in pages {
+                memory.with_page(p, |contents| wire::put_page_raw(out, p, contents))?;
             }
+            return Ok(());
+        };
+        // Taken, so an error below cannot leak half a run into a later round.
+        let mut pending_zero = self.pending_zero.take();
+        for &p in pages {
+            let encoded = memory.with_page(p, |contents| compressor.compress(p, contents))?;
+            if let WirePage::Zero = encoded {
+                pending_zero = match pending_zero {
+                    Some((first, count)) if first + count == p => Some((first, count + 1)),
+                    other => {
+                        Self::put_zero_run(out, other);
+                        Some((p, 1))
+                    }
+                };
+                continue;
+            }
+            Self::put_zero_run(out, pending_zero.take());
+            wire::put_wire_page(out, p, &encoded);
         }
-        Self::flush_zero_run(transport, pending_zero.take())?;
-        let round = self.round;
-        transport.send_built(&mut |out| wire::put_end_of_round(out, round))?;
-        self.round += 1;
+        self.pending_zero = pending_zero;
         Ok(())
+    }
+
+    /// Close the round: the open zero run, then the end-of-round marker.
+    fn end_round(&mut self, out: &mut Vec<u8>) {
+        Self::put_zero_run(out, self.pending_zero.take());
+        wire::put_end_of_round(out, self.round);
+        self.round += 1;
+    }
+
+    /// Encode one round through `segment`, at most `SEGMENT_PAGES` pages at
+    /// a time: each segment is a whole number of frames and is handed to
+    /// `emit` with its byte offset in the round. Returns the round's bytes.
+    fn encode_round_segments(
+        &mut self,
+        pages: &[u64],
+        segment: &mut Vec<u8>,
+        mut emit: impl FnMut(&[u8], u64) -> Result<()>,
+    ) -> Result<u64> {
+        let mut bytes = 0u64;
+        for chunk in pages.chunks(SEGMENT_PAGES) {
+            segment.clear();
+            self.encode_pages(chunk, segment)?;
+            emit(segment, bytes)?;
+            bytes += segment.len() as u64;
+        }
+        segment.clear();
+        self.end_round(segment);
+        emit(segment, bytes)?;
+        Ok(bytes + segment.len() as u64)
+    }
+
+    /// Encode one round as a single burst in the transport: every page in
+    /// `pages` (in order), consecutive zero pages coalesced into run-length
+    /// frames, terminated by an end-of-round marker. The engines stream
+    /// segments instead; this is the whole-round form for a harness that
+    /// drives the two halves from outside and delivers the burst itself.
+    pub fn encode_round(&mut self, pages: &[u64], transport: &mut dyn Transport) -> Result<()> {
+        let mut encoded = Ok(());
+        transport.send_built(&mut |out| {
+            encoded = self.encode_pages(pages, out);
+            if encoded.is_ok() {
+                self.end_round(out);
+            }
+        })?;
+        encoded
+    }
+
+    fn put_vcpu_states(states: &[VcpuState], out: &mut Vec<u8>) {
+        let placeholder = [VcpuState::default()];
+        let states = if states.is_empty() {
+            &placeholder[..]
+        } else {
+            states
+        };
+        for (i, state) in states.iter().enumerate() {
+            wire::put_vcpu_state(out, i as u32, state);
+        }
     }
 
     /// Send the vCPU state frames (at least one, mirroring the engines'
@@ -140,16 +214,7 @@ impl<'m> MigrationSource<'m> {
         states: &[VcpuState],
         transport: &mut dyn Transport,
     ) -> Result<()> {
-        let placeholder = [VcpuState::default()];
-        let states = if states.is_empty() {
-            &placeholder[..]
-        } else {
-            states
-        };
-        for (i, state) in states.iter().enumerate() {
-            transport.send_built(&mut |out| wire::put_vcpu_state(out, i as u32, state))?;
-        }
-        Ok(())
+        transport.send_built(&mut |out| Self::put_vcpu_states(states, out))
     }
 
     /// Compression statistics accumulated so far (None when sending raw).
@@ -160,7 +225,7 @@ impl<'m> MigrationSource<'m> {
 
 /// The destination (apply) half of a streamed migration.
 ///
-/// Decodes delivered bursts frame by frame; each frame's checksum was
+/// Decodes the stream frame by frame; each frame's checksum was
 /// already verified by the [`wire::FrameReader`] before its payload is
 /// visible, so a corrupted frame aborts the stream *without* writing
 /// anything from that frame into guest memory.
@@ -330,39 +395,118 @@ impl<'m> MigrationSink<'m> {
         }
     }
 
-    /// Decode and apply one delivered burst. On error, the offending frame
-    /// has written nothing to guest memory (checksums are verified before
-    /// payloads are applied); frames earlier in the burst have been applied.
-    pub fn apply_burst(&mut self, burst: &[u8]) -> Result<()> {
-        let mut reader = wire::FrameReader::new(burst);
+    /// Decode and apply `bytes`: a whole number of frames that start `base`
+    /// bytes into their round's burst, which is what error offsets count
+    /// from.
+    fn apply_at(&mut self, bytes: &[u8], base: u64) -> Result<()> {
+        let mut reader = wire::FrameReader::new(bytes);
         loop {
-            let offset = reader.offset();
-            match reader.next_frame()? {
+            let offset = base + reader.offset();
+            let frame = reader
+                .next_frame()
+                .map_err(|e| Self::rebase_offset(e, offset))?;
+            match frame {
                 Some(frame) => self.apply_frame(&frame, offset)?,
                 None => return Ok(()),
             }
         }
     }
+
+    /// Decode and apply one delivered burst. On error, the offending frame
+    /// has written nothing to guest memory (checksums are verified before
+    /// payloads are applied); frames earlier in the burst have been applied.
+    pub fn apply_burst(&mut self, burst: &[u8]) -> Result<()> {
+        self.apply_at(burst, 0)
+    }
 }
 
-/// Shared phase driver: deliver the pending burst and apply it on the sink.
-fn deliver_and_apply(
-    transport: &mut dyn Transport,
-    sink: &mut MigrationSink<'_>,
-    now: Nanoseconds,
-) -> Result<Nanoseconds> {
-    let (done, burst) = transport.deliver(now)?;
-    let applied = sink.apply_burst(&burst);
-    transport.recycle(burst);
-    applied?;
-    Ok(done)
+/// One serial streamed migration in flight: the two halves, the channel, and
+/// the single reused buffer every frame passes through on its way from the
+/// encoder to the sink.
+struct SerialStream<'m, 't> {
+    src: MigrationSource<'m>,
+    sink: MigrationSink<'m>,
+    transport: &'t mut dyn Transport,
+    segment: Vec<u8>,
+    start: Nanoseconds,
+    bytes_before: u64,
+}
+
+impl<'m, 't> SerialStream<'m, 't> {
+    /// Open the stream: size check, then the Hello handshake. Returns the
+    /// stream and the simulated instant the Hello arrived.
+    fn open(
+        src: MigrationSource<'m>,
+        dest: &'m GuestMemory,
+        transport: &'t mut dyn Transport,
+    ) -> Result<(Self, Nanoseconds)> {
+        check_same_size(src.memory, dest)?;
+        // Room for one full segment of raw page frames and the marker that
+        // closes the round, so no round ever grows it.
+        let segment_pages = src.memory.total_pages().min(SEGMENT_PAGES as u64);
+        let frame_bytes = wire::FRAME_HEADER_BYTES + PAGE_SIZE;
+        let capacity = segment_pages * frame_bytes + wire::END_OF_ROUND_WIRE_BYTES;
+        let mut stream = SerialStream {
+            sink: MigrationSink::new(dest),
+            segment: Vec::with_capacity(capacity as usize),
+            start: transport.free_at(),
+            bytes_before: transport.bytes_sent(),
+            src,
+            transport,
+        };
+        stream.src.put_hello(&mut stream.segment);
+        let after_hello = stream.send_control(stream.start)?;
+        Ok((stream, after_hello))
+    }
+
+    /// Apply the control frames (Hello, vCPU state) sitting in the buffer
+    /// and charge them to the channel as a transfer of their own.
+    fn send_control(&mut self, now: Nanoseconds) -> Result<Nanoseconds> {
+        self.sink.apply_burst(&self.segment)?;
+        self.transport
+            .transmit_bytes(now, self.segment.len() as u64)
+    }
+
+    /// Send the vCPU state frames as one control burst.
+    fn vcpu_states(&mut self, states: &[VcpuState], now: Nanoseconds) -> Result<Nanoseconds> {
+        self.segment.clear();
+        MigrationSource::put_vcpu_states(states, &mut self.segment);
+        self.send_control(now)
+    }
+
+    /// The shared round driver: stream `pages` to the sink segment by
+    /// segment, then charge the round's total bytes to the channel as the
+    /// one simulated transfer it is. Returns the arrival time and the
+    /// round's statistics.
+    fn round(&mut self, pages: &[u64], now: Nanoseconds) -> Result<(Nanoseconds, RoundStat)> {
+        let sink = &mut self.sink;
+        let bytes = self
+            .src
+            .encode_round_segments(pages, &mut self.segment, |segment, at| {
+                sink.apply_at(segment, at)
+            })?;
+        let done = self.transport.transmit_bytes(now, bytes)?;
+        let stat = RoundStat {
+            pages: pages.len() as u64,
+            bytes,
+            duration: done.saturating_sub(now),
+        };
+        Ok((done, stat))
+    }
+
+    /// Wire bytes this migration has put on the channel so far.
+    fn bytes_transferred(&self) -> u64 {
+        self.transport.bytes_sent() - self.bytes_before
+    }
 }
 
 impl StopAndCopy {
     /// Run a stop-and-copy migration as a wire stream over `transport`.
     ///
     /// Byte- and nanosecond-equivalent to [`StopAndCopy::migrate`] when the
-    /// transport is a loopback over the same link.
+    /// transport is a loopback over the same link. On `Err` the destination's
+    /// contents are unspecified and the source is untouched
+    /// ([why](self#failure)).
     pub fn migrate_over(
         source: &GuestMemory,
         dest: &GuestMemory,
@@ -380,28 +524,15 @@ impl StopAndCopy {
         transport: &mut dyn Transport,
         trace: &Trace,
     ) -> Result<MigrationReport> {
-        check_same_size(source, dest)?;
-        let start = transport.free_at();
-        let bytes_before = transport.bytes_sent();
-        let mut src = MigrationSource::raw(source);
-        let mut sink = MigrationSink::new(dest);
-
-        src.send_hello(transport)?;
-        let after_hello = deliver_and_apply(transport, &mut sink, start)?;
+        let (mut stream, after_hello) =
+            SerialStream::open(MigrationSource::raw(source), dest, transport)?;
+        let start = stream.start;
 
         let all_pages: Vec<u64> = (0..source.total_pages()).collect();
-        let round_bytes_before = transport.bytes_sent();
-        src.encode_round(&all_pages, transport)?;
-        let after_pages = deliver_and_apply(transport, &mut sink, after_hello)?;
-        let round = RoundStat {
-            pages: all_pages.len() as u64,
-            bytes: transport.bytes_sent() - round_bytes_before,
-            duration: after_pages.saturating_sub(after_hello),
-        };
+        let (after_pages, round) = stream.round(&all_pages, after_hello)?;
         emit_round_span(trace, "round", 1, round, after_hello, after_pages);
 
-        src.send_vcpu_states(vcpus, transport)?;
-        let done = deliver_and_apply(transport, &mut sink, after_pages)?;
+        let done = stream.vcpu_states(vcpus, after_pages)?;
 
         let elapsed = done.saturating_sub(start);
         let report = MigrationReport {
@@ -409,8 +540,8 @@ impl StopAndCopy {
             downtime: elapsed,
             total_time: elapsed,
             rounds: 1,
-            bytes_transferred: transport.bytes_sent() - bytes_before,
-            pages_transferred: all_pages.len() as u64,
+            bytes_transferred: stream.bytes_transferred(),
+            pages_transferred: round.pages,
             memory_size: source.total_size(),
             converged: true,
             remote_faults: 0,
@@ -429,7 +560,9 @@ impl PreCopy {
     /// Byte- and nanosecond-equivalent to [`PreCopy::migrate`] over a
     /// loopback transport when compression is off; with zero-page or XBZRLE
     /// compression the run-length zero coding makes the stream *cheaper*
-    /// than the direct path's per-page markers.
+    /// than the direct path's per-page markers. On `Err` the destination's
+    /// contents are unspecified and the source's pages are untouched; dirty
+    /// bits harvested so far are consumed, as on success ([why](self#failure)).
     pub fn migrate_over(
         source: &GuestMemory,
         dest: &GuestMemory,
@@ -461,14 +594,9 @@ impl PreCopy {
         trace: &Trace,
     ) -> Result<MigrationReport> {
         config.validate()?;
-        check_same_size(source, dest)?;
-        let start = transport.free_at();
-        let bytes_before = transport.bytes_sent();
-        let mut src = MigrationSource::with_config(source, config);
-        let mut sink = MigrationSink::new(dest);
-
-        src.send_hello(transport)?;
-        let mut now = deliver_and_apply(transport, &mut sink, start)?;
+        let src = MigrationSource::with_config(source, config);
+        let (mut stream, mut now) = SerialStream::open(src, dest, transport)?;
+        let start = stream.start;
 
         let mut total_pages = 0u64;
         let mut rounds = 0u32;
@@ -483,19 +611,11 @@ impl PreCopy {
         loop {
             rounds += 1;
             let round_start = now;
-            let round_bytes_before = transport.bytes_sent();
-            src.encode_round(&to_send, transport)?;
-            let done = deliver_and_apply(transport, &mut sink, now)?;
-            total_pages += to_send.len() as u64;
-            let round_duration = done.saturating_sub(round_start);
-            let stat = RoundStat {
-                pages: to_send.len() as u64,
-                bytes: transport.bytes_sent() - round_bytes_before,
-                duration: round_duration,
-            };
+            let (done, stat) = stream.round(&to_send, now)?;
+            total_pages += stat.pages;
             breakdown.push(stat);
             emit_round_span(trace, "round", rounds, stat, round_start, done);
-            dirty_source.run_for(source, round_duration)?;
+            dirty_source.run_for(source, stat.duration)?;
             now = done;
 
             source.drain_dirty_into(&mut harvest);
@@ -510,15 +630,8 @@ impl PreCopy {
         }
 
         let pause_start = now;
-        let stop_bytes_before = transport.bytes_sent();
-        src.encode_round(&to_send, transport)?;
-        let after_residual = deliver_and_apply(transport, &mut sink, now)?;
-        total_pages += to_send.len() as u64;
-        let stop_stat = RoundStat {
-            pages: to_send.len() as u64,
-            bytes: transport.bytes_sent() - stop_bytes_before,
-            duration: after_residual.saturating_sub(pause_start),
-        };
+        let (after_residual, stop_stat) = stream.round(&to_send, now)?;
+        total_pages += stop_stat.pages;
         breakdown.push(stop_stat);
         emit_round_span(
             trace,
@@ -528,15 +641,14 @@ impl PreCopy {
             pause_start,
             after_residual,
         );
-        src.send_vcpu_states(vcpus, transport)?;
-        let done = deliver_and_apply(transport, &mut sink, after_residual)?;
+        let done = stream.vcpu_states(vcpus, after_residual)?;
 
         let report = MigrationReport {
             kind: MigrationKind::PreCopy,
             downtime: done.saturating_sub(pause_start),
             total_time: done.saturating_sub(start),
             rounds,
-            bytes_transferred: transport.bytes_sent() - bytes_before,
+            bytes_transferred: stream.bytes_transferred(),
             pages_transferred: total_pages,
             memory_size: source.total_size(),
             converged,
@@ -544,7 +656,7 @@ impl PreCopy {
             avg_fault_latency: Nanoseconds::ZERO,
             rounds_breakdown: breakdown,
         };
-        emit_migration_span(trace, &report, start, done, src.compression_stats());
+        emit_migration_span(trace, &report, start, done, stream.src.compression_stats());
         Ok(report)
     }
 }
@@ -553,7 +665,8 @@ impl PostCopy {
     /// Run a post-copy migration as a wire stream over `transport`.
     ///
     /// Byte- and nanosecond-equivalent to [`PostCopy::migrate`] over a
-    /// loopback transport.
+    /// loopback transport. On `Err` the destination's contents are
+    /// unspecified and the source is untouched ([why](self#failure)).
     pub fn migrate_over(
         source: &GuestMemory,
         dest: &GuestMemory,
@@ -573,55 +686,7 @@ impl PostCopy {
         config: &MigrationConfig,
         trace: &Trace,
     ) -> Result<MigrationReport> {
-        config.validate()?;
-        check_same_size(source, dest)?;
-        let start = transport.free_at();
-        let bytes_before = transport.bytes_sent();
-        let mut src = MigrationSource::raw(source);
-        let mut sink = MigrationSink::new(dest);
-
-        src.send_hello(transport)?;
-        let after_hello = deliver_and_apply(transport, &mut sink, start)?;
-
-        // Pause: only the vCPU/device state crosses before resume.
-        src.send_vcpu_states(vcpus, transport)?;
-        let resumed_at = deliver_and_apply(transport, &mut sink, after_hello)?;
-        let downtime = resumed_at.saturating_sub(after_hello);
-
-        let total_pages = source.total_pages();
-        let fault_pages = ((total_pages as f64) * config.postcopy_fault_fraction).round() as u64;
-        let fault_pages = fault_pages.min(total_pages);
-
-        let all_pages: Vec<u64> = (0..total_pages).collect();
-        let round_bytes_before = transport.bytes_sent();
-        src.encode_round(&all_pages, transport)?;
-        let after_pages = deliver_and_apply(transport, &mut sink, resumed_at)?;
-        let round = RoundStat {
-            pages: total_pages,
-            bytes: transport.bytes_sent() - round_bytes_before,
-            duration: after_pages.saturating_sub(resumed_at),
-        };
-        emit_round_span(trace, "round", 1, round, resumed_at, after_pages);
-
-        let per_fault_latency = transport.transfer_time(PAGE_SIZE + PER_PAGE_OVERHEAD);
-        let fault_penalty = Nanoseconds(transport.latency().as_nanos() * fault_pages);
-        let done = after_pages.saturating_add(fault_penalty);
-
-        let report = MigrationReport {
-            kind: MigrationKind::PostCopy,
-            downtime,
-            total_time: done.saturating_sub(start),
-            rounds: 1,
-            bytes_transferred: transport.bytes_sent() - bytes_before,
-            pages_transferred: total_pages,
-            memory_size: source.total_size(),
-            converged: true,
-            remote_faults: fault_pages,
-            avg_fault_latency: per_fault_latency.saturating_add(transport.latency()),
-            rounds_breakdown: vec![round],
-        };
-        emit_migration_span(trace, &report, start, done, None);
-        Ok(report)
+        Self::stream_over(source, dest, vcpus, transport, config, trace, false)
     }
 
     /// Run a post-copy migration with an out-of-order demand-fault service
@@ -643,7 +708,9 @@ impl PostCopy {
     /// [`FaultService::FaultLane`](crate::FaultService::FaultLane) in a
     /// [`MigrationPlan`](crate::MigrationPlan). See
     /// [`sweep_mean_fault_latency`](crate::sweep_mean_fault_latency) for
-    /// how the two disciplines' mean fault service latencies compare.
+    /// how the two disciplines' mean fault service latencies compare. On
+    /// `Err` the destination's contents are unspecified and the source is
+    /// untouched ([why](self#failure)).
     pub fn migrate_fault_lane_over(
         source: &GuestMemory,
         dest: &GuestMemory,
@@ -664,69 +731,80 @@ impl PostCopy {
         config: &MigrationConfig,
         trace: &Trace,
     ) -> Result<MigrationReport> {
+        Self::stream_over(source, dest, vcpus, transport, config, trace, true)
+    }
+
+    /// Both fault-service disciplines: they differ only in how the page
+    /// phase is cut into rounds and in what the faults cost afterwards.
+    fn stream_over(
+        source: &GuestMemory,
+        dest: &GuestMemory,
+        vcpus: &[VcpuState],
+        transport: &mut dyn Transport,
+        config: &MigrationConfig,
+        trace: &Trace,
+        fault_lane: bool,
+    ) -> Result<MigrationReport> {
         config.validate()?;
-        check_same_size(source, dest)?;
-        let start = transport.free_at();
-        let bytes_before = transport.bytes_sent();
-        let mut src = MigrationSource::raw(source);
-        let mut sink = MigrationSink::new(dest);
+        let (mut stream, after_hello) =
+            SerialStream::open(MigrationSource::raw(source), dest, transport)?;
+        let start = stream.start;
 
-        src.send_hello(transport)?;
-        let after_hello = deliver_and_apply(transport, &mut sink, start)?;
-
-        // Pause: only the vCPU/device state crosses before resume —
-        // identical to the sweep-ordered reference, so downtime is too.
-        src.send_vcpu_states(vcpus, transport)?;
-        let resumed_at = deliver_and_apply(transport, &mut sink, after_hello)?;
-        let downtime = resumed_at.saturating_sub(after_hello);
+        // Pause: only the vCPU/device state crosses before resume, under
+        // either discipline, so downtime is the same.
+        let resumed_at = stream.vcpu_states(vcpus, after_hello)?;
 
         let total_pages = source.total_pages();
         let fault_pages = ((total_pages as f64) * config.postcopy_fault_fraction).round() as u64;
         let fault_pages = fault_pages.min(total_pages);
-
         let all_pages: Vec<u64> = (0..total_pages).collect();
-        let (lane_pages, sweep_pages) = all_pages.split_at(fault_pages as usize);
+        let lane_len = if fault_lane { fault_pages as usize } else { 0 };
+        let (lane_pages, sweep_pages) = all_pages.split_at(lane_len);
 
-        // Round 1 — the fault lane: every demand-faulted page crosses in
-        // one dedicated burst, ahead of the sweep.
-        let lane_bytes_before = transport.bytes_sent();
-        src.encode_round(lane_pages, transport)?;
-        let after_lane = deliver_and_apply(transport, &mut sink, resumed_at)?;
-        let lane_round = RoundStat {
-            pages: lane_pages.len() as u64,
-            bytes: transport.bytes_sent() - lane_bytes_before,
-            duration: after_lane.saturating_sub(resumed_at),
+        let mut breakdown = Vec::with_capacity(2);
+        let mut now = resumed_at;
+        if fault_lane {
+            // Round 1 — the fault lane: every demand-faulted page crosses
+            // in one dedicated burst, ahead of the sweep.
+            let (after_lane, lane_round) = stream.round(lane_pages, now)?;
+            emit_round_span(trace, "fault-lane", 1, lane_round, now, after_lane);
+            breakdown.push(lane_round);
+            now = after_lane;
+        }
+        // The background sweep over everything (else).
+        let (after_sweep, sweep_round) = stream.round(sweep_pages, now)?;
+        let (name, number) = if fault_lane {
+            ("sweep", 2)
+        } else {
+            ("round", 1)
         };
-        emit_round_span(trace, "fault-lane", 1, lane_round, resumed_at, after_lane);
+        emit_round_span(trace, name, number, sweep_round, now, after_sweep);
+        breakdown.push(sweep_round);
 
-        // Round 2 — the background sweep over everything else.
-        let sweep_bytes_before = transport.bytes_sent();
-        src.encode_round(sweep_pages, transport)?;
-        let after_sweep = deliver_and_apply(transport, &mut sink, after_lane)?;
-        let sweep_round = RoundStat {
-            pages: sweep_pages.len() as u64,
-            bytes: transport.bytes_sent() - sweep_bytes_before,
-            duration: after_sweep.saturating_sub(after_lane),
-        };
-        emit_round_span(trace, "sweep", 2, sweep_round, after_lane, after_sweep);
-
-        // No serialized fault penalty: the lane serviced each fault with a
-        // single propagation delay, already paid by the lane burst.
+        let transport = &*stream.transport;
         let per_fault_latency = transport.transfer_time(PAGE_SIZE + PER_PAGE_OVERHEAD);
-        let done = after_sweep;
+        // Sweep-ordered faults queue: one propagation delay each, appended
+        // after the sweep. The lane serviced each fault with a single
+        // delay, already paid by the lane burst.
+        let fault_penalty = if fault_lane {
+            Nanoseconds::ZERO
+        } else {
+            Nanoseconds(transport.latency().as_nanos() * fault_pages)
+        };
+        let done = after_sweep.saturating_add(fault_penalty);
 
         let report = MigrationReport {
             kind: MigrationKind::PostCopy,
-            downtime,
+            downtime: resumed_at.saturating_sub(after_hello),
             total_time: done.saturating_sub(start),
-            rounds: 2,
-            bytes_transferred: transport.bytes_sent() - bytes_before,
+            rounds: breakdown.len() as u32,
+            bytes_transferred: stream.bytes_transferred(),
             pages_transferred: total_pages,
             memory_size: source.total_size(),
             converged: true,
             remote_faults: fault_pages,
             avg_fault_latency: per_fault_latency.saturating_add(transport.latency()),
-            rounds_breakdown: vec![lane_round, sweep_round],
+            rounds_breakdown: breakdown,
         };
         emit_migration_span(trace, &report, start, done, None);
         Ok(report)
@@ -1108,9 +1186,390 @@ mod tests {
         }
     }
 
+    /// A loopback that refuses its `fail_on`-th `transmit_bytes`, as a
+    /// transport whose endpoint failed mid-migration does.
+    struct RefusingTransport<'l> {
+        inner: LoopbackTransport<'l>,
+        calls: u32,
+        fail_on: u32,
+    }
+
+    fn refusal() -> Error {
+        Error::Migration("endpoint failed".into())
+    }
+
+    impl Transport for RefusingTransport<'_> {
+        fn free_at(&self) -> Nanoseconds {
+            self.inner.free_at()
+        }
+        fn send(&mut self, frame: &[u8]) -> Result<()> {
+            self.inner.send(frame)
+        }
+        fn send_built(&mut self, build: &mut dyn FnMut(&mut Vec<u8>)) -> Result<()> {
+            self.inner.send_built(build)
+        }
+        fn deliver(&mut self, now: Nanoseconds) -> Result<(Nanoseconds, Vec<u8>)> {
+            self.inner.deliver(now)
+        }
+        fn transmit_bytes(&mut self, now: Nanoseconds, bytes: u64) -> Result<Nanoseconds> {
+            self.calls += 1;
+            if self.calls == self.fail_on {
+                return Err(refusal());
+            }
+            self.inner.transmit_bytes(now, bytes)
+        }
+        fn recycle(&mut self, buf: Vec<u8>) {
+            self.inner.recycle(buf)
+        }
+        fn latency(&self) -> Nanoseconds {
+            self.inner.latency()
+        }
+        fn transfer_time(&self, bytes: u64) -> Nanoseconds {
+            self.inner.transfer_time(bytes)
+        }
+        fn bytes_sent(&self) -> u64 {
+            self.inner.bytes_sent()
+        }
+    }
+
+    fn run_engine(
+        engine: usize,
+        src: &GuestMemory,
+        dst: &GuestMemory,
+        transport: &mut dyn Transport,
+    ) -> Result<MigrationReport> {
+        let vcpus = [VcpuState::default()];
+        let config = MigrationConfig::default();
+        match engine {
+            0 => StopAndCopy::migrate_over(src, dst, &vcpus, transport),
+            1 => PreCopy::migrate_over(src, dst, &vcpus, transport, &mut IdleDirtier, &config),
+            2 => PostCopy::migrate_over(src, dst, &vcpus, transport, &config),
+            _ => PostCopy::migrate_fault_lane_over(src, dst, &vcpus, transport, &config),
+        }
+    }
+
+    #[test]
+    fn refused_transfer_fails_typed_and_leaves_the_source_migratable() {
+        // Three segments per full round, so a refused round has already
+        // landed pages on the destination when the transport says no.
+        let pages = 3 * SEGMENT_PAGES as u64;
+        // Transfers per migration: Hello, the rounds, the vCPU state.
+        for (engine, transfers) in [(0, 3), (1, 4), (2, 3), (3, 4)] {
+            let (clean_src, clean_dst) = memories(pages);
+            clean_src.clear_dirty();
+            let mut link = Link::new(LinkModel::gigabit());
+            let mut healthy = LoopbackTransport::new(&mut link);
+            let expected = run_engine(engine, &clean_src, &clean_dst, &mut healthy).unwrap();
+
+            for fail_on in 1..=transfers {
+                let (src, dst) = memories(pages);
+                src.clear_dirty();
+                if engine != 1 {
+                    // One dirty page, so the bitmap has something to lose.
+                    // (Pre-copy owns dirty tracking for the call and clears
+                    // it on entry, on success and failure alike.)
+                    src.mark_dirty_page(5);
+                }
+                let (bytes_before, dirty_before) = (region_bytes(&src), src.dirty_pages());
+
+                let mut link = Link::new(LinkModel::gigabit());
+                let mut refusing = RefusingTransport {
+                    inner: LoopbackTransport::new(&mut link),
+                    calls: 0,
+                    fail_on,
+                };
+                let err = run_engine(engine, &src, &dst, &mut refusing)
+                    .expect_err("the refused transfer must fail the migration");
+                assert_eq!(err, refusal(), "engine {engine}, transfer {fail_on}");
+                assert_eq!(refusing.calls, fail_on, "nothing is sent after a refusal");
+                assert_eq!(region_bytes(&src), bytes_before);
+                assert_eq!(src.dirty_pages(), dirty_before);
+
+                // The same source, a healthy transport, a fresh destination.
+                src.clear_dirty();
+                let (_, fresh) = memories(pages);
+                let mut link = Link::new(LinkModel::gigabit());
+                let mut healthy = LoopbackTransport::new(&mut link);
+                let retried = run_engine(engine, &src, &fresh, &mut healthy).unwrap();
+                assert_eq!(retried, expected, "engine {engine}, transfer {fail_on}");
+                assert_eq!(region_bytes(&fresh), bytes_before);
+            }
+        }
+    }
+
+    #[test]
+    fn wire_fault_offset_counts_from_the_round_not_the_segment() {
+        let pages = 3 * SEGMENT_PAGES as u64;
+        let frame = (wire::FRAME_HEADER_BYTES + PAGE_SIZE) as usize;
+        // A payload byte of the sixth frame of the third segment.
+        let victim_frame = 2 * SEGMENT_PAGES + 5;
+        let victim_byte = victim_frame * frame + wire::FRAME_HEADER_BYTES as usize + 17;
+        let all: Vec<u64> = (0..pages).collect();
+
+        let (src, dst) = memories(pages);
+        let mut sink = MigrationSink::new(&dst);
+        let mut hello = Vec::new();
+        wire::put_hello(&mut hello, pages, pages * PAGE_SIZE);
+        sink.apply_burst(&hello).unwrap();
+        let mut segment = Vec::new();
+        let err = MigrationSource::raw(&src)
+            .encode_round_segments(&all, &mut segment, |bytes, at| {
+                let mut bytes = bytes.to_vec();
+                if let Some(byte) = victim_byte
+                    .checked_sub(at as usize)
+                    .and_then(|i| bytes.get_mut(i))
+                {
+                    *byte ^= 0xff;
+                }
+                sink.apply_at(&bytes, at)
+            })
+            .expect_err("corruption must fail");
+        match &err {
+            Error::WireProtocol { offset, detail } => {
+                assert_eq!(*offset, (victim_frame * frame) as u64);
+                assert!(detail.contains("checksum"), "{detail}");
+            }
+            other => panic!("wrong error type: {other:?}"),
+        }
+        // Everything before the corrupt frame landed; nothing after it did.
+        assert_eq!(sink.pages_applied(), victim_frame as u64);
+
+        // The whole-round burst names the same offset.
+        let (_, dst) = memories(pages);
+        let mut link = Link::new(LinkModel::gigabit());
+        let mut transport = LoopbackTransport::new(&mut link);
+        MigrationSource::raw(&src)
+            .encode_round(&all, &mut transport)
+            .unwrap();
+        let (_, mut burst) = transport.deliver(Nanoseconds::ZERO).unwrap();
+        burst[victim_byte] ^= 0xff;
+        let mut sink = MigrationSink::new(&dst);
+        sink.apply_burst(&hello).unwrap();
+        let whole = sink.apply_burst(&burst).expect_err("corruption must fail");
+        assert_eq!(whole, err);
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
+
+        const SEG: u64 = SEGMENT_PAGES as u64;
+
+        /// Which pages of the guest start out all-zero. Shapes 0–3 put zero
+        /// runs where cutting a round into segments could go wrong; the
+        /// others lay out `runs` of zero / non-zero pages, up to 150 long.
+        fn zero_mask(shape: usize, runs: &[(bool, u64)]) -> Vec<bool> {
+            let mask = |pages: u64, zero: &dyn Fn(u64) -> bool| (0..pages).map(zero).collect();
+            match shape {
+                // A run of exactly one segment, on segment boundaries.
+                0 => mask(3 * SEG, &|p| (SEG..2 * SEG).contains(&p)),
+                // An all-zero guest, ending mid-segment.
+                1 => mask(2 * SEG + 5, &|_| true),
+                // Runs straddling, ending at and starting at a multiple of
+                // the segment length.
+                2 => mask(4 * SEG + 10, &|p| {
+                    (SEG - 3..SEG + 3).contains(&p)
+                        || (SEG + 10..2 * SEG).contains(&p)
+                        || (3 * SEG..3 * SEG + 4).contains(&p)
+                }),
+                _ => {
+                    let mut mask: Vec<bool> = runs
+                        .iter()
+                        .flat_map(|&(zero, len)| (0..len).map(move |_| zero))
+                        .collect();
+                    if shape == 3 {
+                        // A guest shorter than one segment.
+                        mask.truncate(SEGMENT_PAGES - 1);
+                    }
+                    mask
+                }
+            }
+        }
+
+        fn guest(mask: &[bool]) -> GuestMemory {
+            let memory = GuestMemory::flat(ByteSize::pages_of(mask.len() as u64)).unwrap();
+            for (p, _) in mask.iter().enumerate().filter(|(_, zero)| !**zero) {
+                let p = p as u64;
+                memory
+                    .write_u64(GuestAddress(p * PAGE_SIZE), p * 7 + 1)
+                    .unwrap();
+            }
+            memory
+        }
+
+        /// A guest that, each time the engine runs it, performs the next
+        /// scripted batch of writes `(page selector, value)`; value 0 turns
+        /// the page into a zero page. An exhausted script writes nothing.
+        struct ScriptedDirtier {
+            script: Vec<Vec<(u64, u64)>>,
+            next: usize,
+        }
+
+        impl DirtySource for ScriptedDirtier {
+            fn run_for(&mut self, memory: &GuestMemory, _: Nanoseconds) -> Result<u64> {
+                let writes = self.script.get(self.next).map_or(&[][..], |w| &w[..]);
+                self.next += 1;
+                for &(selector, value) in writes {
+                    let page = selector % memory.total_pages();
+                    memory.write_u64(GuestAddress(page * PAGE_SIZE), value)?;
+                }
+                Ok(writes.len() as u64)
+            }
+
+            fn dirty_rate_bytes_per_sec(&self) -> u64 {
+                0
+            }
+        }
+
+        fn deliver_and_apply(
+            transport: &mut dyn Transport,
+            sink: &mut MigrationSink<'_>,
+            now: Nanoseconds,
+        ) -> (Nanoseconds, u64) {
+            let (done, burst) = transport.deliver(now).unwrap();
+            sink.apply_burst(&burst).unwrap();
+            let bytes = burst.len() as u64;
+            transport.recycle(burst);
+            (done, bytes)
+        }
+
+        /// A pre-copy driven from outside through the public halves, one
+        /// whole-round burst at a time (`encode_round` + `deliver` +
+        /// `apply_burst`: the loop an external harness drives), checking on
+        /// the way that a second encoder over the same guest cuts every
+        /// round into segments that concatenate to the burst.
+        fn burst_driven_precopy(
+            source: &GuestMemory,
+            dest: &GuestMemory,
+            transport: &mut dyn Transport,
+            dirtier: &mut dyn DirtySource,
+            config: &MigrationConfig,
+        ) -> MigrationReport {
+            let mut src = MigrationSource::with_config(source, config);
+            let mut segmented = MigrationSource::with_config(source, config);
+            let mut sink = MigrationSink::new(dest);
+            let start = transport.free_at();
+            let bytes_before = transport.bytes_sent();
+            src.send_hello(transport).unwrap();
+            let (mut now, _) = deliver_and_apply(transport, &mut sink, start);
+
+            let (mut segment, mut segments) = (Vec::new(), Vec::new());
+            let mut round = |pages: &[u64], now: Nanoseconds, transport: &mut dyn Transport| {
+                segments.clear();
+                let total = segmented
+                    .encode_round_segments(pages, &mut segment, |bytes, at| {
+                        assert_eq!(at, segments.len() as u64);
+                        segments.extend_from_slice(bytes);
+                        Ok(())
+                    })
+                    .unwrap();
+                assert_eq!(total, segments.len() as u64);
+                src.encode_round(pages, transport).unwrap();
+                let (done, burst) = transport.deliver(now).unwrap();
+                assert!(segments == burst, "the segments are not the burst");
+                sink.apply_burst(&burst).unwrap();
+                transport.recycle(burst);
+                let stat = RoundStat {
+                    pages: pages.len() as u64,
+                    bytes: total,
+                    duration: done.saturating_sub(now),
+                };
+                (done, stat)
+            };
+
+            source.clear_dirty();
+            let mut to_send: Vec<u64> = (0..source.total_pages()).collect();
+            let mut breakdown = Vec::new();
+            let (mut rounds, mut converged) = (0u32, false);
+            loop {
+                rounds += 1;
+                let (done, stat) = round(&to_send, now, transport);
+                breakdown.push(stat);
+                dirtier.run_for(source, stat.duration).unwrap();
+                now = done;
+                to_send = source.drain_dirty();
+                if to_send.len() as u64 <= config.dirty_page_threshold {
+                    converged = true;
+                    break;
+                }
+                if rounds >= config.max_rounds {
+                    break;
+                }
+            }
+            let pause_start = now;
+            let (after_residual, stop_stat) = round(&to_send, now, transport);
+            breakdown.push(stop_stat);
+            src.send_vcpu_states(&[VcpuState::default()], transport)
+                .unwrap();
+            let (done, _) = deliver_and_apply(transport, &mut sink, after_residual);
+            MigrationReport {
+                kind: MigrationKind::PreCopy,
+                downtime: done.saturating_sub(pause_start),
+                total_time: done.saturating_sub(start),
+                rounds,
+                bytes_transferred: transport.bytes_sent() - bytes_before,
+                pages_transferred: breakdown.iter().map(|r| r.pages).sum(),
+                memory_size: source.total_size(),
+                converged,
+                remote_faults: 0,
+                avg_fault_latency: Nanoseconds::ZERO,
+                rounds_breakdown: breakdown,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Segments ≡ burst: for guests whose zero runs start, end and
+            /// straddle segment boundaries, scripted dirty subsets (an empty
+            /// one included: the script runs out) and every compression mode
+            /// over four or more rounds — so the XBZRLE cache carries across
+            /// segments and rounds — the serial engine lands the report and
+            /// the memory of the whole-round loop, whose bursts are in turn
+            /// byte for byte the concatenated segments.
+            #[test]
+            fn segmented_rounds_are_the_whole_round_bursts(
+                shape in 0usize..6,
+                runs in proptest::collection::vec((any::<bool>(), 1u64..150), 1..8),
+                script in proptest::collection::vec(
+                    proptest::collection::vec((0u64..1000, 0u64..4), 1..40),
+                    3,
+                ),
+                mode_idx in 0usize..3,
+            ) {
+                let config = MigrationConfig {
+                    max_rounds: 4,
+                    dirty_page_threshold: 0,
+                    compression: PageCompression::ALL[mode_idx],
+                    ..Default::default()
+                };
+                let mask = zero_mask(shape, &runs);
+                let dirtier = || ScriptedDirtier { script: script.clone(), next: 0 };
+
+                let (src_a, dst_a) = (guest(&mask), guest(&vec![true; mask.len()]));
+                let mut link_a = Link::new(LinkModel::gigabit());
+                let mut transport_a = LoopbackTransport::new(&mut link_a);
+                let by_bursts = burst_driven_precopy(
+                    &src_a, &dst_a, &mut transport_a, &mut dirtier(), &config,
+                );
+
+                let (src_b, dst_b) = (guest(&mask), guest(&vec![true; mask.len()]));
+                let mut link_b = Link::new(LinkModel::gigabit());
+                let mut transport_b = LoopbackTransport::new(&mut link_b);
+                let by_segments = PreCopy::migrate_over(
+                    &src_b, &dst_b, &[VcpuState::default()], &mut transport_b,
+                    &mut dirtier(), &config,
+                ).unwrap();
+
+                // Three scripted rounds of writes, then the script runs out:
+                // round 4 finds nothing dirty and the stop phase is empty.
+                prop_assert_eq!(by_bursts.rounds, 4);
+                prop_assert_eq!(by_bursts.rounds_breakdown[4].pages, 0);
+                prop_assert_eq!(by_segments, by_bursts);
+                prop_assert_eq!(region_bytes(&dst_b), region_bytes(&dst_a));
+                prop_assert_eq!(region_bytes(&dst_b), region_bytes(&src_b));
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(10))]

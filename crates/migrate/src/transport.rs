@@ -1,23 +1,37 @@
-//! Byte-stream transports carrying the migration wire format.
+//! Transports: the simulated channel a migration's wire bytes cross.
 //!
-//! The engines' streaming halves ([`stream`](crate::stream)) speak to the
-//! network only through [`Transport`]: frames are appended to an in-flight
-//! **burst** with [`Transport::send`], and a [`Transport::deliver`] call —
-//! issued at every [`EndOfRound`](crate::wire::FrameKind::EndOfRound)
-//! boundary — models the burst crossing the wire and hands the received
-//! bytes to the destination side. Two implementations ship:
+//! [`Transport`] has two halves.
 //!
-//! * [`LoopbackTransport`] — same-process delivery timed by a single
-//!   point-to-point [`Link`]; byte-for-byte and nanosecond-for-nanosecond
-//!   equivalent to the direct in-memory engines (pinned by proptest).
-//! * [`FabricTransport`] — delivery across a shared
-//!   [`Fabric`]: per-host NIC serialization, backbone
-//!   contention with every other migration and DR stream, and MTU chunk
-//!   framing, so migration duration and downtime come from modelled
-//!   bytes-on-wire.
+//! * **The channel model** — [`Transport::free_at`],
+//!   [`Transport::transmit_bytes`], [`Transport::transmit_striped`],
+//!   [`Transport::latency`], [`Transport::transfer_time`] and
+//!   [`Transport::bytes_sent`] — is what every engine uses. A round is one
+//!   *simulated* transfer: the engine streams its frames to the sink itself
+//!   (the serial engines in cache-sized segments through one reused buffer,
+//!   the pipelined engine over channels to a sink thread) and charges the
+//!   round's total bytes to the channel with a single `transmit_bytes` /
+//!   `transmit_striped`. The transport times and counts bytes; it does not
+//!   carry them.
+//! * **The burst carrier** — [`Transport::send`], [`Transport::send_built`],
+//!   [`Transport::deliver`] and [`Transport::recycle`] — accumulates frames
+//!   into one in-flight burst and hands it out whole. No engine calls it:
+//!   it is kept for code that drives the two halves of a stream from outside
+//!   one whole round at a time (the repository benchmark's harness loop and
+//!   the codec micro-benches), through
+//!   [`MigrationSource::encode_round`](crate::MigrationSource::encode_round),
+//!   `send_hello` and `send_vcpu_states`, which are its only callers in this
+//!   crate. A `deliver` of `n` bytes times and counts exactly like
+//!   `transmit_bytes(now, n)` (pinned by test).
 //!
-//! Burst buffers are recycled ([`Transport::recycle`]) so steady-state
-//! rounds allocate nothing new.
+//! Two implementations ship:
+//!
+//! * [`LoopbackTransport`] — timed by a single point-to-point [`Link`];
+//!   byte-for-byte and nanosecond-for-nanosecond equivalent to the direct
+//!   in-memory engines (pinned by proptest).
+//! * [`FabricTransport`] — timed by a shared [`Fabric`]: per-host NIC
+//!   serialization, backbone contention with every other migration and DR
+//!   stream, and MTU chunk framing, so migration duration and downtime come
+//!   from modelled bytes-on-wire.
 
 use rvisor_net::{Fabric, FabricModel, Link};
 use rvisor_types::{Nanoseconds, Result};
@@ -46,8 +60,8 @@ pub trait Transport {
     /// earlier than `now`, *without* routing the bytes through the internal
     /// burst buffer. Busy-time marks and the [`Transport::bytes_sent`]
     /// counter advance exactly as a [`Transport::deliver`] of the same size
-    /// would; the pipelined engine uses this because it hands the encoded
-    /// bytes to the sink thread directly and only needs the channel model.
+    /// would; every engine uses this, once per round, because it hands the
+    /// encoded bytes to the sink itself and only needs the channel model.
     fn transmit_bytes(&mut self, now: Nanoseconds, bytes: u64) -> Result<Nanoseconds>;
 
     /// Like [`Transport::transmit_bytes`], but as parallel streams fairly
@@ -74,7 +88,9 @@ pub trait Transport {
     /// post-copy per-fault service time).
     fn transfer_time(&self, bytes: u64) -> Nanoseconds;
 
-    /// Total payload bytes handed to [`Transport::deliver`] so far.
+    /// Total bytes charged to the channel so far, by
+    /// [`Transport::transmit_bytes`], [`Transport::transmit_striped`] and
+    /// [`Transport::deliver`] alike.
     fn bytes_sent(&self) -> u64;
 }
 

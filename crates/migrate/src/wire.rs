@@ -631,6 +631,53 @@ mod tests {
         }
     }
 
+    /// Decode a one-frame burst, returning the decoder's verdict.
+    fn decode_one(buf: &[u8]) -> Result<()> {
+        FrameReader::new(buf).next_frame().map(|_| ())
+    }
+
+    #[test]
+    fn every_flipped_bit_is_rejected_for_every_payload_shape() {
+        // Payload lengths around the checksum's word (8) boundary and the
+        // 32-byte line a wider checksum would stride by: empty, sub-word,
+        // whole words, words + a ragged tail.
+        for len in [0, 1, 7, 8, 9, 31, 32, 33, 39, 40, 63, 64, 65, 95, 96, 100] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let mut clean = Vec::new();
+            put_page_delta(&mut clean, 5, &payload);
+            decode_one(&clean).expect("the clean frame decodes");
+            for at in 0..clean.len() {
+                for bit in 0..8 {
+                    let mut buf = clean.clone();
+                    buf[at] ^= 1 << bit;
+                    assert!(
+                        matches!(decode_one(&buf), Err(Error::WireProtocol { .. })),
+                        "payload of {len}: flipping bit {bit} of byte {at} passed"
+                    );
+                }
+            }
+        }
+        // Page-sized payloads and ChunkData's page + 12-byte id (words and
+        // a ragged tail): one bit of every byte.
+        let page: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 131 + 7) as u8).collect();
+        let mut raw = Vec::new();
+        put_page_raw(&mut raw, 9, &page);
+        let mut chunk = Vec::new();
+        put_chunk_data(&mut chunk, 9, 0xfeed_f00d, 3, &page);
+        for clean in [raw, chunk] {
+            decode_one(&clean).expect("the clean frame decodes");
+            for at in 0..clean.len() {
+                let mut buf = clean.clone();
+                buf[at] ^= 1 << (at % 8);
+                assert!(
+                    matches!(decode_one(&buf), Err(Error::WireProtocol { .. })),
+                    "flipping byte {at} of a {}-byte frame passed",
+                    clean.len()
+                );
+            }
+        }
+    }
+
     #[test]
     fn truncated_bursts_fail_with_offsets() {
         let clean = roundtrip_all();
@@ -805,22 +852,32 @@ mod tests {
                 prop_assert!(r.next_frame().unwrap().is_none());
             }
 
-            /// Flipping any single byte of a one-frame burst either fails
-            /// decoding or (for the checksum's own bytes) fails the
-            /// checksum comparison — no corruption passes silently.
+            /// Flipping any bit of a one-frame burst — raw page, zero
+            /// marker, zero run, delta or `ChunkData`, random contents,
+            /// header or payload — fails decoding with a typed error: no
+            /// corruption passes silently.
             #[test]
             fn single_byte_corruption_never_passes(
-                at in 0usize..(HEADER + 64),
-                flip in 1u8..=255,
+                shape in 0usize..5,
+                contents in proptest::collection::vec(proptest::num::u8::ANY, PAGE_SIZE as usize),
+                delta_len in 0usize..300,
+                at in 0usize..(1 << 16),
+                bit in 0u32..8,
             ) {
                 let mut out = Vec::new();
-                put_page_delta(&mut out, 3, &[7u8; 64]);
-                out[at] ^= flip;
-                let mut r = FrameReader::new(&out);
-                let outcome = r.next_frame();
+                match shape {
+                    0 => put_page_raw(&mut out, 3, &contents),
+                    1 => put_page_zero(&mut out, 3),
+                    2 => put_zero_run(&mut out, 3, contents[0] as u64 + 2),
+                    3 => put_page_delta(&mut out, 3, &contents[..delta_len]),
+                    _ => put_chunk_data(&mut out, 3, 0xabcd, 1, &contents),
+                }
+                let at = at % out.len();
+                out[at] ^= 1 << bit;
+                let outcome = FrameReader::new(&out).next_frame();
                 prop_assert!(
-                    outcome.is_err(),
-                    "corrupting byte {at} passed: {outcome:?}"
+                    matches!(outcome, Err(Error::WireProtocol { .. })),
+                    "shape {shape}: flipping bit {bit} of byte {at} passed: {outcome:?}"
                 );
             }
         }

@@ -19,6 +19,10 @@
 //! 257–383 allocations over 37 runs), so a difference between the totals of
 //! two migrations is noise, while a warmed-up round allocates exactly
 //! nothing under every schedule.
+//!
+//! The allocator also records the largest size a marked thread asks for,
+//! which part 5 uses to pin that the serial streamed engines never
+//! materialise a round as one guest-sized buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -28,7 +32,8 @@ use std::num::NonZeroUsize;
 
 use rvisor_memory::GuestMemory;
 use rvisor_migrate::{
-    ConstantRateDirtier, DirtySource, LoopbackTransport, MigrationConfig, PreCopy,
+    ConstantRateDirtier, DirtySource, IdleDirtier, LoopbackTransport, MigrationConfig, PostCopy,
+    PreCopy, StopAndCopy,
 };
 use rvisor_net::{Link, LinkModel};
 use rvisor_obs::Trace;
@@ -37,11 +42,13 @@ use rvisor_vcpu::VcpuState;
 
 /// Counts every allocation (and reallocation) passed to the system
 /// allocator: all of them in `ALL_THREADS`, those of threads that called
-/// [`count_this_thread`] in `MARKED_THREADS` too.
+/// [`count_this_thread`] in `MARKED_THREADS` too, with the largest size such
+/// a thread asked for in `MARKED_LARGEST`.
 struct CountingAllocator;
 
 static ALL_THREADS: AtomicU64 = AtomicU64::new(0);
 static MARKED_THREADS: AtomicU64 = AtomicU64::new(0);
+static MARKED_LARGEST: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     // Const-initialised and without a destructor, so reading it from inside
@@ -53,26 +60,27 @@ fn count_this_thread() {
     MARKED.with(|marked| marked.set(true));
 }
 
-fn count() {
+fn count(size: usize) {
     ALL_THREADS.fetch_add(1, Ordering::Relaxed);
     if MARKED.try_with(Cell::get).unwrap_or(false) {
         MARKED_THREADS.fetch_add(1, Ordering::Relaxed);
+        MARKED_LARGEST.fetch_max(size as u64, Ordering::Relaxed);
     }
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -352,8 +360,10 @@ fn steady_state_precopy_round_is_allocation_free() {
     let off_short = traced_off(12);
     let off_long = traced_off(28);
     // `with_capacity(max_rounds + 1)` makes the breakdown allocation the
-    // same *count* in both runs; everything else is recycled. Any nonzero
-    // difference means the disabled-trace path touched the heap per round.
+    // same *count* in both runs, and the one segment buffer every round
+    // streams through is allocated once per migration. Any nonzero
+    // difference means a round, or the disabled-trace path, touched the
+    // heap.
     let off_extra = off_long.saturating_sub(off_short);
     assert_eq!(
         off_extra, 0,
@@ -361,4 +371,44 @@ fn steady_state_precopy_round_is_allocation_free() {
          tracing off cost {off_extra} allocations; a disabled Trace must be \
          free on the hot path"
     );
+
+    // ---- Part 5: a serial round is never one guest-sized buffer. ----
+    //
+    // A round is one simulated transfer, not one unit of host memory: the
+    // serial engines stream it through a segment buffer of about 260 KiB.
+    // Migrating this 16 MiB guest, the largest thing any of them asks the
+    // allocator for is that buffer (the page-index list is 32 KiB); a round
+    // materialised as one burst would ask for 16 MiB.
+    const LARGEST_REQUEST: u64 = 1 << 20;
+    let src = GuestMemory::flat(ByteSize::pages_of(PAGES)).unwrap();
+    for p in 0..PAGES {
+        src.write_u64(GuestAddress(p * PAGE_SIZE), p * 19 + 11)
+            .unwrap();
+    }
+    let vcpus = [VcpuState::default()];
+    let config = MigrationConfig::default();
+    for engine in ["stop-and-copy", "pre-copy", "post-copy", "fault-lane"] {
+        let dst = GuestMemory::flat(ByteSize::pages_of(PAGES)).unwrap();
+        let mut link = Link::new(LinkModel::gigabit());
+        let mut transport = LoopbackTransport::new(&mut link);
+        let transport = &mut transport;
+        MARKED_LARGEST.store(0, Ordering::Relaxed);
+        match engine {
+            "stop-and-copy" => StopAndCopy::migrate_over(&src, &dst, &vcpus, transport),
+            "pre-copy" => {
+                PreCopy::migrate_over(&src, &dst, &vcpus, transport, &mut IdleDirtier, &config)
+            }
+            "post-copy" => PostCopy::migrate_over(&src, &dst, &vcpus, transport, &config),
+            _ => PostCopy::migrate_fault_lane_over(&src, &dst, &vcpus, transport, &config),
+        }
+        .unwrap();
+        let largest = MARKED_LARGEST.load(Ordering::Relaxed);
+        assert_eq!(src.checksum(), dst.checksum(), "{engine}");
+        assert!(
+            largest <= LARGEST_REQUEST,
+            "the serial {engine} engine asked the allocator for {largest} bytes at once \
+             migrating a {} byte guest; rounds must stream in segments",
+            PAGES * PAGE_SIZE
+        );
+    }
 }
