@@ -22,7 +22,7 @@
 //! just like QEMU's implementation gives up when the encoded size exceeds
 //! the page size.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use rvisor_types::{Error, Result};
 
@@ -148,10 +148,17 @@ fn first_match(old: &[u8], new: &[u8], mut i: usize) -> usize {
 /// recovered from the XOR word), so sparse-change pages — the XBZRLE sweet
 /// spot — scan at memory speed instead of a byte-compare per position.
 pub fn xbzrle_encode(old: &[u8], new: &[u8]) -> Option<Vec<u8>> {
+    let mut out = Vec::new();
+    xbzrle_encode_into(old, new, &mut out).then_some(out)
+}
+
+/// [`xbzrle_encode`] into a reused buffer: `out` is cleared and holds the
+/// delta when this returns true, unspecified bytes when it returns false.
+fn xbzrle_encode_into(old: &[u8], new: &[u8], out: &mut Vec<u8>) -> bool {
+    out.clear();
     if old.len() != new.len() {
-        return None;
+        return false;
     }
-    let mut out: Vec<u8> = Vec::new();
     let mut i = 0usize;
     let len = new.len();
     while i < len {
@@ -177,14 +184,10 @@ pub fn xbzrle_encode(old: &[u8], new: &[u8]) -> Option<Vec<u8>> {
         out.extend_from_slice(&(changed.len() as u16).to_le_bytes());
         out.extend_from_slice(changed);
         if out.len() >= len {
-            return None;
+            return false;
         }
     }
-    if out.len() >= len {
-        None
-    } else {
-        Some(out)
-    }
+    out.len() < len
 }
 
 /// Apply an XBZRLE delta directly onto `page` (the destination's current
@@ -267,10 +270,33 @@ impl CompressionStats {
 pub struct PageCompressor {
     mode: PageCompression,
     /// Last-sent contents per page index (bounded LRU).
-    cache: HashMap<u64, Vec<u8>>,
-    lru: Vec<u64>,
+    cache: HashMap<u64, CachedPage>,
+    /// The cached pages by the stamp of their last send: the first entry is
+    /// the least recently sent, which is the one eviction takes.
+    by_stamp: BTreeMap<u64, u64>,
+    next_stamp: u64,
     capacity: usize,
+    /// The delta of the page encoded last, reused from page to page.
+    delta: Vec<u8>,
     stats: CompressionStats,
+}
+
+#[derive(Debug)]
+struct CachedPage {
+    stamp: u64,
+    contents: Vec<u8>,
+}
+
+/// What [`PageCompressor::encode`] decided for one page. Unlike
+/// [`WirePage`] it owns nothing: a raw page is framed from the guest page
+/// the caller already borrows, a delta from the compressor's own buffer.
+pub(crate) enum EncodedPage<'c> {
+    /// Send the page's contents as they are.
+    Raw,
+    /// The page is entirely zero.
+    Zero,
+    /// Send this XBZRLE delta against the previously transferred version.
+    Delta(&'c [u8]),
 }
 
 impl PageCompressor {
@@ -288,8 +314,10 @@ impl PageCompressor {
         PageCompressor {
             mode,
             cache: HashMap::new(),
-            lru: Vec::new(),
+            by_stamp: BTreeMap::new(),
+            next_stamp: 0,
             capacity: capacity.max(1),
+            delta: Vec::new(),
             stats: CompressionStats::default(),
         }
     }
@@ -306,42 +334,41 @@ impl PageCompressor {
 
     /// Encode one page for the wire.
     pub fn compress(&mut self, page: u64, contents: &[u8]) -> WirePage {
-        self.stats.bytes_in += contents.len() as u64;
-        let encoded = match self.mode {
-            PageCompression::None => WirePage::Raw(contents.to_vec()),
-            PageCompression::ZeroPages => {
-                if is_zero_page(contents) {
-                    WirePage::Zero
-                } else {
-                    WirePage::Raw(contents.to_vec())
-                }
+        match self.encode(page, contents) {
+            EncodedPage::Raw => WirePage::Raw(contents.to_vec()),
+            EncodedPage::Zero => WirePage::Zero,
+            EncodedPage::Delta(delta) => WirePage::Delta(delta.to_vec()),
+        }
+    }
+
+    /// Decide how one page crosses the wire, without copying it.
+    pub(crate) fn encode(&mut self, page: u64, contents: &[u8]) -> EncodedPage<'_> {
+        let xbzrle = self.mode == PageCompression::Xbzrle;
+        let zero = self.mode != PageCompression::None && is_zero_page(contents);
+        let mut delta = false;
+        if xbzrle && !zero {
+            if let Some(old) = self.cache.get(&page) {
+                delta = xbzrle_encode_into(&old.contents, contents, &mut self.delta);
+                self.stats.delta_overflows += u64::from(!delta);
             }
-            PageCompression::Xbzrle => {
-                if is_zero_page(contents) {
-                    WirePage::Zero
-                } else if let Some(old) = self.cache.get(&page) {
-                    match xbzrle_encode(old, contents) {
-                        Some(delta) => WirePage::Delta(delta),
-                        None => {
-                            self.stats.delta_overflows += 1;
-                            WirePage::Raw(contents.to_vec())
-                        }
-                    }
-                } else {
-                    WirePage::Raw(contents.to_vec())
-                }
-            }
-        };
-        if self.mode == PageCompression::Xbzrle {
+        }
+        if xbzrle {
             self.remember(page, contents);
         }
-        match &encoded {
-            WirePage::Raw(_) => self.stats.pages_raw += 1,
-            WirePage::Zero => self.stats.pages_zero += 1,
-            WirePage::Delta(_) => self.stats.pages_delta += 1,
+        self.stats.bytes_in += contents.len() as u64;
+        if zero {
+            self.stats.pages_zero += 1;
+            self.stats.bytes_out += 1;
+            EncodedPage::Zero
+        } else if delta {
+            self.stats.pages_delta += 1;
+            self.stats.bytes_out += self.delta.len() as u64;
+            EncodedPage::Delta(&self.delta)
+        } else {
+            self.stats.pages_raw += 1;
+            self.stats.bytes_out += contents.len() as u64;
+            EncodedPage::Raw
         }
-        self.stats.bytes_out += encoded.wire_len();
-        encoded
     }
 
     /// Apply a wire page directly onto the destination's current copy of the
@@ -378,17 +405,29 @@ impl PageCompressor {
         Ok(out)
     }
 
+    /// Note `contents` as the version of `page` sent last and make it the
+    /// most recently sent page, evicting the least recently sent one when
+    /// the cache is full.
     fn remember(&mut self, page: u64, contents: &[u8]) {
-        if self.cache.insert(page, contents.to_vec()).is_none() {
-            self.lru.push(page);
-            if self.lru.len() > self.capacity {
-                let evict = self.lru.remove(0);
-                self.cache.remove(&evict);
-            }
-        } else if let Some(pos) = self.lru.iter().position(|&p| p == page) {
-            let key = self.lru.remove(pos);
-            self.lru.push(key);
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        if let Some(cached) = self.cache.get_mut(&page) {
+            self.by_stamp.remove(&cached.stamp);
+            cached.stamp = stamp;
+            cached.contents.clear();
+            cached.contents.extend_from_slice(contents);
+        } else {
+            // A full cache hands the evicted page's buffer to the new one.
+            let full = self.cache.len() >= self.capacity;
+            let evicted = full.then(|| self.by_stamp.pop_first()).flatten();
+            let evicted = evicted.and_then(|(_, page)| self.cache.remove(&page));
+            let mut buf = evicted.map(|cached| cached.contents).unwrap_or_default();
+            buf.clear();
+            buf.extend_from_slice(contents);
+            let contents = buf;
+            self.cache.insert(page, CachedPage { stamp, contents });
         }
+        self.by_stamp.insert(stamp, page);
     }
 }
 
@@ -533,6 +572,62 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// The XBZRLE compressor as it was before its cache was keyed by
+        /// send stamps: the reference for eviction order. A re-sent page
+        /// moves to the back of `lru` by a linear search; the front is
+        /// evicted.
+        struct VecLruCompressor {
+            cache: HashMap<u64, Vec<u8>>,
+            lru: Vec<u64>,
+            capacity: usize,
+            stats: CompressionStats,
+        }
+
+        impl VecLruCompressor {
+            fn with_cache_capacity(capacity: usize) -> Self {
+                VecLruCompressor {
+                    cache: HashMap::new(),
+                    lru: Vec::new(),
+                    capacity,
+                    stats: CompressionStats::default(),
+                }
+            }
+
+            fn compress(&mut self, page: u64, contents: &[u8]) -> WirePage {
+                self.stats.bytes_in += contents.len() as u64;
+                let encoded = if is_zero_page(contents) {
+                    WirePage::Zero
+                } else if let Some(old) = self.cache.get(&page) {
+                    match xbzrle_encode(old, contents) {
+                        Some(delta) => WirePage::Delta(delta),
+                        None => {
+                            self.stats.delta_overflows += 1;
+                            WirePage::Raw(contents.to_vec())
+                        }
+                    }
+                } else {
+                    WirePage::Raw(contents.to_vec())
+                };
+                if self.cache.insert(page, contents.to_vec()).is_none() {
+                    self.lru.push(page);
+                    if self.lru.len() > self.capacity {
+                        let evict = self.lru.remove(0);
+                        self.cache.remove(&evict);
+                    }
+                } else if let Some(pos) = self.lru.iter().position(|&p| p == page) {
+                    let key = self.lru.remove(pos);
+                    self.lru.push(key);
+                }
+                match &encoded {
+                    WirePage::Raw(_) => self.stats.pages_raw += 1,
+                    WirePage::Zero => self.stats.pages_zero += 1,
+                    WirePage::Delta(_) => self.stats.pages_delta += 1,
+                }
+                self.stats.bytes_out += encoded.wire_len();
+                encoded
+            }
+        }
+
         fn arb_page() -> impl Strategy<Value = Vec<u8>> {
             proptest::collection::vec(proptest::num::u8::ANY, 256..=256)
         }
@@ -575,6 +670,28 @@ mod tests {
                     matched += 1;
                 }
                 prop_assert_eq!(first_match(&old, &new, start), matched);
+            }
+
+            /// The stamp-ordered cache evicts exactly as the `Vec` LRU it
+            /// replaced: every wire page and every counter agree, for any
+            /// interleaving of first sends, re-sends and evictions.
+            #[test]
+            fn cache_evicts_in_the_order_of_the_vec_lru(
+                capacity in 1usize..6,
+                sends in proptest::collection::vec((0u64..8, 0u8..4, 0usize..256), 1..120),
+            ) {
+                let mut new = PageCompressor::with_cache_capacity(PageCompression::Xbzrle, capacity);
+                let mut old = VecLruCompressor::with_cache_capacity(capacity);
+                for (page, variant, at) in sends {
+                    // Zero pages, small edits (deltas) and total rewrites
+                    // (delta overflows), all of which the cache remembers.
+                    let mut contents = vec![variant.min(2) * 0x55; 256];
+                    if variant == 3 {
+                        contents[at] ^= 0xff;
+                    }
+                    prop_assert_eq!(new.compress(page, &contents), old.compress(page, &contents));
+                    prop_assert_eq!(new.stats(), old.stats);
+                }
             }
 
             /// The compressor's byte accounting is exact for every mode.

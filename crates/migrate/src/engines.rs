@@ -47,11 +47,13 @@ pub struct MigrationConfig {
     pub xbzrle_cache_pages: usize,
     /// How many parallel migration streams the pipelined engine
     /// ([`crate::pipeline`]) shards the page-index space into (at most
-    /// [`MAX_MIGRATION_STREAMS`]). Stripe `s` owns a fixed contiguous range
-    /// of page indices, so a page always travels on the same stream and
-    /// sink-side applies can never race. The serial engines ignore the
-    /// knob; [`rvisor::Vmm::migrate_to_over`-style callers](crate::pipeline)
-    /// route `streams > 1` migrations through the pipelined engine.
+    /// [`MAX_MIGRATION_STREAMS`]): one lane — a thread with its own encoder,
+    /// sink and segment buffer — per stream. Stripe `s` owns a fixed
+    /// contiguous range of page indices, so a page always travels on the
+    /// same stream and no two lanes ever touch the same destination page.
+    /// The serial engines ignore the knob;
+    /// [`rvisor::Vmm::migrate_to_over`-style callers](crate::pipeline) route
+    /// `streams > 1` migrations through the pipelined engine.
     pub streams: NonZeroUsize,
 }
 

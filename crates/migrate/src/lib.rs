@@ -44,14 +44,15 @@
 //!   serialization, shared-backbone contention and MTU chunk framing
 //!   (experiment E17).
 //! * **pipelined** (`migrate_pipelined`, the [`pipeline`] module) — the
-//!   same wire stream, produced and consumed concurrently: encode workers
-//!   shard the page-index space into fixed stripes
-//!   ([`MigrationConfig::streams`]) while a dedicated sink thread applies
-//!   segments as they arrive over a bounded channel of recycled buffers.
+//!   same wire stream, moved by several threads at once: the page-index
+//!   space is sharded into fixed stripes ([`MigrationConfig::streams`]) and
+//!   one lane per stripe runs the serial engines' segment loop — encode at
+//!   most 64 pages, apply them on the destination — over its own stripe,
+//!   while the calling thread runs the engine and sends the control frames.
 //!   Byte-identical and report-`==` to the serial stream; the win is host
-//!   wall-clock overlap on multi-core hosts (experiment E18). See the
-//!   [`pipeline`] module docs for what the fair-share multi-stream network
-//!   model does and does not capture.
+//!   wall-clock on hosts whose cores run threads in parallel (experiment
+//!   E18). See the [`pipeline`] module docs for what the fair-share
+//!   multi-stream network model does and does not capture.
 //!
 //! ## Which plan do I want?
 //!
@@ -63,7 +64,7 @@
 //! |-------|------|
 //! | Tiny (fits one stop-the-world copy in the downtime budget) | [`PlanEngine::StopAndCopy`], 1 stream, no compression |
 //! | Large, mostly idle, fabric idle | [`PlanEngine::PreCopy`], several streams |
-//! | Large, write-heavy, thin link | [`PlanEngine::PreCopy`], [`PageCompression::Xbzrle`], dedicated compressors |
+//! | Large, write-heavy, thin link | [`PlanEngine::PreCopy`], [`PageCompression::Xbzrle`] |
 //! | Dirty-hot (pre-copy would never converge) | [`PlanEngine::PostCopy`] + [`FaultService::FaultLane`] |
 //! | Don't know / measuring | [`PlanEngine::PreCopy`] defaults — it observes the dirty rate for next time |
 //!

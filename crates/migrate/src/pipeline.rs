@@ -1,530 +1,363 @@
-//! Pipelined, multi-stream migration engine.
+//! Pipelined, multi-stream migration engine: stripe lanes.
 //!
-//! The serial streamed engines in [`stream`](crate::stream) run encode and
-//! decode back to back on one thread: the source encodes a full round, the
-//! sink applies it, repeat. This module overlaps the two halves and shards
-//! the encode work, while staying **byte-identical and
+//! The serial streamed engines in [`stream`](crate::stream) move a round
+//! through one buffer on one thread: encode a segment of at most 64 pages,
+//! apply it on the sink while it is still in cache, repeat. This module
+//! runs that same loop on several threads at once, one per stripe of the
+//! page-index space, while staying **byte-identical and
 //! [`MigrationReport`]-`==` to the serial path** (pinned by proptest below):
 //!
-//! * **Pipelining** — a dedicated sink thread owns the destination-side
-//!   [`MigrationSink`]; the coordinator ships encoded segments to it over a
-//!   bounded `std::sync::mpsc` channel and receives the buffers back on a
-//!   recycle channel, so decode/apply of one segment overlaps encode of the
-//!   next and steady-state rounds reuse the same buffers.
-//! * **Multi-stream scatter** — [`MigrationConfig::streams`] shards the
-//!   page-index space into *fixed* contiguous stripes (`stripe =
-//!   page / ceil(total_pages / streams)`). One encode worker owns each
-//!   stripe, so a page always travels on the same stream, per-stripe XBZRLE
-//!   caches stay coherent across rounds, and — because stripes are disjoint
-//!   — sink-side applies can never race. Per-stripe results are merged in
-//!   stripe order, which is what keeps same-seed runs `==`-replay-equal.
-//! * **Boundary stitching** — zero runs crossing a stripe boundary are
-//!   exported unencoded by the workers and re-coalesced by the coordinator,
-//!   so the merged stream carries *exactly* the frames the serial encoder
-//!   would (same [`ZeroRun`](crate::wire::FrameKind::ZeroRun) coalescing,
-//!   same bytes, same report).
+//! * **Lanes** — [`MigrationConfig::streams`] shards the page-index space
+//!   into *fixed* contiguous stripes (`stripe = page / ceil(total_pages /
+//!   streams)`). One scoped thread per stripe — a lane — lives for the
+//!   migration and owns the stripe's encoder (so a page always travels on
+//!   the same stream and a stripe's XBZRLE cache stays coherent across
+//!   rounds), a sink on the destination and one segment buffer. Stripes are
+//!   disjoint, so lanes never touch the same destination page; a page's
+//!   bytes never cross a thread, and no round is ever materialised as a
+//!   stripe-sized body.
+//! * **The coordinator** — the calling thread runs the same engine bodies
+//!   as the serial engines and keeps what is inherently serial. Per round
+//!   it cuts the ascending page list into per-stripe lists, gathers the
+//!   lanes' byte counts in stripe order (which is what keeps same-seed runs
+//!   `==`-replay-equal), and sends the control frames itself: Hello,
+//!   end-of-round markers and vCPU state, all of which ride stripe 0.
+//! * **Boundary stitching** — a zero run crossing a stripe boundary must
+//!   stay one frame. Each lane withholds, unencoded, the run open at its
+//!   stripe's first page and the one still open at its end; the coordinator
+//!   coalesces neighbours and encodes and applies the stitched run itself,
+//!   attributed to the stripe it starts in, so the stream carries *exactly*
+//!   the frames the serial encoder would (same
+//!   [`ZeroRun`](crate::wire::FrameKind::ZeroRun) coalescing, same bytes,
+//!   same report).
 //!
 //! # Parallelism model assumptions
 //!
-//! The simulated network does **not** speed up under multi-stream: the
-//! round's per-stripe byte counts are presented to
-//! [`Transport::transmit_striped`], which models N chunk streams *fairly
-//! sharing* the path — on a loopback that is exactly the aggregate burst
-//! (keeping the `==` pin to the serial engine), and on a
-//! [`Fabric`](rvisor_net::Fabric) each stream additionally pays its own MTU
-//! chunk framing, so simulated time is never *better* than serial. What
-//! parallel streams buy is **host wall-clock**: encode and apply overlap
-//! and encode itself fans out across cores, which is the speedup experiment
-//! E18 measures. On a single-core host the pipeline degrades gracefully to
-//! roughly serial speed (the threads time-slice); the byte stream, the
+//! A round is one unit of **simulated** time, charged with a single
+//! [`Transport::transmit_striped`] of the per-stripe byte counts; nothing
+//! makes it a unit of host memory or of host scheduling. The simulated
+//! network does **not** speed up under multi-stream: `transmit_striped`
+//! models N chunk streams *fairly sharing* the path — on a loopback that is
+//! exactly the aggregate burst (keeping the `==` pin to the serial engine),
+//! and on a [`Fabric`](rvisor_net::Fabric) each stream additionally pays its
+//! own MTU chunk framing, so simulated time is never *better* than serial.
+//! What lanes can buy is **host wall-clock**, on a host whose cores run
+//! threads in parallel (experiment E18): lanes share nothing but the guest
+//! regions' locks — the source's read lock and the destination's write
+//! lock, each held for one 4 KiB copy at a time. Where they buy nothing, a
+//! laned migration costs what the serial one does; the byte stream, the
 //! destination memory and the report are identical either way. One
-//! deliberate divergence: each stripe's XBZRLE cache has the full
-//! configured capacity, so the aggregate cache across N streams is N× the
-//! serial engine's. With cache pressure the parallel engine may therefore
-//! send *fewer* bytes than serial (never more, never wrong bytes); without
-//! eviction — the common case, and every configuration the equivalence
-//! proptests run — the two are bit-identical.
+//! deliberate divergence: each stripe's XBZRLE cache has the full configured
+//! capacity, so the aggregate cache across N streams is N× the serial
+//! engine's. With cache pressure the laned engine may therefore send *fewer*
+//! bytes than serial (never more, never wrong bytes); without eviction —
+//! the common case, and every configuration the equivalence proptests run —
+//! the two are bit-identical.
+//!
+//! # Failure
+//!
+//! As for the serial engines ([why](crate::stream#failure)): on `Err` the
+//! destination's contents are unspecified and the source's pages are
+//! untouched. Every lane has been joined by the time a `migrate_pipelined*`
+//! call returns, whatever it returns. When lanes fail mid-round the
+//! coordinator first collects every lane's result, then returns the error of
+//! the lowest failing stripe. The `offset` of an
+//! [`Error::WireProtocol`] raised by a page frame counts bytes from the
+//! start of the failing stripe's stream of that round.
 
-use std::collections::BTreeMap;
-use std::num::NonZeroUsize;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread;
 
 use rvisor_memory::GuestMemory;
 use rvisor_obs::{ArgValue, Trace};
-use rvisor_types::{Error, Nanoseconds, Result, PAGE_SIZE};
+use rvisor_types::{Error, Nanoseconds, Result};
 use rvisor_vcpu::VcpuState;
 
-use crate::compress::{PageCompression, PageCompressor, WirePage};
+use crate::compress::CompressionStats;
 use crate::dirty::DirtySource;
-use crate::engines::{check_same_size, MigrationConfig, PostCopy, PreCopy, StopAndCopy};
-use crate::engines::{emit_migration_span, emit_round_span, PER_PAGE_OVERHEAD};
+use crate::engines::{MigrationConfig, PostCopy, PreCopy, StopAndCopy};
 use crate::plan::MigrationPlan;
-use crate::report::{MigrationKind, MigrationReport, RoundStat};
-use crate::stream::MigrationSink;
+use crate::report::MigrationReport;
+use crate::stream::{segment_capacity, MigrationSink, MigrationSource, Stream, ZeroRun};
 use crate::transport::Transport;
-use crate::wire;
 
-/// One round's work order for an encode/compression worker: which stripe it
-/// is, the stripe's slice of the round's page list and a recycled buffer to
-/// encode into.
-struct RoundTask {
-    stripe: usize,
+/// What a lane hands back per round.
+struct LaneRound {
+    /// The round's page list, handed back for the next round to reuse.
     pages: Vec<u64>,
-    body: Vec<u8>,
+    outcome: Result<StripeOutcome>,
 }
 
-/// A zero run withheld at a stripe boundary: `(first page, page count)`.
-type Run = (u64, u64);
-
-/// What a stripe worker hands back per round.
-struct StripeEncoding {
+/// One stripe's share of a round, as its lane streamed it.
+struct StripeOutcome {
     /// Zero run at the very start of the stripe's page list (may continue
     /// the previous stripe's trailing run).
-    leading: Option<Run>,
-    /// Frames for everything between the boundary runs.
-    body: Vec<u8>,
-    /// Zero run still pending at the stripe's end (may continue into the
-    /// next stripe's leading run).
-    trailing: Option<Run>,
-    /// The task's page list, handed back for recycling.
+    leading: Option<ZeroRun>,
+    /// Bytes of the frames for everything between the boundary runs, all
+    /// applied on the destination already.
+    bytes: u64,
+    /// Zero run still open at the stripe's end (may continue into the next
+    /// stripe's leading run).
+    trailing: Option<ZeroRun>,
+    /// What the stripe's compressor did so far (None when sending raw).
+    stats: Option<CompressionStats>,
+}
+
+/// A lane's thread: stream every page list that arrives — the segment loop
+/// of the serial engines, boundary zero runs withheld — until the
+/// coordinator hangs up.
+fn run_lane(
+    mut src: MigrationSource<'_>,
+    mut sink: MigrationSink<'_>,
+    capacity: usize,
+    tasks: Receiver<Vec<u64>>,
+    results: SyncSender<LaneRound>,
+) {
+    let mut segment = Vec::with_capacity(capacity);
+    while let Ok(pages) = tasks.recv() {
+        let mut stream_stripe = || {
+            // The run at the stripe's first page frames nothing: it is left
+            // open in the encoder and taken from there. If it covers the
+            // whole list it can merge with *both* neighbours.
+            let (run, rest) = pages.split_at(src.leading_zero_pages(&pages)?);
+            src.encode_segments(run, &mut segment, |_, _| Ok(()))?;
+            let leading = src.take_pending_zero();
+            let bytes =
+                src.encode_segments(rest, &mut segment, |frames, at| sink.apply_at(frames, at))?;
+            Ok(StripeOutcome {
+                leading,
+                bytes,
+                trailing: src.take_pending_zero(),
+                stats: src.compression_stats(),
+            })
+        };
+        let outcome = stream_stripe();
+        if results.send(LaneRound { pages, outcome }).is_err() {
+            break;
+        }
+    }
+}
+
+fn lane_gone() -> Error {
+    Error::Migration("pipelined migration lane terminated early".into())
+}
+
+/// The coordinator's handle on one lane.
+struct Lane {
+    tasks: SyncSender<Vec<u64>>,
+    results: Receiver<LaneRound>,
+    /// The stripe's page list between rounds.
     pages: Vec<u64>,
+    /// Whether the lane holds a page list of the round in progress.
+    busy: bool,
+    stats: Option<CompressionStats>,
 }
 
-/// Flush a finished zero run: the run opening the stripe is exported for
-/// boundary stitching, every later run is encoded in place exactly as the
-/// serial encoder would.
-fn flush_run(body: &mut Vec<u8>, leading: &mut Option<Run>, first_page: Option<u64>, run: Run) {
-    let (first, count) = run;
-    if leading.is_none() && body.is_empty() && Some(first) == first_page {
-        *leading = Some(run);
-    } else {
-        put_run(body, first, count);
-    }
-}
-
-/// Encode a run as the serial encoder does: a lone zero page costs the same
-/// 1-byte marker frame, run-length coding pays from two pages up.
-fn put_run(out: &mut Vec<u8>, first: u64, count: u64) {
-    if count == 1 {
-        wire::put_page_zero(out, first);
-    } else {
-        wire::put_zero_run(out, first, count);
-    }
-}
-
-/// Worker body: encode one stripe's pages, withholding boundary zero runs.
-fn encode_stripe(
-    memory: &GuestMemory,
-    mut compressor: Option<&mut PageCompressor>,
-    task: RoundTask,
-) -> Result<StripeEncoding> {
-    let RoundTask {
-        stripe: _,
-        pages,
-        mut body,
-    } = task;
-    body.clear();
-    let first_page = pages.first().copied();
-    let mut leading: Option<Run> = None;
-    let mut pending: Option<Run> = None;
-    for &p in &pages {
-        match compressor.as_deref_mut() {
-            None => {
-                memory.with_page(p, |contents| wire::put_page_raw(&mut body, p, contents))?;
-            }
-            Some(c) => {
-                let encoded = memory.with_page(p, |contents| c.compress(p, contents))?;
-                if let WirePage::Zero = encoded {
-                    pending = match pending {
-                        Some((first, count)) if first + count == p => Some((first, count + 1)),
-                        other => {
-                            if let Some(run) = other {
-                                flush_run(&mut body, &mut leading, first_page, run);
-                            }
-                            Some((p, 1))
-                        }
-                    };
-                    continue;
-                }
-                if let Some(run) = pending.take() {
-                    flush_run(&mut body, &mut leading, first_page, run);
-                }
-                wire::put_wire_page(&mut body, p, &encoded);
-            }
-        }
-    }
-    let trailing = match pending.take() {
-        Some((first, count))
-            if leading.is_none() && body.is_empty() && Some(first) == first_page =>
-        {
-            // The whole stripe is one zero run: export it as the leading
-            // run so it can merge with *both* neighbours.
-            leading = Some((first, count));
-            None
-        }
-        other => other,
-    };
-    Ok(StripeEncoding {
-        leading,
-        body,
-        trailing,
-        pages,
-    })
-}
-
-fn channel_closed(what: &str) -> Error {
-    Error::Migration(format!("pipelined migration {what} terminated early"))
-}
-
-/// The coordinator's handle onto a running pipeline: stripe workers, the
-/// sink thread, and the recycled-buffer pools connecting them.
-struct Pipeline<'p> {
-    total_pages: u64,
-    memory_bytes: u64,
+/// The stripe lanes of one pipelined migration, as its [`Stream`] drives
+/// them.
+pub(crate) struct Lanes {
+    lanes: Vec<Lane>,
     stripe_len: u64,
-    round: u32,
-    task_txs: Vec<SyncSender<RoundTask>>,
-    result_rxs: Vec<Receiver<Result<StripeEncoding>>>,
-    seg_tx: SyncSender<Vec<u8>>,
-    recycle_rx: &'p Receiver<Vec<u8>>,
-    /// Recycled byte buffers (segment bodies, control frames).
-    pool: Vec<Vec<u8>>,
-    /// Recycled per-stripe page-index lists.
-    page_pool: Vec<Vec<u64>>,
-    /// Per-stripe payload bytes of the round being encoded (what
+    /// Per-stripe payload bytes of the round streamed last (what
     /// [`Transport::transmit_striped`] is fed); control frames ride
     /// stripe 0, stitched runs are attributed to the stripe they start in.
     stripe_bytes: Vec<u64>,
-    /// Which stripes received a task this round.
-    dispatched: Vec<bool>,
 }
 
-impl Pipeline<'_> {
-    /// Pull every buffer the sink has handed back into the local pool.
-    fn refill_pool(&mut self) {
-        while let Ok(mut buf) = self.recycle_rx.try_recv() {
-            buf.clear();
-            self.pool.push(buf);
-        }
+/// Encode a stitched zero run, charged to the stripe it started in.
+fn close_run(open: Option<(usize, ZeroRun)>, frames: &mut Vec<u8>, stripe_bytes: &mut [u64]) {
+    if let Some((origin, run)) = open {
+        let at = frames.len();
+        MigrationSource::put_zero_run(frames, Some(run));
+        stripe_bytes[origin] += (frames.len() - at) as u64;
     }
+}
 
-    /// The highest-capacity recycled buffer — for stripe bodies, so a
-    /// megabyte body buffer is never wasted on a 16-byte control frame
-    /// while a tiny one regrows to megabytes (which would allocate every
-    /// round instead of recycling).
-    fn grab_body_buf(&mut self) -> Vec<u8> {
-        self.refill_pool();
-        self.grab_ranked(|best, cand| cand > best)
-    }
-
-    /// The lowest-capacity recycled buffer — for control frames (hello,
-    /// zero runs, end-of-round markers, vCPU state).
-    fn grab_ctl_buf(&mut self) -> Vec<u8> {
-        self.refill_pool();
-        self.grab_ranked(|best, cand| cand < best)
-    }
-
-    fn grab_ranked(&mut self, better: impl Fn(usize, usize) -> bool) -> Vec<u8> {
-        let mut pick = match self.pool.first() {
-            Some(_) => 0usize,
-            None => return Vec::new(),
-        };
-        for (i, buf) in self.pool.iter().enumerate().skip(1) {
-            if better(self.pool[pick].capacity(), buf.capacity()) {
-                pick = i;
-            }
-        }
-        self.pool.swap_remove(pick)
-    }
-
-    /// Ship one segment of whole frames to the sink thread, in stream
-    /// order. Returns its length.
-    fn ship(&mut self, seg: Vec<u8>) -> Result<u64> {
-        let len = seg.len() as u64;
-        if len == 0 {
-            self.pool.push(seg);
-            return Ok(0);
-        }
-        self.seg_tx.send(seg).map_err(|_| channel_closed("sink"))?;
-        Ok(len)
-    }
-
-    fn ship_run(&mut self, stripe: usize, first: u64, count: u64) -> Result<()> {
-        let mut buf = self.grab_ctl_buf();
-        put_run(&mut buf, first, count);
-        self.stripe_bytes[stripe] += buf.len() as u64;
-        self.ship(buf)?;
-        Ok(())
-    }
-
-    /// Encode and ship the stream-opening Hello; returns its wire bytes.
-    fn send_hello(&mut self) -> Result<u64> {
-        let mut buf = self.grab_ctl_buf();
-        wire::put_hello(&mut buf, self.total_pages, self.memory_bytes);
-        self.ship(buf)
-    }
-
-    /// Encode and ship the vCPU state frames; returns their wire bytes.
-    fn send_vcpu_states(&mut self, states: &[VcpuState]) -> Result<u64> {
-        let placeholder = [VcpuState::default()];
-        let states = if states.is_empty() {
-            &placeholder[..]
-        } else {
-            states
-        };
-        let mut buf = self.grab_ctl_buf();
-        for (i, state) in states.iter().enumerate() {
-            wire::put_vcpu_state(&mut buf, i as u32, state);
-        }
-        self.ship(buf)
-    }
-
-    /// Encode one round of `pages` (ascending global indices) across the
-    /// stripe workers, stitch the boundary zero runs, ship the merged
-    /// stream to the sink and terminate it with an end-of-round marker.
-    /// [`Self::stripe_bytes`] afterwards holds the round's per-stream
-    /// payload split.
-    fn encode_round(&mut self, pages: &[u64]) -> Result<()> {
-        self.stripe_bytes.fill(0);
-        self.dispatched.fill(false);
+impl Lanes {
+    /// Stream one round of `pages` (ascending global indices) down the
+    /// lanes, stitch the boundary zero runs and close the round with its
+    /// end-of-round marker; `control`, `sink` and `frames` are the stream's
+    /// own encoder, sink and buffer, which the control frames go through.
+    /// Returns the round's per-stream payload split.
+    pub(crate) fn round(
+        &mut self,
+        pages: &[u64],
+        control: &mut MigrationSource<'_>,
+        sink: &mut MigrationSink<'_>,
+        frames: &mut Vec<u8>,
+    ) -> Result<&[u64]> {
+        let mut failed: Option<Error> = None;
         // Scatter: stripe s owns the fixed index range
         // [s * stripe_len, (s + 1) * stripe_len); the ascending page list
         // partitions into contiguous per-stripe sublists.
-        let streams = self.task_txs.len();
         let mut start = 0usize;
-        for s in 0..streams {
+        for (s, lane) in self.lanes.iter_mut().enumerate() {
             let stripe_end = (s as u64 + 1).saturating_mul(self.stripe_len);
             let end = start + pages[start..].partition_point(|&p| p < stripe_end);
-            if end > start {
-                let mut task_pages = self.page_pool.pop().unwrap_or_default();
-                task_pages.clear();
-                task_pages.extend_from_slice(&pages[start..end]);
-                let body = self.grab_body_buf();
-                self.task_txs[s]
-                    .send(RoundTask {
-                        stripe: s,
-                        pages: task_pages,
-                        body,
-                    })
-                    .map_err(|_| channel_closed("encode worker"))?;
-                self.dispatched[s] = true;
+            lane.busy = end > start;
+            if lane.busy {
+                let mut list = std::mem::take(&mut lane.pages);
+                list.clear();
+                list.extend_from_slice(&pages[start..end]);
+                if lane.tasks.send(list).is_err() {
+                    lane.busy = false;
+                    failed = Some(lane_gone());
+                }
             }
             start = end;
         }
-        // Gather in stripe order, re-coalescing runs across boundaries so
-        // the merged stream is frame-for-frame the serial encoder's.
-        // `pending` carries the run still open at the current boundary and
-        // the stripe it started in (for byte attribution).
-        let mut pending: Option<(usize, Run)> = None;
-        for s in 0..streams {
-            if !self.dispatched[s] {
+        // Gather in stripe order — from every busy lane, also past a
+        // failure, so that none is left holding a result — re-coalescing
+        // runs across boundaries so the stream is frame for frame the
+        // serial encoder's. `open` carries the run still open at the
+        // current boundary and the stripe it started in (for byte
+        // attribution).
+        self.stripe_bytes.fill(0);
+        frames.clear();
+        let stripe_bytes = &mut self.stripe_bytes[..];
+        let mut open: Option<(usize, ZeroRun)> = None;
+        for (s, lane) in self.lanes.iter_mut().enumerate() {
+            if !lane.busy {
                 continue;
             }
-            let enc = self.result_rxs[s]
-                .recv()
-                .map_err(|_| channel_closed("encode worker"))??;
-            let StripeEncoding {
-                leading,
-                body,
-                trailing,
-                pages: task_pages,
-            } = enc;
-            self.page_pool.push(task_pages);
-            if let Some((lf, lc)) = leading {
-                pending = match pending {
-                    Some((os, (pf, pc))) if pf + pc == lf => Some((os, (pf, pc + lc))),
-                    Some((os, (pf, pc))) => {
-                        self.ship_run(os, pf, pc)?;
-                        Some((s, (lf, lc)))
+            let outcome = match lane.results.recv() {
+                Ok(LaneRound { pages, outcome }) => {
+                    lane.pages = pages;
+                    outcome
+                }
+                Err(_) => Err(lane_gone()),
+            };
+            let stripe = match outcome {
+                Ok(stripe) => stripe,
+                Err(e) => {
+                    failed.get_or_insert(e);
+                    continue;
+                }
+            };
+            lane.stats = stripe.stats;
+            if let Some((first, count)) = stripe.leading {
+                open = match open {
+                    Some((origin, (f, c))) if f + c == first => Some((origin, (f, c + count))),
+                    other => {
+                        close_run(other, frames, stripe_bytes);
+                        Some((s, (first, count)))
                     }
-                    None => Some((s, (lf, lc))),
                 };
             }
-            if !body.is_empty() {
-                if let Some((os, (pf, pc))) = pending.take() {
-                    self.ship_run(os, pf, pc)?;
-                }
-                self.stripe_bytes[s] += body.len() as u64;
-                self.ship(body)?;
-                pending = trailing.map(|run| (s, run));
-            } else if let Some(run) = trailing {
-                // The stripe was zero runs only; its trailing run cannot
-                // continue the leading one (there was an index gap).
-                if let Some((os, (pf, pc))) = pending.take() {
-                    self.ship_run(os, pf, pc)?;
-                }
-                self.pool.push(body);
-                pending = Some((s, run));
-            } else {
-                self.pool.push(body);
+            if stripe.bytes > 0 || stripe.trailing.is_some() {
+                close_run(open.take(), frames, stripe_bytes);
+                stripe_bytes[s] += stripe.bytes;
+                open = stripe.trailing.map(|run| (s, run));
             }
         }
-        if let Some((os, (pf, pc))) = pending.take() {
-            self.ship_run(os, pf, pc)?;
+        if let Some(e) = failed {
+            return Err(e);
         }
-        // End-of-round marker rides the control stream (stripe 0).
-        let mut buf = self.grab_ctl_buf();
-        wire::put_end_of_round(&mut buf, self.round);
-        self.round += 1;
-        self.stripe_bytes[0] += buf.len() as u64;
-        self.ship(buf)?;
-        Ok(())
+        close_run(open, frames, stripe_bytes);
+        // The end-of-round marker rides the control stream (stripe 0).
+        let at = frames.len();
+        control.end_round(frames);
+        stripe_bytes[0] += (frames.len() - at) as u64;
+        sink.apply_burst(frames)?;
+        Ok(&self.stripe_bytes)
     }
 
-    /// The per-stream payload split of the round just encoded.
-    fn stripe_bytes(&self) -> &[u64] {
-        &self.stripe_bytes
+    /// One instant per active stream on the `migrate/stream` track,
+    /// recording the payload split fed to [`Transport::transmit_striped`]
+    /// for the round just streamed.
+    pub(crate) fn trace_stripes(&self, trace: &Trace, round: u32, at: Nanoseconds) {
+        if !trace.is_on() {
+            return;
+        }
+        for (stream, &bytes) in self.stripe_bytes.iter().enumerate() {
+            if bytes == 0 {
+                continue;
+            }
+            trace.instant(
+                "migrate/stream",
+                "stripe",
+                at,
+                &[
+                    ("round", ArgValue::U64(u64::from(round))),
+                    ("stream", ArgValue::U64(stream as u64)),
+                    ("bytes", ArgValue::U64(bytes)),
+                ],
+            );
+        }
+    }
+
+    /// The stripes' compression statistics, summed in stripe order (None
+    /// when sending raw).
+    pub(crate) fn compression_stats(&self) -> Option<CompressionStats> {
+        let stats = self.lanes.iter().filter_map(|lane| lane.stats);
+        stats.reduce(|a, b| CompressionStats {
+            pages_raw: a.pages_raw + b.pages_raw,
+            pages_zero: a.pages_zero + b.pages_zero,
+            pages_delta: a.pages_delta + b.pages_delta,
+            delta_overflows: a.delta_overflows + b.delta_overflows,
+            bytes_in: a.bytes_in + b.bytes_in,
+            bytes_out: a.bytes_out + b.bytes_out,
+        })
     }
 }
 
-/// Stand up the worker fleet and sink thread, run `f` on the coordinator,
-/// then tear everything down — propagating a sink-side error in preference
-/// to the coordinator's (a broken sink surfaces as a channel failure on the
-/// coordinator, and the sink's own error says why).
-///
-/// The encode stage and the compression stage scale independently: raw
-/// rounds get one encode worker per stripe (`streams`), compressed rounds
-/// run on a separate pool of `compressors` compression workers. Stripe `s`
-/// is statically owned by worker `s % workers` and each worker keeps one
-/// persistent [`PageCompressor`] *per stripe it owns*, so every stripe sees
-/// the same sequence of compress calls — and produces byte-identical frames
-/// — for any worker count (pinned by test). The knob trades host wall-clock
-/// only.
-fn with_pipeline<R>(
+/// Open a stream from `source` to `dest`, stand up one lane per stripe —
+/// compressing as `config` says if `compressed`, raw otherwise — and run
+/// the engine `f` over it. The lanes are joined before this returns.
+fn with_lanes<R>(
     source: &GuestMemory,
     dest: &GuestMemory,
-    compression: Option<(PageCompression, usize)>,
-    streams: NonZeroUsize,
-    compressors: NonZeroUsize,
-    f: impl FnOnce(&mut Pipeline<'_>) -> Result<R>,
+    transport: &mut dyn Transport,
+    config: &MigrationConfig,
+    compressed: bool,
+    f: impl FnOnce(&mut Stream<'_, '_>, Nanoseconds) -> Result<R>,
 ) -> Result<R> {
-    let streams = streams.get();
-    // More workers than stripes cannot help: stripes are the unit of work.
-    let workers = match compression {
-        None => streams,
-        Some(_) => compressors.get().min(streams),
-    };
-    let total_pages = source.total_pages();
-    let stripe_len = total_pages.div_ceil(streams as u64).max(1);
+    config.validate()?;
+    let streams = config.streams.get();
+    let stripe_len = source.total_pages().div_ceil(streams as u64).max(1);
     thread::scope(|scope| {
-        let (seg_tx, seg_rx) = sync_channel::<Vec<u8>>(4 * streams + 8);
-        let (recycle_tx, recycle_rx) = sync_channel::<Vec<u8>>(8 * streams + 16);
-        let sink_thread = scope.spawn(move || -> Result<()> {
-            let mut sink = MigrationSink::new(dest);
-            while let Ok(seg) = seg_rx.recv() {
-                let applied = sink.apply_burst(&seg);
-                // A full recycle channel only costs a reallocation later.
-                let _ = recycle_tx.try_send(seg);
-                applied?;
+        // The stream's own buffer only ever holds control frames.
+        let control = MigrationSource::raw(source);
+        let (mut stream, after_hello) =
+            Stream::open(control, dest, transport, segment_capacity(1))?;
+        let lanes = (0..streams).map(|_| {
+            // One page list in flight per lane and round, and its result
+            // collected before the next is sent: neither send ever blocks.
+            let (tasks, task_rx) = sync_channel(1);
+            let (result_tx, results) = sync_channel(1);
+            let src = if compressed {
+                MigrationSource::with_config(source, config)
+            } else {
+                MigrationSource::raw(source)
+            };
+            let stats = src.compression_stats();
+            let sink = MigrationSink::lane_of(&stream.sink);
+            let capacity = segment_capacity(stripe_len);
+            scope.spawn(move || run_lane(src, sink, capacity, task_rx, result_tx));
+            Lane {
+                tasks,
+                results,
+                pages: Vec::with_capacity(stripe_len as usize),
+                busy: false,
+                stats,
             }
-            Ok(())
         });
-        // Per-stripe result channels: the coordinator still gathers in
-        // stripe order, whatever worker encoded the stripe.
-        let mut result_txs = Vec::with_capacity(streams);
-        let mut result_rxs = Vec::with_capacity(streams);
-        for _ in 0..streams {
-            let (result_tx, result_rx) = sync_channel::<Result<StripeEncoding>>(1);
-            result_txs.push(result_tx);
-            result_rxs.push(result_rx);
-        }
-        // Each result channel carries at most one encoding per round and is
-        // fully drained before the next round's scatter, so a worker's
-        // result sends never block and the task channels below can never
-        // deadlock against them.
-        let mut worker_txs = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            // A worker may be handed every stripe it owns before it drains
-            // any of them; size the task channel for a full round.
-            let (task_tx, task_rx) = sync_channel::<RoundTask>(streams.div_ceil(workers));
-            let results: Vec<SyncSender<Result<StripeEncoding>>> = result_txs.clone();
-            scope.spawn(move || {
-                let mut per_stripe: BTreeMap<usize, PageCompressor> = BTreeMap::new();
-                while let Ok(task) = task_rx.recv() {
-                    let stripe = task.stripe;
-                    let compressor = compression.map(|(mode, cache_pages)| {
-                        per_stripe.entry(stripe).or_insert_with(|| {
-                            PageCompressor::with_cache_capacity(mode, cache_pages)
-                        })
-                    });
-                    let encoded = encode_stripe(source, compressor, task);
-                    if results[stripe].send(encoded).is_err() {
-                        break;
-                    }
-                }
-            });
-            worker_txs.push(task_tx);
-        }
-        drop(result_txs);
-        let task_txs: Vec<SyncSender<RoundTask>> = (0..streams)
-            .map(|s| worker_txs[s % workers].clone())
-            .collect();
-        drop(worker_txs);
-        let mut pipeline = Pipeline {
-            total_pages,
-            memory_bytes: source.total_size().as_u64(),
+        stream.lanes = Some(Lanes {
+            lanes: lanes.collect(),
             stripe_len,
-            round: 0,
-            task_txs,
-            result_rxs,
-            seg_tx,
-            recycle_rx: &recycle_rx,
-            pool: Vec::new(),
-            page_pool: Vec::new(),
-            stripe_bytes: vec![0u64; streams],
-            dispatched: vec![false; streams],
-        };
-        let out = f(&mut pipeline);
-        // Closing the channels releases the workers and flushes the sink;
-        // joining the sink guarantees every shipped frame has been applied
-        // before the destination memory is handed back to the caller.
-        drop(pipeline);
-        let sink_out = sink_thread.join().expect("migration sink thread panicked");
-        match sink_out {
-            Err(e) => Err(e),
-            Ok(()) => out,
-        }
+            stripe_bytes: vec![0; streams],
+        });
+        // Dropping the stream at the end of this closure hangs up on the
+        // lanes, which ends them; the scope then joins them.
+        f(&mut stream, after_hello)
     })
-}
-
-/// The compression setup the pipeline's workers should mirror (`None` when
-/// pages go raw).
-fn compression_of(config: &MigrationConfig) -> Option<(PageCompression, usize)> {
-    match config.compression {
-        PageCompression::None => None,
-        mode => Some((mode, config.xbzrle_cache_pages)),
-    }
-}
-
-/// One instant per active stream on the `migrate/stream` track, recording
-/// the payload split [`Pipeline::stripe_bytes`] fed to
-/// [`Transport::transmit_striped`] for the round just encoded.
-fn emit_stripe_instants(trace: &Trace, round: u32, at: Nanoseconds, stripes: &[u64]) {
-    if !trace.is_on() {
-        return;
-    }
-    for (stream, &bytes) in stripes.iter().enumerate() {
-        if bytes == 0 {
-            continue;
-        }
-        trace.instant(
-            "migrate/stream",
-            "stripe",
-            at,
-            &[
-                ("round", ArgValue::U64(u64::from(round))),
-                ("stream", ArgValue::U64(stream as u64)),
-                ("bytes", ArgValue::U64(bytes)),
-            ],
-        );
-    }
 }
 
 impl StopAndCopy {
     /// Run a stop-and-copy migration through the pipelined, multi-stream
     /// data plane. Byte-identical and report-`==` to
-    /// [`StopAndCopy::migrate_over`] on the same transport.
+    /// [`StopAndCopy::migrate_over`] on the same transport; what an `Err`
+    /// leaves behind is [as there](self#failure).
     pub fn migrate_pipelined(
         source: &GuestMemory,
         dest: &GuestMemory,
@@ -545,42 +378,8 @@ impl StopAndCopy {
         config: &MigrationConfig,
         trace: &Trace,
     ) -> Result<MigrationReport> {
-        config.validate()?;
-        check_same_size(source, dest)?;
-        let start = transport.free_at();
-        let bytes_before = transport.bytes_sent();
-        with_pipeline(source, dest, None, config.streams, config.streams, |p| {
-            let hello = p.send_hello()?;
-            let after_hello = transport.transmit_bytes(start, hello)?;
-            let all_pages: Vec<u64> = (0..source.total_pages()).collect();
-            p.encode_round(&all_pages)?;
-            let round_bytes_before = transport.bytes_sent();
-            let after_pages = transport.transmit_striped(after_hello, p.stripe_bytes())?;
-            let round = RoundStat {
-                pages: all_pages.len() as u64,
-                bytes: transport.bytes_sent() - round_bytes_before,
-                duration: after_pages.saturating_sub(after_hello),
-            };
-            emit_round_span(trace, "round", 1, round, after_hello, after_pages);
-            emit_stripe_instants(trace, 1, after_pages, p.stripe_bytes());
-            let state = p.send_vcpu_states(vcpus)?;
-            let done = transport.transmit_bytes(after_pages, state)?;
-            let elapsed = done.saturating_sub(start);
-            let report = MigrationReport {
-                kind: MigrationKind::StopAndCopy,
-                downtime: elapsed,
-                total_time: elapsed,
-                rounds: 1,
-                bytes_transferred: transport.bytes_sent() - bytes_before,
-                pages_transferred: all_pages.len() as u64,
-                memory_size: source.total_size(),
-                converged: true,
-                remote_faults: 0,
-                avg_fault_latency: Nanoseconds::ZERO,
-                rounds_breakdown: vec![round],
-            };
-            emit_migration_span(trace, &report, start, done, None);
-            Ok(report)
+        with_lanes(source, dest, transport, config, false, |stream, now| {
+            Self::run(stream, now, vcpus, trace)
         })
     }
 }
@@ -590,7 +389,8 @@ impl PreCopy {
     /// multi-stream data plane while `dirty_source` keeps writing into the
     /// source. Byte-identical and report-`==` to [`PreCopy::migrate_over`]
     /// on the same transport (see the module docs for the one documented
-    /// divergence under XBZRLE cache pressure).
+    /// divergence under XBZRLE cache pressure); what an `Err` leaves behind
+    /// is [as there](self#failure).
     pub fn migrate_pipelined(
         source: &GuestMemory,
         dest: &GuestMemory,
@@ -622,25 +422,14 @@ impl PreCopy {
         config: &MigrationConfig,
         trace: &Trace,
     ) -> Result<MigrationReport> {
-        Self::pipelined_with_compressors(
-            source,
-            dest,
-            vcpus,
-            transport,
-            dirty_source,
-            config,
-            config.streams,
-            trace,
-        )
+        with_lanes(source, dest, transport, config, true, |stream, now| {
+            Self::run(stream, now, vcpus, dirty_source, config, trace)
+        })
     }
 
     /// [`PreCopy::migrate_pipelined_traced`] shaped by a per-migration
-    /// [`MigrationPlan`]: stream count, compression mode and the decoupled
-    /// compression-stage worker count
-    /// ([`MigrationPlan::compressor_workers`]) all come from the plan. The
-    /// wire bytes, the destination memory and the report are identical for
-    /// any compressor-worker count (pinned by test); the knob trades host
-    /// wall-clock only.
+    /// [`MigrationPlan`]: stream count and compression mode come from the
+    /// plan.
     pub fn migrate_pipelined_planned_traced(
         source: &GuestMemory,
         dest: &GuestMemory,
@@ -651,132 +440,16 @@ impl PreCopy {
         trace: &Trace,
     ) -> Result<MigrationReport> {
         plan.validate()?;
-        Self::pipelined_with_compressors(
-            source,
-            dest,
-            vcpus,
-            transport,
-            dirty_source,
-            &plan.config(),
-            plan.compressor_workers(),
-            trace,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn pipelined_with_compressors(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        dirty_source: &mut dyn DirtySource,
-        config: &MigrationConfig,
-        compressors: NonZeroUsize,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        config.validate()?;
-        check_same_size(source, dest)?;
-        let start = transport.free_at();
-        let bytes_before = transport.bytes_sent();
-        with_pipeline(
-            source,
-            dest,
-            compression_of(config),
-            config.streams,
-            compressors,
-            |p| {
-                let hello = p.send_hello()?;
-                let mut now = transport.transmit_bytes(start, hello)?;
-
-                let mut total_pages = 0u64;
-                let mut rounds = 0u32;
-                let mut converged = false;
-                let mut breakdown: Vec<RoundStat> =
-                    Vec::with_capacity(config.max_rounds as usize + 1);
-
-                source.clear_dirty();
-                let mut to_send: Vec<u64> = (0..source.total_pages()).collect();
-                let mut harvest: Vec<u64> = Vec::new();
-
-                loop {
-                    rounds += 1;
-                    let round_start = now;
-                    p.encode_round(&to_send)?;
-                    let round_bytes_before = transport.bytes_sent();
-                    let done = transport.transmit_striped(now, p.stripe_bytes())?;
-                    total_pages += to_send.len() as u64;
-                    let round_duration = done.saturating_sub(round_start);
-                    let stat = RoundStat {
-                        pages: to_send.len() as u64,
-                        bytes: transport.bytes_sent() - round_bytes_before,
-                        duration: round_duration,
-                    };
-                    breakdown.push(stat);
-                    emit_round_span(trace, "round", rounds, stat, round_start, done);
-                    emit_stripe_instants(trace, rounds, done, p.stripe_bytes());
-                    dirty_source.run_for(source, round_duration)?;
-                    now = done;
-
-                    source.drain_dirty_into(&mut harvest);
-                    std::mem::swap(&mut to_send, &mut harvest);
-                    if to_send.len() as u64 <= config.dirty_page_threshold {
-                        converged = true;
-                        break;
-                    }
-                    if rounds >= config.max_rounds {
-                        break;
-                    }
-                }
-
-                let pause_start = now;
-                p.encode_round(&to_send)?;
-                let stop_bytes_before = transport.bytes_sent();
-                let after_residual = transport.transmit_striped(now, p.stripe_bytes())?;
-                total_pages += to_send.len() as u64;
-                let stop_stat = RoundStat {
-                    pages: to_send.len() as u64,
-                    bytes: transport.bytes_sent() - stop_bytes_before,
-                    duration: after_residual.saturating_sub(pause_start),
-                };
-                breakdown.push(stop_stat);
-                emit_round_span(
-                    trace,
-                    "stop-phase",
-                    rounds + 1,
-                    stop_stat,
-                    pause_start,
-                    after_residual,
-                );
-                emit_stripe_instants(trace, rounds + 1, after_residual, p.stripe_bytes());
-                let state = p.send_vcpu_states(vcpus)?;
-                let done = transport.transmit_bytes(after_residual, state)?;
-
-                let report = MigrationReport {
-                    kind: MigrationKind::PreCopy,
-                    downtime: done.saturating_sub(pause_start),
-                    total_time: done.saturating_sub(start),
-                    rounds,
-                    bytes_transferred: transport.bytes_sent() - bytes_before,
-                    pages_transferred: total_pages,
-                    memory_size: source.total_size(),
-                    converged,
-                    remote_faults: 0,
-                    avg_fault_latency: Nanoseconds::ZERO,
-                    rounds_breakdown: breakdown,
-                };
-                // Per-stripe workers own their compressors, so no aggregate
-                // compression stats are available on this path.
-                emit_migration_span(trace, &report, start, done, None);
-                Ok(report)
-            },
-        )
+        let config = plan.config();
+        Self::migrate_pipelined_traced(source, dest, vcpus, transport, dirty_source, &config, trace)
     }
 }
 
 impl PostCopy {
     /// Run a post-copy migration through the pipelined, multi-stream data
     /// plane. Byte-identical and report-`==` to
-    /// [`PostCopy::migrate_over`] on the same transport.
+    /// [`PostCopy::migrate_over`] on the same transport; what an `Err`
+    /// leaves behind is [as there](self#failure).
     pub fn migrate_pipelined(
         source: &GuestMemory,
         dest: &GuestMemory,
@@ -797,55 +470,8 @@ impl PostCopy {
         config: &MigrationConfig,
         trace: &Trace,
     ) -> Result<MigrationReport> {
-        config.validate()?;
-        check_same_size(source, dest)?;
-        let start = transport.free_at();
-        let bytes_before = transport.bytes_sent();
-        with_pipeline(source, dest, None, config.streams, config.streams, |p| {
-            let hello = p.send_hello()?;
-            let after_hello = transport.transmit_bytes(start, hello)?;
-
-            // Pause: only the vCPU/device state crosses before resume.
-            let state = p.send_vcpu_states(vcpus)?;
-            let resumed_at = transport.transmit_bytes(after_hello, state)?;
-            let downtime = resumed_at.saturating_sub(after_hello);
-
-            let total_pages = source.total_pages();
-            let fault_pages =
-                ((total_pages as f64) * config.postcopy_fault_fraction).round() as u64;
-            let fault_pages = fault_pages.min(total_pages);
-
-            let all_pages: Vec<u64> = (0..total_pages).collect();
-            p.encode_round(&all_pages)?;
-            let round_bytes_before = transport.bytes_sent();
-            let after_pages = transport.transmit_striped(resumed_at, p.stripe_bytes())?;
-            let round = RoundStat {
-                pages: total_pages,
-                bytes: transport.bytes_sent() - round_bytes_before,
-                duration: after_pages.saturating_sub(resumed_at),
-            };
-            emit_round_span(trace, "round", 1, round, resumed_at, after_pages);
-            emit_stripe_instants(trace, 1, after_pages, p.stripe_bytes());
-
-            let per_fault_latency = transport.transfer_time(PAGE_SIZE + PER_PAGE_OVERHEAD);
-            let fault_penalty = Nanoseconds(transport.latency().as_nanos() * fault_pages);
-            let done = after_pages.saturating_add(fault_penalty);
-
-            let report = MigrationReport {
-                kind: MigrationKind::PostCopy,
-                downtime,
-                total_time: done.saturating_sub(start),
-                rounds: 1,
-                bytes_transferred: transport.bytes_sent() - bytes_before,
-                pages_transferred: total_pages,
-                memory_size: source.total_size(),
-                converged: true,
-                remote_faults: fault_pages,
-                avg_fault_latency: per_fault_latency.saturating_add(transport.latency()),
-                rounds_breakdown: vec![round],
-            };
-            emit_migration_span(trace, &report, start, done, None);
-            Ok(report)
+        with_lanes(source, dest, transport, config, false, |stream, now| {
+            Self::run(stream, now, vcpus, config, trace, false)
         })
     }
 }
@@ -853,10 +479,15 @@ impl PostCopy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compress::PageCompression;
     use crate::dirty::{ConstantRateDirtier, IdleDirtier};
+    use crate::plan::PlanEngine;
+    use crate::transport::refusing::{refusal, RefusingTransport};
     use crate::transport::{FabricTransport, LoopbackTransport};
     use rvisor_net::{Fabric, FabricParams, Link, LinkModel};
-    use rvisor_types::{ByteSize, GuestAddress};
+    use rvisor_obs::OwnedArg;
+    use rvisor_types::{ByteSize, GuestAddress, PAGE_SIZE};
+    use std::num::NonZeroUsize;
 
     fn streams(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).expect("non-zero")
@@ -956,6 +587,36 @@ mod tests {
                     "engine {engine} at {n} streams: memory diverged"
                 );
             }
+        }
+        // The plan-routed entry matches the config-routed one exactly.
+        for compression in [PageCompression::ZeroPages, PageCompression::Xbzrle] {
+            let config = MigrationConfig {
+                streams: streams(6),
+                compression,
+                ..Default::default()
+            };
+            let (direct, direct_mem) = pipelined_report(1, 256, 0.4, &config);
+            let (src, dst) = memories(256);
+            let mut link = Link::new(LinkModel::gigabit());
+            let mut transport = LoopbackTransport::new(&mut link);
+            let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
+                LinkModel::gigabit().bytes_per_second,
+                0.4,
+                0,
+                256,
+            );
+            let planned = PreCopy::migrate_pipelined_planned_traced(
+                &src,
+                &dst,
+                &[VcpuState::default()],
+                &mut transport,
+                &mut dirtier,
+                &config.plan(PlanEngine::PreCopy),
+                &Trace::off(),
+            )
+            .unwrap();
+            assert_eq!(planned, direct, "{compression:?}: plan routing diverged");
+            assert_eq!(region_bytes(&dst), direct_mem);
         }
     }
 
@@ -1063,53 +724,103 @@ mod tests {
         .is_err());
     }
 
-    #[test]
-    fn compressor_worker_count_never_changes_the_bytes() {
-        use crate::plan::{MigrationPlan, PlanEngine};
+    fn run_pipelined(
+        engine: usize,
+        n: usize,
+        src: &GuestMemory,
+        dst: &GuestMemory,
+        transport: &mut dyn Transport,
+    ) -> Result<MigrationReport> {
+        let vcpus = [VcpuState::default()];
+        let config = MigrationConfig {
+            streams: streams(n),
+            compression: PageCompression::Xbzrle,
+            ..Default::default()
+        };
+        match engine {
+            0 => StopAndCopy::migrate_pipelined(src, dst, &vcpus, transport, &config),
+            1 => PreCopy::migrate_pipelined(src, dst, &vcpus, transport, &mut IdleDirtier, &config),
+            _ => PostCopy::migrate_pipelined(src, dst, &vcpus, transport, &config),
+        }
+    }
 
-        // The compression stage is decoupled from the stripe workers; any
-        // compressor-worker count must produce the identical report and
-        // destination memory (per-stripe compressor state is preserved no
-        // matter which worker owns the stripe).
+    #[test]
+    fn refused_transfer_joins_the_lanes_and_leaves_the_source_migratable() {
         let pages = 256u64;
-        for compression in [PageCompression::ZeroPages, PageCompression::Xbzrle] {
-            let run = |compressors: Option<usize>| {
-                let (src, dst) = memories(pages);
+        // Transfers per migration: Hello, the rounds, the vCPU state.
+        for (engine, transfers) in [(0, 3), (1, 4), (2, 3)] {
+            for n in [1usize, 2, 4] {
+                let (clean_src, clean_dst) = memories(pages);
                 let mut link = Link::new(LinkModel::gigabit());
-                let mut transport = LoopbackTransport::new(&mut link);
-                let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-                    LinkModel::gigabit().bytes_per_second,
-                    0.4,
-                    0,
-                    pages,
-                );
-                let mut builder = MigrationPlan::builder(PlanEngine::PreCopy)
-                    .streams(streams(6))
-                    .compression(compression);
-                if let Some(c) = compressors {
-                    builder = builder.compressors(streams(c));
+                let mut healthy = LoopbackTransport::new(&mut link);
+                let expected =
+                    run_pipelined(engine, n, &clean_src, &clean_dst, &mut healthy).unwrap();
+
+                for fail_on in 1..=transfers {
+                    let (src, dst) = memories(pages);
+                    let bytes_before = region_bytes(&src);
+                    let mut link = Link::new(LinkModel::gigabit());
+                    let mut refusing = RefusingTransport::new(&mut link, fail_on);
+                    // Returning at all means every lane was joined: the
+                    // engine runs them inside a `thread::scope`.
+                    let err = run_pipelined(engine, n, &src, &dst, &mut refusing)
+                        .expect_err("the refused transfer must fail the migration");
+                    let case = format!("engine {engine}, {n} streams, transfer {fail_on}");
+                    assert_eq!(err, refusal(), "{case}");
+                    assert_eq!(refusing.calls, fail_on, "nothing is sent after a refusal");
+                    assert_eq!(region_bytes(&src), bytes_before, "{case}");
+
+                    // The same source, a healthy transport, a fresh destination.
+                    let (_, fresh) = memories(pages);
+                    let mut link = Link::new(LinkModel::gigabit());
+                    let mut healthy = LoopbackTransport::new(&mut link);
+                    let retried = run_pipelined(engine, n, &src, &fresh, &mut healthy).unwrap();
+                    assert_eq!(retried, expected, "{case}");
+                    assert_eq!(region_bytes(&fresh), bytes_before, "{case}");
                 }
-                let plan = builder.build().unwrap();
-                let report = PreCopy::migrate_pipelined_planned_traced(
-                    &src,
-                    &dst,
-                    &[VcpuState::default()],
-                    &mut transport,
-                    &mut dirtier,
-                    &plan,
-                    &Trace::off(),
-                )
-                .unwrap();
-                (report, region_bytes(&dst))
-            };
-            let (base, base_mem) = run(None);
-            for c in [1usize, 2, 3, 8] {
-                let (report, mem) = run(Some(c));
-                assert_eq!(report, base, "{compression:?} with {c} compressors");
-                assert_eq!(mem, base_mem, "{compression:?} with {c} compressors");
             }
-            // The plan-routed entry with default compressors matches the
-            // config-routed entry exactly.
+        }
+    }
+
+    #[test]
+    fn a_failing_lane_does_not_strand_the_coordinator() {
+        // Ten pages in stripes of three: page index 11 falls in the last
+        // stripe's range but not in the guest, so that stripe's lane fails
+        // mid-round while the three before it succeed.
+        let (src, dst) = memories(10);
+        let mut link = Link::new(LinkModel::gigabit());
+        let mut transport = LoopbackTransport::new(&mut link);
+        let config = MigrationConfig {
+            streams: streams(4),
+            ..Default::default()
+        };
+        with_lanes(&src, &dst, &mut transport, &config, true, |stream, now| {
+            let mut pages: Vec<u64> = (0..10).collect();
+            pages.push(11);
+            let err = stream
+                .round(&pages, now)
+                .expect_err("page 11 does not exist");
+            assert!(matches!(err, Error::InvalidGuestAddress { .. }), "{err:?}");
+            // Every lane's result was collected, the failed one's too: the
+            // next round finds no stale result and lands every page.
+            pages.pop();
+            let (_, stat) = stream.round(&pages, now).unwrap();
+            assert_eq!(stat.pages, 10);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(region_bytes(&dst), region_bytes(&src));
+    }
+
+    #[test]
+    fn traced_pipelined_xbzrle_span_carries_the_serial_compression_stats() {
+        // Zero, raw and (from round 2 on) delta pages, no eviction.
+        let pages = 256u64;
+        let config = MigrationConfig {
+            compression: PageCompression::Xbzrle,
+            ..Default::default()
+        };
+        let span_stats = |n: usize| {
             let (src, dst) = memories(pages);
             let mut link = Link::new(LinkModel::gigabit());
             let mut transport = LoopbackTransport::new(&mut link);
@@ -1119,22 +830,49 @@ mod tests {
                 0,
                 pages,
             );
+            let (trace, recorder) = Trace::recording();
+            let vcpus = [VcpuState::default()];
             let config = MigrationConfig {
-                streams: streams(6),
-                compression,
-                ..Default::default()
+                streams: streams(n),
+                ..config
             };
-            let direct = PreCopy::migrate_pipelined(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut dirtier,
-                &config,
-            )
+            if n == 1 {
+                PreCopy::migrate_over_traced(
+                    &src,
+                    &dst,
+                    &vcpus,
+                    &mut transport,
+                    &mut dirtier,
+                    &config,
+                    &trace,
+                )
+            } else {
+                PreCopy::migrate_pipelined_traced(
+                    &src,
+                    &dst,
+                    &vcpus,
+                    &mut transport,
+                    &mut dirtier,
+                    &config,
+                    &trace,
+                )
+            }
             .unwrap();
-            assert_eq!(direct, base, "{compression:?}: plan routing diverged");
-            assert_eq!(region_bytes(&dst), base_mem);
+            let recorder = recorder.borrow();
+            let events = recorder.events();
+            let span = events.iter().find(|e| e.track == "migrate").unwrap();
+            ["zero_pages", "delta_pages", "raw_pages"].map(|name| {
+                let (_, value) = span.args.iter().find(|(key, _)| *key == name).unwrap();
+                value.clone()
+            })
+        };
+        let serial = span_stats(1);
+        assert!(
+            serial.iter().all(|pages| *pages != OwnedArg::U64(0)),
+            "{serial:?}"
+        );
+        for n in [2usize, 3, 4] {
+            assert_eq!(span_stats(n), serial, "{n} streams");
         }
     }
 

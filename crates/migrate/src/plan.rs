@@ -20,7 +20,7 @@ use std::num::NonZeroUsize;
 use rvisor_types::{Error, Result};
 
 use crate::compress::PageCompression;
-use crate::engines::{MigrationConfig, MAX_MIGRATION_STREAMS};
+use crate::engines::MigrationConfig;
 
 /// Which engine a [`MigrationPlan`] selects.
 ///
@@ -93,19 +93,14 @@ pub struct MigrationPlan {
     /// Which engine this migration rides.
     pub engine: PlanEngine,
     /// Parallel streams for the pipelined data plane (at most
-    /// [`MAX_MIGRATION_STREAMS`]); 1 selects the serial streamed engines.
+    /// [`MAX_MIGRATION_STREAMS`](crate::MAX_MIGRATION_STREAMS)); 1 selects
+    /// the serial streamed engines.
     pub streams: NonZeroUsize,
     /// Page compression crossing the wire.
     pub compression: PageCompression,
     /// XBZRLE delta-cache capacity in pages (see
     /// [`MigrationConfig::xbzrle_cache_pages`]).
     pub xbzrle_cache_pages: usize,
-    /// Compression-stage workers for the pipelined data plane, decoupled
-    /// from [`streams`](Self::streams) so encode bandwidth and compressor
-    /// bandwidth scale independently; `None` matches the stream count (the
-    /// pre-plan behaviour). The wire bytes are identical for any worker
-    /// count — this knob only changes host wall-clock.
-    pub compressors: Option<NonZeroUsize>,
     /// How post-copy demand faults are serviced (ignored by the other
     /// engines).
     pub fault_service: FaultService,
@@ -147,24 +142,11 @@ impl MigrationPlan {
         }
     }
 
-    /// Compression-stage worker count for the pipelined data plane:
-    /// [`compressors`](Self::compressors), defaulting to the stream count.
-    pub fn compressor_workers(&self) -> NonZeroUsize {
-        self.compressors.unwrap_or(self.streams)
-    }
-
-    /// Validate the plan. Checks every lowered config invariant
-    /// ([`MigrationConfig::validate`]) plus the plan-only knobs.
+    /// Validate the plan: every lowered config invariant
+    /// ([`MigrationConfig::validate`]); the plan-only knobs cannot be
+    /// invalid.
     pub fn validate(&self) -> Result<()> {
-        self.config().validate()?;
-        if let Some(c) = self.compressors {
-            if c.get() > MAX_MIGRATION_STREAMS {
-                return Err(Error::Migration(format!(
-                    "compressors must be at most {MAX_MIGRATION_STREAMS}, got {c}"
-                )));
-            }
-        }
-        Ok(())
+        self.config().validate()
     }
 }
 
@@ -178,16 +160,15 @@ impl MigrationConfig {
     }
 
     /// Lower this run-level config into a per-migration plan riding
-    /// `engine`. Plan-only knobs take their defaults (sweep-ordered fault
-    /// service, compressors matching the stream count), so a lowered plan
-    /// behaves exactly like the config did before plans existed.
+    /// `engine`. The plan-only knob takes its default (sweep-ordered fault
+    /// service), so a lowered plan behaves exactly like the config did
+    /// before plans existed.
     pub fn plan(&self, engine: PlanEngine) -> MigrationPlan {
         MigrationPlan {
             engine,
             streams: self.streams,
             compression: self.compression,
             xbzrle_cache_pages: self.xbzrle_cache_pages,
-            compressors: None,
             fault_service: FaultService::Sweep,
             max_rounds: self.max_rounds,
             dirty_page_threshold: self.dirty_page_threshold,
@@ -281,12 +262,6 @@ impl MigrationPlanBuilder {
         self
     }
 
-    /// Set [`MigrationPlan::compressors`].
-    pub fn compressors(mut self, compressors: NonZeroUsize) -> Self {
-        self.plan.compressors = Some(compressors);
-        self
-    }
-
     /// Set [`MigrationPlan::fault_service`].
     pub fn fault_service(mut self, service: FaultService) -> Self {
         self.plan.fault_service = service;
@@ -321,6 +296,7 @@ impl MigrationPlanBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::MAX_MIGRATION_STREAMS;
 
     #[test]
     fn config_lowers_into_a_plan_and_back_without_loss() {
@@ -340,7 +316,6 @@ mod tests {
             let plan = config.plan(engine);
             assert_eq!(plan.engine, engine);
             assert_eq!(plan.fault_service, FaultService::Sweep);
-            assert_eq!(plan.compressor_workers().get(), 4);
             let lowered = plan.config();
             assert_eq!(lowered.max_rounds, config.max_rounds);
             assert_eq!(lowered.dirty_page_threshold, config.dirty_page_threshold);
@@ -384,20 +359,18 @@ mod tests {
     fn plan_builder_validates_once_and_rejects_bad_knobs() {
         let plan = MigrationPlan::builder(PlanEngine::PostCopy)
             .streams(NonZeroUsize::new(2).unwrap())
-            .compressors(NonZeroUsize::new(8).unwrap())
             .fault_service(FaultService::FaultLane)
             .postcopy_fault_fraction(0.5)
             .build()
             .unwrap();
         assert_eq!(plan.engine, PlanEngine::PostCopy);
         assert_eq!(plan.fault_service, FaultService::FaultLane);
-        assert_eq!(plan.compressor_workers().get(), 8);
         assert!(MigrationPlan::builder(PlanEngine::PreCopy)
             .postcopy_fault_fraction(-0.1)
             .build()
             .is_err());
         assert!(MigrationPlan::builder(PlanEngine::PreCopy)
-            .compressors(NonZeroUsize::new(MAX_MIGRATION_STREAMS + 1).unwrap())
+            .streams(NonZeroUsize::new(MAX_MIGRATION_STREAMS + 1).unwrap())
             .build()
             .is_err());
         assert!(MigrationPlan::builder(PlanEngine::PreCopy)

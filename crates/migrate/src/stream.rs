@@ -15,9 +15,11 @@
 //! to be one unit of **host** memory, so the serial engines move a round
 //! through one reused buffer in segments of at most `SEGMENT_PAGES` pages,
 //! each applied on the sink while it is still in cache and before the
-//! round's simulated arrival — as the pipelined engine always did. The
-//! concatenated segments are byte for byte the burst
-//! [`MigrationSource::encode_round`] builds (pinned by proptest below).
+//! round's simulated arrival. The concatenated segments are byte for byte
+//! the burst [`MigrationSource::encode_round`] builds (pinned by proptest
+//! below). The pipelined engine ([`pipeline`](crate::pipeline)) runs the
+//! same segment loop and the same engine bodies, one thread per stripe of
+//! the page-index space.
 //!
 //! # Failure
 //!
@@ -40,10 +42,12 @@ use rvisor_obs::Trace;
 use rvisor_types::{Error, Nanoseconds, Result, PAGE_SIZE};
 use rvisor_vcpu::VcpuState;
 
-use crate::compress::{xbzrle_apply_in_place, PageCompression, PageCompressor, WirePage};
+use crate::compress::{is_zero_page, xbzrle_apply_in_place, EncodedPage};
+use crate::compress::{PageCompression, PageCompressor};
 use crate::dirty::DirtySource;
 use crate::engines::{check_same_size, MigrationConfig, PostCopy, PreCopy, StopAndCopy};
 use crate::engines::{emit_migration_span, emit_round_span, PER_PAGE_OVERHEAD};
+use crate::pipeline::Lanes;
 use crate::report::{MigrationKind, MigrationReport, RoundStat};
 use crate::transport::Transport;
 use crate::wire::{self, FrameKind, WireFrame, MODE_DELTA, MODE_RAW, MODE_ZERO};
@@ -66,8 +70,11 @@ pub struct MigrationSource<'m> {
     round: u32,
     /// The zero run still open where the last [`Self::encode_pages`] call
     /// stopped: a run spanning a segment boundary stays one frame.
-    pending_zero: Option<(u64, u64)>,
+    pending_zero: Option<ZeroRun>,
 }
+
+/// A run of all-zero pages: `(first page, page count)`.
+pub(crate) type ZeroRun = (u64, u64);
 
 impl<'m> MigrationSource<'m> {
     /// An encoder sending every page raw (stop-and-copy / post-copy).
@@ -105,7 +112,7 @@ impl<'m> MigrationSource<'m> {
         transport.send_built(&mut |out| self.put_hello(out))
     }
 
-    fn put_zero_run(out: &mut Vec<u8>, run: Option<(u64, u64)>) {
+    pub(crate) fn put_zero_run(out: &mut Vec<u8>, run: Option<ZeroRun>) {
         match run {
             None => {}
             // A lone zero page costs the same 1-byte marker as the direct
@@ -132,35 +139,45 @@ impl<'m> MigrationSource<'m> {
         // Taken, so an error below cannot leak half a run into a later round.
         let mut pending_zero = self.pending_zero.take();
         for &p in pages {
-            let encoded = memory.with_page(p, |contents| compressor.compress(p, contents))?;
-            if let WirePage::Zero = encoded {
-                pending_zero = match pending_zero {
-                    Some((first, count)) if first + count == p => Some((first, count + 1)),
-                    other => {
-                        Self::put_zero_run(out, other);
-                        Some((p, 1))
-                    }
-                };
-                continue;
-            }
-            Self::put_zero_run(out, pending_zero.take());
-            wire::put_wire_page(out, p, &encoded);
+            // Raw and delta pages too are framed from the borrowed page.
+            memory.with_page(p, |contents| match compressor.encode(p, contents) {
+                EncodedPage::Zero => {
+                    pending_zero = match pending_zero {
+                        Some((first, count)) if first + count == p => Some((first, count + 1)),
+                        other => {
+                            Self::put_zero_run(out, other);
+                            Some((p, 1))
+                        }
+                    };
+                }
+                EncodedPage::Raw => {
+                    Self::put_zero_run(out, pending_zero.take());
+                    wire::put_page_raw(out, p, contents);
+                }
+                EncodedPage::Delta(delta) => {
+                    Self::put_zero_run(out, pending_zero.take());
+                    wire::put_page_delta(out, p, delta);
+                }
+            })?;
         }
         self.pending_zero = pending_zero;
         Ok(())
     }
 
     /// Close the round: the open zero run, then the end-of-round marker.
-    fn end_round(&mut self, out: &mut Vec<u8>) {
+    pub(crate) fn end_round(&mut self, out: &mut Vec<u8>) {
         Self::put_zero_run(out, self.pending_zero.take());
         wire::put_end_of_round(out, self.round);
         self.round += 1;
     }
 
-    /// Encode one round through `segment`, at most `SEGMENT_PAGES` pages at
-    /// a time: each segment is a whole number of frames and is handed to
-    /// `emit` with its byte offset in the round. Returns the round's bytes.
-    fn encode_round_segments(
+    /// The segment loop every streamed engine runs: encode `pages` through
+    /// `segment`, at most `SEGMENT_PAGES` at a time, handing each segment —
+    /// a whole number of frames — to `emit` with its byte offset among the
+    /// bytes emitted so far. A zero run still open at the end stays pending.
+    /// Returns the bytes emitted.
+    #[inline]
+    pub(crate) fn encode_segments(
         &mut self,
         pages: &[u64],
         segment: &mut Vec<u8>,
@@ -173,10 +190,45 @@ impl<'m> MigrationSource<'m> {
             emit(segment, bytes)?;
             bytes += segment.len() as u64;
         }
+        Ok(bytes)
+    }
+
+    /// Encode one whole round: [`Self::encode_segments`], then the segment
+    /// that closes it. Returns the round's bytes.
+    #[inline]
+    fn encode_round_segments(
+        &mut self,
+        pages: &[u64],
+        segment: &mut Vec<u8>,
+        mut emit: impl FnMut(&[u8], u64) -> Result<()>,
+    ) -> Result<u64> {
+        let bytes = self.encode_segments(pages, segment, &mut emit)?;
         segment.clear();
         self.end_round(segment);
         emit(segment, bytes)?;
         Ok(bytes + segment.len() as u64)
+    }
+
+    /// How many of `pages`, from the first on, are consecutive indices of
+    /// all-zero pages: the zero run open at a stripe's first page, which may
+    /// continue the previous stripe's and so is not this encoder's to close.
+    /// Always 0 when sending raw, where nothing is run-length coded.
+    pub(crate) fn leading_zero_pages(&self, pages: &[u64]) -> Result<usize> {
+        let mut n = 0;
+        if self.compressor.is_some() {
+            while n < pages.len()
+                && pages[n] == pages[0] + n as u64
+                && self.memory.with_page(pages[n], is_zero_page)?
+            {
+                n += 1;
+            }
+        }
+        Ok(n)
+    }
+
+    /// Take the zero run [`Self::encode_segments`] left open.
+    pub(crate) fn take_pending_zero(&mut self) -> Option<ZeroRun> {
+        self.pending_zero.take()
     }
 
     /// Encode one round as a single burst in the transport: every page in
@@ -247,6 +299,15 @@ impl<'m> MigrationSink<'m> {
             pages_applied: 0,
             rounds_completed: 0,
             vcpu_states: Vec::new(),
+        }
+    }
+
+    /// A sink for one stripe of the stream `control` has opened: it shares
+    /// the Hello `control` validated, so it applies page frames at once.
+    pub(crate) fn lane_of(control: &Self) -> Self {
+        MigrationSink {
+            hello: control.hello,
+            ..Self::new(control.memory)
         }
     }
 
@@ -398,7 +459,7 @@ impl<'m> MigrationSink<'m> {
     /// Decode and apply `bytes`: a whole number of frames that start `base`
     /// bytes into their round's burst, which is what error offsets count
     /// from.
-    fn apply_at(&mut self, bytes: &[u8], base: u64) -> Result<()> {
+    pub(crate) fn apply_at(&mut self, bytes: &[u8], base: u64) -> Result<()> {
         let mut reader = wire::FrameReader::new(bytes);
         loop {
             let offset = base + reader.offset();
@@ -420,43 +481,65 @@ impl<'m> MigrationSink<'m> {
     }
 }
 
-/// One serial streamed migration in flight: the two halves, the channel, and
-/// the single reused buffer every frame passes through on its way from the
-/// encoder to the sink.
-struct SerialStream<'m, 't> {
+/// Bytes a segment buffer needs for the raw page frames of one full segment
+/// of a `total_pages`-page guest and the marker that closes a round, so no
+/// round of raw pages ever grows it.
+pub(crate) fn segment_capacity(total_pages: u64) -> usize {
+    let frame_bytes = wire::FRAME_HEADER_BYTES + PAGE_SIZE;
+    let segment_pages = total_pages.min(SEGMENT_PAGES as u64);
+    (segment_pages * frame_bytes + wire::END_OF_ROUND_WIRE_BYTES) as usize
+}
+
+/// One streamed migration in flight: the two halves, the channel, and the
+/// single reused buffer every frame passes through on its way from the
+/// encoder to the sink. With [`Lanes`] the page frames of a round cross on
+/// the stripes' own threads instead, and only control frames — Hello, zero
+/// runs stitched across stripe boundaries, end-of-round markers, vCPU state
+/// — pass through here.
+pub(crate) struct Stream<'m, 't> {
     src: MigrationSource<'m>,
-    sink: MigrationSink<'m>,
+    pub(crate) sink: MigrationSink<'m>,
     transport: &'t mut dyn Transport,
     segment: Vec<u8>,
     start: Nanoseconds,
     bytes_before: u64,
+    pub(crate) lanes: Option<Lanes>,
 }
 
-impl<'m, 't> SerialStream<'m, 't> {
-    /// Open the stream: size check, then the Hello handshake. Returns the
-    /// stream and the simulated instant the Hello arrived.
-    fn open(
+impl<'m, 't> Stream<'m, 't> {
+    /// Open the stream: size check, then the Hello handshake through a
+    /// buffer of `capacity` bytes. Returns the stream and the simulated
+    /// instant the Hello arrived.
+    pub(crate) fn open(
         src: MigrationSource<'m>,
         dest: &'m GuestMemory,
         transport: &'t mut dyn Transport,
+        capacity: usize,
     ) -> Result<(Self, Nanoseconds)> {
         check_same_size(src.memory, dest)?;
-        // Room for one full segment of raw page frames and the marker that
-        // closes the round, so no round ever grows it.
-        let segment_pages = src.memory.total_pages().min(SEGMENT_PAGES as u64);
-        let frame_bytes = wire::FRAME_HEADER_BYTES + PAGE_SIZE;
-        let capacity = segment_pages * frame_bytes + wire::END_OF_ROUND_WIRE_BYTES;
-        let mut stream = SerialStream {
+        let mut stream = Stream {
             sink: MigrationSink::new(dest),
-            segment: Vec::with_capacity(capacity as usize),
+            segment: Vec::with_capacity(capacity),
             start: transport.free_at(),
             bytes_before: transport.bytes_sent(),
             src,
             transport,
+            lanes: None,
         };
         stream.src.put_hello(&mut stream.segment);
         let after_hello = stream.send_control(stream.start)?;
         Ok((stream, after_hello))
+    }
+
+    /// [`Self::open`] for a serial engine, which streams whole segments
+    /// through the buffer.
+    fn open_serial(
+        src: MigrationSource<'m>,
+        dest: &'m GuestMemory,
+        transport: &'t mut dyn Transport,
+    ) -> Result<(Self, Nanoseconds)> {
+        let capacity = segment_capacity(src.memory.total_pages());
+        Self::open(src, dest, transport, capacity)
     }
 
     /// Apply the control frames (Hello, vCPU state) sitting in the buffer
@@ -475,23 +558,61 @@ impl<'m, 't> SerialStream<'m, 't> {
     }
 
     /// The shared round driver: stream `pages` to the sink segment by
-    /// segment, then charge the round's total bytes to the channel as the
-    /// one simulated transfer it is. Returns the arrival time and the
-    /// round's statistics.
-    fn round(&mut self, pages: &[u64], now: Nanoseconds) -> Result<(Nanoseconds, RoundStat)> {
+    /// segment — here, or stripe by stripe on the lanes — then charge the
+    /// round's bytes to the channel as the one simulated transfer it is.
+    /// Returns the arrival time and the round's statistics.
+    pub(crate) fn round(
+        &mut self,
+        pages: &[u64],
+        now: Nanoseconds,
+    ) -> Result<(Nanoseconds, RoundStat)> {
         let sink = &mut self.sink;
-        let bytes = self
-            .src
-            .encode_round_segments(pages, &mut self.segment, |segment, at| {
-                sink.apply_at(segment, at)
-            })?;
-        let done = self.transport.transmit_bytes(now, bytes)?;
+        let (bytes, done) = match self.lanes.as_mut() {
+            None => {
+                let bytes =
+                    self.src
+                        .encode_round_segments(pages, &mut self.segment, |segment, at| {
+                            sink.apply_at(segment, at)
+                        })?;
+                (bytes, self.transport.transmit_bytes(now, bytes)?)
+            }
+            Some(lanes) => {
+                let stripes = lanes.round(pages, &mut self.src, sink, &mut self.segment)?;
+                let done = self.transport.transmit_striped(now, stripes)?;
+                (stripes.iter().sum(), done)
+            }
+        };
         let stat = RoundStat {
             pages: pages.len() as u64,
             bytes,
             duration: done.saturating_sub(now),
         };
         Ok((done, stat))
+    }
+
+    /// Emit a round's span and, under lanes, one instant per active stripe
+    /// with the payload split the round was charged as.
+    fn trace_round(
+        &self,
+        trace: &Trace,
+        name: &'static str,
+        round: u32,
+        stat: RoundStat,
+        start: Nanoseconds,
+        end: Nanoseconds,
+    ) {
+        emit_round_span(trace, name, round, stat, start, end);
+        if let Some(lanes) = &self.lanes {
+            lanes.trace_stripes(trace, round, end);
+        }
+    }
+
+    /// What the compressors did so far (None when sending raw).
+    fn compression_stats(&self) -> Option<crate::CompressionStats> {
+        match &self.lanes {
+            None => self.src.compression_stats(),
+            Some(lanes) => lanes.compression_stats(),
+        }
     }
 
     /// Wire bytes this migration has put on the channel so far.
@@ -525,12 +646,23 @@ impl StopAndCopy {
         trace: &Trace,
     ) -> Result<MigrationReport> {
         let (mut stream, after_hello) =
-            SerialStream::open(MigrationSource::raw(source), dest, transport)?;
+            Stream::open_serial(MigrationSource::raw(source), dest, transport)?;
+        Self::run(&mut stream, after_hello, vcpus, trace)
+    }
+
+    /// The stop-and-copy engine over an open stream.
+    pub(crate) fn run(
+        stream: &mut Stream<'_, '_>,
+        after_hello: Nanoseconds,
+        vcpus: &[VcpuState],
+        trace: &Trace,
+    ) -> Result<MigrationReport> {
+        let source = stream.src.memory;
         let start = stream.start;
 
         let all_pages: Vec<u64> = (0..source.total_pages()).collect();
         let (after_pages, round) = stream.round(&all_pages, after_hello)?;
-        emit_round_span(trace, "round", 1, round, after_hello, after_pages);
+        stream.trace_round(trace, "round", 1, round, after_hello, after_pages);
 
         let done = stream.vcpu_states(vcpus, after_pages)?;
 
@@ -595,7 +727,20 @@ impl PreCopy {
     ) -> Result<MigrationReport> {
         config.validate()?;
         let src = MigrationSource::with_config(source, config);
-        let (mut stream, mut now) = SerialStream::open(src, dest, transport)?;
+        let (mut stream, after_hello) = Stream::open_serial(src, dest, transport)?;
+        Self::run(&mut stream, after_hello, vcpus, dirty_source, config, trace)
+    }
+
+    /// The iterative pre-copy engine over an open stream.
+    pub(crate) fn run(
+        stream: &mut Stream<'_, '_>,
+        mut now: Nanoseconds,
+        vcpus: &[VcpuState],
+        dirty_source: &mut dyn DirtySource,
+        config: &MigrationConfig,
+        trace: &Trace,
+    ) -> Result<MigrationReport> {
+        let source = stream.src.memory;
         let start = stream.start;
 
         let mut total_pages = 0u64;
@@ -614,7 +759,7 @@ impl PreCopy {
             let (done, stat) = stream.round(&to_send, now)?;
             total_pages += stat.pages;
             breakdown.push(stat);
-            emit_round_span(trace, "round", rounds, stat, round_start, done);
+            stream.trace_round(trace, "round", rounds, stat, round_start, done);
             dirty_source.run_for(source, stat.duration)?;
             now = done;
 
@@ -633,7 +778,7 @@ impl PreCopy {
         let (after_residual, stop_stat) = stream.round(&to_send, now)?;
         total_pages += stop_stat.pages;
         breakdown.push(stop_stat);
-        emit_round_span(
+        stream.trace_round(
             trace,
             "stop-phase",
             rounds + 1,
@@ -656,7 +801,7 @@ impl PreCopy {
             avg_fault_latency: Nanoseconds::ZERO,
             rounds_breakdown: breakdown,
         };
-        emit_migration_span(trace, &report, start, done, stream.src.compression_stats());
+        emit_migration_span(trace, &report, start, done, stream.compression_stats());
         Ok(report)
     }
 }
@@ -734,8 +879,8 @@ impl PostCopy {
         Self::stream_over(source, dest, vcpus, transport, config, trace, true)
     }
 
-    /// Both fault-service disciplines: they differ only in how the page
-    /// phase is cut into rounds and in what the faults cost afterwards.
+    /// Open a serial stream and run the engine under either fault-service
+    /// discipline.
     fn stream_over(
         source: &GuestMemory,
         dest: &GuestMemory,
@@ -747,7 +892,22 @@ impl PostCopy {
     ) -> Result<MigrationReport> {
         config.validate()?;
         let (mut stream, after_hello) =
-            SerialStream::open(MigrationSource::raw(source), dest, transport)?;
+            Stream::open_serial(MigrationSource::raw(source), dest, transport)?;
+        Self::run(&mut stream, after_hello, vcpus, config, trace, fault_lane)
+    }
+
+    /// The post-copy engine over an open stream, under both fault-service
+    /// disciplines: they differ only in how the page phase is cut into rounds
+    /// and in what the faults cost afterwards.
+    pub(crate) fn run(
+        stream: &mut Stream<'_, '_>,
+        after_hello: Nanoseconds,
+        vcpus: &[VcpuState],
+        config: &MigrationConfig,
+        trace: &Trace,
+        fault_lane: bool,
+    ) -> Result<MigrationReport> {
+        let source = stream.src.memory;
         let start = stream.start;
 
         // Pause: only the vCPU/device state crosses before resume, under
@@ -767,7 +927,7 @@ impl PostCopy {
             // Round 1 — the fault lane: every demand-faulted page crosses
             // in one dedicated burst, ahead of the sweep.
             let (after_lane, lane_round) = stream.round(lane_pages, now)?;
-            emit_round_span(trace, "fault-lane", 1, lane_round, now, after_lane);
+            stream.trace_round(trace, "fault-lane", 1, lane_round, now, after_lane);
             breakdown.push(lane_round);
             now = after_lane;
         }
@@ -778,7 +938,7 @@ impl PostCopy {
         } else {
             ("round", 1)
         };
-        emit_round_span(trace, name, number, sweep_round, now, after_sweep);
+        stream.trace_round(trace, name, number, sweep_round, now, after_sweep);
         breakdown.push(sweep_round);
 
         let transport = &*stream.transport;
@@ -815,6 +975,7 @@ impl PostCopy {
 mod tests {
     use super::*;
     use crate::dirty::{ConstantRateDirtier, IdleDirtier};
+    use crate::transport::refusing::{refusal, RefusingTransport};
     use crate::transport::{FabricTransport, LoopbackTransport};
     use rvisor_net::{Fabric, FabricParams, Link, LinkModel};
     use rvisor_types::{ByteSize, GuestAddress};
@@ -1186,52 +1347,6 @@ mod tests {
         }
     }
 
-    /// A loopback that refuses its `fail_on`-th `transmit_bytes`, as a
-    /// transport whose endpoint failed mid-migration does.
-    struct RefusingTransport<'l> {
-        inner: LoopbackTransport<'l>,
-        calls: u32,
-        fail_on: u32,
-    }
-
-    fn refusal() -> Error {
-        Error::Migration("endpoint failed".into())
-    }
-
-    impl Transport for RefusingTransport<'_> {
-        fn free_at(&self) -> Nanoseconds {
-            self.inner.free_at()
-        }
-        fn send(&mut self, frame: &[u8]) -> Result<()> {
-            self.inner.send(frame)
-        }
-        fn send_built(&mut self, build: &mut dyn FnMut(&mut Vec<u8>)) -> Result<()> {
-            self.inner.send_built(build)
-        }
-        fn deliver(&mut self, now: Nanoseconds) -> Result<(Nanoseconds, Vec<u8>)> {
-            self.inner.deliver(now)
-        }
-        fn transmit_bytes(&mut self, now: Nanoseconds, bytes: u64) -> Result<Nanoseconds> {
-            self.calls += 1;
-            if self.calls == self.fail_on {
-                return Err(refusal());
-            }
-            self.inner.transmit_bytes(now, bytes)
-        }
-        fn recycle(&mut self, buf: Vec<u8>) {
-            self.inner.recycle(buf)
-        }
-        fn latency(&self) -> Nanoseconds {
-            self.inner.latency()
-        }
-        fn transfer_time(&self, bytes: u64) -> Nanoseconds {
-            self.inner.transfer_time(bytes)
-        }
-        fn bytes_sent(&self) -> u64 {
-            self.inner.bytes_sent()
-        }
-    }
-
     fn run_engine(
         engine: usize,
         src: &GuestMemory,
@@ -1273,11 +1388,7 @@ mod tests {
                 let (bytes_before, dirty_before) = (region_bytes(&src), src.dirty_pages());
 
                 let mut link = Link::new(LinkModel::gigabit());
-                let mut refusing = RefusingTransport {
-                    inner: LoopbackTransport::new(&mut link),
-                    calls: 0,
-                    fail_on,
-                };
+                let mut refusing = RefusingTransport::new(&mut link, fail_on);
                 let err = run_engine(engine, &src, &dst, &mut refusing)
                     .expect_err("the refused transfer must fail the migration");
                 assert_eq!(err, refusal(), "engine {engine}, transfer {fail_on}");

@@ -7,8 +7,8 @@
 //!   [`Transport::latency`], [`Transport::transfer_time`] and
 //!   [`Transport::bytes_sent`] — is what every engine uses. A round is one
 //!   *simulated* transfer: the engine streams its frames to the sink itself
-//!   (the serial engines in cache-sized segments through one reused buffer,
-//!   the pipelined engine over channels to a sink thread) and charges the
+//!   (in cache-sized segments through one reused buffer — one for a serial
+//!   engine, one per stripe lane for the pipelined engine) and charges the
 //!   round's total bytes to the channel with a single `transmit_bytes` /
 //!   `transmit_striped`. The transport times and counts bytes; it does not
 //!   carry them.
@@ -297,6 +297,73 @@ impl<F: FabricModel> Transport for FabricTransport<'_, F> {
 
     fn bytes_sent(&self) -> u64 {
         self.buf.bytes_sent
+    }
+}
+
+/// A transport that fails on demand, for the engines' failure-order tests.
+#[cfg(test)]
+pub(crate) mod refusing {
+    use super::*;
+    use rvisor_types::Error;
+
+    /// A loopback that refuses the `fail_on`-th transfer charged to it
+    /// (`transmit_bytes` or `transmit_striped`), as a transport whose
+    /// endpoint failed mid-migration does.
+    pub(crate) struct RefusingTransport<'l> {
+        inner: LoopbackTransport<'l>,
+        /// Transfers asked for so far, the refused one included.
+        pub(crate) calls: u32,
+        fail_on: u32,
+    }
+
+    impl<'l> RefusingTransport<'l> {
+        pub(crate) fn new(link: &'l mut Link, fail_on: u32) -> Self {
+            RefusingTransport {
+                inner: LoopbackTransport::new(link),
+                calls: 0,
+                fail_on,
+            }
+        }
+    }
+
+    /// The error a refused transfer fails with.
+    pub(crate) fn refusal() -> Error {
+        Error::Migration("endpoint failed".into())
+    }
+
+    impl Transport for RefusingTransport<'_> {
+        fn free_at(&self) -> Nanoseconds {
+            self.inner.free_at()
+        }
+        fn send(&mut self, frame: &[u8]) -> Result<()> {
+            self.inner.send(frame)
+        }
+        fn send_built(&mut self, build: &mut dyn FnMut(&mut Vec<u8>)) -> Result<()> {
+            self.inner.send_built(build)
+        }
+        fn deliver(&mut self, now: Nanoseconds) -> Result<(Nanoseconds, Vec<u8>)> {
+            self.inner.deliver(now)
+        }
+        // `transmit_striped` is the provided method, which lands here too.
+        fn transmit_bytes(&mut self, now: Nanoseconds, bytes: u64) -> Result<Nanoseconds> {
+            self.calls += 1;
+            if self.calls == self.fail_on {
+                return Err(refusal());
+            }
+            self.inner.transmit_bytes(now, bytes)
+        }
+        fn recycle(&mut self, buf: Vec<u8>) {
+            self.inner.recycle(buf)
+        }
+        fn latency(&self) -> Nanoseconds {
+            self.inner.latency()
+        }
+        fn transfer_time(&self, bytes: u64) -> Nanoseconds {
+            self.inner.transfer_time(bytes)
+        }
+        fn bytes_sent(&self) -> u64 {
+            self.inner.bytes_sent()
+        }
     }
 }
 

@@ -44,8 +44,6 @@ use rvisor_vcpu::cpu::{PrivMode, NUM_CSRS};
 use rvisor_vcpu::isa::NUM_REGS;
 use rvisor_vcpu::VcpuState;
 
-use crate::compress::WirePage;
-
 /// Stream magic: `"RVM1"`.
 pub const WIRE_MAGIC: u32 = 0x3152_564D;
 /// Current wire-format version. Bump on any incompatible layout change;
@@ -248,15 +246,6 @@ pub fn put_page_zero(out: &mut Vec<u8>, page: u64) {
 /// Append an XBZRLE delta frame.
 pub fn put_page_delta(out: &mut Vec<u8>, page: u64, delta: &[u8]) {
     put_frame(out, FrameKind::Page, MODE_DELTA, page, delta);
-}
-
-/// Append the frame for one compressed page.
-pub fn put_wire_page(out: &mut Vec<u8>, page: u64, wire: &WirePage) {
-    match wire {
-        WirePage::Raw(bytes) => put_page_raw(out, page, bytes),
-        WirePage::Zero => put_page_zero(out, page),
-        WirePage::Delta(delta) => put_page_delta(out, page, delta),
-    }
 }
 
 /// Append a run of `count` consecutive all-zero pages starting at

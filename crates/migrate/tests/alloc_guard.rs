@@ -11,18 +11,17 @@
 //! counted only once that thread has marked itself, so neither another test
 //! nor the harness (which prints from its own thread when a test runs long)
 //! can land an allocation inside a bracket that asserts exactly zero. The
-//! pipelined engine's stripe and sink threads are spawned by the engine, not
-//! by the test, so part 3 reads the process-wide counter instead, and reads
-//! it at every round boundary of one migration: how many rounds the burst
-//! buffers take to reach their high-water capacities depends on how the
-//! scheduler interleaves those threads (the same 12-round migration made
-//! 257–383 allocations over 37 runs), so a difference between the totals of
-//! two migrations is noise, while a warmed-up round allocates exactly
-//! nothing under every schedule.
+//! pipelined engine's lanes are threads spawned by the engine, not by the
+//! test, so part 3 reads the process-wide counter instead, and reads it at
+//! every round boundary of one migration: each lane owns one segment buffer
+//! of fixed capacity and one recycled page list, so past the first rounds
+//! the only allocations left, on any thread and under every schedule, are
+//! the ones the standard library makes when a thread first waits on a
+//! channel.
 //!
-//! The allocator also records the largest size a marked thread asks for,
-//! which part 5 uses to pin that the serial streamed engines never
-//! materialise a round as one guest-sized buffer.
+//! The allocator also records the largest size any thread asks for, which
+//! part 5 uses to pin that no streamed engine, serial or pipelined,
+//! materialises a round — or a stripe of one — as one buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -42,13 +41,13 @@ use rvisor_vcpu::VcpuState;
 
 /// Counts every allocation (and reallocation) passed to the system
 /// allocator: all of them in `ALL_THREADS`, those of threads that called
-/// [`count_this_thread`] in `MARKED_THREADS` too, with the largest size such
-/// a thread asked for in `MARKED_LARGEST`.
+/// [`count_this_thread`] in `MARKED_THREADS` too, with the largest size any
+/// thread asked for in `ALL_LARGEST`.
 struct CountingAllocator;
 
 static ALL_THREADS: AtomicU64 = AtomicU64::new(0);
+static ALL_LARGEST: AtomicU64 = AtomicU64::new(0);
 static MARKED_THREADS: AtomicU64 = AtomicU64::new(0);
-static MARKED_LARGEST: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     // Const-initialised and without a destructor, so reading it from inside
@@ -62,9 +61,9 @@ fn count_this_thread() {
 
 fn count(size: usize) {
     ALL_THREADS.fetch_add(1, Ordering::Relaxed);
+    ALL_LARGEST.fetch_max(size as u64, Ordering::Relaxed);
     if MARKED.try_with(Cell::get).unwrap_or(false) {
         MARKED_THREADS.fetch_add(1, Ordering::Relaxed);
-        MARKED_LARGEST.fetch_max(size as u64, Ordering::Relaxed);
     }
 }
 
@@ -235,17 +234,17 @@ fn steady_state_precopy_round_is_allocation_free() {
 
     // ---- Part 3: the pipelined multi-stream engine, bounded end to end. ----
     //
-    // A pipelined migration is allowed its setup: thread spawns, channel
-    // construction, and warm-up growth of the per-stripe burst buffers and
-    // page lists (the cycling dirtier shifts load between stripes, so a
-    // buffer grows whenever it meets a larger burst than it has held
-    // before; which round that happens in depends on the order buffers
-    // come back from the sink). Once warm, the bounded channel of recycled
-    // buffers must actually recycle: a round that streams thousands of
-    // pages through 4 stripes and the sink thread allocates **nothing**, on
-    // any thread. Of the 28 rounds of a non-converging guest, 14–20 are
-    // such rounds (40 runs); a buffer dropped instead of recycled, or
-    // anything allocated per round or per page, leaves none.
+    // A pipelined migration is allowed its setup: four lane threads, a pair
+    // of channels, a page list and a segment buffer each, and the harvest
+    // list growing in round 2. After that the one thing left to allocate is
+    // a first wait on an empty channel: the standard library allocates a
+    // thread's wait context and a channel's waiter list the first time that
+    // thread blocks and that channel is blocked on, in whichever round the
+    // scheduler first lets it happen — at most once per thread and once per
+    // channel. Nothing else may: the rounds after the second, which stream
+    // thousands of pages down 4 lanes each, together allocate at most those
+    // first waits, where a buffer regrown per round, a list dropped instead
+    // of recycled, or anything allocated per page would allocate dozens.
     const ROUNDS: u32 = 28;
     let src = GuestMemory::flat(ByteSize::pages_of(PAGES)).unwrap();
     let dst = GuestMemory::flat(ByteSize::pages_of(PAGES)).unwrap();
@@ -291,17 +290,21 @@ fn steady_state_precopy_round_is_allocation_free() {
         .windows(2)
         .map(|marks| marks[1] - marks[0])
         .collect();
-    let quiet_rounds = per_round.iter().filter(|&&n| n == 0).count();
+    assert_eq!(per_round.len() as u32, ROUNDS - 1);
+    // Five threads' contexts, eight channels' waiter lists.
+    let streams = config.streams.get() as u64;
+    let first_waits = (streams + 1) + 2 * streams;
+    let after_second: u64 = per_round[1..].iter().sum();
     assert!(
-        quiet_rounds >= 8,
-        "only {quiet_rounds} of {} pipelined rounds were allocation-free \
-         (allocations per round: {per_round:?}); the channel/buffer recycling \
-         has regressed",
-        per_round.len()
+        after_second <= first_waits,
+        "the pipelined rounds after the second performed {after_second} allocations \
+         (per round: {per_round:?}), more than the first waits account for; \
+         the lanes' buffer or page-list reuse has regressed"
     );
-    // The whole pipelined migration — threads, channels, pools, dozens of
-    // rounds over thousands of pages — stays within a fixed setup budget.
-    const PIPELINE_BUDGET: u64 = 1024;
+    // The whole pipelined migration — threads, channels, lists, segments,
+    // dozens of rounds over thousands of pages — stays within a fixed setup
+    // budget (67 on the toolchain this was written with).
+    const PIPELINE_BUDGET: u64 = 80;
     assert!(
         pipeline_allocations <= PIPELINE_BUDGET,
         "a {ROUNDS}-round pipelined migration performed {pipeline_allocations} \
@@ -372,13 +375,15 @@ fn steady_state_precopy_round_is_allocation_free() {
          free on the hot path"
     );
 
-    // ---- Part 5: a serial round is never one guest-sized buffer. ----
+    // ---- Part 5: a round is never one guest- or stripe-sized buffer. ----
     //
-    // A round is one simulated transfer, not one unit of host memory: the
-    // serial engines stream it through a segment buffer of about 260 KiB.
-    // Migrating this 16 MiB guest, the largest thing any of them asks the
-    // allocator for is that buffer (the page-index list is 32 KiB); a round
-    // materialised as one burst would ask for 16 MiB.
+    // A round is one simulated transfer, not one unit of host memory: every
+    // streamed engine moves it through segment buffers of about 260 KiB, one
+    // in a serial engine, one per lane in a pipelined one. Migrating this
+    // 16 MiB guest, the largest thing any of them asks the allocator for, on
+    // any thread, is that buffer (the page-index list is 32 KiB); a round
+    // materialised as one burst would ask for 16 MiB, a 4-stream round
+    // materialised as stripe bodies for more than 4 MiB each.
     const LARGEST_REQUEST: u64 = 1 << 20;
     let src = GuestMemory::flat(ByteSize::pages_of(PAGES)).unwrap();
     for p in 0..PAGES {
@@ -387,26 +392,46 @@ fn steady_state_precopy_round_is_allocation_free() {
     }
     let vcpus = [VcpuState::default()];
     let config = MigrationConfig::default();
-    for engine in ["stop-and-copy", "pre-copy", "post-copy", "fault-lane"] {
+    let four_streams = MigrationConfig {
+        streams: NonZeroUsize::new(4).unwrap(),
+        ..config
+    };
+    let (dirtier, lanes) = (&mut IdleDirtier, &four_streams);
+    for engine in [
+        "stop-and-copy",
+        "pre-copy",
+        "post-copy",
+        "fault-lane",
+        "4-stream stop-and-copy",
+        "4-stream pre-copy",
+        "4-stream post-copy",
+    ] {
         let dst = GuestMemory::flat(ByteSize::pages_of(PAGES)).unwrap();
         let mut link = Link::new(LinkModel::gigabit());
         let mut transport = LoopbackTransport::new(&mut link);
         let transport = &mut transport;
-        MARKED_LARGEST.store(0, Ordering::Relaxed);
+        ALL_LARGEST.store(0, Ordering::Relaxed);
         match engine {
             "stop-and-copy" => StopAndCopy::migrate_over(&src, &dst, &vcpus, transport),
-            "pre-copy" => {
-                PreCopy::migrate_over(&src, &dst, &vcpus, transport, &mut IdleDirtier, &config)
-            }
+            "pre-copy" => PreCopy::migrate_over(&src, &dst, &vcpus, transport, dirtier, &config),
             "post-copy" => PostCopy::migrate_over(&src, &dst, &vcpus, transport, &config),
-            _ => PostCopy::migrate_fault_lane_over(&src, &dst, &vcpus, transport, &config),
+            "fault-lane" => {
+                PostCopy::migrate_fault_lane_over(&src, &dst, &vcpus, transport, &config)
+            }
+            "4-stream stop-and-copy" => {
+                StopAndCopy::migrate_pipelined(&src, &dst, &vcpus, transport, lanes)
+            }
+            "4-stream pre-copy" => {
+                PreCopy::migrate_pipelined(&src, &dst, &vcpus, transport, dirtier, lanes)
+            }
+            _ => PostCopy::migrate_pipelined(&src, &dst, &vcpus, transport, lanes),
         }
         .unwrap();
-        let largest = MARKED_LARGEST.load(Ordering::Relaxed);
+        let largest = ALL_LARGEST.load(Ordering::Relaxed);
         assert_eq!(src.checksum(), dst.checksum(), "{engine}");
         assert!(
             largest <= LARGEST_REQUEST,
-            "the serial {engine} engine asked the allocator for {largest} bytes at once \
+            "the {engine} engine asked the allocator for {largest} bytes at once \
              migrating a {} byte guest; rounds must stream in segments",
             PAGES * PAGE_SIZE
         );

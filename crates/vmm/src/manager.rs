@@ -428,11 +428,9 @@ impl Vmm {
     /// the entry point the orchestrator's adaptive planner drives.
     ///
     /// Beyond [`Vmm::migrate_to_over_traced`] this honours the plan-only
-    /// knobs: [`FaultService::FaultLane`] routes post-copy demand faults
+    /// knob: [`FaultService::FaultLane`] routes post-copy demand faults
     /// over a dedicated serial lane that overtakes the background sweep
-    /// (the lane *is* the second stream, so `streams` is ignored there),
-    /// and `compressors` sizes the decoupled compression stage of the
-    /// pipelined pre-copy data plane independently of `streams`.
+    /// (the lane *is* the second stream, so `streams` is ignored there).
     pub fn migrate_to_planned_traced(
         &mut self,
         id: VmId,
