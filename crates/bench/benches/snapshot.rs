@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::time::Duration;
 
 use rvisor_memory::GuestMemory;
-use rvisor_snapshot::{MemorySnapshot, SnapshotStore, VmSnapshot};
+use rvisor_snapshot::{MemorySnapshot, SnapshotId, SnapshotStore, VmSnapshot};
 use rvisor_types::{ByteSize, GuestAddress, Nanoseconds, VmId, PAGE_SIZE};
 use rvisor_vcpu::VcpuState;
 
@@ -99,6 +99,45 @@ fn bench(c: &mut Criterion) {
                     MemorySnapshot::capture_pages(&mem, &dirty)
                         .unwrap()
                         .page_count()
+                })
+            },
+        );
+    }
+
+    // One DR backup epoch of a guest that has not run since its parent
+    // epoch (85 % of `clos_day`'s backups), on one guest, whose 256 KiB stay
+    // in cache between iterations, and round-robin over the day's 1 024
+    // guests, whose 256 MiB do not. A warm row alone understated what the
+    // day paid per epoch threefold; see EXPERIMENTS.md E23.
+    for guests in [1usize, 1024] {
+        group.throughput(Throughput::Bytes(256 << 10));
+        group.bench_with_input(
+            BenchmarkId::new("incremental_epoch_clean_256KiB_round_robin", guests),
+            &guests,
+            |b, &guests| {
+                let fleet: Vec<GuestMemory> = (0..guests)
+                    .map(|_| {
+                        let mem = GuestMemory::flat(ByteSize::kib(256)).unwrap();
+                        dirty_fraction_of(&mem, 1.0);
+                        full_snapshot(&mem);
+                        mem.clear_dirty();
+                        mem
+                    })
+                    .collect();
+                let mut epoch = 0usize;
+                b.iter(|| {
+                    epoch += 1;
+                    VmSnapshot::capture_incremental(
+                        VmId::new(1),
+                        "epoch",
+                        Nanoseconds::ZERO,
+                        SnapshotId(0),
+                        &fleet[epoch % guests],
+                        vec![VcpuState::default()],
+                        Default::default(),
+                    )
+                    .unwrap()
+                    .memory_checksum
                 })
             },
         );

@@ -65,7 +65,10 @@ impl Balloon {
     ///
     /// Pages are chosen from the top of guest memory downwards (real balloon
     /// drivers prefer high pages to keep low DMA-able memory available).
-    /// Their contents are discarded. Returns the global indices taken.
+    /// Their contents are discarded: zeroed and marked dirty
+    /// ([`GuestMemory::discard_page`]), so the next incremental snapshot or
+    /// pre-copy round carries the zero pages. Returns the global indices
+    /// taken.
     pub fn inflate(&self, pages: u64) -> Result<Vec<u64>> {
         let mut inner = self.inner.lock();
         let total = self.memory.total_pages();

@@ -55,24 +55,9 @@ impl DirtyBitmap {
     /// page. Out-of-range pages are ignored, exactly as [`Self::mark`] does.
     pub fn mark_range(&self, first: u64, count: u64) {
         let end = first.saturating_add(count).min(self.pages);
-        if first >= end {
-            return;
-        }
-        let mut page = first;
-        while page < end {
-            let word = (page / 64) as usize;
-            let first_bit = page % 64;
-            // Pages of this word covered by the range: [first_bit, last_bit].
-            let last_bit = ((end - 1).min(word as u64 * 64 + 63)) % 64;
-            let width = last_bit - first_bit + 1;
-            let mask = if width == 64 {
-                u64::MAX
-            } else {
-                ((1u64 << width) - 1) << first_bit
-            };
+        for_each_word_mask(first, end, |word, mask| {
             self.words[word].fetch_or(mask, Ordering::Relaxed);
-            page = (word as u64 + 1) * 64;
-        }
+        });
     }
 
     /// Whether `page` is currently marked dirty.
@@ -206,6 +191,32 @@ impl DirtyBitmap {
         } else {
             self.count() as f64 / self.pages as f64
         }
+    }
+}
+
+/// Call `f(word index, bit mask)` for each 64-page word the page range
+/// `[first, end)` touches, the mask covering exactly the range's pages in
+/// that word. An empty range makes no call.
+///
+/// The one place the one-bit-per-page layout is turned into word masks:
+/// [`DirtyBitmap::mark_range`] ORs them into its atomic words, and
+/// `MemoryRegion` ORs them into the plain words of its checksum plane.
+#[inline]
+pub(crate) fn for_each_word_mask(first: u64, end: u64, mut f: impl FnMut(usize, u64)) {
+    let mut page = first;
+    while page < end {
+        let word = page / 64;
+        let first_bit = page % 64;
+        // Pages of this word covered by the range: [first_bit, last_bit].
+        let last_bit = (end - 1).min(word * 64 + 63) % 64;
+        let width = last_bit - first_bit + 1;
+        let mask = if width == 64 {
+            u64::MAX
+        } else {
+            ((1u64 << width) - 1) << first_bit
+        };
+        f(word as usize, mask);
+        page = (word + 1) * 64;
     }
 }
 

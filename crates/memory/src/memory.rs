@@ -1,4 +1,10 @@
 //! The guest physical address space: an ordered set of regions.
+//!
+//! [`GuestMemory`] routes every access to the [`MemoryRegion`] that backs it;
+//! it holds no guest bytes and no cache of its own. In particular
+//! [`GuestMemory::checksum`] is just the wrapping sum of the regions' cached
+//! folds, and every `GuestMemory` mutator is a `MemoryRegion` mutator of the
+//! same name, so the one marking rule in [`crate::region`] covers both types.
 
 use std::sync::Arc;
 
@@ -330,7 +336,8 @@ impl GuestMemory {
         region.write_page(rel, contents)
     }
 
-    /// Zero a whole (global) page index without marking it dirty.
+    /// Zero a whole (global) page index, marking it dirty (see
+    /// [`MemoryRegion::discard_page`]).
     pub fn discard_page(&self, page: u64) -> Result<()> {
         let (region, rel) = self.locate_page(page)?;
         region.discard_page(rel)
@@ -432,21 +439,37 @@ impl GuestMemory {
 
     /// A simple additive checksum of all guest memory: per region, every
     /// byte times its offset in the region with the lowest bit set, summed
-    /// wrapping in `u64`.
+    /// wrapping in `u64`. Not cryptographic.
     ///
-    /// Cheap enough for tests and migration verification; not cryptographic.
+    /// A call reads the pages written since the previous call plus 8 bytes
+    /// per page, not every byte: each region caches one partial sum per page
+    /// (8 bytes + 1 bit per page, 0.2 % of the guest), every mutator marks
+    /// the pages it touches, and only marked pages are read again — see
+    /// [`crate::region`] for the marking rule and why a write racing a
+    /// checksum is seen by this call or by the next, never lost. A backup
+    /// epoch or a migration verification of a guest that has not run since
+    /// the last one re-reads nothing. Concurrent callers serialise per
+    /// region and agree on a quiescent guest.
     pub fn checksum(&self) -> u64 {
-        self.regions
-            .iter()
-            .map(|r| r.with_bytes(crate::scan::weighted_sum))
-            .fold(0u64, |a, b| a.wrapping_add(b))
+        self.checksum_counting_resums().0
+    }
+
+    /// [`Self::checksum`], and the number of pages it had to re-sum — how
+    /// tests show, without a clock, that the work follows the change.
+    pub(crate) fn checksum_counting_resums(&self) -> (u64, u64) {
+        self.regions.iter().fold((0, 0), |(sum, pages), r| {
+            let (s, p) = r.checksum();
+            (sum.wrapping_add(s), pages + p)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scan::{checksum_bytewise, weighted_sum_bytewise};
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn two_region_memory() -> GuestMemory {
         GuestMemoryBuilder::new()
@@ -681,6 +704,345 @@ mod tests {
     }
 
     #[test]
+    fn checksum_resums_only_the_pages_written_since_the_last_one() {
+        let mem = two_adjacent_regions();
+        // A fresh guest is all zero: nothing is marked, nothing is read.
+        assert_eq!(mem.checksum_counting_resums(), (0, 0));
+
+        // Five writes, k = 4 distinct pages: 1 twice, then 3 and 4 by one
+        // write straddling the region edge, then 7.
+        mem.write_u64(GuestAddress(PAGE_SIZE + 8), 0xdead).unwrap();
+        mem.write_u8(GuestAddress(2 * PAGE_SIZE - 1), 9).unwrap();
+        mem.write_u64(GuestAddress(4 * PAGE_SIZE - 4), u64::MAX)
+            .unwrap();
+        mem.with_page_mut(7, |b| b[100] = 1).unwrap();
+        mem.discard_page(7).unwrap();
+        assert_eq!(mem.checksum_counting_resums(), (checksum_bytewise(&mem), 4));
+        assert_eq!(mem.checksum_counting_resums(), (checksum_bytewise(&mem), 0));
+
+        // The dirty harvest and the checksum plane are separate: draining or
+        // clearing dirty bits neither hides a write from the next checksum
+        // nor makes it read a page again.
+        mem.fill(GuestAddress(5 * PAGE_SIZE), PAGE_SIZE, 0xab)
+            .unwrap();
+        assert_eq!(mem.drain_dirty(), vec![1, 3, 4, 5, 7]);
+        mem.write_page(6, &vec![0x11; PAGE_SIZE as usize]).unwrap();
+        mem.clear_dirty();
+        assert_eq!(mem.checksum_counting_resums(), (checksum_bytewise(&mem), 2));
+        mem.mark_dirty_page(2);
+        mem.clear_dirty();
+        assert_eq!(mem.checksum_counting_resums().1, 0);
+    }
+
+    #[test]
+    fn incremental_epoch_of_an_untouched_guest_resums_nothing() {
+        // The memory-side calls of `VmSnapshot::capture_full`, `clear_dirty`
+        // and `VmSnapshot::capture_incremental`, in a DR backup's order.
+        let mem = two_region_memory();
+        for page in 0..mem.total_pages() {
+            mem.with_page_mut(page, |b| b.fill(page as u8 + 1)).unwrap();
+        }
+        let parent = mem.checksum_counting_resums();
+        assert_eq!(parent, (checksum_bytewise(&mem), 8));
+        mem.clear_dirty();
+
+        let mut pages = 0;
+        mem.drain_dirty_pages_with(|_, _| {
+            pages += 1;
+            Ok::<(), std::convert::Infallible>(())
+        })
+        .unwrap();
+        assert_eq!(pages, 0);
+        assert_eq!(mem.checksum_counting_resums(), (parent.0, 0));
+    }
+
+    #[test]
+    fn checksum_is_exact_under_concurrent_writers() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+
+        let mem = two_adjacent_regions();
+        let start = Barrier::new(3);
+        let writers_done = AtomicBool::new(false);
+        // Writer `w` owns pages `w` and `w + 4`; both also write pages 2, 3
+        // and the span straddling the region edge.
+        let writer = |w: u64| {
+            start.wait();
+            for i in 0..4_000u64 {
+                let v = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+                mem.write_u64(GuestAddress(w * PAGE_SIZE + (i % 500) * 8), v)
+                    .unwrap();
+                mem.with_page_mut(w + 4, |b| b[(i % PAGE_SIZE) as usize] = v as u8)
+                    .unwrap();
+                mem.write_u64(GuestAddress(2 * PAGE_SIZE + (i % 64) * 8), v)
+                    .unwrap();
+                mem.write_u64(GuestAddress(4 * PAGE_SIZE - 4), v).unwrap();
+                if i % 97 == 0 {
+                    mem.discard_page(3).unwrap();
+                }
+            }
+        };
+        std::thread::scope(|s| {
+            let a = s.spawn(|| writer(0));
+            let b = s.spawn(|| writer(1));
+            let summer = s.spawn(|| {
+                start.wait();
+                loop {
+                    std::hint::black_box(mem.checksum());
+                    if writers_done.load(Ordering::Acquire) {
+                        break;
+                    }
+                }
+            });
+            a.join().expect("writer 0");
+            b.join().expect("writer 1");
+            writers_done.store(true, Ordering::Release);
+            summer.join().expect("summer");
+        });
+        // Whatever interleaving happened, no write was lost to the cache.
+        assert_eq!(mem.checksum(), checksum_bytewise(&mem));
+        assert_eq!(mem.checksum_counting_resums().1, 0);
+    }
+
+    #[test]
+    fn concurrent_checksums_of_a_quiescent_guest_agree() {
+        let mem = two_adjacent_regions();
+        for round in 0..50u64 {
+            // Leave marks pending, so both callers race to refresh them.
+            for page in 0..mem.total_pages() {
+                mem.write_u64(GuestAddress(page * PAGE_SIZE + 8 * round), round + page + 1)
+                    .unwrap();
+            }
+            let start = std::sync::Barrier::new(2);
+            let summed = || {
+                start.wait();
+                mem.checksum()
+            };
+            let (a, b) = std::thread::scope(|s| {
+                let a = s.spawn(summed);
+                let b = s.spawn(summed);
+                (a.join().expect("caller a"), b.join().expect("caller b"))
+            });
+            assert_eq!(a, b);
+            assert_eq!(a, checksum_bytewise(&mem));
+        }
+    }
+
+    /// `pub` and `pub(crate)` method names of a source file's non-test part.
+    fn declared_fns(source: &str) -> BTreeSet<&str> {
+        let code = source.split("#[cfg(test)]").next().unwrap();
+        code.lines()
+            .filter_map(|line| {
+                let line = line.trim_start();
+                let rest = line
+                    .strip_prefix("pub fn ")
+                    .or_else(|| line.strip_prefix("pub(crate) fn "))?;
+                rest.split(['<', '(']).next()
+            })
+            .collect()
+    }
+
+    /// A call that changes guest bytes through the method it is listed
+    /// with; `None` for a method that cannot.
+    type Mutation = Option<fn(&GuestMemory)>;
+
+    /// Every `pub`/`pub(crate)` method of `MemoryRegion` and (below) of
+    /// `GuestMemory` and its builder. A method added to either file fails
+    /// `every_mutator_marks_the_checksum_plane` until it is listed here —
+    /// and, if it is a mutator, until a checksum sees what it wrote.
+    const REGION_FNS: &[(&str, Mutation)] = &[
+        ("new", None),
+        ("range", None),
+        ("start", None),
+        ("len", None),
+        ("is_empty", None),
+        ("pages", None),
+        ("dirty_bitmap", None),
+        ("read", None),
+        (
+            "write",
+            Some(|m| {
+                m.regions()[0]
+                    .write(GuestAddress(PAGE_SIZE - 2), &[1, 2, 3, 4])
+                    .unwrap()
+            }),
+        ),
+        (
+            "fill",
+            Some(|m| {
+                m.regions()[0]
+                    .fill(GuestAddress(100), 2 * PAGE_SIZE, 7)
+                    .unwrap()
+            }),
+        ),
+        ("with_page", None),
+        (
+            "with_page_mut",
+            Some(|m| m.regions()[1].with_page_mut(1, |b| b[9] = 9).unwrap()),
+        ),
+        ("page_fingerprint", None),
+        ("with_slice", None),
+        (
+            "with_slice_mut",
+            Some(|m| {
+                m.regions()[1]
+                    .with_slice_mut(GuestAddress(5 * PAGE_SIZE - 1), 2, |b| b.fill(3))
+                    .unwrap()
+            }),
+        ),
+        ("for_each_dirty_page", None),
+        ("drain_dirty_pages_with", None),
+        ("read_page", None),
+        (
+            "write_page",
+            Some(|m| {
+                m.regions()[0]
+                    .write_page(3, &[8; PAGE_SIZE as usize])
+                    .unwrap()
+            }),
+        ),
+        (
+            "discard_page",
+            Some(|m| m.regions()[1].discard_page(2).unwrap()),
+        ),
+        ("checksum", None),
+        ("with_bytes", None),
+    ];
+    const MEMORY_FNS: &[(&str, Mutation)] = &[
+        // GuestMemoryBuilder.
+        ("new", None),
+        ("with_region", None),
+        ("with_config", None),
+        ("build", None),
+        // GuestMemory.
+        ("flat", None),
+        ("regions", None),
+        ("total_size", None),
+        ("total_pages", None),
+        ("address_in_range", None),
+        ("range_in_single_region", None),
+        ("read", None),
+        (
+            "write",
+            Some(|m| {
+                m.write(GuestAddress(4 * PAGE_SIZE - 2), &[1, 2, 3, 4])
+                    .unwrap()
+            }),
+        ),
+        (
+            "fill",
+            Some(|m| {
+                m.fill(GuestAddress(3 * PAGE_SIZE + 5), 2 * PAGE_SIZE, 7)
+                    .unwrap()
+            }),
+        ),
+        ("read_u8", None),
+        ("read_u16", None),
+        ("read_u32", None),
+        ("read_u64", None),
+        (
+            "write_u8",
+            Some(|m| m.write_u8(GuestAddress(7 * PAGE_SIZE), 1).unwrap()),
+        ),
+        (
+            "write_u16",
+            Some(|m| m.write_u16(GuestAddress(PAGE_SIZE - 1), 0x0102).unwrap()),
+        ),
+        (
+            "write_u32",
+            Some(|m| {
+                m.write_u32(GuestAddress(4 * PAGE_SIZE - 2), 0x0102_0304)
+                    .unwrap()
+            }),
+        ),
+        (
+            "write_u64",
+            Some(|m| {
+                m.write_u64(GuestAddress(4 * PAGE_SIZE - 4), u64::MAX)
+                    .unwrap()
+            }),
+        ),
+        ("read_vec", None),
+        ("with_page", None),
+        (
+            "with_page_mut",
+            Some(|m| m.with_page_mut(6, |b| b[4095] = 1).unwrap()),
+        ),
+        ("page_fingerprint", None),
+        ("with_slice", None),
+        (
+            "with_slice_mut",
+            Some(|m| {
+                m.with_slice_mut(GuestAddress(4 * PAGE_SIZE), 8, |b| b.fill(2))
+                    .unwrap()
+            }),
+        ),
+        ("for_each_dirty_page", None),
+        ("drain_dirty_pages_with", None),
+        ("read_page", None),
+        (
+            "write_page",
+            Some(|m| m.write_page(5, &[8; PAGE_SIZE as usize]).unwrap()),
+        ),
+        ("discard_page", Some(|m| m.discard_page(2).unwrap())),
+        ("page_address", None),
+        ("address_page", None),
+        ("dirty_pages", None),
+        ("dirty_page_count", None),
+        ("drain_dirty_into", None),
+        ("drain_dirty", None),
+        ("clear_dirty", None),
+        ("mark_dirty_page", None),
+        ("checksum", None),
+        ("checksum_counting_resums", None),
+    ];
+
+    #[test]
+    fn every_mutator_marks_the_checksum_plane() {
+        let region_source = include_str!("region.rs");
+        for (file, source, listed) in [
+            ("region.rs", region_source, REGION_FNS),
+            ("memory.rs", include_str!("memory.rs"), MEMORY_FNS),
+        ] {
+            let listed_names: BTreeSet<&str> = listed.iter().map(|(name, _)| *name).collect();
+            assert_eq!(
+                declared_fns(source),
+                listed_names,
+                "{file}: classify every method as a mutator or not in this test's tables"
+            );
+            for (name, mutation) in listed {
+                let Some(mutate) = mutation else { continue };
+                let mem = two_adjacent_regions();
+                mem.fill(GuestAddress(0), 8 * PAGE_SIZE, 0x5a).unwrap();
+                let before = mem.checksum();
+                assert_eq!(before, checksum_bytewise(&mem));
+                mem.clear_dirty();
+                mutate(&mem);
+                assert_ne!(
+                    checksum_bytewise(&mem),
+                    before,
+                    "{file} {name} is listed as a mutator"
+                );
+                assert_eq!(
+                    mem.checksum(),
+                    checksum_bytewise(&mem),
+                    "{file} {name} left a stale sum"
+                );
+                assert_ne!(
+                    mem.dirty_page_count(),
+                    0,
+                    "{file} {name} left no dirty page"
+                );
+            }
+        }
+        // Guest bytes change only under the data write lock, and only two
+        // functions may take it: `mutate`, which marks, and the checksum
+        // refresh, which changes no byte.
+        let code = region_source.split("#[cfg(test)]").next().unwrap();
+        assert_eq!(code.matches("self.data.write()").count(), 2);
+    }
+
+    #[test]
     fn clone_shares_backing_store() {
         let mem = GuestMemory::flat(ByteSize::pages_of(1)).unwrap();
         let view = mem.clone();
@@ -698,6 +1060,99 @@ mod tests {
             mem.write(GuestAddress(offset), &data).unwrap();
             let back = mem.read_vec(GuestAddress(offset), data.len() as u64).unwrap();
             prop_assert_eq!(back, data);
+        }
+
+        /// Model-based: any sequence of every mutator (spans straddling
+        /// page and region edges included), dirty-plane harvests and
+        /// `checksum()` calls over a two-region guest keeps `checksum()`
+        /// equal to the byte-wise fold of a shadow copy of the guest.
+        #[test]
+        fn cached_checksum_follows_a_shadow_model(
+            ops in proptest::collection::vec(
+                (0u8..12, any::<u64>(), any::<u64>(), any::<u8>()),
+                1..40,
+            ),
+        ) {
+            // Regions of 4 and 3 pages that touch at page 4.
+            const PAGES: [u64; 2] = [4, 3];
+            const TOTAL: u64 = 7 * PAGE_SIZE;
+            let region_start = |r: usize| if r == 0 { 0 } else { PAGES[0] * PAGE_SIZE };
+            let mem = GuestMemoryBuilder::new()
+                .with_region(GuestAddress(0), ByteSize::pages_of(PAGES[0]))
+                .unwrap()
+                .with_region(GuestAddress(region_start(1)), ByteSize::pages_of(PAGES[1]))
+                .unwrap()
+                .build();
+            let mut shadow = vec![0u8; TOTAL as usize];
+            let model_checksum = |shadow: &[u8]| {
+                let (low, high) = shadow.split_at(region_start(1) as usize);
+                weighted_sum_bytewise(low, 0).wrapping_add(weighted_sum_bytewise(high, 0))
+            };
+            let pattern = |len: u64, v: u8| -> Vec<u8> {
+                (0..len).map(|i| v.wrapping_add(i as u8).wrapping_mul(31) | 1).collect()
+            };
+
+            for &(kind, x, y, v) in &ops {
+                let page = x % 7;
+                match kind {
+                    // A write of up to 300 bytes anywhere.
+                    0 => {
+                        let at = x % TOTAL;
+                        let bytes = pattern((1 + y % 300).min(TOTAL - at), v);
+                        mem.write(GuestAddress(at), &bytes).unwrap();
+                        shadow[at as usize..][..bytes.len()].copy_from_slice(&bytes);
+                    }
+                    // A u64 ending 0..=8 bytes past a page (or the region) edge.
+                    1 => {
+                        let at = (1 + x % 6) * PAGE_SIZE - 8 + y % 9;
+                        let word = y | u64::from(v) << 56 | 1;
+                        mem.write_u64(GuestAddress(at), word).unwrap();
+                        shadow[at as usize..][..8].copy_from_slice(&word.to_le_bytes());
+                    }
+                    // A fill of up to 2.5 pages.
+                    2 => {
+                        let at = x % TOTAL;
+                        let len = (y % (5 * PAGE_SIZE / 2)).min(TOTAL - at);
+                        mem.fill(GuestAddress(at), len, v).unwrap();
+                        shadow[at as usize..][..len as usize].fill(v);
+                    }
+                    3 => {
+                        let bytes = pattern(PAGE_SIZE, v);
+                        mem.write_page(page, &bytes).unwrap();
+                        shadow[(page * PAGE_SIZE) as usize..][..bytes.len()].copy_from_slice(&bytes);
+                    }
+                    4 => {
+                        let at = (y % PAGE_SIZE) as usize;
+                        mem.with_page_mut(page, |b| b[at] = v).unwrap();
+                        shadow[(page * PAGE_SIZE) as usize + at] = v;
+                    }
+                    // A span inside one region, possibly over several pages.
+                    5 => {
+                        let r = (x % 2) as usize;
+                        let room = PAGES[r] * PAGE_SIZE;
+                        let off = y % room;
+                        let len = (x >> 8) % (2 * PAGE_SIZE).min(room - off + 1);
+                        let at = region_start(r) + off;
+                        mem.with_slice_mut(GuestAddress(at), len, |b| b.fill(v)).unwrap();
+                        shadow[at as usize..][..len as usize].fill(v);
+                    }
+                    6 => {
+                        mem.discard_page(page).unwrap();
+                        shadow[(page * PAGE_SIZE) as usize..][..PAGE_SIZE as usize].fill(0);
+                    }
+                    // The dirty plane's readers must leave the checksum
+                    // plane alone.
+                    7 => mem.clear_dirty(),
+                    8 => drop(mem.drain_dirty()),
+                    9 => mem
+                        .drain_dirty_pages_with(|_, _| Ok::<(), std::convert::Infallible>(()))
+                        .unwrap(),
+                    _ => prop_assert_eq!(mem.checksum(), model_checksum(&shadow)),
+                }
+            }
+            prop_assert_eq!(mem.read_vec(GuestAddress(0), TOTAL).unwrap(), shadow.clone());
+            prop_assert_eq!(mem.checksum(), model_checksum(&shadow));
+            prop_assert_eq!(mem.checksum_counting_resums(), (model_checksum(&shadow), 0));
         }
 
         #[test]

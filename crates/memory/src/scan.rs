@@ -20,7 +20,10 @@
 //! * `weighted_sum`, behind [`crate::GuestMemory::checksum`], regroups the
 //!   position-weighted byte sum `Σ vᵢ·(i|1)` — a sum in a ring, so any
 //!   regrouping is exact — so that a 64-byte line costs eight word loads and
-//!   a handful of adds instead of sixty-four multiplies.
+//!   a handful of adds instead of sixty-four multiplies. It takes the byte
+//!   offset its slice starts at, so the same ring argument lets
+//!   [`crate::region`] sum a region one page at a time, cache the per-page
+//!   results, and read again only the pages that were written since.
 //!
 //! All kernels accept arbitrary slices: the tail that does not fill a word
 //! is handled byte-wise, and equivalence with the byte-wise reference
@@ -111,25 +114,35 @@ pub fn fingerprint(bytes: &[u8]) -> u64 {
 /// Bytes [`weighted_sum`] folds with adds alone: eight words.
 const SUM_LINE: usize = 64;
 
-/// `Σ bytes[i] · (i | 1)`, wrapping in `u64`.
+/// `Σ bytes[i] · ((base + i) | 1)`, wrapping in `u64`: the contribution of
+/// the bytes at offset `base` of a region to that region's checksum.
+///
+/// Because the checksum is a sum in a ring, a region's value is the sum of
+/// its pages' values, each computed with the page's byte offset as `base`
+/// and independently of every other page; an all-zero page contributes 0.
+/// That is what lets `MemoryRegion` cache one partial sum per page. `base`
+/// must be even (every caller passes a page offset), so that bytes `2k` and
+/// `2k+1` of the slice still share one weight.
 ///
 /// Equal to the byte-wise fold for every input (the reference in the tests
 /// below); only the grouping differs. Bytes `2k` and `2k+1` share the weight
-/// `2k+1`, so each little-endian word `j` of a 64-byte line is first reduced
-/// to four pair sums `x[j][l] = v[8j+2l] + v[8j+2l+1]` in 16-bit lanes, whose
-/// weight within the line is `8j + 2l + 1`. Two running lane-wise sums over
-/// the line's words, `a1 = Σ x[j]` and `a2 = Σ_j (x[0] + … + x[j])`, give
-/// `Σ j·x[j] = 8·a1 − a2` lane by lane, so the line contributes
-/// `base·S + 8·Σ_l (8·a1 − a2)[l] + Σ_l (2l+1)·a1[l]` with `S = Σ_l a1[l]`.
+/// `base + 2k+1`, so each little-endian word `j` of a 64-byte line is first
+/// reduced to four pair sums `x[j][l] = v[8j+2l] + v[8j+2l+1]` in 16-bit
+/// lanes, whose weight within the line is `8j + 2l + 1`. Two running
+/// lane-wise sums over the line's words, `a1 = Σ x[j]` and
+/// `a2 = Σ_j (x[0] + … + x[j])`, give `Σ j·x[j] = 8·a1 − a2` lane by lane,
+/// so the line at offset `at` contributes
+/// `at·S + 8·Σ_l (8·a1 − a2)[l] + Σ_l (2l+1)·a1[l]` with `S = Σ_l a1[l]`.
 /// No lane overflows: a pair sum is at most 510, so `a1 ≤ 8·510`,
 /// `a2 ≤ 36·510` and `8·a1 ≤ 32 640`, all below 2¹⁶.
 #[must_use]
-pub(crate) fn weighted_sum(bytes: &[u8]) -> u64 {
+pub(crate) fn weighted_sum(bytes: &[u8], base: u64) -> u64 {
     const EVEN_BYTES: u64 = 0x00ff_00ff_00ff_00ff;
     let lanes = |packed: u64| [0, 16, 32, 48].map(|shift| (packed >> shift) & 0xffff);
+    debug_assert!(base.is_multiple_of(2), "odd base {base:#x} splits a pair");
 
     let mut total = 0u64;
-    let mut base = 0u64;
+    let mut at = base;
     let mut lines = bytes.chunks_exact(SUM_LINE);
     for line in lines.by_ref() {
         let (mut a1, mut a2) = (0u64, 0u64);
@@ -143,14 +156,34 @@ pub(crate) fn weighted_sum(bytes: &[u8]) -> u64 {
         let by_lane = pair_sums[0] + 3 * pair_sums[1] + 5 * pair_sums[2] + 7 * pair_sums[3];
         let sum: u64 = pair_sums.iter().sum();
         total = total
-            .wrapping_add(base.wrapping_mul(sum))
+            .wrapping_add(at.wrapping_mul(sum))
             .wrapping_add(8 * by_word + by_lane);
-        base += SUM_LINE as u64;
+        at = at.wrapping_add(SUM_LINE as u64);
     }
     for (i, &v) in lines.remainder().iter().enumerate() {
-        total = total.wrapping_add((v as u64).wrapping_mul((base + i as u64) | 1));
+        total = total.wrapping_add((v as u64).wrapping_mul(at.wrapping_add(i as u64) | 1));
     }
     total
+}
+
+/// The byte-wise fold `GuestMemory::checksum` is defined by, kept only as
+/// the reference the tests of this crate compare the kernel and the
+/// per-page cache against.
+#[cfg(test)]
+pub(crate) fn weighted_sum_bytewise(bytes: &[u8], base: u64) -> u64 {
+    bytes.iter().enumerate().fold(0u64, |acc, (i, &v)| {
+        acc.wrapping_add((v as u64).wrapping_mul(base.wrapping_add(i as u64) | 1))
+    })
+}
+
+/// `GuestMemory::checksum` by its definition: the byte-wise fold of every
+/// region's current bytes.
+#[cfg(test)]
+pub(crate) fn checksum_bytewise(mem: &crate::GuestMemory) -> u64 {
+    mem.regions()
+        .iter()
+        .map(|r| r.with_bytes(|b| weighted_sum_bytewise(b, 0)))
+        .fold(0u64, u64::wrapping_add)
 }
 
 #[cfg(test)]
@@ -172,24 +205,43 @@ mod tests {
         h
     }
 
-    /// The fold `GuestMemory::checksum` was defined by.
-    fn weighted_sum_bytewise(bytes: &[u8]) -> u64 {
-        bytes.iter().enumerate().fold(0u64, |acc, (i, &v)| {
-            acc.wrapping_add((v as u64).wrapping_mul(i as u64 | 1))
-        })
+    #[test]
+    fn weighted_sum_survives_saturated_lanes() {
+        // All-ones bytes put every 16-bit lane at its bound; the last base
+        // is where `255 · weight` starts to wrap `u64` within the slice.
+        let buf = vec![0xffu8; 3 * PAGE_SIZE as usize + 77];
+        let wrapping = (u64::MAX / 255 - PAGE_SIZE) / 64 * 64;
+        for base in [0, PAGE_SIZE, wrapping] {
+            for len in [0, 1, 7, 8, 63, 64, 65, 255, 256, 257, 4096, buf.len()] {
+                assert_eq!(
+                    weighted_sum(&buf[..len], base),
+                    weighted_sum_bytewise(&buf[..len], base),
+                    "base {base:#x} len {len}"
+                );
+            }
+        }
     }
 
     #[test]
-    fn weighted_sum_survives_saturated_lanes() {
-        // All-ones bytes put every 16-bit lane at its bound.
-        let buf = vec![0xffu8; 3 * PAGE_SIZE as usize + 77];
-        for len in [0, 1, 7, 8, 63, 64, 65, 255, 256, 257, 4096, buf.len()] {
-            assert_eq!(
-                weighted_sum(&buf[..len]),
-                weighted_sum_bytewise(&buf[..len]),
-                "len {len}"
-            );
+    fn a_region_is_the_sum_of_its_pages() {
+        // What the per-page cache rests on: summing each page at its own
+        // offset and adding up is the whole-slice fold, and a zero page
+        // adds nothing.
+        let mut buf = vec![0u8; 5 * PAGE_SIZE as usize];
+        for (i, b) in buf.iter_mut().enumerate() {
+            *b = (i as u64).wrapping_mul(0x9e37_79b9) as u8;
         }
+        buf[2 * PAGE_SIZE as usize..3 * PAGE_SIZE as usize].fill(0);
+        let by_page = buf
+            .chunks_exact(PAGE_SIZE as usize)
+            .enumerate()
+            .map(|(p, page)| weighted_sum(page, p as u64 * PAGE_SIZE))
+            .collect::<Vec<_>>();
+        assert_eq!(by_page[2], 0);
+        assert_eq!(
+            by_page.iter().fold(0u64, |a, &b| a.wrapping_add(b)),
+            weighted_sum_bytewise(&buf, 0)
+        );
     }
 
     #[test]
@@ -245,14 +297,17 @@ mod tests {
 
             /// The regrouped weighted sum equals the byte-wise fold on
             /// arbitrary contents, lengths that are no multiple of a page,
-            /// a 64-byte line or a word, and misaligned slice starts.
+            /// a 64-byte line or a word, misaligned slice starts, and any
+            /// even base offset.
             #[test]
             fn weighted_sum_equals_bytewise(
                 data in proptest::collection::vec(proptest::num::u8::ANY, 0..1500),
                 offset in 0usize..16,
+                half_base in any::<u64>(),
             ) {
                 let slice = &data[offset.min(data.len())..];
-                prop_assert_eq!(weighted_sum(slice), weighted_sum_bytewise(slice));
+                let base = half_base.wrapping_mul(2);
+                prop_assert_eq!(weighted_sum(slice, base), weighted_sum_bytewise(slice, base));
             }
 
             /// `GuestMemory::checksum` is the wrapping sum of the byte-wise
@@ -285,12 +340,7 @@ mod tests {
                     let len = bytes.len().min(room as usize);
                     mem.write(crate::GuestAddress(addr), &bytes[..len]).unwrap();
                 }
-                let expected = mem
-                    .regions()
-                    .iter()
-                    .map(|r| r.with_bytes(weighted_sum_bytewise))
-                    .fold(0u64, u64::wrapping_add);
-                prop_assert_eq!(mem.checksum(), expected);
+                prop_assert_eq!(mem.checksum(), checksum_bytewise(&mem));
             }
 
             /// The chunked fingerprint is bit-identical to the byte-wise

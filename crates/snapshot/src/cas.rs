@@ -629,6 +629,48 @@ mod tests {
     }
 
     #[test]
+    fn page_discarded_between_epochs_restores_through_both_stores() {
+        // A balloon inflate between two backup epochs: the page's bytes are
+        // gone from the guest, so the incremental epoch must carry the zero
+        // page or its checksum describes memory the chain cannot rebuild.
+        let mem = memory(8);
+        let mut cas = CasStore::new();
+        let mut plain = SnapshotStore::new();
+
+        mem.write_u64(GuestAddress(3 * PAGE_SIZE), 0xdead).unwrap();
+        let full_snap = capture(1, &mem);
+        mem.clear_dirty();
+        let plain_base = plain.insert(full_snap.clone()).unwrap();
+        let (cas_base, _) = cas.ingest(&full_snap, None).unwrap();
+
+        mem.discard_page(3).unwrap();
+        let inc = VmSnapshot::capture_incremental(
+            VmId::new(1),
+            "inc",
+            Nanoseconds::from_secs(10),
+            plain_base,
+            &mem,
+            vec![VcpuState::default()],
+            BTreeMap::new(),
+        )
+        .unwrap();
+        assert_eq!(inc.memory.page_count(), 1);
+        let plain_inc = plain.insert(inc.clone()).unwrap();
+        let (cas_inc, stats) = cas.ingest(&inc, Some(cas_base)).unwrap();
+        assert_eq!(stats.chunks_deduped, 1, "the zero page is already stored");
+
+        let via_plain = memory(8);
+        let via_cas = memory(8);
+        plain
+            .restore(plain_inc, &via_plain)
+            .expect("SnapshotStore restores the epoch");
+        cas.restore(cas_inc, &via_cas)
+            .expect("CasStore restores the epoch");
+        assert_eq!(via_cas.read_u64(GuestAddress(3 * PAGE_SIZE)).unwrap(), 0);
+        assert!(inc.verify_against(&via_plain));
+    }
+
+    #[test]
     fn incremental_chain_rules_are_enforced() {
         let mem = memory(4);
         let mut cas = CasStore::new();
