@@ -12,10 +12,37 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use std::time::{Duration, Instant};
 
 use rvisor_memory::GuestMemory;
-use rvisor_migrate::{ConstantRateDirtier, MigrationConfig, PreCopy};
+use rvisor_migrate::{
+    execute, ConstantRateDirtier, LoopbackTransport, MigrationPlan, MigrationReport,
+};
 use rvisor_net::{Link, LinkModel};
+use rvisor_obs::Trace;
 use rvisor_types::{ByteSize, GuestAddress, PAGE_SIZE};
 use rvisor_vcpu::VcpuState;
+
+/// A default-plan pre-copy of `src` into `dst` over a loopback on a fresh
+/// 10 Gbit/s link, the guest dirtying at `dirty` of the link's bandwidth.
+fn precopy(src: &GuestMemory, dst: &GuestMemory, dirty: f64) -> MigrationReport {
+    let link_model = LinkModel::ten_gigabit();
+    let mut link = Link::new(link_model);
+    let mut transport = LoopbackTransport::new(&mut link);
+    let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
+        link_model.bytes_per_second,
+        dirty,
+        0,
+        src.total_pages(),
+    );
+    execute(
+        &MigrationPlan::default(),
+        src,
+        dst,
+        &[VcpuState::default()],
+        &mut transport,
+        &mut dirtier,
+        &Trace::off(),
+    )
+    .unwrap()
+}
 
 /// Dirty `fraction` of the guest's pages (one u64 store per page).
 fn dirty_fraction_of(mem: &GuestMemory, fraction: f64) {
@@ -160,25 +187,8 @@ fn print_table() {
     let src = GuestMemory::flat(guest).unwrap();
     let dst = GuestMemory::flat(guest).unwrap();
     dirty_fraction_of(&src, 1.0);
-    let link_model = LinkModel::ten_gigabit();
-    let mut link = Link::new(link_model);
-    let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-        link_model.bytes_per_second,
-        0.30,
-        0,
-        src.total_pages(),
-    );
-    let config = MigrationConfig::default();
     let t = Instant::now();
-    let report = PreCopy::migrate(
-        &src,
-        &dst,
-        &[VcpuState::default()],
-        &mut link,
-        &mut dirtier,
-        &config,
-    )
-    .unwrap();
+    let report = precopy(&src, &dst, 0.30);
     let wall = t.elapsed();
     assert_eq!(src.checksum(), dst.checksum(), "migration must be lossless");
     println!("\n=== E16c: full pre-copy migration, 1 GiB dirtying guest (zero-copy engine) ===");
@@ -270,23 +280,7 @@ fn bench(c: &mut Criterion) {
             let src = GuestMemory::flat(ByteSize::mib(32)).unwrap();
             let dst = GuestMemory::flat(ByteSize::mib(32)).unwrap();
             dirty_fraction_of(&src, 0.5);
-            let mut link = Link::new(LinkModel::ten_gigabit());
-            let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-                LinkModel::ten_gigabit().bytes_per_second,
-                0.2,
-                0,
-                src.total_pages(),
-            );
-            PreCopy::migrate(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut link,
-                &mut dirtier,
-                &MigrationConfig::default(),
-            )
-            .unwrap()
-            .pages_transferred
+            precopy(&src, &dst, 0.2).pages_transferred
         })
     });
     group.finish();

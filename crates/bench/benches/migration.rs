@@ -10,32 +10,60 @@ use std::time::Duration;
 
 use rvisor_memory::GuestMemory;
 use rvisor_migrate::{
-    ConstantRateDirtier, IdleDirtier, MigrationConfig, MigrationReport, PageCompression, PostCopy,
-    PreCopy, StopAndCopy,
+    execute, ConstantRateDirtier, DirtySource, IdleDirtier, LoopbackTransport, MigrationPlan,
+    MigrationReport, PageCompression, PlanEngine,
 };
 use rvisor_net::{Link, LinkModel};
+use rvisor_obs::Trace;
 use rvisor_types::ByteSize;
 use rvisor_vcpu::VcpuState;
+
+/// `plan` from `source` to `dest` over a loopback on a fresh `link_model` link.
+fn migrate(
+    plan: &MigrationPlan,
+    source: &GuestMemory,
+    dest: &GuestMemory,
+    link_model: LinkModel,
+    dirtier: &mut dyn DirtySource,
+) -> MigrationReport {
+    let mut link = Link::new(link_model);
+    let mut transport = LoopbackTransport::new(&mut link);
+    execute(
+        plan,
+        source,
+        dest,
+        &[VcpuState::default()],
+        &mut transport,
+        dirtier,
+        &Trace::off(),
+    )
+    .unwrap()
+}
+
+/// `engine` moving an empty `ram`-sized guest that never writes.
+fn run_idle(engine: PlanEngine, ram: ByteSize, link_model: LinkModel) -> MigrationReport {
+    let (source, dest) = (
+        GuestMemory::flat(ram).unwrap(),
+        GuestMemory::flat(ram).unwrap(),
+    );
+    let plan = MigrationPlan {
+        engine,
+        ..Default::default()
+    };
+    migrate(&plan, &source, &dest, link_model, &mut IdleDirtier)
+}
 
 fn run_precopy(ram: ByteSize, link_model: LinkModel, dirty_fraction: f64) -> MigrationReport {
     let source = GuestMemory::flat(ram).unwrap();
     let dest = GuestMemory::flat(ram).unwrap();
-    let mut link = Link::new(link_model);
     let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
         link_model.bytes_per_second,
         dirty_fraction,
         0,
         source.total_pages(),
     );
-    PreCopy::migrate(
-        &source,
-        &dest,
-        &[VcpuState::default()],
-        &mut link,
-        &mut dirtier,
-        &MigrationConfig::default(),
-    )
-    .unwrap()
+    let plan = MigrationPlan::default();
+    migrate(&plan, &source, &dest, link_model, &mut dirtier)
 }
 
 fn print_engine_table() {
@@ -46,29 +74,13 @@ fn print_engine_table() {
     );
     let ram = ByteSize::mib(512);
     let model = LinkModel::gigabit();
-    let reports = vec![
-        ("stop-and-copy", {
-            let (s, d) = (
-                GuestMemory::flat(ram).unwrap(),
-                GuestMemory::flat(ram).unwrap(),
-            );
-            StopAndCopy::migrate(&s, &d, &[VcpuState::default()], &mut Link::new(model)).unwrap()
-        }),
+    let reports = [
+        (
+            "stop-and-copy",
+            run_idle(PlanEngine::StopAndCopy, ram, model),
+        ),
         ("pre-copy", run_precopy(ram, model, 0.3)),
-        ("post-copy", {
-            let (s, d) = (
-                GuestMemory::flat(ram).unwrap(),
-                GuestMemory::flat(ram).unwrap(),
-            );
-            PostCopy::migrate(
-                &s,
-                &d,
-                &[VcpuState::default()],
-                &mut Link::new(model),
-                &MigrationConfig::default(),
-            )
-            .unwrap()
-        }),
+        ("post-copy", run_idle(PlanEngine::PostCopy, ram, model)),
     ];
     for (name, r) in reports {
         println!(
@@ -111,37 +123,9 @@ fn print_ram_figure() {
     for mib in [128u64, 256, 512, 1024, 2048] {
         let ram = ByteSize::mib(mib);
         let model = LinkModel::gigabit();
-        let (s, d) = (
-            GuestMemory::flat(ram).unwrap(),
-            GuestMemory::flat(ram).unwrap(),
-        );
-        let sc =
-            StopAndCopy::migrate(&s, &d, &[VcpuState::default()], &mut Link::new(model)).unwrap();
-        let (s, d) = (
-            GuestMemory::flat(ram).unwrap(),
-            GuestMemory::flat(ram).unwrap(),
-        );
-        let pre = PreCopy::migrate(
-            &s,
-            &d,
-            &[VcpuState::default()],
-            &mut Link::new(model),
-            &mut IdleDirtier,
-            &MigrationConfig::default(),
-        )
-        .unwrap();
-        let (s, d) = (
-            GuestMemory::flat(ram).unwrap(),
-            GuestMemory::flat(ram).unwrap(),
-        );
-        let post = PostCopy::migrate(
-            &s,
-            &d,
-            &[VcpuState::default()],
-            &mut Link::new(model),
-            &MigrationConfig::default(),
-        )
-        .unwrap();
+        let sc = run_idle(PlanEngine::StopAndCopy, ram, model);
+        let pre = run_idle(PlanEngine::PreCopy, ram, model);
+        let post = run_idle(PlanEngine::PostCopy, ram, model);
         println!(
             "{:>7} MiB {:>20} {:>20} {:>16}",
             mib,
@@ -171,7 +155,7 @@ fn print_ram_figure() {
 
 /// Pre-copy with page compression: a half-empty guest over a thin link, with
 /// the guest rewriting single words in its working set (the XBZRLE sweet
-/// spot). Ablation for the `MigrationConfig::compression` design choice.
+/// spot). Ablation for the `MigrationPlan::compression` design choice.
 fn print_compression_ablation() {
     println!("\n=== E4e: pre-copy page compression ablation (256 MiB guest, 100 Mbit/s WAN, 40% dirty) ===");
     println!(
@@ -192,26 +176,17 @@ fn print_compression_ablation() {
                 .unwrap();
         }
         let model = LinkModel::wan();
-        let mut link = Link::new(model);
         let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
             model.bytes_per_second,
             0.4,
             0,
             source.total_pages() / 2,
         );
-        let config = MigrationConfig {
+        let plan = MigrationPlan {
             compression,
             ..Default::default()
         };
-        let r = PreCopy::migrate(
-            &source,
-            &dest,
-            &[VcpuState::default()],
-            &mut link,
-            &mut dirtier,
-            &config,
-        )
-        .unwrap();
+        let r = migrate(&plan, &source, &dest, model, &mut dirtier);
         assert_eq!(source.checksum(), dest.checksum());
         println!(
             "{:<12} {:>14} {:>14} {:>8} {:>10} MiB {:>10}",
@@ -248,18 +223,11 @@ fn bench(c: &mut Criterion) {
     }
     group.bench_function("stop_and_copy_host_cost_64MiB", |b| {
         b.iter(|| {
-            let ram = ByteSize::mib(64);
-            let (s, d) = (
-                GuestMemory::flat(ram).unwrap(),
-                GuestMemory::flat(ram).unwrap(),
-            );
-            StopAndCopy::migrate(
-                &s,
-                &d,
-                &[VcpuState::default()],
-                &mut Link::new(LinkModel::gigabit()),
+            run_idle(
+                PlanEngine::StopAndCopy,
+                ByteSize::mib(64),
+                LinkModel::gigabit(),
             )
-            .unwrap()
             .pages_transferred
         })
     });

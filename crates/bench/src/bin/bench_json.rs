@@ -33,8 +33,9 @@ use rvisor_cluster::{HostSpec, PlacementStrategy, ServerRole, VmSpec};
 use rvisor_memory::GuestMemory;
 use rvisor_migrate::compress::xbzrle_encode;
 use rvisor_migrate::{
-    ConstantRateDirtier, FabricTransport, IdleDirtier, LoopbackTransport, MigrationConfig,
-    MigrationSink, MigrationSource, PostCopy, PreCopy, Transport,
+    execute, ConstantRateDirtier, DirtySource, FabricTransport, FaultService, IdleDirtier,
+    LoopbackTransport, MigrationPlan, MigrationReport, MigrationSink, MigrationSource, PlanEngine,
+    Transport,
 };
 use rvisor_net::{ClosFabric, ClosParams, Fabric, FabricParams, Link, LinkModel};
 use rvisor_obs::{ArgValue, Args as TraceArgs, Trace, TraceSink};
@@ -138,6 +139,18 @@ fn sparse_memories(pages: u64) -> (GuestMemory, GuestMemory) {
     (src, dst)
 }
 
+/// `plan` from `src` to `dst` over `transport`, one vCPU, tracing off.
+fn migrate(
+    plan: &MigrationPlan,
+    src: &GuestMemory,
+    dst: &GuestMemory,
+    transport: &mut dyn Transport,
+    dirtier: &mut dyn DirtySource,
+) -> MigrationReport {
+    let vcpus = [VcpuState::default()];
+    execute(plan, src, dst, &vcpus, transport, dirtier, &Trace::off()).unwrap()
+}
+
 fn run_benches(samples: usize) -> BTreeMap<String, f64> {
     const PAGES: u64 = 512; // 2 MiB guest keeps every bench in the ms range
     let mut results = BTreeMap::new();
@@ -188,65 +201,24 @@ fn run_benches(samples: usize) -> BTreeMap<String, f64> {
             let (src, dst) = sparse_memories(PAGES);
             let mut link = Link::new(LinkModel::ten_gigabit());
             let mut transport = LoopbackTransport::new(&mut link);
-            PreCopy::migrate_over(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut IdleDirtier,
-                &MigrationConfig::default(),
-            )
-            .unwrap()
+            let plan = MigrationPlan::default();
+            migrate(&plan, &src, &dst, &mut transport, &mut IdleDirtier)
         });
         record("precopy_stream_loopback_2mib", ns);
     }
 
-    // -- pre-copy through the traced entry point with tracing *off*: the
-    //    no-op plane must cost nothing vs. precopy_stream_loopback_2mib
-    //    (main gates the overhead after both medians are in). Measured
-    //    immediately after the untraced block above so the two medians see
-    //    the same process state — allocator thresholds and cache warmth
-    //    drift over a bench run, and the gate must compare the plane, not
-    //    the process phase. --
+    // -- two-lane pre-copy over loopback: one thread per stripe,
+    //    byte-identical to the one-stream migration above --
     {
         let ns = measure(samples, || {
             let (src, dst) = sparse_memories(PAGES);
             let mut link = Link::new(LinkModel::ten_gigabit());
             let mut transport = LoopbackTransport::new(&mut link);
-            PreCopy::migrate_over_traced(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut IdleDirtier,
-                &MigrationConfig::default(),
-                &Trace::off(),
-            )
-            .unwrap()
-        });
-        record("precopy_traced_vs_untraced_2mib", ns);
-    }
-
-    // -- pipelined pre-copy over loopback: encode and apply on separate
-    //    threads, byte-identical to the serial stream above --
-    {
-        let ns = measure(samples, || {
-            let (src, dst) = sparse_memories(PAGES);
-            let mut link = Link::new(LinkModel::ten_gigabit());
-            let mut transport = LoopbackTransport::new(&mut link);
-            let config = MigrationConfig {
+            let plan = MigrationPlan {
                 streams: NonZeroUsize::new(2).unwrap(),
                 ..Default::default()
             };
-            PreCopy::migrate_pipelined(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut IdleDirtier,
-                &config,
-            )
-            .unwrap()
+            migrate(&plan, &src, &dst, &mut transport, &mut IdleDirtier)
         });
         record("precopy_stream_pipelined_2mib", ns);
     }
@@ -260,19 +232,11 @@ fn run_benches(samples: usize) -> BTreeMap<String, f64> {
             let (src, dst) = sparse_memories(PAGES);
             let mut link = Link::new(LinkModel::ten_gigabit());
             let mut transport = LoopbackTransport::new(&mut link);
-            let config = MigrationConfig {
+            let plan = MigrationPlan {
                 streams: NonZeroUsize::new(4).unwrap(),
                 ..Default::default()
             };
-            PreCopy::migrate_pipelined(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut IdleDirtier,
-                &config,
-            )
-            .unwrap()
+            migrate(&plan, &src, &dst, &mut transport, &mut IdleDirtier)
         });
         record("precopy_stream_4way_2mib", ns);
     }
@@ -332,15 +296,8 @@ fn run_benches(samples: usize) -> BTreeMap<String, f64> {
                 0,
                 PAGES,
             );
-            PreCopy::migrate_over(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut dirtier,
-                &MigrationConfig::default(),
-            )
-            .unwrap()
+            let plan = MigrationPlan::default();
+            migrate(&plan, &src, &dst, &mut transport, &mut dirtier)
         });
         record("precopy_stream_fabric_2mib", ns);
     }
@@ -486,14 +443,12 @@ fn run_benches(samples: usize) -> BTreeMap<String, f64> {
         let mut link = Link::new(LinkModel::gigabit());
         let ns = measure(samples, || {
             let mut transport = LoopbackTransport::new(&mut link);
-            PostCopy::migrate_fault_lane_over(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &MigrationConfig::default(),
-            )
-            .unwrap()
+            let plan = MigrationPlan {
+                engine: PlanEngine::PostCopy,
+                fault_service: FaultService::FaultLane,
+                ..Default::default()
+            };
+            migrate(&plan, &src, &dst, &mut transport, &mut IdleDirtier)
         });
         record("postcopy_fault_lane_2mib", ns);
     }
@@ -751,29 +706,6 @@ fn main() -> ExitCode {
 
     let results = run_benches(args.samples);
     let json = to_json(&results);
-
-    // The no-op-plane gate: pre-copy entered through the traced API with
-    // tracing off must cost the same as the plain entry point, within the
-    // run's noise threshold. Both medians come from this very process, back
-    // to back, so the comparison does not need a baseline file.
-    if let (Some(&traced_off), Some(&untraced)) = (
-        results.get("precopy_traced_vs_untraced_2mib"),
-        results.get("precopy_stream_loopback_2mib"),
-    ) {
-        let overhead_pct = (traced_off / untraced - 1.0) * 100.0;
-        println!(
-            "\ntracing-off overhead: {overhead_pct:+.1}% \
-             (traced {traced_off:.1} ns vs untraced {untraced:.1} ns)"
-        );
-        if overhead_pct > args.threshold_pct {
-            println!(
-                "FAIL: the disabled trace plane added more than \
-                 {}% to the pre-copy hot path",
-                args.threshold_pct
-            );
-            return ExitCode::FAILURE;
-        }
-    }
 
     if let Some(path) = &args.out {
         if let Err(e) = std::fs::write(path, &json) {

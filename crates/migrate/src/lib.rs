@@ -9,13 +9,13 @@
 //!
 //! Three engines are provided, mirroring the literature:
 //!
-//! * [`StopAndCopy`] — pause, copy everything, resume: minimal total time,
-//!   worst downtime (∝ RAM size / bandwidth).
-//! * [`PreCopy`] — iterative rounds copy memory while the guest runs; each
-//!   round copies the pages dirtied during the previous round; when the
-//!   dirty set stops shrinking (or a round budget is hit) the guest pauses
-//!   for a final short stop-and-copy. Downtime ∝ residual dirty set.
-//! * [`PostCopy`] — pause only to move vCPU state, resume on the
+//! * [`PlanEngine::StopAndCopy`] — pause, copy everything, resume: minimal
+//!   total time, worst downtime (∝ RAM size / bandwidth).
+//! * [`PlanEngine::PreCopy`] — iterative rounds copy memory while the guest
+//!   runs; each round copies the pages dirtied during the previous round;
+//!   when the dirty set stops shrinking (or a round budget is hit) the guest
+//!   pauses for a final short stop-and-copy. Downtime ∝ residual dirty set.
+//! * [`PlanEngine::PostCopy`] — pause only to move vCPU state, resume on the
 //!   destination immediately, and pull pages over the network on demand
 //!   (plus a background sweep). Downtime is minimal and constant; the cost
 //!   is degraded performance while remote faults are outstanding.
@@ -28,45 +28,44 @@
 //! techniques production migration stacks use to survive write-heavy guests
 //! on thin links.
 //!
-//! ## Three data planes, one protocol
+//! ## One executor, two schedulers
 //!
-//! Each engine exists in three forms that are pinned equivalent by proptest:
+//! There is one way to run a migration: [`execute`] takes a
+//! [`MigrationPlan`], opens a [`wire`] stream from the source to the
+//! destination across a [`Transport`] and runs the one engine body
+//! `plan.engine` names. The stream is real bytes in the versioned wire
+//! format: framed page records with compression mode, run-length zero
+//! pages, per-frame checksums verified before anything touches the
+//! destination, and end-of-round markers. Point the transport at a
+//! [`LoopbackTransport`] and the bytes are timed by one point-to-point
+//! link; at a [`FabricTransport`] and the same migration pays per-host NIC
+//! serialization, shared-backbone contention and MTU chunk framing
+//! (experiment E17).
 //!
-//! * **direct** (`migrate`, the [`engines`] module) — memory-to-memory copy
-//!   with modelled byte accounting over a [`Link`](rvisor_net::Link); the
-//!   fast path for benchmarks that sweep thousands of migrations.
-//! * **streamed** (`migrate_over`, the [`stream`] module) — the migration
-//!   crosses a [`Transport`] as a real byte stream in the versioned
-//!   [`wire`] format: framed page records with compression mode, run-length
-//!   zero pages, per-frame checksums verified before anything touches the
-//!   destination, and end-of-round markers. Point the transport at a
-//!   [`FabricTransport`] and the same migration pays per-host NIC
-//!   serialization, shared-backbone contention and MTU chunk framing
-//!   (experiment E17).
-//! * **pipelined** (`migrate_pipelined`, the [`pipeline`] module) — the
-//!   same wire stream, moved by several threads at once: the page-index
-//!   space is sharded into fixed stripes ([`MigrationConfig::streams`]) and
-//!   one lane per stripe runs the serial engines' segment loop — encode at
-//!   most 64 pages, apply them on the destination — over its own stripe,
-//!   while the calling thread runs the engine and sends the control frames.
-//!   Byte-identical and report-`==` to the serial stream; the win is host
-//!   wall-clock on hosts whose cores run threads in parallel (experiment
-//!   E18). See the [`pipeline`] module docs for what the fair-share
-//!   multi-stream network model does and does not capture.
+//! Who moves a round's pages is a property of the plan, not of the entry
+//! point:
+//!
+//! * **inline** (`plan.streams == 1`, the [`stream`] module) — the calling
+//!   thread encodes at most 64 pages into one reused buffer, applies them on
+//!   the destination while they are in cache, and repeats.
+//! * **lanes** (`plan.streams > 1`, the [`pipeline`] module) — the
+//!   page-index space is sharded into fixed stripes and one thread per
+//!   stripe runs that same segment loop over its own stripe, while the
+//!   calling thread runs the engine and sends the control frames.
+//!   Byte-identical and report-`==` to the inline schedule (pinned by
+//!   proptest); the win is host wall-clock on hosts whose cores run threads
+//!   in parallel (experiment E18). See the [`pipeline`] module docs for what
+//!   the fair-share multi-stream network model does and does not capture.
 //!
 //! ## Which plan do I want?
 //!
-//! [`MigrationConfig`] carries run-level knobs; a [`MigrationPlan`] is the
-//! per-migration decision object that one migration actually executes
-//! (`config.plan(engine)` lowers one into the other). Rules of thumb:
-//!
 //! | Guest | Plan |
 //! |-------|------|
-//! | Tiny (fits one stop-the-world copy in the downtime budget) | [`PlanEngine::StopAndCopy`], 1 stream, no compression |
+//! | Tiny (fits one stop-the-world copy in the downtime budget) | [`PlanEngine::StopAndCopy`], 1 stream |
 //! | Large, mostly idle, fabric idle | [`PlanEngine::PreCopy`], several streams |
 //! | Large, write-heavy, thin link | [`PlanEngine::PreCopy`], [`PageCompression::Xbzrle`] |
 //! | Dirty-hot (pre-copy would never converge) | [`PlanEngine::PostCopy`] + [`FaultService::FaultLane`] |
-//! | Don't know / measuring | [`PlanEngine::PreCopy`] defaults — it observes the dirty rate for next time |
+//! | Don't know / measuring | [`MigrationPlan::default`] (pre-copy) — it observes the dirty rate for next time |
 //!
 //! The `rvisor-orch` `MigrationPlanner` automates exactly this table from
 //! observed dirty rate, guest size and fabric occupancy.
@@ -86,13 +85,11 @@ pub mod wire;
 
 pub use compress::{CompressionStats, PageCompression, PageCompressor, WirePage};
 pub use dirty::{ConstantRateDirtier, DirtySource, IdleDirtier};
-pub use engines::{
-    sweep_mean_fault_latency, MigrationConfig, PostCopy, PreCopy, StopAndCopy,
-    MAX_MIGRATION_STREAMS,
-};
-pub use plan::{
-    FaultService, MigrationConfigBuilder, MigrationPlan, MigrationPlanBuilder, PlanEngine,
-};
+pub use engines::{execute, sweep_mean_fault_latency, PostCopy, PreCopy, StopAndCopy};
+pub use plan::{FaultService, MigrationConfig, MigrationPlan, PlanEngine, MAX_MIGRATION_STREAMS};
 pub use report::{MigrationKind, MigrationReport, RoundStat};
 pub use stream::{MigrationSink, MigrationSource};
 pub use transport::{FabricTransport, LoopbackTransport, Transport};
+
+#[cfg(test)]
+mod reference;

@@ -1,13 +1,15 @@
-//! Pipelined, multi-stream migration engine: stripe lanes.
+//! Stripe lanes: the multi-stream scheduler.
 //!
-//! The serial streamed engines in [`stream`](crate::stream) move a round
-//! through one buffer on one thread: encode a segment of at most 64 pages,
-//! apply it on the sink while it is still in cache, repeat. This module
-//! runs that same loop on several threads at once, one per stripe of the
-//! page-index space, while staying **byte-identical and
-//! [`MigrationReport`]-`==` to the serial path** (pinned by proptest below):
+//! With one stream, [`execute`](crate::execute) moves a round through one
+//! buffer on the calling thread: encode a segment of at most 64 pages, apply
+//! it on the sink while it is still in cache, repeat
+//! ([`stream`](crate::stream)). This module runs that same loop on several
+//! threads at once, one per stripe of the page-index space, under the same
+//! engine bodies, while staying **byte-identical and
+//! [`MigrationReport`](crate::MigrationReport)-`==` to the one-stream
+//! schedule** (pinned by proptest below):
 //!
-//! * **Lanes** — [`MigrationConfig::streams`] shards the page-index space
+//! * **Lanes** — [`MigrationPlan::streams`] shards the page-index space
 //!   into *fixed* contiguous stripes (`stripe = page / ceil(total_pages /
 //!   streams)`). One scoped thread per stripe — a lane — lives for the
 //!   migration and owns the stripe's encoder (so a page always travels on
@@ -16,18 +18,18 @@
 //!   disjoint, so lanes never touch the same destination page; a page's
 //!   bytes never cross a thread, and no round is ever materialised as a
 //!   stripe-sized body.
-//! * **The coordinator** — the calling thread runs the same engine bodies
-//!   as the serial engines and keeps what is inherently serial. Per round
-//!   it cuts the ascending page list into per-stripe lists, gathers the
-//!   lanes' byte counts in stripe order (which is what keeps same-seed runs
-//!   `==`-replay-equal), and sends the control frames itself: Hello,
-//!   end-of-round markers and vCPU state, all of which ride stripe 0.
+//! * **The coordinator** — the calling thread runs the engine body and keeps
+//!   what is inherently serial. Per round it cuts the ascending page list
+//!   into per-stripe lists, gathers the lanes' byte counts in stripe order
+//!   (which is what keeps same-seed runs `==`-replay-equal), and sends the
+//!   control frames itself: Hello, end-of-round markers and vCPU state, all
+//!   of which ride stripe 0.
 //! * **Boundary stitching** — a zero run crossing a stripe boundary must
 //!   stay one frame. Each lane withholds, unencoded, the run open at its
 //!   stripe's first page and the one still open at its end; the coordinator
 //!   coalesces neighbours and encodes and applies the stitched run itself,
 //!   attributed to the stripe it starts in, so the stream carries *exactly*
-//!   the frames the serial encoder would (same
+//!   the frames the one-stream encoder would (same
 //!   [`ZeroRun`](crate::wire::FrameKind::ZeroRun) coalescing, same bytes,
 //!   same report).
 //!
@@ -38,30 +40,30 @@
 //! makes it a unit of host memory or of host scheduling. The simulated
 //! network does **not** speed up under multi-stream: `transmit_striped`
 //! models N chunk streams *fairly sharing* the path — on a loopback that is
-//! exactly the aggregate burst (keeping the `==` pin to the serial engine),
-//! and on a [`Fabric`](rvisor_net::Fabric) each stream additionally pays its
-//! own MTU chunk framing, so simulated time is never *better* than serial.
-//! What lanes can buy is **host wall-clock**, on a host whose cores run
-//! threads in parallel (experiment E18): lanes share nothing but the guest
-//! regions' locks — the source's read lock and the destination's write
-//! lock, each held for one 4 KiB copy at a time. Where they buy nothing, a
-//! laned migration costs what the serial one does; the byte stream, the
-//! destination memory and the report are identical either way. One
-//! deliberate divergence: each stripe's XBZRLE cache has the full configured
-//! capacity, so the aggregate cache across N streams is N× the serial
-//! engine's. With cache pressure the laned engine may therefore send *fewer*
-//! bytes than serial (never more, never wrong bytes); without eviction —
+//! exactly the aggregate burst (keeping the `==` pin to one stream), and on
+//! a [`Fabric`](rvisor_net::Fabric) each stream additionally pays its own
+//! MTU chunk framing, so simulated time is never *better* than with one
+//! stream. What lanes can buy is **host wall-clock**, on a host whose cores
+//! run threads in parallel (experiment E18): lanes share nothing but the
+//! guest regions' locks — the source's read lock and the destination's
+//! write lock, each held for one 4 KiB copy at a time. Where they buy
+//! nothing, a laned migration costs what the one-stream one does; the byte
+//! stream, the destination memory and the report are identical either way.
+//! One deliberate divergence: each stripe's XBZRLE cache has the full
+//! configured capacity, so the aggregate cache across N streams is N× the
+//! one-stream cache. With cache pressure a laned migration may therefore
+//! send *fewer* bytes (never more, never wrong bytes); without eviction —
 //! the common case, and every configuration the equivalence proptests run —
 //! the two are bit-identical.
 //!
 //! # Failure
 //!
-//! As for the serial engines ([why](crate::stream#failure)): on `Err` the
+//! As with one stream ([why](crate::stream#failure)): on `Err` the
 //! destination's contents are unspecified and the source's pages are
-//! untouched. Every lane has been joined by the time a `migrate_pipelined*`
-//! call returns, whatever it returns. When lanes fail mid-round the
-//! coordinator first collects every lane's result, then returns the error of
-//! the lowest failing stripe. The `offset` of an
+//! untouched. Every lane has been joined by the time
+//! [`execute`](crate::execute) returns, whatever it returns. When lanes fail
+//! mid-round the coordinator first collects every lane's result, then
+//! returns the error of the lowest failing stripe. The `offset` of an
 //! [`Error::WireProtocol`] raised by a page frame counts bytes from the
 //! start of the failing stripe's stream of that round.
 
@@ -71,13 +73,9 @@ use std::thread;
 use rvisor_memory::GuestMemory;
 use rvisor_obs::{ArgValue, Trace};
 use rvisor_types::{Error, Nanoseconds, Result};
-use rvisor_vcpu::VcpuState;
 
 use crate::compress::CompressionStats;
-use crate::dirty::DirtySource;
-use crate::engines::{MigrationConfig, PostCopy, PreCopy, StopAndCopy};
 use crate::plan::MigrationPlan;
-use crate::report::MigrationReport;
 use crate::stream::{segment_capacity, MigrationSink, MigrationSource, Stream, ZeroRun};
 use crate::transport::Transport;
 
@@ -153,7 +151,7 @@ struct Lane {
     stats: Option<CompressionStats>,
 }
 
-/// The stripe lanes of one pipelined migration, as its [`Stream`] drives
+/// The stripe lanes of one multi-stream migration, as its [`Stream`] drives
 /// them.
 pub(crate) struct Lanes {
     lanes: Vec<Lane>,
@@ -302,18 +300,16 @@ impl Lanes {
 }
 
 /// Open a stream from `source` to `dest`, stand up one lane per stripe —
-/// compressing as `config` says if `compressed`, raw otherwise — and run
-/// the engine `f` over it. The lanes are joined before this returns.
-fn with_lanes<R>(
+/// each compressing as `plan` says — and run the engine `f` over it. The
+/// lanes are joined before this returns.
+pub(crate) fn with_lanes<R>(
     source: &GuestMemory,
     dest: &GuestMemory,
     transport: &mut dyn Transport,
-    config: &MigrationConfig,
-    compressed: bool,
+    plan: &MigrationPlan,
     f: impl FnOnce(&mut Stream<'_, '_>, Nanoseconds) -> Result<R>,
 ) -> Result<R> {
-    config.validate()?;
-    let streams = config.streams.get();
+    let streams = plan.streams.get();
     let stripe_len = source.total_pages().div_ceil(streams as u64).max(1);
     thread::scope(|scope| {
         // The stream's own buffer only ever holds control frames.
@@ -325,11 +321,7 @@ fn with_lanes<R>(
             // collected before the next is sent: neither send ever blocks.
             let (tasks, task_rx) = sync_channel(1);
             let (result_tx, results) = sync_channel(1);
-            let src = if compressed {
-                MigrationSource::with_config(source, config)
-            } else {
-                MigrationSource::raw(source)
-            };
+            let src = MigrationSource::with_config(source, plan);
             let stats = src.compression_stats();
             let sink = MigrationSink::lane_of(&stream.sink);
             let capacity = segment_capacity(stripe_len);
@@ -353,141 +345,27 @@ fn with_lanes<R>(
     })
 }
 
-impl StopAndCopy {
-    /// Run a stop-and-copy migration through the pipelined, multi-stream
-    /// data plane. Byte-identical and report-`==` to
-    /// [`StopAndCopy::migrate_over`] on the same transport; what an `Err`
-    /// leaves behind is [as there](self#failure).
-    pub fn migrate_pipelined(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-    ) -> Result<MigrationReport> {
-        Self::migrate_pipelined_traced(source, dest, vcpus, transport, config, &Trace::off())
-    }
-
-    /// [`StopAndCopy::migrate_pipelined`] with trace spans emitted to
-    /// `trace`; with [`Trace::off`] the two are identical.
-    pub fn migrate_pipelined_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        with_lanes(source, dest, transport, config, false, |stream, now| {
-            Self::run(stream, now, vcpus, trace)
-        })
-    }
-}
-
-impl PreCopy {
-    /// Run an iterative pre-copy migration through the pipelined,
-    /// multi-stream data plane while `dirty_source` keeps writing into the
-    /// source. Byte-identical and report-`==` to [`PreCopy::migrate_over`]
-    /// on the same transport (see the module docs for the one documented
-    /// divergence under XBZRLE cache pressure); what an `Err` leaves behind
-    /// is [as there](self#failure).
-    pub fn migrate_pipelined(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        dirty_source: &mut dyn DirtySource,
-        config: &MigrationConfig,
-    ) -> Result<MigrationReport> {
-        Self::migrate_pipelined_traced(
-            source,
-            dest,
-            vcpus,
-            transport,
-            dirty_source,
-            config,
-            &Trace::off(),
-        )
-    }
-
-    /// [`PreCopy::migrate_pipelined`] with trace spans emitted to `trace`;
-    /// with [`Trace::off`] the two are identical.
-    #[allow(clippy::too_many_arguments)]
-    pub fn migrate_pipelined_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        dirty_source: &mut dyn DirtySource,
-        config: &MigrationConfig,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        with_lanes(source, dest, transport, config, true, |stream, now| {
-            Self::run(stream, now, vcpus, dirty_source, config, trace)
-        })
-    }
-
-    /// [`PreCopy::migrate_pipelined_traced`] shaped by a per-migration
-    /// [`MigrationPlan`]: stream count and compression mode come from the
-    /// plan.
-    pub fn migrate_pipelined_planned_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        dirty_source: &mut dyn DirtySource,
-        plan: &MigrationPlan,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        plan.validate()?;
-        let config = plan.config();
-        Self::migrate_pipelined_traced(source, dest, vcpus, transport, dirty_source, &config, trace)
-    }
-}
-
-impl PostCopy {
-    /// Run a post-copy migration through the pipelined, multi-stream data
-    /// plane. Byte-identical and report-`==` to
-    /// [`PostCopy::migrate_over`] on the same transport; what an `Err`
-    /// leaves behind is [as there](self#failure).
-    pub fn migrate_pipelined(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-    ) -> Result<MigrationReport> {
-        Self::migrate_pipelined_traced(source, dest, vcpus, transport, config, &Trace::off())
-    }
-
-    /// [`PostCopy::migrate_pipelined`] with trace spans emitted to `trace`;
-    /// with [`Trace::off`] the two are identical.
-    pub fn migrate_pipelined_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        with_lanes(source, dest, transport, config, false, |stream, now| {
-            Self::run(stream, now, vcpus, config, trace, false)
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::compress::PageCompression;
-    use crate::dirty::{ConstantRateDirtier, IdleDirtier};
-    use crate::plan::PlanEngine;
+    use crate::dirty::{ConstantRateDirtier, DirtySource, IdleDirtier};
+    use crate::engines::execute;
+    use crate::plan::{PlanEngine, MAX_MIGRATION_STREAMS};
+    use crate::report::MigrationReport;
     use crate::transport::refusing::{refusal, RefusingTransport};
     use crate::transport::{FabricTransport, LoopbackTransport};
     use rvisor_net::{Fabric, FabricParams, Link, LinkModel};
     use rvisor_obs::OwnedArg;
     use rvisor_types::{ByteSize, GuestAddress, PAGE_SIZE};
+    use rvisor_vcpu::VcpuState;
     use std::num::NonZeroUsize;
+
+    const ENGINES: [PlanEngine; 3] = [
+        PlanEngine::StopAndCopy,
+        PlanEngine::PreCopy,
+        PlanEngine::PostCopy,
+    ];
 
     fn streams(n: usize) -> NonZeroUsize {
         NonZeroUsize::new(n).expect("non-zero")
@@ -515,152 +393,100 @@ mod tests {
         out
     }
 
-    fn serial_report(
-        engine: usize,
-        pages: u64,
-        dirty_fraction: f64,
-        config: &MigrationConfig,
-    ) -> (MigrationReport, Vec<u8>) {
-        let (src, dst) = memories(pages);
-        let mut link = Link::new(LinkModel::gigabit());
-        let mut transport = LoopbackTransport::new(&mut link);
-        let vcpus = [VcpuState::default()];
-        let report = match engine {
-            0 => StopAndCopy::migrate_over(&src, &dst, &vcpus, &mut transport).unwrap(),
-            1 => {
-                let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-                    LinkModel::gigabit().bytes_per_second,
-                    dirty_fraction,
-                    0,
-                    pages,
-                );
-                PreCopy::migrate_over(&src, &dst, &vcpus, &mut transport, &mut dirtier, config)
-                    .unwrap()
-            }
-            _ => PostCopy::migrate_over(&src, &dst, &vcpus, &mut transport, config).unwrap(),
-        };
-        (report, region_bytes(&dst))
+    fn gigabit_dirtier(fraction: f64, pages: u64) -> ConstantRateDirtier {
+        ConstantRateDirtier::from_bandwidth_fraction(
+            LinkModel::gigabit().bytes_per_second,
+            fraction,
+            0,
+            pages,
+        )
     }
 
-    fn pipelined_report(
-        engine: usize,
+    /// [`execute`] with one vCPU.
+    fn over(
+        plan: &MigrationPlan,
+        src: &GuestMemory,
+        dst: &GuestMemory,
+        transport: &mut dyn Transport,
+        dirtier: &mut dyn DirtySource,
+        trace: &Trace,
+    ) -> Result<MigrationReport> {
+        execute(
+            plan,
+            src,
+            dst,
+            &[VcpuState::default()],
+            transport,
+            dirtier,
+            trace,
+        )
+    }
+
+    /// `plan` over a loopback, the guest dirtying at `dirty_fraction` of the
+    /// link's bandwidth.
+    fn loopback_report(
+        plan: &MigrationPlan,
         pages: u64,
         dirty_fraction: f64,
-        config: &MigrationConfig,
     ) -> (MigrationReport, Vec<u8>) {
         let (src, dst) = memories(pages);
         let mut link = Link::new(LinkModel::gigabit());
         let mut transport = LoopbackTransport::new(&mut link);
-        let vcpus = [VcpuState::default()];
-        let report = match engine {
-            0 => {
-                StopAndCopy::migrate_pipelined(&src, &dst, &vcpus, &mut transport, config).unwrap()
-            }
-            1 => {
-                let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-                    LinkModel::gigabit().bytes_per_second,
-                    dirty_fraction,
-                    0,
-                    pages,
-                );
-                PreCopy::migrate_pipelined(&src, &dst, &vcpus, &mut transport, &mut dirtier, config)
-                    .unwrap()
-            }
-            _ => PostCopy::migrate_pipelined(&src, &dst, &vcpus, &mut transport, config).unwrap(),
-        };
+        let mut dirtier = gigabit_dirtier(dirty_fraction, pages);
+        let report = over(
+            plan,
+            &src,
+            &dst,
+            &mut transport,
+            &mut dirtier,
+            &Trace::off(),
+        )
+        .unwrap();
         (report, region_bytes(&dst))
     }
 
     #[test]
     fn pipelined_matches_serial_for_every_engine_and_stream_count() {
-        for engine in 0..3usize {
-            let (serial, serial_mem) = serial_report(engine, 256, 0.4, &MigrationConfig::default());
-            for n in [1usize, 2, 3, 4, 7] {
-                let config = MigrationConfig {
-                    streams: streams(n),
-                    ..Default::default()
-                };
-                let (pipelined, pipelined_mem) = pipelined_report(engine, 256, 0.4, &config);
-                assert_eq!(pipelined, serial, "engine {engine} at {n} streams");
-                assert_eq!(
-                    pipelined_mem, serial_mem,
-                    "engine {engine} at {n} streams: memory diverged"
-                );
-            }
-        }
-        // The plan-routed entry matches the config-routed one exactly.
-        for compression in [PageCompression::ZeroPages, PageCompression::Xbzrle] {
-            let config = MigrationConfig {
-                streams: streams(6),
-                compression,
+        for engine in ENGINES {
+            let serial = MigrationPlan {
+                engine,
                 ..Default::default()
             };
-            let (direct, direct_mem) = pipelined_report(1, 256, 0.4, &config);
-            let (src, dst) = memories(256);
-            let mut link = Link::new(LinkModel::gigabit());
-            let mut transport = LoopbackTransport::new(&mut link);
-            let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-                LinkModel::gigabit().bytes_per_second,
-                0.4,
-                0,
-                256,
-            );
-            let planned = PreCopy::migrate_pipelined_planned_traced(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut dirtier,
-                &config.plan(PlanEngine::PreCopy),
-                &Trace::off(),
-            )
-            .unwrap();
-            assert_eq!(planned, direct, "{compression:?}: plan routing diverged");
-            assert_eq!(region_bytes(&dst), direct_mem);
+            let (expected, expected_mem) = loopback_report(&serial, 256, 0.4);
+            for n in [2usize, 3, 4, 7] {
+                let laned = MigrationPlan {
+                    streams: streams(n),
+                    ..serial
+                };
+                let (report, mem) = loopback_report(&laned, 256, 0.4);
+                assert_eq!(report, expected, "{engine:?} at {n} streams");
+                assert_eq!(
+                    mem, expected_mem,
+                    "{engine:?} at {n} streams: memory diverged"
+                );
+            }
         }
     }
 
     #[test]
     fn zero_runs_stitch_across_stripe_boundaries() {
-        // An all-zero guest: serial coalesces every round into one ZeroRun
-        // frame. With 4 stripes the run crosses 3 boundaries and must be
-        // re-coalesced to the identical frame (equal bytes proves it:
-        // split runs would cost 3 extra frame headers).
+        // An all-zero guest: one stream coalesces every round into one
+        // ZeroRun frame. With 4 stripes the run crosses 3 boundaries and
+        // must be re-coalesced to the identical frame (equal bytes proves
+        // it: split runs would cost 3 extra frame headers).
         let pages = 256u64;
-        let config = MigrationConfig {
-            compression: PageCompression::ZeroPages,
-            ..Default::default()
-        };
         let run = |n: usize| {
             let src = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();
             let dst = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();
             let mut link = Link::new(LinkModel::gigabit());
             let mut transport = LoopbackTransport::new(&mut link);
-            let config = MigrationConfig {
+            let plan = MigrationPlan {
+                compression: PageCompression::ZeroPages,
                 streams: streams(n),
-                ..config
+                ..Default::default()
             };
-            if n == 1 {
-                PreCopy::migrate_over(
-                    &src,
-                    &dst,
-                    &[VcpuState::default()],
-                    &mut transport,
-                    &mut IdleDirtier,
-                    &config,
-                )
-                .unwrap()
-            } else {
-                PreCopy::migrate_pipelined(
-                    &src,
-                    &dst,
-                    &[VcpuState::default()],
-                    &mut transport,
-                    &mut IdleDirtier,
-                    &config,
-                )
-                .unwrap()
-            }
+            let off = Trace::off();
+            over(&plan, &src, &dst, &mut transport, &mut IdleDirtier, &off).unwrap()
         };
         let serial = run(1);
         for n in [2usize, 4, 8] {
@@ -675,19 +501,12 @@ mod tests {
             let (src, dst) = memories(pages);
             let mut fabric = Fabric::new(2, FabricParams::office_lan()).unwrap();
             let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
-            let config = MigrationConfig {
+            let plan = MigrationPlan {
                 streams: streams(n),
                 ..Default::default()
             };
-            let report = PreCopy::migrate_pipelined(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut IdleDirtier,
-                &config,
-            )
-            .unwrap();
+            let off = Trace::off();
+            let report = over(&plan, &src, &dst, &mut transport, &mut IdleDirtier, &off).unwrap();
             (report, region_bytes(&dst))
         };
         let (serial, serial_mem) = run(1);
@@ -708,64 +527,67 @@ mod tests {
         let (src, dst) = memories(8);
         let mut link = Link::new(LinkModel::gigabit());
         let mut transport = LoopbackTransport::new(&mut link);
-        let config = MigrationConfig {
-            streams: streams(crate::engines::MAX_MIGRATION_STREAMS + 1),
+        let off = Trace::off();
+        let too_many = MigrationPlan {
+            engine: PlanEngine::StopAndCopy,
+            streams: streams(MAX_MIGRATION_STREAMS + 1),
             ..Default::default()
         };
-        assert!(StopAndCopy::migrate_pipelined(&src, &dst, &[], &mut transport, &config).is_err());
-        let small = GuestMemory::flat(ByteSize::pages_of(2)).unwrap();
-        assert!(PostCopy::migrate_pipelined(
+        assert!(over(
+            &too_many,
             &src,
-            &small,
-            &[],
+            &dst,
             &mut transport,
-            &MigrationConfig::default()
+            &mut IdleDirtier,
+            &off
         )
         .is_err());
+        let small = GuestMemory::flat(ByteSize::pages_of(2)).unwrap();
+        let laned = MigrationPlan {
+            engine: PlanEngine::PostCopy,
+            streams: streams(2),
+            ..Default::default()
+        };
+        assert!(over(&laned, &src, &small, &mut transport, &mut IdleDirtier, &off).is_err());
     }
 
-    fn run_pipelined(
-        engine: usize,
+    fn run_laned(
+        engine: PlanEngine,
         n: usize,
         src: &GuestMemory,
         dst: &GuestMemory,
         transport: &mut dyn Transport,
     ) -> Result<MigrationReport> {
-        let vcpus = [VcpuState::default()];
-        let config = MigrationConfig {
+        let plan = MigrationPlan {
+            engine,
             streams: streams(n),
             compression: PageCompression::Xbzrle,
             ..Default::default()
         };
-        match engine {
-            0 => StopAndCopy::migrate_pipelined(src, dst, &vcpus, transport, &config),
-            1 => PreCopy::migrate_pipelined(src, dst, &vcpus, transport, &mut IdleDirtier, &config),
-            _ => PostCopy::migrate_pipelined(src, dst, &vcpus, transport, &config),
-        }
+        over(&plan, src, dst, transport, &mut IdleDirtier, &Trace::off())
     }
 
     #[test]
     fn refused_transfer_joins_the_lanes_and_leaves_the_source_migratable() {
         let pages = 256u64;
         // Transfers per migration: Hello, the rounds, the vCPU state.
-        for (engine, transfers) in [(0, 3), (1, 4), (2, 3)] {
-            for n in [1usize, 2, 4] {
+        for (engine, transfers) in ENGINES.into_iter().zip([3, 4, 3]) {
+            for n in [2usize, 4] {
                 let (clean_src, clean_dst) = memories(pages);
                 let mut link = Link::new(LinkModel::gigabit());
                 let mut healthy = LoopbackTransport::new(&mut link);
-                let expected =
-                    run_pipelined(engine, n, &clean_src, &clean_dst, &mut healthy).unwrap();
+                let expected = run_laned(engine, n, &clean_src, &clean_dst, &mut healthy).unwrap();
 
                 for fail_on in 1..=transfers {
                     let (src, dst) = memories(pages);
                     let bytes_before = region_bytes(&src);
                     let mut link = Link::new(LinkModel::gigabit());
                     let mut refusing = RefusingTransport::new(&mut link, fail_on);
-                    // Returning at all means every lane was joined: the
-                    // engine runs them inside a `thread::scope`.
-                    let err = run_pipelined(engine, n, &src, &dst, &mut refusing)
+                    // Returning at all means every lane was joined: they
+                    // run inside a `thread::scope`.
+                    let err = run_laned(engine, n, &src, &dst, &mut refusing)
                         .expect_err("the refused transfer must fail the migration");
-                    let case = format!("engine {engine}, {n} streams, transfer {fail_on}");
+                    let case = format!("{engine:?}, {n} streams, transfer {fail_on}");
                     assert_eq!(err, refusal(), "{case}");
                     assert_eq!(refusing.calls, fail_on, "nothing is sent after a refusal");
                     assert_eq!(region_bytes(&src), bytes_before, "{case}");
@@ -774,7 +596,7 @@ mod tests {
                     let (_, fresh) = memories(pages);
                     let mut link = Link::new(LinkModel::gigabit());
                     let mut healthy = LoopbackTransport::new(&mut link);
-                    let retried = run_pipelined(engine, n, &src, &fresh, &mut healthy).unwrap();
+                    let retried = run_laned(engine, n, &src, &fresh, &mut healthy).unwrap();
                     assert_eq!(retried, expected, "{case}");
                     assert_eq!(region_bytes(&fresh), bytes_before, "{case}");
                 }
@@ -790,11 +612,11 @@ mod tests {
         let (src, dst) = memories(10);
         let mut link = Link::new(LinkModel::gigabit());
         let mut transport = LoopbackTransport::new(&mut link);
-        let config = MigrationConfig {
+        let plan = MigrationPlan {
             streams: streams(4),
             ..Default::default()
         };
-        with_lanes(&src, &dst, &mut transport, &config, true, |stream, now| {
+        with_lanes(&src, &dst, &mut transport, &plan, |stream, now| {
             let mut pages: Vec<u64> = (0..10).collect();
             pages.push(11);
             let err = stream
@@ -816,48 +638,18 @@ mod tests {
     fn traced_pipelined_xbzrle_span_carries_the_serial_compression_stats() {
         // Zero, raw and (from round 2 on) delta pages, no eviction.
         let pages = 256u64;
-        let config = MigrationConfig {
-            compression: PageCompression::Xbzrle,
-            ..Default::default()
-        };
         let span_stats = |n: usize| {
             let (src, dst) = memories(pages);
             let mut link = Link::new(LinkModel::gigabit());
             let mut transport = LoopbackTransport::new(&mut link);
-            let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-                LinkModel::gigabit().bytes_per_second,
-                0.4,
-                0,
-                pages,
-            );
+            let mut dirtier = gigabit_dirtier(0.4, pages);
             let (trace, recorder) = Trace::recording();
-            let vcpus = [VcpuState::default()];
-            let config = MigrationConfig {
+            let plan = MigrationPlan {
+                compression: PageCompression::Xbzrle,
                 streams: streams(n),
-                ..config
+                ..Default::default()
             };
-            if n == 1 {
-                PreCopy::migrate_over_traced(
-                    &src,
-                    &dst,
-                    &vcpus,
-                    &mut transport,
-                    &mut dirtier,
-                    &config,
-                    &trace,
-                )
-            } else {
-                PreCopy::migrate_pipelined_traced(
-                    &src,
-                    &dst,
-                    &vcpus,
-                    &mut transport,
-                    &mut dirtier,
-                    &config,
-                    &trace,
-                )
-            }
-            .unwrap();
+            over(&plan, &src, &dst, &mut transport, &mut dirtier, &trace).unwrap();
             let recorder = recorder.borrow();
             let events = recorder.events();
             let span = events.iter().find(|e| e.track == "migrate").unwrap();
@@ -883,35 +675,34 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(8))]
 
-            /// The pipelined multi-stream engine is byte-identical and
-            /// `MigrationReport`-equal to the serial streamed path (and so,
-            /// transitively, to the direct in-memory engines) for all three
+            /// A laned migration is byte-identical and
+            /// `MigrationReport`-equal to the one-stream schedule (and so,
+            /// transitively, to the direct accounting oracle) for all three
             /// engines, any stream count, with and without compression.
             #[test]
             fn pipelined_engine_is_equivalent_to_the_serial_path(
                 engine in 0usize..3,
                 pages in 32u64..160,
                 dirty_fraction_pct in 0u64..120,
-                n_streams in 1usize..6,
+                n_streams in 2usize..6,
                 mode_idx in 0usize..3,
             ) {
-                let serial_config = MigrationConfig {
+                let serial = MigrationPlan {
+                    engine: ENGINES[engine],
                     max_rounds: 6,
                     dirty_page_threshold: 8,
                     compression: PageCompression::ALL[mode_idx],
                     ..Default::default()
                 };
-                let pipelined_config = MigrationConfig {
+                let laned = MigrationPlan {
                     streams: streams(n_streams),
-                    ..serial_config
+                    ..serial
                 };
                 let fraction = dirty_fraction_pct as f64 / 100.0;
-                let (serial, serial_mem) =
-                    serial_report(engine, pages, fraction, &serial_config);
-                let (pipelined, pipelined_mem) =
-                    pipelined_report(engine, pages, fraction, &pipelined_config);
-                prop_assert_eq!(pipelined, serial);
-                prop_assert_eq!(pipelined_mem, serial_mem);
+                let (expected, expected_mem) = loopback_report(&serial, pages, fraction);
+                let (report, mem) = loopback_report(&laned, pages, fraction);
+                prop_assert_eq!(report, expected);
+                prop_assert_eq!(mem, expected_mem);
             }
         }
     }

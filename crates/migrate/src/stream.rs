@@ -1,41 +1,42 @@
-//! Streaming migration: the engines split into a source-side encoder and a
-//! destination-side sink connected by a [`Transport`].
+//! The wire stream: a source-side encoder and a destination-side sink
+//! connected by a [`Transport`], and the three engine bodies that drive them.
 //!
-//! The direct engines in [`engines`](crate::engines) copy memory to memory
-//! and merely *account* bytes. This module moves the same migrations as a
-//! real byte stream: [`MigrationSource`] borrows guest pages through the
-//! zero-copy views and encodes them as [`wire`] frames, [`MigrationSink`]
-//! decodes them — verifying every frame checksum before anything touches
-//! guest memory — and applies pages in place on the destination, and the
-//! transport models the bytes crossing the network (loopback link or shared
-//! fabric).
+//! [`MigrationSource`] borrows guest pages through the zero-copy views and
+//! encodes them as [`wire`] frames, [`MigrationSink`] decodes them —
+//! verifying every frame checksum before anything touches guest memory —
+//! and applies pages in place on the destination, and the transport models
+//! the bytes crossing the network (loopback link or shared fabric).
 //!
 //! A round is one **simulated** transfer: its total bytes are charged to the
 //! channel with a single [`Transport::transmit_bytes`]. Nothing requires it
-//! to be one unit of **host** memory, so the serial engines move a round
-//! through one reused buffer in segments of at most `SEGMENT_PAGES` pages,
-//! each applied on the sink while it is still in cache and before the
-//! round's simulated arrival. The concatenated segments are byte for byte
-//! the burst [`MigrationSource::encode_round`] builds (pinned by proptest
-//! below). The pipelined engine ([`pipeline`](crate::pipeline)) runs the
-//! same segment loop and the same engine bodies, one thread per stripe of
-//! the page-index space.
+//! to be one unit of **host** memory, so a round moves through one reused
+//! buffer in segments of at most `SEGMENT_PAGES` pages, each applied on the
+//! sink while it is still in cache and before the round's simulated arrival.
+//! The concatenated segments are byte for byte the burst
+//! [`MigrationSource::encode_round`] builds (pinned by proptest below).
+//! Under stripe lanes ([`pipeline`](crate::pipeline)) the same segment loop
+//! runs on one thread per stripe of the page-index space, under the same
+//! engine bodies.
 //!
 //! # Failure
 //!
-//! Because segments reach the sink before the round is charged, a `*_over`
-//! engine that returns `Err` — the transport refused a transfer, the sink
-//! rejected a frame — leaves the destination's contents unspecified (pages
-//! of the failed round may have landed). The source's pages and, pre-copy's
-//! own harvesting aside, its dirty bitmap are untouched: migrate it again.
+//! Because segments reach the sink before the round is charged, an
+//! [`execute`](crate::execute) that returns `Err` — the transport refused a
+//! transfer, the sink rejected a frame — leaves the destination's contents
+//! unspecified (pages of the failed round may have landed). The source's
+//! pages and, pre-copy's own harvesting aside, its dirty bitmap are
+//! untouched: migrate it again.
 //!
-//! For a [`LoopbackTransport`](crate::transport::LoopbackTransport) the
-//! streamed engines produce **`==`-equal [`MigrationReport`]s and
-//! byte-identical destination memory** versus the direct engines (pinned by
-//! proptest below) — the wire protocol is free at equal modelled bandwidth.
-//! Over a [`FabricTransport`](crate::transport::FabricTransport) the same
-//! stream pays NIC serialization, backbone contention and MTU chunk
-//! framing, which is where wire migration earns its keep (experiment E17).
+//! Over a [`LoopbackTransport`](crate::transport::LoopbackTransport) an
+//! uncompressed migration produces a **`==`-equal [`MigrationReport`] and
+//! byte-identical destination memory** versus the direct engines the tests
+//! keep as their accounting oracle (pinned by proptest below) — the wire
+//! protocol is free at equal modelled bandwidth; with compression the
+//! run-length zero coding makes the stream *cheaper* than the oracle's
+//! per-page markers. Over a
+//! [`FabricTransport`](crate::transport::FabricTransport) the same stream
+//! pays NIC serialization, backbone contention and MTU chunk framing, which
+//! is where wire migration earns its keep (experiment E17).
 
 use rvisor_memory::GuestMemory;
 use rvisor_obs::Trace;
@@ -45,9 +46,10 @@ use rvisor_vcpu::VcpuState;
 use crate::compress::{is_zero_page, xbzrle_apply_in_place, EncodedPage};
 use crate::compress::{PageCompression, PageCompressor};
 use crate::dirty::DirtySource;
-use crate::engines::{check_same_size, MigrationConfig, PostCopy, PreCopy, StopAndCopy};
+use crate::engines::{check_same_size, PostCopy, PreCopy, StopAndCopy};
 use crate::engines::{emit_migration_span, emit_round_span, PER_PAGE_OVERHEAD};
 use crate::pipeline::Lanes;
+use crate::plan::{FaultService, MigrationPlan};
 use crate::report::{MigrationKind, MigrationReport, RoundStat};
 use crate::transport::Transport;
 use crate::wire::{self, FrameKind, WireFrame, MODE_DELTA, MODE_RAW, MODE_ZERO};
@@ -87,13 +89,13 @@ impl<'m> MigrationSource<'m> {
         }
     }
 
-    /// An encoder honouring the configured page compression.
-    pub fn with_config(memory: &'m GuestMemory, config: &MigrationConfig) -> Self {
-        let compressor = match config.compression {
+    /// An encoder honouring the plan's page compression.
+    pub fn with_config(memory: &'m GuestMemory, plan: &MigrationPlan) -> Self {
+        let compressor = match plan.compression {
             PageCompression::None => None,
             mode => Some(PageCompressor::with_cache_capacity(
                 mode,
-                config.xbzrle_cache_pages,
+                plan.xbzrle_cache_pages,
             )),
         };
         MigrationSource {
@@ -531,9 +533,9 @@ impl<'m, 't> Stream<'m, 't> {
         Ok((stream, after_hello))
     }
 
-    /// [`Self::open`] for a serial engine, which streams whole segments
-    /// through the buffer.
-    fn open_serial(
+    /// [`Self::open`] for a stream without lanes, which passes whole
+    /// segments through the buffer.
+    pub(crate) fn open_serial(
         src: MigrationSource<'m>,
         dest: &'m GuestMemory,
         transport: &'t mut dyn Transport,
@@ -622,34 +624,6 @@ impl<'m, 't> Stream<'m, 't> {
 }
 
 impl StopAndCopy {
-    /// Run a stop-and-copy migration as a wire stream over `transport`.
-    ///
-    /// Byte- and nanosecond-equivalent to [`StopAndCopy::migrate`] when the
-    /// transport is a loopback over the same link. On `Err` the destination's
-    /// contents are unspecified and the source is untouched
-    /// ([why](self#failure)).
-    pub fn migrate_over(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-    ) -> Result<MigrationReport> {
-        Self::migrate_over_traced(source, dest, vcpus, transport, &Trace::off())
-    }
-
-    /// [`StopAndCopy::migrate_over`] with trace spans emitted into `trace`.
-    pub fn migrate_over_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        let (mut stream, after_hello) =
-            Stream::open_serial(MigrationSource::raw(source), dest, transport)?;
-        Self::run(&mut stream, after_hello, vcpus, trace)
-    }
-
     /// The stop-and-copy engine over an open stream.
     pub(crate) fn run(
         stream: &mut Stream<'_, '_>,
@@ -686,58 +660,13 @@ impl StopAndCopy {
 }
 
 impl PreCopy {
-    /// Run an iterative pre-copy migration as a wire stream over
-    /// `transport`, while `dirty_source` keeps writing into the source.
-    ///
-    /// Byte- and nanosecond-equivalent to [`PreCopy::migrate`] over a
-    /// loopback transport when compression is off; with zero-page or XBZRLE
-    /// compression the run-length zero coding makes the stream *cheaper*
-    /// than the direct path's per-page markers. On `Err` the destination's
-    /// contents are unspecified and the source's pages are untouched; dirty
-    /// bits harvested so far are consumed, as on success ([why](self#failure)).
-    pub fn migrate_over(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        dirty_source: &mut dyn DirtySource,
-        config: &MigrationConfig,
-    ) -> Result<MigrationReport> {
-        Self::migrate_over_traced(
-            source,
-            dest,
-            vcpus,
-            transport,
-            dirty_source,
-            config,
-            &Trace::off(),
-        )
-    }
-
-    /// [`PreCopy::migrate_over`] with trace spans emitted into `trace`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn migrate_over_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        dirty_source: &mut dyn DirtySource,
-        config: &MigrationConfig,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        config.validate()?;
-        let src = MigrationSource::with_config(source, config);
-        let (mut stream, after_hello) = Stream::open_serial(src, dest, transport)?;
-        Self::run(&mut stream, after_hello, vcpus, dirty_source, config, trace)
-    }
-
     /// The iterative pre-copy engine over an open stream.
     pub(crate) fn run(
         stream: &mut Stream<'_, '_>,
         mut now: Nanoseconds,
         vcpus: &[VcpuState],
         dirty_source: &mut dyn DirtySource,
-        config: &MigrationConfig,
+        plan: &MigrationPlan,
         trace: &Trace,
     ) -> Result<MigrationReport> {
         let source = stream.src.memory;
@@ -751,7 +680,7 @@ impl PreCopy {
         let mut to_send: Vec<u64> = (0..source.total_pages()).collect();
         let mut harvest: Vec<u64> = Vec::new();
         // Sized up front so steady-state rounds never reallocate it.
-        let mut breakdown: Vec<RoundStat> = Vec::with_capacity(config.max_rounds as usize + 1);
+        let mut breakdown: Vec<RoundStat> = Vec::with_capacity(plan.max_rounds as usize + 1);
 
         loop {
             rounds += 1;
@@ -765,11 +694,11 @@ impl PreCopy {
 
             source.drain_dirty_into(&mut harvest);
             std::mem::swap(&mut to_send, &mut harvest);
-            if to_send.len() as u64 <= config.dirty_page_threshold {
+            if to_send.len() as u64 <= plan.dirty_page_threshold {
                 converged = true;
                 break;
             }
-            if rounds >= config.max_rounds {
+            if rounds >= plan.max_rounds {
                 break;
             }
         }
@@ -807,106 +736,29 @@ impl PreCopy {
 }
 
 impl PostCopy {
-    /// Run a post-copy migration as a wire stream over `transport`.
-    ///
-    /// Byte- and nanosecond-equivalent to [`PostCopy::migrate`] over a
-    /// loopback transport. On `Err` the destination's contents are
-    /// unspecified and the source is untouched ([why](self#failure)).
-    pub fn migrate_over(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-    ) -> Result<MigrationReport> {
-        Self::migrate_over_traced(source, dest, vcpus, transport, config, &Trace::off())
-    }
-
-    /// [`PostCopy::migrate_over`] with trace spans emitted into `trace`.
-    pub fn migrate_over_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        Self::stream_over(source, dest, vcpus, transport, config, trace, false)
-    }
-
-    /// Run a post-copy migration with an out-of-order demand-fault service
-    /// lane: the demand-faulted pages ride a dedicated stream that
-    /// *overtakes* the background sweep.
-    ///
-    /// Hello and vCPU-state phases are identical to
-    /// [`PostCopy::migrate_over`] (same downtime). The page phase then
-    /// splits in two rounds: the faulted pages are encoded and delivered
-    /// first (the lane), the remaining pages follow as the background sweep.
-    /// Because every fault is serviced by the lane's single burst, the
-    /// sweep-ordered reference's serialized per-fault propagation penalty
-    /// (`latency × faults` appended after the sweep) never accrues — total
-    /// time is strictly lower whenever at least two pages fault, at the
-    /// cost of exactly one extra end-of-round marker frame on the wire.
-    ///
-    /// The sweep-ordered serial engine stays the proptest-pinned reference;
-    /// this path is selected per migration via
-    /// [`FaultService::FaultLane`](crate::FaultService::FaultLane) in a
-    /// [`MigrationPlan`](crate::MigrationPlan). See
-    /// [`sweep_mean_fault_latency`](crate::sweep_mean_fault_latency) for
-    /// how the two disciplines' mean fault service latencies compare. On
-    /// `Err` the destination's contents are unspecified and the source is
-    /// untouched ([why](self#failure)).
-    pub fn migrate_fault_lane_over(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-    ) -> Result<MigrationReport> {
-        Self::migrate_fault_lane_over_traced(source, dest, vcpus, transport, config, &Trace::off())
-    }
-
-    /// [`PostCopy::migrate_fault_lane_over`] with trace spans emitted into
-    /// `trace`.
-    pub fn migrate_fault_lane_over_traced(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-        trace: &Trace,
-    ) -> Result<MigrationReport> {
-        Self::stream_over(source, dest, vcpus, transport, config, trace, true)
-    }
-
-    /// Open a serial stream and run the engine under either fault-service
-    /// discipline.
-    fn stream_over(
-        source: &GuestMemory,
-        dest: &GuestMemory,
-        vcpus: &[VcpuState],
-        transport: &mut dyn Transport,
-        config: &MigrationConfig,
-        trace: &Trace,
-        fault_lane: bool,
-    ) -> Result<MigrationReport> {
-        config.validate()?;
-        let (mut stream, after_hello) =
-            Stream::open_serial(MigrationSource::raw(source), dest, transport)?;
-        Self::run(&mut stream, after_hello, vcpus, config, trace, fault_lane)
-    }
-
     /// The post-copy engine over an open stream, under both fault-service
     /// disciplines: they differ only in how the page phase is cut into rounds
     /// and in what the faults cost afterwards.
+    ///
+    /// Under [`FaultService::FaultLane`] the demand-faulted pages cross
+    /// first, in a round of their own, and the rest follow as the
+    /// background sweep. Hello and vCPU-state phases are the same (same
+    /// downtime); because every fault is serviced by the lane's single
+    /// burst, the sweep-ordered discipline's serialized per-fault
+    /// propagation penalty (`latency × faults` appended after the sweep)
+    /// never accrues — total time is strictly lower whenever at least two
+    /// pages fault, at the cost of exactly one extra end-of-round marker on
+    /// the wire. See
+    /// [`sweep_mean_fault_latency`](crate::sweep_mean_fault_latency) for how
+    /// the two disciplines' mean fault service latencies compare.
     pub(crate) fn run(
         stream: &mut Stream<'_, '_>,
         after_hello: Nanoseconds,
         vcpus: &[VcpuState],
-        config: &MigrationConfig,
+        plan: &MigrationPlan,
         trace: &Trace,
-        fault_lane: bool,
     ) -> Result<MigrationReport> {
+        let fault_lane = plan.fault_service == FaultService::FaultLane;
         let source = stream.src.memory;
         let start = stream.start;
 
@@ -915,7 +767,7 @@ impl PostCopy {
         let resumed_at = stream.vcpu_states(vcpus, after_hello)?;
 
         let total_pages = source.total_pages();
-        let fault_pages = ((total_pages as f64) * config.postcopy_fault_fraction).round() as u64;
+        let fault_pages = ((total_pages as f64) * plan.postcopy_fault_fraction).round() as u64;
         let fault_pages = fault_pages.min(total_pages);
         let all_pages: Vec<u64> = (0..total_pages).collect();
         let lane_len = if fault_lane { fault_pages as usize } else { 0 };
@@ -975,6 +827,9 @@ impl PostCopy {
 mod tests {
     use super::*;
     use crate::dirty::{ConstantRateDirtier, IdleDirtier};
+    use crate::engines::execute;
+    use crate::plan::PlanEngine;
+    use crate::reference;
     use crate::transport::refusing::{refusal, RefusingTransport};
     use crate::transport::{FabricTransport, LoopbackTransport};
     use rvisor_net::{Fabric, FabricParams, Link, LinkModel};
@@ -998,64 +853,85 @@ mod tests {
         out
     }
 
+    const ENGINES: [PlanEngine; 3] = [
+        PlanEngine::StopAndCopy,
+        PlanEngine::PreCopy,
+        PlanEngine::PostCopy,
+    ];
+
+    fn gigabit_dirtier(fraction: f64, pages: u64) -> ConstantRateDirtier {
+        ConstantRateDirtier::from_bandwidth_fraction(
+            LinkModel::gigabit().bytes_per_second,
+            fraction,
+            0,
+            pages,
+        )
+    }
+
+    /// [`execute`] with one vCPU and tracing off.
+    fn over(
+        plan: &MigrationPlan,
+        src: &GuestMemory,
+        dst: &GuestMemory,
+        transport: &mut dyn Transport,
+        dirtier: &mut dyn DirtySource,
+    ) -> Result<MigrationReport> {
+        let vcpus = [VcpuState::default()];
+        execute(plan, src, dst, &vcpus, transport, dirtier, &Trace::off())
+    }
+
+    /// Engine `engine` of [`ENGINES`] on the direct accounting oracle.
     fn direct_report(
         engine: usize,
         pages: u64,
         dirty_fraction: f64,
-        config: &MigrationConfig,
+        plan: &MigrationPlan,
     ) -> (MigrationReport, Vec<u8>) {
         let (src, dst) = memories(pages);
         let mut link = Link::new(LinkModel::gigabit());
         let vcpus = [VcpuState::default()];
-        let report = match engine {
-            0 => StopAndCopy::migrate(&src, &dst, &vcpus, &mut link).unwrap(),
-            1 => {
-                let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-                    LinkModel::gigabit().bytes_per_second,
-                    dirty_fraction,
-                    0,
-                    pages,
-                );
-                PreCopy::migrate(&src, &dst, &vcpus, &mut link, &mut dirtier, config).unwrap()
+        let off = Trace::off();
+        let report = match ENGINES[engine] {
+            PlanEngine::StopAndCopy => {
+                reference::stop_and_copy(&src, &dst, &vcpus, &mut link, &off).unwrap()
             }
-            _ => PostCopy::migrate(&src, &dst, &vcpus, &mut link, config).unwrap(),
+            PlanEngine::PreCopy => {
+                let mut dirtier = gigabit_dirtier(dirty_fraction, pages);
+                reference::pre_copy(&src, &dst, &vcpus, &mut link, &mut dirtier, plan, &off)
+                    .unwrap()
+            }
+            PlanEngine::PostCopy => {
+                reference::post_copy(&src, &dst, &vcpus, &mut link, plan, &off).unwrap()
+            }
         };
         (report, region_bytes(&dst))
     }
 
+    /// Engine `engine` of [`ENGINES`] as a wire stream over a loopback.
     fn streamed_report(
         engine: usize,
         pages: u64,
         dirty_fraction: f64,
-        config: &MigrationConfig,
+        plan: &MigrationPlan,
     ) -> (MigrationReport, Vec<u8>) {
         let (src, dst) = memories(pages);
         let mut link = Link::new(LinkModel::gigabit());
         let mut transport = LoopbackTransport::new(&mut link);
-        let vcpus = [VcpuState::default()];
-        let report = match engine {
-            0 => StopAndCopy::migrate_over(&src, &dst, &vcpus, &mut transport).unwrap(),
-            1 => {
-                let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-                    LinkModel::gigabit().bytes_per_second,
-                    dirty_fraction,
-                    0,
-                    pages,
-                );
-                PreCopy::migrate_over(&src, &dst, &vcpus, &mut transport, &mut dirtier, config)
-                    .unwrap()
-            }
-            _ => PostCopy::migrate_over(&src, &dst, &vcpus, &mut transport, config).unwrap(),
+        let plan = MigrationPlan {
+            engine: ENGINES[engine],
+            ..*plan
         };
+        let mut dirtier = gigabit_dirtier(dirty_fraction, pages);
+        let report = over(&plan, &src, &dst, &mut transport, &mut dirtier).unwrap();
         (report, region_bytes(&dst))
     }
 
     #[test]
     fn loopback_stream_matches_direct_for_every_engine() {
-        let config = MigrationConfig::default();
+        let plan = MigrationPlan::default();
         for engine in 0..3 {
-            let (direct, direct_mem) = direct_report(engine, 256, 0.4, &config);
-            let (streamed, streamed_mem) = streamed_report(engine, 256, 0.4, &config);
+            let (direct, direct_mem) = direct_report(engine, 256, 0.4, &plan);
+            let (streamed, streamed_mem) = streamed_report(engine, 256, 0.4, &plan);
             assert_eq!(streamed, direct, "engine {engine} diverged");
             assert_eq!(streamed_mem, direct_mem, "engine {engine} memory diverged");
         }
@@ -1067,25 +943,17 @@ mod tests {
         // additionally pays MTU chunk framing, so it must be strictly
         // slower while landing the exact same memory image.
         let pages = 512u64;
-        let config = MigrationConfig::default();
+        let plan = MigrationPlan::default();
         // Idle guest: round timing cannot feed back into memory contents,
         // so the two paths must land the *same* image. (A rate dirtier
         // would dirty different pages under different round lengths.)
-        let (loopback, loopback_mem) = streamed_report(1, pages, 0.0, &config);
+        let (loopback, loopback_mem) = streamed_report(1, pages, 0.0, &plan);
 
         let run_fabric = || {
             let (src, dst) = memories(pages);
             let mut fabric = Fabric::new(2, FabricParams::office_lan()).unwrap();
             let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
-            let report = PreCopy::migrate_over(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut IdleDirtier,
-                &config,
-            )
-            .unwrap();
+            let report = over(&plan, &src, &dst, &mut transport, &mut IdleDirtier).unwrap();
             (report, region_bytes(&dst))
         };
         let (fabric_report, fabric_mem) = run_fabric();
@@ -1116,19 +984,20 @@ mod tests {
             (src, dst)
         };
         for compression in [PageCompression::ZeroPages, PageCompression::Xbzrle] {
-            let config = MigrationConfig {
+            let plan = MigrationPlan {
                 compression,
                 ..Default::default()
             };
             let (src, dst) = make();
             let mut link = Link::new(LinkModel::gigabit());
-            let direct = PreCopy::migrate(
+            let direct = reference::pre_copy(
                 &src,
                 &dst,
                 &[VcpuState::default()],
                 &mut link,
                 &mut IdleDirtier,
-                &config,
+                &plan,
+                &Trace::off(),
             )
             .unwrap();
             let direct_mem = region_bytes(&dst);
@@ -1136,15 +1005,7 @@ mod tests {
             let (src2, dst2) = make();
             let mut link2 = Link::new(LinkModel::gigabit());
             let mut transport = LoopbackTransport::new(&mut link2);
-            let streamed = PreCopy::migrate_over(
-                &src2,
-                &dst2,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut IdleDirtier,
-                &config,
-            )
-            .unwrap();
+            let streamed = over(&plan, &src2, &dst2, &mut transport, &mut IdleDirtier).unwrap();
             assert_eq!(region_bytes(&dst2), direct_mem, "{compression:?}");
             assert!(
                 streamed.bytes_transferred < direct.bytes_transferred,
@@ -1262,22 +1123,20 @@ mod tests {
     #[test]
     fn fault_lane_overtakes_the_sweep_reference() {
         let pages = 512u64;
-        let config = MigrationConfig::default();
-        let run = |lane: bool| {
+        let run = |fault_service: FaultService| {
             let (src, dst) = memories(pages);
             let mut link = Link::new(LinkModel::gigabit());
             let mut transport = LoopbackTransport::new(&mut link);
-            let vcpus = [VcpuState::default()];
-            let report = if lane {
-                PostCopy::migrate_fault_lane_over(&src, &dst, &vcpus, &mut transport, &config)
-                    .unwrap()
-            } else {
-                PostCopy::migrate_over(&src, &dst, &vcpus, &mut transport, &config).unwrap()
+            let plan = MigrationPlan {
+                engine: PlanEngine::PostCopy,
+                fault_service,
+                ..Default::default()
             };
+            let report = over(&plan, &src, &dst, &mut transport, &mut IdleDirtier).unwrap();
             (report, region_bytes(&dst))
         };
-        let (sweep, sweep_mem) = run(false);
-        let (lane, lane_mem) = run(true);
+        let (sweep, sweep_mem) = run(FaultService::Sweep);
+        let (lane, lane_mem) = run(FaultService::FaultLane);
         // Identical payload: same destination image, same pages, same
         // downtime, same fault count; the lane costs exactly one extra
         // end-of-round marker on the wire.
@@ -1313,7 +1172,7 @@ mod tests {
             sweep_mean
         );
         // Same-seed fault-lane runs replay `==`.
-        let (replay, replay_mem) = run(true);
+        let (replay, replay_mem) = run(FaultService::FaultLane);
         assert_eq!(replay, lane);
         assert_eq!(replay_mem, lane_mem);
     }
@@ -1325,18 +1184,13 @@ mod tests {
             let (src, dst) = memories(pages);
             let mut link = Link::new(LinkModel::gigabit());
             let mut transport = LoopbackTransport::new(&mut link);
-            let config = MigrationConfig {
+            let plan = MigrationPlan {
+                engine: PlanEngine::PostCopy,
+                fault_service: FaultService::FaultLane,
                 postcopy_fault_fraction: fraction,
                 ..Default::default()
             };
-            let report = PostCopy::migrate_fault_lane_over(
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &config,
-            )
-            .unwrap();
+            let report = over(&plan, &src, &dst, &mut transport, &mut IdleDirtier).unwrap();
             assert_eq!(region_bytes(&dst), region_bytes(&src), "{fraction}");
             assert_eq!(report.rounds, 2);
             assert_eq!(
@@ -1353,14 +1207,18 @@ mod tests {
         dst: &GuestMemory,
         transport: &mut dyn Transport,
     ) -> Result<MigrationReport> {
-        let vcpus = [VcpuState::default()];
-        let config = MigrationConfig::default();
-        match engine {
-            0 => StopAndCopy::migrate_over(src, dst, &vcpus, transport),
-            1 => PreCopy::migrate_over(src, dst, &vcpus, transport, &mut IdleDirtier, &config),
-            2 => PostCopy::migrate_over(src, dst, &vcpus, transport, &config),
-            _ => PostCopy::migrate_fault_lane_over(src, dst, &vcpus, transport, &config),
-        }
+        let plan = match engine {
+            0..=2 => MigrationPlan {
+                engine: ENGINES[engine],
+                ..Default::default()
+            },
+            _ => MigrationPlan {
+                engine: PlanEngine::PostCopy,
+                fault_service: FaultService::FaultLane,
+                ..Default::default()
+            },
+        };
+        over(&plan, src, dst, transport, &mut IdleDirtier)
     }
 
     #[test]
@@ -1554,7 +1412,7 @@ mod tests {
             dest: &GuestMemory,
             transport: &mut dyn Transport,
             dirtier: &mut dyn DirtySource,
-            config: &MigrationConfig,
+            config: &MigrationPlan,
         ) -> MigrationReport {
             let mut src = MigrationSource::with_config(source, config);
             let mut segmented = MigrationSource::with_config(source, config);
@@ -1648,7 +1506,7 @@ mod tests {
                 ),
                 mode_idx in 0usize..3,
             ) {
-                let config = MigrationConfig {
+                let config = MigrationPlan {
                     max_rounds: 4,
                     dirty_page_threshold: 0,
                     compression: PageCompression::ALL[mode_idx],
@@ -1667,10 +1525,8 @@ mod tests {
                 let (src_b, dst_b) = (guest(&mask), guest(&vec![true; mask.len()]));
                 let mut link_b = Link::new(LinkModel::gigabit());
                 let mut transport_b = LoopbackTransport::new(&mut link_b);
-                let by_segments = PreCopy::migrate_over(
-                    &src_b, &dst_b, &[VcpuState::default()], &mut transport_b,
-                    &mut dirtier(), &config,
-                ).unwrap();
+                let by_segments =
+                    over(&config, &src_b, &dst_b, &mut transport_b, &mut dirtier()).unwrap();
 
                 // Three scripted rounds of writes, then the script runs out:
                 // round 4 finds nothing dirty and the stop phase is empty.
@@ -1695,7 +1551,7 @@ mod tests {
                 pages in 32u64..192,
                 dirty_fraction_pct in 0u64..120,
             ) {
-                let config = MigrationConfig {
+                let config = MigrationPlan {
                     max_rounds: 6,
                     dirty_page_threshold: 8,
                     ..Default::default()
@@ -1721,7 +1577,7 @@ mod tests {
                 mode_idx in 1usize..3,
                 sparse_stride in 1u64..16,
             ) {
-                let config = MigrationConfig {
+                let config = MigrationPlan {
                     max_rounds: 5,
                     dirty_page_threshold: 8,
                     compression: PageCompression::ALL[mode_idx],
@@ -1738,18 +1594,16 @@ mod tests {
 
                 let (src_a, dst_a) = make();
                 let mut link_a = Link::new(LinkModel::gigabit());
-                let direct = PreCopy::migrate(
+                let direct = reference::pre_copy(
                     &src_a, &dst_a, &[VcpuState::default()], &mut link_a,
-                    &mut IdleDirtier, &config,
+                    &mut IdleDirtier, &config, &Trace::off(),
                 ).unwrap();
 
                 let (src_b, dst_b) = make();
                 let mut link_b = Link::new(LinkModel::gigabit());
                 let mut transport = LoopbackTransport::new(&mut link_b);
-                let streamed = PreCopy::migrate_over(
-                    &src_b, &dst_b, &[VcpuState::default()], &mut transport,
-                    &mut IdleDirtier, &config,
-                ).unwrap();
+                let streamed =
+                    over(&config, &src_b, &dst_b, &mut transport, &mut IdleDirtier).unwrap();
 
                 prop_assert_eq!(region_bytes(&dst_b), region_bytes(&dst_a));
                 prop_assert_eq!(region_bytes(&dst_b), region_bytes(&src_b));
@@ -1760,16 +1614,8 @@ mod tests {
                 let (src_c, dst_c) = make();
                 let mut link_c = Link::new(LinkModel::gigabit());
                 let mut transport_c = LoopbackTransport::new(&mut link_c);
-                let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-                    LinkModel::gigabit().bytes_per_second,
-                    dirty_fraction_pct as f64 / 100.0,
-                    0,
-                    pages,
-                );
-                PreCopy::migrate_over(
-                    &src_c, &dst_c, &[VcpuState::default()], &mut transport_c,
-                    &mut dirtier, &config,
-                ).unwrap();
+                let mut dirtier = gigabit_dirtier(dirty_fraction_pct as f64 / 100.0, pages);
+                over(&config, &src_c, &dst_c, &mut transport_c, &mut dirtier).unwrap();
                 prop_assert_eq!(region_bytes(&dst_c), region_bytes(&src_c));
             }
         }

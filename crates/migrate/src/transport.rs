@@ -7,8 +7,8 @@
 //!   [`Transport::latency`], [`Transport::transfer_time`] and
 //!   [`Transport::bytes_sent`] — is what every engine uses. A round is one
 //!   *simulated* transfer: the engine streams its frames to the sink itself
-//!   (in cache-sized segments through one reused buffer — one for a serial
-//!   engine, one per stripe lane for the pipelined engine) and charges the
+//!   (in cache-sized segments through one reused buffer — one for a
+//!   one-stream migration, one per stripe lane otherwise) and charges the
 //!   round's total bytes to the channel with a single `transmit_bytes` /
 //!   `transmit_striped`. The transport times and counts bytes; it does not
 //!   carry them.
@@ -26,8 +26,8 @@
 //! Two implementations ship:
 //!
 //! * [`LoopbackTransport`] — timed by a single point-to-point [`Link`];
-//!   byte-for-byte and nanosecond-for-nanosecond equivalent to the direct
-//!   in-memory engines (pinned by proptest).
+//!   byte-for-byte and nanosecond-for-nanosecond what the tests' direct
+//!   accounting oracle charges (pinned by proptest).
 //! * [`FabricTransport`] — timed by a shared [`Fabric`]: per-host NIC
 //!   serialization, backbone contention with every other migration and DR
 //!   stream, and MTU chunk framing, so migration duration and downtime come
@@ -70,7 +70,7 @@ pub trait Transport {
     /// On a point-to-point [`LoopbackTransport`] fair sharing of one pipe
     /// completes the aggregate exactly when a single stream would, so this
     /// is `transmit_bytes` of the sum — which is what keeps a multi-stream
-    /// loopback migration `==`-report-equal to the serial engine. On a
+    /// loopback migration `==`-report-equal to a one-stream one. On a
     /// [`FabricTransport`] each stream pays its own MTU chunk framing
     /// ([`Fabric::transfer_striped`]).
     fn transmit_striped(&mut self, now: Nanoseconds, stripes: &[u64]) -> Result<Nanoseconds> {
@@ -134,8 +134,7 @@ impl BurstBuffer {
 /// In-process delivery timed by one point-to-point [`Link`].
 ///
 /// Borrows the link mutably so the caller's link keeps its busy-time
-/// account across migrations (back-to-back transfers queue), exactly like
-/// handing the same `&mut Link` to the direct engines.
+/// account across migrations (back-to-back transfers queue).
 #[derive(Debug)]
 pub struct LoopbackTransport<'l> {
     link: &'l mut Link,
@@ -308,11 +307,14 @@ pub(crate) mod refusing {
 
     /// A loopback that refuses the `fail_on`-th transfer charged to it
     /// (`transmit_bytes` or `transmit_striped`), as a transport whose
-    /// endpoint failed mid-migration does.
+    /// endpoint failed mid-migration does; with `fail_on` 0 it refuses
+    /// nothing and only counts.
     pub(crate) struct RefusingTransport<'l> {
         inner: LoopbackTransport<'l>,
         /// Transfers asked for so far, the refused one included.
         pub(crate) calls: u32,
+        /// How many of them were charged as stripes: the rounds lanes ran.
+        pub(crate) striped_calls: u32,
         fail_on: u32,
     }
 
@@ -321,6 +323,7 @@ pub(crate) mod refusing {
             RefusingTransport {
                 inner: LoopbackTransport::new(link),
                 calls: 0,
+                striped_calls: 0,
                 fail_on,
             }
         }
@@ -344,13 +347,16 @@ pub(crate) mod refusing {
         fn deliver(&mut self, now: Nanoseconds) -> Result<(Nanoseconds, Vec<u8>)> {
             self.inner.deliver(now)
         }
-        // `transmit_striped` is the provided method, which lands here too.
         fn transmit_bytes(&mut self, now: Nanoseconds, bytes: u64) -> Result<Nanoseconds> {
             self.calls += 1;
             if self.calls == self.fail_on {
                 return Err(refusal());
             }
             self.inner.transmit_bytes(now, bytes)
+        }
+        fn transmit_striped(&mut self, now: Nanoseconds, stripes: &[u64]) -> Result<Nanoseconds> {
+            self.striped_calls += 1;
+            self.transmit_bytes(now, stripes.iter().sum())
         }
         fn recycle(&mut self, buf: Vec<u8>) {
             self.inner.recycle(buf)

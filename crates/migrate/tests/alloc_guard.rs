@@ -10,9 +10,9 @@
 //! The binary contains a single `#[test]`, and a thread's allocations are
 //! counted only once that thread has marked itself, so neither another test
 //! nor the harness (which prints from its own thread when a test runs long)
-//! can land an allocation inside a bracket that asserts exactly zero. The
-//! pipelined engine's lanes are threads spawned by the engine, not by the
-//! test, so part 3 reads the process-wide counter instead, and reads it at
+//! can land an allocation inside a bracket that asserts exactly zero. A
+//! multi-stream migration's lanes are threads spawned by the engine, not by
+//! the test, so part 3 reads the process-wide counter instead, and reads it at
 //! every round boundary of one migration: each lane owns one segment buffer
 //! of fixed capacity and one recycled page list, so past the first rounds
 //! the only allocations left, on any thread and under every schedule, are
@@ -20,8 +20,8 @@
 //! channel.
 //!
 //! The allocator also records the largest size any thread asks for, which
-//! part 5 uses to pin that no streamed engine, serial or pipelined,
-//! materialises a round — or a stripe of one — as one buffer.
+//! part 5 uses to pin that no engine, under either scheduler, materialises
+//! a round — or a stripe of one — as one buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -31,8 +31,8 @@ use std::num::NonZeroUsize;
 
 use rvisor_memory::GuestMemory;
 use rvisor_migrate::{
-    ConstantRateDirtier, DirtySource, IdleDirtier, LoopbackTransport, MigrationConfig, PostCopy,
-    PreCopy, StopAndCopy,
+    execute, ConstantRateDirtier, DirtySource, FaultService, IdleDirtier, LoopbackTransport,
+    MigrationPlan, PlanEngine,
 };
 use rvisor_net::{Link, LinkModel};
 use rvisor_obs::Trace;
@@ -191,25 +191,27 @@ fn steady_state_precopy_round_is_allocation_free() {
             .unwrap();
     }
     let mut link = Link::new(LinkModel::gigabit());
+    let mut transport = LoopbackTransport::new(&mut link);
     let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
         LinkModel::gigabit().bytes_per_second,
         0.5,
         0,
         PAGES,
     );
-    let config = MigrationConfig {
+    let plan = MigrationPlan {
         max_rounds: 8,
         dirty_page_threshold: 32,
         ..Default::default()
     };
     let before = allocations();
-    let report = PreCopy::migrate(
+    let report = execute(
+        &plan,
         &src2,
         &dst2,
         &[VcpuState::default()],
-        &mut link,
+        &mut transport,
         &mut dirtier,
-        &config,
+        &Trace::off(),
     )
     .unwrap();
     let migration_allocations = allocations() - before;
@@ -232,9 +234,9 @@ fn steady_state_precopy_round_is_allocation_free() {
         migration_allocations
     );
 
-    // ---- Part 3: the pipelined multi-stream engine, bounded end to end. ----
+    // ---- Part 3: a multi-stream migration, bounded end to end. ----
     //
-    // A pipelined migration is allowed its setup: four lane threads, a pair
+    // A laned migration is allowed its setup: four lane threads, a pair
     // of channels, a page list and a segment buffer each, and the harvest
     // list growing in round 2. After that the one thing left to allocate is
     // a first wait on an empty channel: the standard library allocates a
@@ -265,20 +267,21 @@ fn steady_state_precopy_round_is_allocation_free() {
         ),
         allocations_at_round: Vec::with_capacity(2 * ROUNDS as usize),
     };
-    let config = MigrationConfig {
+    let plan = MigrationPlan {
         max_rounds: ROUNDS,
         dirty_page_threshold: 32,
         streams: NonZeroUsize::new(4).unwrap(),
         ..Default::default()
     };
     let before = ALL_THREADS.load(Ordering::Relaxed);
-    let report = PreCopy::migrate_pipelined(
+    let report = execute(
+        &plan,
         &src,
         &dst,
         &[VcpuState::default()],
         &mut transport,
         &mut dirtier,
-        &config,
+        &Trace::off(),
     )
     .unwrap();
     // The engine has joined its threads by now.
@@ -292,7 +295,7 @@ fn steady_state_precopy_round_is_allocation_free() {
         .collect();
     assert_eq!(per_round.len() as u32, ROUNDS - 1);
     // Five threads' contexts, eight channels' waiter lists.
-    let streams = config.streams.get() as u64;
+    let streams = plan.streams.get() as u64;
     let first_waits = (streams + 1) + 2 * streams;
     let after_second: u64 = per_round[1..].iter().sum();
     assert!(
@@ -314,9 +317,9 @@ fn steady_state_precopy_round_is_allocation_free() {
     // ---- Part 4: tracing off costs nothing on the hot path. ----
     //
     // The observability plane promises that a disabled `Trace` is free: the
-    // instrumented engine entry points bail out on `is_on()` before
-    // formatting a single argument. Pin the allocation half of that promise
-    // through the *traced* serial entry point with `Trace::off()`: compare a
+    // instrumented engine bodies bail out on `is_on()` before formatting a
+    // single argument. Pin the allocation half of that promise on a
+    // one-stream `execute` with `Trace::off()`: compare a
     // 12-round against a 28-round migration of the same non-converging
     // guest. The 16 extra steady-state rounds — each of which would emit a
     // round span if tracing were on — must perform **exactly zero** heap
@@ -338,20 +341,20 @@ fn steady_state_precopy_round_is_allocation_free() {
             0,
             PAGES,
         );
-        let config = MigrationConfig {
+        let plan = MigrationPlan {
             max_rounds,
             dirty_page_threshold: 32,
             ..Default::default()
         };
         let trace = Trace::off();
         let before = allocations();
-        let report = PreCopy::migrate_over_traced(
+        let report = execute(
+            &plan,
             &src,
             &dst,
             &[VcpuState::default()],
             &mut transport,
             &mut dirtier,
-            &config,
             &trace,
         )
         .unwrap();
@@ -370,16 +373,24 @@ fn steady_state_precopy_round_is_allocation_free() {
     let off_extra = off_long.saturating_sub(off_short);
     assert_eq!(
         off_extra, 0,
-        "16 extra steady-state rounds through the traced entry point with \
-         tracing off cost {off_extra} allocations; a disabled Trace must be \
-         free on the hot path"
+        "16 extra steady-state rounds with tracing off cost {off_extra} \
+         allocations; a disabled Trace must be free on the hot path"
+    );
+    // One stream runs no lane: the whole migration allocates, on the calling
+    // thread, exactly what the serial `PreCopy::migrate_over` it replaced
+    // did at 109f640 (segment buffer, page lists, breakdown, report) — a
+    // lane, a channel or a second buffer would add to it.
+    const SERIAL_PRECOPY_ALLOCATIONS: u64 = 15;
+    assert_eq!(
+        off_short, SERIAL_PRECOPY_ALLOCATIONS,
+        "a one-stream execute must allocate what the serial engine did"
     );
 
     // ---- Part 5: a round is never one guest- or stripe-sized buffer. ----
     //
     // A round is one simulated transfer, not one unit of host memory: every
-    // streamed engine moves it through segment buffers of about 260 KiB, one
-    // in a serial engine, one per lane in a pipelined one. Migrating this
+    // engine moves it through segment buffers of about 260 KiB, one on the
+    // calling thread with one stream, one per lane otherwise. Migrating this
     // 16 MiB guest, the largest thing any of them asks the allocator for, on
     // any thread, is that buffer (the page-index list is 32 KiB); a round
     // materialised as one burst would ask for 16 MiB, a 4-stream round
@@ -391,41 +402,39 @@ fn steady_state_precopy_round_is_allocation_free() {
             .unwrap();
     }
     let vcpus = [VcpuState::default()];
-    let config = MigrationConfig::default();
-    let four_streams = MigrationConfig {
-        streams: NonZeroUsize::new(4).unwrap(),
-        ..config
-    };
-    let (dirtier, lanes) = (&mut IdleDirtier, &four_streams);
-    for engine in [
-        "stop-and-copy",
-        "pre-copy",
-        "post-copy",
-        "fault-lane",
-        "4-stream stop-and-copy",
-        "4-stream pre-copy",
-        "4-stream post-copy",
+    for (engine, fault_service, streams) in [
+        (PlanEngine::StopAndCopy, FaultService::Sweep, 1),
+        (PlanEngine::PreCopy, FaultService::Sweep, 1),
+        (PlanEngine::PostCopy, FaultService::Sweep, 1),
+        (PlanEngine::PostCopy, FaultService::FaultLane, 1),
+        (PlanEngine::StopAndCopy, FaultService::Sweep, 4),
+        (PlanEngine::PreCopy, FaultService::Sweep, 4),
+        (PlanEngine::PostCopy, FaultService::Sweep, 4),
     ] {
+        let plan = MigrationPlan {
+            engine,
+            fault_service,
+            streams: NonZeroUsize::new(streams).unwrap(),
+            ..Default::default()
+        };
+        let engine = format!(
+            "{streams}-stream {} ({})",
+            engine.name(),
+            fault_service.name()
+        );
         let dst = GuestMemory::flat(ByteSize::pages_of(PAGES)).unwrap();
         let mut link = Link::new(LinkModel::gigabit());
         let mut transport = LoopbackTransport::new(&mut link);
-        let transport = &mut transport;
         ALL_LARGEST.store(0, Ordering::Relaxed);
-        match engine {
-            "stop-and-copy" => StopAndCopy::migrate_over(&src, &dst, &vcpus, transport),
-            "pre-copy" => PreCopy::migrate_over(&src, &dst, &vcpus, transport, dirtier, &config),
-            "post-copy" => PostCopy::migrate_over(&src, &dst, &vcpus, transport, &config),
-            "fault-lane" => {
-                PostCopy::migrate_fault_lane_over(&src, &dst, &vcpus, transport, &config)
-            }
-            "4-stream stop-and-copy" => {
-                StopAndCopy::migrate_pipelined(&src, &dst, &vcpus, transport, lanes)
-            }
-            "4-stream pre-copy" => {
-                PreCopy::migrate_pipelined(&src, &dst, &vcpus, transport, dirtier, lanes)
-            }
-            _ => PostCopy::migrate_pipelined(&src, &dst, &vcpus, transport, lanes),
-        }
+        execute(
+            &plan,
+            &src,
+            &dst,
+            &vcpus,
+            &mut transport,
+            &mut IdleDirtier,
+            &Trace::off(),
+        )
         .unwrap();
         let largest = ALL_LARGEST.load(Ordering::Relaxed);
         assert_eq!(src.checksum(), dst.checksum(), "{engine}");

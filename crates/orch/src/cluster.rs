@@ -74,11 +74,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroU64;
 
-use rvisor::{MigrationOutcome, Vm, VmConfig, VmLifecycle, Vmm};
+use rvisor::{Vm, VmConfig, VmLifecycle, Vmm};
 use rvisor_cluster::{Host, HostSpec, PlacementStrategy, VmSpec};
-use rvisor_migrate::{
-    FabricTransport, MigrationConfig, MigrationPlan, MigrationReport, PlanEngine,
-};
+use rvisor_migrate::{FabricTransport, MigrationPlan, MigrationReport};
 use rvisor_net::{AnyFabric, ClosFabric, ClosParams, Fabric};
 use rvisor_obs::{ArgValue, Trace};
 use rvisor_snapshot::{CasStore, IngestStats, ManifestId, SnapshotId, SnapshotStore};
@@ -1182,38 +1180,6 @@ impl Cluster {
         Ok(lost)
     }
 
-    /// Live-migrate the named VM from its current host to `to`, starting
-    /// no earlier than `now` (the caller's simulated clock) — the stream's
-    /// fabric occupancy lands at the present, so it contends with every
-    /// other migration and backup issued around the same instant.
-    ///
-    /// Migration touches guest memory, so a still-modeled VM is
-    /// materialized first (and stays materialized ever after).
-    ///
-    /// The run-level `(engine, migration_streams, migration_compression)`
-    /// knobs are lowered into a [`MigrationPlan`] and executed by
-    /// [`Cluster::migrate_planned`] — identical results, one code path.
-    pub fn migrate(
-        &mut self,
-        vm: &str,
-        to: HostId,
-        engine: MigrationOutcome,
-        now: Nanoseconds,
-    ) -> Result<MigrationReport> {
-        let engine = match engine {
-            MigrationOutcome::StopAndCopy => PlanEngine::StopAndCopy,
-            MigrationOutcome::PreCopy => PlanEngine::PreCopy,
-            MigrationOutcome::PostCopy => PlanEngine::PostCopy,
-        };
-        let plan = MigrationConfig {
-            streams: self.params.migration_streams,
-            compression: self.params.migration_compression,
-            ..Default::default()
-        }
-        .plan(engine);
-        self.migrate_planned(vm, to, &plan, now)
-    }
-
     /// The dirty rate (bytes/second) last observed for the named VM during
     /// a pre-copy migration, if any. Still-modeled VMs have never been
     /// migrated, so they report `None` (the planner treats that as cold).
@@ -1233,9 +1199,14 @@ impl Cluster {
         Some(host.accounting.placed[host.slot_of(key)].memory)
     }
 
-    /// Live-migrate the named VM under an explicit per-migration
-    /// [`MigrationPlan`] — what the adaptive planner drives when
-    /// [`EngineChoice::Auto`](crate::EngineChoice::Auto) is selected.
+    /// Live-migrate the named VM from its current host to `to` the way
+    /// `plan` says, starting no earlier than `now` (the caller's simulated
+    /// clock) — the stream's fabric occupancy lands at the present, so it
+    /// contends with every other migration and backup issued around the
+    /// same instant.
+    ///
+    /// Migration touches guest memory, so a still-modeled VM is
+    /// materialized first (and stays materialized ever after).
     pub fn migrate_planned(
         &mut self,
         vm: &str,
@@ -1276,7 +1247,7 @@ impl Cluster {
         let migrated = FabricTransport::starting_at(&mut self.fabric, from_idx, to_idx, now)
             .and_then(|mut transport| {
                 src.vmm
-                    .migrate_to_planned_traced(vm_id, &mut dst.vmm, &mut transport, plan, &trace)
+                    .migrate_to(vm_id, &mut dst.vmm, &mut transport, plan, &trace)
             });
         // A failed migration returns here: no list, sum or index was
         // edited yet, so both hosts are indexed exactly as before the call.
@@ -1525,10 +1496,10 @@ mod tests {
         let mut c = Cluster::new(specs(2), small_params()).unwrap();
         c.deploy(HostId::new(0), web("mv")).unwrap();
         let report = c
-            .migrate(
+            .migrate_planned(
                 "mv",
                 HostId::new(1),
-                MigrationOutcome::PreCopy,
+                &MigrationPlan::default(),
                 Nanoseconds::ZERO,
             )
             .unwrap();
@@ -1548,10 +1519,10 @@ mod tests {
             .unwrap();
         assert_ne!(stamp, 0);
         assert!(c
-            .migrate(
+            .migrate_planned(
                 "mv",
                 HostId::new(1),
-                MigrationOutcome::PreCopy,
+                &MigrationPlan::default(),
                 Nanoseconds::ZERO,
             )
             .is_err());
@@ -1650,10 +1621,10 @@ mod tests {
         c.check_invariants();
 
         // Migration touches guest memory: the VM materializes on the way.
-        c.migrate(
+        c.migrate_planned(
             "m",
             HostId::new(1),
-            MigrationOutcome::PreCopy,
+            &MigrationPlan::default(),
             Nanoseconds::ZERO,
         )
         .unwrap();
@@ -1708,10 +1679,10 @@ mod tests {
             let mut c = Cluster::new(specs(2), params).unwrap();
             c.deploy(HostId::new(0), web("edge")).unwrap();
             let report = c
-                .migrate(
+                .migrate_planned(
                     "edge",
                     HostId::new(1),
-                    MigrationOutcome::PreCopy,
+                    &MigrationPlan::default(),
                     Nanoseconds::ZERO,
                 )
                 .unwrap();
@@ -1765,7 +1736,11 @@ mod tests {
                 .map(|h| h.id())
                 .find(|&id| id != from)
                 .unwrap();
-            c.migrate("vm-5", to, MigrationOutcome::StopAndCopy, Nanoseconds::ZERO)
+            let stop_and_copy = MigrationPlan {
+                engine: rvisor_migrate::PlanEngine::StopAndCopy,
+                ..Default::default()
+            };
+            c.migrate_planned("vm-5", to, &stop_and_copy, Nanoseconds::ZERO)
                 .unwrap();
             c.check_invariants();
             c.fail_host(HostId::new(3)).unwrap();

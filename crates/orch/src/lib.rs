@@ -39,7 +39,7 @@
 //! On every rebalance tick the orchestrator hands the cluster to its
 //! [`RebalancePolicy`], which returns a [`RebalancePlan`] — migrations plus
 //! power actions — that the orchestrator then executes through
-//! [`Vmm::migrate_to_over`](rvisor::Vmm::migrate_to_over) (engine per
+//! [`Vmm::migrate_to`](rvisor::Vmm::migrate_to) (engine per
 //! decision: pre-copy/post-copy for running guests, stop-and-copy
 //! otherwise) and the cluster power controls. Migrations stream in the
 //! wire format across a shared [`Fabric`](rvisor_net::Fabric) — per-host

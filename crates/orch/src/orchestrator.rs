@@ -1,7 +1,7 @@
 //! The orchestrator: one event loop driving a whole datacenter.
 
 use rvisor_cluster::{HostSpec, VmSpec};
-use rvisor_migrate::{FaultService, MigrationConfig, MigrationPlan, PlanEngine};
+use rvisor_migrate::{FaultService, MigrationPlan, PlanEngine};
 use rvisor_obs::{ArgValue, Trace};
 use rvisor_snapshot::store::MAX_CHAIN_LENGTH;
 use rvisor_snapshot::{CasStore, SnapshotStore};
@@ -671,7 +671,7 @@ impl Orchestrator {
     }
 
     /// Resolve a policy's engine selector into the [`MigrationPlan`] one
-    /// migration will execute. Static choices lower the run-level knobs;
+    /// migration will execute. Static choices carry the run-level knobs;
     /// [`EngineChoice::Auto`] consults the adaptive planner with the VM's
     /// observed dirty rate, spec size and the current fabric backlog, and
     /// emits the decision as a typed `orch/planner` instant.
@@ -718,12 +718,12 @@ impl Orchestrator {
                 return chosen.plan;
             }
         };
-        MigrationConfig {
+        MigrationPlan {
+            engine,
             streams: self.params.migration_streams,
             compression: self.params.migration_compression,
             ..Default::default()
         }
-        .plan(engine)
     }
 
     fn on_rebalance_tick(&mut self) -> Result<()> {

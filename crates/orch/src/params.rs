@@ -7,7 +7,6 @@
 
 use std::num::{NonZeroU64, NonZeroUsize};
 
-use rvisor::MigrationOutcome;
 use rvisor_cluster::PlacementStrategy;
 use rvisor_migrate::{PageCompression, MAX_MIGRATION_STREAMS};
 use rvisor_net::FabricParams;
@@ -43,15 +42,10 @@ pub enum VmFidelity {
     OnDemand,
 }
 
-/// Which migration engine rebalance migrations should use — the dedicated
-/// *selector* enum for [`OrchParams::engine`].
-///
-/// Earlier revisions reused the report enum [`MigrationOutcome`] as the
-/// selector; that conflated "what happened" with "what was asked for" and
-/// left nowhere to express [`Auto`](EngineChoice::Auto). The lowering
-/// `From<EngineChoice> for MigrationOutcome` maps each explicit choice to
-/// its outcome (`Auto` lowers to the pre-copy default when no planner is
-/// consulted).
+/// Which migration engine rebalance migrations should use: the selector
+/// for [`OrchParams::engine`]. An explicit choice names the
+/// [`PlanEngine`](rvisor_migrate::PlanEngine) every migration rides;
+/// [`Auto`](EngineChoice::Auto) leaves it to the planner, per migration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineChoice {
     /// Pause, copy, resume (cold migration).
@@ -65,28 +59,6 @@ pub enum EngineChoice {
     /// whole [`rvisor_migrate::MigrationPlan`]) per migration from observed
     /// dirty rate, guest size and fabric occupancy.
     Auto,
-}
-
-impl From<EngineChoice> for MigrationOutcome {
-    fn from(choice: EngineChoice) -> Self {
-        match choice {
-            EngineChoice::StopAndCopy => MigrationOutcome::StopAndCopy,
-            // Auto without a planner in the loop falls back to the live
-            // migration default.
-            EngineChoice::PreCopy | EngineChoice::Auto => MigrationOutcome::PreCopy,
-            EngineChoice::PostCopy => MigrationOutcome::PostCopy,
-        }
-    }
-}
-
-impl From<MigrationOutcome> for EngineChoice {
-    fn from(outcome: MigrationOutcome) -> Self {
-        match outcome {
-            MigrationOutcome::StopAndCopy => EngineChoice::StopAndCopy,
-            MigrationOutcome::PreCopy => EngineChoice::PreCopy,
-            MigrationOutcome::PostCopy => EngineChoice::PostCopy,
-        }
-    }
 }
 
 /// The network topology a cluster's fabric is built with.
@@ -162,21 +134,9 @@ pub struct OrchParams {
     /// Memory overcommit factor applied to every host's capacity
     /// accounting (1.0 = none; >1.0 relies on ballooning/KSM headroom).
     pub memory_overcommit: f64,
-    /// Engine used for policy-driven rebalancing migrations of running VMs.
-    ///
-    /// Deprecated alias of [`OrchParams::engine`]: it still works (when
-    /// `engine` is `None` the run derives its choice from this field), but
-    /// it cannot express [`EngineChoice::Auto`]. New call sites should set
-    /// `engine: Some(...)` instead.
-    #[deprecated(
-        note = "set `engine: Some(EngineChoice)` instead; this alias cannot express Auto"
-    )]
-    pub migration_engine: MigrationOutcome,
-    /// Engine selector for rebalance migrations, including
-    /// [`EngineChoice::Auto`] for the adaptive per-migration planner.
-    /// `None` falls back to the deprecated
-    /// [`OrchParams::migration_engine`] alias so existing call sites keep
-    /// their behaviour; [`OrchParams::effective_engine`] resolves the pair.
+    /// Engine selector for policy-driven rebalancing migrations of running
+    /// VMs, including [`EngineChoice::Auto`] for the adaptive per-migration
+    /// planner. `None` means pre-copy, the live-migration default.
     pub engine: Option<EngineChoice>,
     /// Page compression applied to rebalance migrations when the engine
     /// choice is static (a planner decides compression per migration under
@@ -267,12 +227,10 @@ pub struct OrchParams {
 }
 
 impl Default for OrchParams {
-    #[allow(deprecated)]
     fn default() -> Self {
         OrchParams {
             placement: PlacementStrategy::FirstFitDecreasing,
             memory_overcommit: 1.0,
-            migration_engine: MigrationOutcome::PreCopy,
             engine: None,
             migration_compression: PageCompression::None,
             migration_streams: NonZeroUsize::MIN,
@@ -297,13 +255,10 @@ impl Default for OrchParams {
 }
 
 impl OrchParams {
-    /// The engine selector in effect: [`OrchParams::engine`] when set,
-    /// otherwise the choice derived from the deprecated
-    /// [`OrchParams::migration_engine`] alias.
+    /// The engine selector in effect: [`OrchParams::engine`], pre-copy when
+    /// it is unset.
     pub fn effective_engine(&self) -> EngineChoice {
-        #[allow(deprecated)]
-        self.engine
-            .unwrap_or_else(|| EngineChoice::from(self.migration_engine))
+        self.engine.unwrap_or_default()
     }
 
     /// Validate parameter sanity (thresholds ordered, intervals non-zero).
@@ -399,31 +354,16 @@ mod tests {
     }
 
     #[test]
-    fn engine_choice_lowers_and_aliases() {
-        for (choice, outcome) in [
-            (EngineChoice::StopAndCopy, MigrationOutcome::StopAndCopy),
-            (EngineChoice::PreCopy, MigrationOutcome::PreCopy),
-            (EngineChoice::PostCopy, MigrationOutcome::PostCopy),
-            (EngineChoice::Auto, MigrationOutcome::PreCopy),
-        ] {
-            assert_eq!(MigrationOutcome::from(choice), outcome);
-        }
-        // The deprecated alias still drives the run when `engine` is unset.
-        #[allow(deprecated)]
-        let legacy = OrchParams {
-            migration_engine: MigrationOutcome::PostCopy,
-            ..Default::default()
-        };
-        assert_eq!(legacy.effective_engine(), EngineChoice::PostCopy);
-        let new = OrchParams {
-            engine: Some(EngineChoice::Auto),
-            ..Default::default()
-        };
-        assert_eq!(new.effective_engine(), EngineChoice::Auto);
+    fn unset_engine_means_pre_copy() {
         assert_eq!(
             OrchParams::default().effective_engine(),
             EngineChoice::PreCopy
         );
+        let auto = OrchParams {
+            engine: Some(EngineChoice::Auto),
+            ..Default::default()
+        };
+        assert_eq!(auto.effective_engine(), EngineChoice::Auto);
     }
 
     #[test]

@@ -7,28 +7,14 @@
 use std::collections::BTreeMap;
 
 use rvisor_memory::{analyze_sharing, DedupAnalysis, GuestMemory, KsmConfig, KsmManager};
-use rvisor_migrate::{
-    DirtySource, FaultService, LoopbackTransport, MigrationConfig, MigrationPlan, MigrationReport,
-    PlanEngine, PostCopy, PreCopy, StopAndCopy, Transport,
-};
-use rvisor_net::{Link, VirtualSwitch};
+use rvisor_migrate::{execute, DirtySource, MigrationPlan, MigrationReport, PlanEngine, Transport};
+use rvisor_net::VirtualSwitch;
 use rvisor_obs::Trace;
 use rvisor_snapshot::{SnapshotId, SnapshotStore};
 use rvisor_types::{ByteSize, Error, Nanoseconds, Result, VmId};
 
 use crate::config::VmConfig;
 use crate::vm::{Vm, VmLifecycle};
-
-/// Which migration engine [`Vmm::migrate_to`] should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MigrationOutcome {
-    /// Pause, copy, resume (cold migration).
-    StopAndCopy,
-    /// Iterative pre-copy (the default live migration).
-    PreCopy,
-    /// Post-copy with demand paging.
-    PostCopy,
-}
 
 /// A live-migration dirty source backed by actually running the source VM.
 ///
@@ -338,100 +324,33 @@ impl Vmm {
         manager
     }
 
-    /// Migrate a VM to another host's manager over `link` with the default
-    /// migration configuration.
+    /// Migrate a VM to another host's manager as a wire-format stream over
+    /// `transport`, the way `plan` says.
+    ///
+    /// The transport is a [`LoopbackTransport`](rvisor_migrate::LoopbackTransport)
+    /// for same-switch moves, or a
+    /// [`FabricTransport`](rvisor_migrate::FabricTransport) so the migration
+    /// contends with every other stream on a shared
+    /// [`Fabric`](rvisor_net::Fabric) (what the orchestrator does for
+    /// rebalance traffic). With `plan.streams > 1` one lane per stripe of
+    /// the page-index space streams the rounds (`rvisor_migrate::pipeline`):
+    /// the wire bytes, the destination memory image and the
+    /// [`MigrationReport`] are identical to one stream — parallelism buys
+    /// host wall-clock, not different results — with one documented
+    /// exception: under XBZRLE with a working set larger than the cache, the
+    /// per-stripe caches can make the laned run send *fewer* bytes (see the
+    /// `pipeline` module docs). Per-migration and per-round spans go to
+    /// `trace`; [`Trace::off`] costs nothing.
     ///
     /// On success the VM exists (running) on `destination` with identical
     /// memory and vCPU state, and has been destroyed here. The returned
     /// report carries downtime/total-time/bytes as measured by the engine.
+    /// If the engine fails — the plan is invalid, the transport refused a
+    /// transfer — its error is returned unchanged, nothing of the VM is
+    /// left on `destination`, and the VM stays here in the lifecycle state
+    /// it was in (a pre-copy guest kept running, and its dirty bitmap was
+    /// harvested): migrate it again.
     pub fn migrate_to(
-        &mut self,
-        id: VmId,
-        destination: &mut Vmm,
-        link: &mut Link,
-        outcome: MigrationOutcome,
-    ) -> Result<(VmId, MigrationReport)> {
-        self.migrate_to_with_config(id, destination, link, outcome, MigrationConfig::default())
-    }
-
-    /// Migrate a VM with an explicit [`MigrationConfig`] (round budgets,
-    /// dirty-set threshold, page compression).
-    ///
-    /// The migration is streamed in the versioned wire format over a
-    /// loopback transport timed by `link` — byte- and nanosecond-equivalent
-    /// to the direct in-memory engines, but exercising the full
-    /// encode/checksum/decode pipeline on every VM move.
-    pub fn migrate_to_with_config(
-        &mut self,
-        id: VmId,
-        destination: &mut Vmm,
-        link: &mut Link,
-        outcome: MigrationOutcome,
-        config: MigrationConfig,
-    ) -> Result<(VmId, MigrationReport)> {
-        let mut transport = LoopbackTransport::new(link);
-        self.migrate_to_over(id, destination, &mut transport, outcome, config)
-    }
-
-    /// Migrate a VM as a wire-format stream over an arbitrary
-    /// [`Transport`] — a [`LoopbackTransport`] for same-switch moves, or a
-    /// [`FabricTransport`](rvisor_migrate::FabricTransport) so the
-    /// migration contends with every other stream on a shared
-    /// [`Fabric`](rvisor_net::Fabric) (what the orchestrator does for
-    /// rebalance traffic).
-    ///
-    /// With `config.streams > 1` the migration runs through the pipelined,
-    /// multi-stream data plane (`rvisor_migrate::pipeline`): encode workers
-    /// shard the page-index space into fixed stripes while a sink thread
-    /// applies segments concurrently. The wire bytes, the destination
-    /// memory image and the [`MigrationReport`] are identical to the serial
-    /// stream — parallelism buys host wall-clock, not different results —
-    /// with one documented exception: under XBZRLE with a working set
-    /// larger than the cache, the per-stripe caches can make the pipelined
-    /// run send *fewer* bytes than serial (see the `pipeline` module docs).
-    pub fn migrate_to_over(
-        &mut self,
-        id: VmId,
-        destination: &mut Vmm,
-        transport: &mut dyn Transport,
-        outcome: MigrationOutcome,
-        config: MigrationConfig,
-    ) -> Result<(VmId, MigrationReport)> {
-        self.migrate_to_over_traced(id, destination, transport, outcome, config, &Trace::off())
-    }
-
-    /// [`Vmm::migrate_to_over`] with per-migration and per-round trace
-    /// spans emitted to `trace`; with [`Trace::off`] the two are identical.
-    ///
-    /// The `(outcome, config)` pair is lowered into a [`MigrationPlan`]
-    /// and executed by [`Vmm::migrate_to_planned_traced`]; the results are
-    /// identical because the lowering preserves every knob and defaults
-    /// the fault-service policy to the sweep-ordered reference.
-    pub fn migrate_to_over_traced(
-        &mut self,
-        id: VmId,
-        destination: &mut Vmm,
-        transport: &mut dyn Transport,
-        outcome: MigrationOutcome,
-        config: MigrationConfig,
-        trace: &Trace,
-    ) -> Result<(VmId, MigrationReport)> {
-        let engine = match outcome {
-            MigrationOutcome::StopAndCopy => PlanEngine::StopAndCopy,
-            MigrationOutcome::PreCopy => PlanEngine::PreCopy,
-            MigrationOutcome::PostCopy => PlanEngine::PostCopy,
-        };
-        self.migrate_to_planned_traced(id, destination, transport, &config.plan(engine), trace)
-    }
-
-    /// Migrate a VM under an explicit per-migration [`MigrationPlan`] —
-    /// the entry point the orchestrator's adaptive planner drives.
-    ///
-    /// Beyond [`Vmm::migrate_to_over_traced`] this honours the plan-only
-    /// knob: [`FaultService::FaultLane`] routes post-copy demand faults
-    /// over a dedicated serial lane that overtakes the background sweep
-    /// (the lane *is* the second stream, so `streams` is ignored there).
-    pub fn migrate_to_planned_traced(
         &mut self,
         id: VmId,
         destination: &mut Vmm,
@@ -439,112 +358,49 @@ impl Vmm {
         plan: &MigrationPlan,
         trace: &Trace,
     ) -> Result<(VmId, MigrationReport)> {
-        let config = plan.config();
         let source_vm = self.vms.get_mut(&id).ok_or(Error::UnknownVm(id))?;
         // Build an identical, empty shell on the destination.
         let dest_id = destination.create_vm(source_vm.config().clone())?;
-        let pipelined = config.streams.get() > 1;
-        // The dirty rate this migration observes, if the engine measures one.
-        let mut observed_rate: Option<u64> = None;
-
-        let report = {
-            let dest_vm = destination.vm(dest_id)?;
-            let dest_memory = dest_vm.memory().clone();
-            match plan.engine {
-                PlanEngine::StopAndCopy => {
-                    if source_vm.lifecycle() == VmLifecycle::Running {
-                        source_vm.pause()?;
-                    }
-                    let states = source_vm.save_vcpu_states();
-                    if pipelined {
-                        StopAndCopy::migrate_pipelined_traced(
-                            source_vm.memory(),
-                            &dest_memory,
-                            &states,
-                            transport,
-                            &config,
-                            trace,
-                        )?
-                    } else {
-                        StopAndCopy::migrate_over_traced(
-                            source_vm.memory(),
-                            &dest_memory,
-                            &states,
-                            transport,
-                            trace,
-                        )?
-                    }
+        let dest_memory = destination.vm(dest_id)?.memory().clone();
+        let memory = source_vm.memory().clone();
+        // Pre-copy moves memory while the guest runs; the other engines
+        // stop it first.
+        let mut paused_here = false;
+        let mut attempt = || {
+            if plan.engine != PlanEngine::PreCopy && source_vm.lifecycle() == VmLifecycle::Running {
+                source_vm.pause()?;
+                paused_here = true;
+            }
+            let states = source_vm.save_vcpu_states();
+            let mut dirtier = RunningVmDirtier::new(source_vm);
+            let report = execute(
+                plan,
+                &memory,
+                &dest_memory,
+                &states,
+                transport,
+                &mut dirtier,
+                trace,
+            )?;
+            // The dirty rate this migration observed, if the guest ran.
+            let rate = dirtier.dirty_rate_bytes_per_sec();
+            Ok((report, (rate > 0).then_some(rate)))
+        };
+        let (report, observed_rate) = match attempt() {
+            Ok(done) => done,
+            Err(e) => {
+                // Leave both hosts as they were: no shell there, and the
+                // guest here running again if this call stopped it.
+                destination.destroy_vm(dest_id)?;
+                if paused_here {
+                    source_vm.resume()?;
                 }
-                PlanEngine::PreCopy => {
-                    let memory = source_vm.memory().clone();
-                    let states_placeholder = source_vm.save_vcpu_states();
-                    let mut dirtier = RunningVmDirtier::new(source_vm);
-
-                    let report = if pipelined {
-                        PreCopy::migrate_pipelined_planned_traced(
-                            &memory,
-                            &dest_memory,
-                            &states_placeholder,
-                            transport,
-                            &mut dirtier,
-                            plan,
-                            trace,
-                        )?
-                    } else {
-                        PreCopy::migrate_over_traced(
-                            &memory,
-                            &dest_memory,
-                            &states_placeholder,
-                            transport,
-                            &mut dirtier,
-                            &config,
-                            trace,
-                        )?
-                    };
-                    let rate = dirtier.dirty_rate_bytes_per_sec();
-                    if rate > 0 {
-                        observed_rate = Some(rate);
-                    }
-                    report
-                }
-                PlanEngine::PostCopy => {
-                    if source_vm.lifecycle() == VmLifecycle::Running {
-                        source_vm.pause()?;
-                    }
-                    let states = source_vm.save_vcpu_states();
-                    match plan.fault_service {
-                        FaultService::FaultLane => PostCopy::migrate_fault_lane_over_traced(
-                            source_vm.memory(),
-                            &dest_memory,
-                            &states,
-                            transport,
-                            &config,
-                            trace,
-                        )?,
-                        FaultService::Sweep if pipelined => PostCopy::migrate_pipelined_traced(
-                            source_vm.memory(),
-                            &dest_memory,
-                            &states,
-                            transport,
-                            &config,
-                            trace,
-                        )?,
-                        FaultService::Sweep => PostCopy::migrate_over_traced(
-                            source_vm.memory(),
-                            &dest_memory,
-                            &states,
-                            transport,
-                            &config,
-                            trace,
-                        )?,
-                    }
-                }
+                return Err(e);
             }
         };
 
         // The stop phase of every engine ends with the source paused; capture
         // the final vCPU state now and hand it to the destination.
-        let source_vm = self.vms.get_mut(&id).ok_or(Error::UnknownVm(id))?;
         if source_vm.lifecycle() == VmLifecycle::Running {
             source_vm.pause()?;
         }
@@ -578,12 +434,39 @@ impl Vmm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rvisor_net::LinkModel;
+    use rvisor_migrate::{FaultService, LoopbackTransport, PageCompression};
+    use rvisor_net::{Link, LinkModel};
     use rvisor_types::GuestAddress;
     use rvisor_vcpu::{Workload, WorkloadKind};
+    use std::num::NonZeroUsize;
+
+    const ENGINES: [PlanEngine; 3] = [
+        PlanEngine::StopAndCopy,
+        PlanEngine::PreCopy,
+        PlanEngine::PostCopy,
+    ];
 
     fn config(name: &str) -> VmConfig {
         VmConfig::new(name).with_memory(ByteSize::mib(4))
+    }
+
+    fn plan(engine: PlanEngine) -> MigrationPlan {
+        MigrationPlan {
+            engine,
+            ..Default::default()
+        }
+    }
+
+    /// `migrate_to` over a loopback on a fresh gigabit link, tracing off.
+    fn migrate(
+        source: &mut Vmm,
+        id: VmId,
+        dest: &mut Vmm,
+        plan: &MigrationPlan,
+    ) -> Result<(VmId, MigrationReport)> {
+        let mut link = Link::new(LinkModel::gigabit());
+        let mut transport = LoopbackTransport::new(&mut link);
+        source.migrate_to(id, dest, &mut transport, plan, &Trace::off())
     }
 
     #[test]
@@ -648,10 +531,7 @@ mod tests {
         assert!(vmm.vm_mut(ghost).is_err());
         assert!(vmm.snapshot_vm(ghost, "x").is_err());
         let mut other = Vmm::new("other");
-        let mut link = Link::new(LinkModel::gigabit());
-        assert!(vmm
-            .migrate_to(ghost, &mut other, &mut link, MigrationOutcome::PreCopy)
-            .is_err());
+        assert!(migrate(&mut vmm, ghost, &mut other, &MigrationPlan::default()).is_err());
     }
 
     #[test]
@@ -747,18 +627,11 @@ mod tests {
 
     #[test]
     fn migration_moves_memory_and_state() {
-        for outcome in [
-            MigrationOutcome::StopAndCopy,
-            MigrationOutcome::PreCopy,
-            MigrationOutcome::PostCopy,
-        ] {
+        for engine in ENGINES {
             let (mut source, id) = loaded_vmm_with_marker();
             let source_checksum_before = source.vm(id).unwrap().memory().checksum();
             let mut dest = Vmm::new("dest");
-            let mut link = Link::new(LinkModel::gigabit());
-            let (dest_id, report) = source
-                .migrate_to(id, &mut dest, &mut link, outcome)
-                .unwrap();
+            let (dest_id, report) = migrate(&mut source, id, &mut dest, &plan(engine)).unwrap();
 
             // Source is gone, destination runs with identical memory.
             assert!(source.vm(id).is_err());
@@ -768,7 +641,7 @@ mod tests {
                 dest_vm.memory().read_u64(GuestAddress(0x2000)).unwrap(),
                 0xfeedface
             );
-            if outcome != MigrationOutcome::PreCopy {
+            if engine != PlanEngine::PreCopy {
                 // For the paused engines the memory image is bit-identical to the
                 // pre-migration source.
                 assert_eq!(dest_vm.memory().checksum(), source_checksum_before);
@@ -819,19 +692,14 @@ mod tests {
 
     #[test]
     fn compressed_migration_config_is_honoured_by_the_manager() {
-        use rvisor_migrate::PageCompression;
-
         let run = |compression: PageCompression| {
             let (mut source, id) = loaded_vmm_with_marker();
             let mut dest = Vmm::new("dest");
-            let mut link = Link::new(LinkModel::gigabit());
-            let config = MigrationConfig {
+            let compressed = MigrationPlan {
                 compression,
                 ..Default::default()
             };
-            let (dest_id, report) = source
-                .migrate_to_with_config(id, &mut dest, &mut link, MigrationOutcome::PreCopy, config)
-                .unwrap();
+            let (dest_id, report) = migrate(&mut source, id, &mut dest, &compressed).unwrap();
             let dest_vm = dest.vm(dest_id).unwrap();
             assert_eq!(
                 dest_vm.memory().read_u64(GuestAddress(0x2000)).unwrap(),
@@ -847,32 +715,22 @@ mod tests {
 
     #[test]
     fn multi_stream_migration_matches_the_serial_stream() {
-        use std::num::NonZeroUsize;
-
-        for outcome in [
-            MigrationOutcome::StopAndCopy,
-            MigrationOutcome::PreCopy,
-            MigrationOutcome::PostCopy,
-        ] {
+        for engine in ENGINES {
             let run = |streams: usize| {
                 let (mut source, id) = loaded_vmm_with_marker();
                 let mut dest = Vmm::new("dest");
-                let mut link = Link::new(LinkModel::gigabit());
-                let config = MigrationConfig {
+                let striped = MigrationPlan {
                     streams: NonZeroUsize::new(streams).unwrap(),
-                    ..Default::default()
+                    ..plan(engine)
                 };
-                let mut transport = rvisor_migrate::LoopbackTransport::new(&mut link);
-                let (dest_id, report) = source
-                    .migrate_to_over(id, &mut dest, &mut transport, outcome, config)
-                    .unwrap();
+                let (dest_id, report) = migrate(&mut source, id, &mut dest, &striped).unwrap();
                 let checksum = dest.vm(dest_id).unwrap().memory().checksum();
                 (report, checksum)
             };
             let (serial, serial_sum) = run(1);
             let (parallel, parallel_sum) = run(4);
-            assert_eq!(parallel, serial, "{outcome:?}");
-            assert_eq!(parallel_sum, serial_sum, "{outcome:?}: memory diverged");
+            assert_eq!(parallel, serial, "{engine:?}");
+            assert_eq!(parallel_sum, serial_sum, "{engine:?}: memory diverged");
         }
     }
 
@@ -894,10 +752,7 @@ mod tests {
         // A pre-copy migration measures the guest's dirty rate and records
         // it on the destination under the VM's new id.
         let mut hop1 = Vmm::new("hop1");
-        let mut link = Link::new(LinkModel::gigabit());
-        let (id1, _) = source
-            .migrate_to(id, &mut hop1, &mut link, MigrationOutcome::PreCopy)
-            .unwrap();
+        let (id1, _) = migrate(&mut source, id, &mut hop1, &MigrationPlan::default()).unwrap();
         let rate = hop1
             .observed_dirty_rate(id1)
             .expect("pre-copy must observe a dirty-hot guest");
@@ -907,15 +762,11 @@ mod tests {
         // sweep = 2 rounds) and carries the earlier observation forward
         // even though post-copy measures nothing itself.
         let mut hop2 = Vmm::new("hop2");
-        let mut link = Link::new(LinkModel::gigabit());
-        let mut transport = LoopbackTransport::new(&mut link);
-        let plan = MigrationPlan::builder(PlanEngine::PostCopy)
-            .fault_service(FaultService::FaultLane)
-            .build()
-            .unwrap();
-        let (id2, report) = hop1
-            .migrate_to_planned_traced(id1, &mut hop2, &mut transport, &plan, &Trace::off())
-            .unwrap();
+        let fault_lane = MigrationPlan {
+            fault_service: FaultService::FaultLane,
+            ..plan(PlanEngine::PostCopy)
+        };
+        let (id2, report) = migrate(&mut hop1, id1, &mut hop2, &fault_lane).unwrap();
         assert_eq!(report.rounds, 2, "fault lane + background sweep");
         assert!(report.remote_faults > 0);
         assert_eq!(hop2.observed_dirty_rate(id2), Some(rate));
@@ -926,18 +777,103 @@ mod tests {
     fn precopy_downtime_beats_stop_and_copy_at_the_manager_level() {
         let (mut s1, id1) = loaded_vmm_with_marker();
         let mut d1 = Vmm::new("d1");
-        let mut link1 = Link::new(LinkModel::gigabit());
-        let (_, pre) = s1
-            .migrate_to(id1, &mut d1, &mut link1, MigrationOutcome::PreCopy)
-            .unwrap();
+        let (_, pre) = migrate(&mut s1, id1, &mut d1, &plan(PlanEngine::PreCopy)).unwrap();
 
         let (mut s2, id2) = loaded_vmm_with_marker();
         let mut d2 = Vmm::new("d2");
-        let mut link2 = Link::new(LinkModel::gigabit());
-        let (_, stop) = s2
-            .migrate_to(id2, &mut d2, &mut link2, MigrationOutcome::StopAndCopy)
-            .unwrap();
+        let (_, stop) = migrate(&mut s2, id2, &mut d2, &plan(PlanEngine::StopAndCopy)).unwrap();
 
         assert!(pre.downtime <= stop.downtime);
+    }
+
+    /// A loopback that refuses the `fail_on`-th transfer charged to it, as a
+    /// transport whose endpoint failed mid-migration does.
+    struct RefusingTransport<'l> {
+        inner: LoopbackTransport<'l>,
+        calls: u32,
+        fail_on: u32,
+    }
+
+    impl Transport for RefusingTransport<'_> {
+        fn free_at(&self) -> Nanoseconds {
+            self.inner.free_at()
+        }
+        fn send(&mut self, frame: &[u8]) -> Result<()> {
+            self.inner.send(frame)
+        }
+        fn send_built(&mut self, build: &mut dyn FnMut(&mut Vec<u8>)) -> Result<()> {
+            self.inner.send_built(build)
+        }
+        fn deliver(&mut self, now: Nanoseconds) -> Result<(Nanoseconds, Vec<u8>)> {
+            self.inner.deliver(now)
+        }
+        // `transmit_striped` is the provided method, which lands here too.
+        fn transmit_bytes(&mut self, now: Nanoseconds, bytes: u64) -> Result<Nanoseconds> {
+            self.calls += 1;
+            if self.calls == self.fail_on {
+                return Err(Error::Migration("endpoint failed".into()));
+            }
+            self.inner.transmit_bytes(now, bytes)
+        }
+        fn recycle(&mut self, buf: Vec<u8>) {
+            self.inner.recycle(buf)
+        }
+        fn latency(&self) -> Nanoseconds {
+            self.inner.latency()
+        }
+        fn transfer_time(&self, bytes: u64) -> Nanoseconds {
+            self.inner.transfer_time(bytes)
+        }
+        fn bytes_sent(&self) -> u64 {
+            self.inner.bytes_sent()
+        }
+    }
+
+    #[test]
+    fn failed_migration_leaves_both_hosts_as_they_were() {
+        // Every engine's third transfer comes after pages have landed on
+        // the destination: stop-and-copy's vCPU state, pre-copy's stop
+        // phase, post-copy's sweep. The first is the Hello.
+        for engine in ENGINES {
+            for (streams, fail_on) in [(1, 1), (1, 3), (4, 1), (4, 3)] {
+                let case = format!("{engine:?}, {streams} streams, transfer {fail_on}");
+                let striped = MigrationPlan {
+                    streams: NonZeroUsize::new(streams).unwrap(),
+                    ..plan(engine)
+                };
+                let (mut source, id) = loaded_vmm_with_marker();
+                let checksum_before = source.vm(id).unwrap().memory().checksum();
+                let mut dest = Vmm::new("dest");
+                dest.create_vm(config("resident")).unwrap();
+
+                let mut link = Link::new(LinkModel::gigabit());
+                let mut refusing = RefusingTransport {
+                    inner: LoopbackTransport::new(&mut link),
+                    calls: 0,
+                    fail_on,
+                };
+                let err = source
+                    .migrate_to(id, &mut dest, &mut refusing, &striped, &Trace::off())
+                    .expect_err("the refused transfer must fail the migration");
+                assert_eq!(err, Error::Migration("endpoint failed".into()), "{case}");
+                assert_eq!(refusing.calls, fail_on, "{case}");
+                // No shell is left behind, and the guest runs on where it was.
+                assert_eq!(dest.vm_count(), 1, "{case}");
+                assert_eq!(dest.find_vm("moving"), None, "{case}");
+                assert_eq!(
+                    source.lifecycle_of(id).unwrap(),
+                    VmLifecycle::Running,
+                    "{case}"
+                );
+
+                // The same VM over a healthy transport.
+                let (dest_id, _) = migrate(&mut source, id, &mut dest, &striped).unwrap();
+                assert_eq!(source.vm_count(), 0, "{case}");
+                assert_eq!(dest.find_vm("moving"), Some(dest_id), "{case}");
+                let moved = dest.vm(dest_id).unwrap();
+                assert_eq!(moved.lifecycle(), VmLifecycle::Running, "{case}");
+                assert_eq!(moved.memory().checksum(), checksum_before, "{case}");
+            }
+        }
     }
 }

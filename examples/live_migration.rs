@@ -7,43 +7,67 @@
 //! ```
 
 use virtlab::memory::GuestMemory;
-use virtlab::migrate::{ConstantRateDirtier, MigrationConfig, PostCopy, PreCopy, StopAndCopy};
+use virtlab::migrate::{
+    execute, ConstantRateDirtier, LoopbackTransport, MigrationPlan, MigrationReport, PlanEngine,
+};
 use virtlab::net::{Link, LinkModel};
+use virtlab::obs::Trace;
 use virtlab::vcpu::{VcpuState, Workload, WorkloadKind};
-use virtlab::vmm::MigrationOutcome;
 use virtlab::{ByteSize, Vmm};
+
+/// One migration of a `ram`-sized guest dirtying at `dirty_fraction` of the
+/// link's bandwidth, over a loopback on a fresh link.
+fn migrate(
+    engine: PlanEngine,
+    ram: ByteSize,
+    link_model: LinkModel,
+    dirty_fraction: f64,
+) -> MigrationReport {
+    let source = GuestMemory::flat(ram).expect("source memory");
+    let dest = GuestMemory::flat(ram).expect("dest memory");
+    let mut link = Link::new(link_model);
+    let mut transport = LoopbackTransport::new(&mut link);
+    let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
+        link_model.bytes_per_second,
+        dirty_fraction,
+        0,
+        source.total_pages(),
+    );
+    let plan = MigrationPlan {
+        engine,
+        ..Default::default()
+    };
+    execute(
+        &plan,
+        &source,
+        &dest,
+        &[VcpuState::default()],
+        &mut transport,
+        &mut dirtier,
+        &Trace::off(),
+    )
+    .expect("migration")
+}
 
 fn engines_comparison() {
     println!("-- engine comparison (1 GiB guest, 1 Gbit/s link, 30% dirty rate) --\n");
     let ram = ByteSize::mib(1024);
     let link_model = LinkModel::gigabit();
-    let config = MigrationConfig::default();
 
     println!(
         "{:<16} {:>12} {:>12} {:>8} {:>14} {:>10}",
         "engine", "downtime", "total", "rounds", "transferred", "converged"
     );
-    for name in ["stop-and-copy", "pre-copy", "post-copy"] {
-        let source = GuestMemory::flat(ram).expect("source memory");
-        let dest = GuestMemory::flat(ram).expect("dest memory");
-        let mut link = Link::new(link_model);
-        let vcpus = [VcpuState::default()];
-        let report = match name {
-            "stop-and-copy" => StopAndCopy::migrate(&source, &dest, &vcpus, &mut link).unwrap(),
-            "pre-copy" => {
-                let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-                    link_model.bytes_per_second,
-                    0.3,
-                    0,
-                    source.total_pages(),
-                );
-                PreCopy::migrate(&source, &dest, &vcpus, &mut link, &mut dirtier, &config).unwrap()
-            }
-            _ => PostCopy::migrate(&source, &dest, &vcpus, &mut link, &config).unwrap(),
-        };
+    for engine in [
+        PlanEngine::StopAndCopy,
+        PlanEngine::PreCopy,
+        PlanEngine::PostCopy,
+    ] {
+        // Only pre-copy lets the guest run, and dirty, while it copies.
+        let report = migrate(engine, ram, link_model, 0.3);
         println!(
             "{:<16} {:>12} {:>12} {:>8} {:>11} MiB {:>10}",
-            name,
+            engine.name(),
             format!("{}", report.downtime),
             format!("{}", report.total_time),
             report.rounds,
@@ -73,8 +97,15 @@ fn manager_level_migration() {
     }
 
     let mut link = Link::new(LinkModel::gigabit());
+    let mut transport = LoopbackTransport::new(&mut link);
     let (new_id, report) = source_host
-        .migrate_to(vm_id, &mut dest_host, &mut link, MigrationOutcome::PreCopy)
+        .migrate_to(
+            vm_id,
+            &mut dest_host,
+            &mut transport,
+            &MigrationPlan::default(),
+            &Trace::off(),
+        )
         .expect("migration");
 
     let migrated = dest_host.vm(new_id).unwrap();
@@ -102,24 +133,7 @@ fn dirty_rate_sweep() {
         "dirty rate", "downtime", "total", "rounds", "converged"
     );
     for fraction in [0.0, 0.2, 0.4, 0.6, 0.8, 1.2] {
-        let source = GuestMemory::flat(ram).unwrap();
-        let dest = GuestMemory::flat(ram).unwrap();
-        let mut link = Link::new(LinkModel::gigabit());
-        let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
-            LinkModel::gigabit().bytes_per_second,
-            fraction,
-            0,
-            source.total_pages(),
-        );
-        let report = PreCopy::migrate(
-            &source,
-            &dest,
-            &[VcpuState::default()],
-            &mut link,
-            &mut dirtier,
-            &MigrationConfig::default(),
-        )
-        .unwrap();
+        let report = migrate(PlanEngine::PreCopy, ram, LinkModel::gigabit(), fraction);
         println!(
             "{:>11.0}% {:>14} {:>14} {:>8} {:>10}",
             fraction * 100.0,

@@ -17,10 +17,11 @@
 
 use virtlab::memory::GuestMemory;
 use virtlab::migrate::{
-    ConstantRateDirtier, FabricTransport, IdleDirtier, LoopbackTransport, MigrationConfig,
-    MigrationReport, PreCopy,
+    execute, ConstantRateDirtier, DirtySource, FabricTransport, IdleDirtier, LoopbackTransport,
+    MigrationPlan, MigrationReport, Transport,
 };
 use virtlab::net::{Fabric, FabricParams, Link, LinkModel};
+use virtlab::obs::Trace;
 use virtlab::orch::{run_datacenter, OrchParams, Scenario, ScenarioConfig, WorkloadShape};
 use virtlab::types::PAGE_SIZE;
 use virtlab::vcpu::VcpuState;
@@ -47,19 +48,30 @@ fn region_checksum(mem: &GuestMemory) -> u64 {
     mem.checksum()
 }
 
+/// The default plan — a one-stream, uncompressed pre-copy — over `transport`.
+fn pre_copy(
+    src: &GuestMemory,
+    dst: &GuestMemory,
+    transport: &mut dyn Transport,
+    dirtier: &mut dyn DirtySource,
+) -> MigrationReport {
+    execute(
+        &MigrationPlan::default(),
+        src,
+        dst,
+        &[VcpuState::default()],
+        transport,
+        dirtier,
+        &Trace::off(),
+    )
+    .unwrap()
+}
+
 fn migrate_loopback() -> (MigrationReport, u64) {
     let (src, dst) = memories();
     let mut link = Link::new(LinkModel::gigabit());
     let mut transport = LoopbackTransport::new(&mut link);
-    let report = PreCopy::migrate_over(
-        &src,
-        &dst,
-        &[VcpuState::default()],
-        &mut transport,
-        &mut IdleDirtier,
-        &MigrationConfig::default(),
-    )
-    .unwrap();
+    let report = pre_copy(&src, &dst, &mut transport, &mut IdleDirtier);
     assert_eq!(region_checksum(&src), region_checksum(&dst));
     (report, region_checksum(&dst))
 }
@@ -70,15 +82,7 @@ fn migrate_fabric(params: FabricParams, dirty: f64) -> (MigrationReport, u64) {
     let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
     let mut dirtier =
         ConstantRateDirtier::from_bandwidth_fraction(params.nic_bytes_per_second, dirty, 0, PAGES);
-    let report = PreCopy::migrate_over(
-        &src,
-        &dst,
-        &[VcpuState::default()],
-        &mut transport,
-        &mut dirtier,
-        &MigrationConfig::default(),
-    )
-    .unwrap();
+    let report = pre_copy(&src, &dst, &mut transport, &mut dirtier);
     assert_eq!(
         region_checksum(&src),
         region_checksum(&dst),

@@ -6,11 +6,12 @@ use virtlab::block::{synthetic_os_image, CloneStrategy, ImageLibrary, StorageMod
 use virtlab::cluster::{
     ConsolidationPlanner, CostModel, HostSpec, PlacementStrategy, Provisioner, VmSpec,
 };
-use virtlab::migrate::MigrationReport;
+use virtlab::migrate::{LoopbackTransport, MigrationPlan, MigrationReport};
 use virtlab::net::{Link, LinkModel};
+use virtlab::obs::Trace;
 use virtlab::types::{GuestAddress, HostId};
 use virtlab::vcpu::{Workload, WorkloadKind};
-use virtlab::vmm::{MigrationOutcome, VmLifecycle};
+use virtlab::vmm::VmLifecycle;
 use virtlab::{ByteSize, Vm, VmConfig, Vmm};
 
 #[test]
@@ -71,10 +72,17 @@ fn maintenance_evacuation_migrates_every_vm_off_a_host() {
     }
 
     let mut link = Link::new(LinkModel::ten_gigabit());
+    let mut transport = LoopbackTransport::new(&mut link);
     let mut reports: Vec<MigrationReport> = Vec::new();
     for id in ids {
         let (_, report) = source
-            .migrate_to(id, &mut target, &mut link, MigrationOutcome::PreCopy)
+            .migrate_to(
+                id,
+                &mut target,
+                &mut transport,
+                &MigrationPlan::default(),
+                &Trace::off(),
+            )
             .unwrap();
         reports.push(report);
     }

@@ -9,12 +9,13 @@ use virtlab::cluster::{
     DesktopProfile, HostSpec, NumaHost, NumaPolicy, NumaTopology, VdiConfig, VdiEstimator, VmSpec,
 };
 use virtlab::memory::{GuestMemory, KsmConfig};
-use virtlab::migrate::{MigrationConfig, PageCompression};
+use virtlab::migrate::{LoopbackTransport, MigrationPlan, PageCompression};
 use virtlab::net::{Link, LinkModel};
+use virtlab::obs::Trace;
 use virtlab::snapshot::{BackupPolicy, BackupSimulator, BackupTarget};
 use virtlab::types::{HostId, Nanoseconds, VmId, PAGE_SIZE};
 use virtlab::vcpu::VcpuState;
-use virtlab::vmm::{MigrationOutcome, VmConfig};
+use virtlab::vmm::VmConfig;
 use virtlab::{ByteSize, GuestAddress, Vmm};
 
 /// Build a manager hosting `count` VMs cloned from the same synthetic image.
@@ -119,12 +120,13 @@ fn compressed_precopy_between_managers_moves_less_and_stays_correct() {
         let source_checksum = source.vm(id).unwrap().memory().checksum();
         let mut dest = Vmm::new("dest");
         let mut link = Link::new(LinkModel::gigabit());
-        let config = MigrationConfig {
+        let mut transport = LoopbackTransport::new(&mut link);
+        let plan = MigrationPlan {
             compression,
             ..Default::default()
         };
         let (dest_id, report) = source
-            .migrate_to_with_config(id, &mut dest, &mut link, MigrationOutcome::PreCopy, config)
+            .migrate_to(id, &mut dest, &mut transport, &plan, &Trace::off())
             .expect("migrate");
         assert_eq!(
             dest.vm(dest_id).unwrap().memory().checksum(),
