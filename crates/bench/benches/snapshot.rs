@@ -5,8 +5,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::time::Duration;
 
-use rvisor_memory::GuestMemory;
-use rvisor_snapshot::{MemorySnapshot, SnapshotId, SnapshotStore, VmSnapshot};
+use rvisor_memory::{fingerprint, GuestMemory};
+use rvisor_snapshot::{CasStore, MemorySnapshot, SnapshotId, SnapshotStore, VmSnapshot};
 use rvisor_types::{ByteSize, GuestAddress, Nanoseconds, VmId, PAGE_SIZE};
 use rvisor_vcpu::VcpuState;
 
@@ -142,6 +142,60 @@ fn bench(c: &mut Criterion) {
             },
         );
     }
+
+    // The page fingerprint behind every `ChunkId`, on the three contents the
+    // zero-pair fold tells apart: all zero (92 % of `clos_day`'s full-capture
+    // pages; every pair folds), every other 16-byte pair zero (the fold's
+    // branch taken and not taken in turn), and noise (no pair folds — the row
+    // that says what the test costs a page it cannot help). EXPERIMENTS.md,
+    // "E23, zero-run fingerprint".
+    let mut noise = vec![0u8; PAGE_SIZE as usize];
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for b in noise.iter_mut() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *b = (x >> 24) as u8 | 1;
+    }
+    let mut half_zero = noise.clone();
+    for pair in half_zero.chunks_exact_mut(32) {
+        pair[16..].fill(0);
+    }
+    group.throughput(Throughput::Bytes(PAGE_SIZE));
+    for (contents, page) in [
+        ("zero", vec![0u8; PAGE_SIZE as usize]),
+        ("half_zero", half_zero),
+        ("noise", noise),
+    ] {
+        group.bench_with_input(
+            BenchmarkId::new("fingerprint_page", contents),
+            &page,
+            |b, page| b.iter(|| fingerprint(std::hint::black_box(page))),
+        );
+    }
+
+    // One full DR backup of a guest shaped like `clos_day`'s canonical one,
+    // into a store that already holds its pages, and its retirement (so the
+    // store stays one epoch deep): 64 pages, 59 of them all-zero, one holding
+    // a small code image and four an 8-byte identity stamp. Per page:
+    // fingerprint, probe, full-page compare, one manifest entry.
+    group.throughput(Throughput::Bytes(64 * PAGE_SIZE));
+    group.bench_function("cas_ingest_full_64p_mostly_zero", |b| {
+        let mem = GuestMemory::flat(ByteSize::kib(256)).unwrap();
+        mem.write(GuestAddress(0), &[0xa5; 512]).unwrap();
+        for p in 60..64u64 {
+            mem.write_u64(GuestAddress(p * PAGE_SIZE), 0x1d00 + p)
+                .unwrap();
+        }
+        let snap = full_snapshot(&mem);
+        let mut cas = CasStore::new();
+        cas.ingest(&snap, None).unwrap();
+        b.iter(|| {
+            let (id, stats) = cas.ingest(&snap, None).unwrap();
+            cas.retire(id).unwrap();
+            stats.chunks_deduped
+        })
+    });
 
     group.bench_function("restore_full_64MiB", |b| {
         let mem = GuestMemory::flat(ByteSize::mib(64)).unwrap();

@@ -15,7 +15,8 @@
 //! the original snapshot byte-identically, and [`CasStore::restore`] applies
 //! a manifest chain (full parent plus incremental children) directly to
 //! guest memory with the same checksum verification as
-//! [`crate::SnapshotStore::restore`].
+//! [`crate::SnapshotStore::restore`]. A dependents count per manifest keeps
+//! `retire` and `ingest` O(chain); the crate docs state how a `retire` fails.
 
 use std::collections::BTreeMap;
 
@@ -236,7 +237,9 @@ pub struct IngestStats {
 #[derive(Debug, Default)]
 pub struct CasStore {
     chunks: ChunkStore,
-    manifests: BTreeMap<ManifestId, Manifest>,
+    /// Each manifest with its dependents count: how many stored manifests
+    /// name it as `parent`, which `retire` would otherwise scan to learn.
+    manifests: BTreeMap<ManifestId, (Manifest, u64)>,
     next_id: u64,
 }
 
@@ -263,7 +266,7 @@ impl CasStore {
                 if !self.manifests.contains_key(&p) {
                     return Err(Error::Snapshot(format!("parent {p} does not exist")));
                 }
-                if self.chain_of(p)?.len() >= MAX_CHAIN_LENGTH {
+                if self.walk_chain(p, |_| ())? >= MAX_CHAIN_LENGTH {
                     return Err(Error::Snapshot(format!(
                         "chain rooted at {p} already has {MAX_CHAIN_LENGTH} links; take a full snapshot"
                     )));
@@ -284,39 +287,39 @@ impl CasStore {
             }
             pages.push((*index, id));
         }
+        if let Some((_, dependents)) = parent.and_then(|p| self.manifests.get_mut(&p)) {
+            *dependents += 1;
+        }
         self.next_id += 1;
         let id = ManifestId(self.next_id);
-        self.manifests.insert(
+        let manifest = Manifest {
             id,
-            Manifest {
-                id,
-                parent,
-                snapshot_id: snapshot.id,
-                snapshot_parent: snapshot.parent,
-                vm: snapshot.vm,
-                name: snapshot.name.clone(),
-                kind: snapshot.kind,
-                taken_at: snapshot.taken_at,
-                vcpus: snapshot.vcpus.clone(),
-                total_size: snapshot.memory.total_size,
-                pages,
-                device_state: snapshot.device_state.clone(),
-                memory_checksum: snapshot.memory_checksum,
-            },
-        );
+            parent,
+            snapshot_id: snapshot.id,
+            snapshot_parent: snapshot.parent,
+            vm: snapshot.vm,
+            name: snapshot.name.clone(),
+            kind: snapshot.kind,
+            taken_at: snapshot.taken_at,
+            vcpus: snapshot.vcpus.clone(),
+            total_size: snapshot.memory.total_size,
+            pages,
+            device_state: snapshot.device_state.clone(),
+            memory_checksum: snapshot.memory_checksum,
+        };
+        self.manifests.insert(id, (manifest, 0));
         Ok((id, stats))
     }
 
     /// Look up a manifest.
     pub fn get(&self, id: ManifestId) -> Option<&Manifest> {
-        self.manifests.get(&id)
+        self.manifests.get(&id).map(|(manifest, _)| manifest)
     }
 
     /// Rebuild the ingested [`VmSnapshot`] byte-identically from a manifest.
     pub fn reconstruct(&self, id: ManifestId) -> Result<VmSnapshot> {
         let manifest = self
-            .manifests
-            .get(&id)
+            .get(id)
             .ok_or_else(|| Error::Snapshot(format!("{id} missing from the store")))?;
         let mut pages = Vec::with_capacity(manifest.pages.len());
         for (index, chunk) in &manifest.pages {
@@ -342,26 +345,35 @@ impl CasStore {
         })
     }
 
-    /// The chain from the full ancestor down to `id`, in application order.
-    pub fn chain_of(&self, id: ManifestId) -> Result<Vec<&Manifest>> {
-        let mut chain = Vec::new();
+    /// Call `f` on each link of the chain of `id`, newest first, and return
+    /// their number. The one place the chain rules are checked: every link
+    /// stored, at most `MAX_CHAIN_LENGTH + 1` of them, a full one last.
+    fn walk_chain<'a>(&'a self, id: ManifestId, mut f: impl FnMut(&'a Manifest)) -> Result<usize> {
+        let (mut len, mut last_kind) = (0, None);
         let mut cursor = Some(id);
         while let Some(cur) = cursor {
             let manifest = self
-                .manifests
-                .get(&cur)
+                .get(cur)
                 .ok_or_else(|| Error::Snapshot(format!("{cur} missing from the store")))?;
-            chain.push(manifest);
-            if chain.len() > MAX_CHAIN_LENGTH + 1 {
+            len += 1;
+            if len > MAX_CHAIN_LENGTH + 1 {
                 return Err(Error::Snapshot("manifest chain too long or cyclic".into()));
             }
-            cursor = manifest.parent;
+            f(manifest);
+            (last_kind, cursor) = (Some(manifest.kind), manifest.parent);
         }
-        if chain.last().map(|m| m.kind) != Some(SnapshotKind::Full) {
+        if last_kind != Some(SnapshotKind::Full) {
             return Err(Error::Snapshot(format!(
                 "chain of {id} does not end in a full manifest"
             )));
         }
+        Ok(len)
+    }
+
+    /// The chain from the full ancestor down to `id`, in application order.
+    pub fn chain_of(&self, id: ManifestId) -> Result<Vec<&Manifest>> {
+        let mut chain = Vec::new();
+        self.walk_chain(id, |m| chain.push(m))?;
         chain.reverse();
         Ok(chain)
     }
@@ -407,20 +419,27 @@ impl CasStore {
     }
 
     /// Retire an epoch: drop the manifest and release every chunk reference
-    /// it holds (unreferenced chunks are garbage-collected). Fails if a
-    /// dependent incremental manifest still exists.
+    /// it holds (unreferenced chunks are garbage-collected). Fails, changing
+    /// nothing, if a dependent incremental manifest still exists or `id` is
+    /// not stored. A chunk the store has lost is reported only once the
+    /// manifest is gone and every other reference released: `total_refs`
+    /// stays the page count of the manifests left, a retry frees nothing twice.
     pub fn retire(&mut self, id: ManifestId) -> Result<()> {
-        if self.manifests.values().any(|m| m.parent == Some(id)) {
+        if self.manifests.get(&id).is_some_and(|(_, n)| *n > 0) {
             return Err(Error::Snapshot(format!("{id} has dependent manifests")));
         }
-        let manifest = self
+        let (manifest, _) = self
             .manifests
             .remove(&id)
             .ok_or_else(|| Error::Snapshot(format!("{id} does not exist")))?;
-        for (_, chunk) in &manifest.pages {
-            self.chunks.release(*chunk)?;
+        if let Some((_, dependents)) = manifest.parent.and_then(|p| self.manifests.get_mut(&p)) {
+            *dependents -= 1;
         }
-        Ok(())
+        let mut outcome = Ok(());
+        for (_, chunk) in &manifest.pages {
+            outcome = outcome.and(self.chunks.release(*chunk));
+        }
+        outcome
     }
 
     /// Retire the epoch `id` and every ancestor in its chain, newest first —
@@ -460,8 +479,56 @@ mod tests {
     use crate::store::SnapshotStore;
     use rvisor_types::{GuestAddress, PAGE_SIZE};
 
+    /// The store's derived state against the scans it stands in for. Uses
+    /// nothing of this test module, so ROADMAP 4a's always-on auditor can
+    /// take it as is.
+    impl CasStore {
+        pub(crate) fn audit(&self) -> Result<()> {
+            let fail = |what: String| Err(Error::Snapshot(format!("CAS audit: {what}")));
+            for (id, (_, counted)) in &self.manifests {
+                let children = |(m, _): &&(Manifest, u64)| m.parent == Some(*id);
+                let scanned = self.manifests.values().filter(children).count() as u64;
+                if scanned != *counted {
+                    return fail(format!("{id}: {scanned} dependents, {counted} counted"));
+                }
+                let walked = self.walk_chain(*id, |_| ()).map_err(|e| e.to_string());
+                let listed = self.chain_of(*id).map(|c| c.len());
+                if walked != listed.map_err(|e| e.to_string()) {
+                    return fail(format!("{id}: walker says {walked:?}"));
+                }
+            }
+            let held = self.manifests.values().map(|(m, _)| m.pages.len() as u64);
+            let held: u64 = held.sum();
+            if held != self.total_refs() {
+                return fail(format!("{held} page slots, {} refs", self.total_refs()));
+            }
+            Ok(())
+        }
+    }
+
+    /// `Error::Snapshot`'s message; any other error type fails the test.
+    fn message<T: std::fmt::Debug>(result: Result<T>) -> std::result::Result<T, String> {
+        result.map_err(|e| match e {
+            Error::Snapshot(message) => message,
+            other => panic!("not a snapshot error: {other:?}"),
+        })
+    }
+
     fn memory(pages: u64) -> GuestMemory {
         GuestMemory::flat(ByteSize::pages_of(pages)).unwrap()
+    }
+
+    fn capture_dirty(vm: u32, mem: &GuestMemory) -> VmSnapshot {
+        VmSnapshot::capture_incremental(
+            VmId::new(vm),
+            "inc",
+            Nanoseconds::ZERO,
+            SnapshotId(1),
+            mem,
+            vec![],
+            BTreeMap::new(),
+        )
+        .unwrap()
     }
 
     fn capture(vm: u32, mem: &GuestMemory) -> VmSnapshot {
@@ -676,16 +743,7 @@ mod tests {
         let mut cas = CasStore::new();
         mem.clear_dirty();
         mem.write_u64(GuestAddress(0), 9).unwrap();
-        let mut inc = VmSnapshot::capture_incremental(
-            VmId::new(1),
-            "orphan",
-            Nanoseconds::ZERO,
-            SnapshotId(1),
-            &mem,
-            vec![],
-            BTreeMap::new(),
-        )
-        .unwrap();
+        let mut inc = capture_dirty(1, &mem);
         assert!(
             cas.ingest(&inc, None).is_err(),
             "incremental needs a parent"
@@ -712,17 +770,7 @@ mod tests {
         let (base, _) = cas.ingest(&full_snap, None).unwrap();
 
         mem.write_u64(GuestAddress(2 * PAGE_SIZE), 22).unwrap();
-        let inc = VmSnapshot::capture_incremental(
-            VmId::new(1),
-            "inc",
-            Nanoseconds::ZERO,
-            SnapshotId(1),
-            &mem,
-            vec![],
-            BTreeMap::new(),
-        )
-        .unwrap();
-        let (inc_id, _) = cas.ingest(&inc, Some(base)).unwrap();
+        let (inc_id, _) = cas.ingest(&capture_dirty(1, &mem), Some(base)).unwrap();
 
         assert!(
             cas.retire(base).is_err(),
@@ -736,6 +784,81 @@ mod tests {
     }
 
     #[test]
+    fn failed_retire_releases_the_rest_and_cannot_double_free() {
+        let mem = memory(8);
+        let mut cas = CasStore::new();
+        mem.write_u64(GuestAddress(0), 11).unwrap();
+        mem.clear_dirty();
+        let (base, _) = cas.ingest(&capture(1, &mem), None).unwrap();
+        mem.write_u64(GuestAddress(2 * PAGE_SIZE), 22).unwrap();
+        mem.write_u64(GuestAddress(5 * PAGE_SIZE), 55).unwrap();
+        let (child, _) = cas.ingest(&capture_dirty(1, &mem), Some(base)).unwrap();
+        cas.audit().unwrap();
+
+        // Lose the child's *first* chunk behind the store's back: the release
+        // loop meets the error before the reference it must still drop.
+        let lost = cas.get(child).unwrap().pages[0].1;
+        cas.chunks.release(lost).unwrap();
+        assert!(cas.chunks.get(lost).is_none());
+        assert!(cas.audit().is_err(), "one reference short");
+
+        let failed = message(cas.retire(child)).unwrap_err();
+        assert!(failed.contains("release of unknown"), "{failed}");
+        assert!(cas.get(child).is_none());
+        cas.audit()
+            .expect("refs ≡ pages of the manifests left, base has no dependent");
+        assert_eq!(cas.total_refs(), 8);
+
+        let retry = message(cas.retire(child)).unwrap_err();
+        assert!(retry.contains("does not exist"), "{retry}");
+        assert_eq!(cas.total_refs(), 8, "a retry releases nothing");
+        cas.retire(base).unwrap();
+        assert_eq!((cas.total_refs(), cas.chunk_count()), (0, 0));
+        cas.audit().unwrap();
+    }
+
+    #[test]
+    fn chain_walker_names_each_broken_chain() {
+        let mem = memory(4);
+        let mut cas = CasStore::new();
+        let (root, _) = cas.ingest(&capture(1, &mem), None).unwrap();
+        let mut tip = root;
+        for link in 1..MAX_CHAIN_LENGTH {
+            mem.write_u64(GuestAddress(0), link as u64).unwrap();
+            tip = cas.ingest(&capture_dirty(1, &mem), Some(tip)).unwrap().0;
+            assert_eq!(cas.walk_chain(tip, |_| ()).unwrap(), link + 1);
+        }
+        cas.audit().unwrap();
+        let full = message(cas.ingest(&capture_dirty(1, &mem), Some(tip))).unwrap_err();
+        assert!(full.contains("take a full snapshot"), "{full}");
+        assert_eq!(cas.manifest_count(), MAX_CHAIN_LENGTH);
+        cas.audit().unwrap();
+
+        // The three ways a chain can be broken, each by its own error, from
+        // the walker and from `chain_of` alike.
+        let both = |cas: &CasStore| {
+            let walked = message(cas.walk_chain(tip, |_| ()));
+            assert_eq!(walked, message(cas.chain_of(tip)).map(|c| c.len()));
+            walked.unwrap_err()
+        };
+        let second = ManifestId(root.0 + 1);
+        cas.manifests.get_mut(&root).unwrap().0.kind = SnapshotKind::Incremental;
+        assert!(both(&cas).contains("does not end in a full manifest"));
+        cas.manifests.get_mut(&root).unwrap().0.parent = Some(tip);
+        assert!(both(&cas).contains("too long or cyclic"));
+        let cut = cas.manifests.remove(&second).unwrap();
+        assert_eq!(both(&cas), format!("{second} missing from the store"));
+
+        // Mended, the whole chain retires newest-first and leaves nothing.
+        cas.manifests.insert(second, cut);
+        let root_manifest = &mut cas.manifests.get_mut(&root).unwrap().0;
+        (root_manifest.kind, root_manifest.parent) = (SnapshotKind::Full, None);
+        cas.retire_chain(tip).unwrap();
+        assert_eq!((cas.manifest_count(), cas.total_refs()), (0, 0));
+        cas.audit().unwrap();
+    }
+
+    #[test]
     fn restore_detects_corrupt_chain() {
         let mem = memory(4);
         let mut cas = CasStore::new();
@@ -744,7 +867,7 @@ mod tests {
         let (id, _) = cas.ingest(&snap, None).unwrap();
         // Tamper with the recorded checksum: the chain applies cleanly but
         // the final verification must fail.
-        cas.manifests.get_mut(&id).unwrap().memory_checksum ^= 1;
+        cas.manifests.get_mut(&id).unwrap().0.memory_checksum ^= 1;
         let target = memory(4);
         assert!(cas.restore(id, &target).is_err());
     }
@@ -766,8 +889,119 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// What the model keeps of a live manifest: its parent (none: a full
+        /// manifest) and how many pages it references.
+        type Model = BTreeMap<ManifestId, (Option<ManifestId>, u64)>;
+
+        /// Chain length the way `chain_of` found it before the walker: follow
+        /// parents through the model, fail at the first missing link.
+        fn model_chain_len(model: &Model, id: ManifestId) -> std::result::Result<usize, String> {
+            let (mut len, mut cursor) = (0, Some(id));
+            while let Some(cur) = cursor {
+                let (parent, _) = model
+                    .get(&cur)
+                    .ok_or_else(|| format!("{cur} missing from the store"))?;
+                (len, cursor) = (len + 1, *parent);
+            }
+            Ok(len)
+        }
+
+        /// `retire` the way it decided before the count: scan for a child.
+        fn model_retire(model: &mut Model, id: ManifestId) -> std::result::Result<(), String> {
+            if model.values().any(|(parent, _)| *parent == Some(id)) {
+                return Err(format!("{id} has dependent manifests"));
+            }
+            let gone = model.remove(&id);
+            gone.map(|_| ())
+                .ok_or_else(|| format!("{id} does not exist"))
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(24))]
+
+            /// Any sequence of ingests (full; incremental on the newest
+            /// manifest, which is how chains reach the length limit;
+            /// incremental on any id ever issued, live or dead), `retire`s
+            /// and `retire_chain`s ends every step with the same `Ok`/`Err`
+            /// — message included — as a model that scans, and with the
+            /// store's counts equal to what the scans would find.
+            #[test]
+            fn property_store_bookkeeping_equals_a_model_that_scans(
+                ops in proptest::collection::vec(
+                    (0u8..32, 0usize..3, any::<usize>(), 0u64..4, 1u64..5),
+                    1..200,
+                ),
+            ) {
+                let guests = [memory(4), memory(4), memory(4)];
+                let mut cas = CasStore::new();
+                let mut model = Model::new();
+                let mut newest = ManifestId(0);
+                for (op, guest, pick, page, value) in ops {
+                    let mem = &guests[guest];
+                    // Any id ever issued, and one that never was.
+                    let any_id = ManifestId(pick as u64 % (cas.next_id + 2));
+                    let next = ManifestId(cas.next_id + 1);
+                    match op {
+                        0..=25 => {
+                            mem.write_u64(GuestAddress(page * PAGE_SIZE), value).unwrap();
+                            let (snap, parent) = match op {
+                                23..=25 => (capture_dirty(guest as u32, mem), Some(any_id)),
+                                1..=22 if model.contains_key(&newest) => {
+                                    (capture_dirty(guest as u32, mem), Some(newest))
+                                }
+                                _ => (capture(guest as u32, mem), None),
+                            };
+                            let expected = match parent {
+                                None => Ok(()),
+                                Some(p) if !model.contains_key(&p) => {
+                                    Err(format!("parent {p} does not exist"))
+                                }
+                                Some(p) if model_chain_len(&model, p) == Ok(MAX_CHAIN_LENGTH) => {
+                                    Err(format!(
+                                        "chain rooted at {p} already has {MAX_CHAIN_LENGTH} links; take a full snapshot"
+                                    ))
+                                }
+                                Some(_) => Ok(()),
+                            };
+                            let got = message(cas.ingest(&snap, parent)).map(|(id, stats)| {
+                                assert_eq!(id, next);
+                                assert_eq!(
+                                    stats.chunks_novel + stats.chunks_deduped,
+                                    snap.memory.page_count()
+                                );
+                                model.insert(id, (parent, snap.memory.page_count()));
+                                if op < 23 {
+                                    newest = id;
+                                }
+                            });
+                            prop_assert_eq!(got, expected);
+                        }
+                        26..=29 => {
+                            let expected = model_retire(&mut model, any_id);
+                            prop_assert_eq!(message(cas.retire(any_id)), expected);
+                        }
+                        _ => {
+                            // Newest first, stopping at the first link a
+                            // sibling branch still depends on.
+                            let mut expected = model_chain_len(&model, any_id).map(|_| ());
+                            let mut link = Some(any_id);
+                            while let (Ok(()), Some(cur)) = (&expected, link) {
+                                link = model[&cur].0;
+                                expected = model_retire(&mut model, cur);
+                            }
+                            prop_assert_eq!(message(cas.retire_chain(any_id)), expected);
+                        }
+                    }
+                    cas.audit().unwrap();
+                    prop_assert!(model.keys().eq(cas.manifests.keys()));
+                    let held: u64 = model.values().map(|(_, pages)| pages).sum();
+                    prop_assert_eq!(cas.total_refs(), held);
+                    for id in (0..=cas.next_id + 1).map(ManifestId) {
+                        let walked = message(cas.walk_chain(id, |_| ()));
+                        prop_assert_eq!(walked, model_chain_len(&model, id));
+                    }
+                }
+            }
 
             /// For any dirty pattern across any number of epochs, restoring
             /// any epoch from the content-addressed store is byte-identical

@@ -39,6 +39,19 @@
 //!   its chunk references; a chunk is dropped the moment its last reference
 //!   goes. There is no deferred sweep, no grace period, and ordinals are
 //!   never reused, so a stale chunk id can never alias new bytes.
+//! * **Bookkeeping costs O(chain), not O(store).** The store keeps, with
+//!   each manifest, how many stored incremental manifests name it as
+//!   parent: ingesting a child bumps it, retiring one drops it, and
+//!   [`CasStore::retire`] refuses on a non-zero count where it used to scan
+//!   every live manifest. One private walker checks the chain rules (every
+//!   link stored, a bounded length, a full manifest at the root) for
+//!   `ingest`'s length limit, `chain_of`, restore and `retire_chain` alike.
+//! * **A failed `retire` still balances.** Refused for dependents or an
+//!   unknown id, it changes nothing. Past those checks the manifest is
+//!   removed first and *every* reference it held is released even if one
+//!   names a chunk the store no longer has; that first error is returned
+//!   afterwards. Either way `total_refs()` equals the pages of the manifests
+//!   still stored, so a retry can release nothing twice.
 //! * **What dedup does *not* model:** chunk index lookup cost (interning is
 //!   charged zero simulated time — only the shipped bytes pay wire time),
 //!   sub-page or content-defined chunk boundaries (chunks are exactly one
