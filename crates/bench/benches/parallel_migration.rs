@@ -10,6 +10,12 @@
 //! threads — the header prints `available_parallelism` and a two-thread
 //! probe so numbers are interpretable. Where the probe reads 1.0× a laned
 //! migration runs at one-stream speed, whatever the core count says.
+//!
+//! Lanes get threads only from one 64-page segment per stripe up
+//! (`rvisor_migrate::pipeline`): the header also prints how many lane
+//! threads a 4-stream migration of the 4 MiB guest and of a 256 KiB one
+//! stands up, and the `precopy_256KiB` rows time the small guest — the
+//! orchestrator's — on 1 and 4 streams beside the 4 MiB rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::num::NonZeroUsize;
@@ -26,11 +32,16 @@ use rvisor_types::{ByteSize, GuestAddress, Nanoseconds, PAGE_SIZE};
 use rvisor_vcpu::VcpuState;
 
 const PAGES: u64 = 1024; // 4 MiB guest
+const SMALL_PAGES: u64 = 64; // 256 KiB guest: one segment
 
 fn memories() -> (GuestMemory, GuestMemory) {
-    let src = GuestMemory::flat(ByteSize::pages_of(PAGES)).unwrap();
-    let dst = GuestMemory::flat(ByteSize::pages_of(PAGES)).unwrap();
-    for p in 0..PAGES {
+    memories_of(PAGES)
+}
+
+fn memories_of(pages: u64) -> (GuestMemory, GuestMemory) {
+    let src = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();
+    let dst = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();
+    for p in 0..pages {
         if p % 4 != 3 {
             src.write_u64(GuestAddress(p * PAGE_SIZE), p * 11 + 3)
                 .unwrap();
@@ -74,11 +85,49 @@ fn fabric_pipelined(params: FabricParams, streams: usize, dirty: f64) -> Migrati
     pre_copy(streams, &src, &dst, &mut transport, &mut dirtier)
 }
 
-fn loopback_run(streams: usize) -> MigrationReport {
-    let (src, dst) = memories();
+fn loopback_run(pages: u64, streams: usize) -> MigrationReport {
+    let (src, dst) = memories_of(pages);
     let mut link = Link::new(LinkModel::ten_gigabit());
     let mut transport = LoopbackTransport::new(&mut link);
     pre_copy(streams, &src, &dst, &mut transport, &mut IdleDirtier)
+}
+
+/// This process's thread count (`/proc/self/status`), where there is one.
+fn process_threads() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find_map(|l| l.strip_prefix("Threads:"))?;
+    line.trim().parse().ok()
+}
+
+/// An idle guest that notes the process's thread count whenever the engine
+/// runs it — between pre-copy rounds, when every lane thread of the
+/// migration exists and waits for its next page list.
+struct ThreadWatch(Option<u64>);
+
+impl DirtySource for ThreadWatch {
+    fn run_for(
+        &mut self,
+        _memory: &GuestMemory,
+        _duration: Nanoseconds,
+    ) -> rvisor_types::Result<u64> {
+        self.0 = self.0.max(process_threads());
+        Ok(0)
+    }
+
+    fn dirty_rate_bytes_per_sec(&self) -> u64 {
+        0
+    }
+}
+
+/// Lane threads a `streams`-stream pre-copy of a `pages`-page guest stands up.
+fn lane_threads(pages: u64, streams: usize) -> Option<u64> {
+    let before = process_threads()?;
+    let (src, dst) = memories_of(pages);
+    let mut link = Link::new(LinkModel::ten_gigabit());
+    let mut transport = LoopbackTransport::new(&mut link);
+    let mut watch = ThreadWatch(None);
+    pre_copy(streams, &src, &dst, &mut transport, &mut watch);
+    Some(watch.0?.saturating_sub(before))
 }
 
 /// How much faster two threads copy-and-sum 64 MiB than one does: what the
@@ -110,7 +159,17 @@ fn print_table() {
     println!("\nE18: pipelined multi-stream migration (4 MiB pre-copy, 30% dirty rate)");
     println!("host cores available: {cores}");
     let probe = two_thread_probe();
-    println!("two-thread probe (64 MiB copy+sum, 2 threads vs 1): {probe:.2}x\n");
+    println!("two-thread probe (64 MiB copy+sum, 2 threads vs 1): {probe:.2}x");
+    for (name, pages) in [("4 MiB", PAGES), ("256 KiB", SMALL_PAGES)] {
+        let stripe = pages.div_ceil(4);
+        match lane_threads(pages, 4) {
+            Some(n) => {
+                println!("lane threads, {name} guest x 4 streams ({stripe}-page stripes): {n}")
+            }
+            None => println!("lane threads, {name} guest x 4 streams: not observable on this host"),
+        }
+    }
+    println!();
     println!(
         "{:<8} {:>8} {:>14} {:>12} {:>12} {:>12}",
         "nic", "streams", "total", "downtime", "bytes", "wire bytes"
@@ -170,12 +229,22 @@ fn bench(c: &mut Criterion) {
         .sample_size(20);
 
     group.throughput(Throughput::Bytes(PAGES * PAGE_SIZE));
-    group.bench_function("precopy_serial_4mib", |b| b.iter(|| loopback_run(1)));
+    group.bench_function("precopy_serial_4mib", |b| b.iter(|| loopback_run(PAGES, 1)));
     for streams in [2usize, 4] {
         group.bench_with_input(
             BenchmarkId::new("precopy_pipelined_4mib", format!("{streams}way")),
             &streams,
-            |b, &streams| b.iter(|| loopback_run(streams)),
+            |b, &streams| b.iter(|| loopback_run(PAGES, streams)),
+        );
+    }
+    // The orchestrator's guest: 16-page stripes on 4 streams, so the lanes
+    // run on the calling thread and the two rows should read alike.
+    group.throughput(Throughput::Bytes(SMALL_PAGES * PAGE_SIZE));
+    for streams in [1usize, 4] {
+        group.bench_with_input(
+            BenchmarkId::new("precopy_256KiB", format!("{streams}way")),
+            &streams,
+            |b, &streams| b.iter(|| loopback_run(SMALL_PAGES, streams)),
         );
     }
     group.finish();

@@ -60,6 +60,21 @@ impl DirtyBitmap {
         });
     }
 
+    /// [`Self::mark_range`] that leaves a word alone when it already has
+    /// every bit of the range: a load instead of an atomic read-modify-write
+    /// for a caller storing to the same pages over and over. Only for a
+    /// caller that keeps every reader of those pages' bytes out until it is
+    /// done (see the race argument in [`crate::region`]).
+    pub(crate) fn mark_range_unless_set(&self, first: u64, count: u64) {
+        let end = first.saturating_add(count).min(self.pages);
+        for_each_word_mask(first, end, |word, mask| {
+            let bits = &self.words[word];
+            if bits.load(Ordering::Relaxed) & mask != mask {
+                bits.fetch_or(mask, Ordering::Relaxed);
+            }
+        });
+    }
+
     /// Whether `page` is currently marked dirty.
     pub fn is_dirty(&self, page: u64) -> bool {
         if page >= self.pages {

@@ -68,7 +68,7 @@ pub mod scan;
 pub use balloon::{Balloon, BalloonStats};
 pub use bitmap::{DirtyBitmap, DirtyIter};
 pub use ksm::{analyze_sharing, DedupAnalysis, KsmConfig, KsmManager, KsmStats};
-pub use memory::{GuestMemory, GuestMemoryBuilder};
+pub use memory::{GuestAccess, GuestMemory, GuestMemoryBuilder};
 pub use region::MemoryRegion;
 pub use scan::{fingerprint, is_zero};
 

@@ -5,12 +5,13 @@
 //! [`GuestMemory::checksum`] is just the wrapping sum of the regions' cached
 //! folds, and every `GuestMemory` mutator is a `MemoryRegion` mutator of the
 //! same name, so the one marking rule in [`crate::region`] covers both types.
+//! [`GuestAccess`] is the same routing with every region's lock already held.
 
 use std::sync::Arc;
 
 use rvisor_types::{ByteSize, Error, GuestAddress, MemoryRegionConfig, Result, PAGE_SIZE};
 
-use crate::region::MemoryRegion;
+use crate::region::{HeldRegion, MemoryRegion};
 
 /// Builder for a [`GuestMemory`].
 ///
@@ -112,8 +113,8 @@ impl GuestMemory {
     }
 
     /// Walk the (possibly several) regions backing `[addr, addr + len)` in
-    /// address order, calling `f(region, span start, offset into the span,
-    /// span length)` for each contiguous piece.
+    /// address order, calling `f(region index, span start, offset into the
+    /// span, span length)` for each contiguous piece.
     ///
     /// This is the span contract of [`Self::read`]/[`Self::write`]: accesses
     /// may straddle *adjacent* regions, but a span whose next byte is backed
@@ -123,14 +124,14 @@ impl GuestMemory {
         &self,
         addr: GuestAddress,
         len: u64,
-        mut f: impl FnMut(&MemoryRegion, GuestAddress, usize, u64) -> Result<()>,
+        mut f: impl FnMut(usize, GuestAddress, usize, u64) -> Result<()>,
     ) -> Result<()> {
         let mut cur = addr;
         let mut done = 0u64;
         loop {
-            let region = self.regions.iter().find(|r| r.range().contains(cur));
-            let region = match region {
-                Some(r) => r,
+            let mut regions = self.regions.iter().enumerate();
+            let (index, region) = match regions.find(|(_, r)| r.range().contains(cur)) {
+                Some(found) => found,
                 None if done == 0 => return Err(Error::InvalidGuestAddress(cur)),
                 None => {
                     return Err(Error::CrossRegionGap {
@@ -142,7 +143,7 @@ impl GuestMemory {
             };
             let region_end = region.start().0 + region.len();
             let take = (region_end - cur.0).min(len - done);
-            f(region, cur, done as usize, take)?;
+            f(index, cur, done as usize, take)?;
             done += take;
             if done >= len {
                 return Ok(());
@@ -158,7 +159,7 @@ impl GuestMemory {
     /// by then).
     pub fn read(&self, addr: GuestAddress, buf: &mut [u8]) -> Result<()> {
         self.for_each_span(addr, buf.len() as u64, |region, at, off, take| {
-            region.read(at, &mut buf[off..off + take as usize])
+            self.regions[region].read(at, &mut buf[off..off + take as usize])
         })
     }
 
@@ -169,7 +170,7 @@ impl GuestMemory {
     /// already have been written).
     pub fn write(&self, addr: GuestAddress, buf: &[u8]) -> Result<()> {
         self.for_each_span(addr, buf.len() as u64, |region, at, off, take| {
-            region.write(at, &buf[off..off + take as usize])
+            self.regions[region].write(at, &buf[off..off + take as usize])
         })
     }
 
@@ -177,8 +178,23 @@ impl GuestMemory {
     /// [`Self::read`].
     pub fn fill(&self, addr: GuestAddress, len: u64, value: u8) -> Result<()> {
         self.for_each_span(addr, len, |region, at, _off, take| {
-            region.fill(at, take, value)
+            self.regions[region].fill(at, take, value)
         })
+    }
+
+    /// Take every region's data lock for writing, in address order, and keep
+    /// them until the returned view drops: exclusive access to the guest's
+    /// bytes for a caller that makes many small accesses in a row (a vCPU
+    /// for the length of one `run`).
+    ///
+    /// While the view lives, every other access to this guest's bytes, from
+    /// any handle and any thread — the holder's own included — waits for the
+    /// drop.
+    pub fn hold(&self) -> GuestAccess<'_> {
+        GuestAccess {
+            memory: self,
+            held: self.regions.iter().map(|r| r.hold()).collect(),
+        }
     }
 
     /// Read a little-endian `u8`.
@@ -461,6 +477,58 @@ impl GuestMemory {
             let (s, p) = r.checksum();
             (sum.wrapping_add(s), pages + p)
         })
+    }
+}
+
+/// Every region of a [`GuestMemory`] held for writing
+/// ([`GuestMemory::hold`]): reads and stores that take no lock and search no
+/// further than the span walk, for as long as the view lives.
+///
+/// Accesses follow exactly the span contract of [`GuestMemory::read`] and
+/// [`GuestMemory::write`] — adjacent regions stitched, the same
+/// [`Error::InvalidGuestAddress`] / [`Error::CrossRegionGap`], pieces before
+/// a gap written — and a store marks what the same `GuestMemory::write`
+/// would: the checksum plane and the dirty bitmap of every page it touches
+/// (the one marking rule of [`crate::region`]).
+#[derive(Debug)]
+pub struct GuestAccess<'a> {
+    memory: &'a GuestMemory,
+    /// One per region, in `memory.regions` order.
+    held: Vec<HeldRegion<'a>>,
+}
+
+impl GuestAccess<'_> {
+    /// [`GuestMemory::read`] under the held locks.
+    #[inline]
+    pub fn read(&self, addr: GuestAddress, buf: &mut [u8]) -> Result<()> {
+        self.memory
+            .for_each_span(addr, buf.len() as u64, |region, at, off, take| {
+                self.held[region].read(at, &mut buf[off..off + take as usize])
+            })
+    }
+
+    /// [`GuestMemory::write`] under the held locks, marking touched pages.
+    #[inline]
+    pub fn write(&mut self, addr: GuestAddress, buf: &[u8]) -> Result<()> {
+        let held = &mut self.held;
+        self.memory
+            .for_each_span(addr, buf.len() as u64, |region, at, off, take| {
+                held[region].write(at, &buf[off..off + take as usize])
+            })
+    }
+
+    /// Read a little-endian `u64`.
+    #[inline]
+    pub fn read_u64(&self, addr: GuestAddress) -> Result<u64> {
+        let mut b = [0u8; 8];
+        self.read(addr, &mut b)?;
+        Ok(u64::from_le_bytes(b))
+    }
+
+    /// Write a little-endian `u64`.
+    #[inline]
+    pub fn write_u64(&mut self, addr: GuestAddress, v: u64) -> Result<()> {
+        self.write(addr, &v.to_le_bytes())
     }
 }
 
@@ -828,6 +896,79 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_held_view_keeps_checksums_and_harvests_out_until_it_drops() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::Barrier;
+
+        // Pages 3 and 4 sit on either side of the region edge.
+        let mem = two_adjacent_regions();
+        let edge = 4 * PAGE_SIZE;
+        let start = Barrier::new(3);
+        let dropping = AtomicBool::new(false);
+        const STORES: u64 = 2_000;
+        let last = STORES - 1;
+
+        let (summed, harvested) = std::thread::scope(|s| {
+            let holder = s.spawn(|| {
+                // Held, and both pages marked, before the others start: the
+                // harvester finds bits to take and a lock it cannot have.
+                let mut view = mem.hold();
+                view.write_u64(GuestAddress(edge - 8), u64::MAX).unwrap();
+                view.write_u64(GuestAddress(edge), u64::MAX).unwrap();
+                start.wait();
+                for i in 0..STORES {
+                    view.write_u64(GuestAddress(edge - 8), i).unwrap();
+                    view.write_u64(GuestAddress(edge + 8 * (i % 64)), i)
+                        .unwrap();
+                    view.write_u64(GuestAddress(edge - 4), i).unwrap();
+                }
+                dropping.store(true, Ordering::Release);
+            });
+            let summer = s.spawn(|| {
+                start.wait();
+                let sum = mem.checksum();
+                assert!(dropping.load(Ordering::Acquire), "summed under the view");
+                sum
+            });
+            let harvester = s.spawn(|| {
+                start.wait();
+                let mut seen = Vec::new();
+                mem.drain_dirty_pages_with(|page, bytes| {
+                    assert!(dropping.load(Ordering::Acquire), "read under the view");
+                    seen.push((page, bytes.to_vec()));
+                    Ok::<(), std::convert::Infallible>(())
+                })
+                .unwrap();
+                seen
+            });
+            holder.join().expect("holder");
+            (
+                summer.join().expect("summer"),
+                harvester.join().expect("harvester"),
+            )
+        });
+
+        // The checksum waited for the drop, so it summed every store.
+        assert_eq!(summed, checksum_bytewise(&mem));
+        assert_eq!(mem.checksum_counting_resums(), (summed, 0));
+        assert_eq!(mem.read_u64(GuestAddress(edge - 4)).unwrap(), last);
+        assert_eq!(
+            mem.read_u64(GuestAddress(edge + 8 * (last % 64))).unwrap(),
+            last
+        );
+        // The harvest took its words while the view was held and read the
+        // pages after the drop: what it saw of a page is the page's final
+        // contents, and a page stored to after its word was taken is dirty
+        // again for the next harvest — no store is lost between the two.
+        for (page, bytes) in &harvested {
+            assert_eq!(&mem.read_page(*page).unwrap(), bytes, "page {page}");
+        }
+        let mut covered: BTreeSet<u64> = harvested.iter().map(|(page, _)| *page).collect();
+        covered.extend(mem.dirty_pages());
+        assert_eq!(covered, BTreeSet::from([3, 4]));
+    }
+
     /// `pub` and `pub(crate)` method names of a source file's non-test part.
     fn declared_fns(source: &str) -> BTreeSet<&str> {
         let code = source.split("#[cfg(test)]").next().unwrap();
@@ -907,6 +1048,17 @@ mod tests {
         ),
         ("checksum", None),
         ("with_bytes", None),
+        // `HeldRegion`'s `read` and `write` are listed under those names
+        // above; this drives its `write`, the one store a held region has.
+        (
+            "hold",
+            Some(|m| {
+                m.regions()[0]
+                    .hold()
+                    .write(GuestAddress(PAGE_SIZE - 2), &[1, 2, 3, 4])
+                    .unwrap()
+            }),
+        ),
     ];
     const MEMORY_FNS: &[(&str, Mutation)] = &[
         // GuestMemoryBuilder.
@@ -995,6 +1147,19 @@ mod tests {
         ("mark_dirty_page", None),
         ("checksum", None),
         ("checksum_counting_resums", None),
+        // `GuestAccess`'s `read`, `write`, `read_u64` and `write_u64` are
+        // listed under those names above; both its stores are driven here,
+        // across the region edge.
+        (
+            "hold",
+            Some(|m| {
+                let mut view = m.hold();
+                view.write(GuestAddress(4 * PAGE_SIZE - 1), &[1, 2, 3])
+                    .unwrap();
+                view.write_u64(GuestAddress(4 * PAGE_SIZE - 4), u64::MAX)
+                    .unwrap();
+            }),
+        ),
     ];
 
     #[test]
@@ -1035,11 +1200,13 @@ mod tests {
                 );
             }
         }
-        // Guest bytes change only under the data write lock, and only two
-        // functions may take it: `mutate`, which marks, and the checksum
-        // refresh, which changes no byte.
+        // Guest bytes change only under the data write lock, and only three
+        // functions may take it: `mutate`, which marks; the checksum
+        // refresh, which changes no byte; and `hold`, which hands it to a
+        // `HeldRegion`, whose one store marks through `mutate`'s helper.
         let code = region_source.split("#[cfg(test)]").next().unwrap();
-        assert_eq!(code.matches("self.data.write()").count(), 2);
+        assert_eq!(code.matches("self.data.write()").count(), 3);
+        assert_eq!(code.matches(".stale_span(").count(), 2);
     }
 
     #[test]
@@ -1063,13 +1230,15 @@ mod tests {
         }
 
         /// Model-based: any sequence of every mutator (spans straddling
-        /// page and region edges included), dirty-plane harvests and
-        /// `checksum()` calls over a two-region guest keeps `checksum()`
-        /// equal to the byte-wise fold of a shadow copy of the guest.
+        /// page and region edges included, through `GuestMemory` and through
+        /// a held view), dirty-plane harvests and `checksum()` calls over a
+        /// two-region guest keeps `checksum()` equal to the byte-wise fold
+        /// of a shadow copy of the guest, and every harvest equal to the
+        /// shadow's set of pages written since the last one.
         #[test]
         fn cached_checksum_follows_a_shadow_model(
             ops in proptest::collection::vec(
-                (0u8..12, any::<u64>(), any::<u64>(), any::<u8>()),
+                (0u8..14, any::<u64>(), any::<u64>(), any::<u8>()),
                 1..40,
             ),
         ) {
@@ -1084,6 +1253,12 @@ mod tests {
                 .unwrap()
                 .build();
             let mut shadow = vec![0u8; TOTAL as usize];
+            let mut shadow_dirty = BTreeSet::new();
+            let touch = |dirty: &mut BTreeSet<u64>, at: u64, len: u64| {
+                if len > 0 {
+                    dirty.extend(at / PAGE_SIZE..=(at + len - 1) / PAGE_SIZE);
+                }
+            };
             let model_checksum = |shadow: &[u8]| {
                 let (low, high) = shadow.split_at(region_start(1) as usize);
                 weighted_sum_bytewise(low, 0).wrapping_add(weighted_sum_bytewise(high, 0))
@@ -1101,6 +1276,7 @@ mod tests {
                         let bytes = pattern((1 + y % 300).min(TOTAL - at), v);
                         mem.write(GuestAddress(at), &bytes).unwrap();
                         shadow[at as usize..][..bytes.len()].copy_from_slice(&bytes);
+                        touch(&mut shadow_dirty, at, bytes.len() as u64);
                     }
                     // A u64 ending 0..=8 bytes past a page (or the region) edge.
                     1 => {
@@ -1108,6 +1284,7 @@ mod tests {
                         let word = y | u64::from(v) << 56 | 1;
                         mem.write_u64(GuestAddress(at), word).unwrap();
                         shadow[at as usize..][..8].copy_from_slice(&word.to_le_bytes());
+                        touch(&mut shadow_dirty, at, 8);
                     }
                     // A fill of up to 2.5 pages.
                     2 => {
@@ -1115,16 +1292,19 @@ mod tests {
                         let len = (y % (5 * PAGE_SIZE / 2)).min(TOTAL - at);
                         mem.fill(GuestAddress(at), len, v).unwrap();
                         shadow[at as usize..][..len as usize].fill(v);
+                        touch(&mut shadow_dirty, at, len);
                     }
                     3 => {
                         let bytes = pattern(PAGE_SIZE, v);
                         mem.write_page(page, &bytes).unwrap();
                         shadow[(page * PAGE_SIZE) as usize..][..bytes.len()].copy_from_slice(&bytes);
+                        touch(&mut shadow_dirty, page * PAGE_SIZE, PAGE_SIZE);
                     }
                     4 => {
                         let at = (y % PAGE_SIZE) as usize;
                         mem.with_page_mut(page, |b| b[at] = v).unwrap();
                         shadow[(page * PAGE_SIZE) as usize + at] = v;
+                        touch(&mut shadow_dirty, page * PAGE_SIZE, PAGE_SIZE);
                     }
                     // A span inside one region, possibly over several pages.
                     5 => {
@@ -1135,24 +1315,124 @@ mod tests {
                         let at = region_start(r) + off;
                         mem.with_slice_mut(GuestAddress(at), len, |b| b.fill(v)).unwrap();
                         shadow[at as usize..][..len as usize].fill(v);
+                        touch(&mut shadow_dirty, at, len);
                     }
                     6 => {
                         mem.discard_page(page).unwrap();
                         shadow[(page * PAGE_SIZE) as usize..][..PAGE_SIZE as usize].fill(0);
+                        touch(&mut shadow_dirty, page * PAGE_SIZE, PAGE_SIZE);
                     }
                     // The dirty plane's readers must leave the checksum
-                    // plane alone.
-                    7 => mem.clear_dirty(),
-                    8 => drop(mem.drain_dirty()),
-                    9 => mem
-                        .drain_dirty_pages_with(|_, _| Ok::<(), std::convert::Infallible>(()))
-                        .unwrap(),
+                    // plane alone, and harvest exactly what was written.
+                    7 => {
+                        mem.clear_dirty();
+                        shadow_dirty.clear();
+                    }
+                    8 => {
+                        let drained: BTreeSet<u64> = mem.drain_dirty().into_iter().collect();
+                        prop_assert_eq!(drained, std::mem::take(&mut shadow_dirty));
+                    }
+                    9 => {
+                        let mut drained = BTreeSet::new();
+                        mem.drain_dirty_pages_with(|page, _| {
+                            drained.insert(page);
+                            Ok::<(), std::convert::Infallible>(())
+                        })
+                        .unwrap();
+                        prop_assert_eq!(drained, std::mem::take(&mut shadow_dirty));
+                    }
+                    // One held view: stores of 1, 2, 4, 8 and an odd number
+                    // of bytes, each ending 0..=len bytes past a page (or
+                    // the region) edge, read back through the view; then
+                    // the drop, which the next op's harvest or checksum
+                    // follows.
+                    10 | 11 => {
+                        let mut view = mem.hold();
+                        for (i, len) in [1u64, 2, 4, 8, 3 + 2 * (x % 6)].into_iter().enumerate() {
+                            let edge = (1 + (x >> (8 * i)) % 6) * PAGE_SIZE;
+                            let at = edge - len + (y >> (8 * i)) % (len + 1);
+                            let bytes = pattern(len, v.wrapping_add(i as u8));
+                            if len == 8 {
+                                let word = u64::from_le_bytes(bytes[..].try_into().unwrap());
+                                view.write_u64(GuestAddress(at), word).unwrap();
+                                prop_assert_eq!(view.read_u64(GuestAddress(at)).unwrap(), word);
+                            } else {
+                                view.write(GuestAddress(at), &bytes).unwrap();
+                            }
+                            shadow[at as usize..][..bytes.len()].copy_from_slice(&bytes);
+                            touch(&mut shadow_dirty, at, len);
+                            let mut back = vec![0u8; 16];
+                            view.read(GuestAddress(edge - 8), &mut back).unwrap();
+                            prop_assert_eq!(&back[..], &shadow[edge as usize - 8..][..16]);
+                        }
+                    }
                     _ => prop_assert_eq!(mem.checksum(), model_checksum(&shadow)),
                 }
             }
             prop_assert_eq!(mem.read_vec(GuestAddress(0), TOTAL).unwrap(), shadow.clone());
+            let dirty: BTreeSet<u64> = mem.dirty_pages().into_iter().collect();
+            prop_assert_eq!(dirty, shadow_dirty);
             prop_assert_eq!(mem.checksum(), model_checksum(&shadow));
             prop_assert_eq!(mem.checksum_counting_resums(), (model_checksum(&shadow), 0));
+        }
+
+        /// A held view fails where `GuestMemory` fails, with the same error,
+        /// having read or written and marked the same bytes before the gap.
+        #[test]
+        fn held_view_accesses_match_guest_memory_errors_and_all(
+            accesses in proptest::collection::vec(
+                (0usize..7, 0u64..48, 0usize..40, any::<bool>(), any::<u8>()),
+                1..24,
+            ),
+        ) {
+            // [0, 2 pages) and [2, 4 pages) touch; a hole; 2 pages at 1 MiB.
+            const HIGH: u64 = 0x10_0000;
+            let build = || {
+                GuestMemoryBuilder::new()
+                    .with_region(GuestAddress(0), ByteSize::pages_of(2))
+                    .unwrap()
+                    .with_region(GuestAddress(2 * PAGE_SIZE), ByteSize::pages_of(2))
+                    .unwrap()
+                    .with_region(GuestAddress(HIGH), ByteSize::pages_of(2))
+                    .unwrap()
+                    .build()
+            };
+            let (plain, held) = (build(), build());
+            let contents = |m: &GuestMemory| -> Vec<u8> {
+                let mut out = Vec::new();
+                for r in m.regions() {
+                    r.with_bytes(|b| out.extend_from_slice(b));
+                }
+                out
+            };
+            // A page edge inside a region, every edge of backed memory and
+            // the middle of the hole, each approached from 24 bytes below.
+            let edges = [
+                24,
+                PAGE_SIZE,
+                2 * PAGE_SIZE,
+                4 * PAGE_SIZE,
+                HIGH,
+                HIGH + 2 * PAGE_SIZE,
+                HIGH / 2,
+            ];
+            let mut view = held.hold();
+            for &(edge, skew, len, write, v) in &accesses {
+                let at = GuestAddress(edges[edge] - 24 + skew);
+                if write {
+                    let bytes: Vec<u8> = (0..len).map(|i| v.wrapping_add(i as u8) | 1).collect();
+                    prop_assert_eq!(view.write(at, &bytes), plain.write(at, &bytes));
+                } else {
+                    let (mut a, mut b) = (vec![0xee; len], vec![0xee; len]);
+                    prop_assert_eq!(view.read(at, &mut a), plain.read(at, &mut b));
+                    prop_assert_eq!(a, b);
+                }
+            }
+            drop(view);
+            prop_assert_eq!(contents(&held), contents(&plain));
+            prop_assert_eq!(held.dirty_pages(), plain.dirty_pages());
+            prop_assert_eq!(held.checksum(), checksum_bytewise(&held));
+            prop_assert_eq!(held.checksum(), plain.checksum());
         }
 
         #[test]

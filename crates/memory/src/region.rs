@@ -5,15 +5,21 @@
 //! Every mutator of this type — [`MemoryRegion::write`], [`fill`],
 //! [`with_page_mut`], [`with_slice_mut`], [`discard_page`] (and
 //! [`write_page`], which is a `write`) — goes through the private `mutate`
-//! helper, the only place outside the checksum refresh that takes the data
-//! lock for writing. `mutate` applies one marking rule to the pages a
-//! mutation touches:
+//! helper. `mutate` applies one marking rule to the pages a mutation
+//! touches:
 //!
 //! 1. under the write lock it already holds, it sets the pages' bits in the
 //!    **checksum plane** (`Backing::stale`: "written since this page's cached
 //!    partial sum was computed");
-//! 2. after releasing the lock, it marks them in the [`DirtyBitmap`] that
-//!    migration and incremental snapshots harvest.
+//! 2. after the bytes have changed, it marks them in the [`DirtyBitmap`]
+//!    that migration and incremental snapshots harvest.
+//!
+//! Besides `mutate` and the checksum refresh, one function takes the data
+//! lock for writing: `hold`, which keeps it — a `HeldRegion`, the per-region
+//! half of [`crate::GuestAccess`] — so that a running vCPU pays for the lock
+//! once per `run` and not once per store. A store through a held region
+//! applies the same rule through the same helper (`Backing::stale_span`),
+//! in the same order.
 //!
 //! The two planes answer different questions and are cleared by different
 //! readers: `clear_dirty` / `drain_dirty*` never touch the checksum plane,
@@ -41,7 +47,14 @@
 //! harvest's epoch rule, with nothing left to order. The mark is a plain
 //! `|=` on a word the store's own lock already made exclusive, so a guest
 //! store gains no second atomic read-modify-write beside
-//! [`DirtyBitmap::mark_range`]'s.
+//! [`DirtyBitmap::mark_range`]'s. A held region is one long writer: the
+//! argument above holds with "across marking its pages and changing their
+//! bytes" stretched over every store of the hold. Its dirty marks may
+//! test-then-set (skip the atomic when the bits are already there), because
+//! a harvester that takes a word while the region is held cannot read the
+//! pages' bytes until the hold drops, so whichever of the two it finds — the
+//! bit, or the bit set again by a later store — it reads every store made
+//! under the hold or leaves the page dirty for the next harvest.
 //!
 //! [`fill`]: MemoryRegion::fill
 //! [`with_page_mut`]: MemoryRegion::with_page_mut
@@ -49,7 +62,7 @@
 //! [`discard_page`]: MemoryRegion::discard_page
 //! [`write_page`]: MemoryRegion::write_page
 
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockWriteGuard};
 use rvisor_types::{Error, GuestAddress, GuestRegion, Result, PAGE_SIZE};
 
 use crate::bitmap::{for_each_word_mask, DirtyBitmap};
@@ -66,6 +79,65 @@ struct Backing {
     /// The checksum plane: bit `p % 64` of word `p / 64` is set when page
     /// `p` was written since `sums[p]` was computed.
     stale: Box<[u64]>,
+}
+
+/// The region-relative pages `[first, end)` that the `len` bytes at byte
+/// offset `off` touch; empty for an empty span.
+#[inline]
+fn touched_pages(off: usize, len: usize) -> (u64, u64) {
+    let first = off as u64 / PAGE_SIZE;
+    let end = match len {
+        0 => first,
+        _ => (off + len - 1) as u64 / PAGE_SIZE + 1,
+    };
+    (first, end)
+}
+
+impl Backing {
+    /// Step 1 of the marking rule, for whoever holds the write lock: mark
+    /// the [`touched_pages`] of the `len` bytes at `off` stale in the
+    /// checksum plane and hand out those bytes.
+    ///
+    /// Marked before the caller writes (the order is invisible under the
+    /// lock), so a closure that unwinds halfway leaves no stale sum.
+    #[inline]
+    fn stale_span(&mut self, off: usize, len: usize) -> &mut [u8] {
+        let (first, end) = touched_pages(off, len);
+        let stale = &mut self.stale;
+        for_each_word_mask(first, end, |word, mask| stale[word] |= mask);
+        &mut self.bytes[off..off + len]
+    }
+}
+
+/// A region whose data lock is held for writing until this drops: reads and
+/// stores pay no lock of their own, and nobody else reads or writes the
+/// region's bytes meanwhile. Stores follow the module's marking rule.
+#[derive(Debug)]
+pub(crate) struct HeldRegion<'a> {
+    region: &'a MemoryRegion,
+    data: RwLockWriteGuard<'a, Backing>,
+}
+
+impl HeldRegion<'_> {
+    /// [`MemoryRegion::read`] under the held lock.
+    #[inline]
+    pub(crate) fn read(&self, addr: GuestAddress, buf: &mut [u8]) -> Result<()> {
+        let off = self.region.offset_of(addr, buf.len() as u64)?;
+        buf.copy_from_slice(&self.data.bytes[off..off + buf.len()]);
+        Ok(())
+    }
+
+    /// [`MemoryRegion::write`] under the held lock: the same marks in the
+    /// same order as `mutate`, the dirty bits skipping the atomic
+    /// read-modify-write when they are already set.
+    #[inline]
+    pub(crate) fn write(&mut self, addr: GuestAddress, buf: &[u8]) -> Result<()> {
+        let off = self.region.offset_of(addr, buf.len() as u64)?;
+        let (first, end) = touched_pages(off, buf.len());
+        self.data.stale_span(off, buf.len()).copy_from_slice(buf);
+        self.region.dirty.mark_range_unless_set(first, end - first);
+        Ok(())
+    }
 }
 
 /// A contiguous, heap-backed slab of guest physical memory.
@@ -184,21 +256,22 @@ impl MemoryRegion {
     /// the checksum plane and run `f` over them; then mark them dirty. An
     /// empty span marks nothing.
     fn mutate<R>(&self, off: usize, len: usize, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        let first = off as u64 / PAGE_SIZE;
-        let end = match len {
-            0 => first,
-            _ => (off + len - 1) as u64 / PAGE_SIZE + 1,
-        };
+        let (first, end) = touched_pages(off, len);
         let out = {
             let mut data = self.data.write();
-            // Marked before `f` runs (the order is invisible under the
-            // lock), so a closure that unwinds halfway leaves no stale sum.
-            let stale = &mut data.stale;
-            for_each_word_mask(first, end, |word, mask| stale[word] |= mask);
-            f(&mut data.bytes[off..off + len])
+            f(data.stale_span(off, len))
         };
         self.dirty.mark_range(first, end - first);
         out
+    }
+
+    /// Take the data lock for writing and keep it: the per-region half of
+    /// [`crate::GuestAccess`].
+    pub(crate) fn hold(&self) -> HeldRegion<'_> {
+        HeldRegion {
+            region: self,
+            data: self.data.write(),
+        }
     }
 
     /// Byte offset of a region-relative page, or `OutOfBounds`.

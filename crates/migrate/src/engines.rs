@@ -44,14 +44,17 @@ pub(crate) const PER_PAGE_OVERHEAD: u64 = wire::FRAME_HEADER_BYTES;
 ///   same bytes on the wire under every [`PageCompression`].
 /// * `plan.streams` picks the scheduler: 1 streams every round inline on
 ///   the calling thread, more stand up one lane per stripe
-///   ([`crate::pipeline`]). Same wire bytes, same destination memory, same
-///   report either way.
+///   ([`crate::pipeline`]) and charge the round to the transport as that
+///   many striped streams. It does not pick a host thread count: lanes get
+///   threads only from one 64-page segment per stripe up, and run on the
+///   calling thread below that. Same wire bytes, same destination memory,
+///   same report either way.
 /// * A [`FaultService::FaultLane`] post-copy is serial whatever `streams`
 ///   says: the lane *is* its second stream.
 ///
 /// On `Err` the destination's contents are unspecified and the source's
-/// pages are untouched ([why](crate::stream#failure)); every lane has been
-/// joined by the time this returns, whatever it returns.
+/// pages are untouched ([why](crate::stream#failure)); every lane thread has
+/// been joined by the time this returns, whatever it returns.
 pub fn execute(
     plan: &MigrationPlan,
     source: &GuestMemory,

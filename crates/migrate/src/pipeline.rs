@@ -3,21 +3,27 @@
 //! With one stream, [`execute`](crate::execute) moves a round through one
 //! buffer on the calling thread: encode a segment of at most 64 pages, apply
 //! it on the sink while it is still in cache, repeat
-//! ([`stream`](crate::stream)). This module runs that same loop on several
-//! threads at once, one per stripe of the page-index space, under the same
-//! engine bodies, while staying **byte-identical and
-//! [`MigrationReport`](crate::MigrationReport)-`==` to the one-stream
-//! schedule** (pinned by proptest below):
+//! ([`stream`](crate::stream)). This module runs that same loop once per
+//! stripe of the page-index space — on several threads at once when a
+//! stripe is worth a thread — under the same engine bodies, while staying
+//! **byte-identical and [`MigrationReport`](crate::MigrationReport)-`==` to
+//! the one-stream schedule** (pinned by proptest below):
 //!
 //! * **Lanes** — [`MigrationPlan::streams`] shards the page-index space
 //!   into *fixed* contiguous stripes (`stripe = page / ceil(total_pages /
-//!   streams)`). One scoped thread per stripe — a lane — lives for the
-//!   migration and owns the stripe's encoder (so a page always travels on
-//!   the same stream and a stripe's XBZRLE cache stays coherent across
-//!   rounds), a sink on the destination and one segment buffer. Stripes are
-//!   disjoint, so lanes never touch the same destination page; a page's
-//!   bytes never cross a thread, and no round is ever materialised as a
-//!   stripe-sized body.
+//!   streams)`). One lane per stripe lives for the migration and owns the
+//!   stripe's encoder (so a page always travels on the same stream and a
+//!   stripe's XBZRLE cache stays coherent across rounds) and a sink on the
+//!   destination. Stripes are disjoint, so lanes never touch the same
+//!   destination page, and no round is ever materialised as a stripe-sized
+//!   body.
+//! * **Where a lane runs** — a lane is a function (`stream_stripe`) over
+//!   that state and a segment buffer. From one segment per stripe up
+//!   (`ceil(total_pages / streams) ≥ 64`) each lane gets a scoped thread of
+//!   its own, and a page's bytes never cross a thread. Below that the lanes
+//!   run one after the other on the coordinator, sharing one buffer: the
+//!   same frames, the same per-stripe byte counts, no thread (see the model
+//!   assumptions below for why).
 //! * **The coordinator** — the calling thread runs the engine body and keeps
 //!   what is inherently serial. Per round it cuts the ascending page list
 //!   into per-stripe lists, gathers the lanes' byte counts in stripe order
@@ -43,12 +49,22 @@
 //! exactly the aggregate burst (keeping the `==` pin to one stream), and on
 //! a [`Fabric`](rvisor_net::Fabric) each stream additionally pays its own
 //! MTU chunk framing, so simulated time is never *better* than with one
-//! stream. What lanes can buy is **host wall-clock**, on a host whose cores
-//! run threads in parallel (experiment E18): lanes share nothing but the
-//! guest regions' locks — the source's read lock and the destination's
-//! write lock, each held for one 4 KiB copy at a time. Where they buy
-//! nothing, a laned migration costs what the one-stream one does; the byte
-//! stream, the destination memory and the report are identical either way.
+//! stream. What lane threads can buy is **host wall-clock**, on a host whose
+//! cores run threads in parallel (experiment E18): they share nothing but
+//! the guest regions' locks — the source's read lock and the destination's
+//! write lock, each held for one 4 KiB copy at a time. The named assumption
+//! is *"a lane thread buys wall-clock"*, and it is false for a stripe
+//! shorter than one segment: four threads and eight channels to move 16
+//! pages each cost more to stand up than the pages cost to move (a 64-page
+//! guest: p50 571 µs on four lane threads against 159 µs on one stream,
+//! EXPERIMENTS.md "E18, small guests run their lanes inline"), and thread
+//! start-up is the part of a host's wall-clock that swings. So
+//! `with_lanes` spawns only from one segment per stripe up — a rule over
+//! the guest's pages and the plan's streams, with the serial engines'
+//! segment size as its one constant. `streams` itself stays what the
+//! planner chose it for, a striping of the *simulated* fabric; the byte
+//! stream, the destination memory and the report are identical on either
+//! side of the rule.
 //! One deliberate divergence: each stripe's XBZRLE cache has the full
 //! configured capacity, so the aggregate cache across N streams is N× the
 //! one-stream cache. With cache pressure a laned migration may therefore
@@ -60,13 +76,15 @@
 //!
 //! As with one stream ([why](crate::stream#failure)): on `Err` the
 //! destination's contents are unspecified and the source's pages are
-//! untouched. Every lane has been joined by the time
+//! untouched. Every lane thread has been joined by the time
 //! [`execute`](crate::execute) returns, whatever it returns. When lanes fail
-//! mid-round the coordinator first collects every lane's result, then
-//! returns the error of the lowest failing stripe. The `offset` of an
+//! mid-round the coordinator first collects every lane's result — inline
+//! lanes too run every stripe of the round — then returns the error of the
+//! lowest failing stripe. The `offset` of an
 //! [`Error::WireProtocol`] raised by a page frame counts bytes from the
 //! start of the failing stripe's stream of that round.
 
+use std::ops::Range;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::thread;
 
@@ -76,10 +94,11 @@ use rvisor_types::{Error, Nanoseconds, Result};
 
 use crate::compress::CompressionStats;
 use crate::plan::MigrationPlan;
+use crate::stream::SEGMENT_PAGES;
 use crate::stream::{segment_capacity, MigrationSink, MigrationSource, Stream, ZeroRun};
 use crate::transport::Transport;
 
-/// What a lane hands back per round.
+/// What a lane thread hands back per round.
 struct LaneRound {
     /// The round's page list, handed back for the next round to reuse.
     pages: Vec<u64>,
@@ -101,9 +120,32 @@ struct StripeOutcome {
     stats: Option<CompressionStats>,
 }
 
-/// A lane's thread: stream every page list that arrives — the segment loop
-/// of the serial engines, boundary zero runs withheld — until the
-/// coordinator hangs up.
+/// Stream one stripe's page list: the segment loop of the serial engines,
+/// boundary zero runs withheld. What a lane does with a round, on whichever
+/// thread it runs.
+fn stream_stripe(
+    src: &mut MigrationSource<'_>,
+    sink: &mut MigrationSink<'_>,
+    segment: &mut Vec<u8>,
+    pages: &[u64],
+) -> Result<StripeOutcome> {
+    // The run at the stripe's first page frames nothing: it is left open in
+    // the encoder and taken from there. If it covers the whole list it can
+    // merge with *both* neighbours.
+    let (run, rest) = pages.split_at(src.leading_zero_pages(pages)?);
+    src.encode_segments(run, segment, |_, _| Ok(()))?;
+    let leading = src.take_pending_zero();
+    let bytes = src.encode_segments(rest, segment, |frames, at| sink.apply_at(frames, at))?;
+    Ok(StripeOutcome {
+        leading,
+        bytes,
+        trailing: src.take_pending_zero(),
+        stats: src.compression_stats(),
+    })
+}
+
+/// A lane's thread: [`stream_stripe`] every page list that arrives, until
+/// the coordinator hangs up.
 fn run_lane(
     mut src: MigrationSource<'_>,
     mut sink: MigrationSink<'_>,
@@ -113,23 +155,7 @@ fn run_lane(
 ) {
     let mut segment = Vec::with_capacity(capacity);
     while let Ok(pages) = tasks.recv() {
-        let mut stream_stripe = || {
-            // The run at the stripe's first page frames nothing: it is left
-            // open in the encoder and taken from there. If it covers the
-            // whole list it can merge with *both* neighbours.
-            let (run, rest) = pages.split_at(src.leading_zero_pages(&pages)?);
-            src.encode_segments(run, &mut segment, |_, _| Ok(()))?;
-            let leading = src.take_pending_zero();
-            let bytes =
-                src.encode_segments(rest, &mut segment, |frames, at| sink.apply_at(frames, at))?;
-            Ok(StripeOutcome {
-                leading,
-                bytes,
-                trailing: src.take_pending_zero(),
-                stats: src.compression_stats(),
-            })
-        };
-        let outcome = stream_stripe();
+        let outcome = stream_stripe(&mut src, &mut sink, &mut segment, &pages);
         if results.send(LaneRound { pages, outcome }).is_err() {
             break;
         }
@@ -140,26 +166,49 @@ fn lane_gone() -> Error {
     Error::Migration("pipelined migration lane terminated early".into())
 }
 
+/// Where a lane runs.
+// A migration has at most `MAX_MIGRATION_STREAMS` of these, all of one
+// variant, for its whole length: boxing the larger one would buy nothing
+// and cost an allocation per inline lane.
+#[allow(clippy::large_enum_variant)]
+enum Worker<'m> {
+    /// On the coordinator: [`Lanes::round`] streams the stripe itself, through
+    /// the segment buffer the inline lanes share.
+    Inline {
+        src: MigrationSource<'m>,
+        sink: MigrationSink<'m>,
+    },
+    /// On a thread of its own ([`run_lane`]), fed one page list per round.
+    Thread {
+        tasks: SyncSender<Vec<u64>>,
+        results: Receiver<LaneRound>,
+        /// The stripe's page list between rounds.
+        pages: Vec<u64>,
+    },
+}
+
 /// The coordinator's handle on one lane.
-struct Lane {
-    tasks: SyncSender<Vec<u64>>,
-    results: Receiver<LaneRound>,
-    /// The stripe's page list between rounds.
-    pages: Vec<u64>,
-    /// Whether the lane holds a page list of the round in progress.
-    busy: bool,
+struct Lane<'m> {
+    worker: Worker<'m>,
+    /// The stripe's share of the round in progress, as a range of the
+    /// round's page list; for a threaded lane, non-empty exactly while the
+    /// thread holds that share.
+    share: Range<usize>,
     stats: Option<CompressionStats>,
 }
 
 /// The stripe lanes of one multi-stream migration, as its [`Stream`] drives
 /// them.
-pub(crate) struct Lanes {
-    lanes: Vec<Lane>,
+pub(crate) struct Lanes<'m> {
+    lanes: Vec<Lane<'m>>,
     stripe_len: u64,
     /// Per-stripe payload bytes of the round streamed last (what
     /// [`Transport::transmit_striped`] is fed); control frames ride
     /// stripe 0, stitched runs are attributed to the stripe they start in.
     stripe_bytes: Vec<u64>,
+    /// The inline lanes' segment buffer: they run one after the other, so
+    /// one serves them all. Empty when the lanes have threads.
+    segment: Vec<u8>,
 }
 
 /// Encode a stitched zero run, charged to the stripe it started in.
@@ -171,7 +220,7 @@ fn close_run(open: Option<(usize, ZeroRun)>, frames: &mut Vec<u8>, stripe_bytes:
     }
 }
 
-impl Lanes {
+impl Lanes<'_> {
     /// Stream one round of `pages` (ascending global indices) down the
     /// lanes, stitch the boundary zero runs and close the round with its
     /// end-of-round marker; `control`, `sink` and `frames` are the stream's
@@ -187,20 +236,27 @@ impl Lanes {
         let mut failed: Option<Error> = None;
         // Scatter: stripe s owns the fixed index range
         // [s * stripe_len, (s + 1) * stripe_len); the ascending page list
-        // partitions into contiguous per-stripe sublists.
+        // partitions into contiguous per-stripe sublists. A lane thread is
+        // sent its share now; an inline lane streams its own when the gather
+        // loop reaches it.
         let mut start = 0usize;
         for (s, lane) in self.lanes.iter_mut().enumerate() {
             let stripe_end = (s as u64 + 1).saturating_mul(self.stripe_len);
             let end = start + pages[start..].partition_point(|&p| p < stripe_end);
-            lane.busy = end > start;
-            if lane.busy {
-                let mut list = std::mem::take(&mut lane.pages);
-                list.clear();
-                list.extend_from_slice(&pages[start..end]);
-                if lane.tasks.send(list).is_err() {
-                    lane.busy = false;
-                    failed = Some(lane_gone());
+            lane.share = start..end;
+            match &mut lane.worker {
+                Worker::Thread {
+                    tasks, pages: list, ..
+                } if end > start => {
+                    let mut list = std::mem::take(list);
+                    list.clear();
+                    list.extend_from_slice(&pages[start..end]);
+                    if tasks.send(list).is_err() {
+                        lane.share = start..start;
+                        failed = Some(lane_gone());
+                    }
                 }
+                _ => {}
             }
             start = end;
         }
@@ -215,15 +271,24 @@ impl Lanes {
         let stripe_bytes = &mut self.stripe_bytes[..];
         let mut open: Option<(usize, ZeroRun)> = None;
         for (s, lane) in self.lanes.iter_mut().enumerate() {
-            if !lane.busy {
+            if lane.share.is_empty() {
                 continue;
             }
-            let outcome = match lane.results.recv() {
-                Ok(LaneRound { pages, outcome }) => {
-                    lane.pages = pages;
-                    outcome
+            let outcome = match &mut lane.worker {
+                Worker::Inline { src, sink } => {
+                    stream_stripe(src, sink, &mut self.segment, &pages[lane.share.clone()])
                 }
-                Err(_) => Err(lane_gone()),
+                Worker::Thread {
+                    results,
+                    pages: list,
+                    ..
+                } => match results.recv() {
+                    Ok(LaneRound { pages, outcome }) => {
+                        *list = pages;
+                        outcome
+                    }
+                    Err(_) => Err(lane_gone()),
+                },
             };
             let stripe = match outcome {
                 Ok(stripe) => stripe,
@@ -299,9 +364,16 @@ impl Lanes {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Lane threads the migrations this thread coordinated have spawned.
+    static LANE_THREADS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
 /// Open a stream from `source` to `dest`, stand up one lane per stripe —
-/// each compressing as `plan` says — and run the engine `f` over it. The
-/// lanes are joined before this returns.
+/// each compressing as `plan` says, each on a thread of its own unless a
+/// stripe is shorter than one segment (see the module docs) — and run the
+/// engine `f` over it. Lane threads are joined before this returns.
 pub(crate) fn with_lanes<R>(
     source: &GuestMemory,
     dest: &GuestMemory,
@@ -311,26 +383,36 @@ pub(crate) fn with_lanes<R>(
 ) -> Result<R> {
     let streams = plan.streams.get();
     let stripe_len = source.total_pages().div_ceil(streams as u64).max(1);
+    let inline = stripe_len < SEGMENT_PAGES as u64;
+    let capacity = segment_capacity(stripe_len);
     thread::scope(|scope| {
         // The stream's own buffer only ever holds control frames.
         let control = MigrationSource::raw(source);
         let (mut stream, after_hello) =
             Stream::open(control, dest, transport, segment_capacity(1))?;
         let lanes = (0..streams).map(|_| {
-            // One page list in flight per lane and round, and its result
-            // collected before the next is sent: neither send ever blocks.
-            let (tasks, task_rx) = sync_channel(1);
-            let (result_tx, results) = sync_channel(1);
             let src = MigrationSource::with_config(source, plan);
             let stats = src.compression_stats();
             let sink = MigrationSink::lane_of(&stream.sink);
-            let capacity = segment_capacity(stripe_len);
-            scope.spawn(move || run_lane(src, sink, capacity, task_rx, result_tx));
+            let worker = if inline {
+                Worker::Inline { src, sink }
+            } else {
+                // One page list in flight per lane and round, and its result
+                // collected before the next is sent: neither send ever blocks.
+                let (tasks, task_rx) = sync_channel(1);
+                let (result_tx, results) = sync_channel(1);
+                #[cfg(test)]
+                LANE_THREADS.with(|n| n.set(n.get() + 1));
+                scope.spawn(move || run_lane(src, sink, capacity, task_rx, result_tx));
+                Worker::Thread {
+                    tasks,
+                    results,
+                    pages: Vec::with_capacity(stripe_len as usize),
+                }
+            };
             Lane {
-                tasks,
-                results,
-                pages: Vec::with_capacity(stripe_len as usize),
-                busy: false,
+                worker,
+                share: 0..0,
                 stats,
             }
         });
@@ -338,9 +420,10 @@ pub(crate) fn with_lanes<R>(
             lanes: lanes.collect(),
             stripe_len,
             stripe_bytes: vec![0; streams],
+            segment: Vec::with_capacity(if inline { capacity } else { 0 }),
         });
         // Dropping the stream at the end of this closure hangs up on the
-        // lanes, which ends them; the scope then joins them.
+        // lane threads, which ends them; the scope then joins them.
         f(&mut stream, after_hello)
     })
 }
@@ -468,6 +551,52 @@ mod tests {
         }
     }
 
+    /// Lane threads spawned by the migrations `f` runs on this thread.
+    fn lane_threads_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+        let before = LANE_THREADS.with(|n| n.get());
+        let out = f();
+        (out, LANE_THREADS.with(|n| n.get()) - before)
+    }
+
+    #[test]
+    fn lanes_get_threads_from_one_segment_per_stripe_and_match_serial_either_side() {
+        // Stripes of 63, 64 and 65 pages, and a one-segment guest cut 2, 4
+        // and 7 ways: (pages, streams, lane threads).
+        let cases = [
+            (252u64, 4usize, 0u64),
+            (256, 4, 4),
+            (260, 4, 4),
+            (64, 2, 0),
+            (64, 4, 0),
+            (64, 7, 0),
+        ];
+        for engine in ENGINES {
+            for compression in [PageCompression::None, PageCompression::Xbzrle] {
+                for (pages, n, threads) in cases {
+                    let serial = MigrationPlan {
+                        engine,
+                        compression,
+                        ..Default::default()
+                    };
+                    let laned = MigrationPlan {
+                        streams: streams(n),
+                        ..serial
+                    };
+                    let case = format!("{engine:?} {compression:?} {pages} pages / {n}");
+                    let (expected, none) =
+                        lane_threads_during(|| loopback_report(&serial, pages, 0.4));
+                    assert_eq!(none, 0, "{case}: one stream has no lane");
+                    let (got, spawned) =
+                        lane_threads_during(|| loopback_report(&laned, pages, 0.4));
+                    assert_eq!(spawned, threads, "{case}: lane threads");
+                    // Wire bytes are `bytes_transferred`, inside the report.
+                    assert_eq!(got.0, expected.0, "{case}: report");
+                    assert!(got.1 == expected.1, "{case}: memory diverged");
+                }
+            }
+        }
+    }
+
     #[test]
     fn zero_runs_stitch_across_stripe_boundaries() {
         // An all-zero guest: one stream coalesces every round into one
@@ -569,10 +698,15 @@ mod tests {
 
     #[test]
     fn refused_transfer_joins_the_lanes_and_leaves_the_source_migratable() {
-        let pages = 256u64;
+        // One stream, inline lanes (64 pages) and lane threads (256 pages)
+        // fail alike: the same typed error at the same transfer.
+        let guests = [64u64, 256].into_iter();
+        let engines = ENGINES.into_iter().zip([3, 4, 3]);
         // Transfers per migration: Hello, the rounds, the vCPU state.
-        for (engine, transfers) in ENGINES.into_iter().zip([3, 4, 3]) {
-            for n in [2usize, 4] {
+        for (pages, (engine, transfers)) in
+            guests.flat_map(|pages| engines.clone().map(move |e| (pages, e)))
+        {
+            for n in [1usize, 2, 4] {
                 let (clean_src, clean_dst) = memories(pages);
                 let mut link = Link::new(LinkModel::gigabit());
                 let mut healthy = LoopbackTransport::new(&mut link);
@@ -587,7 +721,8 @@ mod tests {
                     // run inside a `thread::scope`.
                     let err = run_laned(engine, n, &src, &dst, &mut refusing)
                         .expect_err("the refused transfer must fail the migration");
-                    let case = format!("{engine:?}, {n} streams, transfer {fail_on}");
+                    let case =
+                        format!("{engine:?}, {pages} pages, {n} streams, transfer {fail_on}");
                     assert_eq!(err, refusal(), "{case}");
                     assert_eq!(refusing.calls, fail_on, "nothing is sent after a refusal");
                     assert_eq!(region_bytes(&src), bytes_before, "{case}");
@@ -606,32 +741,41 @@ mod tests {
 
     #[test]
     fn a_failing_lane_does_not_strand_the_coordinator() {
-        // Ten pages in stripes of three: page index 11 falls in the last
-        // stripe's range but not in the guest, so that stripe's lane fails
-        // mid-round while the three before it succeed.
-        let (src, dst) = memories(10);
-        let mut link = Link::new(LinkModel::gigabit());
-        let mut transport = LoopbackTransport::new(&mut link);
-        let plan = MigrationPlan {
-            streams: streams(4),
-            ..Default::default()
-        };
-        with_lanes(&src, &dst, &mut transport, &plan, |stream, now| {
-            let mut pages: Vec<u64> = (0..10).collect();
-            pages.push(11);
-            let err = stream
-                .round(&pages, now)
-                .expect_err("page 11 does not exist");
-            assert!(matches!(err, Error::InvalidGuestAddress { .. }), "{err:?}");
-            // Every lane's result was collected, the failed one's too: the
-            // next round finds no stale result and lands every page.
-            pages.pop();
-            let (_, stat) = stream.round(&pages, now).unwrap();
-            assert_eq!(stat.pages, 10);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(region_bytes(&dst), region_bytes(&src));
+        // Inline lanes: ten pages in stripes of three, where page index 11
+        // falls in the last stripe's range but not in the guest. Lane
+        // threads: 253 pages in stripes of 64 and page index 255. Either
+        // way the last stripe fails mid-round while the three before it
+        // succeed.
+        for (guest, missing, threads) in [(10u64, 11u64, 0u64), (253, 255, 4)] {
+            let (src, dst) = memories(guest);
+            let mut link = Link::new(LinkModel::gigabit());
+            let mut transport = LoopbackTransport::new(&mut link);
+            let plan = MigrationPlan {
+                streams: streams(4),
+                ..Default::default()
+            };
+            let lanes = || {
+                with_lanes(&src, &dst, &mut transport, &plan, |stream, now| {
+                    let mut pages: Vec<u64> = (0..guest).collect();
+                    pages.push(missing);
+                    let err = stream
+                        .round(&pages, now)
+                        .expect_err("the last page does not exist");
+                    assert!(matches!(err, Error::InvalidGuestAddress { .. }), "{err:?}");
+                    // Every lane's result was collected, the failed one's
+                    // too: the next round finds no stale result and lands
+                    // every page.
+                    pages.pop();
+                    let (_, stat) = stream.round(&pages, now).unwrap();
+                    assert_eq!(stat.pages, guest);
+                    Ok(())
+                })
+            };
+            let (outcome, spawned) = lane_threads_during(lanes);
+            outcome.unwrap();
+            assert_eq!(spawned, threads, "{guest} pages");
+            assert_eq!(region_bytes(&dst), region_bytes(&src));
+        }
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! The concatenated segments are byte for byte the burst
 //! [`MigrationSource::encode_round`] builds (pinned by proptest below).
 //! Under stripe lanes ([`pipeline`](crate::pipeline)) the same segment loop
-//! runs on one thread per stripe of the page-index space, under the same
-//! engine bodies.
+//! runs once per stripe of the page-index space — on a thread each when a
+//! stripe holds at least one segment — under the same engine bodies.
 //!
 //! # Failure
 //!
@@ -56,8 +56,10 @@ use crate::wire::{self, FrameKind, WireFrame, MODE_DELTA, MODE_RAW, MODE_ZERO};
 
 /// Pages per segment of a serially streamed round: large enough to amortise
 /// the per-segment calls, small enough (≈ 260 KiB of raw frames) that the
-/// sink reads the segment from cache. Measured flat from 16 to 256.
-const SEGMENT_PAGES: usize = 64;
+/// sink reads the segment from cache. Measured flat from 16 to 256. Also the
+/// stripe length from which a lane is worth a thread
+/// ([`pipeline`](crate::pipeline)).
+pub(crate) const SEGMENT_PAGES: usize = 64;
 
 /// The source (encode) half of a streamed migration.
 ///
@@ -494,8 +496,8 @@ pub(crate) fn segment_capacity(total_pages: u64) -> usize {
 
 /// One streamed migration in flight: the two halves, the channel, and the
 /// single reused buffer every frame passes through on its way from the
-/// encoder to the sink. With [`Lanes`] the page frames of a round cross on
-/// the stripes' own threads instead, and only control frames — Hello, zero
+/// encoder to the sink. With [`Lanes`] the page frames of a round cross in
+/// the stripes' own lanes instead, and only control frames — Hello, zero
 /// runs stitched across stripe boundaries, end-of-round markers, vCPU state
 /// — pass through here.
 pub(crate) struct Stream<'m, 't> {
@@ -505,7 +507,7 @@ pub(crate) struct Stream<'m, 't> {
     segment: Vec<u8>,
     start: Nanoseconds,
     bytes_before: u64,
-    pub(crate) lanes: Option<Lanes>,
+    pub(crate) lanes: Option<Lanes<'m>>,
 }
 
 impl<'m, 't> Stream<'m, 't> {

@@ -10,14 +10,15 @@
 //! The binary contains a single `#[test]`, and a thread's allocations are
 //! counted only once that thread has marked itself, so neither another test
 //! nor the harness (which prints from its own thread when a test runs long)
-//! can land an allocation inside a bracket that asserts exactly zero. A
-//! multi-stream migration's lanes are threads spawned by the engine, not by
-//! the test, so part 3 reads the process-wide counter instead, and reads it at
-//! every round boundary of one migration: each lane owns one segment buffer
-//! of fixed capacity and one recycled page list, so past the first rounds
-//! the only allocations left, on any thread and under every schedule, are
-//! the ones the standard library makes when a thread first waits on a
-//! channel.
+//! can land an allocation inside a bracket that asserts exactly zero. From
+//! one segment per stripe up, a multi-stream migration's lanes are threads
+//! spawned by the engine, not by the test, so part 3 reads the process-wide
+//! counter instead, and reads it at every round boundary of one migration:
+//! each lane thread owns one segment buffer of fixed capacity and one
+//! recycled page list, so past the first rounds the only allocations left,
+//! on any thread and under every schedule, are the ones the standard library
+//! makes when a thread first waits on a channel. Part 4b pins that a smaller
+//! guest's lanes are no threads at all.
 //!
 //! The allocator also records the largest size any thread asks for, which
 //! part 5 uses to pin that no engine, under either scheduler, materialises
@@ -384,6 +385,63 @@ fn steady_state_precopy_round_is_allocation_free() {
     assert_eq!(
         off_short, SERIAL_PRECOPY_ALLOCATIONS,
         "a one-stream execute must allocate what the serial engine did"
+    );
+
+    // ---- Part 4b: lanes below one segment per stripe are not threads. ----
+    //
+    // A 64-page guest on 4 streams has 16-page stripes, so its lanes run on
+    // the calling thread: beside what one stream allocates, the migration
+    // asks for the lane table, the per-stripe byte counts, the lanes' shared
+    // segment buffer and the control buffer — no channel, no thread, no
+    // per-lane page list. The same plan over 256 pages (64-page stripes)
+    // does stand up four lane threads and pays for them.
+    let small = |pages: u64, streams: usize| -> (u64, u64) {
+        let src = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();
+        let dst = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();
+        for p in 0..pages {
+            src.write_u64(GuestAddress(p * PAGE_SIZE), p * 23 + 7)
+                .unwrap();
+        }
+        let mut link = Link::new(LinkModel::gigabit());
+        let mut transport = LoopbackTransport::new(&mut link);
+        let plan = MigrationPlan {
+            streams: NonZeroUsize::new(streams).unwrap(),
+            ..Default::default()
+        };
+        let before = (allocations(), ALL_THREADS.load(Ordering::Relaxed));
+        execute(
+            &plan,
+            &src,
+            &dst,
+            &[VcpuState::default()],
+            &mut transport,
+            &mut IdleDirtier,
+            &Trace::off(),
+        )
+        .unwrap();
+        assert_eq!(src.checksum(), dst.checksum());
+        (
+            allocations() - before.0,
+            ALL_THREADS.load(Ordering::Relaxed) - before.1,
+        )
+    };
+    let (serial_here, serial_anywhere) = small(64, 1);
+    let (inline_here, inline_anywhere) = small(64, 4);
+    let (_, threaded_anywhere) = small(256, 4);
+    assert_eq!(serial_here, serial_anywhere);
+    assert_eq!(
+        inline_here, inline_anywhere,
+        "a 64-page, 4-stream migration allocated off the calling thread"
+    );
+    assert!(
+        inline_here <= serial_here + 4,
+        "a 64-page, 4-stream migration performed {inline_here} allocations, \
+         one stream {serial_here}: inline lanes cost a table, a count list and two buffers"
+    );
+    assert!(
+        threaded_anywhere > inline_anywhere + 4,
+        "lane threads ({threaded_anywhere} allocations) should cost more than \
+         inline lanes ({inline_anywhere}), or this part measures nothing"
     );
 
     // ---- Part 5: a round is never one guest- or stripe-sized buffer. ----

@@ -78,7 +78,10 @@ pub struct MigrationPlanner {
     /// Core-path backlog at or below which the fabric counts as idle
     /// enough to stripe a big guest across spines.
     pub idle_backlog_max: Nanoseconds,
-    /// Stream count for the big-guest-on-idle-fabric case.
+    /// Stream count for the big-guest-on-idle-fabric case. A striping of
+    /// the simulated fabric, keyed on the guest's *spec* size; how many host
+    /// threads move the simulated guest's pages is `rvisor_migrate::execute`'s
+    /// business, not the planner's.
     pub wide_streams: NonZeroUsize,
     /// Page compression applied to every pre-copy plan the ladder emits
     /// (stop-and-copy and post-copy move raw pages regardless).

@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use rvisor_memory::GuestMemory;
+use rvisor_memory::{GuestAccess, GuestMemory};
 use rvisor_types::{Error, GuestAddress, Nanoseconds, Result, VcpuId, PAGE_SIZE};
 
 use crate::exec_mode::{ExecCosts, ExecMode};
@@ -442,14 +442,22 @@ impl Vcpu {
     }
 
     /// Translate a fetch or data access, converting an MMU fault into a
-    /// page-fault exit that is already counted and charged.
+    /// page-fault exit that is already counted and charged. `paging` is
+    /// [`Mmu::paging_enabled`] as [`Self::run`] last read it: with paging off
+    /// the address is the identity the MMU would return, its counters
+    /// untouched.
+    #[inline]
     fn translate_data(
         &mut self,
-        memory: &GuestMemory,
+        memory: &GuestAccess<'_>,
+        paging: bool,
         vaddr: u64,
         write: bool,
         elapsed: &mut u64,
     ) -> std::result::Result<GuestAddress, ExitReason> {
+        if !paging {
+            return Ok(GuestAddress(vaddr));
+        }
         let user = self.mode == PrivMode::User;
         match self.mmu.translate(memory, vaddr, write, user) {
             Ok(t) => {
@@ -473,8 +481,8 @@ impl Vcpu {
         }
     }
 
-    /// Read and decode the instruction at `self.pc`, whose first byte
-    /// translates to `paddr`, from guest memory.
+    /// Read and decode the instruction at `pc`, whose first byte translates
+    /// to `paddr`, from guest memory.
     ///
     /// This is the whole fetch when the [`FetchWindow`] misses. An
     /// instruction that straddles a page boundary translates its second
@@ -482,13 +490,14 @@ impl Vcpu {
     /// a fault on it is a page-fault exit at that page's first byte.
     fn fetch_from_memory(
         &mut self,
-        memory: &GuestMemory,
+        memory: &GuestAccess<'_>,
+        paging: bool,
+        pc: u64,
         paddr: GuestAddress,
         elapsed: &mut u64,
     ) -> Result<std::result::Result<Instr, ExitReason>> {
         #[cfg(test)]
         SLOW_FETCHES.with(|n| n.set(n.get() + 1));
-        let pc = self.pc;
         let unbacked = |_| {
             Error::VcpuFault(format!(
                 "instruction fetch from unbacked address {paddr} at pc 0x{pc:x}"
@@ -502,7 +511,7 @@ impl Vcpu {
             let (head, tail) = raw.split_at_mut(in_first_page as usize);
             memory.read(paddr, head).map_err(unbacked)?;
             let next_page = pc.wrapping_add(in_first_page);
-            let tail_paddr = match self.translate_data(memory, next_page, false, elapsed) {
+            let tail_paddr = match self.translate_data(memory, paging, next_page, false, elapsed) {
                 Ok(p) => p,
                 Err(exit) => return Ok(Err(exit)),
             };
@@ -523,46 +532,79 @@ impl Vcpu {
     /// Those agents all act between calls here (a VM's vCPUs take turns on
     /// one thread; devices and hypercalls are served on exits), so no
     /// counter, exit, register or simulated nanosecond depends on the cache.
+    ///
+    /// # Guest memory
+    ///
+    /// The same assumption pays for the data path: the call takes every
+    /// region's lock once ([`GuestMemory::hold`]), routes all of its memory
+    /// traffic — fetches, loads, stores, page-table walks — through that
+    /// view, and drops it on the way out, whatever the way out. Another
+    /// thread that reads or writes this guest while it runs therefore waits
+    /// for the whole slice (≤ 100 k instructions, about a millisecond) where
+    /// it used to wait for one store. In this workspace nobody does: a
+    /// migration's lane threads are idle while the coordinator runs the
+    /// guest between rounds, and KSM, the balloon, snapshots and devices run
+    /// between calls on the VM's thread.
+    ///
+    /// # Errors
+    ///
+    /// A guest that executes a privileged instruction in user mode, or
+    /// fetches from an unbacked address or an undecodable word, is killed:
+    /// `Err`. PC, retired-instruction count and simulated time are written
+    /// back at one point that `Ok` and `Err` both pass through, so the
+    /// instructions retired before the fault and their time stay in
+    /// [`VcpuStats`], the same however the caller sliced its runs.
     pub fn run(&mut self, memory: &GuestMemory, max_instructions: u64) -> Result<RunOutcome> {
         if self.pending != Pending::None {
             return Err(Error::VcpuFault(
                 "cannot resume: an MMIO/PIO/hypercall completion is pending".into(),
             ));
         }
+        // Shadowed for the rest of the call: with every region's lock held,
+        // an access through the `GuestMemory` handle would wait for this
+        // very call to end, so the loop below cannot name the handle.
+        let mut memory = memory.hold();
         let costs = self.config.costs;
+        // What cannot change behind the loop's back lives in locals until
+        // the write-back below: the PC, the retired-instruction count, the
+        // simulated time, and whether paging is on (only `SetPtbr` moves it).
+        let mut pc = self.pc;
         let mut executed = 0u64;
         let mut elapsed = 0u64;
+        let mut paging = self.mmu.paging_enabled();
         self.window.flush();
 
-        let outcome = loop {
+        let exit: Result<ExitReason> = loop {
             if executed >= max_instructions {
-                break ExitReason::InstructionLimit;
+                break Ok(ExitReason::InstructionLimit);
             }
 
             // Fetch: translate first (TLB counters, permission checks and the
             // miss charge are the same either way), then the window, then
             // guest memory.
-            let fetch_paddr = match self.translate_data(memory, self.pc, false, &mut elapsed) {
+            let fetch_paddr = match self.translate_data(&memory, paging, pc, false, &mut elapsed) {
                 Ok(p) => p,
-                Err(exit) => break exit,
+                Err(exit) => break Ok(exit),
             };
             let instr = match self.window.get(fetch_paddr.0) {
                 Some(instr) => instr,
-                None => match self.fetch_from_memory(memory, fetch_paddr, &mut elapsed)? {
-                    Ok(instr) => {
-                        self.window.fill(fetch_paddr.0, instr);
-                        instr
+                None => {
+                    match self.fetch_from_memory(&memory, paging, pc, fetch_paddr, &mut elapsed) {
+                        Ok(Ok(instr)) => {
+                            self.window.fill(fetch_paddr.0, instr);
+                            instr
+                        }
+                        Ok(Err(exit)) => break Ok(exit),
+                        Err(fatal) => break Err(fatal),
                     }
-                    Err(exit) => break exit,
-                },
+                }
             };
 
             // Privilege check / trap-and-emulate accounting.
             if instr.is_privileged() {
                 if self.mode == PrivMode::User {
-                    return Err(Error::VcpuFault(format!(
-                        "privileged instruction {instr:?} in user mode at pc 0x{:x}",
-                        self.pc
+                    break Err(Error::VcpuFault(format!(
+                        "privileged instruction {instr:?} in user mode at pc 0x{pc:x}"
                     )));
                 }
                 if self.config.mode.privileged_traps() {
@@ -573,92 +615,93 @@ impl Vcpu {
             }
 
             executed += 1;
-            self.stats.instructions += 1;
             self.charge(costs.cycle_ns, &mut elapsed);
-            let next_pc = self.pc.wrapping_add(INSTR_BYTES);
+            let next_pc = pc.wrapping_add(INSTR_BYTES);
 
             match instr {
-                Instr::Nop => self.pc = next_pc,
+                Instr::Nop => pc = next_pc,
                 Instr::Halt => {
-                    self.pc = next_pc;
+                    pc = next_pc;
                     self.stats.halts += 1;
                     self.stats.exits += 1;
                     self.charge(costs.exit_ns, &mut elapsed);
-                    break ExitReason::Halt;
+                    break Ok(ExitReason::Halt);
                 }
                 Instr::Pause => {
-                    self.pc = next_pc;
+                    pc = next_pc;
                     self.stats.idles += 1;
                     self.stats.exits += 1;
                     self.charge(costs.exit_ns, &mut elapsed);
-                    break ExitReason::Idle;
+                    break Ok(ExitReason::Idle);
                 }
                 Instr::MovImm { rd, imm } => {
                     self.set_reg(rd, imm as i64 as u64);
-                    self.pc = next_pc;
+                    pc = next_pc;
                 }
                 Instr::MovHigh { rd, imm } => {
                     let v = (self.reg(rd) << 32) | (imm as u32 as u64);
                     self.set_reg(rd, v);
-                    self.pc = next_pc;
+                    pc = next_pc;
                 }
                 Instr::Alu { op, rd, rs1, rs2 } => {
                     let v = op.apply(self.reg(rs1), self.reg(rs2));
                     self.set_reg(rd, v);
-                    self.pc = next_pc;
+                    pc = next_pc;
                 }
                 Instr::AddImm { rd, rs1, imm } => {
                     let v = self.reg(rs1).wrapping_add(imm as i64 as u64);
                     self.set_reg(rd, v);
-                    self.pc = next_pc;
+                    pc = next_pc;
                 }
                 Instr::Load { rd, rs1, imm } => {
                     let vaddr = self.reg(rs1).wrapping_add(imm as i64 as u64);
-                    let paddr = match self.translate_data(memory, vaddr, false, &mut elapsed) {
-                        Ok(p) => p,
-                        Err(exit) => break exit,
-                    };
+                    let paddr =
+                        match self.translate_data(&memory, paging, vaddr, false, &mut elapsed) {
+                            Ok(p) => p,
+                            Err(exit) => break Ok(exit),
+                        };
                     match memory.read_u64(paddr) {
                         Ok(v) => {
                             self.set_reg(rd, v);
-                            self.pc = next_pc;
+                            pc = next_pc;
                         }
                         Err(_) => {
                             // Not backed by RAM: MMIO read.
                             self.pending = Pending::MmioRead { rd };
-                            self.pc = next_pc;
+                            pc = next_pc;
                             self.stats.mmio_exits += 1;
                             self.stats.exits += 1;
                             self.charge(costs.mmio_exit_ns, &mut elapsed);
-                            break ExitReason::MmioRead {
+                            break Ok(ExitReason::MmioRead {
                                 addr: paddr,
                                 size: 8,
-                            };
+                            });
                         }
                     }
                 }
                 Instr::Store { rs2, rs1, imm } => {
                     let vaddr = self.reg(rs1).wrapping_add(imm as i64 as u64);
                     let value = self.reg(rs2);
-                    let paddr = match self.translate_data(memory, vaddr, true, &mut elapsed) {
-                        Ok(p) => p,
-                        Err(exit) => break exit,
-                    };
+                    let paddr =
+                        match self.translate_data(&memory, paging, vaddr, true, &mut elapsed) {
+                            Ok(p) => p,
+                            Err(exit) => break Ok(exit),
+                        };
                     match memory.write_u64(paddr, value) {
                         Ok(()) => {
                             self.window.snoop_store(paddr.0);
-                            self.pc = next_pc;
+                            pc = next_pc;
                         }
                         Err(_) => {
-                            self.pc = next_pc;
+                            pc = next_pc;
                             self.stats.mmio_exits += 1;
                             self.stats.exits += 1;
                             self.charge(costs.mmio_exit_ns, &mut elapsed);
-                            break ExitReason::MmioWrite {
+                            break Ok(ExitReason::MmioWrite {
                                 addr: paddr,
                                 value,
                                 size: 8,
-                            };
+                            });
                         }
                     }
                 }
@@ -676,7 +719,7 @@ impl Vcpu {
                         crate::isa::Cond::Lt => a < b,
                         crate::isa::Cond::Ge => a >= b,
                     };
-                    self.pc = if taken {
+                    pc = if taken {
                         next_pc.wrapping_add(imm as i64 as u64)
                     } else {
                         next_pc
@@ -684,50 +727,51 @@ impl Vcpu {
                 }
                 Instr::Jal { rd, imm } => {
                     self.set_reg(rd, next_pc);
-                    self.pc = next_pc.wrapping_add(imm as i64 as u64);
+                    pc = next_pc.wrapping_add(imm as i64 as u64);
                 }
                 Instr::Jalr { rd, rs1 } => {
                     let target = self.reg(rs1);
                     self.set_reg(rd, next_pc);
-                    self.pc = target;
+                    pc = target;
                 }
                 Instr::Hypercall { nr, rd, rs1 } => {
                     let arg = self.reg(rs1);
                     self.set_reg(rd, 0);
                     self.pending = Pending::Hypercall { rd };
-                    self.pc = next_pc;
+                    pc = next_pc;
                     self.stats.hypercalls += 1;
                     self.stats.exits += 1;
                     self.charge(costs.hypercall_ns, &mut elapsed);
-                    break ExitReason::Hypercall { nr, arg };
+                    break Ok(ExitReason::Hypercall { nr, arg });
                 }
                 Instr::Out { rs1, imm } => {
                     let value = self.reg(rs1) as u32;
-                    self.pc = next_pc;
+                    pc = next_pc;
                     self.stats.pio_exits += 1;
                     self.stats.exits += 1;
                     self.charge(costs.pio_exit_ns, &mut elapsed);
-                    break ExitReason::PioOut {
+                    break Ok(ExitReason::PioOut {
                         port: imm as u32,
                         value,
-                    };
+                    });
                 }
                 Instr::In { rd, imm } => {
                     self.pending = Pending::PioIn { rd };
-                    self.pc = next_pc;
+                    pc = next_pc;
                     self.stats.pio_exits += 1;
                     self.stats.exits += 1;
                     self.charge(costs.pio_exit_ns, &mut elapsed);
-                    break ExitReason::PioIn { port: imm as u32 };
+                    break Ok(ExitReason::PioIn { port: imm as u32 });
                 }
                 Instr::SetPtbr { rs1 } => {
                     let ptbr = self.reg(rs1);
                     self.mmu.set_ptbr(GuestAddress(ptbr));
-                    self.pc = next_pc;
+                    paging = self.mmu.paging_enabled();
+                    pc = next_pc;
                 }
                 Instr::TlbFlush => {
                     self.mmu.flush_tlb();
-                    self.pc = next_pc;
+                    pc = next_pc;
                 }
                 Instr::ReadCsr { rd, imm } => {
                     let idx = (imm as usize) % NUM_CSRS;
@@ -740,25 +784,31 @@ impl Vcpu {
                         self.csrs[idx]
                     };
                     self.set_reg(rd, v);
-                    self.pc = next_pc;
+                    pc = next_pc;
                 }
                 Instr::WriteCsr { rs1, imm } => {
                     let idx = (imm as usize) % NUM_CSRS;
                     if imm != CSR_VCPU_ID && imm != CSR_MODE {
                         self.csrs[idx] = self.reg(rs1);
                     }
-                    self.pc = next_pc;
+                    pc = next_pc;
                 }
                 Instr::Iret { rs1 } => {
-                    self.pc = self.reg(rs1);
+                    pc = self.reg(rs1);
                     self.mode = PrivMode::User;
                 }
             }
         };
 
+        // The one place every way out of the loop passes through, a fatal
+        // error included: a killed guest keeps the instructions it retired
+        // and the time they took, however its last run was sliced.
+        drop(memory);
+        self.pc = pc;
+        self.stats.instructions += executed;
         self.stats.sim_time_ns += elapsed;
-        Ok(RunOutcome {
-            exit: outcome,
+        exit.map(|exit| RunOutcome {
+            exit,
             instructions: executed,
             elapsed: Nanoseconds(elapsed),
         })

@@ -14,6 +14,7 @@ use crate::mmu::{PageTableEditor, Pte};
 use crate::workloads::{Workload, WorkloadKind};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use rvisor_memory::GuestMemoryBuilder;
 use rvisor_types::ByteSize;
 use std::ops::RangeInclusive;
 
@@ -29,11 +30,15 @@ struct Guest {
 
 impl Guest {
     fn new(mode: ExecMode, tlb_entries: usize, size: ByteSize) -> Guest {
+        Guest::over(mode, tlb_entries, GuestMemory::flat(size).unwrap())
+    }
+
+    fn over(mode: ExecMode, tlb_entries: usize, mem: GuestMemory) -> Guest {
         let mut config = VcpuConfig::new(VcpuId::new(0), mode);
         config.tlb_entries = tlb_entries;
         Guest {
             cpu: Vcpu::new(config),
-            mem: GuestMemory::flat(size).unwrap(),
+            mem,
         }
     }
 
@@ -66,21 +71,13 @@ impl Pair {
         f(&mut self.reference);
     }
 
-    /// Everything a caller of `run` can observe, on both guests.
-    ///
-    /// A fatal error drops the simulated time of the `run` call it ends
-    /// (that call's instructions stay counted), so the clock of a `killed`
-    /// guest depends on how its last run was sliced, window or no window,
-    /// and is left out.
-    fn assert_same(&self, when: &str, killed: bool) {
+    /// Everything a caller of `run` can observe, on both guests — after a
+    /// fatal error too: a killed guest keeps its clock.
+    fn assert_same(&self, when: &str) {
         let (w, r) = (&self.window, &self.reference);
-        let stats = |g: &Guest| VcpuStats {
-            sim_time_ns: if killed { 0 } else { g.cpu.stats().sim_time_ns },
-            ..g.cpu.stats()
-        };
         assert_eq!(w.cpu.save_state(), r.cpu.save_state(), "{when}: state");
         assert_eq!(w.cpu.pending, r.cpu.pending, "{when}: pending completion");
-        assert_eq!(stats(w), stats(r), "{when}: VcpuStats");
+        assert_eq!(w.cpu.stats(), r.cpu.stats(), "{when}: VcpuStats");
         assert_eq!(w.cpu.tlb_stats(), r.cpu.tlb_stats(), "{when}: TlbStats");
         assert_eq!(
             w.cpu.mmu.walk_count(),
@@ -98,6 +95,9 @@ impl Pair {
                 == r.mem.read_vec(GuestAddress(0), len).unwrap(),
             "{when}: guest memory contents"
         );
+        // The checksum plane: a store that changed a byte without its mark
+        // leaves a cached sum the contents above no longer have.
+        assert_eq!(w.mem.checksum(), r.mem.checksum(), "{when}: checksum");
     }
 
     /// Run both guests until `budget` instructions have retired, the guest
@@ -117,7 +117,7 @@ impl Pair {
             let got = self.window.cpu.run(&self.window.mem, slice);
             let want = run_reference(&mut self.reference, slice);
             let when = format!("after {retired} instructions, slice of {slice}");
-            self.assert_same(&when, got.is_err());
+            self.assert_same(&when);
             let outcome = match (got, want) {
                 (Ok(got), Ok(want)) => {
                     assert_eq!(got, want, "{when}: outcome");
@@ -238,15 +238,36 @@ fn all_workload_kinds_match_the_reference_with_and_without_paging() {
         WorkloadKind::Idle { wakeups: 20 },
     ];
     let mut rng = rng();
+    // Flat, and split where the data starts: code in the first region, the
+    // dirtied pages and the page tables in the second.
+    let layouts = ExecMode::ALL
+        .into_iter()
+        .map(|mode| (mode, false))
+        .chain([(ExecMode::TrapAndEmulate, true)]);
     for kind in kinds {
-        for mode in ExecMode::ALL {
+        for (mode, split) in layouts.clone() {
             for paging in [false, true] {
                 let workload = Workload::new(kind).unwrap();
                 let size = ByteSize::new(workload.required_memory() + 16 * PAGE_SIZE);
+                let size = size.page_align_up();
                 let mut pair = Pair::new(|| {
+                    let mem = if split {
+                        let low = ByteSize::new(workload.data_base());
+                        GuestMemoryBuilder::new()
+                            .with_region(GuestAddress(0), low)
+                            .unwrap()
+                            .with_region(
+                                GuestAddress(low.as_u64()),
+                                ByteSize::new(size.as_u64() - low.as_u64()),
+                            )
+                            .unwrap()
+                            .build()
+                    } else {
+                        GuestMemory::flat(size).unwrap()
+                    };
                     // Two TLB entries for code, data and three dirtied
                     // pages: misses, walks and their charge all occur.
-                    let mut g = Guest::new(mode, 2, size.page_align_up());
+                    let mut g = Guest::over(mode, 2, mem);
                     if paging {
                         let tables = GuestAddress(workload.required_memory()).page_base();
                         let mut ed =
@@ -262,7 +283,10 @@ fn all_workload_kinds_match_the_reference_with_and_without_paging() {
                     g
                 });
                 let (exits, error) = pair.run_lockstep(&mut rng, &(1..=700), 100_000);
-                assert_eq!(error, None, "{kind:?} {mode:?} paging={paging}");
+                assert_eq!(
+                    error, None,
+                    "{kind:?} {mode:?} paging={paging} split={split}"
+                );
                 assert_eq!(exits.last(), Some(&ExitReason::Halt), "{kind:?}");
                 if paging {
                     assert!(pair.window.cpu.mmu.walk_count() > 0);
@@ -591,6 +615,56 @@ fn a_privileged_instruction_held_by_the_window_still_faults_in_user_mode() {
         assert!(error.unwrap().contains("privileged instruction TlbFlush"));
         assert_eq!(pair.window.cpu.priv_mode(), PrivMode::User);
         assert_eq!(pair.window.cpu.stats().instructions, 3);
+    }
+}
+
+#[test]
+fn a_killed_guest_keeps_its_clock_whatever_the_slicing() {
+    // Both fatal errors, each after a few instructions of paid work (the
+    // trapping `TlbFlush` costs an exit): a privileged instruction in user
+    // mode, and a fetch from an address nothing backs.
+    let privileged = [
+        Instr::TlbFlush,
+        Instr::MovImm {
+            rd: r(1),
+            imm: CODE as i32,
+        },
+        Instr::Iret { rs1: r(1) },
+    ];
+    let unbacked = [
+        Instr::TlbFlush,
+        Instr::MovImm {
+            rd: r(1),
+            imm: MMIO as i32,
+        },
+        add_imm(5, 1),
+        Instr::Jalr {
+            rd: r(0),
+            rs1: r(1),
+        },
+    ];
+    for (program, retired, message) in [
+        (&privileged[..], 3, "privileged instruction TlbFlush"),
+        (&unbacked[..], 4, "fetch from unbacked address"),
+    ] {
+        let killed = |slice: u64| {
+            let mut g = flat_pair(program).window;
+            let error = loop {
+                match g.cpu.run(&g.mem, slice) {
+                    Ok(out) => assert_eq!(out.exit, ExitReason::InstructionLimit),
+                    Err(e) => break e.to_string(),
+                }
+            };
+            assert!(error.contains(message), "{error}");
+            g.cpu.stats()
+        };
+        let whole = killed(1_000);
+        assert_eq!(whole.instructions, retired);
+        let costs = ExecMode::TrapAndEmulate.default_costs();
+        assert!(whole.sim_time_ns >= retired * costs.cycle_ns + costs.exit_ns);
+        for slice in [1, 3] {
+            assert_eq!(killed(slice), whole, "slices of {slice}");
+        }
     }
 }
 

@@ -25,7 +25,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use rvisor_memory::GuestMemory;
+use rvisor_memory::{GuestAccess, GuestMemory};
 use rvisor_types::{Error, GuestAddress, Result, PAGE_SIZE};
 
 /// Size of a page-table entry in bytes.
@@ -247,10 +247,11 @@ impl Mmu {
     /// `write` and `user` describe the access being performed; a violation
     /// returns the corresponding [`TranslateFault`] wrapped in
     /// [`Error::PageFault`] by the caller (the vCPU), which also knows the
-    /// faulting PC.
+    /// faulting PC. The page-table walk reads `memory`, the running guest's
+    /// held view ([`GuestMemory::hold`]).
     pub fn translate(
         &mut self,
-        memory: &GuestMemory,
+        memory: &GuestAccess<'_>,
         vaddr: u64,
         write: bool,
         user: bool,
@@ -306,7 +307,7 @@ impl Mmu {
     /// Perform the two-level walk, returning the leaf PTE.
     fn walk(
         &mut self,
-        memory: &GuestMemory,
+        memory: &GuestAccess<'_>,
         vaddr: u64,
     ) -> std::result::Result<Pte, TranslateFault> {
         self.walks += 1;
@@ -476,7 +477,7 @@ mod tests {
         let mem = memory();
         let mut mmu = Mmu::new(16);
         assert!(!mmu.paging_enabled());
-        let t = mmu.translate(&mem, 0x1234, true, true).unwrap();
+        let t = mmu.translate(&mem.hold(), 0x1234, true, true).unwrap();
         assert_eq!(t.paddr, GuestAddress(0x1234));
     }
 
@@ -489,10 +490,10 @@ mod tests {
         mmu.set_ptbr(ed.root());
         assert!(mmu.paging_enabled());
 
-        let t1 = mmu.translate(&mem, 0x4010, false, true).unwrap();
+        let t1 = mmu.translate(&mem.hold(), 0x4010, false, true).unwrap();
         assert_eq!(t1.paddr, GuestAddress(0x9010));
         assert!(!t1.tlb_hit);
-        let t2 = mmu.translate(&mem, 0x4020, false, true).unwrap();
+        let t2 = mmu.translate(&mem.hold(), 0x4020, false, true).unwrap();
         assert_eq!(t2.paddr, GuestAddress(0x9020));
         assert!(t2.tlb_hit);
 
@@ -510,9 +511,9 @@ mod tests {
         ed.map(0x4000, GuestAddress(0x9000), true, true).unwrap();
         let mut mmu = Mmu::new(16);
         mmu.set_ptbr(ed.root());
-        mmu.translate(&mem, 0x4000, false, false).unwrap();
+        mmu.translate(&mem.hold(), 0x4000, false, false).unwrap();
         mmu.flush_tlb();
-        mmu.translate(&mem, 0x4000, false, false).unwrap();
+        mmu.translate(&mem.hold(), 0x4000, false, false).unwrap();
         assert_eq!(mmu.walk_count(), 2);
         assert_eq!(mmu.tlb_stats().flushes, 2); // set_ptbr also flushes
     }
@@ -525,14 +526,14 @@ mod tests {
         let mut mmu = Mmu::new(16);
         mmu.set_ptbr(ed.root());
         assert_eq!(
-            mmu.translate(&mem, 0x4000, true, false).unwrap_err(),
+            mmu.translate(&mem.hold(), 0x4000, true, false).unwrap_err(),
             TranslateFault::NotWritable
         );
         assert_eq!(
-            mmu.translate(&mem, 0x4000, false, true).unwrap_err(),
+            mmu.translate(&mem.hold(), 0x4000, false, true).unwrap_err(),
             TranslateFault::NotUser
         );
-        assert!(mmu.translate(&mem, 0x4000, false, false).is_ok());
+        assert!(mmu.translate(&mem.hold(), 0x4000, false, false).is_ok());
     }
 
     #[test]
@@ -542,11 +543,12 @@ mod tests {
         let mut mmu = Mmu::new(16);
         mmu.set_ptbr(ed.root());
         assert_eq!(
-            mmu.translate(&mem, 0x4000, false, false).unwrap_err(),
+            mmu.translate(&mem.hold(), 0x4000, false, false)
+                .unwrap_err(),
             TranslateFault::NotMapped
         );
         assert_eq!(
-            mmu.translate(&mem, 1 << VADDR_BITS, false, false)
+            mmu.translate(&mem.hold(), 1 << VADDR_BITS, false, false)
                 .unwrap_err(),
             TranslateFault::OutOfRange
         );
@@ -559,11 +561,12 @@ mod tests {
         ed.map(0x4000, GuestAddress(0x9000), true, true).unwrap();
         let mut mmu = Mmu::new(16);
         mmu.set_ptbr(ed.root());
-        assert!(mmu.translate(&mem, 0x4000, false, false).is_ok());
+        assert!(mmu.translate(&mem.hold(), 0x4000, false, false).is_ok());
         ed.unmap(0x4000).unwrap();
         mmu.flush_tlb();
         assert_eq!(
-            mmu.translate(&mem, 0x4000, false, false).unwrap_err(),
+            mmu.translate(&mem.hold(), 0x4000, false, false)
+                .unwrap_err(),
             TranslateFault::NotMapped
         );
         // Unmapping a never-mapped address is a no-op.
@@ -580,7 +583,7 @@ mod tests {
         mmu.set_ptbr(ed.root());
         for page in 0..16u64 {
             let vaddr = page * PAGE_SIZE + 8;
-            let t = mmu.translate(&mem, vaddr, true, true).unwrap();
+            let t = mmu.translate(&mem.hold(), vaddr, true, true).unwrap();
             assert_eq!(t.paddr, GuestAddress(vaddr));
         }
     }
@@ -609,7 +612,7 @@ mod tests {
             mmu.set_ptbr(ed.root());
             for (&vpage, &ppage) in &pages {
                 let vaddr = vpage * PAGE_SIZE + 0x123;
-                let t = mmu.translate(&mem, vaddr, true, true).unwrap();
+                let t = mmu.translate(&mem.hold(), vaddr, true, true).unwrap();
                 prop_assert_eq!(t.paddr, GuestAddress(ppage * PAGE_SIZE + 0x123));
             }
         }
@@ -622,7 +625,7 @@ mod tests {
             let mut mmu = Mmu::new(4);
             mmu.set_ptbr(ed.root());
             for i in 0..n {
-                let _ = mmu.translate(&mem, ((i % 64) as u64) * PAGE_SIZE, false, false);
+                let _ = mmu.translate(&mem.hold(), ((i % 64) as u64) * PAGE_SIZE, false, false);
             }
             let s = mmu.tlb_stats();
             prop_assert_eq!(s.hits + s.misses, n as u64);

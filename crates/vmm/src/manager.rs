@@ -333,11 +333,12 @@ impl Vmm {
     /// contends with every other stream on a shared
     /// [`Fabric`](rvisor_net::Fabric) (what the orchestrator does for
     /// rebalance traffic). With `plan.streams > 1` one lane per stripe of
-    /// the page-index space streams the rounds (`rvisor_migrate::pipeline`):
-    /// the wire bytes, the destination memory image and the
-    /// [`MigrationReport`] are identical to one stream — parallelism buys
-    /// host wall-clock, not different results — with one documented
-    /// exception: under XBZRLE with a working set larger than the cache, the
+    /// the page-index space streams the rounds (`rvisor_migrate::pipeline`),
+    /// on a thread each when a stripe holds at least one 64-page segment and
+    /// on the calling thread otherwise: the wire bytes, the destination
+    /// memory image and the [`MigrationReport`] are identical to one stream
+    /// — parallelism buys host wall-clock, not different results — with one
+    /// documented exception: under XBZRLE with a working set larger than the cache, the
     /// per-stripe caches can make the laned run send *fewer* bytes (see the
     /// `pipeline` module docs). Per-migration and per-round spans go to
     /// `trace`; [`Trace::off`] costs nothing.
