@@ -26,7 +26,7 @@ use rvisor_migrate::{
     execute, ConstantRateDirtier, DirtySource, FabricTransport, IdleDirtier, LoopbackTransport,
     MigrationPlan, MigrationReport, Transport,
 };
-use rvisor_net::{Fabric, FabricParams, Link, LinkModel, DEFAULT_CHUNK_OVERHEAD};
+use rvisor_net::{ClosFabric, FabricParams, Link, LinkModel, DEFAULT_CHUNK_OVERHEAD};
 use rvisor_obs::Trace;
 use rvisor_types::{ByteSize, GuestAddress, Nanoseconds, PAGE_SIZE};
 use rvisor_vcpu::VcpuState;
@@ -78,7 +78,7 @@ fn fabric_params(nic: u64) -> FabricParams {
 
 fn fabric_pipelined(params: FabricParams, streams: usize, dirty: f64) -> MigrationReport {
     let (src, dst) = memories();
-    let mut fabric = Fabric::new(2, params).unwrap();
+    let mut fabric = ClosFabric::new(2, params).unwrap();
     let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
     let mut dirtier =
         ConstantRateDirtier::from_bandwidth_fraction(params.nic_bytes_per_second, dirty, 0, PAGES);
@@ -179,7 +179,7 @@ fn print_table() {
         for streams in [1usize, 2, 4, 8] {
             let params = fabric_params(nic);
             let (src, dst) = memories();
-            let mut fabric = Fabric::new(2, params).unwrap();
+            let mut fabric = ClosFabric::new(2, params).unwrap();
             let report = {
                 let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
                 let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(

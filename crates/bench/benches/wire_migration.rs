@@ -16,7 +16,7 @@ use rvisor_migrate::{
     execute, ConstantRateDirtier, DirtySource, FabricTransport, IdleDirtier, LoopbackTransport,
     MigrationPlan, MigrationReport, MigrationSink, MigrationSource, Transport,
 };
-use rvisor_net::{Fabric, FabricParams, Link, LinkModel, DEFAULT_CHUNK_OVERHEAD};
+use rvisor_net::{ClosFabric, ClosParams, FabricParams, Link, LinkModel, DEFAULT_CHUNK_OVERHEAD};
 use rvisor_obs::Trace;
 use rvisor_types::{ByteSize, GuestAddress, Nanoseconds, PAGE_SIZE};
 use rvisor_vcpu::VcpuState;
@@ -66,7 +66,7 @@ fn pre_copy(
 
 fn fabric_precopy(params: FabricParams, dirty: f64) -> MigrationReport {
     let (src, dst) = memories();
-    let mut fabric = Fabric::new(2, params).unwrap();
+    let mut fabric = ClosFabric::new(2, params).unwrap();
     let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
     let mut dirtier =
         ConstantRateDirtier::from_bandwidth_fraction(params.nic_bytes_per_second, dirty, 0, PAGES);
@@ -87,8 +87,9 @@ fn print_table() {
         for mtu in [1500u64, 9000] {
             let params = fabric_params(nic, mtu);
             let r = fabric_precopy(params, 0.3);
-            let wire_amplification =
-                params.wire_bytes(r.bytes_transferred) as f64 / r.bytes_transferred as f64;
+            let wire_amplification = ClosParams::from(params).wire_bytes(r.bytes_transferred)
+                as f64
+                / r.bytes_transferred as f64;
             println!(
                 "{:<8} {:>6} {:>14} {:>12} {:>8} {:>12} {:>14.4}",
                 name,

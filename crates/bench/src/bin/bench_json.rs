@@ -37,7 +37,7 @@ use rvisor_migrate::{
     LoopbackTransport, MigrationPlan, MigrationReport, MigrationSink, MigrationSource, PlanEngine,
     Transport,
 };
-use rvisor_net::{ClosFabric, ClosParams, Fabric, FabricParams, Link, LinkModel};
+use rvisor_net::{ClosFabric, ClosParams, FabricParams, Link, LinkModel};
 use rvisor_obs::{ArgValue, Args as TraceArgs, Trace, TraceSink};
 use rvisor_orch::{
     run_datacenter, Cluster, EngineChoice, EventQueue, FabricTopology, OrchEvent, OrchParams,
@@ -288,7 +288,7 @@ fn run_benches(samples: usize) -> BTreeMap<String, f64> {
         let params = FabricParams::datacenter();
         let ns = measure(samples, || {
             let (src, dst) = sparse_memories(PAGES);
-            let mut fabric = Fabric::new(2, params).unwrap();
+            let mut fabric = ClosFabric::new(2, params).unwrap();
             let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
             let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(
                 params.nic_bytes_per_second,
@@ -302,9 +302,10 @@ fn run_benches(samples: usize) -> BTreeMap<String, f64> {
         record("precopy_stream_fabric_2mib", ns);
     }
 
-    // -- fabric timing model (pure integer arithmetic) --
+    // -- single-spine fabric timing model (the one-rack preset's rack-local
+    //    burst; pure integer arithmetic) --
     {
-        let mut fabric = Fabric::new(16, FabricParams::datacenter()).unwrap();
+        let mut fabric = ClosFabric::new(16, FabricParams::datacenter()).unwrap();
         let mut i = 0usize;
         let ns = measure(samples, || {
             i = (i + 1) % 15;

@@ -47,9 +47,10 @@
 //! network does **not** speed up under multi-stream: `transmit_striped`
 //! models N chunk streams *fairly sharing* the path — on a loopback that is
 //! exactly the aggregate burst (keeping the `==` pin to one stream), and on
-//! a [`Fabric`](rvisor_net::Fabric) each stream additionally pays its own
-//! MTU chunk framing, so simulated time is never *better* than with one
-//! stream. What lane threads can buy is **host wall-clock**, on a host whose
+//! the single-spine [`ClosFabric`](rvisor_net::ClosFabric) preset each
+//! stream additionally pays its own MTU chunk framing, so simulated time is
+//! never *better* than with one stream (only a multi-rack fabric's spines
+//! can make a cross-rack burst faster). What lane threads can buy is **host wall-clock**, on a host whose
 //! cores run threads in parallel (experiment E18): they share nothing but
 //! the guest regions' locks — the source's read lock and the destination's
 //! write lock, each held for one 4 KiB copy at a time. The named assumption
@@ -438,7 +439,7 @@ mod tests {
     use crate::report::MigrationReport;
     use crate::transport::refusing::{refusal, RefusingTransport};
     use crate::transport::{FabricTransport, LoopbackTransport};
-    use rvisor_net::{Fabric, FabricParams, Link, LinkModel};
+    use rvisor_net::{ClosFabric, FabricParams, Link, LinkModel};
     use rvisor_obs::OwnedArg;
     use rvisor_types::{ByteSize, GuestAddress, PAGE_SIZE};
     use rvisor_vcpu::VcpuState;
@@ -628,7 +629,7 @@ mod tests {
         let pages = 512u64;
         let run = |n: usize| {
             let (src, dst) = memories(pages);
-            let mut fabric = Fabric::new(2, FabricParams::office_lan()).unwrap();
+            let mut fabric = ClosFabric::new(2, FabricParams::office_lan()).unwrap();
             let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
             let plan = MigrationPlan {
                 streams: streams(n),

@@ -152,8 +152,8 @@ impl MigrationPlan {
     /// * `streams` must not exceed [`MAX_MIGRATION_STREAMS`].
     ///
     /// Network-side knobs (bandwidth, MTU) live in
-    /// [`rvisor_net::FabricParams`] / [`rvisor_net::LinkModel`] and are
-    /// validated by `FabricParams::validate` when the fabric is built.
+    /// [`rvisor_net::ClosParams`] / [`rvisor_net::LinkModel`] and are
+    /// validated when the fabric is built.
     pub fn validate(&self) -> Result<()> {
         if !(0.0..=1.0).contains(&self.postcopy_fault_fraction) {
             return Err(Error::Migration(format!(

@@ -834,7 +834,7 @@ mod tests {
     use crate::reference;
     use crate::transport::refusing::{refusal, RefusingTransport};
     use crate::transport::{FabricTransport, LoopbackTransport};
-    use rvisor_net::{Fabric, FabricParams, Link, LinkModel};
+    use rvisor_net::{ClosFabric, FabricParams, Link, LinkModel};
     use rvisor_types::{ByteSize, GuestAddress};
 
     fn memories(pages: u64) -> (GuestMemory, GuestMemory) {
@@ -953,7 +953,7 @@ mod tests {
 
         let run_fabric = || {
             let (src, dst) = memories(pages);
-            let mut fabric = Fabric::new(2, FabricParams::office_lan()).unwrap();
+            let mut fabric = ClosFabric::new(2, FabricParams::office_lan()).unwrap();
             let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
             let report = over(&plan, &src, &dst, &mut transport, &mut IdleDirtier).unwrap();
             (report, region_bytes(&dst))

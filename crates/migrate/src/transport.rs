@@ -28,12 +28,12 @@
 //! * [`LoopbackTransport`] — timed by a single point-to-point [`Link`];
 //!   byte-for-byte and nanosecond-for-nanosecond what the tests' direct
 //!   accounting oracle charges (pinned by proptest).
-//! * [`FabricTransport`] — timed by a shared [`Fabric`]: per-host NIC
-//!   serialization, backbone contention with every other migration and DR
-//!   stream, and MTU chunk framing, so migration duration and downtime come
-//!   from modelled bytes-on-wire.
+//! * [`FabricTransport`] — timed by a shared [`ClosFabric`]: per-host NIC
+//!   serialization, leaf and spine contention with every other migration
+//!   and DR stream, and MTU chunk framing, so migration duration and
+//!   downtime come from modelled bytes-on-wire.
 
-use rvisor_net::{Fabric, FabricModel, Link};
+use rvisor_net::{ClosFabric, Link};
 use rvisor_types::{Nanoseconds, Result};
 
 /// A simulated byte-stream channel between a migration source and sink.
@@ -72,7 +72,7 @@ pub trait Transport {
     /// is `transmit_bytes` of the sum — which is what keeps a multi-stream
     /// loopback migration `==`-report-equal to a one-stream one. On a
     /// [`FabricTransport`] each stream pays its own MTU chunk framing
-    /// ([`Fabric::transfer_striped`]).
+    /// ([`ClosFabric::transfer_striped`]).
     fn transmit_striped(&mut self, now: Nanoseconds, stripes: &[u64]) -> Result<Nanoseconds> {
         self.transmit_bytes(now, stripes.iter().sum())
     }
@@ -193,18 +193,15 @@ impl Transport for LoopbackTransport<'_> {
     }
 }
 
-/// Delivery across a shared fabric, between two endpoint indices.
+/// Delivery across a shared [`ClosFabric`], between two endpoint indices —
+/// a multi-rack leaf/spine fabric or its one-rack single-spine preset alike.
 ///
-/// Generic over [`FabricModel`], defaulting to the single-spine [`Fabric`]:
-/// the same transport carries a migration over a two-tier
-/// `ClosFabric` (or the topology-erasing `AnyFabric`) without any caller
-/// changes. Borrows the fabric mutably: the busy-time marks the migration
-/// leaves on its NICs, leaves and spines are visible to every later
-/// transfer, which is how rebalance storms and DR backup traffic contend
-/// with each other.
+/// Borrows the fabric mutably: the busy-time marks the migration leaves on
+/// its NICs, leaves and spines are visible to every later transfer, which is
+/// how rebalance storms and DR backup traffic contend with each other.
 #[derive(Debug)]
-pub struct FabricTransport<'f, F: FabricModel = Fabric> {
-    fabric: &'f mut F,
+pub struct FabricTransport<'f> {
+    fabric: &'f mut ClosFabric,
     from: usize,
     to: usize,
     /// Earliest simulated instant any burst of this stream may start.
@@ -216,17 +213,17 @@ pub struct FabricTransport<'f, F: FabricModel = Fabric> {
     buf: BurstBuffer,
 }
 
-impl<'f, F: FabricModel> FabricTransport<'f, F> {
+impl<'f> FabricTransport<'f> {
     /// Create a transport carrying one migration from endpoint `from` to
     /// endpoint `to` of `fabric`.
-    pub fn new(fabric: &'f mut F, from: usize, to: usize) -> Result<Self> {
+    pub fn new(fabric: &'f mut ClosFabric, from: usize, to: usize) -> Result<Self> {
         Self::starting_at(fabric, from, to, Nanoseconds::ZERO)
     }
 
     /// Like [`FabricTransport::new`], but no burst starts before `floor`
     /// (the caller's current simulated time).
     pub fn starting_at(
-        fabric: &'f mut F,
+        fabric: &'f mut ClosFabric,
         from: usize,
         to: usize,
         floor: Nanoseconds,
@@ -242,7 +239,7 @@ impl<'f, F: FabricModel> FabricTransport<'f, F> {
     }
 }
 
-impl<F: FabricModel> Transport for FabricTransport<'_, F> {
+impl Transport for FabricTransport<'_> {
     fn free_at(&self) -> Nanoseconds {
         self.fabric
             .path_free_at(self.from, self.to)
@@ -405,7 +402,7 @@ mod tests {
 
     #[test]
     fn fabric_transport_contends_with_other_traffic() {
-        let mut fabric = Fabric::new(4, FabricParams::office_lan()).unwrap();
+        let mut fabric = ClosFabric::new(4, FabricParams::office_lan()).unwrap();
         // Another tenant's transfer keeps the backbone busy first.
         let other_done = fabric.transfer(2, 3, Nanoseconds::ZERO, 4 << 20).unwrap();
 
@@ -440,8 +437,8 @@ mod tests {
         assert_eq!(striped, serial);
         assert_eq!(t.bytes_sent(), reference.bytes_sent());
 
-        // Fabric: the floor applies and striping pays per-stream framing.
-        let mut fabric = Fabric::new(2, FabricParams::office_lan()).unwrap();
+        // Over a fabric the floor applies and striping pays per-stream framing.
+        let mut fabric = ClosFabric::new(2, FabricParams::office_lan()).unwrap();
         let floor = Nanoseconds::from_secs(1);
         let mut ft = FabricTransport::starting_at(&mut fabric, 0, 1, floor).unwrap();
         let one = ft.transmit_bytes(Nanoseconds::ZERO, 1_000_000).unwrap();
@@ -455,7 +452,7 @@ mod tests {
 
     #[test]
     fn start_floor_keeps_streams_out_of_the_past() {
-        let mut fabric = Fabric::new(2, FabricParams::office_lan()).unwrap();
+        let mut fabric = ClosFabric::new(2, FabricParams::office_lan()).unwrap();
         let floor = Nanoseconds::from_secs(100);
         let mut t = FabricTransport::starting_at(&mut fabric, 0, 1, floor).unwrap();
         // The fabric is idle since t=0, but this stream belongs to a caller

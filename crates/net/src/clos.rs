@@ -1,12 +1,15 @@
-//! A two-tier Clos (leaf/spine) fabric with ECMP-striped transfers.
+//! The datacenter fabric: a two-tier Clos (leaf/spine) with ECMP-striped
+//! transfers, and the workspace's only fabric model.
 //!
-//! [`Fabric`] deliberately models the worst case: one shared
+//! [`ClosFabric`] models the topology real datacenters use: hosts live in
+//! racks behind leaf switches, leaves connect to `spines` independent spine
+//! switches, and a striped burst hashes its streams ECMP-style across the
+//! live spines so cross-rack streams ride *independent* paths and genuinely
+//! complete earlier in simulated time. The worst case — one shared
 //! backbone, so disjoint host pairs contend and multi-stream migration never
-//! wins simulated time. [`ClosFabric`] models the topology real datacenters
-//! use instead: hosts live in racks behind leaf switches, leaves connect to
-//! `spines` independent spine switches, and a striped burst hashes its
-//! streams ECMP-style across the live spines so cross-rack streams ride
-//! *independent* paths and genuinely complete earlier in simulated time.
+//! wins simulated time — is its one-rack preset, built from a
+//! [`FabricParams`](crate::FabricParams) by `ClosParams::from` and
+//! documented in the [`fabric`](crate::fabric) module.
 //!
 //! # Model parameters and assumptions
 //!
@@ -19,9 +22,8 @@
 //! * **Per-rack leaf capacity** (`leaf_uplink_bytes_per_second`) — each rack
 //!   owns one leaf switch whose backplane and uplink share a single busy
 //!   mark: rack-local *and* cross-rack traffic both occupy the rack's leaf.
-//!   This shared-backplane assumption is what makes a 1-rack/1-spine
-//!   configuration *exactly* the old single-spine fabric (the leaf plays the
-//!   backbone's role).
+//!   This shared-backplane assumption is what makes the one-rack preset
+//!   *exactly* the single-spine fabric (the leaf plays the backbone's role).
 //! * **Independent spine paths** (`spines`, `spine_bytes_per_second`) —
 //!   cross-rack traffic crosses exactly one spine per stream, chosen by a
 //!   deterministic ECMP hash of the endpoint pair and the stream index.
@@ -30,10 +32,8 @@
 //!   as real ECMP is: it never peeks at spine occupancy.
 //! * **Two latency classes** (`rack_latency`, `cross_latency`) — rack-local
 //!   bursts pay the leaf hop, cross-rack bursts pay the full
-//!   leaf-spine-leaf path; each is paid once per burst, as in the
-//!   single-spine model.
-//! * **MTU chunking and store-and-forward occupancy** — identical formulas
-//!   to [`FabricParams`]: per-stream
+//!   leaf-spine-leaf path; each is paid once per burst.
+//! * **MTU chunking and store-and-forward occupancy** — per-stream
 //!   `ceil(payload / mtu)` chunks each pay `chunk_overhead` framing bytes,
 //!   and a burst occupies every resource it touches (both NICs, both
 //!   leaves, every chosen spine) until its *last* byte has serialized.
@@ -52,7 +52,7 @@ use serde::{Deserialize, Serialize};
 use rvisor_obs::{ArgValue, Trace};
 use rvisor_types::{Error, Nanoseconds, Result};
 
-use crate::fabric::{Fabric, FabricParams, DEFAULT_CHUNK_OVERHEAD};
+use crate::fabric::DEFAULT_CHUNK_OVERHEAD;
 
 /// Static per-spine wire-byte counter names (obs counter names must be
 /// `&'static str`). Spines beyond index 7 clamp onto the last name; the
@@ -67,127 +67,6 @@ const SPINE_COUNTER_NAMES: [&str; 8] = [
     "fabric.spine6.wire_bytes",
     "fabric.spine7.wire_bytes",
 ];
-
-/// The abstract contract every fabric topology provides: deterministic
-/// integer-nanosecond transfers between dense endpoints, rack/spine
-/// topology queries, and spine degradation.
-///
-/// [`Fabric`] implements it as the 1-rack/1-spine degenerate case (its
-/// backbone is "spine 0"); [`ClosFabric`] is the general two-tier case.
-/// Transport plumbing ([`FabricTransport`](../../rvisor_migrate) and the
-/// orchestrator's cluster) is generic over this trait, so the single-spine
-/// equivalence proptests from earlier PRs keep running unchanged.
-pub trait FabricModel {
-    /// Number of endpoints.
-    fn endpoints(&self) -> usize;
-    /// Number of racks (1 for the single-spine fabric).
-    fn racks(&self) -> usize;
-    /// The rack an endpoint lives in (0 for the single-spine fabric).
-    fn rack_of(&self, endpoint: usize) -> usize;
-    /// Number of spines the fabric was built with (live or failed).
-    fn spines(&self) -> usize;
-    /// Number of spines still carrying traffic.
-    fn live_spines(&self) -> usize;
-    /// Busy-until mark of spine `spine`, or `None` if it is failed or out
-    /// of range.
-    fn spine_free_at(&self, spine: usize) -> Option<Nanoseconds>;
-    /// Earliest instant the fabric's least-loaded live core path is free:
-    /// the single-spine backbone mark, or a Clos fabric's least-busy live
-    /// spine. This is the coarse occupancy signal the adaptive migration
-    /// planner consumes — `free_at().saturating_sub(now)` is the core
-    /// backlog a new migration would queue behind.
-    fn free_at(&self) -> Nanoseconds;
-    /// Remove spine `spine` from service. Fails if the spine is out of
-    /// range, already failed, or the last live spine (the fabric degrades,
-    /// it never partitions).
-    fn fail_spine(&mut self, spine: usize) -> Result<()>;
-    /// One-way propagation latency between two endpoints.
-    fn latency(&self, from: usize, to: usize) -> Nanoseconds;
-    /// Time for `payload` bytes to cross an idle path `from -> to`.
-    fn transfer_time(&self, from: usize, to: usize, payload: u64) -> Nanoseconds;
-    /// Earliest instant a single-stream transfer between `from` and `to`
-    /// could start.
-    fn path_free_at(&self, from: usize, to: usize) -> Result<Nanoseconds>;
-    /// Move `payload` bytes `from -> to` starting no earlier than `now`;
-    /// returns the simulated arrival time.
-    fn transfer(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        payload: u64,
-    ) -> Result<Nanoseconds>;
-    /// Move a striped burst of parallel streams `from -> to`; `stripes[i]`
-    /// is stream `i`'s payload bytes. Returns the whole burst's arrival.
-    fn transfer_striped(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        stripes: &[u64],
-    ) -> Result<Nanoseconds>;
-    /// Attach a trace for transfer spans and occupancy counters.
-    fn set_trace(&mut self, trace: Trace);
-}
-
-impl FabricModel for Fabric {
-    fn endpoints(&self) -> usize {
-        Fabric::endpoints(self)
-    }
-    fn racks(&self) -> usize {
-        1
-    }
-    fn rack_of(&self, _endpoint: usize) -> usize {
-        0
-    }
-    fn spines(&self) -> usize {
-        1
-    }
-    fn live_spines(&self) -> usize {
-        1
-    }
-    fn spine_free_at(&self, spine: usize) -> Option<Nanoseconds> {
-        (spine == 0).then(|| self.backbone_free_at())
-    }
-    fn free_at(&self) -> Nanoseconds {
-        self.backbone_free_at()
-    }
-    fn fail_spine(&mut self, _spine: usize) -> Result<()> {
-        Err(Error::Net(
-            "cannot fail the last live spine: the single-spine fabric would partition".into(),
-        ))
-    }
-    fn latency(&self, _from: usize, _to: usize) -> Nanoseconds {
-        self.params().latency
-    }
-    fn transfer_time(&self, _from: usize, _to: usize, payload: u64) -> Nanoseconds {
-        self.params().transfer_time(payload)
-    }
-    fn path_free_at(&self, from: usize, to: usize) -> Result<Nanoseconds> {
-        Fabric::path_free_at(self, from, to)
-    }
-    fn transfer(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        payload: u64,
-    ) -> Result<Nanoseconds> {
-        Fabric::transfer(self, from, to, now, payload)
-    }
-    fn transfer_striped(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        stripes: &[u64],
-    ) -> Result<Nanoseconds> {
-        Fabric::transfer_striped(self, from, to, now, stripes)
-    }
-    fn set_trace(&mut self, trace: Trace) {
-        Fabric::set_trace(self, trace)
-    }
-}
 
 /// Named, validated parameters of a [`ClosFabric`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -271,25 +150,6 @@ impl ClosParams {
         }
     }
 
-    /// The degenerate 1-rack/1-spine configuration that reproduces a
-    /// single-spine [`Fabric`] of `fp` *exactly*: the leaf takes the
-    /// backbone's capacity and every transfer is rack-local at the
-    /// backbone's latency. Pinned `==`-equal by proptest.
-    pub fn degenerate(fp: FabricParams, endpoints: usize) -> Self {
-        ClosParams {
-            racks: 1,
-            hosts_per_rack: endpoints,
-            nic_bytes_per_second: fp.nic_bytes_per_second,
-            leaf_uplink_bytes_per_second: fp.backbone_bytes_per_second,
-            spines: 1,
-            spine_bytes_per_second: fp.backbone_bytes_per_second,
-            rack_latency: fp.latency,
-            cross_latency: fp.latency,
-            mtu: fp.mtu,
-            chunk_overhead: fp.chunk_overhead,
-        }
-    }
-
     /// Validate the parameters: counts and bandwidths must be non-zero and
     /// the MTU must exceed the per-chunk overhead.
     pub fn validate(&self) -> Result<()> {
@@ -325,8 +185,8 @@ impl ClosParams {
         Ok(())
     }
 
-    /// Bytes that actually cross the wire for a `payload`-byte stream: same
-    /// formula as [`FabricParams::wire_bytes`].
+    /// Bytes that actually cross the wire for a `payload`-byte stream:
+    /// payload plus `chunk_overhead` for each of `ceil(payload / mtu)` chunks.
     pub fn wire_bytes(&self, payload: u64) -> u64 {
         let chunks = payload.div_ceil(self.mtu.max(1));
         payload.saturating_add(chunks.saturating_mul(self.chunk_overhead))
@@ -366,8 +226,7 @@ impl ClosParams {
 }
 
 /// Integer-nanosecond serialization time of `wire` bytes at `rate`
-/// bytes/second — the same `u128` formula as
-/// [`FabricParams::serialization_time_wire`].
+/// bytes/second.
 fn serialization(wire: u64, rate: u64) -> Nanoseconds {
     Nanoseconds(((wire as u128 * 1_000_000_000) / rate.max(1) as u128) as u64)
 }
@@ -383,9 +242,12 @@ fn pair_hash(from: usize, to: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// One endpoint's NIC: a busy-until mark plus traffic counters.
+/// One endpoint's NIC: its rack, a busy-until mark and traffic counters.
+/// The rack rides beside the mark every transfer reads anyway, so a
+/// 10k-host fabric pays no second cache miss per endpoint for it.
 #[derive(Debug, Clone, Copy, Default)]
 struct Mark {
+    rack: usize,
     free_at: Nanoseconds,
     bytes_sent: u64,
     bytes_received: u64,
@@ -401,7 +263,6 @@ struct Mark {
 pub struct ClosFabric {
     params: ClosParams,
     nics: Vec<Mark>,
-    rack_of: Vec<usize>,
     leaf_free_at: Vec<Nanoseconds>,
     spine_free_at: Vec<Nanoseconds>,
     spine_live: Vec<bool>,
@@ -416,8 +277,11 @@ pub struct ClosFabric {
 impl ClosFabric {
     /// Create a Clos fabric with `endpoints` idle NICs assigned to racks
     /// contiguously: endpoint `e` lives in rack `e / hosts_per_rack`.
-    /// Requires `2 <= endpoints <= racks * hosts_per_rack`.
-    pub fn new(endpoints: usize, params: ClosParams) -> Result<Self> {
+    /// Requires `2 <= endpoints <= racks * hosts_per_rack`. A
+    /// [`FabricParams`](crate::FabricParams) converts into the one-rack
+    /// single-spine preset.
+    pub fn new(endpoints: usize, params: impl Into<ClosParams>) -> Result<Self> {
+        let params = params.into();
         if endpoints > params.racks.saturating_mul(params.hosts_per_rack) {
             return Err(Error::Net(format!(
                 "{endpoints} endpoints exceed {} racks x {} hosts",
@@ -446,8 +310,13 @@ impl ClosFabric {
         }
         Ok(ClosFabric {
             params,
-            nics: vec![Mark::default(); racks_of.len()],
-            rack_of: racks_of,
+            nics: racks_of
+                .into_iter()
+                .map(|rack| Mark {
+                    rack,
+                    ..Mark::default()
+                })
+                .collect(),
             leaf_free_at: vec![Nanoseconds::ZERO; params.racks],
             spine_free_at: vec![Nanoseconds::ZERO; params.spines],
             spine_live: vec![true; params.spines],
@@ -477,7 +346,7 @@ impl ClosFabric {
 
     /// The rack endpoint `e` lives in (panics if out of range).
     pub fn rack_of(&self, e: usize) -> usize {
-        self.rack_of[e]
+        self.nics[e].rack
     }
 
     /// Number of spines the fabric was built with (live or failed).
@@ -495,9 +364,15 @@ impl ClosFabric {
         (self.spine_live.get(spine) == Some(&true)).then(|| self.spine_free_at[spine])
     }
 
-    /// The earliest busy-until mark over all live spines — the
-    /// orchestrator's "is any spine cool" occupancy query.
-    pub fn min_live_spine_free_at(&self) -> Nanoseconds {
+    /// Earliest instant the core the fabric's traffic crosses is free: the
+    /// leaf of a one-rack fabric (every transfer there is rack-local and
+    /// leaves the spine cold), otherwise the least-busy live spine. This is
+    /// the adaptive planner's backlog signal and the hot-spine deferral's
+    /// occupancy query.
+    pub fn free_at(&self) -> Nanoseconds {
+        if let [leaf] = self.leaf_free_at[..] {
+            return leaf;
+        }
         self.spine_free_at
             .iter()
             .zip(&self.spine_live)
@@ -543,7 +418,7 @@ impl ClosFabric {
     }
 
     /// Number of transfers performed (a striped burst counts each active
-    /// stream, exactly as [`Fabric::transfers`] does).
+    /// stream).
     pub fn transfers(&self) -> u64 {
         self.transfers
     }
@@ -609,9 +484,14 @@ impl ClosFabric {
         self.nth_live(slot)
     }
 
+    /// Whether two endpoints share a rack (out-of-range endpoints have none).
+    fn same_rack(&self, from: usize, to: usize) -> bool {
+        self.nics.get(from).map(|n| n.rack) == self.nics.get(to).map(|n| n.rack)
+    }
+
     /// One-way propagation latency between two endpoints.
     pub fn latency(&self, from: usize, to: usize) -> Nanoseconds {
-        if self.rack_of.get(from) == self.rack_of.get(to) {
+        if self.same_rack(from, to) {
             self.params.rack_latency
         } else {
             self.params.cross_latency
@@ -621,7 +501,7 @@ impl ClosFabric {
     /// Time for `payload` bytes to cross an idle path `from -> to` as one
     /// stream.
     pub fn transfer_time(&self, from: usize, to: usize, payload: u64) -> Nanoseconds {
-        if self.rack_of.get(from) == self.rack_of.get(to) {
+        if self.same_rack(from, to) {
             self.params.local_transfer_time(payload)
         } else {
             self.params.cross_transfer_time(payload)
@@ -634,7 +514,7 @@ impl ClosFabric {
     /// other spines are busier — this is still a valid floor.
     pub fn path_free_at(&self, from: usize, to: usize) -> Result<Nanoseconds> {
         self.check_pair(from, to)?;
-        let (rf, rt) = (self.rack_of[from], self.rack_of[to]);
+        let (rf, rt) = (self.nics[from].rack, self.nics[to].rack);
         let mut free = self.nics[from]
             .free_at
             .max(self.nics[to].free_at)
@@ -691,7 +571,7 @@ impl ClosFabric {
         span_name: &'static str,
     ) -> Result<Nanoseconds> {
         self.check_pair(from, to)?;
-        let (rf, rt) = (self.rack_of[from], self.rack_of[to]);
+        let (rf, rt) = (self.nics[from].rack, self.nics[to].rack);
         let mut payload_total = 0u64;
         let mut wire_total = 0u64;
         let mut active_streams = 0u64;
@@ -876,7 +756,10 @@ impl ClosFabric {
     /// life (between benchmark runs).
     pub fn reset(&mut self) {
         for nic in &mut self.nics {
-            *nic = Mark::default();
+            *nic = Mark {
+                rack: nic.rack,
+                ..Mark::default()
+            };
         }
         self.leaf_free_at
             .iter_mut()
@@ -892,264 +775,10 @@ impl ClosFabric {
     }
 }
 
-impl FabricModel for ClosFabric {
-    fn endpoints(&self) -> usize {
-        ClosFabric::endpoints(self)
-    }
-    fn racks(&self) -> usize {
-        ClosFabric::racks(self)
-    }
-    fn rack_of(&self, endpoint: usize) -> usize {
-        ClosFabric::rack_of(self, endpoint)
-    }
-    fn spines(&self) -> usize {
-        ClosFabric::spines(self)
-    }
-    fn live_spines(&self) -> usize {
-        ClosFabric::live_spines(self)
-    }
-    fn spine_free_at(&self, spine: usize) -> Option<Nanoseconds> {
-        ClosFabric::spine_free_at(self, spine)
-    }
-    fn free_at(&self) -> Nanoseconds {
-        ClosFabric::min_live_spine_free_at(self)
-    }
-    fn fail_spine(&mut self, spine: usize) -> Result<()> {
-        ClosFabric::fail_spine(self, spine)
-    }
-    fn latency(&self, from: usize, to: usize) -> Nanoseconds {
-        ClosFabric::latency(self, from, to)
-    }
-    fn transfer_time(&self, from: usize, to: usize, payload: u64) -> Nanoseconds {
-        ClosFabric::transfer_time(self, from, to, payload)
-    }
-    fn path_free_at(&self, from: usize, to: usize) -> Result<Nanoseconds> {
-        ClosFabric::path_free_at(self, from, to)
-    }
-    fn transfer(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        payload: u64,
-    ) -> Result<Nanoseconds> {
-        ClosFabric::transfer(self, from, to, now, payload)
-    }
-    fn transfer_striped(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        stripes: &[u64],
-    ) -> Result<Nanoseconds> {
-        ClosFabric::transfer_striped(self, from, to, now, stripes)
-    }
-    fn set_trace(&mut self, trace: Trace) {
-        ClosFabric::set_trace(self, trace)
-    }
-}
-
-/// A fabric of either topology behind one concrete type, so the
-/// orchestrator's `Cluster` can hold a single-spine or Clos fabric without
-/// generics leaking into its public API.
-#[derive(Debug, Clone)]
-pub enum AnyFabric {
-    /// The single-spine worst-case fabric.
-    Single(Fabric),
-    /// The two-tier leaf/spine fabric.
-    Clos(ClosFabric),
-}
-
-macro_rules! any_delegate {
-    ($self:ident, $f:ident => $e:expr, $c:ident => $e2:expr) => {
-        match $self {
-            AnyFabric::Single($f) => $e,
-            AnyFabric::Clos($c) => $e2,
-        }
-    };
-}
-
-impl AnyFabric {
-    /// Number of endpoints.
-    pub fn endpoints(&self) -> usize {
-        any_delegate!(self, f => f.endpoints(), c => c.endpoints())
-    }
-
-    /// Number of racks (1 for the single-spine fabric).
-    pub fn racks(&self) -> usize {
-        any_delegate!(self, _f => 1, c => c.racks())
-    }
-
-    /// The rack an endpoint lives in (0 for the single-spine fabric).
-    pub fn rack_of(&self, endpoint: usize) -> usize {
-        any_delegate!(self, _f => { let _ = endpoint; 0 }, c => c.rack_of(endpoint))
-    }
-
-    /// Number of spines the fabric was built with.
-    pub fn spines(&self) -> usize {
-        any_delegate!(self, _f => 1, c => c.spines())
-    }
-
-    /// Number of spines still carrying traffic.
-    pub fn live_spines(&self) -> usize {
-        any_delegate!(self, _f => 1, c => c.live_spines())
-    }
-
-    /// Busy-until mark of spine `spine`, or `None` if failed/out of range.
-    pub fn spine_free_at(&self, spine: usize) -> Option<Nanoseconds> {
-        any_delegate!(self, f => (spine == 0).then(|| f.backbone_free_at()),
-                      c => c.spine_free_at(spine))
-    }
-
-    /// The earliest busy-until mark over all live spines.
-    pub fn min_live_spine_free_at(&self) -> Nanoseconds {
-        any_delegate!(self, f => f.backbone_free_at(), c => c.min_live_spine_free_at())
-    }
-
-    /// Earliest instant the least-loaded live core path is free; see
-    /// [`FabricModel::free_at`].
-    pub fn free_at(&self) -> Nanoseconds {
-        self.min_live_spine_free_at()
-    }
-
-    /// Remove a spine from service; see [`ClosFabric::fail_spine`]. The
-    /// single-spine fabric always refuses (it would partition).
-    pub fn fail_spine(&mut self, spine: usize) -> Result<()> {
-        any_delegate!(self, f => FabricModel::fail_spine(f, spine), c => c.fail_spine(spine))
-    }
-
-    /// One-way propagation latency between two endpoints.
-    pub fn latency(&self, from: usize, to: usize) -> Nanoseconds {
-        any_delegate!(self, f => { let _ = (from, to); f.params().latency },
-                      c => c.latency(from, to))
-    }
-
-    /// Time for `payload` bytes to cross an idle path `from -> to`.
-    pub fn transfer_time(&self, from: usize, to: usize, payload: u64) -> Nanoseconds {
-        any_delegate!(self, f => { let _ = (from, to); f.params().transfer_time(payload) },
-                      c => c.transfer_time(from, to, payload))
-    }
-
-    /// Earliest instant a transfer between `from` and `to` could start.
-    pub fn path_free_at(&self, from: usize, to: usize) -> Result<Nanoseconds> {
-        any_delegate!(self, f => f.path_free_at(from, to), c => c.path_free_at(from, to))
-    }
-
-    /// Move `payload` bytes `from -> to`; returns the arrival time.
-    pub fn transfer(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        payload: u64,
-    ) -> Result<Nanoseconds> {
-        any_delegate!(self, f => f.transfer(from, to, now, payload),
-                      c => c.transfer(from, to, now, payload))
-    }
-
-    /// Move a striped burst `from -> to`; returns the whole burst's arrival.
-    pub fn transfer_striped(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        stripes: &[u64],
-    ) -> Result<Nanoseconds> {
-        any_delegate!(self, f => f.transfer_striped(from, to, now, stripes),
-                      c => c.transfer_striped(from, to, now, stripes))
-    }
-
-    /// Total payload bytes carried.
-    pub fn bytes_carried(&self) -> u64 {
-        any_delegate!(self, f => f.bytes_carried(), c => c.bytes_carried())
-    }
-
-    /// Total on-wire bytes carried.
-    pub fn wire_bytes_carried(&self) -> u64 {
-        any_delegate!(self, f => f.wire_bytes_carried(), c => c.wire_bytes_carried())
-    }
-
-    /// Number of transfers performed.
-    pub fn transfers(&self) -> u64 {
-        any_delegate!(self, f => f.transfers(), c => c.transfers())
-    }
-
-    /// Payload bytes sent by endpoint `i`.
-    pub fn bytes_sent_by(&self, i: usize) -> u64 {
-        any_delegate!(self, f => f.bytes_sent_by(i), c => c.bytes_sent_by(i))
-    }
-
-    /// Payload bytes received by endpoint `i`.
-    pub fn bytes_received_by(&self, i: usize) -> u64 {
-        any_delegate!(self, f => f.bytes_received_by(i), c => c.bytes_received_by(i))
-    }
-
-    /// Attach a trace.
-    pub fn set_trace(&mut self, trace: Trace) {
-        any_delegate!(self, f => f.set_trace(trace), c => c.set_trace(trace))
-    }
-}
-
-impl FabricModel for AnyFabric {
-    fn endpoints(&self) -> usize {
-        AnyFabric::endpoints(self)
-    }
-    fn racks(&self) -> usize {
-        AnyFabric::racks(self)
-    }
-    fn rack_of(&self, endpoint: usize) -> usize {
-        AnyFabric::rack_of(self, endpoint)
-    }
-    fn spines(&self) -> usize {
-        AnyFabric::spines(self)
-    }
-    fn live_spines(&self) -> usize {
-        AnyFabric::live_spines(self)
-    }
-    fn spine_free_at(&self, spine: usize) -> Option<Nanoseconds> {
-        AnyFabric::spine_free_at(self, spine)
-    }
-    fn free_at(&self) -> Nanoseconds {
-        AnyFabric::free_at(self)
-    }
-    fn fail_spine(&mut self, spine: usize) -> Result<()> {
-        AnyFabric::fail_spine(self, spine)
-    }
-    fn latency(&self, from: usize, to: usize) -> Nanoseconds {
-        AnyFabric::latency(self, from, to)
-    }
-    fn transfer_time(&self, from: usize, to: usize, payload: u64) -> Nanoseconds {
-        AnyFabric::transfer_time(self, from, to, payload)
-    }
-    fn path_free_at(&self, from: usize, to: usize) -> Result<Nanoseconds> {
-        AnyFabric::path_free_at(self, from, to)
-    }
-    fn transfer(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        payload: u64,
-    ) -> Result<Nanoseconds> {
-        AnyFabric::transfer(self, from, to, now, payload)
-    }
-    fn transfer_striped(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        stripes: &[u64],
-    ) -> Result<Nanoseconds> {
-        AnyFabric::transfer_striped(self, from, to, now, stripes)
-    }
-    fn set_trace(&mut self, trace: Trace) {
-        AnyFabric::set_trace(self, trace)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FabricParams;
     use proptest::prelude::*;
 
     const MB: u64 = 1_000_000;
@@ -1243,6 +872,8 @@ mod tests {
             .transfer_striped(0, 1, Nanoseconds::ZERO, &split)
             .unwrap();
         assert!(striped >= single, "rack-local striping must never win");
+        // Rack-local traffic on a multi-rack fabric leaves every spine cold.
+        assert_eq!(one.free_at(), Nanoseconds::ZERO);
     }
 
     #[test]
@@ -1311,51 +942,90 @@ mod tests {
         assert_eq!(arrival, free.saturating_add(idle_time));
     }
 
-    #[test]
-    fn single_spine_fabric_implements_the_model() {
-        let mut f = Fabric::new(4, FabricParams::datacenter()).unwrap();
-        let m: &mut dyn FabricModel = &mut f;
-        assert_eq!(m.racks(), 1);
-        assert_eq!(m.spines(), 1);
-        assert_eq!(m.live_spines(), 1);
-        assert_eq!(m.rack_of(3), 0);
-        assert_eq!(m.spine_free_at(0), Some(Nanoseconds::ZERO));
-        assert_eq!(m.spine_free_at(1), None);
-        assert!(m.fail_spine(0).is_err());
-        assert_eq!(m.latency(0, 1), FabricParams::datacenter().latency);
-        let t = m.transfer(0, 1, Nanoseconds::ZERO, MB).unwrap();
-        assert_eq!(
-            m.spine_free_at(0),
-            Some(t.saturating_sub(FabricParams::datacenter().latency))
-        );
+    /// The closed-form single-spine model the one-rack preset must
+    /// reproduce: `start = max(now, nic[from], nic[to], backbone)`,
+    /// `busy = start + ser(Σ per-stream wire)`, `arrival = busy + latency`.
+    struct Oracle {
+        p: FabricParams,
+        nic: Vec<Nanoseconds>,
+        backbone: Nanoseconds,
+        sent: Vec<u64>,
+        received: Vec<u64>,
+        transfers: u64,
+    }
+
+    impl Oracle {
+        fn new(p: FabricParams, endpoints: usize) -> Self {
+            Oracle {
+                p,
+                nic: vec![Nanoseconds::ZERO; endpoints],
+                backbone: Nanoseconds::ZERO,
+                sent: vec![0; endpoints],
+                received: vec![0; endpoints],
+                transfers: 0,
+            }
+        }
+
+        fn wire(&self, payload: u64) -> u64 {
+            payload + payload.div_ceil(self.p.mtu) * self.p.chunk_overhead
+        }
+
+        fn ser(&self, wire: u64) -> Nanoseconds {
+            let rate = self
+                .p
+                .nic_bytes_per_second
+                .min(self.p.backbone_bytes_per_second);
+            Nanoseconds((wire as u128 * 1_000_000_000 / rate as u128) as u64)
+        }
+
+        fn transfer_time(&self, payload: u64) -> Nanoseconds {
+            self.p.latency + self.ser(self.wire(payload))
+        }
+
+        fn path_free_at(&self, from: usize, to: usize) -> Nanoseconds {
+            self.nic[from].max(self.nic[to]).max(self.backbone)
+        }
+
+        fn burst(
+            &mut self,
+            from: usize,
+            to: usize,
+            now: Nanoseconds,
+            stripes: &[u64],
+        ) -> Nanoseconds {
+            let start = now.max(self.path_free_at(from, to));
+            let busy = start + self.ser(stripes.iter().map(|&s| self.wire(s)).sum());
+            (self.nic[from], self.nic[to], self.backbone) = (busy, busy, busy);
+            self.sent[from] += stripes.iter().sum::<u64>();
+            self.received[to] += stripes.iter().sum::<u64>();
+            self.transfers += stripes.iter().filter(|&&s| s > 0).count().max(1) as u64;
+            busy + self.p.latency
+        }
     }
 
     #[test]
-    fn any_fabric_delegates_both_ways() {
-        let mut s = AnyFabric::Single(Fabric::new(4, FabricParams::datacenter()).unwrap());
-        let mut c = AnyFabric::Clos(dc(4, 8));
-        assert_eq!(s.racks(), 1);
-        assert_eq!(c.racks(), 4);
-        assert_eq!(s.rack_of(3), 0);
-        assert_eq!(c.rack_of(9), 1);
-        assert!(s.fail_spine(0).is_err());
-        assert!(c.fail_spine(0).is_ok());
-        assert_eq!(c.live_spines(), 3);
-        let a = s.transfer(0, 1, Nanoseconds::ZERO, MB).unwrap();
-        let b = c.transfer(0, 1, Nanoseconds::ZERO, MB).unwrap();
-        assert!(a > Nanoseconds::ZERO && b > Nanoseconds::ZERO);
-        assert_eq!(s.bytes_carried(), MB);
-        assert_eq!(c.bytes_carried(), MB);
-        assert!(s.min_live_spine_free_at() > Nanoseconds::ZERO);
-        // Clos rack-local transfer leaves every spine cold.
-        assert_eq!(c.min_live_spine_free_at(), Nanoseconds::ZERO);
+    fn single_spine_fabric_implements_the_model() {
+        let p = FabricParams::datacenter();
+        let mut f = ClosFabric::new(4, p).unwrap();
+        assert_eq!((f.racks(), f.spines(), f.live_spines()), (1, 1, 1));
+        assert_eq!(f.rack_of(3), 0);
+        assert_eq!(f.spine_free_at(1), None);
+        assert!(f.fail_spine(0).is_err());
+        assert_eq!(f.latency(0, 1), p.latency);
+        let t = f.transfer(0, 1, Nanoseconds::ZERO, MB).unwrap();
+        // The backlog the planner reads is the backbone's (the leaf's),
+        // not the spine's, which no one-rack transfer crosses.
+        assert_eq!(f.free_at(), t.saturating_sub(p.latency));
+        assert_eq!(f.spine_free_at(0), Some(Nanoseconds::ZERO));
     }
 
     proptest! {
-        /// The ISSUE 8 degenerate-equivalence pin: a 1-rack/1-spine
-        /// `ClosFabric` built from any valid `FabricParams` produces `==`
-        /// completion times and counters to the original `Fabric` across
-        /// random payload sequences, stream splits and start instants.
+        /// The ISSUE 8 equivalence pin, now against the closed-form oracle:
+        /// the one-rack preset built from any valid `FabricParams` matches
+        /// the single-spine model's arrivals, path and core marks, latency,
+        /// idle transfer time, per-endpoint and total counters across random
+        /// payload sequences, stream splits and start instants, and refuses
+        /// to fail its only spine.
         #[test]
         fn one_rack_one_spine_clos_equals_single_spine_fabric(
             nic in 1_000u64..10_000_000_000,
@@ -1378,26 +1048,32 @@ mod tests {
                 mtu: 1500,
                 chunk_overhead: 90,
             };
-            let mut single = Fabric::new(endpoints, fp).unwrap();
-            let mut clos =
-                ClosFabric::new(endpoints, ClosParams::degenerate(fp, endpoints)).unwrap();
+            let mut oracle = Oracle::new(fp, endpoints);
+            let mut clos = ClosFabric::new(endpoints, fp).unwrap();
+            prop_assert!(clos.fail_spine(0).is_err());
+            let mut wire = 0;
             for (from, to, start, stripes) in &bursts {
                 let (from, to) = (from % endpoints, to % endpoints);
                 if from == to {
                     continue;
                 }
                 let now = Nanoseconds(*start);
-                let a = single.transfer_striped(from, to, now, stripes).unwrap();
+                let a = oracle.burst(from, to, now, stripes);
+                wire += stripes.iter().map(|&s| oracle.wire(s)).sum::<u64>();
                 let b = clos.transfer_striped(from, to, now, stripes).unwrap();
                 prop_assert_eq!(a, b);
-                prop_assert_eq!(
-                    single.path_free_at(from, to).unwrap(),
-                    clos.path_free_at(from, to).unwrap()
-                );
+                prop_assert_eq!(oracle.path_free_at(from, to), clos.path_free_at(from, to).unwrap());
+                prop_assert_eq!(oracle.backbone, clos.free_at());
+                prop_assert_eq!(fp.latency, clos.latency(from, to));
+                prop_assert_eq!(oracle.transfer_time(stripes[0]), clos.transfer_time(from, to, stripes[0]));
             }
-            prop_assert_eq!(single.bytes_carried(), clos.bytes_carried());
-            prop_assert_eq!(single.wire_bytes_carried(), clos.wire_bytes_carried());
-            prop_assert_eq!(single.transfers(), clos.transfers());
+            for e in 0..endpoints {
+                prop_assert_eq!(oracle.sent[e], clos.bytes_sent_by(e));
+                prop_assert_eq!(oracle.received[e], clos.bytes_received_by(e));
+            }
+            prop_assert_eq!(oracle.sent.iter().sum::<u64>(), clos.bytes_carried());
+            prop_assert_eq!(wire, clos.wire_bytes_carried());
+            prop_assert_eq!(oracle.transfers, clos.transfers());
         }
 
         /// Clos arrival times are monotone per pair and deterministic.

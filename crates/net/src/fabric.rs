@@ -1,56 +1,57 @@
-//! A modelled datacenter network fabric for migration and DR traffic.
+//! The single-spine fabric: the worst-case one-rack preset of [`ClosFabric`].
 //!
 //! [`Link`](crate::Link) models one private point-to-point pipe; real
 //! migration traffic crosses a *shared* fabric: each host hangs off its own
 //! NIC, every NIC feeds one aggregate backbone, and big transfers are
-//! chunked into MTU-sized packets that each pay framing overhead. [`Fabric`]
-//! models exactly that, with deterministic integer-nanosecond timing so
-//! orchestrator runs replay bit-identically.
+//! chunked into MTU-sized packets that each pay framing overhead. That
+//! single-spine fabric is not a second model: it is the [`ClosParams`]
+//! preset `ClosParams::from(FabricParams)` — one rack holding every
+//! endpoint, whose leaf plays the backbone, so every transfer is rack-local
+//! and never reaches the (single) spine. `clos.rs`'s tests pin the preset
+//! against the closed-form single-spine model below.
 //!
 //! # Model parameters and assumptions
 //!
 //! Following *On Heuristic Models, Assumptions, and Parameters*, every
-//! assumption is a named [`FabricParams`] field rather than an implicit
-//! constant:
+//! assumption of the preset is a named [`FabricParams`] field rather than an
+//! implicit constant:
 //!
 //! * **Per-host NIC capacity** (`nic_bytes_per_second`) — a host serializes
 //!   all of its migration/DR traffic through one NIC; two transfers
 //!   touching the same host queue behind each other.
 //! * **Shared backbone** (`backbone_bytes_per_second`) — all hosts share
-//!   one aggregate uplink; transfers between *disjoint* host pairs still
-//!   contend here. This is the worst-case single-spine assumption, kept as
-//!   the conservative upper bound on contention: the two-tier
-//!   [`ClosFabric`](crate::ClosFabric) models the leaf/spine topology real
-//!   datacenters use, where disjoint rack pairs ride independent spine
-//!   paths, and reproduces this model `==`-exactly in its 1-rack/1-spine
-//!   degenerate configuration (proptest-pinned).
+//!   one aggregate uplink (the one rack's leaf); transfers between
+//!   *disjoint* host pairs still contend here. This is the worst-case
+//!   single-spine assumption, kept as the conservative upper bound on
+//!   contention: a multi-rack [`ClosFabric`] models the leaf/spine topology
+//!   real datacenters use, where disjoint rack pairs ride independent spine
+//!   paths.
 //! * **MTU chunking** (`mtu`, `chunk_overhead`) — a payload of `n` bytes
 //!   crosses the wire as `ceil(n / mtu)` chunks, each carrying
 //!   `chunk_overhead` bytes of framing (Ethernet + IP + TCP headers), so
 //!   small MTUs visibly tax big memory streams.
 //! * **Propagation latency** (`latency`) — one-way, paid once per
-//!   [`Fabric::transfer`] call (a transfer models one batched burst, not one
-//!   packet; intra-burst pipelining hides per-packet latency).
+//!   [`ClosFabric::transfer`] call (a transfer models one batched burst, not
+//!   one packet; intra-burst pipelining hides per-packet latency).
 //! * **Store-and-forward occupancy** — a transfer occupies the source NIC,
 //!   the backbone and the destination NIC for its whole serialization time
 //!   (no cut-through credit), which is what makes contention conservative
-//!   and the timing a simple max over `free_at` marks.
-//! * **Parallel chunk streams** ([`Fabric::transfer_striped`]) — a
+//!   and the timing a simple max over busy-until marks:
+//!   `start = max(now, nic[from], nic[to], backbone)`,
+//!   `arrival = start + serialization + latency`.
+//! * **Parallel chunk streams** ([`ClosFabric::transfer_striped`]) — a
 //!   multi-stream migration presents its per-stripe payloads together and
 //!   the streams *fairly share* the source NIC, the backbone and the
 //!   destination NIC. Because one bottleneck serializes every stream's
 //!   bytes, the striped burst completes exactly when a single stream
 //!   carrying the aggregate would — except that each stream pays its own
-//!   MTU chunk framing (`ceil(payload / mtu)` per stream), so parallelism
-//!   is never *faster* in simulated time **on this single-spine model** —
-//!   a property of the topology, not of striping itself. On a multi-spine
-//!   [`ClosFabric`](crate::ClosFabric), ECMP-spread streams cross
+//!   MTU chunk framing, so parallelism is never *faster* in simulated time
+//!   **on this preset** — a property of the topology, not of striping
+//!   itself: on a multi-spine [`ClosFabric`], ECMP-spread streams cross
 //!   independent spine paths and a cross-rack striped burst genuinely
-//!   completes earlier (regression-pinned in `clos.rs`). What parallel
-//!   streams buy *here* is host-CPU overlap (encode and apply proceed
-//!   concurrently), which is wall-clock, not guest-visible simulated time;
-//!   per-stream completion instants inside a burst are deliberately not
-//!   modelled.
+//!   completes earlier. What parallel streams buy *here* is host-CPU
+//!   overlap (encode and apply proceed concurrently), which is wall-clock,
+//!   not guest-visible simulated time.
 //!
 //! All timing is computed in `u128` nanosecond arithmetic and stored as
 //! [`Nanoseconds`]; no floats are involved, so same-seed simulations replay
@@ -58,14 +59,19 @@
 
 use serde::{Deserialize, Serialize};
 
-use rvisor_obs::{ArgValue, Trace};
-use rvisor_types::{Error, Nanoseconds, Result};
+use rvisor_types::{Nanoseconds, Result};
+
+use crate::clos::{ClosFabric, ClosParams};
 
 /// Default per-chunk framing overhead: Ethernet (14) + IPv4 (20) + TCP (32,
 /// with timestamps) + FCS (4) + preamble/IFG (8 + 12) ≈ 90 bytes per MTU.
 pub const DEFAULT_CHUNK_OVERHEAD: u64 = 90;
 
-/// Named, validated parameters of a [`Fabric`].
+/// The name the repository benchmark still builds the single-spine fabric
+/// by; the workspace names [`ClosFabric`] and the preset directly.
+pub type Fabric = ClosFabric;
+
+/// Named, validated parameters of the single-spine preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct FabricParams {
     /// Line rate of every host NIC, in bytes per second.
@@ -118,336 +124,30 @@ impl FabricParams {
 
     /// Validate the parameters: bandwidths and MTU must be non-zero, and the
     /// MTU must exceed the per-chunk overhead (otherwise goodput is zero or
-    /// negative and transfer times diverge).
+    /// negative and transfer times diverge) — the preset's own checks.
     pub fn validate(&self) -> Result<()> {
-        if self.nic_bytes_per_second == 0 {
-            return Err(Error::Net("fabric NIC bandwidth must be non-zero".into()));
-        }
-        if self.backbone_bytes_per_second == 0 {
-            return Err(Error::Net(
-                "fabric backbone bandwidth must be non-zero".into(),
-            ));
-        }
-        if self.mtu == 0 {
-            return Err(Error::Net("fabric MTU must be non-zero".into()));
-        }
-        if self.chunk_overhead >= self.mtu {
-            return Err(Error::Net(format!(
-                "chunk overhead ({}) must be smaller than the MTU ({})",
-                self.chunk_overhead, self.mtu
-            )));
-        }
-        Ok(())
-    }
-
-    /// The bottleneck rate a single transfer serializes at: the slower of a
-    /// NIC and the backbone (both endpoints' NICs are identical).
-    pub fn bottleneck_bytes_per_second(&self) -> u64 {
-        self.nic_bytes_per_second
-            .min(self.backbone_bytes_per_second)
-    }
-
-    /// Bytes that actually cross the wire for a `payload`-byte transfer:
-    /// payload plus per-chunk framing for `ceil(payload / mtu)` chunks.
-    pub fn wire_bytes(&self, payload: u64) -> u64 {
-        let chunks = payload.div_ceil(self.mtu.max(1));
-        payload.saturating_add(chunks.saturating_mul(self.chunk_overhead))
-    }
-
-    /// Time for `payload` bytes to cross an idle fabric (chunked
-    /// serialization at the bottleneck rate, plus one propagation latency).
-    pub fn transfer_time(&self, payload: u64) -> Nanoseconds {
-        self.latency
-            .saturating_add(self.serialization_time(payload))
-    }
-
-    /// Serialization component of [`Self::transfer_time`] (no propagation).
-    pub fn serialization_time(&self, payload: u64) -> Nanoseconds {
-        self.serialization_time_wire(self.wire_bytes(payload))
-    }
-
-    /// Time for `wire` already-framed bytes to serialize at the bottleneck
-    /// rate (the striped-transfer path sums per-stream framing first).
-    pub fn serialization_time_wire(&self, wire: u64) -> Nanoseconds {
-        let rate = self.bottleneck_bytes_per_second().max(1);
-        Nanoseconds(((wire as u128 * 1_000_000_000) / rate as u128) as u64)
+        ClosParams::from(*self).validate()
     }
 }
 
-/// One endpoint's NIC: a busy-until mark plus traffic counters.
-#[derive(Debug, Clone, Copy, Default)]
-struct Nic {
-    free_at: Nanoseconds,
-    bytes_sent: u64,
-    bytes_received: u64,
-}
-
-/// A shared datacenter fabric connecting `n` endpoints.
-///
-/// Endpoints are dense indices `0..n` (the orchestrator maps host ids onto
-/// them; by convention the DR target rides along as one extra endpoint).
-/// All state is integer nanoseconds, so a run's transfer timeline is a pure
-/// function of the call sequence — deterministic replay for free.
-#[derive(Debug, Clone)]
-pub struct Fabric {
-    params: FabricParams,
-    nics: Vec<Nic>,
-    backbone_free_at: Nanoseconds,
-    bytes_carried: u64,
-    wire_bytes_carried: u64,
-    transfers: u64,
-    trace: Trace,
-}
-
-impl Fabric {
-    /// Create a fabric with `endpoints` idle NICs.
-    pub fn new(endpoints: usize, params: FabricParams) -> Result<Self> {
-        params.validate()?;
-        if endpoints < 2 {
-            return Err(Error::Net("a fabric needs at least two endpoints".into()));
+/// The single-spine preset: one rack with room for every endpoint, whose
+/// leaf takes the backbone's capacity; one spine of the same capacity that
+/// no (rack-local) transfer ever crosses; both latency classes at the
+/// backbone's latency.
+impl From<FabricParams> for ClosParams {
+    fn from(fp: FabricParams) -> Self {
+        ClosParams {
+            racks: 1,
+            hosts_per_rack: usize::MAX,
+            nic_bytes_per_second: fp.nic_bytes_per_second,
+            leaf_uplink_bytes_per_second: fp.backbone_bytes_per_second,
+            spines: 1,
+            spine_bytes_per_second: fp.backbone_bytes_per_second,
+            rack_latency: fp.latency,
+            cross_latency: fp.latency,
+            mtu: fp.mtu,
+            chunk_overhead: fp.chunk_overhead,
         }
-        Ok(Fabric {
-            params,
-            nics: vec![Nic::default(); endpoints],
-            backbone_free_at: Nanoseconds::ZERO,
-            bytes_carried: 0,
-            wire_bytes_carried: 0,
-            transfers: 0,
-            trace: Trace::off(),
-        })
-    }
-
-    /// Attach a trace: every subsequent transfer emits a span on the
-    /// `fabric` track splitting queueing delay (NIC/backbone busy-wait)
-    /// from serialization time, plus occupancy counter samples.
-    pub fn set_trace(&mut self, trace: Trace) {
-        self.trace = trace;
-    }
-
-    /// The attached trace (off by default).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn emit_transfer_span(
-        &self,
-        name: &'static str,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        start: Nanoseconds,
-        busy_until: Nanoseconds,
-        arrival: Nanoseconds,
-        payload: u64,
-        wire: u64,
-        streams: u64,
-    ) {
-        if !self.trace.is_on() {
-            return;
-        }
-        let queue_wait = start.saturating_sub(now);
-        let serialization = busy_until.saturating_sub(start);
-        self.trace.span(
-            "fabric",
-            name,
-            now,
-            arrival,
-            &[
-                ("from", ArgValue::U64(from as u64)),
-                ("to", ArgValue::U64(to as u64)),
-                ("payload", ArgValue::U64(payload)),
-                ("wire", ArgValue::U64(wire)),
-                ("streams", ArgValue::U64(streams)),
-                ("queue_wait_ns", ArgValue::U64(queue_wait.as_nanos())),
-                ("serialization_ns", ArgValue::U64(serialization.as_nanos())),
-            ],
-        );
-        self.trace
-            .observe("fabric.queue_wait_ns", queue_wait.as_nanos());
-        self.trace
-            .observe("fabric.serialization_ns", serialization.as_nanos());
-        self.trace.add("fabric.transfers", 1);
-        self.trace.add("fabric.payload_bytes", payload);
-        self.trace.add("fabric.wire_bytes", wire);
-        self.trace
-            .counter("fabric", "bytes_carried", arrival, self.bytes_carried);
-        self.trace.counter(
-            "fabric",
-            "wire_bytes_carried",
-            arrival,
-            self.wire_bytes_carried,
-        );
-    }
-
-    /// The fabric's parameters.
-    pub fn params(&self) -> FabricParams {
-        self.params
-    }
-
-    /// Number of endpoints.
-    pub fn endpoints(&self) -> usize {
-        self.nics.len()
-    }
-
-    /// Total payload bytes carried.
-    pub fn bytes_carried(&self) -> u64 {
-        self.bytes_carried
-    }
-
-    /// Total on-wire bytes carried (payload plus chunk framing).
-    pub fn wire_bytes_carried(&self) -> u64 {
-        self.wire_bytes_carried
-    }
-
-    /// Number of transfers performed.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Busy-until mark of the shared backbone (the single spine of the
-    /// degenerate topology — see [`FabricModel`](crate::FabricModel)).
-    pub fn backbone_free_at(&self) -> Nanoseconds {
-        self.backbone_free_at
-    }
-
-    /// Payload bytes sent by endpoint `i`.
-    pub fn bytes_sent_by(&self, i: usize) -> u64 {
-        self.nics.get(i).map_or(0, |n| n.bytes_sent)
-    }
-
-    /// Payload bytes received by endpoint `i`.
-    pub fn bytes_received_by(&self, i: usize) -> u64 {
-        self.nics.get(i).map_or(0, |n| n.bytes_received)
-    }
-
-    fn check_pair(&self, from: usize, to: usize) -> Result<()> {
-        if from == to {
-            return Err(Error::Net(format!(
-                "fabric transfer from endpoint {from} to itself"
-            )));
-        }
-        if from >= self.nics.len() || to >= self.nics.len() {
-            return Err(Error::Net(format!(
-                "fabric endpoint out of range: {from} -> {to} with {} endpoints",
-                self.nics.len()
-            )));
-        }
-        Ok(())
-    }
-
-    /// Earliest instant a transfer between `from` and `to` could start:
-    /// both NICs and the backbone must be free.
-    pub fn path_free_at(&self, from: usize, to: usize) -> Result<Nanoseconds> {
-        self.check_pair(from, to)?;
-        Ok(self.nics[from]
-            .free_at
-            .max(self.nics[to].free_at)
-            .max(self.backbone_free_at))
-    }
-
-    /// Move `payload` bytes from endpoint `from` to endpoint `to`, starting
-    /// no earlier than `now`; returns the simulated arrival time.
-    ///
-    /// The transfer occupies the source NIC, the backbone and the
-    /// destination NIC for its whole serialization window (store-and-forward
-    /// occupancy — see the module docs), then pays one propagation latency.
-    pub fn transfer(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        payload: u64,
-    ) -> Result<Nanoseconds> {
-        self.check_pair(from, to)?;
-        let start = now.max(self.path_free_at(from, to)?);
-        let busy_until = start.saturating_add(self.params.serialization_time(payload));
-        let wire = self.params.wire_bytes(payload);
-        self.nics[from].free_at = busy_until;
-        self.nics[to].free_at = busy_until;
-        self.backbone_free_at = busy_until;
-        self.nics[from].bytes_sent += payload;
-        self.nics[to].bytes_received += payload;
-        self.bytes_carried += payload;
-        self.wire_bytes_carried += wire;
-        self.transfers += 1;
-        let arrival = busy_until.saturating_add(self.params.latency);
-        self.emit_transfer_span(
-            "transfer", from, to, now, start, busy_until, arrival, payload, wire, 1,
-        );
-        Ok(arrival)
-    }
-
-    /// Move a striped burst of parallel chunk streams from `from` to `to`,
-    /// starting no earlier than `now`; `stripes[i]` is stream `i`'s payload
-    /// bytes. Returns the arrival time of the *whole* burst.
-    ///
-    /// The streams fairly share the path (see the module docs): the burst
-    /// occupies both NICs and the backbone until the *sum* of every
-    /// stream's wire bytes has serialized at the bottleneck rate, then pays
-    /// one propagation latency. Each stream is framed separately
-    /// (`ceil(payload / mtu)` chunks per stream), so **on this single-spine
-    /// model** splitting a burst never makes it faster and usually makes it
-    /// marginally slower — the honest cost of multi-stream migration when
-    /// every stream shares one backbone. On the multi-spine
-    /// [`ClosFabric`](crate::ClosFabric) the same call *is* faster
-    /// cross-rack, because ECMP hashing spreads the streams over
-    /// independent spine paths.
-    ///
-    /// `transfer_striped(&[b])` is exactly [`Fabric::transfer`] of `b`.
-    pub fn transfer_striped(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        stripes: &[u64],
-    ) -> Result<Nanoseconds> {
-        self.check_pair(from, to)?;
-        let start = now.max(self.path_free_at(from, to)?);
-        let mut payload_total = 0u64;
-        let mut wire_total = 0u64;
-        let mut active_streams = 0u64;
-        for &payload in stripes {
-            payload_total = payload_total.saturating_add(payload);
-            wire_total = wire_total.saturating_add(self.params.wire_bytes(payload));
-            if payload > 0 {
-                active_streams += 1;
-            }
-        }
-        let busy_until = start.saturating_add(self.params.serialization_time_wire(wire_total));
-        self.nics[from].free_at = busy_until;
-        self.nics[to].free_at = busy_until;
-        self.backbone_free_at = busy_until;
-        self.nics[from].bytes_sent += payload_total;
-        self.nics[to].bytes_received += payload_total;
-        self.bytes_carried += payload_total;
-        self.wire_bytes_carried += wire_total;
-        self.transfers += active_streams.max(1);
-        let arrival = busy_until.saturating_add(self.params.latency);
-        self.emit_transfer_span(
-            "transfer-striped",
-            from,
-            to,
-            now,
-            start,
-            busy_until,
-            arrival,
-            payload_total,
-            wire_total,
-            active_streams.max(1),
-        );
-        Ok(arrival)
-    }
-
-    /// Reset all busy-time marks and counters (between benchmark runs).
-    pub fn reset(&mut self) {
-        for nic in &mut self.nics {
-            *nic = Nic::default();
-        }
-        self.backbone_free_at = Nanoseconds::ZERO;
-        self.bytes_carried = 0;
-        self.wire_bytes_carried = 0;
-        self.transfers = 0;
     }
 }
 
@@ -483,27 +183,27 @@ mod tests {
         let mut p = FabricParams::datacenter();
         p.chunk_overhead = p.mtu;
         assert!(p.validate().is_err());
-        assert!(Fabric::new(1, FabricParams::datacenter()).is_err());
-        assert!(Fabric::new(0, FabricParams::datacenter()).is_err());
+        assert!(ClosFabric::new(1, FabricParams::datacenter()).is_err());
+        assert!(ClosFabric::new(0, FabricParams::datacenter()).is_err());
     }
 
     #[test]
     fn mtu_chunking_taxes_transfers() {
         // 1 MB at 1 MB/s: exactly 1 s of payload plus chunk framing.
-        let p = flat_params(1_000_000, 1000);
+        let p = ClosParams::from(flat_params(1_000_000, 1000));
         // 1000 chunks x 100 overhead = 100_000 extra bytes = 0.1 s.
         assert_eq!(p.wire_bytes(1_000_000), 1_100_000);
-        assert_eq!(p.transfer_time(1_000_000), Nanoseconds(1_100_000_000));
+        assert_eq!(p.local_transfer_time(1_000_000), Nanoseconds(1_100_000_000));
         // Jumbo frames shrink the tax.
-        let jumbo = flat_params(1_000_000, 9000);
-        assert!(jumbo.transfer_time(1_000_000) < p.transfer_time(1_000_000));
+        let jumbo = ClosParams::from(flat_params(1_000_000, 9000));
+        assert!(jumbo.local_transfer_time(1_000_000) < p.local_transfer_time(1_000_000));
         // Zero payload still needs no chunks.
         assert_eq!(p.wire_bytes(0), 0);
     }
 
     #[test]
     fn shared_backbone_serializes_disjoint_pairs() {
-        let mut f = Fabric::new(4, flat_params(1_000_000, 1_000_000)).unwrap();
+        let mut f = ClosFabric::new(4, flat_params(1_000_000, 1_000_000)).unwrap();
         // 0->1 and 2->3 share no NIC, but do share the backbone.
         let a = f.transfer(0, 1, Nanoseconds::ZERO, 500_000).unwrap();
         let b = f.transfer(2, 3, Nanoseconds::ZERO, 500_000).unwrap();
@@ -519,7 +219,7 @@ mod tests {
     fn wider_backbone_still_serializes_nic_sharers() {
         let mut params = flat_params(1_000_000, 1_000_000);
         params.backbone_bytes_per_second = 100_000_000;
-        let mut f = Fabric::new(3, params).unwrap();
+        let mut f = ClosFabric::new(3, params).unwrap();
         let a = f.transfer(0, 1, Nanoseconds::ZERO, 500_000).unwrap();
         // Same source NIC: must queue even though the backbone is fast.
         let b = f.transfer(0, 2, Nanoseconds::ZERO, 500_000).unwrap();
@@ -528,7 +228,7 @@ mod tests {
 
     #[test]
     fn invalid_endpoints_are_rejected() {
-        let mut f = Fabric::new(2, flat_params(1_000_000, 1500)).unwrap();
+        let mut f = ClosFabric::new(2, flat_params(1_000_000, 1500)).unwrap();
         assert!(f.transfer(0, 0, Nanoseconds::ZERO, 1).is_err());
         assert!(f.transfer(0, 2, Nanoseconds::ZERO, 1).is_err());
         assert!(f.path_free_at(5, 0).is_err());
@@ -541,8 +241,8 @@ mod tests {
     #[test]
     fn striped_transfer_matches_single_stream_for_one_stripe() {
         let params = FabricParams::office_lan();
-        let mut a = Fabric::new(2, params).unwrap();
-        let mut b = Fabric::new(2, params).unwrap();
+        let mut a = ClosFabric::new(2, params).unwrap();
+        let mut b = ClosFabric::new(2, params).unwrap();
         let single = a.transfer(0, 1, Nanoseconds::ZERO, 3_000_000).unwrap();
         let striped = b
             .transfer_striped(0, 1, Nanoseconds::ZERO, &[3_000_000])
@@ -556,8 +256,8 @@ mod tests {
     #[test]
     fn striping_pays_per_stream_framing_and_never_beats_one_stream() {
         let params = FabricParams::office_lan();
-        let mut one = Fabric::new(2, params).unwrap();
-        let mut four = Fabric::new(2, params).unwrap();
+        let mut one = ClosFabric::new(2, params).unwrap();
+        let mut four = ClosFabric::new(2, params).unwrap();
         let total = 4_000_001u64; // deliberately not a multiple of 4 or MTU
         let single = one
             .transfer_striped(0, 1, Nanoseconds::ZERO, &[total])
@@ -579,7 +279,7 @@ mod tests {
         let later = four.transfer(0, 1, Nanoseconds::ZERO, 1).unwrap();
         assert!(later > striped.saturating_sub(params.latency));
         // Empty stripes contribute nothing but the call still counts once.
-        let mut empty = Fabric::new(2, params).unwrap();
+        let mut empty = ClosFabric::new(2, params).unwrap();
         let done = empty
             .transfer_striped(0, 1, Nanoseconds::ZERO, &[0, 0])
             .unwrap();
@@ -597,7 +297,7 @@ mod tests {
             sizes in proptest::collection::vec(0u64..10_000_000, 1..16)
         ) {
             let run = || {
-                let mut f = Fabric::new(2, FabricParams::office_lan()).unwrap();
+                let mut f = ClosFabric::new(2, FabricParams::office_lan()).unwrap();
                 let mut times = Vec::new();
                 for &s in &sizes {
                     times.push(f.transfer(0, 1, Nanoseconds::ZERO, s).unwrap());
@@ -611,16 +311,16 @@ mod tests {
             prop_assert_eq!(&first, &run());
         }
 
-        /// The fabric is never faster than a bare link of the bottleneck
+        /// The preset is never faster than a bare link of the bottleneck
         /// bandwidth: chunk framing only adds time.
         #[test]
         fn fabric_never_beats_the_bare_link(bytes in 1u64..(1 << 28)) {
-            let p = FabricParams::office_lan();
+            let p = ClosParams::from(FabricParams::office_lan());
             let bare = crate::LinkModel {
-                bytes_per_second: p.bottleneck_bytes_per_second(),
-                latency: p.latency,
+                bytes_per_second: p.local_bytes_per_second(),
+                latency: p.rack_latency,
             };
-            prop_assert!(p.transfer_time(bytes) >= bare.transfer_time(bytes));
+            prop_assert!(p.local_transfer_time(bytes) >= bare.transfer_time(bytes));
         }
     }
 }

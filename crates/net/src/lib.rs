@@ -10,35 +10,30 @@
 //! * **live migration** (`rvisor-migrate`) pushes memory pages through a
 //!   [`Link`], whose bandwidth model determines round lengths and downtime —
 //!   exactly the quantity experiment E4 sweeps, or through a shared
-//!   [`Fabric`] when whole fleets contend for the network (experiment E17).
+//!   [`ClosFabric`] when whole fleets contend for the network (experiment
+//!   E17).
 //!
 //! ## The fabric model
 //!
-//! [`Fabric`] upgrades the private point-to-point [`Link`] to a shared
-//! datacenter network: every endpoint owns a NIC of
-//! [`FabricParams::nic_bytes_per_second`], all NICs feed one backbone of
-//! [`FabricParams::backbone_bytes_per_second`], and payloads are chunked
-//! into [`FabricParams::mtu`]-sized packets each paying
-//! [`FabricParams::chunk_overhead`] bytes of framing. Timing is pure
-//! integer-nanosecond arithmetic — transfers between the same or disjoint
-//! host pairs queue deterministically on the busy-until marks of the NICs
-//! and the backbone — so orchestrator runs over a fabric replay
-//! `==`-identically. Every modelling assumption (single-spine worst-case
-//! contention, store-and-forward occupancy, once-per-burst latency) is
-//! documented on the [`fabric`] module with the parameter that controls it.
-//!
-//! ## The Clos model
-//!
-//! [`ClosFabric`] generalizes the single-spine fabric to the two-tier
-//! leaf/spine topology real datacenters run: racks of hosts behind leaf
-//! switches of [`ClosParams::leaf_uplink_bytes_per_second`], connected by
-//! [`ClosParams::spines`] independent spine paths. Striped transfers hash
+//! [`ClosFabric`] upgrades the private point-to-point [`Link`] to a shared
+//! two-tier leaf/spine datacenter network: every endpoint owns a NIC of
+//! [`ClosParams::nic_bytes_per_second`], racks of hosts sit behind leaf
+//! switches of [`ClosParams::leaf_uplink_bytes_per_second`], the leaves are
+//! connected by [`ClosParams::spines`] independent spine paths, and payloads
+//! are chunked into [`ClosParams::mtu`]-sized packets each paying
+//! [`ClosParams::chunk_overhead`] bytes of framing. Striped transfers hash
 //! their streams ECMP-style across the live spines, so cross-rack
 //! multi-stream migration genuinely completes earlier in simulated time,
-//! while rack-local traffic skips the spine tier entirely. Both topologies
-//! sit behind the [`FabricModel`] trait ([`AnyFabric`] erases the choice),
-//! and a 1-rack/1-spine [`ClosFabric`] is proptest-pinned `==`-equal to the
-//! original [`Fabric`].
+//! while rack-local traffic skips the spine tier entirely. Timing is pure
+//! integer-nanosecond arithmetic over busy-until marks, so orchestrator runs
+//! over a fabric replay `==`-identically.
+//!
+//! The worst-case single-spine fabric — every NIC feeding one backbone of
+//! [`FabricParams::backbone_bytes_per_second`] — is the one-rack preset
+//! `ClosParams::from(FabricParams)`. Its assumptions (single-spine
+//! contention, store-and-forward occupancy, once-per-burst latency) are
+//! documented on the [`fabric`] module with the parameter that controls
+//! each, and a closed-form single-spine oracle pins the preset.
 
 #![deny(missing_docs)]
 #![warn(clippy::all)]
@@ -49,7 +44,7 @@ pub mod frame;
 pub mod link;
 pub mod switch;
 
-pub use clos::{AnyFabric, ClosFabric, ClosParams, FabricModel};
+pub use clos::{ClosFabric, ClosParams};
 pub use fabric::{Fabric, FabricParams, DEFAULT_CHUNK_OVERHEAD};
 pub use frame::{Frame, MacAddr, ETHERTYPE_IPV4, MAX_FRAME_SIZE, MIN_FRAME_SIZE};
 pub use link::{Link, LinkModel};

@@ -77,7 +77,7 @@ use std::num::NonZeroU64;
 use rvisor::{Vm, VmConfig, VmLifecycle, Vmm};
 use rvisor_cluster::{Host, HostSpec, PlacementStrategy, VmSpec};
 use rvisor_migrate::{FabricTransport, MigrationPlan, MigrationReport};
-use rvisor_net::{AnyFabric, ClosFabric, ClosParams, Fabric};
+use rvisor_net::{ClosFabric, ClosParams};
 use rvisor_obs::{ArgValue, Trace};
 use rvisor_snapshot::{CasStore, IngestStats, ManifestId, SnapshotId, SnapshotStore};
 use rvisor_types::{ByteSize, Error, GuestAddress, HostId, Nanoseconds, Result, PAGE_SIZE};
@@ -326,11 +326,11 @@ pub(crate) fn already_exists(vm: &str) -> Error {
 ///
 /// Every host is one fabric endpoint; one extra endpoint (index
 /// `hosts.len()`) models the DR backup target, so backup streams and live
-/// migrations contend for the same NICs and backbone.
+/// migrations contend for the same NICs, leaves and spines.
 #[derive(Debug)]
 pub struct Cluster {
     hosts: Vec<OrchHost>,
-    fabric: AnyFabric,
+    fabric: ClosFabric,
     params: OrchParams,
     /// Racks the *hosts* are spread over (1 for the single-spine topology;
     /// excludes the DR endpoint's own rack).
@@ -401,10 +401,10 @@ impl Cluster {
         }
         // One endpoint per host, plus the DR backup target.
         let (fabric, n_host_racks) = match params.topology {
-            crate::FabricTopology::SingleSpine => (
-                AnyFabric::Single(Fabric::new(hosts.len() + 1, params.fabric)?),
-                1,
-            ),
+            // The single-spine preset: one rack, the DR endpoint included.
+            crate::FabricTopology::SingleSpine => {
+                (ClosFabric::new(hosts.len() + 1, params.fabric)?, 1)
+            }
             crate::FabricTopology::Clos {
                 racks,
                 spines,
@@ -421,20 +421,17 @@ impl Cluster {
                 let clos_params = ClosParams {
                     racks: racks + 1,
                     hosts_per_rack,
-                    nic_bytes_per_second: params.fabric.nic_bytes_per_second,
                     leaf_uplink_bytes_per_second,
                     spines,
                     spine_bytes_per_second,
-                    rack_latency: params.fabric.latency,
                     cross_latency: cross_rack_latency,
-                    mtu: params.fabric.mtu,
-                    chunk_overhead: params.fabric.chunk_overhead,
+                    ..ClosParams::from(params.fabric)
                 };
                 let mut racks_of: Vec<usize> =
                     (0..hosts.len()).map(|pos| pos / hosts_per_rack).collect();
                 racks_of.push(racks); // the DR endpoint's own rack
                 (
-                    AnyFabric::Clos(ClosFabric::with_rack_assignment(clos_params, racks_of)?),
+                    ClosFabric::with_rack_assignment(clos_params, racks_of)?,
                     racks,
                 )
             }
@@ -474,8 +471,9 @@ impl Cluster {
         &self.hosts
     }
 
-    /// The shared migration/DR fabric (single-spine or Clos).
-    pub fn fabric(&self) -> &AnyFabric {
+    /// The shared migration/DR fabric (the one-rack single-spine preset or
+    /// a multi-rack Clos).
+    pub fn fabric(&self) -> &ClosFabric {
         &self.fabric
     }
 
@@ -516,12 +514,6 @@ impl Cluster {
         self.fabric.fail_spine(spine)
     }
 
-    /// The earliest busy-until mark over all live spines — the rebalance
-    /// policies' hot-spine occupancy query.
-    pub fn min_live_spine_free_at(&self) -> Nanoseconds {
-        self.fabric.min_live_spine_free_at()
-    }
-
     /// Attach a trace to the cluster and its fabric: migrations, backups
     /// and fabric transfers emit spans keyed by simulated time. With
     /// [`Trace::off`] (the default) every emit compiles down to a branch.
@@ -535,7 +527,7 @@ impl Cluster {
         &self.trace
     }
 
-    /// Fabric endpoint index of the DR backup target.
+    /// The fabric endpoint index of the DR backup target.
     pub fn dr_endpoint(&self) -> usize {
         self.hosts.len()
     }

@@ -23,13 +23,13 @@
 //! million-event day this replaces the binary heap's log(n) sift with O(1)
 //! bucket operations.
 //!
-//! The pre-calendar implementation is preserved as [`MinHeapQueue`]; a
-//! proptest pins the two observably equivalent (same `(at, seq)` pop order,
-//! same events) across interleaved operation sequences that force grows and
-//! shrinks, so the swap cannot have changed any run's event order.
+//! The pre-calendar binary heap survives as the tests' `MinHeapQueue`
+//! reference; a proptest pins the two observably equivalent (same
+//! `(at, seq)` pop order, same events) across interleaved operation
+//! sequences that force grows and shrinks, so the swap cannot have changed
+//! any run's event order.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use rvisor_types::{HostId, Nanoseconds};
 
@@ -153,8 +153,8 @@ const MAX_SLICE_WALK: u64 = 64;
 /// A time-ordered event queue with stable FIFO tie-breaking, implemented as
 /// a self-resizing calendar queue (see the module docs).
 ///
-/// Observably identical to [`MinHeapQueue`] — same pop order, same
-/// conservation counters — which a proptest pins.
+/// Observably identical to the binary heap it replaced — same pop order,
+/// same conservation counters — which a proptest pins.
 ///
 /// Generic over the payload (the ordering never looks at it): the public
 /// vocabulary is [`OrchEvent`]; the orchestrator queues a compact private
@@ -320,66 +320,61 @@ impl<E> EventQueue<E> {
     }
 }
 
-/// The original binary-heap event queue, kept as the reference
-/// implementation the calendar queue is equivalence-pinned against (and as
-/// the baseline in the queue benchmarks). Identical interface and ordering
-/// contract.
-#[derive(Debug, Default)]
-pub struct MinHeapQueue {
-    heap: BinaryHeap<Scheduled>,
-    next_seq: u64,
-    pushed: u64,
-    popped: u64,
-}
-
-impl MinHeapQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        MinHeapQueue::default()
-    }
-
-    /// Schedule `event` to fire at `at`.
-    pub fn push(&mut self, at: Nanoseconds, event: OrchEvent) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.pushed += 1;
-        self.heap.push(Scheduled { at, seq, event });
-    }
-
-    /// Pop the earliest event (FIFO among same-instant events).
-    pub fn pop(&mut self) -> Option<Scheduled> {
-        let ev = self.heap.pop();
-        if ev.is_some() {
-            self.popped += 1;
-        }
-        ev
-    }
-
-    /// Events currently waiting.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Total events ever scheduled.
-    pub fn pushed(&self) -> u64 {
-        self.pushed
-    }
-
-    /// Total events ever delivered.
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BinaryHeap;
+
+    /// The original binary-heap event queue, kept as the reference the
+    /// calendar queue is equivalence-pinned against. Identical interface
+    /// and ordering contract.
+    #[derive(Debug, Default)]
+    struct MinHeapQueue {
+        heap: BinaryHeap<Scheduled>,
+        next_seq: u64,
+        pushed: u64,
+        popped: u64,
+    }
+
+    impl MinHeapQueue {
+        /// An empty queue.
+        fn new() -> Self {
+            MinHeapQueue::default()
+        }
+
+        /// Schedule `event` to fire at `at`.
+        fn push(&mut self, at: Nanoseconds, event: OrchEvent) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.pushed += 1;
+            self.heap.push(Scheduled { at, seq, event });
+        }
+
+        /// Pop the earliest event (FIFO among same-instant events).
+        fn pop(&mut self) -> Option<Scheduled> {
+            let ev = self.heap.pop();
+            if ev.is_some() {
+                self.popped += 1;
+            }
+            ev
+        }
+
+        /// Events currently waiting.
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        /// Total events ever scheduled.
+        fn pushed(&self) -> u64 {
+            self.pushed
+        }
+
+        /// Total events ever delivered.
+        fn popped(&self) -> u64 {
+            self.popped
+        }
+    }
 
     fn ev(tag: u32) -> OrchEvent {
         OrchEvent::LoadChange {

@@ -42,9 +42,11 @@
 //! [`Vmm::migrate_to`](rvisor::Vmm::migrate_to) (engine per
 //! decision: pre-copy/post-copy for running guests, stop-and-copy
 //! otherwise) and the cluster power controls. Migrations stream in the
-//! wire format across a shared [`Fabric`](rvisor_net::Fabric) — per-host
-//! NICs, one backbone, MTU chunking ([`OrchParams::fabric`]) — and DR
-//! backup sweeps cross the same fabric to a dedicated DR endpoint, so
+//! wire format across a shared [`ClosFabric`](rvisor_net::ClosFabric) —
+//! per-host NICs, MTU chunking ([`OrchParams::fabric`]), and either one
+//! backbone (the default single-spine preset) or a leaf/spine Clos
+//! ([`OrchParams::topology`]) — and DR backup sweeps cross the same
+//! fabric to a dedicated DR endpoint, so
 //! migration duration, downtime and backup lag all come from modelled
 //! bytes-on-wire contention rather than free copies. Three policies ship: [`ThresholdRebalance`]
 //! (hotspot relief), [`ConsolidateAndPowerDown`] (energy), and
@@ -102,7 +104,7 @@
 //! equivalence with the linear-scan originals is pinned by tests), and
 //! [`EventQueue`] is a calendar queue with O(1) expected push/pop that
 //! preserves `(Nanoseconds, seq)` FIFO ordering exactly — proptest-pinned
-//! against the retained [`MinHeapQueue`] reference implementation. VMs are
+//! against the binary heap it replaced. VMs are
 //! addressed by a dense key interned once per name, so the million-backup
 //! sweeps of a warehouse day compare no strings (see the [`cluster`] docs).
 //!
@@ -139,7 +141,7 @@ pub mod scenario;
 mod vmtable;
 
 pub use cluster::{BackupHandle, Cluster, HostPower, OrchHost};
-pub use event::{EventQueue, MinHeapQueue, OrchEvent, Scheduled};
+pub use event::{EventQueue, OrchEvent, Scheduled};
 pub use orchestrator::{run_datacenter, run_datacenter_traced, Orchestrator};
 pub use params::{EngineChoice, FabricTopology, OrchParams, VmFidelity, MIN_GUEST_MEMORY};
 pub use planner::{MigrationPlanner, PlanChoice};

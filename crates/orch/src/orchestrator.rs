@@ -785,7 +785,7 @@ impl Orchestrator {
             // never touch a spine and always proceed.
             if let Some(defer) = self.params.hot_spine_defer {
                 if self.cluster.is_cross_rack(from, decision.to)
-                    && self.cluster.min_live_spine_free_at() > self.now.saturating_add(defer)
+                    && self.cluster.fabric().free_at() > self.now.saturating_add(defer)
                 {
                     self.report.migrations_skipped += 1;
                     if self.trace.is_on() {
@@ -797,7 +797,7 @@ impl Orchestrator {
                                 ("vm", ArgValue::Str(&decision.vm)),
                                 (
                                     "spines_free_at_ns",
-                                    ArgValue::U64(self.cluster.min_live_spine_free_at().as_nanos()),
+                                    ArgValue::U64(self.cluster.fabric().free_at().as_nanos()),
                                 ),
                             ],
                         );
@@ -1243,6 +1243,81 @@ mod tests {
             }
             prop_assert_eq!(run(), r);
         }
+    }
+
+    /// On the single-spine fabric the planner's backlog is the backbone's
+    /// mark — the one-rack preset's leaf — never its spine, which no
+    /// one-rack transfer crosses. With `idle_backlog_max` at zero that
+    /// backlog decides `big-idle` (4 streams) against `default` for every
+    /// cold guest, so this busy adaptive day pins it: the report was recorded
+    /// at `cb8d58d`, where the single-spine fabric was its own model.
+    #[test]
+    fn adaptive_single_spine_day_reads_the_backbone_backlog() {
+        let params = OrchParams {
+            engine: Some(EngineChoice::Auto),
+            hot_tenant_modulus: std::num::NonZeroU64::new(4),
+            spread_utilization_gap: 0.01,
+            ..fast_params()
+        };
+        let specs = (0..4)
+            .map(|i| HostSpec::modern_server(HostId::new(i as u32)))
+            .collect();
+        let mut orch = Orchestrator::new(specs, params, Box::new(SpreadRebalance)).unwrap();
+        orch.set_planner(MigrationPlanner {
+            hot_dirty_rate: 1,
+            big_guest_min: rvisor_types::ByteSize::new(1),
+            idle_backlog_max: Nanoseconds::ZERO,
+            ..MigrationPlanner::default()
+        });
+        let report = orch.run(&small_scenario(4, 1)).unwrap();
+        let ns = Nanoseconds;
+        let expected = OrchReport {
+            sim_end: ns(7_200_000_000_000),
+            events_processed: 163,
+            events_dropped: 0,
+            vms_arrived: 40,
+            vms_placed: 40,
+            placements_deferred: 0,
+            placements_unmet: 0,
+            placement_latency_total: ns(1_800_000_000_000),
+            placement_latency_max: ns(45_000_000_000),
+            vms_departed: 10,
+            vms_running_at_end: 30,
+            peak_vms: 31,
+            migrations_planned: 38,
+            migrations_completed: 38,
+            migrations_skipped: 0,
+            migration_downtime_total: ns(3_876_308),
+            migration_time_total: ns(15_864_400),
+            migration_fabric_wait_total: ns(19_113_704),
+            migration_bytes: 10_216_108,
+            downtime_duration_integral: 1_618_676_997_032,
+            planner_decisions: 38,
+            planner_stop_and_copy: 0,
+            planner_pre_copy: 36,
+            planner_post_copy: 2,
+            planner_fault_lane: 2,
+            backups_taken: 120,
+            backup_bytes: 31_521_600,
+            backup_time_total: ns(622_457_520),
+            backup_chunks_shipped: 0,
+            backup_chunks_deduped: 0,
+            backup_bytes_deduped: 0,
+            dr_store_chunks: 0,
+            dr_store_bytes: 0,
+            hosts_failed: 1,
+            spines_failed: 0,
+            vms_lost_at_failure: 6,
+            vms_restored: 6,
+            vms_lost_permanently: 0,
+            vm_time_lost: ns(1_440_047_824_854),
+            power_on_actions: 0,
+            power_off_actions: 0,
+            powered_host_time: ns(26_562_596_952_632),
+            peak_hosts_powered: 3,
+            hosts_powered_at_end: 3,
+        };
+        assert_eq!(report, expected);
     }
 
     #[test]

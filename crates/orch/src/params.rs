@@ -73,7 +73,8 @@ pub enum EngineChoice {
 /// overhead and the rack-local latency come from [`OrchParams::fabric`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FabricTopology {
-    /// One shared backbone (the degenerate 1-rack/1-spine case).
+    /// One shared backbone: the one-rack preset built from
+    /// [`OrchParams::fabric`], the DR endpoint in the same rack.
     #[default]
     SingleSpine,
     /// A two-tier leaf/spine Clos fabric.
@@ -146,7 +147,7 @@ pub struct OrchParams {
     /// [`rvisor_migrate::MAX_MIGRATION_STREAMS`]). With more than one
     /// stream, migrations run through the pipelined multi-stream data plane
     /// and their fabric occupancy is modelled as fair-share chunk streams
-    /// ([`rvisor_net::Fabric::transfer_striped`]): same payload bytes and
+    /// ([`rvisor_net::ClosFabric::transfer_striped`]): same payload bytes and
     /// destination memory as a serial stream. On the default
     /// [`FabricTopology::SingleSpine`] fabric this is never *faster* in
     /// simulated time (each stream pays its own MTU framing; the win is

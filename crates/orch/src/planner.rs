@@ -13,8 +13,10 @@
 //!    which doubles as the measurement pass.
 //! 2. **Guest size** — the VmSpec's configured memory (the capacity
 //!    accounting scale, not the simulation scale).
-//! 3. **Fabric occupancy** — how far past `now` the least-loaded live core
-//!    path is already booked ([`rvisor_net::FabricModel::free_at`]).
+//! 3. **Core-path occupancy** — how far past `now` the core the fabric's
+//!    traffic crosses is already booked ([`rvisor_net::ClosFabric::free_at`]):
+//!    the one leaf of the one-rack single-spine preset (its transfers never
+//!    reach the spine), otherwise the least-loaded live spine.
 //!
 //! Purity is what makes the decisions testable as a table and the adaptive
 //! day replayable `==` under the same seed: the planner holds thresholds,

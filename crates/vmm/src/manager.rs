@@ -331,7 +331,7 @@ impl Vmm {
     /// for same-switch moves, or a
     /// [`FabricTransport`](rvisor_migrate::FabricTransport) so the migration
     /// contends with every other stream on a shared
-    /// [`Fabric`](rvisor_net::Fabric) (what the orchestrator does for
+    /// [`ClosFabric`](rvisor_net::ClosFabric) (what the orchestrator does for
     /// rebalance traffic). With `plan.streams > 1` one lane per stripe of
     /// the page-index space streams the rounds (`rvisor_migrate::pipeline`),
     /// on a thread each when a stripe holds at least one 64-page segment and

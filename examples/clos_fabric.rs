@@ -17,7 +17,7 @@
 //! cargo run --release --example clos_fabric
 //! ```
 
-use virtlab::net::{ClosFabric, ClosParams, Fabric, FabricParams};
+use virtlab::net::{ClosFabric, ClosParams, FabricParams};
 use virtlab::obs::{Align, TextTable};
 use virtlab::orch::{
     run_datacenter, FabricTopology, OrchParams, Scenario, ScenarioConfig, SpreadRebalance,
@@ -56,7 +56,7 @@ fn clos_cell(params: ClosParams, endpoints: usize, n_streams: u64) -> Nanosecond
 }
 
 fn single_spine_cell(n_streams: u64) -> Nanoseconds {
-    let mut fabric = Fabric::new(8, FabricParams::datacenter()).unwrap();
+    let mut fabric = ClosFabric::new(8, FabricParams::datacenter()).unwrap();
     fabric
         .transfer_striped(0, 7, Nanoseconds::ZERO, &stripes(PAYLOAD, n_streams))
         .unwrap()

@@ -24,7 +24,7 @@ use virtlab::migrate::{
     execute, ConstantRateDirtier, FabricTransport, IdleDirtier, LoopbackTransport, MigrationPlan,
     MigrationReport, PlanEngine,
 };
-use virtlab::net::{Fabric, FabricParams, Link, LinkModel};
+use virtlab::net::{ClosFabric, FabricParams, Link, LinkModel};
 use virtlab::obs::{Align, TextTable, Trace};
 use virtlab::orch::{run_datacenter, OrchParams, Scenario, ScenarioConfig, WorkloadShape};
 use virtlab::types::PAGE_SIZE;
@@ -76,7 +76,7 @@ fn loopback(engine: PlanEngine, n_streams: usize) -> (MigrationReport, u64) {
 fn fabric_pipelined(n_streams: usize, dirty: f64) -> (MigrationReport, u64, u64) {
     let params = FabricParams::office_lan();
     let (src, dst) = memories();
-    let mut fabric = Fabric::new(2, params).unwrap();
+    let mut fabric = ClosFabric::new(2, params).unwrap();
     let report = {
         let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
         let mut dirtier = ConstantRateDirtier::from_bandwidth_fraction(

@@ -3,9 +3,9 @@
 //! A pre-copy migration is streamed as versioned wire frames — checksummed
 //! page records, run-length zero pages, end-of-round markers — first over a
 //! loopback transport (a bare point-to-point link), then across a shared
-//! [`Fabric`] under varying NIC bandwidth and MTU, and finally through a
-//! whole-datacenter rebalance where migrations and DR backups contend on
-//! the same backbone.
+//! single-spine [`ClosFabric`] under varying NIC bandwidth and MTU, and
+//! finally through a whole-datacenter rebalance where migrations and DR
+//! backups contend on the same backbone.
 //!
 //! Every number printed is derived from the deterministic simulated clock,
 //! and the example replays each fabric run to prove same-seed equality —
@@ -20,7 +20,7 @@ use virtlab::migrate::{
     execute, ConstantRateDirtier, DirtySource, FabricTransport, IdleDirtier, LoopbackTransport,
     MigrationPlan, MigrationReport, Transport,
 };
-use virtlab::net::{Fabric, FabricParams, Link, LinkModel};
+use virtlab::net::{ClosFabric, FabricParams, Link, LinkModel};
 use virtlab::obs::Trace;
 use virtlab::orch::{run_datacenter, OrchParams, Scenario, ScenarioConfig, WorkloadShape};
 use virtlab::types::PAGE_SIZE;
@@ -78,7 +78,7 @@ fn migrate_loopback() -> (MigrationReport, u64) {
 
 fn migrate_fabric(params: FabricParams, dirty: f64) -> (MigrationReport, u64) {
     let (src, dst) = memories();
-    let mut fabric = Fabric::new(2, params).unwrap();
+    let mut fabric = ClosFabric::new(2, params).unwrap();
     let mut transport = FabricTransport::new(&mut fabric, 0, 1).unwrap();
     let mut dirtier =
         ConstantRateDirtier::from_bandwidth_fraction(params.nic_bytes_per_second, dirty, 0, PAGES);
