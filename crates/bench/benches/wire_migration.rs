@@ -13,8 +13,8 @@ use std::time::Duration;
 
 use rvisor_memory::GuestMemory;
 use rvisor_migrate::{
-    execute, ConstantRateDirtier, DirtySource, FabricTransport, IdleDirtier, LoopbackTransport,
-    MigrationPlan, MigrationReport, MigrationSink, MigrationSource, Transport,
+    execute, wire, ConstantRateDirtier, DirtySource, FabricTransport, IdleDirtier,
+    LoopbackTransport, MigrationPlan, MigrationReport, MigrationSink, MigrationSource, Transport,
 };
 use rvisor_net::{ClosFabric, ClosParams, FabricParams, Link, LinkModel, DEFAULT_CHUNK_OVERHEAD};
 use rvisor_obs::Trace;
@@ -112,6 +112,20 @@ fn bench(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(50))
         .measurement_time(Duration::from_millis(400));
+
+    // The frame kernel on its own: seal one raw page frame, then verify and
+    // decode it.
+    let page: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 131 + 7) as u8).collect();
+    let mut frame = Vec::with_capacity((wire::FRAME_HEADER_BYTES + PAGE_SIZE) as usize);
+    group.throughput(Throughput::Bytes(PAGE_SIZE));
+    group.bench_function("frame_roundtrip_4KiB", |b| {
+        b.iter(|| {
+            frame.clear();
+            wire::put_page_raw(&mut frame, 9, &page);
+            let decoded = wire::FrameReader::new(&frame).next_frame().unwrap();
+            decoded.map(|f| f.payload.len())
+        });
+    });
 
     // Codec throughput: encode one full round of raw page frames.
     let (src, dst) = memories();

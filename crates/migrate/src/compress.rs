@@ -194,10 +194,18 @@ fn xbzrle_encode_into(old: &[u8], new: &[u8], out: &mut Vec<u8>) -> bool {
 /// copy of the page), patching only the changed runs — no intermediate
 /// buffer.
 ///
-/// On error the page may have been partially patched; callers treat a
-/// failed migration transfer as fatal for the destination page anyway.
+/// Every record is validated before the first byte is written, so on error
+/// the page is untouched.
 pub fn xbzrle_apply_in_place(page: &mut [u8], delta: &[u8]) -> Result<()> {
-    let mut pos = 0usize; // position in `page`
+    xbzrle_records(page.len(), delta, None)?;
+    xbzrle_records(page.len(), delta, Some(page))
+}
+
+/// Walk the `(skip, copy)` records of `delta` against a page of `page_len`
+/// bytes, copying each run into `page` when one is given. The first
+/// malformed record is an error.
+fn xbzrle_records(page_len: usize, delta: &[u8], mut page: Option<&mut [u8]>) -> Result<()> {
+    let mut pos = 0usize; // position in the page
     let mut i = 0usize; // position in `delta`
     while i < delta.len() {
         if i + 4 > delta.len() {
@@ -209,10 +217,12 @@ pub fn xbzrle_apply_in_place(page: &mut [u8], delta: &[u8]) -> Result<()> {
         pos = pos
             .checked_add(skip)
             .ok_or_else(|| Error::Migration("xbzrle skip overflow".into()))?;
-        if pos + copy > page.len() || i + copy > delta.len() {
+        if pos + copy > page_len || i + copy > delta.len() {
             return Err(Error::Migration("xbzrle delta exceeds page bounds".into()));
         }
-        page[pos..pos + copy].copy_from_slice(&delta[i..i + copy]);
+        if let Some(page) = page.as_deref_mut() {
+            page[pos..pos + copy].copy_from_slice(&delta[i..i + copy]);
+        }
         pos += copy;
         i += copy;
     }

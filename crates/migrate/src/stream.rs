@@ -1098,6 +1098,27 @@ mod tests {
     }
 
     #[test]
+    fn a_delta_whose_second_record_overruns_writes_nothing() {
+        let (_, dst) = memories(4);
+        let mut burst = Vec::new();
+        wire::put_hello(&mut burst, 4, 4 * PAGE_SIZE);
+        // Record 1 patches bytes 0–1; record 2 skips to byte 4 094 and
+        // claims 8 bytes, 6 past the end of the page.
+        let mut delta = vec![0, 0, 2, 0, 0xaa, 0xbb];
+        delta.extend_from_slice(&4092u16.to_le_bytes());
+        delta.extend_from_slice(&8u16.to_le_bytes());
+        delta.extend_from_slice(&[0xcc; 8]);
+        wire::put_page_delta(&mut burst, 1, &delta);
+
+        let before = region_bytes(&dst);
+        let mut sink = MigrationSink::new(&dst);
+        let err = sink.apply_burst(&burst).expect_err("the overrun must fail");
+        assert!(matches!(err, Error::Migration(_)), "{err:?}");
+        assert_eq!(sink.pages_applied(), 0);
+        assert!(region_bytes(&dst) == before, "the failed delta wrote");
+    }
+
+    #[test]
     fn vcpu_states_survive_the_stream() {
         let (src, dst) = memories(4);
         let mut link = Link::new(LinkModel::gigabit());
@@ -1537,6 +1558,50 @@ mod tests {
                 prop_assert_eq!(by_segments, by_bursts);
                 prop_assert_eq!(region_bytes(&dst_b), region_bytes(&dst_a));
                 prop_assert_eq!(region_bytes(&dst_b), region_bytes(&src_b));
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Hostile bytes into the sink of an 8-page guest, cold and
+            /// after a valid Hello, end in `Ok` or a typed wire or
+            /// migration error, never a panic: an arbitrary byte string,
+            /// and a frame of random kind, mode, arg and payload re-sealed
+            /// with a correct checksum, so the semantic checks decide.
+            #[test]
+            fn hostile_bytes_never_panic_the_sink(
+                bytes in proptest::collection::vec(any::<u8>(), 0..8192),
+                kind in 0u8..9,
+                mode in 0u8..4,
+                arg in (0u64..10, any::<u64>(), any::<bool>()),
+                shape in 0usize..6,
+            ) {
+                let (_, dst) = memories(8);
+                let arg = if arg.2 { arg.1 } else { arg.0 };
+                let len = [0, 1, 8, 18, PAGE_SIZE as usize, bytes.len()][shape].min(bytes.len());
+                let mut frame = vec![kind, mode];
+                frame.extend_from_slice(&(len as u16).to_le_bytes());
+                frame.extend_from_slice(&[0; 4]);
+                frame.extend_from_slice(&arg.to_le_bytes());
+                frame.extend_from_slice(&bytes[..len]);
+                wire::tests::reseal(&mut frame);
+
+                let mut hello = Vec::new();
+                wire::put_hello(&mut hello, 8, 8 * PAGE_SIZE);
+                for warm in [false, true] {
+                    for input in [&bytes, &frame] {
+                        let mut sink = MigrationSink::new(&dst);
+                        if warm {
+                            sink.apply_at(&hello, 0).unwrap();
+                        }
+                        let outcome = sink.apply_at(input, 0);
+                        prop_assert!(
+                            matches!(outcome, Ok(()) | Err(Error::WireProtocol { .. } | Error::Migration(_))),
+                            "warm {warm}: {outcome:?}"
+                        );
+                    }
+                }
             }
         }
 

@@ -16,18 +16,33 @@
 //! offset 0   kind         u8   (Hello / Page / ZeroRun / VcpuState / EndOfRound)
 //! offset 1   mode         u8   (Page only: raw / zero marker / XBZRLE delta)
 //! offset 2   payload_len  u16
-//! offset 4   checksum     u32  (folded word-wise FNV-1a-64, see below)
+//! offset 4   checksum     u32  (four-lane FNV-1a-64, folded; see below)
 //! offset 8   arg          u64  (kind-specific: page index, first page, round, ...)
 //! offset 16  payload      [u8; payload_len]
 //! ```
 //!
-//! The checksum (format version 2) is FNV-1a-64 fed one little-endian `u64`
-//! word at a time — first the header with its checksum field zeroed (two
-//! words), then the payload with its ragged tail zero-padded to a word —
-//! and XOR-folded to 32 bits. Hashing words instead of bytes cuts the
-//! multiply chain by 8×, which matters because the checksum touches every
-//! payload byte twice per migration (once at encode, once at verify) and
-//! dominated the wire codec's wall-clock cost in format version 1.
+//! ## Checksum (format version 4)
+//!
+//! Word-wise FNV-1a-64, `mix(h, w) = (h ^ w) · P`, run as four lanes, so a
+//! page costs four independent 128-multiply chains, not one 512-deep chain
+//! (it runs twice per page moved: at encode and at verify). Lane 0 starts
+//! at `mix(mix(OFFSET, header_word), arg)`, the header with its checksum
+//! zeroed; `header_word` carries `payload_len`, so tail padding is
+//! unambiguous. Lanes 1–3 start at three fixed, distinct constants. Each
+//! 32-byte payload block feeds its words 0–3 to lanes 0–3; the remaining
+//! words, then the tail zero-padded to a word, go to lane 0. The lanes
+//! combine as `h = mix(mix(mix(h0, h1), h2), h3)`, folded to the `u32`
+//! `h ^ (h >> 32)`.
+//!
+//! `P` is odd, so `mix` is a bijection in each argument. Each lane is thus
+//! a bijection of each of its words, and the combine one of each lane with
+//! the others fixed: a change confined to one word — every single-bit flip
+//! — always changes the 64-bit value. Only the 32-bit fold can collide, as
+//! in version 3.
+//!
+//! A build decodes exactly [`WIRE_VERSION`]: nothing persists a stream, so
+//! an older build's stream fails at its Hello with a typed
+//! [`Error::WireProtocol`] checksum error.
 //!
 //! ## Accounting alignment
 //!
@@ -46,17 +61,13 @@ use rvisor_vcpu::VcpuState;
 
 /// Stream magic: `"RVM1"`.
 pub const WIRE_MAGIC: u32 = 0x3152_564D;
-/// Current wire-format version. Bump on any incompatible layout change;
-/// the sink rejects streams whose Hello announces a version outside
-/// [`WIRE_VERSION_MIN`]`..=WIRE_VERSION`.
-/// Version 2 switched the frame checksum from byte-wise FNV-1a-32 to the
-/// folded word-wise FNV-1a-64 described in the module docs. Version 3 added
-/// the content-addressed backup frames ([`FrameKind::ChunkRef`] /
-/// [`FrameKind::ChunkData`]); every version-2 frame is unchanged, so v2
-/// streams stay decodable.
-pub const WIRE_VERSION: u16 = 3;
-/// Oldest wire-format version this build still decodes.
-pub const WIRE_VERSION_MIN: u16 = 2;
+/// The wire-format version, the only one this build decodes. Bump on any
+/// incompatible change. Version 2 made the checksum word-wise FNV-1a-64;
+/// version 3 added [`FrameKind::ChunkRef`] / [`FrameKind::ChunkData`];
+/// version 4 runs the checksum as four lanes (module docs), layout
+/// unchanged, so v3 streams no longer decode: they fail at their Hello's
+/// checksum.
+pub const WIRE_VERSION: u16 = 4;
 /// Fixed size of every frame header.
 pub const FRAME_HEADER_BYTES: u64 = 16;
 /// On-wire size of the Hello frame (header + magic/version/page-size/guest-size).
@@ -115,10 +126,10 @@ pub enum FrameKind {
     /// the transport here.
     EndOfRound = 5,
     /// Deduplicated-backup reference to a chunk the DR endpoint already
-    /// stores (`arg` = page index, payload = chunk id). Wire v3.
+    /// stores (`arg` = page index, payload = chunk id). Since wire v3.
     ChunkRef = 6,
     /// Deduplicated-backup chunk the DR endpoint does not yet store
-    /// (`arg` = page index, payload = chunk id + page bytes). Wire v3.
+    /// (`arg` = page index, payload = chunk id + page bytes). Since wire v3.
     ChunkData = 7,
 }
 
@@ -176,21 +187,33 @@ fn mix(h: u64, word: u64) -> u64 {
     (h ^ word).wrapping_mul(FNV64_PRIME)
 }
 
-/// Checksum over the header (checksum field zeroed) and payload: word-wise
-/// FNV-1a-64 XOR-folded to 32 bits (wire format version 2 — one multiply
-/// per 8 payload bytes instead of one per byte).
+/// Starting values of checksum lanes 1–3: fixed, distinct, and not derived
+/// from lane 0 (the SplitMix64 constants).
+const LANE_SEEDS: [u64; 3] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xbf58_476d_1ce4_e5b9,
+    0x94d0_49bb_1331_11eb,
+];
+
+/// Checksum over the header (checksum field zeroed) and payload: four
+/// interleaved word-wise FNV-1a-64 lanes, combined and XOR-folded to 32
+/// bits (wire format version 4, see the module docs).
 fn frame_checksum(kind: u8, mode: u8, payload_len: u16, arg: u64, payload: &[u8]) -> u32 {
     // The header with its checksum field zeroed, as two little-endian words.
     let header_word = kind as u64 | (mode as u64) << 8 | (payload_len as u64) << 16;
     let mut h = mix(mix(FNV64_OFFSET, header_word), arg);
-    let mut words = payload.chunks_exact(8);
-    for word in words.by_ref() {
-        h = mix(
-            h,
-            u64::from_le_bytes(word.try_into().expect("8-byte chunk")),
-        );
+    let [mut h1, mut h2, mut h3] = LANE_SEEDS;
+    let (blocks, rest) = payload.as_chunks::<32>();
+    for block in blocks {
+        h = mix(h, read_u64(&block[0..]));
+        h1 = mix(h1, read_u64(&block[8..]));
+        h2 = mix(h2, read_u64(&block[16..]));
+        h3 = mix(h3, read_u64(&block[24..]));
     }
-    let tail = words.remainder();
+    let (words, tail) = rest.as_chunks::<8>();
+    for word in words {
+        h = mix(h, u64::from_le_bytes(*word));
+    }
     if !tail.is_empty() {
         // Ragged tail zero-padded to one word; the true length is already
         // mixed in via the header word, so padding is unambiguous.
@@ -198,6 +221,7 @@ fn frame_checksum(kind: u8, mode: u8, payload_len: u16, arg: u64, payload: &[u8]
         last[..tail.len()].copy_from_slice(tail);
         h = mix(h, u64::from_le_bytes(last));
     }
+    let h = mix(mix(mix(h, h1), h2), h3);
     (h ^ (h >> 32)) as u32
 }
 
@@ -492,9 +516,9 @@ pub fn decode_hello(frame: &WireFrame<'_>) -> Result<Hello> {
         )));
     }
     let version = u16::from_le_bytes([frame.payload[4], frame.payload[5]]);
-    if !(WIRE_VERSION_MIN..=WIRE_VERSION).contains(&version) {
+    if version != WIRE_VERSION {
         return Err(err(format!(
-            "unsupported wire version {version} (this build speaks {WIRE_VERSION_MIN}..={WIRE_VERSION})"
+            "unsupported wire version {version} (this build speaks only {WIRE_VERSION})"
         )));
     }
     Ok(Hello {
@@ -506,8 +530,19 @@ pub fn decode_hello(frame: &WireFrame<'_>) -> Result<Hello> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Recompute the checksum of the frame at the start of `frame` over its
+    /// current header and payload, so a test's edits reach the semantic
+    /// checks.
+    pub(crate) fn reseal(frame: &mut [u8]) {
+        let payload_len = u16::from_le_bytes([frame[2], frame[3]]);
+        let arg = read_u64(&frame[8..16]);
+        let payload = &frame[HEADER..HEADER + payload_len as usize];
+        let checksum = frame_checksum(frame[0], frame[1], payload_len, arg, payload);
+        frame[4..8].copy_from_slice(&checksum.to_le_bytes());
+    }
 
     fn roundtrip_all() -> Vec<u8> {
         let mut out = Vec::new();
@@ -628,8 +663,8 @@ mod tests {
     #[test]
     fn every_flipped_bit_is_rejected_for_every_payload_shape() {
         // Payload lengths around the checksum's word (8) boundary and the
-        // 32-byte line a wider checksum would stride by: empty, sub-word,
-        // whole words, words + a ragged tail.
+        // 32-byte block its four lanes stride by: empty, sub-word, whole
+        // words, words + a ragged tail, whole blocks + words + a tail.
         for len in [0, 1, 7, 8, 9, 31, 32, 33, 39, 40, 63, 64, 65, 95, 96, 100] {
             let payload: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
             let mut clean = Vec::new();
@@ -704,10 +739,7 @@ mod tests {
         for (at, detail) in [(HEADER, "magic"), (HEADER + 4, "version")] {
             let mut buf = out.clone();
             buf[at] ^= 0xff;
-            let payload_len = u16::from_le_bytes([buf[2], buf[3]]);
-            let arg = read_u64(&buf[8..16]);
-            let checksum = frame_checksum(buf[0], buf[1], payload_len, arg, &buf[HEADER..]);
-            buf[4..8].copy_from_slice(&checksum.to_le_bytes());
+            reseal(&mut buf);
             let mut r = FrameReader::new(&buf);
             let f = r.next_frame().unwrap().unwrap();
             let err = decode_hello(&f).expect_err(detail);
@@ -766,33 +798,129 @@ mod tests {
         assert!(decode_chunk_data(&[0u8; 4]).is_err());
     }
 
+    /// A Hello announcing `version`, re-sealed so only the semantic version
+    /// check decides.
+    fn hello_with_version(version: u16) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_hello(&mut buf, 4, 4 * PAGE_SIZE);
+        buf[HEADER + 4..HEADER + 6].copy_from_slice(&version.to_le_bytes());
+        reseal(&mut buf);
+        buf
+    }
+
     #[test]
-    fn hello_accepts_the_decodable_version_range() {
-        let mut out = Vec::new();
-        put_hello(&mut out, 4, 4 * PAGE_SIZE);
-        // Patch the announced version and re-seal the checksum, so only the
-        // semantic version check decides.
-        let with_version = |version: u16| {
-            let mut buf = out.clone();
-            buf[HEADER + 4..HEADER + 6].copy_from_slice(&version.to_le_bytes());
-            let payload_len = u16::from_le_bytes([buf[2], buf[3]]);
-            let arg = read_u64(&buf[8..16]);
-            let checksum = frame_checksum(buf[0], buf[1], payload_len, arg, &buf[HEADER..]);
-            buf[4..8].copy_from_slice(&checksum.to_le_bytes());
-            buf
-        };
-        for version in [WIRE_VERSION_MIN, WIRE_VERSION] {
-            let buf = with_version(version);
-            let mut r = FrameReader::new(&buf);
-            let f = r.next_frame().unwrap().unwrap();
-            let h = decode_hello(&f).expect("in-range version must decode");
-            assert_eq!(h.version, version);
+    fn hello_accepts_only_the_current_version() {
+        assert_eq!(WIRE_VERSION, 4);
+        let buf = hello_with_version(WIRE_VERSION);
+        let f = FrameReader::new(&buf).next_frame().unwrap().unwrap();
+        assert_eq!(decode_hello(&f).unwrap().version, WIRE_VERSION);
+        for version in [WIRE_VERSION - 1, WIRE_VERSION + 1] {
+            let buf = hello_with_version(version);
+            let f = FrameReader::new(&buf).next_frame().unwrap().unwrap();
+            assert!(
+                matches!(decode_hello(&f), Err(Error::WireProtocol { .. })),
+                "version {version} must reject"
+            );
         }
-        for version in [1, WIRE_VERSION + 1] {
-            let buf = with_version(version);
-            let mut r = FrameReader::new(&buf);
-            let f = r.next_frame().unwrap().unwrap();
-            assert!(decode_hello(&f).is_err(), "version {version} must reject");
+    }
+
+    #[test]
+    fn a_version_3_hello_fails_at_its_checksum() {
+        // `put_hello(out, 4, 4 * PAGE_SIZE)` as a version-3 build wrote it:
+        // the same bytes, version 3, sealed with the single-chain checksum.
+        const V3_HELLO_CHECKSUM: u32 = 0x7f90_3eb8;
+        let mut buf = hello_with_version(3);
+        buf[4..8].copy_from_slice(&V3_HELLO_CHECKSUM.to_le_bytes());
+        match FrameReader::new(&buf).next_frame() {
+            Err(Error::WireProtocol { detail, offset: 0 }) => {
+                assert!(detail.contains("checksum"), "{detail}")
+            }
+            other => panic!("a v3 Hello must fail its checksum, got {other:?}"),
+        }
+    }
+
+    /// Checksums recorded from this format's encoder: any silent change to
+    /// the checksum or the frame layout fails here.
+    #[test]
+    fn golden_checksums_pin_the_wire_format() {
+        let page: Vec<u8> = (0..PAGE_SIZE).map(|i| (i * 131 + 7) as u8).collect();
+        let encode = |put: &dyn Fn(&mut Vec<u8>)| {
+            let mut out = Vec::new();
+            put(&mut out);
+            out
+        };
+        for (name, frame, len, want) in [
+            (
+                "empty EndOfRound",
+                encode(&|o| put_end_of_round(o, 3)),
+                16,
+                0x012a_31d8,
+            ),
+            (
+                "1-byte zero marker",
+                encode(&|o| put_page_zero(o, 8)),
+                17,
+                0xde37_e6f7,
+            ),
+            (
+                "Hello",
+                encode(&|o| put_hello(o, 64, 64 * PAGE_SIZE)),
+                34,
+                0x7a02_b8b2,
+            ),
+            (
+                "4 096-byte raw page",
+                encode(&|o| put_page_raw(o, 9, &page)),
+                4112,
+                0x8433_76ec,
+            ),
+            (
+                "4 108-byte ChunkData",
+                encode(&|o| put_chunk_data(o, 9, 0xfeed_f00d, 3, &page)),
+                4124,
+                0x1c57_5536,
+            ),
+        ] {
+            assert_eq!(frame.len(), len, "{name}");
+            let stored = u32::from_le_bytes(frame[4..8].try_into().unwrap());
+            assert_eq!(stored, want, "{name}: {stored:#010x}");
+        }
+    }
+
+    #[test]
+    fn swapped_words_and_blocks_are_rejected() {
+        // Swap the `len` bytes at payload offsets `a` and `b` of a frame
+        // whose 8-byte words are all distinct.
+        let rejects_swap = |payload_len: u32, a: usize, b: usize, len: usize| {
+            let payload: Vec<u8> = (0..payload_len).map(|i| (i * 37 + 11) as u8).collect();
+            let mut buf = Vec::new();
+            put_page_delta(&mut buf, 5, &payload);
+            decode_one(&buf).expect("the clean frame decodes");
+            let (a, b) = (HEADER + a, HEADER + b);
+            let first = buf[a..a + len].to_vec();
+            buf.copy_within(b..b + len, a);
+            buf[b..b + len].copy_from_slice(&first);
+            matches!(decode_one(&buf), Err(Error::WireProtocol { .. }))
+        };
+        // Two words of one block, on every pair of lanes, in a one-block
+        // payload (where lanes that started equal would just trade values)
+        // and in the middle block of three.
+        for (payload_len, block) in [(32, 0), (96, 32)] {
+            for a in (block..block + 32).step_by(8) {
+                for b in (a + 8..block + 32).step_by(8) {
+                    assert!(
+                        rejects_swap(payload_len, a, b, 8),
+                        "{payload_len} bytes: swapping words at {a} and {b} passed"
+                    );
+                }
+            }
+        }
+        // Two whole blocks.
+        for (a, b) in [(0, 32), (0, 64), (32, 64)] {
+            assert!(
+                rejects_swap(96, a, b, 32),
+                "swapping blocks at {a} and {b} passed"
+            );
         }
     }
 
