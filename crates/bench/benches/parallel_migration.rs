@@ -11,11 +11,11 @@
 //! probe so numbers are interpretable. Where the probe reads 1.0× a laned
 //! migration runs at one-stream speed, whatever the core count says.
 //!
-//! Lanes get threads only from one 64-page segment per stripe up
-//! (`rvisor_migrate::pipeline`): the header also prints how many lane
-//! threads a 4-stream migration of the 4 MiB guest and of a 256 KiB one
-//! stands up, and the `precopy_256KiB` rows time the small guest — the
-//! orchestrator's — on 1 and 4 streams beside the 4 MiB rows.
+//! Lanes get threads only beside another lane and from one 64-page segment
+//! per stripe up (`rvisor_migrate::pipeline`): the header also prints how
+//! many lane threads a 4-stream migration of the 4 MiB guest and of a
+//! 256 KiB one stands up, and the `precopy_256KiB` rows time the small
+//! guest — the orchestrator's — on 1 and 4 streams beside the 4 MiB rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::num::NonZeroUsize;

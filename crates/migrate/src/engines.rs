@@ -5,9 +5,8 @@
 //! [`Transport`], accounting simulated time as they go and letting a
 //! [`DirtySource`] keep writing into the source while pre-copy rounds are in
 //! flight (that is what makes the convergence behaviour real rather than
-//! assumed). Which engine runs, and whether the calling thread or a set of
-//! stripe lanes streams its rounds, is the [`MigrationPlan`]'s to say, not
-//! the function name's.
+//! assumed). Which engine runs, and over how many stripe lanes, is the
+//! [`MigrationPlan`]'s to say, not the function name's.
 
 use std::num::NonZeroUsize;
 
@@ -21,7 +20,6 @@ use crate::dirty::{DirtySource, IdleDirtier};
 use crate::pipeline::with_lanes;
 use crate::plan::{FaultService, MigrationPlan, PlanEngine};
 use crate::report::{MigrationReport, RoundStat};
-use crate::stream::{MigrationSource, Stream};
 use crate::transport::Transport;
 use crate::wire;
 
@@ -42,15 +40,13 @@ pub(crate) const PER_PAGE_OVERHEAD: u64 = wire::FRAME_HEADER_BYTES;
 /// * Only pre-copy compresses. The other engines send every page exactly
 ///   once, so there is no earlier version to delta against; they put the
 ///   same bytes on the wire under every [`PageCompression`].
-/// * `plan.streams` picks the scheduler: 1 streams every round inline on
-///   the calling thread, more stand up one lane per stripe
-///   ([`crate::pipeline`]) and charge the round to the transport as that
-///   many striped streams. It does not pick a host thread count: lanes get
-///   threads only from one 64-page segment per stripe up, and run on the
-///   calling thread below that. Same wire bytes, same destination memory,
-///   same report either way.
-/// * A [`FaultService::FaultLane`] post-copy is serial whatever `streams`
-///   says: the lane *is* its second stream.
+/// * `plan.streams` stands up one lane per stripe ([`crate::pipeline`]) and
+///   charges each round to the transport as that many striped streams. It
+///   does not pick a host thread count: lanes get threads only beside
+///   another lane and from one 64-page segment per stripe up. Same wire
+///   bytes, same destination memory, same report for every stream count.
+/// * A [`FaultService::FaultLane`] post-copy runs one stream whatever
+///   `streams` says: the lane *is* its second stream.
 ///
 /// On `Err` the destination's contents are unspecified and the source's
 /// pages are untouched ([why](crate::stream#failure)); every lane thread has
@@ -72,20 +68,24 @@ pub fn execute(
             PlanEngine::PreCopy => plan.compression,
             PlanEngine::StopAndCopy | PlanEngine::PostCopy => PageCompression::None,
         },
+        streams: if fault_lane {
+            NonZeroUsize::MIN
+        } else {
+            plan.streams
+        },
         ..*plan
     };
-    let mut engine = |stream: &mut Stream<'_, '_>, after_hello| match plan.engine {
-        PlanEngine::StopAndCopy => StopAndCopy::run(stream, after_hello, vcpus, trace),
-        PlanEngine::PreCopy => PreCopy::run(stream, after_hello, vcpus, dirtier, plan, trace),
-        PlanEngine::PostCopy => PostCopy::run(stream, after_hello, vcpus, plan, trace),
-    };
-    if plan.streams.get() == 1 || fault_lane {
-        let src = MigrationSource::with_config(source, &wire_plan);
-        let (mut stream, after_hello) = Stream::open_serial(src, dest, transport)?;
-        engine(&mut stream, after_hello)
-    } else {
-        with_lanes(source, dest, transport, &wire_plan, engine)
-    }
+    with_lanes(
+        source,
+        dest,
+        transport,
+        &wire_plan,
+        |stream, after_hello| match plan.engine {
+            PlanEngine::StopAndCopy => StopAndCopy::run(stream, after_hello, vcpus, trace),
+            PlanEngine::PreCopy => PreCopy::run(stream, after_hello, vcpus, dirtier, plan, trace),
+            PlanEngine::PostCopy => PostCopy::run(stream, after_hello, vcpus, plan, trace),
+        },
+    )
 }
 
 /// Emit the per-migration summary span, histogram samples and counters all
@@ -190,7 +190,7 @@ pub struct PostCopy;
 // call; nothing else in the workspace calls them.
 
 impl StopAndCopy {
-    /// Harness-frozen: [`execute`] with a serial [`PlanEngine::StopAndCopy`]
+    /// Harness-frozen: [`execute`] with a one-stream [`PlanEngine::StopAndCopy`]
     /// plan and tracing off.
     pub fn migrate_over(
         source: &GuestMemory,
@@ -215,7 +215,7 @@ impl StopAndCopy {
 }
 
 impl PreCopy {
-    /// Harness-frozen: [`execute`] with `plan` made a serial
+    /// Harness-frozen: [`execute`] with `plan` made a one-stream
     /// [`PlanEngine::PreCopy`] plan and tracing off.
     pub fn migrate_over(
         source: &GuestMemory,
@@ -268,7 +268,7 @@ impl PreCopy {
 }
 
 impl PostCopy {
-    /// Harness-frozen: [`execute`] with `plan` made a serial, sweep-ordered
+    /// Harness-frozen: [`execute`] with `plan` made a one-stream, sweep-ordered
     /// [`PlanEngine::PostCopy`] plan and tracing off.
     pub fn migrate_over(
         source: &GuestMemory,
@@ -366,6 +366,7 @@ pub fn sweep_mean_fault_latency(
 mod tests {
     use super::*;
     use crate::dirty::ConstantRateDirtier;
+    use crate::pipeline::lane_threads_during;
     use crate::plan::MAX_MIGRATION_STREAMS;
     use crate::report::MigrationKind;
     use crate::transport::refusing::RefusingTransport;
@@ -648,25 +649,27 @@ mod tests {
     fn execute_dispatches_by_plan() {
         const PAGES: u64 = 256;
         // What one run leaves behind: report, bytes charged to the channel,
-        // destination image, and how many rounds were charged as stripes.
+        // destination image, and how many lane threads it spawned.
         let observe = |plan: &MigrationPlan| {
             // Zero gaps, so a compressing engine would send fewer bytes.
             let (src, dst) = sparse_memories(PAGES, 3);
             let mut link = link();
             let mut transport = RefusingTransport::new(&mut link, 0);
-            let report = execute(
-                plan,
-                &src,
-                &dst,
-                &[VcpuState::default()],
-                &mut transport,
-                &mut gigabit_dirtier(0.4, PAGES),
-                &Trace::off(),
-            )
-            .unwrap();
+            let (report, threads) = lane_threads_during(|| {
+                execute(
+                    plan,
+                    &src,
+                    &dst,
+                    &[VcpuState::default()],
+                    &mut transport,
+                    &mut gigabit_dirtier(0.4, PAGES),
+                    &Trace::off(),
+                )
+                .unwrap()
+            });
             assert_eq!(dst.checksum(), src.checksum(), "{plan:?}");
             let bytes = transport.bytes_sent();
-            (report, bytes, dst.checksum(), transport.striped_calls)
+            (report, bytes, dst.checksum(), threads)
         };
         let engines = [
             (PlanEngine::StopAndCopy, FaultService::Sweep),
@@ -686,8 +689,8 @@ mod tests {
                     },
                     ..Default::default()
                 };
-                let (expected, expected_bytes, expected_mem, striped) = observe(&inline);
-                assert_eq!(striped, 0, "one stream runs no lane: {inline:?}");
+                let (expected, expected_bytes, expected_mem, threads) = observe(&inline);
+                assert_eq!(threads, 0, "a lone lane runs inline: {inline:?}");
                 assert_eq!(expected.bytes_transferred, expected_bytes);
 
                 for streams in [1usize, 4] {
@@ -696,12 +699,13 @@ mod tests {
                         compression,
                         ..inline
                     };
-                    let (report, bytes, mem, striped) = observe(&row);
+                    let (report, bytes, mem, threads) = observe(&row);
                     assert_eq!(report, expected, "{row:?}");
                     assert_eq!((bytes, mem), (expected_bytes, expected_mem), "{row:?}");
-                    // The fault lane is serial whatever `streams` says.
+                    // 64-page stripes get threads beside another lane; the
+                    // fault lane is one stream whatever `streams` says.
                     let laned = streams > 1 && fault_service == FaultService::Sweep;
-                    assert_eq!(striped > 0, laned, "{row:?}");
+                    assert_eq!(threads, if laned { 4 } else { 0 }, "{row:?}");
                 }
             }
         }

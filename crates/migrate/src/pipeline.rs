@@ -1,13 +1,13 @@
-//! Stripe lanes: the multi-stream scheduler.
+//! The migration scheduler: one [`Stream`] per migration, one lane per
+//! stripe of the page-index space.
 //!
-//! With one stream, [`execute`](crate::execute) moves a round through one
-//! buffer on the calling thread: encode a segment of at most 64 pages, apply
-//! it on the sink while it is still in cache, repeat
-//! ([`stream`](crate::stream)). This module runs that same loop once per
-//! stripe of the page-index space — on several threads at once when a
-//! stripe is worth a thread — under the same engine bodies, while staying
-//! **byte-identical and [`MigrationReport`](crate::MigrationReport)-`==` to
-//! the one-stream schedule** (pinned by proptest below):
+//! [`execute`](crate::execute) runs every migration through [`with_lanes`],
+//! and a one-stream migration is one stripe. Each lane runs the segment loop
+//! of [`stream`](crate::stream) over its stripe — encode at most 64 pages,
+//! apply them on the sink while they are still in cache, repeat — under the
+//! same engine bodies, and the stream is **byte-identical and
+//! [`MigrationReport`](crate::MigrationReport)-`==` whatever the stream
+//! count** (pinned by proptest below):
 //!
 //! * **Lanes** — [`MigrationPlan::streams`] shards the page-index space
 //!   into *fixed* contiguous stripes (`stripe = page / ceil(total_pages /
@@ -18,12 +18,11 @@
 //!   destination page, and no round is ever materialised as a stripe-sized
 //!   body.
 //! * **Where a lane runs** — a lane is a function (`stream_stripe`) over
-//!   that state and a segment buffer. From one segment per stripe up
-//!   (`ceil(total_pages / streams) ≥ 64`) each lane gets a scoped thread of
-//!   its own, and a page's bytes never cross a thread. Below that the lanes
-//!   run one after the other on the coordinator, sharing one buffer: the
-//!   same frames, the same per-stripe byte counts, no thread (see the model
-//!   assumptions below for why).
+//!   that state and a segment buffer. Beside another lane and from one
+//!   segment per stripe up (`ceil(total_pages / streams) ≥ 64`) each lane
+//!   gets a scoped thread of its own, and a page's bytes never cross a
+//!   thread. Otherwise the lanes run one after the other on the
+//!   coordinator, sharing one buffer (see the model assumptions below).
 //! * **The coordinator** — the calling thread runs the engine body and keeps
 //!   what is inherently serial. Per round it cuts the ascending page list
 //!   into per-stripe lists, gathers the lanes' byte counts in stripe order
@@ -35,7 +34,7 @@
 //!   stripe's first page and the one still open at its end; the coordinator
 //!   coalesces neighbours and encodes and applies the stitched run itself,
 //!   attributed to the stripe it starts in, so the stream carries *exactly*
-//!   the frames the one-stream encoder would (same
+//!   the frames one lane would (same
 //!   [`ZeroRun`](crate::wire::FrameKind::ZeroRun) coalescing, same bytes,
 //!   same report).
 //!
@@ -50,22 +49,17 @@
 //! the single-spine [`ClosFabric`](rvisor_net::ClosFabric) preset each
 //! stream additionally pays its own MTU chunk framing, so simulated time is
 //! never *better* than with one stream (only a multi-rack fabric's spines
-//! can make a cross-rack burst faster). What lane threads can buy is **host wall-clock**, on a host whose
-//! cores run threads in parallel (experiment E18): they share nothing but
-//! the guest regions' locks — the source's read lock and the destination's
-//! write lock, each held for one 4 KiB copy at a time. The named assumption
-//! is *"a lane thread buys wall-clock"*, and it is false for a stripe
-//! shorter than one segment: four threads and eight channels to move 16
-//! pages each cost more to stand up than the pages cost to move (a 64-page
-//! guest: p50 571 µs on four lane threads against 159 µs on one stream,
-//! EXPERIMENTS.md "E18, small guests run their lanes inline"), and thread
-//! start-up is the part of a host's wall-clock that swings. So
-//! `with_lanes` spawns only from one segment per stripe up — a rule over
-//! the guest's pages and the plan's streams, with the serial engines'
-//! segment size as its one constant. `streams` itself stays what the
-//! planner chose it for, a striping of the *simulated* fabric; the byte
-//! stream, the destination memory and the report are identical on either
-//! side of the rule.
+//! can make a cross-rack burst faster). What lane threads can buy is **host
+//! wall-clock**, on a host whose cores run threads in parallel (experiment
+//! E18): they share nothing but the guest regions' locks. The named
+//! assumption is *"a lane thread buys wall-clock"*, and it is false for a
+//! lone lane, which has nothing to overlap with, and for a stripe shorter
+//! than one segment, whose thread and channels cost more to stand up than
+//! its pages cost to move (EXPERIMENTS.md "E18, small guests run their
+//! lanes inline"). So `with_lanes` spawns only beside another lane and from
+//! one segment per stripe up — a rule over the guest's pages and the plan's
+//! streams; the byte stream, the destination memory and the report are
+//! identical on either side of it.
 //! One deliberate divergence: each stripe's XBZRLE cache has the full
 //! configured capacity, so the aggregate cache across N streams is N× the
 //! one-stream cache. With cache pressure a laned migration may therefore
@@ -75,15 +69,14 @@
 //!
 //! # Failure
 //!
-//! As with one stream ([why](crate::stream#failure)): on `Err` the
-//! destination's contents are unspecified and the source's pages are
-//! untouched. Every lane thread has been joined by the time
-//! [`execute`](crate::execute) returns, whatever it returns. When lanes fail
-//! mid-round the coordinator first collects every lane's result — inline
-//! lanes too run every stripe of the round — then returns the error of the
-//! lowest failing stripe. The `offset` of an
-//! [`Error::WireProtocol`] raised by a page frame counts bytes from the
-//! start of the failing stripe's stream of that round.
+//! As [`stream`](crate::stream#failure) says: on `Err` the destination's
+//! contents are unspecified and the source's pages are untouched. Every lane
+//! thread has been joined by the time [`execute`](crate::execute) returns,
+//! whatever it returns. When lanes fail mid-round the coordinator first
+//! collects every lane's result — inline lanes too run every stripe of the
+//! round — then returns the error of the lowest failing stripe. The `offset`
+//! of an [`Error::WireProtocol`] raised by a page frame counts bytes from
+//! the start of the failing stripe's stream of that round.
 
 use std::ops::Range;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -92,11 +85,14 @@ use std::thread;
 use rvisor_memory::GuestMemory;
 use rvisor_obs::{ArgValue, Trace};
 use rvisor_types::{Error, Nanoseconds, Result};
+use rvisor_vcpu::VcpuState;
 
 use crate::compress::CompressionStats;
+use crate::engines::{check_same_size, emit_round_span};
 use crate::plan::MigrationPlan;
+use crate::report::RoundStat;
 use crate::stream::SEGMENT_PAGES;
-use crate::stream::{segment_capacity, MigrationSink, MigrationSource, Stream, ZeroRun};
+use crate::stream::{segment_capacity, MigrationSink, MigrationSource, ZeroRun};
 use crate::transport::Transport;
 
 /// What a lane thread hands back per round.
@@ -121,9 +117,8 @@ struct StripeOutcome {
     stats: Option<CompressionStats>,
 }
 
-/// Stream one stripe's page list: the segment loop of the serial engines,
-/// boundary zero runs withheld. What a lane does with a round, on whichever
-/// thread it runs.
+/// Stream one stripe's page list: the segment loop, boundary zero runs
+/// withheld. What a lane does with a round, on whichever thread it runs.
 fn stream_stripe(
     src: &mut MigrationSource<'_>,
     sink: &mut MigrationSink<'_>,
@@ -173,8 +168,8 @@ fn lane_gone() -> Error {
 // and cost an allocation per inline lane.
 #[allow(clippy::large_enum_variant)]
 enum Worker<'m> {
-    /// On the coordinator: [`Lanes::round`] streams the stripe itself, through
-    /// the segment buffer the inline lanes share.
+    /// On the coordinator: [`Stream::round`] streams the stripe itself,
+    /// through the segment buffer the inline lanes share.
     Inline {
         src: MigrationSource<'m>,
         sink: MigrationSink<'m>,
@@ -198,9 +193,18 @@ struct Lane<'m> {
     stats: Option<CompressionStats>,
 }
 
-/// The stripe lanes of one multi-stream migration, as its [`Stream`] drives
-/// them.
-pub(crate) struct Lanes<'m> {
+/// One migration in flight: the control half, the channel, and one lane per
+/// stripe.
+pub(crate) struct Stream<'m, 't> {
+    /// Encodes the control frames — Hello, zero runs stitched across stripe
+    /// boundaries, end-of-round markers, vCPU state — which `sink` applies,
+    /// through the small buffer `frames`.
+    pub(crate) control: MigrationSource<'m>,
+    sink: MigrationSink<'m>,
+    frames: Vec<u8>,
+    pub(crate) transport: &'t mut dyn Transport,
+    pub(crate) start: Nanoseconds,
+    bytes_before: u64,
     lanes: Vec<Lane<'m>>,
     stripe_len: u64,
     /// Per-stripe payload bytes of the round streamed last (what
@@ -221,19 +225,35 @@ fn close_run(open: Option<(usize, ZeroRun)>, frames: &mut Vec<u8>, stripe_bytes:
     }
 }
 
-impl Lanes<'_> {
-    /// Stream one round of `pages` (ascending global indices) down the
-    /// lanes, stitch the boundary zero runs and close the round with its
-    /// end-of-round marker; `control`, `sink` and `frames` are the stream's
-    /// own encoder, sink and buffer, which the control frames go through.
-    /// Returns the round's per-stream payload split.
+impl Stream<'_, '_> {
+    /// Apply the control frames in the buffer and charge them to the
+    /// channel as a transfer of their own.
+    fn send_control(&mut self, now: Nanoseconds) -> Result<Nanoseconds> {
+        self.sink.apply_burst(&self.frames)?;
+        self.transport.transmit_bytes(now, self.frames.len() as u64)
+    }
+
+    /// Send the vCPU state frames as one control burst.
+    pub(crate) fn vcpu_states(
+        &mut self,
+        states: &[VcpuState],
+        now: Nanoseconds,
+    ) -> Result<Nanoseconds> {
+        self.frames.clear();
+        MigrationSource::put_vcpu_states(states, &mut self.frames);
+        self.send_control(now)
+    }
+
+    /// The round driver: stream `pages` (ascending global indices) down the
+    /// lanes, stitch the boundary zero runs, close the round with its
+    /// end-of-round marker, then charge the round's per-stripe bytes to the
+    /// channel as the one simulated transfer it is. Returns the arrival time
+    /// and the round's statistics.
     pub(crate) fn round(
         &mut self,
         pages: &[u64],
-        control: &mut MigrationSource<'_>,
-        sink: &mut MigrationSink<'_>,
-        frames: &mut Vec<u8>,
-    ) -> Result<&[u64]> {
+        now: Nanoseconds,
+    ) -> Result<(Nanoseconds, RoundStat)> {
         let mut failed: Option<Error> = None;
         // Scatter: stripe s owns the fixed index range
         // [s * stripe_len, (s + 1) * stripe_len); the ascending page list
@@ -263,13 +283,12 @@ impl Lanes<'_> {
         }
         // Gather in stripe order — from every busy lane, also past a
         // failure, so that none is left holding a result — re-coalescing
-        // runs across boundaries so the stream is frame for frame the
-        // serial encoder's. `open` carries the run still open at the
-        // current boundary and the stripe it started in (for byte
-        // attribution).
+        // runs across boundaries so the stream is frame for frame one
+        // lane's. `open` carries the run still open at the current boundary
+        // and the stripe it started in (for byte attribution).
         self.stripe_bytes.fill(0);
-        frames.clear();
-        let stripe_bytes = &mut self.stripe_bytes[..];
+        self.frames.clear();
+        let (frames, stripe_bytes) = (&mut self.frames, &mut self.stripe_bytes[..]);
         let mut open: Option<(usize, ZeroRun)> = None;
         for (s, lane) in self.lanes.iter_mut().enumerate() {
             if lane.share.is_empty() {
@@ -320,17 +339,32 @@ impl Lanes<'_> {
         close_run(open, frames, stripe_bytes);
         // The end-of-round marker rides the control stream (stripe 0).
         let at = frames.len();
-        control.end_round(frames);
+        self.control.end_round(frames);
         stripe_bytes[0] += (frames.len() - at) as u64;
-        sink.apply_burst(frames)?;
-        Ok(&self.stripe_bytes)
+        self.sink.apply_burst(frames)?;
+        let done = self.transport.transmit_striped(now, stripe_bytes)?;
+        let stat = RoundStat {
+            pages: pages.len() as u64,
+            bytes: stripe_bytes.iter().sum(),
+            duration: done.saturating_sub(now),
+        };
+        Ok((done, stat))
     }
 
-    /// One instant per active stream on the `migrate/stream` track,
-    /// recording the payload split fed to [`Transport::transmit_striped`]
-    /// for the round just streamed.
-    pub(crate) fn trace_stripes(&self, trace: &Trace, round: u32, at: Nanoseconds) {
-        if !trace.is_on() {
+    /// Emit a round's span and, with more than one stream, one instant per
+    /// active stripe on the `migrate/stream` track with the payload split
+    /// the round was charged as.
+    pub(crate) fn trace_round(
+        &self,
+        trace: &Trace,
+        name: &'static str,
+        round: u32,
+        stat: RoundStat,
+        start: Nanoseconds,
+        end: Nanoseconds,
+    ) {
+        emit_round_span(trace, name, round, stat, start, end);
+        if !trace.is_on() || self.stripe_bytes.len() == 1 {
             return;
         }
         for (stream, &bytes) in self.stripe_bytes.iter().enumerate() {
@@ -340,7 +374,7 @@ impl Lanes<'_> {
             trace.instant(
                 "migrate/stream",
                 "stripe",
-                at,
+                end,
                 &[
                     ("round", ArgValue::U64(u64::from(round))),
                     ("stream", ArgValue::U64(stream as u64)),
@@ -363,6 +397,11 @@ impl Lanes<'_> {
             bytes_out: a.bytes_out + b.bytes_out,
         })
     }
+
+    /// Wire bytes this migration has put on the channel so far.
+    pub(crate) fn bytes_transferred(&self) -> u64 {
+        self.transport.bytes_sent() - self.bytes_before
+    }
 }
 
 #[cfg(test)]
@@ -371,10 +410,19 @@ thread_local! {
     static LANE_THREADS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
-/// Open a stream from `source` to `dest`, stand up one lane per stripe —
-/// each compressing as `plan` says, each on a thread of its own unless a
-/// stripe is shorter than one segment (see the module docs) — and run the
-/// engine `f` over it. Lane threads are joined before this returns.
+/// Lane threads spawned by the migrations `f` runs on this thread.
+#[cfg(test)]
+pub(crate) fn lane_threads_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = LANE_THREADS.with(|n| n.get());
+    let out = f();
+    (out, LANE_THREADS.with(|n| n.get()) - before)
+}
+
+/// Open a stream from `source` to `dest` with the Hello handshake, stand up
+/// one lane per stripe — each compressing as `plan` says, each on a thread
+/// of its own only beside another lane and from one segment per stripe up
+/// (see the module docs) — and run the engine `f` over it. Lane threads are
+/// joined before this returns.
 pub(crate) fn with_lanes<R>(
     source: &GuestMemory,
     dest: &GuestMemory,
@@ -382,16 +430,27 @@ pub(crate) fn with_lanes<R>(
     plan: &MigrationPlan,
     f: impl FnOnce(&mut Stream<'_, '_>, Nanoseconds) -> Result<R>,
 ) -> Result<R> {
+    check_same_size(source, dest)?;
     let streams = plan.streams.get();
     let stripe_len = source.total_pages().div_ceil(streams as u64).max(1);
-    let inline = stripe_len < SEGMENT_PAGES as u64;
+    let inline = streams == 1 || stripe_len < SEGMENT_PAGES as u64;
     let capacity = segment_capacity(stripe_len);
     thread::scope(|scope| {
-        // The stream's own buffer only ever holds control frames.
-        let control = MigrationSource::raw(source);
-        let (mut stream, after_hello) =
-            Stream::open(control, dest, transport, segment_capacity(1))?;
-        let lanes = (0..streams).map(|_| {
+        let mut stream = Stream {
+            control: MigrationSource::raw(source),
+            sink: MigrationSink::new(dest),
+            frames: Vec::with_capacity(segment_capacity(1)),
+            start: transport.free_at(),
+            bytes_before: transport.bytes_sent(),
+            transport,
+            lanes: Vec::with_capacity(streams),
+            stripe_len,
+            stripe_bytes: vec![0; streams],
+            segment: Vec::with_capacity(if inline { capacity } else { 0 }),
+        };
+        stream.control.put_hello(&mut stream.frames);
+        let after_hello = stream.send_control(stream.start)?;
+        for _ in 0..streams {
             let src = MigrationSource::with_config(source, plan);
             let stats = src.compression_stats();
             let sink = MigrationSink::lane_of(&stream.sink);
@@ -411,18 +470,12 @@ pub(crate) fn with_lanes<R>(
                     pages: Vec::with_capacity(stripe_len as usize),
                 }
             };
-            Lane {
+            stream.lanes.push(Lane {
                 worker,
                 share: 0..0,
                 stats,
-            }
-        });
-        stream.lanes = Some(Lanes {
-            lanes: lanes.collect(),
-            stripe_len,
-            stripe_bytes: vec![0; streams],
-            segment: Vec::with_capacity(if inline { capacity } else { 0 }),
-        });
+            });
+        }
         // Dropping the stream at the end of this closure hangs up on the
         // lane threads, which ends them; the scope then joins them.
         f(&mut stream, after_hello)
@@ -435,7 +488,7 @@ mod tests {
     use crate::compress::PageCompression;
     use crate::dirty::{ConstantRateDirtier, DirtySource, IdleDirtier};
     use crate::engines::execute;
-    use crate::plan::{PlanEngine, MAX_MIGRATION_STREAMS};
+    use crate::plan::{FaultService, PlanEngine, MAX_MIGRATION_STREAMS};
     use crate::report::MigrationReport;
     use crate::transport::refusing::{refusal, RefusingTransport};
     use crate::transport::{FabricTransport, LoopbackTransport};
@@ -552,13 +605,6 @@ mod tests {
         }
     }
 
-    /// Lane threads spawned by the migrations `f` runs on this thread.
-    fn lane_threads_during<R>(f: impl FnOnce() -> R) -> (R, u64) {
-        let before = LANE_THREADS.with(|n| n.get());
-        let out = f();
-        (out, LANE_THREADS.with(|n| n.get()) - before)
-    }
-
     #[test]
     fn lanes_get_threads_from_one_segment_per_stripe_and_match_serial_either_side() {
         // Stripes of 63, 64 and 65 pages, and a one-segment guest cut 2, 4
@@ -586,7 +632,7 @@ mod tests {
                     let case = format!("{engine:?} {compression:?} {pages} pages / {n}");
                     let (expected, none) =
                         lane_threads_during(|| loopback_report(&serial, pages, 0.4));
-                    assert_eq!(none, 0, "{case}: one stream has no lane");
+                    assert_eq!(none, 0, "{case}: a lone lane runs inline");
                     let (got, spawned) =
                         lane_threads_during(|| loopback_report(&laned, pages, 0.4));
                     assert_eq!(spawned, threads, "{case}: lane threads");
@@ -681,61 +727,72 @@ mod tests {
         assert!(over(&laned, &src, &small, &mut transport, &mut IdleDirtier, &off).is_err());
     }
 
-    fn run_laned(
-        engine: PlanEngine,
-        n: usize,
-        src: &GuestMemory,
-        dst: &GuestMemory,
-        transport: &mut dyn Transport,
-    ) -> Result<MigrationReport> {
-        let plan = MigrationPlan {
-            engine,
-            streams: streams(n),
-            compression: PageCompression::Xbzrle,
-            ..Default::default()
-        };
-        over(&plan, src, dst, transport, &mut IdleDirtier, &Trace::off())
-    }
-
     #[test]
     fn refused_transfer_joins_the_lanes_and_leaves_the_source_migratable() {
-        // One stream, inline lanes (64 pages) and lane threads (256 pages)
-        // fail alike: the same typed error at the same transfer.
-        let guests = [64u64, 256].into_iter();
-        let engines = ENGINES.into_iter().zip([3, 4, 3]);
-        // Transfers per migration: Hello, the rounds, the vCPU state.
-        for (pages, (engine, transfers)) in
-            guests.flat_map(|pages| engines.clone().map(move |e| (pages, e)))
+        // Three segments per round, so a refused round has already landed
+        // pages when the transport says no; 256 pages, where 4 streams get
+        // lane threads. Transfers per migration: Hello, the rounds, the vCPU
+        // state.
+        let engines = [
+            (PlanEngine::StopAndCopy, FaultService::Sweep, 3),
+            (PlanEngine::PreCopy, FaultService::Sweep, 4),
+            (PlanEngine::PostCopy, FaultService::Sweep, 3),
+            (PlanEngine::PostCopy, FaultService::FaultLane, 4),
+        ];
+        for (pages, (engine, fault_service, transfers), n) in [3 * SEGMENT_PAGES as u64, 256]
+            .into_iter()
+            .flat_map(|pages| engines.map(move |e| (pages, e)))
+            .flat_map(|(pages, e)| [1usize, 2, 4].map(move |n| (pages, e, n)))
         {
-            for n in [1usize, 2, 4] {
-                let (clean_src, clean_dst) = memories(pages);
-                let mut link = Link::new(LinkModel::gigabit());
-                let mut healthy = LoopbackTransport::new(&mut link);
-                let expected = run_laned(engine, n, &clean_src, &clean_dst, &mut healthy).unwrap();
+            let plan = MigrationPlan {
+                engine,
+                fault_service,
+                streams: streams(n),
+                compression: PageCompression::Xbzrle,
+                ..Default::default()
+            };
+            let run = |src: &GuestMemory, dst: &GuestMemory, transport: &mut dyn Transport| {
+                over(&plan, src, dst, transport, &mut IdleDirtier, &Trace::off())
+            };
+            let (clean_src, clean_dst) = memories(pages);
+            let mut link = Link::new(LinkModel::gigabit());
+            let expected = run(
+                &clean_src,
+                &clean_dst,
+                &mut LoopbackTransport::new(&mut link),
+            );
+            let expected = expected.unwrap();
 
-                for fail_on in 1..=transfers {
-                    let (src, dst) = memories(pages);
-                    let bytes_before = region_bytes(&src);
-                    let mut link = Link::new(LinkModel::gigabit());
-                    let mut refusing = RefusingTransport::new(&mut link, fail_on);
-                    // Returning at all means every lane was joined: they
-                    // run inside a `thread::scope`.
-                    let err = run_laned(engine, n, &src, &dst, &mut refusing)
-                        .expect_err("the refused transfer must fail the migration");
-                    let case =
-                        format!("{engine:?}, {pages} pages, {n} streams, transfer {fail_on}");
-                    assert_eq!(err, refusal(), "{case}");
-                    assert_eq!(refusing.calls, fail_on, "nothing is sent after a refusal");
-                    assert_eq!(region_bytes(&src), bytes_before, "{case}");
-
-                    // The same source, a healthy transport, a fresh destination.
-                    let (_, fresh) = memories(pages);
-                    let mut link = Link::new(LinkModel::gigabit());
-                    let mut healthy = LoopbackTransport::new(&mut link);
-                    let retried = run_laned(engine, n, &src, &fresh, &mut healthy).unwrap();
-                    assert_eq!(retried, expected, "{case}");
-                    assert_eq!(region_bytes(&fresh), bytes_before, "{case}");
+            for fail_on in 1..=transfers {
+                let case = format!(
+                    "{engine:?} {fault_service:?}, {pages} pages, {n} streams, transfer {fail_on}"
+                );
+                let (src, dst) = memories(pages);
+                src.clear_dirty();
+                if engine != PlanEngine::PreCopy {
+                    // One dirty page, so the bitmap has something to lose.
+                    // (Pre-copy owns dirty tracking for the call and clears
+                    // it on entry, on success and failure alike.)
+                    src.mark_dirty_page(5);
                 }
+                let (bytes_before, dirty_before) = (region_bytes(&src), src.dirty_pages());
+                let mut link = Link::new(LinkModel::gigabit());
+                let mut refusing = RefusingTransport::new(&mut link, fail_on);
+                // Returning at all means every lane was joined: they run
+                // inside a `thread::scope`.
+                let err = run(&src, &dst, &mut refusing)
+                    .expect_err("the refused transfer must fail the migration");
+                assert_eq!(err, refusal(), "{case}");
+                assert_eq!(refusing.calls, fail_on, "{case}: sent after a refusal");
+                assert_eq!(region_bytes(&src), bytes_before, "{case}");
+                assert_eq!(src.dirty_pages(), dirty_before, "{case}");
+
+                // The same source, a healthy transport, a fresh destination.
+                let (_, fresh) = memories(pages);
+                let mut link = Link::new(LinkModel::gigabit());
+                let retried = run(&src, &fresh, &mut LoopbackTransport::new(&mut link));
+                assert_eq!(retried.unwrap(), expected, "{case}");
+                assert_eq!(region_bytes(&fresh), bytes_before, "{case}");
             }
         }
     }
@@ -783,7 +840,11 @@ mod tests {
     fn traced_pipelined_xbzrle_span_carries_the_serial_compression_stats() {
         // Zero, raw and (from round 2 on) delta pages, no eviction.
         let pages = 256u64;
-        let span_stats = |n: usize| {
+        let arg = |e: &rvisor_obs::TraceEvent, name| match e.args.iter().find(|(k, _)| *k == name) {
+            Some((_, OwnedArg::U64(v))) => *v,
+            other => panic!("{name}: {other:?}"),
+        };
+        let traced = |n: usize| {
             let (src, dst) = memories(pages);
             let mut link = Link::new(LinkModel::gigabit());
             let mut transport = LoopbackTransport::new(&mut link);
@@ -798,18 +859,39 @@ mod tests {
             let recorder = recorder.borrow();
             let events = recorder.events();
             let span = events.iter().find(|e| e.track == "migrate").unwrap();
-            ["zero_pages", "delta_pages", "raw_pages"].map(|name| {
-                let (_, value) = span.args.iter().find(|(key, _)| *key == name).unwrap();
-                value.clone()
-            })
+            let stats = ["zero_pages", "delta_pages", "raw_pages"].map(|name| arg(span, name));
+            let track = |track| events.iter().filter(move |e| e.track == track);
+            let rounds: Vec<_> = track("migrate/round")
+                .map(|e| (arg(e, "round"), arg(e, "bytes")))
+                .collect();
+            let stripes: Vec<_> = track("migrate/stream")
+                .map(|e| (arg(e, "round"), arg(e, "stream"), arg(e, "bytes")))
+                .collect();
+            (stats, rounds, stripes)
         };
-        let serial = span_stats(1);
-        assert!(
-            serial.iter().all(|pages| *pages != OwnedArg::U64(0)),
-            "{serial:?}"
-        );
+        let (serial, rounds, stripes) = traced(1);
+        assert!(serial.iter().all(|&pages| pages != 0), "{serial:?}");
+        assert!(rounds.len() >= 2, "{rounds:?}");
+        assert_eq!(stripes, [], "a lone lane's split is no news");
         for n in [2usize, 3, 4] {
-            assert_eq!(span_stats(n), serial, "{n} streams");
+            let (stats, laned_rounds, stripes) = traced(n);
+            assert_eq!(stats, serial, "{n} streams");
+            assert_eq!(laned_rounds, rounds, "{n} streams");
+            // One instant per active stripe and round, in stripe order,
+            // adding up to the round; round 1 moves every stripe.
+            for &(round, bytes) in &rounds {
+                let split: Vec<_> = stripes.iter().filter(|s| s.0 == round).collect();
+                assert!(split.windows(2).all(|w| w[0].1 < w[1].1), "{split:?}");
+                assert!(split.iter().all(|s| s.2 > 0), "{split:?}");
+                assert_eq!(split.iter().map(|s| s.2).sum::<u64>(), bytes, "{split:?}");
+                if round == 1 {
+                    assert_eq!(split.len(), n, "{n} streams, round 1");
+                }
+            }
+            assert_eq!(
+                stripes.iter().filter(|s| s.0 > rounds.len() as u64).count(),
+                0
+            );
         }
     }
 

@@ -83,14 +83,13 @@ pub struct MigrationPlan {
     /// Which engine this migration rides.
     pub engine: PlanEngine,
     /// How many parallel streams carry the migration (at most
-    /// [`MAX_MIGRATION_STREAMS`]). With 1 the calling thread streams every
-    /// round itself; with more, the page-index space is sharded into fixed
-    /// contiguous stripes and one lane — a thread with its own encoder,
-    /// sink and segment buffer — streams each ([`crate::pipeline`]). Stripe
-    /// `s` owns a fixed range of page indices, so a page always travels on
-    /// the same stream and no two lanes touch the same destination page.
-    /// A fault-lane post-copy is serial whatever this says: the lane *is*
-    /// its second stream.
+    /// [`MAX_MIGRATION_STREAMS`]). The page-index space is sharded into this
+    /// many fixed contiguous stripes and one lane — its own encoder, sink
+    /// and segment buffer — streams each ([`crate::pipeline`]). Stripe `s`
+    /// owns a fixed range of page indices, so a page always travels on the
+    /// same stream and no two lanes touch the same destination page. A
+    /// fault-lane post-copy runs one stream whatever this says: the lane
+    /// *is* its second stream.
     pub streams: NonZeroUsize,
     /// Pre-copy: how page contents are compressed before crossing the wire
     /// (zero-page detection and/or XBZRLE delta encoding). Stop-and-copy
@@ -196,7 +195,7 @@ mod tests {
 
     #[test]
     fn default_plan_matches_default_config() {
-        // A serial, uncompressed, sweep-ordered pre-copy with the round
+        // A one-stream, uncompressed, sweep-ordered pre-copy with the round
         // budget and thresholds every recorded table was produced under.
         let plan = MigrationPlan::default();
         assert_eq!(plan.engine, PlanEngine::PreCopy);

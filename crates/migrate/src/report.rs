@@ -67,8 +67,8 @@ pub struct MigrationReport {
     /// Per-round breakdown: one entry per memory-copy round, in order.
     /// Pre-copy appends a final entry for the paused stop-phase copy;
     /// stop-and-copy and post-copy record their single bulk copy. The
-    /// serial, streamed and pipelined paths populate it identically
-    /// (proptest-pinned).
+    /// direct oracle and the stream populate it identically at every stream
+    /// count (proptest-pinned).
     pub rounds_breakdown: Vec<RoundStat>,
 }
 

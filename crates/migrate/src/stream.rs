@@ -7,16 +7,14 @@
 //! and applies pages in place on the destination, and the transport models
 //! the bytes crossing the network (loopback link or shared fabric).
 //!
-//! A round is one **simulated** transfer: its total bytes are charged to the
-//! channel with a single [`Transport::transmit_bytes`]. Nothing requires it
-//! to be one unit of **host** memory, so a round moves through one reused
-//! buffer in segments of at most `SEGMENT_PAGES` pages, each applied on the
-//! sink while it is still in cache and before the round's simulated arrival.
-//! The concatenated segments are byte for byte the burst
+//! A round is one **simulated** transfer: its per-stripe bytes are charged
+//! to the channel with a single [`Transport::transmit_striped`]. Nothing
+//! requires it to be one unit of **host** memory, so each stripe's lane
+//! ([`pipeline`](crate::pipeline)) moves it through one reused buffer in
+//! segments of at most `SEGMENT_PAGES` pages, each applied on the sink while
+//! it is still in cache and before the round's simulated arrival. The
+//! concatenated segments are byte for byte the burst
 //! [`MigrationSource::encode_round`] builds (pinned by proptest below).
-//! Under stripe lanes ([`pipeline`](crate::pipeline)) the same segment loop
-//! runs once per stripe of the page-index space — on a thread each when a
-//! stripe holds at least one segment — under the same engine bodies.
 //!
 //! # Failure
 //!
@@ -46,18 +44,17 @@ use rvisor_vcpu::VcpuState;
 use crate::compress::{is_zero_page, xbzrle_apply_in_place, EncodedPage};
 use crate::compress::{PageCompression, PageCompressor};
 use crate::dirty::DirtySource;
-use crate::engines::{check_same_size, PostCopy, PreCopy, StopAndCopy};
-use crate::engines::{emit_migration_span, emit_round_span, PER_PAGE_OVERHEAD};
-use crate::pipeline::Lanes;
+use crate::engines::{emit_migration_span, PostCopy, PreCopy, StopAndCopy, PER_PAGE_OVERHEAD};
+use crate::pipeline::Stream;
 use crate::plan::{FaultService, MigrationPlan};
 use crate::report::{MigrationKind, MigrationReport, RoundStat};
 use crate::transport::Transport;
 use crate::wire::{self, FrameKind, WireFrame, MODE_DELTA, MODE_RAW, MODE_ZERO};
 
-/// Pages per segment of a serially streamed round: large enough to amortise
-/// the per-segment calls, small enough (≈ 260 KiB of raw frames) that the
-/// sink reads the segment from cache. Measured flat from 16 to 256. Also the
-/// stripe length from which a lane is worth a thread
+/// Pages per segment of a lane's round: large enough to amortise the
+/// per-segment calls, small enough (≈ 260 KiB of raw frames) that the sink
+/// reads the segment from cache. Measured flat from 16 to 256. Also the
+/// stripe length from which a lane beside another is worth a thread
 /// ([`pipeline`](crate::pipeline)).
 pub(crate) const SEGMENT_PAGES: usize = 64;
 
@@ -106,7 +103,7 @@ impl<'m> MigrationSource<'m> {
         }
     }
 
-    fn put_hello(&self, out: &mut Vec<u8>) {
+    pub(crate) fn put_hello(&self, out: &mut Vec<u8>) {
         let memory_bytes = self.memory.total_size().as_u64();
         wire::put_hello(out, self.memory.total_pages(), memory_bytes);
     }
@@ -197,22 +194,6 @@ impl<'m> MigrationSource<'m> {
         Ok(bytes)
     }
 
-    /// Encode one whole round: [`Self::encode_segments`], then the segment
-    /// that closes it. Returns the round's bytes.
-    #[inline]
-    fn encode_round_segments(
-        &mut self,
-        pages: &[u64],
-        segment: &mut Vec<u8>,
-        mut emit: impl FnMut(&[u8], u64) -> Result<()>,
-    ) -> Result<u64> {
-        let bytes = self.encode_segments(pages, segment, &mut emit)?;
-        segment.clear();
-        self.end_round(segment);
-        emit(segment, bytes)?;
-        Ok(bytes + segment.len() as u64)
-    }
-
     /// How many of `pages`, from the first on, are consecutive indices of
     /// all-zero pages: the zero run open at a stripe's first page, which may
     /// continue the previous stripe's and so is not this encoder's to close.
@@ -251,7 +232,7 @@ impl<'m> MigrationSource<'m> {
         encoded
     }
 
-    fn put_vcpu_states(states: &[VcpuState], out: &mut Vec<u8>) {
+    pub(crate) fn put_vcpu_states(states: &[VcpuState], out: &mut Vec<u8>) {
         let placeholder = [VcpuState::default()];
         let states = if states.is_empty() {
             &placeholder[..]
@@ -494,137 +475,6 @@ pub(crate) fn segment_capacity(total_pages: u64) -> usize {
     (segment_pages * frame_bytes + wire::END_OF_ROUND_WIRE_BYTES) as usize
 }
 
-/// One streamed migration in flight: the two halves, the channel, and the
-/// single reused buffer every frame passes through on its way from the
-/// encoder to the sink. With [`Lanes`] the page frames of a round cross in
-/// the stripes' own lanes instead, and only control frames — Hello, zero
-/// runs stitched across stripe boundaries, end-of-round markers, vCPU state
-/// — pass through here.
-pub(crate) struct Stream<'m, 't> {
-    src: MigrationSource<'m>,
-    pub(crate) sink: MigrationSink<'m>,
-    transport: &'t mut dyn Transport,
-    segment: Vec<u8>,
-    start: Nanoseconds,
-    bytes_before: u64,
-    pub(crate) lanes: Option<Lanes<'m>>,
-}
-
-impl<'m, 't> Stream<'m, 't> {
-    /// Open the stream: size check, then the Hello handshake through a
-    /// buffer of `capacity` bytes. Returns the stream and the simulated
-    /// instant the Hello arrived.
-    pub(crate) fn open(
-        src: MigrationSource<'m>,
-        dest: &'m GuestMemory,
-        transport: &'t mut dyn Transport,
-        capacity: usize,
-    ) -> Result<(Self, Nanoseconds)> {
-        check_same_size(src.memory, dest)?;
-        let mut stream = Stream {
-            sink: MigrationSink::new(dest),
-            segment: Vec::with_capacity(capacity),
-            start: transport.free_at(),
-            bytes_before: transport.bytes_sent(),
-            src,
-            transport,
-            lanes: None,
-        };
-        stream.src.put_hello(&mut stream.segment);
-        let after_hello = stream.send_control(stream.start)?;
-        Ok((stream, after_hello))
-    }
-
-    /// [`Self::open`] for a stream without lanes, which passes whole
-    /// segments through the buffer.
-    pub(crate) fn open_serial(
-        src: MigrationSource<'m>,
-        dest: &'m GuestMemory,
-        transport: &'t mut dyn Transport,
-    ) -> Result<(Self, Nanoseconds)> {
-        let capacity = segment_capacity(src.memory.total_pages());
-        Self::open(src, dest, transport, capacity)
-    }
-
-    /// Apply the control frames (Hello, vCPU state) sitting in the buffer
-    /// and charge them to the channel as a transfer of their own.
-    fn send_control(&mut self, now: Nanoseconds) -> Result<Nanoseconds> {
-        self.sink.apply_burst(&self.segment)?;
-        self.transport
-            .transmit_bytes(now, self.segment.len() as u64)
-    }
-
-    /// Send the vCPU state frames as one control burst.
-    fn vcpu_states(&mut self, states: &[VcpuState], now: Nanoseconds) -> Result<Nanoseconds> {
-        self.segment.clear();
-        MigrationSource::put_vcpu_states(states, &mut self.segment);
-        self.send_control(now)
-    }
-
-    /// The shared round driver: stream `pages` to the sink segment by
-    /// segment — here, or stripe by stripe on the lanes — then charge the
-    /// round's bytes to the channel as the one simulated transfer it is.
-    /// Returns the arrival time and the round's statistics.
-    pub(crate) fn round(
-        &mut self,
-        pages: &[u64],
-        now: Nanoseconds,
-    ) -> Result<(Nanoseconds, RoundStat)> {
-        let sink = &mut self.sink;
-        let (bytes, done) = match self.lanes.as_mut() {
-            None => {
-                let bytes =
-                    self.src
-                        .encode_round_segments(pages, &mut self.segment, |segment, at| {
-                            sink.apply_at(segment, at)
-                        })?;
-                (bytes, self.transport.transmit_bytes(now, bytes)?)
-            }
-            Some(lanes) => {
-                let stripes = lanes.round(pages, &mut self.src, sink, &mut self.segment)?;
-                let done = self.transport.transmit_striped(now, stripes)?;
-                (stripes.iter().sum(), done)
-            }
-        };
-        let stat = RoundStat {
-            pages: pages.len() as u64,
-            bytes,
-            duration: done.saturating_sub(now),
-        };
-        Ok((done, stat))
-    }
-
-    /// Emit a round's span and, under lanes, one instant per active stripe
-    /// with the payload split the round was charged as.
-    fn trace_round(
-        &self,
-        trace: &Trace,
-        name: &'static str,
-        round: u32,
-        stat: RoundStat,
-        start: Nanoseconds,
-        end: Nanoseconds,
-    ) {
-        emit_round_span(trace, name, round, stat, start, end);
-        if let Some(lanes) = &self.lanes {
-            lanes.trace_stripes(trace, round, end);
-        }
-    }
-
-    /// What the compressors did so far (None when sending raw).
-    fn compression_stats(&self) -> Option<crate::CompressionStats> {
-        match &self.lanes {
-            None => self.src.compression_stats(),
-            Some(lanes) => lanes.compression_stats(),
-        }
-    }
-
-    /// Wire bytes this migration has put on the channel so far.
-    fn bytes_transferred(&self) -> u64 {
-        self.transport.bytes_sent() - self.bytes_before
-    }
-}
-
 impl StopAndCopy {
     /// The stop-and-copy engine over an open stream.
     pub(crate) fn run(
@@ -633,7 +483,7 @@ impl StopAndCopy {
         vcpus: &[VcpuState],
         trace: &Trace,
     ) -> Result<MigrationReport> {
-        let source = stream.src.memory;
+        let source = stream.control.memory;
         let start = stream.start;
 
         let all_pages: Vec<u64> = (0..source.total_pages()).collect();
@@ -671,7 +521,7 @@ impl PreCopy {
         plan: &MigrationPlan,
         trace: &Trace,
     ) -> Result<MigrationReport> {
-        let source = stream.src.memory;
+        let source = stream.control.memory;
         let start = stream.start;
 
         let mut total_pages = 0u64;
@@ -761,7 +611,7 @@ impl PostCopy {
         trace: &Trace,
     ) -> Result<MigrationReport> {
         let fault_lane = plan.fault_service == FaultService::FaultLane;
-        let source = stream.src.memory;
+        let source = stream.control.memory;
         let start = stream.start;
 
         // Pause: only the vCPU/device state crosses before resume, under
@@ -1289,6 +1139,22 @@ mod tests {
         }
     }
 
+    /// The one-lane segment loop over a whole round:
+    /// [`MigrationSource::encode_segments`], then the segment that closes
+    /// the round. Returns the round's bytes.
+    fn encode_round_segments(
+        src: &mut MigrationSource<'_>,
+        pages: &[u64],
+        segment: &mut Vec<u8>,
+        mut emit: impl FnMut(&[u8], u64) -> Result<()>,
+    ) -> Result<u64> {
+        let bytes = src.encode_segments(pages, segment, &mut emit)?;
+        segment.clear();
+        src.end_round(segment);
+        emit(segment, bytes)?;
+        Ok(bytes + segment.len() as u64)
+    }
+
     #[test]
     fn wire_fault_offset_counts_from_the_round_not_the_segment() {
         let pages = 3 * SEGMENT_PAGES as u64;
@@ -1304,18 +1170,18 @@ mod tests {
         wire::put_hello(&mut hello, pages, pages * PAGE_SIZE);
         sink.apply_burst(&hello).unwrap();
         let mut segment = Vec::new();
-        let err = MigrationSource::raw(&src)
-            .encode_round_segments(&all, &mut segment, |bytes, at| {
-                let mut bytes = bytes.to_vec();
-                if let Some(byte) = victim_byte
-                    .checked_sub(at as usize)
-                    .and_then(|i| bytes.get_mut(i))
-                {
-                    *byte ^= 0xff;
-                }
-                sink.apply_at(&bytes, at)
-            })
-            .expect_err("corruption must fail");
+        let mut raw = MigrationSource::raw(&src);
+        let err = encode_round_segments(&mut raw, &all, &mut segment, |bytes, at| {
+            let mut bytes = bytes.to_vec();
+            if let Some(byte) = victim_byte
+                .checked_sub(at as usize)
+                .and_then(|i| bytes.get_mut(i))
+            {
+                *byte ^= 0xff;
+            }
+            sink.apply_at(&bytes, at)
+        })
+        .expect_err("corruption must fail");
         match &err {
             Error::WireProtocol { offset, detail } => {
                 assert_eq!(*offset, (victim_frame * frame) as u64);
@@ -1448,8 +1314,8 @@ mod tests {
             let (mut segment, mut segments) = (Vec::new(), Vec::new());
             let mut round = |pages: &[u64], now: Nanoseconds, transport: &mut dyn Transport| {
                 segments.clear();
-                let total = segmented
-                    .encode_round_segments(pages, &mut segment, |bytes, at| {
+                let total =
+                    encode_round_segments(&mut segmented, pages, &mut segment, |bytes, at| {
                         assert_eq!(at, segments.len() as u64);
                         segments.extend_from_slice(bytes);
                         Ok(())
@@ -1516,7 +1382,7 @@ mod tests {
             /// straddle segment boundaries, scripted dirty subsets (an empty
             /// one included: the script runs out) and every compression mode
             /// over four or more rounds — so the XBZRLE cache carries across
-            /// segments and rounds — the serial engine lands the report and
+            /// segments and rounds — a one-stream `execute` lands the report and
             /// the memory of the whole-round loop, whose bursts are in turn
             /// byte for byte the concatenated segments.
             #[test]

@@ -6,12 +6,11 @@
 //!   [`Transport::transmit_bytes`], [`Transport::transmit_striped`],
 //!   [`Transport::latency`], [`Transport::transfer_time`] and
 //!   [`Transport::bytes_sent`] — is what every engine uses. A round is one
-//!   *simulated* transfer: the engine streams its frames to the sink itself
-//!   (in cache-sized segments through one reused buffer — one for a
-//!   one-stream migration, one per stripe lane otherwise) and charges the
-//!   round's total bytes to the channel with a single `transmit_bytes` /
-//!   `transmit_striped`. The transport times and counts bytes; it does not
-//!   carry them.
+//!   *simulated* transfer: each stripe lane streams its frames to the sink
+//!   itself, in cache-sized segments through one reused buffer, and the
+//!   round's per-stripe bytes are charged with a single `transmit_striped`;
+//!   the Hello and the vCPU state are one `transmit_bytes` each. The
+//!   transport times and counts bytes; it does not carry them.
 //! * **The burst carrier** — [`Transport::send`], [`Transport::send_built`],
 //!   [`Transport::deliver`] and [`Transport::recycle`] — accumulates frames
 //!   into one in-flight burst and hands it out whole. No engine calls it:
@@ -60,8 +59,8 @@ pub trait Transport {
     /// earlier than `now`, *without* routing the bytes through the internal
     /// burst buffer. Busy-time marks and the [`Transport::bytes_sent`]
     /// counter advance exactly as a [`Transport::deliver`] of the same size
-    /// would; every engine uses this, once per round, because it hands the
-    /// encoded bytes to the sink itself and only needs the channel model.
+    /// would. The engines charge their control bursts (Hello, vCPU state)
+    /// with it; rounds go through [`Transport::transmit_striped`].
     fn transmit_bytes(&mut self, now: Nanoseconds, bytes: u64) -> Result<Nanoseconds>;
 
     /// Like [`Transport::transmit_bytes`], but as parallel streams fairly
@@ -310,8 +309,6 @@ pub(crate) mod refusing {
         inner: LoopbackTransport<'l>,
         /// Transfers asked for so far, the refused one included.
         pub(crate) calls: u32,
-        /// How many of them were charged as stripes: the rounds lanes ran.
-        pub(crate) striped_calls: u32,
         fail_on: u32,
     }
 
@@ -320,7 +317,6 @@ pub(crate) mod refusing {
             RefusingTransport {
                 inner: LoopbackTransport::new(link),
                 calls: 0,
-                striped_calls: 0,
                 fail_on,
             }
         }
@@ -350,10 +346,6 @@ pub(crate) mod refusing {
                 return Err(refusal());
             }
             self.inner.transmit_bytes(now, bytes)
-        }
-        fn transmit_striped(&mut self, now: Nanoseconds, stripes: &[u64]) -> Result<Nanoseconds> {
-            self.striped_calls += 1;
-            self.transmit_bytes(now, stripes.iter().sum())
         }
         fn recycle(&mut self, buf: Vec<u8>) {
             self.inner.recycle(buf)

@@ -10,18 +10,18 @@
 //! The binary contains a single `#[test]`, and a thread's allocations are
 //! counted only once that thread has marked itself, so neither another test
 //! nor the harness (which prints from its own thread when a test runs long)
-//! can land an allocation inside a bracket that asserts exactly zero. From
-//! one segment per stripe up, a multi-stream migration's lanes are threads
-//! spawned by the engine, not by the test, so part 3 reads the process-wide
-//! counter instead, and reads it at every round boundary of one migration:
-//! each lane thread owns one segment buffer of fixed capacity and one
-//! recycled page list, so past the first rounds the only allocations left,
-//! on any thread and under every schedule, are the ones the standard library
-//! makes when a thread first waits on a channel. Part 4b pins that a smaller
-//! guest's lanes are no threads at all.
+//! can land an allocation inside a bracket that asserts exactly zero. Every
+//! migration runs one lane per stripe; beside another lane and from one
+//! segment per stripe up, the lanes are threads spawned by the engine, not
+//! by the test, so part 3 reads the process-wide counter instead, and reads
+//! it at every round boundary of one migration: each lane thread owns one
+//! segment buffer of fixed capacity and one recycled page list, so past the
+//! first rounds the only allocations left are the ones the standard library
+//! makes when a thread first waits on a channel. Parts 4 and 4b pin that a
+//! lone lane, and a smaller guest's lanes, are no threads at all.
 //!
 //! The allocator also records the largest size any thread asks for, which
-//! part 5 uses to pin that no engine, under either scheduler, materialises
+//! part 5 uses to pin that no engine, on lane threads or inline, materialises
 //! a round — or a stripe of one — as one buffer.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -377,24 +377,28 @@ fn steady_state_precopy_round_is_allocation_free() {
         "16 extra steady-state rounds with tracing off cost {off_extra} \
          allocations; a disabled Trace must be free on the hot path"
     );
-    // One stream runs no lane: the whole migration allocates, on the calling
-    // thread, exactly what the serial `PreCopy::migrate_over` it replaced
-    // did at 109f640 (segment buffer, page lists, breakdown, report) — a
-    // lane, a channel or a second buffer would add to it.
-    const SERIAL_PRECOPY_ALLOCATIONS: u64 = 15;
+    // One stream is one inline lane: the whole migration allocates, on the
+    // calling thread, the 15 allocations of the pre-copy engine itself (the
+    // lane's segment buffer, page lists, breakdown, report) and four for the
+    // scheduler: the lane table, the stripe-byte counts, the control buffer
+    // and the `thread::scope`. A thread, a channel or a second buffer would
+    // add to it.
+    const SERIAL_PRECOPY_ALLOCATIONS: u64 = 19;
     assert_eq!(
         off_short, SERIAL_PRECOPY_ALLOCATIONS,
-        "a one-stream execute must allocate what the serial engine did"
+        "a one-stream execute must allocate what one inline lane does"
     );
 
     // ---- Part 4b: lanes below one segment per stripe are not threads. ----
     //
     // A 64-page guest on 4 streams has 16-page stripes, so its lanes run on
-    // the calling thread: beside what one stream allocates, the migration
-    // asks for the lane table, the per-stripe byte counts, the lanes' shared
-    // segment buffer and the control buffer — no channel, no thread, no
-    // per-lane page list. The same plan over 256 pages (64-page stripes)
-    // does stand up four lane threads and pays for them.
+    // the calling thread, as one stream's one lane does. The lane table, the
+    // per-stripe byte counts and the shared segment buffer are one
+    // allocation each whatever the stream count, and an uncompressed lane's
+    // encoder and sink allocate nothing, so 4 inline lanes allocate exactly
+    // what 1 does — no channel, no thread, no per-lane page list. The same
+    // plan over 256 pages (64-page stripes) does stand up four lane threads
+    // and pays for them.
     let small = |pages: u64, streams: usize| -> (u64, u64) {
         let src = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();
         let dst = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();
@@ -425,18 +429,17 @@ fn steady_state_precopy_round_is_allocation_free() {
             ALL_THREADS.load(Ordering::Relaxed) - before.1,
         )
     };
-    let (serial_here, serial_anywhere) = small(64, 1);
+    let (one_here, one_anywhere) = small(64, 1);
     let (inline_here, inline_anywhere) = small(64, 4);
     let (_, threaded_anywhere) = small(256, 4);
-    assert_eq!(serial_here, serial_anywhere);
+    assert_eq!(one_here, one_anywhere);
     assert_eq!(
         inline_here, inline_anywhere,
         "a 64-page, 4-stream migration allocated off the calling thread"
     );
-    assert!(
-        inline_here <= serial_here + 4,
-        "a 64-page, 4-stream migration performed {inline_here} allocations, \
-         one stream {serial_here}: inline lanes cost a table, a count list and two buffers"
+    assert_eq!(
+        inline_here, one_here,
+        "4 inline lanes must allocate what one lane does"
     );
     assert!(
         threaded_anywhere > inline_anywhere + 4,
@@ -447,8 +450,8 @@ fn steady_state_precopy_round_is_allocation_free() {
     // ---- Part 5: a round is never one guest- or stripe-sized buffer. ----
     //
     // A round is one simulated transfer, not one unit of host memory: every
-    // engine moves it through segment buffers of about 260 KiB, one on the
-    // calling thread with one stream, one per lane otherwise. Migrating this
+    // engine moves it through segment buffers of about 260 KiB, one per lane
+    // thread or one shared by the inline lanes. Migrating this
     // 16 MiB guest, the largest thing any of them asks the allocator for, on
     // any thread, is that buffer (the page-index list is 32 KiB); a round
     // materialised as one burst would ask for 16 MiB, a 4-stream round

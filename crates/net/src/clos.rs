@@ -537,7 +537,7 @@ impl ClosFabric {
         now: Nanoseconds,
         payload: u64,
     ) -> Result<Nanoseconds> {
-        self.burst(from, to, now, &[payload], "transfer")
+        self.transfer_striped(from, to, now, &[payload])
     }
 
     /// Move a striped burst of parallel streams from `from` to `to`,
@@ -551,24 +551,14 @@ impl ClosFabric {
     /// concurrently, so a burst whose streams spread over `k` spines can
     /// finish up to `k` times sooner than one aggregate stream on an
     /// oversubscribed spine tier — the simulated-time payoff of
-    /// `migration_streams` on a real topology.
+    /// `migration_streams` on a real topology. A one-stripe burst is a
+    /// `transfer` span, a wider one a `transfer-striped` span.
     pub fn transfer_striped(
         &mut self,
         from: usize,
         to: usize,
         now: Nanoseconds,
         stripes: &[u64],
-    ) -> Result<Nanoseconds> {
-        self.burst(from, to, now, stripes, "transfer-striped")
-    }
-
-    fn burst(
-        &mut self,
-        from: usize,
-        to: usize,
-        now: Nanoseconds,
-        stripes: &[u64],
-        span_name: &'static str,
     ) -> Result<Nanoseconds> {
         self.check_pair(from, to)?;
         let (rf, rt) = (self.nics[from].rack, self.nics[to].rack);
@@ -665,7 +655,11 @@ impl ClosFabric {
 
         if self.trace.is_on() {
             self.emit_burst_trace(
-                span_name,
+                if stripes.len() == 1 {
+                    "transfer"
+                } else {
+                    "transfer-striped"
+                },
                 from,
                 to,
                 now,
@@ -940,6 +934,40 @@ mod tests {
         let idle_time = f.transfer_time(0, 8, MB);
         let arrival = f.transfer(0, 8, Nanoseconds::ZERO, MB).unwrap();
         assert_eq!(arrival, free.saturating_add(idle_time));
+    }
+
+    #[test]
+    fn one_stripe_is_a_transfer_from_either_entry_point() {
+        // Rack-local and cross-rack, on a fabric already carrying traffic.
+        for to in [1, 8] {
+            let run = |striped: bool| {
+                let mut f = dc(4, 8);
+                f.transfer(16, 24, Nanoseconds::ZERO, 8 * MB).unwrap();
+                let (trace, recorder) = Trace::recording();
+                f.set_trace(trace);
+                let arrivals = [MB, 0, 3 * MB + 7].map(|p| {
+                    if striped {
+                        f.transfer_striped(0, to, Nanoseconds::ZERO, &[p]).unwrap()
+                    } else {
+                        f.transfer(0, to, Nanoseconds::ZERO, p).unwrap()
+                    }
+                });
+                let counters = (
+                    f.transfers(),
+                    f.bytes_carried(),
+                    f.wire_bytes_carried(),
+                    (0..4).map(|s| f.spine_wire_bytes(s)).collect::<Vec<_>>(),
+                );
+                let recorder = recorder.borrow();
+                let recorded = (recorder.events().to_vec(), recorder.metrics().clone());
+                (arrivals, counters, recorded)
+            };
+            let (plain, striped) = (run(false), run(true));
+            assert_eq!(plain.0, striped.0, "to {to}: arrivals");
+            assert_eq!(plain.1, striped.1, "to {to}: counters");
+            assert!(plain.2 == striped.2, "to {to}: recorded trace");
+            assert!(plain.2 .0.iter().any(|e| e.name == "transfer"));
+        }
     }
 
     /// The closed-form single-spine model the one-rack preset must

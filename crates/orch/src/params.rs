@@ -144,17 +144,15 @@ pub struct OrchParams {
     /// [`EngineChoice::Auto`]).
     pub migration_compression: PageCompression,
     /// Parallel streams per rebalance migration (at most
-    /// [`rvisor_migrate::MAX_MIGRATION_STREAMS`]). With more than one
-    /// stream, migrations run through the pipelined multi-stream data plane
-    /// and their fabric occupancy is modelled as fair-share chunk streams
-    /// ([`rvisor_net::ClosFabric::transfer_striped`]): same payload bytes and
-    /// destination memory as a serial stream. On the default
+    /// [`rvisor_migrate::MAX_MIGRATION_STREAMS`]): one stripe lane each,
+    /// modelled as fair-share chunk streams
+    /// ([`rvisor_net::ClosFabric::transfer_striped`]) with the payload bytes
+    /// and destination memory of one stream. On the default
     /// [`FabricTopology::SingleSpine`] fabric this is never *faster* in
-    /// simulated time (each stream pays its own MTU framing; the win is
-    /// host wall-clock overlap, which the simulated clock deliberately
-    /// does not credit) — on a multi-spine [`FabricTopology::Clos`] fabric
-    /// the streams ECMP-spread over independent spine paths and cross-rack
-    /// migrations genuinely complete earlier.
+    /// simulated time (each stream pays its own MTU framing); on a
+    /// multi-spine [`FabricTopology::Clos`] fabric the streams ECMP-spread
+    /// over independent spine paths and cross-rack migrations genuinely
+    /// complete earlier.
     pub migration_streams: NonZeroUsize,
     /// Interval between rebalance-policy evaluations.
     pub rebalance_interval: Nanoseconds,
