@@ -40,9 +40,8 @@ use rvisor_migrate::{
 use rvisor_net::{ClosFabric, ClosParams, FabricParams, Link, LinkModel};
 use rvisor_obs::{ArgValue, Args as TraceArgs, Trace, TraceSink};
 use rvisor_orch::{
-    run_datacenter, Cluster, EngineChoice, EventQueue, FabricTopology, OrchEvent, OrchParams,
-    RebalancePolicy, Scenario, ScenarioConfig, SpreadRebalance, ThresholdRebalance, VmFidelity,
-    WorkloadShape,
+    run_datacenter, Cluster, EngineChoice, FabricTopology, OrchParams, RebalancePolicy, Scenario,
+    ScenarioConfig, SpreadRebalance, ThresholdRebalance, VmFidelity, WorkloadShape,
 };
 use rvisor_snapshot::{CasStore, VmSnapshot};
 use rvisor_types::{ByteSize, GuestAddress, HostId, Nanoseconds, VmId, PAGE_SIZE};
@@ -540,29 +539,6 @@ fn run_benches(samples: usize) -> BTreeMap<String, f64> {
             run_datacenter(32, params, Box::new(ThresholdRebalance), &scenario).unwrap()
         });
         record("orch_day_dedup_32rack", ns);
-    }
-
-    // -- calendar event queue: 1M pushes at scattered times, then a full
-    //    time-ordered drain (grow and shrink rebucketing included) --
-    {
-        const EVENTS: u64 = 1_000_000;
-        let day_ns = 86_400_000_000_000u64;
-        let ns = measure(samples, || {
-            let mut q = EventQueue::default();
-            let mut x = 0x9e37_79b9_7f4a_7c15u64;
-            for _ in 0..EVENTS {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                q.push(Nanoseconds(x % day_ns), OrchEvent::RebalanceTick);
-            }
-            let mut popped = 0u64;
-            while q.pop().is_some() {
-                popped += 1;
-            }
-            popped
-        });
-        record("event_queue_push_pop_1m", ns);
     }
 
     results

@@ -1,35 +1,22 @@
-//! The deterministic discrete-event queue and the event vocabulary.
+//! The event vocabulary and the deterministic event queue.
 //!
-//! Everything the orchestrator does happens in response to an [`OrchEvent`]
-//! popped from the [`EventQueue`]. The queue orders events by
-//! `(Nanoseconds, sequence)`: events fire in non-decreasing simulated-time
-//! order, and events scheduled for the same instant fire in the order they
-//! were pushed (FIFO tie-breaking). That stable tie-break is what makes two
-//! runs of the same scenario byte-identical — ordering over time alone would
-//! leave same-instant ordering unspecified.
+//! Everything the orchestrator does happens in response to an [`OrchEvent`].
+//! A day draws them from sources that are each already in time order — the
+//! scenario's sorted event list, the two periodic tick series, and an
+//! [`EventQueue`] holding the DR restore completions that failure handling
+//! schedules mid-run — and fires the earliest head each step (the crate docs
+//! give the tie order between sources).
 //!
-//! # Implementation: a calendar queue
-//!
-//! [`EventQueue`] is a classic calendar queue (Brown 1988): time is cut into
-//! fixed-`width` slices and each slice hashes to one of `nbuckets` sorted
-//! buckets, like days onto a wall calendar. A push inserts into its slice's
-//! bucket in O(bucket) — buckets hold a couple of events when the width is
-//! tuned — and a pop takes the front of the current slice's bucket in O(1),
-//! walking forward over empty slices (with a direct-search fallback that
-//! jumps sparse gaps). The queue retunes itself deterministically: when the
-//! population doubles past `2 × nbuckets` (or falls under a quarter of it)
-//! every event is rebucketed into twice (half) as many buckets with the
-//! width re-derived from the current span-per-event. On the hot ticks of a
-//! million-event day this replaces the binary heap's log(n) sift with O(1)
-//! bucket operations.
-//!
-//! The pre-calendar binary heap survives as the tests' `MinHeapQueue`
-//! reference; a proptest pins the two observably equivalent (same
-//! `(at, seq)` pop order, same events) across interleaved operation
-//! sequences that force grows and shrinks, so the swap cannot have changed
-//! any run's event order.
+//! The queue orders events by `(Nanoseconds, sequence)`: events fire in
+//! non-decreasing simulated-time order, and events scheduled for the same
+//! instant fire in the order they were pushed (FIFO tie-breaking). That
+//! stable tie-break is what makes two runs of the same scenario
+//! byte-identical — ordering over time alone would leave same-instant
+//! ordering unspecified. It is a binary heap: a day queues at most one
+//! completion per VM a host failure took down, so the heap stays small.
 
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use rvisor_types::{HostId, Nanoseconds};
 
@@ -142,36 +129,15 @@ impl<E> PartialOrd for Scheduled<E> {
     }
 }
 
-/// Smallest bucket count the calendar ever shrinks to.
-const MIN_BUCKETS: usize = 16;
-
-/// Forward slices a pop walks before falling back to a direct minimum
-/// search (which then jumps the cursor across the sparse gap). Any cap up
-/// to one full revolution is correct; a small one bounds the walk.
-const MAX_SLICE_WALK: u64 = 64;
-
-/// A time-ordered event queue with stable FIFO tie-breaking, implemented as
-/// a self-resizing calendar queue (see the module docs).
-///
-/// Observably identical to the binary heap it replaced — same pop order,
-/// same conservation counters — which a proptest pins.
+/// A time-ordered event queue with stable FIFO tie-breaking: a binary heap
+/// of [`Scheduled`] entries plus the conservation counters.
 ///
 /// Generic over the payload (the ordering never looks at it): the public
-/// vocabulary is [`OrchEvent`]; the orchestrator queues a compact private
-/// form of it whose VM names are already resolved.
+/// vocabulary is [`OrchEvent`]; the orchestrator queues only the VM keys of
+/// its pending restore completions.
 #[derive(Debug)]
 pub struct EventQueue<E = OrchEvent> {
-    /// `nbuckets` buckets; each sorted by `(at, seq)` *descending*, so the
-    /// bucket's earliest event is at the back (O(1) removal).
-    buckets: Vec<Vec<Scheduled<E>>>,
-    /// Nanoseconds per calendar slice; slice `at / width` hashes to bucket
-    /// `slice % nbuckets`.
-    width: u64,
-    /// Current slice: every queued event's slice is `>= cursor_slice`.
-    cursor_slice: u64,
-    /// Events currently queued (cached across all buckets).
-    len: usize,
-    next_seq: u64,
+    heap: BinaryHeap<Scheduled<E>>,
     pushed: u64,
     popped: u64,
 }
@@ -179,11 +145,7 @@ pub struct EventQueue<E = OrchEvent> {
 impl<E> Default for EventQueue<E> {
     fn default() -> Self {
         EventQueue {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            width: 1,
-            cursor_slice: 0,
-            len: 0,
-            next_seq: 0,
+            heap: BinaryHeap::new(),
             pushed: 0,
             popped: 0,
         }
@@ -196,116 +158,33 @@ impl<E> EventQueue<E> {
         EventQueue::default()
     }
 
-    fn slice_of(&self, at: Nanoseconds) -> u64 {
-        at.0 / self.width
-    }
-
-    /// Insert into the slice's bucket, keeping it sorted descending.
-    fn insert(&mut self, s: Scheduled<E>) {
-        let slice = self.slice_of(s.at);
-        if self.len == 0 || slice < self.cursor_slice {
-            // An event landing before the cursor rewinds it, so the next
-            // pop cannot walk past the new minimum.
-            self.cursor_slice = slice;
-        }
-        let n = self.buckets.len();
-        let bucket = &mut self.buckets[(slice % n as u64) as usize];
-        let key = (s.at, s.seq);
-        let pos = bucket.partition_point(|e| (e.at, e.seq) > key);
-        bucket.insert(pos, s);
-        self.len += 1;
-    }
-
     /// Schedule `event` to fire at `at`.
     pub fn push(&mut self, at: Nanoseconds, event: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.pushed;
         self.pushed += 1;
-        self.insert(Scheduled { at, seq, event });
-        if self.len > 2 * self.buckets.len() {
-            self.rebucket(self.buckets.len() * 2);
-        }
+        self.heap.push(Scheduled { at, seq, event });
     }
 
     /// Pop the earliest event (FIFO among same-instant events).
     pub fn pop(&mut self) -> Option<Scheduled<E>> {
-        if self.len == 0 {
-            return None;
-        }
-        let n = self.buckets.len() as u64;
-        // Walk forward from the cursor: all events sit at or after it, and
-        // within one revolution a bucket whose earliest event matches the
-        // examined slice holds the global minimum.
-        let walk = MAX_SLICE_WALK.min(n);
-        let mut found = None;
-        for step in 0..walk {
-            let slice = self.cursor_slice + step;
-            let bucket = &self.buckets[(slice % n) as usize];
-            if let Some(last) = bucket.last() {
-                if self.slice_of(last.at) == slice {
-                    found = Some(slice);
-                    break;
-                }
-            }
-        }
-        // Sparse gap: locate the minimum directly across the bucket backs
-        // (each back is its bucket's earliest event) and jump the cursor.
-        let slice = found.unwrap_or_else(|| {
-            let min = self
-                .buckets
-                .iter()
-                .filter_map(|b| b.last())
-                .map(|s| (s.at, s.seq))
-                .min()
-                .expect("len > 0");
-            self.slice_of(min.0)
-        });
-        self.cursor_slice = slice;
-        let ev = self.buckets[(slice % n) as usize]
-            .pop()
-            .expect("bucket verified non-empty");
-        self.len -= 1;
+        let ev = self.heap.pop()?;
         self.popped += 1;
-        if self.buckets.len() > MIN_BUCKETS && self.len < self.buckets.len() / 4 {
-            self.rebucket(self.buckets.len() / 2);
-        }
         Some(ev)
     }
 
-    /// Redistribute every event over `new_n` buckets, re-deriving the slice
-    /// width from the current span per event. Purely a function of the
-    /// queue's contents, so replays resize identically.
-    fn rebucket(&mut self, new_n: usize) {
-        let new_n = new_n.max(MIN_BUCKETS);
-        let mut all: Vec<Scheduled<E>> = Vec::with_capacity(self.len);
-        for bucket in &mut self.buckets {
-            all.append(bucket);
-        }
-        self.buckets = (0..new_n).map(|_| Vec::new()).collect();
-        self.len = 0;
-        if all.is_empty() {
-            self.width = 1;
-            self.cursor_slice = 0;
-            return;
-        }
-        let min_at = all.iter().map(|s| s.at.0).min().expect("non-empty");
-        let max_at = all.iter().map(|s| s.at.0).max().expect("non-empty");
-        // Width ~ average spacing, so neighbours land about a slice apart.
-        self.width = ((max_at - min_at) / all.len() as u64).max(1);
-        self.cursor_slice = min_at / self.width;
-        for s in all {
-            self.insert(s);
-        }
+    /// The event [`Self::pop`] would return next, left in place.
+    pub fn peek(&self) -> Option<&Scheduled<E>> {
+        self.heap.peek()
     }
 
     /// Events currently waiting.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.heap.is_empty()
     }
 
     /// Total events ever scheduled (conservation accounting: at any point
@@ -324,55 +203,26 @@ impl<E> EventQueue<E> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BinaryHeap;
 
-    /// The original binary-heap event queue, kept as the reference the
-    /// calendar queue is equivalence-pinned against. Identical interface
-    /// and ordering contract.
-    #[derive(Debug, Default)]
-    struct MinHeapQueue {
-        heap: BinaryHeap<Scheduled>,
-        next_seq: u64,
+    /// The ordering contract written out: every event pushed so far, with
+    /// its push index as `seq`; a pop removes the least `(at, seq)`.
+    #[derive(Default)]
+    struct SortedModel {
+        events: Vec<Scheduled>,
         pushed: u64,
-        popped: u64,
     }
 
-    impl MinHeapQueue {
-        /// An empty queue.
-        fn new() -> Self {
-            MinHeapQueue::default()
-        }
-
-        /// Schedule `event` to fire at `at`.
+    impl SortedModel {
         fn push(&mut self, at: Nanoseconds, event: OrchEvent) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
+            let seq = self.pushed;
             self.pushed += 1;
-            self.heap.push(Scheduled { at, seq, event });
+            self.events.push(Scheduled { at, seq, event });
         }
 
-        /// Pop the earliest event (FIFO among same-instant events).
         fn pop(&mut self) -> Option<Scheduled> {
-            let ev = self.heap.pop();
-            if ev.is_some() {
-                self.popped += 1;
-            }
-            ev
-        }
-
-        /// Events currently waiting.
-        fn len(&self) -> usize {
-            self.heap.len()
-        }
-
-        /// Total events ever scheduled.
-        fn pushed(&self) -> u64 {
-            self.pushed
-        }
-
-        /// Total events ever delivered.
-        fn popped(&self) -> u64 {
-            self.popped
+            let key = |s: &Scheduled| (s.at, s.seq);
+            let first = (0..self.events.len()).min_by_key(|&i| key(&self.events[i]))?;
+            Some(self.events.remove(first))
         }
     }
 
@@ -409,13 +259,12 @@ mod tests {
         assert_eq!(q.popped(), 5);
     }
 
-    /// Enough volume to force several grow rebucketings on the way up and
-    /// shrink rebucketings on the way down, with heavy same-instant ties —
-    /// compared pop-for-pop against the reference heap.
+    /// Ten thousand events with heavy same-instant ties, drained
+    /// pop-for-pop against the pushes sorted by `(at, seq)`.
     #[test]
     fn calendar_matches_heap_at_resize_churn_volume() {
-        let mut cal = EventQueue::new();
-        let mut heap = MinHeapQueue::new();
+        let mut queue = EventQueue::new();
+        let mut pushes = Vec::new();
         let mut x = 0x2545_f491_4f6c_dd1du64;
         for tag in 0..10_000u32 {
             // xorshift*: cheap deterministic spread with clustering.
@@ -423,18 +272,16 @@ mod tests {
             x ^= x << 25;
             x ^= x >> 27;
             let t = Nanoseconds(x.wrapping_mul(0x2545_f491_4f6c_dd1d) % 997);
-            cal.push(t, ev(tag));
-            heap.push(t, ev(tag));
+            queue.push(t, ev(tag));
+            pushes.push((t, u64::from(tag), ev(tag)));
         }
-        while let Some(expect) = heap.pop() {
-            let got = cal.pop().expect("calendar drained early");
-            assert_eq!(
-                (got.at, got.seq, got.event),
-                (expect.at, expect.seq, expect.event)
-            );
+        pushes.sort_by_key(|&(at, seq, _)| (at, seq));
+        for expect in pushes {
+            let got = queue.pop().expect("queue drained early");
+            assert_eq!((got.at, got.seq, got.event), expect);
         }
-        assert!(cal.pop().is_none());
-        assert_eq!(cal.pushed(), cal.popped());
+        assert!(queue.pop().is_none());
+        assert_eq!(queue.pushed(), queue.popped());
     }
 
     proptest! {
@@ -503,12 +350,10 @@ mod tests {
             prop_assert_eq!(tags, (0..tag).collect::<Vec<u32>>());
         }
 
-        /// The calendar queue is observably identical to the reference
-        /// min-heap: identical `(at, seq)` pop order and identical events,
-        /// across interleaved push/pop sequences whose volumes force both
-        /// grow and shrink rebucketings mid-stream. Wide and tight time
-        /// ranges exercise both sparse slices (direct-search jumps) and
-        /// heavy FIFO ties.
+        /// The queue is observably the sorted model: identical `(at, seq)`
+        /// pop order, identical events and an exact `peek`, across
+        /// interleaved push/pop sequences. Wide and tight time ranges
+        /// exercise both sparse instants and heavy FIFO ties.
         #[test]
         fn property_calendar_queue_equals_min_heap(
             ops in proptest::collection::vec(
@@ -516,14 +361,16 @@ mod tests {
             ),
             tight in any::<bool>(),
         ) {
-            let mut cal = EventQueue::new();
-            let mut heap = MinHeapQueue::new();
+            let mut queue = EventQueue::new();
+            let mut model = SortedModel::default();
             let mut tag = 0u32;
             for &(t, op) in &ops {
                 let t = Nanoseconds(if tight { t % 7 } else { t });
                 if op == 0 {
-                    let a = cal.pop();
-                    let b = heap.pop();
+                    let peeked = queue.peek().map(|s| (s.at, s.seq));
+                    let a = queue.pop();
+                    prop_assert_eq!(peeked, a.as_ref().map(|s| (s.at, s.seq)));
+                    let b = model.pop();
                     match (a, b) {
                         (None, None) => {}
                         (Some(x), Some(y)) => {
@@ -535,14 +382,14 @@ mod tests {
                         _ => prop_assert!(false, "one queue drained early"),
                     }
                 } else {
-                    cal.push(t, ev(tag));
-                    heap.push(t, ev(tag));
+                    queue.push(t, ev(tag));
+                    model.push(t, ev(tag));
                     tag += 1;
                 }
-                prop_assert_eq!(cal.len(), heap.len());
+                prop_assert_eq!(queue.len(), model.events.len());
             }
             loop {
-                match (cal.pop(), heap.pop()) {
+                match (queue.pop(), model.pop()) {
                     (None, None) => break,
                     (Some(x), Some(y)) => {
                         prop_assert_eq!((x.at, x.seq, x.event), (y.at, y.seq, y.event));
@@ -553,8 +400,8 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(cal.pushed(), heap.pushed());
-            prop_assert_eq!(cal.popped(), heap.popped());
+            prop_assert_eq!(queue.pushed(), model.pushed);
+            prop_assert_eq!(queue.popped(), queue.pushed());
         }
     }
 }

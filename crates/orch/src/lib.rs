@@ -8,10 +8,16 @@
 //!
 //! ## The event model
 //!
-//! Simulation state advances only when an [`OrchEvent`] fires. Events live
-//! in an [`EventQueue`] keyed by `(Nanoseconds, sequence)`: pops are
-//! non-decreasing in time, and same-instant events fire in push order
-//! (stable FIFO tie-breaking), which is what makes a run a pure function of
+//! Simulation state advances only when an [`OrchEvent`] fires. A day reads
+//! its events from four sources that are each already in time order: the
+//! [`Scenario`]'s event list (refused with a config error unless it is
+//! time-sorted and ends inside `config.duration`), the rebalance ticks, the
+//! backup ticks, and an [`EventQueue`] keyed by `(Nanoseconds, sequence)`
+//! that holds the restore completions failure handling schedules mid-run.
+//! Each step fires the earliest head. Same-instant events fire scenario
+//! first, then the rebalance tick, the backup tick and the queued
+//! completions (FIFO among themselves), so a tick sees the load that
+//! arrived with it. That fixed order is what makes a run a pure function of
 //! its inputs — the same [`Scenario`] seed, [`OrchParams`] and policy always
 //! produce an `==`-equal [`OrchReport`].
 //!
@@ -111,15 +117,16 @@
 //! restore ever needs it. Proptests pin a force-materialized day `==` a
 //! dialed day, report for report.
 //!
-//! ### Indexed cluster state and the calendar queue
+//! ### Indexed cluster state and sorted event sources
 //!
-//! The same scale target drives two data-structure choices. [`Cluster`]
+//! The same scale target drives the data-structure choices. [`Cluster`]
 //! maintains utilization-ordered host indexes so rebalance ticks and
 //! placement scans touch candidate hosts instead of all 10k (policy
-//! equivalence with the linear-scan originals is pinned by tests), and
-//! [`EventQueue`] is a calendar queue with O(1) expected push/pop that
-//! preserves `(Nanoseconds, seq)` FIFO ordering exactly — proptest-pinned
-//! against the binary heap it replaced. VMs are
+//! equivalence with the linear-scan originals is pinned by tests). The
+//! event loop orders nothing that is already ordered: a warehouse day's
+//! 330 000 scenario events and ticks are read off their sources as they
+//! fire, and only the restore completions scheduled mid-run pass through
+//! the [`EventQueue`]'s binary heap. VMs are
 //! addressed by a dense key interned once per name, so the million-backup
 //! sweeps of a warehouse day compare no strings (see the [`cluster`] docs).
 //!

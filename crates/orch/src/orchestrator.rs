@@ -26,22 +26,6 @@ fn engine_label(engine: EngineChoice) -> &'static str {
     }
 }
 
-/// What the run's [`EventQueue`] holds instead of cloned [`OrchEvent`]s.
-#[derive(Debug, Clone, Copy)]
-enum DayEvent {
-    /// `scenario.events[index]`, with the key of the VM it names. `None`: it
-    /// names no VM, or one that no arrival of the scenario introduces — so
-    /// there is nothing it could refer to and it is counted as dropped.
-    Scenario {
-        index: u32,
-        key: Option<VmKey>,
-    },
-    RebalanceTick,
-    BackupTick,
-    /// A restore scheduled by failure handling completes.
-    RestoreComplete(VmKey),
-}
-
 /// A VM waiting for capacity (arrival deferred by a full cluster).
 #[derive(Debug, Clone)]
 struct PendingVm {
@@ -52,15 +36,16 @@ struct PendingVm {
 
 /// The datacenter control loop.
 ///
-/// Owns the [`Cluster`], the [`EventQueue`], the DR stores and the
-/// [`RebalancePolicy`], and turns a [`Scenario`] into an [`OrchReport`] by
-/// consuming events in deterministic time order. See the crate-level docs
-/// for the event/policy model.
+/// Owns the [`Cluster`], the [`EventQueue`] of pending restore completions,
+/// the DR stores and the [`RebalancePolicy`], and turns a [`Scenario`] into
+/// an [`OrchReport`] by consuming events in deterministic time order. See
+/// the crate-level docs for the event/policy model.
 pub struct Orchestrator {
     params: OrchParams,
     policy: Box<dyn RebalancePolicy>,
     cluster: Cluster,
-    queue: EventQueue<DayEvent>,
+    /// Restore completions scheduled by failure handling, not yet fired.
+    queue: EventQueue<VmKey>,
     now: Nanoseconds,
     horizon: Nanoseconds,
     /// The plain and the content-addressed DR store; each VM's epochs live
@@ -139,6 +124,9 @@ impl Orchestrator {
     ///
     /// Deterministic: the same scenario (same seed/config) against the same
     /// parameters and policy produces an `==`-equal report every time.
+    /// A scenario whose events are not time-sorted, or that has an event
+    /// after `config.duration`, is refused with [`Error::Config`] before any
+    /// event fires.
     pub fn run(mut self, scenario: &Scenario) -> Result<OrchReport> {
         self.run_events(scenario)?;
         self.finalize()
@@ -147,68 +135,106 @@ impl Orchestrator {
     /// Everything of [`Self::run`] before the end-of-day accounting.
     fn run_events(&mut self, scenario: &Scenario) -> Result<()> {
         self.horizon = scenario.config.duration;
+        // The loop below reads the scenario as a sorted source that ends
+        // inside the day: check both before any handler runs.
+        let events = &scenario.events;
+        if let Some(pair) = events.windows(2).find(|pair| pair[1].0 < pair[0].0) {
+            return Err(Error::Config(format!(
+                "scenario events out of time order: {} at {} follows one at {}",
+                pair[1].1.kind(),
+                pair[1].0,
+                pair[0].0
+            )));
+        }
+        if let Some((at, event)) = events.last().filter(|(at, _)| *at > self.horizon) {
+            return Err(Error::Config(format!(
+                "scenario event {} at {} is past the end of the {} day",
+                event.kind(),
+                at,
+                self.horizon
+            )));
+        }
 
-        // Seed the queue: scenario events first (so a tick scheduled for the
-        // same instant fires after the load it reacts to), then periodic
-        // rebalance/backup ticks across the whole day. `expected_events`
-        // re-derives the delivery count independently of the queue's own
-        // counters so the post-run conservation check has teeth.
-        // Names are resolved here, once per event; arrivals are interned
-        // first so that list order cannot decide whether a name is known.
-        let mut expected_events: u64 = scenario.events.len() as u64;
+        // Arrivals are interned first so that list order cannot decide
+        // whether a name is known; every other name resolves as it fires.
+        // `expected_events` re-derives the delivery count from the sources'
+        // sizes, independently of the loop, so the post-run conservation
+        // check has teeth.
         self.cluster.vms.reserve(scenario.config.vm_arrivals);
-        for (_, event) in &scenario.events {
+        for (_, event) in events {
             if let OrchEvent::VmArrival { spec } = event {
                 self.cluster.vms.intern(&spec.name);
             }
         }
-        for (index, (at, event)) in scenario.events.iter().enumerate() {
-            let name = match event {
-                OrchEvent::VmArrival { spec } => Some(&spec.name),
-                OrchEvent::VmDeparture { vm }
-                | OrchEvent::LoadChange { vm, .. }
-                | OrchEvent::RestoreComplete { vm } => Some(vm),
-                _ => None,
-            };
-            let key = name.and_then(|name| self.cluster.vms.lookup(name));
-            let index = u32::try_from(index).expect("under 2^32 scenario events");
-            self.queue.push(*at, DayEvent::Scenario { index, key });
-        }
-        let mut t = self.params.rebalance_interval;
-        while t < self.horizon {
-            self.queue.push(t, DayEvent::RebalanceTick);
-            t = t.saturating_add(self.params.rebalance_interval);
-            expected_events += 1;
-        }
-        let mut t = self.params.backup_interval;
-        while t < self.horizon {
-            self.queue.push(t, DayEvent::BackupTick);
-            t = t.saturating_add(self.params.backup_interval);
-            expected_events += 1;
-        }
+        let horizon = self.horizon;
+        let (rebalance, backup) = (self.params.rebalance_interval, self.params.backup_interval);
+        let ticks =
+            |interval: Nanoseconds| horizon.as_nanos().saturating_sub(1) / interval.as_nanos();
+        let mut expected_events = events.len() as u64 + ticks(rebalance) + ticks(backup);
 
-        // An internally scheduled completion is dispatched (and traced) as
-        // the public event it stands for; its VM travels as a key.
+        // Four sources, each already in time order: the scenario's events,
+        // the rebalance ticks, the backup ticks (both strictly inside the
+        // day), and the queue of restore completions that failure handling
+        // schedules mid-run. Each step fires the earliest head; a
+        // same-instant tie goes to the earlier source in that list, so a
+        // tick fires after the load it reacts to and a completion after
+        // everything else at its instant.
+        let (mut next, mut rebalance_at, mut backup_at) = (0, rebalance, backup);
+        let tick = |at: Nanoseconds| (at < horizon).then_some(at);
+        // A completion is dispatched (and traced) as the public event it
+        // stands for; its VM travels as a key.
         let restore_complete = OrchEvent::RestoreComplete { vm: String::new() };
-        while let Some(scheduled) = self.queue.pop() {
-            debug_assert!(scheduled.at >= self.now, "time went backwards");
-            self.report.events_processed += 1;
-            if scheduled.at > self.horizon {
-                // Only deferred restore completions can outlive the day (the
-                // generator and the tick seeding stay inside it). Leaving the
-                // record `Restoring` lets finalize() account the VM as an
-                // end-of-day in-flight restore; simulated time never
-                // advances past the horizon.
-                debug_assert!(matches!(scheduled.event, DayEvent::RestoreComplete(_)));
-                continue;
-            }
-            self.now = scheduled.at;
-            let (event, key) = match scheduled.event {
-                DayEvent::Scenario { index, key } => (&scenario.events[index as usize].1, key),
-                DayEvent::RebalanceTick => (&OrchEvent::RebalanceTick, None),
-                DayEvent::BackupTick => (&OrchEvent::BackupTick, None),
-                DayEvent::RestoreComplete(key) => (&restore_complete, Some(key)),
+        loop {
+            let heads = [
+                events.get(next).map(|(at, _)| *at),
+                tick(rebalance_at),
+                tick(backup_at),
+                self.queue.peek().map(|restore| restore.at),
+            ];
+            let earliest = heads.into_iter().enumerate();
+            let Some((at, source)) = earliest.filter_map(|(i, at)| Some((at?, i))).min() else {
+                break;
             };
+            debug_assert!(at >= self.now, "time went backwards");
+            self.report.events_processed += 1;
+            let (event, key) = match source {
+                0 => {
+                    let event = &events[next].1;
+                    next += 1;
+                    // `None`: the event names no VM, or one that no arrival
+                    // of the scenario introduces — so there is nothing it
+                    // could refer to and it is counted as dropped.
+                    let name = match event {
+                        OrchEvent::VmArrival { spec } => Some(&spec.name),
+                        OrchEvent::VmDeparture { vm }
+                        | OrchEvent::LoadChange { vm, .. }
+                        | OrchEvent::RestoreComplete { vm } => Some(vm),
+                        _ => None,
+                    };
+                    (event, name.and_then(|name| self.cluster.vms.lookup(name)))
+                }
+                1 => {
+                    rebalance_at = rebalance_at.saturating_add(rebalance);
+                    (&OrchEvent::RebalanceTick, None)
+                }
+                2 => {
+                    backup_at = backup_at.saturating_add(backup);
+                    (&OrchEvent::BackupTick, None)
+                }
+                _ => {
+                    let key = self.queue.pop().expect("the peeked head").event;
+                    if at > self.horizon {
+                        // Only restore completions can outlive the day.
+                        // Leaving the record `Restoring` lets finalize()
+                        // account the VM as an end-of-day in-flight
+                        // restore; simulated time never advances past the
+                        // horizon.
+                        continue;
+                    }
+                    (&restore_complete, Some(key))
+                }
+            };
+            self.now = at;
             if self.trace.is_on() {
                 self.trace.instant("orch", event.kind(), self.now, &[]);
             }
@@ -231,11 +257,11 @@ impl Orchestrator {
             }
         }
 
-        // Conservation: everything seeded plus every restore scheduled
-        // mid-run by HostFailure handling was delivered exactly once. The
-        // expected count is derived at the push sites, independently of the
-        // queue's internals, so a queue that dropped or duplicated an event
-        // fails here.
+        // Conservation: every scenario event and tick plus every restore
+        // scheduled mid-run by HostFailure handling was delivered exactly
+        // once. The expected count is derived from the sources' sizes and
+        // the push site, independently of the loop, so a merge that skipped
+        // or repeated an event fails here.
         expected_events += self.restores_scheduled;
         if self.report.events_processed != expected_events {
             return Err(Error::Config(format!(
@@ -502,7 +528,7 @@ impl Orchestrator {
                     done_at = done_at
                         .saturating_add(self.params.backup_target.restore_setup)
                         .saturating_add(self.params.backup_target.read_time(size));
-                    self.queue.push(done_at, DayEvent::RestoreComplete(key));
+                    self.queue.push(done_at, key);
                     self.restores_scheduled += 1;
                     if self.trace.is_on() {
                         self.trace.instant(
@@ -2008,5 +2034,96 @@ mod tests {
         assert_eq!(vms.lookup("ghost"), None);
         assert_eq!(vms.records().count(), 1, "only vm-a was ever interned");
         assert_eq!(orch.cluster.total_vms(), 1);
+    }
+
+    /// Runs `scenario`'s event loop on four hosts, expecting a refusal that
+    /// mentions `reason` before any handler ran.
+    fn assert_refused(scenario: &Scenario, reason: &str) {
+        let specs = (0..4)
+            .map(|i| HostSpec::modern_server(HostId::new(i)))
+            .collect();
+        let mut orch =
+            Orchestrator::new(specs, fast_params(), Box::new(ThresholdRebalance)).unwrap();
+        match orch.run_events(scenario) {
+            Err(Error::Config(message)) => assert!(message.contains(reason), "{message}"),
+            other => panic!("expected a config error about {reason}: {other:?}"),
+        }
+        assert_eq!(orch.report, OrchReport::default(), "a handler ran");
+        assert_eq!(orch.cluster.vms.records().count(), 0);
+    }
+
+    #[test]
+    fn an_unsorted_scenario_is_refused() {
+        let mut s = small_scenario(3, 1);
+        let last = s.events.len() - 1;
+        s.events.swap(0, last);
+        assert_refused(&s, "out of time order");
+    }
+
+    #[test]
+    fn a_scenario_event_past_the_day_is_refused() {
+        let mut s = small_scenario(3, 1);
+        let horizon = s.config.duration;
+        s.events
+            .push((horizon.saturating_add(Nanoseconds(1)), failure(0)));
+        assert_refused(&s, "past the end");
+        // The horizon itself is still inside the day.
+        s.events.last_mut().unwrap().0 = horizon;
+        run_datacenter(4, fast_params(), Box::new(ThresholdRebalance), &s).unwrap();
+    }
+
+    /// A scenario arrival, a rebalance tick, a backup tick and a restore
+    /// completion all land on 1200 s and fire in that order: the `(at, seq)`
+    /// order a queue seeded with the scenario, then the ticks, then the
+    /// mid-run pushes gave them.
+    #[test]
+    fn same_instant_sources_fire_scenario_rebalance_backup_restore() {
+        let mut params = OrchParams {
+            rebalance_interval: Nanoseconds::from_secs(600),
+            backup_interval: Nanoseconds::from_secs(600),
+            failover_detection_delay: Nanoseconds::from_secs(300),
+            ..fast_params()
+        };
+        // A restore costs nothing beyond detection, so the 900 s failure's
+        // completion lands exactly on the 1200 s ticks.
+        params.backup_target.restore_setup = Nanoseconds::ZERO;
+        params.backup_target.read_bytes_per_sec = u64::MAX;
+        let scenario = Scenario {
+            config: ScenarioConfig {
+                duration: Nanoseconds::from_secs(3600),
+                ..ScenarioConfig::day(0, WorkloadShape::SteadyState, 2, 2)
+            },
+            events: vec![
+                (Nanoseconds::from_secs(10), arrival("vm-a")),
+                (Nanoseconds::from_secs(900), failure(0)),
+                (Nanoseconds::from_secs(1200), arrival("vm-b")),
+            ],
+        };
+        let specs = (0..2)
+            .map(|i| HostSpec::modern_server(HostId::new(i)))
+            .collect();
+        let mut orch = Orchestrator::new(specs, params, Box::new(ThresholdRebalance)).unwrap();
+        let (trace, recorder) = Trace::recording();
+        orch.set_trace(trace);
+        let report = orch.run(&scenario).unwrap();
+        assert_eq!(report.vms_restored, 1);
+        let at = Nanoseconds::from_secs(1200);
+        let fired: Vec<&str> = recorder
+            .borrow()
+            .events()
+            .iter()
+            .filter(|e| e.track == "orch" && e.kind == rvisor_obs::EventKind::Instant { at })
+            .map(|e| e.name)
+            .collect();
+        assert_eq!(
+            fired,
+            [
+                "vm-arrival",
+                "placement",
+                "rebalance-tick",
+                "backup-tick",
+                "restore-complete"
+            ]
+        );
     }
 }

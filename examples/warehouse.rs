@@ -4,8 +4,8 @@
 //!
 //! What makes this tractable is the trio of scale features in
 //! `rvisor-orch`: utilization-indexed cluster state (placement and
-//! rebalance ticks touch candidate hosts, not all 10k), the calendar-queue
-//! event queue (O(1) expected push/pop over the day's ~500k events), and
+//! rebalance ticks touch candidate hosts, not all 10k), an event loop that
+//! reads the day's ~500k events off their already-sorted sources, and
 //! the [`VmFidelity::OnDemand`] dial (VMs run as statistical models until a
 //! migration or restore actually needs guest pages).
 //!
@@ -85,7 +85,7 @@ fn main() {
     );
 
     // Determinism at scale: the same seed replays to a bit-identical
-    // report, calendar queue, indexes, fidelity dial and all.
+    // report, event loop, indexes, fidelity dial and all.
     let replay = run_datacenter(HOSTS, warehouse_params(1), Box::new(SpreadRebalance), &day)
         .expect("the replay runs to completion");
     assert_eq!(report, replay, "same seed must produce an identical report");
