@@ -9,8 +9,9 @@
 //! 1. **Tracing observes, never steers** — the traced day's `OrchReport`
 //!    is `==`-equal to the untraced day's.
 //! 2. **Traces are deterministic** — two same-seed traced runs emit
-//!    byte-identical Chrome trace JSON (the CI determinism job re-runs this
-//!    example and byte-diffs both stdout and the exported trace file).
+//!    byte-identical Chrome trace JSON (the `golden` CI job re-runs this
+//!    example and byte-diffs both stdout and the exported trace file, and
+//!    checks both against `golden/`).
 //! 3. **The export is loadable** — the Chrome trace-event JSON parses as
 //!    valid JSON and carries at least one event per migration, backup and
 //!    rebalance decision.
@@ -175,7 +176,7 @@ fn main() {
     println!("\n-- metrics --\n");
     print!("{}", rec.metrics().render_text());
 
-    // Export for Perfetto (and the CI artifact / determinism byte-diff).
+    // Export for Perfetto (and the CI artifact / golden checks).
     let out = std::path::Path::new("target").join("observability_trace.json");
     std::fs::create_dir_all("target").expect("target directory is writable");
     std::fs::write(&out, &json).expect("trace file is writable");

@@ -10,8 +10,8 @@
 //! migration or restore actually needs guest pages).
 //!
 //! Everything printed to stdout is deterministic: the same binary run twice
-//! byte-diffs clean, which the `scale-smoke` CI job enforces. Wall-clock
-//! timing goes to stderr.
+//! byte-diffs clean and matches `golden/warehouse.stdout`, which the
+//! `golden` CI job enforces. Wall-clock timing goes to stderr.
 //!
 //! ```text
 //! cargo run --release --example warehouse
