@@ -1,7 +1,7 @@
-//! The migration scheduler: one [`Stream`] per migration, one lane per
+//! The migration scheduler: one `Stream` per migration, one lane per
 //! stripe of the page-index space.
 //!
-//! [`execute`](crate::execute) runs every migration through [`with_lanes`],
+//! [`execute`](crate::execute) runs every migration through `with_lanes`,
 //! and a one-stream migration is one stripe. Each lane runs the segment loop
 //! of [`stream`](crate::stream) over its stripe — encode at most 64 pages,
 //! apply them on the sink while they are still in cache, repeat — under the

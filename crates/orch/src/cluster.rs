@@ -1,12 +1,11 @@
 //! The cluster: per-host [`Vmm`] stacks plus indexed capacity accounting.
 //!
-//! Each [`OrchHost`] pairs two views of one physical machine:
-//!
-//! * a [`rvisor_cluster::Host`] doing VmSpec-level capacity accounting
-//!   (configured memory, sustained CPU demand — what the placement and
-//!   rebalance policies reason about), and
-//! * a live [`Vmm`] holding real guest-memory-backed VMs (what migrations,
-//!   snapshots and DR restores actually operate on).
+//! Each [`OrchHost`] is the one record of a physical machine: its
+//! [`HostSpec`], the VMs placed on it (each key with its [`VmSpec`], in
+//! placement order — what the placement and rebalance policies reason
+//! about), the committed `Capacity` of those specs, and a live [`Vmm`]
+//! holding real guest-memory-backed VMs (what migrations, snapshots and DR
+//! restores actually operate on).
 //!
 //! The accounting scale and the simulation scale differ deliberately: specs
 //! speak in GiBs of configured RAM, while each live guest gets
@@ -32,9 +31,9 @@
 //! One record, one state: "each VM is on exactly one live host, pending,
 //! being restored, or gone" — the legitimate configuration failure handling
 //! must always return to — cannot be broken by maps drifting apart. Each
-//! [`OrchHost`] keeps its VMs' keys beside `accounting().placed`, index for
-//! index; `place_spec` / `evict_spec` alone edit that pair, the record and
-//! the cached sums below, and backup sweeps walk hosts → keys → records.
+//! [`OrchHost`] lists its VMs as `(key, spec)` pairs; `place_spec` /
+//! `evict_spec` alone edit that list, the record and the host's
+//! `Capacity`, and backup sweeps walk hosts → keys → records.
 //!
 //! The cluster also maintains ordered indexes over its hosts so fleet-level
 //! queries stop walking the whole host vector:
@@ -47,12 +46,16 @@
 //!   hosts in host-vector order (`OnePerHost` placement, DR power-up);
 //! * `by_id` — O(log n) host-id lookups.
 //!
-//! Per-host committed-capacity figures are cached incrementally and are
-//! *bit-identical* to recomputing the accounting folds: appending a spec
-//! extends the left-fold CPU sum by exactly one term (so `+=` is exact),
-//! while evictions and demand changes recompute the fold outright (float
-//! addition is not associative). Every utilization a policy observes is
-//! therefore exactly the number the un-indexed implementation produced.
+//! A host's committed CPU is *bit-identical* to the left fold of its
+//! placed demands in placement order — the sum `rvisor-cluster`'s own
+//! accounting computes over the same specs, which the tests check it
+//! against. Placing a spec extends the fold by exactly one term (so `+=`
+//! is exact), while evictions and demand changes re-fold the list outright
+//! (float addition is not associative). Committed memory is an integer
+//! sum, kept by `+=` / `-=`. Every utilization a policy observes is
+//! therefore exactly the number the un-indexed implementation produced;
+//! the rebalance planner reads the same `Capacity` value and shadows it by
+//! copy.
 //!
 //! Utilizations and free capacities are keyed in the ordered sets by their
 //! IEEE-754 bit patterns — valid because both are non-negative and never
@@ -60,8 +63,8 @@
 //!
 //! # The fidelity dial
 //!
-//! Under [`VmFidelity::OnDemand`] a deployed VM starts as a `VmModel` —
-//! integer-only accounting, no guest pages — and is *materialized* into a
+//! Under [`VmFidelity::OnDemand`] a deployed VM starts as a model — its
+//! spec on the host, no guest pages — and is *materialized* into a
 //! full [`Vmm`] stack only when a migration or restore touches its memory.
 //! This is sound because canonical tenant state is deterministic (see
 //! `provision_canonical`) and tenant guests only execute during migration
@@ -75,7 +78,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::num::NonZeroU64;
 
 use rvisor::{Vm, VmConfig, VmLifecycle, Vmm};
-use rvisor_cluster::{Host, HostSpec, PlacementStrategy, VmSpec};
+use rvisor_cluster::{HostSpec, PlacementStrategy, VmSpec};
 use rvisor_migrate::{FabricTransport, MigrationPlan, MigrationReport};
 use rvisor_net::{ClosFabric, ClosParams};
 use rvisor_obs::{ArgValue, Trace};
@@ -84,7 +87,7 @@ use rvisor_types::{ByteSize, Error, GuestAddress, HostId, Nanoseconds, Result, P
 use rvisor_vcpu::{Workload, WorkloadKind};
 
 use crate::params::{OrchParams, VmFidelity};
-use crate::vmtable::{fnv1a, Guest, VmKey, VmModel, VmState, VmTable, FNV_BASIS};
+use crate::vmtable::{fnv1a, Guest, VmKey, VmState, VmTable, FNV_BASIS};
 
 /// Guest code entry point for the synthetic tenant workload.
 const TENANT_ENTRY: u64 = 0x1000;
@@ -239,40 +242,84 @@ pub(crate) struct Shipped {
     pub(crate) stats: IngestStats,
 }
 
-/// One physical machine: accounting view plus the live VMM.
+/// The capacity figures of one host: installed cores and memory, and what
+/// its placed VMs commit of each. The one definition of utilization and of
+/// "fits" — the cluster keeps one per host and the rebalance planner shadows
+/// copies of it, so both read the same numbers through the same predicate.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Capacity {
+    pub(crate) cores: f64,
+    pub(crate) mem_capacity: u64,
+    /// Bit-identical to the left fold of the placed demands (module docs).
+    pub(crate) cpu_committed: f64,
+    pub(crate) mem_committed: u64,
+}
+
+impl Capacity {
+    /// CPU utilization as a fraction of physical cores.
+    pub(crate) fn util(&self) -> f64 {
+        self.cpu_committed / self.cores
+    }
+
+    /// Whether `demand` cores and `mem` bytes more fit.
+    pub(crate) fn fits(&self, demand: f64, mem: u64) -> bool {
+        self.fits_under(1.0, demand, mem)
+    }
+
+    /// Whether `demand` cores and `mem` bytes more fit with the CPU held to
+    /// `bar` of the cores (`bar` = 1.0 is [`Self::fits`] exactly).
+    pub(crate) fn fits_under(&self, bar: f64, demand: f64, mem: u64) -> bool {
+        self.cpu_committed + demand <= self.cores * bar
+            && self.mem_committed + mem <= self.mem_capacity
+    }
+
+    /// Commit `demand` cores and `mem` bytes more.
+    pub(crate) fn add(&mut self, demand: f64, mem: u64) {
+        self.cpu_committed += demand;
+        self.mem_committed += mem;
+    }
+}
+
+/// One physical machine: its spec, the VMs placed on it, their committed
+/// capacity, and the live VMM.
 #[derive(Debug)]
 pub struct OrchHost {
-    accounting: Host,
+    spec: HostSpec,
     vmm: Vmm,
     power: HostPower,
-    /// Keys of the VMs placed here: `keys[i]` is the VM whose spec is
-    /// `accounting.placed[i]`.
-    keys: Vec<VmKey>,
-    /// Incremental mirror of `accounting.cpu_committed()`, bit-identical to
-    /// the fold at all times (see the module docs).
-    cpu_committed: f64,
-    /// Incremental mirror of `accounting.memory_committed()` (exact: u64).
-    mem_committed: u64,
-    /// Cached `spec.cores as f64`.
-    cores: f64,
-    /// Cached `accounting.memory_capacity()` (pure function of the spec).
-    mem_capacity: u64,
+    /// The VMs placed here, in placement order (the fold order of
+    /// `cap.cpu_committed`).
+    vms: Vec<(VmKey, VmSpec)>,
+    cap: Capacity,
 }
 
 impl OrchHost {
+    fn new(spec: HostSpec) -> Self {
+        let mut host = OrchHost {
+            vmm: Vmm::new(&format!("host-{}", spec.id.raw())),
+            power: HostPower::On,
+            vms: Vec::new(),
+            cap: Capacity {
+                cores: spec.cores as f64,
+                mem_capacity: spec.memory.as_u64(),
+                cpu_committed: 0.0,
+                mem_committed: 0,
+            },
+            spec,
+        };
+        // The empty `f64` sum is -0.0: start from the fold itself.
+        host.refold_cpu();
+        host
+    }
+
     /// The host's identifier.
     pub fn id(&self) -> HostId {
-        self.accounting.spec.id
+        self.spec.id
     }
 
     /// Current power/health state.
     pub fn power(&self) -> HostPower {
         self.power
-    }
-
-    /// The capacity-accounting view (specs placed, utilization).
-    pub fn accounting(&self) -> &Host {
-        &self.accounting
     }
 
     /// The live per-host VM manager.
@@ -282,50 +329,39 @@ impl OrchHost {
 
     /// CPU utilization as a fraction of physical cores.
     pub fn cpu_utilization(&self) -> f64 {
-        // Bit-identical to `accounting.cpu_utilization()`: the cached sum
-        // is maintained to equal the fold exactly.
-        self.cpu_committed / self.cores
+        self.cap.util()
     }
 
     /// Memory committed as a fraction of installed RAM.
     pub fn memory_utilization(&self) -> f64 {
-        self.mem_committed as f64 / self.accounting.spec.memory.as_u64().max(1) as f64
+        self.cap.mem_committed as f64 / self.spec.memory.as_u64().max(1) as f64
     }
 
-    /// Keys of the VMs placed here, in placement order.
-    pub(crate) fn keys(&self) -> &[VmKey] {
-        &self.keys
+    /// The VMs placed here, each key with its spec, in placement order.
+    pub(crate) fn vms(&self) -> &[(VmKey, VmSpec)] {
+        &self.vms
     }
 
-    /// Index of `key`'s spec in `accounting.placed`.
+    /// Installed and committed capacity.
+    pub(crate) fn cap(&self) -> Capacity {
+        self.cap
+    }
+
+    /// Index of `key` in `vms`.
     fn slot_of(&self, key: VmKey) -> usize {
-        self.keys
+        self.vms
             .iter()
-            .position(|&k| k == key)
+            .position(|&(k, _)| k == key)
             .expect("a placed record's key is on the host it names")
     }
 
-    pub(crate) fn cpu_committed_cached(&self) -> f64 {
-        self.cpu_committed
+    /// Recompute the committed CPU as the left fold over `vms`.
+    fn refold_cpu(&mut self) {
+        self.cap.cpu_committed = self.vms.iter().map(|(_, s)| s.cpu_demand_cores).sum();
     }
 
-    pub(crate) fn mem_committed_cached(&self) -> u64 {
-        self.mem_committed
-    }
-
-    pub(crate) fn mem_capacity_cached(&self) -> u64 {
-        self.mem_capacity
-    }
-
-    pub(crate) fn cores_f64(&self) -> f64 {
-        self.cores
-    }
-
-    /// Exact equivalent of `accounting.fits(spec)` on the cached sums.
-    fn fits_cached(&self, spec: &VmSpec) -> bool {
-        let mem_ok = self.mem_committed + spec.memory.as_u64() <= self.mem_capacity;
-        let cpu_ok = self.cpu_committed + spec.cpu_demand_cores <= self.cores;
-        mem_ok && cpu_ok
+    fn fits(&self, spec: &VmSpec) -> bool {
+        self.cap.fits(spec.cpu_demand_cores, spec.memory.as_u64())
     }
 }
 
@@ -372,8 +408,6 @@ pub struct Cluster {
     pub(crate) vms: VmTable,
     /// VMs placed across all hosts.
     total_vms: usize,
-    /// Hosts currently powered on.
-    n_powered: usize,
     /// Lazily computed size of a canonical-state full snapshot (what a
     /// model VM's backup costs on the wire). Content-independent, so one
     /// probe against a scratch guest serves the whole run.
@@ -389,25 +423,7 @@ impl Cluster {
         if host_specs.is_empty() {
             return Err(Error::Config("cluster needs at least one host".into()));
         }
-        let hosts: Vec<OrchHost> = host_specs
-            .into_iter()
-            .map(|spec| {
-                let accounting = Host::with_overcommit(spec, params.memory_overcommit);
-                // The empty f64 sum is -0.0; seed the cache from the fold
-                // so the two stay bit-identical.
-                let cpu_committed = accounting.cpu_committed();
-                OrchHost {
-                    vmm: Vmm::new(&format!("host-{}", accounting.spec.id.raw())),
-                    cores: accounting.spec.cores as f64,
-                    mem_capacity: accounting.memory_capacity().as_u64(),
-                    accounting,
-                    power: HostPower::On,
-                    keys: Vec::new(),
-                    cpu_committed,
-                    mem_committed: 0,
-                }
-            })
-            .collect();
+        let hosts: Vec<OrchHost> = host_specs.into_iter().map(OrchHost::new).collect();
         let mut by_id = BTreeMap::new();
         for (pos, h) in hosts.iter().enumerate() {
             if by_id.insert(h.id(), pos).is_some() {
@@ -456,7 +472,6 @@ impl Cluster {
         } else {
             Vec::new()
         };
-        let n_powered = hosts.len();
         let mut cluster = Cluster {
             hosts,
             fabric,
@@ -471,7 +486,6 @@ impl Cluster {
             parked: BTreeSet::new(),
             vms: VmTable::default(),
             total_vms: 0,
-            n_powered,
             canonical_backup_size: None,
             trace: Trace::off(),
         };
@@ -549,7 +563,7 @@ impl Cluster {
 
     /// Number of hosts currently powered on.
     pub fn powered_on(&self) -> usize {
-        self.n_powered
+        self.by_util.len()
     }
 
     /// Total VMs placed across hosts.
@@ -560,9 +574,9 @@ impl Cluster {
     /// VMs currently represented by statistical models rather than live
     /// guests (always zero under [`VmFidelity::Full`]).
     pub fn modeled_vms(&self) -> usize {
-        let placed = self.hosts.iter().flat_map(|h| &h.keys);
+        let placed = self.hosts.iter().flat_map(|h| &h.vms);
         placed
-            .filter(|&&k| matches!(self.vms[k].placement(), Some((_, Guest::Model(_)))))
+            .filter(|&&(k, _)| matches!(self.vms[k].placement(), Some((_, Guest::Model))))
             .count()
     }
 
@@ -574,7 +588,7 @@ impl Cluster {
 
     /// Whether the named VM is still a statistical model on the host at `pos`.
     pub(crate) fn is_model_at(&self, pos: usize, vm: &str) -> bool {
-        matches!(self.placement_of(vm), Some((p, Guest::Model(_))) if p == pos)
+        matches!(self.placement_of(vm), Some((p, Guest::Model)) if p == pos)
     }
 
     /// Resolve a name that must already be known.
@@ -638,16 +652,15 @@ impl Cluster {
     fn deindex(&mut self, pos: usize) {
         let h = &self.hosts[pos];
         if !self.rack_vms.is_empty() {
-            self.rack_vms[self.fabric.rack_of(pos)] -= h.accounting.vm_count();
+            self.rack_vms[self.fabric.rack_of(pos)] -= h.vms.len();
         }
         match h.power {
             HostPower::On => {
                 let (util, free) = self.cpu_entries(pos);
                 self.by_util.remove(&util);
                 self.free_cpu.remove(&free);
-                self.free_mem
-                    .remove(&(h.mem_capacity.saturating_sub(h.mem_committed), pos));
-                if h.accounting.vm_count() == 0 {
+                self.free_mem.remove(&free_mem_entry(h, pos));
+                if h.vms.is_empty() {
                     self.empty_powered.remove(&pos);
                 }
             }
@@ -662,33 +675,23 @@ impl Cluster {
     /// — the only index entries a change of one VM's demand can move.
     fn cpu_entries(&self, pos: usize) -> ((u64, HostId), (u64, usize)) {
         let h = &self.hosts[pos];
-        let free = (h.cores - h.cpu_committed).max(0.0);
-        (
-            (util_key(h.cpu_utilization()), h.id()),
-            (util_key(free), pos),
-        )
+        let free = (h.cap.cores - h.cap.cpu_committed).max(0.0);
+        ((util_key(h.cap.util()), h.id()), (util_key(free), pos))
     }
 
     /// Re-insert `pos` into the indexes from its current state.
     fn index(&mut self, pos: usize) {
         let h = &self.hosts[pos];
         if !self.rack_vms.is_empty() {
-            self.rack_vms[self.fabric.rack_of(pos)] += h.accounting.vm_count();
+            self.rack_vms[self.fabric.rack_of(pos)] += h.vms.len();
         }
-        debug_assert_eq!(
-            h.cpu_committed.to_bits(),
-            h.accounting.cpu_committed().to_bits(),
-            "cached CPU sum must stay bit-identical to the accounting fold"
-        );
-        debug_assert_eq!(h.mem_committed, h.accounting.memory_committed().as_u64());
         match h.power {
             HostPower::On => {
                 let (util, free) = self.cpu_entries(pos);
                 self.by_util.insert(util);
                 self.free_cpu.insert(free);
-                self.free_mem
-                    .insert((h.mem_capacity.saturating_sub(h.mem_committed), pos));
-                if h.accounting.vm_count() == 0 {
+                self.free_mem.insert(free_mem_entry(h, pos));
+                if h.vms.is_empty() {
                     self.empty_powered.insert(pos);
                 }
             }
@@ -699,28 +702,31 @@ impl Cluster {
         }
     }
 
-    /// Place `key`'s `spec` on the host at `pos` as a model. With
-    /// [`Self::evict_spec`], the only code that edits a host's VM list: the
-    /// key list, the record, the cached sums, the VM count and the indexes
-    /// move together here.
+    /// Place `key`'s `spec` on the host at `pos` as a model, if it fits.
+    /// With [`Self::evict_spec`], the only code that edits a host's VM
+    /// list: the list, the record, the capacity, the VM count and the
+    /// indexes move together here.
     fn place_spec(&mut self, pos: usize, key: VmKey, spec: VmSpec) -> Result<()> {
+        let h = &self.hosts[pos];
+        if !h.fits(&spec) {
+            return Err(Error::CapacityExceeded(format!(
+                "{} does not fit on {} ({} committed of {} capacity)",
+                spec.name,
+                h.id(),
+                ByteSize::new(h.cap.mem_committed),
+                ByteSize::new(h.cap.mem_capacity)
+            )));
+        }
         self.deindex(pos);
         let h = &mut self.hosts[pos];
-        let demand = spec.cpu_demand_cores;
-        let mem = spec.memory.as_u64();
-        let model = VmModel::for_spec(&spec);
-        let res = h.accounting.place(spec);
-        if res.is_ok() {
-            // Appending to `placed` extends the left-fold sum by exactly
-            // one term, so incremental addition stays bit-identical.
-            h.cpu_committed += demand;
-            h.mem_committed += mem;
-            h.keys.push(key);
-            self.set_placed(key, pos, Guest::Model(model));
-            self.total_vms += 1;
-        }
+        // Appending extends the left-fold sum by exactly one term, so
+        // incremental addition stays bit-identical.
+        h.cap.add(spec.cpu_demand_cores, spec.memory.as_u64());
+        h.vms.push((key, spec));
+        self.set_placed(key, pos, Guest::Model);
+        self.total_vms += 1;
         self.index(pos);
-        res
+        Ok(())
     }
 
     /// Evict `key` from the host at `pos` (where its record says it is),
@@ -728,14 +734,11 @@ impl Cluster {
     fn evict_spec(&mut self, pos: usize, key: VmKey) -> VmSpec {
         self.deindex(pos);
         let h = &mut self.hosts[pos];
-        let slot = h.slot_of(key);
-        h.keys.remove(slot);
-        let spec = h.accounting.placed.remove(slot);
-        // Removal from the middle of `placed` reorders the fold, so
-        // recompute rather than subtract (float addition is not
-        // associative).
-        h.cpu_committed = h.accounting.cpu_committed();
-        h.mem_committed = h.accounting.memory_committed().as_u64();
+        let (_, spec) = h.vms.remove(h.slot_of(key));
+        // Removal from the middle of the list reorders the fold, so
+        // re-fold rather than subtract (float addition is not associative).
+        h.refold_cpu();
+        h.cap.mem_committed -= spec.memory.as_u64();
         self.vms[key].state = VmState::Absent;
         self.total_vms -= 1;
         self.index(pos);
@@ -771,13 +774,13 @@ impl Cluster {
             PlacementStrategy::FirstFitDecreasing => self
                 .hosts
                 .iter()
-                .find(|h| h.power == HostPower::On && h.fits_cached(spec))
+                .find(|h| h.power == HostPower::On && h.fits(spec))
                 .map(|h| h.id()),
             PlacementStrategy::OnePerHost => self
                 .empty_powered
                 .iter()
                 .map(|&pos| &self.hosts[pos])
-                .find(|h| h.fits_cached(spec))
+                .find(|h| h.fits(spec))
                 .map(|h| h.id()),
             PlacementStrategy::Spread if self.n_host_racks > 1 => {
                 self.choose_spread_rack_aware(spec)
@@ -786,7 +789,7 @@ impl Cluster {
                 .by_util
                 .iter()
                 .map(|&(_, id)| &self.hosts[self.by_id[&id]])
-                .find(|h| h.fits_cached(spec))
+                .find(|h| h.fits(spec))
                 .map(|h| h.id()),
         }
     }
@@ -801,7 +804,7 @@ impl Cluster {
         let mut candidates = self.by_util.iter().peekable();
         while let Some(&(key, id)) = candidates.next() {
             let h = &self.hosts[self.by_id[&id]];
-            if !h.fits_cached(spec) {
+            if !h.fits(spec) {
                 continue;
             }
             // First fitting host found; scan the rest of this utilization
@@ -813,7 +816,7 @@ impl Cluster {
                 }
                 candidates.next();
                 let h2 = &self.hosts[self.by_id[&id2]];
-                if h2.fits_cached(spec) {
+                if h2.fits(spec) {
                     let cand = (self.rack_vm_count(self.rack_of_pos(self.by_id[&id2])), id2);
                     if cand < best {
                         best = cand;
@@ -918,17 +921,10 @@ impl Cluster {
         self.free_cpu.remove(&free);
         let h = &mut self.hosts[idx];
         let slot = h.slot_of(key);
-        h.accounting.placed[slot].cpu_demand_cores = demand_cores.max(0.0);
+        h.vms[slot].1.cpu_demand_cores = demand_cores.max(0.0);
         // In-place mutation reorders nothing, but the fold must be
         // recomputed: replacing a term changes every partial sum after it.
-        h.cpu_committed = h.accounting.cpu_committed();
-        if let VmState::Placed {
-            guest: Guest::Model(m),
-            ..
-        } = &mut self.vms[key].state
-        {
-            m.cpu_demand_millicores = (demand_cores.max(0.0) * 1000.0) as u64;
-        }
+        h.refold_cpu();
         let (util, free) = self.cpu_entries(idx);
         self.by_util.insert(util);
         self.free_cpu.insert(free);
@@ -997,7 +993,7 @@ impl Cluster {
                     .unwrap_or(ByteSize::ZERO);
                 (BackupHandle::Stored(snap), size)
             }
-            Guest::Model(_) => (BackupHandle::Canonical, self.canonical_backup_size()?),
+            Guest::Model => (BackupHandle::Canonical, self.canonical_backup_size()?),
         };
         self.ship(key, idx, now, handle, size.as_u64(), IngestStats::default())
     }
@@ -1131,7 +1127,6 @@ impl Cluster {
             HostPower::Off => {
                 self.deindex(idx);
                 self.hosts[idx].power = HostPower::On;
-                self.n_powered += 1;
                 self.index(idx);
                 Ok(())
             }
@@ -1150,16 +1145,15 @@ impl Cluster {
                 "{host} has failed; cannot power off"
             )));
         }
-        if h.accounting.vm_count() > 0 {
+        if !h.vms.is_empty() {
             return Err(Error::Config(format!(
                 "{host} still hosts {} VMs",
-                h.accounting.vm_count()
+                h.vms.len()
             )));
         }
         if h.power == HostPower::On {
             self.deindex(idx);
             self.hosts[idx].power = HostPower::Off;
-            self.n_powered -= 1;
             self.index(idx);
         }
         Ok(())
@@ -1174,15 +1168,12 @@ impl Cluster {
     /// [`Self::fail_host`], each lost spec with its key (placement order).
     pub(crate) fn fail_host_keyed(&mut self, host: HostId) -> Result<Vec<(VmKey, VmSpec)>> {
         let idx = self.position(host)?;
-        let mut lost = Vec::with_capacity(self.hosts[idx].keys.len());
-        while let Some(&key) = self.hosts[idx].keys.first() {
+        let mut lost = Vec::with_capacity(self.hosts[idx].vms.len());
+        while let Some(&(key, _)) = self.hosts[idx].vms.first() {
             lost.push((key, self.evict_spec(idx, key)));
         }
         self.deindex(idx);
         let h = &mut self.hosts[idx];
-        if h.power == HostPower::On {
-            self.n_powered -= 1;
-        }
         // Drop the whole VMM: guest memory, switch, local snapshots — gone.
         h.vmm = Vmm::new(&format!("host-{}-dead", host.raw()));
         h.power = HostPower::Failed;
@@ -1196,7 +1187,7 @@ impl Cluster {
     pub fn observed_dirty_rate(&self, vm: &str) -> Option<u64> {
         match self.placement_of(vm)? {
             (idx, Guest::Live(id)) => self.hosts[idx].vmm.observed_dirty_rate(id),
-            (_, Guest::Model(_)) => None,
+            (_, Guest::Model) => None,
         }
     }
 
@@ -1206,7 +1197,7 @@ impl Cluster {
         let key = self.vms.lookup(vm)?;
         let (idx, _) = self.vms[key].placement()?;
         let host = &self.hosts[idx];
-        Some(host.accounting.placed[host.slot_of(key)].memory)
+        Some(host.vms[host.slot_of(key)].1.memory)
     }
 
     /// Live-migrate the named VM from its current host to `to` the way
@@ -1232,7 +1223,7 @@ impl Cluster {
         }
         let to_idx = self.powered_position(to)?;
         let src = &self.hosts[from_idx];
-        if !self.hosts[to_idx].fits_cached(&src.accounting.placed[src.slot_of(key)]) {
+        if !self.hosts[to_idx].fits(&src.vms[src.slot_of(key)].1) {
             return Err(Error::CapacityExceeded(format!(
                 "{vm} does not fit on {to}"
             )));
@@ -1369,65 +1360,51 @@ impl Cluster {
         }
     }
 
-    /// Exhaustively verify every index and cached sum against a from-scratch
-    /// recomputation (test support).
+    /// Exhaustively verify every index and capacity against a from-scratch
+    /// recomputation by [`OrchHost::fold_oracle`] (test support).
     #[cfg(test)]
     pub(crate) fn check_invariants(&self) {
         let mut total = 0;
-        let mut on = 0;
         for (pos, h) in self.hosts.iter().enumerate() {
+            let oracle = h.fold_oracle();
             assert_eq!(
-                h.cpu_committed.to_bits(),
-                h.accounting.cpu_committed().to_bits(),
-                "{}: cached CPU sum drifted",
+                h.cap.cpu_committed.to_bits(),
+                oracle.cpu_committed().to_bits(),
+                "{}: committed CPU drifted from the fold",
                 h.id()
             );
-            assert_eq!(h.mem_committed, h.accounting.memory_committed().as_u64());
-            assert_eq!(h.mem_capacity, h.accounting.memory_capacity().as_u64());
+            assert_eq!(h.cap.mem_committed, oracle.memory_committed().as_u64());
+            assert_eq!(h.cap.mem_capacity, oracle.memory_capacity().as_u64());
+            assert_eq!(h.cap.cores, f64::from(oracle.spec.cores));
             // Table ≡ host contents, host side: every key here names a
-            // record placed on this host, at the index of its spec, once.
-            assert_eq!(h.keys.len(), h.accounting.vm_count());
-            for (slot, (&key, spec)) in h.keys.iter().zip(&h.accounting.placed).enumerate() {
-                assert_eq!(*self.vms.name(key), *spec.name);
-                assert_eq!(h.slot_of(key), slot, "{}: key listed twice", h.id());
-                match self.vms[key].placement() {
+            // record placed on this host, once, beside its own spec.
+            for (slot, (key, spec)) in h.vms.iter().enumerate() {
+                assert_eq!(*self.vms.name(*key), *spec.name);
+                assert_eq!(h.slot_of(*key), slot, "{}: key listed twice", h.id());
+                match self.vms[*key].placement() {
                     Some((p, Guest::Live(id))) if p == pos => assert!(h.vmm.vm(id).is_ok()),
-                    Some((p, Guest::Model(_))) if p == pos => {}
+                    Some((p, Guest::Model)) if p == pos => {}
                     other => panic!("{}: {} is recorded as {other:?}", h.id(), spec.name),
                 }
             }
-            total += h.accounting.vm_count();
-            match h.power {
-                HostPower::On => {
-                    on += 1;
-                    let (util, free) = self.cpu_entries(pos);
-                    assert!(self.by_util.contains(&util) && self.free_cpu.contains(&free));
-                    assert!(self
-                        .free_mem
-                        .contains(&(h.mem_capacity.saturating_sub(h.mem_committed), pos)));
-                    assert_eq!(
-                        self.empty_powered.contains(&pos),
-                        h.accounting.vm_count() == 0
-                    );
-                    assert!(!self.parked.contains(&pos));
-                }
-                HostPower::Off => {
-                    assert!(self.parked.contains(&pos));
-                    assert!(!self.by_util.iter().any(|&(_, id)| id == h.id()));
-                    assert_eq!(h.accounting.vm_count(), 0);
-                }
-                HostPower::Failed => {
-                    assert!(!self.parked.contains(&pos));
-                    assert!(!self.by_util.iter().any(|&(_, id)| id == h.id()));
-                    assert_eq!(h.accounting.vm_count(), 0);
-                }
+            total += h.vms.len();
+            let indexed = self.by_util.iter().any(|&(_, id)| id == h.id());
+            assert_eq!(indexed, h.power == HostPower::On);
+            assert_eq!(self.parked.contains(&pos), h.power == HostPower::Off);
+            if h.power == HostPower::On {
+                let (util, free) = self.cpu_entries(pos);
+                assert!(self.by_util.contains(&util) && self.free_cpu.contains(&free));
+                assert!(self.free_mem.contains(&free_mem_entry(h, pos)));
+                assert_eq!(self.empty_powered.contains(&pos), h.vms.is_empty());
+            } else {
+                assert!(h.vms.is_empty(), "{} is off and holds VMs", h.id());
             }
         }
         assert_eq!(self.total_vms, total);
-        assert_eq!(self.n_powered, on);
-        assert_eq!(self.by_util.len(), on);
-        assert_eq!(self.free_cpu.len(), on);
-        assert_eq!(self.free_mem.len(), on);
+        let on = self.hosts.iter().filter(|h| h.power == HostPower::On);
+        assert_eq!(self.powered_on(), on.count());
+        assert_eq!(self.free_cpu.len(), self.powered_on());
+        assert_eq!(self.free_mem.len(), self.powered_on());
         // Table side: as many placed records as listed keys, and each host
         // proved its keys distinct and recorded as placed there, so every
         // placed record is on exactly one host and no other record is on any.
@@ -1436,11 +1413,26 @@ impl Cluster {
     }
 }
 
+/// The `free_mem` entry of the powered-on host `h` at `pos`.
+fn free_mem_entry(h: &OrchHost, pos: usize) -> (u64, usize) {
+    (h.cap.mem_capacity.saturating_sub(h.cap.mem_committed), pos)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rvisor_cluster::ServerRole;
+    use rvisor_cluster::{Host, ServerRole};
+
+    impl OrchHost {
+        /// `rvisor-cluster`'s own accounting of this host's specs: the
+        /// independent fold the capacity is checked against.
+        pub(crate) fn fold_oracle(&self) -> Host {
+            let mut host = Host::new(self.spec.clone());
+            host.placed = self.vms.iter().map(|(_, spec)| spec.clone()).collect();
+            host
+        }
+    }
 
     fn small_params() -> OrchParams {
         OrchParams {
@@ -1502,8 +1494,8 @@ mod tests {
             .unwrap();
         assert!(report.total_time > rvisor_types::Nanoseconds::ZERO);
         assert_eq!(c.host_of("mv"), Some(HostId::new(1)));
-        assert_eq!(c.hosts()[0].accounting().vm_count(), 0);
-        assert_eq!(c.hosts()[1].accounting().vm_count(), 1);
+        assert_eq!(c.hosts()[0].vms().len(), 0);
+        assert_eq!(c.hosts()[1].vms().len(), 1);
         c.check_invariants();
         // The guest's identity markers survived the move.
         let vmm = c.hosts()[1].vmm();
@@ -1747,7 +1739,7 @@ mod tests {
             let brute = c
                 .hosts()
                 .iter()
-                .filter(|h| h.power() == HostPower::On && h.accounting().fits(&probe))
+                .filter(|h| h.power() == HostPower::On && h.fold_oracle().fits(&probe))
                 .min_by(|a, b| {
                     a.cpu_utilization()
                         .partial_cmp(&b.cpu_utilization())
@@ -1948,7 +1940,7 @@ mod tests {
                 vms: BTreeMap::new(),
                 hosts: host_specs
                     .iter()
-                    .map(|s| Host::with_overcommit(s.clone(), params.memory_overcommit))
+                    .map(|s| Host::new(s.clone()))
                     .collect(),
                 failed: BTreeSet::new(),
                 live: BTreeSet::new(),
@@ -2047,7 +2039,7 @@ mod tests {
                 prop_assert_eq!(c.total_vms(), naive.vms.len());
                 prop_assert_eq!(c.modeled_vms(), naive.vms.len() - naive.live.len());
                 for (real, reference) in c.hosts().iter().zip(&naive.hosts) {
-                    prop_assert_eq!(&real.accounting().placed, &reference.placed);
+                    prop_assert_eq!(&real.fold_oracle(), reference);
                 }
             }
         }

@@ -58,8 +58,6 @@ pub struct Orchestrator {
     report: OrchReport,
     /// Per-host power accounting: (currently powered, last flip instant).
     power_marks: Vec<(bool, Nanoseconds)>,
-    /// `RestoreComplete` events scheduled by failure handling (conservation).
-    restores_scheduled: u64,
     /// Observability plane: off by default, costing one branch per hook.
     trace: Trace,
     /// Thresholds for resolving [`EngineChoice::Auto`] decisions into a
@@ -88,7 +86,6 @@ impl Orchestrator {
             pending_placement: Vec::new(),
             report: OrchReport::default(),
             power_marks: vec![(true, Nanoseconds::ZERO); n_hosts],
-            restores_scheduled: 0,
             trace: Trace::off(),
             planner: MigrationPlanner::default(),
         })
@@ -260,9 +257,9 @@ impl Orchestrator {
         // Conservation: every scenario event and tick plus every restore
         // scheduled mid-run by HostFailure handling was delivered exactly
         // once. The expected count is derived from the sources' sizes and
-        // the push site, independently of the loop, so a merge that skipped
-        // or repeated an event fails here.
-        expected_events += self.restores_scheduled;
+        // the queue's push count, independently of the loop, so a merge that
+        // skipped or repeated an event fails here.
+        expected_events += self.queue.pushed();
         if self.report.events_processed != expected_events {
             return Err(Error::Config(format!(
                 "event conservation violated: {} scheduled, {} delivered",
@@ -529,7 +526,6 @@ impl Orchestrator {
                         .saturating_add(self.params.backup_target.restore_setup)
                         .saturating_add(self.params.backup_target.read_time(size));
                     self.queue.push(done_at, key);
-                    self.restores_scheduled += 1;
                     if self.trace.is_on() {
                         self.trace.instant(
                             "orch/policy",
@@ -837,15 +833,15 @@ impl Orchestrator {
 
     /// The periodic DR sweep: every VM on every powered-on host, in host
     /// vector × placement order (the order fabric occupancy depends on),
-    /// straight off the hosts' key lists — no name is touched.
+    /// straight off the hosts' VM lists — no name is touched.
     fn on_backup_tick(&mut self) -> Result<()> {
         let label = format!("backup@{}", self.now.as_nanos());
         for pos in 0..self.cluster.hosts().len() {
             if self.cluster.host_at(pos).power() != HostPower::On {
                 continue;
             }
-            for slot in 0..self.cluster.host_at(pos).keys().len() {
-                let key = self.cluster.host_at(pos).keys()[slot];
+            for slot in 0..self.cluster.host_at(pos).vms().len() {
+                let key = self.cluster.host_at(pos).vms()[slot].0;
                 self.backup(key, &label)?;
             }
         }
@@ -925,13 +921,7 @@ pub fn run_datacenter(
     policy: Box<dyn RebalancePolicy>,
     scenario: &Scenario,
 ) -> Result<OrchReport> {
-    if hosts == 0 {
-        return Err(Error::Config("need at least one host".into()));
-    }
-    let specs = (0..hosts)
-        .map(|i| HostSpec::modern_server(HostId::new(i as u32)))
-        .collect();
-    Orchestrator::new(specs, params, policy)?.run(scenario)
+    run_datacenter_traced(hosts, params, policy, scenario, Trace::off())
 }
 
 /// [`run_datacenter`] with a trace sink attached to every layer (event loop,

@@ -132,9 +132,6 @@ impl FabricTopology {
 pub struct OrchParams {
     /// How arriving VMs are assigned to hosts.
     pub placement: PlacementStrategy,
-    /// Memory overcommit factor applied to every host's capacity
-    /// accounting (1.0 = none; >1.0 relies on ballooning/KSM headroom).
-    pub memory_overcommit: f64,
     /// Engine selector for policy-driven rebalancing migrations of running
     /// VMs, including [`EngineChoice::Auto`] for the adaptive per-migration
     /// planner. `None` means pre-copy, the live-migration default.
@@ -235,7 +232,6 @@ impl Default for OrchParams {
     fn default() -> Self {
         OrchParams {
             placement: PlacementStrategy::FirstFitDecreasing,
-            memory_overcommit: 1.0,
             engine: None,
             migration_compression: PageCompression::None,
             migration_streams: NonZeroUsize::MIN,
@@ -275,6 +271,7 @@ impl OrchParams {
             return Err(Error::Config("backup_interval must be non-zero".into()));
         }
         if !(0.0..=1.0).contains(&self.underload_cpu_threshold)
+            || self.overload_cpu_threshold.is_nan()
             || self.overload_cpu_threshold <= self.underload_cpu_threshold
         {
             return Err(Error::Config(format!(
@@ -285,11 +282,6 @@ impl OrchParams {
         if !(0.0..=1.0).contains(&self.spread_utilization_gap) {
             return Err(Error::Config(
                 "spread_utilization_gap must be within [0, 1]".into(),
-            ));
-        }
-        if self.memory_overcommit < 1.0 {
-            return Err(Error::Config(
-                "memory_overcommit must be at least 1.0".into(),
             ));
         }
         if self.guest_memory < MIN_GUEST_MEMORY || !self.guest_memory.is_page_aligned() {
@@ -332,11 +324,11 @@ mod tests {
         p.overload_cpu_threshold = 0.2;
         p.underload_cpu_threshold = 0.5;
         assert!(p.validate().is_err());
-        p.overload_cpu_threshold = 0.9;
         p.underload_cpu_threshold = 0.2;
-        p.memory_overcommit = 0.5;
-        assert!(p.validate().is_err());
-        p.memory_overcommit = 1.5;
+        // NaN compares false with everything: it must not pass as ordered.
+        p.overload_cpu_threshold = f64::NAN;
+        assert!(matches!(p.validate(), Err(Error::Config(_))));
+        p.overload_cpu_threshold = 0.9;
         p.guest_memory = ByteSize::new(4097);
         assert!(p.validate().is_err());
         // Page-aligned but too small for the tenant workload layout.

@@ -35,7 +35,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use rvisor_types::HostId;
 
-use crate::cluster::{key_util, util_key, Cluster, HostPower, OrchHost};
+use rvisor_cluster::VmSpec;
+
+use crate::cluster::{key_util, util_key, Capacity, Cluster, HostPower, OrchHost};
 use crate::params::{EngineChoice, OrchParams};
 
 /// One planned migration.
@@ -148,26 +150,17 @@ fn engine_for(cluster: &Cluster, from: HostId, vm: &str, params: &OrchParams) ->
     }
 }
 
-/// Mutable capacity image of one host a plan has touched.
-struct ShadowHost {
+/// Mutable capacity image of one host a plan has touched: a copy of its
+/// [`Capacity`] and the specs placed on it, borrowed from the cluster.
+struct ShadowHost<'c> {
     powered: bool,
-    cores: f64,
-    mem_capacity: u64,
-    cpu_committed: f64,
-    mem_committed: u64,
-    /// `(name, cpu_demand_cores, memory_bytes)` per placed VM.
-    vms: Vec<(String, f64, u64)>,
-}
-
-impl ShadowHost {
-    fn util(&self) -> f64 {
-        self.cpu_committed / self.cores
-    }
+    cap: Capacity,
+    vms: Vec<&'c VmSpec>,
 }
 
 /// Lazy planning overlay on the cluster's utilization index.
 ///
-/// Untouched hosts are read straight from the cluster's cached sums and its
+/// Untouched hosts are read straight from the cluster's capacities and its
 /// `(util_key, id)` index; a host is materialized into a [`ShadowHost`] (and
 /// its index entry moved into a private overlay) only when a planned move or
 /// power change alters it. Ordered scans merge the base index (minus touched
@@ -175,7 +168,7 @@ impl ShadowHost {
 /// original full-copy implementation would.
 struct View<'c> {
     cluster: &'c Cluster,
-    touched: BTreeMap<HostId, ShadowHost>,
+    touched: BTreeMap<HostId, ShadowHost<'c>>,
     /// Current `(util_key, id)` of touched hosts that are still powered.
     overlay: BTreeSet<(u64, HostId)>,
 }
@@ -203,91 +196,44 @@ impl<'c> View<'c> {
         let h = self.host(id);
         let shadow = ShadowHost {
             powered: h.power() == HostPower::On,
-            cores: h.cores_f64(),
-            mem_capacity: h.mem_capacity_cached(),
-            cpu_committed: h.cpu_committed_cached(),
-            mem_committed: h.mem_committed_cached(),
-            vms: h
-                .accounting()
-                .placed
-                .iter()
-                .map(|s| (s.name.clone(), s.cpu_demand_cores, s.memory.as_u64()))
-                .collect(),
+            cap: h.cap(),
+            vms: h.vms().iter().map(|(_, spec)| spec).collect(),
         };
         if shadow.powered {
-            self.overlay.insert((util_key(shadow.util()), id));
+            self.overlay.insert((util_key(shadow.cap.util()), id));
         }
         self.touched.insert(id, shadow);
     }
 
-    fn util(&self, id: HostId) -> f64 {
+    /// The shadow capacity of `id`, or `None` if it is not powered (in the
+    /// shadow) and so can take no VM.
+    fn cap(&self, id: HostId) -> Option<Capacity> {
         match self.touched.get(&id) {
-            Some(s) => s.util(),
-            None => self.host(id).cpu_utilization(),
-        }
-    }
-
-    fn cores(&self, id: HostId) -> f64 {
-        match self.touched.get(&id) {
-            Some(s) => s.cores,
-            None => self.host(id).cores_f64(),
-        }
-    }
-
-    fn mem_capacity(&self, id: HostId) -> u64 {
-        match self.touched.get(&id) {
-            Some(s) => s.mem_capacity,
-            None => self.host(id).mem_capacity_cached(),
-        }
-    }
-
-    fn powered(&self, id: HostId) -> bool {
-        match self.touched.get(&id) {
-            Some(s) => s.powered,
-            None => self.host(id).power() == HostPower::On,
-        }
-    }
-
-    /// Shadow `(cpu_committed, mem_committed)`.
-    fn cpu_mem(&self, id: HostId) -> (f64, u64) {
-        match self.touched.get(&id) {
-            Some(s) => (s.cpu_committed, s.mem_committed),
+            Some(s) => s.powered.then_some(s.cap),
             None => {
                 let h = self.host(id);
-                (h.cpu_committed_cached(), h.mem_committed_cached())
+                (h.power() == HostPower::On).then(|| h.cap())
             }
         }
     }
 
-    /// Same predicate as the original `Shadow::fits`.
+    /// Whether a VM of `demand` cores and `mem` bytes fits on `id`.
     fn fits(&self, id: HostId, demand: f64, mem: u64) -> bool {
-        let (cpu, m) = self.cpu_mem(id);
-        self.powered(id) && cpu + demand <= self.cores(id) && m + mem <= self.mem_capacity(id)
+        self.cap(id).is_some_and(|c| c.fits(demand, mem))
     }
 
     fn vms_len(&self, id: HostId) -> usize {
         match self.touched.get(&id) {
             Some(s) => s.vms.len(),
-            None => self.host(id).accounting().placed.len(),
+            None => self.host(id).vms().len(),
         }
     }
 
-    fn vm(&self, id: HostId, idx: usize) -> (&str, f64, u64) {
+    fn vm(&self, id: HostId, idx: usize) -> &'c VmSpec {
         match self.touched.get(&id) {
-            Some(s) => {
-                let v = &s.vms[idx];
-                (v.0.as_str(), v.1, v.2)
-            }
-            None => {
-                let s = &self.host(id).accounting().placed[idx];
-                (s.name.as_str(), s.cpu_demand_cores, s.memory.as_u64())
-            }
+            Some(s) => s.vms[idx],
+            None => &self.host(id).vms()[idx].1,
         }
-    }
-
-    fn vm_owned(&self, id: HostId, idx: usize) -> (String, f64, u64) {
-        let (n, d, m) = self.vm(id, idx);
-        (n.to_string(), d, m)
     }
 
     /// All powered shadow hosts, ascending `(util_key, id)`.
@@ -451,7 +397,7 @@ impl<'c> View<'c> {
         demand: f64,
         mem: u64,
         bar: f64,
-        trial: &BTreeMap<HostId, (f64, u64)>,
+        trial: &BTreeMap<HostId, Capacity>,
     ) -> Option<HostId> {
         let mut best: Option<(f64, HostId)> = None;
         // On a multi-rack topology, equal-utilization ties prefer a host in
@@ -483,13 +429,12 @@ impl<'c> View<'c> {
                 *best = Some((util, id));
             }
         };
-        for (&id, &(cpu, m)) in trial {
-            if id == src || !self.powered(id) {
+        for (&id, cap) in trial {
+            if id == src || self.cap(id).is_none() {
                 continue;
             }
-            let cores = self.cores(id);
-            if cpu + demand <= cores * bar && m + mem <= self.mem_capacity(id) {
-                consider(cpu / cores, id, &mut best);
+            if cap.fits_under(bar, demand, mem) {
+                consider(cap.util(), id, &mut best);
             }
         }
         // Untrialed hosts carry their shadow utilization as their trial
@@ -505,8 +450,7 @@ impl<'c> View<'c> {
             if id == src || trial.contains_key(&id) {
                 continue;
             }
-            let (cpu, m) = self.cpu_mem(id);
-            if cpu + demand <= self.cores(id) * bar && m + mem <= self.mem_capacity(id) {
+            if self.cap(id).is_some_and(|c| c.fits_under(bar, demand, mem)) {
                 consider(key_util(k), id, &mut best);
                 run_key = Some(k);
             }
@@ -519,30 +463,25 @@ impl<'c> View<'c> {
         debug_assert_ne!(from, to);
         self.touch(from);
         self.touch(to);
-        let from_key = (util_key(self.touched[&from].util()), from);
-        let to_key = (util_key(self.touched[&to].util()), to);
-        self.overlay.remove(&from_key);
-        self.overlay.remove(&to_key);
-        let (name, demand, mem) = {
+        for id in [from, to] {
+            self.overlay
+                .remove(&(util_key(self.touched[&id].cap.util()), id));
+        }
+        let vm = {
             let s = self.touched.get_mut(&from).expect("touched");
-            let v = s.vms.remove(vm_idx);
-            s.cpu_committed -= v.1;
-            s.mem_committed -= v.2;
-            v
+            let vm = s.vms.remove(vm_idx);
+            s.cap.cpu_committed -= vm.cpu_demand_cores;
+            s.cap.mem_committed -= vm.memory.as_u64();
+            vm
         };
-        {
-            let s = self.touched.get_mut(&to).expect("touched");
-            s.cpu_committed += demand;
-            s.mem_committed += mem;
-            s.vms.push((name, demand, mem));
-        }
-        let s = &self.touched[&from];
-        if s.powered {
-            self.overlay.insert((util_key(s.util()), from));
-        }
-        let s = &self.touched[&to];
-        if s.powered {
-            self.overlay.insert((util_key(s.util()), to));
+        let s = self.touched.get_mut(&to).expect("touched");
+        s.cap.add(vm.cpu_demand_cores, vm.memory.as_u64());
+        s.vms.push(vm);
+        for id in [from, to] {
+            let s = &self.touched[&id];
+            if s.powered {
+                self.overlay.insert((util_key(s.cap.util()), id));
+            }
         }
     }
 
@@ -554,7 +493,7 @@ impl<'c> View<'c> {
             return;
         }
         s.powered = false;
-        let key = (util_key(s.util()), id);
+        let key = (util_key(s.cap.util()), id);
         self.overlay.remove(&key);
     }
 }
@@ -588,22 +527,23 @@ impl RebalancePolicy for ThresholdRebalance {
             // Its most demanding VM that fits somewhere cooler.
             let mut order: Vec<usize> = (0..view.vms_len(src)).collect();
             order.sort_by(|&a, &b| {
-                let va = view.vm(src, a);
-                let vb = view.vm(src, b);
-                vb.1.partial_cmp(&va.1)
+                let (va, vb) = (view.vm(src, a), view.vm(src, b));
+                vb.cpu_demand_cores
+                    .partial_cmp(&va.cpu_demand_cores)
                     .expect("demand is never NaN")
-                    .then(va.0.cmp(vb.0))
+                    .then(va.name.cmp(&vb.name))
             });
             let mut moved = false;
             for vm_idx in order {
-                let (name, demand, mem) = view.vm_owned(src, vm_idx);
+                let vm = view.vm(src, vm_idx);
+                let (demand, mem) = (vm.cpu_demand_cores, vm.memory.as_u64());
                 if let Some(dst) =
                     view.threshold_dest(src, demand, mem, params.overload_cpu_threshold)
                 {
                     plan.migrations.push(MigrationDecision {
-                        vm: name.clone(),
+                        vm: vm.name.clone(),
                         to: dst,
-                        engine: engine_for(cluster, src, &name, params),
+                        engine: engine_for(cluster, src, &vm.name, params),
                     });
                     view.apply_move(src, dst, vm_idx);
                     moved = true;
@@ -658,18 +598,18 @@ impl RebalancePolicy for ConsolidateAndPowerDown {
             }
             // Tentatively rehome every VM; all must fit or none move.
             let mut moves: Vec<(usize, HostId)> = Vec::new(); // (vm_idx snapshotted order, dst)
-            let mut trial: BTreeMap<HostId, (f64, u64)> = BTreeMap::new();
+            let mut trial: BTreeMap<HostId, Capacity> = BTreeMap::new();
             let mut feasible = true;
             for vm_idx in 0..n_vms {
-                let (_, demand, mem) = view.vm(src, vm_idx);
+                let vm = view.vm(src, vm_idx);
+                let (demand, mem) = (vm.cpu_demand_cores, vm.memory.as_u64());
                 // Warmest destination that still stays under the overload bar.
                 let dest =
                     view.consolidate_dest(src, demand, mem, params.overload_cpu_threshold, &trial);
                 match dest {
                     Some(dst) => {
-                        let slot = trial.entry(dst).or_insert_with(|| view.cpu_mem(dst));
-                        slot.0 += demand;
-                        slot.1 += mem;
+                        let cap = view.cap(dst).expect("a destination is powered");
+                        trial.entry(dst).or_insert(cap).add(demand, mem);
                         moves.push((vm_idx, dst));
                     }
                     None => {
@@ -684,11 +624,11 @@ impl RebalancePolicy for ConsolidateAndPowerDown {
             // Commit: highest index first so removals don't shift earlier ones.
             moves.sort_by_key(|m| std::cmp::Reverse(m.0));
             for (vm_idx, dst) in moves {
-                let name = view.vm(src, vm_idx).0.to_string();
+                let name = &view.vm(src, vm_idx).name;
                 plan.migrations.push(MigrationDecision {
                     vm: name.clone(),
                     to: dst,
-                    engine: engine_for(cluster, src, &name, params),
+                    engine: engine_for(cluster, src, name, params),
                 });
                 view.apply_move(src, dst, vm_idx);
             }
@@ -739,7 +679,9 @@ impl RebalancePolicy for SpreadRebalance {
             }
             let hot = view.hottest().expect("powered >= 2");
             let cold = view.coldest_preferring_rack(hot).expect("powered >= 2");
-            let gap = view.util(hot) - view.util(cold);
+            let hot_cap = view.cap(hot).expect("the hottest host is powered");
+            let cold_cap = view.cap(cold).expect("the coldest host is powered");
+            let gap = hot_cap.util() - cold_cap.util();
             if gap <= params.spread_utilization_gap {
                 break;
             }
@@ -747,24 +689,25 @@ impl RebalancePolicy for SpreadRebalance {
             // (b) actually narrows the gap instead of swapping it.
             let mut order: Vec<usize> = (0..view.vms_len(hot)).collect();
             order.sort_by(|&a, &b| {
-                let va = view.vm(hot, a);
-                let vb = view.vm(hot, b);
-                va.1.partial_cmp(&vb.1)
+                let (va, vb) = (view.vm(hot, a), view.vm(hot, b));
+                va.cpu_demand_cores
+                    .partial_cmp(&vb.cpu_demand_cores)
                     .expect("demand is never NaN")
-                    .then(va.0.cmp(vb.0))
+                    .then(va.name.cmp(&vb.name))
             });
             let candidate = order.into_iter().find(|&vm_idx| {
-                let (_, demand, mem) = view.vm(hot, vm_idx);
-                view.fits(cold, demand, mem)
-                    && (demand / view.cores(hot) + demand / view.cores(cold)) < gap
+                let vm = view.vm(hot, vm_idx);
+                let demand = vm.cpu_demand_cores;
+                cold_cap.fits(demand, vm.memory.as_u64())
+                    && (demand / hot_cap.cores + demand / cold_cap.cores) < gap
             });
             match candidate {
                 Some(vm_idx) => {
-                    let name = view.vm(hot, vm_idx).0.to_string();
+                    let name = &view.vm(hot, vm_idx).name;
                     plan.migrations.push(MigrationDecision {
                         vm: name.clone(),
                         to: cold,
-                        engine: engine_for(cluster, hot, &name, params),
+                        engine: engine_for(cluster, hot, name, params),
                     });
                     view.apply_move(hot, cold, vm_idx);
                 }
@@ -809,19 +752,21 @@ pub(crate) mod reference {
         cluster
             .hosts()
             .iter()
-            .map(|h| Shadow {
-                id: h.id(),
-                powered: h.power() == HostPower::On,
-                cores: h.accounting().spec.cores as f64,
-                mem_capacity: h.accounting().memory_capacity().as_u64(),
-                cpu_committed: h.accounting().cpu_committed(),
-                mem_committed: h.accounting().memory_committed().as_u64(),
-                vms: h
-                    .accounting()
-                    .placed
-                    .iter()
-                    .map(|s| (s.name.clone(), s.cpu_demand_cores, s.memory.as_u64()))
-                    .collect(),
+            .map(|h| {
+                let oracle = h.fold_oracle();
+                Shadow {
+                    id: h.id(),
+                    powered: h.power() == HostPower::On,
+                    cores: oracle.spec.cores as f64,
+                    mem_capacity: oracle.memory_capacity().as_u64(),
+                    cpu_committed: oracle.cpu_committed(),
+                    mem_committed: oracle.memory_committed().as_u64(),
+                    vms: oracle
+                        .placed
+                        .iter()
+                        .map(|s| (s.name.clone(), s.cpu_demand_cores, s.memory.as_u64()))
+                        .collect(),
+                }
             })
             .collect()
     }

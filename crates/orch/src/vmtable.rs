@@ -5,7 +5,7 @@
 //! while the day's events are seeded, or when a caller of the `&str` API
 //! deploys or restores it — and the [`VmKey`] it gets then is what every
 //! per-VM structure in this crate is indexed by: the record here, the
-//! per-host key lists of [`OrchHost`](crate::OrchHost), the compact events in
+//! per-host VM lists of [`OrchHost`](crate::OrchHost), the compact events in
 //! the orchestrator's queue. The interner is the only name-keyed map in the
 //! crate, and it is only ever probed, never iterated, so its hash order can
 //! reach no report, trace or output line. It hashes with a fixed-basis
@@ -24,9 +24,8 @@
 //! capacity, running on exactly one host, being restored, or gone" is true by
 //! construction rather than by keeping several maps in step.
 //!
-//! The types a record is made of live here with it: the [`VmModel`] behind a
-//! not-yet-materialized guest and the [`PendingRestore`] of a VM being
-//! brought back. Its DR epochs are one [`VmChain`], whichever store holds
+//! The types a record is made of live here with it: the [`Guest`] behind a
+//! placed VM and the [`PendingRestore`] of a VM being brought back. Its DR epochs are one [`VmChain`], whichever store holds
 //! them; the lifecycle that drives it is `dr.rs`. The cluster and the
 //! orchestrator drive the records; nothing here knows about hosts, events or
 //! policy.
@@ -49,8 +48,9 @@ pub(crate) struct VmKey(u32);
 /// the host's [`Vmm`](rvisor::Vmm) (the two ends of the fidelity dial).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Guest {
-    /// Not yet materialized (`VmFidelity::OnDemand`).
-    Model(VmModel),
+    /// Not yet materialized (`VmFidelity::OnDemand`): the VM is its spec
+    /// on the host, and its guest state is the canonical deploy image.
+    Model,
     /// A real guest, by its per-host id.
     Live(VmId),
 }
@@ -199,29 +199,6 @@ impl Index<VmKey> for VmTable {
 impl IndexMut<VmKey> for VmTable {
     fn index_mut(&mut self, key: VmKey) -> &mut VmRecord {
         &mut self.records[key.0 as usize]
-    }
-}
-
-/// Integer-only statistical stand-in for a not-yet-materialized VM
-/// (the cheap end of the fidelity dial).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct VmModel {
-    /// Mirror of the accounting CPU demand, in millicores.
-    pub(crate) cpu_demand_millicores: u64,
-    /// Pages the canonical deploy state has dirtied (workload image plus
-    /// identity markers); the dirty rate stays zero until materialization
-    /// because parked tenant guests never execute.
-    dirty_pages: u64,
-}
-
-impl VmModel {
-    pub(crate) fn for_spec(spec: &VmSpec) -> Self {
-        VmModel {
-            cpu_demand_millicores: (spec.cpu_demand_cores.max(0.0) * 1000.0) as u64,
-            // The idle workload image dirties its code page; the identity
-            // stamp dirties four marker pages.
-            dirty_pages: 5,
-        }
     }
 }
 

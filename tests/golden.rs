@@ -6,14 +6,15 @@
 //! `golden/digests.txt` in the same diff; a failing run prints the
 //! replacement line for each digest that moved.
 
-use virtlab::cluster::HostSpec;
+use virtlab::cluster::{HostSpec, PlacementStrategy};
 use virtlab::memory::{fingerprint, GuestMemory};
 use virtlab::migrate::{execute, ConstantRateDirtier, FabricTransport, MigrationPlan, PlanEngine};
 use virtlab::net::{ClosFabric, FabricParams};
 use virtlab::obs::Trace;
 use virtlab::orch::{
-    run_datacenter, EngineChoice, MigrationPlanner, OrchParams, Orchestrator, Scenario,
-    ScenarioConfig, SpreadRebalance, ThresholdRebalance, WorkloadShape,
+    run_datacenter, ConsolidateAndPowerDown, EngineChoice, FabricTopology, MigrationPlanner,
+    OrchParams, Orchestrator, RebalancePolicy, Scenario, ScenarioConfig, SpreadRebalance,
+    ThresholdRebalance, VmFidelity, WorkloadShape,
 };
 use virtlab::types::{HostId, PAGE_SIZE};
 use virtlab::vcpu::VcpuState;
@@ -80,6 +81,40 @@ fn one_rack_adaptive_day() -> String {
     digest(&orch.run(&scenario).unwrap())
 }
 
+/// A day of 16 small hosts on a 2-rack, 2-spine Clos fabric under
+/// `policy`, with low CPU thresholds so every policy acts. Hosts holding
+/// the same roles tie on utilization, so the planner's rack-aware
+/// tie-breaks decide where some VMs go: each policy's row moves if its
+/// rack preference is dropped or flipped.
+fn clos_day(policy: Box<dyn RebalancePolicy>, placement: PlacementStrategy) -> String {
+    let params = OrchParams {
+        placement,
+        fidelity: VmFidelity::OnDemand,
+        guest_memory: ByteSize::kib(64),
+        topology: FabricTopology::Clos {
+            racks: 2,
+            spines: 2,
+            leaf_uplink_bytes_per_second: 2_500_000_000,
+            spine_bytes_per_second: 1_250_000_000,
+            cross_rack_latency: Nanoseconds::from_micros(50),
+        },
+        overload_cpu_threshold: 0.3,
+        underload_cpu_threshold: 0.1,
+        rebalance_interval: Nanoseconds::from_secs(600),
+        ..OrchParams::default()
+    };
+    let hosts = (0..16)
+        .map(|i| HostSpec::deck_era_server(HostId::new(i)))
+        .collect();
+    let scenario = Scenario::generate(ScenarioConfig {
+        duration: Nanoseconds::from_secs(6 * 3600),
+        ..ScenarioConfig::day(2, WorkloadShape::SteadyState, 16, 48)
+    })
+    .unwrap();
+    let orch = Orchestrator::new(hosts, params, policy).unwrap();
+    digest(&orch.run(&scenario).unwrap())
+}
+
 /// One 256-page migration of a dirtying guest over an office-LAN fabric,
 /// whose per-stream framing makes the stream count visible in the report;
 /// the digest covers the destination's checksum too.
@@ -118,6 +153,24 @@ fn reports_match_their_golden_digests() {
     let mut cases = vec![
         ("e15_day".to_string(), e15_day()),
         ("one_rack_adaptive_day".to_string(), one_rack_adaptive_day()),
+        (
+            "clos_day_threshold".to_string(),
+            clos_day(
+                Box::new(ThresholdRebalance),
+                PlacementStrategy::FirstFitDecreasing,
+            ),
+        ),
+        (
+            "clos_day_consolidate".to_string(),
+            clos_day(
+                Box::new(ConsolidateAndPowerDown),
+                PlacementStrategy::OnePerHost,
+            ),
+        ),
+        (
+            "clos_day_spread".to_string(),
+            clos_day(Box::new(SpreadRebalance), PlacementStrategy::Spread),
+        ),
     ];
     for engine in [
         PlanEngine::StopAndCopy,
