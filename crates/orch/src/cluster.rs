@@ -35,16 +35,15 @@
 //! `evict_spec` alone edit that list, the record and the host's
 //! `Capacity`, and backup sweeps walk hosts → keys → records.
 //!
-//! The cluster also maintains ordered indexes over its hosts so fleet-level
-//! queries stop walking the whole host vector:
-//!
-//! * `by_util` — powered-on hosts ordered by `(cpu-utilization, id)`, the
-//!   backbone of `Spread` placement and of incremental policy evaluation;
-//! * `free_cpu` / `free_mem` — powered-on hosts ordered by free capacity,
-//!   giving an O(log n) "could this VM fit *anywhere*?" quick reject;
-//! * `empty_powered` / `parked` — powered-on-and-empty and powered-off
-//!   hosts in host-vector order (`OnePerHost` placement, DR power-up);
-//! * `by_id` — O(log n) host-id lookups.
+//! The cluster keeps one ordered index over its hosts, `by_util`: the
+//! powered-on hosts ordered by `(cpu-utilization, id)`, the backbone of
+//! `Spread` placement and of incremental policy evaluation. Beside it,
+//! `by_id` maps host ids to positions and `rack_vms` counts the VMs per
+//! rack for rack-aware `Spread`. `OnePerHost` placement, the answer that
+//! nothing fits and the lookup of a parked host to wake scan the host
+//! vector instead: no benchmark day makes those queries (both place every
+//! VM on arrival and take no power action), so an index for them would
+//! only cost every placement, eviction and load change an update.
 //!
 //! A host's committed CPU is *bit-identical* to the left fold of its
 //! placed demands in placement order — the sum `rvisor-cluster`'s own
@@ -57,9 +56,9 @@
 //! the rebalance planner reads the same `Capacity` value and shadows it by
 //! copy.
 //!
-//! Utilizations and free capacities are keyed in the ordered sets by their
-//! IEEE-754 bit patterns — valid because both are non-negative and never
-//! NaN, where bit order coincides with numeric order.
+//! Utilizations are keyed in the ordered set by their IEEE-754 bit
+//! patterns — valid because they are non-negative and never NaN, where bit
+//! order coincides with numeric order.
 //!
 //! # The fidelity dial
 //!
@@ -98,12 +97,6 @@ const MARKER_BASE: u64 = 0xa000;
 /// Idle wakeups budgeted per tenant guest; enough simulated "uptime" to
 /// survive a day of migration rounds without the guest halting.
 const TENANT_WAKEUPS: u64 = 1_000_000;
-/// Conservative absolute slack for the floating-point free-CPU quick
-/// reject. Committed-CPU sums carry at most ~1e-12 of absolute error at
-/// datacenter magnitudes, so a reject margin of 1e-9 can never turn away a
-/// VM the exact `fits` check would have accepted; ambiguous cases fall
-/// through to the exact per-host check.
-const FIT_SLACK: f64 = 1e-9;
 
 /// Order-preserving integer key for a non-NaN `f64` (the usual IEEE-754
 /// total-order trick: flip all bits of negatives, set the sign bit of
@@ -332,11 +325,6 @@ impl OrchHost {
         self.cap.util()
     }
 
-    /// Memory committed as a fraction of installed RAM.
-    pub fn memory_utilization(&self) -> f64 {
-        self.cap.mem_committed as f64 / self.spec.memory.as_u64().max(1) as f64
-    }
-
     /// The VMs placed here, each key with its spec, in placement order.
     pub(crate) fn vms(&self) -> &[(VmKey, VmSpec)] {
         &self.vms
@@ -394,14 +382,6 @@ pub struct Cluster {
     by_id: BTreeMap<HostId, usize>,
     /// Powered-on hosts ordered by `(utilization bits, id)`.
     by_util: BTreeSet<(u64, HostId)>,
-    /// Powered-on hosts ordered by `(free CPU bits, position)`.
-    free_cpu: BTreeSet<(u64, usize)>,
-    /// Powered-on hosts ordered by `(free memory bytes, position)`.
-    free_mem: BTreeSet<(u64, usize)>,
-    /// Positions of powered-on hosts with zero VMs, in host-vector order.
-    empty_powered: BTreeSet<usize>,
-    /// Positions of powered-off (not failed) hosts, in host-vector order.
-    parked: BTreeSet<usize>,
     /// Every VM name seen so far, its key, state and DR slot. The
     /// orchestrator edits its own states (pending, restoring) and the DR
     /// slots here; placement is edited only by this module.
@@ -480,10 +460,6 @@ impl Cluster {
             rack_vms,
             by_id,
             by_util: BTreeSet::new(),
-            free_cpu: BTreeSet::new(),
-            free_mem: BTreeSet::new(),
-            empty_powered: BTreeSet::new(),
-            parked: BTreeSet::new(),
             vms: VmTable::default(),
             total_vms: 0,
             canonical_backup_size: None,
@@ -526,14 +502,6 @@ impl Cluster {
     /// which tracks no per-rack occupancy).
     pub fn rack_vm_count(&self, rack: usize) -> usize {
         self.rack_vms.get(rack).copied().unwrap_or(0)
-    }
-
-    /// Whether a migration between two hosts would cross the spine tier.
-    pub fn is_cross_rack(&self, a: HostId, b: HostId) -> bool {
-        match (self.position_of(a), self.position_of(b)) {
-            (Some(pa), Some(pb)) => self.fabric.rack_of(pa) != self.fabric.rack_of(pb),
-            _ => false,
-        }
     }
 
     /// Remove a spine from the fabric; see
@@ -638,7 +606,8 @@ impl Cluster {
 
     /// The first powered-off host in host-vector order (DR power-up).
     pub(crate) fn first_parked(&self) -> Option<HostId> {
-        self.parked.iter().next().map(|&pos| self.hosts[pos].id())
+        let parked = self.hosts.iter().find(|h| h.power == HostPower::Off);
+        parked.map(|h| h.id())
     }
 
     /// Which host (if any) currently runs the named VM.
@@ -646,7 +615,7 @@ impl Cluster {
         self.placement_of(vm).map(|(pos, _)| self.hosts[pos].id())
     }
 
-    /// Remove `pos` from every index it currently appears in. Call before
+    /// Remove `pos` from `by_util` and its VMs from `rack_vms`. Call before
     /// mutating the host's power, placement or committed figures; pair with
     /// [`Self::index`] after the mutation.
     fn deindex(&mut self, pos: usize) {
@@ -654,51 +623,25 @@ impl Cluster {
         if !self.rack_vms.is_empty() {
             self.rack_vms[self.fabric.rack_of(pos)] -= h.vms.len();
         }
-        match h.power {
-            HostPower::On => {
-                let (util, free) = self.cpu_entries(pos);
-                self.by_util.remove(&util);
-                self.free_cpu.remove(&free);
-                self.free_mem.remove(&free_mem_entry(h, pos));
-                if h.vms.is_empty() {
-                    self.empty_powered.remove(&pos);
-                }
-            }
-            HostPower::Off => {
-                self.parked.remove(&pos);
-            }
-            HostPower::Failed => {}
+        if h.power == HostPower::On {
+            self.by_util.remove(&self.util_entry(pos));
         }
     }
 
-    /// The `by_util` and `free_cpu` entries of the powered-on host at `pos`
-    /// — the only index entries a change of one VM's demand can move.
-    fn cpu_entries(&self, pos: usize) -> ((u64, HostId), (u64, usize)) {
+    /// The `by_util` entry of the host at `pos` (present while it is on).
+    fn util_entry(&self, pos: usize) -> (u64, HostId) {
         let h = &self.hosts[pos];
-        let free = (h.cap.cores - h.cap.cpu_committed).max(0.0);
-        ((util_key(h.cap.util()), h.id()), (util_key(free), pos))
+        (util_key(h.cap.util()), h.id())
     }
 
-    /// Re-insert `pos` into the indexes from its current state.
+    /// Re-insert `pos` into `by_util` and `rack_vms` from its current state.
     fn index(&mut self, pos: usize) {
         let h = &self.hosts[pos];
         if !self.rack_vms.is_empty() {
             self.rack_vms[self.fabric.rack_of(pos)] += h.vms.len();
         }
-        match h.power {
-            HostPower::On => {
-                let (util, free) = self.cpu_entries(pos);
-                self.by_util.insert(util);
-                self.free_cpu.insert(free);
-                self.free_mem.insert(free_mem_entry(h, pos));
-                if h.vms.is_empty() {
-                    self.empty_powered.insert(pos);
-                }
-            }
-            HostPower::Off => {
-                self.parked.insert(pos);
-            }
-            HostPower::Failed => {}
+        if h.power == HostPower::On {
+            self.by_util.insert(self.util_entry(pos));
         }
     }
 
@@ -753,34 +696,15 @@ impl Cluster {
     /// * `OnePerHost` — the first *empty* host: the no-consolidation
     ///   baseline.
     ///
-    /// All three answer exactly what a full scan of the host vector would,
-    /// but start with an O(log n) free-capacity quick reject, and `Spread`
-    /// and `OnePerHost` walk their dedicated indexes so they touch only
-    /// candidate hosts. `FirstFitDecreasing` is inherently a first-in-order
-    /// scan, but each probe is O(1) on the cached sums.
+    /// `Spread` walks `by_util`, so it stops at the first fitting host in
+    /// utilization order; the other two scan the host vector in order, each
+    /// probe O(1) on the cached sums. `None` when no powered host fits.
     pub fn choose_host(&self, strategy: PlacementStrategy, spec: &VmSpec) -> Option<HostId> {
-        // Quick reject: if even the host with the most free CPU (or memory)
-        // cannot fit this spec, nothing can. The CPU check is conservative
-        // (FIT_SLACK); ambiguity falls through to the exact per-host check.
-        let &(max_free_cpu_key, _) = self.free_cpu.iter().next_back()?;
-        if spec.cpu_demand_cores > key_util(max_free_cpu_key) + FIT_SLACK {
-            return None;
-        }
-        let &(max_free_mem, _) = self.free_mem.iter().next_back()?;
-        if spec.memory.as_u64() > max_free_mem {
-            return None;
-        }
+        let mut powered = self.hosts.iter().filter(|h| h.power == HostPower::On);
         match strategy {
-            PlacementStrategy::FirstFitDecreasing => self
-                .hosts
-                .iter()
-                .find(|h| h.power == HostPower::On && h.fits(spec))
-                .map(|h| h.id()),
-            PlacementStrategy::OnePerHost => self
-                .empty_powered
-                .iter()
-                .map(|&pos| &self.hosts[pos])
-                .find(|h| h.fits(spec))
+            PlacementStrategy::FirstFitDecreasing => powered.find(|h| h.fits(spec)).map(|h| h.id()),
+            PlacementStrategy::OnePerHost => powered
+                .find(|h| h.vms.is_empty() && h.fits(spec))
                 .map(|h| h.id()),
             PlacementStrategy::Spread if self.n_host_racks > 1 => {
                 self.choose_spread_rack_aware(spec)
@@ -914,20 +838,16 @@ impl Cluster {
     /// [`Self::set_cpu_demand`] by key.
     pub(crate) fn set_cpu_demand_key(&mut self, key: VmKey, demand_cores: f64) -> Result<HostId> {
         let (idx, _) = self.placement(key)?;
-        // Memory, VM count and power (on: the host holds a VM) are
-        // untouched, so only the two CPU-keyed index entries can move.
-        let (util, free) = self.cpu_entries(idx);
-        self.by_util.remove(&util);
-        self.free_cpu.remove(&free);
+        // VM count and power (on: the host holds a VM) are untouched, so
+        // only the host's `by_util` entry can move.
+        self.by_util.remove(&self.util_entry(idx));
         let h = &mut self.hosts[idx];
         let slot = h.slot_of(key);
         h.vms[slot].1.cpu_demand_cores = demand_cores.max(0.0);
         // In-place mutation reorders nothing, but the fold must be
         // recomputed: replacing a term changes every partial sum after it.
         h.refold_cpu();
-        let (util, free) = self.cpu_entries(idx);
-        self.by_util.insert(util);
-        self.free_cpu.insert(free);
+        self.by_util.insert(self.util_entry(idx));
         Ok(self.hosts[idx].id())
     }
 
@@ -1390,12 +1310,8 @@ impl Cluster {
             total += h.vms.len();
             let indexed = self.by_util.iter().any(|&(_, id)| id == h.id());
             assert_eq!(indexed, h.power == HostPower::On);
-            assert_eq!(self.parked.contains(&pos), h.power == HostPower::Off);
             if h.power == HostPower::On {
-                let (util, free) = self.cpu_entries(pos);
-                assert!(self.by_util.contains(&util) && self.free_cpu.contains(&free));
-                assert!(self.free_mem.contains(&free_mem_entry(h, pos)));
-                assert_eq!(self.empty_powered.contains(&pos), h.vms.is_empty());
+                assert!(self.by_util.contains(&self.util_entry(pos)));
             } else {
                 assert!(h.vms.is_empty(), "{} is off and holds VMs", h.id());
             }
@@ -1403,19 +1319,12 @@ impl Cluster {
         assert_eq!(self.total_vms, total);
         let on = self.hosts.iter().filter(|h| h.power == HostPower::On);
         assert_eq!(self.powered_on(), on.count());
-        assert_eq!(self.free_cpu.len(), self.powered_on());
-        assert_eq!(self.free_mem.len(), self.powered_on());
         // Table side: as many placed records as listed keys, and each host
         // proved its keys distinct and recorded as placed there, so every
         // placed record is on exactly one host and no other record is on any.
         let placed = self.vms.records().filter(|r| r.placement().is_some());
         assert_eq!(placed.count(), total);
     }
-}
-
-/// The `free_mem` entry of the powered-on host `h` at `pos`.
-fn free_mem_entry(h: &OrchHost, pos: usize) -> (u64, usize) {
-    (h.cap.mem_capacity.saturating_sub(h.cap.mem_committed), pos)
 }
 
 #[cfg(test)]
@@ -1734,20 +1643,61 @@ mod tests {
             c.check_invariants();
             c.fail_host(HostId::new(3)).unwrap();
             c.check_invariants();
-            // Indexed answers match a brute-force scan.
-            let probe = web("probe").with_cpu_demand(1.25);
-            let brute = c
-                .hosts()
-                .iter()
-                .filter(|h| h.power() == HostPower::On && h.fold_oracle().fits(&probe))
-                .min_by(|a, b| {
-                    a.cpu_utilization()
-                        .partial_cmp(&b.cpu_utilization())
-                        .unwrap()
-                        .then(a.id().cmp(&b.id()))
-                })
-                .map(|h| h.id());
-            assert_eq!(c.choose_host(PlacementStrategy::Spread, &probe), brute);
+            // Every placement answer matches a brute-force scan over the
+            // oracle, for probes that fit somewhere and for ones that fit
+            // on no host by CPU or by memory.
+            let check_choices = |c: &Cluster| {
+                let huge_cpu = web("huge").with_cpu_demand(1e6);
+                let huge_mem = VmSpec {
+                    memory: ByteSize::gib(1 << 20),
+                    ..web("huge")
+                };
+                let probes = [
+                    web("probe").with_cpu_demand(1.25),
+                    web("tiny"),
+                    huge_cpu,
+                    huge_mem,
+                ];
+                for probe in probes {
+                    let on = c.hosts.iter().filter(|h| h.power == HostPower::On);
+                    let fitting: Vec<_> = on.filter(|h| h.fold_oracle().fits(&probe)).collect();
+                    let spread = fitting.iter().min_by(|a, b| {
+                        let by_util = a.cpu_utilization().partial_cmp(&b.cpu_utilization());
+                        by_util.unwrap().then(a.id().cmp(&b.id()))
+                    });
+                    for (strategy, brute) in [
+                        (PlacementStrategy::Spread, spread),
+                        (PlacementStrategy::FirstFitDecreasing, fitting.first()),
+                        (
+                            PlacementStrategy::OnePerHost,
+                            fitting.iter().find(|h| h.vms.is_empty()),
+                        ),
+                    ] {
+                        let want = brute.map(|h| h.id());
+                        assert_eq!(c.choose_host(strategy, &probe), want, "{strategy:?}");
+                    }
+                }
+            };
+            let evacuate = |c: &mut Cluster, pos: usize| {
+                while let Some(&(key, _)) = c.hosts[pos].vms.first() {
+                    c.destroy_key(key).unwrap();
+                }
+                c.check_invariants();
+            };
+            check_choices(&c);
+            // An empty powered host for `OnePerHost` to find.
+            evacuate(&mut c, 0);
+            check_choices(&c);
+            // Park host 2, then host 0: the first parked host in host-vector
+            // order is the one to wake, whatever order they were parked in.
+            assert_eq!(c.first_parked(), None);
+            for pos in [2, 0] {
+                evacuate(&mut c, pos);
+                c.power_off(c.hosts[pos].id()).unwrap();
+                c.check_invariants();
+                check_choices(&c);
+            }
+            assert_eq!(c.first_parked(), Some(HostId::new(0)));
         }
     }
 

@@ -3,12 +3,13 @@
 use rvisor_cluster::{HostSpec, VmSpec};
 use rvisor_migrate::{FaultService, MigrationPlan, PlanEngine};
 use rvisor_obs::{ArgValue, Trace};
+use rvisor_snapshot::BackupTarget;
 use rvisor_types::{ByteSize, Error, HostId, Nanoseconds, Result};
 
 use crate::cluster::{already_exists, BackupHandle, Cluster, HostPower};
 use crate::dr::DrStores;
 use crate::event::{EventQueue, OrchEvent};
-use crate::params::{EngineChoice, OrchParams};
+use crate::params::{EngineChoice, OrchParams, FAILOVER_DETECTION_DELAY, PROVISION_LATENCY};
 use crate::planner::MigrationPlanner;
 use crate::policy::{DecisionReason, RebalancePolicy};
 use crate::report::OrchReport;
@@ -56,8 +57,9 @@ pub struct Orchestrator {
     /// cluster's VM table.
     pending_placement: Vec<PendingVm>,
     report: OrchReport,
-    /// Per-host power accounting: (currently powered, last flip instant).
-    power_marks: Vec<(bool, Nanoseconds)>,
+    /// Hosts powered on, and the instant that count was last read: the
+    /// powered-time integral grows by `count × elapsed` at each change.
+    powered: (u64, Nanoseconds),
     /// Observability plane: off by default, costing one branch per hook.
     trace: Trace,
     /// Thresholds for resolving [`EngineChoice::Auto`] decisions into a
@@ -73,8 +75,8 @@ impl Orchestrator {
         policy: Box<dyn RebalancePolicy>,
     ) -> Result<Self> {
         params.validate()?;
-        let n_hosts = host_specs.len();
         let cluster = Cluster::new(host_specs, params)?;
+        let powered = (cluster.powered_on() as u64, Nanoseconds::ZERO);
         Ok(Orchestrator {
             params,
             policy,
@@ -85,7 +87,7 @@ impl Orchestrator {
             dr_stores: DrStores::default(),
             pending_placement: Vec::new(),
             report: OrchReport::default(),
-            power_marks: vec![(true, Nanoseconds::ZERO); n_hosts],
+            powered,
             trace: Trace::off(),
             planner: MigrationPlanner::default(),
         })
@@ -286,9 +288,7 @@ impl Orchestrator {
             self.report.vms_lost_permanently += 1;
         }
         // Close the powered-time integral.
-        for i in 0..self.power_marks.len() {
-            self.accrue_power(i, false);
-        }
+        self.accrue_power();
         self.report.sim_end = self.horizon;
         self.report.vms_running_at_end = self.cluster.total_vms() as u64;
         self.report.hosts_powered_at_end = self.cluster.powered_on() as u64;
@@ -298,29 +298,23 @@ impl Orchestrator {
         Ok(self.report)
     }
 
-    /// Accrue powered time for host `i` up to `now`; `flip` marks a state
-    /// change (the new state is read from the cluster afterwards).
-    fn accrue_power(&mut self, i: usize, flip: bool) {
-        let (was_on, since) = self.power_marks[i];
-        if was_on {
-            self.report.powered_host_time = self
-                .report
-                .powered_host_time
-                .saturating_add(self.now.saturating_sub(since));
-        }
-        if flip {
-            let on_now = self.cluster.hosts()[i].power() == HostPower::On;
-            self.power_marks[i] = (on_now, self.now);
-        } else {
-            self.power_marks[i].1 = self.now;
-        }
+    /// Accrue powered time up to `now` at the last read count, then re-read
+    /// the count from the cluster.
+    fn accrue_power(&mut self) {
+        let (count, since) = self.powered;
+        let span = self
+            .now
+            .saturating_sub(since)
+            .as_nanos()
+            .saturating_mul(count);
+        let total = &mut self.report.powered_host_time;
+        *total = total.saturating_add(Nanoseconds(span));
+        self.powered = (self.cluster.powered_on() as u64, self.now);
     }
 
-    fn note_power_change(&mut self, host: HostId) {
-        if let Some(i) = self.cluster.position_of(host) {
-            self.accrue_power(i, true);
-        }
-        let powered = self.cluster.powered_on() as u64;
+    fn note_power_change(&mut self) {
+        self.accrue_power();
+        let powered = self.powered.0;
         self.report.peak_hosts_powered = self.report.peak_hosts_powered.max(powered);
     }
 
@@ -338,7 +332,7 @@ impl Orchestrator {
         let parked = self.cluster.first_parked()?;
         self.cluster.power_on(parked).ok()?;
         self.report.power_on_actions += 1;
-        self.note_power_change(parked);
+        self.note_power_change();
         self.cluster.choose_host(self.params.placement, spec)
     }
 
@@ -350,7 +344,7 @@ impl Orchestrator {
         let latency = self
             .now
             .saturating_sub(arrived_at)
-            .saturating_add(self.params.provision_latency);
+            .saturating_add(PROVISION_LATENCY);
         if self.trace.is_on() {
             self.trace.instant(
                 "orch",
@@ -496,7 +490,7 @@ impl Orchestrator {
         let lost = self.cluster.fail_host_keyed(host)?;
         self.report.hosts_failed += 1;
         self.report.vms_lost_at_failure += lost.len() as u64;
-        self.note_power_change(host);
+        self.note_power_change();
         if self.trace.is_on() {
             self.trace.instant(
                 "orch",
@@ -512,9 +506,8 @@ impl Orchestrator {
         // DR: schedule restores for every backed-up casualty. The restore
         // pipeline is serial (one DR target), so completion times accumulate:
         // detection delay, then setup + transfer per VM.
-        let mut done_at = self
-            .now
-            .saturating_add(self.params.failover_detection_delay);
+        let mut done_at = self.now.saturating_add(FAILOVER_DETECTION_DELAY);
+        let target = BackupTarget::default();
         for (key, spec) in lost {
             // Only an epoch whose stream has fully arrived at the DR target
             // by the failure instant is restorable; bytes still on the wire
@@ -523,8 +516,8 @@ impl Orchestrator {
                 Some(backup) => {
                     let size = self.dr_stores.restore_size(backup, &mut self.cluster)?;
                     done_at = done_at
-                        .saturating_add(self.params.backup_target.restore_setup)
-                        .saturating_add(self.params.backup_target.read_time(size));
+                        .saturating_add(target.restore_setup)
+                        .saturating_add(target.read_time(size));
                     self.queue.push(done_at, key);
                     if self.trace.is_on() {
                         self.trace.instant(
@@ -688,7 +681,7 @@ impl Orchestrator {
         for host in &plan.power_on {
             if self.cluster.power_on(*host).is_ok() {
                 self.report.power_on_actions += 1;
-                self.note_power_change(*host);
+                self.note_power_change();
                 if self.trace.is_on() {
                     self.trace.instant(
                         "orch/policy",
@@ -734,33 +727,6 @@ impl Orchestrator {
                 self.report.migrations_skipped += 1;
                 continue;
             };
-            // Hot-spine scheduling: when the whole spine tier is booked out
-            // beyond `hot_spine_defer`, a cross-rack migration would queue
-            // behind that backlog anyway — skip it and let the next tick
-            // retry against a (hopefully) cooler fabric. Rack-local moves
-            // never touch a spine and always proceed.
-            if let Some(defer) = self.params.hot_spine_defer {
-                if self.cluster.is_cross_rack(from, decision.to)
-                    && self.cluster.fabric().free_at() > self.now.saturating_add(defer)
-                {
-                    self.report.migrations_skipped += 1;
-                    if self.trace.is_on() {
-                        self.trace.instant(
-                            "orch/policy",
-                            "hot-spine-defer",
-                            self.now,
-                            &[
-                                ("vm", ArgValue::Str(&decision.vm)),
-                                (
-                                    "spines_free_at_ns",
-                                    ArgValue::U64(self.cluster.fabric().free_at().as_nanos()),
-                                ),
-                            ],
-                        );
-                    }
-                    continue;
-                }
-            }
             // How long this migration will sit queued for the fabric: the
             // engine's own clock starts when the path frees, so the queue
             // wait is accounted here, at the layer that owns the decision
@@ -814,7 +780,7 @@ impl Orchestrator {
         for host in &plan.power_off {
             if self.cluster.power_off(*host).is_ok() {
                 self.report.power_off_actions += 1;
-                self.note_power_change(*host);
+                self.note_power_change();
                 if self.trace.is_on() {
                     self.trace.instant(
                         "orch/policy",
@@ -879,10 +845,7 @@ impl Orchestrator {
         // `backup_bytes` keeps its bytes-on-wire meaning, so the
         // dedup-on/off comparison reads straight off the report.
         r.backup_bytes += e.wire_bytes;
-        let write = self
-            .params
-            .backup_target
-            .write_time(ByteSize::new(e.write_bytes));
+        let write = BackupTarget::default().write_time(ByteSize::new(e.write_bytes));
         let spent = e.arrival.saturating_sub(now).saturating_add(write);
         r.backup_time_total = r.backup_time_total.saturating_add(spent);
         if let BackupHandle::Manifested(manifest) = e.handle {
@@ -1781,29 +1744,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_spine_defer_day_is_deterministic() {
-        let cfg = ScenarioConfig {
-            duration: Nanoseconds::from_secs(2 * 3600),
-            ..ScenarioConfig::day(17, WorkloadShape::FlashCrowd, 16, 120)
-        };
-        let s = Scenario::generate(cfg).unwrap();
-        let deferring = OrchParams {
-            topology: clos_32rack(),
-            hot_spine_defer: Some(Nanoseconds::ZERO),
-            ..fast_params()
-        };
-        let run = || run_datacenter(16, deferring, Box::new(ThresholdRebalance), &s).unwrap();
-        let r = run();
-        // Deferred migrations are accounted as skips, never lost, and the
-        // deferring day replays byte-identically.
-        assert_eq!(
-            r.migrations_planned,
-            r.migrations_completed + r.migrations_skipped
-        );
-        assert_eq!(run(), r);
-    }
-
-    #[test]
     fn pending_placement_waits_for_capacity() {
         // One tiny host cannot take the whole fleet at once.
         let specs = vec![HostSpec::deck_era_server(HostId::new(0))];
@@ -2068,16 +2008,32 @@ mod tests {
     /// mid-run pushes gave them.
     #[test]
     fn same_instant_sources_fire_scenario_rebalance_backup_restore() {
-        let mut params = OrchParams {
+        let params = OrchParams {
             rebalance_interval: Nanoseconds::from_secs(600),
             backup_interval: Nanoseconds::from_secs(600),
-            failover_detection_delay: Nanoseconds::from_secs(300),
             ..fast_params()
         };
-        // A restore costs nothing beyond detection, so the 900 s failure's
-        // completion lands exactly on the 1200 s ticks.
-        params.backup_target.restore_setup = Nanoseconds::ZERO;
-        params.backup_target.read_bytes_per_sec = u64::MAX;
+        let specs = || {
+            (0..2)
+                .map(|i| HostSpec::modern_server(HostId::new(i)))
+                .collect()
+        };
+        // A full snapshot's size does not depend on the guest's contents, so
+        // a scratch cluster tells what vm-a's restore reads. Failing host 0
+        // one detection delay and one restore before 1200 s lands the
+        // completion exactly on the 1200 s ticks.
+        let mut probe = Cluster::new(specs(), params).unwrap();
+        let spec = VmSpec::typical("vm-a", rvisor_cluster::ServerRole::Web);
+        probe.deploy(HostId::new(0), spec).unwrap();
+        let mut store = rvisor_snapshot::SnapshotStore::new();
+        let (_, size, _) = probe
+            .backup("vm-a", "probe", &mut store, Nanoseconds::ZERO)
+            .unwrap();
+        let target = BackupTarget::default();
+        let restore = FAILOVER_DETECTION_DELAY
+            .saturating_add(target.restore_setup)
+            .saturating_add(target.read_time(size));
+        let at = Nanoseconds::from_secs(1200);
         let scenario = Scenario {
             config: ScenarioConfig {
                 duration: Nanoseconds::from_secs(3600),
@@ -2085,19 +2041,15 @@ mod tests {
             },
             events: vec![
                 (Nanoseconds::from_secs(10), arrival("vm-a")),
-                (Nanoseconds::from_secs(900), failure(0)),
-                (Nanoseconds::from_secs(1200), arrival("vm-b")),
+                (at.saturating_sub(restore), failure(0)),
+                (at, arrival("vm-b")),
             ],
         };
-        let specs = (0..2)
-            .map(|i| HostSpec::modern_server(HostId::new(i)))
-            .collect();
-        let mut orch = Orchestrator::new(specs, params, Box::new(ThresholdRebalance)).unwrap();
+        let mut orch = Orchestrator::new(specs(), params, Box::new(ThresholdRebalance)).unwrap();
         let (trace, recorder) = Trace::recording();
         orch.set_trace(trace);
         let report = orch.run(&scenario).unwrap();
         assert_eq!(report.vms_restored, 1);
-        let at = Nanoseconds::from_secs(1200);
         let fired: Vec<&str> = recorder
             .borrow()
             .events()

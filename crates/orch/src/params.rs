@@ -1,22 +1,35 @@
 //! Named, validated orchestration parameters.
 //!
-//! Following "On Heuristic Models, Assumptions, and Parameters", every knob
-//! that shapes orchestration behaviour is an explicit, documented field of
-//! [`OrchParams`] rather than a constant buried in the event loop. A run's
-//! report is only meaningful alongside the parameter set that produced it.
+//! Following "On Heuristic Models, Assumptions, and Parameters", every
+//! assumption that shapes orchestration behaviour is named and documented
+//! here rather than buried in the event loop. A value that some day,
+//! example or benchmark varies is a field of [`OrchParams`]. A value that
+//! none varies is a fixed, named assumption: [`PROVISION_LATENCY`],
+//! [`FAILOVER_DETECTION_DELAY`], and the DR target
+//! [`BackupTarget::default`](rvisor_snapshot::BackupTarget::default). A
+//! run's report is only meaningful alongside the parameters that produced
+//! it.
 
 use std::num::{NonZeroU64, NonZeroUsize};
 
 use rvisor_cluster::PlacementStrategy;
 use rvisor_migrate::{PageCompression, MAX_MIGRATION_STREAMS};
 use rvisor_net::FabricParams;
-use rvisor_snapshot::BackupTarget;
 use rvisor_types::{ByteSize, Error, Nanoseconds, Result};
 
 /// Smallest admissible [`OrchParams::guest_memory`]: the synthetic tenant
 /// guest's fixed layout (code at 4 KiB, data at 32 KiB, identity markers up
 /// to ~52 KiB) must fit with headroom.
 pub const MIN_GUEST_MEMORY: ByteSize = ByteSize::kib(64);
+
+/// Fixed latency charged for provisioning a VM once capacity is found
+/// (template clone + boot), added to every placement latency.
+pub const PROVISION_LATENCY: Nanoseconds = Nanoseconds::from_secs(45);
+
+/// Delay between a host failing and the orchestrator noticing (failover
+/// detection: missed heartbeats, confirmation probes). The serial restore
+/// pipeline for the host's casualties starts after it.
+pub const FAILOVER_DETECTION_DELAY: Nanoseconds = Nanoseconds::from_secs(30);
 
 /// How much of each VM is actually simulated: the **fidelity dial**.
 ///
@@ -165,16 +178,10 @@ pub struct OrchParams {
     /// the most- and least-loaded powered hosts exceeds this fraction
     /// (hysteresis; prevents migration ping-pong).
     pub spread_utilization_gap: f64,
-    /// Interval between DR backup sweeps.
+    /// Interval between DR backup sweeps. Backups are written to, and
+    /// restores read from, the DR target
+    /// [`BackupTarget::default`](rvisor_snapshot::BackupTarget::default).
     pub backup_interval: Nanoseconds,
-    /// Delay between a host failing and the orchestrator noticing (failover
-    /// detection: missed heartbeats, confirmation probes).
-    pub failover_detection_delay: Nanoseconds,
-    /// Bandwidth/latency model of the DR backup target.
-    pub backup_target: BackupTarget,
-    /// Fixed latency charged for provisioning a VM once capacity is found
-    /// (template clone + boot).
-    pub provision_latency: Nanoseconds,
     /// The fidelity dial: whether every VM carries a live guest from deploy
     /// ([`VmFidelity::Full`]) or starts as a statistical model materialized
     /// on first touch ([`VmFidelity::OnDemand`]). Reports are `==` under
@@ -194,11 +201,6 @@ pub struct OrchParams {
     /// two-tier Clos with rack-aware placement and ECMP-striped cross-rack
     /// migration.
     pub topology: FabricTopology,
-    /// If set, a rebalance tick defers a *cross-rack* migration when every
-    /// live spine is still busy further than this far past the current
-    /// instant (a hot-spine occupancy query on the fabric); the move is
-    /// retried at the next tick. `None` (the default) never defers.
-    pub hot_spine_defer: Option<Nanoseconds>,
     /// If set, one tenant in this many (chosen by the FNV identity hash of
     /// the VM name, so the population mix is a pure function of the names)
     /// is provisioned with a write-heavy guest workload instead of the idle
@@ -241,14 +243,10 @@ impl Default for OrchParams {
             max_migrations_per_tick: 4,
             spread_utilization_gap: 0.20,
             backup_interval: Nanoseconds::from_secs(3600),
-            failover_detection_delay: Nanoseconds::from_secs(30),
-            backup_target: BackupTarget::default(),
-            provision_latency: Nanoseconds::from_secs(45),
             fidelity: VmFidelity::Full,
             guest_memory: ByteSize::kib(256),
             fabric: FabricParams::datacenter(),
             topology: FabricTopology::SingleSpine,
-            hot_spine_defer: None,
             hot_tenant_modulus: None,
             dedup_backups: false,
         }

@@ -63,6 +63,9 @@ impl Lcg {
     }
 }
 
+/// Shortest day [`ScenarioConfig::validate`] accepts.
+const MIN_DURATION: Nanoseconds = Nanoseconds(20);
+
 /// Stream tag for per-VM substreams.
 const STREAM_VM: u64 = 0x564d;
 /// Stream tag for the host-failure substream.
@@ -189,8 +192,19 @@ impl ScenarioConfig {
         if self.hosts == 0 {
             return Err(Error::Config("scenario needs at least one host".into()));
         }
-        if self.duration == Nanoseconds::ZERO {
-            return Err(Error::Config("scenario duration must be non-zero".into()));
+        // The flash-crowd burst spans a twentieth of the day and every
+        // arrival shape needs an instant of positive density, so a day
+        // shorter than 20 ns has no room to draw from.
+        if self.duration < MIN_DURATION {
+            return Err(Error::Config(format!(
+                "scenario duration must be at least {MIN_DURATION}"
+            )));
+        }
+        if !(self.load_changes_per_vm.is_finite() && self.load_changes_per_vm >= 0.0) {
+            return Err(Error::Config(format!(
+                "load_changes_per_vm must be finite and non-negative, got {}",
+                self.load_changes_per_vm
+            )));
         }
         if !(0.0..=1.0).contains(&self.departure_fraction)
             || !(0.0..=1.0).contains(&self.burst_fraction)
@@ -545,5 +559,37 @@ mod tests {
         cfg.departure_fraction = 0.5;
         cfg.duration = Nanoseconds::ZERO;
         assert!(Scenario::generate(cfg).is_err());
+        cfg.duration = Nanoseconds::from_secs(3600);
+        // Each row generated forever or panicked before validation caught
+        // it: an infinite or meaningless churn rate, and days too short for
+        // the flash-crowd burst, the failure window or the diurnal wave.
+        let short = |shape, ns, failures| ScenarioConfig {
+            duration: Nanoseconds(ns),
+            ..ScenarioConfig::day(1, shape, 4, 10).with_host_failures(failures)
+        };
+        for bad in [
+            ScenarioConfig {
+                load_changes_per_vm: f64::INFINITY,
+                ..cfg
+            },
+            ScenarioConfig {
+                load_changes_per_vm: f64::NAN,
+                ..cfg
+            },
+            ScenarioConfig {
+                load_changes_per_vm: -1.0,
+                ..cfg
+            },
+            short(WorkloadShape::FlashCrowd, 10, 0),
+            short(WorkloadShape::SteadyState, 1, 1),
+            short(WorkloadShape::DiurnalWave, 1, 0),
+        ] {
+            let refused = Scenario::generate(bad);
+            assert!(matches!(refused, Err(Error::Config(_))), "{bad:?}");
+        }
+        // The shortest accepted day generates every shape.
+        for shape in WorkloadShape::ALL {
+            Scenario::generate(short(shape, 20, 1)).unwrap();
+        }
     }
 }
