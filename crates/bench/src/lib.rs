@@ -6,6 +6,8 @@
 //! is deterministic) before handing the hot loops to Criterion for
 //! wall-clock measurement.
 
+#![forbid(unsafe_code)]
+
 use rvisor_memory::GuestMemory;
 use rvisor_types::ByteSize;
 use rvisor_types::VcpuId;

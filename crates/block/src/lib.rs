@@ -19,6 +19,7 @@
 //!
 //! All backends implement [`BlockBackend`] and speak 512-byte sectors.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -21,6 +21,7 @@
 //!   page sharing, ballooning and CPU oversubscription (E12), the source
 //!   material's stated next step.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -11,6 +11,7 @@
 //! the owning device. Devices raise interrupts through an [`InterruptLine`]
 //! handle connected to the [`InterruptController`].
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

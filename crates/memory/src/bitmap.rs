@@ -75,6 +75,20 @@ impl DirtyBitmap {
         });
     }
 
+    /// [`Self::mark`] that leaves the word alone when the bit is already
+    /// set, on the terms of [`Self::mark_range_unless_set`]: the dirty mark
+    /// of a fixed-width store, which touches one page or two.
+    #[inline]
+    pub(crate) fn mark_unless_set(&self, page: u64) {
+        if page >= self.pages {
+            return;
+        }
+        let (bits, bit) = (&self.words[(page / 64) as usize], 1 << (page % 64));
+        if bits.load(Ordering::Relaxed) & bit == 0 {
+            bits.fetch_or(bit, Ordering::Relaxed);
+        }
+    }
+
     /// Whether `page` is currently marked dirty.
     pub fn is_dirty(&self, page: u64) -> bool {
         if page >= self.pages {

@@ -55,6 +55,7 @@
 //! single-region by construction — a contiguous borrow cannot cross
 //! backing allocations.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -499,7 +499,6 @@ pub struct GuestAccess<'a> {
 
 impl GuestAccess<'_> {
     /// [`GuestMemory::read`] under the held locks.
-    #[inline]
     pub fn read(&self, addr: GuestAddress, buf: &mut [u8]) -> Result<()> {
         self.memory
             .for_each_span(addr, buf.len() as u64, |region, at, off, take| {
@@ -508,7 +507,6 @@ impl GuestAccess<'_> {
     }
 
     /// [`GuestMemory::write`] under the held locks, marking touched pages.
-    #[inline]
     pub fn write(&mut self, addr: GuestAddress, buf: &[u8]) -> Result<()> {
         let held = &mut self.held;
         self.memory
@@ -517,18 +515,41 @@ impl GuestAccess<'_> {
             })
     }
 
-    /// Read a little-endian `u64`.
+    /// Read a little-endian `u64`: one range check and an 8-byte copy when a
+    /// single region holds all eight bytes, otherwise [`Self::read`].
     #[inline]
     pub fn read_u64(&self, addr: GuestAddress) -> Result<u64> {
+        if let Some((region, off)) = self.word(addr) {
+            return Ok(self.held[region].read_u64(off));
+        }
         let mut b = [0u8; 8];
         self.read(addr, &mut b)?;
         Ok(u64::from_le_bytes(b))
     }
 
-    /// Write a little-endian `u64`.
-    #[inline]
+    /// Write a little-endian `u64`, with the marks of [`Self::write`]: one
+    /// range check and an 8-byte copy when a single region holds all eight
+    /// bytes, otherwise [`Self::write`].
+    // `always`: a plain hint leaves it out of line in `Vcpu::run`, whose
+    // fast loop stores through it.
+    #[inline(always)]
     pub fn write_u64(&mut self, addr: GuestAddress, v: u64) -> Result<()> {
+        if let Some((region, off)) = self.word(addr) {
+            self.held[region].write_u64(off, v);
+            return Ok(());
+        }
         self.write(addr, &v.to_le_bytes())
+    }
+
+    /// The held region, and the offset into it, of the 8 bytes at `addr`
+    /// when one region holds them all. Regions never overlap, so it is the
+    /// region the span walk would find.
+    #[inline]
+    fn word(&self, addr: GuestAddress) -> Option<(usize, usize)> {
+        self.held
+            .iter()
+            .enumerate()
+            .find_map(|(region, held)| Some((region, held.word_offset(addr)?)))
     }
 }
 
@@ -1049,7 +1070,7 @@ mod tests {
         ("checksum", None),
         ("with_bytes", None),
         // `HeldRegion`'s `read` and `write` are listed under those names
-        // above; this drives its `write`, the one store a held region has.
+        // above; this drives its `write`.
         (
             "hold",
             Some(|m| {
@@ -1057,6 +1078,17 @@ mod tests {
                     .hold()
                     .write(GuestAddress(PAGE_SIZE - 2), &[1, 2, 3, 4])
                     .unwrap()
+            }),
+        ),
+        ("word_offset", None),
+        ("read_u64", None),
+        // `HeldRegion`'s fixed-width store, over a page edge.
+        (
+            "write_u64",
+            Some(|m| {
+                let mut held = m.regions()[0].hold();
+                let off = held.word_offset(GuestAddress(PAGE_SIZE - 4)).unwrap();
+                held.write_u64(off, u64::MAX);
             }),
         ),
     ];
@@ -1148,8 +1180,9 @@ mod tests {
         ("checksum", None),
         ("checksum_counting_resums", None),
         // `GuestAccess`'s `read`, `write`, `read_u64` and `write_u64` are
-        // listed under those names above; both its stores are driven here,
-        // across the region edge.
+        // listed under those names above; both its stores are driven here:
+        // across the region edge (the span walk), and a `write_u64` over a
+        // page edge inside one region (the fixed-width path).
         (
             "hold",
             Some(|m| {
@@ -1157,6 +1190,8 @@ mod tests {
                 view.write(GuestAddress(4 * PAGE_SIZE - 1), &[1, 2, 3])
                     .unwrap();
                 view.write_u64(GuestAddress(4 * PAGE_SIZE - 4), u64::MAX)
+                    .unwrap();
+                view.write_u64(GuestAddress(6 * PAGE_SIZE - 4), u64::MAX)
                     .unwrap();
             }),
         ),
@@ -1203,10 +1238,12 @@ mod tests {
         // Guest bytes change only under the data write lock, and only three
         // functions may take it: `mutate`, which marks; the checksum
         // refresh, which changes no byte; and `hold`, which hands it to a
-        // `HeldRegion`, whose one store marks through `mutate`'s helper.
+        // `HeldRegion`, whose `write` marks through `mutate`'s helper and
+        // whose `write_u64` through that helper's fixed-width twin.
         let code = region_source.split("#[cfg(test)]").next().unwrap();
         assert_eq!(code.matches("self.data.write()").count(), 3);
         assert_eq!(code.matches(".stale_span(").count(), 2);
+        assert_eq!(code.matches(".stale_word(").count(), 1);
     }
 
     #[test]
@@ -1345,7 +1382,8 @@ mod tests {
                     // of bytes, each ending 0..=len bytes past a page (or
                     // the region) edge, read back through the view; then
                     // the drop, which the next op's harvest or checksum
-                    // follows.
+                    // follows. The 8-byte store is the fixed-width path
+                    // inside a region and the span walk over its edge.
                     10 | 11 => {
                         let mut view = mem.hold();
                         for (i, len) in [1u64, 2, 4, 8, 3 + 2 * (x % 6)].into_iter().enumerate() {
@@ -1366,6 +1404,15 @@ mod tests {
                             prop_assert_eq!(&back[..], &shadow[edge as usize - 8..][..16]);
                         }
                     }
+                    // A held fixed-width store anywhere, read back.
+                    12 => {
+                        let at = x % (TOTAL - 7);
+                        let mut view = mem.hold();
+                        view.write_u64(GuestAddress(at), y).unwrap();
+                        prop_assert_eq!(view.read_u64(GuestAddress(at)).unwrap(), y);
+                        shadow[at as usize..][..8].copy_from_slice(&y.to_le_bytes());
+                        touch(&mut shadow_dirty, at, 8);
+                    }
                     _ => prop_assert_eq!(mem.checksum(), model_checksum(&shadow)),
                 }
             }
@@ -1378,10 +1425,12 @@ mod tests {
 
         /// A held view fails where `GuestMemory` fails, with the same error,
         /// having read or written and marked the same bytes before the gap.
+        /// Its `u64` accesses take the fixed-width path inside a region and
+        /// the span walk across an edge or a hole.
         #[test]
         fn held_view_accesses_match_guest_memory_errors_and_all(
             accesses in proptest::collection::vec(
-                (0usize..7, 0u64..48, 0usize..40, any::<bool>(), any::<u8>()),
+                (0usize..7, 0u64..48, 0usize..40, any::<bool>(), any::<u8>(), any::<bool>()),
                 1..24,
             ),
         ) {
@@ -1417,9 +1466,14 @@ mod tests {
                 HIGH / 2,
             ];
             let mut view = held.hold();
-            for &(edge, skew, len, write, v) in &accesses {
+            for &(edge, skew, len, write, v, word) in &accesses {
                 let at = GuestAddress(edges[edge] - 24 + skew);
-                if write {
+                let value = u64::from_le_bytes([v | 1; 8]).rotate_left(skew as u32);
+                if word && write {
+                    prop_assert_eq!(view.write_u64(at, value), plain.write_u64(at, value));
+                } else if word {
+                    prop_assert_eq!(view.read_u64(at), plain.read_u64(at));
+                } else if write {
                     let bytes: Vec<u8> = (0..len).map(|i| v.wrapping_add(i as u8) | 1).collect();
                     prop_assert_eq!(view.write(at, &bytes), plain.write(at, &bytes));
                 } else {

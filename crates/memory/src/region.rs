@@ -18,8 +18,9 @@
 //! lock for writing: `hold`, which keeps it — a `HeldRegion`, the per-region
 //! half of [`crate::GuestAccess`] — so that a running vCPU pays for the lock
 //! once per `run` and not once per store. A store through a held region
-//! applies the same rule through the same helper (`Backing::stale_span`),
-//! in the same order.
+//! applies the same rule in the same order, through the same helper
+//! (`Backing::stale_span`) or, for a `u64` one region holds, through its
+//! fixed-width twin (`Backing::stale_word`).
 //!
 //! The two planes answer different questions and are cleared by different
 //! readers: `clear_dirty` / `drain_dirty*` never touch the checksum plane,
@@ -107,6 +108,20 @@ impl Backing {
         for_each_word_mask(first, end, |word, mask| stale[word] |= mask);
         &mut self.bytes[off..off + len]
     }
+
+    /// [`Self::stale_span`] for the 8 bytes at `off`: the stale bit of the
+    /// page they start in and of the page they end in (the same page unless
+    /// they cross an edge), set without the span walk.
+    #[inline(always)]
+    fn stale_word(&mut self, off: usize) -> &mut [u8; 8] {
+        let (first, end) = touched_pages(off, 8);
+        for page in first..end {
+            self.stale[(page / 64) as usize] |= 1 << (page % 64);
+        }
+        (&mut self.bytes[off..off + 8])
+            .try_into()
+            .expect("an 8-byte slice")
+    }
 }
 
 /// A region whose data lock is held for writing until this drops: reads and
@@ -137,6 +152,34 @@ impl HeldRegion<'_> {
         self.data.stale_span(off, buf.len()).copy_from_slice(buf);
         self.region.dirty.mark_range_unless_set(first, end - first);
         Ok(())
+    }
+
+    /// The byte offset of the 8 bytes at `addr` when this region holds all
+    /// of them: the one range check of a fixed-width access.
+    #[inline]
+    pub(crate) fn word_offset(&self, addr: GuestAddress) -> Option<usize> {
+        let off = addr.0.wrapping_sub(self.region.range.start.0);
+        // A region is at least a page long, so `len - 8` cannot wrap.
+        (off <= self.region.range.len - 8).then_some(off as usize)
+    }
+
+    /// The little-endian `u64` at byte offset `off` ([`Self::word_offset`]).
+    #[inline]
+    pub(crate) fn read_u64(&self, off: usize) -> u64 {
+        let word = &self.data.bytes[off..off + 8];
+        u64::from_le_bytes(word.try_into().expect("an 8-byte slice"))
+    }
+
+    /// Store a little-endian `u64` at byte offset `off`
+    /// ([`Self::word_offset`]): an 8-byte copy under the marks of
+    /// [`Self::write`], in the same order.
+    #[inline(always)]
+    pub(crate) fn write_u64(&mut self, off: usize, v: u64) {
+        *self.data.stale_word(off) = v.to_le_bytes();
+        let (first, end) = touched_pages(off, 8);
+        for page in first..end {
+            self.region.dirty.mark_unless_set(page);
+        }
     }
 }
 

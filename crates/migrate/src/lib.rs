@@ -70,6 +70,7 @@
 //! The `rvisor-orch` `MigrationPlanner` automates exactly this table from
 //! observed dirty rate, guest size and fabric occupancy.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

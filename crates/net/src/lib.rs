@@ -35,6 +35,7 @@
 //! documented on the [`fabric`] module with the parameter that controls
 //! each, and a closed-form single-spine oracle pins the preset.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

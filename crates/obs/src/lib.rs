@@ -67,6 +67,7 @@
 //! [`OrchReport`]: https://docs.rs/rvisor-orch
 //! [`Nanoseconds`]: rvisor_types::Nanoseconds
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -151,6 +151,7 @@
 //! assert_eq!(report.vms_arrived, 24);
 //! ```
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

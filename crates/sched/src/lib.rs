@@ -19,6 +19,7 @@
 //! duty-cycled vCPUs and reports per-vCPU CPU time, fairness metrics and
 //! context-switch counts — the quantities experiment E5 sweeps.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -59,6 +59,7 @@
 //!   (the store is durable by assumption; only *wire* corruption is modeled,
 //!   by the frame checksums in `rvisor-migrate`).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -16,6 +16,9 @@ pub const MAX_CHAIN_LENGTH: usize = 32;
 #[derive(Debug, Default)]
 pub struct SnapshotStore {
     snapshots: BTreeMap<SnapshotId, VmSnapshot>,
+    /// How many held snapshots name each id as their parent: `delete`
+    /// reads one entry instead of scanning every snapshot.
+    dependents: BTreeMap<SnapshotId, usize>,
     next_id: u64,
 }
 
@@ -64,6 +67,9 @@ impl SnapshotStore {
         self.next_id += 1;
         let id = SnapshotId(self.next_id);
         snapshot.id = id;
+        if let Some(parent) = snapshot.parent {
+            *self.dependents.entry(parent).or_default() += 1;
+        }
         self.snapshots.insert(id, snapshot);
         Ok(id)
     }
@@ -75,15 +81,26 @@ impl SnapshotStore {
 
     /// Delete a snapshot. Fails if another snapshot depends on it.
     pub fn delete(&mut self, id: SnapshotId) -> Result<()> {
-        if self.snapshots.values().any(|s| s.parent == Some(id)) {
+        if self.dependents.contains_key(&id) {
             return Err(Error::Snapshot(format!(
                 "{id} has dependent incremental snapshots"
             )));
         }
-        self.snapshots
+        let removed = self
+            .snapshots
             .remove(&id)
-            .map(|_| ())
-            .ok_or_else(|| Error::Snapshot(format!("{id} does not exist")))
+            .ok_or_else(|| Error::Snapshot(format!("{id} does not exist")))?;
+        if let Some(parent) = removed.parent {
+            let count = self
+                .dependents
+                .get_mut(&parent)
+                .expect("a held snapshot's parent counts it");
+            *count -= 1;
+            if *count == 0 {
+                self.dependents.remove(&parent);
+            }
+        }
+        Ok(())
     }
 
     /// The chain from the full ancestor down to `id`, in application order.
@@ -249,6 +266,36 @@ mod tests {
         store.delete(inc_id).unwrap();
         store.delete(base).unwrap();
         assert!(store.delete(base).is_err());
+
+        // A parent with two children stays until the second one goes,
+        // whichever order they are deleted in.
+        for second_child_first in [false, true] {
+            let base = store.insert(full(1, &mem)).unwrap();
+            let children = [1, 2].map(|n| {
+                mem.write_u64(GuestAddress(n * PAGE_SIZE), n).unwrap();
+                let inc = VmSnapshot::capture_incremental(
+                    VmId::new(1),
+                    "inc",
+                    Nanoseconds::ZERO,
+                    base,
+                    &mem,
+                    vec![],
+                    BTreeMap::new(),
+                )
+                .unwrap();
+                store.insert(inc).unwrap()
+            });
+            let [first, second] = if second_child_first {
+                [children[1], children[0]]
+            } else {
+                children
+            };
+            store.delete(first).unwrap();
+            assert!(store.delete(base).is_err(), "one child left");
+            store.delete(second).unwrap();
+            store.delete(base).unwrap();
+            assert!(store.is_empty());
+        }
     }
 
     #[test]

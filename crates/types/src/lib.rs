@@ -7,6 +7,7 @@
 //! The crate is deliberately dependency-light so that every other crate can
 //! depend on it without pulling in device models or memory management.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

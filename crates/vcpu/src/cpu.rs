@@ -231,8 +231,12 @@ const WINDOW_BYTES: u64 = WINDOW_SLOTS as u64 * INSTR_BYTES;
 struct FetchWindow {
     /// Guest-physical address of slot 0 (a multiple of [`WINDOW_BYTES`]).
     base: u64,
-    /// Bit `i` set: `slots[i]` is the decoded word at `base + 8 * i`.
-    valid: u128,
+    /// Bit `i % 64` of word `i / 64` set: `slots[i]` is the decoded word at
+    /// `base + 8 * i`.
+    valid: [u64; WINDOW_SLOTS / 64],
+    /// The bits of `valid` whose instruction [`is_simple`]: the fast loop's
+    /// one test per instruction.
+    simple: [u64; WINDOW_SLOTS / 64],
     slots: [Instr; WINDOW_SLOTS],
 }
 
@@ -240,26 +244,34 @@ impl FetchWindow {
     fn new() -> Self {
         FetchWindow {
             base: 0,
-            valid: 0,
+            valid: [0; WINDOW_SLOTS / 64],
+            simple: [0; WINDOW_SLOTS / 64],
             slots: [Instr::Nop; WINDOW_SLOTS],
         }
     }
 
     /// The slot holding the instruction word at `paddr`, if the window
-    /// covers it. Unaligned fetches are never covered.
+    /// covers it.
     fn slot(&self, paddr: u64) -> Option<usize> {
-        let offset = paddr.wrapping_sub(self.base);
-        (offset < WINDOW_BYTES && offset.is_multiple_of(INSTR_BYTES))
-            .then_some((offset / INSTR_BYTES) as usize)
+        Self::slot_in(self.base, paddr)
+    }
+
+    /// The slot of the word at `paddr` in a window whose slot 0 is at
+    /// `base`. Unaligned fetches are never covered. One test does both: an
+    /// offset in range and aligned has no bit outside the slot number's.
+    fn slot_in(base: u64, paddr: u64) -> Option<usize> {
+        let offset = paddr.wrapping_sub(base);
+        (offset & !(WINDOW_BYTES - INSTR_BYTES) == 0).then_some((offset / INSTR_BYTES) as usize)
     }
 
     fn flush(&mut self) {
-        self.valid = 0;
+        self.valid = [0; WINDOW_SLOTS / 64];
+        self.simple = [0; WINDOW_SLOTS / 64];
     }
 
     fn get(&self, paddr: u64) -> Option<Instr> {
         let slot = self.slot(paddr)?;
-        (self.valid >> slot & 1 != 0).then(|| self.slots[slot])
+        (self.valid[slot / 64] >> (slot % 64) & 1 != 0).then(|| self.slots[slot])
     }
 
     fn fill(&mut self, paddr: u64, instr: Instr) {
@@ -272,7 +284,8 @@ impl FetchWindow {
         }
         let slot = ((paddr - self.base) / INSTR_BYTES) as usize;
         self.slots[slot] = instr;
-        self.valid |= 1 << slot;
+        self.valid[slot / 64] |= 1 << (slot % 64);
+        self.simple[slot / 64] |= u64::from(is_simple(instr)) << (slot % 64);
     }
 
     /// Forget the (at most two) instruction words an 8-byte store at `paddr`
@@ -280,10 +293,28 @@ impl FetchWindow {
     fn snoop_store(&mut self, paddr: u64) {
         for byte in [paddr, paddr.wrapping_add(INSTR_BYTES - 1)] {
             if let Some(slot) = self.slot(byte & !(INSTR_BYTES - 1)) {
-                self.valid &= !(1 << slot);
+                self.valid[slot / 64] &= !(1 << (slot % 64));
+                self.simple[slot / 64] &= !(1 << (slot % 64));
             }
         }
     }
+}
+
+/// The instructions [`Vcpu::run`]'s fast loop retires: unprivileged, and
+/// none exits but through a load or store that misses RAM.
+fn is_simple(instr: Instr) -> bool {
+    matches!(
+        instr,
+        Instr::Nop
+            | Instr::MovImm { .. }
+            | Instr::MovHigh { .. }
+            | Instr::Alu { .. }
+            | Instr::AddImm { .. }
+            | Instr::Branch { .. }
+            | Instr::Jal { .. }
+            | Instr::Load { .. }
+            | Instr::Store { .. }
+    )
 }
 
 #[cfg(test)]
@@ -533,6 +564,25 @@ impl Vcpu {
     /// one thread; devices and hypercalls are served on exits), so no
     /// counter, exit, register or simulated nanosecond depends on the cache.
     ///
+    /// # Fast loop
+    ///
+    /// The named assumption of the fast loop: it runs only with paging off,
+    /// only on instructions the cache holds, and its loads and stores copy
+    /// eight bytes directly only inside one memory region. There, the
+    /// simple instructions — `Nop`, `MovImm`, `MovHigh`, `Alu`, `AddImm`,
+    /// `Branch`, `Jal`, `Load` and `Store` — retire in a tight loop: one
+    /// cache lookup each, no translation and no privilege test (with paging
+    /// off every address is its own translation, and none of them is
+    /// privileged), the cycle time charged once for the run of them, and a
+    /// load or store one range check and an 8-byte copy (see
+    /// [`GuestAccess::write_u64`]; an access that crosses a region edge or
+    /// leaves RAM takes the span walk, and the latter exits to MMIO).
+    /// Everything else — paging on, a cache miss, any other instruction —
+    /// takes the general step, one instruction at a time. Both execute an
+    /// instruction through the same code, so the loop changes no counter,
+    /// exit, register, byte or simulated nanosecond; the tests check that
+    /// against the same programs stepped one instruction per `run` call.
+    ///
     /// # Guest memory
     ///
     /// The same assumption pays for the data path: the call takes every
@@ -579,9 +629,26 @@ impl Vcpu {
                 break Ok(ExitReason::InstructionLimit);
             }
 
-            // Fetch: translate first (TLB counters, permission checks and the
-            // miss charge are the same either way), then the window, then
-            // guest memory.
+            if !paging {
+                let (retired, exit) = self.run_window(
+                    &mut memory,
+                    &mut pc,
+                    max_instructions - executed,
+                    &mut elapsed,
+                );
+                executed += retired;
+                elapsed += retired * costs.cycle_ns;
+                if let Some(exit) = exit {
+                    break Ok(exit);
+                }
+                if executed >= max_instructions {
+                    break Ok(ExitReason::InstructionLimit);
+                }
+            }
+
+            // The general step. Fetch: translate first (TLB counters,
+            // permission checks and the miss charge are the same either
+            // way), then the window, then guest memory.
             let fetch_paddr = match self.translate_data(&memory, paging, pc, false, &mut elapsed) {
                 Ok(p) => p,
                 Err(exit) => break Ok(exit),
@@ -616,188 +683,10 @@ impl Vcpu {
 
             executed += 1;
             self.charge(costs.cycle_ns, &mut elapsed);
-            let next_pc = pc.wrapping_add(INSTR_BYTES);
-
-            match instr {
-                Instr::Nop => pc = next_pc,
-                Instr::Halt => {
-                    pc = next_pc;
-                    self.stats.halts += 1;
-                    self.stats.exits += 1;
-                    self.charge(costs.exit_ns, &mut elapsed);
-                    break Ok(ExitReason::Halt);
-                }
-                Instr::Pause => {
-                    pc = next_pc;
-                    self.stats.idles += 1;
-                    self.stats.exits += 1;
-                    self.charge(costs.exit_ns, &mut elapsed);
-                    break Ok(ExitReason::Idle);
-                }
-                Instr::MovImm { rd, imm } => {
-                    self.set_reg(rd, imm as i64 as u64);
-                    pc = next_pc;
-                }
-                Instr::MovHigh { rd, imm } => {
-                    let v = (self.reg(rd) << 32) | (imm as u32 as u64);
-                    self.set_reg(rd, v);
-                    pc = next_pc;
-                }
-                Instr::Alu { op, rd, rs1, rs2 } => {
-                    let v = op.apply(self.reg(rs1), self.reg(rs2));
-                    self.set_reg(rd, v);
-                    pc = next_pc;
-                }
-                Instr::AddImm { rd, rs1, imm } => {
-                    let v = self.reg(rs1).wrapping_add(imm as i64 as u64);
-                    self.set_reg(rd, v);
-                    pc = next_pc;
-                }
-                Instr::Load { rd, rs1, imm } => {
-                    let vaddr = self.reg(rs1).wrapping_add(imm as i64 as u64);
-                    let paddr =
-                        match self.translate_data(&memory, paging, vaddr, false, &mut elapsed) {
-                            Ok(p) => p,
-                            Err(exit) => break Ok(exit),
-                        };
-                    match memory.read_u64(paddr) {
-                        Ok(v) => {
-                            self.set_reg(rd, v);
-                            pc = next_pc;
-                        }
-                        Err(_) => {
-                            // Not backed by RAM: MMIO read.
-                            self.pending = Pending::MmioRead { rd };
-                            pc = next_pc;
-                            self.stats.mmio_exits += 1;
-                            self.stats.exits += 1;
-                            self.charge(costs.mmio_exit_ns, &mut elapsed);
-                            break Ok(ExitReason::MmioRead {
-                                addr: paddr,
-                                size: 8,
-                            });
-                        }
-                    }
-                }
-                Instr::Store { rs2, rs1, imm } => {
-                    let vaddr = self.reg(rs1).wrapping_add(imm as i64 as u64);
-                    let value = self.reg(rs2);
-                    let paddr =
-                        match self.translate_data(&memory, paging, vaddr, true, &mut elapsed) {
-                            Ok(p) => p,
-                            Err(exit) => break Ok(exit),
-                        };
-                    match memory.write_u64(paddr, value) {
-                        Ok(()) => {
-                            self.window.snoop_store(paddr.0);
-                            pc = next_pc;
-                        }
-                        Err(_) => {
-                            pc = next_pc;
-                            self.stats.mmio_exits += 1;
-                            self.stats.exits += 1;
-                            self.charge(costs.mmio_exit_ns, &mut elapsed);
-                            break Ok(ExitReason::MmioWrite {
-                                addr: paddr,
-                                value,
-                                size: 8,
-                            });
-                        }
-                    }
-                }
-                Instr::Branch {
-                    cond,
-                    rs1,
-                    rs2,
-                    imm,
-                } => {
-                    let a = self.reg(rs1);
-                    let b = self.reg(rs2);
-                    let taken = match cond {
-                        crate::isa::Cond::Eq => a == b,
-                        crate::isa::Cond::Ne => a != b,
-                        crate::isa::Cond::Lt => a < b,
-                        crate::isa::Cond::Ge => a >= b,
-                    };
-                    pc = if taken {
-                        next_pc.wrapping_add(imm as i64 as u64)
-                    } else {
-                        next_pc
-                    };
-                }
-                Instr::Jal { rd, imm } => {
-                    self.set_reg(rd, next_pc);
-                    pc = next_pc.wrapping_add(imm as i64 as u64);
-                }
-                Instr::Jalr { rd, rs1 } => {
-                    let target = self.reg(rs1);
-                    self.set_reg(rd, next_pc);
-                    pc = target;
-                }
-                Instr::Hypercall { nr, rd, rs1 } => {
-                    let arg = self.reg(rs1);
-                    self.set_reg(rd, 0);
-                    self.pending = Pending::Hypercall { rd };
-                    pc = next_pc;
-                    self.stats.hypercalls += 1;
-                    self.stats.exits += 1;
-                    self.charge(costs.hypercall_ns, &mut elapsed);
-                    break Ok(ExitReason::Hypercall { nr, arg });
-                }
-                Instr::Out { rs1, imm } => {
-                    let value = self.reg(rs1) as u32;
-                    pc = next_pc;
-                    self.stats.pio_exits += 1;
-                    self.stats.exits += 1;
-                    self.charge(costs.pio_exit_ns, &mut elapsed);
-                    break Ok(ExitReason::PioOut {
-                        port: imm as u32,
-                        value,
-                    });
-                }
-                Instr::In { rd, imm } => {
-                    self.pending = Pending::PioIn { rd };
-                    pc = next_pc;
-                    self.stats.pio_exits += 1;
-                    self.stats.exits += 1;
-                    self.charge(costs.pio_exit_ns, &mut elapsed);
-                    break Ok(ExitReason::PioIn { port: imm as u32 });
-                }
-                Instr::SetPtbr { rs1 } => {
-                    let ptbr = self.reg(rs1);
-                    self.mmu.set_ptbr(GuestAddress(ptbr));
-                    paging = self.mmu.paging_enabled();
-                    pc = next_pc;
-                }
-                Instr::TlbFlush => {
-                    self.mmu.flush_tlb();
-                    pc = next_pc;
-                }
-                Instr::ReadCsr { rd, imm } => {
-                    let idx = (imm as usize) % NUM_CSRS;
-                    let v = if imm == CSR_MODE {
-                        match self.mode {
-                            PrivMode::User => 0,
-                            PrivMode::Supervisor => 1,
-                        }
-                    } else {
-                        self.csrs[idx]
-                    };
-                    self.set_reg(rd, v);
-                    pc = next_pc;
-                }
-                Instr::WriteCsr { rs1, imm } => {
-                    let idx = (imm as usize) % NUM_CSRS;
-                    if imm != CSR_VCPU_ID && imm != CSR_MODE {
-                        self.csrs[idx] = self.reg(rs1);
-                    }
-                    pc = next_pc;
-                }
-                Instr::Iret { rs1 } => {
-                    pc = self.reg(rs1);
-                    self.mode = PrivMode::User;
-                }
+            if let Some(exit) = self.execute(&mut memory, paging, instr, &mut pc, &mut elapsed) {
+                break Ok(exit);
             }
+            paging = self.mmu.paging_enabled();
         };
 
         // The one place every way out of the loop passes through, a fatal
@@ -812,6 +701,235 @@ impl Vcpu {
             instructions: executed,
             elapsed: Nanoseconds(elapsed),
         })
+    }
+
+    /// The fast loop of [`Self::run`], for paging off: retire
+    /// [`is_simple`] instructions straight from the window until one is not
+    /// simple or not held, `budget` have retired, or a load or store exits
+    /// to MMIO. Returns the instructions retired, the MMIO exit included,
+    /// and that exit; the caller charges their cycles.
+    #[inline(always)]
+    fn run_window(
+        &mut self,
+        memory: &mut GuestAccess<'_>,
+        pc: &mut u64,
+        budget: u64,
+        elapsed: &mut u64,
+    ) -> (u64, Option<ExitReason>) {
+        let mut retired = 0;
+        // The window moves only when the general step fills a slot outside
+        // it, never in here.
+        let base = self.window.base;
+        while retired < budget {
+            let Some(slot) = FetchWindow::slot_in(base, *pc) else {
+                break;
+            };
+            if self.window.simple[slot / 64] >> (slot % 64) & 1 == 0 {
+                break;
+            }
+            let instr = self.window.slots[slot];
+            retired += 1;
+            if let Some(exit) = self.execute(memory, false, instr, pc, elapsed) {
+                return (retired, Some(exit));
+            }
+        }
+        (retired, None)
+    }
+
+    /// Every instruction's semantics, once, for both of [`Self::run`]'s
+    /// loops: its effect on registers, memory, the window and the PC, and
+    /// for an exit its counters and charge. The caller has fetched and
+    /// privilege-checked `instr` and charged its cycle; `SetPtbr` leaves the
+    /// caller to read the new paging state back from the MMU. `Some(exit)`
+    /// leaves `run`.
+    #[inline(always)]
+    fn execute(
+        &mut self,
+        memory: &mut GuestAccess<'_>,
+        paging: bool,
+        instr: Instr,
+        pc: &mut u64,
+        elapsed: &mut u64,
+    ) -> Option<ExitReason> {
+        let next_pc = pc.wrapping_add(INSTR_BYTES);
+        match instr {
+            Instr::Nop => *pc = next_pc,
+            Instr::Halt => {
+                *pc = next_pc;
+                self.stats.halts += 1;
+                self.stats.exits += 1;
+                self.charge(self.config.costs.exit_ns, elapsed);
+                return Some(ExitReason::Halt);
+            }
+            Instr::Pause => {
+                *pc = next_pc;
+                self.stats.idles += 1;
+                self.stats.exits += 1;
+                self.charge(self.config.costs.exit_ns, elapsed);
+                return Some(ExitReason::Idle);
+            }
+            Instr::MovImm { rd, imm } => {
+                self.set_reg(rd, imm as i64 as u64);
+                *pc = next_pc;
+            }
+            Instr::MovHigh { rd, imm } => {
+                let v = (self.reg(rd) << 32) | (imm as u32 as u64);
+                self.set_reg(rd, v);
+                *pc = next_pc;
+            }
+            Instr::Alu { op, rd, rs1, rs2 } => {
+                let v = op.apply(self.reg(rs1), self.reg(rs2));
+                self.set_reg(rd, v);
+                *pc = next_pc;
+            }
+            Instr::AddImm { rd, rs1, imm } => {
+                let v = self.reg(rs1).wrapping_add(imm as i64 as u64);
+                self.set_reg(rd, v);
+                *pc = next_pc;
+            }
+            Instr::Load { rd, rs1, imm } => {
+                let vaddr = self.reg(rs1).wrapping_add(imm as i64 as u64);
+                let paddr = match self.translate_data(memory, paging, vaddr, false, elapsed) {
+                    Ok(p) => p,
+                    Err(exit) => return Some(exit),
+                };
+                match memory.read_u64(paddr) {
+                    Ok(v) => {
+                        self.set_reg(rd, v);
+                        *pc = next_pc;
+                    }
+                    Err(_) => {
+                        // Not backed by RAM: MMIO read.
+                        self.pending = Pending::MmioRead { rd };
+                        *pc = next_pc;
+                        self.stats.mmio_exits += 1;
+                        self.stats.exits += 1;
+                        self.charge(self.config.costs.mmio_exit_ns, elapsed);
+                        return Some(ExitReason::MmioRead {
+                            addr: paddr,
+                            size: 8,
+                        });
+                    }
+                }
+            }
+            Instr::Store { rs2, rs1, imm } => {
+                let vaddr = self.reg(rs1).wrapping_add(imm as i64 as u64);
+                let value = self.reg(rs2);
+                let paddr = match self.translate_data(memory, paging, vaddr, true, elapsed) {
+                    Ok(p) => p,
+                    Err(exit) => return Some(exit),
+                };
+                match memory.write_u64(paddr, value) {
+                    Ok(()) => {
+                        self.window.snoop_store(paddr.0);
+                        *pc = next_pc;
+                    }
+                    Err(_) => {
+                        *pc = next_pc;
+                        self.stats.mmio_exits += 1;
+                        self.stats.exits += 1;
+                        self.charge(self.config.costs.mmio_exit_ns, elapsed);
+                        return Some(ExitReason::MmioWrite {
+                            addr: paddr,
+                            value,
+                            size: 8,
+                        });
+                    }
+                }
+            }
+            Instr::Branch {
+                cond,
+                rs1,
+                rs2,
+                imm,
+            } => {
+                let a = self.reg(rs1);
+                let b = self.reg(rs2);
+                let taken = match cond {
+                    crate::isa::Cond::Eq => a == b,
+                    crate::isa::Cond::Ne => a != b,
+                    crate::isa::Cond::Lt => a < b,
+                    crate::isa::Cond::Ge => a >= b,
+                };
+                *pc = if taken {
+                    next_pc.wrapping_add(imm as i64 as u64)
+                } else {
+                    next_pc
+                };
+            }
+            Instr::Jal { rd, imm } => {
+                self.set_reg(rd, next_pc);
+                *pc = next_pc.wrapping_add(imm as i64 as u64);
+            }
+            Instr::Jalr { rd, rs1 } => {
+                let target = self.reg(rs1);
+                self.set_reg(rd, next_pc);
+                *pc = target;
+            }
+            Instr::Hypercall { nr, rd, rs1 } => {
+                let arg = self.reg(rs1);
+                self.set_reg(rd, 0);
+                self.pending = Pending::Hypercall { rd };
+                *pc = next_pc;
+                self.stats.hypercalls += 1;
+                self.stats.exits += 1;
+                self.charge(self.config.costs.hypercall_ns, elapsed);
+                return Some(ExitReason::Hypercall { nr, arg });
+            }
+            Instr::Out { rs1, imm } => {
+                let value = self.reg(rs1) as u32;
+                *pc = next_pc;
+                self.stats.pio_exits += 1;
+                self.stats.exits += 1;
+                self.charge(self.config.costs.pio_exit_ns, elapsed);
+                return Some(ExitReason::PioOut {
+                    port: imm as u32,
+                    value,
+                });
+            }
+            Instr::In { rd, imm } => {
+                self.pending = Pending::PioIn { rd };
+                *pc = next_pc;
+                self.stats.pio_exits += 1;
+                self.stats.exits += 1;
+                self.charge(self.config.costs.pio_exit_ns, elapsed);
+                return Some(ExitReason::PioIn { port: imm as u32 });
+            }
+            Instr::SetPtbr { rs1 } => {
+                let ptbr = self.reg(rs1);
+                self.mmu.set_ptbr(GuestAddress(ptbr));
+                *pc = next_pc;
+            }
+            Instr::TlbFlush => {
+                self.mmu.flush_tlb();
+                *pc = next_pc;
+            }
+            Instr::ReadCsr { rd, imm } => {
+                let idx = (imm as usize) % NUM_CSRS;
+                let v = if imm == CSR_MODE {
+                    match self.mode {
+                        PrivMode::User => 0,
+                        PrivMode::Supervisor => 1,
+                    }
+                } else {
+                    self.csrs[idx]
+                };
+                self.set_reg(rd, v);
+                *pc = next_pc;
+            }
+            Instr::WriteCsr { rs1, imm } => {
+                let idx = (imm as usize) % NUM_CSRS;
+                if imm != CSR_VCPU_ID && imm != CSR_MODE {
+                    self.csrs[idx] = self.reg(rs1);
+                }
+                *pc = next_pc;
+            }
+            Instr::Iret { rs1 } => {
+                *pc = self.reg(rs1);
+                self.mode = PrivMode::User;
+            }
+        }
+        None
     }
 }
 
@@ -1096,6 +1214,17 @@ mod tests {
         let out = cpu.run(&mem, 50).unwrap();
         assert_eq!(out.exit, ExitReason::InstructionLimit);
         assert_eq!(out.instructions, 50);
+        // The budget ends inside the fast loop's run of simple
+        // instructions, each charged its cycle.
+        let costs = ExecMode::HardwareAssist.default_costs();
+        for budget in [1, 2, 7, 1_000] {
+            let mut cpu = Vcpu::new(VcpuConfig::new(VcpuId::new(0), ExecMode::HardwareAssist));
+            let out = cpu.run(&mem, budget).unwrap();
+            assert_eq!(out.exit, ExitReason::InstructionLimit);
+            assert_eq!(out.instructions, budget);
+            assert_eq!(out.elapsed, Nanoseconds(budget * costs.cycle_ns));
+            assert_eq!(cpu.pc(), 0);
+        }
     }
 
     #[test]

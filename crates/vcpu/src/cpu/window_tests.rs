@@ -3,7 +3,8 @@
 //! The reference is the same [`Vcpu`] stepped one instruction per
 //! [`Vcpu::run`] call: `run` empties the window on entry, so every reference
 //! step reads and decodes its instruction from guest memory, as every fetch
-//! did before the window existed (the last test here pins that). Two
+//! did before the window existed (the last test here pins that), and none
+//! reaches the fast loop, whose first lookup finds the window empty. Two
 //! identical guests run the same program, one in slices of random length and
 //! one stepped, and everything observable is compared after every slice.
 
@@ -20,6 +21,9 @@ use std::ops::RangeInclusive;
 
 const CODE: u64 = 0x1000;
 const DATA: u64 = 0x4000;
+/// Where [`small_pair`]'s two regions meet, and where its RAM ends.
+const EDGE: u64 = 0x8000;
+const RAM_END: u64 = 0x1_0000;
 /// Beyond every memory these tests build: a load or store here is MMIO.
 const MMIO: u64 = 0x20_0000;
 
@@ -210,10 +214,17 @@ fn branch(cond: Cond, rs1: u8, rs2: u8, at: i32, to: i32) -> Instr {
     }
 }
 
-/// A flat 64 KiB guest with `program` at [`CODE`] and the PC on it.
-fn flat_pair(program: &[Instr]) -> Pair {
+/// A 64 KiB guest, two adjacent 32 KiB regions that meet at [`EDGE`], with
+/// `program` at [`CODE`] and the PC on it.
+fn small_pair(program: &[Instr]) -> Pair {
     Pair::new(|| {
-        let mut g = Guest::new(ExecMode::TrapAndEmulate, 64, ByteSize::kib(64));
+        let mem = GuestMemoryBuilder::new()
+            .with_region(GuestAddress(0), ByteSize::kib(32))
+            .unwrap()
+            .with_region(GuestAddress(EDGE), ByteSize::kib(32))
+            .unwrap()
+            .build();
+        let mut g = Guest::over(ExecMode::TrapAndEmulate, 64, mem);
         g.load(CODE, program);
         g.mem.clear_dirty();
         g.cpu.set_pc(CODE);
@@ -246,8 +257,13 @@ fn all_workload_kinds_match_the_reference_with_and_without_paging() {
         .chain([(ExecMode::TrapAndEmulate, true)]);
     for kind in kinds {
         for (mode, split) in layouts.clone() {
+            // Paging off runs the fast loop, paging on the general step
+            // alone: besides time and the MMU's own counters, both end in
+            // the same registers, counters and guest bytes below the tables.
+            let mut unpaged = None;
             for paging in [false, true] {
                 let workload = Workload::new(kind).unwrap();
+                let tables = GuestAddress(workload.required_memory()).page_base();
                 let size = ByteSize::new(workload.required_memory() + 16 * PAGE_SIZE);
                 let size = size.page_align_up();
                 let mut pair = Pair::new(|| {
@@ -269,7 +285,6 @@ fn all_workload_kinds_match_the_reference_with_and_without_paging() {
                     // pages: misses, walks and their charge all occur.
                     let mut g = Guest::over(mode, 2, mem);
                     if paging {
-                        let tables = GuestAddress(workload.required_memory()).page_base();
                         let mut ed =
                             PageTableEditor::new(g.mem.clone(), tables, 8 * PAGE_SIZE).unwrap();
                         ed.identity_map(GuestAddress(0), tables.0, true, false)
@@ -291,16 +306,35 @@ fn all_workload_kinds_match_the_reference_with_and_without_paging() {
                 if paging {
                     assert!(pair.window.cpu.mmu.walk_count() > 0);
                 }
+                let g = &pair.window;
+                let architectural = (
+                    g.cpu.save_state().regs,
+                    g.cpu.pc(),
+                    VcpuStats {
+                        sim_time_ns: 0,
+                        ..g.cpu.stats()
+                    },
+                    exits,
+                    g.mem.read_vec(GuestAddress(0), tables.0).unwrap(),
+                );
+                match &unpaged {
+                    None => unpaged = Some(architectural),
+                    Some(off) => assert!(
+                        &architectural == off,
+                        "{kind:?} {mode:?} split={split}: paging on against off"
+                    ),
+                }
             }
         }
     }
 }
 
 /// Map five small integers onto an instruction that keeps a generated
-/// program alive: results land in r8..r11, so the pointers in r1..r3, the
-/// instruction words in r4/r5 and the jump target in r6 mostly survive.
-/// Without `exits` the program never leaves `run` (an exit empties the
-/// window), so its self-modifications meet a warm window.
+/// program alive: results land in r8..r11, so the pointers in r1..r3 and r7,
+/// the instruction words in r4/r5 and the jump target in r6 mostly survive
+/// (r12 is out of the operands' reach). Without `exits` the program never
+/// leaves `run` (an exit empties the window), so its self-modifications
+/// meet a warm window.
 fn generated_instr((kind, a, b, c, imm): (u8, u8, u8, u8, i32), exits: bool) -> Instr {
     let scratch = r(8 + a % 4);
     let slot = imm.rem_euclid(64) * INSTR_BYTES as i32;
@@ -320,13 +354,23 @@ fn generated_instr((kind, a, b, c, imm): (u8, u8, u8, u8, i32), exits: bool) -> 
         8 => Instr::MovHigh { rd: scratch, imm },
         // Stores of arbitrary registers (r4/r5 hold valid instruction words)
         // into the first 64 slots of the code (r1) or the data (r2).
-        9..=13 => store(c, 1 + a % 2, slot),
+        9..=12 => store(c, 1 + a % 2, slot),
         // The same, unaligned: the store overlaps two instruction words.
         14 => store(c, 1, slot + imm.rem_euclid(8)),
-        15..=16 => Instr::Load {
+        15 => Instr::Load {
             rd: scratch,
             rs1: r(1 + a % 2),
             imm: slot,
+        },
+        // A word that ends in the last 0..=7 bytes before the region edge
+        // (r7) or, with exits, the end of RAM (r12): one region holds it,
+        // or the access crosses into the next region, or it leaves RAM
+        // after its first bytes and exits to MMIO.
+        13 => store(c, edge_base(a, exits), imm.rem_euclid(8)),
+        16 => Instr::Load {
+            rd: scratch,
+            rs1: r(edge_base(a, exits)),
+            imm: imm.rem_euclid(8),
         },
         17..=20 => Instr::Branch {
             cond: [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge][kind as usize - 17],
@@ -372,13 +416,25 @@ fn generated_instr((kind, a, b, c, imm): (u8, u8, u8, u8, i32), exits: bool) -> 
     }
 }
 
+/// The register [`generated_instr`] addresses an edge through: r7 holds
+/// `EDGE - 8`, r12 `RAM_END - 8`.
+fn edge_base(a: u8, exits: bool) -> u8 {
+    if exits && a % 2 == 1 {
+        12
+    } else {
+        7
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// Random programs that store into their own code (whole words and
-    /// straddling ones), jump into it — aligned or not — and exit for every
+    /// straddling ones), jump into it — aligned or not — load and store
+    /// across a region edge and off the end of RAM, and exit for every
     /// reason behave exactly as the stepped reference, whether they spin or
-    /// are killed by an undecodable word.
+    /// are killed by an undecodable word. Random slices of 1..=40 end the
+    /// budget inside runs of simple instructions.
     #[test]
     fn generated_programs_match_the_reference(
         shape in proptest::collection::vec(
@@ -399,7 +455,7 @@ proptest! {
             rd: r(0),
             imm: -(INSTR_BYTES as i32) * (program.len() as i32 + 1),
         });
-        let mut pair = flat_pair(&program);
+        let mut pair = small_pair(&program);
         pair.each(|g| {
             g.cpu.set_reg(r(1), CODE);
             g.cpu.set_reg(r(2), DATA);
@@ -407,6 +463,8 @@ proptest! {
             g.cpu.set_reg(r(4), word(add_imm(9, 5)));
             g.cpu.set_reg(r(5), word(Instr::Jal { rd: r(0), imm: -24 }));
             g.cpu.set_reg(r(6), CODE + jump_target);
+            g.cpu.set_reg(r(7), EDGE - 8);
+            g.cpu.set_reg(r(12), RAM_END - 8);
         });
         pair.run_lockstep(&mut TestRng::deterministic(seed), &(1..=40), 3_000);
     }
@@ -417,6 +475,8 @@ fn a_store_into_the_next_instruction_and_into_a_later_slot_is_executed() {
     // Each pass patches the instruction right after the store and one
     // further down the frame, both already executed (and so held by the
     // window) on the pass before, with a different immediate every pass.
+    // A third store, in the middle of the same run of simple instructions,
+    // overwrites its own slot: from the second pass on, that slot adds.
     let bump_imm = 1u64 << 32; // the immediate is bytes 4..8 of the word
     let mut asm = Assembler::with_base(CODE);
     asm.push(Instr::MovImm {
@@ -426,12 +486,13 @@ fn a_store_into_the_next_instruction_and_into_a_later_slot_is_executed() {
     asm.load_const(r(2), word(add_imm(5, 100)));
     asm.load_const(r(3), word(add_imm(7, 7)));
     asm.load_const(r(8), bump_imm);
+    asm.load_const(r(9), word(add_imm(10, 1)));
     asm.push(Instr::MovImm { rd: r(6), imm: 3 });
     let top = asm.len() as i32;
     asm.push(store(2, 1, (top + 1) * INSTR_BYTES as i32));
     asm.push(Instr::Nop); // patched: r5 += 100 + pass
     asm.push(store(3, 1, (top + 5) * INSTR_BYTES as i32));
-    asm.push(Instr::Nop);
+    asm.push(store(9, 1, (top + 3) * INSTR_BYTES as i32)); // patched: r10 += 1
     asm.push(Instr::Nop);
     asm.push(Instr::Nop); // patched: r7 += 7 + pass
     for reg in [2, 3] {
@@ -459,6 +520,7 @@ fn a_store_into_the_next_instruction_and_into_a_later_slot_is_executed() {
         assert_eq!((exits, error), (vec![ExitReason::Halt], None));
         assert_eq!(pair.window.cpu.reg(r(5)), 100 + 101 + 102);
         assert_eq!(pair.window.cpu.reg(r(7)), 7 + 8 + 9);
+        assert_eq!(pair.window.cpu.reg(r(10)), 2);
     }
 }
 
@@ -476,7 +538,7 @@ fn an_unaligned_store_drops_both_instruction_words_it_overlaps() {
         Instr::Halt,
     ];
     for slices in &SLICINGS {
-        let mut pair = flat_pair(&program);
+        let mut pair = small_pair(&program);
         pair.each(|g| {
             g.cpu.set_reg(r(1), CODE);
             g.cpu.set_reg(r(2), (new_header as u64) << 32 | 50);
@@ -609,7 +671,7 @@ fn a_privileged_instruction_held_by_the_window_still_faults_in_user_mode() {
         Instr::Iret { rs1: r(1) }, // back to the TlbFlush, now as user
     ];
     for slices in &SLICINGS {
-        let mut pair = flat_pair(&program);
+        let mut pair = small_pair(&program);
         let (exits, error) = pair.run_lockstep(&mut rng(), slices, 1_000);
         assert!(exits.is_empty());
         assert!(error.unwrap().contains("privileged instruction TlbFlush"));
@@ -648,7 +710,7 @@ fn a_killed_guest_keeps_its_clock_whatever_the_slicing() {
         (&unbacked[..], 4, "fetch from unbacked address"),
     ] {
         let killed = |slice: u64| {
-            let mut g = flat_pair(program).window;
+            let mut g = small_pair(program).window;
             let error = loop {
                 match g.cpu.run(&g.mem, slice) {
                     Ok(out) => assert_eq!(out.exit, ExitReason::InstructionLimit),
@@ -670,7 +732,7 @@ fn a_killed_guest_keeps_its_clock_whatever_the_slicing() {
 
 #[test]
 fn an_undecodable_word_the_pc_never_reaches_does_not_fault() {
-    let mut pair = flat_pair(&[
+    let mut pair = small_pair(&[
         Instr::Jal {
             rd: r(0),
             imm: INSTR_BYTES as i32,
@@ -716,7 +778,7 @@ fn every_exit_reason_resumes_where_it_left() {
         Instr::Halt,
     ];
     for slices in &SLICINGS {
-        let mut pair = flat_pair(&program);
+        let mut pair = small_pair(&program);
         pair.each(|g| g.cpu.set_reg(r(3), MMIO));
         let (exits, error) = pair.run_lockstep(&mut rng(), slices, 1_000);
         assert_eq!(error, None);
@@ -738,7 +800,7 @@ fn every_exit_reason_resumes_where_it_left() {
 #[test]
 fn code_written_by_the_host_between_two_runs_is_executed_by_the_second() {
     let program = [add_imm(5, 1), branch(Cond::Eq, 0, 0, 1, 0)];
-    let mut pair = flat_pair(&program);
+    let mut pair = small_pair(&program);
     let (exits, error) = pair.run_lockstep(&mut rng(), &(1..=50), 100);
     assert_eq!((exits, error), (vec![], None));
     let before = pair.window.cpu.reg(r(5));

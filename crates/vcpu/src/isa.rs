@@ -24,9 +24,11 @@ pub const INSTR_BYTES: u64 = 8;
 /// Number of general-purpose registers.
 pub const NUM_REGS: usize = 32;
 
-/// A register index (0..32). Register 0 is hardwired to zero.
+/// A register index, below [`NUM_REGS`] by construction: the field is
+/// private, and [`Reg::new`] and [`Reg::try_new`] check the range. Register
+/// 0 is hardwired to zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Reg(pub u8);
+pub struct Reg(u8);
 
 impl Reg {
     /// The zero register.
@@ -53,9 +55,11 @@ impl Reg {
         }
     }
 
-    /// The register's index.
+    /// The register's index, below [`NUM_REGS`].
     pub const fn index(self) -> usize {
-        self.0 as usize
+        // The constructors make the mask the identity; it shows the bound
+        // to the compiler, so `regs[r.index()]` needs no bounds check.
+        self.0 as usize % NUM_REGS
     }
 }
 

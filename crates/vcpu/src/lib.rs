@@ -29,6 +29,7 @@
 //! and with it the cost model ([`ExecCosts`]) used to convert counted events
 //! into simulated nanoseconds.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -16,6 +16,7 @@
 //! * [`emulated`] — a register-banging programmed-I/O disk representing the
 //!   "full emulation" baseline (an IDE-like device, one sector per doorbell).
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

@@ -32,6 +32,7 @@
 //!   the device windows live).
 //! * [`hypercalls`] — the paravirtual interface the guest may call.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 

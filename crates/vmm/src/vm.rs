@@ -415,8 +415,15 @@ impl Vm {
         for index in 0..self.vcpus.len() {
             let mut remaining = slice_budget;
             loop {
-                let outcome = self.vcpus[index].run(&self.memory, remaining)?;
-                self.clock.advance(outcome.elapsed);
+                // The clock advances by what the vCPU charged itself, which
+                // is `outcome.elapsed` when the call returns and the time of
+                // the instructions it retired before the fault when it kills
+                // the guest.
+                let charged = self.vcpus[index].stats().sim_time();
+                let outcome = self.vcpus[index].run(&self.memory, remaining);
+                self.clock
+                    .advance(self.vcpus[index].stats().sim_time() - charged);
+                let outcome = outcome?;
                 self.timer.lock().tick();
                 remaining = remaining.saturating_sub(outcome.instructions);
 
@@ -698,6 +705,42 @@ mod tests {
         assert_eq!(vm.lifecycle(), VmLifecycle::Halted);
         assert!(stats.instructions > 3000);
         assert!(stats.sim_time > Nanoseconds::ZERO);
+        assert_eq!(vm.clock().now(), stats.sim_time);
+
+        // A guest killed after `RETIRED` instructions (a privileged
+        // instruction in user mode) has its time on the VM clock too, the
+        // killing slice's included, however the VM slices its runs.
+        const ENTRY: u64 = 0x1000;
+        const RETIRED: u64 = 12;
+        let mut asm = Assembler::with_base(ENTRY);
+        let r = Reg::new;
+        for _ in 0..RETIRED - 2 {
+            asm.push(Instr::AddImm {
+                rd: r(2),
+                rs1: r(2),
+                imm: 1,
+            });
+        }
+        asm.push(Instr::MovImm {
+            rd: r(1),
+            imm: ENTRY as i32 + RETIRED as i32 * 8,
+        });
+        asm.push(Instr::Iret { rs1: r(1) });
+        asm.push(Instr::TlbFlush);
+        let image = asm.assemble().unwrap();
+        for slice in [1, 7, 100_000] {
+            let config = VmConfig::new("killed")
+                .with_memory(ByteSize::mib(4))
+                .with_slice_instructions(slice);
+            let mut vm = Vm::new(config).unwrap();
+            vm.load_program(&image, ENTRY).unwrap();
+            let err = vm.run_to_halt().unwrap_err();
+            assert!(err.to_string().contains("privileged instruction"), "{err}");
+            let stats = vm.stats();
+            assert_eq!(stats.instructions, RETIRED, "slices of {slice}");
+            assert!(stats.sim_time > Nanoseconds::ZERO);
+            assert_eq!(vm.clock().now(), stats.sim_time, "slices of {slice}");
+        }
     }
 
     #[test]
