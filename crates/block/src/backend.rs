@@ -24,19 +24,19 @@ pub struct BlockStats {
 
 impl BlockStats {
     /// Record a read of `bytes`.
-    pub fn record_read(&mut self, bytes: u64) {
+    pub(crate) fn record_read(&mut self, bytes: u64) {
         self.reads += 1;
         self.bytes_read += bytes;
     }
 
     /// Record a write of `bytes`.
-    pub fn record_write(&mut self, bytes: u64) {
+    pub(crate) fn record_write(&mut self, bytes: u64) {
         self.writes += 1;
         self.bytes_written += bytes;
     }
 
     /// Record a flush.
-    pub fn record_flush(&mut self) {
+    pub(crate) fn record_flush(&mut self) {
         self.flushes += 1;
     }
 }
@@ -84,7 +84,7 @@ pub trait BlockBackend: Send {
 ///
 /// Shared by every backend implementation so they all reject malformed
 /// requests identically.
-pub fn validate_request(capacity_sectors: u64, sector: u64, len: usize) -> Result<()> {
+pub(crate) fn validate_request(capacity_sectors: u64, sector: u64, len: usize) -> Result<()> {
     if len == 0 || !(len as u64).is_multiple_of(SECTOR_SIZE) {
         return Err(Error::Block(format!(
             "request length {len} is not a positive multiple of the sector size"

@@ -1,6 +1,6 @@
 //! Copy-on-write overlays.
 //!
-//! A [`CowOverlay`] presents a writable disk whose unmodified sectors are
+//! A `CowOverlay` presents a writable disk whose unmodified sectors are
 //! served from a shared, read-only *base* image; written sectors are stored
 //! in a private overlay map. This is the mechanism behind:
 //!
@@ -13,12 +13,12 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use rvisor_types::{Error, Result};
+use rvisor_types::Result;
 
 use crate::backend::{validate_request, BlockBackend, BlockStats, SECTOR_SIZE};
 
 /// A copy-on-write overlay over a shared base backend.
-pub struct CowOverlay {
+pub(crate) struct CowOverlay {
     base: Arc<Mutex<dyn BlockBackend>>,
     overlay: BTreeMap<u64, Box<[u8]>>,
     capacity_sectors: u64,
@@ -36,7 +36,7 @@ impl std::fmt::Debug for CowOverlay {
 
 impl CowOverlay {
     /// Create an overlay on top of `base`. The overlay inherits the base's capacity.
-    pub fn new(base: Arc<Mutex<dyn BlockBackend>>) -> Self {
+    pub(crate) fn new(base: Arc<Mutex<dyn BlockBackend>>) -> Self {
         let capacity_sectors = base.lock().capacity_sectors();
         CowOverlay {
             base,
@@ -45,30 +45,33 @@ impl CowOverlay {
             stats: BlockStats::default(),
         }
     }
+}
 
+#[cfg(test)]
+impl CowOverlay {
     /// Number of sectors that have been privately written (overlay footprint).
-    pub fn overlay_sectors(&self) -> u64 {
+    fn overlay_sectors(&self) -> u64 {
         self.overlay.len() as u64
     }
 
     /// Bytes of private overlay storage in use.
-    pub fn overlay_bytes(&self) -> u64 {
+    fn overlay_bytes(&self) -> u64 {
         self.overlay_sectors() * SECTOR_SIZE
     }
 
     /// Whether a sector has been privately written.
-    pub fn is_sector_dirty(&self, sector: u64) -> bool {
+    fn is_sector_dirty(&self, sector: u64) -> bool {
         self.overlay.contains_key(&sector)
     }
 
     /// Discard all private writes, reverting to the base image.
-    pub fn revert(&mut self) {
+    fn revert(&mut self) {
         self.overlay.clear();
     }
 
     /// Flatten the overlay into a standalone [`crate::RamDisk`]-style byte
     /// image (base plus private writes), e.g. for exporting a template.
-    pub fn flatten(&mut self) -> Result<Vec<u8>> {
+    fn flatten(&mut self) -> Result<Vec<u8>> {
         let mut out = vec![0u8; (self.capacity_sectors * SECTOR_SIZE) as usize];
         {
             let mut base = self.base.lock();
@@ -129,19 +132,6 @@ impl BlockBackend for CowOverlay {
 /// between several overlays.
 pub fn share<B: BlockBackend + 'static>(backend: B) -> Arc<Mutex<dyn BlockBackend>> {
     Arc::new(Mutex::new(backend))
-}
-
-/// Validate that a stack of overlays does not exceed a sane depth.
-///
-/// Deep overlay chains degrade read performance linearly; the image library
-/// refuses to build chains deeper than this.
-pub const MAX_OVERLAY_DEPTH: usize = 16;
-
-/// Error helper for overlay-depth violations.
-pub fn depth_error(depth: usize) -> Error {
-    Error::Block(format!(
-        "overlay chain depth {depth} exceeds the maximum of {MAX_OVERLAY_DEPTH}"
-    ))
 }
 
 #[cfg(test)]

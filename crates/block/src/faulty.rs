@@ -67,13 +67,15 @@ impl FaultPlan {
     }
 
     /// Fail the `n`-th request (1-based) regardless of its target.
-    pub fn with_failure_on_request(mut self, n: u64) -> Self {
+    #[cfg(test)]
+    fn with_failure_on_request(mut self, n: u64) -> Self {
         self.fail_on_request.push(n);
         self
     }
 
     /// Fail requests at random with probability `rate`, driven by `seed`.
-    pub fn with_transient_rate(mut self, rate: f64, seed: u64) -> Self {
+    #[cfg(test)]
+    fn with_transient_rate(mut self, rate: f64, seed: u64) -> Self {
         self.transient_rate = rate.clamp(0.0, 1.0);
         self.seed = seed;
         self
@@ -101,7 +103,7 @@ pub struct FaultStats {
 
 impl FaultStats {
     /// Total injected failures.
-    pub fn total_failures(&self) -> u64 {
+    fn total_failures(&self) -> u64 {
         self.range_failures + self.scheduled_failures + self.transient_failures
     }
 }
@@ -137,11 +139,6 @@ impl<B: BlockBackend> FaultyDisk<B> {
     /// Access the wrapped backend (e.g. to verify its contents in tests).
     pub fn inner(&self) -> &B {
         &self.inner
-    }
-
-    /// Consume the wrapper and return the inner backend.
-    pub fn into_inner(self) -> B {
-        self.inner
     }
 
     fn healed(&self) -> bool {

@@ -14,7 +14,7 @@ use crate::backend::{validate_request, BlockBackend, BlockStats, SECTOR_SIZE};
 
 /// A block device stored in a host file.
 #[derive(Debug)]
-pub struct FileDisk {
+pub(crate) struct FileDisk {
     file: File,
     path: PathBuf,
     capacity_sectors: u64,
@@ -23,7 +23,7 @@ pub struct FileDisk {
 
 impl FileDisk {
     /// Create (or truncate) a disk image at `path` of `size` bytes.
-    pub fn create(path: impl AsRef<Path>, size: ByteSize) -> Result<Self> {
+    pub(crate) fn create(path: impl AsRef<Path>, size: ByteSize) -> Result<Self> {
         let sectors = size.as_u64().div_ceil(SECTOR_SIZE);
         let file = OpenOptions::new()
             .read(true)
@@ -41,7 +41,7 @@ impl FileDisk {
     }
 
     /// Open an existing disk image.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
+    pub(crate) fn open(path: impl AsRef<Path>) -> Result<Self> {
         let file = OpenOptions::new()
             .read(true)
             .write(true)
@@ -62,7 +62,7 @@ impl FileDisk {
     }
 
     /// The path of the backing file.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! * [`CloneStrategy::FullCopy`] duplicates every byte of the template into a
 //!   fresh [`RamDisk`] — cost proportional to image size;
-//! * [`CloneStrategy::CopyOnWrite`] stacks a [`CowOverlay`] on the shared
+//! * [`CloneStrategy::CopyOnWrite`] stacks a `CowOverlay` on the shared
 //!   template — cost proportional to *nothing* (a handful of allocations).
 
 use std::collections::BTreeMap;
@@ -127,7 +127,8 @@ impl ImageLibrary {
     }
 
     /// Names of the registered templates.
-    pub fn template_names(&self) -> Vec<String> {
+    #[cfg(test)]
+    fn template_names(&self) -> Vec<String> {
         self.templates.keys().cloned().collect()
     }
 
@@ -137,7 +138,8 @@ impl ImageLibrary {
     }
 
     /// Number of clones created so far.
-    pub fn clones_created(&self) -> u64 {
+    #[cfg(test)]
+    fn clones_created(&self) -> u64 {
         self.clones_created
     }
 

@@ -4,13 +4,10 @@
 //! disk device reads and writes through.
 //!
 //! * [`RamDisk`] — an in-memory disk, the workhorse of tests and benchmarks.
-//! * [`FileDisk`] — a host-file-backed disk for persistence across runs.
-//! * [`CowOverlay`] — a copy-on-write overlay on top of any backend; the
-//!   mechanism behind instant template cloning (experiment E9) and disk
-//!   snapshots.
-//! * [`ThrottledDisk`] — wraps a backend with a bandwidth/latency model so
-//!   I/O experiments measure device-model overhead against a fixed storage
-//!   service time.
+//! * `CowOverlay` — a copy-on-write overlay on top of any backend; the
+//!   mechanism behind instant template cloning (experiment E9).
+//! * [`StorageModel`] — a bandwidth/latency model so I/O experiments
+//!   measure device-model overhead against a fixed storage service time.
 //! * [`FaultyDisk`] — wraps a backend with deterministic failure injection
 //!   (bad sector ranges, n-th-request failures, seeded transient errors) for
 //!   exercising the error paths of the device models and backup code.
@@ -26,15 +23,14 @@
 pub mod backend;
 pub mod cow;
 pub mod faulty;
-pub mod file;
+#[cfg(test)]
+mod file;
 pub mod image;
 pub mod ram;
 pub mod throttle;
 
 pub use backend::{BlockBackend, BlockStats, SECTOR_SIZE};
-pub use cow::CowOverlay;
 pub use faulty::{FaultKind, FaultPlan, FaultStats, FaultyDisk};
-pub use file::FileDisk;
 pub use image::{synthetic_os_image, CloneStrategy, DiskImage, ImageFormat, ImageLibrary};
 pub use ram::RamDisk;
-pub use throttle::{StorageModel, ThrottledDisk};
+pub use throttle::StorageModel;

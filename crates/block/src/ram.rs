@@ -25,7 +25,7 @@ impl RamDisk {
     }
 
     /// Create a disk initialised with `data` (padded to whole sectors).
-    pub fn from_data(mut data: Vec<u8>) -> Self {
+    pub(crate) fn from_data(mut data: Vec<u8>) -> Self {
         let sectors = (data.len() as u64).div_ceil(SECTOR_SIZE).max(1);
         data.resize((sectors * SECTOR_SIZE) as usize, 0);
         RamDisk {

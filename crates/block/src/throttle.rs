@@ -3,15 +3,13 @@
 //! The virtio-vs-emulated-device experiments need both device models to sit
 //! on top of *identical* storage behaviour, so the difference they measure is
 //! purely the cost of the I/O path (exits, descriptor processing,
-//! notification suppression). [`ThrottledDisk`] wraps any backend with a
-//! simple service-time model — fixed per-request latency plus a bandwidth
-//! term — and accounts the simulated busy time without ever sleeping.
+//! notification suppression). [`StorageModel`] is a simple service-time
+//! model — fixed per-request latency plus a bandwidth term — that accounts
+//! simulated busy time without ever sleeping.
 
 use serde::{Deserialize, Serialize};
 
-use rvisor_types::{Nanoseconds, Result};
-
-use crate::backend::{BlockBackend, BlockStats};
+use rvisor_types::Nanoseconds;
 
 /// A storage service-time model: `latency + bytes / bandwidth`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -39,14 +37,6 @@ impl StorageModel {
         }
     }
 
-    /// A model resembling an NVMe device: 12 µs per request, 3 GB/s.
-    pub fn nvme() -> Self {
-        StorageModel {
-            per_request: Nanoseconds::from_micros(12),
-            bytes_per_second: 3_000_000_000,
-        }
-    }
-
     /// Service time for a request of `bytes`.
     pub fn service_time(&self, bytes: u64) -> Nanoseconds {
         let transfer_ns = bytes
@@ -57,98 +47,99 @@ impl StorageModel {
     }
 }
 
-/// A backend wrapper that accounts simulated service time for each request.
-pub struct ThrottledDisk<B: BlockBackend> {
-    inner: B,
-    model: StorageModel,
-    busy: Nanoseconds,
-    requests: u64,
-}
-
-impl<B: BlockBackend> std::fmt::Debug for ThrottledDisk<B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThrottledDisk")
-            .field("model", &self.model)
-            .field("busy", &self.busy)
-            .field("requests", &self.requests)
-            .finish()
-    }
-}
-
-impl<B: BlockBackend> ThrottledDisk<B> {
-    /// Wrap `inner` with `model`.
-    pub fn new(inner: B, model: StorageModel) -> Self {
-        ThrottledDisk {
-            inner,
-            model,
-            busy: Nanoseconds::ZERO,
-            requests: 0,
-        }
-    }
-
-    /// Total simulated time the storage device has spent servicing requests.
-    pub fn busy_time(&self) -> Nanoseconds {
-        self.busy
-    }
-
-    /// Number of requests serviced.
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-
-    /// The service-time model in use.
-    pub fn model(&self) -> StorageModel {
-        self.model
-    }
-
-    /// Access the wrapped backend.
-    pub fn inner(&self) -> &B {
-        &self.inner
-    }
-
-    fn account(&mut self, bytes: u64) {
-        self.busy = self.busy.saturating_add(self.model.service_time(bytes));
-        self.requests += 1;
-    }
-}
-
-impl<B: BlockBackend> BlockBackend for ThrottledDisk<B> {
-    fn capacity_sectors(&self) -> u64 {
-        self.inner.capacity_sectors()
-    }
-
-    fn read_sectors(&mut self, sector: u64, buf: &mut [u8]) -> Result<()> {
-        self.inner.read_sectors(sector, buf)?;
-        self.account(buf.len() as u64);
-        Ok(())
-    }
-
-    fn write_sectors(&mut self, sector: u64, buf: &[u8]) -> Result<()> {
-        self.inner.write_sectors(sector, buf)?;
-        self.account(buf.len() as u64);
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.inner.flush()?;
-        self.account(0);
-        Ok(())
-    }
-
-    fn stats(&self) -> BlockStats {
-        self.inner.stats()
-    }
-
-    fn is_read_only(&self) -> bool {
-        self.inner.is_read_only()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::{BlockBackend, BlockStats};
     use crate::ram::RamDisk;
-    use rvisor_types::ByteSize;
+    use rvisor_types::{ByteSize, Result};
+
+    /// A backend wrapper that accounts simulated service time for each request.
+    struct ThrottledDisk<B: BlockBackend> {
+        inner: B,
+        model: StorageModel,
+        busy: Nanoseconds,
+        requests: u64,
+    }
+
+    impl<B: BlockBackend> std::fmt::Debug for ThrottledDisk<B> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.debug_struct("ThrottledDisk")
+                .field("model", &self.model)
+                .field("busy", &self.busy)
+                .field("requests", &self.requests)
+                .finish()
+        }
+    }
+
+    impl<B: BlockBackend> ThrottledDisk<B> {
+        /// Wrap `inner` with `model`.
+        fn new(inner: B, model: StorageModel) -> Self {
+            ThrottledDisk {
+                inner,
+                model,
+                busy: Nanoseconds::ZERO,
+                requests: 0,
+            }
+        }
+
+        /// Total simulated time the storage device has spent servicing requests.
+        fn busy_time(&self) -> Nanoseconds {
+            self.busy
+        }
+
+        /// Number of requests serviced.
+        fn requests(&self) -> u64 {
+            self.requests
+        }
+
+        /// The service-time model in use.
+        fn model(&self) -> StorageModel {
+            self.model
+        }
+
+        /// Access the wrapped backend.
+        fn inner(&self) -> &B {
+            &self.inner
+        }
+
+        fn account(&mut self, bytes: u64) {
+            self.busy = self.busy.saturating_add(self.model.service_time(bytes));
+            self.requests += 1;
+        }
+    }
+
+    impl<B: BlockBackend> BlockBackend for ThrottledDisk<B> {
+        fn capacity_sectors(&self) -> u64 {
+            self.inner.capacity_sectors()
+        }
+
+        fn read_sectors(&mut self, sector: u64, buf: &mut [u8]) -> Result<()> {
+            self.inner.read_sectors(sector, buf)?;
+            self.account(buf.len() as u64);
+            Ok(())
+        }
+
+        fn write_sectors(&mut self, sector: u64, buf: &[u8]) -> Result<()> {
+            self.inner.write_sectors(sector, buf)?;
+            self.account(buf.len() as u64);
+            Ok(())
+        }
+
+        fn flush(&mut self) -> Result<()> {
+            self.inner.flush()?;
+            self.account(0);
+            Ok(())
+        }
+
+        fn stats(&self) -> BlockStats {
+            self.inner.stats()
+        }
+
+        fn is_read_only(&self) -> bool {
+            self.inner.is_read_only()
+        }
+    }
 
     #[test]
     fn service_time_components() {
@@ -168,9 +159,8 @@ mod tests {
 
     #[test]
     fn presets_are_ordered_sensibly() {
-        assert!(StorageModel::nvme().per_request < StorageModel::ssd().per_request);
         assert!(StorageModel::ssd().per_request < StorageModel::hdd().per_request);
-        assert!(StorageModel::nvme().bytes_per_second > StorageModel::hdd().bytes_per_second);
+        assert!(StorageModel::ssd().bytes_per_second > StorageModel::hdd().bytes_per_second);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use crate::placement::ConsolidationPlan;
 
 /// Hours in a year (365 days).
-pub const HOURS_PER_YEAR: f64 = 8760.0;
+const HOURS_PER_YEAR: f64 = 8760.0;
 
 /// Converts electrical draw into money.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -66,7 +66,7 @@ impl CostReport {
 
 impl CostModel {
     /// Annual power+cooling cost of a plan, in euro.
-    pub fn annual_cost_euro(&self, plan: &ConsolidationPlan) -> f64 {
+    fn annual_cost_euro(&self, plan: &ConsolidationPlan) -> f64 {
         let it_watts = plan.total_power_watts();
         let total_watts = it_watts * self.cooling_factor;
         let kwh_per_year = total_watts / 1000.0 * HOURS_PER_YEAR;

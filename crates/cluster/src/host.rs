@@ -69,7 +69,7 @@ impl Host {
     }
 
     /// An empty host allowing memory overcommit up to `factor`.
-    pub fn with_overcommit(spec: HostSpec, factor: f64) -> Self {
+    pub(crate) fn with_overcommit(spec: HostSpec, factor: f64) -> Self {
         Host {
             spec,
             placed: Vec::new(),
@@ -134,7 +134,7 @@ impl Host {
 
     /// Estimated electrical draw given current CPU utilisation: linear
     /// interpolation between idle and busy, clamped at busy.
-    pub fn power_watts(&self) -> f64 {
+    pub(crate) fn power_watts(&self) -> f64 {
         let u = self.cpu_utilization().min(1.0);
         self.spec.idle_watts + (self.spec.busy_watts - self.spec.idle_watts) * u
     }

@@ -78,17 +78,18 @@ impl NumaTopology {
     }
 
     /// Total cores across all nodes.
-    pub fn total_cores(&self) -> u32 {
+    fn total_cores(&self) -> u32 {
         self.nodes.iter().map(|n| n.cores).sum()
     }
 
     /// Total memory across all nodes.
-    pub fn total_memory(&self) -> ByteSize {
+    #[cfg(test)]
+    fn total_memory(&self) -> ByteSize {
         ByteSize::new(self.nodes.iter().map(|n| n.memory.as_u64()).sum())
     }
 
     /// Number of nodes.
-    pub fn node_count(&self) -> usize {
+    fn node_count(&self) -> usize {
         self.nodes.len()
     }
 }
@@ -130,12 +131,12 @@ pub struct NumaPlacement {
 
 impl NumaPlacement {
     /// Total memory placed.
-    pub fn total_memory(&self) -> ByteSize {
+    fn total_memory(&self) -> ByteSize {
         ByteSize::new(self.memory_by_node.iter().map(|(_, m)| m.as_u64()).sum())
     }
 
     /// Fraction of the VM's memory that is local to its home node.
-    pub fn local_fraction(&self) -> f64 {
+    fn local_fraction(&self) -> f64 {
         let total = self.total_memory().as_u64();
         if total == 0 {
             return 1.0;
@@ -151,7 +152,7 @@ impl NumaPlacement {
 
     /// Expected memory-access slowdown for a memory-bound guest:
     /// `1 + remote_fraction × (penalty − 1)`.
-    pub fn expected_slowdown(&self, topology: &NumaTopology) -> f64 {
+    fn expected_slowdown(&self, topology: &NumaTopology) -> f64 {
         1.0 + (1.0 - self.local_fraction()) * (topology.remote_access_penalty - 1.0)
     }
 }
@@ -188,7 +189,7 @@ impl NumaHost {
     }
 
     /// Free memory on a node.
-    pub fn node_free_memory(&self, node: usize) -> u64 {
+    fn node_free_memory(&self, node: usize) -> u64 {
         self.topology.nodes[node]
             .memory
             .as_u64()

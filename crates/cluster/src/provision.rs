@@ -72,7 +72,8 @@ impl Provisioner {
     }
 
     /// The template library (to register more templates).
-    pub fn library_mut(&mut self) -> &mut ImageLibrary {
+    #[cfg(test)]
+    fn library_mut(&mut self) -> &mut ImageLibrary {
         &mut self.library
     }
 

@@ -74,7 +74,7 @@ impl DesktopProfile {
     }
 
     /// Long-run fraction of one core each vCPU actually consumes.
-    pub fn active_fraction(self) -> f64 {
+    fn active_fraction(self) -> f64 {
         match self {
             DesktopProfile::TaskWorker => 0.04,
             DesktopProfile::KnowledgeWorker => 0.08,
@@ -84,7 +84,7 @@ impl DesktopProfile {
 
     /// Fraction of configured memory the desktop actually keeps hot (its
     /// working set); the rest is reclaimable by the balloon.
-    pub fn working_set_fraction(self) -> f64 {
+    fn working_set_fraction(self) -> f64 {
         match self {
             DesktopProfile::TaskWorker => 0.35,
             DesktopProfile::KnowledgeWorker => 0.50,

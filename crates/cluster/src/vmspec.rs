@@ -32,7 +32,7 @@ pub enum ServerRole {
 impl ServerRole {
     /// A typical resource shape for the role: (vCPUs, memory, sustained CPU
     /// utilisation as a fraction of one core).
-    pub fn typical_shape(self) -> (u32, ByteSize, f64) {
+    fn typical_shape(self) -> (u32, ByteSize, f64) {
         match self {
             ServerRole::DomainController => (1, ByteSize::gib(1), 0.10),
             ServerRole::AppServer => (2, ByteSize::gib(2), 0.35),

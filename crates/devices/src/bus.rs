@@ -82,7 +82,8 @@ impl MmioBus {
     }
 
     /// Remove the device whose region starts at `base`. Returns whether one was removed.
-    pub fn unregister(&self, base: GuestAddress) -> bool {
+    #[cfg(test)]
+    fn unregister(&self, base: GuestAddress) -> bool {
         self.devices.write().remove(&base.0).is_some()
     }
 

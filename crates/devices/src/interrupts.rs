@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 /// Number of interrupt lines supported.
-pub const NUM_LINES: u32 = 64;
+const NUM_LINES: u32 = 64;
 
 /// Counters describing interrupt activity.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,7 +56,7 @@ impl InterruptController {
     }
 
     /// Assert `line` (edge-triggered): latch it pending unless masked.
-    pub fn assert_line(&self, line: u32) {
+    fn assert_line(&self, line: u32) {
         let line = line % NUM_LINES;
         let mut s = self.state.lock();
         s.stats.asserted += 1;
@@ -73,17 +73,20 @@ impl InterruptController {
     }
 
     /// Unmask a line.
-    pub fn unmask(&self, line: u32) {
+    #[cfg(test)]
+    fn unmask(&self, line: u32) {
         self.state.lock().masked &= !(1 << (line % NUM_LINES));
     }
 
     /// Whether a line is masked.
-    pub fn is_masked(&self, line: u32) -> bool {
+    #[cfg(test)]
+    fn is_masked(&self, line: u32) -> bool {
         self.state.lock().masked & (1 << (line % NUM_LINES)) != 0
     }
 
     /// Whether any interrupt is pending delivery.
-    pub fn has_pending(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn has_pending(&self) -> bool {
         self.state.lock().pending != 0
     }
 

@@ -15,11 +15,11 @@ use rvisor_types::{ManualClock, Nanoseconds, SimClock};
 use crate::bus::MmioDevice;
 
 /// Register offset: low 32 bits of the current simulated time.
-pub const REG_TIME_LO: u64 = 0;
+const REG_TIME_LO: u64 = 0;
 /// Register offset: full 64-bit simulated time in nanoseconds.
-pub const REG_TIME: u64 = 8;
+const REG_TIME: u64 = 8;
 /// Register offset: the boot timestamp.
-pub const REG_BOOT_TIME: u64 = 16;
+const REG_BOOT_TIME: u64 = 16;
 
 /// The RTC device.
 #[derive(Debug)]
@@ -41,12 +41,14 @@ impl Rtc {
     }
 
     /// The boot timestamp.
-    pub fn boot_time(&self) -> Nanoseconds {
+    #[cfg(test)]
+    fn boot_time(&self) -> Nanoseconds {
         self.boot_time
     }
 
     /// Number of guest reads served.
-    pub fn read_count(&self) -> u64 {
+    #[cfg(test)]
+    fn read_count(&self) -> u64 {
         self.reads
     }
 }

@@ -22,9 +22,9 @@ pub const REG_DATA: u64 = 0;
 /// Line-status register offset.
 pub const REG_STATUS: u64 = 1;
 /// Status bit: receive data available.
-pub const STATUS_RX_READY: u64 = 1 << 0;
+const STATUS_RX_READY: u64 = 1 << 0;
 /// Status bit: transmitter idle (always set — writes never block).
-pub const STATUS_TX_EMPTY: u64 = 1 << 1;
+const STATUS_TX_EMPTY: u64 = 1 << 1;
 
 /// A serial console device.
 #[derive(Debug)]
@@ -67,7 +67,8 @@ impl SerialConsole {
     }
 
     /// Drain and return the accumulated guest output.
-    pub fn take_output(&mut self) -> Vec<u8> {
+    #[cfg(test)]
+    fn take_output(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.output)
     }
 
@@ -96,7 +97,8 @@ impl SerialConsole {
     }
 
     /// Number of bytes the guest has read.
-    pub fn rx_count(&self) -> u64 {
+    #[cfg(test)]
+    fn rx_count(&self) -> u64 {
         self.rx_bytes
     }
 

@@ -21,11 +21,11 @@ use crate::bus::MmioDevice;
 use crate::interrupts::InterruptLine;
 
 /// Register offset: one-shot arm / remaining time.
-pub const REG_ONESHOT: u64 = 0;
+const REG_ONESHOT: u64 = 0;
 /// Register offset: periodic arm / current period.
-pub const REG_PERIODIC: u64 = 8;
+const REG_PERIODIC: u64 = 8;
 /// Register offset: expiration count / cancel.
-pub const REG_COUNT: u64 = 16;
+const REG_COUNT: u64 = 16;
 
 /// The countdown timer device.
 #[derive(Debug)]
@@ -50,23 +50,25 @@ impl CountdownTimer {
     }
 
     /// Whether the timer is currently armed.
-    pub fn is_armed(&self) -> bool {
+    #[cfg(test)]
+    fn is_armed(&self) -> bool {
         self.deadline.is_some()
     }
 
     /// How many times the timer has fired.
-    pub fn expirations(&self) -> u64 {
+    #[cfg(test)]
+    fn expirations(&self) -> u64 {
         self.expirations
     }
 
     /// Arm a one-shot expiry `delay` from now.
-    pub fn arm_oneshot(&mut self, delay: Nanoseconds) {
+    fn arm_oneshot(&mut self, delay: Nanoseconds) {
         self.deadline = Some(self.clock.now().saturating_add(delay));
         self.period = None;
     }
 
     /// Arm a periodic expiry every `period`.
-    pub fn arm_periodic(&mut self, period: Nanoseconds) {
+    fn arm_periodic(&mut self, period: Nanoseconds) {
         self.deadline = Some(self.clock.now().saturating_add(period));
         self.period = Some(period);
     }

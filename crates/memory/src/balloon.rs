@@ -169,11 +169,6 @@ impl Balloon {
         self.inner.lock().held.contains(&page)
     }
 
-    /// The global page indices currently held, ascending.
-    pub fn held_page_indices(&self) -> Vec<u64> {
-        self.inner.lock().held.iter().copied().collect()
-    }
-
     /// Current statistics.
     pub fn stats(&self) -> BalloonStats {
         let inner = self.inner.lock();

@@ -2,7 +2,7 @@
 //!
 //! Live migration (pre-copy rounds) and incremental snapshots both need to
 //! know *which* guest pages were written since the last time they looked.
-//! [`DirtyBitmap`] records one bit per 4 KiB page and supports a cheap
+//! `DirtyBitmap` records one bit per 4 KiB page and supports a cheap
 //! "snapshot and clear" operation that returns the set of dirty page indices
 //! while atomically starting a new tracking epoch.
 //!
@@ -13,14 +13,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One dirty bit per 4 KiB guest page, safe for concurrent marking.
 #[derive(Debug)]
-pub struct DirtyBitmap {
+pub(crate) struct DirtyBitmap {
     words: Vec<AtomicU64>,
     pages: u64,
 }
 
 impl DirtyBitmap {
     /// Create a bitmap able to track `pages` pages, all initially clean.
-    pub fn new(pages: u64) -> Self {
+    pub(crate) fn new(pages: u64) -> Self {
         let words = pages.div_ceil(64) as usize;
         DirtyBitmap {
             words: (0..words).map(|_| AtomicU64::new(0)).collect(),
@@ -28,18 +28,14 @@ impl DirtyBitmap {
         }
     }
 
-    /// Number of pages tracked.
-    pub fn len(&self) -> u64 {
-        self.pages
-    }
-
     /// Whether the bitmap tracks zero pages.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.pages == 0
     }
 
     /// Mark a single page dirty. Out-of-range indices are ignored.
-    pub fn mark(&self, page: u64) {
+    pub(crate) fn mark(&self, page: u64) {
         if page >= self.pages {
             return;
         }
@@ -53,7 +49,7 @@ impl DirtyBitmap {
     /// Operates word-at-a-time: one `fetch_or` covers up to 64 pages, so a
     /// large `fill`/`write` costs `O(pages / 64)` atomics instead of one per
     /// page. Out-of-range pages are ignored, exactly as [`Self::mark`] does.
-    pub fn mark_range(&self, first: u64, count: u64) {
+    pub(crate) fn mark_range(&self, first: u64, count: u64) {
         let end = first.saturating_add(count).min(self.pages);
         for_each_word_mask(first, end, |word, mask| {
             self.words[word].fetch_or(mask, Ordering::Relaxed);
@@ -90,7 +86,8 @@ impl DirtyBitmap {
     }
 
     /// Whether `page` is currently marked dirty.
-    pub fn is_dirty(&self, page: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_dirty(&self, page: u64) -> bool {
         if page >= self.pages {
             return false;
         }
@@ -100,7 +97,7 @@ impl DirtyBitmap {
     }
 
     /// Number of dirty pages.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.words
             .iter()
             .map(|w| w.load(Ordering::Relaxed).count_ones() as u64)
@@ -109,7 +106,7 @@ impl DirtyBitmap {
 
     /// Clear every bit, starting a new tracking epoch (one store per 64-page
     /// word).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         for w in &self.words {
             w.store(0, Ordering::Relaxed);
         }
@@ -120,14 +117,14 @@ impl DirtyBitmap {
     /// Together with [`Self::load_word`] this is the substrate for batch
     /// traversals (`MemoryRegion::for_each_dirty_page` holds its data lock
     /// across one word's worth of pages).
-    pub fn word_count(&self) -> usize {
+    pub(crate) fn word_count(&self) -> usize {
         self.words.len()
     }
 
     /// Load the dirty bits of 64-page word `word` without clearing them.
     /// Bit `b` of the result covers page `word * 64 + b`. Out-of-range words
     /// read as zero.
-    pub fn load_word(&self, word: usize) -> u64 {
+    pub(crate) fn load_word(&self, word: usize) -> u64 {
         match self.words.get(word) {
             Some(w) => w.load(Ordering::Relaxed),
             None => 0,
@@ -137,7 +134,7 @@ impl DirtyBitmap {
     /// Atomically fetch and clear the dirty bits of 64-page word `word`
     /// (the per-word harvest primitive: pages dirtied after the swap land in
     /// the next epoch). Out-of-range words read as zero.
-    pub fn take_word(&self, word: usize) -> u64 {
+    pub(crate) fn take_word(&self, word: usize) -> u64 {
         match self.words.get(word) {
             Some(w) => w.swap(0, Ordering::AcqRel),
             None => 0,
@@ -148,7 +145,7 @@ impl DirtyBitmap {
     /// [`Self::take_word`]: a harvester that fails partway through a word
     /// restores the unprocessed bits so no page is silently dropped from
     /// the epoch. Out-of-range words are ignored.
-    pub fn restore_word(&self, word: usize, mask: u64) {
+    pub(crate) fn restore_word(&self, word: usize, mask: u64) {
         if let Some(w) = self.words.get(word) {
             w.fetch_or(mask, Ordering::AcqRel);
         }
@@ -157,7 +154,7 @@ impl DirtyBitmap {
     /// Iterate the currently dirty page indices in ascending order without
     /// clearing them — word-wise and allocation-free, unlike
     /// [`Self::dirty_pages`] which materializes a `Vec`.
-    pub fn iter_dirty(&self) -> DirtyIter<'_> {
+    pub(crate) fn iter_dirty(&self) -> DirtyIter<'_> {
         DirtyIter {
             bitmap: self,
             word: 0,
@@ -169,7 +166,7 @@ impl DirtyBitmap {
     ///
     /// Allocating convenience wrapper over [`Self::iter_dirty`]; hot paths
     /// should iterate (or use [`Self::drain_append_into`]) instead.
-    pub fn dirty_pages(&self) -> Vec<u64> {
+    pub(crate) fn dirty_pages(&self) -> Vec<u64> {
         self.iter_dirty().collect()
     }
 
@@ -180,7 +177,7 @@ impl DirtyBitmap {
     /// keeps one harvest `Vec` alive across rounds and pays no allocation
     /// once its capacity has grown to the working set. Pages dirtied *after*
     /// their word has been harvested land in the next epoch.
-    pub fn drain_append_into(&self, out: &mut Vec<u64>) {
+    pub(crate) fn drain_append_into(&self, out: &mut Vec<u64>) {
         for (wi, w) in self.words.iter().enumerate() {
             let mut v = w.swap(0, Ordering::AcqRel);
             while v != 0 {
@@ -197,7 +194,8 @@ impl DirtyBitmap {
     /// Atomically fetch the dirty set and clear it, as a fresh `Vec`.
     ///
     /// Allocating convenience wrapper over [`Self::drain_append_into`].
-    pub fn drain(&self) -> Vec<u64> {
+    #[cfg(test)]
+    pub(crate) fn drain(&self) -> Vec<u64> {
         let mut out = Vec::new();
         self.drain_append_into(&mut out);
         out
@@ -207,14 +205,16 @@ impl DirtyBitmap {
     ///
     /// Used when a migration round is aborted and its harvested dirty set has
     /// to be returned to the live bitmap.
-    pub fn merge_pages(&self, pages: &[u64]) {
+    #[cfg(test)]
+    fn merge_pages(&self, pages: &[u64]) {
         for &p in pages {
             self.mark(p);
         }
     }
 
     /// Fraction of tracked pages that are dirty (0.0 ..= 1.0).
-    pub fn dirty_fraction(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn dirty_fraction(&self) -> f64 {
         if self.pages == 0 {
             0.0
         } else {
@@ -255,7 +255,7 @@ pub(crate) fn for_each_word_mask(first: u64, end: u64, mut f: impl FnMut(usize, 
 /// marked behind the cursor during iteration may or may not be observed —
 /// the same snapshot-per-word semantics [`DirtyBitmap::drain`] has.
 #[derive(Debug)]
-pub struct DirtyIter<'a> {
+pub(crate) struct DirtyIter<'a> {
     bitmap: &'a DirtyBitmap,
     /// Word the current `bits` snapshot came from.
     word: usize,

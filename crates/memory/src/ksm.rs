@@ -33,7 +33,7 @@ use rvisor_types::{Result, VmId, PAGE_SIZE};
 use crate::memory::GuestMemory;
 
 /// A page location: which registered VM and which global page index.
-pub type PageKey = (VmId, u64);
+type PageKey = (VmId, u64);
 
 /// FNV-1a over a page's contents.
 ///
@@ -159,7 +159,7 @@ impl KsmManager {
     }
 
     /// Remove a VM and break all of its shared pages.
-    pub fn unregister_vm(&mut self, id: VmId) {
+    fn unregister_vm(&mut self, id: VmId) {
         let pages: Vec<PageKey> = self
             .merged_of
             .keys()
@@ -191,7 +191,8 @@ impl KsmManager {
     }
 
     /// Whether a page is currently merged into a shared copy.
-    pub fn is_merged(&self, vm: VmId, page: u64) -> bool {
+    #[cfg(test)]
+    fn is_merged(&self, vm: VmId, page: u64) -> bool {
         self.merged_of.contains_key(&(vm, page))
     }
 

@@ -7,7 +7,7 @@
 //! [`MemoryRegion`]s, each backed by host heap memory. On top of the raw
 //! byte-level access API the crate provides:
 //!
-//! * **Dirty-page tracking** ([`DirtyBitmap`]) — the substrate for live
+//! * **Dirty-page tracking** (`DirtyBitmap`) — the substrate for live
 //!   migration pre-copy rounds and incremental snapshots.
 //! * **Ballooning** ([`balloon::Balloon`]) — the guest-cooperative memory
 //!   reclaim mechanism used for memory overcommit experiments.
@@ -39,11 +39,11 @@
 //! |---|---|---|
 //! | borrow one page read-only | [`GuestMemory::with_page`] | no |
 //! | mutate one page in place (marks dirty) | [`GuestMemory::with_page_mut`] | no |
-//! | hash a page (KSM / dedup) | [`GuestMemory::page_fingerprint`] | no |
-//! | borrow an arbitrary single-region span | [`GuestMemory::with_slice`] / [`GuestMemory::with_slice_mut`] | no |
-//! | stream every dirty page under a batched lock | [`GuestMemory::for_each_dirty_page`] | no |
+//! | hash a page (KSM / dedup) | `GuestMemory::page_fingerprint` | no |
+//! | borrow an arbitrary single-region span | [`GuestMemory::with_slice`] / `GuestMemory::with_slice_mut` | no |
+//! | stream every dirty page under a batched lock | `GuestMemory::for_each_dirty_page` | no |
 //! | harvest + clear dirty indices into a reused buffer | [`GuestMemory::drain_dirty_into`] | no (at steady state) |
-//! | iterate dirty indices without clearing | [`DirtyBitmap::iter_dirty`] | no |
+//! | iterate dirty indices without clearing | `DirtyBitmap::iter_dirty` | no |
 //! | an owned copy of a page | [`GuestMemory::read_page`] | one `Vec` per call |
 //! | an owned copy of a span | [`GuestMemory::read_vec`] | one `Vec` per call |
 //! | a fresh `Vec` of dirty indices | [`GuestMemory::dirty_pages`] / [`GuestMemory::drain_dirty`] | one `Vec` per call |
@@ -67,10 +67,8 @@ pub mod region;
 pub mod scan;
 
 pub use balloon::{Balloon, BalloonStats};
-pub use bitmap::{DirtyBitmap, DirtyIter};
 pub use ksm::{analyze_sharing, DedupAnalysis, KsmConfig, KsmManager, KsmStats};
 pub use memory::{GuestAccess, GuestMemory, GuestMemoryBuilder};
 pub use region::MemoryRegion;
-pub use scan::{fingerprint, is_zero};
-
 pub use rvisor_types::{ByteSize, GuestAddress, GuestRegion, PAGE_SIZE};
+pub use scan::{fingerprint, is_zero};

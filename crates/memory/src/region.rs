@@ -3,7 +3,7 @@
 //! # One way to change guest bytes
 //!
 //! Every mutator of this type — [`MemoryRegion::write`], [`fill`],
-//! [`with_page_mut`], [`with_slice_mut`], [`discard_page`] (and
+//! [`with_page_mut`], `with_slice_mut`, [`discard_page`] (and
 //! [`write_page`], which is a `write`) — goes through the private `mutate`
 //! helper. `mutate` applies one marking rule to the pages a mutation
 //! touches:
@@ -11,7 +11,7 @@
 //! 1. under the write lock it already holds, it sets the pages' bits in the
 //!    **checksum plane** (`Backing::stale`: "written since this page's cached
 //!    partial sum was computed");
-//! 2. after the bytes have changed, it marks them in the [`DirtyBitmap`]
+//! 2. after the bytes have changed, it marks them in the `DirtyBitmap`
 //!    that migration and incremental snapshots harvest.
 //!
 //! Besides `mutate` and the checksum refresh, one function takes the data
@@ -48,7 +48,7 @@
 //! harvest's epoch rule, with nothing left to order. The mark is a plain
 //! `|=` on a word the store's own lock already made exclusive, so a guest
 //! store gains no second atomic read-modify-write beside
-//! [`DirtyBitmap::mark_range`]'s. A held region is one long writer: the
+//! `DirtyBitmap::mark_range`'s. A held region is one long writer: the
 //! argument above holds with "across marking its pages and changing their
 //! bytes" stretched over every store of the hold. Its dirty marks may
 //! test-then-set (skip the atomic when the bits are already there), because
@@ -59,7 +59,6 @@
 //!
 //! [`fill`]: MemoryRegion::fill
 //! [`with_page_mut`]: MemoryRegion::with_page_mut
-//! [`with_slice_mut`]: MemoryRegion::with_slice_mut
 //! [`discard_page`]: MemoryRegion::discard_page
 //! [`write_page`]: MemoryRegion::write_page
 
@@ -185,7 +184,7 @@ impl HeldRegion<'_> {
 
 /// A contiguous, heap-backed slab of guest physical memory.
 ///
-/// Every write is recorded in the region's [`DirtyBitmap`] so that higher
+/// Every write is recorded in the region's `DirtyBitmap` so that higher
 /// layers (live migration, incremental snapshots) can observe which pages
 /// changed without instrumenting the guest.
 #[derive(Debug)]
@@ -260,7 +259,7 @@ impl MemoryRegion {
     }
 
     /// The region's dirty bitmap (page indices are region-relative).
-    pub fn dirty_bitmap(&self) -> &DirtyBitmap {
+    pub(crate) fn dirty_bitmap(&self) -> &DirtyBitmap {
         &self.dirty
     }
 
@@ -349,7 +348,7 @@ impl MemoryRegion {
 
     /// FNV-1a fingerprint of a page's contents, hashed in place (no copy).
     /// `page` is region-relative.
-    pub fn page_fingerprint(&self, page: u64) -> Result<u64> {
+    pub(crate) fn page_fingerprint(&self, page: u64) -> Result<u64> {
         self.with_page(page, crate::ksm::fingerprint)
     }
 
@@ -368,7 +367,8 @@ impl MemoryRegion {
 
     /// Run a closure over an arbitrary span with write access, marking the
     /// touched pages dirty. The span must lie entirely inside this region.
-    pub fn with_slice_mut<R>(
+    #[cfg(test)]
+    pub(crate) fn with_slice_mut<R>(
         &self,
         addr: GuestAddress,
         len: u64,
@@ -385,16 +385,17 @@ impl MemoryRegion {
     /// bitmap word and held across that word's pages, so harvest-style scans
     /// pay one lock round-trip per word instead of one per page, while still
     /// letting writers interleave between words.
-    pub fn for_each_dirty_page<E>(
+    #[cfg(test)]
+    pub(crate) fn for_each_dirty_page<E>(
         &self,
         f: impl FnMut(u64, &[u8]) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
         self.walk_dirty(false, f)
     }
 
-    /// Like [`Self::for_each_dirty_page`], but each 64-page word's dirty
+    /// Like `Self::for_each_dirty_page`, but each 64-page word's dirty
     /// bits are atomically fetched-and-cleared *before* its pages are
-    /// visited — the batched equivalent of [`DirtyBitmap::drain_append_into`], with
+    /// visited — the batched equivalent of `DirtyBitmap::drain_append_into`, with
     /// the same epoch guarantee: a page dirtied after its word was harvested
     /// stays dirty for the next harvest, never silently lost.
     pub fn drain_dirty_pages_with<E>(

@@ -58,8 +58,9 @@ impl PageCompression {
 }
 
 /// How a single page crosses the migration link.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WirePage {
+pub(crate) enum WirePage {
     /// The full page contents.
     Raw(Vec<u8>),
     /// The page is entirely zero.
@@ -68,10 +69,11 @@ pub enum WirePage {
     Delta(Vec<u8>),
 }
 
+#[cfg(test)]
 impl WirePage {
     /// Bytes this representation occupies on the wire (payload only; framing
     /// overhead is accounted separately by the engines).
-    pub fn wire_len(&self) -> u64 {
+    pub(crate) fn wire_len(&self) -> u64 {
         match self {
             WirePage::Raw(b) => b.len() as u64,
             WirePage::Zero => 1,
@@ -85,7 +87,7 @@ impl WirePage {
 /// Delegates to the word-wise [`rvisor_memory::scan::is_zero`] kernel shared
 /// with KSM's zero-page policy, so one scan implementation serves wire
 /// encode, `ZeroRun` coalescing and the overcommit scanners alike.
-pub fn is_zero_page(contents: &[u8]) -> bool {
+pub(crate) fn is_zero_page(contents: &[u8]) -> bool {
     rvisor_memory::scan::is_zero(contents)
 }
 
@@ -196,7 +198,7 @@ fn xbzrle_encode_into(old: &[u8], new: &[u8], out: &mut Vec<u8>) -> bool {
 ///
 /// Every record is validated before the first byte is written, so on error
 /// the page is untouched.
-pub fn xbzrle_apply_in_place(page: &mut [u8], delta: &[u8]) -> Result<()> {
+pub(crate) fn xbzrle_apply_in_place(page: &mut [u8], delta: &[u8]) -> Result<()> {
     xbzrle_records(page.len(), delta, None)?;
     xbzrle_records(page.len(), delta, Some(page))
 }
@@ -229,18 +231,9 @@ fn xbzrle_records(page_len: usize, delta: &[u8], mut page: Option<&mut [u8]>) ->
     Ok(())
 }
 
-/// Apply an XBZRLE delta to `old`, producing the new page contents.
-///
-/// Allocating convenience wrapper over [`xbzrle_apply_in_place`].
-pub fn xbzrle_decode(old: &[u8], delta: &[u8]) -> Result<Vec<u8>> {
-    let mut out = old.to_vec();
-    xbzrle_apply_in_place(&mut out, delta)?;
-    Ok(out)
-}
-
 /// Counters describing what the compressor did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompressionStats {
+pub(crate) struct CompressionStats {
     /// Pages sent raw (including XBZRLE fallbacks).
     pub pages_raw: u64,
     /// Pages sent as zero markers.
@@ -257,12 +250,14 @@ pub struct CompressionStats {
 
 impl CompressionStats {
     /// Total pages processed.
-    pub fn pages_total(&self) -> u64 {
+    #[cfg(test)]
+    fn pages_total(&self) -> u64 {
         self.pages_raw + self.pages_zero + self.pages_delta
     }
 
     /// Compression ratio `bytes_in / bytes_out` (1.0 when nothing was saved).
-    pub fn ratio(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn ratio(&self) -> f64 {
         if self.bytes_out == 0 {
             1.0
         } else {
@@ -275,9 +270,9 @@ impl CompressionStats {
 ///
 /// The destination does not need an explicit object: raw pages overwrite,
 /// zero markers zero the page, and deltas are applied to the destination's
-/// current copy via [`xbzrle_decode`].
+/// current copy via [`xbzrle_apply_in_place`].
 #[derive(Debug)]
-pub struct PageCompressor {
+pub(crate) struct PageCompressor {
     mode: PageCompression,
     /// Last-sent contents per page index (bounded LRU).
     cache: HashMap<u64, CachedPage>,
@@ -298,7 +293,7 @@ struct CachedPage {
 }
 
 /// What [`PageCompressor::encode`] decided for one page. Unlike
-/// [`WirePage`] it owns nothing: a raw page is framed from the guest page
+/// `WirePage` it owns nothing: a raw page is framed from the guest page
 /// the caller already borrows, a delta from the compressor's own buffer.
 pub(crate) enum EncodedPage<'c> {
     /// Send the page's contents as they are.
@@ -312,15 +307,17 @@ pub(crate) enum EncodedPage<'c> {
 impl PageCompressor {
     /// Default number of pages the XBZRLE cache remembers (QEMU's default
     /// cache is 64 MiB; ours is expressed in pages).
-    pub const DEFAULT_CACHE_PAGES: usize = 16_384;
+    #[cfg(test)]
+    const DEFAULT_CACHE_PAGES: usize = 16_384;
 
     /// Create a compressor for the given mode with the default cache size.
-    pub fn new(mode: PageCompression) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(mode: PageCompression) -> Self {
         Self::with_cache_capacity(mode, Self::DEFAULT_CACHE_PAGES)
     }
 
     /// Create a compressor with an explicit XBZRLE cache capacity (in pages).
-    pub fn with_cache_capacity(mode: PageCompression, capacity: usize) -> Self {
+    pub(crate) fn with_cache_capacity(mode: PageCompression, capacity: usize) -> Self {
         PageCompressor {
             mode,
             cache: HashMap::new(),
@@ -332,18 +329,14 @@ impl PageCompressor {
         }
     }
 
-    /// The configured mode.
-    pub fn mode(&self) -> PageCompression {
-        self.mode
-    }
-
     /// Statistics accumulated so far.
-    pub fn stats(&self) -> CompressionStats {
+    pub(crate) fn stats(&self) -> CompressionStats {
         self.stats
     }
 
     /// Encode one page for the wire.
-    pub fn compress(&mut self, page: u64, contents: &[u8]) -> WirePage {
+    #[cfg(test)]
+    pub(crate) fn compress(&mut self, page: u64, contents: &[u8]) -> WirePage {
         match self.encode(page, contents) {
             EncodedPage::Raw => WirePage::Raw(contents.to_vec()),
             EncodedPage::Zero => WirePage::Zero,
@@ -384,7 +377,8 @@ impl PageCompressor {
     /// Apply a wire page directly onto the destination's current copy of the
     /// page — raw overwrite, in-place zeroing, or in-place delta patching.
     /// This is the zero-copy receive path: no per-page buffer is built.
-    pub fn apply_in_place(current: &mut [u8], wire: &WirePage) -> Result<()> {
+    #[cfg(test)]
+    pub(crate) fn apply_in_place(current: &mut [u8], wire: &WirePage) -> Result<()> {
         match wire {
             WirePage::Raw(bytes) => {
                 if bytes.len() != current.len() {
@@ -409,7 +403,8 @@ impl PageCompressor {
     /// current copy of the page. Returns the new page contents.
     ///
     /// Allocating convenience wrapper over [`Self::apply_in_place`].
-    pub fn apply(current: &[u8], wire: &WirePage) -> Result<Vec<u8>> {
+    #[cfg(test)]
+    pub(crate) fn apply(current: &[u8], wire: &WirePage) -> Result<Vec<u8>> {
         let mut out = current.to_vec();
         Self::apply_in_place(&mut out, wire)?;
         Ok(out)
@@ -466,7 +461,8 @@ mod tests {
         new[2000..2010].fill(9);
         let delta = xbzrle_encode(&old, &new).expect("small change must compress");
         assert!(delta.len() < 64, "delta is {} bytes", delta.len());
-        let decoded = xbzrle_decode(&old, &delta).unwrap();
+        let mut decoded = old.clone();
+        xbzrle_apply_in_place(&mut decoded, &delta).unwrap();
         assert_eq!(decoded, new);
     }
 
@@ -475,7 +471,9 @@ mod tests {
         let old = page_of(3);
         let delta = xbzrle_encode(&old, &old).expect("no change compresses");
         assert!(delta.is_empty());
-        assert_eq!(xbzrle_decode(&old, &delta).unwrap(), old);
+        let mut decoded = old.clone();
+        xbzrle_apply_in_place(&mut decoded, &delta).unwrap();
+        assert_eq!(decoded, old);
     }
 
     #[test]
@@ -489,13 +487,13 @@ mod tests {
     fn xbzrle_rejects_length_mismatch_and_corrupt_delta() {
         assert!(xbzrle_encode(&page_of(1), &[0u8; 16]).is_none());
         // Truncated header.
-        assert!(xbzrle_decode(&page_of(1), &[1, 0]).is_err());
+        assert!(xbzrle_apply_in_place(&mut page_of(1), &[1, 0]).is_err());
         // Copy count runs past the page end.
         let mut bad = Vec::new();
         bad.extend_from_slice(&(4090u16).to_le_bytes());
         bad.extend_from_slice(&(100u16).to_le_bytes());
         bad.extend_from_slice(&[0u8; 100]);
-        assert!(xbzrle_decode(&page_of(1), &bad).is_err());
+        assert!(xbzrle_apply_in_place(&mut page_of(1), &bad).is_err());
     }
 
     #[test]
@@ -653,7 +651,8 @@ mod tests {
                 new[..keep].copy_from_slice(&old[..keep]);
                 if let Some(delta) = xbzrle_encode(&old, &new) {
                     prop_assert!(delta.len() < new.len());
-                    let decoded = xbzrle_decode(&old, &delta).unwrap();
+                    let mut decoded = old.clone();
+                    xbzrle_apply_in_place(&mut decoded, &delta).unwrap();
                     prop_assert_eq!(decoded, new);
                 }
             }

@@ -84,7 +84,7 @@ pub mod stream;
 pub mod transport;
 pub mod wire;
 
-pub use compress::{CompressionStats, PageCompression, PageCompressor, WirePage};
+pub use compress::PageCompression;
 pub use dirty::{ConstantRateDirtier, DirtySource, IdleDirtier};
 pub use engines::{execute, sweep_mean_fault_latency, PostCopy, PreCopy, StopAndCopy};
 pub use plan::{FaultService, MigrationConfig, MigrationPlan, PlanEngine, MAX_MIGRATION_STREAMS};

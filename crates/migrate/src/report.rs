@@ -84,7 +84,8 @@ impl MigrationReport {
     }
 
     /// Effective throughput over the whole migration.
-    pub fn effective_bandwidth_bytes_per_sec(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn effective_bandwidth_bytes_per_sec(&self) -> f64 {
         let secs = self.total_time.as_secs_f64();
         if secs == 0.0 {
             0.0

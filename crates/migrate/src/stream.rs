@@ -255,7 +255,7 @@ impl<'m> MigrationSource<'m> {
     }
 
     /// Compression statistics accumulated so far (None when sending raw).
-    pub fn compression_stats(&self) -> Option<crate::CompressionStats> {
+    pub(crate) fn compression_stats(&self) -> Option<crate::compress::CompressionStats> {
         self.compressor.as_ref().map(|c| c.stats())
     }
 }
@@ -301,18 +301,14 @@ impl<'m> MigrationSink<'m> {
         self.pages_applied
     }
 
-    /// End-of-round markers seen.
-    pub fn rounds_completed(&self) -> u32 {
-        self.rounds_completed
-    }
-
     /// The vCPU states carried by the stream, in vCPU order.
     pub fn vcpu_states(&self) -> &[VcpuState] {
         &self.vcpu_states
     }
 
     /// Whether the stream's Hello was seen and validated.
-    pub fn handshake_complete(&self) -> bool {
+    #[cfg(test)]
+    fn handshake_complete(&self) -> bool {
         self.hello.is_some()
     }
 

@@ -40,7 +40,7 @@
 //! — always changes the 64-bit value. Only the 32-bit fold can collide, as
 //! in version 3.
 //!
-//! A build decodes exactly [`WIRE_VERSION`]: nothing persists a stream, so
+//! A build decodes exactly `WIRE_VERSION`: nothing persists a stream, so
 //! an older build's stream fails at its Hello with a typed
 //! [`Error::WireProtocol`] checksum error.
 //!
@@ -48,8 +48,8 @@
 //!
 //! The direct (in-memory) engines in [`engines`](crate::engines) charge the
 //! link with exactly the byte counts this format produces —
-//! [`FRAME_HEADER_BYTES`] per page record, [`HELLO_WIRE_BYTES`] per stream,
-//! [`END_OF_ROUND_WIRE_BYTES`] per round, [`VCPU_STATE_WIRE_BYTES`] per
+//! [`FRAME_HEADER_BYTES`] per page record, `HELLO_WIRE_BYTES` per stream,
+//! `END_OF_ROUND_WIRE_BYTES` per round, `VCPU_STATE_WIRE_BYTES` per
 //! vCPU (header included) — which is what makes a loopback-transport
 //! migration report `==`-equal to the direct path (pinned by proptest in
 //! [`stream`](crate::stream)).
@@ -60,47 +60,48 @@ use rvisor_vcpu::isa::NUM_REGS;
 use rvisor_vcpu::VcpuState;
 
 /// Stream magic: `"RVM1"`.
-pub const WIRE_MAGIC: u32 = 0x3152_564D;
+const WIRE_MAGIC: u32 = 0x3152_564D;
 /// The wire-format version, the only one this build decodes. Bump on any
 /// incompatible change. Version 2 made the checksum word-wise FNV-1a-64;
 /// version 3 added [`FrameKind::ChunkRef`] / [`FrameKind::ChunkData`];
 /// version 4 runs the checksum as four lanes (module docs), layout
 /// unchanged, so v3 streams no longer decode: they fail at their Hello's
 /// checksum.
-pub const WIRE_VERSION: u16 = 4;
+const WIRE_VERSION: u16 = 4;
 /// Fixed size of every frame header.
 pub const FRAME_HEADER_BYTES: u64 = 16;
 /// On-wire size of the Hello frame (header + magic/version/page-size/guest-size).
-pub const HELLO_WIRE_BYTES: u64 = FRAME_HEADER_BYTES + 18;
+pub(crate) const HELLO_WIRE_BYTES: u64 = FRAME_HEADER_BYTES + 18;
 /// On-wire size of an end-of-round marker (header only).
-pub const END_OF_ROUND_WIRE_BYTES: u64 = FRAME_HEADER_BYTES;
+pub(crate) const END_OF_ROUND_WIRE_BYTES: u64 = FRAME_HEADER_BYTES;
 /// On-wire size of one vCPU's state frame, *header included*: the modelled
 /// 4 KiB per-vCPU state figure of the engines covers its own framing.
-pub const VCPU_STATE_WIRE_BYTES: u64 = 4096;
+pub(crate) const VCPU_STATE_WIRE_BYTES: u64 = 4096;
 /// Payload bytes of one vCPU state frame (registers + CSRs, zero-padded).
-pub const VCPU_STATE_PAYLOAD_BYTES: usize = (VCPU_STATE_WIRE_BYTES - FRAME_HEADER_BYTES) as usize;
+const VCPU_STATE_PAYLOAD_BYTES: usize = (VCPU_STATE_WIRE_BYTES - FRAME_HEADER_BYTES) as usize;
 
 /// Total on-wire bytes for the vCPU state of `n_vcpus` vCPUs (at least one
 /// frame is always sent, mirroring the engines' `max(1)` accounting).
-pub fn vcpu_state_wire_bytes(n_vcpus: usize) -> u64 {
+pub(crate) fn vcpu_state_wire_bytes(n_vcpus: usize) -> u64 {
     VCPU_STATE_WIRE_BYTES * n_vcpus.max(1) as u64
 }
 
 /// Serialized size of a chunk id (fingerprint `u64` + ordinal `u32`).
-pub const CHUNK_ID_BYTES: u64 = 12;
+const CHUNK_ID_BYTES: u64 = 12;
 /// On-wire size of a [`FrameKind::ChunkRef`] frame (header + chunk id).
-pub const CHUNK_REF_WIRE_BYTES: u64 = FRAME_HEADER_BYTES + CHUNK_ID_BYTES;
+const CHUNK_REF_WIRE_BYTES: u64 = FRAME_HEADER_BYTES + CHUNK_ID_BYTES;
 /// On-wire size of a [`FrameKind::ChunkData`] frame carrying one full page
 /// (header + chunk id + page bytes).
-pub const CHUNK_DATA_WIRE_BYTES: u64 = FRAME_HEADER_BYTES + CHUNK_ID_BYTES + PAGE_SIZE;
+const CHUNK_DATA_WIRE_BYTES: u64 = FRAME_HEADER_BYTES + CHUNK_ID_BYTES + PAGE_SIZE;
 
 /// Total on-wire bytes of one deduplicated backup stream: the Hello
 /// handshake, one [`FrameKind::ChunkData`] per novel page, one
 /// [`FrameKind::ChunkRef`] per page the DR endpoint already stores, the
-/// vCPU state, and the closing end-of-round marker. The orchestrator
-/// charges the fabric with exactly this figure; the
-/// `dedup_backup_stream_matches_accounting` test pins it to an actually
-/// encoded stream.
+/// vCPU state, and the closing end-of-round marker. No run encodes these
+/// frames: the orchestrator charges the fabric with exactly this figure, and
+/// the `dedup_backup_stream_matches_accounting` test pins it to a stream
+/// that the test-only chunk-frame encoder (`put_chunk_ref`,
+/// `put_chunk_data`) writes.
 pub fn dedup_backup_wire_bytes(novel_pages: u64, deduped_pages: u64, n_vcpus: usize) -> u64 {
     HELLO_WIRE_BYTES
         + novel_pages * CHUNK_DATA_WIRE_BYTES
@@ -149,11 +150,11 @@ impl FrameKind {
 }
 
 /// Page-frame payload encodings (the `mode` header byte).
-pub const MODE_RAW: u8 = 0;
+pub(crate) const MODE_RAW: u8 = 0;
 /// The page is all zero; payload is the 1-byte marker.
-pub const MODE_ZERO: u8 = 1;
+pub(crate) const MODE_ZERO: u8 = 1;
 /// XBZRLE delta against the destination's current copy of the page.
-pub const MODE_DELTA: u8 = 2;
+pub(crate) const MODE_DELTA: u8 = 2;
 
 /// A decoded frame header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -247,7 +248,7 @@ fn put_frame(out: &mut Vec<u8>, kind: FrameKind, mode: u8, arg: u64, payload: &[
 }
 
 /// Append the stream-opening Hello frame.
-pub fn put_hello(out: &mut Vec<u8>, total_pages: u64, memory_bytes: u64) {
+pub(crate) fn put_hello(out: &mut Vec<u8>, total_pages: u64, memory_bytes: u64) {
     let mut p = [0u8; 18];
     p[0..4].copy_from_slice(&WIRE_MAGIC.to_le_bytes());
     p[4..6].copy_from_slice(&WIRE_VERSION.to_le_bytes());
@@ -263,18 +264,18 @@ pub fn put_page_raw(out: &mut Vec<u8>, page: u64, contents: &[u8]) {
 
 /// Append a single zero-page marker frame (1-byte payload, matching the
 /// direct path's 1-byte zero-marker accounting).
-pub fn put_page_zero(out: &mut Vec<u8>, page: u64) {
+pub(crate) fn put_page_zero(out: &mut Vec<u8>, page: u64) {
     put_frame(out, FrameKind::Page, MODE_ZERO, page, &[0u8]);
 }
 
 /// Append an XBZRLE delta frame.
-pub fn put_page_delta(out: &mut Vec<u8>, page: u64, delta: &[u8]) {
+pub(crate) fn put_page_delta(out: &mut Vec<u8>, page: u64, delta: &[u8]) {
     put_frame(out, FrameKind::Page, MODE_DELTA, page, delta);
 }
 
 /// Append a run of `count` consecutive all-zero pages starting at
 /// `first_page` as one frame (8-byte payload regardless of run length).
-pub fn put_zero_run(out: &mut Vec<u8>, first_page: u64, count: u64) {
+pub(crate) fn put_zero_run(out: &mut Vec<u8>, first_page: u64, count: u64) {
     put_frame(
         out,
         FrameKind::ZeroRun,
@@ -285,10 +286,11 @@ pub fn put_zero_run(out: &mut Vec<u8>, first_page: u64, count: u64) {
 }
 
 /// Append an end-of-round marker.
-pub fn put_end_of_round(out: &mut Vec<u8>, round: u32) {
+pub(crate) fn put_end_of_round(out: &mut Vec<u8>, round: u32) {
     put_frame(out, FrameKind::EndOfRound, 0, round as u64, &[]);
 }
 
+#[cfg(test)]
 fn chunk_id_payload(fingerprint: u64, ordinal: u32) -> [u8; CHUNK_ID_BYTES as usize] {
     let mut p = [0u8; CHUNK_ID_BYTES as usize];
     p[0..8].copy_from_slice(&fingerprint.to_le_bytes());
@@ -298,7 +300,8 @@ fn chunk_id_payload(fingerprint: u64, ordinal: u32) -> [u8; CHUNK_ID_BYTES as us
 
 /// Append a chunk *reference* for `page`: the DR endpoint already stores
 /// these bytes, only the 12-byte chunk id crosses the wire.
-pub fn put_chunk_ref(out: &mut Vec<u8>, page: u64, fingerprint: u64, ordinal: u32) {
+#[cfg(test)]
+fn put_chunk_ref(out: &mut Vec<u8>, page: u64, fingerprint: u64, ordinal: u32) {
     put_frame(
         out,
         FrameKind::ChunkRef,
@@ -309,7 +312,8 @@ pub fn put_chunk_ref(out: &mut Vec<u8>, page: u64, fingerprint: u64, ordinal: u3
 }
 
 /// Append a novel chunk for `page`: chunk id followed by the page bytes.
-pub fn put_chunk_data(out: &mut Vec<u8>, page: u64, fingerprint: u64, ordinal: u32, bytes: &[u8]) {
+#[cfg(test)]
+fn put_chunk_data(out: &mut Vec<u8>, page: u64, fingerprint: u64, ordinal: u32, bytes: &[u8]) {
     let mut payload = Vec::with_capacity(CHUNK_ID_BYTES as usize + bytes.len());
     payload.extend_from_slice(&chunk_id_payload(fingerprint, ordinal));
     payload.extend_from_slice(bytes);
@@ -318,7 +322,8 @@ pub fn put_chunk_data(out: &mut Vec<u8>, page: u64, fingerprint: u64, ordinal: u
 
 /// Decode the chunk id of a [`FrameKind::ChunkRef`] or
 /// [`FrameKind::ChunkData`] payload, returning `(fingerprint, ordinal)`.
-pub fn decode_chunk_id(payload: &[u8]) -> Result<(u64, u32)> {
+#[cfg(test)]
+fn decode_chunk_id(payload: &[u8]) -> Result<(u64, u32)> {
     if payload.len() < CHUNK_ID_BYTES as usize {
         return Err(Error::WireProtocol {
             detail: format!(
@@ -336,13 +341,14 @@ pub fn decode_chunk_id(payload: &[u8]) -> Result<(u64, u32)> {
 
 /// Decode a [`FrameKind::ChunkData`] payload into its chunk id and page
 /// bytes.
-pub fn decode_chunk_data(payload: &[u8]) -> Result<((u64, u32), &[u8])> {
+#[cfg(test)]
+fn decode_chunk_data(payload: &[u8]) -> Result<((u64, u32), &[u8])> {
     let id = decode_chunk_id(payload)?;
     Ok((id, &payload[CHUNK_ID_BYTES as usize..]))
 }
 
 /// Append one vCPU's state, zero-padded to the fixed modelled size.
-pub fn put_vcpu_state(out: &mut Vec<u8>, index: u32, state: &VcpuState) {
+pub(crate) fn put_vcpu_state(out: &mut Vec<u8>, index: u32, state: &VcpuState) {
     let mut p = [0u8; VCPU_STATE_PAYLOAD_BYTES];
     p[0..8].copy_from_slice(&state.pc.to_le_bytes());
     p[8..16].copy_from_slice(&state.ptbr.to_le_bytes());
@@ -369,7 +375,7 @@ fn read_u64(p: &[u8]) -> u64 {
 }
 
 /// Decode a vCPU state payload written by [`put_vcpu_state`].
-pub fn decode_vcpu_state(payload: &[u8]) -> Result<VcpuState> {
+pub(crate) fn decode_vcpu_state(payload: &[u8]) -> Result<VcpuState> {
     let need = 19 + 8 * (NUM_REGS + NUM_CSRS);
     if payload.len() < need {
         return Err(Error::WireProtocol {
@@ -498,7 +504,7 @@ pub struct Hello {
 
 /// Validate and decode a Hello frame (magic and version are checked here;
 /// geometry checks against the destination are the sink's job).
-pub fn decode_hello(frame: &WireFrame<'_>) -> Result<Hello> {
+pub(crate) fn decode_hello(frame: &WireFrame<'_>) -> Result<Hello> {
     let err = |detail: String| Error::WireProtocol { detail, offset: 0 };
     if frame.header.kind != FrameKind::Hello {
         return Err(err(format!(

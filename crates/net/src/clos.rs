@@ -194,7 +194,7 @@ impl ClosParams {
 
     /// The rate a rack-local transfer serializes at: the slower of a NIC
     /// and the rack's leaf.
-    pub fn local_bytes_per_second(&self) -> u64 {
+    pub(crate) fn local_bytes_per_second(&self) -> u64 {
         self.nic_bytes_per_second
             .min(self.leaf_uplink_bytes_per_second)
     }
@@ -202,13 +202,13 @@ impl ClosParams {
     /// The rate a *single-stream* cross-rack transfer serializes at: the
     /// slowest of a NIC, a leaf and one spine path. Striped bursts can beat
     /// this by spreading streams over several spines.
-    pub fn cross_bytes_per_second(&self) -> u64 {
+    fn cross_bytes_per_second(&self) -> u64 {
         self.local_bytes_per_second()
             .min(self.spine_bytes_per_second)
     }
 
     /// Time for `payload` bytes to cross an idle rack-local path.
-    pub fn local_transfer_time(&self, payload: u64) -> Nanoseconds {
+    pub(crate) fn local_transfer_time(&self, payload: u64) -> Nanoseconds {
         self.rack_latency.saturating_add(serialization(
             self.wire_bytes(payload),
             self.local_bytes_per_second(),
@@ -217,7 +217,7 @@ impl ClosParams {
 
     /// Time for `payload` bytes to cross an idle cross-rack path as one
     /// stream.
-    pub fn cross_transfer_time(&self, payload: u64) -> Nanoseconds {
+    fn cross_transfer_time(&self, payload: u64) -> Nanoseconds {
         self.cross_latency.saturating_add(serialization(
             self.wire_bytes(payload),
             self.cross_bytes_per_second(),
@@ -355,12 +355,13 @@ impl ClosFabric {
     }
 
     /// Number of spines still carrying traffic.
-    pub fn live_spines(&self) -> usize {
+    fn live_spines(&self) -> usize {
         self.spine_live.iter().filter(|&&l| l).count()
     }
 
     /// Busy-until mark of spine `spine`, or `None` if failed/out of range.
-    pub fn spine_free_at(&self, spine: usize) -> Option<Nanoseconds> {
+    #[cfg(test)]
+    fn spine_free_at(&self, spine: usize) -> Option<Nanoseconds> {
         (self.spine_live.get(spine) == Some(&true)).then(|| self.spine_free_at[spine])
     }
 
@@ -383,7 +384,8 @@ impl ClosFabric {
     }
 
     /// Wire bytes carried by spine `spine` so far (0 if out of range).
-    pub fn spine_wire_bytes(&self, spine: usize) -> u64 {
+    #[cfg(test)]
+    fn spine_wire_bytes(&self, spine: usize) -> u64 {
         self.spine_wire_bytes.get(spine).copied().unwrap_or(0)
     }
 
@@ -408,7 +410,8 @@ impl ClosFabric {
     }
 
     /// Total payload bytes carried.
-    pub fn bytes_carried(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes_carried(&self) -> u64 {
         self.bytes_carried
     }
 
@@ -424,12 +427,14 @@ impl ClosFabric {
     }
 
     /// Payload bytes sent by endpoint `i`.
-    pub fn bytes_sent_by(&self, i: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes_sent_by(&self, i: usize) -> u64 {
         self.nics.get(i).map_or(0, |n| n.bytes_sent)
     }
 
     /// Payload bytes received by endpoint `i`.
-    pub fn bytes_received_by(&self, i: usize) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes_received_by(&self, i: usize) -> u64 {
         self.nics.get(i).map_or(0, |n| n.bytes_received)
     }
 

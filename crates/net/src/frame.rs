@@ -5,9 +5,9 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Minimum frame size (header + minimal payload), matching Ethernet's 64 bytes.
-pub const MIN_FRAME_SIZE: usize = 64;
+pub(crate) const MIN_FRAME_SIZE: usize = 64;
 /// Maximum frame size (standard MTU plus header).
-pub const MAX_FRAME_SIZE: usize = 1518;
+pub(crate) const MAX_FRAME_SIZE: usize = 1518;
 /// Ethertype used for the synthetic IPv4-ish traffic in tests and benches.
 pub const ETHERTYPE_IPV4: u16 = 0x0800;
 
@@ -27,12 +27,12 @@ impl MacAddr {
     }
 
     /// Whether this is the broadcast address.
-    pub fn is_broadcast(self) -> bool {
+    pub(crate) fn is_broadcast(self) -> bool {
         self == Self::BROADCAST
     }
 
     /// Whether this is a multicast address (lowest bit of the first octet).
-    pub fn is_multicast(self) -> bool {
+    pub(crate) fn is_multicast(self) -> bool {
         self.0[0] & 1 == 1
     }
 }

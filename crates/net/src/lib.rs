@@ -47,6 +47,6 @@ pub mod switch;
 
 pub use clos::{ClosFabric, ClosParams};
 pub use fabric::{Fabric, FabricParams, DEFAULT_CHUNK_OVERHEAD};
-pub use frame::{Frame, MacAddr, ETHERTYPE_IPV4, MAX_FRAME_SIZE, MIN_FRAME_SIZE};
+pub use frame::{Frame, MacAddr, ETHERTYPE_IPV4};
 pub use link::{Link, LinkModel};
 pub use switch::{SwitchPort, SwitchStats, VirtualSwitch};

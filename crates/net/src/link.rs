@@ -46,7 +46,8 @@ impl LinkModel {
     }
 
     /// Construct from a bandwidth expressed in megabits per second.
-    pub fn from_mbps(mbps: u64, latency: Nanoseconds) -> Self {
+    #[cfg(test)]
+    fn from_mbps(mbps: u64, latency: Nanoseconds) -> Self {
         LinkModel {
             bytes_per_second: mbps * 1_000_000 / 8,
             latency,
@@ -66,7 +67,8 @@ impl LinkModel {
 
     /// The highest sustained dirty rate (bytes/s) that pre-copy can outrun on
     /// this link — anything above it and migration cannot converge.
-    pub fn max_convergent_dirty_rate(&self) -> u64 {
+    #[cfg(test)]
+    fn max_convergent_dirty_rate(&self) -> u64 {
         self.bytes_per_second
     }
 }
@@ -98,7 +100,8 @@ impl Link {
     }
 
     /// Total bytes carried.
-    pub fn bytes_carried(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes_carried(&self) -> u64 {
         self.bytes_carried
     }
 

@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use crate::frame::{Frame, MacAddr};
 
 /// Default per-port receive queue depth.
-pub const DEFAULT_RX_QUEUE: usize = 1024;
+const DEFAULT_RX_QUEUE: usize = 1024;
 
 /// Switch-wide counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -63,7 +63,7 @@ impl VirtualSwitch {
     }
 
     /// Add a port with an explicit receive-queue depth.
-    pub fn add_port_with_queue(&self, rx_capacity: usize) -> SwitchPort {
+    fn add_port_with_queue(&self, rx_capacity: usize) -> SwitchPort {
         let mut inner = self.inner.lock();
         let index = inner.ports.len();
         inner.ports.push(PortState {
@@ -78,7 +78,8 @@ impl VirtualSwitch {
     }
 
     /// Number of ports.
-    pub fn port_count(&self) -> usize {
+    #[cfg(test)]
+    fn port_count(&self) -> usize {
         self.inner.lock().ports.len()
     }
 
@@ -88,7 +89,8 @@ impl VirtualSwitch {
     }
 
     /// The port index a MAC address has been learned on, if any.
-    pub fn learned_port(&self, mac: MacAddr) -> Option<usize> {
+    #[cfg(test)]
+    fn learned_port(&self, mac: MacAddr) -> Option<usize> {
         self.inner.lock().mac_table.get(&mac).copied()
     }
 

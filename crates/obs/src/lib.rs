@@ -77,6 +77,6 @@ pub mod table;
 pub mod trace;
 
 pub use chrome::{chrome_trace_json, validate_json};
-pub use metrics::{Log2Histogram, Metrics, LOG2_BUCKETS};
+pub use metrics::{Log2Histogram, Metrics};
 pub use table::{Align, TextTable};
 pub use trace::{ArgValue, Args, EventKind, OwnedArg, Recorder, Trace, TraceEvent, TraceSink};

@@ -10,7 +10,7 @@ use crate::table::{Align, TextTable};
 
 /// Number of buckets in a [`Log2Histogram`]: one for zero plus one per
 /// possible position of a `u64` value's highest set bit.
-pub const LOG2_BUCKETS: usize = 65;
+pub(crate) const LOG2_BUCKETS: usize = 65;
 
 /// A histogram with fixed power-of-two bucket boundaries.
 ///
@@ -46,7 +46,7 @@ impl Log2Histogram {
     }
 
     /// The bucket index `value` falls into.
-    pub fn bucket_index(value: u64) -> usize {
+    fn bucket_index(value: u64) -> usize {
         (64 - value.leading_zeros()) as usize
     }
 
@@ -89,14 +89,15 @@ impl Log2Histogram {
     }
 
     /// The raw bucket counts.
-    pub fn buckets(&self) -> &[u64; LOG2_BUCKETS] {
+    #[cfg(test)]
+    fn buckets(&self) -> &[u64; LOG2_BUCKETS] {
         &self.buckets
     }
 
     /// An upper bound below which at least half the samples fall: the
     /// exclusive upper boundary of the bucket containing the median sample.
     /// Integer-exact and deterministic, unlike an interpolated percentile.
-    pub fn p50_bound(&self) -> u64 {
+    fn p50_bound(&self) -> u64 {
         let target = self.count.div_ceil(2);
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {

@@ -494,13 +494,13 @@ impl Cluster {
     }
 
     /// The rack `host` lives in, if it exists.
-    pub fn rack_of_id(&self, host: HostId) -> Option<usize> {
+    pub(crate) fn rack_of_id(&self, host: HostId) -> Option<usize> {
         self.position_of(host).map(|pos| self.fabric.rack_of(pos))
     }
 
     /// VMs currently placed in `rack` (0 for the single-spine topology,
     /// which tracks no per-rack occupancy).
-    pub fn rack_vm_count(&self, rack: usize) -> usize {
+    fn rack_vm_count(&self, rack: usize) -> usize {
         self.rack_vms.get(rack).copied().unwrap_or(0)
     }
 
@@ -525,12 +525,12 @@ impl Cluster {
     }
 
     /// The fabric endpoint index of the DR backup target.
-    pub fn dr_endpoint(&self) -> usize {
+    fn dr_endpoint(&self) -> usize {
         self.hosts.len()
     }
 
     /// Number of hosts currently powered on.
-    pub fn powered_on(&self) -> usize {
+    pub(crate) fn powered_on(&self) -> usize {
         self.by_util.len()
     }
 
@@ -541,7 +541,8 @@ impl Cluster {
 
     /// VMs currently represented by statistical models rather than live
     /// guests (always zero under [`VmFidelity::Full`]).
-    pub fn modeled_vms(&self) -> usize {
+    #[cfg(test)]
+    fn modeled_vms(&self) -> usize {
         let placed = self.hosts.iter().flat_map(|h| &h.vms);
         placed
             .filter(|&&(k, _)| matches!(self.vms[k].placement(), Some((_, Guest::Model))))
@@ -550,7 +551,8 @@ impl Cluster {
 
     /// Whether the named VM is backed by a live guest (as opposed to a
     /// statistical model awaiting materialization).
-    pub fn is_materialized(&self, vm: &str) -> bool {
+    #[cfg(test)]
+    fn is_materialized(&self, vm: &str) -> bool {
         matches!(self.placement_of(vm), Some((_, Guest::Live(_))))
     }
 
@@ -922,10 +924,11 @@ impl Cluster {
     /// store ([`OrchParams::dedup_backups`](crate::OrchParams::dedup_backups)).
     ///
     /// The captured epoch (full when `parent` is `None`, incremental
-    /// otherwise) is ingested into `cas`; only the *novel* chunks cross the
-    /// fabric as `ChunkData` frames, every deduplicated page ships as a
-    /// small `ChunkRef`, and the fabric is charged exactly
-    /// [`rvisor_migrate::wire::dedup_backup_wire_bytes`]. A still-modeled VM
+    /// otherwise) is ingested into `cas`. No chunk frame is encoded: the
+    /// fabric is charged [`rvisor_migrate::wire::dedup_backup_wire_bytes`],
+    /// the size of a stream in which each *novel* chunk is a `ChunkData`
+    /// frame and each deduplicated page a small `ChunkRef`, a figure a
+    /// test-only encoder of those frames pins. A still-modeled VM
     /// participates through a scratch guest in the canonical deploy state,
     /// so its epoch is byte-identical to a materialized twin's. As with
     /// [`Self::backup`], the epoch is restorable only once it has arrived.
@@ -1041,7 +1044,7 @@ impl Cluster {
     }
 
     /// Power a host back on (consolidation undo, or DR capacity).
-    pub fn power_on(&mut self, host: HostId) -> Result<()> {
+    pub(crate) fn power_on(&mut self, host: HostId) -> Result<()> {
         let idx = self.position(host)?;
         match self.hosts[idx].power {
             HostPower::Off => {
@@ -1057,7 +1060,7 @@ impl Cluster {
 
     /// Power an *empty* host off (idempotent for already-parked hosts;
     /// failed hosts are not power-manageable, matching [`Self::power_on`]).
-    pub fn power_off(&mut self, host: HostId) -> Result<()> {
+    pub(crate) fn power_off(&mut self, host: HostId) -> Result<()> {
         let idx = self.position(host)?;
         let h = &self.hosts[idx];
         if h.power == HostPower::Failed {
@@ -1080,7 +1083,8 @@ impl Cluster {
     }
 
     /// Fail a host abruptly. Every VM on it is lost; returns their specs.
-    pub fn fail_host(&mut self, host: HostId) -> Result<Vec<VmSpec>> {
+    #[cfg(test)]
+    pub(crate) fn fail_host(&mut self, host: HostId) -> Result<Vec<VmSpec>> {
         let lost = self.fail_host_keyed(host)?;
         Ok(lost.into_iter().map(|(_, spec)| spec).collect())
     }
@@ -1113,7 +1117,7 @@ impl Cluster {
 
     /// The named VM's spec (accounting-scale) memory — the guest-size
     /// input to the adaptive migration planner.
-    pub fn spec_memory_of(&self, vm: &str) -> Option<ByteSize> {
+    pub(crate) fn spec_memory_of(&self, vm: &str) -> Option<ByteSize> {
         let key = self.vms.lookup(vm)?;
         let (idx, _) = self.vms[key].placement()?;
         let host = &self.hosts[idx];

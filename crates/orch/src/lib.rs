@@ -32,7 +32,7 @@
 //! * [`OrchEvent::VmDeparture`] / [`OrchEvent::LoadChange`] — tenant churn;
 //!   load changes update the capacity accounting the policies read.
 //! * [`OrchEvent::HostFailure`] — a host dies with everything on it; after
-//!   the [`FAILOVER_DETECTION_DELAY`] the orchestrator restores every
+//!   the `FAILOVER_DETECTION_DELAY` the orchestrator restores every
 //!   backed-up casualty from its newest arrived DR epoch onto surviving
 //!   capacity (the outage per VM is the *VM-time-lost* SLA metric).
 //!
@@ -59,7 +59,7 @@
 //! [`SpreadRebalance`] (balance). Every knob they read — thresholds,
 //! intervals, caps — is a named field of [`OrchParams`], per the "no
 //! constants buried in the loop" rule; the fixed values no run varies
-//! ([`PROVISION_LATENCY`], [`FAILOVER_DETECTION_DELAY`]) are named
+//! (`PROVISION_LATENCY`, `FAILOVER_DETECTION_DELAY`) are named
 //! assumptions too, documented constants beside it.
 //!
 //! ## Disaster recovery
@@ -169,14 +169,11 @@ mod vmtable;
 pub use cluster::{BackupHandle, Cluster, HostPower, OrchHost};
 pub use event::{EventQueue, OrchEvent, Scheduled};
 pub use orchestrator::{run_datacenter, run_datacenter_traced, Orchestrator};
-pub use params::{
-    EngineChoice, FabricTopology, OrchParams, VmFidelity, FAILOVER_DETECTION_DELAY,
-    MIN_GUEST_MEMORY, PROVISION_LATENCY,
-};
+pub use params::{EngineChoice, FabricTopology, OrchParams, VmFidelity, MIN_GUEST_MEMORY};
 pub use planner::{MigrationPlanner, PlanChoice};
 pub use policy::{
     ConsolidateAndPowerDown, DecisionReason, MigrationDecision, RebalancePlan, RebalancePolicy,
     SpreadRebalance, ThresholdRebalance,
 };
 pub use report::OrchReport;
-pub use scenario::{Lcg, Scenario, ScenarioConfig, WorkloadShape};
+pub use scenario::{Scenario, ScenarioConfig, WorkloadShape};

@@ -4,8 +4,8 @@
 //! assumption that shapes orchestration behaviour is named and documented
 //! here rather than buried in the event loop. A value that some day,
 //! example or benchmark varies is a field of [`OrchParams`]. A value that
-//! none varies is a fixed, named assumption: [`PROVISION_LATENCY`],
-//! [`FAILOVER_DETECTION_DELAY`], and the DR target
+//! none varies is a fixed, named assumption: `PROVISION_LATENCY`,
+//! `FAILOVER_DETECTION_DELAY`, and the DR target
 //! [`BackupTarget::default`](rvisor_snapshot::BackupTarget::default). A
 //! run's report is only meaningful alongside the parameters that produced
 //! it.
@@ -24,12 +24,12 @@ pub const MIN_GUEST_MEMORY: ByteSize = ByteSize::kib(64);
 
 /// Fixed latency charged for provisioning a VM once capacity is found
 /// (template clone + boot), added to every placement latency.
-pub const PROVISION_LATENCY: Nanoseconds = Nanoseconds::from_secs(45);
+pub(crate) const PROVISION_LATENCY: Nanoseconds = Nanoseconds::from_secs(45);
 
 /// Delay between a host failing and the orchestrator noticing (failover
 /// detection: missed heartbeats, confirmation probes). The serial restore
 /// pipeline for the host's casualties starts after it.
-pub const FAILOVER_DETECTION_DELAY: Nanoseconds = Nanoseconds::from_secs(30);
+pub(crate) const FAILOVER_DETECTION_DELAY: Nanoseconds = Nanoseconds::from_secs(30);
 
 /// How much of each VM is actually simulated: the **fidelity dial**.
 ///
@@ -216,11 +216,13 @@ pub struct OrchParams {
     /// every unique page once: each sweep captures a full epoch only on a
     /// VM's first backup (or after a restore or migration resets the chain)
     /// and an incremental epoch otherwise, the DR endpoint stores pages as
-    /// refcounted chunks keyed by content fingerprint, and only *novel*
-    /// chunks cross the fabric — deduplicated pages ship as small
-    /// `ChunkRef` frames. Restore applies the manifest chain and is
-    /// byte-identical to the plain path. Off (the default) keeps every
-    /// existing day bit-identical to its pre-dedup replay.
+    /// refcounted chunks keyed by content fingerprint, and the fabric is
+    /// charged `dedup_backup_wire_bytes`: a `ChunkData` frame per *novel*
+    /// page and a small `ChunkRef` frame per deduplicated one (no frame is
+    /// encoded; a test-only encoder pins the figure). Restore applies the
+    /// manifest chain and is byte-identical to the plain path. Off (the
+    /// default) keeps every existing day bit-identical to its pre-dedup
+    /// replay.
     ///
     /// The switch selects only the capture and the store each epoch goes
     /// into. Both modes share one per-VM DR lifecycle — when an epoch
@@ -256,7 +258,7 @@ impl Default for OrchParams {
 impl OrchParams {
     /// The engine selector in effect: [`OrchParams::engine`], pre-copy when
     /// it is unset.
-    pub fn effective_engine(&self) -> EngineChoice {
+    pub(crate) fn effective_engine(&self) -> EngineChoice {
         self.engine.unwrap_or_default()
     }
 

@@ -122,7 +122,7 @@ pub struct OrchReport {
 
 impl OrchReport {
     /// Mean arrival-to-running placement latency.
-    pub fn placement_latency_avg(&self) -> Nanoseconds {
+    pub(crate) fn placement_latency_avg(&self) -> Nanoseconds {
         Nanoseconds(
             self.placement_latency_total
                 .0
@@ -132,7 +132,7 @@ impl OrchReport {
     }
 
     /// Mean downtime per completed migration.
-    pub fn migration_downtime_avg(&self) -> Nanoseconds {
+    fn migration_downtime_avg(&self) -> Nanoseconds {
         Nanoseconds(
             self.migration_downtime_total
                 .0

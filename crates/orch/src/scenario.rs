@@ -30,20 +30,20 @@ use crate::event::OrchEvent;
 /// Deterministic LCG (Numerical Recipes constants), the workspace's standard
 /// reproducible randomness idiom.
 #[derive(Debug, Clone)]
-pub struct Lcg {
+pub(crate) struct Lcg {
     state: u64,
 }
 
 impl Lcg {
     /// A generator seeded with `seed` (every seed gives a distinct stream).
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Lcg {
             state: seed ^ 0x9e37_79b9_7f4a_7c15,
         }
     }
 
     /// Next 64 pseudo-random bits.
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self
             .state
             .wrapping_mul(6364136223846793005)
@@ -52,12 +52,12 @@ impl Lcg {
     }
 
     /// Uniform float in `[0, 1)`.
-    pub fn next_unit(&mut self) -> f64 {
+    fn next_unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Uniform integer in `[0, bound)`.
-    pub fn next_below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn next_below(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
         self.next_u64() % bound
     }

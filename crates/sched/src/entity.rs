@@ -42,7 +42,7 @@ pub enum RunnableModel {
 
 impl RunnableModel {
     /// Whether the entity is runnable in quantum number `quantum`.
-    pub fn is_runnable(&self, quantum: u64) -> bool {
+    pub(crate) fn is_runnable(&self, quantum: u64) -> bool {
         match *self {
             RunnableModel::Always => true,
             RunnableModel::DutyCycle { active, period } => {
@@ -55,7 +55,8 @@ impl RunnableModel {
     }
 
     /// The long-run fraction of time the entity wants the CPU.
-    pub fn demand_fraction(&self) -> f64 {
+    #[cfg(test)]
+    fn demand_fraction(&self) -> f64 {
         match *self {
             RunnableModel::Always => 1.0,
             RunnableModel::DutyCycle { active, period } => {
@@ -107,7 +108,8 @@ impl VcpuEntity {
     }
 
     /// Set a duty cycle (builder style).
-    pub fn with_duty_cycle(mut self, active: u32, period: u32) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_duty_cycle(mut self, active: u32, period: u32) -> Self {
         self.runnable = RunnableModel::DutyCycle { active, period };
         self
     }

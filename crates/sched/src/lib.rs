@@ -29,6 +29,6 @@ pub mod schedulers;
 pub mod sim;
 
 pub use entity::{EntityId, RunnableModel, VcpuEntity};
-pub use metrics::{fairness_index, weighted_share_error};
+pub use metrics::fairness_index;
 pub use schedulers::{CreditScheduler, RoundRobin, Scheduler, StrideScheduler};
 pub use sim::{HostSim, SimConfig, SimReport};

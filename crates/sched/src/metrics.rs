@@ -27,7 +27,7 @@ pub fn fairness_index(allocations: &[f64]) -> f64 {
 /// `allocations[i]` is CPU time received, `weights[i]` the configured weight.
 /// Returns 0.0 for perfect weighted fairness. Entities that received no
 /// entitlement (zero total weight) yield 0.0.
-pub fn weighted_share_error(allocations: &[f64], weights: &[u32]) -> f64 {
+pub(crate) fn weighted_share_error(allocations: &[f64], weights: &[u32]) -> f64 {
     assert_eq!(
         allocations.len(),
         weights.len(),

@@ -107,7 +107,8 @@ impl CreditScheduler {
     }
 
     /// The current credit balance of an entity (for tests/inspection).
-    pub fn credits(&self, id: EntityId) -> Option<i64> {
+    #[cfg(test)]
+    pub(crate) fn credits(&self, id: EntityId) -> Option<i64> {
         self.accounts.get(&id).map(|a| a.credits)
     }
 

@@ -57,7 +57,8 @@ pub struct SimReport {
 
 impl SimReport {
     /// CPU time received by one entity.
-    pub fn cpu_time_of(&self, id: EntityId) -> Nanoseconds {
+    #[cfg(test)]
+    fn cpu_time_of(&self, id: EntityId) -> Nanoseconds {
         self.cpu_time.get(&id).copied().unwrap_or(Nanoseconds::ZERO)
     }
 
@@ -95,13 +96,15 @@ impl HostSim {
     }
 
     /// Add several entities.
-    pub fn add_entities(&mut self, entities: &[VcpuEntity]) -> &mut Self {
+    #[cfg(test)]
+    fn add_entities(&mut self, entities: &[VcpuEntity]) -> &mut Self {
         self.entities.extend_from_slice(entities);
         self
     }
 
     /// The configured entities.
-    pub fn entities(&self) -> &[VcpuEntity] {
+    #[cfg(test)]
+    pub(crate) fn entities(&self) -> &[VcpuEntity] {
         &self.entities
     }
 

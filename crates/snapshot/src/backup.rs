@@ -197,11 +197,6 @@ impl BackupSimulator {
         &self.store
     }
 
-    /// The backup history so far.
-    pub fn history(&self) -> &[BackupRecord] {
-        &self.history
-    }
-
     /// Advance simulated time by one policy interval and take the backup the
     /// policy calls for. `memory` should already contain (and have dirty
     /// tracking for) whatever the guest wrote during the interval.
@@ -257,7 +252,7 @@ impl BackupSimulator {
     }
 
     /// The id of the most recent backup (full or incremental).
-    pub fn last_snapshot_id(&self) -> Option<SnapshotId> {
+    fn last_snapshot_id(&self) -> Option<SnapshotId> {
         self.history.last().map(|r| r.id)
     }
 

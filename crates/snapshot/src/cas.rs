@@ -29,7 +29,7 @@ use rvisor_vcpu::VcpuState;
 use crate::snapshot::{MemorySnapshot, SnapshotId, SnapshotKind, VmSnapshot};
 use crate::store::MAX_CHAIN_LENGTH;
 
-/// Identifies a chunk in a [`ChunkStore`].
+/// Identifies a chunk in a `ChunkStore`.
 ///
 /// The fingerprint alone is not the identity: two distinct pages may collide
 /// on it, in which case they are stored under distinct `ordinal`s. Ordinals
@@ -66,7 +66,7 @@ struct ChunkSlot {
 
 /// Write-once, refcounted, fingerprint-keyed page store.
 #[derive(Debug, Default)]
-pub struct ChunkStore {
+pub(crate) struct ChunkStore {
     slots: BTreeMap<u64, ChunkSlot>,
     stored_bytes: u64,
     chunk_count: u64,
@@ -75,14 +75,15 @@ pub struct ChunkStore {
 
 impl ChunkStore {
     /// Create an empty store.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Intern `bytes`, returning the chunk id and whether the bytes were
     /// *novel* (stored by this call) or deduplicated against an existing
     /// chunk. Either way the returned id holds one new reference.
-    pub fn intern(&mut self, bytes: &[u8]) -> (ChunkId, bool) {
+    pub(crate) fn intern(&mut self, bytes: &[u8]) -> (ChunkId, bool) {
         self.intern_keyed(fingerprint(bytes), bytes)
     }
 
@@ -129,7 +130,7 @@ impl ChunkStore {
     }
 
     /// The stored bytes of a chunk.
-    pub fn get(&self, id: ChunkId) -> Option<&[u8]> {
+    pub(crate) fn get(&self, id: ChunkId) -> Option<&[u8]> {
         self.slots
             .get(&id.fingerprint)
             .and_then(|s| s.entries.get(&id.ordinal))
@@ -138,7 +139,7 @@ impl ChunkStore {
 
     /// Drop one reference to `id`; the entry is garbage-collected when the
     /// last reference goes. Errors on an unknown id (double release).
-    pub fn release(&mut self, id: ChunkId) -> Result<()> {
+    pub(crate) fn release(&mut self, id: ChunkId) -> Result<()> {
         let slot = self
             .slots
             .get_mut(&id.fingerprint)
@@ -159,18 +160,19 @@ impl ChunkStore {
     }
 
     /// Number of distinct chunks stored.
-    pub fn chunks(&self) -> u64 {
+    pub(crate) fn chunks(&self) -> u64 {
         self.chunk_count
     }
 
     /// Bytes of chunk payload stored (each unique page counted once).
-    pub fn stored_bytes(&self) -> ByteSize {
+    pub(crate) fn stored_bytes(&self) -> ByteSize {
         ByteSize::new(self.stored_bytes)
     }
 
     /// Total outstanding references across all chunks (each page slot of
     /// each live manifest counts one).
-    pub fn total_refs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_refs(&self) -> u64 {
         self.total_refs
     }
 }
@@ -232,7 +234,7 @@ pub struct IngestStats {
     pub bytes_deduped: u64,
 }
 
-/// A content-addressed DR store: a [`ChunkStore`] plus the manifests that
+/// A content-addressed DR store: a `ChunkStore` plus the manifests that
 /// reference into it.
 #[derive(Debug, Default)]
 pub struct CasStore {
@@ -371,7 +373,7 @@ impl CasStore {
     }
 
     /// The chain from the full ancestor down to `id`, in application order.
-    pub fn chain_of(&self, id: ManifestId) -> Result<Vec<&Manifest>> {
+    pub(crate) fn chain_of(&self, id: ManifestId) -> Result<Vec<&Manifest>> {
         let mut chain = Vec::new();
         self.walk_chain(id, |m| chain.push(m))?;
         chain.reverse();
@@ -468,7 +470,8 @@ impl CasStore {
     }
 
     /// Outstanding chunk references across all manifests.
-    pub fn total_refs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_refs(&self) -> u64 {
         self.chunks.total_refs()
     }
 }

@@ -15,12 +15,12 @@
 //!   that runs them against a live guest, and RPO/RTO accounting for the
 //!   disaster-recovery experiment (E14).
 //! * [`cas`] — the content-addressed store behind deduplicated DR:
-//!   [`ChunkStore`], [`Manifest`], [`CasStore`].
+//!   `ChunkStore`, [`Manifest`], [`CasStore`].
 //!
 //! ## The content-addressed store
 //!
 //! [`CasStore`] deduplicates DR storage at page granularity. Every page of a
-//! captured [`VmSnapshot`] is *interned* into a [`ChunkStore`] keyed by the
+//! captured [`VmSnapshot`] is *interned* into a `ChunkStore` keyed by the
 //! word-wise [`rvisor_memory::fingerprint`] kernel (the same kernel KSM
 //! uses): identical pages across VMs and across backup epochs are stored
 //! once, refcounted, and each epoch is recorded as a [`Manifest`] of
@@ -70,7 +70,7 @@ pub mod snapshot;
 pub mod store;
 
 pub use backup::{BackupPolicy, BackupReport, BackupSimulator, BackupTarget};
-pub use cas::{CasStore, ChunkId, ChunkStore, IngestStats, Manifest, ManifestId};
+pub use cas::{CasStore, ChunkId, IngestStats, Manifest, ManifestId};
 pub use manifest::ExportManifest;
 pub use snapshot::{MemorySnapshot, SnapshotId, SnapshotKind, VmSnapshot};
 pub use store::SnapshotStore;

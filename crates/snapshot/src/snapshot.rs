@@ -191,7 +191,7 @@ impl VmSnapshot {
     }
 
     /// Verify that `memory` currently matches the checksum recorded at capture.
-    pub fn verify_against(&self, memory: &GuestMemory) -> bool {
+    pub(crate) fn verify_against(&self, memory: &GuestMemory) -> bool {
         memory.checksum() == self.memory_checksum
     }
 }

@@ -104,7 +104,7 @@ impl SnapshotStore {
     }
 
     /// The chain from the full ancestor down to `id`, in application order.
-    pub fn chain_of(&self, id: SnapshotId) -> Result<Vec<&VmSnapshot>> {
+    pub(crate) fn chain_of(&self, id: SnapshotId) -> Result<Vec<&VmSnapshot>> {
         let mut chain = Vec::new();
         let mut cursor = Some(id);
         while let Some(cur) = cursor {

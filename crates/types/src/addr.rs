@@ -45,16 +45,6 @@ impl GuestAddress {
         self.0.checked_add(offset).map(GuestAddress)
     }
 
-    /// Offset from `base` to `self`; `None` if `self < base`.
-    pub fn offset_from(self, base: GuestAddress) -> Option<u64> {
-        self.0.checked_sub(base.0)
-    }
-
-    /// The index of the 4 KiB page containing this address.
-    pub const fn page_index(self) -> u64 {
-        self.0 / PAGE_SIZE
-    }
-
     /// The offset of this address within its 4 KiB page.
     pub const fn page_offset(self) -> u64 {
         self.0 % PAGE_SIZE
@@ -68,11 +58,6 @@ impl GuestAddress {
     /// Round down to the containing page boundary.
     pub const fn page_base(self) -> GuestAddress {
         GuestAddress(self.0 & !(PAGE_SIZE - 1))
-    }
-
-    /// Whether this address is aligned to `align` (which must be a power of two).
-    pub const fn is_aligned(self, align: u64) -> bool {
-        self.0 & (align - 1) == 0
     }
 }
 
@@ -181,13 +166,10 @@ mod tests {
     #[test]
     fn address_page_math() {
         let a = GuestAddress(0x1234);
-        assert_eq!(a.page_index(), 1);
         assert_eq!(a.page_offset(), 0x234);
         assert_eq!(a.page_base(), GuestAddress(0x1000));
         assert!(!a.is_page_aligned());
         assert!(GuestAddress(0x3000).is_page_aligned());
-        assert!(GuestAddress(0x40).is_aligned(0x40));
-        assert!(!GuestAddress(0x41).is_aligned(0x40));
     }
 
     #[test]
@@ -196,8 +178,6 @@ mod tests {
         assert_eq!(a.checked_add(5), Some(GuestAddress(15)));
         assert_eq!(GuestAddress(u64::MAX).checked_add(1), None);
         assert_eq!(GuestAddress(u64::MAX).unchecked_add(1), GuestAddress(0));
-        assert_eq!(GuestAddress(20).offset_from(a), Some(10));
-        assert_eq!(a.offset_from(GuestAddress(20)), None);
     }
 
     #[test]

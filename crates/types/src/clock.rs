@@ -20,11 +20,6 @@ impl Nanoseconds {
     /// Zero nanoseconds.
     pub const ZERO: Nanoseconds = Nanoseconds(0);
 
-    /// Construct from nanoseconds.
-    pub const fn from_nanos(ns: u64) -> Self {
-        Nanoseconds(ns)
-    }
-
     /// Construct from microseconds.
     pub const fn from_micros(us: u64) -> Self {
         Nanoseconds(us * 1_000)
@@ -46,7 +41,7 @@ impl Nanoseconds {
     }
 
     /// Convert to (fractional) microseconds.
-    pub fn as_micros_f64(self) -> f64 {
+    fn as_micros_f64(self) -> f64 {
         self.0 as f64 / 1_000.0
     }
 

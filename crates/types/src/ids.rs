@@ -54,40 +54,33 @@ id_type!(
 );
 
 /// Allocates monotonically increasing identifiers.
-///
-/// ```
-/// use rvisor_types::ids::IdAllocator;
-/// use rvisor_types::VmId;
-/// let mut alloc = IdAllocator::new();
-/// let a: VmId = alloc.next_id();
-/// let b: VmId = alloc.next_id();
-/// assert_ne!(a, b);
-/// ```
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
-pub struct IdAllocator {
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct IdAllocator {
     next: u32,
 }
 
+#[cfg(test)]
 impl IdAllocator {
     /// Create an allocator starting at zero.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self::default()
     }
 
     /// Create an allocator whose first issued id will be `start`.
-    pub fn starting_at(start: u32) -> Self {
+    fn starting_at(start: u32) -> Self {
         IdAllocator { next: start }
     }
 
     /// Allocate the next identifier.
-    pub fn next_id<T: From<u32>>(&mut self) -> T {
+    fn next_id<T: From<u32>>(&mut self) -> T {
         let v = self.next;
         self.next += 1;
         T::from(v)
     }
 
     /// How many identifiers have been issued.
-    pub fn issued(&self) -> u32 {
+    fn issued(&self) -> u32 {
         self.next
     }
 }

@@ -21,4 +21,4 @@ pub use addr::{GuestAddress, GuestRegion, MemoryRegionConfig};
 pub use clock::{ManualClock, Nanoseconds, SimClock};
 pub use error::{Error, Result};
 pub use ids::{HostId, VcpuId, VmId};
-pub use units::{ByteSize, GIB, KIB, MIB, PAGE_SIZE};
+pub use units::{ByteSize, MIB, PAGE_SIZE};

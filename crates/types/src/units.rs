@@ -9,11 +9,11 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// One kibibyte (2^10 bytes).
-pub const KIB: u64 = 1 << 10;
+pub(crate) const KIB: u64 = 1 << 10;
 /// One mebibyte (2^20 bytes).
 pub const MIB: u64 = 1 << 20;
 /// One gibibyte (2^30 bytes).
-pub const GIB: u64 = 1 << 30;
+pub(crate) const GIB: u64 = 1 << 30;
 /// The guest page size used throughout the workspace (4 KiB).
 pub const PAGE_SIZE: u64 = 4 * KIB;
 
@@ -65,11 +65,6 @@ impl ByteSize {
         self.0
     }
 
-    /// The byte count as `usize`, saturating on 32-bit targets.
-    pub fn as_usize(self) -> usize {
-        usize::try_from(self.0).unwrap_or(usize::MAX)
-    }
-
     /// Number of whole 4 KiB pages needed to hold this many bytes.
     pub const fn pages(self) -> u64 {
         self.0.div_ceil(PAGE_SIZE)
@@ -101,12 +96,14 @@ impl ByteSize {
     }
 
     /// Express the size in whole mebibytes (rounded down).
-    pub const fn whole_mib(self) -> u64 {
+    #[cfg(test)]
+    const fn whole_mib(self) -> u64 {
         self.0 / MIB
     }
 
     /// Express the size in whole gibibytes (rounded down).
-    pub const fn whole_gib(self) -> u64 {
+    #[cfg(test)]
+    const fn whole_gib(self) -> u64 {
         self.0 / GIB
     }
 }

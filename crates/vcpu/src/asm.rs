@@ -22,8 +22,6 @@ enum Slot {
         rs2: Reg,
         label: String,
     },
-    /// An unconditional jump (with link register) to a label.
-    JalTo { rd: Reg, label: String },
 }
 
 /// Two-pass assembler producing a flat byte image of a GISA program.
@@ -91,7 +89,8 @@ impl Assembler {
     }
 
     /// The address of a previously defined label.
-    pub fn label_address(&self, name: &str) -> Option<u64> {
+    #[cfg(test)]
+    fn label_address(&self, name: &str) -> Option<u64> {
         self.labels.get(name).copied()
     }
 
@@ -101,15 +100,6 @@ impl Assembler {
             cond,
             rs1,
             rs2,
-            label: label.to_string(),
-        });
-        self
-    }
-
-    /// Append an unconditional jump to a (possibly forward) label.
-    pub fn jal_to(&mut self, rd: Reg, label: &str) -> &mut Self {
-        self.slots.push(Slot::JalTo {
-            rd,
             label: label.to_string(),
         });
         self
@@ -152,14 +142,6 @@ impl Assembler {
                         imm: offset,
                     }
                 }
-                Slot::JalTo { rd, label } => {
-                    let target = self.resolve(label)?;
-                    let offset = Self::rel_offset(next_pc, target)?;
-                    Instr::Jal {
-                        rd: *rd,
-                        imm: offset,
-                    }
-                }
             };
             out.extend_from_slice(&instr.encode());
         }
@@ -195,29 +177,29 @@ mod tests {
             imm: -1,
         });
         asm.branch_to(Cond::Eq, r(1), Reg::ZERO, "done"); // forward
-        asm.jal_to(Reg::ZERO, "top"); // backward
+        asm.branch_to(Cond::Eq, Reg::ZERO, Reg::ZERO, "top"); // backward
         asm.label("done");
         asm.push(Instr::Halt);
         let bytes = asm.assemble().unwrap();
         assert_eq!(bytes.len(), 5 * INSTR_BYTES as usize);
 
-        // Decode the branch (index 2) and the jump (index 3) and check offsets.
+        // Decode both branches (indices 2 and 3) and check their offsets.
         let branch = Instr::decode(bytes[16..24].try_into().unwrap(), 16).unwrap();
         match branch {
             Instr::Branch { imm, .. } => assert_eq!(imm, 8), // next_pc 24 -> done at 32
             other => panic!("expected branch, got {other:?}"),
         }
-        let jump = Instr::decode(bytes[24..32].try_into().unwrap(), 24).unwrap();
-        match jump {
-            Instr::Jal { imm, .. } => assert_eq!(imm, -24), // next_pc 32 -> top at 8
-            other => panic!("expected jal, got {other:?}"),
+        let back = Instr::decode(bytes[24..32].try_into().unwrap(), 24).unwrap();
+        match back {
+            Instr::Branch { imm, .. } => assert_eq!(imm, -24), // next_pc 32 -> top at 8
+            other => panic!("expected branch, got {other:?}"),
         }
     }
 
     #[test]
     fn undefined_label_is_an_error() {
         let mut asm = Assembler::new();
-        asm.jal_to(Reg::ZERO, "nowhere");
+        asm.branch_to(Cond::Eq, Reg::ZERO, Reg::ZERO, "nowhere");
         assert!(asm.assemble().is_err());
     }
 

@@ -18,17 +18,15 @@ use rvisor_types::{Error, GuestAddress, Nanoseconds, Result, VcpuId, PAGE_SIZE};
 
 use crate::exec_mode::{ExecCosts, ExecMode};
 use crate::isa::{Instr, Reg, INSTR_BYTES, NUM_REGS};
-use crate::mmu::{Mmu, TlbStats, TranslateFault};
+use crate::mmu::{Mmu, TranslateFault};
 
 /// Number of control/status registers.
 pub const NUM_CSRS: usize = 32;
 
 /// CSR index holding the vCPU id (read-only to the guest).
-pub const CSR_VCPU_ID: i32 = 0;
+const CSR_VCPU_ID: i32 = 0;
 /// CSR index holding the current privilege mode (read-only to the guest).
-pub const CSR_MODE: i32 = 1;
-/// First CSR index that is privileged to read.
-pub const CSR_PRIVILEGED_BASE: i32 = 16;
+const CSR_MODE: i32 = 1;
 
 /// Guest privilege modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -372,12 +370,13 @@ impl Vcpu {
     }
 
     /// TLB statistics from the MMU.
-    pub fn tlb_stats(&self) -> TlbStats {
+    #[cfg(test)]
+    pub(crate) fn tlb_stats(&self) -> crate::mmu::TlbStats {
         self.mmu.tlb_stats()
     }
 
     /// Read a general-purpose register.
-    pub fn reg(&self, r: Reg) -> u64 {
+    pub(crate) fn reg(&self, r: Reg) -> u64 {
         if r.index() == 0 {
             0
         } else {
@@ -386,7 +385,7 @@ impl Vcpu {
     }
 
     /// Write a general-purpose register (writes to r0 are ignored).
-    pub fn set_reg(&mut self, r: Reg, v: u64) {
+    pub(crate) fn set_reg(&mut self, r: Reg, v: u64) {
         if r.index() != 0 {
             self.regs[r.index()] = v;
         }
@@ -403,7 +402,8 @@ impl Vcpu {
     }
 
     /// The current privilege mode.
-    pub fn priv_mode(&self) -> PrivMode {
+    #[cfg(test)]
+    pub(crate) fn priv_mode(&self) -> PrivMode {
         self.mode
     }
 
@@ -681,9 +681,15 @@ impl Vcpu {
                 }
             }
 
-            executed += 1;
-            self.charge(costs.cycle_ns, &mut elapsed);
-            if let Some(exit) = self.execute(&mut memory, paging, instr, &mut pc, &mut elapsed) {
+            // A data access that page-faults has not retired: its PC stays
+            // on the access, which runs again on resume, so it is counted
+            // and charged like a fetch fault, with no cycle.
+            let exit = self.execute(&mut memory, paging, instr, &mut pc, &mut elapsed);
+            if !matches!(exit, Some(ExitReason::PageFault { .. })) {
+                executed += 1;
+                self.charge(costs.cycle_ns, &mut elapsed);
+            }
+            if let Some(exit) = exit {
                 break Ok(exit);
             }
             paging = self.mmu.paging_enabled();
@@ -739,9 +745,9 @@ impl Vcpu {
     /// Every instruction's semantics, once, for both of [`Self::run`]'s
     /// loops: its effect on registers, memory, the window and the PC, and
     /// for an exit its counters and charge. The caller has fetched and
-    /// privilege-checked `instr` and charged its cycle; `SetPtbr` leaves the
-    /// caller to read the new paging state back from the MMU. `Some(exit)`
-    /// leaves `run`.
+    /// privilege-checked `instr`, and charges its cycle unless the exit is a
+    /// page fault; `SetPtbr` leaves the caller to read the new paging state
+    /// back from the MMU. `Some(exit)` leaves `run`.
     #[inline(always)]
     fn execute(
         &mut self,
@@ -1401,6 +1407,8 @@ mod tests {
                 write: false
             }
         );
+        // The faulting load has not retired: three instructions ran.
+        assert_eq!(out.instructions, 3);
         // Hypervisor fixes the mapping (demand paging) and resumes; the load retries.
         ed.map(0x9000, GuestAddress(0x9000), true, false).unwrap();
         mem.write_u64(GuestAddress(0x9000), 777).unwrap();
@@ -1408,6 +1416,7 @@ mod tests {
         assert_eq!(out.exit, ExitReason::Halt);
         assert_eq!(cpu.reg(r(3)), 777);
         assert_eq!(cpu.stats().page_faults, 1);
+        assert_eq!(cpu.stats().instructions, 5);
     }
 
     #[test]

@@ -51,7 +51,7 @@ impl ExecMode {
 
     /// Whether privileged instructions executed in guest supervisor mode trap
     /// to the hypervisor in this mode.
-    pub fn privileged_traps(self) -> bool {
+    pub(crate) fn privileged_traps(self) -> bool {
         match self {
             ExecMode::TrapAndEmulate => true,
             // Paravirtual guests replace privileged operations with hypercalls,
@@ -65,7 +65,8 @@ impl ExecMode {
     ///
     /// Under shadow paging the hypervisor must intercept these to keep shadow
     /// tables coherent; with nested paging the hardware handles it.
-    pub fn paging_ops_trap(self) -> bool {
+    #[cfg(test)]
+    fn paging_ops_trap(self) -> bool {
         matches!(self, ExecMode::TrapAndEmulate | ExecMode::Paravirt)
     }
 

@@ -19,13 +19,13 @@ use serde::{Deserialize, Serialize};
 use rvisor_types::{Error, Result};
 
 /// Size of one encoded instruction in bytes.
-pub const INSTR_BYTES: u64 = 8;
+pub(crate) const INSTR_BYTES: u64 = 8;
 
 /// Number of general-purpose registers.
 pub const NUM_REGS: usize = 32;
 
 /// A register index, below [`NUM_REGS`] by construction: the field is
-/// private, and [`Reg::new`] and [`Reg::try_new`] check the range. Register
+/// private, and [`Reg::new`] and `Reg::try_new` check the range. Register
 /// 0 is hardwired to zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Reg(u8);
@@ -37,7 +37,7 @@ impl Reg {
     /// Construct a register, panicking on out-of-range indices.
     ///
     /// Intended for hand-written assembly in tests and workloads; decoded
-    /// instructions go through [`Reg::try_new`].
+    /// instructions go through `Reg::try_new`.
     pub fn new(idx: u8) -> Self {
         assert!(
             (idx as usize) < NUM_REGS,
@@ -47,7 +47,7 @@ impl Reg {
     }
 
     /// Construct a register, returning `None` on out-of-range indices.
-    pub fn try_new(idx: u8) -> Option<Self> {
+    fn try_new(idx: u8) -> Option<Self> {
         if (idx as usize) < NUM_REGS {
             Some(Reg(idx))
         } else {
@@ -314,31 +314,31 @@ impl AluOp {
 
 // Opcode assignments.
 mod op {
-    pub const NOP: u8 = 0x00;
-    pub const HALT: u8 = 0x01;
-    pub const MOV_IMM: u8 = 0x02;
-    pub const MOV_HIGH: u8 = 0x03;
-    pub const ALU: u8 = 0x04;
-    pub const ADD_IMM: u8 = 0x05;
-    pub const LOAD: u8 = 0x06;
-    pub const STORE: u8 = 0x07;
-    pub const BRANCH: u8 = 0x08;
-    pub const JAL: u8 = 0x09;
-    pub const JALR: u8 = 0x0a;
-    pub const HYPERCALL: u8 = 0x0b;
-    pub const OUT: u8 = 0x0c;
-    pub const IN: u8 = 0x0d;
-    pub const SET_PTBR: u8 = 0x0e;
-    pub const TLB_FLUSH: u8 = 0x0f;
-    pub const READ_CSR: u8 = 0x10;
-    pub const WRITE_CSR: u8 = 0x11;
-    pub const IRET: u8 = 0x12;
-    pub const PAUSE: u8 = 0x13;
+    pub(super) const NOP: u8 = 0x00;
+    pub(super) const HALT: u8 = 0x01;
+    pub(super) const MOV_IMM: u8 = 0x02;
+    pub(super) const MOV_HIGH: u8 = 0x03;
+    pub(crate) const ALU: u8 = 0x04;
+    pub(super) const ADD_IMM: u8 = 0x05;
+    pub(super) const LOAD: u8 = 0x06;
+    pub(super) const STORE: u8 = 0x07;
+    pub(super) const BRANCH: u8 = 0x08;
+    pub(super) const JAL: u8 = 0x09;
+    pub(super) const JALR: u8 = 0x0a;
+    pub(super) const HYPERCALL: u8 = 0x0b;
+    pub(super) const OUT: u8 = 0x0c;
+    pub(super) const IN: u8 = 0x0d;
+    pub(super) const SET_PTBR: u8 = 0x0e;
+    pub(super) const TLB_FLUSH: u8 = 0x0f;
+    pub(super) const READ_CSR: u8 = 0x10;
+    pub(super) const WRITE_CSR: u8 = 0x11;
+    pub(super) const IRET: u8 = 0x12;
+    pub(super) const PAUSE: u8 = 0x13;
 }
 
 impl Instr {
     /// Whether the instruction is privileged (supervisor-only).
-    pub fn is_privileged(&self) -> bool {
+    pub(crate) fn is_privileged(&self) -> bool {
         matches!(
             self,
             Instr::Halt

@@ -43,6 +43,5 @@ pub mod workloads;
 pub use asm::Assembler;
 pub use cpu::{ExitReason, RunOutcome, Vcpu, VcpuConfig, VcpuState, VcpuStats};
 pub use exec_mode::{ExecCosts, ExecMode};
-pub use isa::{Cond, Instr, Reg, INSTR_BYTES};
-pub use mmu::{Mmu, PageTableEditor, Pte, TlbStats, PTE_SIZE};
+pub use isa::{Cond, Instr, Reg};
 pub use workloads::{Workload, WorkloadKind};

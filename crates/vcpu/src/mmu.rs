@@ -25,17 +25,21 @@
 
 use serde::{Deserialize, Serialize};
 
-use rvisor_memory::{GuestAccess, GuestMemory};
-use rvisor_types::{Error, GuestAddress, Result, PAGE_SIZE};
+use rvisor_memory::GuestAccess;
+#[cfg(test)]
+use rvisor_memory::GuestMemory;
+#[cfg(test)]
+use rvisor_types::{Error, Result};
+use rvisor_types::{GuestAddress, PAGE_SIZE};
 
 /// Size of a page-table entry in bytes.
-pub const PTE_SIZE: u64 = 8;
+pub(crate) const PTE_SIZE: u64 = 8;
 
 /// Number of entries per page-table level.
-pub const ENTRIES_PER_TABLE: u64 = 512;
+const ENTRIES_PER_TABLE: u64 = 512;
 
 /// Width of the virtual address space in bits.
-pub const VADDR_BITS: u32 = 30;
+const VADDR_BITS: u32 = 30;
 
 const VALID: u64 = 1 << 0;
 const WRITABLE: u64 = 1 << 1;
@@ -44,14 +48,16 @@ const PFN_MASK: u64 = !0xfff;
 
 /// A decoded page-table entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Pte(pub u64);
+pub(crate) struct Pte(pub u64);
 
 impl Pte {
     /// An all-zero (invalid) entry.
-    pub const INVALID: Pte = Pte(0);
+    #[cfg(test)]
+    const INVALID: Pte = Pte(0);
 
     /// Build a valid leaf entry pointing at `frame`.
-    pub fn leaf(frame: GuestAddress, writable: bool, user: bool) -> Pte {
+    #[cfg(test)]
+    pub(crate) fn leaf(frame: GuestAddress, writable: bool, user: bool) -> Pte {
         let mut v = (frame.0 & PFN_MASK) | VALID;
         if writable {
             v |= WRITABLE;
@@ -63,34 +69,35 @@ impl Pte {
     }
 
     /// Build a valid non-leaf entry pointing at the next-level table.
-    pub fn table(next: GuestAddress) -> Pte {
+    #[cfg(test)]
+    pub(crate) fn table(next: GuestAddress) -> Pte {
         Pte((next.0 & PFN_MASK) | VALID | WRITABLE | USER)
     }
 
     /// Whether the entry is valid.
-    pub fn valid(self) -> bool {
+    pub(crate) fn valid(self) -> bool {
         self.0 & VALID != 0
     }
 
     /// Whether the mapped page may be written.
-    pub fn writable(self) -> bool {
+    pub(crate) fn writable(self) -> bool {
         self.0 & WRITABLE != 0
     }
 
     /// Whether user mode may access the mapped page.
-    pub fn user(self) -> bool {
+    pub(crate) fn user(self) -> bool {
         self.0 & USER != 0
     }
 
     /// The physical frame / next-level table address.
-    pub fn frame(self) -> GuestAddress {
+    pub(crate) fn frame(self) -> GuestAddress {
         GuestAddress(self.0 & PFN_MASK)
     }
 }
 
 /// Why a translation failed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TranslateFault {
+pub(crate) enum TranslateFault {
     /// No valid mapping for the address.
     NotMapped,
     /// The mapping exists but is not writable and a write was attempted.
@@ -103,7 +110,7 @@ pub enum TranslateFault {
 
 /// Result of a successful translation, including how it was obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Translation {
+pub(crate) struct Translation {
     /// The resulting guest physical address.
     pub paddr: GuestAddress,
     /// Whether the translation was served from the TLB.
@@ -112,7 +119,7 @@ pub struct Translation {
 
 /// TLB behaviour counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TlbStats {
+pub(crate) struct TlbStats {
     /// Lookups that hit.
     pub hits: u64,
     /// Lookups that missed and required a page-table walk.
@@ -123,7 +130,8 @@ pub struct TlbStats {
 
 impl TlbStats {
     /// Hit rate in `[0, 1]`; zero when there were no lookups.
-    pub fn hit_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0
@@ -190,7 +198,7 @@ impl Tlb {
 
 /// The per-vCPU memory-management unit.
 #[derive(Debug)]
-pub struct Mmu {
+pub(crate) struct Mmu {
     ptbr: GuestAddress,
     paging_enabled: bool,
     tlb: Tlb,
@@ -201,7 +209,7 @@ pub struct Mmu {
 impl Mmu {
     /// Create an MMU with a TLB of `tlb_entries` slots. Paging starts disabled
     /// (identity mapping), as on real hardware before the OS sets a page table.
-    pub fn new(tlb_entries: usize) -> Self {
+    pub(crate) fn new(tlb_entries: usize) -> Self {
         Mmu {
             ptbr: GuestAddress::ZERO,
             paging_enabled: false,
@@ -211,34 +219,36 @@ impl Mmu {
     }
 
     /// Set the page-table base register and enable paging. Flushes the TLB.
-    pub fn set_ptbr(&mut self, ptbr: GuestAddress) {
+    pub(crate) fn set_ptbr(&mut self, ptbr: GuestAddress) {
         self.ptbr = ptbr;
         self.paging_enabled = ptbr != GuestAddress::ZERO;
         self.tlb.flush();
     }
 
     /// The current page-table base.
-    pub fn ptbr(&self) -> GuestAddress {
+    pub(crate) fn ptbr(&self) -> GuestAddress {
         self.ptbr
     }
 
     /// Whether paging is enabled.
-    pub fn paging_enabled(&self) -> bool {
+    pub(crate) fn paging_enabled(&self) -> bool {
         self.paging_enabled
     }
 
     /// Flush the TLB.
-    pub fn flush_tlb(&mut self) {
+    pub(crate) fn flush_tlb(&mut self) {
         self.tlb.flush();
     }
 
     /// TLB statistics so far.
-    pub fn tlb_stats(&self) -> TlbStats {
+    #[cfg(test)]
+    pub(crate) fn tlb_stats(&self) -> TlbStats {
         self.tlb.stats
     }
 
     /// Number of page-table walks performed.
-    pub fn walk_count(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn walk_count(&self) -> u64 {
         self.walks
     }
 
@@ -249,7 +259,7 @@ impl Mmu {
     /// [`Error::PageFault`] by the caller (the vCPU), which also knows the
     /// faulting PC. The page-table walk reads `memory`, the running guest's
     /// held view ([`GuestMemory::hold`]).
-    pub fn translate(
+    pub(crate) fn translate(
         &mut self,
         memory: &GuestAccess<'_>,
         vaddr: u64,
@@ -334,11 +344,11 @@ impl Mmu {
 
 /// Helper for building guest page tables inside guest memory.
 ///
-/// The hypervisor (and the synthetic workloads) use this to set up a linear
-/// mapping before starting the guest, playing the role a guest OS kernel
-/// would play on real hardware.
+/// The paging tests use this to set up a mapping before starting the guest,
+/// playing the role a guest OS kernel would play on real hardware.
+#[cfg(test)]
 #[derive(Debug)]
-pub struct PageTableEditor {
+pub(crate) struct PageTableEditor {
     memory: GuestMemory,
     root: GuestAddress,
     /// Next free physical page used when a new L2 table must be allocated.
@@ -346,11 +356,12 @@ pub struct PageTableEditor {
     table_region_end: GuestAddress,
 }
 
+#[cfg(test)]
 impl PageTableEditor {
     /// Create an editor whose tables live in
     /// `[table_area, table_area + table_area_size)` of guest physical memory.
     /// The root (L1) table occupies the first page of that area.
-    pub fn new(
+    pub(crate) fn new(
         memory: GuestMemory,
         table_area: GuestAddress,
         table_area_size: u64,
@@ -370,13 +381,13 @@ impl PageTableEditor {
     }
 
     /// The guest physical address of the root table (value for the PTBR).
-    pub fn root(&self) -> GuestAddress {
+    pub(crate) fn root(&self) -> GuestAddress {
         self.root
     }
 
     /// Map the virtual page containing `vaddr` to the physical frame
     /// containing `paddr`.
-    pub fn map(
+    pub(crate) fn map(
         &mut self,
         vaddr: u64,
         paddr: GuestAddress,
@@ -404,7 +415,7 @@ impl PageTableEditor {
     }
 
     /// Identity-map `[start, start + len)` so virtual address == physical address.
-    pub fn identity_map(
+    pub(crate) fn identity_map(
         &mut self,
         start: GuestAddress,
         len: u64,
@@ -421,7 +432,7 @@ impl PageTableEditor {
     }
 
     /// Remove the mapping for the virtual page containing `vaddr`.
-    pub fn unmap(&mut self, vaddr: u64) -> Result<()> {
+    fn unmap(&mut self, vaddr: u64) -> Result<()> {
         let l1_index = (vaddr >> 21) & (ENTRIES_PER_TABLE - 1);
         let l2_index = (vaddr >> 12) & (ENTRIES_PER_TABLE - 1);
         let l1_addr = self.root.unchecked_add(l1_index * PTE_SIZE);

@@ -16,9 +16,9 @@ use crate::cpu::Vcpu;
 use crate::isa::{AluOp, Cond, Instr, Reg};
 
 /// Default guest virtual address where workload code is loaded.
-pub const DEFAULT_ENTRY: u64 = 0x1000;
+const DEFAULT_ENTRY: u64 = 0x1000;
 /// Default guest virtual address of the workload's data area.
-pub const DEFAULT_DATA_BASE: u64 = 0x10_0000;
+const DEFAULT_DATA_BASE: u64 = 0x10_0000;
 
 /// The kinds of synthetic guest programs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

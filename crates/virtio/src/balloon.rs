@@ -14,13 +14,13 @@ use crate::device::{DeviceType, VirtioDevice};
 use crate::queue::VirtQueue;
 
 /// Index of the inflate queue.
-pub const INFLATE_QUEUE: usize = 0;
+const INFLATE_QUEUE: usize = 0;
 /// Index of the deflate queue.
-pub const DEFLATE_QUEUE: usize = 1;
+const DEFLATE_QUEUE: usize = 1;
 
 /// Balloon device counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VirtioBalloonStats {
+pub(crate) struct VirtioBalloonStats {
     /// Pages taken from the guest via the inflate queue.
     pub pages_inflated: u64,
     /// Pages returned to the guest via the deflate queue.
@@ -30,7 +30,7 @@ pub struct VirtioBalloonStats {
 }
 
 /// The virtio-balloon device model.
-pub struct VirtioBalloon {
+pub(crate) struct VirtioBalloon {
     balloon: Balloon,
     target_pages: u64,
     stats: VirtioBalloonStats,
@@ -47,7 +47,7 @@ impl std::fmt::Debug for VirtioBalloon {
 
 impl VirtioBalloon {
     /// Create a balloon device wrapping the memory-level [`Balloon`].
-    pub fn new(balloon: Balloon) -> Self {
+    pub(crate) fn new(balloon: Balloon) -> Self {
         VirtioBalloon {
             balloon,
             target_pages: 0,
@@ -56,27 +56,27 @@ impl VirtioBalloon {
     }
 
     /// Host-side: set the number of pages the guest should give back.
-    pub fn set_target(&mut self, pages: u64) {
+    pub(crate) fn set_target(&mut self, pages: u64) {
         self.target_pages = pages;
     }
 
     /// The current target, as the guest driver reads it.
-    pub fn target(&self) -> u64 {
+    pub(crate) fn target(&self) -> u64 {
         self.target_pages
     }
 
     /// Pages currently held by the balloon.
-    pub fn held_pages(&self) -> u64 {
+    pub(crate) fn held_pages(&self) -> u64 {
         self.balloon.held_pages()
     }
 
     /// Device counters.
-    pub fn stats(&self) -> VirtioBalloonStats {
+    pub(crate) fn stats(&self) -> VirtioBalloonStats {
         self.stats
     }
 
     /// Access the underlying page accounting (for overcommit planning).
-    pub fn balloon(&self) -> &Balloon {
+    pub(crate) fn balloon(&self) -> &Balloon {
         &self.balloon
     }
 
@@ -111,7 +111,7 @@ impl VirtioBalloon {
     }
 
     /// Encode a list of page frame numbers the way the guest driver would.
-    pub fn encode_pfns(pfns: &[u64]) -> Vec<u8> {
+    fn encode_pfns(pfns: &[u64]) -> Vec<u8> {
         let mut out = Vec::with_capacity(pfns.len() * 4);
         for &p in pfns {
             out.extend_from_slice(&(p as u32).to_le_bytes());

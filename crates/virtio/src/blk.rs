@@ -25,14 +25,14 @@ pub const VIRTIO_BLK_T_IN: u32 = 0;
 /// Request type: write.
 pub const VIRTIO_BLK_T_OUT: u32 = 1;
 /// Request type: flush.
-pub const VIRTIO_BLK_T_FLUSH: u32 = 4;
+const VIRTIO_BLK_T_FLUSH: u32 = 4;
 
 /// Status byte: success.
-pub const VIRTIO_BLK_S_OK: u8 = 0;
+const VIRTIO_BLK_S_OK: u8 = 0;
 /// Status byte: I/O error.
-pub const VIRTIO_BLK_S_IOERR: u8 = 1;
+const VIRTIO_BLK_S_IOERR: u8 = 1;
 /// Status byte: unsupported request.
-pub const VIRTIO_BLK_S_UNSUPP: u8 = 2;
+const VIRTIO_BLK_S_UNSUPP: u8 = 2;
 
 /// Largest bounce-buffer capacity retained between requests (1 MiB — far
 /// above typical per-descriptor payloads); bigger one-off requests are

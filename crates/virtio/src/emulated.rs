@@ -22,22 +22,22 @@ use rvisor_block::{BlockBackend, SECTOR_SIZE};
 use rvisor_devices::MmioDevice;
 
 /// Register offset: sector select.
-pub const REG_SECTOR: u64 = 0x00;
+const REG_SECTOR: u64 = 0x00;
 /// Register offset: command.
-pub const REG_COMMAND: u64 = 0x08;
+const REG_COMMAND: u64 = 0x08;
 /// Register offset: data window.
 pub const REG_DATA: u64 = 0x10;
 /// Register offset: status.
 pub const REG_STATUS: u64 = 0x18;
 /// Register offset: buffer pointer.
-pub const REG_PTR: u64 = 0x20;
+const REG_PTR: u64 = 0x20;
 
 /// Command: load the selected sector into the data buffer.
-pub const CMD_READ_SECTOR: u64 = 1;
+const CMD_READ_SECTOR: u64 = 1;
 /// Command: store the data buffer into the selected sector.
-pub const CMD_WRITE_SECTOR: u64 = 2;
+const CMD_WRITE_SECTOR: u64 = 2;
 /// Command: flush the backend.
-pub const CMD_FLUSH: u64 = 3;
+const CMD_FLUSH: u64 = 3;
 
 /// Counters for the emulated disk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,7 +91,8 @@ impl EmulatedDisk {
 
     /// Number of register accesses a full sector transfer costs
     /// (sector select + command + 64 data-window accesses).
-    pub const fn accesses_per_sector() -> u64 {
+    #[cfg(test)]
+    const fn accesses_per_sector() -> u64 {
         2 + SECTOR_SIZE / 8
     }
 
@@ -181,7 +182,8 @@ pub fn driver_write_sector(
 }
 
 /// Drive a full sector read through the register interface.
-pub fn driver_read_sector(disk: &mut EmulatedDisk, sector: u64) -> [u8; SECTOR_SIZE as usize] {
+#[cfg(test)]
+fn driver_read_sector(disk: &mut EmulatedDisk, sector: u64) -> [u8; SECTOR_SIZE as usize] {
     disk.write(REG_SECTOR, sector, 8);
     disk.write(REG_COMMAND, CMD_READ_SECTOR, 8);
     let mut out = [0u8; SECTOR_SIZE as usize];

@@ -2,7 +2,7 @@
 //!
 //! A self-contained implementation of the virtio paravirtual I/O family:
 //! split virtqueues living in guest memory, a virtio-mmio transport, and the
-//! three device models the evaluation needs (block, network, balloon), plus
+//! two device models the evaluation needs (block, network), plus
 //! the fully-emulated programmed-I/O disk used as the baseline in the
 //! paravirtual-vs-emulated comparison (experiment E2).
 //!
@@ -12,7 +12,9 @@
 //!   [`DriverQueue`] (an in-process stand-in for the guest driver), including
 //!   EVENT_IDX-style notification suppression.
 //! * [`mmio`] — the virtio-mmio transport register block.
-//! * [`blk`], [`net`], [`balloon`] — device models.
+//! * [`blk`], [`net`] — device models. A balloon model (`balloon`) drives
+//!   `rvisor_memory::Balloon` through two queues; no run builds one, so it
+//!   is compiled for its tests only.
 //! * [`emulated`] — a register-banging programmed-I/O disk representing the
 //!   "full emulation" baseline (an IDE-like device, one sector per doorbell).
 
@@ -20,7 +22,8 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod balloon;
+#[cfg(test)]
+mod balloon;
 pub mod blk;
 pub mod device;
 pub mod emulated;
@@ -28,7 +31,6 @@ pub mod mmio;
 pub mod net;
 pub mod queue;
 
-pub use balloon::VirtioBalloon;
 pub use blk::VirtioBlk;
 pub use device::{DeviceType, VirtioDevice};
 pub use emulated::EmulatedDisk;

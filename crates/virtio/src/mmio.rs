@@ -18,46 +18,46 @@ use crate::device::VirtioDevice;
 use crate::queue::{QueueLayout, VirtQueue};
 
 /// `MagicValue` register: "virt" in little endian.
-pub const MAGIC: u64 = 0x7472_6976;
+const MAGIC: u64 = 0x7472_6976;
 /// Device version exposed (modern virtio-mmio).
-pub const VERSION: u64 = 2;
+const VERSION: u64 = 2;
 
 /// Register offsets (a subset of the virtio-mmio layout).
 pub mod regs {
     /// Magic value ("virt").
-    pub const MAGIC_VALUE: u64 = 0x000;
+    pub(super) const MAGIC_VALUE: u64 = 0x000;
     /// Device version.
-    pub const VERSION: u64 = 0x004;
+    pub(super) const VERSION: u64 = 0x004;
     /// Virtio device id.
     pub const DEVICE_ID: u64 = 0x008;
     /// Queue selector.
-    pub const QUEUE_SEL: u64 = 0x030;
+    pub(super) const QUEUE_SEL: u64 = 0x030;
     /// Maximum queue size supported by the device.
-    pub const QUEUE_NUM_MAX: u64 = 0x034;
+    pub(super) const QUEUE_NUM_MAX: u64 = 0x034;
     /// Queue size programmed by the driver.
-    pub const QUEUE_NUM: u64 = 0x038;
+    pub(super) const QUEUE_NUM: u64 = 0x038;
     /// Queue ready flag.
-    pub const QUEUE_READY: u64 = 0x044;
+    pub(super) const QUEUE_READY: u64 = 0x044;
     /// Queue notify (doorbell).
     pub const QUEUE_NOTIFY: u64 = 0x050;
     /// Interrupt status.
-    pub const INTERRUPT_STATUS: u64 = 0x060;
+    pub(super) const INTERRUPT_STATUS: u64 = 0x060;
     /// Interrupt acknowledge.
-    pub const INTERRUPT_ACK: u64 = 0x064;
+    pub(super) const INTERRUPT_ACK: u64 = 0x064;
     /// Device status.
-    pub const STATUS: u64 = 0x070;
+    pub(crate) const STATUS: u64 = 0x070;
     /// Selected queue: descriptor table address.
-    pub const QUEUE_DESC: u64 = 0x080;
+    pub(super) const QUEUE_DESC: u64 = 0x080;
     /// Selected queue: available ring address.
-    pub const QUEUE_AVAIL: u64 = 0x090;
+    pub(super) const QUEUE_AVAIL: u64 = 0x090;
     /// Selected queue: used ring address.
-    pub const QUEUE_USED: u64 = 0x0a0;
+    pub(super) const QUEUE_USED: u64 = 0x0a0;
     /// Start of the device-specific configuration space.
-    pub const CONFIG: u64 = 0x100;
+    pub(super) const CONFIG: u64 = 0x100;
 }
 
 /// Default maximum queue size advertised to drivers.
-pub const DEFAULT_QUEUE_NUM_MAX: u16 = 256;
+const DEFAULT_QUEUE_NUM_MAX: u16 = 256;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct QueueConfig {
@@ -116,7 +116,8 @@ impl VirtioMmio {
     }
 
     /// Number of interrupts raised towards the guest.
-    pub fn interrupts_raised(&self) -> u64 {
+    #[cfg(test)]
+    fn interrupts_raised(&self) -> u64 {
         self.interrupts_raised
     }
 
@@ -126,7 +127,8 @@ impl VirtioMmio {
     }
 
     /// Mutable access to the wrapped device model (e.g. to set a balloon target).
-    pub fn device_mut(&mut self) -> &mut dyn VirtioDevice {
+    #[cfg(test)]
+    fn device_mut(&mut self) -> &mut dyn VirtioDevice {
         self.device.as_mut()
     }
 

@@ -16,7 +16,7 @@ use crate::device::{DeviceType, VirtioDevice};
 use crate::queue::VirtQueue;
 
 /// Length of the virtio-net header preceding every frame.
-pub const VIRTIO_NET_HDR_LEN: usize = 12;
+const VIRTIO_NET_HDR_LEN: usize = 12;
 /// Index of the receive queue.
 pub const RX_QUEUE: usize = 0;
 /// Index of the transmit queue.
@@ -77,7 +77,7 @@ impl VirtioNet {
 
     /// Deliver frames waiting on the switch port into posted receive buffers.
     /// Returns whether an interrupt should be raised.
-    pub fn deliver_rx(&mut self, mem: &GuestMemory, rx_queue: &mut VirtQueue) -> Result<bool> {
+    fn deliver_rx(&mut self, mem: &GuestMemory, rx_queue: &mut VirtQueue) -> Result<bool> {
         let mut raise = false;
         while self.port.pending() > 0 {
             let Some(chain) = rx_queue.pop(mem)? else {

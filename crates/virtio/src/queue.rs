@@ -25,15 +25,15 @@ use rvisor_memory::GuestMemory;
 use rvisor_types::{Error, GuestAddress, Result};
 
 /// Descriptor flag: the buffer continues in the descriptor named by `next`.
-pub const VIRTQ_DESC_F_NEXT: u16 = 1;
+const VIRTQ_DESC_F_NEXT: u16 = 1;
 /// Descriptor flag: the buffer is device-writable (guest-readable otherwise).
-pub const VIRTQ_DESC_F_WRITE: u16 = 2;
+const VIRTQ_DESC_F_WRITE: u16 = 2;
 
 /// Size of one descriptor table entry in bytes.
-pub const DESC_SIZE: u64 = 16;
+const DESC_SIZE: u64 = 16;
 
 /// Maximum descriptors allowed in a single chain (sanity bound against loops).
-pub const MAX_CHAIN_LEN: usize = 128;
+const MAX_CHAIN_LEN: usize = 128;
 
 /// Where the three rings of a queue live in guest memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,12 +143,13 @@ impl DescriptorChain {
     }
 
     /// Total bytes across device-readable descriptors.
-    pub fn readable_len(&self) -> u64 {
+    fn readable_len(&self) -> u64 {
         self.readable().map(|d| d.len as u64).sum()
     }
 
     /// Total bytes across device-writable descriptors.
-    pub fn writable_len(&self) -> u64 {
+    #[cfg(test)]
+    fn writable_len(&self) -> u64 {
         self.writable().map(|d| d.len as u64).sum()
     }
 
@@ -156,7 +157,7 @@ impl DescriptorChain {
     ///
     /// One allocation for the result; each descriptor's payload is read
     /// directly into it (no per-descriptor temporary `Vec`).
-    pub fn read_all(&self, mem: &GuestMemory) -> Result<Vec<u8>> {
+    pub(crate) fn read_all(&self, mem: &GuestMemory) -> Result<Vec<u8>> {
         let mut out = Vec::with_capacity(self.readable_len() as usize);
         for d in self.readable() {
             let start = out.len();
@@ -233,7 +234,8 @@ impl VirtQueue {
     }
 
     /// Whether the driver has posted chains the device has not popped yet.
-    pub fn has_available(&self, mem: &GuestMemory) -> Result<bool> {
+    #[cfg(test)]
+    fn has_available(&self, mem: &GuestMemory) -> Result<bool> {
         let avail_idx = mem.read_u16(self.layout.avail_idx_addr())?;
         Ok(avail_idx != self.next_avail)
     }
@@ -299,7 +301,7 @@ impl VirtQueue {
 
     /// Return a completed chain to the driver with `len` bytes written.
     /// Returns whether the device should raise an interrupt.
-    pub fn push_used(&mut self, mem: &GuestMemory, head: u16, len: u32) -> Result<bool> {
+    pub(crate) fn push_used(&mut self, mem: &GuestMemory, head: u16, len: u32) -> Result<bool> {
         let slot = self.layout.used_ring_addr(self.next_used);
         mem.write_u32(slot, head as u32)?;
         mem.write_u32(slot.unchecked_add(4), len)?;
@@ -384,7 +386,8 @@ impl DriverQueue {
     }
 
     /// Number of doorbells suppressed thanks to EVENT_IDX.
-    pub fn kicks_suppressed(&self) -> u64 {
+    #[cfg(test)]
+    fn kicks_suppressed(&self) -> u64 {
         self.kicks_suppressed
     }
 
@@ -502,12 +505,6 @@ impl DriverQueue {
             mem.write_u16(self.layout.used_event_addr(), self.last_used)?;
         }
         Ok(Some((id, len)))
-    }
-
-    /// Read back the contents of a device-writable buffer the driver posted
-    /// at `addr` (test helper).
-    pub fn read_buffer(&self, mem: &GuestMemory, addr: GuestAddress, len: u64) -> Result<Vec<u8>> {
-        mem.read_vec(addr, len)
     }
 }
 

@@ -103,7 +103,8 @@ impl VmConfig {
     }
 
     /// Set the per-slice instruction budget (builder style).
-    pub fn with_slice_instructions(mut self, n: u64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_slice_instructions(mut self, n: u64) -> Self {
         self.slice_instructions = n.max(1);
         self
     }

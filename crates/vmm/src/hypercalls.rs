@@ -24,7 +24,7 @@ pub enum HypercallNr {
 
 impl HypercallNr {
     /// Decode a hypercall number from the instruction's immediate.
-    pub fn from_raw(nr: u16) -> Option<Self> {
+    pub(crate) fn from_raw(nr: u16) -> Option<Self> {
         Some(match nr {
             0 => HypercallNr::Ping,
             1 => HypercallNr::ConsolePutChar,
@@ -49,7 +49,7 @@ impl HypercallNr {
 
 /// The result the VMM produces for a handled hypercall.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HypercallResult {
+pub(crate) struct HypercallResult {
     /// Value placed in the guest's result register.
     pub return_value: u64,
     /// Whether the vCPU should stop its slice (yield/idle).
@@ -60,7 +60,7 @@ pub struct HypercallResult {
 ///
 /// Console output is handled by the VM itself (it owns the serial device);
 /// this helper covers the pure ones and is shared by the VM and tests.
-pub fn handle_pure(nr: HypercallNr, arg: u64, now: Nanoseconds) -> HypercallResult {
+pub(crate) fn handle_pure(nr: HypercallNr, arg: u64, now: Nanoseconds) -> HypercallResult {
     match nr {
         HypercallNr::Ping => HypercallResult {
             return_value: arg,

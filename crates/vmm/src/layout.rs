@@ -6,29 +6,24 @@
 
 use rvisor_types::GuestAddress;
 
-/// Guest physical address where RAM begins.
-pub const RAM_BASE: GuestAddress = GuestAddress(0);
-
 /// Largest supported RAM size (the MMIO hole starts here).
-pub const RAM_MAX: u64 = 0x4000_0000; // 1 GiB
-
-/// Base of the MMIO device window.
-pub const MMIO_BASE: GuestAddress = GuestAddress(0x4000_0000);
+pub(crate) const RAM_MAX: u64 = 0x4000_0000; // 1 GiB
 
 /// Serial console MMIO base.
-pub const SERIAL_MMIO: GuestAddress = GuestAddress(0x4000_0000);
+pub(crate) const SERIAL_MMIO: GuestAddress = GuestAddress(0x4000_0000);
 /// Real-time clock MMIO base.
 pub const RTC_MMIO: GuestAddress = GuestAddress(0x4000_1000);
 /// Countdown timer MMIO base.
-pub const TIMER_MMIO: GuestAddress = GuestAddress(0x4000_2000);
+pub(crate) const TIMER_MMIO: GuestAddress = GuestAddress(0x4000_2000);
 /// virtio-blk transport base.
-pub const VIRTIO_BLK_MMIO: GuestAddress = GuestAddress(0x4001_0000);
+pub(crate) const VIRTIO_BLK_MMIO: GuestAddress = GuestAddress(0x4001_0000);
 /// virtio-net transport base.
-pub const VIRTIO_NET_MMIO: GuestAddress = GuestAddress(0x4002_0000);
+pub(crate) const VIRTIO_NET_MMIO: GuestAddress = GuestAddress(0x4002_0000);
 /// virtio-balloon transport base.
-pub const VIRTIO_BALLOON_MMIO: GuestAddress = GuestAddress(0x4003_0000);
+#[cfg(test)]
+const VIRTIO_BALLOON_MMIO: GuestAddress = GuestAddress(0x4003_0000);
 /// Size of each device's MMIO window.
-pub const MMIO_WINDOW: u64 = 0x1000;
+pub(crate) const MMIO_WINDOW: u64 = 0x1000;
 
 /// Serial console port-I/O base (the classic COM1 address).
 pub const SERIAL_PORT: u32 = 0x3f8;
@@ -38,13 +33,14 @@ pub mod irq {
     /// Serial console interrupt.
     pub const SERIAL: u32 = 4;
     /// Timer interrupt.
-    pub const TIMER: u32 = 0;
+    pub(crate) const TIMER: u32 = 0;
     /// virtio-blk interrupt.
     pub const VIRTIO_BLK: u32 = 8;
     /// virtio-net interrupt.
-    pub const VIRTIO_NET: u32 = 9;
+    pub(crate) const VIRTIO_NET: u32 = 9;
     /// virtio-balloon interrupt.
-    pub const VIRTIO_BALLOON: u32 = 10;
+    #[cfg(test)]
+    pub(super) const VIRTIO_BALLOON: u32 = 10;
 }
 
 #[cfg(test)]

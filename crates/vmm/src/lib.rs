@@ -45,9 +45,8 @@ pub mod vm;
 pub use config::{DiskConfig, VmConfig};
 pub use hypercalls::HypercallNr;
 pub use manager::{Vmm, VmmUtilization};
-pub use vm::{Vm, VmLifecycle, VmRunStats};
-
 pub use rvisor_memory::{DedupAnalysis, KsmConfig, KsmManager, KsmStats};
 pub use rvisor_migrate::PageCompression;
 pub use rvisor_types::{ByteSize, Error, GuestAddress, Nanoseconds, Result, VcpuId, VmId};
 pub use rvisor_vcpu::{ExecMode, Workload, WorkloadKind};
+pub use vm::{Vm, VmLifecycle, VmRunStats};

@@ -153,7 +153,8 @@ impl Vmm {
     }
 
     /// Mutable access to the snapshot store.
-    pub fn snapshots_mut(&mut self) -> &mut SnapshotStore {
+    #[cfg(test)]
+    fn snapshots_mut(&mut self) -> &mut SnapshotStore {
         &mut self.snapshots
     }
 
@@ -200,7 +201,8 @@ impl Vmm {
     }
 
     /// Total guest memory configured across all VMs.
-    pub fn total_guest_memory(&self) -> ByteSize {
+    #[cfg(test)]
+    fn total_guest_memory(&self) -> ByteSize {
         ByteSize::new(
             self.vms
                 .values()
@@ -270,7 +272,7 @@ impl Vmm {
 
     /// Run every runnable VM for one scheduling slice (simple round-robin at
     /// the host level). Returns the number of VMs that are still runnable.
-    pub fn run_all_once(&mut self) -> Result<usize> {
+    fn run_all_once(&mut self) -> Result<usize> {
         // Reuse the scratch id list: this loop runs once per scheduling slice
         // for the lifetime of the host, so it must not allocate at steady
         // state.

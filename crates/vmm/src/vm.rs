@@ -54,7 +54,7 @@ impl VmLifecycle {
     ///
     /// Everything else — including resurrecting a `Destroyed` VM and
     /// re-running a `Halted` one without a restore — is rejected.
-    pub fn can_transition(self, to: VmLifecycle) -> bool {
+    fn can_transition(self, to: VmLifecycle) -> bool {
         use VmLifecycle::*;
         matches!(
             (self, to),
@@ -128,7 +128,7 @@ impl Vm {
     }
 
     /// Build a VM attached to an existing virtual switch (used by [`crate::Vmm`]).
-    pub fn with_id_and_switch(
+    pub(crate) fn with_id_and_switch(
         id: VmId,
         config: VmConfig,
         switch: Option<&VirtualSwitch>,
@@ -296,7 +296,8 @@ impl Vm {
     }
 
     /// Inject bytes into the guest's serial input queue.
-    pub fn serial_input(&self, bytes: &[u8]) {
+    #[cfg(test)]
+    fn serial_input(&self, bytes: &[u8]) {
         self.serial.lock().inject_input(bytes);
     }
 
@@ -343,7 +344,7 @@ impl Vm {
     /// Every lifecycle change in this crate funnels through here, so illegal
     /// jumps (`Destroyed → Running`, `Halted → Running` without a restore,
     /// ...) are structurally impossible rather than merely untested.
-    pub fn transition(&mut self, to: VmLifecycle) -> Result<()> {
+    fn transition(&mut self, to: VmLifecycle) -> Result<()> {
         if !self.lifecycle.can_transition(to) {
             return Err(Error::InvalidVmState {
                 operation: "transition",
@@ -402,7 +403,7 @@ impl Vm {
 
     /// Run one scheduling slice on each vCPU. Returns whether the VM is
     /// still runnable afterwards.
-    pub fn run_slice(&mut self) -> Result<bool> {
+    pub(crate) fn run_slice(&mut self) -> Result<bool> {
         if self.lifecycle != VmLifecycle::Running {
             return Err(Error::InvalidVmState {
                 operation: "run",
@@ -641,7 +642,7 @@ impl Vm {
     }
 
     /// Restore architectural state of all vCPUs (destination side of migration).
-    pub fn restore_vcpu_states(&mut self, states: &[rvisor_vcpu::VcpuState]) -> Result<()> {
+    pub(crate) fn restore_vcpu_states(&mut self, states: &[rvisor_vcpu::VcpuState]) -> Result<()> {
         if states.len() != self.vcpus.len() {
             return Err(Error::Migration(format!(
                 "received {} vCPU states for a VM with {} vCPUs",
@@ -659,7 +660,7 @@ impl Vm {
     ///
     /// Fails if the lifecycle graph forbids the jump (e.g. on a `Halted` or
     /// `Destroyed` VM).
-    pub fn mark_running(&mut self) -> Result<()> {
+    pub(crate) fn mark_running(&mut self) -> Result<()> {
         if self.lifecycle == VmLifecycle::Running {
             return Ok(());
         }
@@ -668,7 +669,7 @@ impl Vm {
 
     /// Mark the VM halted (used by the migration destination when the source
     /// guest had already shut down by the time the hand-over happened).
-    pub fn mark_halted(&mut self) -> Result<()> {
+    pub(crate) fn mark_halted(&mut self) -> Result<()> {
         if self.lifecycle == VmLifecycle::Halted {
             return Ok(());
         }

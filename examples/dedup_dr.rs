@@ -8,9 +8,11 @@
 //!    degrades to an extra stored copy, never to corruption.
 //! 2. **Every unique page is shipped once** — hourly sweeps capture
 //!    incrementally and negotiate against the DR endpoint's known-chunk
-//!    set: novel pages cross the fabric as `ChunkData` frames, known pages
-//!    as small `ChunkRef` frames, so a steady-state sweep ships a tiny
-//!    fraction of the plain path's bytes.
+//!    set: the fabric is charged `dedup_backup_wire_bytes`, the size of a
+//!    stream of `ChunkData` frames for novel pages and small `ChunkRef`
+//!    frames for known ones (no frame is encoded; a test-only encoder pins
+//!    the figure), so a steady-state sweep ships a tiny fraction of the
+//!    plain path's bytes.
 //! 3. **Restore is byte-identical and the day is deterministic** — a VM
 //!    restored from its manifest chain matches the plain restore path
 //!    byte for byte, and both the dedup-on and dedup-off 32-rack Clos days
