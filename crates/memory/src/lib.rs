@@ -38,6 +38,7 @@
 //! | I want to… | Use | Copies? |
 //! |---|---|---|
 //! | borrow one page read-only | [`GuestMemory::with_page`] | no |
+//! | borrow one page, skipping it if known zero | [`GuestMemory::with_page_or_zero`] | no |
 //! | mutate one page in place (marks dirty) | [`GuestMemory::with_page_mut`] | no |
 //! | hash a page (KSM / dedup) | `GuestMemory::page_fingerprint` | no |
 //! | borrow an arbitrary single-region span | [`GuestMemory::with_slice`] / `GuestMemory::with_slice_mut` | no |

@@ -256,6 +256,15 @@ impl GuestMemory {
         region.with_page(rel, f)
     }
 
+    /// [`Self::with_page`], except that a page the known-zero plane calls
+    /// zero is not read: `f` gets a static zero page and `true` instead of
+    /// the page and `false`. A page written since the last [`Self::checksum`]
+    /// is always read (see [`crate::region`]).
+    pub fn with_page_or_zero<R>(&self, page: u64, f: impl FnOnce(&[u8], bool) -> R) -> Result<R> {
+        let (region, rel) = self.locate_page(page)?;
+        region.with_page_or_zero(rel, f)
+    }
+
     /// Run a closure over one page's bytes with write access, marking the
     /// page dirty. `page` is a global page index.
     pub fn with_page_mut<R>(&self, page: u64, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
@@ -796,15 +805,16 @@ mod tests {
         // A fresh guest is all zero: nothing is marked, nothing is read.
         assert_eq!(mem.checksum_counting_resums(), (0, 0));
 
-        // Five writes, k = 4 distinct pages: 1 twice, then 3 and 4 by one
-        // write straddling the region edge, then 7.
+        // Five writes, k = 3 distinct pages left to re-sum: 1 twice, then 3
+        // and 4 by one write straddling the region edge. Page 7 is written
+        // and then discarded, which settles its sum (0) itself.
         mem.write_u64(GuestAddress(PAGE_SIZE + 8), 0xdead).unwrap();
         mem.write_u8(GuestAddress(2 * PAGE_SIZE - 1), 9).unwrap();
         mem.write_u64(GuestAddress(4 * PAGE_SIZE - 4), u64::MAX)
             .unwrap();
         mem.with_page_mut(7, |b| b[100] = 1).unwrap();
         mem.discard_page(7).unwrap();
-        assert_eq!(mem.checksum_counting_resums(), (checksum_bytewise(&mem), 4));
+        assert_eq!(mem.checksum_counting_resums(), (checksum_bytewise(&mem), 3));
         assert_eq!(mem.checksum_counting_resums(), (checksum_bytewise(&mem), 0));
 
         // The dirty harvest and the checksum plane are separate: draining or
@@ -1036,6 +1046,7 @@ mod tests {
             }),
         ),
         ("with_page", None),
+        ("with_page_or_zero", None),
         (
             "with_page_mut",
             Some(|m| m.regions()[1].with_page_mut(1, |b| b[9] = 9).unwrap()),
@@ -1145,6 +1156,7 @@ mod tests {
         ),
         ("read_vec", None),
         ("with_page", None),
+        ("with_page_or_zero", None),
         (
             "with_page_mut",
             Some(|m| m.with_page_mut(6, |b| b[4095] = 1).unwrap()),
@@ -1232,16 +1244,17 @@ mod tests {
                 );
             }
         }
-        // Guest bytes change only under the data write lock, and only three
+        // Guest bytes change only under the data write lock, and only four
         // functions may take it: `mutate`, which marks; the checksum
-        // refresh, which changes no byte; and `hold`, which hands it to a
-        // `HeldRegion`, whose `write` marks through `mutate`'s helper and
-        // whose `write_u64` through that helper's fixed-width twin.
+        // refresh, which changes no byte; `discard_page`, which zeroes a
+        // page and stores what a refresh would; and `hold`, which hands it
+        // to a `HeldRegion`, whose `write` marks through `mutate`'s helper
+        // and whose `write_u64` through that helper's fixed-width twin.
         let code = region_source
             .split("#[cfg(test)]\nmod tests")
             .next()
             .unwrap();
-        assert_eq!(code.matches("self.data.write()").count(), 3);
+        assert_eq!(code.matches("self.data.write()").count(), 4);
         assert_eq!(code.matches(".stale_span(").count(), 2);
         assert_eq!(code.matches(".stale_word(").count(), 1);
     }
@@ -1271,11 +1284,14 @@ mod tests {
         /// a held view), dirty-plane harvests and `checksum()` calls over a
         /// two-region guest keeps `checksum()` equal to the byte-wise fold
         /// of a shadow copy of the guest, and every harvest equal to the
-        /// shadow's set of pages written since the last one.
+        /// shadow's set of pages written since the last one. After every
+        /// operation, every page the known-zero plane calls zero is zero in
+        /// the shadow and in the guest, and `with_page_or_zero` hands out
+        /// each page's shadow contents.
         #[test]
         fn cached_checksum_follows_a_shadow_model(
             ops in proptest::collection::vec(
-                (0u8..14, any::<u64>(), any::<u64>(), any::<u8>()),
+                (0u8..16, any::<u64>(), any::<u64>(), any::<u8>()),
                 1..40,
             ),
         ) {
@@ -1413,7 +1429,26 @@ mod tests {
                         shadow[at as usize..][..8].copy_from_slice(&y.to_le_bytes());
                         touch(&mut shadow_dirty, at, 8);
                     }
+                    // An all-zero page written over a page that may be
+                    // known zero: stale, so read again until the next
+                    // checksum settles it.
+                    13 => {
+                        mem.write_page(page, &[0; PAGE_SIZE as usize]).unwrap();
+                        shadow[(page * PAGE_SIZE) as usize..][..PAGE_SIZE as usize].fill(0);
+                        touch(&mut shadow_dirty, page * PAGE_SIZE, PAGE_SIZE);
+                    }
                     _ => prop_assert_eq!(mem.checksum(), model_checksum(&shadow)),
+                }
+                for p in 0..7 {
+                    let at = (p * PAGE_SIZE) as usize;
+                    let want = &shadow[at..at + PAGE_SIZE as usize];
+                    let (known_zero, same) =
+                        mem.with_page_or_zero(p, |b, zero| (zero, b == want)).unwrap();
+                    prop_assert!(same, "page {} handed out other bytes than the shadow's", p);
+                    if known_zero {
+                        prop_assert!(want.iter().all(|&b| b == 0), "page {} known zero", p);
+                        prop_assert!(mem.with_page(p, crate::scan::is_zero).unwrap());
+                    }
                 }
             }
             prop_assert_eq!(mem.read_vec(GuestAddress(0), TOTAL).unwrap(), shadow.clone());

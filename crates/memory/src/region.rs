@@ -2,11 +2,10 @@
 //!
 //! # One way to change guest bytes
 //!
-//! Every mutator of this type — [`MemoryRegion::write`], [`fill`],
-//! [`with_page_mut`], `with_slice_mut`, [`discard_page`] (and
-//! [`write_page`], which is a `write`) — goes through the private `mutate`
-//! helper. `mutate` applies one marking rule to the pages a mutation
-//! touches:
+//! Every mutator of this type but one — [`MemoryRegion::write`], [`fill`],
+//! [`with_page_mut`], `with_slice_mut` (and [`write_page`], which is a
+//! `write`) — goes through the private `mutate` helper. `mutate` applies one
+//! marking rule to the pages a mutation touches:
 //!
 //! 1. under the write lock it already holds, it sets the pages' bits in the
 //!    **checksum plane** (`Backing::stale`: "written since this page's cached
@@ -14,10 +13,12 @@
 //! 2. after the bytes have changed, it marks them in the `DirtyBitmap`
 //!    that migration and incremental snapshots harvest.
 //!
-//! Besides `mutate` and the checksum refresh, one function takes the data
-//! lock for writing: `hold`, which keeps it — a `HeldRegion`, the per-region
-//! half of [`crate::GuestAccess`] — so that a running vCPU pays for the lock
-//! once per `run` and not once per store. A store through a held region
+//! The one other mutator, [`discard_page`], zeroes a page and stores the
+//! checksum refresh's result for it under the same lock (below), then marks
+//! it dirty like `mutate`. Besides these two and the checksum refresh, one
+//! function takes the data lock for writing: `hold`, which keeps it — a
+//! `HeldRegion`, the per-region half of [`crate::GuestAccess`] — so that a
+//! running vCPU pays for the lock once per `run` and not once per store. A store through a held region
 //! applies the same rule in the same order, through the same helper
 //! (`Backing::stale_span`) or, for a `u64` one region holds, through its
 //! fixed-width twin (`Backing::stale_word`).
@@ -35,7 +36,8 @@
 //! an all-zero cache and no marks, for free — and a checksum re-sums only
 //! the marked pages, then adds up the cache: it reads the pages written
 //! since the last call plus 8 bytes per page, instead of every byte. The
-//! cost is 8 bytes + 1 bit per 4 KiB page, 0.2 % of the guest.
+//! cost is 8 bytes + 1 bit per 4 KiB page (and 1 more for the known-zero
+//! plane below), 0.2 % of the guest.
 //!
 //! **Race argument.** Bytes, marks and partial sums live in one `Backing`
 //! behind one `RwLock`. A writer holds that lock exclusively across marking
@@ -57,10 +59,40 @@
 //! bit, or the bit set again by a later store — it reads every store made
 //! under the hold or leaves the page dirty for the next harvest.
 //!
+//! # The known-zero plane
+//!
+//! Most guest pages are zero, so a region keeps one more bit per page,
+//! `Backing::zero`. **The rule:** where a page's stale bit is clear, its zero
+//! bit says whether the page is all zero; where the stale bit is set, it
+//! means nothing. A fresh region has every bit set; the checksum refresh
+//! sets or clears it for each page it re-sums (the page is zero exactly when
+//! the byte total `weighted_sum` forms on the way is zero); [`discard_page`]
+//! zeroes its page and stores the sum 0 and the bit, so the page needs no
+//! re-sum. No store touches the bit: its stale mark voids it.
+//! [`crate::GuestMemory::with_page_or_zero`] does not read a page the plane
+//! calls zero, so backup epochs, migration sources and recycled backings
+//! skip the zero pages of a guest whose checksum was taken.
+//!
+//! **Race argument:** the cached sum's above, unchanged — bit, mark, sum and
+//! bytes change together under the one write lock, and a reader that finds
+//! the bit valid under the read lock holds a page no writer is changing.
+//! **Named assumption:** a page the plane calls zero is zero. It rests on
+//! every byte change marking its page or being a discard; the mutator table
+//! and the shadow-model proptest in `memory.rs` check it after every step.
+//!
+//! # Recycled backings
+//!
+//! A dropped region's backing goes to a per-thread free list of at most
+//! `POOL_BACKINGS` backings of at most `POOL_MAX_BYTES`. [`MemoryRegion::new`]
+//! of the same length takes it back and zeroes only the pages the plane does
+//! not call zero, instead of the allocator's memset of the whole guest.
+//!
 //! [`fill`]: MemoryRegion::fill
 //! [`with_page_mut`]: MemoryRegion::with_page_mut
 //! [`discard_page`]: MemoryRegion::discard_page
 //! [`write_page`]: MemoryRegion::write_page
+
+use std::cell::RefCell;
 
 use parking_lot::{RwLock, RwLockWriteGuard};
 use rvisor_types::{Error, GuestAddress, GuestRegion, Result, PAGE_SIZE};
@@ -69,8 +101,9 @@ use crate::bitmap::{for_each_word_mask, DirtyBitmap};
 use crate::scan::weighted_sum;
 
 /// What a region's data lock guards: the guest bytes and the checksum cache
-/// that must change together with them (see the module docs).
-#[derive(Debug)]
+/// and known-zero plane that must change together with them (see the module
+/// docs).
+#[derive(Debug, Default)]
 struct Backing {
     bytes: Box<[u8]>,
     /// Cached checksum contribution of each page, valid where `stale` is
@@ -79,6 +112,19 @@ struct Backing {
     /// The checksum plane: bit `p % 64` of word `p / 64` is set when page
     /// `p` was written since `sums[p]` was computed.
     stale: Box<[u64]>,
+    /// The known-zero plane, laid out like `stale`: page `p` is all zero,
+    /// valid where `stale` is clear.
+    zero: Box<[u64]>,
+}
+
+/// Most backings the per-thread free list keeps.
+const POOL_BACKINGS: usize = 4;
+/// Largest backing (guest bytes) the free list keeps.
+const POOL_MAX_BYTES: usize = 1 << 20;
+
+thread_local! {
+    /// Backings of dropped regions, for [`MemoryRegion::new`] to take back.
+    static POOL: RefCell<Vec<Backing>> = const { RefCell::new(Vec::new()) };
 }
 
 /// The region-relative pages `[first, end)` that the `len` bytes at byte
@@ -94,6 +140,47 @@ fn touched_pages(off: usize, len: usize) -> (u64, u64) {
 }
 
 impl Backing {
+    /// A zero-filled backing of `len` bytes whose pages are all known zero:
+    /// one from the free list when it holds one of that length, with only
+    /// the pages not known zero filled again, else a fresh allocation.
+    fn zeroed(len: usize) -> Backing {
+        let recycled = POOL
+            .try_with(|pool| {
+                let mut pool = pool.borrow_mut();
+                let at = pool.iter().position(|b| b.bytes.len() == len)?;
+                Some(pool.swap_remove(at))
+            })
+            .ok()
+            .flatten();
+        let Some(mut backing) = recycled else {
+            let pages = len / PAGE_SIZE as usize;
+            let words = pages.div_ceil(64);
+            return Backing {
+                bytes: vec![0u8; len].into_boxed_slice(),
+                sums: vec![0u64; pages].into_boxed_slice(),
+                stale: vec![0u64; words].into_boxed_slice(),
+                zero: vec![u64::MAX; words].into_boxed_slice(),
+            };
+        };
+        for page in 0..backing.sums.len() as u64 {
+            if !backing.known_zero(page) {
+                let off = (page * PAGE_SIZE) as usize;
+                backing.bytes[off..off + PAGE_SIZE as usize].fill(0);
+                backing.sums[page as usize] = 0;
+            }
+        }
+        backing.stale.fill(0);
+        backing.zero.fill(u64::MAX);
+        backing
+    }
+
+    /// Whether the known-zero plane calls `page` zero.
+    #[inline]
+    fn known_zero(&self, page: u64) -> bool {
+        let (word, bit) = ((page / 64) as usize, 1 << (page % 64));
+        self.stale[word] & bit == 0 && self.zero[word] & bit != 0
+    }
+
     /// Step 1 of the marking rule, for whoever holds the write lock: mark
     /// the [`touched_pages`] of the `len` bytes at `off` stale in the
     /// checksum plane and hand out those bytes.
@@ -221,15 +308,10 @@ impl MemoryRegion {
                 "region wraps the address space".into(),
             ));
         }
-        let pages = len / PAGE_SIZE;
         Ok(MemoryRegion {
             range: GuestRegion::new(start, len),
-            data: RwLock::new(Backing {
-                bytes: vec![0u8; len as usize].into_boxed_slice(),
-                sums: vec![0u64; pages as usize].into_boxed_slice(),
-                stale: vec![0u64; pages.div_ceil(64) as usize].into_boxed_slice(),
-            }),
-            dirty: DirtyBitmap::new(pages),
+            data: RwLock::new(Backing::zeroed(len as usize)),
+            dirty: DirtyBitmap::new(len / PAGE_SIZE),
         })
     }
 
@@ -344,6 +426,23 @@ impl MemoryRegion {
     pub fn with_page_mut<R>(&self, page: u64, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
         let off = self.page_offset(page)?;
         Ok(self.mutate(off, PAGE_SIZE as usize, f))
+    }
+
+    /// [`Self::with_page`], except that a page the known-zero plane calls
+    /// zero (see the module docs) is not read: `f` gets a static zero page
+    /// and `true` instead of the page's bytes and `false`.
+    pub(crate) fn with_page_or_zero<R>(
+        &self,
+        page: u64,
+        f: impl FnOnce(&[u8], bool) -> R,
+    ) -> Result<R> {
+        static ZERO_PAGE: [u8; PAGE_SIZE as usize] = [0; PAGE_SIZE as usize];
+        let off = self.page_offset(page)?;
+        let data = self.data.read();
+        Ok(match data.known_zero(page) {
+            true => f(&ZERO_PAGE, true),
+            false => f(&data.bytes[off..off + PAGE_SIZE as usize], false),
+        })
     }
 
     /// FNV-1a fingerprint of a page's contents, hashed in place (no copy).
@@ -473,9 +572,22 @@ impl MemoryRegion {
     /// already sent it would leave source and destination checksums apart. A
     /// zero page costs next to nothing to carry — a zero-run frame on the
     /// wire, one shared chunk in a deduplicating store.
+    ///
+    /// Under the lock it also settles the page in both planes — sum 0,
+    /// known zero — so no checksum re-reads it; a page already known zero
+    /// is not written at all, only marked dirty.
     pub fn discard_page(&self, page: u64) -> Result<()> {
         let off = self.page_offset(page)?;
-        self.mutate(off, PAGE_SIZE as usize, |bytes| bytes.fill(0));
+        let mut data = self.data.write();
+        if !data.known_zero(page) {
+            data.bytes[off..off + PAGE_SIZE as usize].fill(0);
+            data.sums[page as usize] = 0;
+            let (word, bit) = ((page / 64) as usize, 1 << (page % 64));
+            data.stale[word] &= !bit;
+            data.zero[word] |= bit;
+        }
+        drop(data);
+        self.dirty.mark(page);
         Ok(())
     }
 
@@ -484,22 +596,27 @@ impl MemoryRegion {
     /// wrapping in `u64` — and how many pages had to be re-summed to get it.
     ///
     /// Only pages written since the previous call are read; the rest come
-    /// from the per-page cache (see the module docs).
+    /// from the per-page cache (see the module docs). Each page read has its
+    /// known-zero bit settled on the way.
     pub(crate) fn checksum(&self) -> (u64, u64) {
-        let mut data = self.data.write();
-        let Backing { bytes, sums, stale } = &mut *data;
+        let mut guard = self.data.write();
+        let data = &mut *guard;
         let mut resummed = 0u64;
-        for (word, marks) in stale.iter_mut().enumerate() {
+        for (word, (marks, zeros)) in data.stale.iter_mut().zip(data.zero.iter_mut()).enumerate() {
             let mut bits = std::mem::take(marks);
             resummed += u64::from(bits.count_ones());
             while bits != 0 {
                 let page = word * 64 + bits.trailing_zeros() as usize;
                 let off = page * PAGE_SIZE as usize;
-                sums[page] = weighted_sum(&bytes[off..off + PAGE_SIZE as usize], off as u64);
+                let (sum, bytes_total) =
+                    weighted_sum(&data.bytes[off..off + PAGE_SIZE as usize], off as u64);
+                data.sums[page] = sum;
+                let bit = bits & bits.wrapping_neg();
+                *zeros = (*zeros & !bit) | if bytes_total == 0 { bit } else { 0 };
                 bits &= bits - 1;
             }
         }
-        let total = sums.iter().fold(0u64, |a, &b| a.wrapping_add(b));
+        let total = data.sums.iter().fold(0u64, |a, &b| a.wrapping_add(b));
         (total, resummed)
     }
 
@@ -510,6 +627,20 @@ impl MemoryRegion {
     pub fn with_bytes<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
         let data = self.data.read();
         f(&data.bytes)
+    }
+}
+
+impl Drop for MemoryRegion {
+    /// Hand the backing to this thread's free list (see the module docs).
+    fn drop(&mut self) {
+        let backing = std::mem::take(self.data.get_mut());
+        // A thread being torn down has no list left: the backing is freed.
+        let _ = POOL.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            if pool.len() < POOL_BACKINGS && backing.bytes.len() <= POOL_MAX_BYTES {
+                pool.push(backing);
+            }
+        });
     }
 }
 
@@ -736,6 +867,82 @@ mod tests {
         // Page 1 was harvested; the erred page, the word remainder and the
         // untaken later word all stay dirty for the retry.
         assert_eq!(r.dirty_bitmap().dirty_pages(), vec![5, 9, 129]);
+    }
+
+    /// Whether the known-zero plane calls each page zero.
+    fn known_zero(r: &MemoryRegion) -> Vec<bool> {
+        (0..r.pages())
+            .map(|p| r.with_page_or_zero(p, |_, zero| zero).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn the_plane_follows_refresh_discard_and_stores() {
+        let r = MemoryRegion::new(GuestAddress(0), 70 * PAGE_SIZE).unwrap();
+        assert_eq!(known_zero(&r), vec![true; 70], "a fresh region is all zero");
+        r.write(GuestAddress(PAGE_SIZE), &[1]).unwrap();
+        r.write(GuestAddress(65 * PAGE_SIZE), &[0; 8]).unwrap();
+        r.fill(GuestAddress(66 * PAGE_SIZE), PAGE_SIZE, 3).unwrap();
+        let stale = |p: u64| p == 1 || p == 65 || p == 66;
+        let expect: Vec<bool> = (0..70).map(|p| !stale(p)).collect();
+        assert_eq!(known_zero(&r), expect, "a store makes the bit mean nothing");
+        assert_eq!(r.checksum().1, 3);
+        let expect: Vec<bool> = (0..70).map(|p| p != 1 && p != 66).collect();
+        assert_eq!(
+            known_zero(&r),
+            expect,
+            "the refresh settles what it re-sums"
+        );
+        // A discard settles its page at once, and changes nothing but the
+        // dirty bit of a page already known zero.
+        r.dirty_bitmap().clear();
+        r.discard_page(66).unwrap();
+        r.discard_page(2).unwrap();
+        assert_eq!(r.dirty_bitmap().dirty_pages(), vec![2, 66]);
+        assert_eq!(known_zero(&r), (0..70).map(|p| p != 1).collect::<Vec<_>>());
+        assert_eq!(
+            r.checksum(),
+            (r.with_bytes(|b| crate::scan::weighted_sum(b, 0).0), 0)
+        );
+        let mut held = r.hold();
+        let off = held.word_offset(GuestAddress(3 * PAGE_SIZE - 4)).unwrap();
+        held.write_u64(off, 0);
+        drop(held);
+        assert_eq!(known_zero(&r)[2..4], [false, false], "both pages of a word");
+    }
+
+    #[test]
+    fn a_recycled_backing_reads_all_zero_and_has_fresh_planes() {
+        // Whatever regions earlier tests on this thread dropped.
+        POOL.with(|pool| pool.borrow_mut().clear());
+        let len = 130 * PAGE_SIZE;
+        let r = MemoryRegion::new(GuestAddress(0), len).unwrap();
+        let bytes_at = |r: &MemoryRegion| r.with_bytes(|b| b.as_ptr() as usize);
+        let first = bytes_at(&r);
+        // Pages known non-zero, stale after a settled sum, stale and never
+        // summed, and discarded; one in the last, partial plane word.
+        r.fill(GuestAddress(0), 3 * PAGE_SIZE, 0xa5).unwrap();
+        r.write(GuestAddress(129 * PAGE_SIZE + 9), &[7]).unwrap();
+        r.checksum();
+        r.write(GuestAddress(PAGE_SIZE), &[0; 4]).unwrap();
+        r.write(GuestAddress(70 * PAGE_SIZE), &[1, 2, 3]).unwrap();
+        r.discard_page(2).unwrap();
+        drop(r);
+
+        let again = MemoryRegion::new(GuestAddress(0x10_0000), len).unwrap();
+        assert_eq!(
+            bytes_at(&again),
+            first,
+            "the backing came off the free list"
+        );
+        assert!(again.with_bytes(crate::scan::is_zero));
+        assert_eq!(again.checksum(), (0, 0), "no stale page and no stale sum");
+        assert_eq!(known_zero(&again), vec![true; 130]);
+        assert_eq!(again.dirty_bitmap().count(), 0);
+        // Another length is not served from the list.
+        assert!(MemoryRegion::new(GuestAddress(0), PAGE_SIZE)
+            .unwrap()
+            .with_bytes(crate::scan::is_zero));
     }
 
     #[test]

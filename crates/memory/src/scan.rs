@@ -130,7 +130,9 @@ pub fn fingerprint(bytes: &[u8]) -> u64 {
 const SUM_LINE: usize = 64;
 
 /// `Σ bytes[i] · ((base + i) | 1)`, wrapping in `u64`: the contribution of
-/// the bytes at offset `base` of a region to that region's checksum.
+/// the bytes at offset `base` of a region to that region's checksum; and
+/// beside it the plain byte total `Σ bytes[i]`, which the kernel forms on
+/// the way and which is zero exactly when every byte is.
 ///
 /// Because the checksum is a sum in a ring, a region's value is the sum of
 /// its pages' values, each computed with the page's byte offset as `base`
@@ -151,12 +153,12 @@ const SUM_LINE: usize = 64;
 /// No lane overflows: a pair sum is at most 510, so `a1 ≤ 8·510`,
 /// `a2 ≤ 36·510` and `8·a1 ≤ 32 640`, all below 2¹⁶.
 #[must_use]
-pub(crate) fn weighted_sum(bytes: &[u8], base: u64) -> u64 {
+pub(crate) fn weighted_sum(bytes: &[u8], base: u64) -> (u64, u64) {
     const EVEN_BYTES: u64 = 0x00ff_00ff_00ff_00ff;
     let lanes = |packed: u64| [0, 16, 32, 48].map(|shift| (packed >> shift) & 0xffff);
     debug_assert!(base.is_multiple_of(2), "odd base {base:#x} splits a pair");
 
-    let mut total = 0u64;
+    let (mut total, mut bytes_total) = (0u64, 0u64);
     let mut at = base;
     let mut lines = bytes.chunks_exact(SUM_LINE);
     for line in lines.by_ref() {
@@ -170,6 +172,7 @@ pub(crate) fn weighted_sum(bytes: &[u8], base: u64) -> u64 {
         let by_word: u64 = lanes(8 * a1 - a2).iter().sum();
         let by_lane = pair_sums[0] + 3 * pair_sums[1] + 5 * pair_sums[2] + 7 * pair_sums[3];
         let sum: u64 = pair_sums.iter().sum();
+        bytes_total += sum;
         total = total
             .wrapping_add(at.wrapping_mul(sum))
             .wrapping_add(8 * by_word + by_lane);
@@ -177,8 +180,9 @@ pub(crate) fn weighted_sum(bytes: &[u8], base: u64) -> u64 {
     }
     for (i, &v) in lines.remainder().iter().enumerate() {
         total = total.wrapping_add((v as u64).wrapping_mul(at.wrapping_add(i as u64) | 1));
+        bytes_total += v as u64;
     }
-    total
+    (total, bytes_total)
 }
 
 /// The byte-wise fold `GuestMemory::checksum` is defined by, kept only as
@@ -230,7 +234,7 @@ mod tests {
             for len in [0, 1, 7, 8, 63, 64, 65, 255, 256, 257, 4096, buf.len()] {
                 assert_eq!(
                     weighted_sum(&buf[..len], base),
-                    weighted_sum_bytewise(&buf[..len], base),
+                    (weighted_sum_bytewise(&buf[..len], base), 255 * len as u64),
                     "base {base:#x} len {len}"
                 );
             }
@@ -250,7 +254,7 @@ mod tests {
         let by_page = buf
             .chunks_exact(PAGE_SIZE as usize)
             .enumerate()
-            .map(|(p, page)| weighted_sum(page, p as u64 * PAGE_SIZE))
+            .map(|(p, page)| weighted_sum(page, p as u64 * PAGE_SIZE).0)
             .collect::<Vec<_>>();
         assert_eq!(by_page[2], 0);
         assert_eq!(
@@ -375,10 +379,10 @@ mod tests {
                 prop_assert_eq!(is_zero(slice), is_zero_bytewise(slice));
             }
 
-            /// The regrouped weighted sum equals the byte-wise fold on
-            /// arbitrary contents, lengths that are no multiple of a page,
-            /// a 64-byte line or a word, misaligned slice starts, and any
-            /// even base offset.
+            /// The regrouped weighted sum equals the byte-wise fold, and its
+            /// byte total the plain sum, on arbitrary contents, lengths that
+            /// are no multiple of a page, a 64-byte line or a word,
+            /// misaligned slice starts, and any even base offset.
             #[test]
             fn weighted_sum_equals_bytewise(
                 data in proptest::collection::vec(proptest::num::u8::ANY, 0..1500),
@@ -387,7 +391,8 @@ mod tests {
             ) {
                 let slice = &data[offset.min(data.len())..];
                 let base = half_base.wrapping_mul(2);
-                prop_assert_eq!(weighted_sum(slice, base), weighted_sum_bytewise(slice, base));
+                let plain: u64 = slice.iter().map(|&b| u64::from(b)).sum();
+                prop_assert_eq!(weighted_sum(slice, base), (weighted_sum_bytewise(slice, base), plain));
             }
 
             /// `GuestMemory::checksum` is the wrapping sum of the byte-wise

@@ -127,13 +127,18 @@ impl<'m> MigrationSource<'m> {
     /// pages coalesced into run-length frames. A zero run still open at the
     /// end stays in `self` for the next call or [`Self::end_round`] to
     /// close, so cutting a round's page list anywhere yields the same bytes.
+    ///
+    /// A page the source's known-zero plane calls zero is not read: the
+    /// framer or compressor gets a static zero page instead
+    /// ([`GuestMemory::with_page_or_zero`]), so the wire bytes and what the
+    /// XBZRLE cache sees are those of the page itself.
     fn encode_pages(&mut self, pages: &[u64], out: &mut Vec<u8>) -> Result<()> {
         let memory = self.memory;
         let Some(compressor) = self.compressor.as_mut() else {
             // Raw fast path: each page is framed straight into `out` under
             // the source read lock — one copy total.
             for &p in pages {
-                memory.with_page(p, |contents| wire::put_page_raw(out, p, contents))?;
+                memory.with_page_or_zero(p, |contents, _| wire::put_page_raw(out, p, contents))?;
             }
             return Ok(());
         };
@@ -141,7 +146,7 @@ impl<'m> MigrationSource<'m> {
         let mut pending_zero = self.pending_zero.take();
         for &p in pages {
             // Raw and delta pages too are framed from the borrowed page.
-            memory.with_page(p, |contents| match compressor.encode(p, contents) {
+            memory.with_page_or_zero(p, |contents, _| match compressor.encode(p, contents) {
                 EncodedPage::Zero => {
                     pending_zero = match pending_zero {
                         Some((first, count)) if first + count == p => Some((first, count + 1)),
@@ -203,7 +208,9 @@ impl<'m> MigrationSource<'m> {
         if self.compressor.is_some() {
             while n < pages.len()
                 && pages[n] == pages[0] + n as u64
-                && self.memory.with_page(pages[n], is_zero_page)?
+                && self
+                    .memory
+                    .with_page_or_zero(pages[n], |contents, zero| zero || is_zero_page(contents))?
             {
                 n += 1;
             }
@@ -266,6 +273,11 @@ impl<'m> MigrationSource<'m> {
 /// already verified by the [`wire::FrameReader`] before its payload is
 /// visible, so a corrupted frame aborts the stream *without* writing
 /// anything from that frame into guest memory.
+///
+/// A zero page — a `Zero` or `ZeroRun` frame, or a raw page whose payload is
+/// all zero — is applied as [`GuestMemory::discard_page`]: marked dirty like
+/// any applied page, and written only if the destination does not already
+/// know it zero, so a fresh destination keeps its zero pages known zero.
 #[derive(Debug)]
 pub struct MigrationSink<'m> {
     memory: &'m GuestMemory,
@@ -370,12 +382,15 @@ impl<'m> MigrationSink<'m> {
                                 format!("raw page payload is {} bytes", frame.payload.len()),
                             ));
                         }
-                        self.memory
-                            .with_page_mut(page, |target| target.copy_from_slice(frame.payload))?;
+                        if is_zero_page(frame.payload) {
+                            self.memory.discard_page(page)?;
+                        } else {
+                            self.memory.with_page_mut(page, |target| {
+                                target.copy_from_slice(frame.payload)
+                            })?;
+                        }
                     }
-                    MODE_ZERO => {
-                        self.memory.with_page_mut(page, |target| target.fill(0))?;
-                    }
+                    MODE_ZERO => self.memory.discard_page(page)?,
                     MODE_DELTA => {
                         self.memory.with_page_mut(page, |target| {
                             xbzrle_apply_in_place(target, frame.payload)
@@ -402,7 +417,7 @@ impl<'m> MigrationSink<'m> {
                 let count = u64::from_le_bytes(frame.payload.try_into().expect("checked 8 bytes"));
                 self.check_page_bounds(offset, first, count)?;
                 for page in first..first + count {
-                    self.memory.with_page_mut(page, |target| target.fill(0))?;
+                    self.memory.discard_page(page)?;
                 }
                 self.pages_applied += count;
                 Ok(())
@@ -1149,6 +1164,110 @@ mod tests {
         src.end_round(segment);
         emit(segment, bytes)?;
         Ok(bytes + segment.len() as u64)
+    }
+
+    /// Whether `mem`'s known-zero plane calls `page` zero.
+    fn known_zero(mem: &GuestMemory, page: u64) -> bool {
+        mem.with_page_or_zero(page, |_, zero| zero).unwrap()
+    }
+
+    #[test]
+    fn a_known_zero_source_streams_the_bytes_of_a_stale_one() {
+        // Every fifth page is non-zero. One twin's zero pages are known
+        // zero (its checksum settled them); the other's were written with
+        // zeros since, so they are stale and must be read.
+        let pages = 150u64;
+        let twin = |settled: bool| {
+            let mem = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();
+            for p in (0..pages).step_by(5) {
+                mem.write_u64(GuestAddress(p * PAGE_SIZE + 8), p + 1)
+                    .unwrap();
+            }
+            mem.checksum();
+            if !settled {
+                for p in (0..pages).filter(|p| p % 5 != 0) {
+                    mem.write_page(p, &[0; PAGE_SIZE as usize]).unwrap();
+                }
+            }
+            mem
+        };
+        let (known, stale) = (twin(true), twin(false));
+        assert!(known_zero(&known, 1) && !known_zero(&stale, 1));
+        let all: Vec<u64> = (0..pages).collect();
+        for compression in [
+            PageCompression::None,
+            PageCompression::ZeroPages,
+            PageCompression::Xbzrle,
+        ] {
+            let plan = MigrationPlan {
+                compression,
+                ..MigrationPlan::default()
+            };
+            let mut sources = [
+                MigrationSource::with_config(&known, &plan),
+                MigrationSource::with_config(&stale, &plan),
+            ];
+            for round in 0..3u64 {
+                let mut streamed = [Vec::new(), Vec::new()];
+                let mut leading = [0, 0];
+                for ((source, bytes), zeros) in
+                    sources.iter_mut().zip(&mut streamed).zip(&mut leading)
+                {
+                    let mut segment = Vec::new();
+                    encode_round_segments(source, &all, &mut segment, |s, _| {
+                        bytes.extend_from_slice(s);
+                        Ok(())
+                    })
+                    .unwrap();
+                    *zeros = source.leading_zero_pages(&all[1..]).unwrap();
+                }
+                assert_eq!(streamed[0], streamed[1], "{compression:?} round {round}");
+                assert_eq!(leading[0], leading[1]);
+                assert_eq!(leading[0] == 0, compression == PageCompression::None);
+                // Between rounds both twins zero a non-zero page and change
+                // another, so XBZRLE deltas against its cache; the first
+                // twin settles again.
+                for mem in [&known, &stale] {
+                    mem.discard_page(5 * (round + 1)).unwrap();
+                    mem.write_u64(GuestAddress(10 * PAGE_SIZE + 16), round)
+                        .unwrap();
+                }
+                known.checksum();
+            }
+            let [a, b] = &sources;
+            assert_eq!(a.compression_stats(), b.compression_stats());
+            for mem in [&known, &stale] {
+                for p in [5, 10, 15] {
+                    mem.write_u64(GuestAddress(p * PAGE_SIZE + 8), p + 1)
+                        .unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fresh_destination_keeps_its_zero_pages_known_zero() {
+        // Zero pages arrive as zero-run frames (compressed) or as all-zero
+        // raw payloads; either way a fresh destination's zero pages stay
+        // known zero, and every applied page is dirty.
+        for compression in [PageCompression::None, PageCompression::ZeroPages] {
+            let src = GuestMemory::flat(ByteSize::pages_of(20)).unwrap();
+            let dst = GuestMemory::flat(ByteSize::pages_of(20)).unwrap();
+            src.write_u64(GuestAddress(3 * PAGE_SIZE), 33).unwrap();
+            let plan = MigrationPlan {
+                engine: PlanEngine::StopAndCopy,
+                compression,
+                ..MigrationPlan::default()
+            };
+            let mut link = Link::new(LinkModel::gigabit());
+            let mut transport = LoopbackTransport::new(&mut link);
+            over(&plan, &src, &dst, &mut transport, &mut IdleDirtier).unwrap();
+            assert_eq!(region_bytes(&dst), region_bytes(&src));
+            assert_eq!(dst.dirty_pages(), (0..20).collect::<Vec<_>>());
+            let known: Vec<u64> = (0..20).filter(|&p| known_zero(&dst, p)).collect();
+            assert_eq!(known, (0..20).filter(|&p| p != 3).collect::<Vec<_>>());
+            assert_eq!(dst.checksum(), src.checksum());
+        }
     }
 
     #[test]

@@ -535,7 +535,7 @@ impl Cluster {
     }
 
     /// Total VMs placed across hosts.
-    pub fn total_vms(&self) -> usize {
+    pub(crate) fn total_vms(&self) -> usize {
         self.total_vms
     }
 
@@ -923,8 +923,13 @@ impl Cluster {
     /// Back up the named VM to the DR site through the content-addressed
     /// store ([`OrchParams::dedup_backups`](crate::OrchParams::dedup_backups)).
     ///
-    /// The captured epoch (full when `parent` is `None`, incremental
-    /// otherwise) is ingested into `cas`. No chunk frame is encoded: the
+    /// The epoch (full when `parent` is `None`, incremental otherwise) is
+    /// ingested into `cas` straight from the paused guest's memory
+    /// ([`Vm::backup_epoch`]): no snapshot is built, no page copied, and a
+    /// page the guest's known-zero plane calls zero is not read. An epoch
+    /// `cas` refuses (a missing parent, a chain at its length cap) fails
+    /// before the guest's dirty bitmap is drained, so the next accepted
+    /// epoch still carries those pages. No chunk frame is encoded: the
     /// fabric is charged [`rvisor_migrate::wire::dedup_backup_wire_bytes`],
     /// the size of a stream in which each *novel* chunk is a `ChunkData`
     /// frame and each deduplicated page a small `ChunkRef`, a figure a
@@ -962,30 +967,22 @@ impl Cluster {
         now: Nanoseconds,
     ) -> Result<Shipped> {
         let (idx, guest) = self.placement(key)?;
-        let parent_snap = match parent {
-            None => None,
-            Some(p) => Some(
-                cas.get(p)
-                    .ok_or_else(|| Error::Config(format!("{p} missing from the DR store")))?
-                    .snapshot_id,
-            ),
-        };
-        let snapshot = if let Guest::Live(id) = guest {
+        let (manifest, stats, n_vcpus) = if let Guest::Live(id) = guest {
             let live = self.hosts[idx].vmm.vm_mut(id)?;
-            live.capture_for_backup(label, parent_snap)?
+            let (manifest, stats) = live.backup_epoch(label, cas, parent)?;
+            (manifest, stats, live.config().vcpus as usize)
         } else {
             // Model VM: rebuild the canonical deploy state it is known to
             // be in. Parked guests never execute, so an incremental epoch
             // on a model VM drains an *empty* dirty set — exactly what a
             // materialized twin parked since its last epoch would produce.
             let mut scratch = self.canonical_guest(self.vms.name(key))?;
-            if parent_snap.is_some() {
+            if parent.is_some() {
                 scratch.memory().clear_dirty();
             }
-            scratch.capture_for_backup(label, parent_snap)?
+            let (manifest, stats) = scratch.backup_epoch(label, cas, parent)?;
+            (manifest, stats, scratch.config().vcpus as usize)
         };
-        let n_vcpus = snapshot.vcpus.len();
-        let (manifest, stats) = cas.ingest(&snapshot, parent)?;
         let wire_bytes = rvisor_migrate::wire::dedup_backup_wire_bytes(
             stats.chunks_novel,
             stats.chunks_deduped,
@@ -1789,6 +1786,40 @@ mod tests {
                 HostId::new(1)
             )
             .is_err());
+    }
+
+    #[test]
+    fn a_refused_dedup_epoch_keeps_the_guests_dirty_pages() {
+        let mut c = Cluster::new(specs(1), small_params()).unwrap();
+        c.deploy(HostId::new(0), web("dr")).unwrap();
+        let mut cas = CasStore::new();
+        let mut tip = c
+            .backup_dedup("dr", "e0", &mut cas, None, Nanoseconds::ZERO)
+            .unwrap()
+            .manifest;
+        for link in 1..rvisor_snapshot::store::MAX_CHAIN_LENGTH {
+            let label = format!("e{link}");
+            tip = c
+                .backup_dedup("dr", &label, &mut cas, Some(tip), Nanoseconds::ZERO)
+                .unwrap()
+                .manifest;
+        }
+        let vmm = c.hosts()[0].vmm();
+        let memory = vmm.vm(vmm.find_vm("dr").unwrap()).unwrap().memory().clone();
+        memory.write_u64(GuestAddress(0x3000), 0xfeed_f00d).unwrap();
+        // The chain is at its cap: the 33rd link is refused, and the page
+        // written since the last epoch stays dirty for the full epoch that
+        // must come next.
+        let refused = c.backup_dedup("dr", "e32", &mut cas, Some(tip), Nanoseconds::ZERO);
+        assert!(refused.is_err());
+        assert_eq!(memory.dirty_pages(), vec![3]);
+        let vmm = c.hosts()[0].vmm();
+        let vm = vmm.vm(vmm.find_vm("dr").unwrap()).unwrap();
+        assert_eq!(
+            vm.lifecycle(),
+            VmLifecycle::Running,
+            "resumed after the refusal"
+        );
     }
 
     #[test]

@@ -189,7 +189,7 @@ impl<E> EventQueue<E> {
 
     /// Total events ever scheduled (conservation accounting: at any point
     /// `pushed() == popped() + len()`, so no event can be silently lost).
-    pub fn pushed(&self) -> u64 {
+    pub(crate) fn pushed(&self) -> u64 {
         self.pushed
     }
 

@@ -767,10 +767,11 @@ impl Orchestrator {
                     // a long pause and a long transfer make it worse.
                     self.report.downtime_duration_integral +=
                         r.downtime.as_nanos() as u128 * r.total_time.as_nanos() as u128;
-                    // The destination guest's dirty bitmap no longer tracks
-                    // the last recorded epoch (zero-run pages skipped on the
-                    // wire are not marked dirty at the destination): restart
-                    // the VM's chain with a full capture.
+                    // The destination guest's dirty bitmap does not track
+                    // the last recorded epoch: the sink marked every page it
+                    // applied, zero runs included, not the pages written
+                    // since that epoch. Restart the VM's chain with a full
+                    // capture.
                     let key = self.cluster.vms.lookup(&decision.vm);
                     self.cluster.vms[key.expect("just migrated")].dr.force_full = true;
                 }

@@ -15,8 +15,19 @@
 //! the original snapshot byte-identically, and [`CasStore::restore`] applies
 //! a manifest chain (full parent plus incremental children) directly to
 //! guest memory with the same checksum verification as
-//! [`crate::SnapshotStore::restore`]. A dependents count per manifest keeps
-//! `retire` and `ingest` O(chain); the crate docs state how a `retire` fails.
+//! [`crate::SnapshotStore::restore`]. A dependents count and a chain length
+//! per manifest keep `retire` and `ingest` O(1) in the chain; the crate docs
+//! state how a `retire` fails.
+//!
+//! # Epochs straight from guest memory
+//!
+//! [`CasStore::ingest_memory`] records an epoch with no [`VmSnapshot`] and
+//! no page copy. It checks the chain rules first, so a refused epoch leaves
+//! the guest's dirty bitmap as it was; then takes the checksum, which
+//! settles every page's known-zero bit ([`rvisor_memory::region`]); then
+//! interns page by page, through the one loop [`CasStore::ingest`] uses: a
+//! known-zero page, unread, as the zero chunk (`ZERO_PAGE_FINGERPRINT`), any
+//! other page fingerprinted in place.
 
 use std::collections::BTreeMap;
 
@@ -28,6 +39,11 @@ use rvisor_vcpu::VcpuState;
 
 use crate::snapshot::{MemorySnapshot, SnapshotId, SnapshotKind, VmSnapshot};
 use crate::store::MAX_CHAIN_LENGTH;
+
+/// `fingerprint(&[0; PAGE_SIZE])`: the key of the zero chunk, which
+/// [`CasStore::ingest_memory`] interns for a known-zero page without
+/// reading it.
+pub(crate) const ZERO_PAGE_FINGERPRINT: u64 = 0xb93a_0c83_ce3b_6325;
 
 /// Identifies a chunk in a `ChunkStore`.
 ///
@@ -239,9 +255,11 @@ pub struct IngestStats {
 #[derive(Debug, Default)]
 pub struct CasStore {
     chunks: ChunkStore,
-    /// Each manifest with its dependents count: how many stored manifests
-    /// name it as `parent`, which `retire` would otherwise scan to learn.
-    manifests: BTreeMap<ManifestId, (Manifest, u64)>,
+    /// Each manifest with its dependents count — how many stored manifests
+    /// name it as `parent`, which `retire` would otherwise scan to learn —
+    /// and its chain length (1 for a full manifest, the parent's + 1
+    /// otherwise), which `ingest` would otherwise walk to learn.
+    manifests: BTreeMap<ManifestId, (Manifest, u64, usize)>,
     next_id: u64,
 }
 
@@ -259,43 +277,9 @@ impl CasStore {
         snapshot: &VmSnapshot,
         parent: Option<ManifestId>,
     ) -> Result<(ManifestId, IngestStats)> {
-        let parent = match snapshot.kind {
-            SnapshotKind::Full => None,
-            SnapshotKind::Incremental => {
-                let p = parent.ok_or_else(|| {
-                    Error::Snapshot("incremental manifest without a parent".into())
-                })?;
-                if !self.manifests.contains_key(&p) {
-                    return Err(Error::Snapshot(format!("parent {p} does not exist")));
-                }
-                if self.walk_chain(p, |_| ())? >= MAX_CHAIN_LENGTH {
-                    return Err(Error::Snapshot(format!(
-                        "chain rooted at {p} already has {MAX_CHAIN_LENGTH} links; take a full snapshot"
-                    )));
-                }
-                Some(p)
-            }
-        };
-        let mut stats = IngestStats::default();
-        let mut pages = Vec::with_capacity(snapshot.memory.pages.len());
-        for (index, bytes) in &snapshot.memory.pages {
-            let (id, novel) = self.chunks.intern(bytes);
-            if novel {
-                stats.chunks_novel += 1;
-                stats.bytes_novel += bytes.len() as u64;
-            } else {
-                stats.chunks_deduped += 1;
-                stats.bytes_deduped += bytes.len() as u64;
-            }
-            pages.push((*index, id));
-        }
-        if let Some((_, dependents)) = parent.and_then(|p| self.manifests.get_mut(&p)) {
-            *dependents += 1;
-        }
-        self.next_id += 1;
-        let id = ManifestId(self.next_id);
+        let parent = self.chain_parent(snapshot.kind, parent)?;
         let manifest = Manifest {
-            id,
+            id: ManifestId(0),
             parent,
             snapshot_id: snapshot.id,
             snapshot_parent: snapshot.parent,
@@ -305,17 +289,136 @@ impl CasStore {
             taken_at: snapshot.taken_at,
             vcpus: snapshot.vcpus.clone(),
             total_size: snapshot.memory.total_size,
-            pages,
+            pages: Vec::with_capacity(snapshot.memory.pages.len()),
             device_state: snapshot.device_state.clone(),
             memory_checksum: snapshot.memory_checksum,
         };
-        self.manifests.insert(id, (manifest, 0));
+        self.record(manifest, |intern| {
+            for (index, bytes) in &snapshot.memory.pages {
+                intern(*index, bytes, false);
+            }
+            Ok(())
+        })
+    }
+
+    /// Ingest an epoch of a quiescent guest straight from its memory (see
+    /// the module docs): full, clearing the dirty bitmap, when `parent` is
+    /// `None`; else incremental on `parent`, draining it. It records what
+    /// [`Self::ingest`] records for the guest's full or incremental capture;
+    /// a refused epoch changes nothing, the dirty bitmap included.
+    pub fn ingest_memory(
+        &mut self,
+        vm: VmId,
+        name: &str,
+        taken_at: Nanoseconds,
+        memory: &GuestMemory,
+        vcpus: Vec<VcpuState>,
+        parent: Option<ManifestId>,
+    ) -> Result<(ManifestId, IngestStats)> {
+        let kind = match parent {
+            None => SnapshotKind::Full,
+            Some(_) => SnapshotKind::Incremental,
+        };
+        let parent = self.chain_parent(kind, parent)?;
+        let snapshot_parent = parent.and_then(|p| self.get(p)).map(|m| m.snapshot_id);
+        if parent.is_none() {
+            memory.clear_dirty();
+        }
+        let manifest = Manifest {
+            id: ManifestId(0),
+            parent,
+            snapshot_id: SnapshotId(0),
+            snapshot_parent,
+            vm,
+            name: name.to_string(),
+            kind,
+            taken_at,
+            vcpus,
+            total_size: memory.total_size(),
+            pages: Vec::new(),
+            device_state: BTreeMap::new(),
+            memory_checksum: memory.checksum(),
+        };
+        self.record(manifest, |intern| match parent {
+            None => (0..memory.total_pages()).try_for_each(|page| {
+                memory.with_page_or_zero(page, |bytes, zero| intern(page, bytes, zero))
+            }),
+            Some(_) => memory.drain_dirty_pages_with(|page, bytes| {
+                intern(page, bytes, false);
+                Ok(())
+            }),
+        })
+    }
+
+    /// The chain rules for an epoch of `kind` on `parent`: a full epoch has
+    /// no parent (any given is ignored); an incremental one needs a stored
+    /// parent whose chain is shorter than `MAX_CHAIN_LENGTH`.
+    fn chain_parent(
+        &self,
+        kind: SnapshotKind,
+        parent: Option<ManifestId>,
+    ) -> Result<Option<ManifestId>> {
+        if kind == SnapshotKind::Full {
+            return Ok(None);
+        }
+        let p = parent
+            .ok_or_else(|| Error::Snapshot("incremental manifest without a parent".into()))?;
+        match self.manifests.get(&p) {
+            None => Err(Error::Snapshot(format!("parent {p} does not exist"))),
+            Some((_, _, links)) if *links >= MAX_CHAIN_LENGTH => Err(Error::Snapshot(format!(
+                "chain rooted at {p} already has {MAX_CHAIN_LENGTH} links; take a full snapshot"
+            ))),
+            Some(_) => Ok(Some(p)),
+        }
+    }
+
+    /// The one interning loop: `pages` hands it each page's `(index, bytes,
+    /// known zero)` in ascending order — a known-zero page is interned under
+    /// `ZERO_PAGE_FINGERPRINT`, unhashed — then `manifest`, its parent
+    /// checked, is stored. If `pages` fails, nothing is kept.
+    fn record(
+        &mut self,
+        mut manifest: Manifest,
+        pages: impl FnOnce(&mut dyn FnMut(u64, &[u8], bool)) -> Result<()>,
+    ) -> Result<(ManifestId, IngestStats)> {
+        let mut stats = IngestStats::default();
+        let chunks = &mut self.chunks;
+        let walked = pages(&mut |index, bytes, zero| {
+            let (id, novel) = match zero {
+                true => chunks.intern_keyed(ZERO_PAGE_FINGERPRINT, bytes),
+                false => chunks.intern(bytes),
+            };
+            let (count, byte_count) = match novel {
+                true => (&mut stats.chunks_novel, &mut stats.bytes_novel),
+                false => (&mut stats.chunks_deduped, &mut stats.bytes_deduped),
+            };
+            *count += 1;
+            *byte_count += bytes.len() as u64;
+            manifest.pages.push((index, id));
+        });
+        if let Err(e) = walked {
+            for (_, chunk) in &manifest.pages {
+                self.chunks.release(*chunk)?;
+            }
+            return Err(e);
+        }
+        let links = match manifest.parent.and_then(|p| self.manifests.get_mut(&p)) {
+            Some((_, dependents, links)) => {
+                *dependents += 1;
+                *links + 1
+            }
+            None => 1,
+        };
+        self.next_id += 1;
+        manifest.id = ManifestId(self.next_id);
+        let id = manifest.id;
+        self.manifests.insert(id, (manifest, 0, links));
         Ok((id, stats))
     }
 
     /// Look up a manifest.
     pub fn get(&self, id: ManifestId) -> Option<&Manifest> {
-        self.manifests.get(&id).map(|(manifest, _)| manifest)
+        self.manifests.get(&id).map(|(manifest, _, _)| manifest)
     }
 
     /// Rebuild the ingested [`VmSnapshot`] byte-identically from a manifest.
@@ -348,8 +451,9 @@ impl CasStore {
     }
 
     /// Call `f` on each link of the chain of `id`, newest first, and return
-    /// their number. The one place the chain rules are checked: every link
-    /// stored, at most `MAX_CHAIN_LENGTH + 1` of them, a full one last.
+    /// their number. Where a chain is read, its rules are checked here:
+    /// every link stored, at most `MAX_CHAIN_LENGTH + 1` of them, a full one
+    /// last.
     fn walk_chain<'a>(&'a self, id: ManifestId, mut f: impl FnMut(&'a Manifest)) -> Result<usize> {
         let (mut len, mut last_kind) = (0, None);
         let mut cursor = Some(id);
@@ -427,14 +531,14 @@ impl CasStore {
     /// manifest is gone and every other reference released: `total_refs`
     /// stays the page count of the manifests left, a retry frees nothing twice.
     pub fn retire(&mut self, id: ManifestId) -> Result<()> {
-        if self.manifests.get(&id).is_some_and(|(_, n)| *n > 0) {
+        if self.manifests.get(&id).is_some_and(|(_, n, _)| *n > 0) {
             return Err(Error::Snapshot(format!("{id} has dependent manifests")));
         }
-        let (manifest, _) = self
+        let (manifest, _, _) = self
             .manifests
             .remove(&id)
             .ok_or_else(|| Error::Snapshot(format!("{id} does not exist")))?;
-        if let Some((_, dependents)) = manifest.parent.and_then(|p| self.manifests.get_mut(&p)) {
+        if let Some((_, dependents, _)) = manifest.parent.and_then(|p| self.manifests.get_mut(&p)) {
             *dependents -= 1;
         }
         let mut outcome = Ok(());
@@ -488,8 +592,8 @@ mod tests {
     impl CasStore {
         pub(crate) fn audit(&self) -> Result<()> {
             let fail = |what: String| Err(Error::Snapshot(format!("CAS audit: {what}")));
-            for (id, (_, counted)) in &self.manifests {
-                let children = |(m, _): &&(Manifest, u64)| m.parent == Some(*id);
+            for (id, (_, counted, links)) in &self.manifests {
+                let children = |(m, _, _): &&(Manifest, u64, usize)| m.parent == Some(*id);
                 let scanned = self.manifests.values().filter(children).count() as u64;
                 if scanned != *counted {
                     return fail(format!("{id}: {scanned} dependents, {counted} counted"));
@@ -499,8 +603,14 @@ mod tests {
                 if walked != listed.map_err(|e| e.to_string()) {
                     return fail(format!("{id}: walker says {walked:?}"));
                 }
+                if walked.as_ref().is_ok_and(|walked| walked != links) {
+                    return fail(format!("{id}: walker says {walked:?}, {links} recorded"));
+                }
             }
-            let held = self.manifests.values().map(|(m, _)| m.pages.len() as u64);
+            let held = self
+                .manifests
+                .values()
+                .map(|(m, _, _)| m.pages.len() as u64);
             let held: u64 = held.sum();
             if held != self.total_refs() {
                 return fail(format!("{held} page slots, {} refs", self.total_refs()));
@@ -876,6 +986,38 @@ mod tests {
     }
 
     #[test]
+    fn the_zero_page_fingerprint_is_the_fingerprint_of_a_zero_page() {
+        assert_eq!(
+            ZERO_PAGE_FINGERPRINT,
+            fingerprint(&[0; rvisor_types::PAGE_SIZE as usize])
+        );
+    }
+
+    #[test]
+    fn a_refused_memory_fed_epoch_leaves_the_dirty_pages_for_the_next() {
+        let mem = memory(4);
+        let mut cas = CasStore::new();
+        let ingest = |cas: &mut CasStore, parent| {
+            let vcpus = vec![VcpuState::default()];
+            cas.ingest_memory(VmId::new(1), "e", Nanoseconds::ZERO, &mem, vcpus, parent)
+        };
+        let (mut tip, _) = ingest(&mut cas, None).unwrap();
+        assert_eq!(mem.dirty_page_count(), 0, "a full epoch anchors the chain");
+        for link in 1..MAX_CHAIN_LENGTH {
+            mem.write_u64(GuestAddress(0), link as u64).unwrap();
+            tip = ingest(&mut cas, Some(tip)).unwrap().0;
+        }
+        // The 33rd link is refused before anything is drained.
+        mem.write_u64(GuestAddress(2 * PAGE_SIZE), 7).unwrap();
+        let refused = message(ingest(&mut cas, Some(tip))).unwrap_err();
+        assert!(refused.contains("take a full snapshot"), "{refused}");
+        assert!(message(ingest(&mut cas, Some(ManifestId(99)))).is_err());
+        assert_eq!(mem.dirty_pages(), vec![2]);
+        assert_eq!(cas.manifest_count(), MAX_CHAIN_LENGTH);
+        cas.audit().unwrap();
+    }
+
+    #[test]
     fn chunk_and_manifest_ids_display() {
         assert_eq!(
             ChunkId {
@@ -1004,6 +1146,78 @@ mod tests {
                         prop_assert_eq!(walked, model_chain_len(&model, id));
                     }
                 }
+            }
+
+            /// An epoch ingested straight from guest memory records what
+            /// ingesting the capture of a twin guest records — the same
+            /// manifest (pages, checksum, chain links), stats and chunk
+            /// store — over full and incremental epochs of pages that are
+            /// known zero, stale and zero (written with zeros, or dirtied
+            /// then zeroed), discarded, and non-zero; and leaves the same
+            /// dirty bitmap.
+            #[test]
+            fn property_memory_fed_ingest_equals_ingesting_the_capture(
+                epochs in proptest::collection::vec(
+                    (
+                        proptest::collection::vec((0u64..12, 0u8..4, 0u64..3), 0..8),
+                        any::<bool>(),
+                        any::<bool>(),
+                    ),
+                    1..8,
+                ),
+            ) {
+                let (captured, fed) = (memory(12), memory(12));
+                let (mut by_capture, mut by_memory) = (CasStore::new(), CasStore::new());
+                let mut tips: Option<(ManifestId, ManifestId)> = None;
+                for (writes, full, settle) in epochs {
+                    for &(page, how, value) in &writes {
+                        for mem in [&captured, &fed] {
+                            match how {
+                                0 => mem.discard_page(page).unwrap(),
+                                // A zero value makes a stale page that is zero.
+                                _ => mem.write_u64(GuestAddress(page * PAGE_SIZE + 8 * u64::from(how)), value).unwrap(),
+                            }
+                        }
+                    }
+                    if settle {
+                        // Settle the plane between epochs on one twin only:
+                        // the records must not depend on it.
+                        fed.checksum();
+                    }
+                    let vcpus = vec![VcpuState::default()];
+                    let parent = tips.filter(|_| !full);
+                    let (snap, parent_snap) = match parent {
+                        None => (capture(1, &captured), None),
+                        Some((p, _)) => {
+                            let parent_snap = by_capture.get(p).unwrap().snapshot_id;
+                            let snap = VmSnapshot::capture_incremental(
+                                VmId::new(1), "full", Nanoseconds::ZERO, parent_snap,
+                                &captured, vcpus.clone(), BTreeMap::new(),
+                            ).unwrap();
+                            (snap, Some(p))
+                        }
+                    };
+                    if parent.is_none() {
+                        captured.clear_dirty();
+                    }
+                    let a = message(by_capture.ingest(&snap, parent_snap));
+                    let b = message(by_memory.ingest_memory(
+                        VmId::new(1), "full", Nanoseconds::ZERO, &fed, vcpus, parent.map(|(_, p)| p),
+                    ));
+                    prop_assert_eq!(a.as_ref().map(|(_, s)| *s), b.as_ref().map(|(_, s)| *s));
+                    let ((a, _), (b, _)) = (a.unwrap(), b.unwrap());
+                    prop_assert_eq!(by_capture.get(a), by_memory.get(b));
+                    prop_assert_eq!(captured.dirty_pages(), fed.dirty_pages());
+                    prop_assert_eq!(by_capture.stored_bytes(), by_memory.stored_bytes());
+                    prop_assert_eq!(by_capture.total_refs(), by_memory.total_refs());
+                    by_memory.audit().unwrap();
+                    tips = Some((a, b));
+                }
+                let (_, tip) = tips.unwrap();
+                let restored = memory(12);
+                by_memory.restore(tip, &restored).unwrap();
+                prop_assert_eq!(restored.read_vec(GuestAddress(0), 12 * PAGE_SIZE).unwrap(),
+                    fed.read_vec(GuestAddress(0), 12 * PAGE_SIZE).unwrap());
             }
 
             /// For any dirty pattern across any number of epochs, restoring

@@ -717,6 +717,37 @@ mod tests {
     }
 
     #[test]
+    fn a_migrated_guests_dirty_bitmap_holds_every_page() {
+        // The sink marks every page it applies, zero pages and zero runs
+        // included, so after `migrate_to` the destination's bitmap holds
+        // the whole guest — not the pages written since the source's last
+        // backup epoch. That is why the orchestrator restarts a migrated
+        // VM's DR chain with a full epoch. Zero pages arrive known zero.
+        for engine in ENGINES {
+            for compression in [PageCompression::None, PageCompression::ZeroPages] {
+                let (mut source, id) = loaded_vmm_with_marker();
+                source.vm(id).unwrap().memory().clear_dirty();
+                let mut dest = Vmm::new("dest");
+                let plan = MigrationPlan {
+                    compression,
+                    ..plan(engine)
+                };
+                let (dest_id, _) = migrate(&mut source, id, &mut dest, &plan).unwrap();
+                let memory = dest.vm(dest_id).unwrap().memory();
+                let pages = memory.total_pages();
+                assert_eq!(memory.dirty_pages(), (0..pages).collect::<Vec<_>>());
+                let known_zero = (0..pages)
+                    .filter(|&p| memory.with_page_or_zero(p, |_, zero| zero).unwrap())
+                    .count() as u64;
+                assert!(
+                    known_zero > pages / 2,
+                    "{engine:?} {compression:?}: {known_zero}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn multi_stream_migration_matches_the_serial_stream() {
         for engine in ENGINES {
             let run = |streams: usize| {

@@ -550,50 +550,34 @@ impl Vm {
         Ok(id)
     }
 
-    /// Capture a snapshot for the deduplicated backup path, pausing a
-    /// running VM for the duration. With `parent == None` a full capture is
-    /// taken and the dirty bitmap is cleared afterwards, anchoring the
-    /// incremental chain at this epoch; with a parent the dirty pages are
-    /// drained into an incremental capture. The snapshot is returned rather
-    /// than stored — the DR endpoint ingests it into its content-addressed
-    /// store.
-    pub fn capture_for_backup(
+    /// Record one backup epoch in `cas`, pausing a running VM for the
+    /// duration: the vCPU states and guest memory in place
+    /// ([`rvisor_snapshot::CasStore::ingest_memory`]), full when `parent` is
+    /// `None` (anchoring the incremental chain here), else incremental. A
+    /// running VM runs again afterwards, whatever the outcome.
+    pub fn backup_epoch(
         &mut self,
         name: &str,
-        parent: Option<rvisor_snapshot::SnapshotId>,
-    ) -> Result<VmSnapshot> {
+        cas: &mut rvisor_snapshot::CasStore,
+        parent: Option<rvisor_snapshot::ManifestId>,
+    ) -> Result<(rvisor_snapshot::ManifestId, rvisor_snapshot::IngestStats)> {
         let was_running = self.lifecycle == VmLifecycle::Running;
         if was_running {
             self.pause()?;
         }
         let vcpu_states = self.vcpus.iter().map(|v| v.save_state()).collect();
-        let snap = match parent {
-            None => {
-                let snap = VmSnapshot::capture_full(
-                    self.id,
-                    name,
-                    self.clock.now(),
-                    &self.memory,
-                    vcpu_states,
-                    Default::default(),
-                )?;
-                self.memory.clear_dirty();
-                snap
-            }
-            Some(parent) => VmSnapshot::capture_incremental(
-                self.id,
-                name,
-                self.clock.now(),
-                parent,
-                &self.memory,
-                vcpu_states,
-                Default::default(),
-            )?,
-        };
+        let epoch = cas.ingest_memory(
+            self.id,
+            name,
+            self.clock.now(),
+            &self.memory,
+            vcpu_states,
+            parent,
+        );
         if was_running {
             self.resume()?;
         }
-        Ok(snap)
+        epoch
     }
 
     /// Restore the VM to a snapshot previously stored in `store`.
