@@ -1128,7 +1128,8 @@ impl Cluster {
     /// same instant.
     ///
     /// Migration touches guest memory, so a still-modeled VM is
-    /// materialized first (and stays materialized ever after).
+    /// materialized first (and stays materialized ever after). The VM's
+    /// next DR capture after a migration is a full one.
     pub fn migrate_planned(
         &mut self,
         vm: &str,
@@ -1178,6 +1179,11 @@ impl Cluster {
         self.place_spec(to_idx, key, spec)
             .expect("fits checked above");
         self.set_placed(key, to_idx, Guest::Live(new_id));
+        // The destination guest's dirty bitmap does not track the VM's last
+        // DR epoch: the sink marked every page it applied, zero runs
+        // included, not the pages written since that epoch. Restart the
+        // VM's chain with a full capture.
+        self.vms[key].dr.force_full = true;
         if self.trace.is_on() {
             let end = queued_start.saturating_add(report.total_time);
             self.trace.span(

@@ -67,7 +67,7 @@ pub enum OrchEvent {
     BackupTick,
     /// Internal: a DR restore of `vm` finishes (scheduled after a
     /// [`HostFailure`](OrchEvent::HostFailure), delayed by detection time
-    /// plus restore transfer time).
+    /// plus restore transfer time). A scenario that lists one is refused.
     RestoreComplete {
         /// Name of the VM whose restore completes.
         vm: String,

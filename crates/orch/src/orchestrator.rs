@@ -1,4 +1,9 @@
 //! The orchestrator: one event loop driving a whole datacenter.
+//!
+//! Before the first event fires, a resolve pass gives every scenario event
+//! the key of the VM it names, so the loop never probes a name. That rests
+//! on one assumption, stated with the VM table in `vmtable.rs`: no name is
+//! interned after the arrivals are. The loop checks it in debug builds.
 
 use rvisor_cluster::{HostSpec, VmSpec};
 use rvisor_migrate::{FaultService, MigrationPlan, PlanEngine};
@@ -123,27 +128,47 @@ impl Orchestrator {
     ///
     /// Deterministic: the same scenario (same seed/config) against the same
     /// parameters and policy produces an `==`-equal report every time.
-    /// A scenario whose events are not time-sorted, or that has an event
-    /// after `config.duration`, is refused with [`Error::Config`] before any
-    /// event fires.
+    /// A scenario whose events are not time-sorted, that has an event after
+    /// `config.duration`, or that lists an internal
+    /// [`OrchEvent::RestoreComplete`] is refused with [`Error::Config`]
+    /// before any event fires.
     pub fn run(mut self, scenario: &Scenario) -> Result<OrchReport> {
         self.run_events(scenario)?;
         self.finalize()
     }
 
-    /// Everything of [`Self::run`] before the end-of-day accounting.
-    fn run_events(&mut self, scenario: &Scenario) -> Result<()> {
-        self.horizon = scenario.config.duration;
-        // The loop below reads the scenario as a sorted source that ends
-        // inside the day: check both before any handler runs.
-        let events = &scenario.events;
-        if let Some(pair) = events.windows(2).find(|pair| pair[1].0 < pair[0].0) {
-            return Err(Error::Config(format!(
-                "scenario events out of time order: {} at {} follows one at {}",
-                pair[1].1.kind(),
-                pair[1].0,
-                pair[0].0
-            )));
+    /// The resolve pass: check that `events` is a source the event loop can
+    /// read, then give each event the key of the VM it names, in a column
+    /// parallel to `events`. `None`: the event names no VM, or one that no
+    /// arrival of the scenario introduces — so there is nothing it could
+    /// refer to and it is counted as dropped. Arrivals are interned first,
+    /// so that list order cannot decide whether a name is known; since no
+    /// name is interned after them (see the `vmtable` module docs), every
+    /// key stays right all day and the loop never probes a name.
+    fn resolve_events(
+        &mut self,
+        events: &[(Nanoseconds, OrchEvent)],
+    ) -> Result<Vec<Option<VmKey>>> {
+        // A sorted source that ends inside the day, with no completion that
+        // only failure handling may schedule: check before any state moves.
+        let mut last = Nanoseconds::ZERO;
+        for (at, event) in events {
+            if *at < last {
+                return Err(Error::Config(format!(
+                    "scenario events out of time order: {} at {} follows one at {}",
+                    event.kind(),
+                    at,
+                    last
+                )));
+            }
+            if let OrchEvent::RestoreComplete { vm } = event {
+                return Err(Error::Config(format!(
+                    "scenario lists the internal event {} for {vm} at {at}: \
+                     only a host failure schedules one",
+                    event.kind()
+                )));
+            }
+            last = *at;
         }
         if let Some((at, event)) = events.last().filter(|(at, _)| *at > self.horizon) {
             return Err(Error::Config(format!(
@@ -154,17 +179,33 @@ impl Orchestrator {
             )));
         }
 
-        // Arrivals are interned first so that list order cannot decide
-        // whether a name is known; every other name resolves as it fires.
+        let vms = &mut self.cluster.vms;
+        let mut keys: Vec<Option<VmKey>> = events
+            .iter()
+            .map(|(_, event)| match event {
+                OrchEvent::VmArrival { spec } => Some(vms.intern(&spec.name)),
+                _ => None,
+            })
+            .collect();
+        for (key, (_, event)) in keys.iter_mut().zip(events) {
+            if let OrchEvent::VmDeparture { vm } | OrchEvent::LoadChange { vm, .. } = event {
+                *key = vms.lookup(vm);
+            }
+        }
+        Ok(keys)
+    }
+
+    /// Everything of [`Self::run`] before the end-of-day accounting.
+    fn run_events(&mut self, scenario: &Scenario) -> Result<()> {
+        self.horizon = scenario.config.duration;
+        self.cluster.vms.reserve(scenario.config.vm_arrivals);
+        let events = &scenario.events;
+        let keys = self.resolve_events(events)?;
+        let interned = self.cluster.vms.records().count();
+
         // `expected_events` re-derives the delivery count from the sources'
         // sizes, independently of the loop, so the post-run conservation
         // check has teeth.
-        self.cluster.vms.reserve(scenario.config.vm_arrivals);
-        for (_, event) in events {
-            if let OrchEvent::VmArrival { spec } = event {
-                self.cluster.vms.intern(&spec.name);
-            }
-        }
         let horizon = self.horizon;
         let (rebalance, backup) = (self.params.rebalance_interval, self.params.backup_interval);
         let ticks =
@@ -198,19 +239,9 @@ impl Orchestrator {
             self.report.events_processed += 1;
             let (event, key) = match source {
                 0 => {
-                    let event = &events[next].1;
+                    let i = next;
                     next += 1;
-                    // `None`: the event names no VM, or one that no arrival
-                    // of the scenario introduces — so there is nothing it
-                    // could refer to and it is counted as dropped.
-                    let name = match event {
-                        OrchEvent::VmArrival { spec } => Some(&spec.name),
-                        OrchEvent::VmDeparture { vm }
-                        | OrchEvent::LoadChange { vm, .. }
-                        | OrchEvent::RestoreComplete { vm } => Some(vm),
-                        _ => None,
-                    };
-                    (event, name.and_then(|name| self.cluster.vms.lookup(name)))
+                    (&events[i].1, keys[i])
                 }
                 1 => {
                     rebalance_at = rebalance_at.saturating_add(rebalance);
@@ -255,6 +286,11 @@ impl Orchestrator {
                 ) => self.on_load_change(key, *cpu_demand_millicores)?,
             }
         }
+        debug_assert_eq!(
+            self.cluster.vms.records().count(),
+            interned,
+            "a name was interned mid-run: the resolved keys may be stale"
+        );
 
         // Conservation: every scenario event and tick plus every restore
         // scheduled mid-run by HostFailure handling was delivered exactly
@@ -767,13 +803,6 @@ impl Orchestrator {
                     // a long pause and a long transfer make it worse.
                     self.report.downtime_duration_integral +=
                         r.downtime.as_nanos() as u128 * r.total_time.as_nanos() as u128;
-                    // The destination guest's dirty bitmap does not track
-                    // the last recorded epoch: the sink marked every page it
-                    // applied, zero runs included, not the pages written
-                    // since that epoch. Restart the VM's chain with a full
-                    // capture.
-                    let key = self.cluster.vms.lookup(&decision.vm);
-                    self.cluster.vms[key.expect("just migrated")].dr.force_full = true;
                 }
                 Err(_) => self.report.migrations_skipped += 1,
             }
@@ -1766,20 +1795,7 @@ mod tests {
     /// at 10 s, backups sweep every 900 s, then `events` (seconds, event).
     /// Returns the orchestrator after the event loop, before finalize.
     fn lifecycle_day(hosts: u32, dedup: bool, events: Vec<(u64, OrchEvent)>) -> Orchestrator {
-        use rvisor_cluster::ServerRole;
-        let spec = VmSpec::typical("vm-a", ServerRole::Web);
-        let mut all = vec![(10, OrchEvent::VmArrival { spec })];
-        all.extend(events);
-        let scenario = Scenario {
-            config: ScenarioConfig {
-                duration: Nanoseconds::from_secs(3600),
-                ..ScenarioConfig::day(0, WorkloadShape::SteadyState, hosts as usize, 1)
-            },
-            events: all
-                .into_iter()
-                .map(|(s, e)| (Nanoseconds::from_secs(s), e))
-                .collect(),
-        };
+        let scenario = lifecycle_scenario(hosts, events);
         let params = OrchParams {
             dedup_backups: dedup,
             ..fast_params()
@@ -1790,6 +1806,22 @@ mod tests {
         let mut orch = Orchestrator::new(specs, params, Box::new(ThresholdRebalance)).unwrap();
         orch.run_events(&scenario).unwrap();
         orch
+    }
+
+    /// The scenario of [`lifecycle_day`].
+    fn lifecycle_scenario(hosts: u32, events: Vec<(u64, OrchEvent)>) -> Scenario {
+        let mut all = vec![(10, arrival("vm-a"))];
+        all.extend(events);
+        Scenario {
+            config: ScenarioConfig {
+                duration: Nanoseconds::from_secs(3600),
+                ..ScenarioConfig::day(0, WorkloadShape::SteadyState, hosts as usize, 1)
+            },
+            events: all
+                .into_iter()
+                .map(|(s, e)| (Nanoseconds::from_secs(s), e))
+                .collect(),
+        }
     }
 
     fn arrival(name: &str) -> OrchEvent {
@@ -1955,16 +1987,60 @@ mod tests {
 
     #[test]
     fn events_for_unknown_names_are_dropped_without_a_record() {
-        let ghost_load = OrchEvent::LoadChange {
-            vm: "ghost".into(),
+        let load = |vm: &str| OrchEvent::LoadChange {
+            vm: vm.into(),
             cpu_demand_millicores: 500,
         };
-        let orch = lifecycle_day(1, false, vec![(20, ghost_load), (30, departure("ghost"))]);
-        assert_eq!(orch.report.events_dropped, 2);
+        // `ghost` never arrives; `vm-b` is named before it arrives; `vm-a`
+        // leaves and arrives again. The four events that name no VM at
+        // their instant are dropped, and both arrivals still land.
+        let events = vec![
+            (20, load("ghost")),
+            (30, departure("ghost")),
+            (40, load("vm-b")),
+            (50, departure("vm-b")),
+            (60, arrival("vm-b")),
+            (100, departure("vm-a")),
+            (200, arrival("vm-a")),
+        ];
+        let orch = lifecycle_day(1, false, events);
+        assert_eq!(orch.report.events_dropped, 4);
+        assert_eq!((orch.report.vms_arrived, orch.report.vms_departed), (3, 1));
         let vms = &orch.cluster.vms;
         assert_eq!(vms.lookup("ghost"), None);
-        assert_eq!(vms.records().count(), 1, "only vm-a was ever interned");
-        assert_eq!(orch.cluster.total_vms(), 1);
+        assert_eq!(
+            vms.records().count(),
+            2,
+            "vm-a kept its key; ghost got none"
+        );
+        for name in ["vm-a", "vm-b"] {
+            let key = vms.lookup(name).unwrap();
+            assert!(vms[key].placement().is_some(), "{name} was placed");
+        }
+        assert_eq!(orch.cluster.total_vms(), 2);
+
+        // A generated day with host failures and restores interns exactly
+        // its arrivals' names: a restore finds a name again, never adds one.
+        let s = small_scenario(5, 2);
+        let params = OrchParams {
+            backup_interval: Nanoseconds::from_secs(300),
+            ..fast_params()
+        };
+        let specs = (0..4)
+            .map(|i| HostSpec::modern_server(HostId::new(i)))
+            .collect();
+        let mut orch = Orchestrator::new(specs, params, Box::new(ThresholdRebalance)).unwrap();
+        orch.run_events(&s).unwrap();
+        assert!(orch.report.vms_restored > 0, "{}", orch.report);
+        let arrivals: std::collections::BTreeSet<&str> = s
+            .events
+            .iter()
+            .filter_map(|(_, event)| match event {
+                OrchEvent::VmArrival { spec } => Some(spec.name.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(orch.cluster.vms.records().count(), arrivals.len());
     }
 
     /// Runs `scenario`'s event loop on four hosts, expecting a refusal that
@@ -1989,6 +2065,16 @@ mod tests {
         let last = s.events.len() - 1;
         s.events.swap(0, last);
         assert_refused(&s, "out of time order");
+    }
+
+    /// A restore completion is the orchestrator's own event: one listed in
+    /// the scenario would end vm-a's restore one second after host 0 fails,
+    /// charging 1 s of lost VM time instead of the restore's real length.
+    #[test]
+    fn a_scenario_listed_restore_completion_is_refused() {
+        let forged = OrchEvent::RestoreComplete { vm: "vm-a".into() };
+        let s = lifecycle_scenario(2, vec![(1000, failure(0)), (1001, forged)]);
+        assert_refused(&s, "internal event restore-complete for vm-a");
     }
 
     #[test]

@@ -2,17 +2,27 @@
 //!
 //! A hypervisor addresses its guests by small integers; so does the
 //! orchestrator layer. A name is *interned* the first time a run sees it —
-//! while the day's events are seeded, or when a caller of the `&str` API
-//! deploys or restores it — and the [`VmKey`] it gets then is what every
-//! per-VM structure in this crate is indexed by: the record here, the
-//! per-host VM lists of [`OrchHost`](crate::OrchHost), the compact events in
-//! the orchestrator's queue. The interner is the only name-keyed map in the
-//! crate, and it is only ever probed, never iterated, so its hash order can
-//! reach no report, trace or output line. It hashes with a fixed-basis
-//! [`NameHasher`] rather than the standard library's per-instance random
-//! keys, so every run — and every day a benchmark repeats in one process —
-//! builds the same table layout and pays the same probe sequence: host time,
-//! like simulated time, does not depend on a hidden seed.
+//! when the orchestrator interns a scenario's arrivals before the first
+//! event fires, or when a caller of the `&str` API deploys or restores it —
+//! and the [`VmKey`] it gets then is what every per-VM structure in this
+//! crate is indexed by: the record here, the per-host VM lists of
+//! [`OrchHost`](crate::OrchHost), the compact events in the orchestrator's
+//! queue and the key column it resolves the day's events into. The interner
+//! is the only name-keyed map in the crate, and it is only ever probed,
+//! never iterated, so its hash order can reach no report, trace or output
+//! line. It hashes with a fixed-basis [`NameHasher`] rather than the
+//! standard library's per-instance random keys, so every run — and every
+//! day a benchmark repeats in one process — builds the same table layout
+//! and pays the same probe sequence: host time, like simulated time, does
+//! not depend on a hidden seed.
+//!
+//! **Named assumption: no name is interned after the arrivals are.** The
+//! orchestrator resolves every scenario event's name once, before the day
+//! starts, and relies on it. It holds because the orchestrator drives the
+//! cluster by key, and a restore's `intern` only finds again a name that
+//! arrived: a name that no arrival introduces stays unknown all day, and no
+//! resolved key goes stale. The event loop checks it in debug builds (the
+//! record count does not move).
 //!
 //! A key is never reused within a run and outlives the VM's departure: a
 //! name that leaves and later re-arrives gets the same key and a record that
@@ -32,6 +42,7 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::num::NonZeroU32;
 use std::ops::{Index, IndexMut};
 
 use rvisor_cluster::VmSpec;
@@ -40,9 +51,17 @@ use rvisor_types::{Nanoseconds, VmId};
 use crate::cluster::BackupHandle;
 use crate::dr::VmChain;
 
-/// Dense handle for one VM name, assigned in first-seen order.
+/// Dense handle for one VM name, assigned in first-seen order. It holds its
+/// index plus one, so `Option<VmKey>` is as small as the key: the
+/// orchestrator keeps one per scenario event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct VmKey(u32);
+pub(crate) struct VmKey(NonZeroU32);
+
+impl VmKey {
+    fn index(self) -> usize {
+        self.0.get() as usize - 1
+    }
+}
 
 /// What stands behind a placed VM: a statistical model or a live guest in
 /// the host's [`Vmm`](rvisor::Vmm) (the two ends of the fidelity dial).
@@ -161,7 +180,10 @@ impl VmTable {
         if let Some(key) = self.lookup(name) {
             return key;
         }
-        let key = VmKey(u32::try_from(self.records.len()).expect("under 2^32 VM names a run"));
+        let next = u32::try_from(self.records.len() + 1)
+            .ok()
+            .and_then(NonZeroU32::new);
+        let key = VmKey(next.expect("under 2^32 - 1 VM names a run"));
         self.keys.insert(name.into(), key);
         self.records.push(VmRecord {
             name: name.into(),
@@ -192,13 +214,13 @@ impl Index<VmKey> for VmTable {
     type Output = VmRecord;
 
     fn index(&self, key: VmKey) -> &VmRecord {
-        &self.records[key.0 as usize]
+        &self.records[key.index()]
     }
 }
 
 impl IndexMut<VmKey> for VmTable {
     fn index_mut(&mut self, key: VmKey) -> &mut VmRecord {
-        &mut self.records[key.0 as usize]
+        &mut self.records[key.index()]
     }
 }
 
@@ -226,6 +248,7 @@ mod tests {
         assert_eq!(t.lookup("c"), None, "a probe allocates nothing");
         assert_eq!(t.records().count(), 2);
         assert_eq!(t.name(b), "b");
+        assert_eq!(std::mem::size_of::<Option<VmKey>>(), 4, "a key has a niche");
         assert!(matches!(t[a].state, VmState::Absent));
     }
 
