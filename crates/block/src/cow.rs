@@ -47,44 +47,6 @@ impl CowOverlay {
     }
 }
 
-#[cfg(test)]
-impl CowOverlay {
-    /// Number of sectors that have been privately written (overlay footprint).
-    fn overlay_sectors(&self) -> u64 {
-        self.overlay.len() as u64
-    }
-
-    /// Bytes of private overlay storage in use.
-    fn overlay_bytes(&self) -> u64 {
-        self.overlay_sectors() * SECTOR_SIZE
-    }
-
-    /// Whether a sector has been privately written.
-    fn is_sector_dirty(&self, sector: u64) -> bool {
-        self.overlay.contains_key(&sector)
-    }
-
-    /// Discard all private writes, reverting to the base image.
-    fn revert(&mut self) {
-        self.overlay.clear();
-    }
-
-    /// Flatten the overlay into a standalone [`crate::RamDisk`]-style byte
-    /// image (base plus private writes), e.g. for exporting a template.
-    fn flatten(&mut self) -> Result<Vec<u8>> {
-        let mut out = vec![0u8; (self.capacity_sectors * SECTOR_SIZE) as usize];
-        {
-            let mut base = self.base.lock();
-            base.read_sectors(0, &mut out)?;
-        }
-        for (&sector, data) in &self.overlay {
-            let off = (sector * SECTOR_SIZE) as usize;
-            out[off..off + SECTOR_SIZE as usize].copy_from_slice(data);
-        }
-        Ok(out)
-    }
-}
-
 impl BlockBackend for CowOverlay {
     fn capacity_sectors(&self) -> u64 {
         self.capacity_sectors
@@ -130,7 +92,7 @@ impl BlockBackend for CowOverlay {
 
 /// A convenience constructor: wrap a backend in `Arc<Mutex<...>>` for sharing
 /// between several overlays.
-pub fn share<B: BlockBackend + 'static>(backend: B) -> Arc<Mutex<dyn BlockBackend>> {
+pub(crate) fn share<B: BlockBackend + 'static>(backend: B) -> Arc<Mutex<dyn BlockBackend>> {
     Arc::new(Mutex::new(backend))
 }
 
@@ -139,6 +101,13 @@ mod tests {
     use super::*;
     use crate::ram::RamDisk;
     use rvisor_types::ByteSize;
+
+    impl CowOverlay {
+        /// Number of sectors that have been privately written (overlay footprint).
+        fn overlay_sectors(&self) -> u64 {
+            self.overlay.len() as u64
+        }
+    }
 
     fn base_with_pattern() -> Arc<Mutex<dyn BlockBackend>> {
         let mut disk = RamDisk::new(ByteSize::kib(8));
@@ -176,9 +145,9 @@ mod tests {
         assert!(buf.iter().all(|&b| b == 0x11));
 
         assert_eq!(cow_a.overlay_sectors(), 1);
-        assert_eq!(cow_a.overlay_bytes(), 512);
-        assert!(cow_a.is_sector_dirty(0));
-        assert!(!cow_a.is_sector_dirty(1));
+        // An unwritten neighbour still reads through to the base.
+        cow_a.read_sectors(1, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0x00));
     }
 
     #[test]
@@ -192,31 +161,6 @@ mod tests {
         assert!(buf[..512].iter().all(|&b| b == 0x11)); // from base
         assert!(buf[512..1024].iter().all(|&b| b == 0x22)); // from overlay
         assert!(buf[1024..].iter().all(|&b| b == 0x00)); // base zeroes
-    }
-
-    #[test]
-    fn revert_discards_private_writes() {
-        let base = base_with_pattern();
-        let mut cow = CowOverlay::new(base);
-        cow.write_sectors(0, &vec![0xffu8; 1024]).unwrap();
-        assert_eq!(cow.overlay_sectors(), 2);
-        cow.revert();
-        assert_eq!(cow.overlay_sectors(), 0);
-        let mut buf = vec![0u8; 512];
-        cow.read_sectors(0, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0x11));
-    }
-
-    #[test]
-    fn flatten_merges_base_and_overlay() {
-        let base = base_with_pattern();
-        let mut cow = CowOverlay::new(base);
-        cow.write_sectors(2, &vec![0x99u8; 512]).unwrap();
-        let flat = cow.flatten().unwrap();
-        assert_eq!(flat.len(), 8 * 1024);
-        assert!(flat[..512].iter().all(|&b| b == 0x11));
-        assert!(flat[2 * 512..3 * 512].iter().all(|&b| b == 0x99));
-        assert!(flat[5 * 512..6 * 512].iter().all(|&b| b == 0x55));
     }
 
     #[test]

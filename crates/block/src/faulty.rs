@@ -66,21 +66,6 @@ impl FaultPlan {
         self
     }
 
-    /// Fail the `n`-th request (1-based) regardless of its target.
-    #[cfg(test)]
-    fn with_failure_on_request(mut self, n: u64) -> Self {
-        self.fail_on_request.push(n);
-        self
-    }
-
-    /// Fail requests at random with probability `rate`, driven by `seed`.
-    #[cfg(test)]
-    fn with_transient_rate(mut self, rate: f64, seed: u64) -> Self {
-        self.transient_rate = rate.clamp(0.0, 1.0);
-        self.seed = seed;
-        self
-    }
-
     /// Stop injecting after `n` failures (models a transient outage that heals).
     pub fn with_recovery_after(mut self, n: u64) -> Self {
         self.recover_after_failures = n;
@@ -134,11 +119,6 @@ impl<B: BlockBackend> FaultyDisk<B> {
     /// Injection counters.
     pub fn fault_stats(&self) -> FaultStats {
         self.stats
-    }
-
-    /// Access the wrapped backend (e.g. to verify its contents in tests).
-    pub fn inner(&self) -> &B {
-        &self.inner
     }
 
     fn healed(&self) -> bool {
@@ -221,6 +201,21 @@ mod tests {
     use super::*;
     use crate::ram::RamDisk;
     use rvisor_types::ByteSize;
+
+    impl FaultPlan {
+        /// Fail the `n`-th request (1-based) regardless of its target.
+        fn with_failure_on_request(mut self, n: u64) -> Self {
+            self.fail_on_request.push(n);
+            self
+        }
+
+        /// Fail requests at random with probability `rate`, driven by `seed`.
+        fn with_transient_rate(mut self, rate: f64, seed: u64) -> Self {
+            self.transient_rate = rate.clamp(0.0, 1.0);
+            self.seed = seed;
+            self
+        }
+    }
 
     fn disk() -> RamDisk {
         RamDisk::new(ByteSize::mib(1))

@@ -126,21 +126,9 @@ impl ImageLibrary {
         Ok(())
     }
 
-    /// Names of the registered templates.
-    #[cfg(test)]
-    fn template_names(&self) -> Vec<String> {
-        self.templates.keys().cloned().collect()
-    }
-
     /// Metadata for a template.
     pub fn template(&self, name: &str) -> Option<&DiskImage> {
         self.templates.get(name).map(|(img, _)| img)
-    }
-
-    /// Number of clones created so far.
-    #[cfg(test)]
-    fn clones_created(&self) -> u64 {
-        self.clones_created
     }
 
     /// Bytes physically copied by full-copy clones (CoW clones copy none).
@@ -190,6 +178,18 @@ pub fn synthetic_os_image(size: ByteSize) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ImageLibrary {
+        /// Names of the registered templates.
+        fn template_names(&self) -> Vec<String> {
+            self.templates.keys().cloned().collect()
+        }
+
+        /// Number of clones created so far.
+        fn clones_created(&self) -> u64 {
+            self.clones_created
+        }
+    }
 
     fn library_with_template(size: ByteSize) -> ImageLibrary {
         let mut lib = ImageLibrary::new();

@@ -23,8 +23,6 @@
 pub mod backend;
 pub mod cow;
 pub mod faulty;
-#[cfg(test)]
-mod file;
 pub mod image;
 pub mod ram;
 pub mod throttle;

@@ -39,11 +39,6 @@ impl RamDisk {
     pub fn set_read_only(&mut self, ro: bool) {
         self.read_only = ro;
     }
-
-    /// A view of the raw contents (tests and image cloning).
-    pub fn contents(&self) -> &[u8] {
-        &self.data
-    }
 }
 
 impl BlockBackend for RamDisk {
@@ -122,9 +117,11 @@ mod tests {
     fn size_rounds_up_to_sectors() {
         let disk = RamDisk::new(ByteSize::new(513));
         assert_eq!(disk.capacity_sectors(), 2);
-        let disk = RamDisk::from_data(vec![1, 2, 3]);
+        let mut disk = RamDisk::from_data(vec![1, 2, 3]);
         assert_eq!(disk.capacity_sectors(), 1);
-        assert_eq!(&disk.contents()[..3], &[1, 2, 3]);
+        let mut sector = [0xffu8; 512];
+        disk.read_sectors(0, &mut sector).unwrap();
+        assert_eq!(&sector[..4], &[1, 2, 3, 0]);
     }
 
     #[test]

@@ -122,13 +122,13 @@ impl Host {
     }
 
     /// Number of VMs on the host.
-    pub fn vm_count(&self) -> usize {
+    pub(crate) fn vm_count(&self) -> usize {
         self.placed.len()
     }
 
     /// CPU utilisation as a fraction of total cores (can exceed 1.0 when
     /// oversubscribed; the scheduler then time-shares).
-    pub fn cpu_utilization(&self) -> f64 {
+    pub(crate) fn cpu_utilization(&self) -> f64 {
         self.cpu_committed() / self.spec.cores as f64
     }
 

@@ -82,12 +82,6 @@ impl NumaTopology {
         self.nodes.iter().map(|n| n.cores).sum()
     }
 
-    /// Total memory across all nodes.
-    #[cfg(test)]
-    fn total_memory(&self) -> ByteSize {
-        ByteSize::new(self.nodes.iter().map(|n| n.memory.as_u64()).sum())
-    }
-
     /// Number of nodes.
     fn node_count(&self) -> usize {
         self.nodes.len()
@@ -176,16 +170,6 @@ impl NumaHost {
             node_cores_used: vec![0.0; n],
             placements: Vec::new(),
         }
-    }
-
-    /// The topology this host was built with.
-    pub fn topology(&self) -> &NumaTopology {
-        &self.topology
-    }
-
-    /// Placements made so far.
-    pub fn placements(&self) -> &[NumaPlacement] {
-        &self.placements
     }
 
     /// Free memory on a node.
@@ -381,6 +365,25 @@ mod tests {
     use super::*;
     use crate::vmspec::ServerRole;
     use rvisor_types::HostId;
+
+    impl NumaHost {
+        /// The topology this host was built with.
+        pub(crate) fn topology(&self) -> &NumaTopology {
+            &self.topology
+        }
+
+        /// Placements made so far.
+        pub(crate) fn placements(&self) -> &[NumaPlacement] {
+            &self.placements
+        }
+    }
+
+    impl NumaTopology {
+        /// Total memory across all nodes.
+        fn total_memory(&self) -> ByteSize {
+            ByteSize::new(self.nodes.iter().map(|n| n.memory.as_u64()).sum())
+        }
+    }
 
     fn two_node_host() -> NumaHost {
         // 2 nodes × 4 cores × 6 GiB = the deck-era 8-core / 12 GiB box.

@@ -83,14 +83,6 @@ impl ConsolidationPlan {
             .map(|h| h.power_watts())
             .sum()
     }
-
-    /// Which host a named VM landed on.
-    pub fn host_of(&self, vm_name: &str) -> Option<HostId> {
-        self.hosts
-            .iter()
-            .find(|h| h.placed.iter().any(|v| v.name == vm_name))
-            .map(|h| h.spec.id)
-    }
 }
 
 /// Plans VM-to-host assignments.
@@ -203,6 +195,16 @@ mod tests {
     use super::*;
     use crate::vmspec::ServerRole;
     use proptest::prelude::*;
+
+    impl ConsolidationPlan {
+        /// Which host a named VM landed on.
+        pub(crate) fn host_of(&self, vm_name: &str) -> Option<HostId> {
+            self.hosts
+                .iter()
+                .find(|h| h.placed.iter().any(|v| v.name == vm_name))
+                .map(|h| h.spec.id)
+        }
+    }
 
     fn planner(max_hosts: usize) -> ConsolidationPlanner {
         ConsolidationPlanner::new(HostSpec::deck_era_server(HostId::new(0)), max_hosts)

@@ -71,12 +71,6 @@ impl Provisioner {
         Provisioner { library, storage }
     }
 
-    /// The template library (to register more templates).
-    #[cfg(test)]
-    fn library_mut(&mut self) -> &mut ImageLibrary {
-        &mut self.library
-    }
-
     /// Provision a new disk from `template` using `strategy`.
     pub fn provision(
         &mut self,
@@ -130,6 +124,13 @@ impl Provisioner {
 mod tests {
     use super::*;
     use rvisor_block::{synthetic_os_image, SECTOR_SIZE};
+
+    impl Provisioner {
+        /// The template library (to register more templates).
+        fn library_mut(&mut self) -> &mut ImageLibrary {
+            &mut self.library
+        }
+    }
 
     fn provisioner(image_mib: u64) -> Provisioner {
         let mut lib = ImageLibrary::new();

@@ -56,7 +56,7 @@ impl DesktopProfile {
     }
 
     /// Configured vCPUs per desktop.
-    pub fn vcpus(self) -> u32 {
+    pub(crate) fn vcpus(self) -> u32 {
         match self {
             DesktopProfile::TaskWorker => 1,
             DesktopProfile::KnowledgeWorker => 2,
@@ -65,7 +65,7 @@ impl DesktopProfile {
     }
 
     /// Configured memory per desktop.
-    pub fn memory(self) -> ByteSize {
+    pub(crate) fn memory(self) -> ByteSize {
         match self {
             DesktopProfile::TaskWorker => ByteSize::gib(2),
             DesktopProfile::KnowledgeWorker => ByteSize::gib(4),
@@ -132,7 +132,7 @@ impl VdiConfig {
     }
 
     /// Validate the configuration.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if !(0.0..=0.95).contains(&self.page_sharing_fraction) {
             return Err(Error::Config(format!(
                 "page sharing fraction {} outside [0, 0.95]",
@@ -156,7 +156,7 @@ impl VdiConfig {
 
     /// Host memory one desktop effectively consumes once sharing and
     /// ballooning are applied.
-    pub fn effective_memory_per_desktop(&self) -> ByteSize {
+    pub(crate) fn effective_memory_per_desktop(&self) -> ByteSize {
         let configured = self.profile.memory().as_u64() as f64;
         // Page sharing removes a flat fraction of every page the guest maps...
         let after_sharing = configured * (1.0 - self.page_sharing_fraction);
@@ -230,11 +230,6 @@ impl VdiEstimator {
     pub fn new(host: HostSpec, config: VdiConfig) -> Result<Self> {
         config.validate()?;
         Ok(VdiEstimator { host, config })
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &VdiConfig {
-        &self.config
     }
 
     /// Compute the density estimate.

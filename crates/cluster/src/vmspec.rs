@@ -94,12 +94,6 @@ impl VmSpec {
         self
     }
 
-    /// Override the vCPU count (builder style).
-    pub fn with_vcpus(mut self, vcpus: u32) -> Self {
-        self.vcpus = vcpus.max(1);
-        self
-    }
-
     /// Override the CPU demand (builder style).
     pub fn with_cpu_demand(mut self, cores: f64) -> Self {
         self.cpu_demand_cores = cores.max(0.0);
@@ -132,6 +126,14 @@ impl VmSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl VmSpec {
+        /// Override the vCPU count (builder style).
+        pub(crate) fn with_vcpus(mut self, vcpus: u32) -> Self {
+            self.vcpus = vcpus.max(1);
+            self
+        }
+    }
 
     #[test]
     fn typical_shapes_are_sane() {

@@ -81,22 +81,6 @@ impl MmioBus {
         Ok(())
     }
 
-    /// Remove the device whose region starts at `base`. Returns whether one was removed.
-    #[cfg(test)]
-    fn unregister(&self, base: GuestAddress) -> bool {
-        self.devices.write().remove(&base.0).is_some()
-    }
-
-    /// Number of registered devices.
-    pub fn len(&self) -> usize {
-        self.devices.read().len()
-    }
-
-    /// Whether no devices are registered.
-    pub fn is_empty(&self) -> bool {
-        self.devices.read().is_empty()
-    }
-
     fn lookup(&self, addr: GuestAddress) -> Option<(GuestRegion, SharedMmio)> {
         let devices = self.devices.read();
         devices
@@ -169,16 +153,6 @@ impl PortBus {
         Ok(())
     }
 
-    /// Number of registered devices.
-    pub fn len(&self) -> usize {
-        self.devices.read().len()
-    }
-
-    /// Whether no devices are registered.
-    pub fn is_empty(&self) -> bool {
-        self.devices.read().is_empty()
-    }
-
     fn lookup(&self, port: u32) -> Option<(u32, SharedPort)> {
         let devices = self.devices.read();
         devices
@@ -210,6 +184,32 @@ impl PortBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MmioBus {
+        /// Number of registered devices.
+        pub(crate) fn len(&self) -> usize {
+            self.devices.read().len()
+        }
+
+        /// Whether no devices are registered.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.devices.read().is_empty()
+        }
+    }
+
+    impl PortBus {
+        /// Number of registered devices.
+        pub(crate) fn len(&self) -> usize {
+            self.devices.read().len()
+        }
+    }
+
+    impl MmioBus {
+        /// Remove the device whose region starts at `base`. Returns whether one was removed.
+        fn unregister(&self, base: GuestAddress) -> bool {
+            self.devices.write().remove(&base.0).is_some()
+        }
+    }
 
     /// A scratch register device used to exercise the buses.
     struct Scratch {

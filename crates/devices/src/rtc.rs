@@ -39,18 +39,6 @@ impl Rtc {
             reads: 0,
         }
     }
-
-    /// The boot timestamp.
-    #[cfg(test)]
-    fn boot_time(&self) -> Nanoseconds {
-        self.boot_time
-    }
-
-    /// Number of guest reads served.
-    #[cfg(test)]
-    fn read_count(&self) -> u64 {
-        self.reads
-    }
 }
 
 impl MmioDevice for Rtc {
@@ -76,6 +64,18 @@ impl MmioDevice for Rtc {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Rtc {
+        /// The boot timestamp.
+        fn boot_time(&self) -> Nanoseconds {
+            self.boot_time
+        }
+
+        /// Number of guest reads served.
+        fn read_count(&self) -> u64 {
+            self.reads
+        }
+    }
 
     #[test]
     fn reports_simulated_time() {

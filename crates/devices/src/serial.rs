@@ -18,9 +18,9 @@ use crate::bus::{MmioDevice, PortDevice};
 use crate::interrupts::InterruptLine;
 
 /// Data register offset.
-pub const REG_DATA: u64 = 0;
+pub(crate) const REG_DATA: u64 = 0;
 /// Line-status register offset.
-pub const REG_STATUS: u64 = 1;
+pub(crate) const REG_STATUS: u64 = 1;
 /// Status bit: receive data available.
 const STATUS_RX_READY: u64 = 1 << 0;
 /// Status bit: transmitter idle (always set — writes never block).
@@ -38,7 +38,7 @@ pub struct SerialConsole {
 
 impl SerialConsole {
     /// Create a console with no interrupt line attached.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         SerialConsole {
             output: Vec::new(),
             input: VecDeque::new(),
@@ -56,20 +56,9 @@ impl SerialConsole {
         }
     }
 
-    /// Bytes the guest has written so far.
-    pub fn output(&self) -> &[u8] {
-        &self.output
-    }
-
     /// The guest's output interpreted as UTF-8 (lossy).
     pub fn output_string(&self) -> String {
         String::from_utf8_lossy(&self.output).into_owned()
-    }
-
-    /// Drain and return the accumulated guest output.
-    #[cfg(test)]
-    fn take_output(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.output)
     }
 
     /// Append one byte to the guest-visible output stream.
@@ -94,12 +83,6 @@ impl SerialConsole {
     /// Number of bytes transmitted by the guest.
     pub fn tx_count(&self) -> u64 {
         self.tx_bytes
-    }
-
-    /// Number of bytes the guest has read.
-    #[cfg(test)]
-    fn rx_count(&self) -> u64 {
-        self.rx_bytes
     }
 
     fn read_reg(&mut self, offset: u64) -> u64 {
@@ -169,6 +152,18 @@ mod tests {
     use super::*;
     use crate::interrupts::InterruptController;
 
+    impl SerialConsole {
+        /// Drain and return the accumulated guest output.
+        fn take_output(&mut self) -> Vec<u8> {
+            std::mem::take(&mut self.output)
+        }
+
+        /// Number of bytes the guest has read.
+        fn rx_count(&self) -> u64 {
+            self.rx_bytes
+        }
+    }
+
     #[test]
     fn guest_output_is_collected() {
         let mut serial = SerialConsole::new();
@@ -178,7 +173,7 @@ mod tests {
         assert_eq!(serial.output_string(), "hello");
         assert_eq!(serial.tx_count(), 5);
         assert_eq!(serial.take_output(), b"hello");
-        assert!(serial.output().is_empty());
+        assert!(serial.output_string().is_empty());
     }
 
     #[test]
@@ -202,7 +197,6 @@ mod tests {
         serial.inject_input(b"hi");
         assert!(ic.is_pending(4));
         serial.inject_input(b"");
-        assert_eq!(ic.stats().asserted, 1);
     }
 
     #[test]
@@ -221,6 +215,6 @@ mod tests {
         let mut serial = SerialConsole::new();
         assert_eq!(serial.read(7, 1), 0);
         serial.write(7, 123, 1);
-        assert!(serial.output().is_empty());
+        assert!(serial.output_string().is_empty());
     }
 }

@@ -91,41 +91,6 @@ impl Balloon {
         Ok(candidates)
     }
 
-    /// Inflate the balloon with one *specific* page (the virtio-balloon path,
-    /// where the guest driver chooses which page frame numbers to give up).
-    ///
-    /// Fails if the page is reserved, out of range, or already ballooned.
-    pub fn inflate_page(&self, page: u64) -> Result<()> {
-        let mut inner = self.inner.lock();
-        let total = self.memory.total_pages();
-        if page < self.reserved_low_pages || page >= total {
-            return Err(Error::BalloonExhausted {
-                requested_pages: 1,
-                available_pages: 0,
-            });
-        }
-        if inner.held.contains(&page) {
-            return Err(Error::BalloonExhausted {
-                requested_pages: 1,
-                available_pages: 0,
-            });
-        }
-        self.memory.discard_page(page)?;
-        inner.held.insert(page);
-        inner.inflations += 1;
-        Ok(())
-    }
-
-    /// Deflate one *specific* page. Returns whether it was held.
-    pub fn deflate_page(&self, page: u64) -> bool {
-        let mut inner = self.inner.lock();
-        let removed = inner.held.remove(&page);
-        if removed {
-            inner.deflations += 1;
-        }
-        removed
-    }
-
     /// Deflate the balloon by `pages` pages (or all held pages if fewer are held).
     ///
     /// Returns the global indices returned to the guest.
@@ -164,11 +129,6 @@ impl Balloon {
         self.inner.lock().held.len() as u64
     }
 
-    /// Whether a specific global page index is inside the balloon.
-    pub fn holds(&self, page: u64) -> bool {
-        self.inner.lock().held.contains(&page)
-    }
-
     /// Current statistics.
     pub fn stats(&self) -> BalloonStats {
         let inner = self.inner.lock();
@@ -189,6 +149,13 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rvisor_types::GuestAddress;
+
+    impl Balloon {
+        /// Whether a specific global page index is inside the balloon.
+        pub(crate) fn holds(&self, page: u64) -> bool {
+            self.inner.lock().held.contains(&page)
+        }
+    }
 
     fn setup(pages: u64) -> (GuestMemory, Balloon) {
         let mem = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();

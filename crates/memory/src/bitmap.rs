@@ -28,12 +28,6 @@ impl DirtyBitmap {
         }
     }
 
-    /// Whether the bitmap tracks zero pages.
-    #[cfg(test)]
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pages == 0
-    }
-
     /// Mark a single page dirty. Out-of-range indices are ignored.
     pub(crate) fn mark(&self, page: u64) {
         if page >= self.pages {
@@ -85,17 +79,6 @@ impl DirtyBitmap {
         }
     }
 
-    /// Whether `page` is currently marked dirty.
-    #[cfg(test)]
-    pub(crate) fn is_dirty(&self, page: u64) -> bool {
-        if page >= self.pages {
-            return false;
-        }
-        let word = (page / 64) as usize;
-        let bit = page % 64;
-        self.words[word].load(Ordering::Relaxed) & (1 << bit) != 0
-    }
-
     /// Number of dirty pages.
     pub(crate) fn count(&self) -> u64 {
         self.words
@@ -115,8 +98,8 @@ impl DirtyBitmap {
     /// Number of 64-page words backing the bitmap.
     ///
     /// Together with [`Self::load_word`] this is the substrate for batch
-    /// traversals (`MemoryRegion::for_each_dirty_page` holds its data lock
-    /// across one word's worth of pages).
+    /// traversals (`MemoryRegion::drain_dirty_pages_with` holds its data
+    /// lock across one word's worth of pages).
     pub(crate) fn word_count(&self) -> usize {
         self.words.len()
     }
@@ -190,37 +173,6 @@ impl DirtyBitmap {
             }
         }
     }
-
-    /// Atomically fetch the dirty set and clear it, as a fresh `Vec`.
-    ///
-    /// Allocating convenience wrapper over [`Self::drain_append_into`].
-    #[cfg(test)]
-    pub(crate) fn drain(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.drain_append_into(&mut out);
-        out
-    }
-
-    /// Merge another bitmap's dirty bits into this one (page-wise OR).
-    ///
-    /// Used when a migration round is aborted and its harvested dirty set has
-    /// to be returned to the live bitmap.
-    #[cfg(test)]
-    fn merge_pages(&self, pages: &[u64]) {
-        for &p in pages {
-            self.mark(p);
-        }
-    }
-
-    /// Fraction of tracked pages that are dirty (0.0 ..= 1.0).
-    #[cfg(test)]
-    pub(crate) fn dirty_fraction(&self) -> f64 {
-        if self.pages == 0 {
-            0.0
-        } else {
-            self.count() as f64 / self.pages as f64
-        }
-    }
 }
 
 /// Call `f(word index, bit mask)` for each 64-page word the page range
@@ -253,7 +205,7 @@ pub(crate) fn for_each_word_mask(first: u64, end: u64, mut f: impl FnMut(usize, 
 ///
 /// Each 64-page word is loaded once when the iterator reaches it, so pages
 /// marked behind the cursor during iteration may or may not be observed —
-/// the same snapshot-per-word semantics [`DirtyBitmap::drain`] has.
+/// the same snapshot-per-word semantics [`DirtyBitmap::drain_append_into`] has.
 #[derive(Debug)]
 pub(crate) struct DirtyIter<'a> {
     bitmap: &'a DirtyBitmap,
@@ -293,6 +245,48 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::BTreeSet;
     use std::sync::Arc;
+
+    impl DirtyBitmap {
+        /// Whether the bitmap tracks zero pages.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.pages == 0
+        }
+
+        /// Whether `page` is currently marked dirty.
+        pub(crate) fn is_dirty(&self, page: u64) -> bool {
+            if page >= self.pages {
+                return false;
+            }
+            let word = (page / 64) as usize;
+            let bit = page % 64;
+            self.words[word].load(Ordering::Relaxed) & (1 << bit) != 0
+        }
+
+        /// Atomically fetch the dirty set and clear it, as a fresh `Vec`.
+        ///
+        /// Allocating convenience wrapper over [`Self::drain_append_into`].
+        pub(crate) fn drain(&self) -> Vec<u64> {
+            let mut out = Vec::new();
+            self.drain_append_into(&mut out);
+            out
+        }
+
+        /// Merge a harvested dirty set back into this bitmap (page-wise OR).
+        fn merge_pages(&self, pages: &[u64]) {
+            for &p in pages {
+                self.mark(p);
+            }
+        }
+
+        /// Fraction of tracked pages that are dirty (0.0 ..= 1.0).
+        pub(crate) fn dirty_fraction(&self) -> f64 {
+            if self.pages == 0 {
+                0.0
+            } else {
+                self.count() as f64 / self.pages as f64
+            }
+        }
+    }
 
     #[test]
     fn mark_and_query() {

@@ -51,7 +51,7 @@ pub fn fingerprint(contents: &[u8]) -> u64 {
 /// Tuning knobs of the scanner.
 #[derive(Debug, Clone, Copy)]
 pub struct KsmConfig {
-    /// Maximum pages examined per call to [`KsmManager::scan_round`]
+    /// Maximum pages examined per call to `KsmManager::scan_round`
     /// (`pages_to_scan` in the Linux sysfs interface). `u64::MAX` scans
     /// everything each round.
     pub pages_per_round: u64,
@@ -190,12 +190,6 @@ impl KsmManager {
         }
     }
 
-    /// Whether a page is currently merged into a shared copy.
-    #[cfg(test)]
-    fn is_merged(&self, vm: VmId, page: u64) -> bool {
-        self.merged_of.contains_key(&(vm, page))
-    }
-
     /// Current statistics snapshot.
     pub fn stats(&self) -> KsmStats {
         let pages_shared = self.stable.values().filter(|g| g.members.len() > 1).count() as u64;
@@ -218,7 +212,7 @@ impl KsmManager {
     /// Run one scan round over at most `config.pages_per_round` pages,
     /// continuing from where the previous round stopped. Returns the number
     /// of pages newly merged during this round.
-    pub fn scan_round(&mut self) -> Result<u64> {
+    pub(crate) fn scan_round(&mut self) -> Result<u64> {
         let plan: Vec<PageKey> = self.scan_plan();
         let mut budget = self.config.pages_per_round;
         let mut newly_merged = 0u64;
@@ -402,6 +396,13 @@ where
 mod tests {
     use super::*;
     use rvisor_types::{ByteSize, GuestAddress};
+
+    impl KsmManager {
+        /// Whether a page is currently merged into a shared copy.
+        fn is_merged(&self, vm: VmId, page: u64) -> bool {
+            self.merged_of.contains_key(&(vm, page))
+        }
+    }
 
     fn memory_with_pattern(pages: u64, seed: u64) -> GuestMemory {
         let mem = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();

@@ -41,8 +41,8 @@
 //! | borrow one page, skipping it if known zero | [`GuestMemory::with_page_or_zero`] | no |
 //! | mutate one page in place (marks dirty) | [`GuestMemory::with_page_mut`] | no |
 //! | hash a page (KSM / dedup) | `GuestMemory::page_fingerprint` | no |
-//! | borrow an arbitrary single-region span | [`GuestMemory::with_slice`] / `GuestMemory::with_slice_mut` | no |
-//! | stream every dirty page under a batched lock | `GuestMemory::for_each_dirty_page` | no |
+//! | borrow an arbitrary single-region span | [`GuestMemory::with_slice`] | no |
+//! | harvest every dirty page under a batched lock | [`GuestMemory::drain_dirty_pages_with`] | no |
 //! | harvest + clear dirty indices into a reused buffer | [`GuestMemory::drain_dirty_into`] | no (at steady state) |
 //! | iterate dirty indices without clearing | `DirtyBitmap::iter_dirty` | no |
 //! | an owned copy of a page | [`GuestMemory::read_page`] | one `Vec` per call |

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use rvisor_types::{ByteSize, Error, GuestAddress, MemoryRegionConfig, Result, PAGE_SIZE};
+use rvisor_types::{ByteSize, Error, GuestAddress, Result, PAGE_SIZE};
 
 use crate::region::{HeldRegion, MemoryRegion};
 
@@ -44,11 +44,6 @@ impl GuestMemoryBuilder {
         }
         self.regions.push(Arc::new(new));
         Ok(self)
-    }
-
-    /// Add a region described by a [`MemoryRegionConfig`].
-    pub fn with_config(self, cfg: MemoryRegionConfig) -> Result<Self> {
-        self.with_region(cfg.base, cfg.size)
     }
 
     /// Finish building; regions are sorted by start address.
@@ -98,12 +93,6 @@ impl GuestMemory {
             .iter()
             .find(|r| r.range().contains(addr))
             .ok_or(Error::InvalidGuestAddress(addr))
-    }
-
-    /// Whether `addr` is backed by guest memory.
-    #[cfg(test)]
-    pub(crate) fn address_in_range(&self, addr: GuestAddress) -> bool {
-        self.regions.iter().any(|r| r.range().contains(addr))
     }
 
     /// Walk the (possibly several) regions backing `[addr, addr + len)` in
@@ -189,14 +178,6 @@ impl GuestMemory {
             memory: self,
             held: self.regions.iter().map(|r| r.hold()).collect(),
         }
-    }
-
-    /// Read a little-endian `u8`.
-    #[cfg(test)]
-    pub(crate) fn read_u8(&self, addr: GuestAddress) -> Result<u8> {
-        let mut b = [0u8; 1];
-        self.read(addr, &mut b)?;
-        Ok(b[0])
     }
 
     /// Read a little-endian `u16`.
@@ -296,38 +277,7 @@ impl GuestMemory {
         self.find_region(addr)?.with_slice(addr, len, f)
     }
 
-    /// Run a closure over an arbitrary single-region span with write access,
-    /// marking the touched pages dirty. See [`Self::with_slice`].
-    #[cfg(test)]
-    pub(crate) fn with_slice_mut<R>(
-        &self,
-        addr: GuestAddress,
-        len: u64,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> Result<R> {
-        self.find_region(addr)?.with_slice_mut(addr, len, f)
-    }
-
-    /// Visit every currently dirty page (global indices, ascending) without
-    /// clearing its bit, handing the closure `(page index, page bytes)`.
-    ///
-    /// Region read locks are held one 64-page bitmap word at a time (see
-    /// [`MemoryRegion::for_each_dirty_page`]): no per-page lock round-trip,
-    /// no per-page allocation, and writers still interleave between words.
-    #[cfg(test)]
-    pub(crate) fn for_each_dirty_page<E>(
-        &self,
-        mut f: impl FnMut(u64, &[u8]) -> std::result::Result<(), E>,
-    ) -> std::result::Result<(), E> {
-        let mut base = 0u64;
-        for r in self.regions.iter() {
-            r.for_each_dirty_page(|rel, bytes| f(base + rel, bytes))?;
-            base += r.pages();
-        }
-        Ok(())
-    }
-
-    /// Like `Self::for_each_dirty_page`, but harvesting: each 64-page
+    /// Visit every dirty page, harvesting: each 64-page
     /// word's dirty bits are atomically fetched-and-cleared before its pages
     /// are visited, so a page dirtied during the walk lands in the next
     /// epoch instead of being silently lost. This is what incremental
@@ -359,7 +309,7 @@ impl GuestMemory {
     }
 
     /// Zero a whole (global) page index, marking it dirty (see
-    /// [`MemoryRegion::discard_page`]).
+    /// `MemoryRegion::discard_page`).
     pub fn discard_page(&self, page: u64) -> Result<()> {
         let (region, rel) = self.locate_page(page)?;
         region.discard_page(rel)
@@ -385,19 +335,6 @@ impl GuestMemory {
     pub fn page_address(&self, page: u64) -> Result<GuestAddress> {
         let (region, rel) = self.locate_page(page)?;
         Ok(region.start().unchecked_add(rel * PAGE_SIZE))
-    }
-
-    /// The global page index containing a guest physical address.
-    #[cfg(test)]
-    pub(crate) fn address_page(&self, addr: GuestAddress) -> Result<u64> {
-        let mut base = 0u64;
-        for r in self.regions.iter() {
-            if r.range().contains(addr) {
-                return Ok(base + (addr.0 - r.start().0) / PAGE_SIZE);
-            }
-            base += r.pages();
-        }
-        Err(Error::InvalidGuestAddress(addr))
     }
 
     /// Collect the global indices of all dirty pages.
@@ -514,7 +451,7 @@ impl GuestAccess<'_> {
     }
 
     /// [`GuestMemory::write`] under the held locks, marking touched pages.
-    pub fn write(&mut self, addr: GuestAddress, buf: &[u8]) -> Result<()> {
+    pub(crate) fn write(&mut self, addr: GuestAddress, buf: &[u8]) -> Result<()> {
         let held = &mut self.held;
         self.memory
             .for_each_span(addr, buf.len() as u64, |region, at, off, take| {
@@ -534,9 +471,9 @@ impl GuestAccess<'_> {
         Ok(u64::from_le_bytes(b))
     }
 
-    /// Write a little-endian `u64`, with the marks of [`Self::write`]: one
+    /// Write a little-endian `u64`, with the marks of `Self::write`: one
     /// range check and an 8-byte copy when a single region holds all eight
-    /// bytes, otherwise [`Self::write`].
+    /// bytes, otherwise `Self::write`.
     // `always`: a plain hint leaves it out of line in `Vcpu::run`, whose
     // fast loop stores through it.
     #[inline(always)]
@@ -563,9 +500,64 @@ impl GuestAccess<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scan::{checksum_bytewise, weighted_sum_bytewise};
+    use crate::scan::tests::{checksum_bytewise, weighted_sum_bytewise};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
+
+    impl GuestMemory {
+        /// Whether `addr` is backed by guest memory.
+        pub(crate) fn address_in_range(&self, addr: GuestAddress) -> bool {
+            self.regions.iter().any(|r| r.range().contains(addr))
+        }
+
+        /// Read a little-endian `u8`.
+        pub(crate) fn read_u8(&self, addr: GuestAddress) -> Result<u8> {
+            let mut b = [0u8; 1];
+            self.read(addr, &mut b)?;
+            Ok(b[0])
+        }
+
+        /// Run a closure over an arbitrary single-region span with write access,
+        /// marking the touched pages dirty. See [`Self::with_slice`].
+        pub(crate) fn with_slice_mut<R>(
+            &self,
+            addr: GuestAddress,
+            len: u64,
+            f: impl FnOnce(&mut [u8]) -> R,
+        ) -> Result<R> {
+            self.find_region(addr)?.with_slice_mut(addr, len, f)
+        }
+
+        /// Visit every currently dirty page (global indices, ascending) without
+        /// clearing its bit, handing the closure `(page index, page bytes)`.
+        ///
+        /// Region read locks are held one 64-page bitmap word at a time (see
+        /// [`MemoryRegion::for_each_dirty_page`]): no per-page lock round-trip,
+        /// no per-page allocation, and writers still interleave between words.
+        pub(crate) fn for_each_dirty_page<E>(
+            &self,
+            mut f: impl FnMut(u64, &[u8]) -> std::result::Result<(), E>,
+        ) -> std::result::Result<(), E> {
+            let mut base = 0u64;
+            for r in self.regions.iter() {
+                r.for_each_dirty_page(|rel, bytes| f(base + rel, bytes))?;
+                base += r.pages();
+            }
+            Ok(())
+        }
+
+        /// The global page index containing a guest physical address.
+        pub(crate) fn address_page(&self, addr: GuestAddress) -> Result<u64> {
+            let mut base = 0u64;
+            for r in self.regions.iter() {
+                if r.range().contains(addr) {
+                    return Ok(base + (addr.0 - r.start().0) / PAGE_SIZE);
+                }
+                base += r.pages();
+            }
+            Err(Error::InvalidGuestAddress(addr))
+        }
+    }
 
     fn two_region_memory() -> GuestMemory {
         GuestMemoryBuilder::new()
@@ -1025,7 +1017,6 @@ mod tests {
         ("range", None),
         ("start", None),
         ("len", None),
-        ("is_empty", None),
         ("pages", None),
         ("dirty_bitmap", None),
         ("read", None),
@@ -1053,17 +1044,7 @@ mod tests {
         ),
         ("page_fingerprint", None),
         ("with_slice", None),
-        (
-            "with_slice_mut",
-            Some(|m| {
-                m.regions()[1]
-                    .with_slice_mut(GuestAddress(5 * PAGE_SIZE - 1), 2, |b| b.fill(3))
-                    .unwrap()
-            }),
-        ),
-        ("for_each_dirty_page", None),
         ("drain_dirty_pages_with", None),
-        ("read_page", None),
         (
             "write_page",
             Some(|m| {
@@ -1105,14 +1086,12 @@ mod tests {
         // GuestMemoryBuilder.
         ("new", None),
         ("with_region", None),
-        ("with_config", None),
         ("build", None),
         // GuestMemory.
         ("flat", None),
         ("regions", None),
         ("total_size", None),
         ("total_pages", None),
-        ("address_in_range", None),
         ("read", None),
         (
             "write",
@@ -1128,7 +1107,6 @@ mod tests {
                     .unwrap()
             }),
         ),
-        ("read_u8", None),
         ("read_u16", None),
         ("read_u32", None),
         ("read_u64", None),
@@ -1163,14 +1141,6 @@ mod tests {
         ),
         ("page_fingerprint", None),
         ("with_slice", None),
-        (
-            "with_slice_mut",
-            Some(|m| {
-                m.with_slice_mut(GuestAddress(4 * PAGE_SIZE), 8, |b| b.fill(2))
-                    .unwrap()
-            }),
-        ),
-        ("for_each_dirty_page", None),
         ("drain_dirty_pages_with", None),
         ("read_page", None),
         (
@@ -1179,7 +1149,6 @@ mod tests {
         ),
         ("discard_page", Some(|m| m.discard_page(2).unwrap())),
         ("page_address", None),
-        ("address_page", None),
         ("dirty_pages", None),
         ("dirty_page_count", None),
         ("drain_dirty_into", None),

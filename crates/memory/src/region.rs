@@ -2,9 +2,8 @@
 //!
 //! # One way to change guest bytes
 //!
-//! Every mutator of this type but one — [`MemoryRegion::write`], [`fill`],
-//! [`with_page_mut`], `with_slice_mut` (and [`write_page`], which is a
-//! `write`) — goes through the private `mutate` helper. `mutate` applies one
+//! Every mutator of this type but one — `MemoryRegion::write`, `fill`,
+//! `with_page_mut` (and `write_page`, which is a `write`) — goes through the private `mutate` helper. `mutate` applies one
 //! marking rule to the pages a mutation touches:
 //!
 //! 1. under the write lock it already holds, it sets the pages' bits in the
@@ -13,7 +12,7 @@
 //! 2. after the bytes have changed, it marks them in the `DirtyBitmap`
 //!    that migration and incremental snapshots harvest.
 //!
-//! The one other mutator, [`discard_page`], zeroes a page and stores the
+//! The one other mutator, `discard_page`, zeroes a page and stores the
 //! checksum refresh's result for it under the same lock (below), then marks
 //! it dirty like `mutate`. Besides these two and the checksum refresh, one
 //! function takes the data lock for writing: `hold`, which keeps it — a
@@ -66,7 +65,7 @@
 //! bit says whether the page is all zero; where the stale bit is set, it
 //! means nothing. A fresh region has every bit set; the checksum refresh
 //! sets or clears it for each page it re-sums (the page is zero exactly when
-//! the byte total `weighted_sum` forms on the way is zero); [`discard_page`]
+//! the byte total `weighted_sum` forms on the way is zero); `discard_page`
 //! zeroes its page and stores the sum 0 and the bit, so the page needs no
 //! re-sum. No store touches the bit: its stale mark voids it.
 //! [`crate::GuestMemory::with_page_or_zero`] does not read a page the plane
@@ -83,14 +82,9 @@
 //! # Recycled backings
 //!
 //! A dropped region's backing goes to a per-thread free list of at most
-//! `POOL_BACKINGS` backings of at most `POOL_MAX_BYTES`. [`MemoryRegion::new`]
+//! `POOL_BACKINGS` backings of at most `POOL_MAX_BYTES`. `MemoryRegion::new`
 //! of the same length takes it back and zeroes only the pages the plane does
 //! not call zero, instead of the allocator's memset of the whole guest.
-//!
-//! [`fill`]: MemoryRegion::fill
-//! [`with_page_mut`]: MemoryRegion::with_page_mut
-//! [`discard_page`]: MemoryRegion::discard_page
-//! [`write_page`]: MemoryRegion::write_page
 
 use std::cell::RefCell;
 
@@ -287,7 +281,7 @@ impl MemoryRegion {
     /// `len` must be non-zero and page aligned, and `start` must be page
     /// aligned; real VMMs hand out memory in page-sized slabs and the rest of
     /// the stack (dirty tracking, ballooning, migration) relies on it.
-    pub fn new(start: GuestAddress, len: u64) -> Result<Self> {
+    pub(crate) fn new(start: GuestAddress, len: u64) -> Result<Self> {
         if len == 0 {
             return Err(Error::InvalidRegionConfig(
                 "region length must be non-zero".into(),
@@ -316,27 +310,22 @@ impl MemoryRegion {
     }
 
     /// The guest physical range covered by this region.
-    pub fn range(&self) -> GuestRegion {
+    pub(crate) fn range(&self) -> GuestRegion {
         self.range
     }
 
     /// First guest physical address of the region.
-    pub fn start(&self) -> GuestAddress {
+    pub(crate) fn start(&self) -> GuestAddress {
         self.range.start
     }
 
     /// Length in bytes.
-    pub fn len(&self) -> u64 {
+    pub(crate) fn len(&self) -> u64 {
         self.range.len
     }
 
-    /// Whether the region is empty (never true for a constructed region).
-    pub fn is_empty(&self) -> bool {
-        self.range.len == 0
-    }
-
     /// Number of 4 KiB pages in the region.
-    pub fn pages(&self) -> u64 {
+    pub(crate) fn pages(&self) -> u64 {
         self.range.len / PAGE_SIZE
     }
 
@@ -353,7 +342,7 @@ impl MemoryRegion {
     }
 
     /// Read `buf.len()` bytes starting at `addr` into `buf`.
-    pub fn read(&self, addr: GuestAddress, buf: &mut [u8]) -> Result<()> {
+    pub(crate) fn read(&self, addr: GuestAddress, buf: &mut [u8]) -> Result<()> {
         let off = self.offset_of(addr, buf.len() as u64)?;
         let data = self.data.read();
         buf.copy_from_slice(&data.bytes[off..off + buf.len()]);
@@ -361,7 +350,7 @@ impl MemoryRegion {
     }
 
     /// Write `buf` starting at `addr`, marking the touched pages dirty.
-    pub fn write(&self, addr: GuestAddress, buf: &[u8]) -> Result<()> {
+    pub(crate) fn write(&self, addr: GuestAddress, buf: &[u8]) -> Result<()> {
         let off = self.offset_of(addr, buf.len() as u64)?;
         self.mutate(off, buf.len(), |span| span.copy_from_slice(buf));
         Ok(())
@@ -369,7 +358,7 @@ impl MemoryRegion {
 
     /// Fill `len` bytes starting at `addr` with `value`, marking the touched
     /// pages dirty.
-    pub fn fill(&self, addr: GuestAddress, len: u64, value: u8) -> Result<()> {
+    pub(crate) fn fill(&self, addr: GuestAddress, len: u64, value: u8) -> Result<()> {
         let off = self.offset_of(addr, len)?;
         self.mutate(off, len as usize, |span| span.fill(value));
         Ok(())
@@ -414,7 +403,7 @@ impl MemoryRegion {
     /// The region's read lock is held for the duration of the closure, so
     /// keep the work short (hash, compress, memcpy into a caller buffer).
     /// `page` is region-relative.
-    pub fn with_page<R>(&self, page: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
+    pub(crate) fn with_page<R>(&self, page: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         let off = self.page_offset(page)?;
         let data = self.data.read();
         Ok(f(&data.bytes[off..off + PAGE_SIZE as usize]))
@@ -423,7 +412,7 @@ impl MemoryRegion {
     /// Run a closure over one page's bytes with write access, marking the
     /// page dirty. The write lock is held for the duration of the closure.
     /// `page` is region-relative.
-    pub fn with_page_mut<R>(&self, page: u64, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
+    pub(crate) fn with_page_mut<R>(&self, page: u64, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
         let off = self.page_offset(page)?;
         Ok(self.mutate(off, PAGE_SIZE as usize, f))
     }
@@ -453,7 +442,7 @@ impl MemoryRegion {
 
     /// Run a closure over an arbitrary `[addr, addr + len)` span of the
     /// region without copying. The span must lie entirely inside this region.
-    pub fn with_slice<R>(
+    pub(crate) fn with_slice<R>(
         &self,
         addr: GuestAddress,
         len: u64,
@@ -464,40 +453,12 @@ impl MemoryRegion {
         Ok(f(&data.bytes[off..off + len as usize]))
     }
 
-    /// Run a closure over an arbitrary span with write access, marking the
-    /// touched pages dirty. The span must lie entirely inside this region.
-    #[cfg(test)]
-    pub(crate) fn with_slice_mut<R>(
-        &self,
-        addr: GuestAddress,
-        len: u64,
-        f: impl FnOnce(&mut [u8]) -> R,
-    ) -> Result<R> {
-        let off = self.offset_of(addr, len)?;
-        Ok(self.mutate(off, len as usize, f))
-    }
-
-    /// Visit every currently dirty page (without clearing its bit), handing
-    /// the closure `(region-relative page index, page bytes)`.
-    ///
-    /// Batch traversal: the region's read lock is acquired once per 64-page
-    /// bitmap word and held across that word's pages, so harvest-style scans
-    /// pay one lock round-trip per word instead of one per page, while still
-    /// letting writers interleave between words.
-    #[cfg(test)]
-    pub(crate) fn for_each_dirty_page<E>(
-        &self,
-        f: impl FnMut(u64, &[u8]) -> std::result::Result<(), E>,
-    ) -> std::result::Result<(), E> {
-        self.walk_dirty(false, f)
-    }
-
-    /// Like `Self::for_each_dirty_page`, but each 64-page word's dirty
-    /// bits are atomically fetched-and-cleared *before* its pages are
-    /// visited — the batched equivalent of `DirtyBitmap::drain_append_into`, with
+    /// Visit every dirty page under one data-lock acquisition per 64-page
+    /// word; each word's dirty bits are atomically fetched-and-cleared
+    /// *before* its pages are visited — the batched equivalent of `DirtyBitmap::drain_append_into`, with
     /// the same epoch guarantee: a page dirtied after its word was harvested
     /// stays dirty for the next harvest, never silently lost.
-    pub fn drain_dirty_pages_with<E>(
+    pub(crate) fn drain_dirty_pages_with<E>(
         &self,
         f: impl FnMut(u64, &[u8]) -> std::result::Result<(), E>,
     ) -> std::result::Result<(), E> {
@@ -542,16 +503,8 @@ impl MemoryRegion {
         Ok(())
     }
 
-    /// Copy a whole page out of the region. `page` is region-relative.
-    ///
-    /// Allocating convenience wrapper over [`Self::with_page`]; hot paths
-    /// should use the view directly.
-    pub fn read_page(&self, page: u64) -> Result<Vec<u8>> {
-        self.with_page(page, |bytes| bytes.to_vec())
-    }
-
     /// Overwrite a whole page. `page` is region-relative.
-    pub fn write_page(&self, page: u64, contents: &[u8]) -> Result<()> {
+    pub(crate) fn write_page(&self, page: u64, contents: &[u8]) -> Result<()> {
         if contents.len() != PAGE_SIZE as usize {
             return Err(Error::InvalidRegionConfig(format!(
                 "write_page requires exactly {PAGE_SIZE} bytes, got {}",
@@ -576,7 +529,7 @@ impl MemoryRegion {
     /// Under the lock it also settles the page in both planes — sum 0,
     /// known zero — so no checksum re-reads it; a page already known zero
     /// is not written at all, only marked dirty.
-    pub fn discard_page(&self, page: u64) -> Result<()> {
+    pub(crate) fn discard_page(&self, page: u64) -> Result<()> {
         let off = self.page_offset(page)?;
         let mut data = self.data.write();
         if !data.known_zero(page) {
@@ -648,6 +601,34 @@ impl Drop for MemoryRegion {
 mod tests {
     use super::*;
 
+    impl MemoryRegion {
+        /// Run a closure over an arbitrary span with write access, marking the
+        /// touched pages dirty. The span must lie entirely inside this region.
+        pub(crate) fn with_slice_mut<R>(
+            &self,
+            addr: GuestAddress,
+            len: u64,
+            f: impl FnOnce(&mut [u8]) -> R,
+        ) -> Result<R> {
+            let off = self.offset_of(addr, len)?;
+            Ok(self.mutate(off, len as usize, f))
+        }
+
+        /// Visit every currently dirty page (without clearing its bit), handing
+        /// the closure `(region-relative page index, page bytes)`.
+        ///
+        /// Batch traversal: the region's read lock is acquired once per 64-page
+        /// bitmap word and held across that word's pages, so harvest-style scans
+        /// pay one lock round-trip per word instead of one per page, while still
+        /// letting writers interleave between words.
+        pub(crate) fn for_each_dirty_page<E>(
+            &self,
+            f: impl FnMut(u64, &[u8]) -> std::result::Result<(), E>,
+        ) -> std::result::Result<(), E> {
+            self.walk_dirty(false, f)
+        }
+    }
+
     fn region() -> MemoryRegion {
         MemoryRegion::new(GuestAddress(0x1000), 4 * PAGE_SIZE).unwrap()
     }
@@ -706,15 +687,15 @@ mod tests {
     fn fill_and_page_ops() {
         let r = region();
         r.fill(GuestAddress(0x2000), PAGE_SIZE, 0xaa).unwrap();
-        let page = r.read_page(1).unwrap();
+        let page = r.with_page(1, <[u8]>::to_vec).unwrap();
         assert!(page.iter().all(|&b| b == 0xaa));
         assert!(r.dirty_bitmap().is_dirty(1));
 
         let new_page = vec![0x55u8; PAGE_SIZE as usize];
         r.write_page(2, &new_page).unwrap();
-        assert_eq!(r.read_page(2).unwrap(), new_page);
+        assert_eq!(r.with_page(2, <[u8]>::to_vec).unwrap(), new_page);
         assert!(r.write_page(2, &[0u8; 3]).is_err());
-        assert!(r.read_page(4).is_err());
+        assert!(r.with_page(4, <[u8]>::to_vec).is_err());
     }
 
     #[test]
@@ -726,7 +707,11 @@ mod tests {
         // The bytes changed, so the page is in the next harvest like any
         // other written page.
         assert_eq!(r.dirty_bitmap().dirty_pages(), vec![2]);
-        assert!(r.read_page(2).unwrap().iter().all(|&b| b == 0));
+        assert!(r
+            .with_page(2, <[u8]>::to_vec)
+            .unwrap()
+            .iter()
+            .all(|&b| b == 0));
         assert!(r.discard_page(99).is_err());
         assert_eq!(r.dirty_bitmap().count(), 1);
     }
@@ -776,7 +761,7 @@ mod tests {
         let r = region();
         r.fill(GuestAddress(0x1000), PAGE_SIZE, 0xab).unwrap();
         let in_place = r.page_fingerprint(0).unwrap();
-        let copied = crate::ksm::fingerprint(&r.read_page(0).unwrap());
+        let copied = crate::ksm::fingerprint(&r.with_page(0, <[u8]>::to_vec).unwrap());
         assert_eq!(in_place, copied);
         assert_ne!(in_place, r.page_fingerprint(1).unwrap());
         assert!(r.page_fingerprint(99).is_err());
@@ -951,6 +936,5 @@ mod tests {
         assert_eq!(r.start(), GuestAddress(0x1000));
         assert_eq!(r.len(), 4 * PAGE_SIZE);
         assert_eq!(r.pages(), 4);
-        assert!(!r.is_empty());
     }
 }

@@ -185,30 +185,28 @@ pub(crate) fn weighted_sum(bytes: &[u8], base: u64) -> (u64, u64) {
     (total, bytes_total)
 }
 
-/// The byte-wise fold `GuestMemory::checksum` is defined by, kept only as
-/// the reference the tests of this crate compare the kernel and the
-/// per-page cache against.
 #[cfg(test)]
-pub(crate) fn weighted_sum_bytewise(bytes: &[u8], base: u64) -> u64 {
-    bytes.iter().enumerate().fold(0u64, |acc, (i, &v)| {
-        acc.wrapping_add((v as u64).wrapping_mul(base.wrapping_add(i as u64) | 1))
-    })
-}
-
-/// `GuestMemory::checksum` by its definition: the byte-wise fold of every
-/// region's current bytes.
-#[cfg(test)]
-pub(crate) fn checksum_bytewise(mem: &crate::GuestMemory) -> u64 {
-    mem.regions()
-        .iter()
-        .map(|r| r.with_bytes(|b| weighted_sum_bytewise(b, 0)))
-        .fold(0u64, u64::wrapping_add)
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use rvisor_types::PAGE_SIZE;
+
+    /// The byte-wise fold `GuestMemory::checksum` is defined by, kept only as
+    /// the reference the tests of this crate compare the kernel and the
+    /// per-page cache against.
+    pub(crate) fn weighted_sum_bytewise(bytes: &[u8], base: u64) -> u64 {
+        bytes.iter().enumerate().fold(0u64, |acc, (i, &v)| {
+            acc.wrapping_add((v as u64).wrapping_mul(base.wrapping_add(i as u64) | 1))
+        })
+    }
+
+    /// `GuestMemory::checksum` by its definition: the byte-wise fold of every
+    /// region's current bytes.
+    pub(crate) fn checksum_bytewise(mem: &crate::GuestMemory) -> u64 {
+        mem.regions()
+            .iter()
+            .map(|r| r.with_bytes(|b| weighted_sum_bytewise(b, 0)))
+            .fold(0u64, u64::wrapping_add)
+    }
 
     /// The byte-wise reference both kernels must match exactly.
     fn is_zero_bytewise(bytes: &[u8]) -> bool {

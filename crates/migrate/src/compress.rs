@@ -57,31 +57,6 @@ impl PageCompression {
     }
 }
 
-/// How a single page crosses the migration link.
-#[cfg(test)]
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum WirePage {
-    /// The full page contents.
-    Raw(Vec<u8>),
-    /// The page is entirely zero.
-    Zero,
-    /// An XBZRLE-encoded delta against the previously transferred version.
-    Delta(Vec<u8>),
-}
-
-#[cfg(test)]
-impl WirePage {
-    /// Bytes this representation occupies on the wire (payload only; framing
-    /// overhead is accounted separately by the engines).
-    pub(crate) fn wire_len(&self) -> u64 {
-        match self {
-            WirePage::Raw(b) => b.len() as u64,
-            WirePage::Zero => 1,
-            WirePage::Delta(d) => d.len() as u64,
-        }
-    }
-}
-
 /// Returns true when every byte of the page is zero.
 ///
 /// Delegates to the word-wise [`rvisor_memory::scan::is_zero`] kernel shared
@@ -248,24 +223,6 @@ pub(crate) struct CompressionStats {
     pub bytes_out: u64,
 }
 
-impl CompressionStats {
-    /// Total pages processed.
-    #[cfg(test)]
-    fn pages_total(&self) -> u64 {
-        self.pages_raw + self.pages_zero + self.pages_delta
-    }
-
-    /// Compression ratio `bytes_in / bytes_out` (1.0 when nothing was saved).
-    #[cfg(test)]
-    pub(crate) fn ratio(&self) -> f64 {
-        if self.bytes_out == 0 {
-            1.0
-        } else {
-            self.bytes_in as f64 / self.bytes_out as f64
-        }
-    }
-}
-
 /// Stateful page compressor used by the source side of a migration.
 ///
 /// The destination does not need an explicit object: raw pages overwrite,
@@ -292,9 +249,9 @@ struct CachedPage {
     contents: Vec<u8>,
 }
 
-/// What [`PageCompressor::encode`] decided for one page. Unlike
-/// `WirePage` it owns nothing: a raw page is framed from the guest page
-/// the caller already borrows, a delta from the compressor's own buffer.
+/// What [`PageCompressor::encode`] decided for one page. It owns nothing:
+/// a raw page is framed from the guest page the caller already borrows, a
+/// delta from the compressor's own buffer.
 pub(crate) enum EncodedPage<'c> {
     /// Send the page's contents as they are.
     Raw,
@@ -305,17 +262,6 @@ pub(crate) enum EncodedPage<'c> {
 }
 
 impl PageCompressor {
-    /// Default number of pages the XBZRLE cache remembers (QEMU's default
-    /// cache is 64 MiB; ours is expressed in pages).
-    #[cfg(test)]
-    const DEFAULT_CACHE_PAGES: usize = 16_384;
-
-    /// Create a compressor for the given mode with the default cache size.
-    #[cfg(test)]
-    pub(crate) fn new(mode: PageCompression) -> Self {
-        Self::with_cache_capacity(mode, Self::DEFAULT_CACHE_PAGES)
-    }
-
     /// Create a compressor with an explicit XBZRLE cache capacity (in pages).
     pub(crate) fn with_cache_capacity(mode: PageCompression, capacity: usize) -> Self {
         PageCompressor {
@@ -332,16 +278,6 @@ impl PageCompressor {
     /// Statistics accumulated so far.
     pub(crate) fn stats(&self) -> CompressionStats {
         self.stats
-    }
-
-    /// Encode one page for the wire.
-    #[cfg(test)]
-    pub(crate) fn compress(&mut self, page: u64, contents: &[u8]) -> WirePage {
-        match self.encode(page, contents) {
-            EncodedPage::Raw => WirePage::Raw(contents.to_vec()),
-            EncodedPage::Zero => WirePage::Zero,
-            EncodedPage::Delta(delta) => WirePage::Delta(delta.to_vec()),
-        }
     }
 
     /// Decide how one page crosses the wire, without copying it.
@@ -372,42 +308,6 @@ impl PageCompressor {
             self.stats.bytes_out += contents.len() as u64;
             EncodedPage::Raw
         }
-    }
-
-    /// Apply a wire page directly onto the destination's current copy of the
-    /// page — raw overwrite, in-place zeroing, or in-place delta patching.
-    /// This is the zero-copy receive path: no per-page buffer is built.
-    #[cfg(test)]
-    pub(crate) fn apply_in_place(current: &mut [u8], wire: &WirePage) -> Result<()> {
-        match wire {
-            WirePage::Raw(bytes) => {
-                if bytes.len() != current.len() {
-                    return Err(Error::Migration(format!(
-                        "raw wire page is {} bytes but the page is {}",
-                        bytes.len(),
-                        current.len()
-                    )));
-                }
-                current.copy_from_slice(bytes);
-                Ok(())
-            }
-            WirePage::Zero => {
-                current.fill(0);
-                Ok(())
-            }
-            WirePage::Delta(delta) => xbzrle_apply_in_place(current, delta),
-        }
-    }
-
-    /// Apply a wire page on the destination side, given the destination's
-    /// current copy of the page. Returns the new page contents.
-    ///
-    /// Allocating convenience wrapper over [`Self::apply_in_place`].
-    #[cfg(test)]
-    pub(crate) fn apply(current: &[u8], wire: &WirePage) -> Result<Vec<u8>> {
-        let mut out = current.to_vec();
-        Self::apply_in_place(&mut out, wire)?;
-        Ok(out)
     }
 
     /// Note `contents` as the version of `page` sent last and make it the
@@ -443,6 +343,49 @@ mod tests {
 
     fn page_of(byte: u8) -> Vec<u8> {
         vec![byte; PAGE_SIZE as usize]
+    }
+
+    fn compressor(mode: PageCompression) -> PageCompressor {
+        PageCompressor::with_cache_capacity(mode, 16_384)
+    }
+
+    /// What [`PageCompressor::encode`] decided for one page, owned so that
+    /// two encoders' decisions can be compared.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    enum Sent {
+        Raw,
+        Zero,
+        Delta(Vec<u8>),
+    }
+
+    impl Sent {
+        /// Payload bytes on the wire for a page of `page_len` bytes.
+        fn wire_len(&self, page_len: u64) -> u64 {
+            match self {
+                Sent::Raw => page_len,
+                Sent::Zero => 1,
+                Sent::Delta(d) => d.len() as u64,
+            }
+        }
+
+        /// The destination's side: rebuild the page in `current` (the
+        /// version sent last) from what crossed the wire for `contents`.
+        fn receive(&self, current: &mut [u8], contents: &[u8]) -> Result<()> {
+            match self {
+                Sent::Raw => current.copy_from_slice(contents),
+                Sent::Zero => current.fill(0),
+                Sent::Delta(d) => xbzrle_apply_in_place(current, d)?,
+            }
+            Ok(())
+        }
+    }
+
+    fn send(c: &mut PageCompressor, page: u64, contents: &[u8]) -> Sent {
+        match c.encode(page, contents) {
+            EncodedPage::Raw => Sent::Raw,
+            EncodedPage::Zero => Sent::Zero,
+            EncodedPage::Delta(d) => Sent::Delta(d.to_vec()),
+        }
     }
 
     #[test]
@@ -498,44 +441,43 @@ mod tests {
 
     #[test]
     fn compressor_zero_mode_shrinks_zero_pages_only() {
-        let mut c = PageCompressor::new(PageCompression::ZeroPages);
-        let wire = c.compress(0, &page_of(0));
-        assert_eq!(wire, WirePage::Zero);
-        assert_eq!(wire.wire_len(), 1);
-        let wire = c.compress(1, &page_of(5));
-        assert!(matches!(wire, WirePage::Raw(_)));
+        let mut c = compressor(PageCompression::ZeroPages);
+        let wire = send(&mut c, 0, &page_of(0));
+        assert_eq!(wire, Sent::Zero);
+        assert_eq!(wire.wire_len(PAGE_SIZE), 1);
+        assert_eq!(send(&mut c, 1, &page_of(5)), Sent::Raw);
         let stats = c.stats();
         assert_eq!(stats.pages_zero, 1);
         assert_eq!(stats.pages_raw, 1);
-        assert!(stats.ratio() > 1.9);
+        assert_eq!(stats.bytes_out, PAGE_SIZE + 1);
+        assert_eq!(stats.bytes_in, 2 * PAGE_SIZE);
     }
 
     #[test]
     fn compressor_none_mode_never_saves() {
-        let mut c = PageCompressor::new(PageCompression::None);
-        c.compress(0, &page_of(0));
-        c.compress(1, &page_of(9));
+        let mut c = compressor(PageCompression::None);
+        assert_eq!(send(&mut c, 0, &page_of(0)), Sent::Raw);
+        assert_eq!(send(&mut c, 1, &page_of(9)), Sent::Raw);
         let stats = c.stats();
         assert_eq!(stats.bytes_in, stats.bytes_out);
-        assert!((stats.ratio() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn compressor_xbzrle_second_send_is_delta() {
-        let mut c = PageCompressor::new(PageCompression::Xbzrle);
+        let mut c = compressor(PageCompression::Xbzrle);
         let v1 = page_of(1);
-        let first = c.compress(7, &v1);
-        assert!(matches!(first, WirePage::Raw(_)));
+        assert_eq!(send(&mut c, 7, &v1), Sent::Raw);
 
         let mut v2 = v1.clone();
         v2[17] = 99;
-        let second = c.compress(7, &v2);
+        let second = send(&mut c, 7, &v2);
         match &second {
-            WirePage::Delta(d) => assert!(d.len() < 16),
+            Sent::Delta(d) => assert!(d.len() < 16),
             other => panic!("expected delta, got {other:?}"),
         }
         // Destination applies the delta to the version it already holds.
-        let rebuilt = PageCompressor::apply(&v1, &second).unwrap();
+        let mut rebuilt = v1.clone();
+        second.receive(&mut rebuilt, &v2).unwrap();
         assert_eq!(rebuilt, v2);
         assert_eq!(c.stats().pages_delta, 1);
     }
@@ -544,35 +486,39 @@ mod tests {
     fn compressor_cache_eviction_forces_raw_resend() {
         let mut c = PageCompressor::with_cache_capacity(PageCompression::Xbzrle, 2);
         let base = page_of(4);
-        c.compress(0, &base);
-        c.compress(1, &base);
-        c.compress(2, &base); // evicts page 0
+        send(&mut c, 0, &base);
+        send(&mut c, 1, &base);
+        send(&mut c, 2, &base); // evicts page 0
         let mut changed = base.clone();
         changed[0] = 1;
-        let wire = c.compress(0, &changed);
-        assert!(
-            matches!(wire, WirePage::Raw(_)),
+        assert_eq!(
+            send(&mut c, 0, &changed),
+            Sent::Raw,
             "evicted page must be resent raw"
         );
     }
 
     #[test]
     fn apply_handles_all_wire_forms() {
+        let mut c = compressor(PageCompression::Xbzrle);
         let current = page_of(2);
-        assert_eq!(
-            PageCompressor::apply(&current, &WirePage::Zero).unwrap(),
-            page_of(0)
-        );
-        assert_eq!(
-            PageCompressor::apply(&current, &WirePage::Raw(page_of(9))).unwrap(),
-            page_of(9)
-        );
         let mut new = current.clone();
         new[12] = 0xee;
-        let delta = xbzrle_encode(&current, &new).unwrap();
+        // Page 0 becomes zero, page 1 raw, page 2 a delta against `current`.
+        send(&mut c, 2, &current);
+        for (page, contents) in [(0, page_of(0)), (1, page_of(9)), (2, new)] {
+            let wire = send(&mut c, page, &contents);
+            let mut rebuilt = current.clone();
+            wire.receive(&mut rebuilt, &contents).unwrap();
+            assert_eq!(rebuilt, contents, "{wire:?}");
+        }
         assert_eq!(
-            PageCompressor::apply(&current, &WirePage::Delta(delta)).unwrap(),
-            new
+            (
+                c.stats().pages_zero,
+                c.stats().pages_raw,
+                c.stats().pages_delta
+            ),
+            (1, 2, 1)
         );
     }
 
@@ -601,20 +547,20 @@ mod tests {
                 }
             }
 
-            fn compress(&mut self, page: u64, contents: &[u8]) -> WirePage {
+            fn compress(&mut self, page: u64, contents: &[u8]) -> Sent {
                 self.stats.bytes_in += contents.len() as u64;
                 let encoded = if is_zero_page(contents) {
-                    WirePage::Zero
+                    Sent::Zero
                 } else if let Some(old) = self.cache.get(&page) {
                     match xbzrle_encode(old, contents) {
-                        Some(delta) => WirePage::Delta(delta),
+                        Some(delta) => Sent::Delta(delta),
                         None => {
                             self.stats.delta_overflows += 1;
-                            WirePage::Raw(contents.to_vec())
+                            Sent::Raw
                         }
                     }
                 } else {
-                    WirePage::Raw(contents.to_vec())
+                    Sent::Raw
                 };
                 if self.cache.insert(page, contents.to_vec()).is_none() {
                     self.lru.push(page);
@@ -627,11 +573,11 @@ mod tests {
                     self.lru.push(key);
                 }
                 match &encoded {
-                    WirePage::Raw(_) => self.stats.pages_raw += 1,
-                    WirePage::Zero => self.stats.pages_zero += 1,
-                    WirePage::Delta(_) => self.stats.pages_delta += 1,
+                    Sent::Raw => self.stats.pages_raw += 1,
+                    Sent::Zero => self.stats.pages_zero += 1,
+                    Sent::Delta(_) => self.stats.pages_delta += 1,
                 }
-                self.stats.bytes_out += encoded.wire_len();
+                self.stats.bytes_out += encoded.wire_len(contents.len() as u64);
                 encoded
             }
         }
@@ -698,7 +644,7 @@ mod tests {
                     if variant == 3 {
                         contents[at] ^= 0xff;
                     }
-                    prop_assert_eq!(new.compress(page, &contents), old.compress(page, &contents));
+                    prop_assert_eq!(send(&mut new, page, &contents), old.compress(page, &contents));
                     prop_assert_eq!(new.stats(), old.stats);
                 }
             }
@@ -710,18 +656,21 @@ mod tests {
                 mode_idx in 0usize..3,
             ) {
                 let mode = PageCompression::ALL[mode_idx];
-                let mut c = PageCompressor::new(mode);
+                let mut c = compressor(mode);
                 let mut expected_in = 0u64;
                 let mut expected_out = 0u64;
                 for (i, p) in pages.iter().enumerate() {
-                    let wire = c.compress(i as u64, p);
+                    let wire = send(&mut c, i as u64, p);
                     expected_in += p.len() as u64;
-                    expected_out += wire.wire_len();
+                    expected_out += wire.wire_len(p.len() as u64);
                 }
                 let stats = c.stats();
                 prop_assert_eq!(stats.bytes_in, expected_in);
                 prop_assert_eq!(stats.bytes_out, expected_out);
-                prop_assert_eq!(stats.pages_total(), pages.len() as u64);
+                prop_assert_eq!(
+                    stats.pages_raw + stats.pages_zero + stats.pages_delta,
+                    pages.len() as u64
+                );
                 prop_assert!(stats.bytes_out <= stats.bytes_in.max(pages.len() as u64));
             }
         }

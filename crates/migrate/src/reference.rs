@@ -14,7 +14,7 @@ use rvisor_obs::Trace;
 use rvisor_types::{Nanoseconds, Result, PAGE_SIZE};
 use rvisor_vcpu::VcpuState;
 
-use crate::compress::{PageCompression, PageCompressor};
+use crate::compress::{xbzrle_apply_in_place, EncodedPage, PageCompression, PageCompressor};
 use crate::dirty::DirtySource;
 use crate::engines::{check_same_size, emit_migration_span, emit_round_span, PER_PAGE_OVERHEAD};
 use crate::plan::MigrationPlan;
@@ -40,8 +40,8 @@ fn copy_pages(
 /// Zero-copy on both sides: each source page is borrowed in place
 /// ([`GuestMemory::with_page`]) and handed to the compressor as `&[u8]`, and
 /// the destination reconstructs it *into its own page* (raw overwrite,
-/// in-place zeroing, or in-place XBZRLE patching via
-/// [`PageCompressor::apply_in_place`]), exactly as the real protocol would;
+/// zeroing, or in-place XBZRLE patching via `xbzrle_apply_in_place`),
+/// exactly as the real protocol would;
 /// only the reconstructed bytes land, so memory equality at the end of a
 /// migration proves the codec round-trips. The uncompressed path performs no
 /// heap allocation per page (the guarantee pinned by the
@@ -60,15 +60,39 @@ fn copy_pages_with(
     // opposite-direction migrations over the same pair of memories can
     // never deadlock on lock order. Still zero heap allocations per page.
     let mut bounce = [0u8; PAGE_SIZE as usize];
+    let mut delta = Vec::new();
     let mut bytes = 0u64;
     for &p in pages {
         match compressor.as_deref_mut() {
             Some(c) => {
-                // Sequential, never nested: compress under the source read
-                // lock, then apply under the destination write lock.
-                let wire = source.with_page(p, |contents| c.compress(p, contents))?;
-                dest.with_page_mut(p, |current| PageCompressor::apply_in_place(current, &wire))??;
-                bytes += wire.wire_len() + PER_PAGE_OVERHEAD;
+                // Sequential, never nested: encode under the source read
+                // lock, then apply under the destination write lock. A raw
+                // or zero page crosses in the bounce buffer, a delta in
+                // `delta`.
+                let is_delta = source.with_page(p, |contents| match c.encode(p, contents) {
+                    EncodedPage::Raw => {
+                        bounce.copy_from_slice(contents);
+                        bytes += PAGE_SIZE;
+                        false
+                    }
+                    EncodedPage::Zero => {
+                        bounce.fill(0);
+                        bytes += 1;
+                        false
+                    }
+                    EncodedPage::Delta(d) => {
+                        delta.clear();
+                        delta.extend_from_slice(d);
+                        bytes += d.len() as u64;
+                        true
+                    }
+                })?;
+                if is_delta {
+                    dest.with_page_mut(p, |current| xbzrle_apply_in_place(current, &delta))??;
+                } else {
+                    dest.with_page_mut(p, |target| target.copy_from_slice(&bounce))?;
+                }
+                bytes += PER_PAGE_OVERHEAD;
             }
             None => {
                 source.with_page(p, |contents| bounce.copy_from_slice(contents))?;

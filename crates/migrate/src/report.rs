@@ -82,22 +82,23 @@ impl MigrationReport {
             self.bytes_transferred as f64 / self.memory_size.as_u64() as f64
         }
     }
-
-    /// Effective throughput over the whole migration.
-    #[cfg(test)]
-    pub(crate) fn effective_bandwidth_bytes_per_sec(&self) -> f64 {
-        let secs = self.total_time.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.bytes_transferred as f64 / secs
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MigrationReport {
+        /// Effective throughput over the whole migration.
+        pub(crate) fn effective_bandwidth_bytes_per_sec(&self) -> f64 {
+            let secs = self.total_time.as_secs_f64();
+            if secs == 0.0 {
+                0.0
+            } else {
+                self.bytes_transferred as f64 / secs
+            }
+        }
+    }
 
     #[test]
     fn names_are_distinct() {

@@ -313,17 +313,6 @@ impl<'m> MigrationSink<'m> {
         self.pages_applied
     }
 
-    /// The vCPU states carried by the stream, in vCPU order.
-    pub fn vcpu_states(&self) -> &[VcpuState] {
-        &self.vcpu_states
-    }
-
-    /// Whether the stream's Hello was seen and validated.
-    #[cfg(test)]
-    fn handshake_complete(&self) -> bool {
-        self.hello.is_some()
-    }
-
     fn wire_fault(offset: u64, detail: String) -> Error {
         Error::WireProtocol { detail, offset }
     }
@@ -697,6 +686,18 @@ mod tests {
     use crate::transport::{FabricTransport, LoopbackTransport};
     use rvisor_net::{ClosFabric, FabricParams, Link, LinkModel};
     use rvisor_types::{ByteSize, GuestAddress};
+
+    impl<'m> MigrationSink<'m> {
+        /// The vCPU states carried by the stream, in vCPU order.
+        pub(crate) fn vcpu_states(&self) -> &[VcpuState] {
+            &self.vcpu_states
+        }
+
+        /// Whether the stream's Hello was seen and validated.
+        fn handshake_complete(&self) -> bool {
+            self.hello.is_some()
+        }
+    }
 
     fn memories(pages: u64) -> (GuestMemory, GuestMemory) {
         let src = GuestMemory::flat(ByteSize::pages_of(pages)).unwrap();

@@ -290,63 +290,6 @@ pub(crate) fn put_end_of_round(out: &mut Vec<u8>, round: u32) {
     put_frame(out, FrameKind::EndOfRound, 0, round as u64, &[]);
 }
 
-#[cfg(test)]
-fn chunk_id_payload(fingerprint: u64, ordinal: u32) -> [u8; CHUNK_ID_BYTES as usize] {
-    let mut p = [0u8; CHUNK_ID_BYTES as usize];
-    p[0..8].copy_from_slice(&fingerprint.to_le_bytes());
-    p[8..12].copy_from_slice(&ordinal.to_le_bytes());
-    p
-}
-
-/// Append a chunk *reference* for `page`: the DR endpoint already stores
-/// these bytes, only the 12-byte chunk id crosses the wire.
-#[cfg(test)]
-fn put_chunk_ref(out: &mut Vec<u8>, page: u64, fingerprint: u64, ordinal: u32) {
-    put_frame(
-        out,
-        FrameKind::ChunkRef,
-        MODE_RAW,
-        page,
-        &chunk_id_payload(fingerprint, ordinal),
-    );
-}
-
-/// Append a novel chunk for `page`: chunk id followed by the page bytes.
-#[cfg(test)]
-fn put_chunk_data(out: &mut Vec<u8>, page: u64, fingerprint: u64, ordinal: u32, bytes: &[u8]) {
-    let mut payload = Vec::with_capacity(CHUNK_ID_BYTES as usize + bytes.len());
-    payload.extend_from_slice(&chunk_id_payload(fingerprint, ordinal));
-    payload.extend_from_slice(bytes);
-    put_frame(out, FrameKind::ChunkData, MODE_RAW, page, &payload);
-}
-
-/// Decode the chunk id of a [`FrameKind::ChunkRef`] or
-/// [`FrameKind::ChunkData`] payload, returning `(fingerprint, ordinal)`.
-#[cfg(test)]
-fn decode_chunk_id(payload: &[u8]) -> Result<(u64, u32)> {
-    if payload.len() < CHUNK_ID_BYTES as usize {
-        return Err(Error::WireProtocol {
-            detail: format!(
-                "chunk id payload is {} bytes, need {CHUNK_ID_BYTES}",
-                payload.len()
-            ),
-            offset: 0,
-        });
-    }
-    Ok((
-        read_u64(&payload[0..8]),
-        u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes")),
-    ))
-}
-
-/// Decode a [`FrameKind::ChunkData`] payload into its chunk id and page
-/// bytes.
-#[cfg(test)]
-fn decode_chunk_data(payload: &[u8]) -> Result<((u64, u32), &[u8])> {
-    let id = decode_chunk_id(payload)?;
-    Ok((id, &payload[CHUNK_ID_BYTES as usize..]))
-}
-
 /// Append one vCPU's state, zero-padded to the fixed modelled size.
 pub(crate) fn put_vcpu_state(out: &mut Vec<u8>, index: u32, state: &VcpuState) {
     let mut p = [0u8; VCPU_STATE_PAYLOAD_BYTES];
@@ -433,7 +376,7 @@ impl<'a> FrameReader<'a> {
     }
 
     /// Byte offset of the next unread frame within the burst.
-    pub fn offset(&self) -> u64 {
+    pub(crate) fn offset(&self) -> u64 {
         self.pos as u64
     }
 
@@ -538,6 +481,58 @@ pub(crate) fn decode_hello(frame: &WireFrame<'_>) -> Result<Hello> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+
+    fn chunk_id_payload(fingerprint: u64, ordinal: u32) -> [u8; CHUNK_ID_BYTES as usize] {
+        let mut p = [0u8; CHUNK_ID_BYTES as usize];
+        p[0..8].copy_from_slice(&fingerprint.to_le_bytes());
+        p[8..12].copy_from_slice(&ordinal.to_le_bytes());
+        p
+    }
+
+    /// Append a chunk *reference* for `page`: the DR endpoint already stores
+    /// these bytes, only the 12-byte chunk id crosses the wire.
+    fn put_chunk_ref(out: &mut Vec<u8>, page: u64, fingerprint: u64, ordinal: u32) {
+        put_frame(
+            out,
+            FrameKind::ChunkRef,
+            MODE_RAW,
+            page,
+            &chunk_id_payload(fingerprint, ordinal),
+        );
+    }
+
+    /// Append a novel chunk for `page`: chunk id followed by the page bytes.
+    fn put_chunk_data(out: &mut Vec<u8>, page: u64, fingerprint: u64, ordinal: u32, bytes: &[u8]) {
+        let mut payload = Vec::with_capacity(CHUNK_ID_BYTES as usize + bytes.len());
+        payload.extend_from_slice(&chunk_id_payload(fingerprint, ordinal));
+        payload.extend_from_slice(bytes);
+        put_frame(out, FrameKind::ChunkData, MODE_RAW, page, &payload);
+    }
+
+    /// Decode the chunk id of a [`FrameKind::ChunkRef`] or
+    /// [`FrameKind::ChunkData`] payload, returning `(fingerprint, ordinal)`.
+    fn decode_chunk_id(payload: &[u8]) -> Result<(u64, u32)> {
+        if payload.len() < CHUNK_ID_BYTES as usize {
+            return Err(Error::WireProtocol {
+                detail: format!(
+                    "chunk id payload is {} bytes, need {CHUNK_ID_BYTES}",
+                    payload.len()
+                ),
+                offset: 0,
+            });
+        }
+        Ok((
+            read_u64(&payload[0..8]),
+            u32::from_le_bytes(payload[8..12].try_into().expect("4 bytes")),
+        ))
+    }
+
+    /// Decode a [`FrameKind::ChunkData`] payload into its chunk id and page
+    /// bytes.
+    fn decode_chunk_data(payload: &[u8]) -> Result<((u64, u32), &[u8])> {
+        let id = decode_chunk_id(payload)?;
+        Ok((id, &payload[CHUNK_ID_BYTES as usize..]))
+    }
 
     /// Recompute the checksum of the frame at the start of `frame` over its
     /// current header and payload, so a test's edits reach the semantic

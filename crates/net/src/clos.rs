@@ -56,7 +56,7 @@ use crate::fabric::DEFAULT_CHUNK_OVERHEAD;
 
 /// Static per-spine wire-byte counter names (obs counter names must be
 /// `&'static str`). Spines beyond index 7 clamp onto the last name; the
-/// per-spine [`ClosFabric::spine_wire_bytes`] accessor stays exact.
+/// per-spine byte count the fabric keeps stays exact.
 const SPINE_COUNTER_NAMES: [&str; 8] = [
     "fabric.spine0.wire_bytes",
     "fabric.spine1.wire_bytes",
@@ -116,43 +116,9 @@ impl ClosParams {
         }
     }
 
-    /// A gigabit office LAN folded into a tiny Clos: 1 Gbit/s NICs and
-    /// leaves, two 500 Mbit/s spines, standard 1500-byte MTU.
-    pub fn office_lan(racks: usize, hosts_per_rack: usize) -> Self {
-        ClosParams {
-            racks,
-            hosts_per_rack,
-            nic_bytes_per_second: 125_000_000,
-            leaf_uplink_bytes_per_second: 125_000_000,
-            spines: 2,
-            spine_bytes_per_second: 62_500_000,
-            rack_latency: Nanoseconds::from_micros(100),
-            cross_latency: Nanoseconds::from_micros(200),
-            mtu: 1500,
-            chunk_overhead: DEFAULT_CHUNK_OVERHEAD,
-        }
-    }
-
-    /// A 100 Mbit/s WAN-edge Clos with two 50 Mbit/s spines and 5 ms
-    /// cross-rack latency (cross-site DR traffic).
-    pub fn wan(racks: usize, hosts_per_rack: usize) -> Self {
-        ClosParams {
-            racks,
-            hosts_per_rack,
-            nic_bytes_per_second: 12_500_000,
-            leaf_uplink_bytes_per_second: 12_500_000,
-            spines: 2,
-            spine_bytes_per_second: 6_250_000,
-            rack_latency: Nanoseconds::from_micros(200),
-            cross_latency: Nanoseconds::from_millis(5),
-            mtu: 1500,
-            chunk_overhead: DEFAULT_CHUNK_OVERHEAD,
-        }
-    }
-
     /// Validate the parameters: counts and bandwidths must be non-zero and
     /// the MTU must exceed the per-chunk overhead.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.racks == 0 {
             return Err(Error::Net("a Clos fabric needs at least one rack".into()));
         }
@@ -329,40 +295,14 @@ impl ClosFabric {
         })
     }
 
-    /// The fabric's parameters.
-    pub fn params(&self) -> ClosParams {
-        self.params
-    }
-
-    /// Number of endpoints.
-    pub fn endpoints(&self) -> usize {
-        self.nics.len()
-    }
-
-    /// Number of racks.
-    pub fn racks(&self) -> usize {
-        self.params.racks
-    }
-
     /// The rack endpoint `e` lives in (panics if out of range).
     pub fn rack_of(&self, e: usize) -> usize {
         self.nics[e].rack
     }
 
-    /// Number of spines the fabric was built with (live or failed).
-    pub fn spines(&self) -> usize {
-        self.spine_live.len()
-    }
-
     /// Number of spines still carrying traffic.
     fn live_spines(&self) -> usize {
         self.spine_live.iter().filter(|&&l| l).count()
-    }
-
-    /// Busy-until mark of spine `spine`, or `None` if failed/out of range.
-    #[cfg(test)]
-    fn spine_free_at(&self, spine: usize) -> Option<Nanoseconds> {
-        (self.spine_live.get(spine) == Some(&true)).then(|| self.spine_free_at[spine])
     }
 
     /// Earliest instant the core the fabric's traffic crosses is free: the
@@ -381,12 +321,6 @@ impl ClosFabric {
             .map(|(&t, _)| t)
             .min()
             .unwrap_or(Nanoseconds::ZERO)
-    }
-
-    /// Wire bytes carried by spine `spine` so far (0 if out of range).
-    #[cfg(test)]
-    fn spine_wire_bytes(&self, spine: usize) -> u64 {
-        self.spine_wire_bytes.get(spine).copied().unwrap_or(0)
     }
 
     /// Remove spine `spine` from service: its capacity is gone and the
@@ -409,33 +343,9 @@ impl ClosFabric {
         }
     }
 
-    /// Total payload bytes carried.
-    #[cfg(test)]
-    pub(crate) fn bytes_carried(&self) -> u64 {
-        self.bytes_carried
-    }
-
     /// Total on-wire bytes carried (payload plus chunk framing).
     pub fn wire_bytes_carried(&self) -> u64 {
         self.wire_bytes_carried
-    }
-
-    /// Number of transfers performed (a striped burst counts each active
-    /// stream).
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Payload bytes sent by endpoint `i`.
-    #[cfg(test)]
-    pub(crate) fn bytes_sent_by(&self, i: usize) -> u64 {
-        self.nics.get(i).map_or(0, |n| n.bytes_sent)
-    }
-
-    /// Payload bytes received by endpoint `i`.
-    #[cfg(test)]
-    pub(crate) fn bytes_received_by(&self, i: usize) -> u64 {
-        self.nics.get(i).map_or(0, |n| n.bytes_received)
     }
 
     /// Attach a trace: transfers emit spans on the `fabric` track plus
@@ -444,11 +354,6 @@ impl ClosFabric {
     /// as one aggregate cross-rack stream would have).
     pub fn set_trace(&mut self, trace: Trace) {
         self.trace = trace;
-    }
-
-    /// The attached trace (off by default).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     fn check_pair(&self, from: usize, to: usize) -> Result<()> {
@@ -750,28 +655,6 @@ impl ClosFabric {
             self.wire_bytes_carried,
         );
     }
-
-    /// Reset all busy-time marks and counters; failed spines come back to
-    /// life (between benchmark runs).
-    pub fn reset(&mut self) {
-        for nic in &mut self.nics {
-            *nic = Mark {
-                rack: nic.rack,
-                ..Mark::default()
-            };
-        }
-        self.leaf_free_at
-            .iter_mut()
-            .for_each(|t| *t = Nanoseconds::ZERO);
-        self.spine_free_at
-            .iter_mut()
-            .for_each(|t| *t = Nanoseconds::ZERO);
-        self.spine_live.iter_mut().for_each(|l| *l = true);
-        self.spine_wire_bytes.iter_mut().for_each(|w| *w = 0);
-        self.bytes_carried = 0;
-        self.wire_bytes_carried = 0;
-        self.transfers = 0;
-    }
 }
 
 #[cfg(test)]
@@ -779,6 +662,81 @@ mod tests {
     use super::*;
     use crate::FabricParams;
     use proptest::prelude::*;
+
+    impl ClosFabric {
+        /// The fabric's parameters.
+        pub(crate) fn params(&self) -> ClosParams {
+            self.params
+        }
+
+        /// Number of endpoints.
+        pub(crate) fn endpoints(&self) -> usize {
+            self.nics.len()
+        }
+
+        /// Number of racks.
+        pub(crate) fn racks(&self) -> usize {
+            self.params.racks
+        }
+
+        /// Number of spines the fabric was built with (live or failed).
+        pub(crate) fn spines(&self) -> usize {
+            self.spine_live.len()
+        }
+
+        /// Number of transfers performed (a striped burst counts each active
+        /// stream).
+        pub(crate) fn transfers(&self) -> u64 {
+            self.transfers
+        }
+
+        /// Reset all busy-time marks and counters; failed spines come back to
+        /// life (between benchmark runs).
+        pub(crate) fn reset(&mut self) {
+            for nic in &mut self.nics {
+                *nic = Mark {
+                    rack: nic.rack,
+                    ..Mark::default()
+                };
+            }
+            self.leaf_free_at
+                .iter_mut()
+                .for_each(|t| *t = Nanoseconds::ZERO);
+            self.spine_free_at
+                .iter_mut()
+                .for_each(|t| *t = Nanoseconds::ZERO);
+            self.spine_live.iter_mut().for_each(|l| *l = true);
+            self.spine_wire_bytes.iter_mut().for_each(|w| *w = 0);
+            self.bytes_carried = 0;
+            self.wire_bytes_carried = 0;
+            self.transfers = 0;
+        }
+
+        /// Busy-until mark of spine `spine`, or `None` if failed/out of range.
+        fn spine_free_at(&self, spine: usize) -> Option<Nanoseconds> {
+            (self.spine_live.get(spine) == Some(&true)).then(|| self.spine_free_at[spine])
+        }
+
+        /// Wire bytes carried by spine `spine` so far (0 if out of range).
+        fn spine_wire_bytes(&self, spine: usize) -> u64 {
+            self.spine_wire_bytes.get(spine).copied().unwrap_or(0)
+        }
+
+        /// Total payload bytes carried.
+        pub(crate) fn bytes_carried(&self) -> u64 {
+            self.bytes_carried
+        }
+
+        /// Payload bytes sent by endpoint `i`.
+        pub(crate) fn bytes_sent_by(&self, i: usize) -> u64 {
+            self.nics.get(i).map_or(0, |n| n.bytes_sent)
+        }
+
+        /// Payload bytes received by endpoint `i`.
+        pub(crate) fn bytes_received_by(&self, i: usize) -> u64 {
+            self.nics.get(i).map_or(0, |n| n.bytes_received)
+        }
+    }
 
     const MB: u64 = 1_000_000;
 
@@ -789,8 +747,6 @@ mod tests {
     #[test]
     fn params_validation_rejects_degenerate_values() {
         assert!(ClosParams::datacenter(4, 8).validate().is_ok());
-        assert!(ClosParams::office_lan(2, 4).validate().is_ok());
-        assert!(ClosParams::wan(2, 2).validate().is_ok());
         for tweak in [
             |p: &mut ClosParams| p.racks = 0,
             |p: &mut ClosParams| p.hosts_per_rack = 0,

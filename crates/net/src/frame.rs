@@ -6,8 +6,6 @@ use std::fmt;
 
 /// Minimum frame size (header + minimal payload), matching Ethernet's 64 bytes.
 pub(crate) const MIN_FRAME_SIZE: usize = 64;
-/// Maximum frame size (standard MTU plus header).
-pub(crate) const MAX_FRAME_SIZE: usize = 1518;
 /// Ethertype used for the synthetic IPv4-ish traffic in tests and benches.
 pub const ETHERTYPE_IPV4: u16 = 0x0800;
 
@@ -83,11 +81,6 @@ impl Frame {
         (14 + self.payload.len()).max(MIN_FRAME_SIZE)
     }
 
-    /// Whether the frame exceeds the maximum frame size.
-    pub fn oversized(&self) -> bool {
-        14 + self.payload.len() > MAX_FRAME_SIZE
-    }
-
     /// Serialize to a flat byte vector (header then payload).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(14 + self.payload.len());
@@ -121,6 +114,16 @@ impl Frame {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Maximum frame size (standard MTU plus header).
+    pub(crate) const MAX_FRAME_SIZE: usize = 1518;
+
+    impl Frame {
+        /// Whether the frame exceeds the maximum frame size.
+        pub(crate) fn oversized(&self) -> bool {
+            14 + self.payload.len() > MAX_FRAME_SIZE
+        }
+    }
 
     #[test]
     fn mac_helpers() {

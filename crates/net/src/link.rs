@@ -45,15 +45,6 @@ impl LinkModel {
         }
     }
 
-    /// Construct from a bandwidth expressed in megabits per second.
-    #[cfg(test)]
-    fn from_mbps(mbps: u64, latency: Nanoseconds) -> Self {
-        LinkModel {
-            bytes_per_second: mbps * 1_000_000 / 8,
-            latency,
-        }
-    }
-
     /// Time to push `bytes` through the link (serialization + propagation).
     pub fn transfer_time(&self, bytes: u64) -> Nanoseconds {
         let serialization = if self.bytes_per_second == 0 {
@@ -63,13 +54,6 @@ impl LinkModel {
             ((bytes as u128 * 1_000_000_000) / self.bytes_per_second as u128) as u64
         };
         self.latency.saturating_add(Nanoseconds(serialization))
-    }
-
-    /// The highest sustained dirty rate (bytes/s) that pre-copy can outrun on
-    /// this link — anything above it and migration cannot converge.
-    #[cfg(test)]
-    fn max_convergent_dirty_rate(&self) -> u64 {
-        self.bytes_per_second
     }
 }
 
@@ -99,17 +83,6 @@ impl Link {
         self.model
     }
 
-    /// Total bytes carried.
-    #[cfg(test)]
-    pub(crate) fn bytes_carried(&self) -> u64 {
-        self.bytes_carried
-    }
-
-    /// Number of transfers performed.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
     /// When the link next becomes idle.
     pub fn free_at(&self) -> Nanoseconds {
         self.free_at
@@ -129,19 +102,47 @@ impl Link {
         self.transfers += 1;
         done
     }
-
-    /// Reset the busy-time account (e.g. between benchmark iterations).
-    pub fn reset(&mut self) {
-        self.free_at = Nanoseconds::ZERO;
-        self.bytes_carried = 0;
-        self.transfers = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Link {
+        /// Number of transfers performed.
+        pub(crate) fn transfers(&self) -> u64 {
+            self.transfers
+        }
+
+        /// Reset the busy-time account (e.g. between benchmark iterations).
+        pub(crate) fn reset(&mut self) {
+            self.free_at = Nanoseconds::ZERO;
+            self.bytes_carried = 0;
+            self.transfers = 0;
+        }
+
+        /// Total bytes carried.
+        pub(crate) fn bytes_carried(&self) -> u64 {
+            self.bytes_carried
+        }
+    }
+
+    impl LinkModel {
+        /// Construct from a bandwidth expressed in megabits per second.
+        fn from_mbps(mbps: u64, latency: Nanoseconds) -> Self {
+            LinkModel {
+                bytes_per_second: mbps * 1_000_000 / 8,
+                latency,
+            }
+        }
+
+        /// The highest sustained dirty rate (bytes/s) that pre-copy can outrun on
+        /// this link — anything above it and migration cannot converge.
+        fn max_convergent_dirty_rate(&self) -> u64 {
+            self.bytes_per_second
+        }
+    }
 
     #[test]
     fn transfer_time_scales_with_bytes() {

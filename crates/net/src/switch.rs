@@ -77,21 +77,9 @@ impl VirtualSwitch {
         }
     }
 
-    /// Number of ports.
-    #[cfg(test)]
-    fn port_count(&self) -> usize {
-        self.inner.lock().ports.len()
-    }
-
     /// Switch-wide statistics.
     pub fn stats(&self) -> SwitchStats {
         self.inner.lock().stats
-    }
-
-    /// The port index a MAC address has been learned on, if any.
-    #[cfg(test)]
-    fn learned_port(&self, mac: MacAddr) -> Option<usize> {
-        self.inner.lock().mac_table.get(&mac).copied()
     }
 
     fn transmit(&self, from_port: usize, frame: Frame) {
@@ -143,10 +131,6 @@ impl VirtualSwitch {
     fn pending(&self, port: usize) -> usize {
         self.inner.lock().ports[port].rx.len()
     }
-
-    fn port_dropped(&self, port: usize) -> u64 {
-        self.inner.lock().ports[port].dropped
-    }
 }
 
 /// One port of a [`VirtualSwitch`]; owned by a VM NIC or a host-side endpoint.
@@ -157,11 +141,6 @@ pub struct SwitchPort {
 }
 
 impl SwitchPort {
-    /// The port's index on its switch.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
     /// Transmit a frame into the switch.
     pub fn send(&self, frame: Frame) {
         self.switch.transmit(self.index, frame);
@@ -176,17 +155,36 @@ impl SwitchPort {
     pub fn pending(&self) -> usize {
         self.switch.pending(self.index)
     }
-
-    /// Frames dropped at this port because its queue was full.
-    pub fn dropped(&self) -> u64 {
-        self.switch.port_dropped(self.index)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::frame::ETHERTYPE_IPV4;
+
+    impl SwitchPort {
+        /// The port's index on its switch.
+        pub(crate) fn index(&self) -> usize {
+            self.index
+        }
+
+        /// Frames dropped at this port because its queue was full.
+        pub(crate) fn dropped(&self) -> u64 {
+            self.switch.inner.lock().ports[self.index].dropped
+        }
+    }
+
+    impl VirtualSwitch {
+        /// Number of ports.
+        fn port_count(&self) -> usize {
+            self.inner.lock().ports.len()
+        }
+
+        /// The port index a MAC address has been learned on, if any.
+        fn learned_port(&self, mac: MacAddr) -> Option<usize> {
+            self.inner.lock().mac_table.get(&mac).copied()
+        }
+    }
 
     fn frame(src: u32, dst: MacAddr, len: usize) -> Frame {
         Frame::new(MacAddr::local(src), dst, ETHERTYPE_IPV4, vec![0u8; len])

@@ -40,18 +40,13 @@ impl Default for Log2Histogram {
 }
 
 impl Log2Histogram {
-    /// An empty histogram.
-    pub fn new() -> Log2Histogram {
-        Log2Histogram::default()
-    }
-
     /// The bucket index `value` falls into.
     fn bucket_index(value: u64) -> usize {
         (64 - value.leading_zeros()) as usize
     }
 
     /// Record one sample.
-    pub fn record(&mut self, value: u64) {
+    pub(crate) fn record(&mut self, value: u64) {
         self.buckets[Self::bucket_index(value)] += 1;
         self.count += 1;
         self.sum = self.sum.saturating_add(value);
@@ -65,12 +60,12 @@ impl Log2Histogram {
     }
 
     /// Sum of all samples (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum
     }
 
     /// Smallest sample, or 0 when empty.
-    pub fn min(&self) -> u64 {
+    pub(crate) fn min(&self) -> u64 {
         if self.count == 0 {
             0
         } else {
@@ -79,19 +74,13 @@ impl Log2Histogram {
     }
 
     /// Largest sample, or 0 when empty.
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max
     }
 
     /// Integer mean (`sum / count`), or 0 when empty.
-    pub fn mean(&self) -> u64 {
+    pub(crate) fn mean(&self) -> u64 {
         self.sum.checked_div(self.count).unwrap_or(0)
-    }
-
-    /// The raw bucket counts.
-    #[cfg(test)]
-    fn buckets(&self) -> &[u64; LOG2_BUCKETS] {
-        &self.buckets
     }
 
     /// An upper bound below which at least half the samples fall: the
@@ -121,24 +110,14 @@ pub struct Metrics {
 }
 
 impl Metrics {
-    /// An empty registry.
-    pub fn new() -> Metrics {
-        Metrics::default()
-    }
-
     /// Increment the named counter by `delta`, creating it at zero first.
-    pub fn add(&mut self, counter: &'static str, delta: u64) {
+    pub(crate) fn add(&mut self, counter: &'static str, delta: u64) {
         *self.counters.entry(counter).or_insert(0) += delta;
     }
 
     /// Record `value` into the named histogram, creating it empty first.
-    pub fn observe(&mut self, histogram: &'static str, value: u64) {
+    pub(crate) fn observe(&mut self, histogram: &'static str, value: u64) {
         self.histograms.entry(histogram).or_default().record(value);
-    }
-
-    /// The current value of a counter (0 if never incremented).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
     }
 
     /// The named histogram, if any sample was recorded.
@@ -147,12 +126,12 @@ impl Metrics {
     }
 
     /// Iterate counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+    pub(crate) fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         self.counters.iter().map(|(&k, &v)| (k, v))
     }
 
     /// Iterate histograms in name order.
-    pub fn histograms(&self) -> impl Iterator<Item = (&'static str, &Log2Histogram)> + '_ {
+    pub(crate) fn histograms(&self) -> impl Iterator<Item = (&'static str, &Log2Histogram)> + '_ {
         self.histograms.iter().map(|(&k, v)| (k, v))
     }
 
@@ -201,6 +180,20 @@ impl Metrics {
 mod tests {
     use super::*;
 
+    impl Metrics {
+        /// The current value of a counter (0 if never incremented).
+        pub(crate) fn counter(&self, name: &str) -> u64 {
+            self.counters.get(name).copied().unwrap_or(0)
+        }
+    }
+
+    impl Log2Histogram {
+        /// The raw bucket counts.
+        fn buckets(&self) -> &[u64; LOG2_BUCKETS] {
+            &self.buckets
+        }
+    }
+
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
         assert_eq!(Log2Histogram::bucket_index(0), 0);
@@ -215,7 +208,7 @@ mod tests {
 
     #[test]
     fn histogram_aggregates() {
-        let mut h = Log2Histogram::new();
+        let mut h = Log2Histogram::default();
         assert_eq!((h.count(), h.min(), h.max(), h.mean()), (0, 0, 0, 0));
         for v in [0u64, 1, 5, 5, 100] {
             h.record(v);
@@ -234,7 +227,7 @@ mod tests {
 
     #[test]
     fn registry_is_deterministic_and_renders() {
-        let mut m = Metrics::new();
+        let mut m = Metrics::default();
         m.add("z.migrations", 2);
         m.add("a.backups", 1);
         m.add("z.migrations", 1);
@@ -259,7 +252,7 @@ mod tests {
         proptest! {
             #[test]
             fn every_sample_lands_in_its_boundary_bucket(vs in proptest::collection::vec(proptest::num::u64::ANY, 1..200)) {
-                let mut h = Log2Histogram::new();
+                let mut h = Log2Histogram::default();
                 for &v in &vs {
                     h.record(v);
                 }

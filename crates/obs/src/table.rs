@@ -50,7 +50,7 @@ impl TextTable {
 
     /// Render header and rows, columns separated by two spaces, each line
     /// newline-terminated with trailing whitespace removed.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.chars().count()).collect();
         for row in &self.rows {
             for (w, cell) in widths.iter_mut().zip(row) {

@@ -232,7 +232,7 @@ pub struct Recorder {
 
 impl Recorder {
     /// An empty recorder.
-    pub fn new() -> Recorder {
+    pub(crate) fn new() -> Recorder {
         Recorder::default()
     }
 

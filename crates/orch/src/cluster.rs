@@ -306,23 +306,18 @@ impl OrchHost {
     }
 
     /// The host's identifier.
-    pub fn id(&self) -> HostId {
+    pub(crate) fn id(&self) -> HostId {
         self.spec.id
     }
 
     /// Current power/health state.
-    pub fn power(&self) -> HostPower {
+    pub(crate) fn power(&self) -> HostPower {
         self.power
     }
 
     /// The live per-host VM manager.
-    pub fn vmm(&self) -> &Vmm {
+    pub(crate) fn vmm(&self) -> &Vmm {
         &self.vmm
-    }
-
-    /// CPU utilization as a fraction of physical cores.
-    pub fn cpu_utilization(&self) -> f64 {
-        self.cap.util()
     }
 
     /// The VMs placed here, each key with its spec, in placement order.
@@ -472,19 +467,19 @@ impl Cluster {
     }
 
     /// All hosts, in construction order.
-    pub fn hosts(&self) -> &[OrchHost] {
+    pub(crate) fn hosts(&self) -> &[OrchHost] {
         &self.hosts
     }
 
     /// The shared migration/DR fabric (the one-rack single-spine preset or
     /// a multi-rack Clos).
-    pub fn fabric(&self) -> &ClosFabric {
+    pub(crate) fn fabric(&self) -> &ClosFabric {
         &self.fabric
     }
 
     /// Racks the hosts are spread over (1 for the single-spine topology;
     /// the DR endpoint's own rack is not counted).
-    pub fn racks(&self) -> usize {
+    pub(crate) fn racks(&self) -> usize {
         self.n_host_racks
     }
 
@@ -507,21 +502,16 @@ impl Cluster {
     /// Remove a spine from the fabric; see
     /// [`rvisor_net::ClosFabric::fail_spine`]. The single-spine topology
     /// always refuses (it would partition).
-    pub fn fail_spine(&mut self, spine: usize) -> Result<()> {
+    pub(crate) fn fail_spine(&mut self, spine: usize) -> Result<()> {
         self.fabric.fail_spine(spine)
     }
 
     /// Attach a trace to the cluster and its fabric: migrations, backups
     /// and fabric transfers emit spans keyed by simulated time. With
     /// [`Trace::off`] (the default) every emit compiles down to a branch.
-    pub fn set_trace(&mut self, trace: Trace) {
+    pub(crate) fn set_trace(&mut self, trace: Trace) {
         self.fabric.set_trace(trace.clone());
         self.trace = trace;
-    }
-
-    /// The attached trace (off by default).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// The fabric endpoint index of the DR backup target.
@@ -537,23 +527,6 @@ impl Cluster {
     /// Total VMs placed across hosts.
     pub(crate) fn total_vms(&self) -> usize {
         self.total_vms
-    }
-
-    /// VMs currently represented by statistical models rather than live
-    /// guests (always zero under [`VmFidelity::Full`]).
-    #[cfg(test)]
-    fn modeled_vms(&self) -> usize {
-        let placed = self.hosts.iter().flat_map(|h| &h.vms);
-        placed
-            .filter(|&&(k, _)| matches!(self.vms[k].placement(), Some((_, Guest::Model))))
-            .count()
-    }
-
-    /// Whether the named VM is backed by a live guest (as opposed to a
-    /// statistical model awaiting materialization).
-    #[cfg(test)]
-    fn is_materialized(&self, vm: &str) -> bool {
-        matches!(self.placement_of(vm), Some((_, Guest::Live(_))))
     }
 
     /// Whether the named VM is still a statistical model on the host at `pos`.
@@ -808,13 +781,6 @@ impl Cluster {
             .create_vm_with(config, |vm| provision_canonical(vm, name, hot_modulus))?;
         self.set_placed(key, idx, Guest::Live(id));
         Ok((idx, id))
-    }
-
-    /// Materialize the named VM into a live guest if it is still a model.
-    /// Idempotent; a materialized VM never reverts to a model.
-    pub fn materialize(&mut self, vm: &str) -> Result<HostId> {
-        let (idx, _) = self.materialize_key(self.resolve(vm)?)?;
-        Ok(self.hosts[idx].id())
     }
 
     /// Destroy the named VM; returns the host it lived on and its spec.
@@ -1079,14 +1045,8 @@ impl Cluster {
         Ok(())
     }
 
-    /// Fail a host abruptly. Every VM on it is lost; returns their specs.
-    #[cfg(test)]
-    pub(crate) fn fail_host(&mut self, host: HostId) -> Result<Vec<VmSpec>> {
-        let lost = self.fail_host_keyed(host)?;
-        Ok(lost.into_iter().map(|(_, spec)| spec).collect())
-    }
-
-    /// [`Self::fail_host`], each lost spec with its key (placement order).
+    /// Fail a host abruptly. Every VM on it is lost; returns each lost spec
+    /// with its key (placement order).
     pub(crate) fn fail_host_keyed(&mut self, host: HostId) -> Result<Vec<(VmKey, VmSpec)>> {
         let idx = self.position(host)?;
         let mut lost = Vec::with_capacity(self.hosts[idx].vms.len());
@@ -1105,7 +1065,7 @@ impl Cluster {
     /// The dirty rate (bytes/second) last observed for the named VM during
     /// a pre-copy migration, if any. Still-modeled VMs have never been
     /// migrated, so they report `None` (the planner treats that as cold).
-    pub fn observed_dirty_rate(&self, vm: &str) -> Option<u64> {
+    pub(crate) fn observed_dirty_rate(&self, vm: &str) -> Option<u64> {
         match self.placement_of(vm)? {
             (idx, Guest::Live(id)) => self.hosts[idx].vmm.observed_dirty_rate(id),
             (_, Guest::Model) => None,
@@ -1341,6 +1301,37 @@ mod tests {
     use rvisor_cluster::{Host, ServerRole};
 
     impl OrchHost {
+        /// CPU utilization as a fraction of physical cores.
+        pub(crate) fn cpu_utilization(&self) -> f64 {
+            self.cap.util()
+        }
+    }
+
+    impl Cluster {
+        /// Materialize the named VM into a live guest if it is still a model.
+        /// Idempotent; a materialized VM never reverts to a model.
+        pub(crate) fn materialize(&mut self, vm: &str) -> Result<HostId> {
+            let (idx, _) = self.materialize_key(self.resolve(vm)?)?;
+            Ok(self.hosts[idx].id())
+        }
+
+        /// VMs currently represented by statistical models rather than live
+        /// guests (always zero under [`VmFidelity::Full`]).
+        fn modeled_vms(&self) -> usize {
+            let placed = self.hosts.iter().flat_map(|h| &h.vms);
+            placed
+                .filter(|&&(k, _)| matches!(self.vms[k].placement(), Some((_, Guest::Model))))
+                .count()
+        }
+
+        /// Whether the named VM is backed by a live guest (as opposed to a
+        /// statistical model awaiting materialization).
+        fn is_materialized(&self, vm: &str) -> bool {
+            matches!(self.placement_of(vm), Some((_, Guest::Live(_))))
+        }
+    }
+
+    impl OrchHost {
         /// `rvisor-cluster`'s own accounting of this host's specs: the
         /// independent fold the capacity is checked against.
         pub(crate) fn fold_oracle(&self) -> Host {
@@ -1457,14 +1448,15 @@ mod tests {
                 .unwrap()
         };
 
-        let lost = c.fail_host(HostId::new(0)).unwrap();
+        let lost = c.fail_host_keyed(HostId::new(0)).unwrap();
         assert_eq!(lost.len(), 1);
         assert_eq!(c.host_of("dr"), None);
         assert_eq!(c.hosts()[0].power(), HostPower::Failed);
         assert!(c.power_on(HostId::new(0)).is_err());
         c.check_invariants();
 
-        c.restore(&lost[0], handle, &store, HostId::new(1)).unwrap();
+        c.restore(&lost[0].1, handle, &store, HostId::new(1))
+            .unwrap();
         assert_eq!(c.host_of("dr"), Some(HostId::new(1)));
         let vmm = c.hosts()[1].vmm();
         let id = vmm.find_vm("dr").unwrap();
@@ -1595,8 +1587,9 @@ mod tests {
             let (handle, size, arrival) = c
                 .backup("edge", "post-migration", &mut store, report.total_time)
                 .unwrap();
-            let lost = c.fail_host(HostId::new(1)).unwrap();
-            c.restore(&lost[0], handle, &store, HostId::new(0)).unwrap();
+            let lost = c.fail_host_keyed(HostId::new(1)).unwrap();
+            c.restore(&lost[0].1, handle, &store, HostId::new(0))
+                .unwrap();
             c.check_invariants();
             let vmm = c.hosts()[0].vmm();
             let id = vmm.find_vm("edge").unwrap();
@@ -1648,7 +1641,7 @@ mod tests {
             c.migrate_planned("vm-5", to, &stop_and_copy, Nanoseconds::ZERO)
                 .unwrap();
             c.check_invariants();
-            c.fail_host(HostId::new(3)).unwrap();
+            c.fail_host_keyed(HostId::new(3)).unwrap();
             c.check_invariants();
             // Every placement answer matches a brute-force scan over the
             // oracle, for probes that fit somewhere and for ones that fit
@@ -1760,13 +1753,13 @@ mod tests {
             "even the first epoch dedupes its zero pages"
         );
 
-        let lost_p = plain.fail_host(HostId::new(0)).unwrap();
-        let lost_d = dedup.fail_host(HostId::new(0)).unwrap();
+        let lost_p = plain.fail_host_keyed(HostId::new(0)).unwrap();
+        let lost_d = dedup.fail_host_keyed(HostId::new(0)).unwrap();
         plain
-            .restore(&lost_p[0], handle, &store, HostId::new(1))
+            .restore(&lost_p[0].1, handle, &store, HostId::new(1))
             .unwrap();
         dedup
-            .restore_manifested(&lost_d[0], inc.manifest, &cas, HostId::new(1))
+            .restore_manifested(&lost_d[0].1, inc.manifest, &cas, HostId::new(1))
             .unwrap();
         dedup.check_invariants();
 
@@ -1786,7 +1779,7 @@ mod tests {
         let _ = plain.destroy("dr").unwrap();
         assert!(plain
             .restore(
-                &lost_p[0],
+                &lost_p[0].1,
                 BackupHandle::Manifested(inc.manifest),
                 &store,
                 HostId::new(1)
@@ -2008,7 +2001,13 @@ mod tests {
                             naive.live.remove(spec.name.as_str());
                         }
                         naive.failed.insert(h);
-                        prop_assert_eq!(c.fail_host(host).unwrap(), want, "fail_host");
+                        let lost: Vec<VmSpec> = c
+                            .fail_host_keyed(host)
+                            .unwrap()
+                            .into_iter()
+                            .map(|(_, spec)| spec)
+                            .collect();
+                        prop_assert_eq!(lost, want, "fail_host");
                     }
                     _ => {
                         let spec = spec_of(v, millicores);

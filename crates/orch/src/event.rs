@@ -61,9 +61,13 @@ pub enum OrchEvent {
         /// Index of the failing spine.
         spine: usize,
     },
-    /// Periodic rebalance: the policy inspects utilization and may migrate.
+    /// Internal: periodic rebalance, where the policy inspects utilization
+    /// and may migrate. The orchestrator schedules these every
+    /// `rebalance_interval`; a scenario that lists one is refused.
     RebalanceTick,
-    /// Periodic backup: every placed VM is snapshotted to the DR store.
+    /// Internal: periodic backup, where every placed VM is snapshotted to the
+    /// DR store. The orchestrator schedules these every `backup_interval`; a
+    /// scenario that lists one is refused.
     BackupTick,
     /// Internal: a DR restore of `vm` finishes (scheduled after a
     /// [`HostFailure`](OrchEvent::HostFailure), delayed by detection time
@@ -76,7 +80,7 @@ pub enum OrchEvent {
 
 impl OrchEvent {
     /// Short label for logs and reports.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             OrchEvent::VmArrival { .. } => "vm-arrival",
             OrchEvent::VmDeparture { .. } => "vm-departure",
@@ -173,18 +177,8 @@ impl<E> EventQueue<E> {
     }
 
     /// The event [`Self::pop`] would return next, left in place.
-    pub fn peek(&self) -> Option<&Scheduled<E>> {
+    pub(crate) fn peek(&self) -> Option<&Scheduled<E>> {
         self.heap.peek()
-    }
-
-    /// Events currently waiting.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 
     /// Total events ever scheduled (conservation accounting: at any point
@@ -192,17 +186,24 @@ impl<E> EventQueue<E> {
     pub(crate) fn pushed(&self) -> u64 {
         self.pushed
     }
-
-    /// Total events ever delivered.
-    pub fn popped(&self) -> u64 {
-        self.popped
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl<E> EventQueue<E> {
+        /// Events currently waiting.
+        pub(crate) fn len(&self) -> usize {
+            self.heap.len()
+        }
+
+        /// Total events ever delivered.
+        pub(crate) fn popped(&self) -> u64 {
+            self.popped
+        }
+    }
 
     /// The ordering contract written out: every event pushed so far, with
     /// its push index as `seq`; a pop removes the least `(at, seq)`.

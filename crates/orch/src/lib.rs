@@ -38,7 +38,8 @@
 //!
 //! *Internal events* are scheduled by the orchestrator itself: periodic
 //! [`OrchEvent::RebalanceTick`] / [`OrchEvent::BackupTick`] and deferred
-//! [`OrchEvent::RestoreComplete`] completions.
+//! [`OrchEvent::RestoreComplete`] completions. A scenario that lists one is
+//! refused before the day starts.
 //!
 //! ## The policy model
 //!

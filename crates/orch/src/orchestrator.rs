@@ -105,23 +105,13 @@ impl Orchestrator {
         self.planner = planner;
     }
 
-    /// The cluster (inspection; the run consumes events, not this view).
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
     /// Attach a trace sink before [`Orchestrator::run`]. Propagates to the
     /// cluster and its fabric, so one sink sees every layer. Tracing never
     /// influences the simulation: a traced run produces an `==`-equal
     /// [`OrchReport`] to an untraced one.
-    pub fn set_trace(&mut self, trace: Trace) {
+    pub(crate) fn set_trace(&mut self, trace: Trace) {
         self.cluster.set_trace(trace.clone());
         self.trace = trace;
-    }
-
-    /// The attached trace handle.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
     }
 
     /// Run `scenario` to completion and return the SLA report.
@@ -129,8 +119,9 @@ impl Orchestrator {
     /// Deterministic: the same scenario (same seed/config) against the same
     /// parameters and policy produces an `==`-equal report every time.
     /// A scenario whose events are not time-sorted, that has an event after
-    /// `config.duration`, or that lists an internal
-    /// [`OrchEvent::RestoreComplete`] is refused with [`Error::Config`]
+    /// `config.duration`, or that lists an internal event
+    /// ([`OrchEvent::RebalanceTick`], [`OrchEvent::BackupTick`] or
+    /// [`OrchEvent::RestoreComplete`]) is refused with [`Error::Config`]
     /// before any event fires.
     pub fn run(mut self, scenario: &Scenario) -> Result<OrchReport> {
         self.run_events(scenario)?;
@@ -149,8 +140,8 @@ impl Orchestrator {
         &mut self,
         events: &[(Nanoseconds, OrchEvent)],
     ) -> Result<Vec<Option<VmKey>>> {
-        // A sorted source that ends inside the day, with no completion that
-        // only failure handling may schedule: check before any state moves.
+        // A sorted source that ends inside the day, with none of the events
+        // only the orchestrator schedules: check before any state moves.
         let mut last = Nanoseconds::ZERO;
         for (at, event) in events {
             if *at < last {
@@ -161,12 +152,22 @@ impl Orchestrator {
                     last
                 )));
             }
-            if let OrchEvent::RestoreComplete { vm } = event {
-                return Err(Error::Config(format!(
-                    "scenario lists the internal event {} for {vm} at {at}: \
-                     only a host failure schedules one",
-                    event.kind()
-                )));
+            match event {
+                OrchEvent::RestoreComplete { vm } => {
+                    return Err(Error::Config(format!(
+                        "scenario lists the internal event {} for {vm} at {at}: \
+                         only a host failure schedules one",
+                        event.kind()
+                    )))
+                }
+                OrchEvent::RebalanceTick | OrchEvent::BackupTick => {
+                    return Err(Error::Config(format!(
+                        "scenario lists the internal event {} at {at}: \
+                         the orchestrator schedules its own ticks",
+                        event.kind()
+                    )))
+                }
+                _ => {}
             }
             last = *at;
         }
@@ -946,6 +947,8 @@ mod tests {
     use crate::policy::{ConsolidateAndPowerDown, SpreadRebalance, ThresholdRebalance};
     use crate::scenario::{ScenarioConfig, WorkloadShape};
 
+    impl Orchestrator {}
+
     fn small_scenario(seed: u64, failures: usize) -> Scenario {
         let cfg = ScenarioConfig {
             duration: Nanoseconds::from_secs(2 * 3600),
@@ -1352,7 +1355,7 @@ mod tests {
         ];
         let mut orch =
             Orchestrator::new(specs, fast_params(), Box::new(ThresholdRebalance)).unwrap();
-        orch.cluster.fail_host(HostId::new(0)).unwrap();
+        orch.cluster.fail_host_keyed(HostId::new(0)).unwrap();
         assert!(orch.cluster.power_on(HostId::new(0)).is_err());
         assert!(orch.cluster.power_off(HostId::new(0)).is_err());
         // Parked hosts stay idempotently manageable.
@@ -2072,9 +2075,19 @@ mod tests {
     /// charging 1 s of lost VM time instead of the restore's real length.
     #[test]
     fn a_scenario_listed_restore_completion_is_refused() {
-        let forged = OrchEvent::RestoreComplete { vm: "vm-a".into() };
-        let s = lifecycle_scenario(2, vec![(1000, failure(0)), (1001, forged)]);
-        assert_refused(&s, "internal event restore-complete for vm-a");
+        // Every internal event, not just the restore completion: a listed
+        // tick would fire as an extra sweep beside the scheduled ones.
+        for (forged, reason) in [
+            (
+                OrchEvent::RestoreComplete { vm: "vm-a".into() },
+                "internal event restore-complete for vm-a",
+            ),
+            (OrchEvent::RebalanceTick, "internal event rebalance-tick"),
+            (OrchEvent::BackupTick, "internal event backup-tick"),
+        ] {
+            let s = lifecycle_scenario(2, vec![(1000, failure(0)), (1001, forged)]);
+            assert_refused(&s, reason);
+        }
     }
 
     #[test]

@@ -109,7 +109,7 @@ pub enum FabricTopology {
 
 impl FabricTopology {
     /// Validate topology sanity (non-zero counts and bandwidths).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         match *self {
             FabricTopology::SingleSpine => Ok(()),
             FabricTopology::Clos {
@@ -263,7 +263,7 @@ impl OrchParams {
     }
 
     /// Validate parameter sanity (thresholds ordered, intervals non-zero).
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.rebalance_interval == Nanoseconds::ZERO {
             return Err(Error::Config("rebalance_interval must be non-zero".into()));
         }

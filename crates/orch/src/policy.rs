@@ -64,12 +64,7 @@ pub struct RebalancePlan {
     pub power_off: Vec<HostId>,
 }
 
-impl RebalancePlan {
-    /// Whether the plan does anything at all.
-    pub fn is_empty(&self) -> bool {
-        self.migrations.is_empty() && self.power_on.is_empty() && self.power_off.is_empty()
-    }
-}
+impl RebalancePlan {}
 
 /// Why a policy (or the orchestrator itself) decided to move a VM.
 ///
@@ -92,7 +87,7 @@ pub enum DecisionReason {
 
 impl DecisionReason {
     /// Stable label used in trace event arguments.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             DecisionReason::Overload => "overload",
             DecisionReason::Consolidation => "consolidation",
@@ -1024,6 +1019,13 @@ mod tests {
     use rvisor_cluster::{HostSpec, ServerRole, VmSpec};
     use rvisor_types::ByteSize;
 
+    impl RebalancePlan {
+        /// Whether the plan does anything at all.
+        pub(crate) fn is_empty(&self) -> bool {
+            self.migrations.is_empty() && self.power_on.is_empty() && self.power_off.is_empty()
+        }
+    }
+
     fn cluster(n_hosts: usize) -> Cluster {
         let specs = (0..n_hosts)
             .map(|i| HostSpec::modern_server(HostId::new(i as u32)))
@@ -1145,7 +1147,7 @@ mod tests {
             let _ = c.power_off(HostId::new(rng.next_below(n_hosts as u64) as u32));
         }
         if rng.next_below(4) == 0 {
-            let _ = c.fail_host(HostId::new(rng.next_below(n_hosts as u64) as u32));
+            let _ = c.fail_host_keyed(HostId::new(rng.next_below(n_hosts as u64) as u32));
         }
         c
     }
@@ -1203,7 +1205,7 @@ mod tests {
     fn policies_are_quiet_on_a_dead_cluster() {
         let mut c = cluster(3);
         for i in 0..3 {
-            c.fail_host(HostId::new(i)).unwrap();
+            c.fail_host_keyed(HostId::new(i)).unwrap();
         }
         let p = OrchParams::default();
         for policy in [

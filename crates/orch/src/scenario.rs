@@ -188,7 +188,7 @@ impl ScenarioConfig {
     }
 
     /// Validate the configuration.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.hosts == 0 {
             return Err(Error::Config("scenario needs at least one host".into()));
         }

@@ -53,21 +53,6 @@ impl RunnableModel {
             }
         }
     }
-
-    /// The long-run fraction of time the entity wants the CPU.
-    #[cfg(test)]
-    fn demand_fraction(&self) -> f64 {
-        match *self {
-            RunnableModel::Always => 1.0,
-            RunnableModel::DutyCycle { active, period } => {
-                if period == 0 {
-                    0.0
-                } else {
-                    (active as f64 / period as f64).min(1.0)
-                }
-            }
-        }
-    }
 }
 
 /// A schedulable vCPU and its scheduling parameters.
@@ -106,18 +91,35 @@ impl VcpuEntity {
         self.cap_percent = Some(cap_percent);
         self
     }
-
-    /// Set a duty cycle (builder style).
-    #[cfg(test)]
-    pub(crate) fn with_duty_cycle(mut self, active: u32, period: u32) -> Self {
-        self.runnable = RunnableModel::DutyCycle { active, period };
-        self
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RunnableModel {
+        /// The long-run fraction of time the entity wants the CPU.
+        fn demand_fraction(&self) -> f64 {
+            match *self {
+                RunnableModel::Always => 1.0,
+                RunnableModel::DutyCycle { active, period } => {
+                    if period == 0 {
+                        0.0
+                    } else {
+                        (active as f64 / period as f64).min(1.0)
+                    }
+                }
+            }
+        }
+    }
+
+    impl VcpuEntity {
+        /// Set a duty cycle (builder style).
+        pub(crate) fn with_duty_cycle(mut self, active: u32, period: u32) -> Self {
+            self.runnable = RunnableModel::DutyCycle { active, period };
+            self
+        }
+    }
 
     fn id(vm: u32) -> EntityId {
         EntityId::new(VmId::new(vm), VcpuId::new(0))

@@ -106,12 +106,6 @@ impl CreditScheduler {
         Self::default()
     }
 
-    /// The current credit balance of an entity (for tests/inspection).
-    #[cfg(test)]
-    pub(crate) fn credits(&self, id: EntityId) -> Option<i64> {
-        self.accounts.get(&id).map(|a| a.credits)
-    }
-
     fn replenish(&mut self, pcpus: usize) {
         let total_weight: u64 = self.accounts.values().map(|a| a.entity.weight as u64).sum();
         if total_weight == 0 {
@@ -252,6 +246,13 @@ impl Scheduler for StrideScheduler {
 mod tests {
     use super::*;
     use rvisor_types::{VcpuId, VmId};
+
+    impl CreditScheduler {
+        /// The current credit balance of an entity (for tests/inspection).
+        pub(crate) fn credits(&self, id: EntityId) -> Option<i64> {
+            self.accounts.get(&id).map(|a| a.credits)
+        }
+    }
 
     fn id(vm: u32) -> EntityId {
         EntityId::new(VmId::new(vm), VcpuId::new(0))

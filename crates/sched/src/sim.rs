@@ -56,12 +56,6 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// CPU time received by one entity.
-    #[cfg(test)]
-    fn cpu_time_of(&self, id: EntityId) -> Nanoseconds {
-        self.cpu_time.get(&id).copied().unwrap_or(Nanoseconds::ZERO)
-    }
-
     /// The share of total delivered CPU an entity received (0..=1).
     pub fn share_of(&self, id: EntityId) -> f64 {
         let total: u64 = self.runtime_quanta.values().sum();
@@ -93,19 +87,6 @@ impl HostSim {
     pub fn add_entity(&mut self, entity: VcpuEntity) -> &mut Self {
         self.entities.push(entity);
         self
-    }
-
-    /// Add several entities.
-    #[cfg(test)]
-    fn add_entities(&mut self, entities: &[VcpuEntity]) -> &mut Self {
-        self.entities.extend_from_slice(entities);
-        self
-    }
-
-    /// The configured entities.
-    #[cfg(test)]
-    pub(crate) fn entities(&self) -> &[VcpuEntity] {
-        &self.entities
     }
 
     /// Run `scheduler` over the workload and produce a report.
@@ -182,6 +163,26 @@ mod tests {
     use super::*;
     use crate::schedulers::{CreditScheduler, RoundRobin, StrideScheduler};
     use rvisor_types::{VcpuId, VmId};
+
+    impl SimReport {
+        /// CPU time received by one entity.
+        fn cpu_time_of(&self, id: EntityId) -> Nanoseconds {
+            self.cpu_time.get(&id).copied().unwrap_or(Nanoseconds::ZERO)
+        }
+    }
+
+    impl HostSim {
+        /// Add several entities.
+        fn add_entities(&mut self, entities: &[VcpuEntity]) -> &mut Self {
+            self.entities.extend_from_slice(entities);
+            self
+        }
+
+        /// The configured entities.
+        pub(crate) fn entities(&self) -> &[VcpuEntity] {
+            &self.entities
+        }
+    }
 
     fn id(vm: u32) -> EntityId {
         EntityId::new(VmId::new(vm), VcpuId::new(0))

@@ -62,7 +62,7 @@ impl BackupPolicy {
     }
 
     /// Validate the policy.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.interval == Nanoseconds::ZERO {
             return Err(Error::Config("backup interval must be non-zero".into()));
         }
@@ -74,7 +74,7 @@ impl BackupPolicy {
 
     /// The worst-case recovery point objective this policy can achieve:
     /// everything written since the last completed backup is lost.
-    pub fn rpo(&self) -> Nanoseconds {
+    pub(crate) fn rpo(&self) -> Nanoseconds {
         self.interval
     }
 }
@@ -190,11 +190,6 @@ impl BackupSimulator {
             now: Nanoseconds::ZERO,
             backups_taken: 0,
         })
-    }
-
-    /// The snapshot store accumulating the backups.
-    pub fn store(&self) -> &SnapshotStore {
-        &self.store
     }
 
     /// Advance simulated time by one policy interval and take the backup the

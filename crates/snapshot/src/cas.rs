@@ -90,12 +90,6 @@ pub(crate) struct ChunkStore {
 }
 
 impl ChunkStore {
-    /// Create an empty store.
-    #[cfg(test)]
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Intern `bytes`, returning the chunk id and whether the bytes were
     /// *novel* (stored by this call) or deduplicated against an existing
     /// chunk. Either way the returned id holds one new reference.
@@ -183,13 +177,6 @@ impl ChunkStore {
     /// Bytes of chunk payload stored (each unique page counted once).
     pub(crate) fn stored_bytes(&self) -> ByteSize {
         ByteSize::new(self.stored_bytes)
-    }
-
-    /// Total outstanding references across all chunks (each page slot of
-    /// each live manifest counts one).
-    #[cfg(test)]
-    pub(crate) fn total_refs(&self) -> u64 {
-        self.total_refs
     }
 }
 
@@ -417,7 +404,7 @@ impl CasStore {
     }
 
     /// Look up a manifest.
-    pub fn get(&self, id: ManifestId) -> Option<&Manifest> {
+    pub(crate) fn get(&self, id: ManifestId) -> Option<&Manifest> {
         self.manifests.get(&id).map(|(manifest, _, _)| manifest)
     }
 
@@ -572,12 +559,6 @@ impl CasStore {
     pub fn stored_bytes(&self) -> ByteSize {
         self.chunks.stored_bytes()
     }
-
-    /// Outstanding chunk references across all manifests.
-    #[cfg(test)]
-    pub(crate) fn total_refs(&self) -> u64 {
-        self.chunks.total_refs()
-    }
 }
 
 #[cfg(test)]
@@ -585,6 +566,26 @@ mod tests {
     use super::*;
     use crate::store::SnapshotStore;
     use rvisor_types::{GuestAddress, PAGE_SIZE};
+
+    impl ChunkStore {
+        /// Create an empty store.
+        pub(crate) fn new() -> Self {
+            Self::default()
+        }
+
+        /// Total outstanding references across all chunks (each page slot of
+        /// each live manifest counts one).
+        pub(crate) fn total_refs(&self) -> u64 {
+            self.total_refs
+        }
+    }
+
+    impl CasStore {
+        /// Outstanding chunk references across all manifests.
+        pub(crate) fn total_refs(&self) -> u64 {
+            self.chunks.total_refs()
+        }
+    }
 
     /// The store's derived state against the scans it stands in for. Uses
     /// nothing of this test module, so ROADMAP 4a's always-on auditor can

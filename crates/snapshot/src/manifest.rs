@@ -109,7 +109,12 @@ impl ExportManifest {
             })?;
             let value = value.trim();
             match key.trim() {
-                "rvisor-appliance" => versioned = true,
+                "rvisor-appliance" if value == "1" => versioned = true,
+                "rvisor-appliance" => {
+                    return Err(Error::Snapshot(format!(
+                        "unsupported rvisor-appliance version `{value}`"
+                    )));
+                }
                 "name" => name = Some(value.to_string()),
                 "vcpus" => {
                     vcpus =
@@ -170,6 +175,7 @@ impl ExportManifest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn sample() -> ExportManifest {
         ExportManifest::new("mail-server", 2, ByteSize::gib(2))
@@ -230,6 +236,67 @@ mod tests {
             "rvisor-appliance: 1\nname: x\nvcpus: 1\nmemory-bytes: 1\nchecksum: mem abc\n"
         )
         .is_err());
+        // Only version 1 is understood.
+        assert!(ExportManifest::from_text(
+            "rvisor-appliance: 2\nname: x\nvcpus: 1\nmemory-bytes: 1\n"
+        )
+        .is_err());
+        assert!(ExportManifest::from_text(
+            "rvisor-appliance: banana\nname: x\nvcpus: 1\nmemory-bytes: 1\n"
+        )
+        .is_err());
+    }
+
+    /// Keys and values that arbitrary manifest lines are spliced from:
+    /// every key, values that parse and values that do not, and noise.
+    const KEYS: [&str; 10] = [
+        "rvisor-appliance",
+        "name",
+        "vcpus",
+        "memory-bytes",
+        "disk",
+        "checksum",
+        "annotation",
+        "bogus",
+        "# note",
+        "",
+    ];
+    const VALUES: [&str; 9] = [
+        "1",
+        "2",
+        "banana",
+        "os x  y",
+        "d 42",
+        "-3",
+        "é\t",
+        "18446744073709551616",
+        "",
+    ];
+    /// A complete version-1 manifest for the spliced lines to follow.
+    const HEADER: &str = "rvisor-appliance: 1\nname: n\nvcpus: 1\nmemory-bytes: 8\n";
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Arbitrary text never panics the parser, and whatever it accepts
+        /// survives a round trip through `to_text` unchanged.
+        #[test]
+        fn parse_never_panics_and_accepted_text_round_trips(
+            lines in proptest::collection::vec(
+                (0usize..KEYS.len(), 0usize..4, 0usize..VALUES.len()),
+                0..6,
+            ),
+            headed in 0usize..2,
+        ) {
+            let mut text = if headed == 1 { HEADER.to_string() } else { String::new() };
+            for (key, separator, value) in lines {
+                let separator = [": ", ":", " ", "\r\n"][separator];
+                text += &format!("{}{separator}{}\n", KEYS[key], VALUES[value]);
+            }
+            if let Ok(m) = ExportManifest::from_text(&text) {
+                prop_assert_eq!(ExportManifest::from_text(&m.to_text()).ok(), Some(m));
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Guest physical address arithmetic and region descriptions.
 
-use crate::units::{ByteSize, PAGE_SIZE};
+use crate::units::PAGE_SIZE;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -25,16 +25,6 @@ impl GuestAddress {
     /// Guest physical address zero.
     pub const ZERO: GuestAddress = GuestAddress(0);
 
-    /// Construct a new guest address.
-    pub const fn new(addr: u64) -> Self {
-        GuestAddress(addr)
-    }
-
-    /// The raw address value.
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-
     /// Add an offset without overflow checking (wraps like hardware would).
     pub const fn unchecked_add(self, offset: u64) -> GuestAddress {
         GuestAddress(self.0.wrapping_add(offset))
@@ -43,11 +33,6 @@ impl GuestAddress {
     /// Checked addition of an offset.
     pub fn checked_add(self, offset: u64) -> Option<GuestAddress> {
         self.0.checked_add(offset).map(GuestAddress)
-    }
-
-    /// The offset of this address within its 4 KiB page.
-    pub const fn page_offset(self) -> u64 {
-        self.0 % PAGE_SIZE
     }
 
     /// Whether this address is 4 KiB aligned.
@@ -88,20 +73,6 @@ impl GuestRegion {
         GuestRegion { start, len }
     }
 
-    /// One-past-the-end address; `None` if it would overflow `u64`.
-    pub fn end(&self) -> Option<GuestAddress> {
-        self.start.checked_add(self.len)
-    }
-
-    /// The last valid address in the region; `None` for an empty region.
-    pub fn last(&self) -> Option<GuestAddress> {
-        if self.len == 0 {
-            None
-        } else {
-            self.start.checked_add(self.len - 1)
-        }
-    }
-
     /// Whether `addr` falls inside the region.
     pub fn contains(&self, addr: GuestAddress) -> bool {
         addr.0 >= self.start.0 && (addr.0 - self.start.0) < self.len
@@ -127,35 +98,6 @@ impl GuestRegion {
         let other_last = other.start.0 + (other.len - 1);
         self.start.0 <= other_last && other.start.0 <= self_last
     }
-
-    /// Number of whole pages spanned by the region.
-    pub fn pages(&self) -> u64 {
-        ByteSize::new(self.len).pages()
-    }
-}
-
-/// Configuration for a single guest memory region, as supplied by a VM config.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MemoryRegionConfig {
-    /// Guest physical address where the region starts.
-    pub base: GuestAddress,
-    /// Region size.
-    pub size: ByteSize,
-}
-
-impl MemoryRegionConfig {
-    /// Construct a region config.
-    pub const fn new(base: GuestAddress, size: ByteSize) -> Self {
-        MemoryRegionConfig { base, size }
-    }
-
-    /// The described region.
-    pub const fn region(&self) -> GuestRegion {
-        GuestRegion {
-            start: self.base,
-            len: self.size.as_u64(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +108,6 @@ mod tests {
     #[test]
     fn address_page_math() {
         let a = GuestAddress(0x1234);
-        assert_eq!(a.page_offset(), 0x234);
         assert_eq!(a.page_base(), GuestAddress(0x1000));
         assert!(!a.is_page_aligned());
         assert!(GuestAddress(0x3000).is_page_aligned());
@@ -189,9 +130,6 @@ mod tests {
         assert!(!r.contains(GuestAddress(0xfff)));
         assert!(r.contains_range(GuestAddress(0x1800), 0x800));
         assert!(!r.contains_range(GuestAddress(0x1800), 0x801));
-        assert_eq!(r.end(), Some(GuestAddress(0x2000)));
-        assert_eq!(r.last(), Some(GuestAddress(0x1fff)));
-        assert_eq!(r.pages(), 1);
     }
 
     #[test]
@@ -209,16 +147,10 @@ mod tests {
     #[test]
     fn empty_region_has_no_last() {
         let r = GuestRegion::new(GuestAddress(0x1000), 0);
-        assert_eq!(r.last(), None);
-        assert_eq!(r.pages(), 0);
-    }
-
-    #[test]
-    fn region_config_roundtrip() {
-        let cfg = MemoryRegionConfig::new(GuestAddress(0), ByteSize::mib(64));
-        let r = cfg.region();
-        assert_eq!(r.len, 64 << 20);
-        assert_eq!(r.start, GuestAddress(0));
+        assert!(!r.contains(GuestAddress(0x1000)));
+        assert!(!r.contains(GuestAddress(0xfff)));
+        assert!(r.contains_range(GuestAddress(0x1000), 0));
+        assert!(!r.contains_range(GuestAddress(0x1000), 1));
     }
 
     proptest! {

@@ -64,11 +64,6 @@ impl Nanoseconds {
     pub fn saturating_sub(self, other: Nanoseconds) -> Nanoseconds {
         Nanoseconds(self.0.saturating_sub(other.0))
     }
-
-    /// Checked addition.
-    pub fn checked_add(self, other: Nanoseconds) -> Option<Nanoseconds> {
-        self.0.checked_add(other.0).map(Nanoseconds)
-    }
 }
 
 impl std::ops::Add for Nanoseconds {
@@ -143,33 +138,6 @@ impl ManualClock {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Create a clock starting at `start`.
-    pub fn starting_at(start: Nanoseconds) -> Self {
-        ManualClock {
-            now: Arc::new(AtomicU64::new(start.0)),
-        }
-    }
-
-    /// Set the clock to an absolute instant (must not go backwards).
-    ///
-    /// Returns `false` (and leaves the clock unchanged) if `t` is earlier
-    /// than the current time.
-    pub fn set(&self, t: Nanoseconds) -> bool {
-        let mut cur = self.now.load(Ordering::SeqCst);
-        loop {
-            if t.0 < cur {
-                return false;
-            }
-            match self
-                .now
-                .compare_exchange(cur, t.0, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return true,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
 }
 
 impl SimClock for ManualClock {
@@ -185,6 +153,35 @@ impl SimClock for ManualClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ManualClock {
+        /// Create a clock starting at `start`.
+        fn starting_at(start: Nanoseconds) -> Self {
+            ManualClock {
+                now: Arc::new(AtomicU64::new(start.0)),
+            }
+        }
+
+        /// Set the clock to an absolute instant (must not go backwards).
+        ///
+        /// Returns `false` (and leaves the clock unchanged) if `t` is earlier
+        /// than the current time.
+        fn set(&self, t: Nanoseconds) -> bool {
+            let mut cur = self.now.load(Ordering::SeqCst);
+            loop {
+                if t.0 < cur {
+                    return false;
+                }
+                match self
+                    .now
+                    .compare_exchange(cur, t.0, Ordering::SeqCst, Ordering::SeqCst)
+                {
+                    Ok(_) => return true,
+                    Err(actual) => cur = actual,
+                }
+            }
+        }
+    }
 
     #[test]
     fn conversions() {

@@ -108,7 +108,7 @@ pub enum Error {
     CapacityExceeded(String),
     /// Generic configuration error.
     Config(String),
-    /// An I/O error from the host filesystem (file-backed disks, snapshots).
+    /// An I/O error from the host filesystem.
     Io(String),
 }
 

@@ -53,38 +53,6 @@ id_type!(
     "host-"
 );
 
-/// Allocates monotonically increasing identifiers.
-#[cfg(test)]
-#[derive(Debug, Default)]
-struct IdAllocator {
-    next: u32,
-}
-
-#[cfg(test)]
-impl IdAllocator {
-    /// Create an allocator starting at zero.
-    fn new() -> Self {
-        Self::default()
-    }
-
-    /// Create an allocator whose first issued id will be `start`.
-    fn starting_at(start: u32) -> Self {
-        IdAllocator { next: start }
-    }
-
-    /// Allocate the next identifier.
-    fn next_id<T: From<u32>>(&mut self) -> T {
-        let v = self.next;
-        self.next += 1;
-        T::from(v)
-    }
-
-    /// How many identifiers have been issued.
-    fn issued(&self) -> u32 {
-        self.next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,23 +62,6 @@ mod tests {
         assert_eq!(VmId::new(3).to_string(), "vm-3");
         assert_eq!(VcpuId::new(0).to_string(), "vcpu-0");
         assert_eq!(HostId::new(12).to_string(), "host-12");
-    }
-
-    #[test]
-    fn allocator_is_monotonic_and_unique() {
-        let mut alloc = IdAllocator::new();
-        let ids: Vec<VmId> = (0..100).map(|_| alloc.next_id()).collect();
-        for (i, id) in ids.iter().enumerate() {
-            assert_eq!(id.raw(), i as u32);
-        }
-        assert_eq!(alloc.issued(), 100);
-    }
-
-    #[test]
-    fn allocator_starting_at() {
-        let mut alloc = IdAllocator::starting_at(10);
-        let id: HostId = alloc.next_id();
-        assert_eq!(id, HostId::new(10));
     }
 
     #[test]

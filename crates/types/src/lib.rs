@@ -17,7 +17,7 @@ pub mod error;
 pub mod ids;
 pub mod units;
 
-pub use addr::{GuestAddress, GuestRegion, MemoryRegionConfig};
+pub use addr::{GuestAddress, GuestRegion};
 pub use clock::{ManualClock, Nanoseconds, SimClock};
 pub use error::{Error, Result};
 pub use ids::{HostId, VcpuId, VmId};

@@ -80,31 +80,9 @@ impl ByteSize {
         ByteSize(self.pages() * PAGE_SIZE)
     }
 
-    /// Checked addition.
-    pub fn checked_add(self, other: ByteSize) -> Option<ByteSize> {
-        self.0.checked_add(other.0).map(ByteSize)
-    }
-
-    /// Checked subtraction.
-    pub fn checked_sub(self, other: ByteSize) -> Option<ByteSize> {
-        self.0.checked_sub(other.0).map(ByteSize)
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, other: ByteSize) -> ByteSize {
         ByteSize(self.0.saturating_sub(other.0))
-    }
-
-    /// Express the size in whole mebibytes (rounded down).
-    #[cfg(test)]
-    const fn whole_mib(self) -> u64 {
-        self.0 / MIB
-    }
-
-    /// Express the size in whole gibibytes (rounded down).
-    #[cfg(test)]
-    const fn whole_gib(self) -> u64 {
-        self.0 / GIB
     }
 }
 
@@ -154,6 +132,18 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    impl ByteSize {
+        /// Express the size in whole mebibytes (rounded down).
+        const fn whole_mib(self) -> u64 {
+            self.0 / MIB
+        }
+
+        /// Express the size in whole gibibytes (rounded down).
+        const fn whole_gib(self) -> u64 {
+            self.0 / GIB
+        }
+    }
+
     #[test]
     fn constructors_agree() {
         assert_eq!(ByteSize::kib(1).as_u64(), KIB);
@@ -188,10 +178,10 @@ mod tests {
     fn checked_arithmetic() {
         let a = ByteSize::mib(1);
         let b = ByteSize::kib(1);
-        assert_eq!(a.checked_sub(b), Some(ByteSize::new(MIB - KIB)));
-        assert_eq!(b.checked_sub(a), None);
+        assert_eq!(a - b, ByteSize::new(MIB - KIB));
+        assert_eq!(a.saturating_sub(b), ByteSize::new(MIB - KIB));
         assert_eq!(b.saturating_sub(a), ByteSize::ZERO);
-        assert_eq!(ByteSize::new(u64::MAX).checked_add(ByteSize::new(1)), None);
+        assert_eq!(a + b, ByteSize::new(MIB + KIB));
     }
 
     #[test]

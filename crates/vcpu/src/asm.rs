@@ -60,21 +60,6 @@ impl Assembler {
         }
     }
 
-    /// The base address the program is assembled for.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
-    /// Current length of the program in instructions.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Whether no instructions have been added yet.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Append a resolved instruction.
     pub fn push(&mut self, instr: Instr) -> &mut Self {
         self.slots.push(Slot::Ready(instr));
@@ -86,12 +71,6 @@ impl Assembler {
         let addr = self.base + self.slots.len() as u64 * INSTR_BYTES;
         self.labels.insert(name.to_string(), addr);
         self
-    }
-
-    /// The address of a previously defined label.
-    #[cfg(test)]
-    fn label_address(&self, name: &str) -> Option<u64> {
-        self.labels.get(name).copied()
     }
 
     /// Append a conditional branch to a (possibly forward) label.
@@ -162,8 +141,20 @@ impl Assembler {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    impl Assembler {
+        /// The address of a previously defined label.
+        fn label_address(&self, name: &str) -> Option<u64> {
+            self.labels.get(name).copied()
+        }
+
+        /// Current length of the program in instructions.
+        pub(crate) fn len(&self) -> usize {
+            self.slots.len()
+        }
+    }
 
     #[test]
     fn forward_and_backward_labels_resolve() {
@@ -209,9 +200,7 @@ mod tests {
         asm.label("start");
         asm.push(Instr::Nop);
         assert_eq!(asm.label_address("start"), Some(0x1000));
-        assert_eq!(asm.base(), 0x1000);
         assert_eq!(asm.len(), 1);
-        assert!(!asm.is_empty());
     }
 
     #[test]

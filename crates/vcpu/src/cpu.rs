@@ -354,25 +354,9 @@ impl Vcpu {
         }
     }
 
-    /// The vCPU's identifier.
-    pub fn id(&self) -> VcpuId {
-        self.config.id
-    }
-
-    /// The execution mode being modelled.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.config.mode
-    }
-
     /// Cumulative statistics.
     pub fn stats(&self) -> VcpuStats {
         self.stats
-    }
-
-    /// TLB statistics from the MMU.
-    #[cfg(test)]
-    pub(crate) fn tlb_stats(&self) -> crate::mmu::TlbStats {
-        self.mmu.tlb_stats()
     }
 
     /// Read a general-purpose register.
@@ -391,20 +375,9 @@ impl Vcpu {
         }
     }
 
-    /// The current program counter.
-    pub fn pc(&self) -> u64 {
-        self.pc
-    }
-
     /// Set the program counter (used when loading a program).
     pub fn set_pc(&mut self, pc: u64) {
         self.pc = pc;
-    }
-
-    /// The current privilege mode.
-    #[cfg(test)]
-    pub(crate) fn priv_mode(&self) -> PrivMode {
-        self.mode
     }
 
     /// Capture the architectural state for snapshot/migration.
@@ -949,6 +922,13 @@ mod tests {
     use crate::isa::{AluOp, Cond};
     use rvisor_types::ByteSize;
 
+    impl Vcpu {
+        /// TLB statistics from the MMU.
+        pub(crate) fn tlb_stats(&self) -> crate::mmu::TlbStats {
+            self.mmu.tlb_stats()
+        }
+    }
+
     fn memory() -> GuestMemory {
         GuestMemory::flat(ByteSize::mib(1)).unwrap()
     }
@@ -1229,7 +1209,7 @@ mod tests {
             assert_eq!(out.exit, ExitReason::InstructionLimit);
             assert_eq!(out.instructions, budget);
             assert_eq!(out.elapsed, Nanoseconds(budget * costs.cycle_ns));
-            assert_eq!(cpu.pc(), 0);
+            assert_eq!(cpu.save_state().pc, 0);
         }
     }
 
@@ -1340,7 +1320,7 @@ mod tests {
         let mut cpu = vcpu(ExecMode::HardwareAssist);
         let err = cpu.run(&mem, 10).unwrap_err();
         assert!(matches!(err, Error::VcpuFault(_)));
-        assert_eq!(cpu.priv_mode(), PrivMode::User);
+        assert_eq!(cpu.save_state().mode, PrivMode::User);
     }
 
     #[test]
@@ -1363,7 +1343,7 @@ mod tests {
         let mut other = vcpu(ExecMode::HardwareAssist);
         other.restore_state(&state);
         assert_eq!(other.reg(r(5)), 123);
-        assert_eq!(other.pc(), cpu.pc());
+        assert_eq!(other.save_state().pc, cpu.save_state().pc);
         let out = other.run(&mem, 10).unwrap();
         assert_eq!(out.exit, ExitReason::Halt);
     }
@@ -1374,7 +1354,7 @@ mod tests {
         let r = Reg::new;
         // Enable paging with an empty page table, then touch an unmapped address.
         // First build a page table area at 0x40000 identity-mapping only the code page.
-        use crate::mmu::PageTableEditor;
+        use crate::mmu::tests::PageTableEditor;
         let mut ed = PageTableEditor::new(mem.clone(), GuestAddress(0x40000), 16 * 4096).unwrap();
         ed.identity_map(GuestAddress(0), 4096, true, false).unwrap();
         load(

@@ -11,7 +11,8 @@
 use super::*;
 use crate::asm::Assembler;
 use crate::isa::{AluOp, Cond};
-use crate::mmu::{PageTableEditor, Pte};
+use crate::mmu::tests::PageTableEditor;
+use crate::mmu::Pte;
 use crate::workloads::{Workload, WorkloadKind};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
@@ -309,7 +310,7 @@ fn all_workload_kinds_match_the_reference_with_and_without_paging() {
                 let g = &pair.window;
                 let architectural = (
                     g.cpu.save_state().regs,
-                    g.cpu.pc(),
+                    g.cpu.save_state().pc,
                     VcpuStats {
                         sim_time_ns: 0,
                         ..g.cpu.stats()
@@ -675,7 +676,7 @@ fn a_privileged_instruction_held_by_the_window_still_faults_in_user_mode() {
         let (exits, error) = pair.run_lockstep(&mut rng(), slices, 1_000);
         assert!(exits.is_empty());
         assert!(error.unwrap().contains("privileged instruction TlbFlush"));
-        assert_eq!(pair.window.cpu.priv_mode(), PrivMode::User);
+        assert_eq!(pair.window.cpu.save_state().mode, PrivMode::User);
         assert_eq!(pair.window.cpu.stats().instructions, 3);
     }
 }
@@ -872,7 +873,7 @@ fn a_fetch_straddling_a_page_boundary_translates_both_pages() {
         write: false,
     };
     assert_eq!((exits, error), (vec![fault], None));
-    assert_eq!(pair.window.cpu.pc(), straddling);
+    assert_eq!(pair.window.cpu.save_state().pc, straddling);
     assert_eq!(pair.window.cpu.stats().instructions, 0);
     assert_eq!(pair.window.cpu.stats().page_faults, 1);
     pair.each(|g| {

@@ -61,15 +61,6 @@ impl ExecMode {
         }
     }
 
-    /// Whether guest page-table maintenance (PTBR writes, TLB flushes) traps.
-    ///
-    /// Under shadow paging the hypervisor must intercept these to keep shadow
-    /// tables coherent; with nested paging the hardware handles it.
-    #[cfg(test)]
-    fn paging_ops_trap(self) -> bool {
-        matches!(self, ExecMode::TrapAndEmulate | ExecMode::Paravirt)
-    }
-
     /// The default cost model for this mode.
     pub fn default_costs(self) -> ExecCosts {
         match self {
@@ -167,6 +158,16 @@ impl ExecCosts {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ExecMode {
+        /// Whether guest page-table maintenance (PTBR writes, TLB flushes) traps.
+        ///
+        /// Under shadow paging the hypervisor must intercept these to keep shadow
+        /// tables coherent; with nested paging the hardware handles it.
+        fn paging_ops_trap(self) -> bool {
+            matches!(self, ExecMode::TrapAndEmulate | ExecMode::Paravirt)
+        }
+    }
 
     #[test]
     fn mode_names_are_distinct() {

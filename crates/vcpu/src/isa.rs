@@ -56,7 +56,7 @@ impl Reg {
     }
 
     /// The register's index, below [`NUM_REGS`].
-    pub const fn index(self) -> usize {
+    pub(crate) const fn index(self) -> usize {
         // The constructors make the mask the identity; it shows the bound
         // to the compiler, so `regs[r.index()]` needs no bounds check.
         self.0 as usize % NUM_REGS
@@ -296,7 +296,7 @@ impl AluOp {
     }
 
     /// Apply the operation to two operands.
-    pub fn apply(self, a: u64, b: u64) -> u64 {
+    pub(crate) fn apply(self, a: u64, b: u64) -> u64 {
         match self {
             AluOp::Add => a.wrapping_add(b),
             AluOp::Sub => a.wrapping_sub(b),
@@ -352,7 +352,7 @@ impl Instr {
     }
 
     /// Encode into the 8-byte wire format.
-    pub fn encode(&self) -> [u8; INSTR_BYTES as usize] {
+    pub(crate) fn encode(&self) -> [u8; INSTR_BYTES as usize] {
         let (opcode, b1, b2, b3, imm) = match *self {
             Instr::Nop => (op::NOP, 0, 0, 0, 0),
             Instr::Halt => (op::HALT, 0, 0, 0, 0),
@@ -395,7 +395,7 @@ impl Instr {
     }
 
     /// Decode from the 8-byte wire format.
-    pub fn decode(bytes: &[u8; INSTR_BYTES as usize], pc: u64) -> Result<Instr> {
+    pub(crate) fn decode(bytes: &[u8; INSTR_BYTES as usize], pc: u64) -> Result<Instr> {
         let opcode = bytes[0];
         let b1 = bytes[1];
         let b2 = bytes[2];

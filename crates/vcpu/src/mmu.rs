@@ -26,10 +26,6 @@
 use serde::{Deserialize, Serialize};
 
 use rvisor_memory::GuestAccess;
-#[cfg(test)]
-use rvisor_memory::GuestMemory;
-#[cfg(test)]
-use rvisor_types::{Error, Result};
 use rvisor_types::{GuestAddress, PAGE_SIZE};
 
 /// Size of a page-table entry in bytes.
@@ -51,29 +47,6 @@ const PFN_MASK: u64 = !0xfff;
 pub(crate) struct Pte(pub u64);
 
 impl Pte {
-    /// An all-zero (invalid) entry.
-    #[cfg(test)]
-    const INVALID: Pte = Pte(0);
-
-    /// Build a valid leaf entry pointing at `frame`.
-    #[cfg(test)]
-    pub(crate) fn leaf(frame: GuestAddress, writable: bool, user: bool) -> Pte {
-        let mut v = (frame.0 & PFN_MASK) | VALID;
-        if writable {
-            v |= WRITABLE;
-        }
-        if user {
-            v |= USER;
-        }
-        Pte(v)
-    }
-
-    /// Build a valid non-leaf entry pointing at the next-level table.
-    #[cfg(test)]
-    pub(crate) fn table(next: GuestAddress) -> Pte {
-        Pte((next.0 & PFN_MASK) | VALID | WRITABLE | USER)
-    }
-
     /// Whether the entry is valid.
     pub(crate) fn valid(self) -> bool {
         self.0 & VALID != 0
@@ -128,18 +101,7 @@ pub(crate) struct TlbStats {
     pub flushes: u64,
 }
 
-impl TlbStats {
-    /// Hit rate in `[0, 1]`; zero when there were no lookups.
-    #[cfg(test)]
-    fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
+impl TlbStats {}
 
 #[derive(Debug, Clone, Copy)]
 struct TlbEntry {
@@ -240,18 +202,6 @@ impl Mmu {
         self.tlb.flush();
     }
 
-    /// TLB statistics so far.
-    #[cfg(test)]
-    pub(crate) fn tlb_stats(&self) -> TlbStats {
-        self.tlb.stats
-    }
-
-    /// Number of page-table walks performed.
-    #[cfg(test)]
-    pub(crate) fn walk_count(&self) -> u64 {
-        self.walks
-    }
-
     /// Translate a guest virtual address.
     ///
     /// `write` and `user` describe the access being performed; a violation
@@ -342,125 +292,173 @@ impl Mmu {
     }
 }
 
-/// Helper for building guest page tables inside guest memory.
-///
-/// The paging tests use this to set up a mapping before starting the guest,
-/// playing the role a guest OS kernel would play on real hardware.
 #[cfg(test)]
-#[derive(Debug)]
-pub(crate) struct PageTableEditor {
-    memory: GuestMemory,
-    root: GuestAddress,
-    /// Next free physical page used when a new L2 table must be allocated.
-    next_table: GuestAddress,
-    table_region_end: GuestAddress,
-}
-
-#[cfg(test)]
-impl PageTableEditor {
-    /// Create an editor whose tables live in
-    /// `[table_area, table_area + table_area_size)` of guest physical memory.
-    /// The root (L1) table occupies the first page of that area.
-    pub(crate) fn new(
-        memory: GuestMemory,
-        table_area: GuestAddress,
-        table_area_size: u64,
-    ) -> Result<Self> {
-        if !table_area.is_page_aligned() || table_area_size < PAGE_SIZE {
-            return Err(Error::Config(
-                "page-table area must be page aligned and at least one page".into(),
-            ));
-        }
-        memory.fill(table_area, PAGE_SIZE, 0)?;
-        Ok(PageTableEditor {
-            memory,
-            root: table_area,
-            next_table: table_area.unchecked_add(PAGE_SIZE),
-            table_region_end: table_area.unchecked_add(table_area_size),
-        })
-    }
-
-    /// The guest physical address of the root table (value for the PTBR).
-    pub(crate) fn root(&self) -> GuestAddress {
-        self.root
-    }
-
-    /// Map the virtual page containing `vaddr` to the physical frame
-    /// containing `paddr`.
-    pub(crate) fn map(
-        &mut self,
-        vaddr: u64,
-        paddr: GuestAddress,
-        writable: bool,
-        user: bool,
-    ) -> Result<()> {
-        if vaddr >> VADDR_BITS != 0 {
-            return Err(Error::Config(format!(
-                "virtual address 0x{vaddr:x} outside the 30-bit space"
-            )));
-        }
-        let l1_index = (vaddr >> 21) & (ENTRIES_PER_TABLE - 1);
-        let l2_index = (vaddr >> 12) & (ENTRIES_PER_TABLE - 1);
-        let l1_addr = self.root.unchecked_add(l1_index * PTE_SIZE);
-        let mut l1 = Pte(self.memory.read_u64(l1_addr)?);
-        if !l1.valid() {
-            let table = self.alloc_table()?;
-            l1 = Pte::table(table);
-            self.memory.write_u64(l1_addr, l1.0)?;
-        }
-        let l2_addr = l1.frame().unchecked_add(l2_index * PTE_SIZE);
-        let leaf = Pte::leaf(paddr.page_base(), writable, user);
-        self.memory.write_u64(l2_addr, leaf.0)?;
-        Ok(())
-    }
-
-    /// Identity-map `[start, start + len)` so virtual address == physical address.
-    pub(crate) fn identity_map(
-        &mut self,
-        start: GuestAddress,
-        len: u64,
-        writable: bool,
-        user: bool,
-    ) -> Result<()> {
-        let mut addr = start.page_base();
-        let end = start.unchecked_add(len);
-        while addr.0 < end.0 {
-            self.map(addr.0, addr, writable, user)?;
-            addr = addr.unchecked_add(PAGE_SIZE);
-        }
-        Ok(())
-    }
-
-    /// Remove the mapping for the virtual page containing `vaddr`.
-    fn unmap(&mut self, vaddr: u64) -> Result<()> {
-        let l1_index = (vaddr >> 21) & (ENTRIES_PER_TABLE - 1);
-        let l2_index = (vaddr >> 12) & (ENTRIES_PER_TABLE - 1);
-        let l1_addr = self.root.unchecked_add(l1_index * PTE_SIZE);
-        let l1 = Pte(self.memory.read_u64(l1_addr)?);
-        if !l1.valid() {
-            return Ok(());
-        }
-        let l2_addr = l1.frame().unchecked_add(l2_index * PTE_SIZE);
-        self.memory.write_u64(l2_addr, Pte::INVALID.0)?;
-        Ok(())
-    }
-
-    fn alloc_table(&mut self) -> Result<GuestAddress> {
-        if self.next_table.0 + PAGE_SIZE > self.table_region_end.0 {
-            return Err(Error::Config("page-table area exhausted".into()));
-        }
-        let table = self.next_table;
-        self.memory.fill(table, PAGE_SIZE, 0)?;
-        self.next_table = self.next_table.unchecked_add(PAGE_SIZE);
-        Ok(table)
-    }
-}
-
-#[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use rvisor_types::ByteSize;
+
+    use rvisor_memory::GuestMemory;
+
+    use rvisor_types::{Error, Result};
+
+    /// Helper for building guest page tables inside guest memory.
+    ///
+    /// The paging tests use this to set up a mapping before starting the guest,
+    /// playing the role a guest OS kernel would play on real hardware.
+    #[derive(Debug)]
+    pub(crate) struct PageTableEditor {
+        memory: GuestMemory,
+        root: GuestAddress,
+        /// Next free physical page used when a new L2 table must be allocated.
+        next_table: GuestAddress,
+        table_region_end: GuestAddress,
+    }
+
+    impl PageTableEditor {
+        /// Create an editor whose tables live in
+        /// `[table_area, table_area + table_area_size)` of guest physical memory.
+        /// The root (L1) table occupies the first page of that area.
+        pub(crate) fn new(
+            memory: GuestMemory,
+            table_area: GuestAddress,
+            table_area_size: u64,
+        ) -> Result<Self> {
+            if !table_area.is_page_aligned() || table_area_size < PAGE_SIZE {
+                return Err(Error::Config(
+                    "page-table area must be page aligned and at least one page".into(),
+                ));
+            }
+            memory.fill(table_area, PAGE_SIZE, 0)?;
+            Ok(PageTableEditor {
+                memory,
+                root: table_area,
+                next_table: table_area.unchecked_add(PAGE_SIZE),
+                table_region_end: table_area.unchecked_add(table_area_size),
+            })
+        }
+
+        /// The guest physical address of the root table (value for the PTBR).
+        pub(crate) fn root(&self) -> GuestAddress {
+            self.root
+        }
+
+        /// Map the virtual page containing `vaddr` to the physical frame
+        /// containing `paddr`.
+        pub(crate) fn map(
+            &mut self,
+            vaddr: u64,
+            paddr: GuestAddress,
+            writable: bool,
+            user: bool,
+        ) -> Result<()> {
+            if vaddr >> VADDR_BITS != 0 {
+                return Err(Error::Config(format!(
+                    "virtual address 0x{vaddr:x} outside the 30-bit space"
+                )));
+            }
+            let l1_index = (vaddr >> 21) & (ENTRIES_PER_TABLE - 1);
+            let l2_index = (vaddr >> 12) & (ENTRIES_PER_TABLE - 1);
+            let l1_addr = self.root.unchecked_add(l1_index * PTE_SIZE);
+            let mut l1 = Pte(self.memory.read_u64(l1_addr)?);
+            if !l1.valid() {
+                let table = self.alloc_table()?;
+                l1 = Pte::table(table);
+                self.memory.write_u64(l1_addr, l1.0)?;
+            }
+            let l2_addr = l1.frame().unchecked_add(l2_index * PTE_SIZE);
+            let leaf = Pte::leaf(paddr.page_base(), writable, user);
+            self.memory.write_u64(l2_addr, leaf.0)?;
+            Ok(())
+        }
+
+        /// Identity-map `[start, start + len)` so virtual address == physical address.
+        pub(crate) fn identity_map(
+            &mut self,
+            start: GuestAddress,
+            len: u64,
+            writable: bool,
+            user: bool,
+        ) -> Result<()> {
+            let mut addr = start.page_base();
+            let end = start.unchecked_add(len);
+            while addr.0 < end.0 {
+                self.map(addr.0, addr, writable, user)?;
+                addr = addr.unchecked_add(PAGE_SIZE);
+            }
+            Ok(())
+        }
+
+        /// Remove the mapping for the virtual page containing `vaddr`.
+        fn unmap(&mut self, vaddr: u64) -> Result<()> {
+            let l1_index = (vaddr >> 21) & (ENTRIES_PER_TABLE - 1);
+            let l2_index = (vaddr >> 12) & (ENTRIES_PER_TABLE - 1);
+            let l1_addr = self.root.unchecked_add(l1_index * PTE_SIZE);
+            let l1 = Pte(self.memory.read_u64(l1_addr)?);
+            if !l1.valid() {
+                return Ok(());
+            }
+            let l2_addr = l1.frame().unchecked_add(l2_index * PTE_SIZE);
+            self.memory.write_u64(l2_addr, Pte::INVALID.0)?;
+            Ok(())
+        }
+
+        fn alloc_table(&mut self) -> Result<GuestAddress> {
+            if self.next_table.0 + PAGE_SIZE > self.table_region_end.0 {
+                return Err(Error::Config("page-table area exhausted".into()));
+            }
+            let table = self.next_table;
+            self.memory.fill(table, PAGE_SIZE, 0)?;
+            self.next_table = self.next_table.unchecked_add(PAGE_SIZE);
+            Ok(table)
+        }
+    }
+
+    impl Pte {
+        /// An all-zero (invalid) entry.
+        const INVALID: Pte = Pte(0);
+
+        /// Build a valid leaf entry pointing at `frame`.
+        pub(crate) fn leaf(frame: GuestAddress, writable: bool, user: bool) -> Pte {
+            let mut v = (frame.0 & PFN_MASK) | VALID;
+            if writable {
+                v |= WRITABLE;
+            }
+            if user {
+                v |= USER;
+            }
+            Pte(v)
+        }
+
+        /// Build a valid non-leaf entry pointing at the next-level table.
+        pub(crate) fn table(next: GuestAddress) -> Pte {
+            Pte((next.0 & PFN_MASK) | VALID | WRITABLE | USER)
+        }
+    }
+
+    impl TlbStats {
+        /// Hit rate in `[0, 1]`; zero when there were no lookups.
+        fn hit_rate(&self) -> f64 {
+            let total = self.hits + self.misses;
+            if total == 0 {
+                0.0
+            } else {
+                self.hits as f64 / total as f64
+            }
+        }
+    }
+
+    impl Mmu {
+        /// TLB statistics so far.
+        pub(crate) fn tlb_stats(&self) -> TlbStats {
+            self.tlb.stats
+        }
+
+        /// Number of page-table walks performed.
+        pub(crate) fn walk_count(&self) -> u64 {
+            self.walks
+        }
+    }
 
     fn memory() -> GuestMemory {
         GuestMemory::flat(ByteSize::mib(4)).unwrap()

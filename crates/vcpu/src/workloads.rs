@@ -61,19 +61,7 @@ pub enum WorkloadKind {
     },
 }
 
-impl WorkloadKind {
-    /// A short name for benchmark labels.
-    pub fn name(&self) -> &'static str {
-        match self {
-            WorkloadKind::ComputeBound { .. } => "compute-bound",
-            WorkloadKind::MemoryDirty { .. } => "memory-dirty",
-            WorkloadKind::IoBound { .. } => "io-bound",
-            WorkloadKind::PrivilegedHeavy { .. } => "privileged-heavy",
-            WorkloadKind::HypercallHeavy { .. } => "hypercall-heavy",
-            WorkloadKind::Idle { .. } => "idle",
-        }
-    }
-}
+impl WorkloadKind {}
 
 /// A generated guest program plus the layout it expects.
 #[derive(Debug, Clone)]
@@ -101,24 +89,9 @@ impl Workload {
         })
     }
 
-    /// The workload kind.
-    pub fn kind(&self) -> WorkloadKind {
-        self.kind
-    }
-
     /// The entry point (guest virtual address).
     pub fn entry(&self) -> u64 {
         self.entry
-    }
-
-    /// The first address of the data area the workload writes to.
-    pub fn data_base(&self) -> u64 {
-        self.data_base
-    }
-
-    /// The assembled code image.
-    pub fn code(&self) -> &[u8] {
-        &self.code
     }
 
     /// Size of guest memory (in bytes) this workload needs to run with the
@@ -291,11 +264,42 @@ impl Workload {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::cpu::{ExitReason, VcpuConfig};
     use crate::exec_mode::{ExecCosts, ExecMode};
     use rvisor_types::{ByteSize, VcpuId};
+
+    impl WorkloadKind {
+        /// A short name for benchmark labels.
+        pub(crate) fn name(&self) -> &'static str {
+            match self {
+                WorkloadKind::ComputeBound { .. } => "compute-bound",
+                WorkloadKind::MemoryDirty { .. } => "memory-dirty",
+                WorkloadKind::IoBound { .. } => "io-bound",
+                WorkloadKind::PrivilegedHeavy { .. } => "privileged-heavy",
+                WorkloadKind::HypercallHeavy { .. } => "hypercall-heavy",
+                WorkloadKind::Idle { .. } => "idle",
+            }
+        }
+    }
+
+    impl Workload {
+        /// The workload kind.
+        pub(crate) fn kind(&self) -> WorkloadKind {
+            self.kind
+        }
+
+        /// The first address of the data area the workload writes to.
+        pub(crate) fn data_base(&self) -> u64 {
+            self.data_base
+        }
+
+        /// The assembled code image.
+        pub(crate) fn code(&self) -> &[u8] {
+            &self.code
+        }
+    }
 
     fn run_to_halt(workload: &Workload, mode: ExecMode) -> (Vcpu, GuestMemory, u64) {
         let mem =
@@ -433,7 +437,7 @@ mod tests {
         cfg.costs = ExecCosts::FREE;
         let mut cpu = Vcpu::new(cfg);
         w.install(&mem, &mut cpu).unwrap();
-        assert_eq!(cpu.pc(), 0x2000);
+        assert_eq!(cpu.save_state().pc, 0x2000);
         let out = cpu.run(&mem, 100_000).unwrap();
         assert_eq!(out.exit, ExitReason::Halt);
     }

@@ -87,16 +87,6 @@ impl VirtioBlk {
         self.stats
     }
 
-    /// The capacity advertised to the guest, in sectors.
-    pub fn capacity_sectors(&self) -> u64 {
-        self.backend.capacity_sectors()
-    }
-
-    /// Access the underlying backend (tests).
-    pub fn backend(&self) -> &dyn BlockBackend {
-        self.backend.as_ref()
-    }
-
     fn handle_request(&mut self, mem: &GuestMemory, chain: &DescriptorChain) -> Result<u32> {
         // Parse the 16-byte header from the first readable descriptor.
         let readable: Vec<_> = chain.readable().collect();
@@ -259,6 +249,18 @@ mod tests {
     use crate::queue::{DriverQueue, QueueLayout};
     use rvisor_block::RamDisk;
     use rvisor_types::{ByteSize, GuestAddress};
+
+    impl VirtioBlk {
+        /// The capacity advertised to the guest, in sectors.
+        pub(crate) fn capacity_sectors(&self) -> u64 {
+            self.backend.capacity_sectors()
+        }
+
+        /// Access the underlying backend (tests).
+        pub(crate) fn backend(&self) -> &dyn BlockBackend {
+            self.backend.as_ref()
+        }
+    }
 
     fn setup() -> (GuestMemory, VirtQueue, DriverQueue, VirtioBlk) {
         let mem = GuestMemory::flat(ByteSize::mib(2)).unwrap();

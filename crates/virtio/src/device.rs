@@ -18,7 +18,7 @@ pub enum DeviceType {
 
 impl DeviceType {
     /// The numeric id used in the virtio-mmio `DeviceID` register.
-    pub fn id(self) -> u32 {
+    pub(crate) fn id(self) -> u32 {
         match self {
             DeviceType::Net => 1,
             DeviceType::Block => 2,

@@ -26,9 +26,9 @@ const REG_SECTOR: u64 = 0x00;
 /// Register offset: command.
 const REG_COMMAND: u64 = 0x08;
 /// Register offset: data window.
-pub const REG_DATA: u64 = 0x10;
+pub(crate) const REG_DATA: u64 = 0x10;
 /// Register offset: status.
-pub const REG_STATUS: u64 = 0x18;
+pub(crate) const REG_STATUS: u64 = 0x18;
 /// Register offset: buffer pointer.
 const REG_PTR: u64 = 0x20;
 
@@ -87,13 +87,6 @@ impl EmulatedDisk {
     /// Counters.
     pub fn stats(&self) -> EmulatedDiskStats {
         self.stats
-    }
-
-    /// Number of register accesses a full sector transfer costs
-    /// (sector select + command + 64 data-window accesses).
-    #[cfg(test)]
-    const fn accesses_per_sector() -> u64 {
-        2 + SECTOR_SIZE / 8
     }
 
     fn execute(&mut self, command: u64) {
@@ -181,23 +174,30 @@ pub fn driver_write_sector(
     disk.write(REG_COMMAND, CMD_WRITE_SECTOR, 8);
 }
 
-/// Drive a full sector read through the register interface.
-#[cfg(test)]
-fn driver_read_sector(disk: &mut EmulatedDisk, sector: u64) -> [u8; SECTOR_SIZE as usize] {
-    disk.write(REG_SECTOR, sector, 8);
-    disk.write(REG_COMMAND, CMD_READ_SECTOR, 8);
-    let mut out = [0u8; SECTOR_SIZE as usize];
-    for chunk in out.chunks_exact_mut(8) {
-        chunk.copy_from_slice(&disk.read(REG_DATA, 8).to_le_bytes());
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rvisor_block::RamDisk;
     use rvisor_types::ByteSize;
+
+    impl EmulatedDisk {
+        /// Number of register accesses a full sector transfer costs
+        /// (sector select + command + 64 data-window accesses).
+        const fn accesses_per_sector() -> u64 {
+            2 + SECTOR_SIZE / 8
+        }
+    }
+
+    /// Drive a full sector read through the register interface.
+    fn driver_read_sector(disk: &mut EmulatedDisk, sector: u64) -> [u8; SECTOR_SIZE as usize] {
+        disk.write(REG_SECTOR, sector, 8);
+        disk.write(REG_COMMAND, CMD_READ_SECTOR, 8);
+        let mut out = [0u8; SECTOR_SIZE as usize];
+        for chunk in out.chunks_exact_mut(8) {
+            chunk.copy_from_slice(&disk.read(REG_DATA, 8).to_le_bytes());
+        }
+        out
+    }
 
     fn disk() -> EmulatedDisk {
         EmulatedDisk::new(Box::new(RamDisk::new(ByteSize::kib(64))))

@@ -12,9 +12,7 @@
 //!   [`DriverQueue`] (an in-process stand-in for the guest driver), including
 //!   EVENT_IDX-style notification suppression.
 //! * [`mmio`] — the virtio-mmio transport register block.
-//! * [`blk`], [`net`] — device models. A balloon model (`balloon`) drives
-//!   `rvisor_memory::Balloon` through two queues; no run builds one, so it
-//!   is compiled for its tests only.
+//! * [`blk`], [`net`] — device models.
 //! * [`emulated`] — a register-banging programmed-I/O disk representing the
 //!   "full emulation" baseline (an IDE-like device, one sector per doorbell).
 
@@ -22,8 +20,6 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-#[cfg(test)]
-mod balloon;
 pub mod blk;
 pub mod device;
 pub mod emulated;

@@ -110,28 +110,6 @@ impl VirtioMmio {
         }
     }
 
-    /// Number of doorbell writes observed.
-    pub fn doorbells(&self) -> u64 {
-        self.doorbells
-    }
-
-    /// Number of interrupts raised towards the guest.
-    #[cfg(test)]
-    fn interrupts_raised(&self) -> u64 {
-        self.interrupts_raised
-    }
-
-    /// Access the wrapped device model.
-    pub fn device(&self) -> &dyn VirtioDevice {
-        self.device.as_ref()
-    }
-
-    /// Mutable access to the wrapped device model (e.g. to set a balloon target).
-    #[cfg(test)]
-    fn device_mut(&mut self) -> &mut dyn VirtioDevice {
-        self.device.as_mut()
-    }
-
     /// Configure a queue directly (the shortcut used by tests and the VMM's
     /// own in-process driver, bypassing the register dance).
     pub fn setup_queue(&mut self, index: usize, layout: QueueLayout) -> Result<()> {
@@ -272,6 +250,28 @@ mod tests {
     use rvisor_block::RamDisk;
     use rvisor_devices::InterruptController;
     use rvisor_types::ByteSize;
+
+    impl VirtioMmio {
+        /// Number of doorbell writes observed.
+        pub(crate) fn doorbells(&self) -> u64 {
+            self.doorbells
+        }
+
+        /// Number of interrupts raised towards the guest.
+        fn interrupts_raised(&self) -> u64 {
+            self.interrupts_raised
+        }
+
+        /// Access the wrapped device model.
+        pub(crate) fn device(&self) -> &dyn VirtioDevice {
+            self.device.as_ref()
+        }
+
+        /// Mutable access to the wrapped device model (e.g. to set a balloon target).
+        fn device_mut(&mut self) -> &mut dyn VirtioDevice {
+            self.device.as_mut()
+        }
+    }
 
     fn setup() -> (GuestMemory, InterruptController, VirtioMmio, DriverQueue) {
         let mem = GuestMemory::flat(ByteSize::mib(2)).unwrap();

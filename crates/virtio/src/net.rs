@@ -65,16 +65,6 @@ impl VirtioNet {
         }
     }
 
-    /// The NIC's MAC address.
-    pub fn mac(&self) -> MacAddr {
-        self.mac
-    }
-
-    /// Traffic counters.
-    pub fn stats(&self) -> VirtioNetStats {
-        self.stats
-    }
-
     /// Deliver frames waiting on the switch port into posted receive buffers.
     /// Returns whether an interrupt should be raised.
     fn deliver_rx(&mut self, mem: &GuestMemory, rx_queue: &mut VirtQueue) -> Result<bool> {
@@ -168,6 +158,18 @@ mod tests {
     use crate::queue::{DriverQueue, QueueLayout};
     use rvisor_net::{VirtualSwitch, ETHERTYPE_IPV4};
     use rvisor_types::{ByteSize, GuestAddress};
+
+    impl VirtioNet {
+        /// The NIC's MAC address.
+        pub(crate) fn mac(&self) -> MacAddr {
+            self.mac
+        }
+
+        /// Traffic counters.
+        pub(crate) fn stats(&self) -> VirtioNetStats {
+            self.stats
+        }
+    }
 
     struct Nic {
         mem: GuestMemory,

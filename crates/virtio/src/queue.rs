@@ -133,24 +133,18 @@ pub struct DescriptorChain {
 
 impl DescriptorChain {
     /// The device-readable descriptors (driver -> device data).
-    pub fn readable(&self) -> impl Iterator<Item = &Descriptor> {
+    pub(crate) fn readable(&self) -> impl Iterator<Item = &Descriptor> {
         self.descriptors.iter().filter(|d| !d.writable)
     }
 
     /// The device-writable descriptors (device -> driver data).
-    pub fn writable(&self) -> impl Iterator<Item = &Descriptor> {
+    pub(crate) fn writable(&self) -> impl Iterator<Item = &Descriptor> {
         self.descriptors.iter().filter(|d| d.writable)
     }
 
     /// Total bytes across device-readable descriptors.
     fn readable_len(&self) -> u64 {
         self.readable().map(|d| d.len as u64).sum()
-    }
-
-    /// Total bytes across device-writable descriptors.
-    #[cfg(test)]
-    fn writable_len(&self) -> u64 {
-        self.writable().map(|d| d.len as u64).sum()
     }
 
     /// Copy all device-readable bytes into one vector.
@@ -169,7 +163,7 @@ impl DescriptorChain {
 
     /// Write `data` across the device-writable descriptors in order.
     /// Returns the number of bytes written.
-    pub fn write_all(&self, mem: &GuestMemory, data: &[u8]) -> Result<u32> {
+    pub(crate) fn write_all(&self, mem: &GuestMemory, data: &[u8]) -> Result<u32> {
         let mut offset = 0usize;
         for d in self.writable() {
             if offset >= data.len() {
@@ -223,25 +217,8 @@ impl VirtQueue {
         self.event_idx = enabled;
     }
 
-    /// The queue's layout.
-    pub fn layout(&self) -> QueueLayout {
-        self.layout
-    }
-
-    /// Device-side counters.
-    pub fn stats(&self) -> QueueStats {
-        self.stats
-    }
-
-    /// Whether the driver has posted chains the device has not popped yet.
-    #[cfg(test)]
-    fn has_available(&self, mem: &GuestMemory) -> Result<bool> {
-        let avail_idx = mem.read_u16(self.layout.avail_idx_addr())?;
-        Ok(avail_idx != self.next_avail)
-    }
-
     /// Pop the next available descriptor chain, if any.
-    pub fn pop(&mut self, mem: &GuestMemory) -> Result<Option<DescriptorChain>> {
+    pub(crate) fn pop(&mut self, mem: &GuestMemory) -> Result<Option<DescriptorChain>> {
         let avail_idx = mem.read_u16(self.layout.avail_idx_addr())?;
         if avail_idx == self.next_avail {
             return Ok(None);
@@ -385,12 +362,6 @@ impl DriverQueue {
         self.kicks
     }
 
-    /// Number of doorbells suppressed thanks to EVENT_IDX.
-    #[cfg(test)]
-    fn kicks_suppressed(&self) -> u64 {
-        self.kicks_suppressed
-    }
-
     fn alloc(&mut self, len: u64) -> Result<GuestAddress> {
         if self.data_offset + len > self.data_size {
             // Wrap: the benches reuse the area ring-style.
@@ -513,6 +484,38 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rvisor_types::ByteSize;
+
+    impl DescriptorChain {
+        /// Total bytes across device-writable descriptors.
+        fn writable_len(&self) -> u64 {
+            self.writable().map(|d| d.len as u64).sum()
+        }
+    }
+
+    impl VirtQueue {
+        /// The queue's layout.
+        pub(crate) fn layout(&self) -> QueueLayout {
+            self.layout
+        }
+
+        /// Device-side counters.
+        pub(crate) fn stats(&self) -> QueueStats {
+            self.stats
+        }
+
+        /// Whether the driver has posted chains the device has not popped yet.
+        fn has_available(&self, mem: &GuestMemory) -> Result<bool> {
+            let avail_idx = mem.read_u16(self.layout.avail_idx_addr())?;
+            Ok(avail_idx != self.next_avail)
+        }
+    }
+
+    impl DriverQueue {
+        /// Number of doorbells suppressed thanks to EVENT_IDX.
+        fn kicks_suppressed(&self) -> u64 {
+            self.kicks_suppressed
+        }
+    }
 
     fn setup(size: u16) -> (GuestMemory, VirtQueue, DriverQueue) {
         let mem = GuestMemory::flat(ByteSize::mib(1)).unwrap();

@@ -44,7 +44,7 @@ pub struct VmConfig {
     pub disks: Vec<DiskConfig>,
     /// Whether to attach a virtio-net NIC.
     pub with_net: bool,
-    /// Whether to attach a virtio-balloon device.
+    /// Whether to attach a host-driven memory balloon (`rvisor_memory::Balloon`).
     pub with_balloon: bool,
     /// Instruction budget per vCPU scheduling slice.
     pub slice_instructions: u64,
@@ -72,12 +72,6 @@ impl VmConfig {
         self
     }
 
-    /// Set the vCPU count (builder style).
-    pub fn with_vcpus(mut self, vcpus: u32) -> Self {
-        self.vcpus = vcpus.max(1);
-        self
-    }
-
     /// Set the virtualization technique (builder style).
     pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
         self.exec_mode = mode;
@@ -96,21 +90,14 @@ impl VmConfig {
         self
     }
 
-    /// Attach a virtio-balloon device (builder style).
+    /// Attach a host-driven memory balloon (builder style).
     pub fn with_balloon(mut self) -> Self {
         self.with_balloon = true;
         self
     }
 
-    /// Set the per-slice instruction budget (builder style).
-    #[cfg(test)]
-    pub(crate) fn with_slice_instructions(mut self, n: u64) -> Self {
-        self.slice_instructions = n.max(1);
-        self
-    }
-
     /// Validate the configuration.
-    pub fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.name.is_empty() {
             return Err(Error::Config("VM name must not be empty".into()));
         }
@@ -151,6 +138,20 @@ impl VmConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl VmConfig {
+        /// Set the vCPU count (builder style).
+        pub(crate) fn with_vcpus(mut self, vcpus: u32) -> Self {
+            self.vcpus = vcpus.max(1);
+            self
+        }
+
+        /// Set the per-slice instruction budget (builder style).
+        pub(crate) fn with_slice_instructions(mut self, n: u64) -> Self {
+            self.slice_instructions = n.max(1);
+            self
+        }
+    }
 
     #[test]
     fn default_config_is_valid() {

@@ -19,9 +19,6 @@ pub(crate) const TIMER_MMIO: GuestAddress = GuestAddress(0x4000_2000);
 pub(crate) const VIRTIO_BLK_MMIO: GuestAddress = GuestAddress(0x4001_0000);
 /// virtio-net transport base.
 pub(crate) const VIRTIO_NET_MMIO: GuestAddress = GuestAddress(0x4002_0000);
-/// virtio-balloon transport base.
-#[cfg(test)]
-const VIRTIO_BALLOON_MMIO: GuestAddress = GuestAddress(0x4003_0000);
 /// Size of each device's MMIO window.
 pub(crate) const MMIO_WINDOW: u64 = 0x1000;
 
@@ -31,16 +28,13 @@ pub const SERIAL_PORT: u32 = 0x3f8;
 /// Interrupt lines.
 pub mod irq {
     /// Serial console interrupt.
-    pub const SERIAL: u32 = 4;
+    pub(crate) const SERIAL: u32 = 4;
     /// Timer interrupt.
     pub(crate) const TIMER: u32 = 0;
     /// virtio-blk interrupt.
     pub const VIRTIO_BLK: u32 = 8;
     /// virtio-net interrupt.
     pub(crate) const VIRTIO_NET: u32 = 9;
-    /// virtio-balloon interrupt.
-    #[cfg(test)]
-    pub(super) const VIRTIO_BALLOON: u32 = 10;
 }
 
 #[cfg(test)]
@@ -55,7 +49,6 @@ mod tests {
             TIMER_MMIO,
             VIRTIO_BLK_MMIO,
             VIRTIO_NET_MMIO,
-            VIRTIO_BALLOON_MMIO,
         ];
         for w in windows {
             assert!(w.0 >= RAM_MAX, "window {w} overlaps RAM");
@@ -72,13 +65,7 @@ mod tests {
 
     #[test]
     fn irq_lines_are_distinct() {
-        let lines = [
-            irq::SERIAL,
-            irq::TIMER,
-            irq::VIRTIO_BLK,
-            irq::VIRTIO_NET,
-            irq::VIRTIO_BALLOON,
-        ];
+        let lines = [irq::SERIAL, irq::TIMER, irq::VIRTIO_BLK, irq::VIRTIO_NET];
         let set: std::collections::BTreeSet<_> = lines.iter().collect();
         assert_eq!(set.len(), lines.len());
     }

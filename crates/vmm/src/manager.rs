@@ -152,12 +152,6 @@ impl Vmm {
         &self.snapshots
     }
 
-    /// Mutable access to the snapshot store.
-    #[cfg(test)]
-    fn snapshots_mut(&mut self) -> &mut SnapshotStore {
-        &mut self.snapshots
-    }
-
     /// Create a VM from `config` and return its id.
     pub fn create_vm(&mut self, config: VmConfig) -> Result<VmId> {
         let id = VmId::new(self.next_vm);
@@ -200,17 +194,6 @@ impl Vmm {
         self.vms.len()
     }
 
-    /// Total guest memory configured across all VMs.
-    #[cfg(test)]
-    fn total_guest_memory(&self) -> ByteSize {
-        ByteSize::new(
-            self.vms
-                .values()
-                .map(|vm| vm.config().memory.as_u64())
-                .sum(),
-        )
-    }
-
     /// Find a VM by its configured name.
     ///
     /// Names are not required to be unique within a host; the first match in
@@ -226,26 +209,6 @@ impl Vmm {
     /// The lifecycle state of one VM (orchestrator hook).
     pub fn lifecycle_of(&self, id: VmId) -> Result<VmLifecycle> {
         Ok(self.vm(id)?.lifecycle())
-    }
-
-    /// Aggregate lifecycle/utilization telemetry across this host's VMs.
-    pub fn utilization(&self) -> VmmUtilization {
-        let mut u = VmmUtilization::default();
-        for vm in self.vms.values() {
-            u.vm_count += 1;
-            match vm.lifecycle() {
-                VmLifecycle::Running => u.running += 1,
-                VmLifecycle::Paused => u.paused += 1,
-                VmLifecycle::Halted => u.halted += 1,
-                _ => {}
-            }
-            u.guest_memory = ByteSize::new(u.guest_memory.as_u64() + vm.config().memory.as_u64());
-            u.dirty_pages += vm.memory().dirty_page_count();
-            let stats = vm.stats();
-            u.instructions += stats.instructions;
-            u.sim_time = u.sim_time.saturating_add(stats.sim_time);
-        }
-        u
     }
 
     /// Borrow a VM.
@@ -442,6 +405,44 @@ mod tests {
     use rvisor_types::GuestAddress;
     use rvisor_vcpu::{Workload, WorkloadKind};
     use std::num::NonZeroUsize;
+
+    impl Vmm {
+        /// Aggregate lifecycle/utilization telemetry across this host's VMs.
+        pub(crate) fn utilization(&self) -> VmmUtilization {
+            let mut u = VmmUtilization::default();
+            for vm in self.vms.values() {
+                u.vm_count += 1;
+                match vm.lifecycle() {
+                    VmLifecycle::Running => u.running += 1,
+                    VmLifecycle::Paused => u.paused += 1,
+                    VmLifecycle::Halted => u.halted += 1,
+                    _ => {}
+                }
+                u.guest_memory =
+                    ByteSize::new(u.guest_memory.as_u64() + vm.config().memory.as_u64());
+                u.dirty_pages += vm.memory().dirty_page_count();
+                let stats = vm.stats();
+                u.instructions += stats.instructions;
+                u.sim_time = u.sim_time.saturating_add(stats.sim_time);
+            }
+            u
+        }
+
+        /// Mutable access to the snapshot store.
+        fn snapshots_mut(&mut self) -> &mut SnapshotStore {
+            &mut self.snapshots
+        }
+
+        /// Total guest memory configured across all VMs.
+        fn total_guest_memory(&self) -> ByteSize {
+            ByteSize::new(
+                self.vms
+                    .values()
+                    .map(|vm| vm.config().memory.as_u64())
+                    .sum(),
+            )
+        }
+    }
 
     const ENGINES: [PlanEngine; 3] = [
         PlanEngine::StopAndCopy,

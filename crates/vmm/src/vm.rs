@@ -280,11 +280,6 @@ impl Vm {
         self.virtio_net.clone()
     }
 
-    /// The countdown timer device.
-    pub fn timer(&self) -> Arc<Mutex<CountdownTimer>> {
-        self.timer.clone()
-    }
-
     /// The host-side balloon, if configured.
     pub fn balloon(&self) -> Option<&Balloon> {
         self.balloon.as_ref()
@@ -293,12 +288,6 @@ impl Vm {
     /// Everything the guest has written to its serial console so far.
     pub fn serial_output(&self) -> String {
         self.serial.lock().output_string()
-    }
-
-    /// Inject bytes into the guest's serial input queue.
-    #[cfg(test)]
-    fn serial_input(&self, bytes: &[u8]) {
-        self.serial.lock().inject_input(bytes);
     }
 
     /// Configure a virtqueue on the virtio-blk device (host-side driver path).
@@ -356,7 +345,7 @@ impl Vm {
     }
 
     /// Pause a running VM.
-    pub fn pause(&mut self) -> Result<()> {
+    pub(crate) fn pause(&mut self) -> Result<()> {
         match self.lifecycle {
             VmLifecycle::Running => self.transition(VmLifecycle::Paused),
             other => Err(Error::InvalidVmState {
@@ -378,7 +367,7 @@ impl Vm {
     }
 
     /// Tear the VM down (idempotent).
-    pub fn destroy(&mut self) {
+    pub(crate) fn destroy(&mut self) {
         if self.lifecycle != VmLifecycle::Destroyed {
             self.transition(VmLifecycle::Destroyed)
                 .expect("every live state may be destroyed");
@@ -386,7 +375,7 @@ impl Vm {
     }
 
     /// Aggregate statistics over all vCPUs plus VM-level counters.
-    pub fn stats(&self) -> VmRunStats {
+    pub(crate) fn stats(&self) -> VmRunStats {
         let mut out = VmRunStats::default();
         for v in &self.vcpus {
             let s: VcpuStats = v.stats();
@@ -675,6 +664,13 @@ mod tests {
     use crate::config::DiskConfig;
     use rvisor_types::GuestAddress;
     use rvisor_vcpu::{Assembler, Instr, Reg, WorkloadKind};
+
+    impl Vm {
+        /// Inject bytes into the guest's serial input queue.
+        fn serial_input(&self, bytes: &[u8]) {
+            self.serial.lock().inject_input(bytes);
+        }
+    }
 
     fn small_vm() -> Vm {
         Vm::new(VmConfig::new("test").with_memory(ByteSize::mib(4))).unwrap()
