@@ -10,7 +10,7 @@ use rvisor_types::ByteSize;
 
 fn provisioner_with_image(size: ByteSize) -> Provisioner {
     let mut lib = ImageLibrary::new();
-    lib.add_template("golden", "golden OS image", synthetic_os_image(size))
+    lib.add_template("golden", synthetic_os_image(size))
         .unwrap();
     Provisioner::new(lib, StorageModel::ssd())
 }

@@ -8,18 +8,14 @@ use rvisor_sched::{
     CreditScheduler, EntityId, HostSim, RoundRobin, Scheduler, SimConfig, StrideScheduler,
     VcpuEntity,
 };
-use rvisor_types::{Nanoseconds, VcpuId, VmId};
+use rvisor_types::{VcpuId, VmId};
 
 fn entity(vm: u32, weight: u32) -> VcpuEntity {
     VcpuEntity::cpu_bound(EntityId::new(VmId::new(vm), VcpuId::new(0))).with_weight(weight)
 }
 
 fn weighted_sim(pcpus: usize, quanta: u64) -> HostSim {
-    let mut sim = HostSim::new(SimConfig {
-        pcpus,
-        quanta,
-        quantum: Nanoseconds::from_millis(30),
-    });
+    let mut sim = HostSim::new(SimConfig { pcpus, quanta });
     sim.add_entity(entity(0, 128));
     sim.add_entity(entity(1, 256));
     sim.add_entity(entity(2, 256));
@@ -28,11 +24,7 @@ fn weighted_sim(pcpus: usize, quanta: u64) -> HostSim {
 }
 
 fn oversubscribed_sim(vcpus: u32, pcpus: usize, quanta: u64) -> HostSim {
-    let mut sim = HostSim::new(SimConfig {
-        pcpus,
-        quanta,
-        quantum: Nanoseconds::from_millis(30),
-    });
+    let mut sim = HostSim::new(SimConfig { pcpus, quanta });
     for vm in 0..vcpus {
         sim.add_entity(entity(vm, 256));
     }
@@ -65,7 +57,6 @@ fn print_table() {
     let mut sim = HostSim::new(SimConfig {
         pcpus: 1,
         quanta: 10_000,
-        quantum: Nanoseconds::from_millis(30),
     });
     sim.add_entity(entity(0, 256).with_cap(25));
     sim.add_entity(entity(1, 256));

@@ -8,18 +8,18 @@ use rvisor_types::{Error, Result};
 pub const SECTOR_SIZE: u64 = 512;
 
 /// Cumulative I/O counters kept by every backend.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct BlockStats {
     /// Completed read requests.
-    pub reads: u64,
+    pub(crate) reads: u64,
     /// Completed write requests.
-    pub writes: u64,
+    pub(crate) writes: u64,
     /// Bytes read.
-    pub bytes_read: u64,
+    pub(crate) bytes_read: u64,
     /// Bytes written.
     pub bytes_written: u64,
     /// Flush requests.
-    pub flushes: u64,
+    pub(crate) flushes: u64,
 }
 
 impl BlockStats {

@@ -74,16 +74,16 @@ impl FaultPlan {
 }
 
 /// Counters describing injected faults.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct FaultStats {
     /// Requests that were allowed through to the inner backend.
     pub passed: u64,
     /// Requests failed by a bad-sector range rule.
     pub range_failures: u64,
     /// Requests failed by an n-th-request rule.
-    pub scheduled_failures: u64,
+    pub(crate) scheduled_failures: u64,
     /// Requests failed by the transient-rate rule.
-    pub transient_failures: u64,
+    pub(crate) transient_failures: u64,
 }
 
 impl FaultStats {

@@ -21,15 +21,6 @@ use crate::backend::{BlockBackend, SECTOR_SIZE};
 use crate::cow::{share, CowOverlay};
 use crate::ram::RamDisk;
 
-/// On-"disk" format of an image in the library.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ImageFormat {
-    /// A flat raw image.
-    Raw,
-    /// A copy-on-write overlay referencing a base template.
-    CowOverlay,
-}
-
 /// How to materialise a new disk from a template.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CloneStrategy {
@@ -39,22 +30,9 @@ pub enum CloneStrategy {
     CopyOnWrite,
 }
 
-/// Metadata describing an image in the library.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DiskImage {
-    /// Unique image name (e.g. `"win2003-template"`).
-    pub name: String,
-    /// Logical size.
-    pub size: ByteSize,
-    /// Storage format.
-    pub format: ImageFormat,
-    /// A free-form description (OS, role), mirroring an OVF annotation.
-    pub description: String,
-}
-
 /// A library of golden template images plus the disks cloned from them.
 pub struct ImageLibrary {
-    templates: BTreeMap<String, (DiskImage, Arc<Mutex<dyn BlockBackend>>)>,
+    templates: BTreeMap<String, Arc<Mutex<dyn BlockBackend>>>,
     clones_created: u64,
     bytes_copied: u64,
 }
@@ -86,49 +64,22 @@ impl ImageLibrary {
 
     /// Register a template built from raw contents. The template is stored
     /// read-only; clones never modify it.
-    pub fn add_template(&mut self, name: &str, description: &str, contents: Vec<u8>) -> Result<()> {
-        if self.templates.contains_key(name) {
-            return Err(Error::Config(format!("template `{name}` already exists")));
-        }
-        let mut disk = RamDisk::from_data(contents);
-        disk.set_read_only(true);
-        let image = DiskImage {
-            name: name.to_string(),
-            size: ByteSize::new(disk.capacity_bytes()),
-            format: ImageFormat::Raw,
-            description: description.to_string(),
-        };
-        self.templates
-            .insert(name.to_string(), (image, share(disk)));
-        Ok(())
+    pub fn add_template(&mut self, name: &str, contents: Vec<u8>) -> Result<()> {
+        self.insert(name, RamDisk::from_data(contents))
     }
 
     /// Register a zero-filled template of `size` (e.g. an empty data disk).
-    pub fn add_blank_template(
-        &mut self,
-        name: &str,
-        description: &str,
-        size: ByteSize,
-    ) -> Result<()> {
-        let mut disk = RamDisk::new(size);
-        disk.set_read_only(true);
+    pub fn add_blank_template(&mut self, name: &str, size: ByteSize) -> Result<()> {
+        self.insert(name, RamDisk::new(size))
+    }
+
+    fn insert(&mut self, name: &str, mut disk: RamDisk) -> Result<()> {
         if self.templates.contains_key(name) {
             return Err(Error::Config(format!("template `{name}` already exists")));
         }
-        let image = DiskImage {
-            name: name.to_string(),
-            size: ByteSize::new(disk.capacity_bytes()),
-            format: ImageFormat::Raw,
-            description: description.to_string(),
-        };
-        self.templates
-            .insert(name.to_string(), (image, share(disk)));
+        disk.set_read_only(true);
+        self.templates.insert(name.to_string(), share(disk));
         Ok(())
-    }
-
-    /// Metadata for a template.
-    pub fn template(&self, name: &str) -> Option<&DiskImage> {
-        self.templates.get(name).map(|(img, _)| img)
     }
 
     /// Bytes physically copied by full-copy clones (CoW clones copy none).
@@ -142,15 +93,16 @@ impl ImageLibrary {
         name: &str,
         strategy: CloneStrategy,
     ) -> Result<Box<dyn BlockBackend>> {
-        let (image, backend) = self
+        let backend = self
             .templates
             .get(name)
             .ok_or_else(|| Error::Config(format!("unknown template `{name}`")))?;
         let disk: Box<dyn BlockBackend> = match strategy {
             CloneStrategy::FullCopy => {
-                let capacity = image.size.as_u64();
+                let mut template = backend.lock();
+                let capacity = template.capacity_bytes();
                 let mut contents = vec![0u8; capacity as usize];
-                backend.lock().read_sectors(0, &mut contents)?;
+                template.read_sectors(0, &mut contents)?;
                 self.bytes_copied += capacity;
                 Box::new(RamDisk::from_data(contents))
             }
@@ -185,6 +137,12 @@ mod tests {
             self.templates.keys().cloned().collect()
         }
 
+        /// Logical size of a template.
+        fn template_size(&self, name: &str) -> Option<ByteSize> {
+            let template = self.templates.get(name)?;
+            Some(ByteSize::new(template.lock().capacity_bytes()))
+        }
+
         /// Number of clones created so far.
         fn clones_created(&self) -> u64 {
             self.clones_created
@@ -193,12 +151,8 @@ mod tests {
 
     fn library_with_template(size: ByteSize) -> ImageLibrary {
         let mut lib = ImageLibrary::new();
-        lib.add_template(
-            "win2003",
-            "Windows 2003 application server",
-            synthetic_os_image(size),
-        )
-        .unwrap();
+        lib.add_template("win2003", synthetic_os_image(size))
+            .unwrap();
         lib
     }
 
@@ -206,23 +160,17 @@ mod tests {
     fn template_registration_and_lookup() {
         let lib = library_with_template(ByteSize::kib(64));
         assert_eq!(lib.template_names(), vec!["win2003".to_string()]);
-        let img = lib.template("win2003").unwrap();
-        assert_eq!(img.size, ByteSize::kib(64));
-        assert_eq!(img.format, ImageFormat::Raw);
-        assert!(lib.template("missing").is_none());
+        assert_eq!(lib.template_size("win2003"), Some(ByteSize::kib(64)));
+        assert!(lib.template_size("missing").is_none());
         assert!(format!("{lib:?}").contains("win2003"));
     }
 
     #[test]
     fn duplicate_template_rejected() {
         let mut lib = library_with_template(ByteSize::kib(4));
-        assert!(lib.add_template("win2003", "dup", vec![0u8; 512]).is_err());
-        assert!(lib
-            .add_blank_template("win2003", "dup", ByteSize::kib(4))
-            .is_err());
-        assert!(lib
-            .add_blank_template("data", "empty data disk", ByteSize::kib(4))
-            .is_ok());
+        assert!(lib.add_template("win2003", vec![0u8; 512]).is_err());
+        assert!(lib.add_blank_template("win2003", ByteSize::kib(4)).is_err());
+        assert!(lib.add_blank_template("data", ByteSize::kib(4)).is_ok());
     }
 
     #[test]

@@ -29,6 +29,6 @@ pub mod throttle;
 
 pub use backend::{BlockBackend, BlockStats, SECTOR_SIZE};
 pub use faulty::{FaultKind, FaultPlan, FaultStats, FaultyDisk};
-pub use image::{synthetic_os_image, CloneStrategy, DiskImage, ImageFormat, ImageLibrary};
+pub use image::{synthetic_os_image, CloneStrategy, ImageLibrary};
 pub use ram::RamDisk;
 pub use throttle::StorageModel;

@@ -12,12 +12,12 @@ use serde::{Deserialize, Serialize};
 use rvisor_types::Nanoseconds;
 
 /// A storage service-time model: `latency + bytes / bandwidth`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct StorageModel {
     /// Fixed per-request latency.
-    pub per_request: Nanoseconds,
+    pub(crate) per_request: Nanoseconds,
     /// Sustained bandwidth in bytes per second.
-    pub bytes_per_second: u64,
+    pub(crate) bytes_per_second: u64,
 }
 
 impl StorageModel {

@@ -14,12 +14,12 @@ use crate::placement::ConsolidationPlan;
 const HOURS_PER_YEAR: f64 = 8760.0;
 
 /// Converts electrical draw into money.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CostModel {
     /// Electricity price in euro per kWh.
-    pub euro_per_kwh: f64,
+    pub(crate) euro_per_kwh: f64,
     /// Cooling overhead multiplier on IT power (1.5 ≈ a small machine room).
-    pub cooling_factor: f64,
+    pub(crate) cooling_factor: f64,
 }
 
 impl Default for CostModel {
@@ -34,14 +34,14 @@ impl Default for CostModel {
 
 /// The annual cost comparison between two plans (typically "one physical
 /// server per workload" vs the consolidated plan).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct CostReport {
     /// Annual power+cooling cost of the baseline plan, in euro.
     pub baseline_annual_euro: f64,
     /// Annual power+cooling cost of the consolidated plan, in euro.
     pub consolidated_annual_euro: f64,
     /// Number of workloads (VMs) covered.
-    pub vm_count: usize,
+    pub(crate) vm_count: usize,
     /// Hosts used by the baseline plan.
     pub baseline_hosts: usize,
     /// Hosts used by the consolidated plan.

@@ -55,7 +55,7 @@ pub struct Host {
     pub placed: Vec<VmSpec>,
     /// How far memory may be oversubscribed (1.0 = no overcommit). Memory
     /// overcommit relies on ballooning; CPU is always time-shared.
-    pub memory_overcommit: f64,
+    pub(crate) memory_overcommit: f64,
 }
 
 impl Host {

@@ -25,38 +25,33 @@ use crate::host::HostSpec;
 use crate::vmspec::VmSpec;
 
 /// One NUMA node: a socket's cores and its local memory.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct NumaNode {
-    /// Node index.
-    pub id: u32,
     /// Cores local to this node.
-    pub cores: u32,
+    pub(crate) cores: u32,
     /// Memory local to this node.
-    pub memory: ByteSize,
+    pub(crate) memory: ByteSize,
 }
 
 /// The NUMA layout of a physical host.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NumaTopology {
-    /// The nodes, indexed by `NumaNode::id`.
-    pub nodes: Vec<NumaNode>,
+    /// The nodes, indexed by node id.
+    pub(crate) nodes: Vec<NumaNode>,
     /// Cost of a remote access relative to a local one (≥ 1.0). Typical
     /// two-socket machines sit around 1.4–1.7.
-    pub remote_access_penalty: f64,
+    pub(crate) remote_access_penalty: f64,
 }
 
 impl NumaTopology {
     /// A symmetric topology of `node_count` identical nodes.
     pub fn symmetric(node_count: u32, cores_per_node: u32, memory_per_node: ByteSize) -> Self {
-        let nodes = (0..node_count.max(1))
-            .map(|id| NumaNode {
-                id,
-                cores: cores_per_node,
-                memory: memory_per_node,
-            })
-            .collect();
+        let node = NumaNode {
+            cores: cores_per_node,
+            memory: memory_per_node,
+        };
         NumaTopology {
-            nodes,
+            nodes: vec![node; node_count.max(1) as usize],
             remote_access_penalty: 1.5,
         }
     }
@@ -113,14 +108,12 @@ impl NumaPolicy {
 }
 
 /// Where one VM's vCPUs and memory ended up.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct NumaPlacement {
-    /// The VM's name.
-    pub vm: String,
     /// The node its vCPUs are scheduled on.
-    pub home_node: u32,
+    pub(crate) home_node: u32,
     /// Memory placed per node (node id, bytes).
-    pub memory_by_node: Vec<(u32, ByteSize)>,
+    pub(crate) memory_by_node: Vec<(u32, ByteSize)>,
 }
 
 impl NumaPlacement {
@@ -267,7 +260,6 @@ impl NumaHost {
 
         if let Some(&node) = order.iter().find(|&&n| self.node_free_memory(n) >= need) {
             return NumaPlacement {
-                vm: vm.name.clone(),
                 home_node: node as u32,
                 memory_by_node: vec![(node as u32, vm.memory)],
             };
@@ -291,7 +283,6 @@ impl NumaHost {
             .map(|(n, _)| *n)
             .unwrap_or(0);
         NumaPlacement {
-            vm: vm.name.clone(),
             home_node,
             memory_by_node,
         }
@@ -353,7 +344,6 @@ impl NumaHost {
             .map(|(n, _)| n as u32)
             .unwrap_or(0);
         NumaPlacement {
-            vm: vm.name.clone(),
             home_node,
             memory_by_node,
         }

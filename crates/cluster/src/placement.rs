@@ -34,8 +34,6 @@ impl PlacementStrategy {
 /// The outcome of a planning run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ConsolidationPlan {
-    /// Strategy used.
-    pub strategy: PlacementStrategy,
     /// Hosts with their placed VMs (only hosts that received at least one VM).
     pub hosts: Vec<Host>,
     /// VMs that could not be placed anywhere.
@@ -182,11 +180,7 @@ impl ConsolidationPlanner {
             }
         }
 
-        Ok(ConsolidationPlan {
-            strategy,
-            hosts,
-            unplaced,
-        })
+        Ok(ConsolidationPlan { hosts, unplaced })
     }
 }
 
@@ -298,7 +292,10 @@ mod tests {
         assert!(plan.host_of("a").is_some());
         assert_eq!(plan.host_of("a"), plan.host_of("b"));
         assert!(plan.host_of("missing").is_none());
-        assert_eq!(plan.strategy.name(), "first-fit-decreasing");
+        assert_eq!(
+            PlacementStrategy::FirstFitDecreasing.name(),
+            "first-fit-decreasing"
+        );
         assert_eq!(PlacementStrategy::OnePerHost.name(), "one-per-host");
         assert_eq!(PlacementStrategy::Spread.name(), "spread");
 

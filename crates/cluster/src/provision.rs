@@ -13,35 +13,16 @@
 //! storage time (derived from a [`StorageModel`]) are reported, so the
 //! experiment can present provisioning latency as a function of image size.
 
-use rvisor_block::{BlockBackend, CloneStrategy, ImageLibrary, StorageModel};
-use rvisor_types::{ByteSize, Nanoseconds, Result};
+use rvisor_block::{CloneStrategy, ImageLibrary, StorageModel};
+use rvisor_types::{Nanoseconds, Result};
 
 /// The outcome of provisioning one VM disk.
+#[derive(Debug)]
 pub struct ProvisioningReport {
-    /// Template the disk was created from.
-    pub template: String,
-    /// Strategy used.
-    pub strategy: CloneStrategy,
-    /// Logical size of the provisioned disk.
-    pub disk_size: ByteSize,
     /// Bytes physically copied to create it.
     pub bytes_copied: u64,
     /// Simulated storage time to perform those copies.
     pub storage_time: Nanoseconds,
-    /// The provisioned disk, ready to attach to a VM.
-    pub disk: Box<dyn BlockBackend>,
-}
-
-impl std::fmt::Debug for ProvisioningReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ProvisioningReport")
-            .field("template", &self.template)
-            .field("strategy", &self.strategy)
-            .field("disk_size", &self.disk_size)
-            .field("bytes_copied", &self.bytes_copied)
-            .field("storage_time", &self.storage_time)
-            .finish()
-    }
 }
 
 impl ProvisioningReport {
@@ -71,19 +52,15 @@ impl Provisioner {
         Provisioner { library, storage }
     }
 
-    /// Provision a new disk from `template` using `strategy`.
+    /// Provision a new disk from `template` using `strategy` and report its
+    /// cost. The disk itself is dropped: no caller attaches it.
     pub fn provision(
         &mut self,
         template: &str,
         strategy: CloneStrategy,
     ) -> Result<ProvisioningReport> {
-        let size = self
-            .library
-            .template(template)
-            .map(|t| t.size)
-            .ok_or_else(|| rvisor_types::Error::Config(format!("unknown template `{template}`")))?;
         let before = self.library.bytes_copied();
-        let disk = self.library.clone_from(template, strategy)?;
+        self.library.clone_from(template, strategy)?;
         let bytes_copied = self.library.bytes_copied() - before;
         // A full copy is one large sequential read plus one large write.
         let storage_time = if bytes_copied == 0 {
@@ -92,12 +69,8 @@ impl Provisioner {
             Nanoseconds(self.storage.service_time(bytes_copied).as_nanos() * 2)
         };
         Ok(ProvisioningReport {
-            template: template.to_string(),
-            strategy,
-            disk_size: size,
             bytes_copied,
             storage_time,
-            disk,
         })
     }
 
@@ -124,6 +97,7 @@ impl Provisioner {
 mod tests {
     use super::*;
     use rvisor_block::{synthetic_os_image, SECTOR_SIZE};
+    use rvisor_types::ByteSize;
 
     impl Provisioner {
         /// The template library (to register more templates).
@@ -136,7 +110,6 @@ mod tests {
         let mut lib = ImageLibrary::new();
         lib.add_template(
             "win2003-golden",
-            "Windows 2003 SRV golden image",
             synthetic_os_image(ByteSize::mib(image_mib)),
         )
         .unwrap();
@@ -151,7 +124,6 @@ mod tests {
             .unwrap();
         assert!(cow.is_instant());
         assert_eq!(cow.storage_time, Nanoseconds::ZERO);
-        assert_eq!(cow.disk_size, ByteSize::mib(64));
 
         let full = p
             .provision("win2003-golden", CloneStrategy::FullCopy)
@@ -164,18 +136,19 @@ mod tests {
 
     #[test]
     fn provisioned_disks_are_usable_and_independent() {
+        // A report carries only the cost; the disks are the library's clones.
         let mut p = provisioner(4);
-        let mut a = p
-            .provision("win2003-golden", CloneStrategy::CopyOnWrite)
+        let lib = p.library_mut();
+        let mut a = lib
+            .clone_from("win2003-golden", CloneStrategy::CopyOnWrite)
             .unwrap();
-        let mut b = p
-            .provision("win2003-golden", CloneStrategy::CopyOnWrite)
+        let mut b = lib
+            .clone_from("win2003-golden", CloneStrategy::CopyOnWrite)
             .unwrap();
-        a.disk
-            .write_sectors(0, &vec![0xAA; SECTOR_SIZE as usize])
+        a.write_sectors(0, &vec![0xAA; SECTOR_SIZE as usize])
             .unwrap();
         let mut buf = vec![0u8; SECTOR_SIZE as usize];
-        b.disk.read_sectors(0, &mut buf).unwrap();
+        b.read_sectors(0, &mut buf).unwrap();
         assert_eq!(
             buf[0], 0x55,
             "clone b must still see the golden image boot sector"
@@ -224,7 +197,7 @@ mod tests {
         assert!(p.provision("missing", CloneStrategy::FullCopy).is_err());
         // New templates can be registered through library_mut.
         p.library_mut()
-            .add_blank_template("data", "blank data disk", ByteSize::mib(1))
+            .add_blank_template("data", ByteSize::mib(1))
             .unwrap();
         assert!(p.provision("data", CloneStrategy::CopyOnWrite).is_ok());
     }

@@ -2,8 +2,9 @@
 //!
 //! The serial console is the guest's stdout in every example and test: the
 //! guest writes bytes to the data register (via port I/O or MMIO) and the
-//! VMM collects them; host-injected input bytes are queued and raise an
-//! interrupt so a polling or interrupt-driven guest can read them.
+//! VMM collects them; host-injected input bytes are queued, and the
+//! line-status register's rx-ready bit (bit 0) tells a polling guest that
+//! there is a byte to read.
 //!
 //! Register layout (offsets from the device base, one register per offset):
 //!
@@ -15,7 +16,6 @@
 use std::collections::VecDeque;
 
 use crate::bus::{MmioDevice, PortDevice};
-use crate::interrupts::InterruptLine;
 
 /// Data register offset.
 pub(crate) const REG_DATA: u64 = 0;
@@ -31,28 +31,18 @@ const STATUS_TX_EMPTY: u64 = 1 << 1;
 pub struct SerialConsole {
     output: Vec<u8>,
     input: VecDeque<u8>,
-    irq: Option<InterruptLine>,
     tx_bytes: u64,
     rx_bytes: u64,
 }
 
 impl SerialConsole {
-    /// Create a console with no interrupt line attached.
-    pub(crate) fn new() -> Self {
+    /// Create a console with no output and no input queued.
+    pub fn new() -> Self {
         SerialConsole {
             output: Vec::new(),
             input: VecDeque::new(),
-            irq: None,
             tx_bytes: 0,
             rx_bytes: 0,
-        }
-    }
-
-    /// Create a console that raises `irq` whenever host input is queued.
-    pub fn with_interrupt(irq: InterruptLine) -> Self {
-        SerialConsole {
-            irq: Some(irq),
-            ..Self::new()
         }
     }
 
@@ -70,14 +60,10 @@ impl SerialConsole {
         self.tx_bytes += 1;
     }
 
-    /// Queue host-side input for the guest and raise the interrupt line.
+    /// Queue host-side input for the guest; the line status reads rx ready
+    /// until the guest has read it all.
     pub fn inject_input(&mut self, bytes: &[u8]) {
         self.input.extend(bytes.iter().copied());
-        if let Some(irq) = &self.irq {
-            if !bytes.is_empty() {
-                irq.assert_irq();
-            }
-        }
     }
 
     /// Number of bytes transmitted by the guest.
@@ -150,7 +136,6 @@ impl PortDevice for SerialConsole {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interrupts::InterruptController;
 
     impl SerialConsole {
         /// Drain and return the accumulated guest output.
@@ -191,12 +176,17 @@ mod tests {
     }
 
     #[test]
-    fn input_raises_interrupt() {
-        let ic = InterruptController::new();
-        let mut serial = SerialConsole::with_interrupt(ic.line(4));
-        serial.inject_input(b"hi");
-        assert!(ic.is_pending(4));
+    fn input_sets_rx_ready() {
+        let mut serial = SerialConsole::new();
         serial.inject_input(b"");
+        assert_eq!(serial.read(REG_STATUS, 1) & STATUS_RX_READY, 0);
+        serial.inject_input(b"hi");
+        assert_ne!(
+            serial.port_read(REG_STATUS as u32) as u64 & STATUS_RX_READY,
+            0
+        );
+        serial.read(REG_DATA, 1);
+        assert_ne!(serial.read(REG_STATUS, 1) & STATUS_RX_READY, 0);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! A one-shot / periodic countdown timer.
 //!
 //! The guest programs a deadline; when the simulated clock passes it the
-//! timer asserts its interrupt line. The VMM calls [`CountdownTimer::tick`]
+//! timer counts an expiration, which the guest reads in its count register
+//! (offset 16). The VMM calls [`CountdownTimer::tick`]
 //! whenever it advances the simulated clock (typically once per scheduling
 //! quantum), which is how the device observes time.
 //!
@@ -18,7 +19,6 @@ use std::sync::Arc;
 use rvisor_types::{ManualClock, Nanoseconds, SimClock};
 
 use crate::bus::MmioDevice;
-use crate::interrupts::InterruptLine;
 
 /// Register offset: one-shot arm / remaining time.
 const REG_ONESHOT: u64 = 0;
@@ -31,7 +31,6 @@ const REG_COUNT: u64 = 16;
 #[derive(Debug)]
 pub struct CountdownTimer {
     clock: Arc<ManualClock>,
-    irq: InterruptLine,
     deadline: Option<Nanoseconds>,
     period: Option<Nanoseconds>,
     expirations: u64,
@@ -39,10 +38,9 @@ pub struct CountdownTimer {
 
 impl CountdownTimer {
     /// Create a disarmed timer.
-    pub fn new(clock: Arc<ManualClock>, irq: InterruptLine) -> Self {
+    pub fn new(clock: Arc<ManualClock>) -> Self {
         CountdownTimer {
             clock,
-            irq,
             deadline: None,
             period: None,
             expirations: 0,
@@ -67,8 +65,8 @@ impl CountdownTimer {
         self.period = None;
     }
 
-    /// Check for expiry against the current simulated time, asserting the
-    /// interrupt for every deadline that has passed. Returns the number of
+    /// Check for expiry against the current simulated time, counting an
+    /// expiration for every deadline that has passed. Returns the number of
     /// expirations observed by this call.
     pub fn tick(&mut self) -> u64 {
         let now = self.clock.now();
@@ -77,7 +75,6 @@ impl CountdownTimer {
             if now < deadline {
                 break;
             }
-            self.irq.assert_irq();
             self.expirations += 1;
             fired += 1;
             match self.period {
@@ -123,7 +120,6 @@ impl MmioDevice for CountdownTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interrupts::InterruptController;
 
     impl CountdownTimer {
         /// Whether the timer is currently armed.
@@ -137,16 +133,15 @@ mod tests {
         }
     }
 
-    fn setup() -> (Arc<ManualClock>, InterruptController, CountdownTimer) {
+    fn setup() -> (Arc<ManualClock>, CountdownTimer) {
         let clock = Arc::new(ManualClock::new());
-        let ic = InterruptController::new();
-        let timer = CountdownTimer::new(Arc::clone(&clock), ic.line(0));
-        (clock, ic, timer)
+        let timer = CountdownTimer::new(Arc::clone(&clock));
+        (clock, timer)
     }
 
     #[test]
     fn oneshot_fires_once() {
-        let (clock, ic, mut timer) = setup();
+        let (clock, mut timer) = setup();
         timer.arm_oneshot(Nanoseconds::from_millis(10));
         assert!(timer.is_armed());
         assert_eq!(timer.tick(), 0);
@@ -154,7 +149,7 @@ mod tests {
         assert_eq!(timer.tick(), 0);
         clock.advance(Nanoseconds::from_millis(1));
         assert_eq!(timer.tick(), 1);
-        assert!(ic.is_pending(0));
+        assert_eq!(timer.read(REG_COUNT, 8), 1);
         assert!(!timer.is_armed());
         clock.advance(Nanoseconds::from_millis(100));
         assert_eq!(timer.tick(), 0);
@@ -163,7 +158,7 @@ mod tests {
 
     #[test]
     fn periodic_fires_for_every_elapsed_period() {
-        let (clock, _ic, mut timer) = setup();
+        let (clock, mut timer) = setup();
         timer.arm_periodic(Nanoseconds::from_millis(2));
         clock.advance(Nanoseconds::from_millis(7));
         // Deadlines at 2, 4, 6 ms have passed.
@@ -176,17 +171,17 @@ mod tests {
 
     #[test]
     fn cancel_disarms() {
-        let (clock, ic, mut timer) = setup();
+        let (clock, mut timer) = setup();
         timer.arm_oneshot(Nanoseconds::from_millis(1));
         timer.cancel();
         clock.advance(Nanoseconds::from_millis(5));
         assert_eq!(timer.tick(), 0);
-        assert!(!ic.is_pending(0));
+        assert_eq!(timer.read(REG_COUNT, 8), 0);
     }
 
     #[test]
     fn mmio_interface() {
-        let (clock, _ic, mut timer) = setup();
+        let (clock, mut timer) = setup();
         timer.write(REG_ONESHOT, 1_000_000, 8);
         assert_eq!(timer.read(REG_ONESHOT, 8), 1_000_000);
         clock.advance(Nanoseconds::from_micros(400));

@@ -19,7 +19,7 @@ use rvisor_types::{ByteSize, Error, Result, PAGE_SIZE};
 use crate::memory::GuestMemory;
 
 /// Statistics describing the balloon's current state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct BalloonStats {
     /// Total configured guest memory.
     pub configured: ByteSize,
@@ -29,8 +29,6 @@ pub struct BalloonStats {
     pub usable: ByteSize,
     /// Number of inflate operations performed.
     pub inflations: u64,
-    /// Number of deflate operations performed.
-    pub deflations: u64,
 }
 
 #[derive(Debug, Default)]
@@ -38,7 +36,6 @@ struct BalloonInner {
     /// Global page indices currently held by the balloon.
     held: BTreeSet<u64>,
     inflations: u64,
-    deflations: u64,
 }
 
 /// Tracks pages reclaimed from a guest by the host.
@@ -106,9 +103,6 @@ impl Balloon {
         for p in &give_back {
             inner.held.remove(p);
         }
-        if !give_back.is_empty() {
-            inner.deflations += 1;
-        }
         give_back
     }
 
@@ -139,7 +133,6 @@ impl Balloon {
             ballooned,
             usable: configured.saturating_sub(ballooned),
             inflations: inner.inflations,
-            deflations: inner.deflations,
         }
     }
 }
@@ -230,7 +223,6 @@ mod tests {
         assert_eq!(s.ballooned, ByteSize::pages_of(3));
         assert_eq!(s.usable, ByteSize::pages_of(13));
         assert_eq!(s.inflations, 1);
-        assert_eq!(s.deflations, 1);
     }
 
     proptest! {

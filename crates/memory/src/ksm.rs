@@ -54,9 +54,9 @@ pub struct KsmConfig {
     /// Maximum pages examined per call to `KsmManager::scan_round`
     /// (`pages_to_scan` in the Linux sysfs interface). `u64::MAX` scans
     /// everything each round.
-    pub pages_per_round: u64,
+    pub(crate) pages_per_round: u64,
     /// Whether all-zero pages are eligible for merging (`use_zero_pages`).
-    pub merge_zero_pages: bool,
+    pub(crate) merge_zero_pages: bool,
 }
 
 impl Default for KsmConfig {
@@ -69,20 +69,14 @@ impl Default for KsmConfig {
 }
 
 /// Counters mirroring the `/sys/kernel/mm/ksm` statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct KsmStats {
-    /// Pages examined since the manager was created.
-    pub pages_scanned: u64,
     /// Distinct shared (canonical) pages currently backing merged groups.
     pub pages_shared: u64,
     /// Pages currently deduplicated into a canonical copy (group members).
     pub pages_sharing: u64,
-    /// Candidate pages seen once and awaiting the stability confirmation.
-    pub pages_unshared: u64,
     /// Copy-on-write breaks (writes to merged pages) observed so far.
     pub cow_breaks: u64,
-    /// Completed scan rounds.
-    pub full_scans: u64,
 }
 
 impl KsmStats {
@@ -125,11 +119,7 @@ pub struct KsmManager {
     unstable: HashMap<PageKey, u64>,
     /// Scan cursor (VM, next page) for budgeted rounds.
     cursor: Option<PageKey>,
-    scanned: u64,
-    /// Pages examined since the last completed pass over the address space.
-    scanned_this_pass: u64,
     cow_breaks: u64,
-    full_scans: u64,
 }
 
 impl KsmManager {
@@ -142,10 +132,7 @@ impl KsmManager {
             merged_of: HashMap::new(),
             unstable: HashMap::new(),
             cursor: None,
-            scanned: 0,
-            scanned_this_pass: 0,
             cow_breaks: 0,
-            full_scans: 0,
         }
     }
 
@@ -200,12 +187,9 @@ impl KsmManager {
             .map(|g| g.members.len() as u64)
             .sum();
         KsmStats {
-            pages_scanned: self.scanned,
             pages_shared,
             pages_sharing,
-            pages_unshared: self.unstable.len() as u64,
             cow_breaks: self.cow_breaks,
-            full_scans: self.full_scans,
         }
     }
 
@@ -224,8 +208,6 @@ impl KsmManager {
             }
             budget -= 1;
             last = Some(key);
-            self.scanned += 1;
-            self.scanned_this_pass += 1;
 
             let (vm, page) = key;
             // Fingerprint (and, only when zero pages are excluded from
@@ -269,16 +251,10 @@ impl KsmManager {
         }
 
         // Advance or reset the cursor depending on whether the budget covered
-        // the whole address space; a "full scan" completes every time a full
-        // pass worth of pages has been examined.
+        // the whole address space.
         match last {
             Some(key) if budget == 0 => self.cursor = Some(key),
             _ => self.cursor = None,
-        }
-        let total: u64 = self.vms.values().map(|m| m.total_pages()).sum();
-        while total > 0 && self.scanned_this_pass >= total {
-            self.scanned_this_pass -= total;
-            self.full_scans += 1;
         }
         Ok(newly_merged)
     }
@@ -435,7 +411,7 @@ mod tests {
         // Round 1: only candidates, nothing merged yet.
         assert_eq!(ksm.scan_round().unwrap(), 0);
         assert_eq!(ksm.stats().pages_sharing, 0);
-        assert_eq!(ksm.stats().pages_unshared, 64);
+        assert_eq!(ksm.unstable.len(), 64);
 
         // Round 2: everything stable, so every duplicate merges.
         let merged = ksm.scan_round().unwrap();
@@ -514,7 +490,6 @@ mod tests {
             ksm.scan_round().unwrap();
         }
         assert_eq!(ksm.stats().pages_saved(), 32);
-        assert!(ksm.stats().full_scans >= 2);
     }
 
     #[test]
@@ -621,7 +596,6 @@ mod tests {
                 let stats = ksm.stats();
                 prop_assert!(stats.pages_saved() <= analysis.pages_saved());
                 prop_assert!(stats.pages_sharing >= stats.pages_shared || stats.pages_sharing == 0);
-                prop_assert!(stats.pages_scanned >= stats.pages_sharing);
             }
 
             /// Breaking sharing by writes never leaves dangling merge state.

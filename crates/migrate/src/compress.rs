@@ -210,17 +210,17 @@ fn xbzrle_records(page_len: usize, delta: &[u8], mut page: Option<&mut [u8]>) ->
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct CompressionStats {
     /// Pages sent raw (including XBZRLE fallbacks).
-    pub pages_raw: u64,
+    pub(crate) pages_raw: u64,
     /// Pages sent as zero markers.
-    pub pages_zero: u64,
+    pub(crate) pages_zero: u64,
     /// Pages sent as XBZRLE deltas.
-    pub pages_delta: u64,
+    pub(crate) pages_delta: u64,
     /// Pages whose delta did not fit and fell back to raw.
-    pub delta_overflows: u64,
+    pub(crate) delta_overflows: u64,
     /// Uncompressed bytes handed to the compressor.
-    pub bytes_in: u64,
+    pub(crate) bytes_in: u64,
     /// Bytes produced for the wire.
-    pub bytes_out: u64,
+    pub(crate) bytes_out: u64,
 }
 
 /// Stateful page compressor used by the source side of a migration.

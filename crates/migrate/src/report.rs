@@ -31,12 +31,12 @@ impl MigrationKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoundStat {
     /// Pages carried this round.
-    pub pages: u64,
+    pub(crate) pages: u64,
     /// Bytes put on the wire this round (payload after compression, plus
     /// framing on the streamed paths).
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Simulated time the round occupied the link.
-    pub duration: Nanoseconds,
+    pub(crate) duration: Nanoseconds,
 }
 
 /// The metrics of one migration.
@@ -56,7 +56,7 @@ pub struct MigrationReport {
     /// Pages transferred (including duplicates across rounds).
     pub pages_transferred: u64,
     /// Guest RAM size.
-    pub memory_size: ByteSize,
+    pub(crate) memory_size: ByteSize,
     /// Whether pre-copy converged below its dirty-set threshold (always true
     /// for the other engines).
     pub converged: bool,
@@ -69,7 +69,7 @@ pub struct MigrationReport {
     /// stop-and-copy and post-copy record their single bulk copy. The
     /// direct oracle and the stream populate it identically at every stream
     /// count (proptest-pinned).
-    pub rounds_breakdown: Vec<RoundStat>,
+    pub(crate) rounds_breakdown: Vec<RoundStat>,
 }
 
 impl MigrationReport {

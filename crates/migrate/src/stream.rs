@@ -283,7 +283,6 @@ pub struct MigrationSink<'m> {
     memory: &'m GuestMemory,
     hello: Option<wire::Hello>,
     pages_applied: u64,
-    rounds_completed: u32,
     vcpu_states: Vec<VcpuState>,
 }
 
@@ -294,7 +293,6 @@ impl<'m> MigrationSink<'m> {
             memory,
             hello: None,
             pages_applied: 0,
-            rounds_completed: 0,
             vcpu_states: Vec::new(),
         }
     }
@@ -417,10 +415,7 @@ impl<'m> MigrationSink<'m> {
                 self.vcpu_states.push(state);
                 Ok(())
             }
-            FrameKind::EndOfRound => {
-                self.rounds_completed += 1;
-                Ok(())
-            }
+            FrameKind::EndOfRound => Ok(()),
             // The content-addressed chunk frames belong to the deduplicated
             // *backup* stream; a live-migration sink has no chunk store to
             // resolve references against.

@@ -156,26 +156,25 @@ pub(crate) const MODE_ZERO: u8 = 1;
 /// XBZRLE delta against the destination's current copy of the page.
 pub(crate) const MODE_DELTA: u8 = 2;
 
-/// A decoded frame header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A decoded frame header. Its checksum is verified and its payload length
+/// is the length of [`WireFrame::payload`], so neither is kept.
+#[derive(Debug, Clone, Copy)]
 pub struct FrameHeader {
     /// What the frame carries.
-    pub kind: FrameKind,
+    pub(crate) kind: FrameKind,
     /// Page encoding mode (meaningful for [`FrameKind::Page`] only).
-    pub mode: u8,
+    pub(crate) mode: u8,
     /// Kind-specific argument (page index, first page of a run, vCPU
     /// index, round number, total pages for Hello).
-    pub arg: u64,
-    /// Payload length in bytes.
-    pub payload_len: u16,
+    pub(crate) arg: u64,
 }
 
 /// A decoded frame: header plus a zero-copy view of its payload inside the
 /// received burst.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct WireFrame<'a> {
     /// The frame header.
-    pub header: FrameHeader,
+    pub(crate) header: FrameHeader,
     /// The payload bytes (borrowed from the burst buffer).
     pub payload: &'a [u8],
 }
@@ -421,28 +420,22 @@ impl<'a> FrameReader<'a> {
         }
         self.pos += end;
         Ok(Some(WireFrame {
-            header: FrameHeader {
-                kind,
-                mode,
-                arg,
-                payload_len,
-            },
+            header: FrameHeader { kind, mode, arg },
             payload,
         }))
     }
 }
 
-/// Decoded contents of a Hello frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Decoded contents of a Hello frame: the source's geometry. The magic and
+/// the version are checked while decoding, so neither is kept.
+#[derive(Debug, Clone, Copy)]
 pub struct Hello {
-    /// Stream format version.
-    pub version: u16,
     /// Page size of the source.
-    pub page_size: u32,
+    pub(crate) page_size: u32,
     /// Total pages of the source guest.
-    pub total_pages: u64,
+    pub(crate) total_pages: u64,
     /// Total guest memory bytes of the source.
-    pub memory_bytes: u64,
+    pub(crate) memory_bytes: u64,
 }
 
 /// Validate and decode a Hello frame (magic and version are checked here;
@@ -471,7 +464,6 @@ pub(crate) fn decode_hello(frame: &WireFrame<'_>) -> Result<Hello> {
         )));
     }
     Ok(Hello {
-        version,
         page_size: u32::from_le_bytes(frame.payload[6..10].try_into().expect("4 bytes")),
         total_pages: frame.header.arg,
         memory_bytes: read_u64(&frame.payload[10..18]),
@@ -581,7 +573,6 @@ pub(crate) mod tests {
         let h = decode_hello(&hello).unwrap();
         assert_eq!(h.total_pages, 64);
         assert_eq!(h.page_size as u64, PAGE_SIZE);
-        assert_eq!(h.version, WIRE_VERSION);
 
         let raw = r.next_frame().unwrap().unwrap();
         assert_eq!(raw.header.kind, FrameKind::Page);
@@ -774,7 +765,7 @@ pub(crate) mod tests {
 
         let mut r = FrameReader::new(&out);
         let hello = r.next_frame().unwrap().unwrap();
-        assert_eq!(decode_hello(&hello).unwrap().version, WIRE_VERSION);
+        assert!(decode_hello(&hello).is_ok());
         for (page, fp, ord, bytes) in &novel {
             let f = r.next_frame().unwrap().unwrap();
             assert_eq!(f.header.kind, FrameKind::ChunkData);
@@ -814,7 +805,7 @@ pub(crate) mod tests {
         assert_eq!(WIRE_VERSION, 4);
         let buf = hello_with_version(WIRE_VERSION);
         let f = FrameReader::new(&buf).next_frame().unwrap().unwrap();
-        assert_eq!(decode_hello(&f).unwrap().version, WIRE_VERSION);
+        assert!(decode_hello(&f).is_ok());
         for version in [WIRE_VERSION - 1, WIRE_VERSION + 1] {
             let buf = hello_with_version(version);
             let f = FrameReader::new(&buf).next_frame().unwrap().unwrap();

@@ -49,13 +49,13 @@ impl fmt::Display for MacAddr {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Destination MAC.
-    pub dst: MacAddr,
+    pub(crate) dst: MacAddr,
     /// Source MAC.
-    pub src: MacAddr,
+    pub(crate) src: MacAddr,
     /// Ethertype.
-    pub ethertype: u16,
+    pub(crate) ethertype: u16,
     /// Payload bytes.
-    pub payload: Bytes,
+    pub(crate) payload: Bytes,
 }
 
 impl Frame {

@@ -19,14 +19,14 @@ use crate::frame::{Frame, MacAddr};
 const DEFAULT_RX_QUEUE: usize = 1024;
 
 /// Switch-wide counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct SwitchStats {
     /// Frames forwarded to a single learned port.
     pub forwarded: u64,
     /// Frames flooded to all ports (broadcast or unknown destination).
-    pub flooded: u64,
+    pub(crate) flooded: u64,
     /// Frames dropped because a receive queue was full.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
     /// Total payload+header bytes accepted from endpoints.
     pub bytes: u64,
 }

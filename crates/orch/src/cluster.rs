@@ -206,20 +206,11 @@ pub enum BackupHandle {
     Manifested(ManifestId),
 }
 
-/// Result of one deduplicated backup: the recorded epoch, its dedup
-/// accounting, the bytes that actually crossed the fabric, and the instant
-/// the stream fully arrived at the DR endpoint.
+/// Result of one deduplicated backup: the recorded epoch.
 #[derive(Debug, Clone, Copy)]
 pub struct DedupBackup {
     /// The manifest recorded in the content-addressed store.
     pub manifest: ManifestId,
-    /// Novel vs deduplicated chunk counts and bytes for this epoch.
-    pub stats: IngestStats,
-    /// On-wire bytes charged to the fabric
-    /// ([`rvisor_migrate::wire::dedup_backup_wire_bytes`]).
-    pub wire_bytes: u64,
-    /// When the stream has fully arrived; the epoch is restorable after.
-    pub arrival: Nanoseconds,
 }
 
 /// One DR epoch as it left its host, from either capture: its handle, when
@@ -915,12 +906,7 @@ impl Cluster {
         let BackupHandle::Manifested(manifest) = shipped.handle else {
             unreachable!("a content-addressed epoch names its manifest")
         };
-        Ok(DedupBackup {
-            manifest,
-            stats: shipped.stats,
-            wire_bytes: shipped.wire_bytes,
-            arrival: shipped.arrival,
-        })
+        Ok(DedupBackup { manifest })
     }
 
     /// [`Self::backup_dedup`] by key.
@@ -1701,6 +1687,23 @@ mod tests {
         }
     }
 
+    /// A deduplicated epoch as it shipped, and the manifest it recorded.
+    fn ship_dedup(
+        c: &mut Cluster,
+        vm: &str,
+        label: &str,
+        cas: &mut CasStore,
+        parent: Option<ManifestId>,
+        now: Nanoseconds,
+    ) -> (ManifestId, Shipped) {
+        let key = c.resolve(vm).unwrap();
+        let shipped = c.backup_dedup_key(key, label, cas, parent, now).unwrap();
+        let BackupHandle::Manifested(manifest) = shipped.handle else {
+            panic!("a content-addressed epoch names its manifest")
+        };
+        (manifest, shipped)
+    }
+
     #[test]
     fn dedup_backup_ships_fewer_bytes_and_restores_byte_identical() {
         // Twin clusters with twin histories: one backs up through the plain
@@ -1711,9 +1714,14 @@ mod tests {
         dedup.deploy(HostId::new(0), web("dr")).unwrap();
 
         let mut cas = CasStore::new();
-        let full = dedup
-            .backup_dedup("dr", "epoch-0", &mut cas, None, Nanoseconds::ZERO)
-            .unwrap();
+        let (full_manifest, full) = ship_dedup(
+            &mut dedup,
+            "dr",
+            "epoch-0",
+            &mut cas,
+            None,
+            Nanoseconds::ZERO,
+        );
         assert!(
             full.stats.chunks_deduped > 0,
             "zero pages dedupe within the very first epoch"
@@ -1729,9 +1737,14 @@ mod tests {
                 .write_u64(GuestAddress(0x2000), 0xfeed_f00d)
                 .unwrap();
         }
-        let inc = dedup
-            .backup_dedup("dr", "epoch-1", &mut cas, Some(full.manifest), full.arrival)
-            .unwrap();
+        let (inc_manifest, inc) = ship_dedup(
+            &mut dedup,
+            "dr",
+            "epoch-1",
+            &mut cas,
+            Some(full_manifest),
+            full.arrival,
+        );
         assert_eq!(
             inc.stats.chunks_novel + inc.stats.chunks_deduped,
             1,
@@ -1759,7 +1772,7 @@ mod tests {
             .restore(&lost_p[0].1, handle, &store, HostId::new(1))
             .unwrap();
         dedup
-            .restore_manifested(&lost_d[0].1, inc.manifest, &cas, HostId::new(1))
+            .restore_manifested(&lost_d[0].1, inc_manifest, &cas, HostId::new(1))
             .unwrap();
         dedup.check_invariants();
 
@@ -1780,7 +1793,7 @@ mod tests {
         assert!(plain
             .restore(
                 &lost_p[0].1,
-                BackupHandle::Manifested(inc.manifest),
+                BackupHandle::Manifested(inc_manifest),
                 &store,
                 HostId::new(1)
             )
@@ -1829,12 +1842,16 @@ mod tests {
         dialed.deploy(HostId::new(0), web("b")).unwrap();
         let mut full_cas = CasStore::new();
         let mut dialed_cas = CasStore::new();
-        let f0 = full
-            .backup_dedup("b", "e0", &mut full_cas, None, Nanoseconds::ZERO)
-            .unwrap();
-        let d0 = dialed
-            .backup_dedup("b", "e0", &mut dialed_cas, None, Nanoseconds::ZERO)
-            .unwrap();
+        let (f0_manifest, f0) =
+            ship_dedup(&mut full, "b", "e0", &mut full_cas, None, Nanoseconds::ZERO);
+        let (d0_manifest, d0) = ship_dedup(
+            &mut dialed,
+            "b",
+            "e0",
+            &mut dialed_cas,
+            None,
+            Nanoseconds::ZERO,
+        );
         assert!(
             !dialed.is_materialized("b"),
             "dedup backups must not materialize model VMs"
@@ -1847,12 +1864,22 @@ mod tests {
         );
 
         // Incremental epochs: a parked guest dirties nothing in between.
-        let f1 = full
-            .backup_dedup("b", "e1", &mut full_cas, Some(f0.manifest), f0.arrival)
-            .unwrap();
-        let d1 = dialed
-            .backup_dedup("b", "e1", &mut dialed_cas, Some(d0.manifest), d0.arrival)
-            .unwrap();
+        let (f1_manifest, f1) = ship_dedup(
+            &mut full,
+            "b",
+            "e1",
+            &mut full_cas,
+            Some(f0_manifest),
+            f0.arrival,
+        );
+        let (d1_manifest, d1) = ship_dedup(
+            &mut dialed,
+            "b",
+            "e1",
+            &mut dialed_cas,
+            Some(d0_manifest),
+            d0.arrival,
+        );
         assert_eq!(f1.stats, d1.stats);
         assert_eq!(f1.wire_bytes, d1.wire_bytes);
         assert_eq!(
@@ -1861,8 +1888,8 @@ mod tests {
             "a parked guest dirties no pages between epochs"
         );
         // The recorded epochs reconstruct to identical guest state.
-        let fs = full_cas.reconstruct(f1.manifest).unwrap();
-        let ds = dialed_cas.reconstruct(d1.manifest).unwrap();
+        let fs = full_cas.reconstruct(f1_manifest).unwrap();
+        let ds = dialed_cas.reconstruct(d1_manifest).unwrap();
         assert_eq!(fs.memory, ds.memory);
         assert_eq!(fs.vcpus, ds.vcpus);
         assert_eq!(fs.device_state, ds.device_state);

@@ -98,11 +98,11 @@ impl OrchEvent {
 #[derive(Debug, Clone)]
 pub struct Scheduled<E = OrchEvent> {
     /// When the event fires.
-    pub at: Nanoseconds,
+    pub(crate) at: Nanoseconds,
     /// Push order, used to break same-instant ties deterministically.
-    pub seq: u64,
+    pub(crate) seq: u64,
     /// The event itself.
-    pub event: E,
+    pub(crate) event: E,
 }
 
 /// Equality matches the ordering key `(at, seq)` — never the payload — so

@@ -44,24 +44,24 @@ use crate::params::{EngineChoice, OrchParams};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MigrationDecision {
     /// Which VM to move.
-    pub vm: String,
+    pub(crate) vm: String,
     /// Destination host.
-    pub to: HostId,
+    pub(crate) to: HostId,
     /// Engine selector (policies pick stop-and-copy for non-running
     /// guests; [`EngineChoice::Auto`] defers to the adaptive planner at
     /// execution time).
-    pub engine: EngineChoice,
+    pub(crate) engine: EngineChoice,
 }
 
 /// Everything a policy wants done this tick.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RebalancePlan {
     /// Migrations, in execution order.
-    pub migrations: Vec<MigrationDecision>,
+    pub(crate) migrations: Vec<MigrationDecision>,
     /// Hosts to power on *before* the migrations run.
-    pub power_on: Vec<HostId>,
+    pub(crate) power_on: Vec<HostId>,
     /// Hosts to power off *after* the migrations run (must end up empty).
-    pub power_off: Vec<HostId>,
+    pub(crate) power_off: Vec<HostId>,
 }
 
 impl RebalancePlan {}

@@ -9,33 +9,33 @@ use rvisor_types::Nanoseconds;
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OrchReport {
     /// Simulated instant the run finished (the scenario horizon).
-    pub sim_end: Nanoseconds,
+    pub(crate) sim_end: Nanoseconds,
     /// Events delivered from the queue.
     pub events_processed: u64,
     /// Events that arrived for a VM that no longer exists anywhere
     /// (departed, or permanently lost to a failure). They are consumed and
     /// counted — never silently lost.
-    pub events_dropped: u64,
+    pub(crate) events_dropped: u64,
 
     /// VM arrivals seen.
     pub vms_arrived: u64,
     /// Arrivals that eventually got a host.
     pub vms_placed: u64,
     /// Arrivals that had to wait for capacity at least once.
-    pub placements_deferred: u64,
+    pub(crate) placements_deferred: u64,
     /// Arrivals still waiting when the day ended.
-    pub placements_unmet: u64,
+    pub(crate) placements_unmet: u64,
     /// Total arrival-to-running latency over placed VMs.
-    pub placement_latency_total: Nanoseconds,
+    pub(crate) placement_latency_total: Nanoseconds,
     /// Worst single arrival-to-running latency.
-    pub placement_latency_max: Nanoseconds,
+    pub(crate) placement_latency_max: Nanoseconds,
 
     /// VM departures honoured.
-    pub vms_departed: u64,
+    pub(crate) vms_departed: u64,
     /// VMs still running when the day ended.
-    pub vms_running_at_end: u64,
+    pub(crate) vms_running_at_end: u64,
     /// Most VMs alive at once.
-    pub peak_vms: u64,
+    pub(crate) peak_vms: u64,
 
     /// Migrations the policy asked for.
     pub migrations_planned: u64,
@@ -66,7 +66,7 @@ pub struct OrchReport {
     /// ([`EngineChoice::Auto`](crate::EngineChoice::Auto)).
     pub planner_decisions: u64,
     /// Planner decisions that picked stop-and-copy (tiny guests).
-    pub planner_stop_and_copy: u64,
+    pub(crate) planner_stop_and_copy: u64,
     /// Planner decisions that picked pre-copy (cold or default guests).
     pub planner_pre_copy: u64,
     /// Planner decisions that picked post-copy (dirty-hot guests).
@@ -100,7 +100,7 @@ pub struct OrchReport {
     /// the last live spine are refused and counted as dropped events).
     pub spines_failed: u64,
     /// VMs that were on a host the instant it failed.
-    pub vms_lost_at_failure: u64,
+    pub(crate) vms_lost_at_failure: u64,
     /// Of those, VMs brought back from a DR backup.
     pub vms_restored: u64,
     /// VMs gone for good (no backup, or no capacity to restore into).
@@ -109,15 +109,15 @@ pub struct OrchReport {
     pub vm_time_lost: Nanoseconds,
 
     /// Power-on actions taken (DR capacity, placement pressure).
-    pub power_on_actions: u64,
+    pub(crate) power_on_actions: u64,
     /// Power-off actions taken (consolidation).
-    pub power_off_actions: u64,
+    pub(crate) power_off_actions: u64,
     /// Integral of powered hosts over time (host·ns): the energy proxy.
-    pub powered_host_time: Nanoseconds,
+    pub(crate) powered_host_time: Nanoseconds,
     /// Most hosts powered at once.
-    pub peak_hosts_powered: u64,
+    pub(crate) peak_hosts_powered: u64,
     /// Hosts still powered when the day ended.
-    pub hosts_powered_at_end: u64,
+    pub(crate) hosts_powered_at_end: u64,
 }
 
 impl OrchReport {

@@ -8,9 +8,9 @@ use rvisor_types::{VcpuId, VmId};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct EntityId {
     /// The VM the vCPU belongs to.
-    pub vm: VmId,
+    pub(crate) vm: VmId,
     /// The vCPU within the VM.
-    pub vcpu: VcpuId,
+    pub(crate) vcpu: VcpuId,
 }
 
 impl EntityId {
@@ -56,17 +56,17 @@ impl RunnableModel {
 }
 
 /// A schedulable vCPU and its scheduling parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct VcpuEntity {
     /// Identity.
-    pub id: EntityId,
+    pub(crate) id: EntityId,
     /// Proportional-share weight (Xen default is 256).
-    pub weight: u32,
+    pub(crate) weight: u32,
     /// Optional cap as a percentage of one pCPU (e.g. 50 = half a core);
     /// `None` means uncapped.
-    pub cap_percent: Option<u32>,
+    pub(crate) cap_percent: Option<u32>,
     /// When the entity wants to run.
-    pub runnable: RunnableModel,
+    pub(crate) runnable: RunnableModel,
 }
 
 impl VcpuEntity {

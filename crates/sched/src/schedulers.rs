@@ -79,12 +79,18 @@ const CREDITS_PER_PCPU_PER_PERIOD: i64 = 300;
 const QUANTA_PER_PERIOD: u64 = 10;
 /// Credit cost of running for one quantum.
 const CREDIT_COST_PER_QUANTUM: i64 = CREDITS_PER_PCPU_PER_PERIOD / QUANTA_PER_PERIOD as i64;
+/// Cap allowance cost of running for one quantum: the allowance is kept in
+/// hundredths of a quantum, so a cap of `c` % grants `c × QUANTA_PER_PERIOD`
+/// per period.
+const CAP_COST_PER_QUANTUM: u64 = 100;
 
 #[derive(Debug, Clone)]
 struct CreditAccount {
     entity: VcpuEntity,
     credits: i64,
-    ran_this_period: u64,
+    /// What a capped entity may still run, in hundredths of a quantum. The
+    /// fraction of a quantum a period grants carries into the next one.
+    cap_allowance: u64,
 }
 
 /// A scheduler modelled on Xen's credit scheduler.
@@ -92,12 +98,12 @@ struct CreditAccount {
 /// Every accounting period each entity receives credits in proportion to its
 /// weight; running costs credits. Entities with positive credits (UNDER) are
 /// preferred over those that have overdrawn (OVER), which is what delivers
-/// weighted proportional fairness. A per-entity *cap* bounds how many quanta
-/// it may run per period regardless of spare capacity.
+/// weighted proportional fairness. A per-entity *cap* bounds its share of
+/// one pCPU regardless of spare capacity; a cap that is not a whole number
+/// of quanta per period is met on average, across periods.
 #[derive(Debug, Default)]
 pub struct CreditScheduler {
     accounts: BTreeMap<EntityId, CreditAccount>,
-    pcpus_hint: usize,
 }
 
 impl CreditScheduler {
@@ -118,14 +124,13 @@ impl CreditScheduler {
             // Don't let credits accumulate without bound (idle entities would
             // otherwise starve everyone when they wake).
             acct.credits = acct.credits.min(2 * pool);
-            acct.ran_this_period = 0;
+            if let Some(cap) = acct.entity.cap_percent {
+                // The carry is at most one quantum: an idle entity cannot
+                // save up quanta.
+                let grant = cap as u64 * QUANTA_PER_PERIOD;
+                acct.cap_allowance = (acct.cap_allowance + grant).min(grant + CAP_COST_PER_QUANTUM);
+            }
         }
-    }
-
-    fn cap_quanta(entity: &VcpuEntity) -> Option<u64> {
-        entity
-            .cap_percent
-            .map(|cap| (cap as u64 * QUANTA_PER_PERIOD) / 100)
     }
 }
 
@@ -138,7 +143,7 @@ impl Scheduler for CreditScheduler {
         self.accounts.entry(entity.id).or_insert(CreditAccount {
             entity,
             credits: 0,
-            ran_this_period: 0,
+            cap_allowance: 0,
         });
     }
 
@@ -147,16 +152,14 @@ impl Scheduler for CreditScheduler {
     }
 
     fn pick(&mut self, pcpus: usize, runnable: &[EntityId], quantum: u64) -> Vec<EntityId> {
-        self.pcpus_hint = pcpus;
         if quantum.is_multiple_of(QUANTA_PER_PERIOD) {
             self.replenish(pcpus);
         }
         let mut candidates: Vec<&CreditAccount> = runnable
             .iter()
             .filter_map(|id| self.accounts.get(id))
-            .filter(|acct| match Self::cap_quanta(&acct.entity) {
-                Some(cap) => acct.ran_this_period < cap,
-                None => true,
+            .filter(|acct| {
+                acct.entity.cap_percent.is_none() || acct.cap_allowance >= CAP_COST_PER_QUANTUM
             })
             .collect();
         // UNDER (positive credits) before OVER, then by credit balance.
@@ -171,7 +174,7 @@ impl Scheduler for CreditScheduler {
     fn charge(&mut self, id: EntityId, _quantum: u64) {
         if let Some(acct) = self.accounts.get_mut(&id) {
             acct.credits -= CREDIT_COST_PER_QUANTUM;
-            acct.ran_this_period += 1;
+            acct.cap_allowance = acct.cap_allowance.saturating_sub(CAP_COST_PER_QUANTUM);
         }
     }
 }
@@ -328,13 +331,19 @@ mod tests {
 
     #[test]
     fn credit_enforces_caps() {
-        // One capped entity and one uncapped on a single pCPU.
-        let capped = VcpuEntity::cpu_bound(id(0)).with_weight(256).with_cap(20);
-        let uncapped = VcpuEntity::cpu_bound(id(1)).with_weight(256);
-        let runtime = run(&mut CreditScheduler::new(), &[capped, uncapped], 1, 2000);
-        let capped_share = runtime[&id(0)] as f64 / 2000.0;
-        assert!(capped_share <= 0.22, "capped entity got {capped_share}");
-        assert!(runtime[&id(1)] > runtime[&id(0)]);
+        // One capped entity and one uncapped on a single pCPU. A cap that is
+        // not a whole number of quanta per period still gets its share.
+        for cap in [5, 20, 25, 33, 50] {
+            let capped = VcpuEntity::cpu_bound(id(0)).with_weight(256).with_cap(cap);
+            let uncapped = VcpuEntity::cpu_bound(id(1)).with_weight(256);
+            let runtime = run(&mut CreditScheduler::new(), &[capped, uncapped], 1, 10_000);
+            let capped_pct = runtime[&id(0)] as f64 / 100.0;
+            assert!(
+                (capped_pct - cap as f64).abs() <= 0.5,
+                "a {cap} % cap got {capped_pct} % of the CPU"
+            );
+            assert_eq!(runtime[&id(0)] + runtime[&id(1)], 10_000);
+        }
     }
 
     #[test]

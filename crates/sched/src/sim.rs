@@ -6,8 +6,6 @@
 
 use std::collections::BTreeMap;
 
-use rvisor_types::Nanoseconds;
-
 use crate::entity::{EntityId, VcpuEntity};
 use crate::metrics::{fairness_index, weighted_share_error};
 use crate::schedulers::Scheduler;
@@ -19,8 +17,6 @@ pub struct SimConfig {
     pub pcpus: usize,
     /// Number of scheduling quanta to simulate.
     pub quanta: u64,
-    /// Length of one quantum in simulated time (Xen's default is 30 ms).
-    pub quantum: Nanoseconds,
 }
 
 impl Default for SimConfig {
@@ -28,7 +24,6 @@ impl Default for SimConfig {
         SimConfig {
             pcpus: 4,
             quanta: 1000,
-            quantum: Nanoseconds::from_millis(30),
         }
     }
 }
@@ -39,9 +34,7 @@ pub struct SimReport {
     /// Scheduler name.
     pub scheduler: &'static str,
     /// Quanta each entity ran.
-    pub runtime_quanta: BTreeMap<EntityId, u64>,
-    /// Simulated CPU time each entity received.
-    pub cpu_time: BTreeMap<EntityId, Nanoseconds>,
+    pub(crate) runtime_quanta: BTreeMap<EntityId, u64>,
     /// Number of times a pCPU switched from one entity to a different one
     /// between consecutive quanta.
     pub context_switches: u64,
@@ -51,8 +44,6 @@ pub struct SimReport {
     pub weighted_error: f64,
     /// Fraction of pCPU-quanta that had something scheduled on them.
     pub utilization: f64,
-    /// Total quanta simulated.
-    pub quanta: u64,
 }
 
 impl SimReport {
@@ -136,24 +127,18 @@ impl HostSim {
             .map(|e| runtime[&e.id] as f64)
             .collect();
         let weights: Vec<u32> = self.entities.iter().map(|e| e.weight).collect();
-        let cpu_time = runtime
-            .iter()
-            .map(|(&id, &quanta)| (id, Nanoseconds(self.config.quantum.as_nanos() * quanta)))
-            .collect();
 
         SimReport {
             scheduler: scheduler.name(),
             jain_index: fairness_index(&allocations),
             weighted_error: weighted_share_error(&allocations, &weights),
             runtime_quanta: runtime,
-            cpu_time,
             context_switches,
             utilization: if self.config.quanta == 0 || self.config.pcpus == 0 {
                 0.0
             } else {
                 busy_pcpu_quanta as f64 / (self.config.quanta * self.config.pcpus as u64) as f64
             },
-            quanta: self.config.quanta,
         }
     }
 }
@@ -163,13 +148,6 @@ mod tests {
     use super::*;
     use crate::schedulers::{CreditScheduler, RoundRobin, StrideScheduler};
     use rvisor_types::{VcpuId, VmId};
-
-    impl SimReport {
-        /// CPU time received by one entity.
-        fn cpu_time_of(&self, id: EntityId) -> Nanoseconds {
-            self.cpu_time.get(&id).copied().unwrap_or(Nanoseconds::ZERO)
-        }
-    }
 
     impl HostSim {
         /// Add several entities.
@@ -189,11 +167,7 @@ mod tests {
     }
 
     fn sim(pcpus: usize, quanta: u64) -> HostSim {
-        HostSim::new(SimConfig {
-            pcpus,
-            quanta,
-            quantum: Nanoseconds::from_millis(30),
-        })
+        HostSim::new(SimConfig { pcpus, quanta })
     }
 
     #[test]
@@ -252,10 +226,9 @@ mod tests {
         s.add_entity(VcpuEntity::cpu_bound(id(0)));
         s.add_entity(VcpuEntity::cpu_bound(id(1)));
         let r = s.run(&mut RoundRobin::new());
-        assert_eq!(r.quanta, 100);
+        assert_eq!(r.runtime_quanta.values().sum::<u64>(), 100);
         assert!((r.share_of(id(0)) - 0.5).abs() < 0.02);
-        assert_eq!(r.cpu_time_of(id(0)), Nanoseconds::from_millis(30 * 50));
-        assert_eq!(r.cpu_time_of(id(9)), Nanoseconds::ZERO);
+        assert_eq!(r.runtime_quanta[&id(0)], 50);
         assert_eq!(r.share_of(id(9)), 0.0);
         assert_eq!(s.entities().len(), 2);
     }

@@ -26,14 +26,14 @@ use crate::snapshot::{SnapshotId, SnapshotKind, VmSnapshot};
 use crate::store::SnapshotStore;
 
 /// How often full and incremental backups are taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct BackupPolicy {
     /// Interval between backups (full or incremental).
     pub interval: Nanoseconds,
     /// A full backup is taken every `fulls_every` intervals; the rest are
     /// incrementals chained to the most recent full. `1` means every backup
     /// is a full one.
-    pub fulls_every: u32,
+    pub(crate) fulls_every: u32,
 }
 
 impl BackupPolicy {
@@ -81,12 +81,12 @@ impl BackupPolicy {
 
 /// Performance assumptions of the backup target (a NAS, tape library or
 /// object store) used to convert sizes into times.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct BackupTarget {
     /// Sustained write bandwidth when storing a backup.
-    pub write_bytes_per_sec: u64,
+    pub(crate) write_bytes_per_sec: u64,
     /// Sustained read bandwidth when restoring.
-    pub read_bytes_per_sec: u64,
+    pub(crate) read_bytes_per_sec: u64,
     /// Fixed per-restore overhead (locating media, booting the restored VM).
     pub restore_setup: Nanoseconds,
 }
@@ -120,20 +120,18 @@ impl BackupTarget {
 }
 
 /// One entry in the simulated backup history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct BackupRecord {
     /// The stored snapshot.
-    pub id: SnapshotId,
+    pub(crate) id: SnapshotId,
     /// Full or incremental.
-    pub kind: SnapshotKind,
-    /// When (simulated) it was taken.
-    pub taken_at: Nanoseconds,
+    pub(crate) kind: SnapshotKind,
     /// Bytes written to the backup target.
-    pub size: ByteSize,
+    pub(crate) size: ByteSize,
 }
 
 /// Summary of a simulated backup schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub struct BackupReport {
     /// Backups taken (full + incremental).
     pub backups_taken: u32,
@@ -143,7 +141,7 @@ pub struct BackupReport {
     pub bytes_stored: ByteSize,
     /// Bytes a nightly-full policy would have written over the same horizon
     /// (the denominator of the storage-saving claim).
-    pub full_equivalent_bytes: ByteSize,
+    pub(crate) full_equivalent_bytes: ByteSize,
     /// Worst-case recovery point objective (time between backups).
     pub rpo: Nanoseconds,
     /// Worst-case recovery time objective: restoring the longest chain.
@@ -236,12 +234,7 @@ impl BackupSimulator {
             self.last_full = Some(id);
         }
         self.backups_taken += 1;
-        let record = BackupRecord {
-            id,
-            kind,
-            taken_at: self.now,
-            size,
-        };
+        let record = BackupRecord { id, kind, size };
         self.history.push(record);
         Ok(record)
     }

@@ -54,10 +54,10 @@ pub(crate) const ZERO_PAGE_FINGERPRINT: u64 = 0xb93a_0c83_ce3b_6325;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ChunkId {
     /// Word-wise FNV-1a fingerprint of the chunk bytes.
-    pub fingerprint: u64,
+    pub(crate) fingerprint: u64,
     /// Disambiguates fingerprint collisions; 0 for the first chunk stored
     /// under a fingerprint.
-    pub ordinal: u32,
+    pub(crate) ordinal: u32,
 }
 
 impl std::fmt::Display for ChunkId {
@@ -195,32 +195,32 @@ impl std::fmt::Display for ManifestId {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Manifest {
     /// Identifier assigned by the store (zero until stored).
-    pub id: ManifestId,
+    pub(crate) id: ManifestId,
     /// The manifest chain parent (the epoch an incremental is relative to).
-    pub parent: Option<ManifestId>,
+    pub(crate) parent: Option<ManifestId>,
     /// `id` field of the ingested snapshot, preserved for byte-identical
     /// reconstruction.
-    pub snapshot_id: SnapshotId,
+    pub(crate) snapshot_id: SnapshotId,
     /// `parent` field of the ingested snapshot, preserved likewise.
-    pub snapshot_parent: Option<SnapshotId>,
+    pub(crate) snapshot_parent: Option<SnapshotId>,
     /// The VM this epoch belongs to.
-    pub vm: VmId,
+    pub(crate) vm: VmId,
     /// Human-readable snapshot name.
-    pub name: String,
+    pub(crate) name: String,
     /// Full or incremental.
-    pub kind: SnapshotKind,
+    pub(crate) kind: SnapshotKind,
     /// Simulated time of capture.
-    pub taken_at: Nanoseconds,
+    pub(crate) taken_at: Nanoseconds,
     /// Architectural state of every vCPU.
-    pub vcpus: Vec<VcpuState>,
+    pub(crate) vcpus: Vec<VcpuState>,
     /// Total guest memory size the epoch describes.
-    pub total_size: ByteSize,
+    pub(crate) total_size: ByteSize,
     /// `(global page index, chunk id)` pairs, ascending by index.
-    pub pages: Vec<(u64, ChunkId)>,
+    pub(crate) pages: Vec<(u64, ChunkId)>,
     /// Opaque per-device state blobs keyed by device name.
-    pub device_state: BTreeMap<String, Vec<u8>>,
+    pub(crate) device_state: BTreeMap<String, Vec<u8>>,
     /// Additive checksum of guest memory at capture time.
-    pub memory_checksum: u64,
+    pub(crate) memory_checksum: u64,
 }
 
 /// Per-ingest dedup accounting, the numbers the wire path ships by.

@@ -16,17 +16,17 @@ use rvisor_types::{ByteSize, Error, Result};
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ExportManifest {
     /// Appliance name.
-    pub name: String,
+    pub(crate) name: String,
     /// Number of vCPUs.
-    pub vcpus: u32,
+    pub(crate) vcpus: u32,
     /// Guest memory size.
-    pub memory: ByteSize,
+    pub(crate) memory: ByteSize,
     /// Disk name -> size in bytes.
-    pub disks: BTreeMap<String, u64>,
+    pub(crate) disks: BTreeMap<String, u64>,
     /// Integrity checksums: item name -> checksum value.
-    pub checksums: BTreeMap<String, u64>,
+    pub(crate) checksums: BTreeMap<String, u64>,
     /// Free-form annotations (OS type, role, owner).
-    pub annotations: BTreeMap<String, String>,
+    pub(crate) annotations: BTreeMap<String, String>,
 }
 
 impl ExportManifest {

@@ -31,9 +31,9 @@ pub enum SnapshotKind {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemorySnapshot {
     /// Total guest memory size the snapshot describes.
-    pub total_size: ByteSize,
+    pub(crate) total_size: ByteSize,
     /// `(global page index, page contents)` pairs, ascending by index.
-    pub pages: Vec<(u64, Vec<u8>)>,
+    pub(crate) pages: Vec<(u64, Vec<u8>)>,
 }
 
 impl MemorySnapshot {
@@ -97,17 +97,17 @@ impl MemorySnapshot {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VmSnapshot {
     /// Identifier assigned by the store (zero until stored).
-    pub id: SnapshotId,
+    pub(crate) id: SnapshotId,
     /// The VM this snapshot belongs to.
-    pub vm: VmId,
+    pub(crate) vm: VmId,
     /// Human-readable name ("before-upgrade", "nightly-backup", ...).
-    pub name: String,
+    pub(crate) name: String,
     /// Full or incremental.
-    pub kind: SnapshotKind,
+    pub(crate) kind: SnapshotKind,
     /// The parent snapshot an incremental capture is relative to.
-    pub parent: Option<SnapshotId>,
+    pub(crate) parent: Option<SnapshotId>,
     /// Simulated time at which the snapshot was taken.
-    pub taken_at: Nanoseconds,
+    pub(crate) taken_at: Nanoseconds,
     /// Architectural state of every vCPU.
     pub vcpus: Vec<VcpuState>,
     /// Guest memory contents (sparse for incremental snapshots).

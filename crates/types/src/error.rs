@@ -5,7 +5,7 @@
 //! through its public API without an error-conversion crate.
 
 use crate::addr::GuestAddress;
-use crate::ids::{HostId, VcpuId, VmId};
+use crate::ids::{HostId, VmId};
 use std::fmt;
 
 /// Convenience alias used across the workspace.
@@ -77,8 +77,6 @@ pub enum Error {
     Net(String),
     /// The referenced VM does not exist.
     UnknownVm(VmId),
-    /// The referenced vCPU does not exist.
-    UnknownVcpu(VcpuId),
     /// The referenced host does not exist.
     UnknownHost(HostId),
     /// The VM is in the wrong lifecycle state for the requested operation.
@@ -102,14 +100,10 @@ pub enum Error {
         /// Byte offset of the offending frame within the received burst.
         offset: u64,
     },
-    /// The scheduler configuration is invalid (zero weight, no pCPUs, ...).
-    Scheduler(String),
     /// Not enough capacity on a host / in the cluster to place a VM.
     CapacityExceeded(String),
     /// Generic configuration error.
     Config(String),
-    /// An I/O error from the host filesystem.
-    Io(String),
 }
 
 impl fmt::Display for Error {
@@ -143,7 +137,6 @@ impl fmt::Display for Error {
             Error::Block(msg) => write!(f, "block backend error: {msg}"),
             Error::Net(msg) => write!(f, "network error: {msg}"),
             Error::UnknownVm(id) => write!(f, "unknown VM {id}"),
-            Error::UnknownVcpu(id) => write!(f, "unknown vCPU {id}"),
             Error::UnknownHost(id) => write!(f, "unknown host {id}"),
             Error::InvalidVmState { operation, state } => {
                 write!(f, "cannot {operation}: VM is {state}")
@@ -153,21 +146,13 @@ impl fmt::Display for Error {
             Error::WireProtocol { detail, offset } => {
                 write!(f, "migration wire stream error at byte {offset}: {detail}")
             }
-            Error::Scheduler(msg) => write!(f, "scheduler error: {msg}"),
             Error::CapacityExceeded(msg) => write!(f, "capacity exceeded: {msg}"),
             Error::Config(msg) => write!(f, "configuration error: {msg}"),
-            Error::Io(msg) => write!(f, "host I/O error: {msg}"),
         }
     }
 }
 
 impl std::error::Error for Error {}
-
-impl From<std::io::Error> for Error {
-    fn from(e: std::io::Error) -> Self {
-        Error::Io(e.to_string())
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -196,14 +181,6 @@ mod tests {
             state: "Destroyed".into(),
         };
         assert_eq!(e.to_string(), "cannot resume: VM is Destroyed");
-    }
-
-    #[test]
-    fn io_error_converts() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "missing disk image");
-        let e: Error = io.into();
-        assert!(matches!(e, Error::Io(_)));
-        assert!(e.to_string().contains("missing disk image"));
     }
 
     #[test]

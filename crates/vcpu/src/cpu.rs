@@ -101,8 +101,6 @@ pub struct RunOutcome {
     pub exit: ExitReason,
     /// Instructions retired during this invocation.
     pub instructions: u64,
-    /// Simulated time consumed during this invocation.
-    pub elapsed: Nanoseconds,
 }
 
 /// Cumulative per-vCPU counters.
@@ -119,13 +117,13 @@ pub struct VcpuStats {
     /// Hypercalls performed.
     pub hypercalls: u64,
     /// Guest page faults delivered to the hypervisor.
-    pub page_faults: u64,
+    pub(crate) page_faults: u64,
     /// Privileged instructions that trapped and were emulated.
-    pub privileged_traps: u64,
+    pub(crate) privileged_traps: u64,
     /// Halt exits.
-    pub halts: u64,
+    pub(crate) halts: u64,
     /// Idle (Pause) exits.
-    pub idles: u64,
+    pub(crate) idles: u64,
     /// Total simulated guest time.
     pub sim_time_ns: u64,
 }
@@ -150,13 +148,13 @@ impl VcpuStats {
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct VcpuConfig {
     /// Identifier within the VM.
-    pub id: VcpuId,
+    pub(crate) id: VcpuId,
     /// Virtualization technique being modelled.
-    pub mode: ExecMode,
+    pub(crate) mode: ExecMode,
     /// Cost model; defaults to `mode.default_costs()`.
     pub costs: ExecCosts,
     /// Number of TLB entries.
-    pub tlb_entries: usize,
+    pub(crate) tlb_entries: usize,
 }
 
 impl VcpuConfig {
@@ -678,7 +676,6 @@ impl Vcpu {
         exit.map(|exit| RunOutcome {
             exit,
             instructions: executed,
-            elapsed: Nanoseconds(elapsed),
         })
     }
 
@@ -1208,7 +1205,7 @@ mod tests {
             let out = cpu.run(&mem, budget).unwrap();
             assert_eq!(out.exit, ExitReason::InstructionLimit);
             assert_eq!(out.instructions, budget);
-            assert_eq!(out.elapsed, Nanoseconds(budget * costs.cycle_ns));
+            assert_eq!(cpu.stats().sim_time_ns, budget * costs.cycle_ns);
             assert_eq!(cpu.save_state().pc, 0);
         }
     }
@@ -1263,10 +1260,10 @@ mod tests {
         load(&mem, 0, &program);
         let mut te = Vcpu::new(VcpuConfig::new(VcpuId::new(0), ExecMode::TrapAndEmulate));
         let mut hw = Vcpu::new(VcpuConfig::new(VcpuId::new(1), ExecMode::HardwareAssist));
-        let te_out = te.run(&mem, 10).unwrap();
+        te.run(&mem, 10).unwrap();
         load(&mem, 0, &program);
-        let hw_out = hw.run(&mem, 10).unwrap();
-        assert!(te_out.elapsed > hw_out.elapsed);
+        hw.run(&mem, 10).unwrap();
+        assert!(te.stats().sim_time_ns > hw.stats().sim_time_ns);
     }
 
     #[test]

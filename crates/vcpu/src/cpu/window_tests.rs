@@ -159,12 +159,10 @@ fn run_reference(guest: &mut Guest, max_instructions: u64) -> Result<RunOutcome>
     let mut total = RunOutcome {
         exit: ExitReason::InstructionLimit,
         instructions: 0,
-        elapsed: Nanoseconds::ZERO,
     };
     while total.instructions < max_instructions {
         let step = guest.cpu.run(&guest.mem, 1)?;
         total.instructions += step.instructions;
-        total.elapsed += step.elapsed;
         if step.exit != ExitReason::InstructionLimit {
             total.exit = step.exit;
             break;

@@ -100,22 +100,22 @@ impl ExecMode {
 ///
 /// All values are in nanoseconds except `tlb_miss_cycles`, which is charged
 /// in guest cycles (and therefore scales with `cycle_ns`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct ExecCosts {
     /// Simulated nanoseconds per retired guest instruction.
-    pub cycle_ns: u64,
+    pub(crate) cycle_ns: u64,
     /// Base cost of a world switch (guest -> hypervisor -> guest).
-    pub exit_ns: u64,
+    pub(crate) exit_ns: u64,
     /// Cost of a hypercall round trip.
-    pub hypercall_ns: u64,
+    pub(crate) hypercall_ns: u64,
     /// Cost of an MMIO exit (includes instruction decode + device dispatch).
     pub mmio_exit_ns: u64,
     /// Cost of a port-I/O exit.
-    pub pio_exit_ns: u64,
+    pub(crate) pio_exit_ns: u64,
     /// Extra guest cycles charged for a TLB miss (page-table walk).
-    pub tlb_miss_cycles: u64,
+    pub(crate) tlb_miss_cycles: u64,
     /// Extra cost of software-emulating a trapped privileged instruction.
-    pub privileged_emulation_ns: u64,
+    pub(crate) privileged_emulation_ns: u64,
 }
 
 impl ExecCosts {

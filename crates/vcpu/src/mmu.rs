@@ -82,23 +82,23 @@ pub(crate) enum TranslateFault {
 }
 
 /// Result of a successful translation, including how it was obtained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct Translation {
     /// The resulting guest physical address.
-    pub paddr: GuestAddress,
+    pub(crate) paddr: GuestAddress,
     /// Whether the translation was served from the TLB.
-    pub tlb_hit: bool,
+    pub(crate) tlb_hit: bool,
 }
 
 /// TLB behaviour counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) struct TlbStats {
     /// Lookups that hit.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Lookups that missed and required a page-table walk.
-    pub misses: u64,
+    pub(crate) misses: u64,
     /// Explicit flushes.
-    pub flushes: u64,
+    pub(crate) flushes: u64,
 }
 
 impl TlbStats {}

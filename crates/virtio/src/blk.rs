@@ -40,16 +40,16 @@ const VIRTIO_BLK_S_UNSUPP: u8 = 2;
 const SCRATCH_CAP: usize = 1 << 20;
 
 /// Per-device request counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct VirtioBlkStats {
     /// Completed read requests.
-    pub reads: u64,
+    pub(crate) reads: u64,
     /// Completed write requests.
-    pub writes: u64,
+    pub(crate) writes: u64,
     /// Completed flush requests.
-    pub flushes: u64,
+    pub(crate) flushes: u64,
     /// Requests that failed.
-    pub errors: u64,
+    pub(crate) errors: u64,
     /// Doorbells (queue notifications) processed.
     pub doorbells: u64,
 }

@@ -12,8 +12,6 @@ pub enum DeviceType {
     Net,
     /// Block device (virtio id 2).
     Block,
-    /// Memory balloon (virtio id 5).
-    Balloon,
 }
 
 impl DeviceType {
@@ -22,7 +20,6 @@ impl DeviceType {
         match self {
             DeviceType::Net => 1,
             DeviceType::Block => 2,
-            DeviceType::Balloon => 5,
         }
     }
 }
@@ -40,7 +37,8 @@ pub trait VirtioDevice: Send {
     fn num_queues(&self) -> usize;
 
     /// Handle a doorbell on queue `index`: drain available chains.
-    /// Returns whether an interrupt should be raised towards the guest.
+    /// Returns whether the guest is to be notified; the transport records
+    /// that in its `INTERRUPT_STATUS` register.
     fn process_queue(
         &mut self,
         index: usize,
@@ -68,7 +66,6 @@ mod tests {
     fn device_ids_match_the_virtio_registry() {
         assert_eq!(DeviceType::Net.id(), 1);
         assert_eq!(DeviceType::Block.id(), 2);
-        assert_eq!(DeviceType::Balloon.id(), 5);
     }
 
     struct NullDevice;

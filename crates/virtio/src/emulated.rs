@@ -40,16 +40,16 @@ const CMD_WRITE_SECTOR: u64 = 2;
 const CMD_FLUSH: u64 = 3;
 
 /// Counters for the emulated disk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EmulatedDiskStats {
     /// Total MMIO register accesses (each one is a VM exit).
     pub register_accesses: u64,
     /// Sectors read from the backend.
-    pub sectors_read: u64,
+    pub(crate) sectors_read: u64,
     /// Sectors written to the backend.
-    pub sectors_written: u64,
+    pub(crate) sectors_written: u64,
     /// Commands that failed.
-    pub errors: u64,
+    pub(crate) errors: u64,
 }
 
 /// The emulated programmed-I/O disk.

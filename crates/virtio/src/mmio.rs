@@ -3,7 +3,9 @@
 //! A register block exposing a [`VirtioDevice`] to the guest over MMIO, as
 //! used by virt boards in QEMU, Firecracker and crosvm. The guest programs
 //! queue addresses through the register interface, kicks queues by writing
-//! `QUEUE_NOTIFY`, and receives completions through the interrupt line.
+//! `QUEUE_NOTIFY`, and learns of completions from the `INTERRUPT_STATUS`
+//! register (bit 0: used buffers), which it clears through `INTERRUPT_ACK`.
+//! No interrupt is delivered: the status register is the record.
 //!
 //! Only the registers the rvisor guest stack actually uses are implemented;
 //! the layout follows the virtio-mmio (legacy-free, version 2) spec closely
@@ -12,7 +14,7 @@
 use rvisor_memory::GuestMemory;
 use rvisor_types::{GuestAddress, Result};
 
-use rvisor_devices::{InterruptLine, MmioDevice};
+use rvisor_devices::MmioDevice;
 
 use crate::device::VirtioDevice;
 use crate::queue::{QueueLayout, VirtQueue};
@@ -40,10 +42,10 @@ pub mod regs {
     pub(super) const QUEUE_READY: u64 = 0x044;
     /// Queue notify (doorbell).
     pub const QUEUE_NOTIFY: u64 = 0x050;
-    /// Interrupt status.
-    pub(super) const INTERRUPT_STATUS: u64 = 0x060;
-    /// Interrupt acknowledge.
-    pub(super) const INTERRUPT_ACK: u64 = 0x064;
+    /// Interrupt status (bit 0: the device used buffers).
+    pub const INTERRUPT_STATUS: u64 = 0x060;
+    /// Interrupt acknowledge: written bits clear in `INTERRUPT_STATUS`.
+    pub const INTERRUPT_ACK: u64 = 0x064;
     /// Device status.
     pub(crate) const STATUS: u64 = 0x070;
     /// Selected queue: descriptor table address.
@@ -72,14 +74,12 @@ struct QueueConfig {
 pub struct VirtioMmio {
     device: Box<dyn VirtioDevice>,
     memory: GuestMemory,
-    irq: InterruptLine,
     queue_sel: usize,
     queue_configs: Vec<QueueConfig>,
     queues: Vec<Option<VirtQueue>>,
     interrupt_status: u64,
     status: u64,
     doorbells: u64,
-    interrupts_raised: u64,
 }
 
 impl std::fmt::Debug for VirtioMmio {
@@ -93,20 +93,18 @@ impl std::fmt::Debug for VirtioMmio {
 }
 
 impl VirtioMmio {
-    /// Bind `device` to guest memory and an interrupt line.
-    pub fn new(device: Box<dyn VirtioDevice>, memory: GuestMemory, irq: InterruptLine) -> Self {
+    /// Bind `device` to guest memory.
+    pub fn new(device: Box<dyn VirtioDevice>, memory: GuestMemory) -> Self {
         let n = device.num_queues();
         VirtioMmio {
             device,
             memory,
-            irq,
             queue_sel: 0,
             queue_configs: vec![QueueConfig::default(); n],
             queues: (0..n).map(|_| None).collect(),
             interrupt_status: 0,
             status: 0,
             doorbells: 0,
-            interrupts_raised: 0,
         }
     }
 
@@ -132,26 +130,15 @@ impl VirtioMmio {
     /// Ring the doorbell for queue `index` (as the guest's `QUEUE_NOTIFY` write would).
     pub fn notify(&mut self, index: usize) -> Result<()> {
         self.doorbells += 1;
-        if let Some(queue) = self.queues.get_mut(index).and_then(|q| q.as_mut()) {
-            let raise = self.device.process_queue(index, &self.memory, queue)?;
-            if raise {
-                self.interrupt_status |= 1;
-                self.irq.assert_irq();
-                self.interrupts_raised += 1;
-            }
-        }
-        Ok(())
+        self.poll_queue(index)
     }
 
     /// Deliver pending device-initiated work (e.g. received network frames)
     /// by reprocessing a queue outside a doorbell. Used by the VMM's poll loop.
     pub fn poll_queue(&mut self, index: usize) -> Result<()> {
         if let Some(queue) = self.queues.get_mut(index).and_then(|q| q.as_mut()) {
-            let raise = self.device.process_queue(index, &self.memory, queue)?;
-            if raise {
+            if self.device.process_queue(index, &self.memory, queue)? {
                 self.interrupt_status |= 1;
-                self.irq.assert_irq();
-                self.interrupts_raised += 1;
             }
         }
         Ok(())
@@ -248,7 +235,6 @@ mod tests {
     use crate::blk::{VirtioBlk, VIRTIO_BLK_T_OUT};
     use crate::queue::DriverQueue;
     use rvisor_block::RamDisk;
-    use rvisor_devices::InterruptController;
     use rvisor_types::ByteSize;
 
     impl VirtioMmio {
@@ -257,37 +243,31 @@ mod tests {
             self.doorbells
         }
 
-        /// Number of interrupts raised towards the guest.
-        fn interrupts_raised(&self) -> u64 {
-            self.interrupts_raised
-        }
-
         /// Access the wrapped device model.
         pub(crate) fn device(&self) -> &dyn VirtioDevice {
             self.device.as_ref()
         }
 
-        /// Mutable access to the wrapped device model (e.g. to set a balloon target).
+        /// Mutable access to the wrapped device model.
         fn device_mut(&mut self) -> &mut dyn VirtioDevice {
             self.device.as_mut()
         }
     }
 
-    fn setup() -> (GuestMemory, InterruptController, VirtioMmio, DriverQueue) {
+    fn setup() -> (GuestMemory, VirtioMmio, DriverQueue) {
         let mem = GuestMemory::flat(ByteSize::mib(2)).unwrap();
-        let ic = InterruptController::new();
         let blk = VirtioBlk::new(Box::new(RamDisk::new(ByteSize::kib(64))));
-        let mut mmio = VirtioMmio::new(Box::new(blk), mem.clone(), ic.line(5));
+        let mut mmio = VirtioMmio::new(Box::new(blk), mem.clone());
         let (layout, end) = QueueLayout::contiguous(GuestAddress(0x1000), 64).unwrap();
         mmio.setup_queue(0, layout).unwrap();
         let driver = DriverQueue::new(layout, GuestAddress((end.0 + 0xfff) & !0xfff), 512 * 1024);
         driver.init(&mem).unwrap();
-        (mem, ic, mmio, driver)
+        (mem, mmio, driver)
     }
 
     #[test]
     fn identification_registers() {
-        let (_mem, _ic, mut mmio, _driver) = setup();
+        let (_mem, mut mmio, _driver) = setup();
         assert_eq!(mmio.read(regs::MAGIC_VALUE, 4), MAGIC);
         assert_eq!(mmio.read(regs::VERSION, 4), VERSION);
         assert_eq!(mmio.read(regs::DEVICE_ID, 4), 2); // block
@@ -302,15 +282,13 @@ mod tests {
 
     #[test]
     fn doorbell_processes_requests_and_raises_interrupt() {
-        let (mem, ic, mut mmio, mut driver) = setup();
+        let (mem, mut mmio, mut driver) = setup();
         let header = VirtioBlk::request_header(VIRTIO_BLK_T_OUT, 3);
         let data = vec![0x5au8; 512];
         driver.add_chain(&mem, &[&header, &data], &[1]).unwrap();
 
         mmio.write(regs::QUEUE_NOTIFY, 0, 4);
         assert_eq!(mmio.doorbells(), 1);
-        assert_eq!(mmio.interrupts_raised(), 1);
-        assert!(ic.is_pending(5));
         assert_eq!(mmio.read(regs::INTERRUPT_STATUS, 4), 1);
         mmio.write(regs::INTERRUPT_ACK, 1, 4);
         assert_eq!(mmio.read(regs::INTERRUPT_STATUS, 4), 0);
@@ -322,9 +300,8 @@ mod tests {
     #[test]
     fn register_driven_queue_setup() {
         let mem = GuestMemory::flat(ByteSize::mib(2)).unwrap();
-        let ic = InterruptController::new();
         let blk = VirtioBlk::new(Box::new(RamDisk::new(ByteSize::kib(64))));
-        let mut mmio = VirtioMmio::new(Box::new(blk), mem.clone(), ic.line(5));
+        let mut mmio = VirtioMmio::new(Box::new(blk), mem.clone());
 
         let (layout, end) = QueueLayout::contiguous(GuestAddress(0x2000), 32).unwrap();
         mmio.write(regs::QUEUE_SEL, 0, 4);
@@ -349,7 +326,7 @@ mod tests {
 
     #[test]
     fn status_and_unknown_registers() {
-        let (_mem, _ic, mut mmio, _driver) = setup();
+        let (_mem, mut mmio, _driver) = setup();
         mmio.write(regs::STATUS, 0xf, 4);
         assert_eq!(mmio.read(regs::STATUS, 4), 0xf);
         assert_eq!(mmio.read(0x500 - 1, 4), 0); // config beyond device space
@@ -365,7 +342,7 @@ mod tests {
 
     #[test]
     fn setup_queue_out_of_range_fails() {
-        let (_mem, _ic, mut mmio, _driver) = setup();
+        let (_mem, mut mmio, _driver) = setup();
         let (layout, _) = QueueLayout::contiguous(GuestAddress(0x2000), 16).unwrap();
         assert!(mmio.setup_queue(3, layout).is_err());
         assert!(mmio.device().num_queues() == 1);

@@ -23,20 +23,20 @@ pub const RX_QUEUE: usize = 0;
 pub const TX_QUEUE: usize = 1;
 
 /// Per-device traffic counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct VirtioNetStats {
     /// Frames transmitted by the guest.
-    pub tx_frames: u64,
+    pub(crate) tx_frames: u64,
     /// Bytes transmitted by the guest (excluding the virtio header).
-    pub tx_bytes: u64,
+    pub(crate) tx_bytes: u64,
     /// Frames delivered into guest receive buffers.
-    pub rx_frames: u64,
+    pub(crate) rx_frames: u64,
     /// Bytes delivered into guest receive buffers.
-    pub rx_bytes: u64,
+    pub(crate) rx_bytes: u64,
     /// Frames dropped because no receive buffer was available.
-    pub rx_no_buffer: u64,
+    pub(crate) rx_no_buffer: u64,
     /// Malformed transmit chains.
-    pub tx_errors: u64,
+    pub(crate) tx_errors: u64,
 }
 
 /// The virtio-net device model.

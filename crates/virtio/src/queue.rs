@@ -36,16 +36,16 @@ const DESC_SIZE: u64 = 16;
 const MAX_CHAIN_LEN: usize = 128;
 
 /// Where the three rings of a queue live in guest memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct QueueLayout {
     /// Guest physical address of the descriptor table.
-    pub desc_table: GuestAddress,
+    pub(crate) desc_table: GuestAddress,
     /// Guest physical address of the available ring.
-    pub avail_ring: GuestAddress,
+    pub(crate) avail_ring: GuestAddress,
     /// Guest physical address of the used ring.
-    pub used_ring: GuestAddress,
+    pub(crate) used_ring: GuestAddress,
     /// Number of descriptors (must be a power of two).
-    pub size: u16,
+    pub(crate) size: u16,
 }
 
 impl QueueLayout {
@@ -112,23 +112,23 @@ impl QueueLayout {
 }
 
 /// One buffer of a descriptor chain, already resolved to guest memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub struct Descriptor {
     /// Guest physical address of the buffer.
-    pub addr: GuestAddress,
+    pub(crate) addr: GuestAddress,
     /// Length of the buffer in bytes.
-    pub len: u32,
+    pub(crate) len: u32,
     /// Whether the device may write to this buffer.
-    pub writable: bool,
+    pub(crate) writable: bool,
 }
 
 /// A chain of descriptors popped from the available ring.
 #[derive(Debug, Clone)]
 pub struct DescriptorChain {
     /// Index of the chain's head descriptor (returned in the used ring).
-    pub head_index: u16,
+    pub(crate) head_index: u16,
     /// The resolved descriptors in chain order.
-    pub descriptors: Vec<Descriptor>,
+    pub(crate) descriptors: Vec<Descriptor>,
 }
 
 impl DescriptorChain {
@@ -178,16 +178,16 @@ impl DescriptorChain {
 }
 
 /// Device-side statistics for a queue.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct QueueStats {
     /// Chains popped from the available ring.
-    pub popped: u64,
+    pub(crate) popped: u64,
     /// Chains returned through the used ring.
-    pub completed: u64,
+    pub(crate) completed: u64,
     /// Interrupts the device decided to raise.
-    pub notifications_sent: u64,
+    pub(crate) notifications_sent: u64,
     /// Interrupts suppressed by EVENT_IDX.
-    pub notifications_suppressed: u64,
+    pub(crate) notifications_suppressed: u64,
 }
 
 /// The device-side view of a split virtqueue.

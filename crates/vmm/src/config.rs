@@ -8,14 +8,14 @@ use rvisor_vcpu::ExecMode;
 use crate::layout::RAM_MAX;
 
 /// Configuration of one virtual disk attached through virtio-blk.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DiskConfig {
     /// Disk name (shown in exports and metrics).
-    pub name: String,
+    pub(crate) name: String,
     /// Capacity of the disk.
-    pub size: ByteSize,
+    pub(crate) size: ByteSize,
     /// Whether the disk is read-only.
-    pub read_only: bool,
+    pub(crate) read_only: bool,
 }
 
 impl DiskConfig {
@@ -30,24 +30,24 @@ impl DiskConfig {
 }
 
 /// Configuration for building a [`crate::Vm`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct VmConfig {
     /// VM name.
-    pub name: String,
+    pub(crate) name: String,
     /// Guest RAM size (must not reach the MMIO hole).
-    pub memory: ByteSize,
+    pub(crate) memory: ByteSize,
     /// Number of vCPUs.
     pub vcpus: u32,
     /// Virtualization technique to model.
-    pub exec_mode: ExecMode,
+    pub(crate) exec_mode: ExecMode,
     /// Disks to attach via virtio-blk (the first becomes the boot disk).
-    pub disks: Vec<DiskConfig>,
+    pub(crate) disks: Vec<DiskConfig>,
     /// Whether to attach a virtio-net NIC.
-    pub with_net: bool,
+    pub(crate) with_net: bool,
     /// Whether to attach a host-driven memory balloon (`rvisor_memory::Balloon`).
-    pub with_balloon: bool,
+    pub(crate) with_balloon: bool,
     /// Instruction budget per vCPU scheduling slice.
-    pub slice_instructions: u64,
+    pub(crate) slice_instructions: u64,
 }
 
 impl VmConfig {

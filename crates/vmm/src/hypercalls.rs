@@ -48,12 +48,12 @@ impl HypercallNr {
 }
 
 /// The result the VMM produces for a handled hypercall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct HypercallResult {
     /// Value placed in the guest's result register.
-    pub return_value: u64,
+    pub(crate) return_value: u64,
     /// Whether the vCPU should stop its slice (yield/idle).
-    pub end_slice: bool,
+    pub(crate) end_slice: bool,
 }
 
 /// Handle a hypercall that does not need device access.

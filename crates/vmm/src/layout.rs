@@ -25,18 +25,6 @@ pub(crate) const MMIO_WINDOW: u64 = 0x1000;
 /// Serial console port-I/O base (the classic COM1 address).
 pub const SERIAL_PORT: u32 = 0x3f8;
 
-/// Interrupt lines.
-pub mod irq {
-    /// Serial console interrupt.
-    pub(crate) const SERIAL: u32 = 4;
-    /// Timer interrupt.
-    pub(crate) const TIMER: u32 = 0;
-    /// virtio-blk interrupt.
-    pub const VIRTIO_BLK: u32 = 8;
-    /// virtio-net interrupt.
-    pub(crate) const VIRTIO_NET: u32 = 9;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,12 +49,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn irq_lines_are_distinct() {
-        let lines = [irq::SERIAL, irq::TIMER, irq::VIRTIO_BLK, irq::VIRTIO_NET];
-        let set: std::collections::BTreeSet<_> = lines.iter().collect();
-        assert_eq!(set.len(), lines.len());
     }
 }

@@ -44,7 +44,7 @@ pub mod vm;
 
 pub use config::{DiskConfig, VmConfig};
 pub use hypercalls::HypercallNr;
-pub use manager::{Vmm, VmmUtilization};
+pub use manager::Vmm;
 pub use rvisor_memory::{DedupAnalysis, KsmConfig, KsmManager, KsmStats};
 pub use rvisor_migrate::PageCompression;
 pub use rvisor_types::{ByteSize, Error, GuestAddress, Nanoseconds, Result, VcpuId, VmId};

@@ -11,7 +11,7 @@ use rvisor_migrate::{execute, DirtySource, MigrationPlan, MigrationReport, PlanE
 use rvisor_net::VirtualSwitch;
 use rvisor_obs::Trace;
 use rvisor_snapshot::{SnapshotId, SnapshotStore};
-use rvisor_types::{ByteSize, Error, Nanoseconds, Result, VmId};
+use rvisor_types::{Error, Nanoseconds, Result, VmId};
 
 use crate::config::VmConfig;
 use crate::vm::{Vm, VmLifecycle};
@@ -63,29 +63,6 @@ impl DirtySource for RunningVmDirtier<'_> {
         ((self.pages_dirtied as u128 * rvisor_types::PAGE_SIZE as u128 * 1_000_000_000)
             / ns as u128) as u64
     }
-}
-
-/// Point-in-time lifecycle and utilization telemetry for one host, as
-/// consumed by fleet-level layers (the `rvisor-orch` orchestrator feeds its
-/// rebalance policies from this).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct VmmUtilization {
-    /// VMs on the host, in any lifecycle state.
-    pub vm_count: usize,
-    /// VMs currently `Running`.
-    pub running: usize,
-    /// VMs currently `Paused`.
-    pub paused: usize,
-    /// VMs that have `Halted`.
-    pub halted: usize,
-    /// Guest memory configured across all VMs.
-    pub guest_memory: ByteSize,
-    /// Pages currently marked dirty across all VMs' bitmaps.
-    pub dirty_pages: u64,
-    /// Guest instructions retired across all VMs since they were created.
-    pub instructions: u64,
-    /// Simulated guest time consumed across all VMs.
-    pub sim_time: Nanoseconds,
 }
 
 /// The per-host virtual machine manager.
@@ -402,25 +379,40 @@ mod tests {
     use super::*;
     use rvisor_migrate::{FaultService, LoopbackTransport, PageCompression};
     use rvisor_net::{Link, LinkModel};
-    use rvisor_types::GuestAddress;
+    use rvisor_types::{ByteSize, GuestAddress};
     use rvisor_vcpu::{Workload, WorkloadKind};
     use std::num::NonZeroUsize;
 
+    /// Point-in-time lifecycle and utilization telemetry for one host.
+    #[derive(Debug, Default)]
+    struct VmmUtilization {
+        /// VMs on the host, in any lifecycle state.
+        vm_count: usize,
+        /// VMs currently `Running`.
+        running: usize,
+        /// VMs that have `Halted`.
+        halted: usize,
+        /// Guest memory configured across all VMs.
+        guest_memory: ByteSize,
+        /// Guest instructions retired across all VMs since they were created.
+        instructions: u64,
+        /// Simulated guest time consumed across all VMs.
+        sim_time: Nanoseconds,
+    }
+
     impl Vmm {
         /// Aggregate lifecycle/utilization telemetry across this host's VMs.
-        pub(crate) fn utilization(&self) -> VmmUtilization {
+        fn utilization(&self) -> VmmUtilization {
             let mut u = VmmUtilization::default();
             for vm in self.vms.values() {
                 u.vm_count += 1;
                 match vm.lifecycle() {
                     VmLifecycle::Running => u.running += 1,
-                    VmLifecycle::Paused => u.paused += 1,
                     VmLifecycle::Halted => u.halted += 1,
                     _ => {}
                 }
                 u.guest_memory =
                     ByteSize::new(u.guest_memory.as_u64() + vm.config().memory.as_u64());
-                u.dirty_pages += vm.memory().dirty_page_count();
                 let stats = vm.stats();
                 u.instructions += stats.instructions;
                 u.sim_time = u.sim_time.saturating_add(stats.sim_time);

@@ -5,7 +5,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use rvisor_block::RamDisk;
-use rvisor_devices::{CountdownTimer, InterruptController, MmioBus, PortBus, Rtc, SerialConsole};
+use rvisor_devices::{CountdownTimer, MmioBus, PortBus, Rtc, SerialConsole};
 use rvisor_memory::{Balloon, GuestMemory};
 use rvisor_net::{MacAddr, VirtualSwitch};
 use rvisor_snapshot::{SnapshotStore, VmSnapshot};
@@ -71,7 +71,7 @@ impl VmLifecycle {
 }
 
 /// Aggregated execution statistics for a VM.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct VmRunStats {
     /// Guest instructions retired across all vCPUs.
     pub instructions: u64,
@@ -82,11 +82,11 @@ pub struct VmRunStats {
     /// MMIO exits dispatched to devices.
     pub mmio_exits: u64,
     /// Port-I/O exits dispatched to devices.
-    pub pio_exits: u64,
+    pub(crate) pio_exits: u64,
     /// Simulated guest time consumed.
     pub sim_time: Nanoseconds,
     /// Bytes written to the serial console by the guest.
-    pub serial_bytes: u64,
+    pub(crate) serial_bytes: u64,
 }
 
 /// A virtual machine.
@@ -97,7 +97,6 @@ pub struct Vm {
     memory: GuestMemory,
     vcpus: Vec<Vcpu>,
     clock: Arc<ManualClock>,
-    interrupts: InterruptController,
     mmio: MmioBus,
     ports: PortBus,
     serial: Arc<Mutex<SerialConsole>>,
@@ -136,14 +135,11 @@ impl Vm {
         config.validate()?;
         let memory = GuestMemory::flat(config.memory)?;
         let clock = Arc::new(ManualClock::new());
-        let interrupts = InterruptController::new();
         let mmio = MmioBus::new();
         let ports = PortBus::new();
 
         // Platform devices.
-        let serial = Arc::new(Mutex::new(SerialConsole::with_interrupt(
-            interrupts.line(layout::irq::SERIAL),
-        )));
+        let serial = Arc::new(Mutex::new(SerialConsole::new()));
         mmio.register(
             GuestRegion::new(layout::SERIAL_MMIO, layout::MMIO_WINDOW),
             serial.clone(),
@@ -151,10 +147,7 @@ impl Vm {
         ports.register(layout::SERIAL_PORT, 8, serial.clone())?;
         let rtc = Arc::new(Mutex::new(Rtc::new(Arc::clone(&clock))));
         mmio.register(GuestRegion::new(layout::RTC_MMIO, layout::MMIO_WINDOW), rtc)?;
-        let timer = Arc::new(Mutex::new(CountdownTimer::new(
-            Arc::clone(&clock),
-            interrupts.line(layout::irq::TIMER),
-        )));
+        let timer = Arc::new(Mutex::new(CountdownTimer::new(Arc::clone(&clock))));
         mmio.register(
             GuestRegion::new(layout::TIMER_MMIO, layout::MMIO_WINDOW),
             timer.clone(),
@@ -165,11 +158,7 @@ impl Vm {
             let mut backend = RamDisk::new(disk_cfg.size);
             backend.set_read_only(disk_cfg.read_only);
             let blk = VirtioBlk::new(Box::new(backend));
-            let transport = Arc::new(Mutex::new(VirtioMmio::new(
-                Box::new(blk),
-                memory.clone(),
-                interrupts.line(layout::irq::VIRTIO_BLK),
-            )));
+            let transport = Arc::new(Mutex::new(VirtioMmio::new(Box::new(blk), memory.clone())));
             mmio.register(
                 GuestRegion::new(layout::VIRTIO_BLK_MMIO, layout::MMIO_WINDOW),
                 transport.clone(),
@@ -191,11 +180,7 @@ impl Vm {
                 }
             };
             let nic = VirtioNet::new(MacAddr::local(id.raw()), switch_ref.add_port());
-            let transport = Arc::new(Mutex::new(VirtioMmio::new(
-                Box::new(nic),
-                memory.clone(),
-                interrupts.line(layout::irq::VIRTIO_NET),
-            )));
+            let transport = Arc::new(Mutex::new(VirtioMmio::new(Box::new(nic), memory.clone())));
             mmio.register(
                 GuestRegion::new(layout::VIRTIO_NET_MMIO, layout::MMIO_WINDOW),
                 transport.clone(),
@@ -223,7 +208,6 @@ impl Vm {
             memory,
             vcpus,
             clock,
-            interrupts,
             mmio,
             ports,
             serial,
@@ -263,11 +247,6 @@ impl Vm {
     /// The VM's simulated clock.
     pub fn clock(&self) -> Arc<ManualClock> {
         Arc::clone(&self.clock)
-    }
-
-    /// The interrupt controller.
-    pub fn interrupts(&self) -> &InterruptController {
-        &self.interrupts
     }
 
     /// The virtio-blk transport, if a disk was configured.
@@ -993,6 +972,11 @@ mod tests {
         vm.serial_input(b"A");
         let mut asm = Assembler::new();
         let r = Reg::new;
+        // Line status (rx ready in bit 0), then the data byte.
+        asm.push(Instr::In {
+            rd: r(3),
+            imm: layout::SERIAL_PORT as i32 + 1,
+        });
         asm.push(Instr::In {
             rd: r(1),
             imm: layout::SERIAL_PORT as i32,
@@ -1003,6 +987,11 @@ mod tests {
             rs1: r(2),
             imm: 0,
         });
+        asm.push(Instr::Store {
+            rs2: r(3),
+            rs1: r(2),
+            imm: 8,
+        });
         asm.push(Instr::Halt);
         vm.load_program(&asm.assemble().unwrap(), 0x1000).unwrap();
         vm.run_to_halt().unwrap();
@@ -1010,7 +999,8 @@ mod tests {
             vm.memory().read_u64(GuestAddress(0x2000)).unwrap(),
             b'A' as u64
         );
-        assert!(vm.interrupts().is_pending(layout::irq::SERIAL));
+        let status = vm.memory().read_u64(GuestAddress(0x2008)).unwrap();
+        assert_eq!(status & 1, 1, "rx ready before the read");
     }
 
     #[test]

@@ -18,11 +18,7 @@ fn provisioning() {
     println!("-- template provisioning --\n");
     let mut library = ImageLibrary::new();
     library
-        .add_template(
-            "win2003-appserver",
-            "Windows 2003 application server golden image",
-            synthetic_os_image(ByteSize::mib(128)),
-        )
+        .add_template("win2003-appserver", synthetic_os_image(ByteSize::mib(128)))
         .unwrap();
     let mut provisioner = Provisioner::new(library, StorageModel::ssd());
 

@@ -148,11 +148,7 @@ fn disaster_recovery_restores_a_vm_from_its_backup_chain() {
 fn branch_office_rollout_uses_cow_templates() {
     let mut library = ImageLibrary::new();
     library
-        .add_template(
-            "branch-gold",
-            "branch office server",
-            synthetic_os_image(ByteSize::mib(32)),
-        )
+        .add_template("branch-gold", synthetic_os_image(ByteSize::mib(32)))
         .unwrap();
     let mut provisioner = Provisioner::new(library, StorageModel::hdd());
 

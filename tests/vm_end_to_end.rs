@@ -7,6 +7,7 @@ use virtlab::devices::MmioDevice;
 use virtlab::types::{GuestAddress, PAGE_SIZE};
 use virtlab::vcpu::{Assembler, ExecMode, Instr, Reg, Workload, WorkloadKind};
 use virtlab::virtio::blk::{VIRTIO_BLK_T_IN, VIRTIO_BLK_T_OUT};
+use virtlab::virtio::mmio::regs;
 use virtlab::virtio::{DriverQueue, QueueLayout, VirtioBlk};
 use virtlab::vmm::{layout, DiskConfig, HypercallNr, VmLifecycle};
 use virtlab::{ByteSize, Vm, VmConfig};
@@ -122,16 +123,19 @@ fn virtio_blk_io_through_a_vm() {
 
     // Ring the doorbell through the MMIO register, exactly as the guest would.
     let transport = vm.virtio_blk().unwrap();
-    transport
-        .lock()
-        .write(virtlab::virtio::mmio::regs::QUEUE_NOTIFY, 0, 4);
+    transport.lock().write(regs::QUEUE_NOTIFY, 0, 4);
 
     // Both completions arrive and the read saw the written data.
     let (_, len_w) = driver.poll_used(vm.memory()).unwrap().unwrap();
     assert_eq!(len_w, 1);
     let (_, len_r) = driver.poll_used(vm.memory()).unwrap().unwrap();
     assert_eq!(len_r as u64, SECTOR_SIZE + 1);
-    assert!(vm.interrupts().is_pending(layout::irq::VIRTIO_BLK));
+    // The device reports the used buffers in its status register until the
+    // guest acknowledges them.
+    let mut transport = transport.lock();
+    assert_eq!(transport.read(regs::INTERRUPT_STATUS, 4) & 1, 1);
+    transport.write(regs::INTERRUPT_ACK, 1, 4);
+    assert_eq!(transport.read(regs::INTERRUPT_STATUS, 4) & 1, 0);
 }
 
 #[test]
