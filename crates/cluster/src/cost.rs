@@ -42,10 +42,6 @@ pub struct CostReport {
     pub consolidated_annual_euro: f64,
     /// Number of workloads (VMs) covered.
     pub(crate) vm_count: usize,
-    /// Hosts used by the baseline plan.
-    pub baseline_hosts: usize,
-    /// Hosts used by the consolidated plan.
-    pub consolidated_hosts: usize,
 }
 
 impl CostReport {
@@ -83,8 +79,6 @@ impl CostModel {
             baseline_annual_euro: self.annual_cost_euro(baseline),
             consolidated_annual_euro: self.annual_cost_euro(consolidated),
             vm_count: consolidated.vms_placed(),
-            baseline_hosts: baseline.hosts_used(),
-            consolidated_hosts: consolidated.hosts_used(),
         }
     }
 }
@@ -113,7 +107,6 @@ mod tests {
         let model = CostModel::default();
         let report = model.compare(&baseline, &consolidated);
         assert!(report.annual_saving_euro() > 0.0);
-        assert!(report.consolidated_hosts < report.baseline_hosts);
         assert_eq!(report.vm_count, 50);
     }
 
@@ -156,8 +149,6 @@ mod tests {
             baseline_annual_euro: 0.0,
             consolidated_annual_euro: 0.0,
             vm_count: 0,
-            baseline_hosts: 0,
-            consolidated_hosts: 0,
         };
         assert_eq!(report.saving_per_vm_euro(), 0.0);
         assert_eq!(report.annual_saving_euro(), 0.0);

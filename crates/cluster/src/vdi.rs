@@ -14,7 +14,7 @@
 //!
 //! [`VdiEstimator`] combines those three effects over a [`HostSpec`] and a
 //! [`DesktopProfile`] and reports which resource limits density — the
-//! figure the E12 benchmark sweeps. The sharing fraction can either be
+//! figure the E12 example sweeps. The sharing fraction can either be
 //! assumed (a planning number) or measured by running
 //! [`rvisor_memory::ksm::analyze_sharing`] over real
 //! [`GuestMemory`](rvisor_memory::GuestMemory) instances and passing the
@@ -197,11 +197,11 @@ pub struct VdiDensityReport {
     /// The binding constraint.
     pub limited_by: DensityLimit,
     /// Desktops the host memory alone would allow.
-    pub memory_bound: u64,
+    pub(crate) memory_bound: u64,
     /// Desktops the sustained CPU demand alone would allow.
-    pub cpu_bound: u64,
+    pub(crate) cpu_bound: u64,
     /// Desktops the vCPU:pCPU admission ratio alone would allow.
-    pub vcpu_ratio_bound: u64,
+    pub(crate) vcpu_ratio_bound: u64,
     /// Host memory one desktop effectively consumes under the configuration.
     pub effective_memory_per_desktop: ByteSize,
 }

@@ -91,7 +91,7 @@ impl Balloon {
     /// Deflate the balloon by `pages` pages (or all held pages if fewer are held).
     ///
     /// Returns the global indices returned to the guest.
-    pub fn deflate(&self, pages: u64) -> Vec<u64> {
+    pub(crate) fn deflate(&self, pages: u64) -> Vec<u64> {
         let mut inner = self.inner.lock();
         let give_back: Vec<u64> = inner
             .held

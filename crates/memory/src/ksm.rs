@@ -321,7 +321,7 @@ pub struct DedupAnalysis {
     /// Distinct page contents found.
     pub unique_pages: u64,
     /// Pages whose contents are entirely zero.
-    pub zero_pages: u64,
+    pub(crate) zero_pages: u64,
 }
 
 impl DedupAnalysis {

@@ -5,7 +5,7 @@
 //! set — determines whether pre-copy converges. [`DirtySource`] abstracts
 //! that behaviour so the engines can be driven either by a real vCPU
 //! (the VMM wires the guest's own dirty bitmap in) or by a synthetic rate
-//! model (what the benchmarks sweep).
+//! model (what the examples sweep).
 
 use rvisor_memory::GuestMemory;
 use rvisor_types::{GuestAddress, Nanoseconds, Result, PAGE_SIZE};

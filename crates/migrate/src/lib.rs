@@ -21,7 +21,7 @@
 //!   is degraded performance while remote faults are outstanding.
 //!
 //! The guest's memory-dirtying behaviour during migration is abstracted as a
-//! [`DirtySource`], so the benchmarks can sweep dirty rates precisely.
+//! [`DirtySource`], so the examples can sweep dirty rates precisely.
 //!
 //! Pre-copy transfers can additionally be compressed with zero-page
 //! detection and XBZRLE delta encoding (the [`compress`] module), the two

@@ -72,21 +72,21 @@ pub struct MigrationReport {
     pub(crate) rounds_breakdown: Vec<RoundStat>,
 }
 
-impl MigrationReport {
-    /// The overhead factor: bytes moved relative to the VM's RAM size
-    /// (1.0 means every page moved exactly once).
-    pub fn transfer_amplification(&self) -> f64 {
-        if self.memory_size.as_u64() == 0 {
-            0.0
-        } else {
-            self.bytes_transferred as f64 / self.memory_size.as_u64() as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MigrationReport {
+        /// The overhead factor: bytes moved relative to the VM's RAM size
+        /// (1.0 means every page moved exactly once).
+        pub(crate) fn transfer_amplification(&self) -> f64 {
+            if self.memory_size.as_u64() == 0 {
+                0.0
+            } else {
+                self.bytes_transferred as f64 / self.memory_size.as_u64() as f64
+            }
+        }
+    }
 
     impl MigrationReport {
         /// Effective throughput over the whole migration.

@@ -270,7 +270,7 @@ impl<'m> MigrationSource<'m> {
 /// The destination (apply) half of a streamed migration.
 ///
 /// Decodes the stream frame by frame; each frame's checksum was
-/// already verified by the [`wire::FrameReader`] before its payload is
+/// already verified by the wire module's frame reader before its payload is
 /// visible, so a corrupted frame aborts the stream *without* writing
 /// anything from that frame into guest memory.
 ///
@@ -304,11 +304,6 @@ impl<'m> MigrationSink<'m> {
             hello: control.hello,
             ..Self::new(control.memory)
         }
-    }
-
-    /// Pages applied (every page record counts, zero runs included).
-    pub fn pages_applied(&self) -> u64 {
-        self.pages_applied
     }
 
     fn wire_fault(offset: u64, detail: String) -> Error {
@@ -673,6 +668,13 @@ impl PostCopy {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MigrationSink<'_> {
+        /// Pages applied (every page record counts, zero runs included).
+        pub(crate) fn pages_applied(&self) -> u64 {
+            self.pages_applied
+        }
+    }
     use crate::dirty::{ConstantRateDirtier, IdleDirtier};
     use crate::engines::execute;
     use crate::plan::PlanEngine;

@@ -15,8 +15,8 @@
 //!   [`Transport::deliver`] and [`Transport::recycle`] — accumulates frames
 //!   into one in-flight burst and hands it out whole. No engine calls it:
 //!   it is kept for code that drives the two halves of a stream from outside
-//!   one whole round at a time (the repository benchmark's harness loop and
-//!   the codec micro-benches), through
+//!   one whole round at a time (the repository benchmark's harness loop),
+//!   through
 //!   [`MigrationSource::encode_round`](crate::MigrationSource::encode_round),
 //!   `send_hello` and `send_vcpu_states`, which are its only callers in this
 //!   crate. A `deliver` of `n` bytes times and counts exactly like

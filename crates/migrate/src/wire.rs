@@ -157,7 +157,7 @@ pub(crate) const MODE_ZERO: u8 = 1;
 pub(crate) const MODE_DELTA: u8 = 2;
 
 /// A decoded frame header. Its checksum is verified and its payload length
-/// is the length of [`WireFrame::payload`], so neither is kept.
+/// is the length of the frame's payload, so neither is kept.
 #[derive(Debug, Clone, Copy)]
 pub struct FrameHeader {
     /// What the frame carries.
@@ -176,7 +176,7 @@ pub struct WireFrame<'a> {
     /// The frame header.
     pub(crate) header: FrameHeader,
     /// The payload bytes (borrowed from the burst buffer).
-    pub payload: &'a [u8],
+    pub(crate) payload: &'a [u8],
 }
 
 const FNV64_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -257,7 +257,7 @@ pub(crate) fn put_hello(out: &mut Vec<u8>, total_pages: u64, memory_bytes: u64) 
 }
 
 /// Append a raw page frame (copy-once from the borrowed page contents).
-pub fn put_page_raw(out: &mut Vec<u8>, page: u64, contents: &[u8]) {
+pub(crate) fn put_page_raw(out: &mut Vec<u8>, page: u64, contents: &[u8]) {
     put_frame(out, FrameKind::Page, MODE_RAW, page, contents);
 }
 
@@ -363,7 +363,7 @@ pub(crate) fn decode_vcpu_state(payload: &[u8]) -> Result<VcpuState> {
 /// [`Error::WireProtocol`] without any of its payload reaching guest
 /// memory.
 #[derive(Debug)]
-pub struct FrameReader<'a> {
+pub(crate) struct FrameReader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
@@ -387,7 +387,7 @@ impl<'a> FrameReader<'a> {
     }
 
     /// Decode the next frame, or `None` at the end of the burst.
-    pub fn next_frame(&mut self) -> Result<Option<WireFrame<'a>>> {
+    pub(crate) fn next_frame(&mut self) -> Result<Option<WireFrame<'a>>> {
         if self.pos == self.buf.len() {
             return Ok(None);
         }

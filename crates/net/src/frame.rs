@@ -6,7 +6,7 @@ use std::fmt;
 
 /// Minimum frame size (header + minimal payload), matching Ethernet's 64 bytes.
 pub(crate) const MIN_FRAME_SIZE: usize = 64;
-/// Ethertype used for the synthetic IPv4-ish traffic in tests and benches.
+/// Ethertype used for the synthetic IPv4-ish traffic in tests and examples.
 pub const ETHERTYPE_IPV4: u16 = 0x0800;
 
 /// A 48-bit MAC address.

@@ -5,7 +5,7 @@
 //! addresses, as a real switch does) or flooded to all other ports for
 //! broadcasts and unknown destinations. Every port has a bounded receive
 //! queue; frames arriving at a full queue are dropped and counted, which is
-//! what lets the virtio-net benchmark observe backpressure.
+//! what lets a virtio-net run observe backpressure.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;

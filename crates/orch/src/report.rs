@@ -20,7 +20,7 @@ pub struct OrchReport {
     /// VM arrivals seen.
     pub vms_arrived: u64,
     /// Arrivals that eventually got a host.
-    pub vms_placed: u64,
+    pub(crate) vms_placed: u64,
     /// Arrivals that had to wait for capacity at least once.
     pub(crate) placements_deferred: u64,
     /// Arrivals still waiting when the day ended.
@@ -104,7 +104,7 @@ pub struct OrchReport {
     /// Of those, VMs brought back from a DR backup.
     pub vms_restored: u64,
     /// VMs gone for good (no backup, or no capacity to restore into).
-    pub vms_lost_permanently: u64,
+    pub(crate) vms_lost_permanently: u64,
     /// Summed per-VM outage (failure to restore completion / cancellation).
     pub vm_time_lost: Nanoseconds,
 

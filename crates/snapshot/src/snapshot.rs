@@ -115,7 +115,7 @@ pub struct VmSnapshot {
     /// Opaque per-device state blobs keyed by device name.
     pub device_state: BTreeMap<String, Vec<u8>>,
     /// Additive checksum of guest memory at capture time (integrity check).
-    pub memory_checksum: u64,
+    pub(crate) memory_checksum: u64,
 }
 
 impl VmSnapshot {

@@ -16,7 +16,7 @@
 //!   tables (guest + nested), making each miss more expensive.
 //!
 //! The cost model converts counted events into simulated nanoseconds so the
-//! `exec_modes` benchmark can reproduce the classic overhead comparison
+//! `cpu_and_io` example can reproduce the classic overhead comparison
 //! (experiment E1) deterministically.
 
 use serde::{Deserialize, Serialize};
@@ -119,17 +119,6 @@ pub struct ExecCosts {
 }
 
 impl ExecCosts {
-    /// A zero-cost model (useful for pure functional tests).
-    pub const FREE: ExecCosts = ExecCosts {
-        cycle_ns: 0,
-        exit_ns: 0,
-        hypercall_ns: 0,
-        mmio_exit_ns: 0,
-        pio_exit_ns: 0,
-        tlb_miss_cycles: 0,
-        privileged_emulation_ns: 0,
-    };
-
     /// The cost model of *nested* hardware-assisted virtualization: a
     /// hardware-assisted guest hypervisor running its own hardware-assisted
     /// guest (the "KVM implementation?" next step in the source material,
@@ -158,6 +147,19 @@ impl ExecCosts {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ExecCosts {
+        /// A zero-cost model, for the crate's pure functional tests.
+        pub(crate) const FREE: ExecCosts = ExecCosts {
+            cycle_ns: 0,
+            exit_ns: 0,
+            hypercall_ns: 0,
+            mmio_exit_ns: 0,
+            pio_exit_ns: 0,
+            tlb_miss_cycles: 0,
+            privileged_emulation_ns: 0,
+        };
+    }
 
     impl ExecMode {
         /// Whether guest page-table maintenance (PTBR writes, TLB flushes) traps.

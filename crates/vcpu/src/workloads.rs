@@ -5,7 +5,7 @@
 //! experiment is a pattern of events: retired instructions, privileged
 //! operations, I/O requests, and dirtied pages. The generators here produce
 //! GISA programs with precisely controllable amounts of each, which is what
-//! lets the benches sweep "dirty rate" or "exit rate" as an independent
+//! lets the examples sweep "dirty rate" or "exit rate" as an independent
 //! variable.
 
 use rvisor_memory::GuestMemory;

@@ -160,7 +160,7 @@ impl MmioDevice for EmulatedDisk {
 }
 
 /// Drive a full sector write through the register interface (host-side guest
-/// driver stand-in, mirroring what the benchmark's guest would do).
+/// driver stand-in, mirroring what a guest driver would do).
 pub fn driver_write_sector(
     disk: &mut EmulatedDisk,
     sector: u64,

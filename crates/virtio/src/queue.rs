@@ -12,14 +12,14 @@
 //!
 //! [`VirtQueue`] is the *device-side* view (what a VMM implements);
 //! [`DriverQueue`] is a host-side stand-in for the guest driver, used by
-//! tests, examples and benchmarks to post buffers exactly the way a guest
-//! kernel would.
+//! tests and examples to post buffers exactly the way a guest kernel would.
 //!
 //! Notification suppression follows the VIRTIO 1.x `EVENT_IDX` feature in
 //! spirit: when enabled, the device publishes the available-ring index it
 //! next expects, and the driver skips the doorbell write (a costly VM exit)
-//! unless it crosses that index. The virtio-net/blk benchmarks toggle this
-//! to reproduce the "notification suppression" ablation.
+//! unless it crosses that index. Without it the driver kicks once per
+//! posted chain. The `cpu_and_io` example's E2 (virtio-blk) and E10
+//! (virtio-net) tables count the driver's kicks with it off and on.
 
 use rvisor_memory::GuestMemory;
 use rvisor_types::{Error, GuestAddress, Result};
@@ -184,10 +184,6 @@ pub struct QueueStats {
     pub(crate) popped: u64,
     /// Chains returned through the used ring.
     pub(crate) completed: u64,
-    /// Interrupts the device decided to raise.
-    pub(crate) notifications_sent: u64,
-    /// Interrupts suppressed by EVENT_IDX.
-    pub(crate) notifications_suppressed: u64,
 }
 
 /// The device-side view of a split virtqueue.
@@ -296,11 +292,6 @@ impl VirtQueue {
             true
         };
         self.next_used = new_used;
-        if notify {
-            self.stats.notifications_sent += 1;
-        } else {
-            self.stats.notifications_suppressed += 1;
-        }
         Ok(notify)
     }
 }
@@ -364,7 +355,7 @@ impl DriverQueue {
 
     fn alloc(&mut self, len: u64) -> Result<GuestAddress> {
         if self.data_offset + len > self.data_size {
-            // Wrap: the benches reuse the area ring-style.
+            // Wrap: long runs reuse the area ring-style.
             self.data_offset = 0;
             if len > self.data_size {
                 return Err(Error::Config(format!(

@@ -29,6 +29,14 @@ fn scenario() -> Scenario {
     .expect("scenario config is valid")
 }
 
+fn policies() -> [(&'static str, Box<dyn RebalancePolicy>); 3] {
+    [
+        ("threshold", Box::new(ThresholdRebalance)),
+        ("consolidate+powerdown", Box::new(ConsolidateAndPowerDown)),
+        ("spread", Box::new(SpreadRebalance)),
+    ]
+}
+
 fn main() {
     let scenario = scenario();
     let (arrivals, departures, load_changes, failures) = scenario.census();
@@ -68,12 +76,7 @@ fn main() {
         ("restored", Align::Right),
         ("avg-hosts", Align::Right),
     ]);
-    let policies: [(&str, Box<dyn RebalancePolicy>); 3] = [
-        ("threshold", Box::new(ThresholdRebalance)),
-        ("consolidate+powerdown", Box::new(ConsolidateAndPowerDown)),
-        ("spread", Box::new(SpreadRebalance)),
-    ];
-    for (name, policy) in policies {
+    for (name, policy) in policies() {
         let r = run_datacenter(HOSTS, params, policy, &scenario).expect("run completes");
         table.row([
             name.to_string(),
@@ -108,6 +111,41 @@ fn main() {
             r.backup_bytes.to_string(),
             format!("{}", r.vm_time_lost),
         ]);
+    }
+    table.print();
+
+    // The policy comparison under the other workload shapes, each its own
+    // day from the same seed.
+    println!("\n-- policy comparison by workload shape --\n");
+    let mut table = TextTable::new(&[
+        ("shape", Align::Left),
+        ("policy", Align::Left),
+        ("migrated", Align::Right),
+        ("downtime", Align::Right),
+        ("VM-time-lost", Align::Right),
+        ("restored", Align::Right),
+        ("avg-hosts", Align::Right),
+    ]);
+    for shape in WorkloadShape::ALL {
+        if shape == WorkloadShape::DiurnalWave {
+            continue;
+        }
+        let scenario = Scenario::generate(
+            ScenarioConfig::day(SEED, shape, HOSTS, VM_ARRIVALS).with_host_failures(2),
+        )
+        .expect("scenario config is valid");
+        for (name, policy) in policies() {
+            let r = run_datacenter(HOSTS, params, policy, &scenario).expect("run completes");
+            table.row([
+                shape.name().to_string(),
+                name.to_string(),
+                r.migrations_completed.to_string(),
+                format!("{}", r.migration_downtime_total),
+                format!("{}", r.vm_time_lost),
+                r.vms_restored.to_string(),
+                format!("{:.1}", r.avg_hosts_powered()),
+            ]);
+        }
     }
     table.print();
 }

@@ -73,8 +73,11 @@ fn loopback(engine: PlanEngine, n_streams: usize) -> (MigrationReport, u64) {
     (report, dst.checksum())
 }
 
-fn fabric_pipelined(n_streams: usize, dirty: f64) -> (MigrationReport, u64, u64) {
-    let params = FabricParams::office_lan();
+fn fabric_pipelined(
+    params: FabricParams,
+    n_streams: usize,
+    dirty: f64,
+) -> (MigrationReport, u64, u64) {
     let (src, dst) = memories();
     let mut fabric = ClosFabric::new(2, params).unwrap();
     let report = {
@@ -108,6 +111,45 @@ fn fabric_pipelined(n_streams: usize, dirty: f64) -> (MigrationReport, u64, u64)
     (report, dst.checksum(), fabric.wire_bytes_carried())
 }
 
+/// Every stream count over one fabric: same payload, per-stream MTU framing,
+/// monotonically non-decreasing simulated time, and an `==` replay.
+fn fabric_sweep(params: FabricParams) {
+    let mut table = TextTable::new(&[
+        ("streams", Align::Left),
+        ("total", Align::Right),
+        ("downtime", Align::Right),
+        ("bytes", Align::Right),
+        ("wire bytes", Align::Right),
+    ]);
+    let mut last_total = Nanoseconds::ZERO;
+    let mut payload = None;
+    for n in [1usize, 2, 4, 8] {
+        let (report, _, wire_bytes) = fabric_pipelined(params, n, 0.3);
+        let (replay, _, _) = fabric_pipelined(params, n, 0.3);
+        assert_eq!(report, replay, "{n}-stream fabric run must replay ==");
+        assert!(
+            report.total_time >= last_total,
+            "fair-share striping must never beat the aggregate stream"
+        );
+        match payload {
+            None => payload = Some(report.bytes_transferred),
+            Some(b) => assert_eq!(report.bytes_transferred, b, "payload must not change"),
+        }
+        last_total = report.total_time;
+        table.row([
+            n.to_string(),
+            format!("{}", report.total_time),
+            format!("{}", report.downtime),
+            report.bytes_transferred.to_string(),
+            wire_bytes.to_string(),
+        ]);
+    }
+    table.print();
+    println!(
+        "\nsame payload at every stream count; simulated time pays per-stream framing \u{2714}"
+    );
+}
+
 fn main() {
     println!("-- pipelined engine == serial engine (8 MiB loopback) --\n");
     for engine in [
@@ -134,43 +176,8 @@ fn main() {
         "\nevery engine: pipelined report and memory identical to the serial stream \u{2714}\n"
     );
 
-    // The fair-share multi-stream fabric model: same payload, per-stream
-    // MTU framing, monotonically non-decreasing simulated time.
     println!("-- multi-stream fabric sweep (1 Gbit/s LAN, 30% dirty rate) --\n");
-    let mut table = TextTable::new(&[
-        ("streams", Align::Left),
-        ("total", Align::Right),
-        ("downtime", Align::Right),
-        ("bytes", Align::Right),
-        ("wire bytes", Align::Right),
-    ]);
-    let mut last_total = Nanoseconds::ZERO;
-    let mut payload = None;
-    for n in [1usize, 2, 4, 8] {
-        let (report, _, wire_bytes) = fabric_pipelined(n, 0.3);
-        let (replay, _, _) = fabric_pipelined(n, 0.3);
-        assert_eq!(report, replay, "{n}-stream fabric run must replay ==");
-        assert!(
-            report.total_time >= last_total,
-            "fair-share striping must never beat the aggregate stream"
-        );
-        match payload {
-            None => payload = Some(report.bytes_transferred),
-            Some(b) => assert_eq!(report.bytes_transferred, b, "payload must not change"),
-        }
-        last_total = report.total_time;
-        table.row([
-            n.to_string(),
-            format!("{}", report.total_time),
-            format!("{}", report.downtime),
-            report.bytes_transferred.to_string(),
-            wire_bytes.to_string(),
-        ]);
-    }
-    table.print();
-    println!(
-        "\nsame payload at every stream count; simulated time pays per-stream framing \u{2714}"
-    );
+    fabric_sweep(FabricParams::office_lan());
     println!("every fabric run above replayed ==-identically \u{2714}\n");
 
     // A whole datacenter day whose rebalance migrations run through the
@@ -214,4 +221,11 @@ fn main() {
         report.backup_bytes,
     );
     println!("\nsame-seed 4-stream datacenter day replays ==-identically \u{2714}");
+
+    println!("\n-- multi-stream fabric sweep (10 Gbit/s, 30% dirty rate) --\n");
+    fabric_sweep(FabricParams {
+        nic_bytes_per_second: 1_250_000_000,
+        backbone_bytes_per_second: 1_250_000_000,
+        ..FabricParams::office_lan()
+    });
 }

@@ -5,7 +5,8 @@
 //! loopback transport (a bare point-to-point link), then across a shared
 //! single-spine [`ClosFabric`] under varying NIC bandwidth and MTU, and
 //! finally through a whole-datacenter rebalance where migrations and DR
-//! backups contend on the same backbone.
+//! backups contend on the same backbone. Last, the wire amplification each
+//! MTU's chunk framing adds to the sweep's runs.
 //!
 //! Every number printed is derived from the deterministic simulated clock,
 //! and the example replays each fabric run to prove same-seed equality —
@@ -20,7 +21,7 @@ use virtlab::migrate::{
     execute, ConstantRateDirtier, DirtySource, FabricTransport, IdleDirtier, LoopbackTransport,
     MigrationPlan, MigrationReport, Transport,
 };
-use virtlab::net::{ClosFabric, FabricParams, Link, LinkModel};
+use virtlab::net::{ClosFabric, ClosParams, FabricParams, Link, LinkModel};
 use virtlab::obs::Trace;
 use virtlab::orch::{run_datacenter, OrchParams, Scenario, ScenarioConfig, WorkloadShape};
 use virtlab::types::PAGE_SIZE;
@@ -125,6 +126,7 @@ fn main() {
         "{:<10} {:>6} {:>14} {:>12} {:>8} {:>10} {:>12}",
         "nic", "mtu", "total", "downtime", "rounds", "converged", "bytes"
     );
+    let mut amplification = Vec::new();
     for (name, nic) in [
         ("10G", 1_250_000_000u64),
         ("1G", 125_000_000),
@@ -142,6 +144,8 @@ fn main() {
             // Same-seed fabric runs replay `==`-identically.
             let (replay, _) = migrate_fabric(params, DIRTY_FRACTION);
             assert_eq!(r, replay, "fabric migration must replay identically");
+            let wire_bytes = ClosParams::from(params).wire_bytes(r.bytes_transferred);
+            amplification.push((name, mtu, wire_bytes as f64 / r.bytes_transferred as f64));
             println!(
                 "{:<10} {:>6} {:>14} {:>12} {:>8} {:>10} {:>12}",
                 name,
@@ -196,4 +200,10 @@ fn main() {
         report.backup_bytes,
     );
     println!("\nsame-seed datacenter replay over the fabric is ==-identical \u{2714}");
+
+    // What MTU chunk framing adds to each run of the sweep above.
+    println!("\n-- wire amplification of the fabric sweep (wire bytes / payload bytes) --\n");
+    for (name, mtu, ratio) in amplification {
+        println!("{name:<10} {mtu:>6} {ratio:>8.4}");
+    }
 }

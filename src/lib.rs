@@ -19,7 +19,7 @@
 //!
 //! See the `examples/` directory for runnable end-to-end scenarios and
 //! `EXPERIMENTS.md` for the mapping from the evaluation's tables and figures
-//! to benchmark targets.
+//! to the examples that print them.
 
 #![warn(clippy::all)]
 
