@@ -1,25 +1,23 @@
 //! Copy-on-write overlays.
 //!
 //! A `CowOverlay` presents a writable disk whose unmodified sectors are
-//! served from a shared, read-only *base* image; written sectors are stored
-//! in a private overlay map. This is the mechanism behind:
-//!
-//! * instant VM provisioning from golden templates (experiment E9) — the
-//!   clone costs O(1) instead of O(image size);
-//! * disk snapshots — freeze the current overlay as a new base and stack a
-//!   fresh overlay on top.
+//! served from a shared, read-only *base* image (a template [`RamDisk`],
+//! read through `&self`, so any number of overlays share it without a
+//! lock); written sectors are stored in a private overlay map. This is the
+//! mechanism behind instant VM provisioning from golden templates
+//! (experiment E9): the clone costs O(1) instead of O(image size).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rvisor_types::Result;
 
 use crate::backend::{validate_request, BlockBackend, BlockStats, SECTOR_SIZE};
+use crate::ram::RamDisk;
 
-/// A copy-on-write overlay over a shared base backend.
+/// A copy-on-write overlay over a shared read-only base image.
 pub(crate) struct CowOverlay {
-    base: Arc<Mutex<dyn BlockBackend>>,
+    base: Arc<RamDisk>,
     overlay: BTreeMap<u64, Box<[u8]>>,
     capacity_sectors: u64,
     stats: BlockStats,
@@ -36,8 +34,8 @@ impl std::fmt::Debug for CowOverlay {
 
 impl CowOverlay {
     /// Create an overlay on top of `base`. The overlay inherits the base's capacity.
-    pub(crate) fn new(base: Arc<Mutex<dyn BlockBackend>>) -> Self {
-        let capacity_sectors = base.lock().capacity_sectors();
+    pub(crate) fn new(base: Arc<RamDisk>) -> Self {
+        let capacity_sectors = base.capacity_sectors();
         CowOverlay {
             base,
             overlay: BTreeMap::new(),
@@ -61,7 +59,7 @@ impl BlockBackend for CowOverlay {
             if let Some(data) = self.overlay.get(&s) {
                 chunk.copy_from_slice(data);
             } else {
-                self.base.lock().read_sectors(s, chunk)?;
+                self.base.read_at(s, chunk)?;
             }
         }
         self.stats.record_read(buf.len() as u64);
@@ -90,16 +88,9 @@ impl BlockBackend for CowOverlay {
     }
 }
 
-/// A convenience constructor: wrap a backend in `Arc<Mutex<...>>` for sharing
-/// between several overlays.
-pub(crate) fn share<B: BlockBackend + 'static>(backend: B) -> Arc<Mutex<dyn BlockBackend>> {
-    Arc::new(Mutex::new(backend))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ram::RamDisk;
     use rvisor_types::ByteSize;
 
     impl CowOverlay {
@@ -109,11 +100,11 @@ mod tests {
         }
     }
 
-    fn base_with_pattern() -> Arc<Mutex<dyn BlockBackend>> {
+    fn base_with_pattern() -> Arc<RamDisk> {
         let mut disk = RamDisk::new(ByteSize::kib(8));
         disk.write_sectors(0, &vec![0x11u8; 512]).unwrap();
         disk.write_sectors(5, &vec![0x55u8; 512]).unwrap();
-        share(disk)
+        Arc::new(disk)
     }
 
     #[test]
@@ -141,7 +132,7 @@ mod tests {
         // The sibling overlay and the base are unaffected.
         cow_b.read_sectors(0, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0x11));
-        base.lock().read_sectors(0, &mut buf).unwrap();
+        base.read_at(0, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 0x11));
 
         assert_eq!(cow_a.overlay_sectors(), 1);
@@ -175,23 +166,5 @@ mod tests {
         let s = cow.stats();
         assert_eq!((s.reads, s.writes, s.flushes), (1, 1, 1));
         assert!(format!("{cow:?}").contains("overlay_sectors"));
-    }
-
-    #[test]
-    fn stacked_overlays_compose() {
-        let base = base_with_pattern();
-        let mut level1 = CowOverlay::new(base);
-        level1.write_sectors(3, &vec![0x33u8; 512]).unwrap();
-        let shared1 = share(level1);
-        let mut level2 = CowOverlay::new(shared1);
-        level2.write_sectors(4, &vec![0x44u8; 512]).unwrap();
-
-        let mut buf = vec![0u8; 512];
-        level2.read_sectors(3, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0x33)); // from level1
-        level2.read_sectors(4, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0x44)); // from level2
-        level2.read_sectors(0, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == 0x11)); // from base
     }
 }

@@ -12,13 +12,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use rvisor_types::{ByteSize, Error, Result};
 
 use crate::backend::{BlockBackend, SECTOR_SIZE};
-use crate::cow::{share, CowOverlay};
+use crate::cow::CowOverlay;
 use crate::ram::RamDisk;
 
 /// How to materialise a new disk from a template.
@@ -31,8 +30,11 @@ pub enum CloneStrategy {
 }
 
 /// A library of golden template images plus the disks cloned from them.
+///
+/// A template is a read-only [`RamDisk`] that every copy-on-write clone
+/// shares through an `Arc` and reads through `&self`.
 pub struct ImageLibrary {
-    templates: BTreeMap<String, Arc<Mutex<dyn BlockBackend>>>,
+    templates: BTreeMap<String, Arc<RamDisk>>,
     clones_created: u64,
     bytes_copied: u64,
 }
@@ -78,7 +80,7 @@ impl ImageLibrary {
             return Err(Error::Config(format!("template `{name}` already exists")));
         }
         disk.set_read_only(true);
-        self.templates.insert(name.to_string(), share(disk));
+        self.templates.insert(name.to_string(), Arc::new(disk));
         Ok(())
     }
 
@@ -93,20 +95,19 @@ impl ImageLibrary {
         name: &str,
         strategy: CloneStrategy,
     ) -> Result<Box<dyn BlockBackend>> {
-        let backend = self
+        let template = self
             .templates
             .get(name)
             .ok_or_else(|| Error::Config(format!("unknown template `{name}`")))?;
         let disk: Box<dyn BlockBackend> = match strategy {
             CloneStrategy::FullCopy => {
-                let mut template = backend.lock();
                 let capacity = template.capacity_bytes();
                 let mut contents = vec![0u8; capacity as usize];
-                template.read_sectors(0, &mut contents)?;
+                template.read_at(0, &mut contents)?;
                 self.bytes_copied += capacity;
                 Box::new(RamDisk::from_data(contents))
             }
-            CloneStrategy::CopyOnWrite => Box::new(CowOverlay::new(Arc::clone(backend))),
+            CloneStrategy::CopyOnWrite => Box::new(CowOverlay::new(Arc::clone(template))),
         };
         self.clones_created += 1;
         Ok(disk)
@@ -140,7 +141,7 @@ mod tests {
         /// Logical size of a template.
         fn template_size(&self, name: &str) -> Option<ByteSize> {
             let template = self.templates.get(name)?;
-            Some(ByteSize::new(template.lock().capacity_bytes()))
+            Some(ByteSize::new(template.capacity_bytes()))
         }
 
         /// Number of clones created so far.

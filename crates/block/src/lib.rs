@@ -4,8 +4,9 @@
 //! disk device reads and writes through.
 //!
 //! * [`RamDisk`] — an in-memory disk, the workhorse of tests and benchmarks.
-//! * `CowOverlay` — a copy-on-write overlay on top of any backend; the
-//!   mechanism behind instant template cloning (experiment E9).
+//! * `CowOverlay` — a copy-on-write overlay on top of a shared read-only
+//!   template; the mechanism behind instant template cloning (experiment
+//!   E9).
 //! * [`StorageModel`] — a bandwidth/latency model so I/O experiments
 //!   measure device-model overhead against a fixed storage service time.
 //! * [`FaultyDisk`] — wraps a backend with deterministic failure injection

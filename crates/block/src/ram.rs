@@ -39,6 +39,15 @@ impl RamDisk {
     pub fn set_read_only(&mut self, ro: bool) {
         self.read_only = ro;
     }
+
+    /// Read like [`BlockBackend::read_sectors`] without counting the read,
+    /// so a template shared by many clones is read through `&self`.
+    pub(crate) fn read_at(&self, sector: u64, buf: &mut [u8]) -> Result<()> {
+        validate_request(self.capacity_sectors(), sector, buf.len())?;
+        let off = (sector * SECTOR_SIZE) as usize;
+        buf.copy_from_slice(&self.data[off..off + buf.len()]);
+        Ok(())
+    }
 }
 
 impl BlockBackend for RamDisk {
@@ -47,9 +56,7 @@ impl BlockBackend for RamDisk {
     }
 
     fn read_sectors(&mut self, sector: u64, buf: &mut [u8]) -> Result<()> {
-        validate_request(self.capacity_sectors(), sector, buf.len())?;
-        let off = (sector * SECTOR_SIZE) as usize;
-        buf.copy_from_slice(&self.data[off..off + buf.len()]);
+        self.read_at(sector, buf)?;
         self.stats.record_read(buf.len() as u64);
         Ok(())
     }

@@ -1,26 +1,26 @@
 //! # rvisor-devices
 //!
-//! Device-model infrastructure: the MMIO and port-I/O buses the VMM uses to
-//! dispatch guest I/O exits, and the basic platform devices every VM gets
-//! (serial console, real-time clock, countdown timer).
+//! The basic platform devices every VM gets: a serial console, a real-time
+//! clock and a countdown timer.
 //!
-//! Device models implement [`MmioDevice`] and/or [`PortDevice`] and are
-//! registered on a [`MmioBus`] / [`PortBus`]. When a vCPU exit reports an
-//! MMIO or port access, the VMM forwards it to the bus, which routes it to
-//! the owning device. No device delivers interrupts: each keeps the event a
-//! guest would be interrupted for in a status register it reads (the
-//! serial line status, the timer's expiration count).
+//! Each VM owns one of each as a plain field. When a vCPU exit reports an
+//! MMIO or port access, the VM matches the address against its fixed
+//! device windows (`rvisor::layout`) and calls the owning device's `read`
+//! or `write` with the offset into its window; nothing else ever touches
+//! the device, so no device is shared or locked. The VM also owns the
+//! simulated time and passes `now` to the devices that read it. No device
+//! delivers interrupts: each keeps the event a guest would be interrupted
+//! for in a status register it reads (the serial line status, the timer's
+//! expiration count).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod bus;
 pub mod rtc;
 pub mod serial;
 pub mod timer;
 
-pub use bus::{MmioBus, MmioDevice, PortBus, PortDevice};
 pub use rtc::Rtc;
 pub use serial::SerialConsole;
 pub use timer::CountdownTimer;

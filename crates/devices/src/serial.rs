@@ -1,10 +1,10 @@
 //! A 16550-inspired serial console.
 //!
 //! The serial console is the guest's stdout in every example and test: the
-//! guest writes bytes to the data register (via port I/O or MMIO) and the
-//! VMM collects them; host-injected input bytes are queued, and the
-//! line-status register's rx-ready bit (bit 0) tells a polling guest that
-//! there is a byte to read.
+//! guest writes bytes to the data register (via port I/O or MMIO; the VM
+//! routes both to the same registers) and the VMM collects them;
+//! host-injected input bytes are queued, and the line-status register's
+//! rx-ready bit (bit 0) tells a polling guest that there is a byte to read.
 //!
 //! Register layout (offsets from the device base, one register per offset):
 //!
@@ -15,37 +15,24 @@
 
 use std::collections::VecDeque;
 
-use crate::bus::{MmioDevice, PortDevice};
-
 /// Data register offset.
-pub(crate) const REG_DATA: u64 = 0;
+const REG_DATA: u64 = 0;
 /// Line-status register offset.
-pub(crate) const REG_STATUS: u64 = 1;
+const REG_STATUS: u64 = 1;
 /// Status bit: receive data available.
 const STATUS_RX_READY: u64 = 1 << 0;
 /// Status bit: transmitter idle (always set — writes never block).
 const STATUS_TX_EMPTY: u64 = 1 << 1;
 
-/// A serial console device.
-#[derive(Debug)]
+/// A serial console device, created with no output and no input queued.
+#[derive(Debug, Default)]
 pub struct SerialConsole {
     output: Vec<u8>,
     input: VecDeque<u8>,
-    tx_bytes: u64,
     rx_bytes: u64,
 }
 
 impl SerialConsole {
-    /// Create a console with no output and no input queued.
-    pub fn new() -> Self {
-        SerialConsole {
-            output: Vec::new(),
-            input: VecDeque::new(),
-            tx_bytes: 0,
-            rx_bytes: 0,
-        }
-    }
-
     /// The guest's output interpreted as UTF-8 (lossy).
     pub fn output_string(&self) -> String {
         String::from_utf8_lossy(&self.output).into_owned()
@@ -57,7 +44,6 @@ impl SerialConsole {
     /// interface (that is the whole point of a paravirtual console).
     pub fn put_output_byte(&mut self, byte: u8) {
         self.output.push(byte);
-        self.tx_bytes += 1;
     }
 
     /// Queue host-side input for the guest; the line status reads rx ready
@@ -66,12 +52,8 @@ impl SerialConsole {
         self.input.extend(bytes.iter().copied());
     }
 
-    /// Number of bytes transmitted by the guest.
-    pub fn tx_count(&self) -> u64 {
-        self.tx_bytes
-    }
-
-    fn read_reg(&mut self, offset: u64) -> u64 {
+    /// A guest read of the register at `offset`.
+    pub fn read(&mut self, offset: u64) -> u64 {
         match offset {
             REG_DATA => match self.input.pop_front() {
                 Some(b) => {
@@ -91,45 +73,11 @@ impl SerialConsole {
         }
     }
 
-    fn write_reg(&mut self, offset: u64, value: u64) {
+    /// A guest write of `value` to the register at `offset`.
+    pub fn write(&mut self, offset: u64, value: u64) {
         if offset == REG_DATA {
             self.output.push(value as u8);
-            self.tx_bytes += 1;
         }
-    }
-}
-
-impl Default for SerialConsole {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl MmioDevice for SerialConsole {
-    fn name(&self) -> &str {
-        "serial"
-    }
-
-    fn read(&mut self, offset: u64, _size: u8) -> u64 {
-        self.read_reg(offset)
-    }
-
-    fn write(&mut self, offset: u64, value: u64, _size: u8) {
-        self.write_reg(offset, value);
-    }
-}
-
-impl PortDevice for SerialConsole {
-    fn name(&self) -> &str {
-        "serial"
-    }
-
-    fn port_read(&mut self, port: u32) -> u32 {
-        self.read_reg(port as u64) as u32
-    }
-
-    fn port_write(&mut self, port: u32, value: u32) {
-        self.write_reg(port as u64, value as u64);
     }
 }
 
@@ -151,60 +99,56 @@ mod tests {
 
     #[test]
     fn guest_output_is_collected() {
-        let mut serial = SerialConsole::new();
+        let mut serial = SerialConsole::default();
         for b in b"hello" {
-            serial.write(REG_DATA, *b as u64, 1);
+            serial.write(REG_DATA, *b as u64);
         }
         assert_eq!(serial.output_string(), "hello");
-        assert_eq!(serial.tx_count(), 5);
         assert_eq!(serial.take_output(), b"hello");
         assert!(serial.output_string().is_empty());
     }
 
     #[test]
     fn status_register_reflects_input_queue() {
-        let mut serial = SerialConsole::new();
-        assert_eq!(serial.read(REG_STATUS, 1) & STATUS_RX_READY, 0);
-        assert_ne!(serial.read(REG_STATUS, 1) & STATUS_TX_EMPTY, 0);
+        let mut serial = SerialConsole::default();
+        assert_eq!(serial.read(REG_STATUS) & STATUS_RX_READY, 0);
+        assert_ne!(serial.read(REG_STATUS) & STATUS_TX_EMPTY, 0);
         serial.inject_input(b"x");
-        assert_ne!(serial.read(REG_STATUS, 1) & STATUS_RX_READY, 0);
-        assert_eq!(serial.read(REG_DATA, 1), b'x' as u64);
-        assert_eq!(serial.read(REG_STATUS, 1) & STATUS_RX_READY, 0);
+        assert_ne!(serial.read(REG_STATUS) & STATUS_RX_READY, 0);
+        assert_eq!(serial.read(REG_DATA), b'x' as u64);
+        assert_eq!(serial.read(REG_STATUS) & STATUS_RX_READY, 0);
         // Reading with nothing queued yields zero rather than blocking.
-        assert_eq!(serial.read(REG_DATA, 1), 0);
+        assert_eq!(serial.read(REG_DATA), 0);
         assert_eq!(serial.rx_count(), 1);
     }
 
     #[test]
     fn input_sets_rx_ready() {
-        let mut serial = SerialConsole::new();
+        let mut serial = SerialConsole::default();
         serial.inject_input(b"");
-        assert_eq!(serial.read(REG_STATUS, 1) & STATUS_RX_READY, 0);
+        assert_eq!(serial.read(REG_STATUS) & STATUS_RX_READY, 0);
         serial.inject_input(b"hi");
-        assert_ne!(
-            serial.port_read(REG_STATUS as u32) as u64 & STATUS_RX_READY,
-            0
-        );
-        serial.read(REG_DATA, 1);
-        assert_ne!(serial.read(REG_STATUS, 1) & STATUS_RX_READY, 0);
+        assert_ne!(serial.read(REG_STATUS) & STATUS_RX_READY, 0);
+        serial.read(REG_DATA);
+        assert_ne!(serial.read(REG_STATUS) & STATUS_RX_READY, 0);
     }
 
     #[test]
     fn port_interface_matches_mmio() {
-        let mut serial = SerialConsole::new();
-        serial.port_write(REG_DATA as u32, b'A' as u32);
+        // The VM hands a port access the same offset (port - base) and
+        // truncates the value to the 32 bits an `in` returns.
+        let mut serial = SerialConsole::default();
+        serial.write(REG_DATA, u64::from(b'A') | 0xffff_ff00);
         serial.inject_input(b"B");
-        assert_eq!(serial.port_read(REG_DATA as u32), b'B' as u32);
+        assert_eq!(serial.read(REG_DATA) as u32, u32::from(b'B'));
         assert_eq!(serial.output_string(), "A");
-        assert_eq!(MmioDevice::name(&serial), "serial");
-        assert_eq!(PortDevice::name(&serial), "serial");
     }
 
     #[test]
     fn unknown_register_reads_zero_and_ignores_writes() {
-        let mut serial = SerialConsole::new();
-        assert_eq!(serial.read(7, 1), 0);
-        serial.write(7, 123, 1);
+        let mut serial = SerialConsole::default();
+        assert_eq!(serial.read(7), 0);
+        serial.write(7, 123);
         assert!(serial.output_string().is_empty());
     }
 }

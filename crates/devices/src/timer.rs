@@ -1,10 +1,10 @@
 //! A one-shot / periodic countdown timer.
 //!
-//! The guest programs a deadline; when the simulated clock passes it the
-//! timer counts an expiration, which the guest reads in its count register
-//! (offset 16). The VMM calls [`CountdownTimer::tick`]
-//! whenever it advances the simulated clock (typically once per scheduling
-//! quantum), which is how the device observes time.
+//! The guest programs a deadline; when the VM's simulated time passes it
+//! the timer counts an expiration, which the guest reads in its count
+//! register (offset 16). The device holds no clock: the VMM passes `now` to
+//! every access and calls [`CountdownTimer::tick`] whenever it advances its
+//! time (after every vCPU run), which is how the device observes time.
 //!
 //! Register layout:
 //!
@@ -14,11 +14,7 @@
 //! | 8      | period ns (0 = off)  | arm periodic: fire every `value` ns   |
 //! | 16     | expirations so far   | any write cancels the timer           |
 
-use std::sync::Arc;
-
-use rvisor_types::{ManualClock, Nanoseconds, SimClock};
-
-use crate::bus::MmioDevice;
+use rvisor_types::Nanoseconds;
 
 /// Register offset: one-shot arm / remaining time.
 const REG_ONESHOT: u64 = 0;
@@ -28,48 +24,36 @@ const REG_PERIODIC: u64 = 8;
 const REG_COUNT: u64 = 16;
 
 /// The countdown timer device.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct CountdownTimer {
-    clock: Arc<ManualClock>,
     deadline: Option<Nanoseconds>,
     period: Option<Nanoseconds>,
     expirations: u64,
 }
 
 impl CountdownTimer {
-    /// Create a disarmed timer.
-    pub fn new(clock: Arc<ManualClock>) -> Self {
-        CountdownTimer {
-            clock,
-            deadline: None,
-            period: None,
-            expirations: 0,
-        }
-    }
-
-    /// Arm a one-shot expiry `delay` from now.
-    fn arm_oneshot(&mut self, delay: Nanoseconds) {
-        self.deadline = Some(self.clock.now().saturating_add(delay));
+    /// Arm a one-shot expiry `delay` after `now`.
+    fn arm_oneshot(&mut self, delay: Nanoseconds, now: Nanoseconds) {
+        self.deadline = Some(now.saturating_add(delay));
         self.period = None;
     }
 
-    /// Arm a periodic expiry every `period`.
-    fn arm_periodic(&mut self, period: Nanoseconds) {
-        self.deadline = Some(self.clock.now().saturating_add(period));
+    /// Arm a periodic expiry every `period`, the first one `period` after `now`.
+    fn arm_periodic(&mut self, period: Nanoseconds, now: Nanoseconds) {
+        self.deadline = Some(now.saturating_add(period));
         self.period = Some(period);
     }
 
     /// Disarm the timer.
-    pub(crate) fn cancel(&mut self) {
+    fn cancel(&mut self) {
         self.deadline = None;
         self.period = None;
     }
 
-    /// Check for expiry against the current simulated time, counting an
-    /// expiration for every deadline that has passed. Returns the number of
-    /// expirations observed by this call.
-    pub fn tick(&mut self) -> u64 {
-        let now = self.clock.now();
+    /// Check for expiry at simulated time `now`, counting an expiration for
+    /// every deadline that has passed. Returns the number of expirations
+    /// observed by this call.
+    pub fn tick(&mut self, now: Nanoseconds) -> u64 {
         let mut fired = 0;
         while let Some(deadline) = self.deadline {
             if now < deadline {
@@ -88,17 +72,12 @@ impl CountdownTimer {
         }
         fired
     }
-}
 
-impl MmioDevice for CountdownTimer {
-    fn name(&self) -> &str {
-        "timer"
-    }
-
-    fn read(&mut self, offset: u64, _size: u8) -> u64 {
+    /// A guest read of the register at `offset` at simulated time `now`.
+    pub fn read(&self, offset: u64, now: Nanoseconds) -> u64 {
         match offset {
             REG_ONESHOT => match self.deadline {
-                Some(d) => d.saturating_sub(self.clock.now()).as_nanos(),
+                Some(d) => d.saturating_sub(now).as_nanos(),
                 None => 0,
             },
             REG_PERIODIC => self.period.map(|p| p.as_nanos()).unwrap_or(0),
@@ -107,10 +86,12 @@ impl MmioDevice for CountdownTimer {
         }
     }
 
-    fn write(&mut self, offset: u64, value: u64, _size: u8) {
+    /// A guest write of `value` to the register at `offset` at simulated
+    /// time `now`.
+    pub fn write(&mut self, offset: u64, value: u64, now: Nanoseconds) {
         match offset {
-            REG_ONESHOT => self.arm_oneshot(Nanoseconds(value)),
-            REG_PERIODIC => self.arm_periodic(Nanoseconds(value)),
+            REG_ONESHOT => self.arm_oneshot(Nanoseconds(value), now),
+            REG_PERIODIC => self.arm_periodic(Nanoseconds(value), now),
             REG_COUNT => self.cancel(),
             _ => {}
         }
@@ -133,67 +114,59 @@ mod tests {
         }
     }
 
-    fn setup() -> (Arc<ManualClock>, CountdownTimer) {
-        let clock = Arc::new(ManualClock::new());
-        let timer = CountdownTimer::new(Arc::clone(&clock));
-        (clock, timer)
+    fn ms(ms: u64) -> Nanoseconds {
+        Nanoseconds::from_millis(ms)
     }
 
     #[test]
     fn oneshot_fires_once() {
-        let (clock, mut timer) = setup();
-        timer.arm_oneshot(Nanoseconds::from_millis(10));
+        let mut timer = CountdownTimer::default();
+        timer.arm_oneshot(ms(10), Nanoseconds::ZERO);
         assert!(timer.is_armed());
-        assert_eq!(timer.tick(), 0);
-        clock.advance(Nanoseconds::from_millis(9));
-        assert_eq!(timer.tick(), 0);
-        clock.advance(Nanoseconds::from_millis(1));
-        assert_eq!(timer.tick(), 1);
-        assert_eq!(timer.read(REG_COUNT, 8), 1);
+        assert_eq!(timer.tick(Nanoseconds::ZERO), 0);
+        assert_eq!(timer.tick(ms(9)), 0);
+        assert_eq!(timer.tick(ms(10)), 1);
+        assert_eq!(timer.read(REG_COUNT, ms(10)), 1);
         assert!(!timer.is_armed());
-        clock.advance(Nanoseconds::from_millis(100));
-        assert_eq!(timer.tick(), 0);
+        assert_eq!(timer.tick(ms(110)), 0);
         assert_eq!(timer.expirations(), 1);
     }
 
     #[test]
     fn periodic_fires_for_every_elapsed_period() {
-        let (clock, mut timer) = setup();
-        timer.arm_periodic(Nanoseconds::from_millis(2));
-        clock.advance(Nanoseconds::from_millis(7));
+        let mut timer = CountdownTimer::default();
+        timer.arm_periodic(ms(2), Nanoseconds::ZERO);
         // Deadlines at 2, 4, 6 ms have passed.
-        assert_eq!(timer.tick(), 3);
+        assert_eq!(timer.tick(ms(7)), 3);
         assert!(timer.is_armed());
-        clock.advance(Nanoseconds::from_millis(1));
-        assert_eq!(timer.tick(), 1); // 8 ms deadline
+        assert_eq!(timer.tick(ms(8)), 1); // 8 ms deadline
         assert_eq!(timer.expirations(), 4);
     }
 
     #[test]
     fn cancel_disarms() {
-        let (clock, mut timer) = setup();
-        timer.arm_oneshot(Nanoseconds::from_millis(1));
+        let mut timer = CountdownTimer::default();
+        timer.arm_oneshot(ms(1), Nanoseconds::ZERO);
         timer.cancel();
-        clock.advance(Nanoseconds::from_millis(5));
-        assert_eq!(timer.tick(), 0);
-        assert_eq!(timer.read(REG_COUNT, 8), 0);
+        assert_eq!(timer.tick(ms(5)), 0);
+        assert_eq!(timer.read(REG_COUNT, ms(5)), 0);
     }
 
     #[test]
     fn mmio_interface() {
-        let (clock, mut timer) = setup();
-        timer.write(REG_ONESHOT, 1_000_000, 8);
-        assert_eq!(timer.read(REG_ONESHOT, 8), 1_000_000);
-        clock.advance(Nanoseconds::from_micros(400));
-        assert_eq!(timer.read(REG_ONESHOT, 8), 600_000);
-        timer.write(REG_PERIODIC, 500_000, 8);
-        assert_eq!(timer.read(REG_PERIODIC, 8), 500_000);
-        timer.write(REG_COUNT, 0, 8);
-        assert_eq!(timer.read(REG_ONESHOT, 8), 0);
-        clock.advance(Nanoseconds::from_secs(1));
-        assert_eq!(timer.tick(), 0);
-        assert_eq!(timer.read(REG_COUNT, 8), 0);
-        assert_eq!(timer.read(99, 8), 0);
-        assert_eq!(timer.name(), "timer");
+        let mut timer = CountdownTimer::default();
+        let armed_at = ms(3);
+        timer.write(REG_ONESHOT, 1_000_000, armed_at);
+        assert_eq!(timer.read(REG_ONESHOT, armed_at), 1_000_000);
+        let later = armed_at + Nanoseconds::from_micros(400);
+        assert_eq!(timer.read(REG_ONESHOT, later), 600_000);
+        timer.write(REG_PERIODIC, 500_000, later);
+        assert_eq!(timer.read(REG_PERIODIC, later), 500_000);
+        timer.write(REG_COUNT, 0, later);
+        assert_eq!(timer.read(REG_ONESHOT, later), 0);
+        let much_later = later + Nanoseconds::from_secs(1);
+        assert_eq!(timer.tick(much_later), 0);
+        assert_eq!(timer.read(REG_COUNT, much_later), 0);
+        assert_eq!(timer.read(99, much_later), 0);
     }
 }

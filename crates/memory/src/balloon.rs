@@ -9,11 +9,11 @@
 //!
 //! [`Balloon`] tracks which global page indices are currently inside the
 //! balloon and keeps the accounting the cluster-level overcommit planner
-//! needs: configured size, ballooned size, and usable size.
+//! needs: configured size, ballooned size, and usable size. Its one owner
+//! (a VM) changes it through `&mut self`, so it needs no lock.
 
 use std::collections::BTreeSet;
 
-use parking_lot::Mutex;
 use rvisor_types::{ByteSize, Error, Result, PAGE_SIZE};
 
 use crate::memory::GuestMemory;
@@ -27,15 +27,6 @@ pub struct BalloonStats {
     pub ballooned: ByteSize,
     /// Memory the guest can actually use right now.
     pub usable: ByteSize,
-    /// Number of inflate operations performed.
-    pub inflations: u64,
-}
-
-#[derive(Debug, Default)]
-struct BalloonInner {
-    /// Global page indices currently held by the balloon.
-    held: BTreeSet<u64>,
-    inflations: u64,
 }
 
 /// Tracks pages reclaimed from a guest by the host.
@@ -44,7 +35,8 @@ pub struct Balloon {
     memory: GuestMemory,
     /// Pages the balloon must never take (e.g. where guest code/page tables live).
     reserved_low_pages: u64,
-    inner: Mutex<BalloonInner>,
+    /// Global page indices currently held by the balloon.
+    held: BTreeSet<u64>,
 }
 
 impl Balloon {
@@ -54,7 +46,7 @@ impl Balloon {
         Balloon {
             memory,
             reserved_low_pages,
-            inner: Mutex::new(BalloonInner::default()),
+            held: BTreeSet::new(),
         }
     }
 
@@ -66,12 +58,11 @@ impl Balloon {
     /// ([`GuestMemory::discard_page`]), so the next incremental snapshot or
     /// pre-copy round carries the zero pages. Returns the global indices
     /// taken.
-    pub fn inflate(&self, pages: u64) -> Result<Vec<u64>> {
-        let mut inner = self.inner.lock();
+    pub fn inflate(&mut self, pages: u64) -> Result<Vec<u64>> {
         let total = self.memory.total_pages();
         let candidates: Vec<u64> = (self.reserved_low_pages..total)
             .rev()
-            .filter(|p| !inner.held.contains(p))
+            .filter(|p| !self.held.contains(p))
             .take(pages as usize)
             .collect();
         if (candidates.len() as u64) < pages {
@@ -82,18 +73,16 @@ impl Balloon {
         }
         for &p in &candidates {
             self.memory.discard_page(p)?;
-            inner.held.insert(p);
+            self.held.insert(p);
         }
-        inner.inflations += 1;
         Ok(candidates)
     }
 
     /// Deflate the balloon by `pages` pages (or all held pages if fewer are held).
     ///
     /// Returns the global indices returned to the guest.
-    pub(crate) fn deflate(&self, pages: u64) -> Vec<u64> {
-        let mut inner = self.inner.lock();
-        let give_back: Vec<u64> = inner
+    pub(crate) fn deflate(&mut self, pages: u64) -> Vec<u64> {
+        let give_back: Vec<u64> = self
             .held
             .iter()
             .rev()
@@ -101,14 +90,14 @@ impl Balloon {
             .copied()
             .collect();
         for p in &give_back {
-            inner.held.remove(p);
+            self.held.remove(p);
         }
         give_back
     }
 
     /// Set the balloon to an absolute target size in pages, inflating or
     /// deflating as needed. Returns the resulting balloon size in pages.
-    pub fn set_target(&self, target_pages: u64) -> Result<u64> {
+    pub fn set_target(&mut self, target_pages: u64) -> Result<u64> {
         let current = self.held_pages();
         if target_pages > current {
             self.inflate(target_pages - current)?;
@@ -120,19 +109,17 @@ impl Balloon {
 
     /// Number of pages currently held by the balloon.
     pub fn held_pages(&self) -> u64 {
-        self.inner.lock().held.len() as u64
+        self.held.len() as u64
     }
 
     /// Current statistics.
     pub fn stats(&self) -> BalloonStats {
-        let inner = self.inner.lock();
         let configured = self.memory.total_size();
-        let ballooned = ByteSize::new(inner.held.len() as u64 * PAGE_SIZE);
+        let ballooned = ByteSize::new(self.held_pages() * PAGE_SIZE);
         BalloonStats {
             configured,
             ballooned,
             usable: configured.saturating_sub(ballooned),
-            inflations: inner.inflations,
         }
     }
 }
@@ -146,7 +133,7 @@ mod tests {
     impl Balloon {
         /// Whether a specific global page index is inside the balloon.
         pub(crate) fn holds(&self, page: u64) -> bool {
-            self.inner.lock().held.contains(&page)
+            self.held.contains(&page)
         }
     }
 
@@ -158,7 +145,7 @@ mod tests {
 
     #[test]
     fn inflate_takes_high_pages_first() {
-        let (_mem, balloon) = setup(16);
+        let (_mem, mut balloon) = setup(16);
         let taken = balloon.inflate(3).unwrap();
         assert_eq!(taken, vec![15, 14, 13]);
         assert_eq!(balloon.held_pages(), 3);
@@ -168,7 +155,7 @@ mod tests {
 
     #[test]
     fn inflate_respects_reserved_low_pages() {
-        let (_mem, balloon) = setup(8);
+        let (_mem, mut balloon) = setup(8);
         // 8 pages total, 2 reserved -> at most 6 can be ballooned.
         assert!(balloon.inflate(6).is_ok());
         let err = balloon.inflate(1).unwrap_err();
@@ -183,7 +170,7 @@ mod tests {
 
     #[test]
     fn inflate_discards_page_contents() {
-        let (mem, balloon) = setup(8);
+        let (mem, mut balloon) = setup(8);
         let last_page_addr = GuestAddress(7 * PAGE_SIZE);
         mem.write_u64(last_page_addr, 0xdead).unwrap();
         balloon.inflate(1).unwrap();
@@ -192,7 +179,7 @@ mod tests {
 
     #[test]
     fn deflate_returns_pages() {
-        let (_mem, balloon) = setup(16);
+        let (_mem, mut balloon) = setup(16);
         balloon.inflate(5).unwrap();
         let returned = balloon.deflate(2);
         assert_eq!(returned.len(), 2);
@@ -206,7 +193,7 @@ mod tests {
 
     #[test]
     fn set_target_moves_in_both_directions() {
-        let (_mem, balloon) = setup(32);
+        let (_mem, mut balloon) = setup(32);
         assert_eq!(balloon.set_target(10).unwrap(), 10);
         assert_eq!(balloon.set_target(4).unwrap(), 4);
         assert_eq!(balloon.set_target(4).unwrap(), 4);
@@ -215,14 +202,13 @@ mod tests {
 
     #[test]
     fn stats_account_usable_memory() {
-        let (_mem, balloon) = setup(16);
+        let (_mem, mut balloon) = setup(16);
         balloon.inflate(4).unwrap();
         balloon.deflate(1);
         let s = balloon.stats();
         assert_eq!(s.configured, ByteSize::pages_of(16));
         assert_eq!(s.ballooned, ByteSize::pages_of(3));
         assert_eq!(s.usable, ByteSize::pages_of(13));
-        assert_eq!(s.inflations, 1);
     }
 
     proptest! {
@@ -231,7 +217,7 @@ mod tests {
             total in 8u64..128,
             ops in proptest::collection::vec((any::<bool>(), 1u64..16), 0..20),
         ) {
-            let (_mem, balloon) = setup(total);
+            let (_mem, mut balloon) = setup(total);
             for (inflate, n) in ops {
                 if inflate {
                     let _ = balloon.inflate(n);
@@ -246,7 +232,7 @@ mod tests {
 
         #[test]
         fn set_target_is_idempotent(total in 16u64..64, target in 0u64..14) {
-            let (_mem, balloon) = setup(total);
+            let (_mem, mut balloon) = setup(total);
             let a = balloon.set_target(target).unwrap();
             let b = balloon.set_target(target).unwrap();
             prop_assert_eq!(a, target);

@@ -2,15 +2,22 @@
 //!
 //! Most rvisor experiments are *simulation-time* experiments: migration
 //! downtime, scheduler fairness and provisioning latency are computed against
-//! a deterministic clock that the harness advances explicitly, so results are
-//! reproducible and independent of the machine running the tests.
+//! deterministic simulated time that the harness advances explicitly (each VM
+//! owns its `now`), so results are reproducible and independent of the
+//! machine running the tests.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// A duration or instant expressed in simulated nanoseconds.
+///
+/// ```
+/// use rvisor_types::Nanoseconds;
+/// let mut now = Nanoseconds::ZERO;
+/// now += Nanoseconds::from_millis(5);
+/// assert_eq!(now, Nanoseconds::from_micros(5_000));
+/// assert_eq!(now.to_string(), "5.000 ms");
+/// ```
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
@@ -107,81 +114,9 @@ impl fmt::Display for Nanoseconds {
     }
 }
 
-/// A source of simulated time.
-pub trait SimClock: Send + Sync {
-    /// The current simulated instant.
-    fn now(&self) -> Nanoseconds;
-
-    /// Advance the clock by `delta`.
-    fn advance(&self, delta: Nanoseconds);
-}
-
-/// A shareable, manually-advanced simulated clock.
-///
-/// Cloning shares the underlying counter, so multiple components observe the
-/// same timeline.
-///
-/// ```
-/// use rvisor_types::{ManualClock, Nanoseconds, SimClock};
-/// let clock = ManualClock::new();
-/// let view = clock.clone();
-/// clock.advance(Nanoseconds::from_millis(5));
-/// assert_eq!(view.now(), Nanoseconds::from_millis(5));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct ManualClock {
-    now: Arc<AtomicU64>,
-}
-
-impl ManualClock {
-    /// Create a clock starting at time zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl SimClock for ManualClock {
-    fn now(&self) -> Nanoseconds {
-        Nanoseconds(self.now.load(Ordering::SeqCst))
-    }
-
-    fn advance(&self, delta: Nanoseconds) {
-        self.now.fetch_add(delta.0, Ordering::SeqCst);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    impl ManualClock {
-        /// Create a clock starting at `start`.
-        fn starting_at(start: Nanoseconds) -> Self {
-            ManualClock {
-                now: Arc::new(AtomicU64::new(start.0)),
-            }
-        }
-
-        /// Set the clock to an absolute instant (must not go backwards).
-        ///
-        /// Returns `false` (and leaves the clock unchanged) if `t` is earlier
-        /// than the current time.
-        fn set(&self, t: Nanoseconds) -> bool {
-            let mut cur = self.now.load(Ordering::SeqCst);
-            loop {
-                if t.0 < cur {
-                    return false;
-                }
-                match self
-                    .now
-                    .compare_exchange(cur, t.0, Ordering::SeqCst, Ordering::SeqCst)
-                {
-                    Ok(_) => return true,
-                    Err(actual) => cur = actual,
-                }
-            }
-        }
-    }
 
     #[test]
     fn conversions() {
@@ -211,23 +146,5 @@ mod tests {
             Nanoseconds(u64::MAX).saturating_add(b),
             Nanoseconds(u64::MAX)
         );
-    }
-
-    #[test]
-    fn manual_clock_is_shared() {
-        let c = ManualClock::new();
-        let view = c.clone();
-        assert_eq!(c.now(), Nanoseconds::ZERO);
-        c.advance(Nanoseconds::from_secs(1));
-        assert_eq!(view.now(), Nanoseconds::from_secs(1));
-    }
-
-    #[test]
-    fn manual_clock_set_never_goes_backwards() {
-        let c = ManualClock::starting_at(Nanoseconds::from_secs(10));
-        assert!(!c.set(Nanoseconds::from_secs(5)));
-        assert_eq!(c.now(), Nanoseconds::from_secs(10));
-        assert!(c.set(Nanoseconds::from_secs(20)));
-        assert_eq!(c.now(), Nanoseconds::from_secs(20));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Shared vocabulary used by every crate in the `rvisor` workspace: guest
 //! address arithmetic, byte-size helpers, stable identifiers for virtual
-//! machines / vCPUs / hosts, the simulated clock, and the common error type.
+//! machines / vCPUs / hosts, simulated time, and the common error type.
 //!
 //! The crate is deliberately dependency-light so that every other crate can
 //! depend on it without pulling in device models or memory management.
@@ -18,7 +18,7 @@ pub mod ids;
 pub mod units;
 
 pub use addr::{GuestAddress, GuestRegion};
-pub use clock::{ManualClock, Nanoseconds, SimClock};
+pub use clock::Nanoseconds;
 pub use error::{Error, Result};
 pub use ids::{HostId, VcpuId, VmId};
 pub use units::{ByteSize, MIB, PAGE_SIZE};

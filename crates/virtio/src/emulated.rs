@@ -19,16 +19,13 @@
 //! | 0x20   | PTR     | read: window offset; write: set window offset       |
 
 use rvisor_block::{BlockBackend, SECTOR_SIZE};
-use rvisor_devices::MmioDevice;
 
 /// Register offset: sector select.
 const REG_SECTOR: u64 = 0x00;
 /// Register offset: command.
 const REG_COMMAND: u64 = 0x08;
 /// Register offset: data window.
-pub(crate) const REG_DATA: u64 = 0x10;
-/// Register offset: status.
-pub(crate) const REG_STATUS: u64 = 0x18;
+const REG_DATA: u64 = 0x10;
 /// Register offset: buffer pointer.
 const REG_PTR: u64 = 0x20;
 
@@ -66,6 +63,7 @@ impl std::fmt::Debug for EmulatedDisk {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EmulatedDisk")
             .field("sector", &self.sector)
+            .field("status", &self.status)
             .field("stats", &self.stats)
             .finish()
     }
@@ -120,30 +118,10 @@ impl EmulatedDisk {
             }
         };
     }
-}
 
-impl MmioDevice for EmulatedDisk {
-    fn name(&self) -> &str {
-        "pio-disk"
-    }
-
-    fn read(&mut self, offset: u64, _size: u8) -> u64 {
-        self.stats.register_accesses += 1;
-        match offset {
-            REG_SECTOR => self.sector,
-            REG_DATA => {
-                let start = self.ptr.min(SECTOR_SIZE as usize - 8);
-                let v = u64::from_le_bytes(self.buffer[start..start + 8].try_into().unwrap());
-                self.ptr = (self.ptr + 8) % SECTOR_SIZE as usize;
-                v
-            }
-            REG_STATUS => self.status,
-            REG_PTR => self.ptr as u64,
-            _ => 0,
-        }
-    }
-
-    fn write(&mut self, offset: u64, value: u64, _size: u8) {
+    /// A register write of `value` at `offset`; every access counts as a
+    /// VM exit.
+    pub(crate) fn write(&mut self, offset: u64, value: u64) {
         self.stats.register_accesses += 1;
         match offset {
             REG_SECTOR => self.sector = value,
@@ -166,12 +144,12 @@ pub fn driver_write_sector(
     sector: u64,
     data: &[u8; SECTOR_SIZE as usize],
 ) {
-    disk.write(REG_SECTOR, sector, 8);
-    disk.write(REG_PTR, 0, 8);
+    disk.write(REG_SECTOR, sector);
+    disk.write(REG_PTR, 0);
     for chunk in data.chunks_exact(8) {
-        disk.write(REG_DATA, u64::from_le_bytes(chunk.try_into().unwrap()), 8);
+        disk.write(REG_DATA, u64::from_le_bytes(chunk.try_into().unwrap()));
     }
-    disk.write(REG_COMMAND, CMD_WRITE_SECTOR, 8);
+    disk.write(REG_COMMAND, CMD_WRITE_SECTOR);
 }
 
 #[cfg(test)]
@@ -180,7 +158,27 @@ mod tests {
     use rvisor_block::RamDisk;
     use rvisor_types::ByteSize;
 
+    /// Register offset: status (0 = OK, 1 = error).
+    const REG_STATUS: u64 = 0x18;
+
     impl EmulatedDisk {
+        /// A register read at `offset`; every access counts as a VM exit.
+        fn read(&mut self, offset: u64) -> u64 {
+            self.stats.register_accesses += 1;
+            match offset {
+                REG_SECTOR => self.sector,
+                REG_DATA => {
+                    let start = self.ptr.min(SECTOR_SIZE as usize - 8);
+                    let v = u64::from_le_bytes(self.buffer[start..start + 8].try_into().unwrap());
+                    self.ptr = (self.ptr + 8) % SECTOR_SIZE as usize;
+                    v
+                }
+                REG_STATUS => self.status,
+                REG_PTR => self.ptr as u64,
+                _ => 0,
+            }
+        }
+
         /// Number of register accesses a full sector transfer costs
         /// (sector select + command + 64 data-window accesses).
         const fn accesses_per_sector() -> u64 {
@@ -190,11 +188,11 @@ mod tests {
 
     /// Drive a full sector read through the register interface.
     fn driver_read_sector(disk: &mut EmulatedDisk, sector: u64) -> [u8; SECTOR_SIZE as usize] {
-        disk.write(REG_SECTOR, sector, 8);
-        disk.write(REG_COMMAND, CMD_READ_SECTOR, 8);
+        disk.write(REG_SECTOR, sector);
+        disk.write(REG_COMMAND, CMD_READ_SECTOR);
         let mut out = [0u8; SECTOR_SIZE as usize];
         for chunk in out.chunks_exact_mut(8) {
-            chunk.copy_from_slice(&disk.read(REG_DATA, 8).to_le_bytes());
+            chunk.copy_from_slice(&disk.read(REG_DATA).to_le_bytes());
         }
         out
     }
@@ -213,7 +211,7 @@ mod tests {
         driver_write_sector(&mut d, 7, &data);
         let back = driver_read_sector(&mut d, 7);
         assert_eq!(back, data);
-        assert_eq!(d.read(REG_STATUS, 8), 0);
+        assert_eq!(d.read(REG_STATUS), 0);
         assert_eq!(d.stats().sectors_written, 1);
         assert_eq!(d.stats().sectors_read, 1);
     }
@@ -233,38 +231,37 @@ mod tests {
     #[test]
     fn out_of_range_sector_sets_error_status() {
         let mut d = disk();
-        d.write(REG_SECTOR, 1_000_000, 8);
-        d.write(REG_COMMAND, CMD_READ_SECTOR, 8);
-        assert_eq!(d.read(REG_STATUS, 8), 1);
+        d.write(REG_SECTOR, 1_000_000);
+        d.write(REG_COMMAND, CMD_READ_SECTOR);
+        assert_eq!(d.read(REG_STATUS), 1);
         assert_eq!(d.stats().errors, 1);
         // A valid command clears the error.
-        d.write(REG_SECTOR, 0, 8);
-        d.write(REG_COMMAND, CMD_READ_SECTOR, 8);
-        assert_eq!(d.read(REG_STATUS, 8), 0);
+        d.write(REG_SECTOR, 0);
+        d.write(REG_COMMAND, CMD_READ_SECTOR);
+        assert_eq!(d.read(REG_STATUS), 0);
     }
 
     #[test]
     fn flush_and_unknown_commands() {
         let mut d = disk();
-        d.write(REG_COMMAND, CMD_FLUSH, 8);
-        assert_eq!(d.read(REG_STATUS, 8), 0);
-        d.write(REG_COMMAND, 99, 8);
-        assert_eq!(d.read(REG_STATUS, 8), 1);
-        assert_eq!(d.name(), "pio-disk");
+        d.write(REG_COMMAND, CMD_FLUSH);
+        assert_eq!(d.read(REG_STATUS), 0);
+        d.write(REG_COMMAND, 99);
+        assert_eq!(d.read(REG_STATUS), 1);
         assert!(format!("{d:?}").contains("sector"));
     }
 
     #[test]
     fn pointer_register_and_wraparound() {
         let mut d = disk();
-        d.write(REG_PTR, 504, 8);
-        assert_eq!(d.read(REG_PTR, 8), 504);
-        d.write(REG_DATA, 0x1122334455667788, 8);
-        assert_eq!(d.read(REG_PTR, 8), 0); // wrapped
-        d.write(REG_PTR, 1000, 8); // modulo 512
-        assert_eq!(d.read(REG_PTR, 8), 1000 % 512);
+        d.write(REG_PTR, 504);
+        assert_eq!(d.read(REG_PTR), 504);
+        d.write(REG_DATA, 0x1122334455667788);
+        assert_eq!(d.read(REG_PTR), 0); // wrapped
+        d.write(REG_PTR, 1000); // modulo 512
+        assert_eq!(d.read(REG_PTR), 1000 % 512);
         // Unknown register reads as zero, writes ignored.
-        assert_eq!(d.read(0x100, 8), 0);
-        d.write(0x100, 5, 8);
+        assert_eq!(d.read(0x100), 0);
+        d.write(0x100, 5);
     }
 }

@@ -14,8 +14,6 @@
 use rvisor_memory::GuestMemory;
 use rvisor_types::{GuestAddress, Result};
 
-use rvisor_devices::MmioDevice;
-
 use crate::device::VirtioDevice;
 use crate::queue::{QueueLayout, VirtQueue};
 
@@ -156,14 +154,9 @@ impl VirtioMmio {
             self.queues[index] = Some(VirtQueue::new(layout));
         }
     }
-}
 
-impl MmioDevice for VirtioMmio {
-    fn name(&self) -> &str {
-        "virtio-mmio"
-    }
-
-    fn read(&mut self, offset: u64, _size: u8) -> u64 {
+    /// A guest read of the register at `offset`.
+    pub fn read(&self, offset: u64) -> u64 {
         match offset {
             regs::MAGIC_VALUE => MAGIC,
             regs::VERSION => VERSION,
@@ -186,7 +179,8 @@ impl MmioDevice for VirtioMmio {
         }
     }
 
-    fn write(&mut self, offset: u64, value: u64, _size: u8) {
+    /// A guest write of `value` to the register at `offset`.
+    pub fn write(&mut self, offset: u64, value: u64) {
         match offset {
             regs::QUEUE_SEL => self.queue_sel = value as usize,
             regs::QUEUE_NUM => {
@@ -267,16 +261,12 @@ mod tests {
 
     #[test]
     fn identification_registers() {
-        let (_mem, mut mmio, _driver) = setup();
-        assert_eq!(mmio.read(regs::MAGIC_VALUE, 4), MAGIC);
-        assert_eq!(mmio.read(regs::VERSION, 4), VERSION);
-        assert_eq!(mmio.read(regs::DEVICE_ID, 4), 2); // block
-        assert_eq!(
-            mmio.read(regs::QUEUE_NUM_MAX, 4),
-            DEFAULT_QUEUE_NUM_MAX as u64
-        );
-        assert_eq!(mmio.read(regs::CONFIG, 8), 128); // capacity sectors of a 64 KiB disk
-        assert_eq!(mmio.name(), "virtio-mmio");
+        let (_mem, mmio, _driver) = setup();
+        assert_eq!(mmio.read(regs::MAGIC_VALUE), MAGIC);
+        assert_eq!(mmio.read(regs::VERSION), VERSION);
+        assert_eq!(mmio.read(regs::DEVICE_ID), 2); // block
+        assert_eq!(mmio.read(regs::QUEUE_NUM_MAX), DEFAULT_QUEUE_NUM_MAX as u64);
+        assert_eq!(mmio.read(regs::CONFIG), 128); // capacity sectors of a 64 KiB disk
         assert!(format!("{mmio:?}").contains("device_id"));
     }
 
@@ -287,11 +277,11 @@ mod tests {
         let data = vec![0x5au8; 512];
         driver.add_chain(&mem, &[&header, &data], &[1]).unwrap();
 
-        mmio.write(regs::QUEUE_NOTIFY, 0, 4);
+        mmio.write(regs::QUEUE_NOTIFY, 0);
         assert_eq!(mmio.doorbells(), 1);
-        assert_eq!(mmio.read(regs::INTERRUPT_STATUS, 4), 1);
-        mmio.write(regs::INTERRUPT_ACK, 1, 4);
-        assert_eq!(mmio.read(regs::INTERRUPT_STATUS, 4), 0);
+        assert_eq!(mmio.read(regs::INTERRUPT_STATUS), 1);
+        mmio.write(regs::INTERRUPT_ACK, 1);
+        assert_eq!(mmio.read(regs::INTERRUPT_STATUS), 0);
 
         let (_, len) = driver.poll_used(&mem).unwrap().unwrap();
         assert_eq!(len, 1);
@@ -304,14 +294,14 @@ mod tests {
         let mut mmio = VirtioMmio::new(Box::new(blk), mem.clone());
 
         let (layout, end) = QueueLayout::contiguous(GuestAddress(0x2000), 32).unwrap();
-        mmio.write(regs::QUEUE_SEL, 0, 4);
-        mmio.write(regs::QUEUE_NUM, 32, 4);
-        mmio.write(regs::QUEUE_DESC, layout.desc_table.0, 8);
-        mmio.write(regs::QUEUE_AVAIL, layout.avail_ring.0, 8);
-        mmio.write(regs::QUEUE_USED, layout.used_ring.0, 8);
-        mmio.write(regs::QUEUE_READY, 1, 4);
-        assert_eq!(mmio.read(regs::QUEUE_READY, 4), 1);
-        assert_eq!(mmio.read(regs::QUEUE_NUM, 4), 32);
+        mmio.write(regs::QUEUE_SEL, 0);
+        mmio.write(regs::QUEUE_NUM, 32);
+        mmio.write(regs::QUEUE_DESC, layout.desc_table.0);
+        mmio.write(regs::QUEUE_AVAIL, layout.avail_ring.0);
+        mmio.write(regs::QUEUE_USED, layout.used_ring.0);
+        mmio.write(regs::QUEUE_READY, 1);
+        assert_eq!(mmio.read(regs::QUEUE_READY), 1);
+        assert_eq!(mmio.read(regs::QUEUE_NUM), 32);
 
         let driver = DriverQueue::new(layout, GuestAddress((end.0 + 0xfff) & !0xfff), 64 * 1024);
         driver.init(&mem).unwrap();
@@ -320,24 +310,24 @@ mod tests {
         driver
             .add_chain(&mem, &[&header, &[0u8; 512]], &[1])
             .unwrap();
-        mmio.write(regs::QUEUE_NOTIFY, 0, 4);
+        mmio.write(regs::QUEUE_NOTIFY, 0);
         assert!(driver.poll_used(&mem).unwrap().is_some());
     }
 
     #[test]
     fn status_and_unknown_registers() {
         let (_mem, mut mmio, _driver) = setup();
-        mmio.write(regs::STATUS, 0xf, 4);
-        assert_eq!(mmio.read(regs::STATUS, 4), 0xf);
-        assert_eq!(mmio.read(0x500 - 1, 4), 0); // config beyond device space
-        assert_eq!(mmio.read(0x0c, 4), 0); // unimplemented register
-        mmio.write(0x0c, 7, 4); // ignored
-                                // Selecting a queue that does not exist must not panic.
-        mmio.write(regs::QUEUE_SEL, 9, 4);
-        assert_eq!(mmio.read(regs::QUEUE_NUM, 4), 0);
-        mmio.write(regs::QUEUE_NUM, 16, 4);
-        mmio.write(regs::QUEUE_READY, 1, 4);
-        mmio.write(regs::QUEUE_NOTIFY, 9, 4);
+        mmio.write(regs::STATUS, 0xf);
+        assert_eq!(mmio.read(regs::STATUS), 0xf);
+        assert_eq!(mmio.read(0x500 - 1), 0); // config beyond device space
+        assert_eq!(mmio.read(0x0c), 0); // unimplemented register
+        mmio.write(0x0c, 7); // ignored
+                             // Selecting a queue that does not exist must not panic.
+        mmio.write(regs::QUEUE_SEL, 9);
+        assert_eq!(mmio.read(regs::QUEUE_NUM), 0);
+        mmio.write(regs::QUEUE_NUM, 16);
+        mmio.write(regs::QUEUE_READY, 1);
+        mmio.write(regs::QUEUE_NOTIFY, 9);
     }
 
     #[test]

@@ -24,6 +24,16 @@ pub(crate) const MMIO_WINDOW: u64 = 0x1000;
 
 /// Serial console port-I/O base (the classic COM1 address).
 pub const SERIAL_PORT: u32 = 0x3f8;
+/// Number of serial console ports, from [`SERIAL_PORT`] up.
+pub(crate) const SERIAL_PORTS: u32 = 8;
+
+/// The base of the `MMIO_WINDOW`-aligned window holding `addr`, and the
+/// offset of `addr` into it. The VM matches the base against the device
+/// windows above.
+pub(crate) fn window_of(addr: GuestAddress) -> (GuestAddress, u64) {
+    let offset = addr.0 % MMIO_WINDOW;
+    (GuestAddress(addr.0 - offset), offset)
+}
 
 #[cfg(test)]
 mod tests {

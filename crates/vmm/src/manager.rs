@@ -286,7 +286,8 @@ impl Vmm {
     /// `trace`; [`Trace::off`] costs nothing.
     ///
     /// On success the VM exists (running) on `destination` with identical
-    /// memory and vCPU state, and has been destroyed here. The returned
+    /// memory, vCPU state and simulated time (its clock reads what the
+    /// source's read at hand-over), and has been destroyed here. The returned
     /// report carries downtime/total-time/bytes as measured by the engine.
     /// If the engine fails — the plan is invalid, the transport refused a
     /// transfer — its error is returned unchanged, nothing of the VM is
@@ -349,12 +350,13 @@ impl Vmm {
         }
         let source_halted = source_vm.lifecycle() == VmLifecycle::Halted;
         let final_states = source_vm.save_vcpu_states();
+        let handed_over_at = source_vm.now();
         // Pre-copy moved memory while the source kept running; its final dirty
         // residue was already copied by the engine's stop phase, but any pages
         // dirtied after the engine returned (there are none, because we paused)
         // would be lost — pausing first is what guarantees correctness here.
         let dest_vm = destination.vm_mut(dest_id)?;
-        dest_vm.restore_vcpu_states(&final_states)?;
+        dest_vm.restore_vcpu_states(&final_states, handed_over_at)?;
         if source_halted {
             dest_vm.mark_halted()?;
         } else {
@@ -625,7 +627,10 @@ mod tests {
     fn migration_moves_memory_and_state() {
         for engine in ENGINES {
             let (mut source, id) = loaded_vmm_with_marker();
-            let source_checksum_before = source.vm(id).unwrap().memory().checksum();
+            // Some guest time passes on the source before the move.
+            let vm = source.vm_mut(id).unwrap();
+            vm.run_for(Nanoseconds::from_millis(3)).unwrap();
+            let source_checksum_before = vm.memory().checksum();
             let mut dest = Vmm::new("dest");
             let (dest_id, report) = migrate(&mut source, id, &mut dest, &plan(engine)).unwrap();
 
@@ -644,6 +649,20 @@ mod tests {
             }
             assert!(report.total_time > Nanoseconds::ZERO);
             assert!(report.bytes_transferred >= ByteSize::mib(4).as_u64());
+
+            // Guest time runs on from where it stopped: the destination's
+            // clock reads what the source's read at hand-over, which is what
+            // a twin of the source reads when it reaches the vCPU state that
+            // arrived (the guest is deterministic, and every engine stops
+            // it between two slices).
+            let arrived = dest_vm.save_vcpu_states();
+            let (mut twin_host, twin_id) = loaded_vmm_with_marker();
+            let twin = twin_host.vm_mut(twin_id).unwrap();
+            while twin.save_vcpu_states() != arrived {
+                twin.run_slice().unwrap();
+            }
+            assert!(twin.now() >= Nanoseconds::from_millis(3));
+            assert_eq!(dest_vm.now(), twin.now(), "{engine:?}");
 
             // The migrated guest can keep running to completion on the destination.
             let dest_vm = dest.vm_mut(dest_id).unwrap();

@@ -1,17 +1,16 @@
 //! A single virtual machine.
-
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+//!
+//! A [`Vm`] owns everything its guest touches: memory, vCPUs, its simulated
+//! time and every device, as plain fields. Its exit loop routes each MMIO
+//! or port exit with one `match` over the fixed windows of [`layout`] and
+//! calls the owning device through `&mut`.
 
 use rvisor_block::RamDisk;
-use rvisor_devices::{CountdownTimer, MmioBus, PortBus, Rtc, SerialConsole};
+use rvisor_devices::{CountdownTimer, Rtc, SerialConsole};
 use rvisor_memory::{Balloon, GuestMemory};
 use rvisor_net::{MacAddr, VirtualSwitch};
 use rvisor_snapshot::{SnapshotStore, VmSnapshot};
-use rvisor_types::{
-    ByteSize, Error, GuestRegion, ManualClock, Nanoseconds, Result, SimClock, VcpuId, VmId,
-};
+use rvisor_types::{ByteSize, Error, GuestAddress, Nanoseconds, Result, VcpuId, VmId};
 use rvisor_vcpu::{ExitReason, Vcpu, VcpuConfig, VcpuStats, Workload};
 use rvisor_virtio::{QueueLayout, VirtioBlk, VirtioMmio, VirtioNet};
 
@@ -81,12 +80,8 @@ pub struct VmRunStats {
     pub hypercalls: u64,
     /// MMIO exits dispatched to devices.
     pub mmio_exits: u64,
-    /// Port-I/O exits dispatched to devices.
-    pub(crate) pio_exits: u64,
     /// Simulated guest time consumed.
     pub sim_time: Nanoseconds,
-    /// Bytes written to the serial console by the guest.
-    pub(crate) serial_bytes: u64,
 }
 
 /// A virtual machine.
@@ -96,13 +91,13 @@ pub struct Vm {
     lifecycle: VmLifecycle,
     memory: GuestMemory,
     vcpus: Vec<Vcpu>,
-    clock: Arc<ManualClock>,
-    mmio: MmioBus,
-    ports: PortBus,
-    serial: Arc<Mutex<SerialConsole>>,
-    timer: Arc<Mutex<CountdownTimer>>,
-    virtio_blk: Option<Arc<Mutex<VirtioMmio>>>,
-    virtio_net: Option<Arc<Mutex<VirtioMmio>>>,
+    /// Simulated time: what the vCPUs charged plus the idle time granted.
+    now: Nanoseconds,
+    serial: SerialConsole,
+    rtc: Rtc,
+    timer: CountdownTimer,
+    virtio_blk: Option<VirtioMmio>,
+    virtio_net: Option<VirtioMmio>,
     balloon: Option<Balloon>,
     /// Private switch used when no external one is supplied.
     _private_switch: Option<VirtualSwitch>,
@@ -134,36 +129,13 @@ impl Vm {
     ) -> Result<Self> {
         config.validate()?;
         let memory = GuestMemory::flat(config.memory)?;
-        let clock = Arc::new(ManualClock::new());
-        let mmio = MmioBus::new();
-        let ports = PortBus::new();
-
-        // Platform devices.
-        let serial = Arc::new(Mutex::new(SerialConsole::new()));
-        mmio.register(
-            GuestRegion::new(layout::SERIAL_MMIO, layout::MMIO_WINDOW),
-            serial.clone(),
-        )?;
-        ports.register(layout::SERIAL_PORT, 8, serial.clone())?;
-        let rtc = Arc::new(Mutex::new(Rtc::new(Arc::clone(&clock))));
-        mmio.register(GuestRegion::new(layout::RTC_MMIO, layout::MMIO_WINDOW), rtc)?;
-        let timer = Arc::new(Mutex::new(CountdownTimer::new(Arc::clone(&clock))));
-        mmio.register(
-            GuestRegion::new(layout::TIMER_MMIO, layout::MMIO_WINDOW),
-            timer.clone(),
-        )?;
 
         // virtio-blk for the first configured disk.
         let virtio_blk = if let Some(disk_cfg) = config.disks.first() {
             let mut backend = RamDisk::new(disk_cfg.size);
             backend.set_read_only(disk_cfg.read_only);
             let blk = VirtioBlk::new(Box::new(backend));
-            let transport = Arc::new(Mutex::new(VirtioMmio::new(Box::new(blk), memory.clone())));
-            mmio.register(
-                GuestRegion::new(layout::VIRTIO_BLK_MMIO, layout::MMIO_WINDOW),
-                transport.clone(),
-            )?;
-            Some(transport)
+            Some(VirtioMmio::new(Box::new(blk), memory.clone()))
         } else {
             None
         };
@@ -180,12 +152,7 @@ impl Vm {
                 }
             };
             let nic = VirtioNet::new(MacAddr::local(id.raw()), switch_ref.add_port());
-            let transport = Arc::new(Mutex::new(VirtioMmio::new(Box::new(nic), memory.clone())));
-            mmio.register(
-                GuestRegion::new(layout::VIRTIO_NET_MMIO, layout::MMIO_WINDOW),
-                transport.clone(),
-            )?;
-            Some(transport)
+            Some(VirtioMmio::new(Box::new(nic), memory.clone()))
         } else {
             None
         };
@@ -207,11 +174,10 @@ impl Vm {
             lifecycle: VmLifecycle::Created,
             memory,
             vcpus,
-            clock,
-            mmio,
-            ports,
-            serial,
-            timer,
+            now: Nanoseconds::ZERO,
+            serial: SerialConsole::default(),
+            rtc: Rtc,
+            timer: CountdownTimer::default(),
             virtio_blk,
             virtio_net,
             balloon,
@@ -244,19 +210,19 @@ impl Vm {
         &self.memory
     }
 
-    /// The VM's simulated clock.
-    pub fn clock(&self) -> Arc<ManualClock> {
-        Arc::clone(&self.clock)
+    /// The VM's simulated time.
+    pub fn now(&self) -> Nanoseconds {
+        self.now
     }
 
     /// The virtio-blk transport, if a disk was configured.
-    pub fn virtio_blk(&self) -> Option<Arc<Mutex<VirtioMmio>>> {
-        self.virtio_blk.clone()
+    pub fn virtio_blk(&mut self) -> Option<&mut VirtioMmio> {
+        self.virtio_blk.as_mut()
     }
 
     /// The virtio-net transport, if networking was configured.
-    pub fn virtio_net(&self) -> Option<Arc<Mutex<VirtioMmio>>> {
-        self.virtio_net.clone()
+    pub fn virtio_net(&mut self) -> Option<&mut VirtioMmio> {
+        self.virtio_net.as_mut()
     }
 
     /// The host-side balloon, if configured.
@@ -266,21 +232,20 @@ impl Vm {
 
     /// Everything the guest has written to its serial console so far.
     pub fn serial_output(&self) -> String {
-        self.serial.lock().output_string()
+        self.serial.output_string()
     }
 
     /// Configure a virtqueue on the virtio-blk device (host-side driver path).
-    pub fn setup_blk_queue(&self, layout: QueueLayout) -> Result<()> {
-        match &self.virtio_blk {
-            Some(t) => t.lock().setup_queue(0, layout),
+    pub fn setup_blk_queue(&mut self, layout: QueueLayout) -> Result<()> {
+        match &mut self.virtio_blk {
+            Some(t) => t.setup_queue(0, layout),
             None => Err(Error::Device("VM has no virtio-blk device".into())),
         }
     }
 
     /// Load a guest program image at `entry` and point vCPU 0 at it.
     pub fn load_program(&mut self, image: &[u8], entry: u64) -> Result<()> {
-        self.memory
-            .write(rvisor_types::GuestAddress(entry), image)?;
+        self.memory.write(GuestAddress(entry), image)?;
         self.memory.clear_dirty();
         self.vcpus[0].set_pc(entry);
         if self.lifecycle == VmLifecycle::Created {
@@ -362,10 +327,8 @@ impl Vm {
             out.exits += s.exits;
             out.hypercalls += s.hypercalls;
             out.mmio_exits += s.mmio_exits;
-            out.pio_exits += s.pio_exits;
             out.sim_time = out.sim_time.saturating_add(Nanoseconds(s.sim_time_ns));
         }
-        out.serial_bytes = self.serial.lock().tx_count();
         out
     }
 
@@ -384,16 +347,15 @@ impl Vm {
         for index in 0..self.vcpus.len() {
             let mut remaining = slice_budget;
             loop {
-                // The clock advances by what the vCPU charged itself, which
-                // is `outcome.elapsed` when the call returns and the time of
+                // Time advances by what the vCPU charged itself, which is
+                // `outcome.elapsed` when the call returns and the time of
                 // the instructions it retired before the fault when it kills
                 // the guest.
                 let charged = self.vcpus[index].stats().sim_time();
                 let outcome = self.vcpus[index].run(&self.memory, remaining);
-                self.clock
-                    .advance(self.vcpus[index].stats().sim_time() - charged);
+                self.now += self.vcpus[index].stats().sim_time() - charged;
                 let outcome = outcome?;
-                self.timer.lock().tick();
+                self.timer.tick(self.now);
                 remaining = remaining.saturating_sub(outcome.instructions);
 
                 match outcome.exit {
@@ -406,24 +368,24 @@ impl Vm {
                         break;
                     }
                     ExitReason::Idle => {
-                        self.clock.advance(IDLE_SLICE);
-                        self.timer.lock().tick();
+                        self.now += IDLE_SLICE;
+                        self.timer.tick(self.now);
                         any_runnable = true;
                         break;
                     }
                     ExitReason::MmioRead { addr, .. } => {
-                        let value = self.mmio.read(addr, 8)?;
+                        let value = self.mmio_read(addr)?;
                         self.vcpus[index].complete_mmio_read(value)?;
                     }
                     ExitReason::MmioWrite { addr, value, .. } => {
-                        self.mmio.write(addr, value, 8)?;
+                        self.mmio_write(addr, value)?;
                     }
                     ExitReason::PioIn { port } => {
-                        let value = self.ports.read(port)?;
-                        self.vcpus[index].complete_pio_in(value)?;
+                        let value = self.serial.read(serial_register(port)?);
+                        self.vcpus[index].complete_pio_in(value as u32)?;
                     }
                     ExitReason::PioOut { port, value } => {
-                        self.ports.write(port, value)?;
+                        self.serial.write(serial_register(port)?, u64::from(value));
                     }
                     ExitReason::Hypercall { nr, arg } => {
                         let end_slice = self.handle_hypercall(index, nr, arg)?;
@@ -445,6 +407,43 @@ impl Vm {
         Ok(any_runnable)
     }
 
+    /// A guest MMIO read, from the device whose window holds `addr`.
+    fn mmio_read(&mut self, addr: GuestAddress) -> Result<u64> {
+        let (base, offset) = layout::window_of(addr);
+        let unmapped = Error::UnmappedIo(addr);
+        Ok(match base {
+            layout::SERIAL_MMIO => self.serial.read(offset),
+            layout::RTC_MMIO => self.rtc.read(offset, self.now),
+            layout::TIMER_MMIO => self.timer.read(offset, self.now),
+            layout::VIRTIO_BLK_MMIO => self.virtio_blk.as_ref().ok_or(unmapped)?.read(offset),
+            layout::VIRTIO_NET_MMIO => self.virtio_net.as_ref().ok_or(unmapped)?.read(offset),
+            _ => return Err(unmapped),
+        })
+    }
+
+    /// A guest MMIO write, to the device whose window holds `addr`.
+    fn mmio_write(&mut self, addr: GuestAddress, value: u64) -> Result<()> {
+        let (base, offset) = layout::window_of(addr);
+        let unmapped = Error::UnmappedIo(addr);
+        match base {
+            layout::SERIAL_MMIO => self.serial.write(offset, value),
+            layout::RTC_MMIO => self.rtc.write(offset, value),
+            layout::TIMER_MMIO => self.timer.write(offset, value, self.now),
+            layout::VIRTIO_BLK_MMIO => self
+                .virtio_blk
+                .as_mut()
+                .ok_or(unmapped)?
+                .write(offset, value),
+            layout::VIRTIO_NET_MMIO => self
+                .virtio_net
+                .as_mut()
+                .ok_or(unmapped)?
+                .write(offset, value),
+            _ => return Err(unmapped),
+        }
+        Ok(())
+    }
+
     fn handle_hypercall(&mut self, vcpu_index: usize, nr: u16, arg: u64) -> Result<bool> {
         let Some(call) = HypercallNr::from_raw(nr) else {
             // Unknown hypercalls return an error value to the guest but do not
@@ -453,11 +452,11 @@ impl Vm {
             return Ok(false);
         };
         if call == HypercallNr::ConsolePutChar {
-            self.serial.lock().put_output_byte(arg as u8);
+            self.serial.put_output_byte(arg as u8);
             self.vcpus[vcpu_index].complete_hypercall(0)?;
             return Ok(false);
         }
-        let result = handle_pure(call, arg, self.clock.now());
+        let result = handle_pure(call, arg, self.now);
         self.vcpus[vcpu_index].complete_hypercall(result.return_value)?;
         Ok(result.end_slice)
     }
@@ -481,15 +480,15 @@ impl Vm {
 
     /// Run the VM for (at least) `duration` of simulated time, or until it halts.
     pub fn run_for(&mut self, duration: Nanoseconds) -> Result<Nanoseconds> {
-        let start = self.clock.now();
+        let start = self.now;
         while self.lifecycle == VmLifecycle::Running {
-            let elapsed = self.clock.now().saturating_sub(start);
+            let elapsed = self.now.saturating_sub(start);
             if elapsed >= duration {
                 break;
             }
             self.run_slice()?;
         }
-        Ok(self.clock.now().saturating_sub(start))
+        Ok(self.now.saturating_sub(start))
     }
 
     /// Take a full snapshot of the VM into `store`, pausing it if running.
@@ -506,7 +505,7 @@ impl Vm {
         let snap = VmSnapshot::capture_full(
             self.id,
             name,
-            self.clock.now(),
+            self.now,
             &self.memory,
             vcpu_states,
             Default::default(),
@@ -534,14 +533,7 @@ impl Vm {
             self.pause()?;
         }
         let vcpu_states = self.vcpus.iter().map(|v| v.save_state()).collect();
-        let epoch = cas.ingest_memory(
-            self.id,
-            name,
-            self.clock.now(),
-            &self.memory,
-            vcpu_states,
-            parent,
-        );
+        let epoch = cas.ingest_memory(self.id, name, self.now, &self.memory, vcpu_states, parent);
         if was_running {
             self.resume()?;
         }
@@ -593,8 +585,14 @@ impl Vm {
         self.vcpus.iter().map(|v| v.save_state()).collect()
     }
 
-    /// Restore architectural state of all vCPUs (destination side of migration).
-    pub(crate) fn restore_vcpu_states(&mut self, states: &[rvisor_vcpu::VcpuState]) -> Result<()> {
+    /// Restore architectural state of all vCPUs and the source's time `now`
+    /// (destination side of migration), so the guest's clock runs on from
+    /// where it stopped instead of from zero.
+    pub(crate) fn restore_vcpu_states(
+        &mut self,
+        states: &[rvisor_vcpu::VcpuState],
+        now: Nanoseconds,
+    ) -> Result<()> {
         if states.len() != self.vcpus.len() {
             return Err(Error::Migration(format!(
                 "received {} vCPU states for a VM with {} vCPUs",
@@ -605,6 +603,7 @@ impl Vm {
         for (vcpu, state) in self.vcpus.iter_mut().zip(states) {
             vcpu.restore_state(state);
         }
+        self.now = now;
         Ok(())
     }
 
@@ -629,11 +628,20 @@ impl Vm {
     }
 
     /// Set the balloon to an absolute size in pages. Requires `with_balloon`.
-    pub fn set_balloon_pages(&self, pages: u64) -> Result<u64> {
-        match &self.balloon {
+    pub fn set_balloon_pages(&mut self, pages: u64) -> Result<u64> {
+        match &mut self.balloon {
             Some(b) => b.set_target(pages),
             None => Err(Error::Device("VM has no balloon device".into())),
         }
+    }
+}
+
+/// The serial register a port access reaches: the console's ports are
+/// `[SERIAL_PORT, SERIAL_PORT + 8)`, the only ports a VM has.
+fn serial_register(port: u32) -> Result<u64> {
+    match port.checked_sub(layout::SERIAL_PORT) {
+        Some(offset) if offset < layout::SERIAL_PORTS => Ok(u64::from(offset)),
+        _ => Err(Error::UnmappedIo(GuestAddress(u64::from(port)))),
     }
 }
 
@@ -641,15 +649,8 @@ impl Vm {
 mod tests {
     use super::*;
     use crate::config::DiskConfig;
-    use rvisor_types::GuestAddress;
     use rvisor_vcpu::{Assembler, Instr, Reg, WorkloadKind};
-
-    impl Vm {
-        /// Inject bytes into the guest's serial input queue.
-        fn serial_input(&self, bytes: &[u8]) {
-            self.serial.lock().inject_input(bytes);
-        }
-    }
+    use rvisor_virtio::mmio::regs;
 
     fn small_vm() -> Vm {
         Vm::new(VmConfig::new("test").with_memory(ByteSize::mib(4))).unwrap()
@@ -665,7 +666,7 @@ mod tests {
         assert_eq!(vm.lifecycle(), VmLifecycle::Halted);
         assert!(stats.instructions > 3000);
         assert!(stats.sim_time > Nanoseconds::ZERO);
-        assert_eq!(vm.clock().now(), stats.sim_time);
+        assert_eq!(vm.now(), stats.sim_time);
 
         // A guest killed after `RETIRED` instructions (a privileged
         // instruction in user mode) has its time on the VM clock too, the
@@ -699,7 +700,7 @@ mod tests {
             let stats = vm.stats();
             assert_eq!(stats.instructions, RETIRED, "slices of {slice}");
             assert!(stats.sim_time > Nanoseconds::ZERO);
-            assert_eq!(vm.clock().now(), stats.sim_time, "slices of {slice}");
+            assert_eq!(vm.now(), stats.sim_time, "slices of {slice}");
         }
     }
 
@@ -741,15 +742,13 @@ mod tests {
         vm.load_program(&asm.assemble().unwrap(), 0x1000).unwrap();
         vm.run_to_halt().unwrap();
         assert_eq!(vm.serial_output(), "Hi");
-        assert_eq!(vm.stats().serial_bytes, 2);
         assert!(vm.stats().hypercalls >= 1);
-        assert!(vm.stats().pio_exits >= 1);
     }
 
     #[test]
     fn guest_reads_rtc_and_ping_hypercall() {
         let mut vm = small_vm();
-        vm.clock().advance(Nanoseconds::from_secs(3));
+        vm.now = Nanoseconds::from_secs(3);
         let mut asm = Assembler::new();
         let r = Reg::new;
         asm.load_const(r(1), layout::RTC_MMIO.0 + 8); // full time register
@@ -879,7 +878,7 @@ mod tests {
         let w = Workload::new(WorkloadKind::Idle { wakeups: 5 }).unwrap();
         vm.load_workload(&w).unwrap();
         vm.run_to_halt().unwrap();
-        assert!(vm.clock().now() >= Nanoseconds::from_millis(5));
+        assert!(vm.now() >= Nanoseconds::from_millis(5));
     }
 
     #[test]
@@ -926,7 +925,7 @@ mod tests {
 
     #[test]
     fn balloon_integration() {
-        let vm = Vm::new(
+        let mut vm = Vm::new(
             VmConfig::new("b")
                 .with_memory(ByteSize::mib(4))
                 .with_balloon(),
@@ -937,14 +936,14 @@ mod tests {
         assert_eq!(reached, 100);
         let stats = vm.balloon().unwrap().stats();
         assert_eq!(stats.ballooned, ByteSize::pages_of(100));
-        let no_balloon = small_vm();
+        let mut no_balloon = small_vm();
         assert!(no_balloon.set_balloon_pages(1).is_err());
         assert!(no_balloon.balloon().is_none());
     }
 
     #[test]
     fn disk_and_net_devices_registered() {
-        let vm = Vm::new(
+        let mut vm = Vm::new(
             VmConfig::new("full")
                 .with_memory(ByteSize::mib(8))
                 .with_disk(DiskConfig::new("sys", ByteSize::mib(1)))
@@ -953,23 +952,77 @@ mod tests {
         .unwrap();
         assert!(vm.virtio_blk().is_some());
         assert!(vm.virtio_net().is_some());
-        // The virtio-blk device identifies itself over MMIO.
-        let blk = vm.virtio_blk().unwrap();
-        let mut guard = blk.lock();
-        use rvisor_devices::MmioDevice;
-        assert_eq!(guard.read(rvisor_virtio::mmio::regs::DEVICE_ID, 4), 2);
-        drop(guard);
-        assert!(small_vm().virtio_blk().is_none());
-        assert!(small_vm()
+        assert!(format!("{vm:?}").contains("full"));
+        vm.now = Nanoseconds::from_secs(3);
+        vm.serial.inject_input(b"A");
+        let at = |base: GuestAddress, offset: u64| GuestAddress(base.0 + offset);
+        const VIRTIO_STATUS: u64 = 0x070;
+
+        // Each window routes to its device, at the offset into the window.
+        let writes = [
+            (at(layout::SERIAL_MMIO, 0), u64::from(b'H')),
+            (at(layout::RTC_MMIO, 8), 123), // ignored: read-only
+            (at(layout::TIMER_MMIO, 8), 500_000),
+            (at(layout::VIRTIO_BLK_MMIO, VIRTIO_STATUS), 0xf),
+            (at(layout::VIRTIO_NET_MMIO, VIRTIO_STATUS), 0x7),
+        ];
+        for (addr, value) in writes {
+            vm.mmio_write(addr, value).unwrap();
+        }
+        let reads = [
+            (at(layout::SERIAL_MMIO, 1), 0b11), // rx ready, tx empty
+            (at(layout::RTC_MMIO, 8), 3_000_000_000),
+            (at(layout::RTC_MMIO, 16), 0), // boot time
+            (at(layout::TIMER_MMIO, 8), 500_000),
+            (at(layout::TIMER_MMIO, 0), 500_000), // remaining
+            (at(layout::VIRTIO_BLK_MMIO, regs::DEVICE_ID), 2),
+            (at(layout::VIRTIO_BLK_MMIO, VIRTIO_STATUS), 0xf),
+            (at(layout::VIRTIO_NET_MMIO, regs::DEVICE_ID), 1),
+            (at(layout::VIRTIO_NET_MMIO, VIRTIO_STATUS), 0x7),
+        ];
+        for (addr, want) in reads {
+            assert_eq!(vm.mmio_read(addr).unwrap(), want, "read at {addr}");
+        }
+        assert_eq!(vm.serial_output(), "H");
+        // The serial ports reach the registers of its MMIO window.
+        assert_eq!(serial_register(layout::SERIAL_PORT + 1).unwrap(), 1);
+        let data = serial_register(layout::SERIAL_PORT).unwrap();
+        assert_eq!(vm.serial.read(data), u64::from(b'A'));
+
+        // Every access outside a device's window fails with its address: a
+        // gap between windows, the windows of devices a VM lacks, and the
+        // ports beyond the console's eight.
+        let mut bare = small_vm();
+        let unmapped = [
+            (true, at(layout::TIMER_MMIO, layout::MMIO_WINDOW)),
+            (true, at(layout::VIRTIO_NET_MMIO, layout::MMIO_WINDOW)),
+            (false, layout::VIRTIO_BLK_MMIO),
+            (false, at(layout::VIRTIO_NET_MMIO, regs::QUEUE_NOTIFY)),
+        ];
+        for (full, addr) in unmapped {
+            let vm = if full { &mut vm } else { &mut bare };
+            for result in [vm.mmio_read(addr).map(drop), vm.mmio_write(addr, 1)] {
+                assert!(
+                    matches!(result, Err(Error::UnmappedIo(a)) if a == addr),
+                    "{addr}: {result:?}"
+                );
+            }
+        }
+        for port in [layout::SERIAL_PORT - 1, layout::SERIAL_PORT + 8] {
+            let addr = GuestAddress(u64::from(port));
+            assert!(matches!(serial_register(port), Err(Error::UnmappedIo(a)) if a == addr));
+        }
+
+        assert!(bare.virtio_blk().is_none());
+        assert!(bare
             .setup_blk_queue(QueueLayout::contiguous(GuestAddress(0x1000), 16).unwrap().0)
             .is_err());
-        assert!(format!("{vm:?}").contains("full"));
     }
 
     #[test]
     fn serial_input_reaches_guest() {
         let mut vm = small_vm();
-        vm.serial_input(b"A");
+        vm.serial.inject_input(b"A");
         let mut asm = Assembler::new();
         let r = Reg::new;
         // Line status (rx ready in bit 0), then the data byte.

@@ -16,7 +16,7 @@ use virtlab::snapshot::{
     BackupPolicy, BackupReport, BackupSimulator, BackupTarget, ExportManifest, MemorySnapshot,
     SnapshotStore, VmSnapshot,
 };
-use virtlab::types::{SimClock, PAGE_SIZE};
+use virtlab::types::PAGE_SIZE;
 use virtlab::vcpu::{VcpuState, Workload, WorkloadKind};
 use virtlab::{ByteSize, GuestAddress, Nanoseconds, Vm, VmConfig, VmId};
 
@@ -81,7 +81,7 @@ fn backups_and_restore() {
     let incremental = virtlab::snapshot::VmSnapshot::capture_incremental(
         vm.id(),
         "hourly-incremental",
-        vm.clock().now(),
+        vm.now(),
         full,
         vm.memory(),
         states,

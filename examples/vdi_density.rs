@@ -188,18 +188,15 @@ fn ballooning() {
     }
 
     println!("\nballoon inflation in a 256 MiB guest (64 low pages reserved):");
-    println!(
-        "{:>12} {:>12} {:>16}",
-        "pages", "inflations", "usable after"
-    );
+    println!("{:>12} {:>12} {:>16}", "pages", "ballooned", "usable after");
     for pages in [1_000, 10_000, 50_000] {
-        let balloon = Balloon::new(GuestMemory::flat(ByteSize::mib(256)).expect("guest"), 64);
+        let mut balloon = Balloon::new(GuestMemory::flat(ByteSize::mib(256)).expect("guest"), 64);
         balloon.inflate(pages).expect("inflate");
         let stats = balloon.stats();
         println!(
             "{:>12} {:>12} {:>16}",
             pages,
-            stats.inflations,
+            format!("{}", stats.ballooned),
             format!("{}", stats.usable)
         );
     }

@@ -168,7 +168,7 @@ fn branch_office_rollout_uses_cow_templates() {
     );
 
     // Each provisioned disk can actually back a VM's virtio-blk device.
-    let vm = Vm::new(
+    let mut vm = Vm::new(
         VmConfig::new("branch-1")
             .with_memory(ByteSize::mib(8))
             .with_disk(virtlab::vmm::DiskConfig::new("sys", ByteSize::mib(32))),
@@ -207,7 +207,7 @@ fn overcommit_with_ballooning_fits_more_vms() {
             .unwrap();
         // Reclaim a third of each VM's memory.
         let pages = vmm.vm(id).unwrap().memory().total_pages() / 3;
-        vmm.vm(id).unwrap().set_balloon_pages(pages).unwrap();
+        vmm.vm_mut(id).unwrap().set_balloon_pages(pages).unwrap();
     }
     let reclaimed: u64 = vmm
         .vm_ids()

@@ -3,7 +3,6 @@
 //! block, memory).
 
 use virtlab::block::SECTOR_SIZE;
-use virtlab::devices::MmioDevice;
 use virtlab::types::{GuestAddress, PAGE_SIZE};
 use virtlab::vcpu::{Assembler, ExecMode, Instr, Reg, Workload, WorkloadKind};
 use virtlab::virtio::blk::{VIRTIO_BLK_T_IN, VIRTIO_BLK_T_OUT};
@@ -94,7 +93,7 @@ fn all_exec_modes_produce_identical_results_with_different_costs() {
 
 #[test]
 fn virtio_blk_io_through_a_vm() {
-    let vm = Vm::new(
+    let mut vm = Vm::new(
         VmConfig::new("disk")
             .with_memory(ByteSize::mib(8))
             .with_disk(DiskConfig::new("system", ByteSize::mib(2))),
@@ -122,8 +121,7 @@ fn virtio_blk_io_through_a_vm() {
         .unwrap();
 
     // Ring the doorbell through the MMIO register, exactly as the guest would.
-    let transport = vm.virtio_blk().unwrap();
-    transport.lock().write(regs::QUEUE_NOTIFY, 0, 4);
+    vm.virtio_blk().unwrap().write(regs::QUEUE_NOTIFY, 0);
 
     // Both completions arrive and the read saw the written data.
     let (_, len_w) = driver.poll_used(vm.memory()).unwrap().unwrap();
@@ -132,15 +130,15 @@ fn virtio_blk_io_through_a_vm() {
     assert_eq!(len_r as u64, SECTOR_SIZE + 1);
     // The device reports the used buffers in its status register until the
     // guest acknowledges them.
-    let mut transport = transport.lock();
-    assert_eq!(transport.read(regs::INTERRUPT_STATUS, 4) & 1, 1);
-    transport.write(regs::INTERRUPT_ACK, 1, 4);
-    assert_eq!(transport.read(regs::INTERRUPT_STATUS, 4) & 1, 0);
+    let transport = vm.virtio_blk().unwrap();
+    assert_eq!(transport.read(regs::INTERRUPT_STATUS) & 1, 1);
+    transport.write(regs::INTERRUPT_ACK, 1);
+    assert_eq!(transport.read(regs::INTERRUPT_STATUS) & 1, 0);
 }
 
 #[test]
 fn balloon_reclaims_memory_from_a_vm() {
-    let vm = Vm::new(
+    let mut vm = Vm::new(
         VmConfig::new("balloon")
             .with_memory(ByteSize::mib(8))
             .with_balloon(),
@@ -179,20 +177,20 @@ fn two_vms_exchange_frames_over_a_shared_switch() {
         .unwrap();
 
     // Configure queues on both NICs (host-side driver stand-in).
-    let setup = |vm: &Vm| {
+    let setup = |vm: &mut Vm| {
         let (rx, rx_end) = QueueLayout::contiguous(GuestAddress(0x10_0000), 64).unwrap();
         let (tx, tx_end) = QueueLayout::contiguous(GuestAddress(rx_end.0 + 0x1000), 64).unwrap();
         let transport = vm.virtio_net().unwrap();
-        transport.lock().setup_queue(RX_QUEUE, rx).unwrap();
-        transport.lock().setup_queue(TX_QUEUE, tx).unwrap();
+        transport.setup_queue(RX_QUEUE, rx).unwrap();
+        transport.setup_queue(TX_QUEUE, tx).unwrap();
         let rx_drv = DriverQueue::new(rx, GuestAddress(tx_end.0 + 0x1000), 256 * 1024);
         let tx_drv = DriverQueue::new(tx, GuestAddress(tx_end.0 + 0x1000 + 256 * 1024), 256 * 1024);
         rx_drv.init(vm.memory()).unwrap();
         tx_drv.init(vm.memory()).unwrap();
         (rx_drv, tx_drv)
     };
-    let (_a_rx, mut a_tx) = setup(vmm.vm(a).unwrap());
-    let (mut b_rx, mut b_tx) = setup(vmm.vm(b).unwrap());
+    let (_a_rx, mut a_tx) = setup(vmm.vm_mut(a).unwrap());
+    let (mut b_rx, mut b_tx) = setup(vmm.vm_mut(b).unwrap());
 
     // b posts receive buffers and announces itself with a broadcast.
     for _ in 0..4 {
@@ -206,11 +204,10 @@ fn two_vms_exchange_frames_over_a_shared_switch() {
         &[],
     )
     .unwrap();
-    vmm.vm(b)
+    vmm.vm_mut(b)
         .unwrap()
         .virtio_net()
         .unwrap()
-        .lock()
         .notify(TX_QUEUE)
         .unwrap();
 
@@ -227,20 +224,18 @@ fn two_vms_exchange_frames_over_a_shared_switch() {
         &[],
     )
     .unwrap();
-    vmm.vm(a)
+    vmm.vm_mut(a)
         .unwrap()
         .virtio_net()
         .unwrap()
-        .lock()
         .notify(TX_QUEUE)
         .unwrap();
 
     // b polls its receive queue and finds the frame.
-    vmm.vm(b)
+    vmm.vm_mut(b)
         .unwrap()
         .virtio_net()
         .unwrap()
-        .lock()
         .poll_queue(RX_QUEUE)
         .unwrap();
     let (_, len) = b_rx
